@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race stress fuzz verify bench experiments bench-backup bench-readpath bench-availability bench-writepath bench-placement bench-mesh bench-bulkread bench-deadline drift clean
+.PHONY: all build vet test race stress fuzz verify bench-test benchmark bench experiments bench-backup bench-readpath bench-availability bench-writepath bench-placement bench-mesh bench-bulkread bench-deadline drift clean
 
 all: verify
 
@@ -42,9 +42,20 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzReadFrame -fuzztime 15s
 	$(GO) test ./internal/formula -run '^$$' -fuzz FuzzCompile -fuzztime 15s
 
-# verify is the tier-1 gate: build, vet, full tests, the race detector, and
-# the concurrency stress pass.
-verify: build vet test race stress
+# bench/ is a module of its own (it replaces repro with ../), so the root
+# `go test ./...` never compiles it: this is what makes a signature change
+# that breaks bench/layers.go fail here instead of in the benchmark run.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The canonical benchmark (BENCHMARK.json): four workloads, 8 s each. See
+# bench/README.md for flags (-workload, -seed, -trace 1, -quick, -compare).
+benchmark:
+	$(GO) run -C bench .
+
+# verify is the tier-1 gate: build, vet, full tests (the benchmark module's
+# included), the race detector, and the concurrency stress pass.
+verify: build vet test bench-test race stress
 
 # Write-path benchmark suite (changefeed: latency vs open consumers).
 bench:
@@ -60,9 +71,10 @@ experiments:
 bench-backup:
 	$(GO) run ./cmd/experiments -exp W3
 
-# Regenerate the read-path baseline (BENCH_readpath.json): point-read
-# throughput under a sustained writer and Put latency under back-to-back
-# scans, RW-latch + note cache vs the serialized (seed) discipline.
+# Regenerate the live rows of the read-path baseline (BENCH_readpath.json):
+# point-read throughput under a sustained writer and Put latency under
+# back-to-back scans. The serialized (seed discipline) rows are frozen —
+# that store mode is gone — and carried over untouched.
 bench-readpath:
 	$(GO) run ./cmd/experiments -exp W4
 

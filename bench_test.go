@@ -521,104 +521,82 @@ func BenchmarkT7Formula(b *testing.B) {
 // --- W4: read path under concurrent writes (RW latch + note cache) ---
 
 // BenchmarkW4ReadUnderWriter measures RawGet throughput from parallel
-// readers while one writer continuously updates documents. The serialized
-// mode is the seed's single-semaphore discipline (Options.SerializeReads);
-// the default mode is the RW latch with the decoded-note cache. The
-// scheduler is widened so the writer and readers genuinely interleave on a
-// single-core box (at GOMAXPROCS=1 the writer only yields at blocking
-// points and the comparison collapses into a scheduling artifact).
+// readers while one writer continuously updates documents (RW latch with
+// the decoded-note cache; the seed's single-semaphore baseline is frozen in
+// EXPERIMENTS.md W4). The scheduler is widened so the writer and readers
+// genuinely interleave on a single-core box (at GOMAXPROCS=1 the writer
+// only yields at blocking points).
 func BenchmarkW4ReadUnderWriter(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	for _, mode := range []struct {
-		name string
-		opts store.Options
-	}{
-		{"serialized", store.Options{SerializeReads: true}},
-		{"rw+cache", store.Options{}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			db, err := domino.Open(filepath.Join(b.TempDir(), "bench.nsf"),
-				domino.Options{Title: "w4", Store: mode.opts})
-			if err != nil {
+	db, err := domino.Open(filepath.Join(b.TempDir(), "bench.nsf"),
+		domino.Options{Title: "w4"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	docs := seed(b, db, 2000, 512)
+	hot := len(docs) / 10
+
+	// The writer is paced (not free-running) so both modes face the
+	// same write load and ns/op reflects reader latency, not the
+	// CPU share a faster writer can grab.
+	stop := make(chan struct{})
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		g := workload.New(21)
+		sess := db.Session("writer")
+		tick := time.NewTicker(250 * time.Microsecond)
+		defer tick.Stop()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+			d := docs[i%len(docs)].Clone()
+			g.Mutate(d)
+			if err := sess.Update(d); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	}()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			i++
+			var u domino.UNID
+			if i%10 != 9 {
+				u = docs[i*31%hot].OID.UNID
+			} else {
+				u = docs[i%len(docs)].OID.UNID
+			}
+			if _, err := db.RawGet(u); err != nil {
 				b.Fatal(err)
 			}
-			b.Cleanup(func() { db.Close() })
-			docs := seed(b, db, 2000, 512)
-			hot := len(docs) / 10
-
-			// The writer is paced (not free-running) so both modes face the
-			// same write load and ns/op reflects reader latency, not the
-			// CPU share a faster writer can grab.
-			stop := make(chan struct{})
-			writerDone := make(chan struct{})
-			go func() {
-				defer close(writerDone)
-				g := workload.New(21)
-				sess := db.Session("writer")
-				tick := time.NewTicker(250 * time.Microsecond)
-				defer tick.Stop()
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					case <-tick.C:
-					}
-					d := docs[i%len(docs)].Clone()
-					g.Mutate(d)
-					if err := sess.Update(d); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			}()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					i++
-					var u domino.UNID
-					if i%10 != 9 {
-						u = docs[i*31%hot].OID.UNID
-					} else {
-						u = docs[i%len(docs)].OID.UNID
-					}
-					if _, err := db.RawGet(u); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.StopTimer()
-			close(stop)
-			<-writerDone
-		})
-	}
+		}
+	})
+	b.StopTimer()
+	close(stop)
+	<-writerDone
 }
 
-// BenchmarkW4ScanAll measures a full snapshot scan against the serialized
-// (latch-held) ablation — same deliverables, different writer impact.
+// BenchmarkW4ScanAll measures a full snapshot scan.
 func BenchmarkW4ScanAll(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		opts store.Options
-	}{
-		{"serialized", store.Options{SerializeReads: true}},
-		{"rw+cache", store.Options{}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			db, err := domino.Open(filepath.Join(b.TempDir(), "bench.nsf"),
-				domino.Options{Title: "w4scan", Store: mode.opts})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { db.Close() })
-			seed(b, db, 2000, 512)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				count := 0
-				if err := db.ScanAll(func(*domino.Note) bool { count++; return true }); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	db, err := domino.Open(filepath.Join(b.TempDir(), "bench.nsf"),
+		domino.Options{Title: "w4scan"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	seed(b, db, 2000, 512)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		count := 0
+		if err := db.ScanAll(func(*domino.Note) bool { count++; return true }); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -253,15 +254,15 @@ func (s *Server) busyResp(op wire.Op) *wire.Enc {
 	return wire.NewResp(op, wire.StatusBusy).U8(state).U32(uint32(s.AvailabilityIndex()))
 }
 
-// availabilityResp answers an OpAvailability probe.
-func (s *Server) availabilityResp() *wire.Enc {
-	h := s.Health()
+// availability answers an OpAvailability probe.
+func (c *connState) availability(context.Context, *wire.Dec) (*wire.Enc, error) {
+	h := c.s.Health()
 	return wire.NewResp(wire.OpAvailability, wire.StatusOK).
 		U8(h.State).
 		U32(uint32(h.Index)).
 		U32(uint32(h.InFlight)).
 		U32(uint32(h.Queued)).
-		U64(uint64(h.Latency / time.Microsecond))
+		U64(uint64(h.Latency / time.Microsecond)), nil
 }
 
 // Quiesce puts the server in RESTRICTED drain mode: new sessions are

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"log"
 	"sync"
 	"time"
 
@@ -17,6 +16,9 @@ import (
 // path after outages — and a dropped push now *tells* it to run: drops
 // fire the server's OnClusterDrop callback, which dominod wires into the
 // replication jobs' ChangeTriggers for an immediate catch-up pass.
+
+// LogCluster is the log kind for cluster push events.
+const LogCluster = "cluster"
 
 // clusterEvent is one pending push.
 type clusterEvent struct {
@@ -141,12 +143,11 @@ func (p *clusterPusher) enqueue(ev clusterEvent) {
 }
 
 // drop records one abandoned event and signals the catch-up path.
-func (p *clusterPusher) drop(ev clusterEvent, err error) {
+func (p *clusterPusher) drop(ev clusterEvent) {
 	p.mu.Lock()
 	p.dropped++
 	p.mu.Unlock()
 	p.server.notifyClusterDrop(p.mateName, ev.dbPath)
-	log.Printf("cluster: push to %s failed: %v", p.mateName, err)
 }
 
 // snapshot returns the pusher's drop count and current queue depth.
@@ -219,14 +220,16 @@ func (p *clusterPusher) run() {
 				// scheduled replicator (drop).
 				p.disconnect()
 				if err := p.deliver(ev); err != nil {
-					p.drop(ev, err)
 					// A dead mate fails every event the same way; drop
 					// the rest of the batch in one sweep (each drop still
 					// signals catch-up) instead of paying a dial timeout
-					// per event, then let the queue rebuild.
-					for _, rest := range batch[i+1:] {
-						p.drop(rest, err)
+					// per event, then let the queue rebuild. One log line
+					// covers the sweep.
+					for _, dropped := range batch[i:] {
+						p.drop(dropped)
 					}
+					p.server.logf(LogCluster, "push to %s failed, %d events left to the replicator: %v",
+						p.mateName, len(batch)-i, err)
 					time.Sleep(50 * time.Millisecond)
 					break
 				}

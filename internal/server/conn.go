@@ -21,6 +21,11 @@ type connState struct {
 	user    string
 	handles map[uint32]*handleState
 	nextH   uint32
+	// dec decodes the request being served. A connection serves one request
+	// at a time, so the decoder lives here instead of being allocated per
+	// request (handlers are called through a table, which would otherwise
+	// force each one to the heap).
+	dec wire.Dec
 }
 
 type handleState struct {
@@ -61,28 +66,17 @@ func (s *Server) handleConn(conn net.Conn) {
 		op := wire.Op(payload[0])
 		var resp *wire.Enc
 		switch {
-		case op == wire.OpAvailability:
-			// Probes answer unauthenticated and even while draining, so a
-			// failover client can always read the mate's state.
-			resp = s.availabilityResp()
-		case op == wire.OpResolve:
-			// Placement resolves are routing metadata, answered like probes:
-			// pre-auth and during drain, so clients can locate a database's
-			// home mates even through a mate that is leaving.
-			resp = s.resolveResp(wire.NewDec(payload[1:]))
+		case op.Info().PreAuth:
+			// Probes, placement resolves and hello bypass admission: a
+			// failover client must always be able to read a mate's state and
+			// locate a database's homes — even through a mate that is
+			// leaving — and a loaded server still answers hello so the
+			// client can read busy responses (with the index) and redirect.
+			resp = st.safeDispatch(op, budget, payload[1:])
 		case s.draining.Load():
-			// RESTRICTED: refuse new sessions outright, shed everything
-			// else with a busy response that says "go to a mate".
-			if op == wire.OpHello {
-				resp = fail(op, errors.New("server RESTRICTED (draining)"))
-			} else {
-				resp = s.busyResp(op)
-			}
-		case op == wire.OpHello:
-			// Authentication stays cheap and is never shed: a loaded
-			// server still answers hello so the client can read busy
-			// responses (with the index) and redirect.
-			resp = st.safeDispatch(op, budget, wire.NewDec(payload[1:]))
+			// RESTRICTED: shed everything with a busy response that says
+			// "go to a mate" (new sessions are refused by the hello handler).
+			resp = s.busyResp(op)
 		default:
 			switch s.admission.admit(budget) {
 			case admitShed:
@@ -95,7 +89,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			default:
 				s.admission.dispatched.Add(1)
 				start := time.Now()
-				resp = st.safeDispatch(op, budget, wire.NewDec(payload[1:]))
+				resp = st.safeDispatch(op, budget, payload[1:])
 				s.admission.release(time.Since(start))
 			}
 		}
@@ -117,11 +111,11 @@ func (s *Server) handleConn(conn net.Conn) {
 // logged and counted, and the connection is closed by returning nil — the
 // rest of the server keeps serving. The response for a half-executed
 // request is unknowable, so nothing is written.
-func (c *connState) safeDispatch(op wire.Op, budget time.Duration, d *wire.Dec) (resp *wire.Enc) {
+func (c *connState) safeDispatch(op wire.Op, budget time.Duration, body []byte) (resp *wire.Enc) {
 	defer func() {
 		if r := recover(); r != nil {
 			c.s.admission.panics.Add(1)
-			c.s.logf(LogHealth, "panic in %#x handler (user %q): %v", byte(op), c.user, r)
+			c.s.logf(LogHealth, "panic in %v handler (user %q): %v", op, c.user, r)
 			resp = nil
 		}
 	}()
@@ -139,7 +133,8 @@ func (c *connState) safeDispatch(op wire.Op, budget time.Duration, d *wire.Dec) 
 	if hook := c.s.testPreDispatch; hook != nil {
 		hook(op, budget)
 	}
-	return c.dispatch(ctx, op, d)
+	c.dec = *wire.NewDec(body)
+	return c.dispatch(ctx, op, &c.dec)
 }
 
 // fail builds an error response.
@@ -155,8 +150,52 @@ func deadlineResp(op wire.Op, stage byte) *wire.Enc {
 	return wire.NewResp(op, wire.StatusDeadlineExceeded).U8(stage)
 }
 
+// handler serves one op: it decodes the request body from d and returns the
+// encoded response, or an error dispatch turns into the right status.
+type handler func(c *connState, ctx context.Context, d *wire.Dec) (*wire.Enc, error)
+
+// onDB adapts the handler of an op addressed to an open database: the
+// request starts with a handle, which is resolved (and its placement
+// re-checked) before h runs.
+func onDB(h func(c *connState, ctx context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error)) handler {
+	return func(c *connState, ctx context.Context, d *wire.Dec) (*wire.Enc, error) {
+		hs, err := c.handle(d)
+		if err != nil {
+			return nil, err
+		}
+		return h(c, ctx, hs, d)
+	}
+}
+
+// handlers is the server half of the op table (wire.Ops), indexed by op
+// code: adding an op means a row there, a handler here, and a codec method
+// in wire — the completeness test fails until all three exist.
+var handlers = [...]handler{
+	wire.OpHello:        (*connState).hello,
+	wire.OpOpenDB:       (*connState).openDB,
+	wire.OpGetNote:      onDB((*connState).getNote),
+	wire.OpCreateNote:   onDB((*connState).createNote),
+	wire.OpUpdateNote:   onDB((*connState).updateNote),
+	wire.OpDeleteNote:   onDB((*connState).deleteNote),
+	wire.OpViewRows:     onDB((*connState).viewRows),
+	wire.OpSearch:       onDB((*connState).search),
+	wire.OpReplicaID:    onDB((*connState).replicaID),
+	wire.OpSummaries:    onDB((*connState).summaries),
+	wire.OpFetch:        onDB((*connState).fetch),
+	wire.OpApply:        onDB((*connState).apply),
+	wire.OpMailDeposit:  (*connState).mailDeposit,
+	wire.OpDBInfo:       onDB((*connState).dbInfo),
+	wire.OpAvailability: (*connState).availability,
+	wire.OpPutBatch:     onDB((*connState).putBatch),
+	wire.OpResolve:      (*connState).resolve,
+	wire.OpMeshStatus:   (*connState).meshStatus,
+	wire.OpMeshAdd:      (*connState).meshAdd,
+	wire.OpMeshRemove:   (*connState).meshRemove,
+	wire.OpScan:         onDB((*connState).scan),
+}
+
 func (c *connState) dispatch(ctx context.Context, op wire.Op, d *wire.Dec) *wire.Enc {
-	if c.user == "" && op != wire.OpHello {
+	if c.user == "" && !op.Info().PreAuth {
 		return fail(op, errors.New("not authenticated"))
 	}
 	if ctx.Err() != nil {
@@ -165,50 +204,10 @@ func (c *connState) dispatch(ctx context.Context, op wire.Op, d *wire.Dec) *wire
 		c.s.admission.deadlineSheds.Add(1)
 		return deadlineResp(op, wire.DeadlineRefused)
 	}
-	var resp *wire.Enc
-	var err error
-	switch op {
-	case wire.OpHello:
-		resp, err = c.hello(d)
-	case wire.OpOpenDB:
-		resp, err = c.openDB(d)
-	case wire.OpGetNote:
-		resp, err = c.getNote(d)
-	case wire.OpCreateNote:
-		resp, err = c.createNote(d)
-	case wire.OpUpdateNote:
-		resp, err = c.updateNote(d)
-	case wire.OpDeleteNote:
-		resp, err = c.deleteNote(d)
-	case wire.OpViewRows:
-		resp, err = c.viewRows(ctx, d)
-	case wire.OpSearch:
-		resp, err = c.search(ctx, d)
-	case wire.OpScan:
-		resp, err = c.scan(ctx, d)
-	case wire.OpReplicaID:
-		resp, err = c.replicaID(d)
-	case wire.OpSummaries:
-		resp, err = c.summaries(ctx, d)
-	case wire.OpFetch:
-		resp, err = c.fetch(ctx, d)
-	case wire.OpApply:
-		resp, err = c.apply(ctx, d)
-	case wire.OpMailDeposit:
-		resp, err = c.mailDeposit(d)
-	case wire.OpDBInfo:
-		resp, err = c.dbInfo(d)
-	case wire.OpPutBatch:
-		resp, err = c.putBatch(ctx, d)
-	case wire.OpMeshStatus:
-		resp, err = c.meshStatus(d)
-	case wire.OpMeshAdd:
-		resp, err = c.meshAdd(d)
-	case wire.OpMeshRemove:
-		resp, err = c.meshRemove(d)
-	default:
-		err = fmt.Errorf("unknown operation %#x", byte(op))
+	if int(op) >= len(handlers) || handlers[op] == nil {
+		return fail(op, fmt.Errorf("unknown operation %#x", byte(op)))
 	}
+	resp, err := handlers[op](c, ctx, d)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			// The handler stopped cooperatively mid-execution: the op may
@@ -227,16 +226,17 @@ func (c *connState) dispatch(ctx context.Context, op wire.Op, d *wire.Dec) *wire
 	return resp
 }
 
-func (c *connState) hello(d *wire.Dec) (*wire.Enc, error) {
+func (c *connState) hello(_ context.Context, d *wire.Dec) (*wire.Enc, error) {
+	if c.s.draining.Load() {
+		return nil, errors.New("server RESTRICTED (draining)") // no new sessions
+	}
 	version := d.U32()
 	user := d.Str()
 	secret := d.Str()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	// Version 2 changed the view/search row encodings (paginated bulk
-	// reads), so v1 peers are refused rather than misparsed.
-	if version != 2 {
+	if version != wire.ProtocolVersion {
 		return nil, fmt.Errorf("unsupported protocol version %d", version)
 	}
 	if !c.s.opts.Directory.Authenticate(user, secret) {
@@ -248,7 +248,7 @@ func (c *connState) hello(d *wire.Dec) (*wire.Enc, error) {
 	return wire.NewResp(wire.OpHello, wire.StatusOK), nil
 }
 
-func (c *connState) openDB(d *wire.Dec) (*wire.Enc, error) {
+func (c *connState) openDB(_ context.Context, d *wire.Dec) (*wire.Enc, error) {
 	path := d.Str()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -298,11 +298,7 @@ func (c *connState) handle(d *wire.Dec) (*handleState, error) {
 	return hs, nil
 }
 
-func (c *connState) getNote(d *wire.Dec) (*wire.Enc, error) {
-	hs, err := c.handle(d)
-	if err != nil {
-		return nil, err
-	}
+func (c *connState) getNote(_ context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	unid := d.UNID()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -314,11 +310,7 @@ func (c *connState) getNote(d *wire.Dec) (*wire.Enc, error) {
 	return wire.NewResp(wire.OpGetNote, wire.StatusOK).Note(n), nil
 }
 
-func (c *connState) createNote(d *wire.Dec) (*wire.Enc, error) {
-	hs, err := c.handle(d)
-	if err != nil {
-		return nil, err
-	}
+func (c *connState) createNote(_ context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	n := d.Note()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -330,11 +322,7 @@ func (c *connState) createNote(d *wire.Dec) (*wire.Enc, error) {
 	return wire.NewResp(wire.OpCreateNote, wire.StatusOK).Note(n), nil
 }
 
-func (c *connState) updateNote(d *wire.Dec) (*wire.Enc, error) {
-	hs, err := c.handle(d)
-	if err != nil {
-		return nil, err
-	}
+func (c *connState) updateNote(_ context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	n := d.Note()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -345,11 +333,7 @@ func (c *connState) updateNote(d *wire.Dec) (*wire.Enc, error) {
 	return wire.NewResp(wire.OpUpdateNote, wire.StatusOK).Note(n), nil
 }
 
-func (c *connState) deleteNote(d *wire.Dec) (*wire.Enc, error) {
-	hs, err := c.handle(d)
-	if err != nil {
-		return nil, err
-	}
+func (c *connState) deleteNote(_ context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	unid := d.UNID()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -362,11 +346,7 @@ func (c *connState) deleteNote(d *wire.Dec) (*wire.Enc, error) {
 
 // replicaID reports the database's replica ID, letting clients re-verify
 // replica-set membership on a live connection (e.g. after a reconnect).
-func (c *connState) replicaID(d *wire.Dec) (*wire.Enc, error) {
-	hs, err := c.handle(d)
-	if err != nil {
-		return nil, err
-	}
+func (c *connState) replicaID(_ context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -393,11 +373,7 @@ func (c *connState) replAccess(hs *handleState, needWrite bool) error {
 // within milliseconds, large enough to amortize the check away.
 const replChunk = 256
 
-func (c *connState) summaries(ctx context.Context, d *wire.Dec) (*wire.Enc, error) {
-	hs, err := c.handle(d)
-	if err != nil {
-		return nil, err
-	}
+func (c *connState) summaries(ctx context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	since := nsf.Timestamp(d.U64())
 	formulaSrc := d.Str()
 	if err := d.Err(); err != nil {
@@ -427,11 +403,7 @@ func (c *connState) summaries(ctx context.Context, d *wire.Dec) (*wire.Enc, erro
 	return resp, nil
 }
 
-func (c *connState) fetch(ctx context.Context, d *wire.Dec) (*wire.Enc, error) {
-	hs, err := c.handle(d)
-	if err != nil {
-		return nil, err
-	}
+func (c *connState) fetch(ctx context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	count := d.U32()
 	// Clamp the count-sized preallocation to what the request could hold
 	// (16 bytes per UNID); a corrupt count must not demand gigabytes.
@@ -471,11 +443,7 @@ func (c *connState) fetch(ctx context.Context, d *wire.Dec) (*wire.Enc, error) {
 	return resp, nil
 }
 
-func (c *connState) apply(ctx context.Context, d *wire.Dec) (*wire.Enc, error) {
-	hs, err := c.handle(d)
-	if err != nil {
-		return nil, err
-	}
+func (c *connState) apply(ctx context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	count := d.U32()
 	notes := make([]*nsf.Note, 0, d.Cap(count, 2))
 	for i := uint32(0); i < count && d.Err() == nil; i++ {
@@ -511,11 +479,7 @@ func (c *connState) apply(ctx context.Context, d *wire.Dec) (*wire.Enc, error) {
 	return wire.NewResp(wire.OpApply, wire.StatusOK).ApplyStats(stats), nil
 }
 
-func (c *connState) dbInfo(d *wire.Dec) (*wire.Enc, error) {
-	hs, err := c.handle(d)
-	if err != nil {
-		return nil, err
-	}
+func (c *connState) dbInfo(_ context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -537,11 +501,7 @@ func (c *connState) dbInfo(d *wire.Dec) (*wire.Enc, error) {
 // re-sent after a reconnect applies exactly once. A partial failure is
 // reported as StatusOK with ok=0 so the client still learns the cursor
 // (how far the batch got) alongside the error.
-func (c *connState) putBatch(ctx context.Context, d *wire.Dec) (*wire.Enc, error) {
-	hs, err := c.handle(d)
-	if err != nil {
-		return nil, err
-	}
+func (c *connState) putBatch(ctx context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	sessKey := d.Str()
 	base := d.U64()
 	count := int(d.U32())
@@ -591,7 +551,7 @@ func (c *connState) putBatch(ctx context.Context, d *wire.Dec) (*wire.Enc, error
 	return resp, nil
 }
 
-func (c *connState) mailDeposit(d *wire.Dec) (*wire.Enc, error) {
+func (c *connState) mailDeposit(_ context.Context, d *wire.Dec) (*wire.Enc, error) {
 	n := d.Note()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -612,7 +572,7 @@ func (c *connState) meshFor() (*mesh.Mesh, error) {
 	return m, nil
 }
 
-func (c *connState) meshStatus(d *wire.Dec) (*wire.Enc, error) {
+func (c *connState) meshStatus(_ context.Context, d *wire.Dec) (*wire.Enc, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -628,7 +588,7 @@ func (c *connState) meshStatus(d *wire.Dec) (*wire.Enc, error) {
 	return resp, nil
 }
 
-func (c *connState) meshAdd(d *wire.Dec) (*wire.Enc, error) {
+func (c *connState) meshAdd(_ context.Context, d *wire.Dec) (*wire.Enc, error) {
 	l := d.MeshLink()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -644,7 +604,7 @@ func (c *connState) meshAdd(d *wire.Dec) (*wire.Enc, error) {
 	return wire.NewResp(wire.OpMeshAdd, wire.StatusOK), nil
 }
 
-func (c *connState) meshRemove(d *wire.Dec) (*wire.Enc, error) {
+func (c *connState) meshRemove(_ context.Context, d *wire.Dec) (*wire.Enc, error) {
 	name := d.Str()
 	if err := d.Err(); err != nil {
 		return nil, err

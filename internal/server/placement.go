@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"strings"
 
 	"repro/internal/wire"
@@ -103,13 +104,14 @@ func (s *Server) checkHomed(cleanPath string) error {
 	}
 }
 
-// resolveResp answers OpResolve: one record for a named path, every record
-// for the empty path. Unplaced databases answer generation 0 with no homes
+// resolve answers OpResolve: one record for a named path, every record for
+// the empty path. Unplaced databases answer generation 0 with no homes
 // ("served anywhere") rather than erroring, so clients need no special case.
-func (s *Server) resolveResp(d *wire.Dec) *wire.Enc {
+func (c *connState) resolve(_ context.Context, d *wire.Dec) (*wire.Enc, error) {
+	s := c.s
 	path := d.Str()
 	if err := d.Err(); err != nil {
-		return fail(wire.OpResolve, err)
+		return nil, err
 	}
 	if strings.TrimSpace(path) == "" {
 		ps := s.opts.Directory.Placements()
@@ -117,11 +119,11 @@ func (s *Server) resolveResp(d *wire.Dec) *wire.Enc {
 		for _, p := range ps {
 			encResolveRecord(resp, p.Path, p.Generation, p.Replicas, s.homeAddrs(p.Home))
 		}
-		return resp
+		return resp, nil
 	}
 	key, err := cleanDBPath(path)
 	if err != nil {
-		return fail(wire.OpResolve, err)
+		return nil, err
 	}
 	resp := wire.NewResp(wire.OpResolve, wire.StatusOK).U32(1)
 	if p, ok := s.opts.Directory.GetPlacement(key); ok {
@@ -129,5 +131,5 @@ func (s *Server) resolveResp(d *wire.Dec) *wire.Enc {
 	} else {
 		encResolveRecord(resp, key, 0, 0, nil)
 	}
-	return resp
+	return resp, nil
 }

@@ -52,28 +52,3 @@ func TestScanCancelledMidwayStopsAndReleasesLatch(t *testing.T) {
 		t.Fatal("write blocked after cancelled scan — latch not released")
 	}
 }
-
-// TestScanCancelledSerialized: the serialized-ablation path holds the
-// exclusive latch for the whole scan; the ctx gate must still stop a
-// cancelled scan within one batch of callbacks.
-func TestScanCancelledSerialized(t *testing.T) {
-	s, _ := openTestStore(t, Options{Title: "cancel-ser", SerializeReads: true})
-	c := clock.New()
-	for i := 0; i < 3*scanBatch; i++ {
-		if err := s.Put(makeNote(c, fmt.Sprintf("doc %d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already expired before the scan starts
-	visited := 0
-	if err := s.ScanAllCtx(ctx, func(n *nsf.Note) bool {
-		visited++
-		return true
-	}); err != nil {
-		t.Fatalf("serialized cancelled scan: %v", err)
-	}
-	if visited > scanBatch {
-		t.Errorf("cancelled serialized scan visited %d notes, want at most %d", visited, scanBatch)
-	}
-}

@@ -266,31 +266,3 @@ func TestNoteCacheSemantics(t *testing.T) {
 		t.Fatalf("after delete: err = %v, want ErrNotFound", err)
 	}
 }
-
-// TestSerializeReadsAblation exercises the seed-discipline baseline mode:
-// same results, exclusive latching, no cache.
-func TestSerializeReadsAblation(t *testing.T) {
-	s, _ := openTestStore(t, Options{Title: "serial", SerializeReads: true})
-	c := clock.New()
-	for i := 0; i < 50; i++ {
-		if err := s.Put(makeNote(c, fmt.Sprintf("d%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seen := 0
-	if err := s.ScanAll(func(*nsf.Note) bool { seen++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	if seen != 50 {
-		t.Fatalf("serialized ScanAll saw %d notes, want 50", seen)
-	}
-	if st := s.Stats(); st.NoteCacheEntries != 0 || st.NoteCacheHits != 0 {
-		t.Fatalf("serialized mode must disable the note cache, stats %+v", st)
-	}
-	if err := s.ScanModifiedSince(0, func(*nsf.Note) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	if problems := s.Verify(); len(problems) > 0 {
-		t.Fatalf("Verify: %v", problems)
-	}
-}

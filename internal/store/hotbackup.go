@@ -134,8 +134,8 @@ func (s *Store) SnapshotModifiedSince(since nsf.Timestamp) ([][]byte, []nsf.UNID
 	// UNID manifest, and the cursors must be mutually consistent, so
 	// writers are held off for the duration — but concurrent readers are
 	// not, and the hold is bounded by the delta size, not the database.
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if s.closed {
 		return nil, nil, BackupMark{}, errors.New("store: closed")
 	}

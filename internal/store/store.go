@@ -61,12 +61,6 @@ type Options struct {
 	// NoteCacheCap bounds the decoded-note cache in entries. Zero means the
 	// default (4096); negative disables the cache.
 	NoteCacheCap int
-	// SerializeReads restores the seed's single-semaphore discipline: reads
-	// take the exclusive latch, scans hold it end to end, and the note
-	// cache is disabled. It exists as the measured baseline for the W4
-	// read-path experiment and as an ablation hook; leave it off in
-	// production.
-	SerializeReads bool
 }
 
 // Store is a persistent note store: the storage half of an NSF database.
@@ -142,9 +136,7 @@ func Open(path string, opts Options) (*Store, error) {
 	if opts.GroupCommitWindow > 0 {
 		s.gc = newCommitGroup(w, opts.SyncWAL, opts.GroupCommitWindow)
 	}
-	if !opts.SerializeReads {
-		s.cache = newNoteCache(opts.NoteCacheCap)
-	}
+	s.cache = newNoteCache(opts.NoteCacheCap)
 	s.byID = &btree{pg: pg, slot: rootSlotByID}
 	s.byUNID = &btree{pg: pg, slot: rootSlotByUNID}
 	s.byMod = &btree{pg: pg, slot: rootSlotByMod}
@@ -230,59 +222,40 @@ func (s *Store) recover() error {
 // Path returns the page file path the store was opened with.
 func (s *Store) Path() string { return s.path }
 
-// rlock takes the read latch — or the exclusive latch when the
-// SerializeReads ablation is on, reproducing the seed's single-semaphore
-// behaviour for before/after measurement.
-func (s *Store) rlock() {
-	if s.opts.SerializeReads {
-		s.mu.Lock()
-	} else {
-		s.mu.RLock()
-	}
-}
-
-func (s *Store) runlock() {
-	if s.opts.SerializeReads {
-		s.mu.Unlock()
-	} else {
-		s.mu.RUnlock()
-	}
-}
-
 // Exists reports whether a note with the given UNID is stored, without
 // loading it.
 func (s *Store) Exists(unid nsf.UNID) (bool, error) {
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	_, ok, err := s.byUNID.Get(unid[:])
 	return ok, err
 }
 
 // ReplicaID returns the database's replica identity.
 func (s *Store) ReplicaID() nsf.ReplicaID {
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.pg.replicaID
 }
 
 // Title returns the database title.
 func (s *Store) Title() string {
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.pg.title
 }
 
 // Created returns the database creation timestamp.
 func (s *Store) Created() nsf.Timestamp {
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.pg.created
 }
 
 // Count returns the number of stored notes, deletion stubs included.
 func (s *Store) Count() int {
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.count
 }
 
@@ -552,8 +525,8 @@ func (s *Store) applyDelete(unid nsf.UNID) error {
 
 // GetByUNID returns the note with the given UNID.
 func (s *Store) GetByUNID(unid nsf.UNID) (*nsf.Note, error) {
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	// Hot path: the cache's UNID hint skips both index descents.
 	if n, ok := s.cache.getByUNID(unid); ok {
 		return n, nil
@@ -570,8 +543,8 @@ func (s *Store) GetByUNID(unid nsf.UNID) (*nsf.Note, error) {
 
 // GetByID returns the note with the given per-replica NoteID.
 func (s *Store) GetByID(id nsf.NoteID) (*nsf.Note, error) {
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.getByIDLocked(id, true)
 }
 
@@ -623,9 +596,6 @@ const scanBatch = 256
 // skipped; notes modified while it is in flight may be observed in either
 // version.
 func (s *Store) ScanModifiedSince(since nsf.Timestamp, fn func(*nsf.Note) bool) error {
-	if s.opts.SerializeReads {
-		return s.scanModifiedSinceSerialized(since, fn)
-	}
 	from := modKey(since, 0xFFFFFFFF) // strictly after all ids at `since`
 	s.mu.RLock()
 	var ids []nsf.NoteID
@@ -637,7 +607,7 @@ func (s *Store) ScanModifiedSince(since nsf.Timestamp, fn func(*nsf.Note) bool) 
 	if err != nil {
 		return err
 	}
-	return s.fetchNotes(ids, fn)
+	return s.fetchNotesCtx(context.Background(), ids, fn)
 }
 
 // ScanAll calls fn for every note in NoteID order until fn returns false.
@@ -652,9 +622,6 @@ func (s *Store) ScanAll(fn func(*nsf.Note) bool) error {
 // checked between fetch batches, so a cancelled scan stops within one
 // scanBatch of work and never holds the read latch past the check.
 func (s *Store) ScanAllCtx(ctx context.Context, fn func(*nsf.Note) bool) error {
-	if s.opts.SerializeReads {
-		return s.scanAllSerialized(ctxGate(ctx, fn))
-	}
 	s.mu.RLock()
 	var ids []nsf.NoteID
 	err := s.byID.Ascend(nil, func(k, _ []byte) bool {
@@ -684,14 +651,6 @@ func (s *Store) ScanFromCtx(ctx context.Context, after nsf.NoteID, fn func(*nsf.
 	if after == 0 {
 		return s.ScanAllCtx(ctx, fn)
 	}
-	if s.opts.SerializeReads {
-		return s.scanAllSerialized(ctxGate(ctx, func(n *nsf.Note) bool {
-			if n.ID <= after {
-				return true
-			}
-			return fn(n)
-		}))
-	}
 	if after == ^nsf.NoteID(0) {
 		return nil
 	}
@@ -708,32 +667,13 @@ func (s *Store) ScanFromCtx(ctx context.Context, after nsf.NoteID, fn func(*nsf.
 	return s.fetchNotesCtx(ctx, ids, fn)
 }
 
-// ctxGate wraps a scan callback so it stops (returning false) once ctx is
-// done, every scanBatch calls. Used on the serialized ablation paths, where
-// the exclusive latch is held for the whole scan: the gate bounds how long
-// a cancelled caller can keep writers stalled. The scan then returns nil,
-// not ctx's error — callers that care re-check ctx themselves.
-func ctxGate(ctx context.Context, fn func(*nsf.Note) bool) func(*nsf.Note) bool {
-	var seen int
-	return func(n *nsf.Note) bool {
-		if seen++; seen%scanBatch == 0 && ctx.Err() != nil {
-			return false
-		}
-		return fn(n)
-	}
-}
-
-// fetchNotes delivers the snapshot ID list to fn: each batch of notes is
+// fetchNotesCtx delivers the snapshot ID list to fn: each batch of notes is
 // fetched under one brief read latch, then fn runs latch-free, so fn may
 // re-enter the store (even to write) and a slow consumer never holds the
-// latch. IDs whose notes vanished since the snapshot are skipped.
-func (s *Store) fetchNotes(ids []nsf.NoteID, fn func(*nsf.Note) bool) error {
-	return s.fetchNotesCtx(context.Background(), ids, fn)
-}
-
-// fetchNotesCtx is fetchNotes with a deadline check before each batch's
-// latch acquisition: a cancelled scan returns ctx's error without fetching
-// or delivering the rest of the snapshot.
+// latch. IDs whose notes vanished since the snapshot are skipped. The
+// deadline is checked before each batch's latch acquisition: a cancelled
+// scan returns ctx's error without fetching or delivering the rest of the
+// snapshot.
 func (s *Store) fetchNotesCtx(ctx context.Context, ids []nsf.NoteID, fn func(*nsf.Note) bool) error {
 	batch := make([]*nsf.Note, 0, scanBatch)
 	for len(ids) > 0 {
@@ -767,59 +707,6 @@ func (s *Store) fetchNotesCtx(ctx context.Context, ids []nsf.NoteID, fn func(*ns
 			if !fn(n) {
 				return nil
 			}
-		}
-	}
-	return nil
-}
-
-// scanModifiedSinceSerialized is the seed behaviour (ablation only): the
-// exclusive latch is held for the whole scan, fn included.
-func (s *Store) scanModifiedSinceSerialized(since nsf.Timestamp, fn func(*nsf.Note) bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	from := modKey(since, 0xFFFFFFFF)
-	var ids []nsf.NoteID
-	err := s.byMod.Ascend(from, func(k, _ []byte) bool {
-		ids = append(ids, nsf.NoteID(binary.BigEndian.Uint32(k[8:])))
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	for _, id := range ids {
-		n, err := s.getByIDLocked(id, false)
-		if err != nil {
-			if errors.Is(err, ErrNotFound) {
-				continue
-			}
-			return err
-		}
-		if !fn(n) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// scanAllSerialized is the seed behaviour (ablation only).
-func (s *Store) scanAllSerialized(fn func(*nsf.Note) bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var ids []nsf.NoteID
-	err := s.byID.Ascend(nil, func(k, _ []byte) bool {
-		ids = append(ids, nsf.NoteID(binary.BigEndian.Uint32(k)))
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	for _, id := range ids {
-		n, err := s.getByIDLocked(id, false)
-		if err != nil {
-			return err
-		}
-		if !fn(n) {
-			return nil
 		}
 	}
 	return nil
@@ -883,16 +770,16 @@ func (s *Store) checkpointLocked() error {
 // operation. USNs are dense, persistent, and recovered exactly by crash
 // recovery.
 func (s *Store) LastUSN() uint64 {
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.usn
 }
 
 // ModHigh returns the high-water Modified timestamp over every note ever
 // stored — the cursor incremental backups scan from.
 func (s *Store) ModHigh() nsf.Timestamp {
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.modHigh
 }
 
@@ -930,8 +817,8 @@ type Stats struct {
 
 // Stats returns current storage statistics.
 func (s *Store) Stats() Stats {
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	entries, hits, misses := s.cache.stats()
 	st := Stats{
 		Notes:            s.count,

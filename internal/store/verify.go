@@ -15,8 +15,8 @@ func (s *Store) Verify() []string {
 	// A read latch suffices: Verify only reads, and holding it for the full
 	// check keeps the three passes mutually consistent (writers are held
 	// off; other readers proceed).
-	s.rlock()
-	defer s.runlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	var problems []string
 	report := func(format string, args ...any) {
 		problems = append(problems, fmt.Sprintf(format, args...))

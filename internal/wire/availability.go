@@ -30,11 +30,15 @@ func (a AvailabilityInfo) Restricted() bool { return a.State == StateRestricted 
 // resolve) when the caller passes no explicit timeout. It is deliberately
 // much smaller than the default OpTimeout: probes exist to notice stalled
 // mates, and a probe that waits 30s on a wedged socket defeats itself.
-// Configure per client via Options.ProbeTimeout.
+// Failover clients configure theirs via FailoverOptions.ProbeTimeout.
 const DefaultProbeTimeout = 2 * time.Second
 
-// decAvailability parses the OpAvailability response body.
-func decAvailability(d *Dec) (AvailabilityInfo, error) {
+// Availability asks the server for its current availability index.
+func (s session) Availability() (AvailabilityInfo, error) {
+	d, err := s.call(NewEnc(OpAvailability))
+	if err != nil {
+		return AvailabilityInfo{}, err
+	}
 	info := AvailabilityInfo{
 		State:    d.U8(),
 		Index:    int(d.U32()),
@@ -45,48 +49,49 @@ func decAvailability(d *Dec) (AvailabilityInfo, error) {
 	return info, d.Err()
 }
 
-// Availability asks the server for its current availability index over the
-// established session. Reading load is idempotent and retries safely.
-func (c *Client) Availability() (AvailabilityInfo, error) {
-	d, err := c.roundTrip(OpAvailability, NewEnc(OpAvailability))
-	if err != nil {
-		return AvailabilityInfo{}, err
-	}
-	return decAvailability(d)
+// probe is the one-shot pre-auth transport: each round trip dials addr,
+// sends one unauthenticated request, reads one response, and closes, the
+// whole exchange bounded by timeout (<= 0 uses DefaultProbeTimeout). Only
+// ops the table marks PreAuth can travel this way. A nil dialer dials plain
+// TCP — failover clients pass their fault-injection dialer so probes see
+// the same network the session does.
+type probe struct {
+	addr    string
+	dialer  func(network, addr string) (net.Conn, error)
+	timeout time.Duration
 }
 
-// ProbeAvailability performs a one-shot, unauthenticated health probe: it
-// dials addr, issues OpAvailability, and closes. The whole probe is bounded
-// by timeout (<= 0 uses DefaultProbeTimeout). dialer nil dials plain TCP —
-// failover clients pass their fault-injection dialer so probes see the same
-// network the session does.
-func ProbeAvailability(addr string, dialer func(network, addr string) (net.Conn, error), timeout time.Duration) (AvailabilityInfo, error) {
+func (p probe) roundTrip(_ *RemoteDB, req *Enc) (*Dec, error) {
+	op := req.op()
+	if !op.Info().PreAuth {
+		return nil, protoErrorf("%v needs a session; it cannot be probed", op)
+	}
+	timeout, dial := p.timeout, p.dialer
 	if timeout <= 0 {
 		timeout = DefaultProbeTimeout
 	}
-	if dialer == nil {
-		dialer = func(network, addr string) (net.Conn, error) {
+	if dial == nil {
+		dial = func(network, addr string) (net.Conn, error) {
 			return net.DialTimeout(network, addr, timeout)
 		}
 	}
-	conn, err := dialer("tcp", addr)
+	conn, err := dial("tcp", p.addr)
 	if err != nil {
-		return AvailabilityInfo{}, err
+		return nil, err
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(timeout))
-	if err := WriteFrame(conn, NewEnc(OpAvailability).Bytes()); err != nil {
-		return AvailabilityInfo{}, err
-	}
-	payload, err := ReadFrame(conn)
+	payload, err := exchange(conn, req, 0)
 	if err != nil {
-		return AvailabilityInfo{}, err
+		return nil, err
 	}
-	if len(payload) < 2 || payload[0] != byte(OpAvailability)|respBit {
-		return AvailabilityInfo{}, protoErrorf("bad availability probe response")
-	}
-	if payload[1] != StatusOK {
-		return AvailabilityInfo{}, &ServerError{Op: OpAvailability, Msg: "probe refused"}
-	}
-	return decAvailability(NewDec(payload[2:]))
+	return openResponse(op, payload)
+}
+
+func (p probe) forget(*RemoteDB) {}
+
+// ProbeAvailability performs a one-shot, unauthenticated health probe: it
+// dials addr, issues OpAvailability, and closes (see probe).
+func ProbeAvailability(addr string, dialer func(network, addr string) (net.Conn, error), timeout time.Duration) (AvailabilityInfo, error) {
+	return session{probe{addr, dialer, timeout}}.Availability()
 }

@@ -140,6 +140,22 @@ func decodeViewPage(d *Dec) (ViewPage, error) {
 	return p, d.Err()
 }
 
+// decValues parses one row's projected columns: a presence byte, then the
+// typed value, per requested column. An absent column stays the zero Value;
+// no columns requested yields nil.
+func decValues(d *Dec, ncols int) []nsf.Value {
+	if ncols == 0 {
+		return nil
+	}
+	vals := make([]nsf.Value, ncols)
+	for j := 0; j < ncols && d.Err() == nil; j++ {
+		if d.U8() != 0 {
+			vals[j] = d.Value()
+		}
+	}
+	return vals
+}
+
 // decodeScanPage parses an OpScan response body.
 func decodeScanPage(d *Dec, ncols int) (ScanPage, error) {
 	var p ScanPage
@@ -151,16 +167,7 @@ func decodeScanPage(d *Dec, ncols int) (ScanPage, error) {
 		if kind != rowKindDoc {
 			return p, protoErrorf("bad scan row kind %#x", kind)
 		}
-		row := ScanRow{NoteID: nsf.NoteID(d.U32()), UNID: d.UNID()}
-		if ncols > 0 {
-			row.Values = make([]nsf.Value, ncols)
-			for j := 0; j < ncols && d.Err() == nil; j++ {
-				if d.U8() != 0 {
-					row.Values[j] = d.Value()
-				}
-			}
-		}
-		p.Rows = append(p.Rows, row)
+		p.Rows = append(p.Rows, ScanRow{NoteID: nsf.NoteID(d.U32()), UNID: d.UNID(), Values: decValues(d, ncols)})
 	}
 	p.More = d.U8() != 0
 	// The cursor blob aliases the response buffer; copy so the page owns it.
@@ -180,16 +187,7 @@ func decodeSearchPage(d *Dec, ncols int) (SearchPage, error) {
 		if kind != rowKindDoc {
 			return p, protoErrorf("bad search row kind %#x", kind)
 		}
-		hit := SearchHit{UNID: d.UNID(), Score: math.Float64frombits(d.U64())}
-		if ncols > 0 {
-			hit.Values = make([]nsf.Value, ncols)
-			for j := 0; j < ncols && d.Err() == nil; j++ {
-				if d.U8() != 0 {
-					hit.Values[j] = d.Value()
-				}
-			}
-		}
-		p.Hits = append(p.Hits, hit)
+		p.Hits = append(p.Hits, SearchHit{UNID: d.UNID(), Score: math.Float64frombits(d.U64()), Values: decValues(d, ncols)})
 	}
 	p.More = d.U8() != 0
 	p.Next = int(d.U32())
@@ -200,10 +198,7 @@ func decodeSearchPage(d *Dec, ncols int) (SearchPage, error) {
 // of the server-side rendering with the caller's read filtering, bounded
 // by the server's page budget. limit 0 accepts the server's page size.
 func (r *RemoteDB) ViewPage(view string, start, limit int) (ViewPage, error) {
-	d, err := r.call(OpViewRows, true, func() *Enc {
-		return NewEnc(OpViewRows).U32(r.handle).Str(view).
-			U32(uint32(start)).U32(uint32(limit))
-	})
+	d, err := r.call(r.req(OpViewRows).Str(view).U32(uint32(start)).U32(uint32(limit)))
 	if err != nil {
 		return ViewPage{}, err
 	}
@@ -236,14 +231,12 @@ func (r *RemoteDB) ViewRows(view string) ([]ViewRow, error) {
 // resumes after its last row, even on a fresh connection to the same
 // server.
 func (r *RemoteDB) ScanPage(opts ScanOptions, cursor []byte) (ScanPage, error) {
-	d, err := r.call(OpScan, true, func() *Enc {
-		req := NewEnc(OpScan).U32(r.handle).Str(opts.Formula).
-			U32(uint32(opts.Limit)).U32(uint32(len(opts.Columns)))
-		for _, c := range opts.Columns {
-			req.Str(c)
-		}
-		return req.Blob(cursor)
-	})
+	req := r.req(OpScan).Str(opts.Formula).
+		U32(uint32(opts.Limit)).U32(uint32(len(opts.Columns)))
+	for _, c := range opts.Columns {
+		req.Str(c)
+	}
+	d, err := r.call(req.Blob(cursor))
 	if err != nil {
 		return ScanPage{}, err
 	}
@@ -275,14 +268,12 @@ func (r *RemoteDB) Scan(opts ScanOptions, fn func(ScanRow) bool) error {
 // ranked hits, optionally pre-joined with the named summary columns so the
 // hit list renders without per-hit Get calls.
 func (r *RemoteDB) SearchPage(query string, columns []string, start, limit int) (SearchPage, error) {
-	d, err := r.call(OpSearch, true, func() *Enc {
-		req := NewEnc(OpSearch).U32(r.handle).Str(query).
-			U32(uint32(start)).U32(uint32(limit)).U32(uint32(len(columns)))
-		for _, c := range columns {
-			req.Str(c)
-		}
-		return req
-	})
+	req := r.req(OpSearch).Str(query).
+		U32(uint32(start)).U32(uint32(limit)).U32(uint32(len(columns)))
+	for _, c := range columns {
+		req.Str(c)
+	}
+	d, err := r.call(req)
 	if err != nil {
 		return SearchPage{}, err
 	}

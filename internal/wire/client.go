@@ -14,11 +14,45 @@ import (
 	"repro/internal/retry"
 )
 
-// protocolVersion is negotiated in the hello exchange. Version 2 replaced
-// the one-shot view/search reads with paginated bulk ops (and added OpScan);
-// the row encodings changed shape, so v1 peers are refused outright rather
-// than silently misparsed.
-const protocolVersion = 2
+// ProtocolVersion is negotiated in the hello exchange: the client sends it
+// and the server refuses any other. Version 2 replaced the one-shot
+// view/search reads with paginated bulk ops (and added OpScan); the row
+// encodings changed shape, so v1 peers are refused outright rather than
+// silently misparsed.
+const ProtocolVersion = 2
+
+// transport carries an encoded request to a server and brings the response
+// body back. The codecs (RemoteDB for database ops, session for server ops)
+// are written once against it; a transport only decides how the bytes
+// travel: *Client retries against one server, *FailoverClient switches
+// cluster mates, probe is a one-shot pre-auth exchange. Whether a request
+// may be re-sent comes from the op table, never from the caller.
+type transport interface {
+	// roundTrip sends req and returns the body of its StatusOK response.
+	// A non-nil db is the handle the request addresses: its current
+	// server-side handle is stamped into req before every attempt, since a
+	// redial or mate switch in between rebinds it.
+	roundTrip(db *RemoteDB, req *Enc) (*Dec, error)
+	// forget stops re-opening db after reconnects.
+	forget(db *RemoteDB)
+}
+
+// session is the codec for the ops addressed to a server rather than to one
+// of its databases. Client and FailoverClient embed it over themselves.
+type session struct{ t transport }
+
+// call runs one server-level request and releases its encoder.
+func (s session) call(req *Enc) (*Dec, error) {
+	d, err := s.t.roundTrip(nil, req)
+	req.Release()
+	return d, err
+}
+
+// MailDeposit drops a mail note into the server's mail.box for routing.
+func (s session) MailDeposit(n *nsf.Note) error {
+	_, err := s.call(NewEnc(OpMailDeposit).Note(n))
+	return err
+}
 
 // Options tune a client's fault tolerance. The zero value gets production
 // defaults; see the field comments.
@@ -48,11 +82,6 @@ type Options struct {
 	// finishing results nobody will read. Zero disables budgets; OpTimeout
 	// still bounds each individual round trip either way.
 	OpBudget time.Duration
-	// ProbeTimeout bounds the pre-auth availability/resolve probes issued
-	// through this client's options (default 2s). Probes are how failover
-	// clients notice drained or stalled mates, so they must never inherit
-	// the much larger OpTimeout.
-	ProbeTimeout time.Duration
 	// Dialer replaces the TCP dialer, e.g. with a faultnet.Net.Dial for
 	// fault-injection tests. nil dials plain TCP with DialTimeout.
 	Dialer func(network, addr string) (net.Conn, error)
@@ -80,9 +109,6 @@ func (o Options) withDefaults() Options {
 	if o.Jitter == nil {
 		o.Jitter = rand.New(rand.NewSource(time.Now().UnixNano()))
 	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = DefaultProbeTimeout
-	}
 	return o
 }
 
@@ -93,6 +119,8 @@ func (o Options) withDefaults() Options {
 // and a broken connection is transparently redialed, re-authenticated, and
 // its RemoteDB handles re-opened.
 type Client struct {
+	session
+
 	mu     sync.Mutex
 	opts   Options
 	addr   string
@@ -106,28 +134,17 @@ type Client struct {
 	dbs map[*RemoteDB]struct{}
 
 	// opDeadline is the absolute deadline of the operation in flight (zero:
-	// none). It is stamped by whoever owns the budget — withRetry from
+	// none). It is stamped by whoever owns the budget — roundTrip from
 	// Options.OpBudget, or a FailoverClient spreading one user budget across
 	// mates via setOpDeadline — and every retry, backoff sleep, and wire
 	// envelope shrinks against it.
 	opDeadline time.Time
-	// budgetOwned marks that withRetry stamped opDeadline itself (vs
-	// adopting one from a failover client) and must clear it on return.
-	budgetOwned bool
 
 	// abandoned and liveConn support CancelInflight: severing an in-flight
 	// round trip from OUTSIDE the client lock (the lock is held for the
 	// whole op, so a hedge that won elsewhere could never take it).
 	abandoned atomic.Bool
 	liveConn  atomic.Value // connBox
-
-	// putKey names this client's pipelined-put session; putSeq numbers its
-	// batched operations. The server remembers, per (user, key, database),
-	// the highest sequence it has durably applied, so a batch re-sent after
-	// a reconnect skips the already-applied prefix — exactly-once retry
-	// without per-operation acks.
-	putKey string
-	putSeq uint64
 }
 
 // Dial connects and authenticates with default fault-tolerance options.
@@ -145,8 +162,8 @@ func DialOptions(addr, user, secret string, opts Options) (*Client, error) {
 		user:   user,
 		secret: secret,
 		dbs:    make(map[*RemoteDB]struct{}),
-		putKey: nsf.NewUNID().String(),
 	}
+	c.session = session{c}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var err error
@@ -188,7 +205,6 @@ type connBox struct{ conn net.Conn }
 func (c *Client) setOpDeadline(t time.Time) {
 	c.mu.Lock()
 	c.opDeadline = t
-	c.budgetOwned = false
 	c.mu.Unlock()
 }
 
@@ -257,8 +273,8 @@ func (c *Client) reconnectLocked() error {
 	c.conn = conn
 	c.liveConn.Store(connBox{conn: conn})
 	c.broken = false
-	hello := NewEnc(OpHello).U32(protocolVersion).Str(c.user).Str(c.secret)
-	_, err = c.doLocked(OpHello, hello)
+	hello := NewEnc(OpHello).U32(ProtocolVersion).Str(c.user).Str(c.secret)
+	_, err = c.doLocked(hello)
 	hello.Release()
 	if err != nil {
 		c.breakLocked()
@@ -279,27 +295,27 @@ func (c *Client) reconnectLocked() error {
 			c.breakLocked()
 			return err
 		}
-		db.stale = nil
 	}
 	return nil
 }
 
-// openLocked issues OpOpenDB for db and rebinds its handle fields.
+// openLocked issues OpOpenDB for db, rebinds its handle fields, and
+// registers it to be re-opened after every reconnect.
 func (c *Client) openLocked(db *RemoteDB) error {
 	req := NewEnc(OpOpenDB).Str(db.path)
-	d, err := c.doLocked(OpOpenDB, req)
+	d, err := c.doLocked(req)
 	req.Release()
 	if err != nil {
 		return err
 	}
 	handle := d.U32()
-	var replica nsf.ReplicaID
-	copy(replica[:], d.Raw(8))
+	d.Raw(8) // the replica ID; RemoteDB.ReplicaID asks afresh instead of caching it
 	title := d.Str()
 	if err := d.Err(); err != nil {
 		return err
 	}
-	db.handle, db.replica, db.title = handle, replica, title
+	db.handle, db.title, db.stale = handle, title, nil
+	c.dbs[db] = struct{}{}
 	return nil
 }
 
@@ -308,7 +324,8 @@ func (c *Client) openLocked(db *RemoteDB) error {
 // or framing failure leaves the connection closed and marked broken — a
 // half-finished round trip can never be resumed, and an unclosed socket
 // would leak.
-func (c *Client) doLocked(op Op, req *Enc) (*Dec, error) {
+func (c *Client) doLocked(req *Enc) (*Dec, error) {
+	op := req.op()
 	if c.conn == nil {
 		return nil, protoErrorf("no connection")
 	}
@@ -333,7 +350,7 @@ func (c *Client) doLocked(op Op, req *Enc) (*Dec, error) {
 		}
 	}
 	c.conn.SetDeadline(connDL)
-	payload, err := c.exchangeLocked(req, budgetMs)
+	payload, err := exchange(c.conn, req, budgetMs)
 	if err != nil {
 		c.breakLocked()
 		if _, ok := c.budgetLeftLocked(); ok && !time.Now().Before(c.opDeadline) {
@@ -345,12 +362,50 @@ func (c *Client) doLocked(op Op, req *Enc) (*Dec, error) {
 		return nil, err
 	}
 	c.conn.SetDeadline(time.Time{})
+	d, err := openResponse(op, payload)
+	if err != nil {
+		var pe *protoError
+		if errors.As(err, &pe) {
+			c.breakLocked() // the byte stream is out of sync
+		}
+	}
+	return d, err
+}
+
+// deadlineGrace is how far past an op's budget the transport deadline
+// extends: long enough for the server's StatusDeadlineExceeded verdict to
+// arrive (it says whether the op ran), short enough that a truly stalled
+// mate still fails promptly.
+const deadlineGrace = 100 * time.Millisecond
+
+// exchange writes one request frame (inside a budget envelope when
+// budgetMs > 0) and reads one response frame.
+func exchange(conn net.Conn, req *Enc, budgetMs uint32) ([]byte, error) {
+	var werr error
+	if budgetMs > 0 {
+		werr = WriteBudgetFrame(conn, budgetMs, req.Bytes())
+	} else {
+		werr = WriteFrame(conn, req.Bytes())
+	}
+	if werr != nil {
+		return nil, fmt.Errorf("wire: send: %w", werr)
+	}
+	payload, err := ReadFrame(conn)
+	if err != nil {
+		return nil, fmt.Errorf("wire: receive: %w", err)
+	}
+	return payload, nil
+}
+
+// openResponse checks a response envelope against the request's op and
+// turns every status but StatusOK into its typed error. Except for a
+// protoError (the stream is desynchronized), the connection that carried
+// the response is healthy.
+func openResponse(op Op, payload []byte) (*Dec, error) {
 	if len(payload) < 2 {
-		c.breakLocked()
 		return nil, protoErrorf("short response envelope (%d bytes)", len(payload))
 	}
 	if payload[0] != byte(op)|respBit {
-		c.breakLocked()
 		return nil, protoErrorf("response op %#x does not match request %#x", payload[0], byte(op))
 	}
 	d := NewDec(payload[2:])
@@ -358,9 +413,8 @@ func (c *Client) doLocked(op Op, req *Enc) (*Dec, error) {
 	case StatusOK:
 		return d, nil
 	case StatusBusy:
-		// Admission shed: the request never executed and the connection
-		// is healthy. Carry the server's state and availability index so
-		// failover logic can redirect.
+		// Admission shed: the request never executed. Carry the server's
+		// state and availability index so failover logic can redirect.
 		state := d.U8()
 		idx := d.U32()
 		if d.Err() != nil {
@@ -369,13 +423,13 @@ func (c *Client) doLocked(op Op, req *Enc) (*Dec, error) {
 		return nil, &BusyError{Op: op, State: state, Availability: int(idx)}
 	case StatusWrongMate:
 		// Placement redirect: this mate does not home the database and the
-		// request never executed. The connection stays healthy; only a
-		// failover client (which can switch mates) makes progress on this.
+		// request never executed. Only a failover client (which can switch
+		// mates) makes progress on this.
 		return nil, decWrongMate(op, d)
 	case StatusDeadlineExceeded:
 		// The server spent our budget. The stage byte says whether the op
 		// provably never ran (refused pre-execution, like a shed) or was
-		// aborted mid-flight (ambiguous). The connection stays healthy.
+		// aborted mid-flight (ambiguous).
 		stage := d.U8()
 		if d.Err() != nil {
 			stage = DeadlineAborted
@@ -390,180 +444,133 @@ func (c *Client) doLocked(op Op, req *Enc) (*Dec, error) {
 	}
 }
 
-// deadlineGrace is how far past an op's budget the transport deadline
-// extends: long enough for the server's StatusDeadlineExceeded verdict to
-// arrive (it says whether the op ran), short enough that a truly stalled
-// mate still fails promptly.
-const deadlineGrace = 100 * time.Millisecond
-
-func (c *Client) exchangeLocked(req *Enc, budgetMs uint32) ([]byte, error) {
-	var werr error
-	if budgetMs > 0 {
-		werr = WriteBudgetFrame(c.conn, budgetMs, req.Bytes())
-	} else {
-		werr = WriteFrame(c.conn, req.Bytes())
-	}
-	if werr != nil {
-		return nil, fmt.Errorf("wire: send: %w", werr)
-	}
-	payload, err := ReadFrame(c.conn)
-	if err != nil {
-		return nil, fmt.Errorf("wire: receive: %w", err)
-	}
-	return payload, nil
+// forget implements transport.
+func (c *Client) forget(db *RemoteDB) {
+	c.mu.Lock()
+	delete(c.dbs, db)
+	c.mu.Unlock()
 }
 
-// withRetry runs fn (which must perform its round trips via doLocked or
-// openLocked) under the client lock with retry, backoff, and transparent
-// reconnect. Non-idempotent operations are never re-sent once a round trip
-// has started — the request may have executed even though its response was
-// lost — but a failed *reconnect* retries regardless, since nothing was
-// sent. Server-reported errors never retry.
-func (c *Client) withRetry(idempotent bool, fn func() error) error {
+// open binds db to this client: it is opened now and re-opened after every
+// reconnect until forgotten.
+func (c *Client) open(db *RemoteDB) error {
+	_, err := c.roundTrip(db, nil)
+	return err
+}
+
+// roundTrip implements transport: one operation against this server, under
+// the client lock, with retry, backoff, and transparent reconnect. A nil
+// req (re)opens db instead of sending a prepared request. What may be
+// re-sent follows from the error's verdict and the op table: a shed request
+// never executed, so any op is re-sent; a round trip that died in flight
+// may have executed, so only idempotent ops are; a failed reconnect sent
+// nothing, so it is retried regardless. Everything else surfaces to the
+// caller.
+func (c *Client) roundTrip(db *RemoteDB, req *Enc) (*Dec, error) {
+	op := OpOpenDB
+	if req != nil {
+		op = req.op()
+	}
+	idempotent := op.Info().Idempotent
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// Stamp the operation's absolute deadline if this client owns its own
-	// budget and no outer owner (a failover client) stamped one already.
+	// budget and no outer owner (a failover client) stamped one already;
+	// whoever stamps it clears it.
 	if c.opDeadline.IsZero() && c.opts.OpBudget > 0 {
 		c.opDeadline = time.Now().Add(c.opts.OpBudget)
-		c.budgetOwned = true
-	}
-	if c.budgetOwned {
-		defer func() {
-			c.opDeadline = time.Time{}
-			c.budgetOwned = false
-		}()
+		defer func() { c.opDeadline = time.Time{} }()
 	}
 	// A cancel aimed at a PREVIOUS op (hedge raced our completion) must not
-	// poison this one; in-flight cancels are caught after fn below.
+	// poison this one; in-flight cancels are caught after the attempt below.
 	c.abandoned.Store(false)
 	for attempt := 0; ; attempt++ {
 		if c.closed {
-			return ErrClosed
+			return nil, ErrClosed
 		}
 		if rem, ok := c.budgetLeftLocked(); ok && rem <= 0 && attempt > 0 {
 			// Out of budget between attempts. Every prior attempt ended in
 			// a provably-not-executed state (shed, refused, or a transport
 			// fault on an idempotent op), so this expiry is unambiguous.
-			return &DeadlineError{}
+			return nil, &DeadlineError{}
 		}
+		var d *Dec
+		var err error
+		sent := false
 		if c.conn == nil || c.broken {
-			if err := c.reconnectLocked(); err != nil {
-				if c.abandoned.Swap(false) {
-					return ErrAbandoned
+			err = c.reconnectLocked()
+		}
+		if err == nil {
+			sent = true
+			switch {
+			case req == nil:
+				err = c.openLocked(db)
+			case db != nil && db.stale != nil:
+				err = db.stale
+			default:
+				if db != nil {
+					req.setHandle(db.handle)
 				}
-				if !Retryable(err) || attempt >= c.opts.MaxRetries {
-					return err
-				}
-				c.backoffLocked(attempt)
-				continue
+				d, err = c.doLocked(req)
 			}
 		}
-		err := fn()
-		if c.abandoned.Swap(false) && err != nil {
+		if err == nil {
+			return d, nil
+		}
+		if c.abandoned.Swap(false) {
 			// CancelInflight severed this round trip: the caller (a hedged
 			// read that won elsewhere) will discard whatever we return, and
 			// the mate did nothing wrong. Surface the sentinel instead of a
 			// transport fault so failover logic neither retries nor blames.
-			return ErrAbandoned
+			return nil, ErrAbandoned
 		}
-		if err == nil {
-			return nil
+		resend := false
+		switch classify(err) {
+		case verdictShed:
+			resend = true // back off to let the server recover
+		case verdictSevered:
+			resend = idempotent || !sent
 		}
-		var se *ServerError
-		if errors.As(err, &se) {
-			return err
-		}
-		var de *DeadlineError
-		if errors.As(err, &de) {
-			// Never auto-retried: the expired budget is the same budget a
-			// retry would run under, and an ambiguous expiry must reach
-			// the caller so non-idempotent ops aren't blindly re-sent.
-			return err
-		}
-		var be *BusyError
-		if errors.As(err, &be) {
-			// A shed request never executed, so re-sending is safe even
-			// for non-idempotent operations; back off to let the server
-			// recover (a failover client switches mates instead).
-			if attempt >= c.opts.MaxRetries {
-				return err
-			}
-			c.backoffLocked(attempt)
-			continue
-		}
-		if !idempotent || !Retryable(err) || attempt >= c.opts.MaxRetries {
-			return err
+		if !resend || attempt >= c.opts.MaxRetries {
+			return nil, err
 		}
 		c.backoffLocked(attempt)
 	}
 }
 
-// call runs one operation with retry. build constructs the request per
-// attempt (remote handles may have been rebound by a reconnect in between).
-// The final attempt's request encoder is released back to the pool; earlier
-// attempts' encoders (if build made fresh ones) are left to the GC, and a
-// fixed request reused across attempts is released exactly once.
-func (c *Client) call(op Op, idempotent bool, build func() (*Enc, error)) (*Dec, error) {
-	var d *Dec
-	var req *Enc
-	err := c.withRetry(idempotent, func() error {
-		r, berr := build()
-		if berr != nil {
-			return berr
-		}
-		req = r
-		var derr error
-		d, derr = c.doLocked(op, r)
-		return derr
-	})
-	if req != nil {
-		req.Release()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// roundTrip runs one idempotent operation with a fixed request body.
-func (c *Client) roundTrip(op Op, req *Enc) (*Dec, error) {
-	return c.call(op, true, func() (*Enc, error) { return req, nil })
-}
-
 // OpenDB opens a database by path on the server, returning a remote handle.
 // The handle stays valid across reconnects: it is re-opened automatically.
 func (c *Client) OpenDB(path string) (*RemoteDB, error) {
-	db := &RemoteDB{c: c, path: path}
-	if err := c.withRetry(true, func() error { return c.openLocked(db) }); err != nil {
+	db := &RemoteDB{t: c, path: path, putKey: nsf.NewUNID().String()}
+	if err := c.open(db); err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	c.dbs[db] = struct{}{}
-	c.mu.Unlock()
 	return db, nil
 }
 
-// MailDeposit drops a mail note into the server's mail.box for routing.
-// Depositing is not idempotent (a re-sent deposit would route twice), so
-// it is never retried once sent.
-func (c *Client) MailDeposit(n *nsf.Note) error {
-	req := NewEnc(OpMailDeposit).Note(n)
-	_, err := c.call(OpMailDeposit, false, func() (*Enc, error) { return req, nil })
-	return err
-}
-
-// RemoteDB is a handle on a database opened over the wire. It implements
-// repl.Peer, so a local replicator can sync against it directly.
+// RemoteDB is a handle on a database opened over the wire, and the one
+// place each database op's request is encoded and its response decoded. How
+// a request travels — retried against one server, or failing over between
+// cluster mates — is its transport's business. It implements repl.Peer, so
+// a local replicator can sync against it directly.
 type RemoteDB struct {
-	c       *Client
-	path    string
-	handle  uint32
-	replica nsf.ReplicaID
-	title   string
-	// stale is set when a reconnect could not re-open this database; every
-	// operation fails with it until a later reconnect succeeds.
-	stale error
+	t    transport
+	path string
+	// handle and title are rebound by every (re)open; stale is set when a
+	// reconnect could not re-open this database, and every operation fails
+	// with it until a later reconnect succeeds. All three are guarded by
+	// the lock of the Client the handle is currently open on.
+	handle uint32
+	title  string
+	stale  error
+
+	// putKey names this handle's pipelined-put session; putSeq numbers its
+	// batched documents. The server remembers, per (user, key, database),
+	// the highest sequence it has durably applied, so a batch re-sent after
+	// a reconnect skips the already-applied prefix — exactly-once retry
+	// without per-operation acks.
+	putKey string
+	putSeq atomic.Uint64
 }
 
 var _ repl.Peer = (*RemoteDB)(nil)
@@ -575,48 +582,38 @@ func (r *RemoteDB) Title() string { return r.title }
 func (r *RemoteDB) Path() string { return r.path }
 
 // Release forgets the handle client-side: it is no longer re-opened after
-// reconnects. There is no server-side close; server handles die with the
-// connection.
-func (r *RemoteDB) Release() {
-	r.c.mu.Lock()
-	delete(r.c.dbs, r)
-	r.c.mu.Unlock()
-}
+// reconnects or failover. There is no server-side close; server handles die
+// with the connection.
+func (r *RemoteDB) Release() { r.t.forget(r) }
 
-// call runs one operation against this database's current handle.
-func (r *RemoteDB) call(op Op, idempotent bool, build func() *Enc) (*Dec, error) {
-	return r.c.call(op, idempotent, func() (*Enc, error) {
-		if r.stale != nil {
-			return nil, r.stale
-		}
-		return build(), nil
-	})
+// req starts a request for op against this database. The handle slot is
+// filled in by the transport at send time (see Enc.setHandle).
+func (r *RemoteDB) req(op Op) *Enc { return NewEnc(op).U32(0) }
+
+// call runs one encoded request against this database and releases its
+// encoder.
+func (r *RemoteDB) call(req *Enc) (*Dec, error) {
+	d, err := r.t.roundTrip(r, req)
+	req.Release()
+	return d, err
 }
 
 // ReplicaID implements repl.Peer. It asks the server rather than trusting
 // the value cached at open time, so it both verifies the link is alive and
 // notices a database swapped behind the same path.
 func (r *RemoteDB) ReplicaID() (nsf.ReplicaID, error) {
-	d, err := r.call(OpReplicaID, true, func() *Enc {
-		return NewEnc(OpReplicaID).U32(r.handle)
-	})
+	d, err := r.call(r.req(OpReplicaID))
 	if err != nil {
 		return nsf.ReplicaID{}, err
 	}
 	var replica nsf.ReplicaID
 	copy(replica[:], d.Raw(8))
-	if err := d.Err(); err != nil {
-		return nsf.ReplicaID{}, err
-	}
-	r.replica = replica
-	return replica, nil
+	return replica, d.Err()
 }
 
 // Get fetches a note with the server enforcing the caller's read access.
 func (r *RemoteDB) Get(unid nsf.UNID) (*nsf.Note, error) {
-	d, err := r.call(OpGetNote, true, func() *Enc {
-		return NewEnc(OpGetNote).U32(r.handle).UNID(unid)
-	})
+	d, err := r.call(r.req(OpGetNote).UNID(unid))
 	if err != nil {
 		return nil, err
 	}
@@ -624,30 +621,19 @@ func (r *RemoteDB) Get(unid nsf.UNID) (*nsf.Note, error) {
 	return n, d.Err()
 }
 
-// Create stores a new document. Creation assigns server-side identity, so
-// it is not idempotent and is never re-sent after a mid-trip failure.
-func (r *RemoteDB) Create(n *nsf.Note) error {
-	d, err := r.call(OpCreateNote, false, func() *Enc {
-		return NewEnc(OpCreateNote).U32(r.handle).Note(n)
-	})
-	if err != nil {
-		return err
-	}
-	// The server returns the stored note (with assigned IDs and OID).
-	stored := d.Note()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	*n = *stored
-	return nil
-}
+// Create stores a new document; the server assigns its identity, and n is
+// overwritten with the stored note.
+func (r *RemoteDB) Create(n *nsf.Note) error { return r.put(OpCreateNote, n) }
 
-// Update stores a modified document. A re-sent update advances the version
-// twice, so it is not retried after a mid-trip failure.
-func (r *RemoteDB) Update(n *nsf.Note) error {
-	d, err := r.call(OpUpdateNote, false, func() *Enc {
-		return NewEnc(OpUpdateNote).U32(r.handle).Note(n)
-	})
+// Update stores a modified document; n is overwritten with the stored note.
+func (r *RemoteDB) Update(n *nsf.Note) error { return r.put(OpUpdateNote, n) }
+
+// put is the shared codec of OpCreateNote and OpUpdateNote: both send a
+// note and get the stored note (with assigned IDs and OID) back. Neither is
+// idempotent: after a mid-trip failure the write may or may not have
+// landed, and the caller decides whether to re-issue.
+func (r *RemoteDB) put(op Op, n *nsf.Note) error {
+	d, err := r.call(r.req(op).Note(n))
 	if err != nil {
 		return err
 	}
@@ -659,12 +645,9 @@ func (r *RemoteDB) Update(n *nsf.Note) error {
 	return nil
 }
 
-// Delete replaces a document with a deletion stub. Deleting a stub again
-// leaves it a stub, so Delete retries safely.
+// Delete replaces a document with a deletion stub.
 func (r *RemoteDB) Delete(unid nsf.UNID) error {
-	_, err := r.call(OpDeleteNote, true, func() *Enc {
-		return NewEnc(OpDeleteNote).U32(r.handle).UNID(unid)
-	})
+	_, err := r.call(r.req(OpDeleteNote).UNID(unid))
 	return err
 }
 
@@ -674,7 +657,7 @@ func (r *RemoteDB) Delete(unid nsf.UNID) error {
 // client-side so a re-sent batch targets the same documents.
 //
 // PutBatch is safely retried even though it writes: each batch carries the
-// client's pipelined-put session key and a base sequence number, and the
+// handle's pipelined-put session key and a base sequence number, and the
 // server's durable cursor for that session makes a replay skip exactly the
 // already-applied prefix. It returns how many documents are durably stored
 // server-side (counting ones a retry found already applied); on error,
@@ -690,19 +673,12 @@ func (r *RemoteDB) PutBatch(notes []*nsf.Note) (stored int, err error) {
 	}
 	// Sequence numbers are claimed once per batch, not per attempt, so a
 	// retry re-sends the same (key, base) and dedups server-side.
-	r.c.mu.Lock()
-	base := r.c.putSeq + 1
-	r.c.putSeq += uint64(len(notes))
-	key := r.c.putKey
-	r.c.mu.Unlock()
-	d, err := r.call(OpPutBatch, true, func() *Enc {
-		req := NewEnc(OpPutBatch).U32(r.handle).Str(key).U64(base).
-			U32(uint32(len(notes)))
-		for _, n := range notes {
-			req.Note(n)
-		}
-		return req
-	})
+	base := r.putSeq.Add(uint64(len(notes))) - uint64(len(notes)) + 1
+	req := r.req(OpPutBatch).Str(r.putKey).U64(base).U32(uint32(len(notes)))
+	for _, n := range notes {
+		req.Note(n)
+	}
+	d, err := r.call(req)
 	if err != nil {
 		return 0, err
 	}
@@ -734,9 +710,7 @@ type DBInfo struct {
 
 // Info fetches the remote database's statistics and view list.
 func (r *RemoteDB) Info() (DBInfo, error) {
-	d, err := r.call(OpDBInfo, true, func() *Enc {
-		return NewEnc(OpDBInfo).U32(r.handle)
-	})
+	d, err := r.call(r.req(OpDBInfo))
 	if err != nil {
 		return DBInfo{}, err
 	}
@@ -752,12 +726,9 @@ func (r *RemoteDB) Info() (DBInfo, error) {
 	return info, d.Err()
 }
 
-// Summaries implements repl.Peer. Listing versions writes nothing, so it
-// retries safely.
+// Summaries implements repl.Peer.
 func (r *RemoteDB) Summaries(since nsf.Timestamp, formulaSrc string) ([]repl.Summary, nsf.Timestamp, error) {
-	d, err := r.call(OpSummaries, true, func() *Enc {
-		return NewEnc(OpSummaries).U32(r.handle).U64(uint64(since)).Str(formulaSrc)
-	})
+	d, err := r.call(r.req(OpSummaries).U64(uint64(since)).Str(formulaSrc))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -775,13 +746,11 @@ func (r *RemoteDB) Summaries(since nsf.Timestamp, formulaSrc string) ([]repl.Sum
 
 // Fetch implements repl.Peer.
 func (r *RemoteDB) Fetch(unids []nsf.UNID) ([]*nsf.Note, error) {
-	d, err := r.call(OpFetch, true, func() *Enc {
-		req := NewEnc(OpFetch).U32(r.handle).U32(uint32(len(unids)))
-		for _, u := range unids {
-			req.UNID(u)
-		}
-		return req
-	})
+	req := r.req(OpFetch).U32(uint32(len(unids)))
+	for _, u := range unids {
+		req.UNID(u)
+	}
+	d, err := r.call(req)
 	if err != nil {
 		return nil, err
 	}
@@ -795,18 +764,13 @@ func (r *RemoteDB) Fetch(unids []nsf.UNID) ([]*nsf.Note, error) {
 	return out, d.Err()
 }
 
-// Apply implements repl.Peer. Applying a replication batch is idempotent
-// by the OID rules (a note already present is skipped; conflict documents
-// have deterministic UNIDs), so a batch whose response was lost can be
-// re-sent safely.
+// Apply implements repl.Peer.
 func (r *RemoteDB) Apply(notes []*nsf.Note) (repl.ApplyStats, error) {
-	d, err := r.call(OpApply, true, func() *Enc {
-		req := NewEnc(OpApply).U32(r.handle).U32(uint32(len(notes)))
-		for _, n := range notes {
-			req.Note(n)
-		}
-		return req
-	})
+	req := r.req(OpApply).U32(uint32(len(notes)))
+	for _, n := range notes {
+		req.Note(n)
+	}
+	d, err := r.call(req)
 	if err != nil {
 		return repl.ApplyStats{}, err
 	}

@@ -49,6 +49,21 @@ func (e *Enc) Release() {
 // Bytes returns the accumulated payload.
 func (e *Enc) Bytes() []byte { return e.buf }
 
+// op returns the op byte a request payload was started with.
+func (e *Enc) op() Op { return Op(e.buf[0]) }
+
+// setHandle overwrites the database handle of a request started with
+// RemoteDB.req — the u32 right after the op byte — so one encoded request
+// can follow its handle across redials and mate switches.
+func (e *Enc) setHandle(h uint32) { binary.LittleEndian.PutUint32(e.buf[1:5], h) }
+
+// clone returns a pooled copy of the payload.
+func (e *Enc) clone() *Enc {
+	c := encPool.Get().(*Enc)
+	c.buf = append(c.buf[:0], e.buf...)
+	return c
+}
+
 // U8 appends a byte.
 func (e *Enc) U8(v byte) *Enc { e.buf = append(e.buf, v); return e }
 

@@ -139,46 +139,74 @@ func protoErrorf(format string, args ...any) error {
 	return &protoError{msg: fmt.Sprintf(format, args...)}
 }
 
-// Retryable classifies an error from a wire operation: true for transport
-// faults where a fresh connection plus a re-sent request can succeed
-// (timeouts, resets, EOF mid-frame, refused dials, protocol desync), false
-// for server-reported application errors and everything unrecognized.
+// verdict is what a failed round trip proves about the request — the one
+// classification both retry layers (Client on one server, FailoverClient
+// across mates) and Retryable act on.
+type verdict int
+
+const (
+	// verdictFatal: a server-reported application error, a closed client,
+	// or anything unrecognized. Re-sending would fail the same way.
+	verdictFatal verdict = iota
+	// verdictAbandoned: severed by CancelInflight; nobody wants the result
+	// and the server did nothing wrong.
+	verdictAbandoned
+	// verdictExpired: the budget ran out (DeadlineError). Never re-sent
+	// automatically — a retry would run on the same spent budget, and an
+	// ambiguous expiry must reach the caller.
+	verdictExpired
+	// verdictShed: refused by admission control, provably not executed; any
+	// op may be re-sent, here after backoff or on another mate.
+	verdictShed
+	// verdictMisrouted: a placement redirect, provably not executed; only a
+	// client that can change mates makes progress.
+	verdictMisrouted
+	// verdictSevered: a transport or framing fault mid-exchange (timeout,
+	// reset, EOF mid-frame, refused dial, protocol desync). The request may
+	// have executed, so only idempotent ops are re-sent.
+	verdictSevered
+)
+
+// classify maps an error from a round trip to its verdict (nil, which no
+// caller should ask about, is not retryable either).
+func classify(err error) verdict {
+	var (
+		se  *ServerError
+		wme *WrongMateError
+		be  *BusyError
+		de  *DeadlineError
+		pe  *protoError
+		ne  net.Error
+	)
+	switch {
+	case err == nil || errors.As(err, &se):
+		return verdictFatal
+	case errors.Is(err, ErrAbandoned):
+		return verdictAbandoned
+	case errors.As(err, &de):
+		return verdictExpired
+	case errors.As(err, &wme):
+		return verdictMisrouted
+	case errors.As(err, &be):
+		return verdictShed
+	case errors.As(err, &pe),
+		errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF), errors.Is(err, net.ErrClosed),
+		// net.Error covers *net.OpError (resets, refusals, injected
+		// faultnet faults) and deadline expiries.
+		errors.As(err, &ne),
+		errors.Is(err, syscall.ECONNRESET), errors.Is(err, syscall.EPIPE),
+		errors.Is(err, syscall.ECONNREFUSED), errors.Is(err, syscall.ECONNABORTED):
+		return verdictSevered
+	}
+	return verdictFatal
+}
+
+// Retryable classifies an error from a wire operation: true where a re-sent
+// request can succeed — a shed (after backoff, or on another mate) or a
+// transport fault (on a fresh connection) — false for server-reported
+// application errors, placement redirects (the same connection would
+// redirect again), budget expiries, and everything unrecognized.
 func Retryable(err error) bool {
-	if err == nil {
-		return false
-	}
-	var se *ServerError
-	if errors.As(err, &se) {
-		return false
-	}
-	var wme *WrongMateError
-	if errors.As(err, &wme) {
-		// Retrying on the SAME connection would redirect again; only a
-		// failover client, which can change mates, can make progress.
-		return false
-	}
-	var be *BusyError
-	if errors.As(err, &be) {
-		// The request was shed before execution; a retry (after backoff,
-		// or on another mate) can succeed.
-		return true
-	}
-	var pe *protoError
-	if errors.As(err, &pe) {
-		return true
-	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
-		return true
-	}
-	var ne net.Error
-	if errors.As(err, &ne) {
-		// Covers *net.OpError (resets, refusals, injected faultnet
-		// faults) and deadline expiries.
-		return true
-	}
-	if errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) ||
-		errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNABORTED) {
-		return true
-	}
-	return false
+	v := classify(err)
+	return v == verdictShed || v == verdictSevered
 }

@@ -3,11 +3,11 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ft"
 	"repro/internal/nsf"
 	"repro/internal/repl"
 	"repro/internal/retry"
@@ -25,6 +25,9 @@ import (
 // which provably never executed) retry across mates; a non-idempotent
 // operation that fails mid-round-trip is surfaced to the caller, because
 // the dead mate may have executed it — but the next operation fails over.
+//
+// It is a transport, like Client: a FailoverDB is a RemoteDB whose requests
+// travel through it, so no op is spelled out a second time here.
 
 // FailoverOptions tune failover behaviour. The zero value gets defaults
 // chosen for fast failover; see the field comments.
@@ -45,8 +48,8 @@ type FailoverOptions struct {
 	// MaxFailovers bounds mate switches within one operation
 	// (default 2 x number of mates).
 	MaxFailovers int
-	// HedgeReads enables hedged reads for idempotent single-shot
-	// operations (Get, ViewPage, SearchPage): when the connected mate has
+	// HedgeReads enables hedged reads for the ops the op table marks
+	// Hedgeable (Get, ViewPage, SearchPage): when the connected mate has
 	// not answered after a delay derived from the observed latency
 	// distribution, the same read is issued to a second mate and the first
 	// response wins. The loser is cancelled through its propagated
@@ -153,6 +156,8 @@ type FailoverStats struct {
 // cluster mates. Requests are serialized; one FailoverClient supports
 // concurrent callers.
 type FailoverClient struct {
+	session
+
 	opts   FailoverOptions
 	user   string
 	secret string
@@ -161,7 +166,9 @@ type FailoverClient struct {
 	mates  []*mate
 	cur    int // index of the connected mate; -1 when disconnected
 	client *Client
-	dbs    map[*FailoverDB]struct{}
+	// dbs are the live handles to re-open after a mate switch, keyed by the
+	// RemoteDB each one embeds (what the transport is handed).
+	dbs    map[*RemoteDB]*FailoverDB
 	closed bool
 	stats  FailoverStats
 	// routeHint, while an operation on a specific database is in flight,
@@ -203,9 +210,10 @@ func DialFailover(addrs []string, user, secret string, opts FailoverOptions) (*F
 		user:   user,
 		secret: secret,
 		cur:    -1,
-		dbs:    make(map[*FailoverDB]struct{}),
+		dbs:    make(map[*RemoteDB]*FailoverDB),
 		hDBs:   make(map[string]*RemoteDB),
 	}
+	fc.session = session{fc}
 	for _, a := range addrs {
 		fc.mates = append(fc.mates, &mate{addr: a, avail: -1})
 	}
@@ -220,11 +228,7 @@ func DialFailover(addrs []string, user, secret string, opts FailoverOptions) (*F
 // Close terminates the current connection (and any cached hedge session).
 func (fc *FailoverClient) Close() error {
 	fc.hmu.Lock()
-	if fc.hClient != nil {
-		fc.hClient.Close()
-		fc.hClient = nil
-		fc.hDBs = make(map[string]*RemoteDB)
-	}
+	fc.dropHedgeLocked(fc.hClient)
 	fc.hmu.Unlock()
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
@@ -314,9 +318,6 @@ func (fc *FailoverClient) abandonLocked() error {
 		fc.client = nil
 	}
 	fc.cur = -1
-	for db := range fc.dbs {
-		db.r = nil
-	}
 	return err
 }
 
@@ -339,13 +340,10 @@ func (fc *FailoverClient) candidatesLocked() []int {
 		}
 	}
 	byAvail := func(ix []int) {
-		// Insertion sort: mate lists are tiny, and stability keeps the
-		// configured preference order on ties.
-		for a := 1; a < len(ix); a++ {
-			for b := a; b > 0 && fc.mates[ix[b]].effectiveAvail() > fc.mates[ix[b-1]].effectiveAvail(); b-- {
-				ix[b], ix[b-1] = ix[b-1], ix[b]
-			}
-		}
+		// Stable, so ties keep the configured preference order.
+		slices.SortStableFunc(ix, func(a, b int) int {
+			return fc.mates[b].effectiveAvail() - fc.mates[a].effectiveAvail()
+		})
 	}
 	byAvail(healthy)
 	byAvail(fallback)
@@ -388,7 +386,7 @@ func (f *FailoverDB) homesMate(m *mate) bool {
 // become new mates — a redirect can teach the client about cluster members
 // it was not configured with.
 func (fc *FailoverClient) noteRecordLocked(path string, gen uint64, homes []HomeAddr) {
-	for db := range fc.dbs {
+	for _, db := range fc.dbs {
 		if db.path != path {
 			continue
 		}
@@ -493,92 +491,148 @@ func (fc *FailoverClient) connectLocked() error {
 // errors fail the whole attempt. A redirect also refreshes that handle's
 // placement cache, so its next operation re-routes instead of failing.
 func (fc *FailoverClient) rebindLocked(c *Client) error {
-	for db := range fc.dbs {
-		r, err := c.OpenDB(db.path)
-		if err != nil {
-			var se *ServerError
-			var wme *WrongMateError
-			if errors.As(err, &wme) {
-				fc.noteRecordLocked(wme.Path, wme.Generation, wme.Homes)
-				db.r, db.stale = nil, err
-				continue
-			}
-			if errors.As(err, &se) {
-				db.r, db.stale = nil, err
-				continue
-			}
+	for _, db := range fc.dbs {
+		err := fc.bindLocked(c, db)
+		if err == nil {
+			continue
+		}
+		var wme *WrongMateError
+		if errors.As(err, &wme) {
+			fc.noteRecordLocked(wme.Path, wme.Generation, wme.Homes)
+		}
+		switch classify(err) {
+		case verdictMisrouted, verdictFatal:
+			db.stale = err
+		default:
 			return err
 		}
-		db.r, db.stale = r, nil
 	}
 	return nil
 }
 
-// withFailover runs fn with mate failover: shed (busy) responses, placement
-// redirects, and — for idempotent operations — transport failures move the
-// session to the next-best mate and retry, bounded by MaxFailovers.
-// Application errors never fail over.
-func (fc *FailoverClient) withFailover(idempotent bool, fn func() error) error {
-	return fc.withFailoverDB(nil, idempotent, fn)
+// bindLocked opens db on c and records c as the session it is bound to.
+func (fc *FailoverClient) bindLocked(c *Client, db *FailoverDB) error {
+	err := c.open(&db.RemoteDB)
+	if err == nil {
+		db.bound = c
+	}
+	return err
 }
 
-// withFailoverDB is withFailover with connection attempts biased toward
-// db's home mates (nil db means no bias).
-func (fc *FailoverClient) withFailoverDB(db *FailoverDB, idempotent bool, fn func() error) error {
-	return fc.withFailoverDeadline(db, idempotent, time.Time{}, fn)
+// openLocked is the OpenDB attempt of the failover loop: bind db on the
+// current mate, resolving its placement first so a mate known to be wrong is
+// never asked.
+func (fc *FailoverClient) openLocked(db *FailoverDB) error {
+	if db.bound == fc.client {
+		return nil // a connectLocked rebind already bound it
+	}
+	if db.stale != nil {
+		return db.stale // this mate lacks (or does not home) the database
+	}
+	if !db.resolved {
+		// Eager resolve on first open: one cheap pre-auth-grade RPC on the
+		// live session tells us the home set before we risk a redirect. A
+		// resolve failure is not fatal — the open itself carries the same
+		// information in its redirect.
+		fc.stats.Resolves++
+		if info, rerr := fc.client.Resolve(db.path); rerr == nil {
+			fc.noteRecordLocked(info.Path, info.Generation, info.Homes)
+			if !db.resolved || info.Generation >= db.gen {
+				db.gen = info.Generation
+				db.homes = append([]HomeAddr(nil), info.Homes...)
+				db.resolved = true
+			}
+		}
+	}
+	// With a fresh cache, redirect ourselves instead of asking a mate we
+	// know is wrong.
+	if werr := fc.offHomeLocked(db); werr != nil {
+		return werr
+	}
+	return fc.bindLocked(fc.client, db)
 }
 
-// withFailoverDeadline is the failover loop with an absolute operation
-// deadline. A zero deadline is stamped from Client.OpBudget (when set), so
-// ONE user budget spans every mate switch and retry: each hop adopts the
-// same absolute deadline and its wire envelope carries only what remains.
-func (fc *FailoverClient) withFailoverDeadline(db *FailoverDB, idempotent bool, deadline time.Time, fn func() error) error {
+// roundTrip implements transport: one request against whichever mate is
+// current, failing over — and, for hedgeable reads, racing a second mate —
+// as the op table allows.
+func (fc *FailoverClient) roundTrip(db *RemoteDB, req *Enc) (*Dec, error) {
+	if !fc.opts.HedgeReads || !req.op().Info().Hedgeable {
+		return fc.failover(db, req, time.Time{})
+	}
+	return fc.hedged(db, req)
+}
+
+// forget implements transport: db is no longer re-opened after failover.
+func (fc *FailoverClient) forget(db *RemoteDB) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	fc.routeHint = db
-	defer func() { fc.routeHint = nil }()
+	delete(fc.dbs, db)
+	if fc.client != nil {
+		fc.client.forget(db)
+	}
+}
+
+// failover runs one operation with mate failover under an absolute
+// deadline. A nil req opens db on whichever mate ends up current instead of
+// sending a prepared request. Shed (busy) responses, placement redirects,
+// and — for idempotent operations — transport failures move the session to
+// the next-best mate and retry, bounded by MaxFailovers; connection attempts
+// are biased toward db's home mates. Application errors never fail over.
+//
+// A zero deadline is stamped from Client.OpBudget (when set), so ONE user
+// budget spans every mate switch and retry: each hop adopts the same
+// absolute deadline and its wire envelope carries only what remains.
+func (fc *FailoverClient) failover(db *RemoteDB, req *Enc, deadline time.Time) (*Dec, error) {
+	op := OpOpenDB
+	if req != nil {
+		op = req.op()
+	}
+	idempotent := op.Info().Idempotent
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	fdb := fc.dbs[db] // nil for server-level ops
+	fc.routeHint = fdb
 	if deadline.IsZero() && fc.opts.Client.OpBudget > 0 {
 		deadline = time.Now().Add(fc.opts.Client.OpBudget)
 	}
-	if !deadline.IsZero() {
-		defer func() {
-			if fc.client != nil {
-				fc.client.setOpDeadline(time.Time{})
-			}
-		}()
-	}
+	defer func() {
+		fc.routeHint = nil
+		if !deadline.IsZero() && fc.client != nil {
+			fc.client.setOpDeadline(time.Time{})
+		}
+	}()
 	for switches := 0; ; switches++ {
 		if fc.closed {
-			return ErrClosed
+			return nil, ErrClosed
 		}
 		if !deadline.IsZero() && !time.Now().Before(deadline) && switches > 0 {
 			// Budget spent between hops: every abandoned attempt ended in
 			// a provably-not-executed state (shed, redirect, refused) or
 			// was idempotent, so this expiry is unambiguous.
-			return &DeadlineError{}
+			return nil, &DeadlineError{}
 		}
 		if fc.client == nil {
 			if err := fc.connectLocked(); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		if !deadline.IsZero() {
 			fc.client.setOpDeadline(deadline)
 		}
-		err := fn()
+		var d *Dec
+		var err error
+		if req == nil {
+			err = fc.openLocked(fdb)
+		} else {
+			d, err = fc.client.roundTrip(db, req)
+		}
 		if err == nil {
 			m := fc.mates[fc.cur]
 			m.fails, m.reopens = 0, 0
-			return nil
+			return d, nil
 		}
-		if errors.Is(err, ErrAbandoned) {
-			// CancelInflight severed this op (a hedge won elsewhere). The
-			// mate did nothing wrong: no breaker damage, no failover — the
-			// caller is discarding this result anyway.
-			return err
-		}
-		var de *DeadlineError
-		if errors.As(err, &de) {
+		switch classify(err) {
+		case verdictExpired:
 			// The budget is spent; a failover hop would run on the same
 			// exhausted budget. Surface it — preserving the ambiguity
 			// verdict, which the caller needs for non-idempotent ops. A
@@ -588,146 +642,90 @@ func (fc *FailoverClient) withFailoverDeadline(db *FailoverDB, idempotent bool, 
 			// operation elsewhere instead of feeding the stall another
 			// budget. A remote verdict or a pre-send refusal says nothing
 			// bad about the mate.
-			if !de.Remote && de.Ambiguous {
+			var de *DeadlineError
+			if errors.As(err, &de) && !de.Remote && de.Ambiguous {
 				fc.markFailLocked(fc.cur)
 				fc.abandonLocked()
 			}
-			return err
-		}
-		var be *BusyError
-		if errors.As(err, &be) {
+			return nil, err
+		case verdictShed:
 			// The mate shed the request before executing it: remember how
 			// loaded it is, then redirect — safe even for non-idempotent
 			// operations.
+			var be *BusyError
+			errors.As(err, &be)
 			m := fc.mates[fc.cur]
 			m.avail = be.Availability
 			m.restricted = be.State == StateRestricted
 			fc.stats.BusyRedirects++
-			fc.abandonLocked()
-			if switches >= fc.opts.MaxFailovers {
-				return err
-			}
-			continue
-		}
-		var wme *WrongMateError
-		if errors.As(err, &wme) {
+		case verdictMisrouted:
 			// Placement redirect: the request never executed. Adopt the
 			// carried home set (fresher generation wins), then reconnect —
 			// the route hint steers the dial to a home mate. Safe for
 			// non-idempotent operations, like a busy shed.
+			var wme *WrongMateError
+			errors.As(err, &wme)
 			fc.noteRecordLocked(wme.Path, wme.Generation, wme.Homes)
 			fc.stats.WrongMateRedirects++
-			fc.abandonLocked()
-			if switches >= fc.opts.MaxFailovers {
-				return err
+		case verdictSevered:
+			// Transport failure: the inner client already spent its (short)
+			// retry/redial budget against this mate. Count it, open the path
+			// to the breaker, and fail over — unless the dead mate may have
+			// executed the request: then surface the failure, and the NEXT
+			// operation finds a live mate.
+			fc.markFailLocked(fc.cur)
+			fc.stats.Failovers++
+			if !idempotent {
+				fc.abandonLocked()
+				return nil, err
 			}
-			continue
+		default:
+			// An application error (the mate is healthy), or an op severed
+			// by CancelInflight because a hedge won elsewhere (the mate did
+			// nothing wrong: no breaker damage, no failover).
+			return nil, err
 		}
-		var se *ServerError
-		if errors.As(err, &se) {
-			return err // application error: the mate is healthy
-		}
-		// Transport failure: the inner client already spent its (short)
-		// retry/redial budget against this mate. Count it, open the path
-		// to the breaker, and fail over.
-		fc.markFailLocked(fc.cur)
-		fc.stats.Failovers++
 		fc.abandonLocked()
-		if !idempotent {
-			// The dead mate may have executed the request; surface the
-			// failure. The NEXT operation finds a live mate.
-			return err
-		}
 		if switches >= fc.opts.MaxFailovers {
-			return err
+			return nil, err
 		}
 	}
-}
-
-// Availability reports the connected mate's availability snapshot.
-func (fc *FailoverClient) Availability() (AvailabilityInfo, error) {
-	var info AvailabilityInfo
-	err := fc.withFailover(true, func() error {
-		var err error
-		info, err = fc.client.Availability()
-		return err
-	})
-	return info, err
-}
-
-// MailDeposit routes a mail note via whichever mate is alive. Depositing
-// is not idempotent; a mid-trip failure is surfaced, not re-sent.
-func (fc *FailoverClient) MailDeposit(n *nsf.Note) error {
-	return fc.withFailover(false, func() error {
-		return fc.client.MailDeposit(n)
-	})
 }
 
 // OpenDB opens a database by path, returning a handle that follows the
 // session across mate failover: after a switch, the handle is re-opened on
 // the new mate before any operation runs.
 func (fc *FailoverClient) OpenDB(path string) (*FailoverDB, error) {
+	db := &FailoverDB{fc: fc, RemoteDB: RemoteDB{t: fc, path: path, putKey: nsf.NewUNID().String()}}
 	fc.mu.Lock()
-	db := &FailoverDB{fc: fc, path: path}
-	fc.dbs[db] = struct{}{} // registered first so a failover rebinds it too
+	fc.dbs[&db.RemoteDB] = db // registered first so a failover rebinds it too
 	fc.mu.Unlock()
-	err := fc.withFailoverDB(db, true, func() error {
-		if db.r != nil {
-			return nil // a connectLocked rebind already bound it
-		}
-		if db.stale != nil {
-			return db.stale // this mate lacks (or does not home) the database
-		}
-		if !db.resolved {
-			// Eager resolve on first open: one cheap pre-auth-grade RPC on
-			// the live session tells us the home set before we risk a
-			// redirect. A resolve failure is not fatal — the open itself
-			// carries the same information in its redirect.
-			fc.stats.Resolves++
-			if info, rerr := fc.client.Resolve(db.path); rerr == nil {
-				fc.noteRecordLocked(info.Path, info.Generation, info.Homes)
-				if !db.resolved || info.Generation >= db.gen {
-					db.gen = info.Generation
-					db.homes = append([]HomeAddr(nil), info.Homes...)
-					db.resolved = true
-				}
-			}
-		}
-		// With a fresh cache, redirect ourselves instead of asking a mate
-		// we know is wrong.
-		if werr := fc.offHomeLocked(db); werr != nil {
-			return werr
-		}
-		r, err := fc.client.OpenDB(db.path)
-		if err != nil {
-			return err
-		}
-		db.r = r
-		return nil
-	})
-	if err != nil {
-		fc.mu.Lock()
-		delete(fc.dbs, db)
-		fc.mu.Unlock()
+	if _, err := fc.failover(&db.RemoteDB, nil, time.Time{}); err != nil {
+		db.Release()
 		return nil, err
 	}
 	return db, nil
 }
 
-// FailoverDB is a database handle that survives mate failover. It
-// implements repl.Peer, so a replication session can ride through the
-// death of the server it started against.
+// FailoverDB is a database handle that survives mate failover: a RemoteDB
+// whose requests travel through the FailoverClient, plus the placement
+// cache that steers them. It implements repl.Peer, so a replication session
+// can ride through the death of the server it started against.
+//
+// Scan cursors are bound to the server that minted them (NoteIDs are
+// per-copy), so a ScanPage resumed after a mate switch fails with a server
+// error rather than silently skipping or repeating documents; callers
+// restart the scan with a nil cursor in that case. View and search pages
+// address rows by index and rank, so they simply continue on the new mate.
 type FailoverDB struct {
-	fc   *FailoverClient
-	path string
-	// r is the handle on the current mate; nil while disconnected.
-	// stale is set when the current mate lacks the database.
-	// Both are guarded by fc.mu.
-	r     *RemoteDB
-	stale error
-	// Placement cache, guarded by fc.mu: the generation-stamped home set
-	// from the last resolve or redirect. resolved=false means never
-	// resolved; resolved with no homes means unplaced (any mate serves).
+	RemoteDB
+	fc *FailoverClient
+	// bound is the mate session the handle is currently open on. It and the
+	// placement cache below are guarded by fc.mu.
+	bound *Client
+	// Placement cache: the generation-stamped home set from the last
+	// resolve or redirect. resolved=false means never resolved; resolved
+	// with no homes means unplaced (any mate serves).
 	gen      uint64
 	homes    []HomeAddr
 	resolved bool
@@ -743,50 +741,6 @@ func (f *FailoverDB) Placement() (gen uint64, homes []HomeAddr, resolved bool) {
 }
 
 var _ repl.Peer = (*FailoverDB)(nil)
-
-// Path returns the server-side path the database was opened by.
-func (f *FailoverDB) Path() string { return f.path }
-
-// Title returns the database title as reported by the current mate.
-func (f *FailoverDB) Title() string {
-	f.fc.mu.Lock()
-	defer f.fc.mu.Unlock()
-	if f.r == nil {
-		return ""
-	}
-	return f.r.Title()
-}
-
-// Release forgets the handle: it is no longer re-opened after failover.
-func (f *FailoverDB) Release() {
-	f.fc.mu.Lock()
-	defer f.fc.mu.Unlock()
-	if f.r != nil {
-		f.r.Release()
-	}
-	delete(f.fc.dbs, f)
-}
-
-// do runs one operation against the handle on whichever mate is current,
-// with connection attempts biased toward this database's home mates.
-func (f *FailoverDB) do(idempotent bool, fn func(r *RemoteDB) error) error {
-	return f.doDeadline(idempotent, time.Time{}, fn)
-}
-
-// doDeadline is do under an explicit absolute deadline (zero: stamp from
-// Client.OpBudget). Hedged reads pass the deadline they snapshotted, so
-// primary and hedge run out of the SAME budget.
-func (f *FailoverDB) doDeadline(idempotent bool, deadline time.Time, fn func(r *RemoteDB) error) error {
-	return f.fc.withFailoverDeadline(f, idempotent, deadline, func() error {
-		if f.stale != nil {
-			return f.stale
-		}
-		if f.r == nil {
-			return protoErrorf("failover handle not bound")
-		}
-		return fn(f.r)
-	})
-}
 
 // ---- hedged reads ----
 
@@ -849,10 +803,12 @@ func (fc *FailoverClient) takeHedgeToken() bool {
 
 // hedgeExec runs one read against a cached second-mate session, bounded by
 // the same absolute deadline as the primary. alts lists acceptable hedge
-// addresses (never the primary's). Must be entered with the hedge-in-
-// flight slot held; it is released here.
-func (fc *FailoverClient) hedgeExec(path string, deadline time.Time, alts []string, fn func(r *RemoteDB) error) error {
+// addresses (never the primary's). req is the hedge's own copy of the
+// request and is released here. Must be entered with the hedge-in-flight
+// slot held; it is released here too.
+func (fc *FailoverClient) hedgeExec(path string, deadline time.Time, alts []string, req *Enc) (*Dec, error) {
 	defer func() {
+		req.Release()
 		fc.hmu.Lock()
 		fc.hInFlight = false
 		fc.hmu.Unlock()
@@ -860,26 +816,12 @@ func (fc *FailoverClient) hedgeExec(path string, deadline time.Time, alts []stri
 	fc.hmu.Lock()
 	// Reuse the cached hedge session only while it points at an acceptable
 	// mate; a stale one (e.g. now the primary) is dropped.
-	ok := fc.hClient != nil
-	if ok {
-		ok = false
-		for _, a := range alts {
-			if a == fc.hAddr {
-				ok = true
-				break
-			}
-		}
-	}
-	if !ok {
-		if fc.hClient != nil {
-			fc.hClient.Close()
-			fc.hClient = nil
-			fc.hDBs = make(map[string]*RemoteDB)
-		}
+	if fc.hClient == nil || !slices.Contains(alts, fc.hAddr) {
+		fc.dropHedgeLocked(fc.hClient)
 		c, err := DialOptions(alts[0], fc.user, fc.secret, fc.opts.Client)
 		if err != nil {
 			fc.hmu.Unlock()
-			return err
+			return nil, err
 		}
 		fc.hClient, fc.hAddr = c, alts[0]
 	}
@@ -889,7 +831,7 @@ func (fc *FailoverClient) hedgeExec(path string, deadline time.Time, alts []stri
 	if rdb == nil {
 		r, err := hc.OpenDB(path)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fc.hmu.Lock()
 		if fc.hClient == hc {
@@ -899,20 +841,26 @@ func (fc *FailoverClient) hedgeExec(path string, deadline time.Time, alts []stri
 		rdb = r
 	}
 	hc.setOpDeadline(deadline)
-	err := fn(rdb)
+	d, err := hc.roundTrip(rdb, req)
 	hc.setOpDeadline(time.Time{})
 	if err != nil && Retryable(err) {
 		// Transport fault: the cached session is suspect; drop it so the
 		// next hedge dials fresh (possibly a different mate).
 		fc.hmu.Lock()
-		if fc.hClient == hc {
-			hc.Close()
-			fc.hClient = nil
-			fc.hDBs = make(map[string]*RemoteDB)
-		}
+		fc.dropHedgeLocked(hc)
 		fc.hmu.Unlock()
 	}
-	return err
+	return d, err
+}
+
+// dropHedgeLocked closes the cached hedge session and forgets its handles,
+// if hc is (still) that session (fc.hmu held).
+func (fc *FailoverClient) dropHedgeLocked(hc *Client) {
+	if hc != nil && fc.hClient == hc {
+		hc.Close()
+		fc.hClient = nil
+		fc.hDBs = make(map[string]*RemoteDB)
+	}
 }
 
 // hedgeCancel severs an in-flight hedge (the primary won).
@@ -930,7 +878,7 @@ func (fc *FailoverClient) hedgeCancel() {
 // if the hedge wins), the operation deadline, and the alternate mate
 // addresses. ok is false when hedging cannot apply (no budget, no second
 // mate, no live session yet).
-func (fc *FailoverClient) hedgeSnapshot(db *FailoverDB) (pc *Client, deadline time.Time, alts []string, ok bool) {
+func (fc *FailoverClient) hedgeSnapshot(db *RemoteDB) (pc *Client, deadline time.Time, alts []string, ok bool) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
 	if fc.closed || fc.client == nil || fc.cur < 0 || fc.opts.Client.OpBudget <= 0 {
@@ -940,7 +888,7 @@ func (fc *FailoverClient) hedgeSnapshot(db *FailoverDB) (pc *Client, deadline ti
 	cur := fc.mates[fc.cur].addr
 	// Candidate order honors breakers and availability; home-mate bias
 	// applies when the database is placed.
-	fc.routeHint = db
+	fc.routeHint = fc.dbs[db]
 	order := fc.candidatesLocked()
 	fc.routeHint = nil
 	for _, i := range order {
@@ -956,67 +904,42 @@ func (fc *FailoverClient) hedgeSnapshot(db *FailoverDB) (pc *Client, deadline ti
 
 // hedgeResult carries one racer's outcome.
 type hedgeResult struct {
+	d     *Dec
 	err   error
 	hedge bool
 }
 
-// hedgedRead runs fn as a hedged read: the primary mate gets a head start
-// of one hedge delay; if it has not answered by then (and the rate cap
-// allows), the same read runs against a second mate and the first success
-// wins. The loser is cancelled — via CancelInflight plus the propagated
-// deadline — so neither mate keeps working for a caller that already has
-// its answer. fn must be idempotent and must tolerate being called
-// concurrently on two different RemoteDBs; results are written through
-// only by the winner (the caller's closure must guard against tearing —
-// here each fn writes to its own locals and the winner's are copied out).
-func hedgedRead[T any](f *FailoverDB, fn func(r *RemoteDB) (T, error)) (T, error) {
-	fc := f.fc
-	var winner T
-	if !fc.opts.HedgeReads {
-		err := f.do(true, func(r *RemoteDB) error {
-			v, err := fn(r)
-			if err == nil {
-				winner = v
-			}
-			return err
-		})
-		return winner, err
-	}
-	pc, deadline, alts, ok := fc.hedgeSnapshot(f)
+// hedged runs one hedgeable read: the primary mate gets a head start of one
+// hedge delay; if it has not answered by then (and the rate cap allows),
+// the same request goes to a second mate and the first success wins. The
+// loser is cancelled — via CancelInflight plus the propagated deadline — so
+// neither mate keeps working for a caller that already has its answer. The
+// race is between two raw round trips; only the winner's response body is
+// handed back to be decoded.
+func (fc *FailoverClient) hedged(db *RemoteDB, req *Enc) (*Dec, error) {
+	start := time.Now()
+	pc, deadline, alts, ok := fc.hedgeSnapshot(db)
 	if !ok {
-		start := time.Now()
-		err := f.do(true, func(r *RemoteDB) error {
-			v, err := fn(r)
-			if err == nil {
-				winner = v
-			}
-			return err
-		})
+		d, err := fc.failover(db, req, time.Time{})
 		if err == nil {
 			fc.recordReadLatency(time.Since(start))
 		}
-		return winner, err
+		return d, err
 	}
-	ch := make(chan hedgeResult, 2)
-	var pv, hv T
-	start := time.Now()
+	// The hedge sends its own copy, taken before the primary starts: the
+	// primary stamps its mate's handle into req while it runs.
+	spare := req.clone()
+	ch := make(chan hedgeResult, 2) // one slot per racer: neither ever blocks
 	go func() {
-		err := f.doDeadline(true, deadline, func(r *RemoteDB) error {
-			v, err := fn(r)
-			if err == nil {
-				pv = v
-			}
-			return err
-		})
-		ch <- hedgeResult{err: err}
+		d, err := fc.failover(db, req, deadline)
+		ch <- hedgeResult{d: d, err: err}
 	}()
-	var hedgeLaunched bool
-	timer := time.NewTimer(func() time.Duration {
-		fc.hmu.Lock()
-		defer fc.hmu.Unlock()
-		return fc.hedgeDelayLocked()
-	}())
+	fc.hmu.Lock()
+	delay := fc.hedgeDelayLocked()
+	fc.hmu.Unlock()
+	timer := time.NewTimer(delay)
 	defer timer.Stop()
+	var hedgeLaunched bool
 	var first hedgeResult
 	select {
 	case first = <-ch:
@@ -1025,24 +948,18 @@ func hedgedRead[T any](f *FailoverDB, fn func(r *RemoteDB) (T, error)) (T, error
 			hedgeLaunched = true
 			fc.hedges.Add(1)
 			go func() {
-				err := fc.hedgeExec(f.path, deadline, alts, func(r *RemoteDB) error {
-					v, err := fn(r)
-					if err == nil {
-						hv = v
-					}
-					return err
-				})
-				ch <- hedgeResult{err: err, hedge: true}
+				d, err := fc.hedgeExec(db.path, deadline, alts, spare)
+				ch <- hedgeResult{d: d, err: err, hedge: true}
 			}()
 		}
 		first = <-ch
 	}
 	if !hedgeLaunched {
+		spare.Release()
 		if first.err == nil {
 			fc.recordReadLatency(time.Since(start))
-			return pv, nil
 		}
-		return winner, first.err
+		return first.d, first.err
 	}
 	// Two racers in flight. First success wins; the loser is severed so it
 	// stops consuming its mate.
@@ -1051,202 +968,28 @@ func hedgedRead[T any](f *FailoverDB, fn func(r *RemoteDB) (T, error)) (T, error
 			fc.hedgeWins.Add(1)
 			pc.CancelInflight()
 			// Drain the primary's (cancelled) result so the goroutine is
-			// done with fc.mu before we return; CancelInflight makes this
-			// prompt.
+			// done with fc.mu and with req before we return; CancelInflight
+			// makes this prompt.
 			<-ch
-			return hv, nil
+			return first.d, nil
 		}
 		fc.recordReadLatency(time.Since(start))
 		fc.hedgeCancel()
-		return pv, nil
+		return first.d, nil
 	}
 	second := <-ch
 	if second.err == nil {
 		if second.hedge {
 			fc.hedgeWins.Add(1)
-			return hv, nil
+		} else {
+			fc.recordReadLatency(time.Since(start))
 		}
-		fc.recordReadLatency(time.Since(start))
-		return pv, nil
+		return second.d, nil
 	}
 	// Both failed: prefer the primary's error (it carries failover context
 	// and ambiguity verdicts; the hedge was best-effort).
 	if first.hedge {
-		return winner, second.err
+		return nil, second.err
 	}
-	return winner, first.err
-}
-
-// ReplicaID implements repl.Peer.
-func (f *FailoverDB) ReplicaID() (nsf.ReplicaID, error) {
-	var id nsf.ReplicaID
-	err := f.do(true, func(r *RemoteDB) error {
-		var err error
-		id, err = r.ReplicaID()
-		return err
-	})
-	return id, err
-}
-
-// Summaries implements repl.Peer.
-func (f *FailoverDB) Summaries(since nsf.Timestamp, formulaSrc string) ([]repl.Summary, nsf.Timestamp, error) {
-	var sums []repl.Summary
-	var now nsf.Timestamp
-	err := f.do(true, func(r *RemoteDB) error {
-		var err error
-		sums, now, err = r.Summaries(since, formulaSrc)
-		return err
-	})
-	return sums, now, err
-}
-
-// Fetch implements repl.Peer.
-func (f *FailoverDB) Fetch(unids []nsf.UNID) ([]*nsf.Note, error) {
-	var notes []*nsf.Note
-	err := f.do(true, func(r *RemoteDB) error {
-		var err error
-		notes, err = r.Fetch(unids)
-		return err
-	})
-	return notes, err
-}
-
-// Apply implements repl.Peer. Replication applies are idempotent by the
-// OID rules, so a batch interrupted by a mate's death is re-sent to the
-// survivor.
-func (f *FailoverDB) Apply(notes []*nsf.Note) (repl.ApplyStats, error) {
-	var st repl.ApplyStats
-	err := f.do(true, func(r *RemoteDB) error {
-		var err error
-		st, err = r.Apply(notes)
-		return err
-	})
-	return st, err
-}
-
-// Get fetches a note from whichever mate is current. With HedgeReads on, a
-// slow mate is raced by a second one and the first answer wins.
-func (f *FailoverDB) Get(unid nsf.UNID) (*nsf.Note, error) {
-	return hedgedRead(f, func(r *RemoteDB) (*nsf.Note, error) {
-		return r.Get(unid)
-	})
-}
-
-// Create stores a new document. Creation is not idempotent: a mid-trip
-// mate death surfaces the error (the write may or may not have landed);
-// the caller decides whether to re-issue, and the next call fails over.
-func (f *FailoverDB) Create(n *nsf.Note) error {
-	return f.do(false, func(r *RemoteDB) error { return r.Create(n) })
-}
-
-// Update stores a modified document; not idempotent, like Create.
-func (f *FailoverDB) Update(n *nsf.Note) error {
-	return f.do(false, func(r *RemoteDB) error { return r.Update(n) })
-}
-
-// Delete replaces a document with a deletion stub (idempotent).
-func (f *FailoverDB) Delete(unid nsf.UNID) error {
-	return f.do(true, func(r *RemoteDB) error { return r.Delete(unid) })
-}
-
-// PutBatch stores documents create-or-update through one round trip. The
-// batch cursor makes it exactly-once even across failover or a placement
-// redirect mid-stream, so it retries as idempotent.
-func (f *FailoverDB) PutBatch(notes []*nsf.Note) (int, error) {
-	var stored int
-	err := f.do(true, func(r *RemoteDB) error {
-		var err error
-		stored, err = r.PutBatch(notes)
-		return err
-	})
-	return stored, err
-}
-
-// Search runs a full-text query on the current mate.
-func (f *FailoverDB) Search(query string) ([]ft.Result, error) {
-	var out []ft.Result
-	err := f.do(true, func(r *RemoteDB) error {
-		var err error
-		out, err = r.Search(query)
-		return err
-	})
-	return out, err
-}
-
-// SearchPage runs one page of a full-text query, optionally pre-joining
-// summary columns, on the current mate (hedged when HedgeReads is on —
-// search pages address results by rank, valid on any mate).
-func (f *FailoverDB) SearchPage(query string, columns []string, start, limit int) (SearchPage, error) {
-	return hedgedRead(f, func(r *RemoteDB) (SearchPage, error) {
-		return r.SearchPage(query, columns, start, limit)
-	})
-}
-
-// ViewRows renders a view on the current mate, paging through it. A mate
-// switch between pages restarts nothing: view pages address rows by index,
-// so the next page simply comes from the new mate's rendering.
-func (f *FailoverDB) ViewRows(view string) ([]ViewRow, error) {
-	var rows []ViewRow
-	err := f.do(true, func(r *RemoteDB) error {
-		var err error
-		rows, err = r.ViewRows(view)
-		return err
-	})
-	return rows, err
-}
-
-// ViewPage fetches one page of a rendered view from the current mate
-// (hedged when HedgeReads is on — view pages address rows by index, valid
-// on any mate).
-func (f *FailoverDB) ViewPage(view string, start, limit int) (ViewPage, error) {
-	return hedgedRead(f, func(r *RemoteDB) (ViewPage, error) {
-		return r.ViewPage(view, start, limit)
-	})
-}
-
-// ScanPage runs one page of a bulk scan on the current mate. Scan cursors
-// are bound to the server that minted them (NoteIDs are per-copy), so a
-// page resumed after a mate switch fails with a server error rather than
-// silently skipping or repeating documents; callers restart the scan with
-// a nil cursor in that case.
-func (f *FailoverDB) ScanPage(opts ScanOptions, cursor []byte) (ScanPage, error) {
-	var p ScanPage
-	err := f.do(true, func(r *RemoteDB) error {
-		var err error
-		p, err = r.ScanPage(opts, cursor)
-		return err
-	})
-	return p, err
-}
-
-// Scan pages a formula-filtered, projected scan through fn. A mate switch
-// mid-scan invalidates the cursor (see ScanPage) and surfaces as an error.
-func (f *FailoverDB) Scan(opts ScanOptions, fn func(ScanRow) bool) error {
-	var cursor []byte
-	for {
-		p, err := f.ScanPage(opts, cursor)
-		if err != nil {
-			return err
-		}
-		for _, row := range p.Rows {
-			if !fn(row) {
-				return nil
-			}
-		}
-		if !p.More {
-			return nil
-		}
-		cursor = p.Cursor
-	}
-}
-
-// Info fetches the database statistics from the current mate.
-func (f *FailoverDB) Info() (DBInfo, error) {
-	var info DBInfo
-	err := f.do(true, func(r *RemoteDB) error {
-		var err error
-		info, err = r.Info()
-		return err
-	})
-	return info, err
+	return nil, first.err
 }

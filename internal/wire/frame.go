@@ -78,77 +78,6 @@ func SplitBudget(payload []byte) (budgetMs uint32, inner []byte, err error) {
 	return binary.LittleEndian.Uint32(payload[1:5]), payload[5:], nil
 }
 
-// Op codes. A response echoes the request op with the high bit set.
-type Op byte
-
-// Protocol operations.
-const (
-	OpHello Op = iota + 1
-	OpOpenDB
-	OpGetNote
-	OpCreateNote
-	OpUpdateNote
-	OpDeleteNote
-	OpViewRows
-	OpSearch
-	OpReplicaID
-	OpSummaries
-	OpFetch
-	OpApply
-	OpMailDeposit
-	OpDBInfo
-	// OpAvailability reports the server's availability index and admission
-	// state. It is answered before authentication (it carries only load
-	// figures), so failover clients can probe mates cheaply, and it is
-	// answered even while the server is draining.
-	OpAvailability
-	// OpPutBatch stores N documents in one round trip (create-or-update,
-	// in order) through a single admission slot, with the server amortizing
-	// the WAL force across the batch. The request carries a client session
-	// key and a base sequence number; the slim ack carries the server's
-	// durable cursor for that session, so a batch re-sent after a reconnect
-	// skips the already-applied prefix — exactly-once without per-op acks.
-	OpPutBatch
-	// OpResolve asks the server where a database lives: the response carries
-	// the placement generation and the (mate name, address) home set from the
-	// directory. Like OpAvailability it is answered before authentication and
-	// while draining — placement is routing metadata, not data — so failover
-	// clients can resolve without a session. An empty path lists every
-	// placement record.
-	OpResolve
-	// OpMeshStatus lists the server's replication-mesh links with their
-	// live scheduling and transfer counters.
-	OpMeshStatus
-	// OpMeshAdd adds a mesh link at runtime. The link's selection formula
-	// is validated server-side before the link starts.
-	OpMeshAdd
-	// OpMeshRemove removes a mesh link by name; its replication cursors
-	// persist, so re-adding the link resumes incrementally.
-	OpMeshRemove
-	// OpScan is the NSFSearch-style bulk read: a server-side scan filtered
-	// by a selection formula, projecting only the requested items as typed
-	// values, returned in paginated batches. Each page carries an opaque
-	// resume cursor (the last NoteID delivered, bound to the serving
-	// server), so a scan interrupted by a reconnect continues where it
-	// stopped instead of restarting. Page size is admission-aware: a loaded
-	// server serves smaller pages.
-	OpScan
-	// OpBudget is not a standalone operation but a request envelope: a
-	// client with a deadline wraps any request as
-	//
-	//	[OpBudget][u32 budget-ms][inner op][inner body...]
-	//
-	// where budget-ms is the caller's REMAINING time budget in
-	// milliseconds at send time. The client shrinks it across retries and
-	// failover hops (the deadline is absolute client-side), so a 2s user
-	// budget can never silently stretch to 2s x mates x retries. The
-	// server strips the envelope, derives a per-op context deadline from
-	// it, and answers with the INNER op echoed — the envelope is invisible
-	// in responses. A request whose budget cannot survive the admission
-	// queue, or that expires mid-execution, earns StatusDeadlineExceeded.
-	OpBudget
-)
-
 // respBit marks response frames.
 const respBit = 0x80
 

@@ -4,16 +4,14 @@ import "repro/internal/mesh"
 
 // MeshStatus lists the server's replication-mesh links with their live
 // scheduling and transfer counters.
-func (c *Client) MeshStatus() ([]mesh.LinkStatus, error) {
-	d, err := c.call(OpMeshStatus, true, func() (*Enc, error) {
-		return NewEnc(OpMeshStatus), nil
-	})
+func (s session) MeshStatus() ([]mesh.LinkStatus, error) {
+	d, err := s.call(NewEnc(OpMeshStatus))
 	if err != nil {
 		return nil, err
 	}
-	count := int(d.U32())
-	out := make([]mesh.LinkStatus, 0, count)
-	for i := 0; i < count && d.Err() == nil; i++ {
+	count := d.U32()
+	out := make([]mesh.LinkStatus, 0, d.Cap(count, 1))
+	for i := uint32(0); i < count && d.Err() == nil; i++ {
 		out = append(out, d.MeshLinkStatus())
 	}
 	return out, d.Err()
@@ -21,18 +19,17 @@ func (c *Client) MeshStatus() ([]mesh.LinkStatus, error) {
 
 // MeshAdd adds a replication-mesh link on the server. The server validates
 // the link (including compiling its selection formula) before starting it.
-// Adding is idempotent-safe to retry: a duplicate name fails cleanly.
-func (c *Client) MeshAdd(l mesh.Link) error {
-	_, err := c.call(OpMeshAdd, false, func() (*Enc, error) {
-		return NewEnc(OpMeshAdd).MeshLink(l), nil
-	})
+// Not re-sent after a lost response: the link may exist by then, and the
+// re-sent add would answer "duplicate link" for an add that succeeded.
+func (s session) MeshAdd(l mesh.Link) error {
+	_, err := s.call(NewEnc(OpMeshAdd).MeshLink(l))
 	return err
 }
 
-// MeshRemove removes a replication-mesh link by name.
-func (c *Client) MeshRemove(name string) error {
-	_, err := c.call(OpMeshRemove, false, func() (*Enc, error) {
-		return NewEnc(OpMeshRemove).Str(name), nil
-	})
+// MeshRemove removes a replication-mesh link by name. Not re-sent after a
+// lost response, like MeshAdd: the re-sent remove would answer "no such
+// link" for a remove that succeeded.
+func (s session) MeshRemove(name string) error {
+	_, err := s.call(NewEnc(OpMeshRemove).Str(name))
 	return err
 }

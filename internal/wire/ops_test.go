@@ -1,0 +1,141 @@
+package wire
+
+import (
+	"net"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// The tests here loop over the op table instead of listing ops, so an op
+// added with the wrong verdict (or a transport that stops consulting the
+// table) fails without anyone remembering to extend a list. Requests are
+// bare op bytes sent through the transports directly: what a transport
+// re-sends depends only on the op, never on the body.
+
+// severing is a scripted mate that reads every request after hello and then
+// kills the connection without answering — the response-lost case where the
+// request may or may not have executed. It counts the requests it saw.
+func severing(t *testing.T, seen *atomic.Int32) string {
+	return scriptServer(t, func(net.Conn, int, []byte) bool {
+		seen.Add(1)
+		return false
+	})
+}
+
+// TestClientResendsIffIdempotent: after a connection severed mid-exchange,
+// Client re-sends exactly the ops the table marks idempotent.
+func TestClientResendsIffIdempotent(t *testing.T) {
+	for _, info := range Ops() {
+		t.Run(info.Name, func(t *testing.T) {
+			var seen atomic.Int32
+			opts := fastOpts()
+			c, err := DialOptions(severing(t, &seen), "u", "s", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if _, err := c.call(NewEnc(info.Op)); err == nil {
+				t.Fatal("severed op reported success")
+			}
+			want := int32(1)
+			if info.Idempotent {
+				want += int32(opts.MaxRetries)
+			}
+			if got := seen.Load(); got != want {
+				t.Errorf("%v (idempotent=%v) sent %d times, want %d", info.Op, info.Idempotent, got, want)
+			}
+		})
+	}
+}
+
+// TestFailoverResendsIffIdempotent: the same rule across mates — an
+// idempotent op severed on one mate is re-sent to the other, anything else
+// is surfaced after its single send.
+func TestFailoverResendsIffIdempotent(t *testing.T) {
+	for _, info := range Ops() {
+		t.Run(info.Name, func(t *testing.T) {
+			var seenA, seenB atomic.Int32
+			fc, err := DialFailover([]string{severing(t, &seenA), severing(t, &seenB)}, "u", "s", failoverTestOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fc.Close()
+			if _, err := fc.call(NewEnc(info.Op)); err == nil {
+				t.Fatal("severed op reported success")
+			}
+			a, b := seenA.Load(), seenB.Load()
+			if info.Idempotent && (a == 0 || b == 0) {
+				t.Errorf("%v is idempotent but was not re-sent across mates (mate A %d, mate B %d)", info.Op, a, b)
+			}
+			if !info.Idempotent && a+b != 1 {
+				t.Errorf("%v is not idempotent but was sent %d times", info.Op, a+b)
+			}
+		})
+	}
+}
+
+// TestOnlyHedgeableOpsHedge: with hedged reads on and the primary mate
+// slower than the hedge delay, exactly the ops the table marks hedgeable
+// launch a second request.
+func TestOnlyHedgeableOpsHedge(t *testing.T) {
+	// A mate that answers every request with a bare StatusOK (opens with a
+	// usable handle), after `delay` once armed.
+	mate := func(armed *atomic.Bool, delay time.Duration) string {
+		return scriptServer(t, func(conn net.Conn, _ int, payload []byte) bool {
+			_, inner, err := SplitBudget(payload)
+			if err != nil {
+				return false
+			}
+			if armed.Load() {
+				time.Sleep(delay)
+			}
+			if Op(inner[0]) == OpOpenDB {
+				return openOK(conn, inner)
+			}
+			return WriteFrame(conn, NewResp(Op(inner[0]), StatusOK).Bytes()) == nil
+		})
+	}
+	for _, info := range Ops() {
+		t.Run(info.Name, func(t *testing.T) {
+			var slow, never atomic.Bool
+			opts := failoverTestOpts()
+			opts.Client.OpBudget = 2 * time.Second
+			opts.HedgeReads = true
+			opts.HedgeDelay = 3 * time.Millisecond
+			opts.HedgeRateCap = 1.0
+			fc, err := DialFailover([]string{mate(&slow, 40*time.Millisecond), mate(&never, 0)}, "u", "s", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fc.Close()
+			db, err := fc.OpenDB("x.nsf")
+			if err != nil {
+				t.Fatal(err)
+			}
+			slow.Store(true)
+			if _, err := db.call(db.req(info.Op)); err != nil {
+				t.Fatalf("%v: %v", info.Op, err)
+			}
+			if hedged := fc.Stats().Hedges > 0; hedged != info.Hedgeable {
+				t.Errorf("%v: hedge launched = %v, table says hedgeable = %v", info.Op, hedged, info.Hedgeable)
+			}
+		})
+	}
+}
+
+// TestOpTableInvariants pins the relations between flags that the
+// transports assume.
+func TestOpTableInvariants(t *testing.T) {
+	for _, info := range Ops() {
+		if info.Hedgeable && !info.Idempotent {
+			t.Errorf("%v is hedgeable but not idempotent: a hedge IS a second send", info.Op)
+		}
+		if info.Op.String() != info.Name {
+			t.Errorf("%v: String() = %q, want the table name %q", byte(info.Op), info.Op.String(), info.Name)
+		}
+	}
+	if info := OpBudget.Info(); info.Name != "" {
+		t.Errorf("the OpBudget envelope has a table row %+v; it is not an op", info)
+	}
+}

@@ -55,31 +55,17 @@ func decWrongMate(op Op, d *Dec) *WrongMateError {
 	return &WrongMateError{Op: op, Path: info.Path, Generation: info.Generation, Homes: info.Homes}
 }
 
-// Resolve asks the server where path lives. Resolution reads directory
-// metadata only, so it retries safely.
-func (c *Client) Resolve(path string) (ResolveInfo, error) {
-	d, err := c.roundTrip(OpResolve, NewEnc(OpResolve).Str(path))
-	if err != nil {
-		return ResolveInfo{}, err
-	}
-	if n := int(d.U32()); n != 1 {
-		if err := d.Err(); err != nil {
-			return ResolveInfo{}, err
-		}
-		return ResolveInfo{}, protoErrorf("resolve returned %d records for one path", n)
-	}
-	return decResolveRecord(d)
-}
-
-// Placements lists every placement record the server knows.
-func (c *Client) Placements() ([]ResolveInfo, error) {
-	d, err := c.roundTrip(OpResolve, NewEnc(OpResolve).Str(""))
+// resolve is the OpResolve codec: the placement record for path, or every
+// record the server knows for the empty path.
+func (s session) resolve(path string) ([]ResolveInfo, error) {
+	d, err := s.call(NewEnc(OpResolve).Str(path))
 	if err != nil {
 		return nil, err
 	}
-	count := int(d.U32())
-	out := make([]ResolveInfo, 0, count)
-	for i := 0; i < count && d.Err() == nil; i++ {
+	count := d.U32()
+	// A record is at least a path length, generation, replicas and count.
+	out := make([]ResolveInfo, 0, d.Cap(count, 17))
+	for i := uint32(0); i < count && d.Err() == nil; i++ {
 		info, err := decResolveRecord(d)
 		if err != nil {
 			return nil, err
@@ -89,72 +75,31 @@ func (c *Client) Placements() ([]ResolveInfo, error) {
 	return out, d.Err()
 }
 
-// resolveProbe performs one unauthenticated OpResolve exchange and returns
-// the raw response decoder positioned at the record count.
-func resolveProbe(addr, path string, dialer func(network, addr string) (net.Conn, error), timeout time.Duration) (*Dec, error) {
-	if timeout <= 0 {
-		timeout = DefaultProbeTimeout
-	}
-	if dialer == nil {
-		dialer = func(network, addr string) (net.Conn, error) {
-			return net.DialTimeout(network, addr, timeout)
-		}
-	}
-	conn, err := dialer("tcp", addr)
+// Resolve asks the server where path lives.
+func (s session) Resolve(path string) (ResolveInfo, error) {
+	recs, err := s.resolve(path)
 	if err != nil {
-		return nil, err
+		return ResolveInfo{}, err
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	if err := WriteFrame(conn, NewEnc(OpResolve).Str(path).Bytes()); err != nil {
-		return nil, err
+	if len(recs) != 1 {
+		return ResolveInfo{}, protoErrorf("resolve returned %d records for one path", len(recs))
 	}
-	payload, err := ReadFrame(conn)
-	if err != nil {
-		return nil, err
-	}
-	if len(payload) < 2 || payload[0] != byte(OpResolve)|respBit {
-		return nil, protoErrorf("bad resolve probe response")
-	}
-	if payload[1] != StatusOK {
-		return nil, &ServerError{Op: OpResolve, Msg: "resolve probe refused"}
-	}
-	return NewDec(payload[2:]), nil
+	return recs[0], nil
 }
+
+// Placements lists every placement record the server knows.
+func (s session) Placements() ([]ResolveInfo, error) { return s.resolve("") }
 
 // ResolvePlacement performs a one-shot, unauthenticated placement resolve
 // against addr, like ProbeAvailability: dial, ask, close. Failover clients
 // use it to locate a database before (or instead of) opening a session, and
 // operator tooling uses it to inspect routing without credentials.
 func ResolvePlacement(addr, path string, dialer func(network, addr string) (net.Conn, error), timeout time.Duration) (ResolveInfo, error) {
-	d, err := resolveProbe(addr, path, dialer, timeout)
-	if err != nil {
-		return ResolveInfo{}, err
-	}
-	if n := int(d.U32()); n != 1 {
-		if err := d.Err(); err != nil {
-			return ResolveInfo{}, err
-		}
-		return ResolveInfo{}, protoErrorf("resolve returned %d records for one path", n)
-	}
-	return decResolveRecord(d)
+	return session{probe{addr, dialer, timeout}}.Resolve(path)
 }
 
 // ListPlacements performs a one-shot, unauthenticated listing of every
 // placement record addr knows.
 func ListPlacements(addr string, dialer func(network, addr string) (net.Conn, error), timeout time.Duration) ([]ResolveInfo, error) {
-	d, err := resolveProbe(addr, "", dialer, timeout)
-	if err != nil {
-		return nil, err
-	}
-	count := int(d.U32())
-	out := make([]ResolveInfo, 0, count)
-	for i := 0; i < count && d.Err() == nil; i++ {
-		info, err := decResolveRecord(d)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, info)
-	}
-	return out, d.Err()
+	return session{probe{addr, dialer, timeout}}.Placements()
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/nsf"
 	"repro/internal/repl"
@@ -166,5 +168,179 @@ func TestStrHandlesLongStrings(t *testing.T) {
 	d := NewDec(e.Bytes()[1:])
 	if got := d.Str(); got != long {
 		t.Errorf("long string corrupted: %d bytes", len(got))
+	}
+}
+
+// TestGoldenFrames pins protocol version 2 byte for byte: for one op of
+// every family, the exact request frame the client puts on the wire and a
+// hand-assembled response frame it must decode. The expectations are
+// spelled out as literal bytes (not built with Enc), so a codec change that
+// alters the format fails here even if client and server change together.
+// Only exported client API is used, so the same test passes on any peer
+// build that speaks version 2. Notes travel as opaque nsf blobs.
+func TestGoldenFrames(t *testing.T) {
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	str := func(s string) []byte { return append([]byte{byte(len(s))}, s...) } // uvarint length < 128
+	unid := nsf.UNID{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	note := &nsf.Note{OID: nsf.OID{UNID: unid, Seq: 2, SeqTime: 77}, Class: nsf.ClassDocument, Created: 70, Modified: 77}
+	note.SetText("Subject", "golden")
+	noteBlob := nsf.AppendNote(nil, note)
+	noteBlob = cat([]byte{byte(len(noteBlob))}, noteBlob)
+	handle := []byte{7, 0, 0, 0}
+
+	var viewPage ViewPage
+	var searchPage SearchPage
+	var scanPage ScanPage
+	var avail AvailabilityInfo
+	var placed ResolveInfo
+	var got *nsf.Note
+	var stored int
+	created := note.Clone()
+	steps := []struct {
+		name      string
+		do        func(c *Client, db *RemoteDB) error
+		req, resp []byte
+	}{
+		{"GetNote", func(_ *Client, db *RemoteDB) (err error) { got, err = db.Get(unid); return },
+			cat([]byte{0x03}, handle, unid[:]),
+			cat([]byte{0x83, 0x00}, noteBlob)},
+		{"CreateNote", func(_ *Client, db *RemoteDB) error { return db.Create(created) },
+			cat([]byte{0x04}, handle, noteBlob),
+			cat([]byte{0x84, 0x00}, noteBlob)},
+		{"DeleteNote", func(_ *Client, db *RemoteDB) error { return db.Delete(unid) },
+			cat([]byte{0x06}, handle, unid[:]),
+			[]byte{0x86, 0x00}},
+		{"ViewRows", func(_ *Client, db *RemoteDB) (err error) { viewPage, err = db.ViewPage("By Subject", 5, 10); return },
+			cat([]byte{0x07}, handle, str("By Subject"), []byte{5, 0, 0, 0, 10, 0, 0, 0}),
+			cat([]byte{0x87, 0x00, 2, 0, 0, 0, 5, 0, 0, 0},
+				[]byte{2}, str("cat"), []byte{0, 0, 0, 0}, // category row, indent 0
+				[]byte{1, 1, 0, 0, 0}, unid[:], []byte{1, 0, 0, 0}, str("hello"), // document row, indent 1, one column
+				[]byte{0, 1, 7, 0, 0, 0})}, // end of rows, more, next 7
+		{"Search", func(_ *Client, db *RemoteDB) (err error) {
+			searchPage, err = db.SearchPage("q", []string{"Subject"}, 0, 3)
+			return
+		},
+			cat([]byte{0x08}, handle, str("q"), []byte{0, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0}, str("Subject")),
+			cat([]byte{0x88, 0x00, 1, 0, 0, 0, 0, 0, 0, 0},
+				[]byte{1}, unid[:], []byte{0, 0, 0, 0, 0, 0, 0xF8, 0x3F}, []byte{0}, // hit, score 1.5, column absent
+				[]byte{0, 0, 1, 0, 0, 0})}, // end of hits, no more, next 1
+		{"Scan", func(_ *Client, db *RemoteDB) (err error) {
+			scanPage, err = db.ScanPage(ScanOptions{Formula: "SELECT @All", Limit: 2}, []byte{0xAA, 0xBB})
+			return
+		},
+			cat([]byte{0x15}, handle, str("SELECT @All"), []byte{2, 0, 0, 0, 0, 0, 0, 0}, []byte{2, 0xAA, 0xBB}),
+			cat([]byte{0x95, 0x00}, []byte{1, 9, 0, 0, 0}, unid[:], []byte{0, 1}, []byte{1, 0xCC})},
+		{"Summaries", func(_ *Client, db *RemoteDB) error { _, _, err := db.Summaries(0x0102, ""); return err },
+			cat([]byte{0x0A}, handle, []byte{2, 1, 0, 0, 0, 0, 0, 0}, str("")),
+			[]byte{0x8A, 0x00, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+		{"PutBatch", func(_ *Client, db *RemoteDB) (err error) { stored, err = db.PutBatch([]*nsf.Note{note}); return },
+			nil, // carries a random session key: checked piecewise below
+			[]byte{0x90, 0x00, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1}},
+		{"Availability", func(c *Client, _ *RemoteDB) (err error) { avail, err = c.Availability(); return },
+			[]byte{0x0F},
+			[]byte{0x8F, 0x00, 0, 100, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0xDC, 5, 0, 0, 0, 0, 0, 0}},
+		{"Resolve", func(c *Client, _ *RemoteDB) (err error) { placed, err = c.Resolve("apps/x.nsf"); return },
+			cat([]byte{0x11}, str("apps/x.nsf")),
+			cat([]byte{0x91, 0x00, 1, 0, 0, 0}, str("apps/x.nsf"), []byte{3, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0}, str("hub"), str("h:1"))},
+		{"MeshRemove", func(c *Client, _ *RemoteDB) error { return c.MeshRemove("l1") },
+			cat([]byte{0x14}, str("l1")),
+			[]byte{0x94, 0x00}},
+	}
+
+	// The peer: records every request frame and answers from the script —
+	// hello and open first, then one response per step.
+	resps := [][]byte{
+		{0x81, 0x00},
+		cat([]byte{0x82, 0x00}, handle, []byte{1, 1, 1, 1, 1, 1, 1, 1}, str("T")),
+	}
+	for _, s := range steps {
+		resps = append(resps, s.resp)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	frames := make(chan []byte, len(resps))
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for _, resp := range resps {
+			req, err := ReadFrame(conn)
+			if err != nil {
+				return
+			}
+			frames <- req
+			if WriteFrame(conn, resp) != nil {
+				return
+			}
+		}
+	}()
+
+	c, err := DialOptions(ln.Addr().String(), "ada", "pw", Options{MaxRetries: -1, OpTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if want := cat([]byte{0x01, 2, 0, 0, 0}, str("ada"), str("pw")); !bytes.Equal(<-frames, want) {
+		t.Errorf("hello frame differs from %x", want)
+	}
+	db, err := c.OpenDB("apps/x.nsf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := cat([]byte{0x02}, str("apps/x.nsf")); !bytes.Equal(<-frames, want) {
+		t.Errorf("open frame differs from %x", want)
+	}
+	for _, s := range steps {
+		if err := s.do(c, db); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		req := <-frames
+		if s.req == nil {
+			// PutBatch: [op][handle][Str key][base u64 = 1][count u32 = 1][note].
+			head, tail := cat([]byte{0x10}, handle), cat([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0}, noteBlob)
+			keyLen := len(req) - len(head) - len(tail) - 1
+			if keyLen <= 0 || !bytes.HasPrefix(req, head) || !bytes.HasSuffix(req, tail) || int(req[len(head)]) != keyLen {
+				t.Errorf("PutBatch request %x does not frame a session key between %x and %x", req, head, tail)
+			}
+			continue
+		}
+		if !bytes.Equal(req, s.req) {
+			t.Errorf("%s request\n got %x\nwant %x", s.name, req, s.req)
+		}
+	}
+
+	if got == nil || got.OID != note.OID || got.Text("Subject") != "golden" {
+		t.Errorf("Get decoded %+v", got)
+	}
+	if created.OID != note.OID {
+		t.Errorf("Create did not adopt the stored note: %+v", created.OID)
+	}
+	if len(viewPage.Rows) != 2 || !viewPage.Rows[0].IsCategory || viewPage.Rows[0].Category != "cat" ||
+		viewPage.Rows[1].UNID != unid || viewPage.Rows[1].Indent != 1 || viewPage.Rows[1].Columns[0] != "hello" ||
+		viewPage.Total != 2 || viewPage.Start != 5 || viewPage.Next != 7 || !viewPage.More {
+		t.Errorf("ViewPage decoded %+v", viewPage)
+	}
+	if len(searchPage.Hits) != 1 || searchPage.Hits[0].UNID != unid || searchPage.Hits[0].Score != 1.5 ||
+		len(searchPage.Hits[0].Values) != 1 || searchPage.Total != 1 || searchPage.Next != 1 || searchPage.More {
+		t.Errorf("SearchPage decoded %+v", searchPage)
+	}
+	if len(scanPage.Rows) != 1 || scanPage.Rows[0].NoteID != 9 || scanPage.Rows[0].UNID != unid ||
+		!scanPage.More || !bytes.Equal(scanPage.Cursor, []byte{0xCC}) {
+		t.Errorf("ScanPage decoded %+v", scanPage)
+	}
+	if stored != 1 {
+		t.Errorf("PutBatch stored = %d, want 1", stored)
+	}
+	if avail.State != StateOpen || avail.Index != 100 || avail.InFlight != 1 || avail.Queued != 2 || avail.Latency != 1500*time.Microsecond {
+		t.Errorf("Availability decoded %+v", avail)
+	}
+	if placed.Path != "apps/x.nsf" || placed.Generation != 3 || placed.Replicas != 2 ||
+		len(placed.Homes) != 1 || placed.Homes[0] != (HomeAddr{Name: "hub", Addr: "h:1"}) {
+		t.Errorf("Resolve decoded %+v", placed)
 	}
 }
