@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race stress fuzz verify bench-test benchmark bench experiments bench-backup bench-readpath bench-availability bench-writepath bench-placement bench-mesh bench-bulkread bench-deadline drift clean
+.PHONY: all build vet test race stress fuzz verify bench-test benchmark bench experiment drift clean
 
 all: verify
 
@@ -61,68 +61,21 @@ verify: build vet test bench-test race stress
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkW1 -benchtime 500x .
 
-# Regenerate the write-path latency baseline (BENCH_writepath.json).
-experiments:
-	$(GO) run ./cmd/experiments -exp W1
-	$(GO) run ./cmd/experiments -exp W2
+# Regenerate one experiment's table and, for W1/W3..W10, its section of the
+# committed baseline BENCH_experiments.json (the other sections are left
+# byte-identical; W4's frozen "serialized" rows are carried over). `make
+# experiment` alone runs the whole suite. Commit the file after an
+# intentional change; -quick runs never write it.
+EXP ?= all
+experiment:
+	$(GO) run ./cmd/experiments -exp $(EXP)
 
-# Regenerate the backup/restore baseline (BENCH_backup.json): incremental
-# vs full image cost, hot-backup put-latency interference, restore/PITR.
-bench-backup:
-	$(GO) run ./cmd/experiments -exp W3
-
-# Regenerate the live rows of the read-path baseline (BENCH_readpath.json):
-# point-read throughput under a sustained writer and Put latency under
-# back-to-back scans. The serialized (seed discipline) rows are frozen —
-# that store mode is gone — and carried over untouched.
-bench-readpath:
-	$(GO) run ./cmd/experiments -exp W4
-
-# Regenerate the availability baseline (BENCH_availability.json): failover
-# window and zero-lost-acked-writes on node kill, accepted-request latency
-# under 2x overload with admission control on vs off.
-bench-availability:
-	$(GO) run ./cmd/experiments -exp W5
-
-# Regenerate the write-path baseline (BENCH_writepath.json): W1 plus the W7
-# group-commit scaling matrix (1..64 writers x SyncWAL x group commit).
-bench-writepath:
-	$(GO) run ./cmd/experiments -exp W1
-	$(GO) run ./cmd/experiments -exp W7
-
-# Regenerate the placement baseline (BENCH_placement.json): live-move
-# latency under a streaming writer and dead-mate re-home times, both with
-# the zero-lost-acked-writes audit.
-bench-placement:
-	$(GO) run ./cmd/experiments -exp W6
-
-# Regenerate the bulk-read section of BENCH_readpath.json: W9 paginated
-# view-open latency over a 5ms-RTT faultnet link vs the per-note baseline,
-# and the frame-bound 200k-row stream with every response frame audited
-# against wire.MaxFrame.
-bench-bulkread:
-	$(GO) run ./cmd/experiments -exp W9
-
-# Regenerate the mesh baseline (BENCH_mesh.json): W8 epidemic-mesh
-# time-to-convergence and per-link traffic for ring and hub-spoke under
-# faultnet churn (drops, severs, a partitioned node, a killed mate), plus
-# the selective-replication selection-stub audit.
-bench-mesh:
-	$(GO) run ./cmd/experiments -exp W8
-
-# Regenerate the deadline baseline (BENCH_deadline.json): W10 stalled-mate
-# read tail (flat-timeout failover vs budget+hedge), wasted work under
-# overload with and without wire budgets, and the write-safety audit across
-# deadline-expiry retries (zero acked writes lost or duplicated).
-bench-deadline:
-	$(GO) run ./cmd/experiments -exp W10
-
-# Bench drift guard: re-measure W1/W7 (write path), the W6 re-home median,
-# the W8 mesh ring time-to-convergence, the W9 paginated view-open probe,
-# and the W10 hedged stalled-mate p99 at quick sizes; fail on regression
-# beyond each probe's tolerance against the committed BENCH_writepath.json /
-# BENCH_placement.json / BENCH_mesh.json / BENCH_readpath.json /
-# BENCH_deadline.json.
+# Bench drift guard: walk the probe table of cmd/experiments/harness.go (W1
+# put p50 at 0/8 views, W7 1- and 64-writer puts/s, W6 re-home median, W8
+# ring convergence, W9 view open, W10 hedged p99) at quick sizes and fail on
+# a regression beyond each probe's ratio+floor against BENCH_experiments.json,
+# or on any hard invariant (lost acked writes, non-converged replicas, < 5x
+# paged or hedged speedup).
 drift:
 	$(GO) run ./cmd/experiments -exp GUARD -quick
 

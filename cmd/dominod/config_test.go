@@ -64,6 +64,13 @@ fault  seed=7,sever=0.01,delay=0.1,maxdelay=5ms
 	if len(cfg.jobs) != 1 || cfg.jobs[0].interval != 30*time.Second {
 		t.Errorf("jobs = %+v", cfg.jobs)
 	}
+	// A replicate directive runs as a hot two-way mesh link over exactly
+	// its database; a cluster drop for that pair must find it by name.
+	want := mesh.Link{Name: "replicate-spoke-apps/app.nsf", Peer: "spoke", Glob: "apps/app.nsf",
+		Direction: mesh.Both, Class: mesh.Hot, Interval: 30 * time.Second, Debounce: 250 * time.Millisecond}
+	if l := cfg.jobs[0].link(); l != want || l.Name != replicateLinkName("SPOKE", "apps/app.nsf") {
+		t.Errorf("replicate link = %+v, want %+v", l, want)
+	}
 	if cfg.routeTick != 10*time.Second || cfg.catalogTick != 5*time.Minute {
 		t.Errorf("ticks = %v %v", cfg.routeTick, cfg.catalogTick)
 	}

@@ -18,7 +18,8 @@
 //	db     apps/tickets.nsf Helpdesk        # pre-open path [title]
 //	ftindex apps/tickets.nsf                # full-text index this db at boot
 //	peer   spoke 10.0.0.2:1352              # peer name and address
-//	replicate spoke apps/tickets.nsf 30s    # periodic replication job
+//	replicate spoke apps/tickets.nsf 30s    # replicate one db with a peer: a hot
+//	                                        # two-way mesh link, 30s catch-up floor
 //	route  10s                              # router interval
 //	cluster spoke                           # event-driven push to this peer
 //	catalog 5m                              # catalog refresh interval
@@ -85,13 +86,31 @@ import (
 	domino "repro"
 	"repro/internal/faultnet"
 	"repro/internal/mesh"
-	"repro/internal/repl"
 )
 
 type replicaJob struct {
 	peer     string
 	dbPath   string
 	interval time.Duration
+}
+
+// replicateLinkName names the mesh link of a replicate directive.
+func replicateLinkName(peer, dbPath string) string {
+	return "replicate-" + strings.ToLower(peer) + "-" + dbPath
+}
+
+// link is the mesh link a replicate directive stands for: hot, both
+// directions, covering exactly the one database.
+func (j replicaJob) link() mesh.Link {
+	return mesh.Link{
+		Name:      replicateLinkName(j.peer, j.dbPath),
+		Peer:      j.peer,
+		Glob:      j.dbPath,
+		Direction: mesh.Both,
+		Class:     mesh.Hot,
+		Interval:  j.interval,
+		Debounce:  250 * time.Millisecond,
+	}
 }
 
 type config struct {
@@ -514,8 +533,10 @@ func main() {
 		srv.EnableMonitor(cfg.monitorN)
 		log.Printf("event monitor enabled (threshold %d changes)", cfg.monitorN)
 	}
-	// Replication mesh: links from meshlink directives plus this server's
-	// lines of the shared topology file. A bad link (unknown peer is fine —
+	// Replication mesh: links from meshlink directives, this server's lines
+	// of the shared topology file, and one hot two-way link per replicate
+	// directive (local writes trigger a debounced round; the interval is the
+	// catch-up floor for remote changes). A bad link (unknown peer is fine —
 	// the breaker handles that — but a bad formula or glob is not) is a
 	// startup error.
 	meshLinks := append([]mesh.Link(nil), cfg.meshLinks...)
@@ -531,6 +552,13 @@ func main() {
 		}
 		meshLinks = append(meshLinks, mesh.LinksFor(topo, cfg.name)...)
 	}
+	for _, job := range cfg.jobs {
+		// The mesh covers open databases only.
+		if _, err := srv.OpenDB(job.dbPath, domino.Options{}); err != nil {
+			log.Fatalf("dominod: replication db %s: %v", job.dbPath, err)
+		}
+		meshLinks = append(meshLinks, job.link())
+	}
 	if len(meshLinks) > 0 {
 		m, err := srv.EnableMesh(domino.MeshOptions{})
 		if err != nil {
@@ -543,6 +571,13 @@ func main() {
 			log.Printf("mesh link %s -> %s (glob %q %s %s every %s)",
 				l.Name, l.Peer, l.Glob, l.Class, l.Direction, l.Interval)
 		}
+		// When a cluster pusher drops an event (mate down, queue overflow),
+		// run the replicate link for that mate and database now, so catch-up
+		// starts immediately instead of waiting out the interval. RunNow
+		// errors only for a pair no replicate directive names.
+		srv.OnClusterDrop(func(mate, dbPath string) {
+			_ = m.RunNow(replicateLinkName(mate, dbPath))
+		})
 	}
 	// Placement records: pins first (a pin wins over auto-assignment), then
 	// rendezvous-assign the remaining pre-opened databases across this mate
@@ -587,61 +622,6 @@ func main() {
 			}
 		}
 	}()
-	// Replication jobs. Each job selects on its schedule AND on the
-	// database's changefeed: local writes trigger a prompt (debounced) push
-	// instead of waiting out the polling interval, while the ticker remains
-	// the catch-up path for remote changes and missed triggers.
-	triggers := make(map[string]*repl.ChangeTrigger)
-	for _, job := range cfg.jobs {
-		job := job
-		jobDB, err := srv.OpenDB(job.dbPath, domino.Options{})
-		if err != nil {
-			log.Fatalf("dominod: replication db %s: %v", job.dbPath, err)
-		}
-		trigger := repl.NewChangeTrigger(jobDB, 250*time.Millisecond)
-		triggers[strings.ToLower(job.peer)+"|"+job.dbPath] = trigger
-		go func() {
-			defer trigger.Stop()
-			t := time.NewTicker(job.interval)
-			defer t.Stop()
-			runOnce := func() {
-				addr, ok := cfg.peers[strings.ToLower(job.peer)]
-				if !ok {
-					log.Printf("replicator: no address for peer %s", job.peer)
-					return
-				}
-				st, err := srv.ReplicateWith(job.peer, addr, job.dbPath, repl.Options{})
-				if err != nil {
-					log.Printf("replicator %s %s: %v", job.peer, job.dbPath, err)
-					return
-				}
-				if st.NotesFetched+st.NotesSent > 0 {
-					log.Printf("replicator %s %s: %s", job.peer, job.dbPath, st)
-				}
-			}
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					runOnce()
-				case <-trigger.C():
-					runOnce()
-				}
-			}
-		}()
-	}
-	// When a cluster pusher drops an event (mate down, queue overflow), hand
-	// the change to the scheduled replicator for that mate and database so
-	// catch-up starts immediately instead of waiting out the interval.
-	if len(triggers) > 0 {
-		srv.OnClusterDrop(func(mate, dbPath string) {
-			if t, ok := triggers[strings.ToLower(mate)+"|"+dbPath]; ok {
-				t.Kick()
-			}
-		})
-	}
-
 	// Agent scheduler: one manager per database (save triggers hook once),
 	// named agents run on their configured intervals.
 	managers := make(map[string]*domino.AgentManager)

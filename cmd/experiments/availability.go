@@ -1,12 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -29,201 +26,85 @@ import (
 // and once the load stops, the goroutine count returns to its baseline
 // (shed work never started, so there is nothing to leak).
 
-// w5Result is one measured configuration, serialized to
-// BENCH_availability.json as the regression baseline.
-type w5Result struct {
-	Phase            string  `json:"phase"`
-	Mode             string  `json:"mode,omitempty"`
-	Docs             int     `json:"docs,omitempty"`
-	Acked            int     `json:"acked,omitempty"`
-	LostAcked        int     `json:"lost_acked"`
-	FailoverWindowMs float64 `json:"failover_window_ms,omitempty"`
-	Failovers        uint64  `json:"failovers,omitempty"`
-	Clients          int     `json:"clients,omitempty"`
-	MaxInFlight      int     `json:"max_in_flight,omitempty"`
-	Accepted         int64   `json:"accepted,omitempty"`
-	Sheds            uint64  `json:"sheds,omitempty"`
-	GoodputPerSec    float64 `json:"goodput_per_sec,omitempty"`
-	AcceptedP50Ms    float64 `json:"accepted_p50_ms,omitempty"`
-	AcceptedP99Ms    float64 `json:"accepted_p99_ms,omitempty"`
-	GoroutinesBase   int     `json:"goroutines_base,omitempty"`
-	GoroutinesAfter  int     `json:"goroutines_after,omitempty"`
-}
+const w5Path = "apps/w5.nsf"
 
 // w5Failover runs Phase A: a two-mate cluster, a failover client creating
 // documents, the primary killed halfway through.
-func w5Failover(docs int) w5Result {
-	base, err := os.MkdirTemp("", "domino-w5")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(base)
-	d := domino.NewDirectory()
-	d.AddUser(domino.User{Name: "ada", Secret: "pw"})
-	d.AddUser(domino.User{Name: "alpha", Secret: "sa"})
-	d.AddUser(domino.User{Name: "beta", Secret: "sb"})
-	mk := func(name, secret string) *domino.Server {
-		s, err := domino.NewServer(domino.ServerOptions{
-			Name: name, DataDir: filepath.Join(base, name),
-			Directory: d, PeerSecret: secret,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return s
-	}
-	alpha, beta := mk("alpha", "sa"), mk("beta", "sb")
-	defer beta.Close()
-	aAddr, err := alpha.Start("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	bAddr, err := beta.Start("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	replica := domino.NewReplicaID()
-	dbA, err := alpha.OpenDB("apps/w5.nsf", domino.Options{Title: "w5", ReplicaID: replica})
-	if err != nil {
-		log.Fatal(err)
-	}
-	dbB, err := beta.OpenDB("apps/w5.nsf", domino.Options{Title: "w5", ReplicaID: replica})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, who := range []string{"ada", "alpha", "beta"} {
-		dbA.ACL().Set(who, domino.Editor)
-		dbB.ACL().Set(who, domino.Editor)
-	}
-	alpha.EnableClustering(map[string]string{"beta": bAddr})
+func w5Failover(docs int) row {
+	c := newCluster(mates("alpha", "beta")...)
+	defer c.close()
+	dbs := c.openAll(w5Path)
+	c.push("alpha", "beta")
 
-	fc, err := domino.DialFailover([]string{aAddr, bAddr}, "ada", "pw", domino.FailoverOptions{
+	fc := c.dial(domino.FailoverOptions{
 		Client: domino.ClientOptions{BackoffBase: 5 * time.Millisecond, DialTimeout: 2 * time.Second},
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 	defer fc.Close()
-	db, err := fc.OpenDB("apps/w5.nsf")
+	db, err := fc.OpenDB(w5Path)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	killAt := docs / 2
-	var acked []domino.UNID
+	var acked []*domino.Note
 	var window time.Duration
 	for i := 0; i < docs; i++ {
 		if i == killAt {
-			alpha.Close()
+			c.kill("alpha")
 		}
 		n := domino.NewDocument()
 		n.SetText("Subject", fmt.Sprintf("w5 doc %d", i))
 		start := time.Now()
-		if err := db.Create(n); err != nil {
-			// Ambiguous create: the ack was lost with the mate. Creates are
-			// not idempotent, so the client surfaces the error; the recovery
-			// protocol is read-back on the survivor, then re-issue.
-			if _, gerr := db.Get(n.OID.UNID); gerr != nil {
-				if err2 := db.Create(n); err2 != nil {
-					continue // never acknowledged anywhere — not counted
-				}
-			}
-		}
+		ok, _ := ackedCreate(db, n, 0)
 		if i == killAt {
 			window = time.Since(start)
 		}
-		acked = append(acked, n.OID.UNID)
-	}
-
-	// Catch up the dead mate's file into the survivor, then check every
-	// acknowledged write is there. Writes acked by alpha before the kill
-	// were cluster-pushed, but the push is asynchronous — the catch-up
-	// replication from the dead file is what a restarted mate (or an admin
-	// with its disk) would run.
-	reopened, err := domino.Open(filepath.Join(base, "alpha", "apps", "w5.nsf"), domino.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer reopened.Close()
-	if _, err := domino.Replicate(reopened, &domino.LocalPeer{DB: dbB}, domino.ReplicationOptions{PeerName: "catchup"}); err != nil {
-		log.Fatal(err)
-	}
-	lost := 0
-	for _, u := range acked {
-		if _, err := dbB.RawGet(u); err != nil {
-			lost++
+		if ok {
+			acked = append(acked, n)
 		}
 	}
-	return w5Result{
-		Phase:            "failover",
-		Docs:             docs,
-		Acked:            len(acked),
-		LostAcked:        lost,
-		FailoverWindowMs: float64(window.Nanoseconds()) / 1e6,
-		Failovers:        fc.Stats().Failovers,
+
+	// Restart the dead mate and catch its file up into the survivor, then
+	// check every acknowledged write is there. Writes acked by alpha before
+	// the kill were cluster-pushed, but the push is asynchronous — the
+	// catch-up replication is what the restarted mate would run.
+	c.restart("alpha")
+	if _, err := domino.Replicate(c.db("alpha", w5Path), &domino.LocalPeer{DB: dbs[1]},
+		domino.ReplicationOptions{PeerName: "catchup"}); err != nil {
+		log.Fatal(err)
 	}
+	lost, _ := auditAcked(dbs[1], acked)
+	return newRow("failover", "docs", docs, "acked", len(acked), "lost_acked", lost,
+		"failover_window_ms", msf(window), "failovers", fc.Stats().Failovers)
 }
 
 // w5Overload runs Phase B in one admission mode: `clients` connections all
 // issuing creates as fast as they can against a server whose in-flight
 // pool (if any) is a fraction of that.
-func w5Overload(mode string, maxInFlight, clients int, dur time.Duration) w5Result {
-	base, err := os.MkdirTemp("", "domino-w5b")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(base)
-	d := domino.NewDirectory()
-	d.AddUser(domino.User{Name: "ada", Secret: "pw"})
+func w5Overload(mode string, maxInFlight, clients int, dur time.Duration) row {
 	// SyncWAL pins the service rate to the fsync path: writes serialize on
 	// the log, so offered load from `clients` connections is a genuine
 	// multiple of capacity no matter how many cores the host has.
-	srv, err := domino.NewServer(domino.ServerOptions{
-		Name: "w5b", DataDir: base, Directory: d, SyncWAL: true,
-		MaxInFlight: maxInFlight, AdmitWait: 5 * time.Millisecond,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer srv.Close()
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	dbs, err := srv.OpenDB("apps/w5b.nsf", domino.Options{Title: "w5b"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	dbs.ACL().Set("ada", domino.Editor)
+	c := newCluster(mate{name: "w5b", opts: domino.ServerOptions{
+		SyncWAL: true, MaxInFlight: maxInFlight, AdmitWait: 5 * time.Millisecond}})
+	defer c.close()
+	c.openAll(w5Path)
 
 	// No client-side retries: a shed must surface (and be counted), not be
-	// silently absorbed by backoff.
+	// silently absorbed by backoff. Every handle is bound before any worker
+	// starts: opens go through the same admission gate as everything else,
+	// so an open racing the overload would itself be shed.
 	copts := domino.ClientOptions{MaxRetries: -1, DialTimeout: 2 * time.Second}
-	conns := make([]*domino.Client, clients)
-	for i := range conns {
-		c, err := domino.DialOptions(addr, "ada", "pw", copts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer c.Close()
-		conns[i] = c
+	rdbs := make([]*domino.RemoteDB, clients)
+	for i := range rdbs {
+		cl, rdb := c.remote("w5b", w5Path, copts)
+		defer cl.Close()
+		rdbs[i] = rdb
 	}
 	goroBase := runtime.NumGoroutine()
 
-	// Bind every handle before any worker starts: opens go through the same
-	// admission gate as everything else, so an open racing the overload
-	// would itself be shed.
-	rdbs := make([]*domino.RemoteDB, clients)
-	for i, c := range conns {
-		rdb, err := c.OpenDB("apps/w5b.nsf")
-		if err != nil {
-			log.Fatal(err)
-		}
-		rdbs[i] = rdb
-	}
-
 	var mu sync.Mutex
-	var lats []time.Duration
+	var lat recorder
 	var shed uint64
 	var wg sync.WaitGroup
 	deadline := time.Now().Add(dur)
@@ -231,7 +112,7 @@ func w5Overload(mode string, maxInFlight, clients int, dur time.Duration) w5Resu
 		wg.Add(1)
 		go func(i int, rdb *domino.RemoteDB) {
 			defer wg.Done()
-			var mine []time.Duration
+			var mine recorder
 			var myShed uint64
 			body := string(make([]byte, 4096))
 			for j := 0; time.Now().Before(deadline); j++ {
@@ -242,7 +123,7 @@ func w5Overload(mode string, maxInFlight, clients int, dur time.Duration) w5Resu
 				err := rdb.Create(n)
 				switch {
 				case err == nil:
-					mine = append(mine, time.Since(start))
+					mine.since(start)
 				case isBusy(err):
 					myShed++
 				default:
@@ -250,36 +131,26 @@ func w5Overload(mode string, maxInFlight, clients int, dur time.Duration) w5Resu
 				}
 			}
 			mu.Lock()
-			lats = append(lats, mine...)
+			lat.merge(mine)
 			shed += myShed
 			mu.Unlock()
 		}(i, rdb)
 	}
 	wg.Wait()
 
-	res := w5Result{
-		Phase:          "overload",
-		Mode:           mode,
-		Clients:        clients,
-		MaxInFlight:    maxInFlight,
-		Accepted:       int64(len(lats)),
-		Sheds:          shed,
-		GoodputPerSec:  float64(len(lats)) / dur.Seconds(),
-		GoroutinesBase: goroBase,
-	}
-	if len(lats) > 0 {
-		res.AcceptedP50Ms = float64(percentile(lats, 0.50).Nanoseconds()) / 1e6
-		res.AcceptedP99Ms = float64(percentile(lats, 0.99).Nanoseconds()) / 1e6
-	}
 	// Shed work never started, so nothing lingers: after the load stops the
 	// goroutine count settles back to (at most) its pre-load level.
+	goroAfter := 0
 	for i := 0; i < 100; i++ {
-		if res.GoroutinesAfter = runtime.NumGoroutine(); res.GoroutinesAfter <= goroBase {
+		if goroAfter = runtime.NumGoroutine(); goroAfter <= goroBase {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	return res
+	return newRow("overload "+mode, "clients", clients, "max_in_flight", maxInFlight,
+		"accepted", lat.n(), "sheds", shed, "goodput_per_sec", float64(lat.n())/dur.Seconds(),
+		"accepted_p50_ms", msf(lat.pct(0.50)), "accepted_p99_ms", msf(lat.pct(0.99)),
+		"goroutines_base", goroBase, "goroutines_after", goroAfter)
 }
 
 func isBusy(err error) bool {
@@ -291,18 +162,14 @@ func runW5(quick bool) {
 	// Widen the scheduler so the overload clients genuinely overlap.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 
-	var results []w5Result
-
-	docs := pick(quick, 60, 20)
-	fa := w5Failover(docs)
-	results = append(results, fa)
+	fa := w5Failover(pick(quick, 60, 20))
+	rows := []row{fa}
 	ta := newTable("docs", "acked", "lost acked", "failover window ms", "failovers")
-	ta.add(fa.Docs, fa.Acked, fa.LostAcked, fmt.Sprintf("%.1f", fa.FailoverWindowMs), fmt.Sprint(fa.Failovers))
+	ta.add(int(fa.M["docs"]), int(fa.M["acked"]), int(fa.M["lost_acked"]),
+		fmt.Sprintf("%.1f", fa.M["failover_window_ms"]), int(fa.M["failovers"]))
 	fmt.Println("  Phase A: kill a cluster mate mid-session (failover client)")
 	ta.print()
-	if fa.LostAcked != 0 {
-		fmt.Printf("  !! %d acknowledged writes lost — availability invariant violated\n", fa.LostAcked)
-	} else {
+	if check(fa.M["lost_acked"] == 0, "W5: %.0f acknowledged writes lost across the node kill", fa.M["lost_acked"]) {
 		fmt.Println("  (invariant: zero acknowledged writes lost across the node kill)")
 	}
 
@@ -315,29 +182,18 @@ func runW5(quick bool) {
 		mif  int
 	}{{"admission", maxIF}, {"unbounded", -1}} {
 		r := w5Overload(m.name, m.mif, clients, dur)
-		results = append(results, r)
-		pool := fmt.Sprint(r.MaxInFlight)
-		if r.MaxInFlight < 0 {
+		rows = append(rows, r)
+		pool := fmt.Sprint(m.mif)
+		if m.mif < 0 {
 			pool = "∞"
 		}
-		tb.add(r.Mode, r.Clients, pool, fmt.Sprint(r.Accepted), fmt.Sprint(r.Sheds),
-			fmt.Sprintf("%.0f", r.GoodputPerSec),
-			fmt.Sprintf("%.2f", r.AcceptedP50Ms), fmt.Sprintf("%.2f", r.AcceptedP99Ms))
+		tb.add(m.name, clients, pool, int(r.M["accepted"]), int(r.M["sheds"]),
+			fmt.Sprintf("%.0f", r.M["goodput_per_sec"]),
+			fmt.Sprintf("%.2f", r.M["accepted_p50_ms"]), fmt.Sprintf("%.2f", r.M["accepted_p99_ms"]))
 	}
 	fmt.Println("  Phase B: 2x+ offered overload, admission control vs unbounded")
 	tb.print()
 	fmt.Println("  (shape check: admission sheds the excess and keeps accepted p99 near the")
 	fmt.Println("   pool's service time; unbounded queues everything and p99 grows with it)")
-
-	f, err := os.Create("BENCH_availability.json")
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
-		log.Fatal(err)
-	}
-	f.Close()
-	fmt.Println("  baseline written to BENCH_availability.json")
+	saveBaseline("W5", quick, rows)
 }

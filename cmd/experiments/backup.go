@@ -1,12 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	domino "repro"
@@ -26,15 +24,11 @@ import (
 //  3. Restore and point-in-time recovery are fast and exact: full image +
 //     incremental chain + archived-log replay reach the requested USN.
 
-// w3Result is one measured row, serialized to BENCH_backup.json as the
-// regression baseline.
-type w3Result struct {
-	Phase     string  `json:"phase"`      // "backup", "hot-put", "restore"
-	Label     string  `json:"label"`      // row name within the phase
-	DeltaDocs int     `json:"delta_docs"` // notes touched since the previous image
-	Bytes     int64   `json:"bytes"`      // image size (backup rows)
-	Millis    float64 `json:"millis"`     // wall time of the operation
-	USN       uint64  `json:"usn"`        // USN the row ends at
+// w3Row records one measured operation: delta_docs is the notes touched
+// since the previous image (backup rows) or restored (restore rows), bytes
+// the image size, usn where the row ends.
+func w3Row(phase, label string, deltaDocs int, bytes int64, millis float64, usn uint64) row {
+	return newRow(phase+" "+label, "delta_docs", deltaDocs, "bytes", bytes, "millis", millis, "usn", usn)
 }
 
 func runW3(quick bool) {
@@ -42,10 +36,7 @@ func runW3(quick bool) {
 	body := 1024
 	deltas := []int{docs / 100, docs / 20, docs / 5} // 1%, 5%, 20%
 
-	root, err := os.MkdirTemp("", "domino-w3")
-	if err != nil {
-		log.Fatal(err)
-	}
+	root := scratch("w3")
 	defer os.RemoveAll(root)
 	arcDir := filepath.Join(root, "walog")
 	setDir := filepath.Join(root, "bak")
@@ -60,7 +51,7 @@ func runW3(quick bool) {
 	g := workload.New(42)
 	corpus := seedDocs(db, g, docs, body)
 	sess := db.Session("exp")
-	var results []w3Result
+	var rows []row
 
 	// Phase 1: full image cost, then incremental cost per delta size.
 	bt := newTable("image", "delta docs", "MB", "ms", "MB vs full %")
@@ -70,10 +61,7 @@ func runW3(quick bool) {
 		log.Fatal(err)
 	}
 	fullMs := float64(time.Since(start).Microseconds()) / 1e3
-	results = append(results, w3Result{
-		Phase: "backup", Label: "full", DeltaDocs: docs,
-		Bytes: full.Size, Millis: fullMs, USN: full.EndUSN,
-	})
+	rows = append(rows, w3Row("backup", "full", docs, full.Size, fullMs, full.EndUSN))
 	bt.add("full", docs, float64(full.Size)/1e6, fullMs, 100.0)
 	lastIncrUSN := full.EndUSN
 	for round, k := range deltas {
@@ -93,10 +81,7 @@ func runW3(quick bool) {
 			log.Fatal(err)
 		}
 		ms := float64(time.Since(start).Microseconds()) / 1e3
-		results = append(results, w3Result{
-			Phase: "backup", Label: fmt.Sprintf("incr-%dpct", 100*k/docs),
-			DeltaDocs: k, Bytes: img.Size, Millis: ms, USN: img.EndUSN,
-		})
+		rows = append(rows, w3Row("backup", fmt.Sprintf("incr-%dpct", 100*k/docs), k, img.Size, ms, img.EndUSN))
 		bt.add(fmt.Sprintf("incr (%d%%)", 100*k/docs), k,
 			float64(img.Size)/1e6, ms, 100*float64(img.Size)/float64(full.Size))
 		lastIncrUSN = img.EndUSN
@@ -107,17 +92,15 @@ func runW3(quick bool) {
 	// backup streams the database. The hot-backup design claim is that the
 	// two distributions match — commits never wait on the copy.
 	measurePuts := func(n int) (p50, p95 float64) {
-		lats := make([]time.Duration, 0, n)
+		var lat recorder
 		for _, doc := range g.Corpus(n, body) {
 			t0 := time.Now()
 			if err := sess.Create(doc); err != nil {
 				log.Fatal(err)
 			}
-			lats = append(lats, time.Since(t0))
+			lat.since(t0)
 		}
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		return float64(percentile(lats, 0.50).Nanoseconds()) / 1e3,
-			float64(percentile(lats, 0.95).Nanoseconds()) / 1e3
+		return usf(lat.pct(0.50)), usf(lat.pct(0.95))
 	}
 	putN := pick(quick, 800, 150)
 	idle50, idle95 := measurePuts(putN)
@@ -130,9 +113,9 @@ func runW3(quick bool) {
 	if err := <-backupDone; err != nil {
 		log.Fatal(err)
 	}
-	results = append(results,
-		w3Result{Phase: "hot-put", Label: "idle", Millis: idle50 / 1e3, USN: uint64(putN)},
-		w3Result{Phase: "hot-put", Label: "during-backup", Millis: hot50 / 1e3, USN: uint64(putN)})
+	rows = append(rows,
+		w3Row("hot-put", "idle", 0, 0, idle50/1e3, uint64(putN)),
+		w3Row("hot-put", "during-backup", 0, 0, hot50/1e3, uint64(putN)))
 	ht := newTable("writer state", "p50 µs", "p95 µs")
 	ht.add("backup idle", idle50, idle95)
 	ht.add("backup running", hot50, hot95)
@@ -162,10 +145,7 @@ func runW3(quick bool) {
 		ms := float64(time.Since(start).Microseconds()) / 1e3
 		count := rdb.Count()
 		rdb.Close()
-		results = append(results, w3Result{
-			Phase: "restore", Label: label, DeltaDocs: count,
-			Millis: ms, USN: info.ReachedUSN,
-		})
+		rows = append(rows, w3Row("restore", label, count, 0, ms, info.ReachedUSN))
 		rt.add(label, info.ReachedUSN, count, info.ArchiveRecords, ms)
 	}
 	restore("full-only", full.EndUSN)
@@ -174,15 +154,5 @@ func runW3(quick bool) {
 	restore("pitr-mid-archive", lastUSN-uint64(tailDocs)/2)
 	rt.print()
 
-	f, err := os.Create("BENCH_backup.json")
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
-		log.Fatal(err)
-	}
-	f.Close()
-	fmt.Println("  baseline written to BENCH_backup.json")
+	saveBaseline("W3", quick, rows)
 }

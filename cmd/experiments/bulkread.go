@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -32,48 +30,15 @@ import (
 // summed row payload documents what the one-shot protocol would have had
 // to carry in a single frame.
 
-// w9Result is one measured configuration, serialized into the w9 section
-// of BENCH_readpath.json as the regression baseline.
-type w9Result struct {
-	Phase      string  `json:"phase"`
-	Docs       int     `json:"docs"`
-	RTTMs      float64 `json:"rtt_ms,omitempty"`
-	PageRows   int     `json:"page_rows,omitempty"`
-	Pages      int     `json:"pages,omitempty"`
-	RoundTrips int64   `json:"round_trips,omitempty"`
-	ViewOpenMs float64 `json:"view_open_ms,omitempty"`
-	PerNoteMs  float64 `json:"per_note_ms,omitempty"`
-	SpeedupX   float64 `json:"speedup_x,omitempty"`
-	Rows       int     `json:"rows,omitempty"`
-	MaxFrameB  int     `json:"max_frame_bytes,omitempty"`
-	TotalB     int64   `json:"total_frame_bytes,omitempty"`
-}
-
 const w9Path = "apps/w9.nsf"
 
-// w9Server boots one server with the given bulk-read page budget, seeds
+// w9Server boots one server with the given bulk-read page budget behind a
+// faultnet listener (injection disabled; enable before measuring), seeds
 // `docs` documents server-side (each with a Subject of at least `subject`
-// bytes), and defines a sorted Subject view. The listener is wrapped by
-// the returned faultnet (injection disabled; enable before measuring).
-func w9Server(docs, subject, pageRows int, plan faultnet.Plan) (*domino.Server, string, *faultnet.Net, func()) {
-	base, err := os.MkdirTemp("", "domino-w9")
-	if err != nil {
-		log.Fatal(err)
-	}
-	d := domino.NewDirectory()
-	d.AddUser(domino.User{Name: "ada", Secret: "pw"})
-	srv, err := domino.NewServer(domino.ServerOptions{
-		Name: "w9", DataDir: filepath.Join(base, "w9"),
-		Directory: d, MaxPageRows: pageRows,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	db, err := srv.OpenDB(w9Path, domino.Options{Title: "w9", ReplicaID: domino.NewReplicaID()})
-	if err != nil {
-		log.Fatal(err)
-	}
-	db.ACL().Set("ada", domino.Editor)
+// bytes), and defines a sorted Subject view.
+func w9Server(docs, subject, pageRows int, plan faultnet.Plan) *cluster {
+	c := newCluster(mate{name: "w9", opts: domino.ServerOptions{MaxPageRows: pageRows}, plan: &plan})
+	db := c.openAll(w9Path)[0]
 
 	// Seed before defining the view: one rebuild beats n incremental updates.
 	pad := string(make([]byte, subject))
@@ -93,39 +58,21 @@ func w9Server(docs, subject, pageRows int, plan faultnet.Plan) (*domino.Server, 
 	if err := db.AddView(nil, def); err != nil {
 		log.Fatal(err)
 	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fn := faultnet.New(plan)
-	fn.Disable()
-	addr := srv.Serve(fn.Listener(ln))
-	cleanup := func() {
-		srv.Close()
-		os.RemoveAll(base)
-	}
-	return srv, addr, fn, cleanup
+	return c
 }
 
 // w9ViewOpen measures Phase A at one configuration: client-observed time
 // to render the whole view over a link with the given one-way latency,
 // paginated, against the per-note Get baseline over the same link.
-func w9ViewOpen(docs, pageRows int, oneWay time.Duration) w9Result {
-	_, addr, fn, cleanup := w9Server(docs, 0, pageRows, faultnet.Plan{Latency: oneWay})
-	defer cleanup()
+func w9ViewOpen(phase string, docs, pageRows int, oneWay time.Duration) row {
+	c := w9Server(docs, 0, pageRows, faultnet.Plan{Latency: oneWay})
+	defer c.close()
+	fn := c.nets["w9"]
 
 	// Dial and bind the handle with latency off: both modes share session
 	// setup, and the comparison is read traffic, not handshakes.
-	c, err := domino.DialOptions(addr, "ada", "pw", domino.ClientOptions{Dialer: fn.Dial})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer c.Close()
-	rdb, err := c.OpenDB(w9Path)
-	if err != nil {
-		log.Fatal(err)
-	}
+	cl, rdb := c.remote("w9", w9Path, domino.ClientOptions{Dialer: fn.Dial})
+	defer cl.Close()
 
 	fn.Enable()
 	before := fn.Stats().Latencies
@@ -151,19 +98,13 @@ func w9ViewOpen(docs, pageRows int, oneWay time.Duration) w9Result {
 	perNote := time.Since(start)
 	fn.Disable()
 
-	res := w9Result{
-		Phase: "view-open", Docs: docs,
-		RTTMs:      2 * float64(oneWay.Microseconds()) / 1e3,
-		PageRows:   pageRows,
-		Pages:      (docs + pageRows - 1) / pageRows,
-		RoundTrips: trips,
-		ViewOpenMs: float64(viewOpen.Microseconds()) / 1e3,
-		PerNoteMs:  float64(perNote.Microseconds()) / 1e3,
-	}
-	if viewOpen > 0 {
-		res.SpeedupX = float64(perNote) / float64(viewOpen)
-	}
-	return res
+	speedup := float64(perNote) / float64(viewOpen)
+	check(speedup >= w9MinSpeedup, "W9 %s: paginated view open only %.1fx faster than per-note (want >= %.0fx)",
+		phase, speedup, w9MinSpeedup)
+	return newRow(phase, "docs", docs, "rtt_ms", 2*float64(oneWay.Microseconds())/1e3,
+		"page_rows", pageRows, "pages", (docs+pageRows-1)/pageRows, "round_trips", trips,
+		"view_open_ms", float64(viewOpen.Microseconds())/1e3,
+		"per_note_ms", float64(perNote.Microseconds())/1e3, "speedup_x", speedup)
 }
 
 // frameMeter wraps a client connection and runs the frame protocol's
@@ -229,11 +170,11 @@ func (m *frameMeter) feed(b []byte) {
 // w9FrameBound measures Phase B: a view big enough that its one-shot
 // rendering would not fit in a single MaxFrame frame streams fully in
 // paginated form, every frame verified against the limit by the meter.
-func w9FrameBound(docs int) w9Result {
+func w9FrameBound(docs int) row {
 	// ~400-byte subjects: at 200k rows the summed rendering tops 64 MiB,
 	// which the one-shot protocol could not frame at all.
-	_, addr, _, cleanup := w9Server(docs, 400, 0, faultnet.Plan{})
-	defer cleanup()
+	c := w9Server(docs, 400, 0, faultnet.Plan{})
+	defer c.close()
 
 	stats := &frameStats{}
 	dialer := func(network, addr string) (net.Conn, error) {
@@ -243,15 +184,8 @@ func w9FrameBound(docs int) w9Result {
 		}
 		return &frameMeter{Conn: conn, stats: stats}, nil
 	}
-	c, err := domino.DialOptions(addr, "ada", "pw", domino.ClientOptions{Dialer: dialer})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer c.Close()
-	rdb, err := c.OpenDB(w9Path)
-	if err != nil {
-		log.Fatal(err)
-	}
+	cl, rdb := c.remote("w9", w9Path, domino.ClientOptions{Dialer: dialer})
+	defer cl.Close()
 
 	pages, rows := 0, 0
 	for start := 0; ; {
@@ -275,87 +209,32 @@ func w9FrameBound(docs int) w9Result {
 	if stats.max >= wire.MaxFrame {
 		log.Fatalf("W9: response frame of %d bytes at or over the %d limit", stats.max, wire.MaxFrame)
 	}
-	return w9Result{
-		Phase: "frame-bound", Docs: docs,
-		Pages: pages, Rows: rows,
-		MaxFrameB: stats.max, TotalB: stats.total,
-	}
+	return newRow("frame-bound", "docs", docs, "pages", pages, "rows", rows,
+		"max_frame_bytes", stats.max, "total_frame_bytes", stats.total)
 }
 
-// Guard-probe configuration: fixed sizes in quick and full runs, so the
-// drift guard compares like against like.
+// The guard probe's configuration: fixed sizes in quick and full runs, so
+// the drift guard compares like against like. w9MinSpeedup is the
+// acceptance ratio of the paginated open over the per-note baseline.
 const (
+	w9ProbeRow   = "view-open-probe"
 	w9ProbeDocs  = 200
 	w9ProbePage  = 64
 	w9ProbeDelay = 2500 * time.Microsecond // 5 ms RTT
-)
-
-func w9Probe() w9Result {
-	r := w9ViewOpen(w9ProbeDocs, w9ProbePage, w9ProbeDelay)
-	r.Phase = "view-open-probe"
-	return r
-}
-
-// W9 drift tolerances: view-open time over the emulated link is dominated
-// by round trips x RTT, so the guard hunts a broken pager (extra round
-// trips, pages collapsing to single rows), not scheduler jitter.
-const (
 	w9MinSpeedup = 5.0
-	w9DriftRatio = 3.0
-	w9FloorMs    = 50.0
 )
-
-// guardW9 re-runs the fixed-size Phase A probe: the paginated open must
-// beat the per-note baseline by the acceptance ratio outright, and its
-// absolute time is checked against the committed BENCH_readpath.json.
-func guardW9(t *table) string {
-	var want float64
-	for _, r := range loadRPBaseline().W9 {
-		if r.Phase == "view-open-probe" {
-			want = r.ViewOpenMs
-		}
-	}
-	if want == 0 {
-		return "W9 probe baseline missing; run `make bench-bulkread` and commit " + rpBaselineFile
-	}
-	var got, speedup float64
-	for trial := 0; trial < driftTrials; trial++ {
-		r := w9Probe()
-		if trial == 0 || r.ViewOpenMs < got {
-			got = r.ViewOpenMs
-		}
-		if r.SpeedupX > speedup {
-			speedup = r.SpeedupX
-		}
-	}
-	if speedup < w9MinSpeedup {
-		return fmt.Sprintf("W9 paginated view open only %.1fx faster than per-note (want >= %.0fx)",
-			speedup, w9MinSpeedup)
-	}
-	verdict := "ok"
-	msg := ""
-	if got > want*w9DriftRatio && got > want+w9FloorMs {
-		verdict = "REGRESSED"
-		msg = fmt.Sprintf("W9 view open %.1fms vs baseline %.1fms", got, want)
-	}
-	t.add("W9 view open (5ms RTT)", fmt.Sprintf("%.1fms", want), fmt.Sprintf("%.1fms", got), verdict)
-	return msg
-}
 
 func runW9(quick bool) {
-	var results []w9Result
-
 	docs := pick(quick, 2000, 400)
-	pageRows := 256
 	fmt.Println("  Phase A: view open over a 5ms-RTT link, paginated vs per-note Get")
 	ta := newTable("docs", "pages", "round trips", "view open ms", "per-note ms", "speedup")
-	a := w9ViewOpen(docs, pageRows, w9ProbeDelay)
-	results = append(results, a)
-	probe := w9Probe()
-	results = append(results, probe)
-	for _, r := range []w9Result{a, probe} {
-		ta.add(r.Docs, r.Pages, r.RoundTrips, fmt.Sprintf("%.1f", r.ViewOpenMs),
-			fmt.Sprintf("%.1f", r.PerNoteMs), fmt.Sprintf("%.1fx", r.SpeedupX))
+	rows := []row{
+		w9ViewOpen("view-open", docs, 256, w9ProbeDelay),
+		w9ViewOpen(w9ProbeRow, w9ProbeDocs, w9ProbePage, w9ProbeDelay),
+	}
+	for _, r := range rows {
+		ta.add(int(r.M["docs"]), int(r.M["pages"]), int(r.M["round_trips"]), fmt.Sprintf("%.1f", r.M["view_open_ms"]),
+			fmt.Sprintf("%.1f", r.M["per_note_ms"]), fmt.Sprintf("%.1fx", r.M["speedup_x"]))
 	}
 	ta.print()
 	fmt.Printf("  speedup target: >= %.0fx\n", w9MinSpeedup)
@@ -363,20 +242,16 @@ func runW9(quick bool) {
 	big := pick(quick, 200000, 20000)
 	fmt.Println("  Phase B: frame-bound streaming of a view too big for one frame")
 	b := w9FrameBound(big)
-	results = append(results, b)
+	rows = append(rows, b)
 	tb := newTable("rows", "pages", "max frame KiB", "total MiB", "one-shot vs limit")
 	oneShot := "fits"
-	if b.TotalB > wire.MaxFrame {
-		oneShot = fmt.Sprintf("%.0f%% of limit — unservable one-shot", 100*float64(b.TotalB)/float64(wire.MaxFrame))
+	if b.M["total_frame_bytes"] > wire.MaxFrame {
+		oneShot = fmt.Sprintf("%.0f%% of limit — unservable one-shot", 100*b.M["total_frame_bytes"]/wire.MaxFrame)
 	}
-	tb.add(b.Rows, b.Pages, fmt.Sprintf("%.0f", float64(b.MaxFrameB)/1024),
-		fmt.Sprintf("%.1f", float64(b.TotalB)/(1<<20)), oneShot)
+	tb.add(int(b.M["rows"]), int(b.M["pages"]), fmt.Sprintf("%.0f", b.M["max_frame_bytes"]/1024),
+		fmt.Sprintf("%.1f", b.M["total_frame_bytes"]/(1<<20)), oneShot)
 	tb.print()
 	fmt.Printf("  every response frame under MaxFrame (largest %.1f%% of limit)\n",
-		100*float64(b.MaxFrameB)/float64(wire.MaxFrame))
-
-	base := loadRPBaseline()
-	base.W9 = results
-	saveRPBaseline(base)
-	fmt.Println("  baseline written to " + rpBaselineFile)
+		100*b.M["max_frame_bytes"]/wire.MaxFrame)
+	saveBaseline("W9", quick, rows)
 }

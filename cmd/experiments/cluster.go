@@ -3,9 +3,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
-	"sort"
 	"time"
 
 	domino "repro"
@@ -17,69 +14,13 @@ import (
 // milliseconds, while a scheduled replicator's expected latency is half its
 // interval — which is why Domino clusters push.
 
-type twoServers struct {
-	a, b         *domino.Server
-	dbA, dbB     *domino.Database
-	aAddr, bAddr string
-	cleanup      func()
-}
+const t8Path = "apps/t8.nsf"
 
-func newTwoServers(cluster bool) *twoServers {
-	base, err := os.MkdirTemp("", "domino-t8")
-	if err != nil {
-		log.Fatal(err)
-	}
-	d := domino.NewDirectory()
-	d.AddUser(domino.User{Name: "ada", Secret: "pw"})
-	d.AddUser(domino.User{Name: "alpha", Secret: "sa"})
-	d.AddUser(domino.User{Name: "beta", Secret: "sb"})
-	mk := func(name, secret string) *domino.Server {
-		s, err := domino.NewServer(domino.ServerOptions{
-			Name: name, DataDir: filepath.Join(base, name),
-			Directory: d, PeerSecret: secret,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return s
-	}
-	ts := &twoServers{a: mk("alpha", "sa"), b: mk("beta", "sb")}
-	ts.aAddr, err = ts.a.Start("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	ts.bAddr, err = ts.b.Start("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	replica := domino.NewReplicaID()
-	ts.dbA, err = ts.a.OpenDB("apps/t8.nsf", domino.Options{Title: "t8", ReplicaID: replica})
-	if err != nil {
-		log.Fatal(err)
-	}
-	ts.dbB, err = ts.b.OpenDB("apps/t8.nsf", domino.Options{Title: "t8", ReplicaID: replica})
-	if err != nil {
-		log.Fatal(err)
-	}
-	ts.dbA.ACL().Set("beta", domino.Editor)
-	ts.dbB.ACL().Set("alpha", domino.Editor)
-	if cluster {
-		ts.a.EnableClustering(map[string]string{"beta": ts.bAddr})
-	}
-	ts.cleanup = func() {
-		ts.a.Close()
-		ts.b.Close()
-		os.RemoveAll(base)
-	}
-	return ts
-}
-
-// measurePropagation creates docs on A and returns per-doc latencies until
-// each is visible on B; deliver is called between creations (for the
-// scheduled mode) and may be nil.
-func measurePropagation(ts *twoServers, docs int, spacing time.Duration) []time.Duration {
-	sess := ts.dbA.Session("ada")
-	latencies := make([]time.Duration, 0, docs)
+// measurePropagation creates docs on the first database, spacing apart, and
+// records how long each takes to become visible on the second.
+func measurePropagation(dbs []*domino.Database, docs int, spacing time.Duration) recorder {
+	sess := dbs[0].Session("ada")
+	var lat recorder
 	for i := 0; i < docs; i++ {
 		n := domino.NewDocument()
 		n.SetText("Subject", fmt.Sprintf("t8 doc %d", i))
@@ -87,28 +28,16 @@ func measurePropagation(ts *twoServers, docs int, spacing time.Duration) []time.
 		if err := sess.Create(n); err != nil {
 			log.Fatal(err)
 		}
-		deadline := start.Add(10 * time.Second)
-		for {
-			if _, err := ts.dbB.RawGet(n.OID.UNID); err == nil {
-				latencies = append(latencies, time.Since(start))
-				break
-			}
-			if time.Now().After(deadline) {
-				latencies = append(latencies, 10*time.Second)
+		for time.Since(start) < 10*time.Second {
+			if _, err := dbs[1].RawGet(n.OID.UNID); err == nil {
 				break
 			}
 			time.Sleep(time.Millisecond)
 		}
+		lat.since(start)
 		time.Sleep(spacing)
 	}
-	return latencies
-}
-
-func percentile(ds []time.Duration, p float64) time.Duration {
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
+	return lat
 }
 
 func runT8(quick bool) {
@@ -116,13 +45,16 @@ func runT8(quick bool) {
 	interval := 400 * time.Millisecond
 
 	// Mode 1: cluster push.
-	ts := newTwoServers(true)
-	pushLat := measurePropagation(ts, docs, 20*time.Millisecond)
-	ts.cleanup()
+	c := newCluster(mates("alpha", "beta")...)
+	dbs := c.openAll(t8Path)
+	c.push("alpha", "beta")
+	pushLat := measurePropagation(dbs, docs, 20*time.Millisecond)
+	c.close()
 
 	// Mode 2: scheduled replication at a fixed interval (background loop,
-	// like dominod's replicate directive).
-	ts = newTwoServers(false)
+	// like a cold mesh link).
+	c = newCluster(mates("alpha", "beta")...)
+	dbs = c.openAll(t8Path)
 	stopRepl := make(chan struct{})
 	go func() {
 		t := time.NewTicker(interval)
@@ -132,21 +64,21 @@ func runT8(quick bool) {
 			case <-stopRepl:
 				return
 			case <-t.C:
-				_, err := ts.a.ReplicateWith("beta", ts.bAddr, "apps/t8.nsf", repl.Options{})
+				_, err := c.srv["alpha"].ReplicateWith("beta", c.addr["beta"], t8Path, repl.Options{})
 				if err != nil {
 					log.Printf("t8 scheduled replicate: %v", err)
 				}
 			}
 		}
 	}()
-	schedLat := measurePropagation(ts, docs, 50*time.Millisecond)
+	schedLat := measurePropagation(dbs, docs, 50*time.Millisecond)
 	close(stopRepl)
-	ts.cleanup()
+	c.close()
 
 	t := newTable("mode", "docs", "median latency ms", "p95 ms")
-	t.add("cluster push", docs, ms(percentile(pushLat, 0.5)), ms(percentile(pushLat, 0.95)))
+	t.add("cluster push", docs, ms(pushLat.pct(0.5)), ms(pushLat.pct(0.95)))
 	t.add(fmt.Sprintf("scheduled (every %s)", interval), docs,
-		ms(percentile(schedLat, 0.5)), ms(percentile(schedLat, 0.95)))
+		ms(schedLat.pct(0.5)), ms(schedLat.pct(0.95)))
 	t.print()
 	fmt.Println("  (shape check: push delivers in milliseconds; scheduled latency centers")
 	fmt.Println("   on ~half the replication interval)")

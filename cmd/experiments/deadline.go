@@ -1,14 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
-	"net"
-	"os"
-	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	domino "repro"
@@ -35,115 +33,37 @@ import (
 // audit below shows zero acknowledged writes lost and zero duplicated
 // across stall-induced expiries and failovers.
 
-// w10Result is one measured configuration, serialized to
-// BENCH_deadline.json as the regression baseline.
-type w10Result struct {
-	Phase          string  `json:"phase"`
-	Mode           string  `json:"mode,omitempty"`
-	Trials         int     `json:"trials,omitempty"`
-	P50Ms          float64 `json:"p50_ms,omitempty"`
-	P99Ms          float64 `json:"p99_ms,omitempty"`
-	SpeedupX       float64 `json:"speedup_x,omitempty"`
-	Hedges         uint64  `json:"hedges,omitempty"`
-	HedgeWins      uint64  `json:"hedge_wins,omitempty"`
-	Clients        int     `json:"clients,omitempty"`
-	AbandonMs      float64 `json:"abandon_ms,omitempty"`
-	Dispatched     uint64  `json:"dispatched,omitempty"`
-	UsefulAcks     int64   `json:"useful_acks"`
-	Wasted         int64   `json:"wasted"`
-	WasteRatio     float64 `json:"waste_ratio"`
-	BusySheds      uint64  `json:"busy_sheds,omitempty"`
-	DeadlineSheds  uint64  `json:"deadline_sheds,omitempty"`
-	DeadlineAborts uint64  `json:"deadline_aborts,omitempty"`
-	Docs           int     `json:"docs,omitempty"`
-	Acked          int     `json:"acked,omitempty"`
-	Recovered      int     `json:"recovered,omitempty"`
-	LostAcked      int     `json:"lost_acked"`
-	Duplicated     int     `json:"duplicated"`
-}
-
 const w10Path = "apps/w10.nsf"
 
-// w10Cluster is a 3-mate read cluster whose first mate's listener sits
-// behind a faultnet: enabling it stalls every conversation with that mate
-// (frames accepted, responses never sent) while the other two stay healthy.
-type w10Cluster struct {
-	base  string
-	srvs  []*domino.Server
-	addrs []string
-	fn    *faultnet.Net
-	unids []domino.UNID
-}
-
-func newW10Cluster(docs int) *w10Cluster {
-	base, err := os.MkdirTemp("", "domino-w10")
-	if err != nil {
-		log.Fatal(err)
-	}
-	d := domino.NewDirectory()
-	d.AddUser(domino.User{Name: "ada", Secret: "pw"})
-	replica := domino.NewReplicaID()
-	c := &w10Cluster{base: base}
-	var dbs []*domino.Database
-	for i := 0; i < 3; i++ {
-		name := fmt.Sprintf("m%d", i)
-		srv, err := domino.NewServer(domino.ServerOptions{
-			Name: name, DataDir: filepath.Join(base, name), Directory: d,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		db, err := srv.OpenDB(w10Path, domino.Options{Title: "w10", ReplicaID: replica})
-		if err != nil {
-			log.Fatal(err)
-		}
-		db.ACL().Set("ada", domino.Editor)
-		c.srvs = append(c.srvs, srv)
-		dbs = append(dbs, db)
-	}
+// newW10Cluster boots a 3-mate read cluster serving the same `docs` UNIDs,
+// whose first mate's listener sits behind a faultnet: enabling it stalls
+// every conversation with that mate (frames accepted, responses never sent)
+// while the other two stay healthy.
+func newW10Cluster(docs int) (*cluster, []domino.UNID) {
+	ms := mates("m0", "m1", "m2")
+	ms[0].plan = &faultnet.Plan{Seed: 10, StallProb: 1}
+	c := newCluster(ms...)
+	dbs := c.openAll(w10Path)
 
 	// Seed the first mate, then replicate in-process so every mate serves
 	// the same UNIDs.
 	sess := dbs[0].Session("ada")
-	for i := 0; i < docs; i++ {
+	unids := make([]domino.UNID, docs)
+	for i := range unids {
 		n := domino.NewDocument()
 		n.SetText("Subject", fmt.Sprintf("w10 doc %d", i))
 		if err := sess.Create(n); err != nil {
 			log.Fatal(err)
 		}
-		c.unids = append(c.unids, n.OID.UNID)
+		unids[i] = n.OID.UNID
 	}
-	for i := 1; i < 3; i++ {
-		peer := fmt.Sprintf("seed-m%d", i)
-		if _, err := domino.Replicate(dbs[0], &domino.LocalPeer{DB: dbs[i]}, domino.ReplicationOptions{PeerName: peer}); err != nil {
+	for i, db := range dbs[1:] {
+		peer := fmt.Sprintf("seed-m%d", i+1)
+		if _, err := domino.Replicate(dbs[0], &domino.LocalPeer{DB: db}, domino.ReplicationOptions{PeerName: peer}); err != nil {
 			log.Fatal(err)
 		}
 	}
-
-	// Mate 0 listens behind the faultnet (injection off until a trial turns
-	// it on); mates 1 and 2 listen plain.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	c.fn = faultnet.New(faultnet.Plan{Seed: 10, StallProb: 1})
-	c.fn.Disable()
-	c.addrs = append(c.addrs, c.srvs[0].Serve(c.fn.Listener(ln)))
-	for i := 1; i < 3; i++ {
-		addr, err := c.srvs[i].Start("127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		c.addrs = append(c.addrs, addr)
-	}
-	return c
-}
-
-func (c *w10Cluster) close() {
-	for _, s := range c.srvs {
-		s.Close()
-	}
-	os.RemoveAll(c.base)
+	return c, unids
 }
 
 // w10TailOpts is the per-mode client configuration for Phase A. The
@@ -171,37 +91,42 @@ func w10TailOpts(mode string) domino.FailoverOptions {
 // whose current mate is the stalled one, turns the stall on, and times a
 // single Get — the moment a user's read lands on a mate that just went
 // dark.
-func w10Tail(c *w10Cluster, mode string, trials int) w10Result {
-	lats := make([]time.Duration, 0, trials)
+func w10Tail(c *cluster, unids []domino.UNID, mode string, trials int) row {
+	var lat recorder
 	var hedges, wins uint64
 	for i := 0; i < trials; i++ {
-		fc, err := domino.DialFailover(c.addrs, "ada", "pw", w10TailOpts(mode))
-		if err != nil {
-			log.Fatal(err)
-		}
+		fc := c.dial(w10TailOpts(mode))
 		db, err := fc.OpenDB(w10Path)
 		if err != nil {
 			log.Fatal(err)
 		}
-		c.fn.Enable()
+		c.nets["m0"].Enable()
 		start := time.Now()
-		if _, err := db.Get(c.unids[i%len(c.unids)]); err != nil {
+		if _, err := db.Get(unids[i%len(unids)]); err != nil {
 			log.Fatalf("W10 %s trial %d: %v", mode, i, err)
 		}
-		lats = append(lats, time.Since(start))
-		c.fn.Disable()
+		lat.since(start)
+		c.nets["m0"].Disable()
 		st := fc.Stats()
 		hedges += st.Hedges
 		wins += st.HedgeWins
 		fc.Close()
 	}
-	return w10Result{
-		Phase: "tail", Mode: mode, Trials: trials,
-		P50Ms:     float64(percentile(lats, 0.50).Nanoseconds()) / 1e6,
-		P99Ms:     float64(percentile(lats, 0.99).Nanoseconds()) / 1e6,
-		Hedges:    hedges,
-		HedgeWins: wins,
-	}
+	return newRow("tail "+mode, "trials", trials, "p50_ms", msf(lat.pct(0.50)), "p99_ms", msf(lat.pct(0.99)),
+		"hedges", hedges, "hedge_wins", wins)
+}
+
+// w10TailPair measures Phase A in both modes on one cluster and records the
+// hedged mode's p99 speedup over the deadline-less baseline.
+func w10TailPair(docs, trials int) (baseline, hedged row) {
+	c, unids := newW10Cluster(docs)
+	defer c.close()
+	baseline = w10Tail(c, unids, "baseline", trials)
+	hedged = w10Tail(c, unids, "hedged", trials)
+	hedged.M["speedup_x"] = baseline.M["p99_ms"] / hedged.M["p99_ms"]
+	check(hedged.M["speedup_x"] >= w10MinSpeedup, "W10: hedged p99 only %.1fx better than the stalled-mate baseline (want >= %.0fx)",
+		hedged.M["speedup_x"], w10MinSpeedup)
+	return baseline, hedged
 }
 
 // w10Waste measures Phase B in one mode: `clients` connections hammer an
@@ -210,33 +135,14 @@ func w10Tail(c *w10Cluster, mode string, trials int) w10Result {
 // D — every completion past D is work the server did for nobody.
 // "budgeted" callers carry D on the wire, so admission sheds requests that
 // cannot survive the queue before they execute.
-func w10Waste(mode string, clients int, abandon, dur time.Duration) w10Result {
-	base, err := os.MkdirTemp("", "domino-w10b")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(base)
-	d := domino.NewDirectory()
-	d.AddUser(domino.User{Name: "ada", Secret: "pw"})
+func w10Waste(mode string, clients int, abandon, dur time.Duration) row {
 	// One execution slot + SyncWAL pins the service rate to the fsync path;
 	// the admit queue (not busy-shedding) is where requests go to die.
-	srv, err := domino.NewServer(domino.ServerOptions{
-		Name: "w10b", DataDir: base, Directory: d, SyncWAL: true,
-		MaxInFlight: 1, AdmitWait: 200 * time.Millisecond,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer srv.Close()
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	dbs, err := srv.OpenDB("apps/w10b.nsf", domino.Options{Title: "w10b"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	dbs.ACL().Set("ada", domino.Editor)
+	c := newCluster(mate{name: "w10b", opts: domino.ServerOptions{
+		SyncWAL: true, MaxInFlight: 1, AdmitWait: 200 * time.Millisecond}})
+	defer c.close()
+	c.openAll(w10Path)
+	srv := c.srv["w10b"]
 
 	// No client-side retries: every outcome is counted once.
 	copts := domino.ClientOptions{MaxRetries: -1, DialTimeout: 2 * time.Second}
@@ -249,28 +155,19 @@ func w10Waste(mode string, clients int, abandon, dur time.Duration) w10Result {
 	}
 	rdbs := make([]*domino.RemoteDB, clients)
 	for i := range rdbs {
-		c, err := domino.DialOptions(addr, "ada", "pw", copts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer c.Close()
-		rdb, err := c.OpenDB("apps/w10b.nsf")
-		if err != nil {
-			log.Fatal(err)
-		}
+		cl, rdb := c.remote("w10b", w10Path, copts)
+		defer cl.Close()
 		rdbs[i] = rdb
 	}
 	h0 := srv.Health()
 
-	var mu sync.Mutex
-	var useful, late int64
+	var useful atomic.Int64
 	var wg sync.WaitGroup
 	deadline := time.Now().Add(dur)
 	for i, rdb := range rdbs {
 		wg.Add(1)
 		go func(i int, rdb *domino.RemoteDB) {
 			defer wg.Done()
-			var myUseful, myLate int64
 			body := string(make([]byte, 4<<10))
 			for j := 0; time.Now().Before(deadline); j++ {
 				n := domino.NewDocument()
@@ -280,44 +177,33 @@ func w10Waste(mode string, clients int, abandon, dur time.Duration) w10Result {
 				err := rdb.Create(n)
 				switch {
 				case err == nil && time.Since(start) <= abandon:
-					myUseful++
+					useful.Add(1)
 				case err == nil:
-					myLate++ // completed for a caller that had left
+					// completed for a caller that had left
 				case isBusy(err) || isDeadline(err):
 					// shed (busy or deadline-refused): never executed
 				default:
 					log.Fatal(err)
 				}
 			}
-			mu.Lock()
-			useful += myUseful
-			late += myLate
-			mu.Unlock()
 		}(i, rdb)
 	}
 	wg.Wait()
 
 	h1 := srv.Health()
 	dispatched := h1.Dispatched - h0.Dispatched
-	wasted := int64(dispatched) - useful
+	wasted := int64(dispatched) - useful.Load()
 	if wasted < 0 {
 		wasted = 0
 	}
-	res := w10Result{
-		Phase: "waste", Mode: mode, Clients: clients,
-		AbandonMs:      float64(abandon.Nanoseconds()) / 1e6,
-		Dispatched:     dispatched,
-		UsefulAcks:     useful,
-		Wasted:         wasted,
-		BusySheds:      h1.Sheds - h0.Sheds,
-		DeadlineSheds:  h1.DeadlineSheds - h0.DeadlineSheds,
-		DeadlineAborts: h1.DeadlineAborts - h0.DeadlineAborts,
-	}
+	ratio := 0.0
 	if dispatched > 0 {
-		res.WasteRatio = float64(wasted) / float64(dispatched)
+		ratio = float64(wasted) / float64(dispatched)
 	}
-	_ = late
-	return res
+	return newRow("waste "+mode, "clients", clients, "abandon_ms", msf(abandon),
+		"dispatched", dispatched, "useful_acks", useful.Load(), "wasted", wasted, "waste_ratio", ratio,
+		"busy_sheds", h1.Sheds-h0.Sheds, "deadline_sheds", h1.DeadlineSheds-h0.DeadlineSheds,
+		"deadline_aborts", h1.DeadlineAborts-h0.DeadlineAborts)
 }
 
 func isDeadline(err error) bool { return errors.Is(err, domino.ErrDeadline) }
@@ -330,58 +216,20 @@ func isDeadline(err error) bool { return errors.Is(err, domino.ErrDeadline) }
 // (waiting out cluster-push lag), re-create only if genuinely absent. The
 // audit then reconciles the replicas in-process and checks every
 // acknowledged subject exists exactly once.
-func w10WriteSafety(docs int) w10Result {
-	base, err := os.MkdirTemp("", "domino-w10c")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(base)
-	d := domino.NewDirectory()
-	d.AddUser(domino.User{Name: "ada", Secret: "pw"})
-	d.AddUser(domino.User{Name: "alpha", Secret: "sa"})
-	d.AddUser(domino.User{Name: "beta", Secret: "sb"})
-	replica := domino.NewReplicaID()
-	mk := func(name, secret string) (*domino.Server, *domino.Database) {
-		srv, err := domino.NewServer(domino.ServerOptions{
-			Name: name, DataDir: filepath.Join(base, name),
-			Directory: d, PeerSecret: secret,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		db, err := srv.OpenDB("apps/w10c.nsf", domino.Options{Title: "w10c", ReplicaID: replica})
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, who := range []string{"ada", "alpha", "beta"} {
-			db.ACL().Set(who, domino.Editor)
-		}
-		return srv, db
-	}
-	alpha, dbA := mk("alpha", "sa")
-	beta, dbB := mk("beta", "sb")
-	// Close alpha first so its cluster pusher stops before beta's listener
-	// goes away (the reverse order spams dial-refused push failures).
-	defer beta.Close()
-	defer alpha.Close()
-
-	lnA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fn := faultnet.New(faultnet.Plan{Seed: 20, StallProb: 0.2})
-	fn.Disable()
-	aAddr := alpha.Serve(fn.Listener(lnA))
-	bAddr, err := beta.Start("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
+func w10WriteSafety(docs int) row {
+	// alpha listed first: the fixture closes it — and its cluster pusher —
+	// before beta's listener goes away.
+	ms := mates("alpha", "beta")
+	ms[0].plan = &faultnet.Plan{Seed: 20, StallProb: 0.2}
+	c := newCluster(ms...)
+	defer c.close()
+	dbs := c.openAll(w10Path)
 	// Cluster push alpha -> beta: a create the stalled alpha applied but
 	// never acknowledged still reaches beta, which is exactly what makes
 	// blind re-creates dangerous and the read-back protocol necessary.
-	alpha.EnableClustering(map[string]string{"beta": bAddr})
+	c.push("alpha", "beta")
 
-	fc, err := domino.DialFailover([]string{aAddr, bAddr}, "ada", "pw", domino.FailoverOptions{
+	fc := c.dial(domino.FailoverOptions{
 		Client: domino.ClientOptions{
 			OpBudget: 200 * time.Millisecond, OpTimeout: time.Second,
 			MaxRetries: 1, BackoffBase: 5 * time.Millisecond, DialTimeout: 2 * time.Second,
@@ -391,122 +239,62 @@ func w10WriteSafety(docs int) w10Result {
 		// cycles get exercised, not just the first.
 		Cooldown: 200 * time.Millisecond,
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 	defer fc.Close()
-	db, err := fc.OpenDB("apps/w10c.nsf")
+	db, err := fc.OpenDB(w10Path)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fn.Enable()
-	type ackedDoc struct {
-		unid    domino.UNID
-		subject string
-	}
-	var acked []ackedDoc
+	c.nets["alpha"].Enable()
+	var acked []*domino.Note
 	recovered := 0
 	for i := 0; i < docs; i++ {
 		n := domino.NewDocument()
-		subject := fmt.Sprintf("w10c doc %04d", i)
-		n.SetText("Subject", subject)
-		if err := db.Create(n); err != nil {
-			// Ambiguous outcome (deadline expiry or transport death after
-			// send): never blind-resend. Read back first — giving the
-			// cluster push a moment to surface a create the stalled mate
-			// applied — and re-create only when provably absent.
-			ok := false
-			for attempt := 0; attempt < 10 && !ok; attempt++ {
-				if _, gerr := db.Get(n.OID.UNID); gerr == nil {
-					ok = true
-					break
-				}
-				if attempt < 3 {
-					time.Sleep(25 * time.Millisecond) // push lag window
-					continue
-				}
-				if cerr := db.Create(n); cerr == nil {
-					ok = true
-				}
-			}
-			if !ok {
-				continue // never acknowledged anywhere — excluded from audit
-			}
+		n.SetText("Subject", fmt.Sprintf("w10c doc %04d", i))
+		// An expiry or transport death after send is ambiguous: never
+		// blind-resend. Read back first, for the 75ms a cluster push may
+		// take to surface a create the stalled mate applied.
+		ok, rec := ackedCreate(db, n, 75*time.Millisecond)
+		if !ok {
+			continue // never acknowledged anywhere — excluded from audit
+		}
+		if rec {
 			recovered++
 		}
-		acked = append(acked, ackedDoc{n.OID.UNID, subject})
+		acked = append(acked, n)
 	}
-	fn.Disable()
+	c.nets["alpha"].Disable()
 
 	// Reconcile the replicas in-process (pull + push), then audit against
-	// the merged state: an acked subject missing everywhere is a lost
-	// write; one appearing twice (including as a replication conflict) is
-	// a duplicated retry.
-	if _, err := domino.Replicate(dbA, &domino.LocalPeer{DB: dbB}, domino.ReplicationOptions{PeerName: "audit"}); err != nil {
+	// the merged state.
+	if _, err := domino.Replicate(dbs[0], &domino.LocalPeer{DB: dbs[1]}, domino.ReplicationOptions{PeerName: "audit"}); err != nil {
 		log.Fatal(err)
 	}
-	counts := make(map[string]int)
-	dbB.ScanAll(func(n *domino.Note) bool {
-		if s := n.Text("Subject"); s != "" {
-			counts[s]++
-		}
-		return true
-	})
-	lost, dup := 0, 0
-	for _, a := range acked {
-		switch c := counts[a.subject]; {
-		case c == 0:
-			lost++
-		case c > 1:
-			dup++
-		}
-	}
-	return w10Result{
-		Phase: "write-safety", Docs: docs,
-		Acked: len(acked), Recovered: recovered,
-		LostAcked: lost, Duplicated: dup,
-	}
+	lost, dup := auditAcked(dbs[1], acked)
+	return newRow("write-safety", "docs", docs, "acked", len(acked), "recovered", recovered,
+		"lost_acked", lost, "duplicated", dup)
 }
 
 const (
-	w10MinSpeedup  = 5.0  // acceptance: hedged p99 >= 5x better
-	w10MaxWaste    = 0.10 // acceptance: budgeted waste ratio ~0 (single-core client jitter slack)
-	w10DriftRatio  = 3.0  // guard tolerance on the hedged p99 (wall clock)
-	w10FloorMs     = 30.0
-	w10BaselineFmt = "BENCH_deadline.json"
+	w10MinSpeedup = 5.0  // acceptance: hedged p99 >= 5x better
+	w10MaxWaste   = 0.10 // acceptance: budgeted waste ratio ~0 (single-core client jitter slack)
 )
 
 func runW10(quick bool) {
-	var results []w10Result
-
-	trials := pick(quick, 12, 6)
-	docs := pick(quick, 50, 20)
-	cl := newW10Cluster(docs)
 	fmt.Println("  Phase A: read tail with one stalled mate — flat-timeout failover vs budget+hedge")
 	ta := newTable("mode", "trials", "p50 ms", "p99 ms", "hedges", "wins", "speedup")
-	baseline := w10Tail(cl, "baseline", trials)
-	hedged := w10Tail(cl, "hedged", trials)
-	cl.close()
-	if hedged.P99Ms > 0 {
-		hedged.SpeedupX = baseline.P99Ms / hedged.P99Ms
-	}
-	results = append(results, baseline, hedged)
-	for _, r := range []w10Result{baseline, hedged} {
+	baseline, hedged := w10TailPair(pick(quick, 50, 20), pick(quick, 12, 6))
+	rows := []row{baseline, hedged}
+	for _, r := range rows {
 		sp := "—"
-		if r.SpeedupX > 0 {
-			sp = fmt.Sprintf("%.1fx", r.SpeedupX)
+		if x, ok := r.M["speedup_x"]; ok {
+			sp = fmt.Sprintf("%.1fx", x)
 		}
-		ta.add(r.Mode, r.Trials, fmt.Sprintf("%.1f", r.P50Ms), fmt.Sprintf("%.1f", r.P99Ms),
-			fmt.Sprint(r.Hedges), fmt.Sprint(r.HedgeWins), sp)
+		ta.add(strings.TrimPrefix(r.Name, "tail "), int(r.M["trials"]), fmt.Sprintf("%.1f", r.M["p50_ms"]), fmt.Sprintf("%.1f", r.M["p99_ms"]),
+			int(r.M["hedges"]), int(r.M["hedge_wins"]), sp)
 	}
 	ta.print()
-	if hedged.SpeedupX < w10MinSpeedup {
-		fmt.Printf("  !! hedged p99 only %.1fx better than baseline (target >= %.0fx)\n",
-			hedged.SpeedupX, w10MinSpeedup)
-	} else {
-		fmt.Printf("  hedged reads cut p99 %.1fx (target >= %.0fx)\n", hedged.SpeedupX, w10MinSpeedup)
-	}
+	fmt.Printf("  hedged reads cut p99 %.1fx (target >= %.0fx)\n", hedged.M["speedup_x"], w10MinSpeedup)
 
 	clients := 48 // same both modes: more goroutines than this adds 1-CPU client jitter, not queue
 	dur := time.Duration(pick(quick, 1500, 500)) * time.Millisecond
@@ -515,94 +303,32 @@ func runW10(quick bool) {
 	tb := newTable("mode", "clients", "dispatched", "useful acks", "wasted", "waste ratio", "busy sheds", "deadline sheds")
 	for _, mode := range []string{"flat-timeout", "budgeted"} {
 		r := w10Waste(mode, clients, abandon, dur)
-		results = append(results, r)
-		tb.add(r.Mode, r.Clients, fmt.Sprint(r.Dispatched), fmt.Sprint(r.UsefulAcks),
-			fmt.Sprint(r.Wasted), fmt.Sprintf("%.2f", r.WasteRatio),
-			fmt.Sprint(r.BusySheds), fmt.Sprint(r.DeadlineSheds))
-		if mode == "budgeted" && r.WasteRatio > w10MaxWaste {
-			fmt.Printf("  !! budgeted waste ratio %.2f (target <= %.2f)\n", r.WasteRatio, w10MaxWaste)
+		rows = append(rows, r)
+		tb.add(mode, clients, int(r.M["dispatched"]), int(r.M["useful_acks"]), int(r.M["wasted"]),
+			r.M["waste_ratio"], int(r.M["busy_sheds"]), int(r.M["deadline_sheds"]))
+		// The quick run's 500ms window is too short to hold the ratio
+		// steady, so only a full run enforces the target.
+		if mode == "budgeted" && r.M["waste_ratio"] > w10MaxWaste {
+			if quick {
+				fmt.Printf("  (quick window: budgeted waste ratio %.2f over the %.2f target)\n", r.M["waste_ratio"], w10MaxWaste)
+			} else {
+				check(false, "W10: budgeted waste ratio %.2f (target <= %.2f)", r.M["waste_ratio"], w10MaxWaste)
+			}
 		}
 	}
 	tb.print()
 	fmt.Println("  (shape check: without budgets the server completes the queue for callers long")
 	fmt.Println("   gone; with budgets, doomed requests are refused before executing)")
 
-	wdocs := pick(quick, 80, 30)
 	fmt.Println("  Phase C: write-safety audit across deadline-expiry retries (stalling primary)")
-	ws := w10WriteSafety(wdocs)
-	results = append(results, ws)
+	ws := w10WriteSafety(pick(quick, 80, 30))
+	rows = append(rows, ws)
 	tc := newTable("docs", "acked", "recovered", "lost acked", "duplicated")
-	tc.add(ws.Docs, ws.Acked, ws.Recovered, ws.LostAcked, ws.Duplicated)
+	tc.add(int(ws.M["docs"]), int(ws.M["acked"]), int(ws.M["recovered"]), int(ws.M["lost_acked"]), int(ws.M["duplicated"]))
 	tc.print()
-	if ws.LostAcked != 0 || ws.Duplicated != 0 {
-		fmt.Printf("  !! audit failed: %d lost, %d duplicated acked writes\n", ws.LostAcked, ws.Duplicated)
-	} else {
+	if check(ws.M["lost_acked"] == 0 && ws.M["duplicated"] == 0, "W10: %.0f lost, %.0f duplicated acked writes",
+		ws.M["lost_acked"], ws.M["duplicated"]) {
 		fmt.Println("  (invariant: zero acked writes lost or duplicated — ambiguity answered by read-back, not resend)")
 	}
-
-	f, err := os.Create(w10BaselineFmt)
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
-		log.Fatal(err)
-	}
-	f.Close()
-	fmt.Println("  baseline written to " + w10BaselineFmt)
-}
-
-// guardW10 re-runs a reduced Phase A probe against the committed
-// BENCH_deadline.json: the hedged p99 must still beat the deadline-less
-// baseline by the acceptance ratio outright, and its absolute value is
-// checked with generous wall-clock tolerances. The committed Phase B and C
-// rows are re-checked as invariants (waste ratio, audit zeros).
-func guardW10(t *table) string {
-	f, err := os.Open(w10BaselineFmt)
-	if err != nil {
-		return "W10 baseline missing; run `make bench-deadline` and commit " + w10BaselineFmt
-	}
-	var base []w10Result
-	err = json.NewDecoder(f).Decode(&base)
-	f.Close()
-	if err != nil {
-		return "W10 baseline unreadable: " + err.Error()
-	}
-	var want float64
-	for _, r := range base {
-		switch {
-		case r.Phase == "tail" && r.Mode == "hedged":
-			want = r.P99Ms
-		case r.Phase == "waste" && r.Mode == "budgeted" && r.WasteRatio > w10MaxWaste:
-			return fmt.Sprintf("W10 committed budgeted waste ratio %.2f > %.2f", r.WasteRatio, w10MaxWaste)
-		case r.Phase == "write-safety" && (r.LostAcked != 0 || r.Duplicated != 0):
-			return fmt.Sprintf("W10 committed audit shows %d lost / %d duplicated acked writes", r.LostAcked, r.Duplicated)
-		}
-	}
-	if want == 0 {
-		return "W10 hedged tail row missing from baseline; run `make bench-deadline`"
-	}
-	cl := newW10Cluster(10)
-	defer cl.close()
-	probe := 3
-	baseRun := w10Tail(cl, "baseline", probe)
-	hedgeRun := w10Tail(cl, "hedged", probe)
-	speedup := 0.0
-	if hedgeRun.P99Ms > 0 {
-		speedup = baseRun.P99Ms / hedgeRun.P99Ms
-	}
-	if speedup < w10MinSpeedup {
-		return fmt.Sprintf("W10 hedged p99 only %.1fx better than stalled-mate baseline (want >= %.0fx)",
-			speedup, w10MinSpeedup)
-	}
-	verdict := "ok"
-	msg := ""
-	if hedgeRun.P99Ms > want*w10DriftRatio && hedgeRun.P99Ms > want+w10FloorMs {
-		verdict = "REGRESSED"
-		msg = fmt.Sprintf("W10 hedged p99 %.1fms vs baseline %.1fms", hedgeRun.P99Ms, want)
-	}
-	t.add("W10 hedged p99 (stalled mate)", fmt.Sprintf("%.1fms", want),
-		fmt.Sprintf("%.1fms", hedgeRun.P99Ms), verdict)
-	return msg
+	saveBaseline("W10", quick, rows)
 }

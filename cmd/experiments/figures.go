@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"time"
 
 	domino "repro"
@@ -249,28 +247,10 @@ func runT6(quick bool) {
 	t.add("local delivery", msgs, ms(local), us(local/time.Duration(msgs)))
 
 	// Cross-server over loopback TCP.
-	base, _ := os.MkdirTemp("", "domino-t6")
-	dir2 := domino.NewDirectory()
-	dir2.AddUser(domino.User{Name: "bob", Secret: "pw", MailFile: "mail/bob.nsf", MailServer: "remote"})
-	dir2.AddUser(domino.User{Name: "hub", Secret: "s1"})
-	dir2.AddUser(domino.User{Name: "remote", Secret: "s2"})
-	hub, err := domino.NewServer(domino.ServerOptions{
-		Name: "hub", DataDir: filepath.Join(base, "hub"), Directory: dir2, PeerSecret: "s1"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer hub.Close()
-	remote, err := domino.NewServer(domino.ServerOptions{
-		Name: "remote", DataDir: filepath.Join(base, "remote"), Directory: dir2, PeerSecret: "s2"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer remote.Close()
-	remoteAddr, err := remote.Start("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	hub.SetPeers(map[string]string{"remote": remoteAddr})
+	c := newCluster(mates("hub", "remote")...)
+	defer c.close()
+	c.dir.AddUser(domino.User{Name: "bob", Secret: "pw", MailFile: "mail/bob.nsf", MailServer: "remote"})
+	hub, remote := c.srv["hub"], c.srv["remote"]
 	wireMsgs := pick(quick, 200, 20)
 	for i := 0; i < wireMsgs; i++ {
 		m := g.Document(512)

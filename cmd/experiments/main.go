@@ -6,11 +6,17 @@
 //	experiments            # run everything
 //	experiments -exp F1    # run one experiment
 //	experiments -quick     # smaller sizes for a fast pass
+//
+// A full-size run of W1 or W3..W10 rewrites that experiment's section of
+// BENCH_experiments.json (run from the repository root); -quick runs never
+// write it. The process exits 1 when any experiment's invariant check
+// failed. harness.go holds what the experiments share.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"strings"
 )
@@ -41,7 +47,7 @@ var experiments = []experiment{
 	{"W8", "Epidemic mesh convergence under churn: ring + hub-spoke, partition, killed mate", runW8},
 	{"W9", "Paginated bulk reads: view open over 5ms RTT vs per-note, frame-bound 200k-row stream", runW9},
 	{"W10", "Deadline budgets + hedged reads: stalled-mate tail, wasted work, write-safety audit", runW10},
-	{"GUARD", "Bench drift guard (W1/W7 write path + W6 re-home + W8 mesh + W9 bulk read + W10 deadline vs committed baselines)", runGuard},
+	{"GUARD", "Bench drift guard: the probe table re-measured against " + baselineFile, runGuard},
 	{"F1", "Incremental replication vs full copy across deltas", runF1},
 	{"F2", "Conflict outcomes vs concurrent-edit overlap", runF2},
 	{"F3", "Full-text query latency: index vs scan", runF3},
@@ -50,24 +56,43 @@ var experiments = []experiment{
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id to run (T1..T7, F1..F5, or all)")
-	quick := flag.Bool("quick", false, "run with reduced sizes")
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	exp := flag.String("exp", "all", "experiment id to run ("+strings.Join(ids, ", ")+", or all)")
+	quick := flag.Bool("quick", false, "run with reduced sizes; never writes the baseline file")
 	flag.Parse()
+	os.Exit(run(strings.ToUpper(*exp), *quick))
+}
 
-	want := strings.ToUpper(*exp)
+// run executes the selected experiments under one temp root and returns the
+// process exit code: 1 when any invariant check failed.
+func run(want string, quick bool) int {
+	root, err := os.MkdirTemp("", "domino-exp")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(root)
+	scratchRoot = root
 	ran := 0
 	for _, e := range experiments {
 		if want != "ALL" && e.id != want {
 			continue
 		}
 		fmt.Printf("\n=== %s: %s ===\n", e.id, e.title)
-		e.run(*quick)
+		e.run(quick)
 		ran++
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", want)
+		return 2
 	}
+	if len(violations) > 0 {
+		fmt.Fprintf(os.Stderr, "\n%d invariant violation(s):\n  %s\n", len(violations), strings.Join(violations, "\n  "))
+		return 1
+	}
+	return 0
 }
 
 // table renders rows with aligned columns.

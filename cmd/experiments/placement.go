@@ -1,12 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
-	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,135 +27,29 @@ import (
 // generation flips so clients re-route. The audit walks every write any
 // client saw acknowledged and requires all of them on the new homes.
 
-// w6Result is one measured phase, serialized to BENCH_placement.json as
-// the regression baseline.
-type w6Result struct {
-	Phase          string  `json:"phase"`
-	Databases      int     `json:"databases,omitempty"`
-	Mates          int     `json:"mates,omitempty"`
-	DeadHomed      int     `json:"dead_homed,omitempty"`
-	Acked          int     `json:"acked,omitempty"`
-	LostAcked      int     `json:"lost_acked"`
-	MoveMs         float64 `json:"move_ms,omitempty"`
-	MovedNotes     int     `json:"moved_notes,omitempty"`
-	CatchupRounds  int     `json:"catchup_rounds,omitempty"`
-	Generation     uint64  `json:"generation,omitempty"`
-	Redirects      uint64  `json:"redirects,omitempty"`
-	RehomeMedianMs float64 `json:"rehome_median_ms,omitempty"`
-	RehomeMaxMs    float64 `json:"rehome_max_ms,omitempty"`
-}
-
-// w6Cluster is a shared-directory cluster for the placement experiment.
-type w6Cluster struct {
-	base  string
-	d     *domino.Directory
-	names []string
-	srv   map[string]*domino.Server
-	addr  map[string]string
-}
-
-func newW6Cluster(names ...string) *w6Cluster {
-	base, err := os.MkdirTemp("", "domino-w6")
-	if err != nil {
-		log.Fatal(err)
-	}
-	c := &w6Cluster{
-		base: base, d: domino.NewDirectory(), names: names,
-		srv: map[string]*domino.Server{}, addr: map[string]string{},
-	}
-	c.d.AddUser(domino.User{Name: "ada", Secret: "pw"})
-	for _, name := range names {
-		c.d.AddUser(domino.User{Name: name, Secret: name + "-secret"})
-		s, err := domino.NewServer(domino.ServerOptions{
-			Name: name, DataDir: filepath.Join(base, name),
-			Directory: c.d, PeerSecret: name + "-secret",
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		c.srv[name] = s
-	}
-	for _, name := range names {
-		addr, err := c.srv[name].Start("127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		c.addr[name] = addr
-	}
-	for _, name := range names {
-		peers := map[string]string{}
-		for _, other := range names {
-			if other != name {
-				peers[other] = c.addr[other]
-			}
-		}
-		c.srv[name].SetPeers(peers)
-	}
-	return c
-}
-
-func (c *w6Cluster) open(mate, path string, replica domino.ReplicaID) *domino.Database {
-	db, err := c.srv[mate].OpenDB(path, domino.Options{Title: path, ReplicaID: replica})
-	if err != nil {
-		log.Fatal(err)
-	}
-	db.ACL().Set("ada", domino.Editor)
-	for _, name := range c.names {
-		db.ACL().Set(name, domino.Editor)
-	}
-	return db
-}
-
-func (c *w6Cluster) close() {
-	for _, s := range c.srv {
-		s.Close()
-	}
-	os.RemoveAll(c.base)
-}
-
-func (c *w6Cluster) addrs() []string {
-	out := make([]string, 0, len(c.names))
-	for _, n := range c.names {
-		out = append(out, c.addr[n])
-	}
-	return out
-}
-
-// ackedCreate issues one create through a failover handle with the
-// read-back recovery protocol; it returns false only if the write was
-// never acknowledged anywhere.
-func ackedCreate(db *domino.FailoverDB, n *domino.Note) bool {
-	for attempt := 0; attempt < 2000; attempt++ {
-		if err := db.Create(n); err == nil {
-			return true
-		}
-		if _, gerr := db.Get(n.OID.UNID); gerr == nil {
-			return true
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return false
-}
-
-// w6LiveMove runs Phase A: one database, a streaming writer, a live move
-// under it.
-func w6LiveMove(docs int) w6Result {
-	c := newW6Cluster("alpha", "beta")
-	defer c.close()
-	const path = "apps/move.nsf"
-	c.open("alpha", path, domino.NewReplicaID())
-	if _, err := c.d.SetPlacement(path, []string{"alpha"}, 1); err != nil {
-		log.Fatal(err)
-	}
-
-	fc, err := domino.DialFailover(c.addrs(), "ada", "pw", domino.FailoverOptions{
+// w6Dial connects the fail-fast failover client both phases write through:
+// no transparent retries, so every redirect and re-resolve is the
+// protocol's doing, not backoff's.
+func w6Dial(c *cluster) *domino.FailoverClient {
+	return c.dial(domino.FailoverOptions{
 		Client: domino.ClientOptions{MaxRetries: -1, BackoffBase: time.Millisecond,
 			BackoffMax: 5 * time.Millisecond, DialTimeout: 2 * time.Second},
 		Cooldown: 50 * time.Millisecond,
 	})
-	if err != nil {
+}
+
+// w6LiveMove runs Phase A: one database, a streaming writer, a live move
+// under it.
+func w6LiveMove(docs int) row {
+	c := newCluster(mates("alpha", "beta")...)
+	defer c.close()
+	const path = "apps/move.nsf"
+	c.open("alpha", path, domino.NewReplicaID())
+	if _, err := c.dir.SetPlacement(path, []string{"alpha"}, 1); err != nil {
 		log.Fatal(err)
 	}
+
+	fc := w6Dial(c)
 	defer fc.Close()
 	db, err := fc.OpenDB(path)
 	if err != nil {
@@ -166,7 +57,7 @@ func w6LiveMove(docs int) w6Result {
 	}
 
 	var mu sync.Mutex
-	var acked []domino.UNID
+	var acked []*domino.Note
 	var stop atomic.Bool
 	done := make(chan struct{})
 	go func() {
@@ -174,9 +65,9 @@ func w6LiveMove(docs int) w6Result {
 		for i := 0; !stop.Load(); i++ {
 			n := domino.NewDocument()
 			n.SetText("Subject", fmt.Sprintf("w6 doc %d", i))
-			if ackedCreate(db, n) {
+			if ok, _ := ackedCreate(db, n, 0); ok {
 				mu.Lock()
-				acked = append(acked, n.OID.UNID)
+				acked = append(acked, n)
 				mu.Unlock()
 			}
 		}
@@ -194,8 +85,8 @@ func w6LiveMove(docs int) w6Result {
 	}
 	waitAcked(docs / 2)
 
-	res, err := domino.MoveDatabase(c.d, c.srv["alpha"], c.srv["beta"], path, domino.MoveOptions{
-		BackupRoot: filepath.Join(c.base, "imgroot"), QuiesceTimeout: 10 * time.Second,
+	res, err := domino.MoveDatabase(c.dir, c.srv["alpha"], c.srv["beta"], path, domino.MoveOptions{
+		BackupRoot: filepath.Join(c.root, "imgroot"), QuiesceTimeout: 10 * time.Second,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -209,29 +100,18 @@ func w6LiveMove(docs int) w6Result {
 	stop.Store(true)
 	<-done
 
-	lost := 0
-	newHome, _ := c.srv["beta"].DB(path)
-	for _, u := range acked {
-		if _, err := newHome.RawGet(u); err != nil {
-			lost++
-		}
-	}
-	return w6Result{
-		Phase:         "live-move",
-		Acked:         len(acked),
-		LostAcked:     lost,
-		MoveMs:        float64(res.Elapsed.Nanoseconds()) / 1e6,
-		MovedNotes:    res.Moved,
-		CatchupRounds: res.Rounds,
-		Generation:    res.Generation,
-		Redirects:     fc.Stats().WrongMateRedirects,
-	}
+	lost, _ := auditAcked(c.db("beta", path), acked)
+	check(lost == 0, "W6: %d acknowledged writes lost across the move", lost)
+	return newRow("live-move", "acked", len(acked), "lost_acked", lost,
+		"move_ms", msf(res.Elapsed), "moved_notes", res.Moved, "catchup_rounds", res.Rounds,
+		"generation", res.Generation, "redirects", fc.Stats().WrongMateRedirects)
 }
 
 // w6Rehome runs Phase B: rendezvous-place a namespace over three mates,
 // kill one, recover its share onto the survivors.
-func w6Rehome(dbs, docs, delta, post int) w6Result {
-	c := newW6Cluster("alpha", "beta", "gamma")
+func w6Rehome(dbs, docs, delta, post int) row {
+	names := []string{"alpha", "beta", "gamma"}
+	c := newCluster(mates(names...)...)
 	defer c.close()
 
 	// Rendezvous-place the namespace, one home mate per database, and open
@@ -240,7 +120,7 @@ func w6Rehome(dbs, docs, delta, post int) w6Result {
 	home := map[string]string{}
 	for i := range paths {
 		paths[i] = fmt.Sprintf("apps/db%02d.nsf", i)
-		p, err := c.d.AssignPlacement(paths[i], c.names, 1)
+		p, err := c.dir.AssignPlacement(paths[i], names, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -248,23 +128,16 @@ func w6Rehome(dbs, docs, delta, post int) w6Result {
 		c.open(p.Home[0], paths[i], domino.NewReplicaID())
 	}
 
-	fc, err := domino.DialFailover(c.addrs(), "ada", "pw", domino.FailoverOptions{
-		Client: domino.ClientOptions{MaxRetries: -1, BackoffBase: time.Millisecond,
-			BackoffMax: 5 * time.Millisecond, DialTimeout: 2 * time.Second},
-		Cooldown: 50 * time.Millisecond,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	fc := w6Dial(c)
 	defer fc.Close()
 	handles := map[string]*domino.FailoverDB{}
-	acked := map[string][]domino.UNID{}
+	acked := map[string][]*domino.Note{}
 	write := func(path string, k int) {
 		for i := 0; i < k; i++ {
 			n := domino.NewDocument()
 			n.SetText("Subject", fmt.Sprintf("%s doc %d", path, len(acked[path])))
-			if ackedCreate(handles[path], n) {
-				acked[path] = append(acked[path], n.OID.UNID)
+			if ok, _ := ackedCreate(handles[path], n, 0); ok {
+				acked[path] = append(acked[path], n)
 			}
 		}
 	}
@@ -279,8 +152,8 @@ func w6Rehome(dbs, docs, delta, post int) w6Result {
 
 	// Scheduled hot backups on every mate, then more writes: the delta
 	// exists only on the home mates' disks, beyond the images.
-	for _, name := range c.names {
-		if _, err := c.srv[name].BackupAll(filepath.Join(c.base, "backup-"+name), true); err != nil {
+	for _, name := range names {
+		if _, err := c.srv[name].BackupAll(filepath.Join(c.root, "backup-"+name), true); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -293,41 +166,37 @@ func w6Rehome(dbs, docs, delta, post int) w6Result {
 	for _, h := range home {
 		perMate[h]++
 	}
-	dead := c.names[0]
-	for _, name := range c.names[1:] {
+	dead := names[0]
+	for _, name := range names[1:] {
 		if perMate[name] > perMate[dead] {
 			dead = name
 		}
 	}
-	c.srv[dead].Close()
+	c.kill(dead)
 
 	// Re-home every database the dead mate homed onto the survivors
 	// (round-robin), from its backup image plus the dead disk.
-	survivors := make([]string, 0, len(c.names)-1)
-	for _, name := range c.names {
+	survivors := make([]string, 0, len(names)-1)
+	for _, name := range names {
 		if name != dead {
 			survivors = append(survivors, name)
 		}
 	}
-	var rehomeTimes []time.Duration
-	deadHomed := 0
-	next := 0
+	var rehome recorder
 	for _, path := range paths {
 		if home[path] != dead {
 			continue
 		}
-		deadHomed++
-		dst := survivors[next%len(survivors)]
-		next++
-		res, err := domino.RecoverDatabase(c.d, dead, c.srv[dst], path, domino.RecoverOptions{
-			BackupRoot:  filepath.Join(c.base, "backup-"+dead),
-			DeadDataDir: filepath.Join(c.base, dead),
+		dst := survivors[rehome.n()%len(survivors)]
+		res, err := domino.RecoverDatabase(c.dir, dead, c.srv[dst], path, domino.RecoverOptions{
+			BackupRoot:  filepath.Join(c.root, "backup-"+dead),
+			DeadDataDir: filepath.Join(c.root, dead),
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		home[path] = dst
-		rehomeTimes = append(rehomeTimes, res.Elapsed)
+		rehome.add(res.Elapsed)
 	}
 
 	// The pre-kill handles are stale: their cached placement names the dead
@@ -340,129 +209,36 @@ func w6Rehome(dbs, docs, delta, post int) w6Result {
 	// database's current home.
 	total, lost := 0, 0
 	for _, path := range paths {
-		db, ok := c.srv[home[path]].DB(path)
-		if !ok {
-			log.Fatalf("w6: %s has no copy of %s", home[path], path)
-		}
-		for _, u := range acked[path] {
-			total++
-			if _, err := db.RawGet(u); err != nil {
-				lost++
-			}
-		}
+		l, _ := auditAcked(c.db(home[path], path), acked[path])
+		total, lost = total+len(acked[path]), lost+l
 	}
-	sort.Slice(rehomeTimes, func(i, j int) bool { return rehomeTimes[i] < rehomeTimes[j] })
-	res := w6Result{
-		Phase:     "rehome",
-		Databases: dbs,
-		Mates:     len(c.names),
-		DeadHomed: deadHomed,
-		Acked:     total,
-		LostAcked: lost,
-		Redirects: fc.Stats().WrongMateRedirects,
-	}
-	if len(rehomeTimes) > 0 {
-		res.RehomeMedianMs = float64(percentile(rehomeTimes, 0.50).Nanoseconds()) / 1e6
-		res.RehomeMaxMs = float64(rehomeTimes[len(rehomeTimes)-1].Nanoseconds()) / 1e6
-	}
-	return res
-}
-
-const placementBaselineFile = "BENCH_placement.json"
-
-// loadPlacementBaseline reads the committed W6 baseline (nil when absent).
-func loadPlacementBaseline() []w6Result {
-	raw, err := os.ReadFile(placementBaselineFile)
-	if err != nil {
-		return nil
-	}
-	var results []w6Result
-	if err := json.Unmarshal(raw, &results); err != nil {
-		return nil
-	}
-	return results
-}
-
-// W6 drift tolerances: a re-home is wall-clock dominated (backup restore,
-// file replication, directory flip), so the guard is generous — it hunts a
-// broken move pipeline, not scheduler noise.
-const (
-	w6DriftRatio = 2.0  // fail when worse than baseline by more than 2x
-	w6FloorMs    = 50.0 // and by more than 50ms
-)
-
-// guardW6 re-measures the dead-mate re-home median at quick sizes against
-// the committed BENCH_placement.json; returns a failure message or "".
-func guardW6(t *table) string {
-	var want float64
-	for _, r := range loadPlacementBaseline() {
-		if r.Phase == "rehome" {
-			want = r.RehomeMedianMs
-		}
-	}
-	if want == 0 {
-		return "W6 rehome median missing from baseline; run `make bench-placement` and commit " + placementBaselineFile
-	}
-	got := 0.0
-	for trial := 0; trial < driftTrials; trial++ {
-		r := w6Rehome(6, 8, 4, 0)
-		if r.LostAcked > 0 {
-			return fmt.Sprintf("W6 re-home lost %d acked writes", r.LostAcked)
-		}
-		if trial == 0 || r.RehomeMedianMs < got {
-			got = r.RehomeMedianMs
-		}
-	}
-	verdict := "ok"
-	msg := ""
-	if got > want*w6DriftRatio && got > want+w6FloorMs {
-		verdict = "REGRESSED"
-		msg = fmt.Sprintf("W6 rehome median %.1fms vs baseline %.1fms", got, want)
-	}
-	t.add("W6 rehome median", fmt.Sprintf("%.1fms", want), fmt.Sprintf("%.1fms", got), verdict)
-	return msg
+	check(lost == 0, "W6: %d acknowledged writes lost across the mate kill + re-home", lost)
+	return newRow("rehome", "databases", dbs, "mates", len(names), "dead_homed", rehome.n(),
+		"acked", total, "lost_acked", lost, "redirects", fc.Stats().WrongMateRedirects,
+		"rehome_median_ms", msf(rehome.pct(0.50)), "rehome_max_ms", msf(rehome.pct(1)))
 }
 
 func runW6(quick bool) {
-	var results []w6Result
-
 	mv := w6LiveMove(pick(quick, 40, 16))
-	results = append(results, mv)
 	ta := newTable("acked", "lost acked", "move ms", "notes moved", "rounds", "gen", "redirects")
-	ta.add(mv.Acked, mv.LostAcked, fmt.Sprintf("%.1f", mv.MoveMs), mv.MovedNotes,
-		mv.CatchupRounds, fmt.Sprint(mv.Generation), fmt.Sprint(mv.Redirects))
+	ta.add(int(mv.M["acked"]), int(mv.M["lost_acked"]), fmt.Sprintf("%.1f", mv.M["move_ms"]),
+		int(mv.M["moved_notes"]), int(mv.M["catchup_rounds"]), int(mv.M["generation"]), int(mv.M["redirects"]))
 	fmt.Println("  Phase A: live move under a streaming writer")
 	ta.print()
-	if mv.LostAcked != 0 {
-		fmt.Printf("  !! %d acknowledged writes lost across the move\n", mv.LostAcked)
-	} else {
+	if mv.M["lost_acked"] == 0 {
 		fmt.Println("  (invariant: zero acknowledged writes lost across the move)")
 	}
 
 	re := w6Rehome(pick(quick, 12, 6), pick(quick, 20, 8), pick(quick, 8, 4), pick(quick, 6, 3))
-	results = append(results, re)
 	tb := newTable("dbs", "mates", "dead homed", "acked", "lost acked",
 		"rehome median ms", "rehome max ms", "redirects")
-	tb.add(re.Databases, re.Mates, re.DeadHomed, re.Acked, re.LostAcked,
-		fmt.Sprintf("%.1f", re.RehomeMedianMs), fmt.Sprintf("%.1f", re.RehomeMaxMs),
-		fmt.Sprint(re.Redirects))
+	tb.add(int(re.M["databases"]), int(re.M["mates"]), int(re.M["dead_homed"]), int(re.M["acked"]),
+		int(re.M["lost_acked"]), fmt.Sprintf("%.1f", re.M["rehome_median_ms"]),
+		fmt.Sprintf("%.1f", re.M["rehome_max_ms"]), int(re.M["redirects"]))
 	fmt.Println("  Phase B: kill the mate homing the largest namespace share, re-home onto survivors")
 	tb.print()
-	if re.LostAcked != 0 {
-		fmt.Printf("  !! %d acknowledged writes lost across the re-home\n", re.LostAcked)
-	} else {
+	if re.M["lost_acked"] == 0 {
 		fmt.Println("  (invariant: zero acknowledged writes lost across the mate kill + re-home)")
 	}
-
-	f, err := os.Create("BENCH_placement.json")
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
-		log.Fatal(err)
-	}
-	f.Close()
-	fmt.Println("  baseline written to BENCH_placement.json")
+	saveBaseline("W6", quick, []row{mv, re})
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -14,11 +13,7 @@ import (
 
 // tempDB opens a throwaway database; the caller must Close it.
 func tempDB(title string, replica domino.ReplicaID) *domino.Database {
-	dir, err := os.MkdirTemp("", "domino-exp")
-	if err != nil {
-		log.Fatal(err)
-	}
-	db, err := domino.Open(filepath.Join(dir, "exp.nsf"),
+	db, err := domino.Open(filepath.Join(scratch("db"), "exp.nsf"),
 		domino.Options{Title: title, ReplicaID: replica})
 	if err != nil {
 		log.Fatal(err)
@@ -89,9 +84,6 @@ func runT1(quick bool) {
 	t.print()
 	fmt.Println("  (shape check: latency grows sublinearly with body size; reads cheapest)")
 }
-
-func us(d time.Duration) string { return fmt.Sprintf("%.1f", float64(d.Nanoseconds())/1e3) }
-func ms(d time.Duration) string { return fmt.Sprintf("%.2f", float64(d.Nanoseconds())/1e6) }
 
 // --- T2: incremental view update vs rebuild ---
 
@@ -219,8 +211,7 @@ func runT4(quick bool) {
 	}
 	t := newTable("ops since checkpoint", "WAL bytes", "recovery ms")
 	for _, ops := range sizes {
-		dir, _ := os.MkdirTemp("", "domino-exp")
-		path := filepath.Join(dir, "crash.nsf")
+		path := filepath.Join(scratch("t4"), "crash.nsf")
 		db, err := domino.Open(path, domino.Options{Store: storeNoCheckpoint()})
 		if err != nil {
 			log.Fatal(err)

@@ -1,13 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,18 +20,6 @@ import (
 // subscriber goroutines. The "+refresh" rows re-add the cost by placing a
 // full refresh barrier after every write — the synchronous-equivalent
 // configuration the old write path always paid.
-
-// wpResult is one measured configuration, serialized to
-// BENCH_writepath.json as the regression baseline.
-type wpResult struct {
-	Views     int     `json:"views"`
-	FullText  bool    `json:"fulltext"`
-	Refreshed bool    `json:"refreshed"`
-	Ops       int     `json:"ops"`
-	P50us     float64 `json:"p50_us"`
-	P95us     float64 `json:"p95_us"`
-	Meanus    float64 `json:"mean_us"`
-}
 
 // wpDB opens a database with the requested consumers attached.
 func wpDB(views int, fulltext bool) *domino.Database {
@@ -58,14 +43,11 @@ func wpDB(views int, fulltext bool) *domino.Database {
 	return db
 }
 
-// measureWrites runs ops creates and returns per-op percentiles.
-func measureWrites(db *domino.Database, ops int, refreshed bool, seed int64) wpResult {
-	g := workload.New(seed)
-	docs := g.Corpus(ops, 512)
+// measureWrites runs ops creates and returns their latencies.
+func measureWrites(db *domino.Database, ops int, refreshed bool, seed int64) recorder {
 	sess := db.Session("exp")
-	lats := make([]time.Duration, 0, ops)
-	var total time.Duration
-	for _, n := range docs {
+	var lat recorder
+	for _, n := range workload.New(seed).Corpus(ops, 512) {
 		start := time.Now()
 		if err := sess.Create(n); err != nil {
 			log.Fatal(err)
@@ -73,107 +55,54 @@ func measureWrites(db *domino.Database, ops int, refreshed bool, seed int64) wpR
 		if refreshed {
 			db.Refresh()
 		}
-		d := time.Since(start)
-		lats = append(lats, d)
-		total += d
+		lat.since(start)
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	toUs := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-	return wpResult{
-		Refreshed: refreshed,
-		Ops:       ops,
-		P50us:     toUs(percentile(lats, 0.50)),
-		P95us:     toUs(percentile(lats, 0.95)),
-		Meanus:    toUs(total / time.Duration(ops)),
-	}
+	return lat
+}
+
+// w1Row names one W1 configuration in the baseline file.
+func w1Row(views int, fulltext bool, mode string) string {
+	return fmt.Sprintf("views=%d fulltext=%v %s", views, fulltext, mode)
+}
+
+// w1Probe is the drift guard's W1 measurement: async put p50 in µs with
+// `views` open views and no full-text index.
+func w1Probe(views int) float64 {
+	db := wpDB(views, false)
+	defer db.Close()
+	lat := measureWrites(db, 400, false, int64(400+views))
+	db.Refresh()
+	return usf(lat.pct(0.50))
 }
 
 func runW1(quick bool) {
 	ops := pick(quick, 3000, 400)
-	var results []wpResult
+	var rows []row
 	t := newTable("views", "fulltext", "mode", "p50 µs", "p95 µs", "mean µs")
+	measure := func(views int, ftOn, refreshed bool, mode string, seed int64) {
+		db := wpDB(views, ftOn)
+		lat := measureWrites(db, ops, refreshed, seed)
+		db.Refresh()
+		db.Close()
+		p50, p95, mean := usf(lat.pct(0.50)), usf(lat.pct(0.95)), usf(lat.mean())
+		rows = append(rows, newRow(w1Row(views, ftOn, mode), "views", views, "ops", ops,
+			"p50_us", p50, "p95_us", p95, "mean_us", mean))
+		t.add(views, fmt.Sprint(ftOn), mode, p50, p95, mean)
+	}
 	for _, views := range []int{0, 1, 8} {
 		for _, ftOn := range []bool{false, true} {
-			db := wpDB(views, ftOn)
-			r := measureWrites(db, ops, false, int64(100+views))
-			r.Views, r.FullText = views, ftOn
-			results = append(results, r)
-			t.add(views, fmt.Sprint(ftOn), "async", r.P50us, r.P95us, r.Meanus)
-			db.Refresh()
-			db.Close()
+			measure(views, ftOn, false, "async", int64(100+views))
 		}
 	}
 	for _, views := range []int{0, 8} {
-		db := wpDB(views, false)
-		r := measureWrites(db, ops, true, int64(200+views))
-		r.Views = views
-		results = append(results, r)
-		t.add(views, "false", "+refresh", r.P50us, r.P95us, r.Meanus)
-		db.Close()
+		measure(views, false, true, "+refresh", int64(200+views))
 	}
 	t.print()
-	var p50v0, p50v8 float64
-	for _, r := range results {
-		if !r.Refreshed && !r.FullText {
-			if r.Views == 0 {
-				p50v0 = r.P50us
-			}
-			if r.Views == 8 {
-				p50v8 = r.P50us
-			}
-		}
-	}
-	if p50v0 > 0 {
-		fmt.Printf("  p50 ratio 8 views / 0 views = %.2fx (target: <= 1.5x)\n", p50v8/p50v0)
-	}
+	p50v0, _ := findRow(rows, w1Row(0, false, "async"), "p50_us")
+	p50v8, _ := findRow(rows, w1Row(8, false, "async"), "p50_us")
+	fmt.Printf("  p50 ratio 8 views / 0 views = %.2fx (target: <= 1.5x)\n", p50v8/p50v0)
 	fmt.Println("  (shape check: async p50 flat in consumer count; +refresh pays it back)")
-	base := loadWPBaseline()
-	base.W1 = results
-	saveWPBaseline(base)
-	fmt.Println("  baseline written to " + wpBaselineFile)
-}
-
-// --- write-path baseline file (shared by W1, W7, and the drift guard) ---
-
-// wpBaseline is the committed write-path baseline: the W1 consumer matrix
-// plus the W7 group-commit scaling matrix. Each experiment rewrites only
-// its own section, so regenerating one does not discard the other.
-type wpBaseline struct {
-	W1 []wpResult `json:"w1"`
-	W7 []w7Result `json:"w7"`
-}
-
-const wpBaselineFile = "BENCH_writepath.json"
-
-func loadWPBaseline() wpBaseline {
-	var base wpBaseline
-	raw, err := os.ReadFile(wpBaselineFile)
-	if err != nil {
-		return base
-	}
-	if json.Unmarshal(raw, &base) != nil {
-		// Legacy layout: a flat W1 array from before W7 existed.
-		var flat []wpResult
-		if json.Unmarshal(raw, &flat) == nil {
-			base.W1 = flat
-		}
-	}
-	return base
-}
-
-func saveWPBaseline(base wpBaseline) {
-	f, err := os.Create(wpBaselineFile)
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(base); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
+	saveBaseline("W1", quick, rows)
 }
 
 // --- W7: group-commit write scaling (writers x SyncWAL x group commit) ---
@@ -185,30 +114,19 @@ func saveWPBaseline(base wpBaseline) {
 // per-op-fsync discipline every configuration used before this change; the
 // acceptance target (>=5x at 64 writers) is measured against it.
 
-// w7Result is one measured configuration of the scaling matrix.
-type w7Result struct {
-	Writers     int     `json:"writers"`
-	SyncWAL     bool    `json:"sync_wal"`
-	GroupCommit bool    `json:"group_commit"`
-	Ops         int     `json:"ops"`
-	PutsPerSec  float64 `json:"puts_per_sec"`
-	P50us       float64 `json:"p50_us"`
-	P95us       float64 `json:"p95_us"`
-	WALFlushes  uint64  `json:"wal_flushes"`
-	WALRecords  uint64  `json:"wal_records"`
-}
-
 // w7Window is the commit window used whenever group commit is on — the
 // value the dominod -groupcommit flag documents as a good SyncWAL default.
 const w7Window = 200 * time.Microsecond
 
+// w7Row names one W7 configuration in the baseline file.
+func w7Row(writers int, syncWAL, groupCommit bool) string {
+	return fmt.Sprintf("writers=%d sync_wal=%v group_commit=%v", writers, syncWAL, groupCommit)
+}
+
 // measureW7 runs writers goroutines of opsPer puts each against one fresh
 // database and reports aggregate throughput plus per-op latency.
-func measureW7(writers, opsPer int, syncWAL, groupCommit bool) w7Result {
-	dir, err := os.MkdirTemp("", "domino-w7")
-	if err != nil {
-		log.Fatal(err)
-	}
+func measureW7(writers, opsPer int, syncWAL, groupCommit bool) row {
+	dir := scratch("w7")
 	defer os.RemoveAll(dir)
 	var window time.Duration
 	if groupCommit {
@@ -227,7 +145,7 @@ func measureW7(writers, opsPer int, syncWAL, groupCommit bool) w7Result {
 	for w := range corpora {
 		corpora[w] = workload.New(int64(700+w)).Corpus(opsPer, 256)
 	}
-	lats := make([][]time.Duration, writers)
+	lats := make([]recorder, writers)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < writers; w++ {
@@ -235,15 +153,15 @@ func measureW7(writers, opsPer int, syncWAL, groupCommit bool) w7Result {
 		go func(w int) {
 			defer wg.Done()
 			sess := db.Session(fmt.Sprintf("w7-%d", w))
-			ls := make([]time.Duration, 0, opsPer)
+			var mine recorder // local: neighbours in lats share cache lines
 			for _, n := range corpora[w] {
 				t0 := time.Now()
 				if err := sess.Create(n); err != nil {
 					log.Fatal(err)
 				}
-				ls = append(ls, time.Since(t0))
+				mine.since(t0)
 			}
-			lats[w] = ls
+			lats[w] = mine
 		}(w)
 	}
 	wg.Wait()
@@ -251,184 +169,40 @@ func measureW7(writers, opsPer int, syncWAL, groupCommit bool) w7Result {
 	st := db.Stats()
 	db.Close()
 
-	all := make([]time.Duration, 0, writers*opsPer)
-	for _, ls := range lats {
-		all = append(all, ls...)
+	var all recorder
+	for _, l := range lats {
+		all.merge(l)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	toUs := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-	return w7Result{
-		Writers:     writers,
-		SyncWAL:     syncWAL,
-		GroupCommit: groupCommit,
-		Ops:         writers * opsPer,
-		PutsPerSec:  float64(writers*opsPer) / elapsed.Seconds(),
-		P50us:       toUs(percentile(all, 0.50)),
-		P95us:       toUs(percentile(all, 0.95)),
-		WALFlushes:  st.GroupCommitFlushes,
-		WALRecords:  st.GroupCommitRecords,
-	}
+	return newRow(w7Row(writers, syncWAL, groupCommit), "writers", writers, "ops", writers*opsPer,
+		"puts_per_sec", float64(writers*opsPer)/elapsed.Seconds(),
+		"p50_us", usf(all.pct(0.50)), "p95_us", usf(all.pct(0.95)),
+		"wal_flushes", st.GroupCommitFlushes, "wal_records", st.GroupCommitRecords)
 }
 
 func runW7(quick bool) {
 	opsPer := pick(quick, 150, 30)
-	var results []w7Result
+	var rows []row
 	t := newTable("writers", "syncWAL", "group commit", "puts/s", "p50 µs", "p95 µs", "records/flush")
 	for _, writers := range []int{1, 4, 16, 64} {
 		for _, syncWAL := range []bool{false, true} {
 			for _, gc := range []bool{false, true} {
 				r := measureW7(writers, opsPer, syncWAL, gc)
-				results = append(results, r)
+				rows = append(rows, r)
 				amort := "-"
-				if r.WALFlushes > 0 {
-					amort = fmt.Sprintf("%.1f", float64(r.WALRecords)/float64(r.WALFlushes))
+				if r.M["wal_flushes"] > 0 {
+					amort = fmt.Sprintf("%.1f", r.M["wal_records"]/r.M["wal_flushes"])
 				}
 				t.add(writers, fmt.Sprint(syncWAL), fmt.Sprint(gc),
-					fmt.Sprintf("%.0f", r.PutsPerSec), r.P50us, r.P95us, amort)
+					fmt.Sprintf("%.0f", r.M["puts_per_sec"]), r.M["p50_us"], r.M["p95_us"], amort)
 			}
 		}
 	}
 	t.print()
-	var fsync64, gc64 float64
-	for _, r := range results {
-		if r.Writers == 64 && r.SyncWAL {
-			if r.GroupCommit {
-				gc64 = r.PutsPerSec
-			} else {
-				fsync64 = r.PutsPerSec
-			}
-		}
-	}
-	if fsync64 > 0 {
-		fmt.Printf("  64 writers, SyncWAL on: group commit = %.1fx per-op fsync (target: >= 5x)\n",
-			gc64/fsync64)
-	}
+	fsync64, _ := findRow(rows, w7Row(64, true, false), "puts_per_sec")
+	gc64, _ := findRow(rows, w7Row(64, true, true), "puts_per_sec")
+	fmt.Printf("  64 writers, SyncWAL on: group commit = %.1fx per-op fsync (target: >= 5x)\n", gc64/fsync64)
 	fmt.Println("  (shape check: SyncWAL throughput pinned to fsync rate without group commit, scales with writers with it)")
-	base := loadWPBaseline()
-	base.W7 = results
-	saveWPBaseline(base)
-	fmt.Println("  baseline written to " + wpBaselineFile)
-}
-
-// --- GUARD: write-path bench drift guard ---
-//
-// Re-measures a pinned subset of the W1 and W7 configurations and fails
-// (non-zero exit, so `make drift` fails CI) when a fresh median regresses
-// more than 30% against the committed BENCH_writepath.json. Each probe
-// keeps the best of three trials and applies a small absolute floor: the
-// guard hunts real regressions — a serialized write path, a lost fsync
-// amortization — not scheduler noise.
-
-const (
-	driftRatio   = 1.30 // fail when worse than baseline by more than 30%
-	driftFloorUs = 15.0 // and by more than 15µs: sub-µs medians jitter
-	driftTrials  = 3
-)
-
-func runGuard(quick bool) {
-	base := loadWPBaseline()
-	if len(base.W1) == 0 || len(base.W7) == 0 {
-		log.Fatalf("GUARD: %s lacks a w1/w7 baseline; run `make bench-writepath` and commit the result", wpBaselineFile)
-	}
-	var failures []string
-	t := newTable("probe", "baseline", "fresh", "verdict")
-
-	// W1 probes: async put p50 with 0 and 8 open views (no full-text).
-	ops := pick(quick, 1500, 400)
-	for _, views := range []int{0, 8} {
-		var want float64
-		for _, r := range base.W1 {
-			if r.Views == views && !r.FullText && !r.Refreshed {
-				want = r.P50us
-			}
-		}
-		if want == 0 {
-			failures = append(failures, fmt.Sprintf("W1 views=%d missing from baseline", views))
-			continue
-		}
-		got := 0.0
-		for trial := 0; trial < driftTrials; trial++ {
-			db := wpDB(views, false)
-			r := measureWrites(db, ops, false, int64(400+views+trial))
-			db.Refresh()
-			db.Close()
-			if trial == 0 || r.P50us < got {
-				got = r.P50us
-			}
-		}
-		verdict := "ok"
-		if got > want*driftRatio && got > want+driftFloorUs {
-			verdict = "REGRESSED"
-			failures = append(failures,
-				fmt.Sprintf("W1 views=%d put p50 %.1fµs vs baseline %.1fµs", views, got, want))
-		}
-		t.add(fmt.Sprintf("W1 put p50 (views=%d)", views),
-			fmt.Sprintf("%.1fµs", want), fmt.Sprintf("%.1fµs", got), verdict)
-	}
-
-	// W7 probes: the fsync-bound single writer and the group-committed
-	// 64-writer configuration — the two ends of the amortization claim.
-	opsPer := pick(quick, 150, 60)
-	for _, probe := range []struct {
-		writers int
-		gc      bool
-	}{{1, false}, {64, true}} {
-		var want float64
-		for _, r := range base.W7 {
-			if r.Writers == probe.writers && r.SyncWAL && r.GroupCommit == probe.gc {
-				want = r.PutsPerSec
-			}
-		}
-		if want == 0 {
-			failures = append(failures,
-				fmt.Sprintf("W7 writers=%d gc=%v missing from baseline", probe.writers, probe.gc))
-			continue
-		}
-		got := 0.0
-		for trial := 0; trial < driftTrials; trial++ {
-			r := measureW7(probe.writers, opsPer, true, probe.gc)
-			if r.PutsPerSec > got {
-				got = r.PutsPerSec
-			}
-		}
-		verdict := "ok"
-		if got*driftRatio < want {
-			verdict = "REGRESSED"
-			failures = append(failures,
-				fmt.Sprintf("W7 writers=%d gc=%v throughput %.0f/s vs baseline %.0f/s",
-					probe.writers, probe.gc, got, want))
-		}
-		t.add(fmt.Sprintf("W7 puts/s (writers=%d, gc=%v)", probe.writers, probe.gc),
-			fmt.Sprintf("%.0f/s", want), fmt.Sprintf("%.0f/s", got), verdict)
-	}
-
-	// W6 probe: dead-mate re-home median (wall-clock dominated, so its own
-	// generous tolerances; also re-checks the zero-lost-acked-writes audit).
-	if msg := guardW6(t); msg != "" {
-		failures = append(failures, msg)
-	}
-
-	// W8 probe: mesh ring convergence under churn (also re-checks the
-	// converged-fingerprints and zero-spurious-conflicts invariants).
-	if msg := guardW8(t); msg != "" {
-		failures = append(failures, msg)
-	}
-	if msg := guardW9(t); msg != "" {
-		failures = append(failures, msg)
-	}
-
-	// W10 probe: hedged-read tail under a stalled mate (wall-clock
-	// dominated; also re-checks the wasted-work and write-safety audits
-	// committed in the deadline baseline).
-	if msg := guardW10(t); msg != "" {
-		failures = append(failures, msg)
-	}
-
-	t.print()
-	if len(failures) > 0 {
-		log.Fatalf("GUARD: bench drift:\n  %s", strings.Join(failures, "\n  "))
-	}
-	fmt.Println("  no drift beyond tolerance against the committed baselines")
+	saveBaseline("W7", quick, rows)
 }
 
 // --- W2: incremental view refresh vs rebuild under concurrent writers ---
@@ -473,15 +247,14 @@ func runW2(quick bool) {
 	}
 
 	reads := pick(quick, 200, 40)
-	var refreshLats []time.Duration
+	var refresh recorder
 	for i := 0; i < reads; i++ {
 		start := time.Now()
 		if _, ok := db.View("bycat"); !ok { // barrier + lookup
 			log.Fatal("view lost")
 		}
-		refreshLats = append(refreshLats, time.Since(start))
+		refresh.since(start)
 	}
-	sort.Slice(refreshLats, func(i, j int) bool { return refreshLats[i] < refreshLats[j] })
 
 	rebuilds := 3
 	start := time.Now()
@@ -497,8 +270,7 @@ func runW2(quick bool) {
 	db.Refresh()
 
 	t := newTable("docs", "writers", "refresh p50 µs", "refresh p95 µs", "rebuild ms", "rebuild/refresh")
-	p50 := percentile(refreshLats, 0.50)
-	p95 := percentile(refreshLats, 0.95)
+	p50, p95 := refresh.pct(0.50), refresh.pct(0.95)
 	ratio := float64(rebuild) / float64(p50)
 	t.add(n, 4, us(p50), us(p95), ms(rebuild), fmt.Sprintf("%.0fx", ratio))
 	t.print()
