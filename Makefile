@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race stress fuzz verify bench-test benchmark bench experiment drift clean
+.PHONY: all build vet test race stress fuzz verify bench-test benchmark bench experiment drift loc clean
 
 all: verify
 
@@ -23,13 +23,15 @@ race:
 # versioned-write races (lost Seq updates, RawPut orphaning, replication
 # history forks), the snapshot-scan/reader-writer latching tests, the
 # group-commit races (64 committers vs checkpoint/compact/hot-backup and
-# crash-durability of acked batches), and the server shutdown races (Close
+# crash-durability of acked batches), the server shutdown races (Close
 # vs in-flight dispatch vs cluster pushers, failover clients losing a mate
-# mid-session).
+# mid-session), and the wire client — one lock now guards the whole of it —
+# re-sending across mates, racing and cancelling a hedge, and abandoning a
+# connection on budget expiry.
 stress:
 	$(GO) test -race -count=2 \
-		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites' \
-		./internal/core ./internal/repl ./internal/store ./internal/server ./internal/place ./internal/dir
+		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites|TestClientResendsIffIdempotent|TestFailoverResendsIffIdempotent|TestLoneMateIsABareClient|TestOnlyHedgeableOpsHedge|TestHedgedReadWinsOverSlowMate|TestBudgetAbandonThenRecover|TestLocalExpiryOpensBreaker|TestFailoverStalledFirstMate|TestBreakerCountsSpentTurns' \
+		./internal/core ./internal/repl ./internal/store ./internal/server ./internal/place ./internal/dir ./internal/wire
 
 # Short native-fuzz smoke over the three parsers that guard trust boundaries:
 # the note codec (every WAL record and wire note passes through it), the
@@ -78,6 +80,14 @@ experiment:
 # paged or hedged speedup).
 drift:
 	$(GO) run ./cmd/experiments -exp GUARD -quick
+
+# Non-test Go lines per package (bench/ is its own module and not counted):
+# the number ROADMAP asks every simplification to report, before and after.
+loc:
+	@for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		printf '%6d  %s\n' $$(cat $$(ls $$d/*.go | grep -v _test.go) | wc -l) .$${d#$(CURDIR)}; \
+	done; \
+	printf '%6d  total\n' $$(cat $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*') | wc -l)
 
 clean:
 	$(GO) clean ./...

@@ -194,8 +194,6 @@ type Options struct {
 	Interval time.Duration
 	// Debounce is the default hot-link debounce (default 50ms).
 	Debounce time.Duration
-	// BreakerAfter is the failure streak that opens the breaker (default 3).
-	BreakerAfter int
 	// Cooldown is how long an open breaker holds before a half-open probe.
 	// When zero, each link uses 4x its own interval — a hot 1s link must
 	// not sit out a cooldown sized for a 30s anti-entropy link.
@@ -210,9 +208,6 @@ func (o *Options) defaults() {
 	}
 	if o.Debounce <= 0 {
 		o.Debounce = 50 * time.Millisecond
-	}
-	if o.BreakerAfter <= 0 {
-		o.BreakerAfter = 3
 	}
 }
 

@@ -163,6 +163,9 @@ func (m *Mesh) breakerAllows(ls *linkState) bool {
 	return true
 }
 
+// breakerAfter is the failure streak that opens a link's breaker.
+const breakerAfter = 3
+
 // settle folds a round's outcome into the link's backoff and breaker state.
 func (m *Mesh) settle(ls *linkState, err error) {
 	ls.mu.Lock()
@@ -180,7 +183,7 @@ func (m *Mesh) settle(ls *linkState, err error) {
 	ls.consec++
 	ls.lastNote = err.Error()
 	tripped := false
-	if ls.consec >= m.opts.BreakerAfter {
+	if ls.consec >= breakerAfter {
 		if ls.brokenAt.IsZero() {
 			tripped = true
 		}
@@ -189,7 +192,7 @@ func (m *Mesh) settle(ls *linkState, err error) {
 	name := ls.link.Name
 	ls.mu.Unlock()
 	if tripped {
-		m.logf("link %s: breaker open after %d consecutive failures: %v", name, m.opts.BreakerAfter, err)
+		m.logf("link %s: breaker open after %d consecutive failures: %v", name, breakerAfter, err)
 	} else {
 		m.logf("link %s: round failed: %v", name, err)
 	}

@@ -24,6 +24,11 @@ import (
 // LogHealth is the log kind for admission/availability events.
 const LogHealth = "health"
 
+// targetLatency anchors the availability index's latency term: a
+// dispatch-latency EWMA at or below it costs nothing, ten times it saturates
+// the term.
+const targetLatency = 25 * time.Millisecond
+
 // admissionState is the server's live load picture. All counters are
 // atomic: the hot path (admit/release around every dispatched request)
 // never takes a lock.
@@ -32,7 +37,6 @@ type admissionState struct {
 	sem       chan struct{}
 	maxActive int
 	admitWait time.Duration
-	targetLat time.Duration
 
 	inflight atomic.Int64
 	queued   atomic.Int64
@@ -68,7 +72,6 @@ const (
 func (a *admissionState) init(opts Options) {
 	a.maxActive = opts.MaxInFlight
 	a.admitWait = opts.AdmitWait
-	a.targetLat = opts.TargetLatency
 	if a.maxActive > 0 {
 		a.sem = make(chan struct{}, a.maxActive)
 	}
@@ -227,8 +230,8 @@ func (s *Server) AvailabilityIndex() int {
 	// Latency expansion factor relative to the target: at or below target
 	// contributes nothing; 10x the target saturates the term.
 	var latFrac float64
-	if ewma := time.Duration(a.ewmaUs.Load()) * time.Microsecond; ewma > a.targetLat {
-		latFrac = float64(ewma-a.targetLat) / float64(9*a.targetLat)
+	if ewma := time.Duration(a.ewmaUs.Load()) * time.Microsecond; ewma > targetLatency {
+		latFrac = float64(ewma-targetLatency) / float64(9*targetLatency)
 	}
 	penalty := 0.45*clamp01(loadFrac) + 0.25*clamp01(queueFrac) + 0.30*clamp01(latFrac)
 	return int(100*(1-clamp01(penalty)) + 0.5)

@@ -46,16 +46,14 @@ func (s *Server) pageBudget(ctx context.Context, clientLimit int) (maxRows, maxB
 	if dl, ok := ctx.Deadline(); ok {
 		// Under ref = 4x the latency target, shrink proportionally: a
 		// request with half of ref left gets at most half a page.
-		if ref := 4 * s.opts.TargetLatency; ref > 0 {
-			rem := time.Until(dl)
-			if rem < ref {
-				pct := int(rem * 100 / ref)
-				if pct < pageBudgetFloorPct {
-					pct = pageBudgetFloorPct
-				}
-				if pct < scale {
-					scale = pct
-				}
+		const ref = 4 * targetLatency
+		if rem := time.Until(dl); rem < ref {
+			pct := int(rem * 100 / ref)
+			if pct < pageBudgetFloorPct {
+				pct = pageBudgetFloorPct
+			}
+			if pct < scale {
+				scale = pct
 			}
 		}
 	}

@@ -207,7 +207,9 @@ func (p *clusterPusher) run() {
 		}
 		if p.closed {
 			p.mu.Unlock()
-			p.disconnect()
+			if p.client != nil {
+				p.client.Close()
+			}
 			return
 		}
 		batch := p.queue
@@ -216,23 +218,19 @@ func (p *clusterPusher) run() {
 		p.mu.Unlock()
 		for i, ev := range batch {
 			if err := p.deliver(ev); err != nil {
-				// One reconnect attempt, then hand the event to the
-				// scheduled replicator (drop).
-				p.disconnect()
-				if err := p.deliver(ev); err != nil {
-					// A dead mate fails every event the same way; drop
-					// the rest of the batch in one sweep (each drop still
-					// signals catch-up) instead of paying a dial timeout
-					// per event, then let the queue rebuild. One log line
-					// covers the sweep.
-					for _, dropped := range batch[i:] {
-						p.drop(dropped)
-					}
-					p.server.logf(LogCluster, "push to %s failed, %d events left to the replicator: %v",
-						p.mateName, len(batch)-i, err)
-					time.Sleep(50 * time.Millisecond)
-					break
+				// The client already spent its one redial. A dead mate
+				// fails every event the same way; hand the rest of the
+				// batch to the scheduled replicator in one sweep (each drop
+				// still signals catch-up) instead of paying a dial timeout
+				// per event, then let the queue rebuild. One log line
+				// covers the sweep.
+				for _, dropped := range batch[i:] {
+					p.drop(dropped)
 				}
+				p.server.logf(LogCluster, "push to %s failed, %d events left to the replicator: %v",
+					p.mateName, len(batch)-i, err)
+				time.Sleep(50 * time.Millisecond)
+				break
 			}
 		}
 		p.mu.Lock()
@@ -241,20 +239,19 @@ func (p *clusterPusher) run() {
 	}
 }
 
-// deliver applies one event on the mate, connecting lazily. The dial uses
-// a fast-fail profile (no internal retries, short timeout): the pusher has
-// its own retry/drop ladder, and a slow inner retry loop would stall
-// Close and Quiesce behind a dead mate.
+// deliver applies one event on the mate, connecting lazily. Reconnecting is
+// the client's business: its loop redials once and re-opens the handles in
+// remotes. The profile fails fast (one retry, short timeouts): past that the
+// event is dropped, and a patient retry loop would stall Close and Quiesce
+// behind a dead mate.
 func (p *clusterPusher) deliver(ev clusterEvent) error {
 	if p.client == nil {
-		c, err := wire.DialOptions(p.mateAddr, p.server.opts.Name, p.server.opts.PeerSecret,
-			wire.Options{MaxRetries: -1, DialTimeout: 2 * time.Second,
-				OpBudget: p.server.opts.PeerOpBudget})
+		c, err := p.server.dialPeer(p.mateName, p.mateAddr, wire.Options{
+			MaxRetries: 1, BackoffBase: 10 * time.Millisecond, DialTimeout: 2 * time.Second})
 		if err != nil {
 			return err
 		}
 		p.client = c
-		p.remotes = make(map[string]*wire.RemoteDB)
 	}
 	rdb, ok := p.remotes[ev.dbPath]
 	if !ok {
@@ -266,15 +263,13 @@ func (p *clusterPusher) deliver(ev clusterEvent) error {
 		p.remotes[ev.dbPath] = rdb
 	}
 	_, err := rdb.Apply([]*nsf.Note{ev.note})
-	return err
-}
-
-func (p *clusterPusher) disconnect() {
-	if p.client != nil {
-		p.client.Close()
-		p.client = nil
-		p.remotes = nil
+	if err != nil {
+		// Open afresh next time: a handle the mate could not re-open after
+		// a redial stays poisoned for as long as that session lives.
+		rdb.Release()
+		delete(p.remotes, ev.dbPath)
 	}
+	return err
 }
 
 // stopCluster shuts the pushers down (called from Close).

@@ -37,6 +37,9 @@ type handleState struct {
 	placeVer uint64
 }
 
+// writeTimeout bounds writing one response frame.
+const writeTimeout = 30 * time.Second
+
 // handleConn runs the request loop for one connection. Reads and writes
 // run under deadlines so a stalled or malicious peer (half-sent frame,
 // unread responses) can never pin the handler goroutine forever. Every
@@ -96,9 +99,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		if resp == nil {
 			return // handler panicked; drop only this connection
 		}
-		if s.opts.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-		}
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		err = wire.WriteFrame(conn, resp.Bytes())
 		resp.Release()
 		if err != nil {

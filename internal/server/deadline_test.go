@@ -3,9 +3,12 @@ package server
 import (
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
+	"repro/internal/dir"
+	"repro/internal/faultnet"
 	"repro/internal/nsf"
 	"repro/internal/wire"
 )
@@ -148,4 +151,33 @@ func TestDeadlineAwareAdmissionShedsDoomedRequests(t *testing.T) {
 	}
 	close(block) // release the parked op before tearing down
 	<-infoDone
+}
+
+// TestMailForwardToStalledPeerReturnsWithinBudget: PeerOpBudget covers every
+// operation the server issues to a peer, mail forwarding and its dial
+// included. The peer here accepts the connection and then stalls (faultnet
+// Stall), which without a budget pins the router task for retries x
+// OpTimeout; with one, the forward comes back as a deadline error.
+func TestMailForwardToStalledPeerReturnsWithinBudget(t *testing.T) {
+	peer, err := New(Options{Name: "spoke", DataDir: t.TempDir(), Directory: dir.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { peer.Close() })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled := peer.Serve(faultnet.New(faultnet.Plan{Seed: 1, StallProb: 1}).Listener(ln))
+
+	const budget = 150 * time.Millisecond
+	s, _ := newHookServer(t, Options{PeerOpBudget: budget, Peers: map[string]string{"spoke": stalled}}, nil)
+	start := time.Now()
+	err = s.forwardMail("spoke", nsf.NewNote(nsf.ClassDocument))
+	if !errors.Is(err, wire.ErrDeadline) {
+		t.Fatalf("forward to a stalled peer returned %v, want a deadline error", err)
+	}
+	if elapsed := time.Since(start); elapsed > budget+time.Second {
+		t.Errorf("forward took %v, the %v peer budget did not bound it", elapsed, budget)
+	}
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/mesh"
@@ -57,17 +56,10 @@ func (ws wireSession) Close() error                          { return ws.c.Close
 func (s *Server) EnableMesh(opts mesh.Options) (*mesh.Mesh, error) {
 	opts.Node = serverNode{s}
 	opts.Dialer = mesh.DialFunc(func(peer string) (mesh.Session, error) {
-		s.mu.Lock()
-		addr, ok := s.opts.Peers[strings.ToLower(peer)]
-		s.mu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("server: no address for peer %s", peer)
-		}
 		// Every op in the replication session carries the peer budget, so a
 		// stalled mate fails the round instead of pinning it; the scheduler's
 		// backoff and breaker then take over.
-		c, err := wire.DialOptions(addr, s.opts.Name, s.opts.PeerSecret,
-			wire.Options{OpBudget: s.opts.PeerOpBudget})
+		c, err := s.dialPeer(peer, "", wire.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -55,9 +55,6 @@ type Options struct {
 	// how long a half-sent frame can stall the handler. 0 uses the 5m
 	// default; negative disables the deadline.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds writing one response frame. 0 uses the 30s
-	// default; negative disables the deadline.
-	WriteTimeout time.Duration
 	// SyncWAL fsyncs every database's WAL on every operation (per-database
 	// store options can also turn this on individually).
 	SyncWAL bool
@@ -81,10 +78,6 @@ type Options struct {
 	// execution slot before being shed. 0 uses 100ms; negative sheds
 	// immediately once the pool is full.
 	AdmitWait time.Duration
-	// TargetLatency anchors the availability index's latency term: a
-	// dispatch-latency EWMA at or below it costs nothing, ten times it
-	// saturates the term. 0 uses 25ms.
-	TargetLatency time.Duration
 	// MaxPageRows caps rows per bulk-read page (view pages, scan pages,
 	// search pages) when the client does not ask for less. 0 uses 4096.
 	MaxPageRows int
@@ -93,11 +86,12 @@ type Options struct {
 	// approach wire.MaxFrame no matter how wide the rows are. 0 uses 4 MiB.
 	MaxPageBytes int
 	// PeerOpBudget, when > 0, stamps a deadline budget on every operation
-	// this server issues to its peers — mesh replication rounds and
-	// cluster push deliveries — so one stalled peer cannot pin a
-	// replication session or a pusher goroutine indefinitely; the peer
-	// sheds or aborts the op when the budget is spent. 0 disables peer
-	// budgets (seed behaviour).
+	// this server issues to its peers — the dial included — for mesh
+	// replication rounds, cluster push deliveries, ReplicateWith and mail
+	// forwarding, so one stalled peer cannot pin a replication session, a
+	// pusher goroutine or the router task indefinitely; the peer sheds or
+	// aborts the op when the budget is spent. 0 disables peer budgets (seed
+	// behaviour).
 	PeerOpBudget time.Duration
 }
 
@@ -160,12 +154,6 @@ func New(opts Options) (*Server, error) {
 		opts.IdleTimeout = 0
 	}
 	switch {
-	case opts.WriteTimeout == 0:
-		opts.WriteTimeout = 30 * time.Second
-	case opts.WriteTimeout < 0:
-		opts.WriteTimeout = 0
-	}
-	switch {
 	case opts.MaxInFlight == 0:
 		opts.MaxInFlight = 256
 	case opts.MaxInFlight < 0:
@@ -176,9 +164,6 @@ func New(opts Options) (*Server, error) {
 		opts.AdmitWait = 100 * time.Millisecond
 	case opts.AdmitWait < 0:
 		opts.AdmitWait = 0 // shed immediately at saturation
-	}
-	if opts.TargetLatency <= 0 {
-		opts.TargetLatency = 25 * time.Millisecond
 	}
 	if opts.MaxPageRows <= 0 {
 		opts.MaxPageRows = 4096
@@ -324,15 +309,27 @@ func (s *Server) DB(path string) (*core.Database, bool) {
 	return db, ok
 }
 
+// dialPeer opens this server's session on a peer — the one way the server
+// becomes another server's client (mail forwarding, ReplicateWith, cluster
+// push, mesh rounds). An empty addr is looked up by name in the Peers map.
+// It authenticates as the server and puts PeerOpBudget on every operation of
+// the session, the dial included.
+func (s *Server) dialPeer(name, addr string, opts wire.Options) (*wire.Client, error) {
+	if addr == "" {
+		s.mu.Lock()
+		addr = s.opts.Peers[strings.ToLower(name)]
+		s.mu.Unlock()
+		if addr == "" {
+			return nil, fmt.Errorf("server: no address for peer %s", name)
+		}
+	}
+	opts.OpBudget = s.opts.PeerOpBudget
+	return wire.DialOptions(addr, s.opts.Name, s.opts.PeerSecret, opts)
+}
+
 // forwardMail ships a message to a peer server's mail.box over the wire.
 func (s *Server) forwardMail(serverName string, msg *nsf.Note) error {
-	s.mu.Lock()
-	addr, ok := s.opts.Peers[strings.ToLower(serverName)]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("server: no address for peer %s", serverName)
-	}
-	c, err := wire.Dial(addr, s.opts.Name, s.opts.PeerSecret)
+	c, err := s.dialPeer(serverName, "", wire.Options{})
 	if err != nil {
 		return err
 	}
@@ -347,7 +344,7 @@ func (s *Server) ReplicateWith(peerName, addr, dbPath string, opts repl.Options)
 	if err != nil {
 		return repl.Stats{}, err
 	}
-	c, err := wire.Dial(addr, s.opts.Name, s.opts.PeerSecret)
+	c, err := s.dialPeer(peerName, addr, wire.Options{})
 	if err != nil {
 		return repl.Stats{}, err
 	}

@@ -6,11 +6,10 @@ import (
 	"repro/internal/nsf"
 )
 
-// defaultNoteCacheCap bounds the decoded-note cache when Options leave it
-// unset. At a few hundred bytes per typical summary note this is a couple
-// of MB — small next to the page pool, large enough to keep a working set
-// of hot documents decoded.
-const defaultNoteCacheCap = 4096
+// noteCacheCap bounds the decoded-note cache in entries. At a few hundred
+// bytes per typical summary note this is a couple of MB — small next to the
+// page pool, large enough to keep a working set of hot documents decoded.
+const noteCacheCap = 4096
 
 // noteCache caches decoded notes keyed by their heap RecordID, with a
 // UNID → RecordID hint so the hottest read (GetByUNID) can skip both
@@ -31,28 +30,16 @@ const defaultNoteCacheCap = 4096
 //     instance itself and is reserved for the write path, which only
 //     inspects it under the exclusive store latch and must not retain or
 //     mutate it.
-//   - All methods are nil-receiver safe; a nil *noteCache is a disabled
-//     cache.
 type noteCache struct {
 	mu     sync.Mutex
-	cap    int
 	notes  map[RecordID]*nsf.Note
 	byUNID map[nsf.UNID]RecordID
 	hits   uint64
 	misses uint64
 }
 
-// newNoteCache sizes a cache from the Options knob: 0 means the default
-// capacity, negative disables caching entirely (returns nil).
-func newNoteCache(capEntries int) *noteCache {
-	if capEntries < 0 {
-		return nil
-	}
-	if capEntries == 0 {
-		capEntries = defaultNoteCacheCap
-	}
+func newNoteCache() *noteCache {
 	return &noteCache{
-		cap:    capEntries,
 		notes:  make(map[RecordID]*nsf.Note),
 		byUNID: make(map[nsf.UNID]RecordID),
 	}
@@ -60,9 +47,6 @@ func newNoteCache(capEntries int) *noteCache {
 
 // get returns a copy of the cached note at rid.
 func (c *noteCache) get(rid RecordID) (*nsf.Note, bool) {
-	if c == nil {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n, ok := c.notes[rid]
@@ -77,9 +61,6 @@ func (c *noteCache) get(rid RecordID) (*nsf.Note, bool) {
 // getByUNID returns a copy of the cached note for unid, using the hint map
 // to skip the index descent entirely.
 func (c *noteCache) getByUNID(unid nsf.UNID) (*nsf.Note, bool) {
-	if c == nil {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rid, ok := c.byUNID[unid]
@@ -103,24 +84,18 @@ func (c *noteCache) getByUNID(unid nsf.UNID) (*nsf.Note, bool) {
 // only: the caller holds the exclusive store latch, reads a field or two,
 // and does not retain the pointer.
 func (c *noteCache) peek(rid RecordID) *nsf.Note {
-	if c == nil {
-		return nil
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.notes[rid]
 }
 
 // add stores n (the cache takes ownership) and returns a copy for the
-// caller to hand out. With the cache disabled it returns n unchanged.
+// caller to hand out.
 func (c *noteCache) add(rid RecordID, n *nsf.Note) *nsf.Note {
-	if c == nil {
-		return n
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for evictRID, evictN := range c.notes {
-		if len(c.notes) < c.cap {
+		if len(c.notes) < noteCacheCap {
 			break
 		}
 		delete(c.notes, evictRID)
@@ -135,9 +110,6 @@ func (c *noteCache) add(rid RecordID, n *nsf.Note) *nsf.Note {
 
 // invalidate drops the entry for a freed RecordID (no-op when absent).
 func (c *noteCache) invalidate(rid RecordID) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if n, ok := c.notes[rid]; ok {
@@ -151,9 +123,6 @@ func (c *noteCache) invalidate(rid RecordID) {
 // clear empties the cache — required whenever the RecordID space is
 // recycled wholesale (Compact's file swap, restore).
 func (c *noteCache) clear() {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.notes = make(map[RecordID]*nsf.Note)
@@ -162,9 +131,6 @@ func (c *noteCache) clear() {
 
 // stats reports entry count and hit/miss counters.
 func (c *noteCache) stats() (entries int, hits, misses uint64) {
-	if c == nil {
-		return 0, 0, 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.notes), c.hits, c.misses

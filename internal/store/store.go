@@ -58,9 +58,6 @@ type Options struct {
 	// in-place updates that do not grow the file still work). Zero means
 	// unlimited.
 	QuotaBytes int64
-	// NoteCacheCap bounds the decoded-note cache in entries. Zero means the
-	// default (4096); negative disables the cache.
-	NoteCacheCap int
 }
 
 // Store is a persistent note store: the storage half of an NSF database.
@@ -136,7 +133,7 @@ func Open(path string, opts Options) (*Store, error) {
 	if opts.GroupCommitWindow > 0 {
 		s.gc = newCommitGroup(w, opts.SyncWAL, opts.GroupCommitWindow)
 	}
-	s.cache = newNoteCache(opts.NoteCacheCap)
+	s.cache = newNoteCache()
 	s.byID = &btree{pg: pg, slot: rootSlotByID}
 	s.byUNID = &btree{pg: pg, slot: rootSlotByUNID}
 	s.byMod = &btree{pg: pg, slot: rootSlotByMod}

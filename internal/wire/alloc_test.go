@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"net"
 	"testing"
 
 	"repro/internal/nsf"
@@ -61,5 +62,48 @@ func BenchmarkEncResponse(b *testing.B) {
 		e := NewResp(OpGetNote, StatusOK).Note(n)
 		_ = e.Bytes()
 		e.Release()
+	}
+}
+
+// TestFailoverGetAllocs pins the whole client path of a point read through
+// a failover session — codec, attempt loop, routing policy, frame I/O and
+// note decode, plus the scripted mate's own frame read — at the 12 the
+// two-loop client measured in this rig. AllocsPerRun counts process-wide,
+// which is why the mate's allocation is in the figure.
+func TestFailoverGetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector adds bookkeeping allocations")
+	}
+	n := nsf.NewNote(nsf.ClassDocument)
+	n.SetText("Subject", "steady state")
+	resp := NewResp(OpGetNote, StatusOK).Note(n).Bytes()
+	addr := scriptServer(t, func(conn net.Conn, _ int, payload []byte) bool {
+		switch Op(payload[0]) {
+		case OpOpenDB:
+			return openOK(conn, payload)
+		case OpGetNote:
+			return WriteFrame(conn, resp) == nil
+		}
+		return WriteFrame(conn, NewResp(Op(payload[0]), StatusError).Str("no").Bytes()) == nil
+	})
+	fc, err := DialFailover([]string{addr}, "u", "s", failoverTestOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	db, err := fc.OpenDB("x.nsf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func() {
+		if _, err := db.Get(n.OID.UNID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		get()
+	}
+	if avg := testing.AllocsPerRun(200, get); avg > 12 {
+		t.Errorf("FailoverDB.Get allocates %.1f times per call, want at most 12", avg)
 	}
 }

@@ -49,49 +49,26 @@ func (s session) Availability() (AvailabilityInfo, error) {
 	return info, d.Err()
 }
 
-// probe is the one-shot pre-auth transport: each round trip dials addr,
-// sends one unauthenticated request, reads one response, and closes, the
-// whole exchange bounded by timeout (<= 0 uses DefaultProbeTimeout). Only
-// ops the table marks PreAuth can travel this way. A nil dialer dials plain
-// TCP — failover clients pass their fault-injection dialer so probes see
-// the same network the session does.
-type probe struct {
-	addr    string
-	dialer  func(network, addr string) (net.Conn, error)
-	timeout time.Duration
-}
-
-func (p probe) roundTrip(_ *RemoteDB, req *Enc) (*Dec, error) {
-	op := req.op()
-	if !op.Info().PreAuth {
-		return nil, protoErrorf("%v needs a session; it cannot be probed", op)
-	}
-	timeout, dial := p.timeout, p.dialer
+// probe returns a one-shot pre-auth session on addr: its first request
+// dials, and with no hello sent only the ops the table marks PreAuth are
+// answered. It is the ordinary client with no retries, and dial and
+// exchange each bounded by timeout (<= 0 uses DefaultProbeTimeout); the
+// caller closes it. A nil dialer dials plain TCP — failover clients pass
+// their fault-injection dialer so probes see the same network the session
+// does.
+func probe(addr string, dialer func(network, addr string) (net.Conn, error), timeout time.Duration) *Client {
 	if timeout <= 0 {
 		timeout = DefaultProbeTimeout
 	}
-	if dial == nil {
-		dial = func(network, addr string) (net.Conn, error) {
-			return net.DialTimeout(network, addr, timeout)
-		}
-	}
-	conn, err := dial("tcp", p.addr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	payload, err := exchange(conn, req, 0)
-	if err != nil {
-		return nil, err
-	}
-	return openResponse(op, payload)
+	c := newClient(fixedRoute(addr), "", "", Options{DialTimeout: timeout, OpTimeout: timeout, Dialer: dialer})
+	c.preAuth = true
+	return c
 }
-
-func (p probe) forget(*RemoteDB) {}
 
 // ProbeAvailability performs a one-shot, unauthenticated health probe: it
 // dials addr, issues OpAvailability, and closes (see probe).
 func ProbeAvailability(addr string, dialer func(network, addr string) (net.Conn, error), timeout time.Duration) (AvailabilityInfo, error) {
-	return session{probe{addr, dialer, timeout}}.Availability()
+	c := probe(addr, dialer, timeout)
+	defer c.Close()
+	return c.Availability()
 }

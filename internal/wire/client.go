@@ -23,10 +23,10 @@ const ProtocolVersion = 2
 
 // transport carries an encoded request to a server and brings the response
 // body back. The codecs (RemoteDB for database ops, session for server ops)
-// are written once against it; a transport only decides how the bytes
-// travel: *Client retries against one server, *FailoverClient switches
-// cluster mates, probe is a one-shot pre-auth exchange. Whether a request
-// may be re-sent comes from the op table, never from the caller.
+// are written once against it. *Client is the one attempt loop; a
+// *FailoverClient puts hedged reads in front of its Client's loop and is
+// otherwise a routing policy that loop consults (see route). Whether a
+// request may be re-sent comes from the op table, never from the caller.
 type transport interface {
 	// roundTrip sends req and returns the body of its StatusOK response.
 	// A non-nil db is the handle the request addresses: its current
@@ -112,39 +112,77 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// route is the routing policy the attempt loop consults: which address gets
+// the next turn, and whether an address whose turn is spent leaves the
+// operation somewhere else to go. The loop itself — dial, hello, re-open
+// handles, exchange, classify, re-send in place — is the same whatever the
+// policy. fixedRoute (a stand-alone server) always answers its one address
+// and never learns another; *FailoverClient answers from its mate list,
+// breakers and placement cache. Every method runs under the Client lock.
+type route interface {
+	// connect starts a turn: it gives c a live session (through
+	// c.dialLocked) on the best address for an op on db; db is nil for
+	// server-level ops. On failure c.addr is the address still worth
+	// redialing in place, or empty.
+	connect(c *Client, db *RemoteDB) error
+	// placed vets opening db on the connected address. A policy that knows
+	// the database is homed elsewhere answers with the redirect the server
+	// would send, saving the round trip.
+	placed(c *Client, db *RemoteDB) error
+	// served records that an operation completed on the connected address.
+	served()
+	// failed ends the connected address's turn — once per turn, however many
+	// attempts it had: it folds the last verdict into the policy and reports
+	// whether a re-send should go to another address; hops counts the moves
+	// this operation has already made.
+	failed(v verdict, err error, hops int) (elsewhere bool)
+}
+
+// fixedRoute is the one-address policy of a bare Client.
+type fixedRoute string
+
+func (a fixedRoute) connect(c *Client, _ *RemoteDB) error { return c.dialLocked(string(a), false) }
+func (fixedRoute) placed(*Client, *RemoteDB) error        { return nil }
+func (fixedRoute) served()                                {}
+func (fixedRoute) failed(verdict, error, int) bool        { return false }
+
 // Client is an authenticated connection to a server. Requests are
 // serialized; one Client supports concurrent callers. The client survives
 // transport faults: every operation runs under a deadline, retryable
 // failures of idempotent operations are retried with exponential backoff,
 // and a broken connection is transparently redialed, re-authenticated, and
-// its RemoteDB handles re-opened.
+// its RemoteDB handles re-opened — on the same server, or on whichever
+// cluster mate its routing policy names.
 type Client struct {
 	session
 
 	mu     sync.Mutex
 	opts   Options
-	addr   string
+	route  route
 	user   string
 	secret string
+	// preAuth marks a one-shot probe session: no hello is sent, so only the
+	// ops the table marks PreAuth are answered.
+	preAuth bool
 
+	// conn is the live session (nil: the next attempt dials) and addr the
+	// address holding the turn: where conn was dialed, or tried to be.
 	conn   net.Conn
-	broken bool
+	addr   string
 	closed bool
-	// dbs are the live remote handles to rebind after a reconnect.
+	// dbs are the live remote handles to re-open on every new session.
 	dbs map[*RemoteDB]struct{}
 
-	// opDeadline is the absolute deadline of the operation in flight (zero:
-	// none). It is stamped by whoever owns the budget — roundTrip from
-	// Options.OpBudget, or a FailoverClient spreading one user budget across
-	// mates via setOpDeadline — and every retry, backoff sleep, and wire
-	// envelope shrinks against it.
-	opDeadline time.Time
+	// deadline is the absolute deadline of the operation holding mu (zero:
+	// none). do sets and clears it; every retry, backoff sleep, reconnect
+	// and wire envelope of that operation shrinks against it.
+	deadline time.Time
 
 	// abandoned and liveConn support CancelInflight: severing an in-flight
 	// round trip from OUTSIDE the client lock (the lock is held for the
 	// whole op, so a hedge that won elsewhere could never take it).
 	abandoned atomic.Bool
-	liveConn  atomic.Value // connBox
+	liveConn  atomic.Pointer[net.Conn]
 }
 
 // Dial connects and authenticates with default fault-tolerance options.
@@ -156,26 +194,18 @@ func Dial(addr, user, secret string) (*Client, error) {
 // initial dial itself is retried like any idempotent operation, so a
 // server momentarily restarting does not fail the caller.
 func DialOptions(addr, user, secret string, opts Options) (*Client, error) {
-	c := &Client{
-		opts:   opts.withDefaults(),
-		addr:   addr,
-		user:   user,
-		secret: secret,
-		dbs:    make(map[*RemoteDB]struct{}),
+	c := newClient(fixedRoute(addr), user, secret, opts.withDefaults())
+	if _, err := c.do(nil, nil, time.Time{}); err != nil {
+		return nil, err
 	}
+	return c, nil
+}
+
+// newClient builds a client that dials on its first operation.
+func newClient(r route, user, secret string, opts Options) *Client {
+	c := &Client{opts: opts, route: r, user: user, secret: secret, dbs: make(map[*RemoteDB]struct{})}
 	c.session = session{c}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var err error
-	for attempt := 0; ; attempt++ {
-		if err = c.reconnectLocked(); err == nil {
-			return c, nil
-		}
-		if !Retryable(err) || attempt >= c.opts.MaxRetries {
-			return nil, err
-		}
-		c.backoffLocked(attempt)
-	}
+	return c
 }
 
 // Close terminates the connection.
@@ -194,20 +224,6 @@ func (c *Client) Close() error {
 // User returns the authenticated user name.
 func (c *Client) User() string { return c.user }
 
-// connBox wraps the live connection for atomic.Value (which cannot hold a
-// bare nil interface).
-type connBox struct{ conn net.Conn }
-
-// setOpDeadline adopts an absolute deadline for the next operations on
-// this client. A failover client uses it to spread ONE user budget across
-// mates: the deadline is set before each hop, so each hop's wire envelope
-// carries only what remains. Zero clears it.
-func (c *Client) setOpDeadline(t time.Time) {
-	c.mu.Lock()
-	c.opDeadline = t
-	c.mu.Unlock()
-}
-
 // CancelInflight severs whatever round trip this client currently has in
 // flight, without taking the client lock (the in-flight op holds it). The
 // op fails with ErrAbandoned — a result nobody is waiting for anymore —
@@ -215,28 +231,27 @@ func (c *Client) setOpDeadline(t time.Time) {
 // is how a hedged read cancels the loser.
 func (c *Client) CancelInflight() {
 	c.abandoned.Store(true)
-	if box, ok := c.liveConn.Load().(connBox); ok && box.conn != nil {
-		box.conn.Close()
+	if conn := c.liveConn.Load(); conn != nil {
+		(*conn).Close()
 	}
 }
 
 // budgetLeftLocked returns the time remaining on the active deadline, or
 // (0, false) when no deadline is set.
 func (c *Client) budgetLeftLocked() (time.Duration, bool) {
-	if c.opDeadline.IsZero() {
+	if c.deadline.IsZero() {
 		return 0, false
 	}
-	return time.Until(c.opDeadline), true
+	return time.Until(c.deadline), true
 }
 
 // breakLocked abandons the current connection: it is closed immediately
-// (never leaked) and the next operation redials.
+// (never leaked) and the next attempt dials.
 func (c *Client) breakLocked() {
 	if c.conn != nil {
 		c.conn.Close()
 		c.conn = nil
 	}
-	c.broken = true
 }
 
 // backoffLocked sleeps the exponential-backoff delay for a retry attempt
@@ -256,23 +271,38 @@ func (c *Client) backoffLocked(attempt int) {
 	time.Sleep(d)
 }
 
-// reconnectLocked dials, authenticates, and re-opens every registered
-// remote handle. On return without error the connection is usable.
-func (c *Client) reconnectLocked() error {
+// dialLocked opens a session on addr: it dials, authenticates, and re-opens
+// every registered remote handle there. On return without error the
+// connection is usable. ownBudget establishes it under a fresh OpBudget
+// instead of the operation's deadline (see FailoverClient.connect).
+func (c *Client) dialLocked(addr string, ownBudget bool) error {
 	c.breakLocked()
+	c.addr = addr
+	if ownBudget && !c.deadline.IsZero() {
+		defer func(op time.Time) { c.deadline = op }(c.deadline)
+		c.deadline = time.Now().Add(c.opts.OpBudget)
+	}
 	dial := c.opts.Dialer
 	if dial == nil {
+		// The budget covers the TCP dial: a blackholed peer costs what is
+		// left of it (spent: the dial times out at once), not DialTimeout.
+		timeout := c.opts.DialTimeout
+		if rem, ok := c.budgetLeftLocked(); ok && rem < timeout {
+			timeout = max(rem, 1)
+		}
 		dial = func(network, addr string) (net.Conn, error) {
-			return net.DialTimeout(network, addr, c.opts.DialTimeout)
+			return net.DialTimeout(network, addr, timeout)
 		}
 	}
-	conn, err := dial("tcp", c.addr)
+	conn, err := dial("tcp", addr)
 	if err != nil {
-		return fmt.Errorf("wire: dial %s: %w", c.addr, err)
+		return fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
 	c.conn = conn
-	c.liveConn.Store(connBox{conn: conn})
-	c.broken = false
+	c.liveConn.Store(&conn)
+	if c.preAuth {
+		return nil
+	}
 	hello := NewEnc(OpHello).U32(ProtocolVersion).Str(c.user).Str(c.secret)
 	_, err = c.doLocked(hello)
 	hello.Release()
@@ -285,10 +315,10 @@ func (c *Client) reconnectLocked() error {
 			var se *ServerError
 			var wme *WrongMateError
 			if errors.As(err, &se) || errors.As(err, &wme) {
-				// The database vanished server-side or moved to another
+				// The database vanished server-side or is homed on another
 				// mate; poison only this handle, the session itself is
-				// healthy. A failover client turns the poisoned redirect
-				// into a re-route on the handle's next use.
+				// healthy. Under a failover policy the poisoned redirect
+				// re-routes the handle's next operation.
 				db.stale = err
 				continue
 			}
@@ -300,7 +330,7 @@ func (c *Client) reconnectLocked() error {
 }
 
 // openLocked issues OpOpenDB for db, rebinds its handle fields, and
-// registers it to be re-opened after every reconnect.
+// registers it to be re-opened on every new session.
 func (c *Client) openLocked(db *RemoteDB) error {
 	req := NewEnc(OpOpenDB).Str(db.path)
 	d, err := c.doLocked(req)
@@ -321,7 +351,7 @@ func (c *Client) openLocked(db *RemoteDB) error {
 
 // doLocked performs one raw round trip on the current connection under the
 // per-operation deadline and decodes the response envelope. Any transport
-// or framing failure leaves the connection closed and marked broken — a
+// or framing failure leaves the connection closed — a
 // half-finished round trip can never be resumed, and an unclosed socket
 // would leak.
 func (c *Client) doLocked(req *Enc) (*Dec, error) {
@@ -345,15 +375,26 @@ func (c *Client) doLocked(req *Enc) (*Dec, error) {
 		if budgetMs == 0 {
 			budgetMs = 1
 		}
-		if bdl := c.opDeadline.Add(deadlineGrace); bdl.Before(connDL) {
+		if bdl := c.deadline.Add(deadlineGrace); bdl.Before(connDL) {
 			connDL = bdl
 		}
 	}
 	c.conn.SetDeadline(connDL)
-	payload, err := exchange(c.conn, req, budgetMs)
+	var payload []byte
+	var err error
+	if budgetMs > 0 {
+		err = WriteBudgetFrame(c.conn, budgetMs, req.Bytes())
+	} else {
+		err = WriteFrame(c.conn, req.Bytes())
+	}
+	if err != nil {
+		err = fmt.Errorf("wire: send: %w", err)
+	} else if payload, err = ReadFrame(c.conn); err != nil {
+		err = fmt.Errorf("wire: receive: %w", err)
+	}
 	if err != nil {
 		c.breakLocked()
-		if _, ok := c.budgetLeftLocked(); ok && !time.Now().Before(c.opDeadline) {
+		if _, ok := c.budgetLeftLocked(); ok && !time.Now().Before(c.deadline) {
 			// The transport fault coincides with budget expiry (typically
 			// our own deadline cutting a stalled read): the request may
 			// have been received and executed, so the outcome is ambiguous.
@@ -377,25 +418,6 @@ func (c *Client) doLocked(req *Enc) (*Dec, error) {
 // arrive (it says whether the op ran), short enough that a truly stalled
 // mate still fails promptly.
 const deadlineGrace = 100 * time.Millisecond
-
-// exchange writes one request frame (inside a budget envelope when
-// budgetMs > 0) and reads one response frame.
-func exchange(conn net.Conn, req *Enc, budgetMs uint32) ([]byte, error) {
-	var werr error
-	if budgetMs > 0 {
-		werr = WriteBudgetFrame(conn, budgetMs, req.Bytes())
-	} else {
-		werr = WriteFrame(conn, req.Bytes())
-	}
-	if werr != nil {
-		return nil, fmt.Errorf("wire: send: %w", werr)
-	}
-	payload, err := ReadFrame(conn)
-	if err != nil {
-		return nil, fmt.Errorf("wire: receive: %w", err)
-	}
-	return payload, nil
-}
 
 // openResponse checks a response envelope against the request's op and
 // turns every status but StatusOK into its typed error. Except for a
@@ -451,60 +473,77 @@ func (c *Client) forget(db *RemoteDB) {
 	c.mu.Unlock()
 }
 
-// open binds db to this client: it is opened now and re-opened after every
-// reconnect until forgotten.
-func (c *Client) open(db *RemoteDB) error {
-	_, err := c.roundTrip(db, nil)
-	return err
+// roundTrip implements transport.
+func (c *Client) roundTrip(db *RemoteDB, req *Enc) (*Dec, error) {
+	return c.do(db, req, time.Time{})
 }
 
-// roundTrip implements transport: one operation against this server, under
-// the client lock, with retry, backoff, and transparent reconnect. A nil
-// req (re)opens db instead of sending a prepared request. What may be
-// re-sent follows from the error's verdict and the op table: a shed request
-// never executed, so any op is re-sent; a round trip that died in flight
-// may have executed, so only idempotent ops are; a failed reconnect sent
-// nothing, so it is retried regardless. Everything else surfaces to the
-// caller.
-func (c *Client) roundTrip(db *RemoteDB, req *Enc) (*Dec, error) {
+// do is the attempt loop, the only one the package has: one operation, under
+// the client lock, against whichever address the routing policy names. A nil
+// req (re)opens db instead of sending a prepared request; with db nil too it
+// only establishes a session. A zero deadline is stamped from
+// Options.OpBudget (when set); a hedged read passes the one deadline both of
+// its racers share. Either way ONE absolute deadline spans every retry,
+// backoff sleep, reconnect and mate switch, and each wire envelope carries
+// only what remains of it.
+//
+// What may be re-sent follows from the error's verdict and the op table: a
+// shed or misrouted request never executed, so any op is re-sent; a round
+// trip that died in flight may have executed, so only idempotent ops are; a
+// failed connect sent nothing, so it is retried regardless. A re-send first
+// stays in place: the same address after a backoff, MaxRetries times. Only
+// when that turn is spent does the policy hear the verdict and say whether
+// another address gets a turn. Everything else surfaces to the caller.
+func (c *Client) do(db *RemoteDB, req *Enc, deadline time.Time) (*Dec, error) {
 	op := OpOpenDB
 	if req != nil {
 		op = req.op()
 	}
-	idempotent := op.Info().Idempotent
+	info := op.Info()
+	if c.preAuth && !info.PreAuth {
+		return nil, fmt.Errorf("wire: %v needs a session; it cannot be probed", op)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Stamp the operation's absolute deadline if this client owns its own
-	// budget and no outer owner (a failover client) stamped one already;
-	// whoever stamps it clears it.
-	if c.opDeadline.IsZero() && c.opts.OpBudget > 0 {
-		c.opDeadline = time.Now().Add(c.opts.OpBudget)
-		defer func() { c.opDeadline = time.Time{} }()
+	if deadline.IsZero() && c.opts.OpBudget > 0 {
+		deadline = time.Now().Add(c.opts.OpBudget)
 	}
+	c.deadline = deadline
+	defer func() { c.deadline = time.Time{} }()
 	// A cancel aimed at a PREVIOUS op (hedge raced our completion) must not
 	// poison this one; in-flight cancels are caught after the attempt below.
 	c.abandoned.Store(false)
-	for attempt := 0; ; attempt++ {
+	var err error
+	for retries, hops := 0, 0; ; {
 		if c.closed {
 			return nil, ErrClosed
 		}
-		if rem, ok := c.budgetLeftLocked(); ok && rem <= 0 && attempt > 0 {
+		if rem, ok := c.budgetLeftLocked(); ok && rem <= 0 && err != nil {
 			// Out of budget between attempts. Every prior attempt ended in
-			// a provably-not-executed state (shed, refused, or a transport
-			// fault on an idempotent op), so this expiry is unambiguous.
-			return nil, &DeadlineError{}
+			// a provably-not-executed state (shed, redirect, refused, or a
+			// transport fault on an idempotent op), so this expiry is
+			// unambiguous.
+			return nil, fmt.Errorf("%w; last attempt: %v", &DeadlineError{Op: op}, err)
 		}
 		var d *Dec
-		var err error
+		err = nil
 		sent := false
-		if c.conn == nil || c.broken {
-			err = c.reconnectLocked()
+		if c.conn == nil {
+			if retries > 0 {
+				err = c.dialLocked(c.addr, false) // in place: the address keeps its turn
+			} else {
+				err = c.route.connect(c, db)
+			}
 		}
 		if err == nil {
 			sent = true
 			switch {
+			case req == nil && db == nil:
+				return nil, nil // a session is all that was asked for
 			case req == nil:
-				err = c.openLocked(db)
+				if err = c.route.placed(c, db); err == nil {
+					err = c.openLocked(db)
+				}
 			case db != nil && db.stale != nil:
 				err = db.stale
 			default:
@@ -515,34 +554,45 @@ func (c *Client) roundTrip(db *RemoteDB, req *Enc) (*Dec, error) {
 			}
 		}
 		if err == nil {
+			c.route.served()
 			return d, nil
 		}
 		if c.abandoned.Swap(false) {
 			// CancelInflight severed this round trip: the caller (a hedged
 			// read that won elsewhere) will discard whatever we return, and
 			// the mate did nothing wrong. Surface the sentinel instead of a
-			// transport fault so failover logic neither retries nor blames.
+			// transport fault so nothing is retried and nobody is blamed.
 			return nil, ErrAbandoned
 		}
-		resend := false
-		switch classify(err) {
-		case verdictShed:
-			resend = true // back off to let the server recover
-		case verdictSevered:
-			resend = idempotent || !sent
+		v := classify(err)
+		resend := v == verdictShed || v == verdictMisrouted ||
+			v == verdictSevered && (info.Idempotent || !sent)
+		if resend && v != verdictMisrouted && c.addr != "" && retries < c.opts.MaxRetries {
+			// In place first: back off to let this server recover. A redirect
+			// is the exception — the same address would only redirect again.
+			c.backoffLocked(retries)
+			retries++
+			continue
 		}
-		if !resend || attempt >= c.opts.MaxRetries {
+		if !c.route.failed(v, err, hops) || !resend {
 			return nil, err
 		}
-		c.backoffLocked(attempt)
+		hops++
+		retries = 0
+		c.breakLocked()
 	}
 }
 
 // OpenDB opens a database by path on the server, returning a remote handle.
 // The handle stays valid across reconnects: it is re-opened automatically.
 func (c *Client) OpenDB(path string) (*RemoteDB, error) {
+	return c.openDB(path, time.Time{})
+}
+
+// openDB is OpenDB under the caller's deadline (zero: the client's own).
+func (c *Client) openDB(path string, deadline time.Time) (*RemoteDB, error) {
 	db := &RemoteDB{t: c, path: path, putKey: nsf.NewUNID().String()}
-	if err := c.open(db); err != nil {
+	if _, err := c.do(db, nil, deadline); err != nil {
 		return nil, err
 	}
 	return db, nil

@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -251,6 +252,37 @@ func TestClientBudgetExpiryPreSend(t *testing.T) {
 	// (500ms) and nowhere near budget x retries.
 	if elapsed := time.Since(start); elapsed > 300*time.Millisecond {
 		t.Errorf("budgeted op took %v, budget did not bound retries", elapsed)
+	}
+}
+
+// TestBudgetBoundsDial: the budget covers connection establishment too. A
+// peer that refuses connections is redialed only until the budget is spent,
+// and the expiry says what the dials died of; a peer that swallows the SYN
+// costs the budget, not DialTimeout x retries.
+func TestBudgetBoundsDial(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := ln.Addr().String()
+	ln.Close()
+	// 192.0.2.0/24 is TEST-NET-1: routed nowhere. Depending on the host the
+	// SYN is dropped (the case under test) or refused at once; both must end
+	// in an expiry inside the budget.
+	for _, addr := range []string{refused, "192.0.2.1:9"} {
+		o := Options{OpBudget: 150 * time.Millisecond, BackoffBase: 40 * time.Millisecond}
+		start := time.Now()
+		_, err := DialOptions(addr, "u", "s", o)
+		var de *DeadlineError
+		if !errors.As(err, &de) || de.Ambiguous || de.Remote {
+			t.Fatalf("dial %s: err = %v, want a local unambiguous expiry", addr, err)
+		}
+		if addr == refused && !strings.Contains(err.Error(), "refused") {
+			t.Errorf("dial %s: expiry %q hides what the dials died of", addr, err)
+		}
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("dial %s took %v with a 150ms budget", addr, elapsed)
+		}
 	}
 }
 

@@ -61,7 +61,7 @@ type HomeAddr struct {
 // error carries the placement generation and home set the server knows, so a
 // failover client can refresh its cache and re-route; like a busy shed,
 // re-sending is safe even for non-idempotent operations. A bare Client does
-// not retry these — routing is the FailoverClient's job.
+// not retry these — its one address would only redirect again.
 type WrongMateError struct {
 	Op   Op
 	Path string
@@ -140,8 +140,8 @@ func protoErrorf(format string, args ...any) error {
 }
 
 // verdict is what a failed round trip proves about the request — the one
-// classification both retry layers (Client on one server, FailoverClient
-// across mates) and Retryable act on.
+// classification the attempt loop (Client.do), its routing policies and
+// Retryable act on.
 type verdict int
 
 const (

@@ -49,8 +49,15 @@ func scriptServer(t *testing.T, script func(conn net.Conn, opNum int, payload []
 			}
 			go func() {
 				defer conn.Close()
-				// Hello exchange: accept anything.
-				if _, err := ReadFrame(conn); err != nil {
+				// Hello exchange: accept anything — except an availability
+				// probe, which (like a real server) is answered pre-auth:
+				// open and idle.
+				first, err := ReadFrame(conn)
+				if err != nil {
+					return
+				}
+				if len(first) > 0 && Op(first[0]) == OpAvailability {
+					WriteFrame(conn, NewResp(OpAvailability, StatusOK).U8(StateOpen).U32(100).U32(0).U32(0).U64(0).Bytes())
 					return
 				}
 				if err := WriteFrame(conn, NewResp(OpHello, StatusOK).Bytes()); err != nil {

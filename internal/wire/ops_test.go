@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"errors"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -72,6 +74,111 @@ func TestFailoverResendsIffIdempotent(t *testing.T) {
 				t.Errorf("%v is not idempotent but was sent %d times", info.Op, a+b)
 			}
 		})
+	}
+}
+
+// TestLoneMateIsABareClient: a stand-alone server is the one-mate case of a
+// cluster. Every op meets the same scripted faults through a bare Client
+// and through a FailoverClient with a single mate; both must reach the same
+// verdict after the same number of sends — what the op table and the fault
+// prescribe, nothing added by the routing policy.
+func TestLoneMateIsABareClient(t *testing.T) {
+	const budget = 150 * time.Millisecond
+	reply := func(conn net.Conn, e *Enc) bool { return WriteFrame(conn, e.Bytes()) == nil }
+	faults := []struct {
+		name   string
+		budget time.Duration
+		// answer is the mate's whole behaviour for the op under test.
+		answer func(conn net.Conn, op Op) bool
+		// want is the verdict, and resent whether sends beyond the first
+		// follow the op table (idempotent ops only) or the fault (all/none).
+		want   verdict
+		resent func(OpInfo) bool
+	}{
+		{"severed mid-op", 0,
+			func(net.Conn, Op) bool { return false },
+			verdictSevered, func(i OpInfo) bool { return i.Idempotent }},
+		{"busy shed", 0,
+			func(conn net.Conn, op Op) bool { return reply(conn, NewResp(op, StatusBusy).U8(StateOpen).U32(55)) },
+			verdictShed, func(OpInfo) bool { return true }},
+		{"wrong-mate redirect", 0,
+			func(conn net.Conn, op Op) bool {
+				return reply(conn, NewResp(op, StatusWrongMate).Str("").U64(0).U32(0).U32(0))
+			},
+			verdictMisrouted, func(OpInfo) bool { return false }},
+		// A shed that arrives after the budget is spent (but inside the
+		// response grace): the re-send is refused before it is sent.
+		{"budget spent pre-send", budget,
+			func(conn net.Conn, op Op) bool {
+				time.Sleep(budget + deadlineGrace/2)
+				return reply(conn, NewResp(op, StatusBusy).U8(StateOpen).U32(55))
+			},
+			verdictExpired, func(OpInfo) bool { return false }},
+		// No answer inside budget + grace: the client cuts the round trip.
+		{"budget spent post-send", budget,
+			func(net.Conn, Op) bool { time.Sleep(budget + 3*deadlineGrace); return false },
+			verdictExpired, func(OpInfo) bool { return false }},
+	}
+	type outcome struct {
+		v                 verdict
+		ambiguous, remote bool
+		sends             int32
+	}
+	// The faults mostly wait out budgets, so the ops run side by side.
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for _, info := range Ops() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, f := range faults {
+				opts := fastOpts()
+				opts.OpBudget = f.budget
+				run := func(dial func(addr string) (session, func() error, error)) outcome {
+					var sends atomic.Int32
+					addr := scriptServer(t, func(conn net.Conn, _ int, payload []byte) bool {
+						_, inner, err := SplitBudget(payload)
+						if err != nil || Op(inner[0]) != info.Op {
+							return false
+						}
+						sends.Add(1)
+						return f.answer(conn, info.Op)
+					})
+					s, closer, err := dial(addr)
+					if err != nil {
+						t.Error(err)
+						return outcome{}
+					}
+					defer closer()
+					_, err = s.call(NewEnc(info.Op))
+					var de *DeadlineError
+					errors.As(err, &de)
+					return outcome{classify(err), de != nil && de.Ambiguous, de != nil && de.Remote, sends.Load()}
+				}
+				bare := run(func(addr string) (session, func() error, error) {
+					c, err := DialOptions(addr, "u", "s", opts)
+					if err != nil {
+						return session{}, nil, err
+					}
+					return c.session, c.Close, nil
+				})
+				lone := run(func(addr string) (session, func() error, error) {
+					fc, err := DialFailover([]string{addr}, "u", "s", FailoverOptions{Client: opts})
+					if err != nil {
+						return session{}, nil, err
+					}
+					return fc.session, fc.Close, nil
+				})
+				want := outcome{v: f.want, ambiguous: f.name == "budget spent post-send", sends: 1}
+				if f.resent(info) {
+					want.sends += int32(opts.MaxRetries)
+				}
+				if bare != want || lone != want {
+					t.Errorf("%v, %s: bare client %+v, lone-mate failover client %+v, want %+v",
+						info.Op, f.name, bare, lone, want)
+				}
+			}
+		}()
 	}
 }
 

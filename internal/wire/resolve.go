@@ -62,6 +62,11 @@ func (s session) resolve(path string) ([]ResolveInfo, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decResolveRecords(d)
+}
+
+// decResolveRecords parses an OpResolve response body.
+func decResolveRecords(d *Dec) ([]ResolveInfo, error) {
 	count := d.U32()
 	// A record is at least a path length, generation, replicas and count.
 	out := make([]ResolveInfo, 0, d.Cap(count, 17))
@@ -91,15 +96,18 @@ func (s session) Resolve(path string) (ResolveInfo, error) {
 func (s session) Placements() ([]ResolveInfo, error) { return s.resolve("") }
 
 // ResolvePlacement performs a one-shot, unauthenticated placement resolve
-// against addr, like ProbeAvailability: dial, ask, close. Failover clients
-// use it to locate a database before (or instead of) opening a session, and
-// operator tooling uses it to inspect routing without credentials.
+// against addr, like ProbeAvailability: dial, ask, close. Operator tooling
+// uses it to inspect routing without credentials.
 func ResolvePlacement(addr, path string, dialer func(network, addr string) (net.Conn, error), timeout time.Duration) (ResolveInfo, error) {
-	return session{probe{addr, dialer, timeout}}.Resolve(path)
+	c := probe(addr, dialer, timeout)
+	defer c.Close()
+	return c.Resolve(path)
 }
 
 // ListPlacements performs a one-shot, unauthenticated listing of every
 // placement record addr knows.
 func ListPlacements(addr string, dialer func(network, addr string) (net.Conn, error), timeout time.Duration) ([]ResolveInfo, error) {
-	return session{probe{addr, dialer, timeout}}.Placements()
+	c := probe(addr, dialer, timeout)
+	defer c.Close()
+	return c.Placements()
 }
