@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race stress fuzz verify bench-test benchmark bench experiment drift loc clean
+.PHONY: all build vet test race stress fuzz verify bench-test benchmark experiment drift loc clean
 
 all: verify
 
@@ -59,15 +59,10 @@ benchmark:
 # included), the race detector, and the concurrency stress pass.
 verify: build vet test bench-test race stress
 
-# Write-path benchmark suite (changefeed: latency vs open consumers).
-bench:
-	$(GO) test -run '^$$' -bench BenchmarkW1 -benchtime 500x .
-
 # Regenerate one experiment's table and, for W1/W3..W10, its section of the
 # committed baseline BENCH_experiments.json (the other sections are left
-# byte-identical; W4's frozen "serialized" rows are carried over). `make
-# experiment` alone runs the whole suite. Commit the file after an
-# intentional change; -quick runs never write it.
+# byte-identical). `make experiment` alone runs the whole suite. Commit the
+# file after an intentional change; -quick runs never write it.
 EXP ?= all
 experiment:
 	$(GO) run ./cmd/experiments -exp $(EXP)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"log"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,18 +17,9 @@ import (
 // The tentpole claim of the RW-latch work: point reads scale past a
 // sustained writer instead of queuing behind it, and a full scan no longer
 // holds the store latch across its callback, so writers are never stalled
-// for a whole scan. The baseline it is compared against — the seed's
-// single-semaphore discipline (exclusive latch for reads, latch-held scans,
-// no note cache) — no longer exists in the store: its "serialized" rows in
-// the baseline file are frozen measurements (see EXPERIMENTS.md W4) that
-// this experiment carries over untouched.
-
-// Mode labels of the W4 rows: the store's one latching discipline, and the
-// frozen baseline it replaced.
-const (
-	w4Live   = "rw+cache"
-	w4Frozen = "serialized"
-)
+// for a whole scan. The rows are named after the store's latching
+// discipline (RW latch + decoded-note cache, "rw+cache"); EXPERIMENTS.md W4
+// states what it measured against the single-semaphore store it replaced.
 
 // w4ReadThroughput measures RawGet throughput from `readers` goroutines
 // while one writer continuously updates documents.
@@ -97,15 +87,15 @@ func w4ReadThroughput(docs, readers int, dur time.Duration) row {
 	if total := st.NoteCacheHits + st.NoteCacheMisses; total > 0 {
 		hitRate = float64(st.NoteCacheHits) / float64(total)
 	}
-	return newRow("read-throughput "+w4Live, "docs", docs, "readers", readers,
+	return newRow("read-throughput rw+cache", "docs", docs, "readers", readers,
 		"reads", reads.Load(), "reads_per_sec", float64(reads.Load())/dur.Seconds(),
 		"writer_ops", writerOps.Load(), "cache_hits", st.NoteCacheHits,
 		"cache_misses", st.NoteCacheMisses, "hit_rate", hitRate)
 }
 
 // w4ScanInterference measures Put latency while full scans run
-// back-to-back: the frozen serialized discipline made the writer wait out
-// whole scans (p99 ≈ scan length); snapshot scans keep it µs-scale.
+// back-to-back: snapshot scans never hold the latch across the callback,
+// so the writer does not wait out whole scans.
 func w4ScanInterference(docs, puts int) row {
 	db := tempDB("w4b", domino.NewReplicaID())
 	defer db.Close()
@@ -148,7 +138,7 @@ func w4ScanInterference(docs, puts int) row {
 	if n := scans.Load(); n > 0 {
 		scanAvgMs = float64(scanNanos.Load()) / float64(n) / 1e6
 	}
-	return newRow("scan-interference "+w4Live, "docs", docs, "writer_ops", puts,
+	return newRow("scan-interference rw+cache", "docs", docs, "writer_ops", puts,
 		"put_p50_us", usf(lat.pct(0.50)), "put_p99_us", usf(lat.pct(0.99)), "scan_avg_ms", scanAvgMs)
 }
 
@@ -161,31 +151,17 @@ func runW4(quick bool) {
 	readers := 4
 	dur := time.Duration(pick(quick, 2000, 400)) * time.Millisecond
 	ra := w4ReadThroughput(docs, readers, dur)
-	ta := newTable("mode", "readers", "reads/s", "writer ops", "cache hit rate")
-	ta.add(w4Live, readers, fmt.Sprintf("%.0f", ra.M["reads_per_sec"]), int(ra.M["writer_ops"]),
+	ta := newTable("readers", "reads/s", "writer ops", "cache hit rate")
+	ta.add(readers, fmt.Sprintf("%.0f", ra.M["reads_per_sec"]), int(ra.M["writer_ops"]),
 		fmt.Sprintf("%.1f%%", 100*ra.M["hit_rate"]))
 	fmt.Println("  Phase A: point-read throughput under a sustained writer")
 	ta.print()
 
 	rb := w4ScanInterference(docs, pick(quick, 2000, 300))
-	tb := newTable("mode", "put p50 µs", "put p99 µs", "avg scan ms")
-	tb.add(w4Live, fmt.Sprintf("%.1f", rb.M["put_p50_us"]), fmt.Sprintf("%.1f", rb.M["put_p99_us"]),
+	tb := newTable("put p50 µs", "put p99 µs", "avg scan ms")
+	tb.add(fmt.Sprintf("%.1f", rb.M["put_p50_us"]), fmt.Sprintf("%.1f", rb.M["put_p99_us"]),
 		fmt.Sprintf("%.2f", rb.M["scan_avg_ms"]))
 	fmt.Println("  Phase B: Put latency while full scans run back-to-back")
 	tb.print()
-	fmt.Println("  (frozen serialized baseline: EXPERIMENTS.md W4 — put p99 ≈ scan length there, µs-scale here)")
-
-	// The frozen baseline rows stay in the file; only the live ones are
-	// replaced.
-	committed, err := baselineSection("W4")
-	if err != nil {
-		log.Fatal(err)
-	}
-	var rows []row
-	for _, r := range committed {
-		if strings.HasSuffix(r.Name, w4Frozen) {
-			rows = append(rows, r)
-		}
-	}
-	saveBaseline("W4", quick, append(rows, ra, rb))
+	saveBaseline("W4", quick, []row{ra, rb})
 }

@@ -567,9 +567,9 @@ func (db *Database) RawDelete(unid nsf.UNID) error {
 	return c.Wait()
 }
 
-// ScanModifiedSince exposes the replication scan: all notes (stubs
-// included) modified after since, in modification order.
-func (db *Database) ScanModifiedSince(since nsf.Timestamp, fn func(*nsf.Note) bool) error {
+// ScanModifiedSince exposes the replication scan (stubs included) and
+// returns the next scan's cursor; see store.Store.ScanModifiedSince.
+func (db *Database) ScanModifiedSince(since nsf.Timestamp, fn func(*nsf.Note) bool) (nsf.Timestamp, error) {
 	return db.st.ScanModifiedSince(since, fn)
 }
 

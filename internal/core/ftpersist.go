@@ -90,7 +90,7 @@ func (db *Database) loadFullText() (*ft.Index, error) {
 		}
 	}
 	// Catch up on everything modified since the snapshot.
-	err = db.st.ScanModifiedSince(cursor, func(n *nsf.Note) bool {
+	_, err = db.st.ScanModifiedSince(cursor, func(n *nsf.Note) bool {
 		ix.Update(n)
 		return true
 	})

@@ -31,12 +31,9 @@ func (p *LocalPeer) Summaries(since nsf.Timestamp, formulaSrc string) ([]Summary
 	if err != nil {
 		return nil, 0, err
 	}
-	// Take the cursor before scanning: a write that lands mid-scan may be
-	// transferred twice, but never missed.
-	now := p.DB.Clock().Now()
 	var out []Summary
 	var evalErr error
-	err = p.DB.ScanModifiedSince(since, func(n *nsf.Note) bool {
+	next, err := p.DB.ScanModifiedSince(since, func(n *nsf.Note) bool {
 		if n.Class == nsf.ClassReplFormula {
 			return true
 		}
@@ -60,7 +57,7 @@ func (p *LocalPeer) Summaries(since nsf.Timestamp, formulaSrc string) ([]Summary
 	if evalErr != nil {
 		return nil, 0, evalErr
 	}
-	return out, now, nil
+	return out, next, nil
 }
 
 // Fetch implements Peer.

@@ -113,8 +113,10 @@ type Peer interface {
 	ReplicaID() (nsf.ReplicaID, error)
 	// Summaries lists version summaries of notes modified after since (in
 	// the peer's clock), filtered by the optional selective-replication
-	// formula source (stubs always pass). It also returns the peer's
-	// current clock reading, which the caller persists as the next cursor.
+	// formula source (stubs always pass). It also returns the cursor the
+	// caller persists for the next call: the highest modification stamp
+	// the scan saw (since when it saw none), never a clock reading, which
+	// could be past a version not yet indexed.
 	Summaries(since nsf.Timestamp, formulaSrc string) ([]Summary, nsf.Timestamp, error)
 	// Fetch returns the full notes for the given UNIDs; missing ones are
 	// silently omitted.

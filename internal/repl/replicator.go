@@ -59,8 +59,8 @@ func (o Options) batchSize() int {
 // note of class ClassReplFormula, which never replicates (cursors are
 // meaningful only to this instance).
 type history struct {
-	LastPull nsf.Timestamp // peer clock at the end of the last pull
-	LastPush nsf.Timestamp // local clock at the end of the last push
+	LastPull nsf.Timestamp // peer's scan cursor after the last pull
+	LastPush nsf.Timestamp // local scan cursor after the last push
 }
 
 func historyUNID(peerName string) nsf.UNID {
@@ -166,11 +166,11 @@ func Replicate(local *core.Database, peer Peer, opts Options) (Stats, error) {
 		h = history{}
 	}
 	if !opts.PushOnly {
-		peerNow, err := pull(local, peer, &stats, h.LastPull, opts)
+		peerNext, err := pull(local, peer, &stats, h.LastPull, opts)
 		if err != nil {
 			return stats, err
 		}
-		h.LastPull = peerNow
+		h.LastPull = peerNext
 		// Persist the pull cursor now: a failure in the push phase must
 		// not force the next session to re-pull everything.
 		if !opts.Full {
@@ -180,11 +180,11 @@ func Replicate(local *core.Database, peer Peer, opts Options) (Stats, error) {
 		}
 	}
 	if !opts.PullOnly {
-		localNow, err := push(local, peer, &stats, h.LastPush, opts)
+		localNext, err := push(local, peer, &stats, h.LastPush, opts)
 		if err != nil {
 			return stats, err
 		}
-		h.LastPush = localNow
+		h.LastPush = localNext
 		if !opts.Full {
 			if err := saveHistory(local, opts.PeerName, h); err != nil {
 				return stats, err
@@ -202,7 +202,7 @@ func Replicate(local *core.Database, peer Peer, opts Options) (Stats, error) {
 // stored note on the source at all (the source holds the live version the
 // link withholds).
 func pull(local *core.Database, peer Peer, stats *Stats, since nsf.Timestamp, opts Options) (nsf.Timestamp, error) {
-	sums, peerNow, err := peer.Summaries(since, opts.Formula)
+	sums, peerNext, err := peer.Summaries(since, opts.Formula)
 	if err != nil {
 		return 0, err
 	}
@@ -274,7 +274,7 @@ func pull(local *core.Database, peer Peer, stats *Stats, since nsf.Timestamp, op
 			stats.Pull.Add(st)
 		}
 	}
-	return peerNow, nil
+	return peerNext, nil
 }
 
 // push sends local changes since the cursor for the peer to apply.
@@ -286,10 +286,9 @@ func push(local *core.Database, peer Peer, stats *Stats, since nsf.Timestamp, op
 	if err != nil {
 		return 0, err
 	}
-	localNow := local.Clock().Now()
 	var batch []*nsf.Note
 	var evalErr error
-	err = local.ScanModifiedSince(since, func(n *nsf.Note) bool {
+	next, err := local.ScanModifiedSince(since, func(n *nsf.Note) bool {
 		if n.Class == nsf.ClassReplFormula {
 			return true
 		}
@@ -332,7 +331,7 @@ func push(local *core.Database, peer Peer, stats *Stats, since nsf.Timestamp, op
 		}
 		stats.Push.Add(st)
 	}
-	return localNow, nil
+	return next, nil
 }
 
 // FullCopy is the naive baseline: it transfers the peer's complete note

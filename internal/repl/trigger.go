@@ -82,20 +82,6 @@ func (t *ChangeTrigger) fire() {
 // scheduled interval.
 func (t *ChangeTrigger) C() <-chan struct{} { return t.c }
 
-// Kick requests an immediate firing, bypassing the debounce window. It is
-// the hook for external "replicate now" signals — e.g. a cluster pusher
-// that dropped an event hands the change to the scheduled replicator by
-// kicking its trigger, so catch-up starts at once instead of waiting out
-// the polling interval.
-func (t *ChangeTrigger) Kick() {
-	t.mu.Lock()
-	stopped := t.stopped
-	t.mu.Unlock()
-	if !stopped {
-		t.fire()
-	}
-}
-
 // Stop cancels any pending debounce timer, silences future firings, and
 // unsubscribes from the database's changefeed, so a stopped trigger (a
 // removed mesh link, a finished replication job) leaves no dead cursor

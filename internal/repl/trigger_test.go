@@ -93,20 +93,6 @@ func TestChangeTriggerIgnoresReplicationBookkeeping(t *testing.T) {
 	expectQuiet(t, db, tr, "history save retriggered replication")
 }
 
-// TestChangeTriggerKick: an external "replicate now" signal (e.g. a cluster
-// pusher dropping an event) fires immediately, bypassing the debounce
-// window, and is silenced by Stop like any other source.
-func TestChangeTriggerKick(t *testing.T) {
-	db := openTriggerDB(t)
-	tr := NewChangeTrigger(db, time.Hour) // debounce would swallow any write
-	defer tr.Stop()
-	tr.Kick()
-	expectFire(t, tr, "after an external kick")
-	tr.Stop()
-	tr.Kick()
-	expectQuiet(t, db, tr, "stopped trigger honored a kick")
-}
-
 func TestChangeTriggerStop(t *testing.T) {
 	db := openTriggerDB(t)
 	tr := NewChangeTrigger(db, 0)

@@ -384,14 +384,14 @@ func (c *connState) summaries(ctx context.Context, hs *handleState, d *wire.Dec)
 		return nil, err
 	}
 	peer := &repl.LocalPeer{DB: hs.db}
-	sums, now, err := peer.Summaries(since, formulaSrc)
+	sums, next, err := peer.Summaries(since, formulaSrc)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	resp := wire.NewResp(wire.OpSummaries, wire.StatusOK).U64(uint64(now)).U32(uint32(len(sums)))
+	resp := wire.NewResp(wire.OpSummaries, wire.StatusOK).U64(uint64(next)).U32(uint32(len(sums)))
 	for i, s := range sums {
 		if i%replChunk == replChunk-1 {
 			if err := ctx.Err(); err != nil {

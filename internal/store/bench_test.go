@@ -16,7 +16,7 @@ import (
 
 func benchTree(b *testing.B, n int) *btree {
 	b.Helper()
-	p, err := openPager(filepath.Join(b.TempDir(), "bench.nsf"), nsf.NewReplicaID(), "b", 0, 0)
+	p, err := openPager(filepath.Join(b.TempDir(), "bench.nsf"), nsf.NewReplicaID(), "b", 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func benchTree(b *testing.B, n int) *btree {
 }
 
 func BenchmarkF5BtreeInsert(b *testing.B) {
-	p, err := openPager(filepath.Join(b.TempDir(), "bench.nsf"), nsf.NewReplicaID(), "b", 0, 0)
+	p, err := openPager(filepath.Join(b.TempDir(), "bench.nsf"), nsf.NewReplicaID(), "b", 0)
 	if err != nil {
 		b.Fatal(err)
 	}

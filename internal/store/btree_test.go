@@ -15,7 +15,7 @@ import (
 func testPager(t *testing.T) *pager {
 	t.Helper()
 	dir := t.TempDir()
-	p, err := openPager(filepath.Join(dir, "test.nsf"), nsf.NewReplicaID(), "t", 0, 0)
+	p, err := openPager(filepath.Join(dir, "test.nsf"), nsf.NewReplicaID(), "t", 0)
 	if err != nil {
 		t.Fatalf("openPager: %v", err)
 	}
@@ -253,7 +253,7 @@ func TestBtreeMonotonicChurn(t *testing.T) {
 func TestBtreePersistsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "test.nsf")
-	p, err := openPager(path, nsf.NewReplicaID(), "t", 0, 0)
+	p, err := openPager(path, nsf.NewReplicaID(), "t", 0)
 	if err != nil {
 		t.Fatalf("openPager: %v", err)
 	}
@@ -269,7 +269,7 @@ func TestBtreePersistsAcrossReopen(t *testing.T) {
 	if err := p.close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	p2, err := openPager(path, nsf.ReplicaID{}, "", 0, 0)
+	p2, err := openPager(path, nsf.ReplicaID{}, "", 0)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

@@ -42,7 +42,6 @@ func (s *Store) Compact() (int, error) {
 		Title:           s.pg.title,
 		Created:         s.pg.created,
 		CheckpointEvery: -1,
-		CacheCap:        s.opts.CacheCap,
 	})
 	if err != nil {
 		return 0, err
@@ -119,7 +118,7 @@ func (s *Store) Compact() (int, error) {
 		return 0, err
 	}
 	// Reopen in place.
-	pg, err := openPager(s.path, s.pg.replicaID, s.pg.title, s.pg.created, s.opts.CacheCap)
+	pg, err := openPager(s.path, s.pg.replicaID, s.pg.title, s.pg.created)
 	if err != nil {
 		return 0, err
 	}

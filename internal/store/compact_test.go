@@ -95,7 +95,7 @@ func TestCompactPreservesNoteIDs(t *testing.T) {
 	if _, err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.GetByID(n2.ID)
+	got, err := getByID(s, n2.ID)
 	if err != nil || got.OID.UNID != n2.OID.UNID {
 		t.Errorf("NoteID %d not preserved: %v", n2.ID, err)
 	}

@@ -168,7 +168,7 @@ func TestConcurrentReadersWriters(t *testing.T) {
 					t.Errorf("GetByUNID: %v", err)
 					return
 				}
-				if _, err := s.GetByID(n.ID); err != nil {
+				if _, err := getByID(s, n.ID); err != nil {
 					t.Errorf("GetByID: %v", err)
 					return
 				}
@@ -235,7 +235,7 @@ func TestNoteCacheSemantics(t *testing.T) {
 	if got, err := s.GetByUNID(u); err != nil || got.Text("Subject") != "v2" {
 		t.Fatalf("after update: %v / %q", err, got.Text("Subject"))
 	}
-	if got, err := s.GetByID(n2.ID); err != nil || got.Text("Subject") != "v2" {
+	if got, err := getByID(s, n2.ID); err != nil || got.Text("Subject") != "v2" {
 		t.Fatalf("after update by id: %v / %q", err, got.Text("Subject"))
 	}
 

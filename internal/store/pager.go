@@ -13,8 +13,8 @@ import (
 const (
 	headerMagic   = "NSFGODB1"
 	formatVersion = 1
-	// defaultCacheCap is the default buffer-pool capacity in pages (16 MiB).
-	defaultCacheCap = 4096
+	// cacheCap is the buffer-pool capacity in pages (16 MiB).
+	cacheCap = 4096
 )
 
 // Header page layout (page 0):
@@ -60,10 +60,9 @@ const (
 // point under the exclusive latch), so frames held by an in-progress
 // operation are never invalidated underneath it.
 type pager struct {
-	mu       sync.Mutex
-	f        *os.File
-	pages    map[PageID]*page
-	cacheCap int
+	mu    sync.Mutex
+	f     *os.File
+	pages map[PageID]*page
 	// header state, mirrored from page 0 and written back on flush.
 	pageCount  uint32
 	freeHead   PageID
@@ -80,15 +79,12 @@ type pager struct {
 
 // openPager opens or creates the page file at path. When creating, replica
 // identifies the new database.
-func openPager(path string, replica nsf.ReplicaID, title string, created nsf.Timestamp, cacheCap int) (*pager, error) {
-	if cacheCap <= 0 {
-		cacheCap = defaultCacheCap
-	}
+func openPager(path string, replica nsf.ReplicaID, title string, created nsf.Timestamp) (*pager, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: open page file: %w", err)
 	}
-	p := &pager{f: f, pages: make(map[PageID]*page), cacheCap: cacheCap}
+	p := &pager{f: f, pages: make(map[PageID]*page)}
 	info, err := f.Stat()
 	if err != nil {
 		f.Close()
@@ -275,10 +271,10 @@ func (p *pager) flush() error {
 	// Trim the pool back to capacity now that every frame is clean. No
 	// operation is in flight during a flush (the caller holds the store's
 	// exclusive latch), so dropping frames is safe.
-	if len(p.pages) > p.cacheCap {
+	if len(p.pages) > cacheCap {
 		for id := range p.pages {
 			delete(p.pages, id)
-			if len(p.pages) <= p.cacheCap {
+			if len(p.pages) <= cacheCap {
 				break
 			}
 		}

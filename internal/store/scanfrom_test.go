@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 )
 
 // TestScanFromCursorSemantics pins the resumable-scan primitive the wire
-// bulk-read op pages with: ScanFrom(after) visits exactly the notes with
+// bulk-read op pages with: ScanFromCtx(after) visits exactly the notes with
 // ID > after, in ID order.
 func TestScanFromCursorSemantics(t *testing.T) {
 	s, _ := openTestStore(t, Options{Title: "scanfrom"})
@@ -25,7 +26,7 @@ func TestScanFromCursorSemantics(t *testing.T) {
 
 	collect := func(after nsf.NoteID) []nsf.NoteID {
 		var got []nsf.NoteID
-		if err := s.ScanFrom(after, func(n *nsf.Note) bool {
+		if err := s.ScanFromCtx(context.Background(), after, func(n *nsf.Note) bool {
 			got = append(got, n.ID)
 			return true
 		}); err != nil {
@@ -60,7 +61,7 @@ func TestScanFromCursorSemantics(t *testing.T) {
 	cursor := nsf.NoteID(0)
 	for {
 		n := 0
-		if err := s.ScanFrom(cursor, func(note *nsf.Note) bool {
+		if err := s.ScanFromCtx(context.Background(), cursor, func(note *nsf.Note) bool {
 			if seen[note.ID] {
 				t.Fatalf("note %d delivered twice", note.ID)
 			}

@@ -45,8 +45,6 @@ type Options struct {
 	// logged operations. Zero means the default (8192); negative disables
 	// automatic checkpoints.
 	CheckpointEvery int
-	// CacheCap bounds the buffer pool in pages (0 = default).
-	CacheCap int
 	// ArchiveDir, when non-empty, turns on log archiving: at every
 	// checkpoint the sealed WAL contents are rotated into this directory as
 	// a CRC-framed segment file instead of being discarded, preserving the
@@ -64,8 +62,8 @@ type Options struct {
 // All methods are safe for concurrent use.
 //
 // Latching discipline: mu is a reader/writer latch. Point reads (GetByUNID,
-// GetByID, Exists, Count, metadata, Stats, Verify) take the read latch and
-// run concurrently with each other; mutations (Put, Delete, Checkpoint,
+// Exists, Count, metadata, Stats, Verify) take the read latch and run
+// concurrently with each other; mutations (Put, Delete, Checkpoint,
 // Compact, Close) take the exclusive latch. The pager's buffer pool and the
 // heap's free-space map carry their own internal latches so concurrent
 // readers can fault pages in safely. ScanAll and ScanModifiedSince are
@@ -120,7 +118,7 @@ func Open(path string, opts Options) (*Store, error) {
 	if opts.CheckpointEvery == 0 {
 		opts.CheckpointEvery = 8192
 	}
-	pg, err := openPager(path, replica, opts.Title, opts.Created, opts.CacheCap)
+	pg, err := openPager(path, replica, opts.Title, opts.Created)
 	if err != nil {
 		return nil, err
 	}
@@ -538,13 +536,6 @@ func (s *Store) GetByUNID(unid nsf.UNID) (*nsf.Note, error) {
 	return s.getByIDLocked(nsf.NoteID(binary.BigEndian.Uint32(v)), true)
 }
 
-// GetByID returns the note with the given per-replica NoteID.
-func (s *Store) GetByID(id nsf.NoteID) (*nsf.Note, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.getByIDLocked(id, true)
-}
-
 // getByIDLocked loads a note by NoteID. The caller holds the store latch
 // (read or exclusive).
 func (s *Store) getByIDLocked(id nsf.NoteID, admit bool) (*nsf.Note, error) {
@@ -592,19 +583,29 @@ const scanBatch = 256
 // the duration of the scan. Notes deleted while the scan is in flight are
 // skipped; notes modified while it is in flight may be observed in either
 // version.
-func (s *Store) ScanModifiedSince(since nsf.Timestamp, fn func(*nsf.Note) bool) error {
+//
+// It returns the cursor for the next incremental scan: the highest
+// modification stamp in the snapshot, or since when the snapshot is empty.
+// Writers stamp Modified and index the note inside one commit section, so
+// every note indexed after the snapshot carries a higher stamp than any in
+// it, and a scan from the returned cursor cannot miss it. A clock reading
+// taken beside the scan can: it may already be past a stamp whose note is
+// not indexed yet.
+func (s *Store) ScanModifiedSince(since nsf.Timestamp, fn func(*nsf.Note) bool) (nsf.Timestamp, error) {
 	from := modKey(since, 0xFFFFFFFF) // strictly after all ids at `since`
+	high := since
 	s.mu.RLock()
 	var ids []nsf.NoteID
 	err := s.byMod.Ascend(from, func(k, _ []byte) bool {
+		high = nsf.Timestamp(binary.BigEndian.Uint64(k[:8]))
 		ids = append(ids, nsf.NoteID(binary.BigEndian.Uint32(k[8:])))
 		return true
 	})
 	s.mu.RUnlock()
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return s.fetchNotesCtx(context.Background(), ids, fn)
+	return high, s.fetchNotesCtx(context.Background(), ids, fn)
 }
 
 // ScanAll calls fn for every note in NoteID order until fn returns false.
@@ -632,18 +633,14 @@ func (s *Store) ScanAllCtx(ctx context.Context, fn func(*nsf.Note) bool) error {
 	return s.fetchNotesCtx(ctx, ids, fn)
 }
 
-// ScanFrom calls fn for every note with NoteID strictly greater than
-// after, in NoteID order, until fn returns false. Snapshot semantics match
-// ScanAll. NoteIDs are assigned monotonically and survive compaction, so a
-// bulk reader that remembers the last ID it consumed can resume a scan of
-// this physical database exactly where it stopped — the cursor the wire
-// scan ops page with. (NoteIDs are per-copy: a cursor is meaningless
-// against another replica of the same database.)
-func (s *Store) ScanFrom(after nsf.NoteID, fn func(*nsf.Note) bool) error {
-	return s.ScanFromCtx(context.Background(), after, fn)
-}
-
-// ScanFromCtx is ScanFrom with cooperative cancellation; see ScanAllCtx.
+// ScanFromCtx calls fn for every note with NoteID strictly greater than
+// after, in NoteID order, until fn returns false or ctx is done. Snapshot
+// semantics and cancellation match ScanAllCtx. NoteIDs are assigned
+// monotonically and survive compaction, so a bulk reader that remembers the
+// last ID it consumed can resume a scan of this physical database exactly
+// where it stopped — the cursor the wire scan ops page with. (NoteIDs are
+// per-copy: a cursor is meaningless against another replica of the same
+// database.)
 func (s *Store) ScanFromCtx(ctx context.Context, after nsf.NoteID, fn func(*nsf.Note) bool) error {
 	if after == 0 {
 		return s.ScanAllCtx(ctx, fn)

@@ -11,6 +11,13 @@ import (
 	"repro/internal/nsf"
 )
 
+// getByID reads a note through the NoteID index under the read latch.
+func getByID(s *Store, id nsf.NoteID) (*nsf.Note, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.getByIDLocked(id, true)
+}
+
 func openTestStore(t *testing.T, opts Options) (*Store, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "db.nsf")
@@ -50,7 +57,7 @@ func TestStoreCRUD(t *testing.T) {
 	if got.Text("Subject") != "hello" || got.ID != n.ID {
 		t.Fatalf("got %+v", got)
 	}
-	byID, err := s.GetByID(n.ID)
+	byID, err := getByID(s, n.ID)
 	if err != nil || byID.OID.UNID != n.OID.UNID {
 		t.Fatalf("GetByID: %v", err)
 	}
@@ -119,7 +126,7 @@ func TestStoreScanModifiedSince(t *testing.T) {
 		}
 	}
 	var seen []string
-	err := s.ScanModifiedSince(stamps[9], func(n *nsf.Note) bool {
+	next, err := s.ScanModifiedSince(stamps[9], func(n *nsf.Note) bool {
 		seen = append(seen, n.Text("Subject"))
 		return true
 	})
@@ -129,8 +136,16 @@ func TestStoreScanModifiedSince(t *testing.T) {
 	if len(seen) != 10 || seen[0] != "doc 10" {
 		t.Fatalf("ScanModifiedSince = %v", seen)
 	}
+	// The cursor is the newest stamp scanned, and stays put when the scan
+	// from it finds nothing.
+	if next != stamps[19] {
+		t.Fatalf("cursor = %v, want %v", next, stamps[19])
+	}
+	if again, _ := s.ScanModifiedSince(next, func(*nsf.Note) bool { return true }); again != next {
+		t.Fatalf("empty scan moved the cursor %v -> %v", next, again)
+	}
 	// A fresh update moves a note to the end of the scan order.
-	n0, _ := s.GetByID(1)
+	n0, _ := getByID(s, 1)
 	n0.Modified = c.Now()
 	if err := s.Put(n0); err != nil {
 		t.Fatalf("Put: %v", err)

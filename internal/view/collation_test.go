@@ -129,8 +129,7 @@ func TestDescendingInversionPreservesOrder(t *testing.T) {
 	for _, v := range vals {
 		ix.Update(doc(map[string]any{"N": v}), nil)
 	}
-	var got []string
-	ix.Walk(func(e *Entry) bool { got = append(got, e.ColumnText(0)); return true })
+	got := subjects(ix, 0)
 	want := []string{"100", "3", "2.5", "0", "-7"}
 	for i := range want {
 		if got[i] != want[i] {

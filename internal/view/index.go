@@ -168,17 +168,6 @@ func (ix *Index) Rebuild(ctx *formula.Context, scan func(fn func(*nsf.Note) bool
 	return nil
 }
 
-// Walk visits entries in collation order until fn returns false.
-func (ix *Index) Walk(fn func(*Entry) bool) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	for _, e := range ix.entries {
-		if !fn(e) {
-			return
-		}
-	}
-}
-
 // Entries returns a snapshot of all entries in collation order.
 func (ix *Index) Entries() []*Entry {
 	ix.mu.RLock()

@@ -42,10 +42,9 @@ func mustDef(t *testing.T, name, sel string, cols ...Column) *Definition {
 
 func subjects(ix *Index, col int) []string {
 	var out []string
-	ix.Walk(func(e *Entry) bool {
+	for _, e := range ix.Entries() {
 		out = append(out, e.ColumnText(col))
-		return true
-	})
+	}
 	return out
 }
 
@@ -91,10 +90,9 @@ func TestIndexDescendingAndMultiColumn(t *testing.T) {
 		ix.Update(doc(map[string]any{"Cat": d.cat, "N": d.n}), nil)
 	}
 	var got []string
-	ix.Walk(func(e *Entry) bool {
+	for _, e := range ix.Entries() {
 		got = append(got, e.ColumnText(0)+e.ColumnText(1))
-		return true
-	})
+	}
 	want := []string{"a9", "a4", "a2", "b5", "b1"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("order = %v, want %v", got, want)
@@ -154,8 +152,7 @@ func TestFormulaColumns(t *testing.T) {
 		Column{Title: "Len", Formula: formula.MustCompile(`@Length(Subject)`)})
 	ix := NewIndex(def)
 	ix.Update(doc(map[string]any{"Subject": "hello"}), nil)
-	var e *Entry
-	ix.Walk(func(x *Entry) bool { e = x; return false })
+	e := ix.Entries()[0]
 	if e.ColumnText(0) != "HELLO" || e.ColumnText(1) != "5" {
 		t.Errorf("computed columns = %q, %q", e.ColumnText(0), e.ColumnText(1))
 	}
@@ -252,8 +249,7 @@ func TestReadersCarriedOnEntries(t *testing.T) {
 	n := doc(map[string]any{"Subject": "restricted"})
 	n.SetWithFlags("DocReaders", nsf.TextValue("alice"), nsf.FlagReaders)
 	ix.Update(n, nil)
-	var e *Entry
-	ix.Walk(func(x *Entry) bool { e = x; return false })
+	e := ix.Entries()[0]
 	if !reflect.DeepEqual(e.Readers, []string{"alice"}) {
 		t.Errorf("Readers = %v", e.Readers)
 	}
