@@ -374,31 +374,11 @@ func parseConfig(path string) (*config, error) {
 			}
 			cfg.placements = append(cfg.placements, decl)
 		case "meshlink":
-			// meshlink NAME PEER GLOB hot|cold INTERVAL pull|push|both [FORMULA...]
-			if len(fields) < 7 {
-				return nil, bad("meshlink wants name, peer, glob, class, interval, direction, and optionally a formula")
-			}
-			class, err := mesh.ParseClass(fields[4])
+			l, err := mesh.ParseLink(fields[1:])
 			if err != nil {
 				return nil, bad(err.Error())
 			}
-			d, err := time.ParseDuration(fields[5])
-			if err != nil {
-				return nil, bad(err.Error())
-			}
-			dirn, err := mesh.ParseDirection(fields[6])
-			if err != nil {
-				return nil, bad(err.Error())
-			}
-			cfg.meshLinks = append(cfg.meshLinks, mesh.Link{
-				Name:      fields[1],
-				Peer:      fields[2],
-				Glob:      fields[3],
-				Formula:   strings.Join(fields[7:], " "),
-				Direction: dirn,
-				Class:     class,
-				Interval:  d,
-			})
+			cfg.meshLinks = append(cfg.meshLinks, l)
 		case "topology":
 			if len(fields) != 2 {
 				return nil, bad("topology wants 1 argument")
@@ -444,7 +424,7 @@ func main() {
 		"network fault plan, e.g. seed=7,sever=0.01,delay=0.1,maxdelay=5ms (overrides config)")
 	syncWAL := flag.Bool("syncwal", false, "fsync the WAL on every operation (overrides config)")
 	groupCommit := flag.Duration("groupcommit", 0,
-		"group-commit window (e.g. 200us): concurrent writers share one WAL force; 0 disables")
+		"how long a lone -syncwal commit waits for company before forcing the WAL (e.g. 200us); concurrent writers always share one force")
 	var clusterMates clusterFlag
 	flag.Var(&clusterMates, "cluster",
 		"cluster mate as name=addr (repeatable; adds to config cluster/peer directives)")

@@ -43,7 +43,7 @@ var experiments = []experiment{
 	{"W4", "Read path under concurrent writes: RW latch + snapshot scans + note cache", runW4},
 	{"W5", "Availability: failover window / zero lost acked writes, admission control under overload", runW5},
 	{"W6", "Partitioned namespace: live moves and dead-mate re-homing, zero lost acked writes", runW6},
-	{"W7", "Group-commit write scaling: writers x SyncWAL x group commit", runW7},
+	{"W7", "Group-commit write scaling: writers x SyncWAL x commit window", runW7},
 	{"W8", "Epidemic mesh convergence under churn: ring + hub-spoke, partition, killed mate", runW8},
 	{"W9", "Paginated bulk reads: view open over 5ms RTT vs per-note, frame-bound 200k-row stream", runW9},
 	{"W10", "Deadline budgets + hedged reads: stalled-mate tail, wasted work, write-safety audit", runW10},

@@ -447,30 +447,9 @@ func cmdMesh(sub string, args []string) error {
 		}
 		return nil
 	case "add":
-		pos := fs.Args()
-		if len(pos) < 6 {
-			return fmt.Errorf("mesh add: want NAME PEER GLOB hot|cold INTERVAL pull|push|both [FORMULA...]")
-		}
-		class, err := mesh.ParseClass(pos[3])
+		l, err := mesh.ParseLink(fs.Args())
 		if err != nil {
-			return err
-		}
-		interval, err := time.ParseDuration(pos[4])
-		if err != nil {
-			return err
-		}
-		dir, err := mesh.ParseDirection(pos[5])
-		if err != nil {
-			return err
-		}
-		l := domino.MeshLink{
-			Name:      pos[0],
-			Peer:      pos[1],
-			Glob:      pos[2],
-			Formula:   strings.Join(pos[6:], " "),
-			Direction: dir,
-			Class:     class,
-			Interval:  interval,
+			return fmt.Errorf("mesh add: %w", err)
 		}
 		if err := c.MeshAdd(l); err != nil {
 			return err

@@ -339,9 +339,9 @@ func (db *Database) putVersioned(n *nsf.Note) error {
 // (which compares Seq) lost the fork.
 //
 // The WAL force, by contrast, deliberately happens outside wmu (the caller
-// waits on the ticket after this returns): with group commit on, holding
-// wmu across the fsync would serialize committers at this latch and no
-// batch could ever form.
+// waits on the ticket after this returns): holding wmu across the log
+// write would serialize committers at this latch and no group-commit batch
+// could ever form.
 func (db *Database) putVersionedAsync(n *nsf.Note) (store.Commit, error) {
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
@@ -528,7 +528,7 @@ func (db *Database) RawPut(n *nsf.Note) error {
 	db.commit(n)
 	db.wmu.Unlock()
 	// Await durability outside wmu so concurrent applies share the group
-	// commit (when it is on) instead of serializing at this latch.
+	// commit instead of serializing at this latch.
 	if err := c.Wait(); err != nil {
 		return err
 	}

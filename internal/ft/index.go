@@ -154,8 +154,8 @@ func (ix *Index) SearchCtx(ctx context.Context, query string) ([]Result, error) 
 	return out, nil
 }
 
-// evalCtx walks the query tree like eval, checking the deadline at each
-// interior node. Leaf evaluation (one term or phrase's postings) runs
+// evalCtx walks the query tree, checking the deadline at each interior
+// node. Leaf evaluation (one term or phrase's postings) runs
 // uninterrupted — it is bounded by a single posting list, while AND/OR/NOT
 // trees can multiply that work arbitrarily.
 func (ix *Index) evalCtx(ctx context.Context, q qnode) (map[nsf.UNID]float64, error) {
@@ -216,45 +216,14 @@ func (ix *Index) evalCtx(ctx context.Context, q qnode) (map[nsf.UNID]float64, er
 	}
 }
 
-// eval returns matching documents with scores.
+// eval scores a leaf of the query tree: one term or phrase's postings.
+// evalCtx owns the interior nodes.
 func (ix *Index) eval(q qnode) map[nsf.UNID]float64 {
 	switch q := q.(type) {
 	case qTerm:
 		return ix.evalTerm(q.term)
 	case qPhrase:
 		return ix.evalPhrase(q.terms)
-	case qAnd:
-		l := ix.eval(q.l)
-		if len(l) == 0 {
-			return l
-		}
-		r := ix.eval(q.r)
-		out := make(map[nsf.UNID]float64)
-		for unid, s := range l {
-			if s2, ok := r[unid]; ok {
-				out[unid] = s + s2
-			}
-		}
-		return out
-	case qOr:
-		l, r := ix.eval(q.l), ix.eval(q.r)
-		out := make(map[nsf.UNID]float64, len(l)+len(r))
-		for unid, s := range l {
-			out[unid] = s
-		}
-		for unid, s := range r {
-			out[unid] += s
-		}
-		return out
-	case qNot:
-		exclude := ix.eval(q.x)
-		out := make(map[nsf.UNID]float64)
-		for unid := range ix.docTerms {
-			if _, ok := exclude[unid]; !ok {
-				out[unid] = 0.1 // flat score: NOT carries no relevance signal
-			}
-		}
-		return out
 	default:
 		return nil
 	}

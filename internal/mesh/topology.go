@@ -22,8 +22,7 @@ type TopoLink struct {
 //	link NAME SRC DST GLOB hot|cold INTERVAL pull|push|both [FORMULA...]
 //
 // Blank lines and #-comments are ignored; the leading "link" keyword is
-// optional. INTERVAL is a Go duration ("30s", "5m"). Everything after the
-// direction is the selection formula, verbatim.
+// optional. The rest of the line is a ParseLink link with SRC after NAME.
 func ParseTopology(r io.Reader) ([]TopoLink, error) {
 	var out []TopoLink
 	seen := make(map[string]bool)
@@ -42,39 +41,49 @@ func ParseTopology(r io.Reader) ([]TopoLink, error) {
 		if len(fields) < 7 {
 			return nil, fmt.Errorf("topology line %d: want NAME SRC DST GLOB hot|cold INTERVAL pull|push|both [FORMULA], got %q", lineNo, line)
 		}
-		name, src, dst, glob := fields[0], fields[1], fields[2], fields[3]
-		class, err := ParseClass(fields[4])
+		src := fields[1]
+		l, err := ParseLink(append([]string{fields[0]}, fields[2:]...))
 		if err != nil {
 			return nil, fmt.Errorf("topology line %d: %w", lineNo, err)
 		}
-		interval, err := time.ParseDuration(fields[5])
-		if err != nil {
-			return nil, fmt.Errorf("topology line %d: bad interval %q: %v", lineNo, fields[5], err)
-		}
-		dir, err := ParseDirection(fields[6])
-		if err != nil {
-			return nil, fmt.Errorf("topology line %d: %w", lineNo, err)
-		}
-		formula := strings.Join(fields[7:], " ")
-		key := src + "!!" + name
+		key := src + "!!" + l.Name
 		if seen[key] {
-			return nil, fmt.Errorf("topology line %d: duplicate link %s on server %s", lineNo, name, src)
+			return nil, fmt.Errorf("topology line %d: duplicate link %s on server %s", lineNo, l.Name, src)
 		}
 		seen[key] = true
-		out = append(out, TopoLink{Server: src, Link: Link{
-			Name:      name,
-			Peer:      dst,
-			Glob:      glob,
-			Formula:   formula,
-			Direction: dir,
-			Class:     class,
-			Interval:  interval,
-		}})
+		out = append(out, TopoLink{Server: src, Link: l})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// ParseLink parses the one link syntax shared by topology files, the
+// dominod meshlink directive and nsfadmin mesh add:
+//
+//	NAME PEER GLOB hot|cold INTERVAL pull|push|both [FORMULA...]
+//
+// INTERVAL is a Go duration ("30s", "5m"); everything after the direction
+// is the selection formula, verbatim.
+func ParseLink(fields []string) (Link, error) {
+	if len(fields) < 6 {
+		return Link{}, fmt.Errorf("mesh: want NAME PEER GLOB hot|cold INTERVAL pull|push|both [FORMULA...], got %q", strings.Join(fields, " "))
+	}
+	class, err := ParseClass(fields[3])
+	if err != nil {
+		return Link{}, err
+	}
+	interval, err := time.ParseDuration(fields[4])
+	if err != nil {
+		return Link{}, fmt.Errorf("mesh: bad interval %q: %v", fields[4], err)
+	}
+	dir, err := ParseDirection(fields[5])
+	if err != nil {
+		return Link{}, err
+	}
+	return Link{Name: fields[0], Peer: fields[1], Glob: fields[2], Formula: strings.Join(fields[6:], " "),
+		Direction: dir, Class: class, Interval: interval}, nil
 }
 
 // LinksFor filters a topology down to the links one server runs.

@@ -42,6 +42,9 @@ import (
 // the placement record changed under the mover (usually a racing move won).
 var ErrNotHomed = errors.New("place: source does not home database")
 
+// catchupRounds bounds a move's pre-fence replication loop.
+const catchupRounds = 16
+
 // MoveOptions tunes a live move.
 type MoveOptions struct {
 	// BackupRoot is where the bulk image is written ("" uses a directory
@@ -49,8 +52,6 @@ type MoveOptions struct {
 	// caller must provide a root; moves between servers on one host can
 	// share the scheduled-backup root so images are reused).
 	BackupRoot string
-	// CatchupRounds bounds the pre-fence replication loop (default 16).
-	CatchupRounds int
 	// QuiesceTimeout bounds the drain fence (default 10s).
 	QuiesceTimeout time.Duration
 	// Replicas overrides the placement record's replica factor
@@ -86,9 +87,10 @@ func lockFor(src *server.Server, path string) *sync.Mutex {
 	return mu.(*sync.Mutex)
 }
 
-func logf(opts *MoveOptions, format string, args ...any) {
-	if opts.Log != nil {
-		opts.Log(format, args...)
+// logf sends a progress line to a MoveOptions or RecoverOptions Log hook.
+func logf(log func(format string, args ...any), format string, args ...any) {
+	if log != nil {
+		log(format, args...)
 	}
 }
 
@@ -136,9 +138,6 @@ func Move(d *dir.Directory, src, dst *server.Server, path string, opts MoveOptio
 	}
 	if src == dst || strings.EqualFold(src.Name(), dst.Name()) {
 		return res, errors.New("place: source and target are the same mate")
-	}
-	if opts.CatchupRounds <= 0 {
-		opts.CatchupRounds = 16
 	}
 	if opts.QuiesceTimeout <= 0 {
 		opts.QuiesceTimeout = 10 * time.Second
@@ -190,7 +189,7 @@ func Move(d *dir.Directory, src, dst *server.Server, path string, opts MoveOptio
 		if dstDB, ok = dst.DB(path); !ok {
 			return res, fmt.Errorf("place: %s missing after restore on %s", path, dst.Name())
 		}
-		logf(&opts, "move %s: imaged onto %s", path, dst.Name())
+		logf(opts.Log, "move %s: imaged onto %s", path, dst.Name())
 	}
 
 	peer := &repl.LocalPeer{DB: dstDB}
@@ -198,10 +197,10 @@ func Move(d *dir.Directory, src, dst *server.Server, path string, opts MoveOptio
 
 	// CATCHUP: replicate the delta while writers keep going. The change
 	// trigger re-arms each round so a steady writer doesn't force a full
-	// CatchupRounds spin when the delta is already drained.
+	// catchupRounds spin when the delta is already drained.
 	trig := repl.NewChangeTrigger(srcDB, time.Millisecond)
 	defer trig.Stop()
-	for res.Rounds < opts.CatchupRounds {
+	for res.Rounds < catchupRounds {
 		res.Rounds++
 		st, err := repl.Replicate(srcDB, peer, ropts)
 		if err != nil {
@@ -217,7 +216,7 @@ func Move(d *dir.Directory, src, dst *server.Server, path string, opts MoveOptio
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	logf(&opts, "move %s: caught up in %d rounds (%d notes)", path, res.Rounds, res.Moved)
+	logf(opts.Log, "move %s: caught up in %d rounds (%d notes)", path, res.Rounds, res.Moved)
 
 	// FENCE + DELTA: drain the source so nothing is in flight, carry the
 	// final delta, and flip placement before the source serves again.
@@ -241,7 +240,7 @@ func Move(d *dir.Directory, src, dst *server.Server, path string, opts MoveOptio
 	res.To = p.Home
 	res.Generation = p.Generation
 	res.Elapsed = time.Since(start)
-	logf(&opts, "move %s: %s -> %s committed at gen %d (%s)",
+	logf(opts.Log, "move %s: %s -> %s committed at gen %d (%s)",
 		path, strings.Join(res.From, ","), strings.Join(res.To, ","), res.Generation, res.Elapsed)
 	return res, nil
 }
@@ -304,7 +303,7 @@ func Recover(d *dir.Directory, deadName string, dst *server.Server, path string,
 		if dstDB, ok = dst.DB(path); !ok {
 			return res, fmt.Errorf("place: %s missing after restore on %s", path, dst.Name())
 		}
-		logf2(&opts, "recover %s: restored image onto %s", path, dst.Name())
+		logf(opts.Log, "recover %s: restored image onto %s", path, dst.Name())
 	}
 
 	// Carry the post-backup delta straight off the dead mate's file when
@@ -324,9 +323,9 @@ func Recover(d *dir.Directory, deadName string, dst *server.Server, path string,
 			}
 			res.Moved = st.Push.Total() + st.Pull.Total()
 			res.Rounds = 1
-			logf2(&opts, "recover %s: caught up %d notes from dead file", path, res.Moved)
+			logf(opts.Log, "recover %s: caught up %d notes from dead file", path, res.Moved)
 		} else {
-			logf2(&opts, "recover %s: dead file unreadable (%v); image only", path, err)
+			logf(opts.Log, "recover %s: dead file unreadable (%v); image only", path, err)
 		}
 	}
 
@@ -337,13 +336,7 @@ func Recover(d *dir.Directory, deadName string, dst *server.Server, path string,
 	res.To = p.Home
 	res.Generation = p.Generation
 	res.Elapsed = time.Since(start)
-	logf2(&opts, "recover %s: %s -> %s committed at gen %d (%s)",
+	logf(opts.Log, "recover %s: %s -> %s committed at gen %d (%s)",
 		path, strings.Join(res.From, ","), strings.Join(res.To, ","), res.Generation, res.Elapsed)
 	return res, nil
-}
-
-func logf2(opts *RecoverOptions, format string, args ...any) {
-	if opts.Log != nil {
-		opts.Log(format, args...)
-	}
 }

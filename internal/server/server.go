@@ -58,10 +58,10 @@ type Options struct {
 	// SyncWAL fsyncs every database's WAL on every operation (per-database
 	// store options can also turn this on individually).
 	SyncWAL bool
-	// GroupCommitWindow enables group commit for every database the server
-	// opens: concurrent committers share one WAL force instead of paying one
-	// fsync each (see store.Options.GroupCommitWindow). 200µs is a good
-	// value with SyncWAL on. Per-database store options take precedence.
+	// GroupCommitWindow is how long a lone SyncWAL committer waits for
+	// company before forcing the log, in every database the server opens
+	// (see store.Options.GroupCommitWindow; concurrent committers always
+	// share one force). Per-database store options take precedence.
 	GroupCommitWindow time.Duration
 	// ArchiveLogDir, when non-empty, turns on WAL archiving for every
 	// database the server opens: each database's sealed log segments go to

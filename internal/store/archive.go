@@ -11,8 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"repro/internal/nsf"
 )
 
 // Log archiving: instead of discarding the sealed WAL at every checkpoint,
@@ -318,37 +316,16 @@ func (s *Store) ApplyArchive(dir string, toUSN uint64) (int, error) {
 	}
 	// Settle any forming group-commit batch before appending to the WAL
 	// directly: replayed records must land after every committed one.
-	if s.gc != nil {
-		if err := s.gc.drain(); err != nil {
-			return 0, err
-		}
+	if err := s.gc.drain(); err != nil {
+		return 0, err
 	}
 	applied := 0
 	_, err := ScanArchive(dir, s.usn, toUSN, func(rec walRecord) error {
 		if err := s.wal.append(rec.Kind, rec.USN, rec.Payload, false); err != nil {
 			return err
 		}
-		s.usn = rec.USN
-		switch rec.Kind {
-		case walPut:
-			note, err := nsf.DecodeNote(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("store: archive replay put: %w", err)
-			}
-			if err := s.applyPut(note); err != nil {
-				return err
-			}
-		case walDelete:
-			if len(rec.Payload) != 16 {
-				return fmt.Errorf("store: archive replay delete: payload length %d", len(rec.Payload))
-			}
-			var unid nsf.UNID
-			copy(unid[:], rec.Payload)
-			if err := s.applyDelete(unid); err != nil && !errors.Is(err, ErrNotFound) {
-				return err
-			}
-		default:
-			return fmt.Errorf("store: archive replay: unknown record kind %d", rec.Kind)
+		if err := s.replayRecord(rec); err != nil {
+			return err
 		}
 		applied++
 		return nil

@@ -1,11 +1,10 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"repro/internal/nsf"
 )
 
 // Compact rewrites the database into a fresh file, dropping dead space
@@ -22,10 +21,8 @@ func (s *Store) Compact() (int, error) {
 	// Quiesce group commit before touching files: an in-flight leader may
 	// still be appending to the WAL we are about to close and swap out, and
 	// pending waiters must be acked against the old file while it exists.
-	if s.gc != nil {
-		if err := s.gc.drain(); err != nil {
-			return 0, err
-		}
+	if err := s.gc.drain(); err != nil {
+		return 0, err
 	}
 	// Make the page file current first.
 	if err := s.pg.flush(); err != nil {
@@ -51,54 +48,44 @@ func (s *Store) Compact() (int, error) {
 		os.Remove(tmpPath)
 		os.Remove(tmpPath + ".wal")
 	}
-	// Copy every live note. Iterate via the byID tree directly (we already
-	// hold s.mu, so the public Scan methods would deadlock).
-	var ids []nsf.NoteID
-	err = s.byID.Ascend(nil, func(k, _ []byte) bool {
-		ids = append(ids, decodeIDKey(k))
-		return true
+	// Copy the heap records and the three indexes straight across, in key
+	// order. Only byID holds RecordIDs, so its entries are re-pointed at each
+	// record's new home; the UNID and Modified indexes copy entry for entry.
+	// Nothing is logged and no USN is spent: the checkpoint in fresh.Close
+	// below is what makes the copy durable before the swap.
+	var ridBuf [8]byte
+	err = copyTree(s.byID, fresh.byID, func(v []byte) ([]byte, error) {
+		enc, err := s.heap.get(RecordID(binary.BigEndian.Uint64(v)))
+		if err != nil {
+			return nil, err
+		}
+		rid, err := fresh.heap.insert(enc)
+		binary.BigEndian.PutUint64(ridBuf[:], uint64(rid))
+		return ridBuf[:], err
 	})
+	if err == nil {
+		err = copyTree(s.byUNID, fresh.byUNID, nil)
+	}
+	if err == nil {
+		err = copyTree(s.byMod, fresh.byMod, nil)
+	}
 	if err != nil {
 		cleanupFresh()
 		return 0, err
 	}
-	for _, id := range ids {
-		// admit=false: the one-shot rewrite pass must not evict the live
-		// working set (the cache is cleared after the swap anyway).
-		n, err := s.getByIDLocked(id, false)
-		if err != nil {
-			cleanupFresh()
-			return 0, err
-		}
-		if err := fresh.Put(n); err != nil {
-			cleanupFresh()
-			return 0, err
-		}
-	}
-	// Preserve the allocation high-water marks: future NoteIDs never
+	// Carry the allocation high-water marks over: future NoteIDs never
 	// collide with ones handed out before compaction, and the USN stream
-	// continues where the original left off (the copy loop above burned
-	// fresh-store USNs that mean nothing — overwrite them).
-	fresh.mu.Lock()
-	if fresh.pg.nextNoteID < s.pg.nextNoteID {
-		fresh.pg.nextNoteID = s.pg.nextNoteID
-		fresh.pg.hdrDirty = true
-	}
+	// continues where the original left off.
+	fresh.pg.nextNoteID = s.pg.nextNoteID
 	fresh.usn = s.usn
-	fresh.modHigh = s.modHigh
-	fresh.mu.Unlock()
-	if err := fresh.Checkpoint(); err != nil {
+	if err := fresh.Close(); err != nil {
 		cleanupFresh()
 		return 0, err
 	}
 	after := int(fresh.pg.pageCount)
-	if err := fresh.closeFilesLocked(); err != nil {
-		cleanupFresh()
-		return 0, err
-	}
-	// The checkpoint above fsynced both temp files (page-file flush and WAL
-	// reset both sync), so their contents are durable before the renames
-	// make them visible.
+	// fresh.Close checkpointed, fsyncing both temp files (page-file flush
+	// and WAL reset both sync), so their contents are durable before the
+	// renames make them visible.
 	// Swap the files in. Rename is atomic per file; a crash between the two
 	// renames leaves a fresh page file with a stale WAL, which reset-on-
 	// checkpoint made empty above, so recovery is still correct.
@@ -129,11 +116,9 @@ func (s *Store) Compact() (int, error) {
 	}
 	s.pg = pg
 	s.wal = w
-	if s.gc != nil {
-		// The group was drained above and new enqueues are excluded by s.mu,
-		// so it is idle; point it at the swapped-in WAL.
-		s.gc.rebind(w)
-	}
+	// The group was drained above and new enqueues are excluded by s.mu, so
+	// it is idle; point it at the swapped-in WAL.
+	s.gc.rebind(w)
 	s.heap = newHeap(pg)
 	s.byID = &btree{pg: pg, slot: rootSlotByID}
 	s.byUNID = &btree{pg: pg, slot: rootSlotByUNID}
@@ -148,15 +133,21 @@ func (s *Store) Compact() (int, error) {
 	return before - after, nil
 }
 
-// closeFilesLocked closes a store's files assuming the caller coordinates
-// exclusivity (used by Compact on its private fresh store).
-func (s *Store) closeFilesLocked() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	return s.closeFiles()
-}
-
-func decodeIDKey(k []byte) nsf.NoteID {
-	return nsf.NoteID(uint32(k[0])<<24 | uint32(k[1])<<16 | uint32(k[2])<<8 | uint32(k[3]))
+// copyTree inserts every entry of src into dst in key order, mapping each
+// value through val when it is non-nil.
+func copyTree(src, dst *btree, val func([]byte) ([]byte, error)) error {
+	var err error
+	aerr := src.Ascend(nil, func(k, v []byte) bool {
+		if val != nil {
+			if v, err = val(v); err != nil {
+				return false
+			}
+		}
+		err = dst.Put(k, v)
+		return err == nil
+	})
+	if aerr != nil {
+		return aerr
+	}
+	return err
 }

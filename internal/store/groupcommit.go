@@ -5,17 +5,20 @@ import (
 	"time"
 )
 
-// Group commit. Concurrent committers enqueue their WAL records into a
-// shared forming batch instead of writing (and fsyncing) the log per
-// operation. The first waiter to find the batch unclaimed becomes its
-// leader: it detaches the batch, writes it as one walBatch frame, fsyncs
+// Group commit, the one way a committed operation reaches the WAL.
+// Committers enqueue their WAL records into a shared forming batch instead
+// of writing (and fsyncing) the log per operation. The first waiter to find
+// the batch unclaimed becomes its leader: it detaches the batch, writes it
+// as one walBatch frame (a plain frame when it holds one record), fsyncs
 // once (per SyncWAL), and wakes everyone whose record it carried. Commits
 // that arrive while a flush is in flight accumulate into the next batch —
 // the "natural batching" effect: under load the log forces back-to-back
 // with dozens of commits each, with no timer involved. The optional commit
-// window only matters at low concurrency: a leader whose batch holds a
-// single record lingers briefly before forcing the log alone, giving
-// concurrent committers a chance to share the fsync.
+// window only matters at low concurrency: a SyncWAL leader whose batch
+// holds a single record lingers briefly before forcing the log alone,
+// giving concurrent committers a chance to share the fsync. An enqueued
+// operation is already applied and visible to readers; only its
+// acknowledgement (the ticket's Wait) waits for the write.
 //
 // Latching: enqueue callers hold the store's exclusive latch, which orders
 // records; the flush itself runs outside it, so the latch is free while
@@ -41,6 +44,7 @@ type commitGroup struct {
 	cond     *sync.Cond
 	cur      *pendingBatch // forming batch; nil when none
 	flushing bool          // a leader is writing the detached batch
+	spare    []byte        // a written batch's payload buffer, for the next batch
 	// err is sticky: once a batch write fails the log tail is suspect, so
 	// every later commit fails too until the store is reopened.
 	err error
@@ -61,7 +65,8 @@ func newCommitGroup(w *wal, syncWAL bool, window time.Duration) *commitGroup {
 func (g *commitGroup) enqueue(kind byte, usn uint64, payload []byte) *pendingBatch {
 	g.mu.Lock()
 	if g.cur == nil {
-		g.cur = &pendingBatch{}
+		g.cur = &pendingBatch{payload: g.spare[:0]}
+		g.spare = nil
 	}
 	b := g.cur
 	b.payload = appendSubRecord(b.payload, kind, usn, payload)
@@ -104,7 +109,7 @@ func (g *commitGroup) wait(b *pendingBatch) error {
 // flush. Callers hold the store's exclusive latch, so no new records can be
 // enqueued; on return every enqueued record is in the WAL (fsynced per
 // SyncWAL) and waiting committers have been released. Checkpoints, archive
-// replay, and hot backup call this before touching the log.
+// replay, compaction, and hot backup call this before touching the log.
 func (g *commitGroup) drain() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -136,8 +141,10 @@ func (g *commitGroup) flushLocked(b *pendingBatch) {
 	if err != nil && sticky == nil && g.err == nil {
 		g.err = err
 	}
-	b.err = err
-	b.done = true
+	if cap(payload) <= maxPooledEncBuf {
+		g.spare = payload
+	}
+	b.payload, b.err, b.done = nil, err, true
 	g.flushes++
 	g.records += uint64(count)
 	g.flushing = false

@@ -91,14 +91,12 @@ func (s *Store) HotBackup(pageW, walW io.Writer) (BackupMark, error) {
 	// append-only, so everything up to the recorded size is immutable; the
 	// copy itself happens outside the lock.
 	s.mu.Lock()
-	// With group commit on, records can sit in the forming batch: settle
-	// them into the WAL first, or the snapshot would claim a LastUSN whose
-	// trailing operations are missing from the copied log.
-	if s.gc != nil {
-		if err := s.gc.drain(); err != nil {
-			s.mu.Unlock()
-			return BackupMark{}, err
-		}
+	// Records can sit in the forming group-commit batch: settle them into
+	// the WAL first, or the snapshot would claim a LastUSN whose trailing
+	// operations are missing from the copied log.
+	if err := s.gc.drain(); err != nil {
+		s.mu.Unlock()
+		return BackupMark{}, err
 	}
 	raw, err := s.wal.readAll()
 	mark := BackupMark{

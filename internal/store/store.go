@@ -27,19 +27,19 @@ type Options struct {
 	Title string
 	// Created stamps the database creation time (creation only).
 	Created nsf.Timestamp
-	// SyncWAL fsyncs the WAL on every operation. Off by default: the WAL is
-	// still written per operation, so only an OS crash (not a process
-	// crash) can lose the tail.
+	// SyncWAL fsyncs the WAL before any commit is acknowledged. Off by
+	// default: the WAL is still written before the acknowledgement, so only
+	// an OS crash (not a process crash) can lose acknowledged commits.
 	SyncWAL bool
-	// GroupCommitWindow, when positive, turns on group commit: concurrent
-	// committers enqueue their WAL records into a shared batch and one
-	// leader writes (and, with SyncWAL, fsyncs) the whole batch, so the log
-	// is forced once per group instead of once per operation. Batching is
-	// natural — whatever accumulates during the previous flush forms the
-	// next batch — so under concurrency no one ever sleeps; the window is
-	// only how long a leader with a lone record lingers for company before
-	// forcing the log alone (and it is ignored when SyncWAL is off, where a
-	// solo flush is cheap). 200µs is a reasonable setting.
+	// GroupCommitWindow is how long a SyncWAL committer whose record would
+	// otherwise be forced alone waits for company before forcing the log.
+	// Every commit goes through group commit: committers enqueue their WAL
+	// records into a shared batch and one leader writes (and, with SyncWAL,
+	// fsyncs) the whole batch. Batching is natural — whatever accumulates
+	// during the previous flush forms the next batch — so under concurrency
+	// no one sleeps and zero is a good default; the window only helps a
+	// lightly loaded SyncWAL store trade a lone writer's latency for fewer
+	// fsyncs. It is ignored when SyncWAL is off.
 	GroupCommitWindow time.Duration
 	// CheckpointEvery triggers an automatic checkpoint after this many
 	// logged operations. Zero means the default (8192); negative disables
@@ -79,7 +79,7 @@ type Store struct {
 	path            string
 	pg              *pager
 	wal             *wal
-	gc              *commitGroup // non-nil when group commit is on
+	gc              *commitGroup // every commit's way into the WAL
 	heap            *heap
 	cache           *noteCache // decoded-note cache; nil when disabled
 	byID            *btree     // NoteID (4B BE)            -> RecordID (8B)
@@ -128,9 +128,7 @@ func Open(path string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{path: path, pg: pg, wal: w, heap: newHeap(pg), opts: opts}
-	if opts.GroupCommitWindow > 0 {
-		s.gc = newCommitGroup(w, opts.SyncWAL, opts.GroupCommitWindow)
-	}
+	s.gc = newCommitGroup(w, opts.SyncWAL, opts.GroupCommitWindow)
 	s.cache = newNoteCache()
 	s.byID = &btree{pg: pg, slot: rootSlotByID}
 	s.byUNID = &btree{pg: pg, slot: rootSlotByUNID}
@@ -149,7 +147,7 @@ func Open(path string, opts Options) (*Store, error) {
 }
 
 // recover rebuilds in-memory state from the checkpointed page file and
-// replays the WAL through the ordinary update paths.
+// replays the WAL through replayRecord.
 func (s *Store) recover() error {
 	if err := s.heap.rebuild(); err != nil {
 		return err
@@ -174,29 +172,7 @@ func (s *Store) recover() error {
 	replayed := 0
 	err = s.wal.replay(func(rec walRecord) error {
 		replayed++
-		if rec.USN > s.usn {
-			s.usn = rec.USN
-		}
-		switch rec.Kind {
-		case walPut:
-			note, err := nsf.DecodeNote(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("store: replay put: %w", err)
-			}
-			return s.applyPut(note)
-		case walDelete:
-			if len(rec.Payload) != 16 {
-				return fmt.Errorf("store: replay delete: payload length %d", len(rec.Payload))
-			}
-			var unid nsf.UNID
-			copy(unid[:], rec.Payload)
-			if err := s.applyDelete(unid); err != nil && !errors.Is(err, ErrNotFound) {
-				return err
-			}
-			return nil
-		default:
-			return fmt.Errorf("store: replay: unknown record kind %d", rec.Kind)
-		}
+		return s.replayRecord(rec)
 	})
 	if err != nil {
 		return err
@@ -212,6 +188,33 @@ func (s *Store) recover() error {
 		}
 	}
 	return nil
+}
+
+// replayRecord re-applies one logged operation — the redo step shared by
+// crash recovery and archive roll-forward. A put stores the logged encoding
+// itself; decoding only recovers the keys it is indexed under.
+func (s *Store) replayRecord(rec walRecord) error {
+	if rec.USN > s.usn {
+		s.usn = rec.USN
+	}
+	switch rec.Kind {
+	case walPut:
+		note, err := nsf.DecodeNote(rec.Payload)
+		if err != nil {
+			return fmt.Errorf("store: replay put USN %d: %w", rec.USN, err)
+		}
+		return s.applyPutEncoded(note, rec.Payload)
+	case walDelete:
+		if len(rec.Payload) != 16 {
+			return fmt.Errorf("store: replay delete USN %d: payload length %d", rec.USN, len(rec.Payload))
+		}
+		if err := s.applyDelete(nsf.UNID(rec.Payload)); err != nil && !errors.Is(err, ErrNotFound) {
+			return err
+		}
+		return nil
+	default:
+		return fmt.Errorf("store: replay: unknown record kind %d", rec.Kind)
+	}
 }
 
 // Path returns the page file path the store was opened with.
@@ -268,11 +271,9 @@ func modKey(t nsf.Timestamp, id nsf.NoteID) []byte {
 }
 
 // Commit is a durability ticket for one logged operation. Wait blocks until
-// the operation's WAL record is on disk (fsynced per the store's SyncWAL
-// setting) and returns the log-write error, if any. Under group commit many
-// tickets resolve with one shared fsync; without it the record was already
-// written when the ticket was issued and Wait returns immediately. The zero
-// Commit waits for nothing.
+// the operation's WAL record has been written (and fsynced per the store's
+// SyncWAL setting) and returns the log-write error, if any. Many tickets
+// resolve with one shared write. The zero Commit waits for nothing.
 type Commit struct {
 	g *commitGroup
 	b *pendingBatch
@@ -286,17 +287,14 @@ func (c Commit) Wait() error {
 	return c.g.wait(c.b)
 }
 
-// logRecord routes one WAL record through group commit (returning a ticket
-// to wait on) or, without it, appends the record before returning.
-func (s *Store) logRecord(kind byte, usn uint64, payload []byte) (Commit, error) {
-	if s.gc != nil {
-		return Commit{g: s.gc, b: s.gc.enqueue(kind, usn, payload)}, nil
-	}
-	return Commit{}, s.wal.append(kind, usn, payload, s.opts.SyncWAL)
+// logRecord enqueues one WAL record on the commit group and returns the
+// ticket to wait on.
+func (s *Store) logRecord(kind byte, usn uint64, payload []byte) Commit {
+	return Commit{g: s.gc, b: s.gc.enqueue(kind, usn, payload)}
 }
 
-// encBufPool recycles per-put note-encode buffers. Both the WAL (frame or
-// batch) and the heap copy the encoding, so the buffer is free for reuse as
+// encBufPool recycles per-put note-encode buffers. Both the commit group's
+// batch and the heap copy the encoding, so the buffer is free for reuse as
 // soon as the apply completes.
 var encBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
@@ -359,10 +357,7 @@ func (s *Store) PutAsync(n *nsf.Note) (Commit, error) {
 			return Commit{}, fmt.Errorf("%w: file would reach %d bytes (quota %d)", ErrQuotaExceeded, projected, q)
 		}
 	}
-	ticket, err := s.logRecord(walPut, s.usn+1, enc)
-	if err != nil {
-		return Commit{}, err
-	}
+	ticket := s.logRecord(walPut, s.usn+1, enc)
 	s.usn++
 	if err := s.applyPutEncoded(n, enc); err != nil {
 		return ticket, err
@@ -370,35 +365,19 @@ func (s *Store) PutAsync(n *nsf.Note) (Commit, error) {
 	return ticket, s.maybeCheckpoint()
 }
 
-// applyPut applies a decoded note (WAL replay path).
-func (s *Store) applyPut(n *nsf.Note) error {
-	return s.applyPutEncoded(n, nsf.EncodeNote(n))
-}
-
 func (s *Store) applyPutEncoded(n *nsf.Note, enc []byte) error {
 	if uint32(n.ID) >= s.pg.nextNoteID {
 		s.pg.nextNoteID = uint32(n.ID) + 1
 		s.pg.hdrDirty = true
 	}
-	// Remove the previous version, if any. The cached decode (when present)
-	// supplies the old Modified stamp without re-reading the heap.
+	// Remove the previous version, if any.
 	if v, ok, err := s.byID.Get(idKey(n.ID)); err != nil {
 		return err
 	} else if ok {
 		oldRID := RecordID(binary.BigEndian.Uint64(v))
-		var oldMod nsf.Timestamp
-		if cached := s.cache.peek(oldRID); cached != nil {
-			oldMod = cached.Modified
-		} else {
-			oldEnc, err := s.heap.get(oldRID)
-			if err != nil {
-				return err
-			}
-			old, err := nsf.DecodeNote(oldEnc)
-			if err != nil {
-				return err
-			}
-			oldMod = old.Modified
+		oldMod, err := s.storedModified(oldRID)
+		if err != nil {
+			return err
 		}
 		s.cache.invalidate(oldRID)
 		if _, err := s.byMod.Delete(modKey(oldMod, n.ID)); err != nil {
@@ -433,6 +412,24 @@ func (s *Store) applyPutEncoded(n *nsf.Note, enc []byte) error {
 	return nil
 }
 
+// storedModified returns the Modified stamp of the record at rid — the key
+// its byMod entry sits under. The cached decode (when present) supplies it
+// without re-reading the heap.
+func (s *Store) storedModified(rid RecordID) (nsf.Timestamp, error) {
+	if cached := s.cache.peek(rid); cached != nil {
+		return cached.Modified, nil
+	}
+	enc, err := s.heap.get(rid)
+	if err != nil {
+		return 0, err
+	}
+	old, err := nsf.DecodeNote(enc)
+	if err != nil {
+		return 0, err
+	}
+	return old.Modified, nil
+}
+
 // Delete removes a note physically (hard delete). Logical deletion —
 // replacing a note with a deletion stub so the delete replicates — is the
 // job of internal/core; the storage engine only ever hard-deletes, e.g.
@@ -459,10 +456,7 @@ func (s *Store) DeleteAsync(unid nsf.UNID) (Commit, error) {
 	} else if !ok {
 		return Commit{}, ErrNotFound
 	}
-	ticket, err := s.logRecord(walDelete, s.usn+1, unid[:])
-	if err != nil {
-		return Commit{}, err
-	}
+	ticket := s.logRecord(walDelete, s.usn+1, unid[:])
 	s.usn++
 	if err := s.applyDelete(unid); err != nil {
 		return ticket, err
@@ -487,19 +481,9 @@ func (s *Store) applyDelete(unid nsf.UNID) error {
 		return fmt.Errorf("store: index inconsistency: UNID %s maps to missing NoteID %d", unid, id)
 	}
 	rid := RecordID(binary.BigEndian.Uint64(rv))
-	var oldMod nsf.Timestamp
-	if cached := s.cache.peek(rid); cached != nil {
-		oldMod = cached.Modified
-	} else {
-		enc, err := s.heap.get(rid)
-		if err != nil {
-			return err
-		}
-		old, err := nsf.DecodeNote(enc)
-		if err != nil {
-			return err
-		}
-		oldMod = old.Modified
+	oldMod, err := s.storedModified(rid)
+	if err != nil {
+		return err
 	}
 	s.cache.invalidate(rid)
 	if _, err := s.byMod.Delete(modKey(oldMod, id)); err != nil {
@@ -735,10 +719,8 @@ func (s *Store) checkpointLocked() error {
 	// Flush the forming group-commit batch first: sealing or resetting the
 	// WAL while records sit in memory would lose them. A failed flush
 	// poisons the group, so the checkpoint must not proceed past it.
-	if s.gc != nil {
-		if err := s.gc.drain(); err != nil {
-			return err
-		}
+	if err := s.gc.drain(); err != nil {
+		return err
 	}
 	// Seal the WAL into the archive before touching the page file: if we
 	// crash after sealing, recovery replays the intact WAL and re-seals
@@ -802,9 +784,9 @@ type Stats struct {
 	NoteCacheEntries int
 	NoteCacheHits    uint64
 	NoteCacheMisses  uint64
-	// GroupCommitFlushes/Records report group commit when it is on: batches
-	// written and logical records carried by them. Records/Flushes is the
-	// achieved fsync amortization factor.
+	// GroupCommitFlushes/Records report group commit: batches written and
+	// logical records carried by them. Records/Flushes is the achieved
+	// write (and, with SyncWAL, fsync) amortization factor.
 	GroupCommitFlushes uint64
 	GroupCommitRecords uint64
 }
@@ -814,20 +796,19 @@ func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	entries, hits, misses := s.cache.stats()
-	st := Stats{
-		Notes:            s.count,
-		Pages:            int(s.pg.pageCount),
-		DirtyPages:       s.pg.dirtyCount(),
-		WALBytes:         s.wal.size.Load(),
-		LastUSN:          s.usn,
-		NoteCacheEntries: entries,
-		NoteCacheHits:    hits,
-		NoteCacheMisses:  misses,
+	flushes, records := s.gc.stats()
+	return Stats{
+		Notes:              s.count,
+		Pages:              int(s.pg.pageCount),
+		DirtyPages:         s.pg.dirtyCount(),
+		WALBytes:           s.wal.size.Load(),
+		LastUSN:            s.usn,
+		NoteCacheEntries:   entries,
+		NoteCacheHits:      hits,
+		NoteCacheMisses:    misses,
+		GroupCommitFlushes: flushes,
+		GroupCommitRecords: records,
 	}
-	if s.gc != nil {
-		st.GroupCommitFlushes, st.GroupCommitRecords = s.gc.stats()
-	}
-	return st
 }
 
 // Close checkpoints and releases the underlying files.

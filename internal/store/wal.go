@@ -49,7 +49,8 @@ type wal struct {
 	// size is the committed tail offset. It is atomic because a group-commit
 	// leader appends outside the store latch while latch-holding readers
 	// (Stats, backup) observe it; writes are still serialized (one leader at
-	// a time, and the plain path only runs after the group is drained).
+	// a time, and archive roll-forward appends only after draining the
+	// group).
 	size atomic.Int64
 	buf  []byte
 }
@@ -112,8 +113,8 @@ func appendSubRecord(buf []byte, kind byte, usn uint64, payload []byte) []byte {
 
 // appendBatch writes count pre-encoded sub-records as one walBatch frame
 // whose CRC covers the whole group: recovery keeps the batch entirely or
-// drops it entirely. A single-record batch degenerates to a plain frame, so
-// a lone writer's log stays byte-identical to the unbatched path.
+// drops it entirely. A single-record batch is written as a plain frame, so
+// a lone writer's log carries no batch header.
 func (w *wal) appendBatch(sub []byte, count int, lastUSN uint64, sync bool) error {
 	if count == 1 {
 		kind := sub[0]
