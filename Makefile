@@ -33,16 +33,20 @@ stress:
 		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites|TestClientResendsIffIdempotent|TestFailoverResendsIffIdempotent|TestLoneMateIsABareClient|TestOnlyHedgeableOpsHedge|TestHedgedReadWinsOverSlowMate|TestBudgetAbandonThenRecover|TestLocalExpiryOpensBreaker|TestFailoverStalledFirstMate|TestBreakerCountsSpentTurns' \
 		./internal/core ./internal/repl ./internal/store ./internal/server ./internal/place ./internal/dir ./internal/wire
 
-# Short native-fuzz smoke over the three parsers that guard trust boundaries:
-# the note codec (every WAL record and wire note passes through it), the
-# frame reader (the first parse on every connection), and the formula
+# Short native-fuzz smoke over the parsers that guard trust boundaries: the
+# note codec (every WAL record and wire note passes through it), the frame
+# reader (the first parse on every connection), the bulk-page decoders
+# (view, scan and search pages a client reads off the wire), the formula
 # compiler (mesh link selection formulas arrive over the admin wire ops and
-# from topology files). Each target also keeps its corpus as seed tests
-# under plain `go test`.
+# from topology files), and the incremental-image reader (backup images on
+# disk carry a digest anyone can recompute). Each target also keeps its
+# corpus as seed tests under plain `go test`.
 fuzz:
 	$(GO) test ./internal/nsf -run '^$$' -fuzz FuzzDecodeNote -fuzztime 15s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzReadFrame -fuzztime 15s
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeBulkPages -fuzztime 15s
 	$(GO) test ./internal/formula -run '^$$' -fuzz FuzzCompile -fuzztime 15s
+	$(GO) test ./internal/backup -run '^$$' -fuzz FuzzReadIncremental -fuzztime 15s
 
 # bench/ is a module of its own (it replaces repro with ../), so the root
 # `go test ./...` never compiles it: this is what makes a signature change

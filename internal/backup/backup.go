@@ -12,10 +12,10 @@
 //
 // Every image records the USN range it covers, the modification-time
 // cursor the next incremental scans from, and the SHA-256 digest of its
-// parent image, so the chain is self-verifying. Images are written to a
-// temp name and renamed into place with a directory fsync: a crash during
-// a backup leaves at worst an ignored *.tmp file and never a half-visible
-// image — the set stays verifiable and restorable.
+// parent image, so the chain is self-verifying. Images reach the set
+// through store.Publish: a crash or failure during a backup leaves at worst
+// an ignored *.tmp file and never a half-visible image — the set stays
+// verifiable and restorable.
 //
 // Restore rebuilds a database from the newest full image at or below the
 // target USN, applies the incremental chain, then (for point-in-time
@@ -54,7 +54,6 @@ const (
 	imageHdrSize  = 8 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 32 + 8 + 8 + 4 + 4
 	digestSize    = 32
 	imageExt      = ".nbk"
-	tmpSuffix     = ".tmp"
 	fullImageName = "full"
 	incrImageName = "incr"
 )
@@ -198,70 +197,47 @@ func crashPoint(point string) error {
 	return nil
 }
 
-// writeImage writes header+body to a temp file, rewrites the header with
-// final values, appends the SHA-256 trailer, fsyncs, renames into place,
-// and fsyncs the directory. body streams the image body and may update the
-// header (sizes and cursors become known only after the copy).
+// writeImage publishes an image through store.Publish: header placeholder
+// and body, then the header with final values, then the SHA-256 trailer.
+// body streams the image body and may update the header (sizes and cursors
+// become known only after the copy). Any failure, like a kill, leaves the
+// temp file behind for OpenSet to ignore.
 func writeImage(dir string, h *Header, body func(w io.Writer) error) (ImageInfo, error) {
 	final := filepath.Join(dir, imageName(h.Seq, h.Kind))
-	tmp := final + tmpSuffix
-	f, err := os.Create(tmp)
-	if err != nil {
-		return ImageInfo{}, fmt.Errorf("backup: create image: %w", err)
-	}
-	cleanup := func() { f.Close(); os.Remove(tmp) }
-	if _, err := f.Write(make([]byte, imageHdrSize)); err != nil {
-		cleanup()
-		return ImageInfo{}, fmt.Errorf("backup: write image: %w", err)
-	}
-	if err := body(f); err != nil {
-		cleanup()
-		return ImageInfo{}, err
-	}
-	if err := crashPoint("image-body"); err != nil {
-		f.Close() // a kill leaves the half-written temp file behind
-		return ImageInfo{}, err
-	}
-	// Final header now that the body pinned the sizes and cursors.
-	if _, err := f.WriteAt(encodeHeader(h), 0); err != nil {
-		cleanup()
-		return ImageInfo{}, fmt.Errorf("backup: write image header: %w", err)
-	}
-	// Digest pass: hash the whole file (header + body) and append the
-	// trailer. Rereading keeps the digest definitionally "over the bytes a
-	// reader will see".
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		cleanup()
-		return ImageInfo{}, err
-	}
-	hash := sha256.New()
-	n, err := io.Copy(hash, f)
-	if err != nil {
-		cleanup()
-		return ImageInfo{}, fmt.Errorf("backup: digest image: %w", err)
-	}
 	var digest [digestSize]byte
-	hash.Sum(digest[:0])
-	if _, err := f.WriteAt(digest[:], n); err != nil {
-		cleanup()
-		return ImageInfo{}, fmt.Errorf("backup: write image digest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		cleanup()
-		return ImageInfo{}, fmt.Errorf("backup: sync image: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return ImageInfo{}, err
-	}
-	if err := crashPoint("image-rename"); err != nil {
-		return ImageInfo{}, err // a kill leaves the complete temp file behind
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return ImageInfo{}, fmt.Errorf("backup: publish image: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
+	var n int64
+	err := store.Publish(final, func(f *os.File) error {
+		if _, err := f.Write(make([]byte, imageHdrSize)); err != nil {
+			return fmt.Errorf("backup: write image: %w", err)
+		}
+		if err := body(f); err != nil {
+			return err
+		}
+		if err := crashPoint("image-body"); err != nil {
+			return err
+		}
+		// Final header now that the body pinned the sizes and cursors.
+		if _, err := f.WriteAt(encodeHeader(h), 0); err != nil {
+			return fmt.Errorf("backup: write image header: %w", err)
+		}
+		// Digest pass: hash the whole file (header + body) and append the
+		// trailer. Rereading keeps the digest definitionally "over the bytes
+		// a reader will see".
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			return err
+		}
+		hash := sha256.New()
+		var err error
+		if n, err = io.Copy(hash, f); err != nil {
+			return fmt.Errorf("backup: digest image: %w", err)
+		}
+		hash.Sum(digest[:0])
+		if _, err := f.Write(digest[:]); err != nil {
+			return fmt.Errorf("backup: write image digest: %w", err)
+		}
+		return crashPoint("image-rename")
+	})
+	if err != nil {
 		return ImageInfo{}, err
 	}
 	return ImageInfo{Header: *h, Path: final, Digest: digest, Size: n + digestSize}, nil
@@ -503,58 +479,54 @@ func readIncremental(img ImageInfo, fn func(enc []byte) error) (map[nsf.UNID]str
 		return nil, err
 	}
 	defer f.Close()
-	r := io.NewSectionReader(f, imageHdrSize, img.Size-imageHdrSize-digestSize)
-	var frame [8]byte
-	for i := uint32(0); i < img.Notes; i++ {
-		if _, err := io.ReadFull(r, frame[:]); err != nil {
-			return nil, fmt.Errorf("%w: %s: short note frame", ErrCorruptImage, img.Path)
+	return decodeIncremental(img.Path, io.NewSectionReader(f, imageHdrSize, img.Size-imageHdrSize-digestSize), img.Notes, fn)
+}
+
+// decodeIncremental reads an incremental body from r: notes CRC-framed
+// note encodings, each handed to fn, then the manifest frame. Every frame
+// is [count u32][crc u32] followed by count units of bytes, and a count
+// whose bytes would overrun what remains of r is rejected before anything
+// is allocated for it. The trailer digest vouches for integrity, not
+// authenticity: whoever rewrites an image can recompute it, so this reader
+// must hold its own bounds.
+func decodeIncremental(name string, r *io.SectionReader, notes uint32, fn func(enc []byte) error) (map[nsf.UNID]struct{}, error) {
+	left := r.Size()
+	frame := func(what string, unit int64) ([]byte, error) {
+		var hdr [8]byte
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return nil, fmt.Errorf("%w: %s: short %s frame", ErrCorruptImage, name, what)
 		}
-		length := binary.LittleEndian.Uint32(frame[:4])
-		wantCRC := binary.LittleEndian.Uint32(frame[4:])
-		enc := make([]byte, length)
-		if _, err := io.ReadFull(r, enc); err != nil {
-			return nil, fmt.Errorf("%w: %s: short note body", ErrCorruptImage, img.Path)
+		left -= int64(len(hdr))
+		size := unit * int64(binary.LittleEndian.Uint32(hdr[:4]))
+		if size > left {
+			return nil, fmt.Errorf("%w: %s: %s of %d bytes overruns the %d left in the image", ErrCorruptImage, name, what, size, left)
 		}
-		if crc32.ChecksumIEEE(enc) != wantCRC {
-			return nil, fmt.Errorf("%w: %s: note CRC mismatch", ErrCorruptImage, img.Path)
+		body := make([]byte, size)
+		if _, err := io.ReadFull(r, body); err != nil {
+			return nil, fmt.Errorf("%w: %s: short %s", ErrCorruptImage, name, what)
+		}
+		left -= size
+		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(hdr[4:]) {
+			return nil, fmt.Errorf("%w: %s: %s CRC mismatch", ErrCorruptImage, name, what)
+		}
+		return body, nil
+	}
+	for i := uint32(0); i < notes; i++ {
+		enc, err := frame("note", 1)
+		if err != nil {
+			return nil, err
 		}
 		if err := fn(enc); err != nil {
 			return nil, err
 		}
 	}
-	if _, err := io.ReadFull(r, frame[:]); err != nil {
-		return nil, fmt.Errorf("%w: %s: short manifest frame", ErrCorruptImage, img.Path)
+	raw, err := frame("manifest", 16)
+	if err != nil {
+		return nil, err
 	}
-	count := binary.LittleEndian.Uint32(frame[:4])
-	wantCRC := binary.LittleEndian.Uint32(frame[4:])
-	raw := make([]byte, 16*int64(count))
-	if _, err := io.ReadFull(r, raw); err != nil {
-		return nil, fmt.Errorf("%w: %s: short manifest", ErrCorruptImage, img.Path)
-	}
-	if crc32.ChecksumIEEE(raw) != wantCRC {
-		return nil, fmt.Errorf("%w: %s: manifest CRC mismatch", ErrCorruptImage, img.Path)
-	}
-	manifest := make(map[nsf.UNID]struct{}, count)
-	for i := uint32(0); i < count; i++ {
-		var u nsf.UNID
-		copy(u[:], raw[16*i:])
-		manifest[u] = struct{}{}
+	manifest := make(map[nsf.UNID]struct{}, len(raw)/16)
+	for ; len(raw) > 0; raw = raw[16:] {
+		manifest[nsf.UNID(raw[:16])] = struct{}{}
 	}
 	return manifest, nil
-}
-
-// syncDir fsyncs a directory so renames within it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("backup: open dir for sync: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("backup: sync dir %s: %w", dir, err)
-	}
-	return nil
 }

@@ -174,20 +174,10 @@ func Restore(setDir, targetPath string, opts RestoreOptions) (RestoreInfo, error
 		crashed = true
 		return info, err
 	}
-	// Publish: move the staged pair into place and make the renames
-	// durable. The target did not exist, so a crash between the renames
-	// leaves a page file without its (empty, post-checkpoint) WAL — open
-	// recreates an empty WAL, which is equivalent.
-	if err := os.Rename(stagePath, targetPath); err != nil {
-		return info, fmt.Errorf("backup: publish restored db: %w", err)
-	}
-	if err := os.Rename(stagePath+".wal", targetPath+".wal"); err != nil {
-		return info, fmt.Errorf("backup: publish restored wal: %w", err)
-	}
-	if err := syncDir(filepath.Dir(targetPath)); err != nil {
-		return info, err
-	}
-	return info, nil
+	// The target did not exist, so a crash between Install's renames leaves
+	// a page file without its (empty, post-checkpoint) WAL — open recreates
+	// an empty WAL, which is equivalent.
+	return info, store.Install(stagePath, targetPath)
 }
 
 func archiveClause(dir string) string {
@@ -197,8 +187,8 @@ func archiveClause(dir string) string {
 	return "+archive"
 }
 
-// extractFullImage writes a full image's page and WAL streams to
-// stagePath and stagePath+".wal", fsynced.
+// extractFullImage publishes a full image's page and WAL streams as
+// stagePath and stagePath+".wal".
 func extractFullImage(img ImageInfo, stagePath string) error {
 	if img.Kind != KindFull {
 		return fmt.Errorf("backup: %s is not a full image", img.Path)
@@ -213,17 +203,10 @@ func extractFullImage(img ImageInfo, stagePath string) error {
 		return fmt.Errorf("%w: %s: size %d, header implies %d", ErrCorruptImage, img.Path, img.Size, want)
 	}
 	copyOut := func(dst string, off, n int64) error {
-		out, err := os.Create(dst)
-		if err != nil {
+		err := store.Publish(dst, func(out *os.File) error {
+			_, err := io.Copy(out, io.NewSectionReader(f, off, n))
 			return err
-		}
-		_, err = io.Copy(out, io.NewSectionReader(f, off, n))
-		if err == nil {
-			err = out.Sync()
-		}
-		if cerr := out.Close(); err == nil {
-			err = cerr
-		}
+		})
 		if err != nil {
 			return fmt.Errorf("backup: extract %s: %w", dst, err)
 		}

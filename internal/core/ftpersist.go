@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/ft"
 	"repro/internal/nsf"
+	"repro/internal/store"
 )
 
 // Full-text index persistence. Like Domino's .ft directories, the index is
@@ -17,8 +18,8 @@ import (
 // the modification index instead of re-tokenizing everything.
 //
 // Sidecar format: magic "NSFFT001", the catch-up cursor (the clock reading
-// at save time, 8 bytes), then the ft.Index snapshot. Snapshots are local
-// state and never replicate.
+// at save time, 8 bytes), then the ft.Index snapshot, published through
+// store.Publish. Snapshots are local state and never replicate.
 const ftSidecarMagic = "NSFFT001"
 
 func (db *Database) ftSidecarPath() string { return db.st.Path() + ".ft" }
@@ -115,35 +116,14 @@ func (db *Database) SaveFullText() error {
 	// never lost. (After Close the feed is already drained and the barrier
 	// returns immediately.)
 	db.Refresh()
-	cursor := nsf.Timestamp(db.ftCursor.Load())
-	tmp := db.ftSidecarPath() + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	hdr := binary.LittleEndian.AppendUint64([]byte(ftSidecarMagic), uint64(db.ftCursor.Load()))
+	return store.Publish(db.ftSidecarPath(), func(f *os.File) error {
+		if _, err := f.Write(hdr); err != nil {
+			return err
+		}
+		_, err := ix.WriteTo(f)
 		return err
-	}
-	defer os.Remove(tmp)
-	if _, err := f.Write([]byte(ftSidecarMagic)); err != nil {
-		f.Close()
-		return err
-	}
-	var cursorBuf [8]byte
-	binary.LittleEndian.PutUint64(cursorBuf[:], uint64(cursor))
-	if _, err := f.Write(cursorBuf[:]); err != nil {
-		f.Close()
-		return err
-	}
-	if _, err := ix.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, db.ftSidecarPath())
+	})
 }
 
 // DropFullTextSidecar deletes the persisted snapshot (e.g. before a manual

@@ -13,9 +13,10 @@ import (
 // they happen (event-driven), rather than waiting for the scheduled
 // replicator. Every save on a clustered database is queued and applied on
 // each mate within moments. The scheduled replicator remains the catch-up
-// path after outages — and a dropped push now *tells* it to run: drops
-// fire the server's OnClusterDrop callback, which dominod wires into the
-// replication jobs' ChangeTriggers for an immediate catch-up pass.
+// path after outages — and a dropped push *tells* it to run: drops fire
+// the server's OnClusterDrop callback, which dominod wires to the mesh's
+// RunNow on the replicate link for that mate and database, an immediate
+// catch-up pass.
 
 // LogCluster is the log kind for cluster push events.
 const LogCluster = "cluster"
@@ -81,9 +82,9 @@ func (s *Server) ClusterMates() []string {
 
 // OnClusterDrop registers fn to be called (outside all locks) whenever a
 // push event is abandoned to the scheduled replicator, with the mate name
-// and database path. dominod wires this into the matching replication
-// job's ChangeTrigger so a drop schedules an immediate catch-up run
-// instead of waiting out the polling interval.
+// and database path. dominod wires this to the mesh's RunNow on the
+// matching replicate link, so a drop starts a catch-up round at once
+// instead of waiting out the link interval.
 func (s *Server) OnClusterDrop(fn func(mate, dbPath string)) {
 	s.onClusterDrop.Store(fn)
 }

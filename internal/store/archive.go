@@ -29,8 +29,8 @@ import (
 //	headerCRC uint32     castagnoli over bytes 8..32
 //	frames               WAL record frames, identical to the live WAL format
 //
-// Segments are written to a temp name, fsynced, renamed into place, and the
-// directory fsynced, so a crash can never leave a half-visible segment.
+// Segments reach the archive through Publish, so a crash can never leave a
+// half-visible segment.
 // After a crash between sealing and the WAL reset the same records can be
 // sealed twice; readers tolerate the overlap because replay skips records
 // at or below the store's current USN.
@@ -112,31 +112,15 @@ func (s *Store) sealWALLocked() error {
 	binary.LittleEndian.PutUint32(hdr[28:], records)
 	binary.LittleEndian.PutUint32(hdr[32:], crc32.Checksum(hdr[8:32], crcTable))
 
-	final := filepath.Join(s.opts.ArchiveDir, segName(seq))
-	tmp := final + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: create segment: %w", err)
-	}
-	if _, err := f.Write(hdr); err == nil {
-		_, err = f.Write(raw[:consumed])
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: write segment: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: publish segment: %w", err)
-	}
-	if err := syncDir(s.opts.ArchiveDir); err != nil {
+	err = Publish(filepath.Join(s.opts.ArchiveDir, segName(seq)), func(f *os.File) error {
+		if _, err := f.Write(hdr); err != nil {
+			return err
+		}
+		_, err := f.Write(raw[:consumed])
 		return err
+	})
+	if err != nil {
+		return fmt.Errorf("store: write segment: %w", err)
 	}
 	s.nextSegSeq = seq + 1
 	return nil
@@ -334,20 +318,4 @@ func (s *Store) ApplyArchive(dir string, toUSN uint64) (int, error) {
 		return applied, err
 	}
 	return applied, s.checkpointLocked()
-}
-
-// syncDir fsyncs a directory so renames within it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("store: open dir for sync: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("store: sync dir %s: %w", dir, err)
-	}
-	return nil
 }

@@ -4,36 +4,38 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
-	"path/filepath"
 )
 
 // Compact rewrites the database into a fresh file, dropping dead space
 // (freed pages, slack in heap pages, shallow B+trees), then atomically
 // swaps it in place and reopens. Note IDs, UNIDs, versions and the replica
 // identity are all preserved, so views and replication state stay valid.
-// It returns the number of pages reclaimed.
+// It returns the number of pages reclaimed. While a hot backup is copying
+// the page file, Compact waits for the copy to finish.
 func (s *Store) Compact() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// A hot backup is copying the page file this would rewrite and swap:
+	// wait for it (Wait releases the latch, so commits continue).
+	for s.ckHold > 0 && !s.closed {
+		s.ckFree.Wait()
+	}
 	if s.closed {
 		return 0, fmt.Errorf("store: closed")
 	}
-	// Quiesce group commit before touching files: an in-flight leader may
-	// still be appending to the WAL we are about to close and swap out, and
-	// pending waiters must be acked against the old file while it exists.
-	if err := s.gc.drain(); err != nil {
-		return 0, err
-	}
-	// Make the page file current first.
-	if err := s.pg.flush(); err != nil {
+	// Checkpoint first. It settles group commit (an in-flight leader may
+	// still be appending to the WAL about to be swapped out, and pending
+	// waiters must be acked against it), seals the WAL into the archive
+	// (the swap discards it), and empties it, so a crash between Install's
+	// two renames finds nothing to replay on top of the fresh page file.
+	if err := s.checkpointLocked(); err != nil {
 		return 0, err
 	}
 	before := int(s.pg.pageCount)
 
 	tmpPath := s.path + ".compact"
 	// A stale temp file from an interrupted compaction is discarded.
-	os.Remove(tmpPath)
-	os.Remove(tmpPath + ".wal")
+	removeDB(tmpPath)
 	fresh, err := Open(tmpPath, Options{
 		ReplicaID:       s.pg.replicaID,
 		Title:           s.pg.title,
@@ -45,8 +47,7 @@ func (s *Store) Compact() (int, error) {
 	}
 	cleanupFresh := func() {
 		fresh.Close()
-		os.Remove(tmpPath)
-		os.Remove(tmpPath + ".wal")
+		removeDB(tmpPath)
 	}
 	// Copy the heap records and the three indexes straight across, in key
 	// order. Only byID holds RecordIDs, so its entries are re-pointed at each
@@ -83,25 +84,12 @@ func (s *Store) Compact() (int, error) {
 		return 0, err
 	}
 	after := int(fresh.pg.pageCount)
-	// fresh.Close checkpointed, fsyncing both temp files (page-file flush
-	// and WAL reset both sync), so their contents are durable before the
-	// renames make them visible.
-	// Swap the files in. Rename is atomic per file; a crash between the two
-	// renames leaves a fresh page file with a stale WAL, which reset-on-
-	// checkpoint made empty above, so recovery is still correct.
+	// fresh.Close checkpointed, fsyncing both temp files, so Install can
+	// swap them in.
 	if err := s.closeFiles(); err != nil {
 		return 0, err
 	}
-	if err := os.Rename(tmpPath, s.path); err != nil {
-		return 0, fmt.Errorf("store: swap compacted file: %w", err)
-	}
-	if err := os.Rename(tmpPath+".wal", s.path+".wal"); err != nil {
-		return 0, fmt.Errorf("store: swap compacted wal: %w", err)
-	}
-	// Make the rename pair durable: without a directory fsync a power loss
-	// here could surface the old page file next to the new WAL (or neither
-	// rename), a resurrect-prone half-swapped store.
-	if err := syncDir(filepath.Dir(s.path)); err != nil {
+	if err := Install(tmpPath, s.path); err != nil {
 		return 0, err
 	}
 	// Reopen in place.
@@ -131,6 +119,13 @@ func (s *Store) Compact() (int, error) {
 	s.cache.clear()
 	s.sinceCheckpoint = 0
 	return before - after, nil
+}
+
+// removeDB deletes the page file and WAL at path, if present.
+func removeDB(path string) {
+	for _, p := range []string{path, path + ".wal"} {
+		os.Remove(p)
+	}
 }
 
 // copyTree inserts every entry of src into dst in key order, mapping each

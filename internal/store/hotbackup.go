@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/nsf"
 )
@@ -13,11 +12,12 @@ import (
 // Hot (online) backup. The no-steal durability model makes this cheap: the
 // on-disk page file only ever changes at a checkpoint, so between
 // checkpoints it is an immutable, consistent snapshot and the WAL holds
-// everything since. A hot backup therefore (1) suspends checkpoints,
-// (2) copies the page file at leisure while commits keep appending to the
-// WAL, (3) snapshots the WAL tail and cursors under the store mutex, and
-// (4) releases the hold, running any checkpoint that came due. The commit
-// path is never blocked for the duration of the copy.
+// everything since. A hot backup therefore (1) suspends checkpoints and
+// compaction, (2) copies the page file through the pager's descriptor while
+// commits keep appending to the WAL, (3) snapshots the WAL tail and cursors
+// under the store mutex, and (4) releases the hold, running any checkpoint
+// that came due. The commit path is never blocked for the duration of the
+// copy.
 
 // BackupMark describes the consistent point a hot backup captured.
 type BackupMark struct {
@@ -33,21 +33,26 @@ type BackupMark struct {
 	Replica nsf.ReplicaID
 }
 
-// holdCheckpoints suspends checkpoints and returns a release function that
-// resumes them, running a deferred checkpoint if one came due. The release
-// function returns that checkpoint's error (nil when none ran).
-func (s *Store) holdCheckpoints() (func() error, error) {
+// holdCheckpoints suspends checkpoints (and compaction) and returns the
+// pager, whose file cannot change until the release function runs. Release
+// resumes checkpoints, running a deferred one if it came due, and returns
+// that checkpoint's error (nil when none ran).
+func (s *Store) holdCheckpoints() (*pager, func() error, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, errors.New("store: closed")
+		return nil, nil, errors.New("store: closed")
 	}
 	s.ckHold++
-	return func() error {
+	return s.pg, func() error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		s.ckHold--
-		if s.ckHold == 0 && s.ckDeferred && !s.closed {
+		if s.ckHold > 0 {
+			return nil
+		}
+		s.ckFree.Broadcast()
+		if s.ckDeferred && !s.closed {
 			return s.checkpointLocked()
 		}
 		return nil
@@ -60,7 +65,7 @@ func (s *Store) holdCheckpoints() (func() error, error) {
 // mark.LastUSN: restoring both streams and running ordinary crash recovery
 // reproduces that state.
 func (s *Store) HotBackup(pageW, walW io.Writer) (BackupMark, error) {
-	release, err := s.holdCheckpoints()
+	pg, release, err := s.holdCheckpoints()
 	if err != nil {
 		return BackupMark{}, err
 	}
@@ -74,15 +79,10 @@ func (s *Store) HotBackup(pageW, walW io.Writer) (BackupMark, error) {
 	}
 	defer doRelease()
 
-	// Phase 2: copy the page file. It cannot change while checkpoints are
-	// held, so a plain sequential copy over a private descriptor is a
-	// consistent snapshot.
-	f, err := os.Open(s.path)
-	if err != nil {
-		return BackupMark{}, fmt.Errorf("store: open page file for backup: %w", err)
-	}
-	pageBytes, err := io.Copy(pageW, f)
-	f.Close()
+	// Phase 2: copy the page file through the pager's own descriptor. The
+	// file cannot change or be swapped while the hold is open, so a
+	// sequential copy is a consistent snapshot.
+	pageBytes, err := pg.copyTo(pageW)
 	if err != nil {
 		return BackupMark{}, fmt.Errorf("store: copy page file: %w", err)
 	}

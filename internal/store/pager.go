@@ -295,6 +295,15 @@ func (p *pager) dirtyCount() int {
 	return n
 }
 
+// copyTo streams the page file as the last flush left it.
+func (p *pager) copyTo(w io.Writer) (int64, error) {
+	info, err := p.f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	return io.Copy(w, io.NewSectionReader(p.f, 0, info.Size()))
+}
+
 func (p *pager) close() error {
 	return p.f.Close()
 }

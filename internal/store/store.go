@@ -81,7 +81,7 @@ type Store struct {
 	wal             *wal
 	gc              *commitGroup // every commit's way into the WAL
 	heap            *heap
-	cache           *noteCache // decoded-note cache; nil when disabled
+	cache           *noteCache // decoded-note cache
 	byID            *btree     // NoteID (4B BE)            -> RecordID (8B)
 	byUNID          *btree     // UNID (16B)                -> NoteID (4B BE)
 	byMod           *btree     // Modified (8B BE) + NoteID -> nil
@@ -103,9 +103,11 @@ type Store struct {
 	nextSegSeq uint32
 	// ckHold suspends checkpoints while a hot backup copies the page file
 	// (writes keep appending to the WAL); ckDeferred remembers that a
-	// checkpoint came due during the hold.
+	// checkpoint came due during the hold, and ckFree (on mu) wakes a
+	// Compact waiting for the last hold to go.
 	ckHold     int
 	ckDeferred bool
+	ckFree     *sync.Cond
 }
 
 // Open opens or creates the database at path (page file) with a companion
@@ -128,6 +130,7 @@ func Open(path string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{path: path, pg: pg, wal: w, heap: newHeap(pg), opts: opts}
+	s.ckFree = sync.NewCond(&s.mu)
 	s.gc = newCommitGroup(w, opts.SyncWAL, opts.GroupCommitWindow)
 	s.cache = newNoteCache()
 	s.byID = &btree{pg: pg, slot: rootSlotByID}
@@ -779,8 +782,7 @@ type Stats struct {
 	// LastUSN is the update sequence number of the last committed
 	// operation (persistent across reopens).
 	LastUSN uint64
-	// NoteCacheEntries/Hits/Misses report the decoded-note cache (all zero
-	// when the cache is disabled).
+	// NoteCacheEntries/Hits/Misses report the decoded-note cache.
 	NoteCacheEntries int
 	NoteCacheHits    uint64
 	NoteCacheMisses  uint64
