@@ -6,16 +6,15 @@
 // A backup set is a directory of image files:
 //
 //	img-0001-full.nbk   full image: page-file snapshot + WAL tail
-//	img-0002-incr.nbk   incremental: notes/stubs modified since image 1,
+//	img-0002-incr.nbk   incremental: notes/stubs committed since image 1,
 //	                    plus the live-UNID manifest (for hard deletes)
 //	img-0003-incr.nbk   ...
 //
-// Every image records the USN range it covers, the modification-time
-// cursor the next incremental scans from, and the SHA-256 digest of its
-// parent image, so the chain is self-verifying. Images reach the set
-// through store.Publish: a crash or failure during a backup leaves at worst
-// an ignored *.tmp file and never a half-visible image — the set stays
-// verifiable and restorable.
+// Every image records the USN range it covers, the incarnation of the copy
+// those USNs belong to, and the SHA-256 digest of its parent image, so the
+// chain is self-verifying. Images reach the set through store.Publish: a
+// crash or failure during a backup leaves at worst an ignored *.tmp file
+// and never a half-visible image — the set stays verifiable and restorable.
 //
 // Restore rebuilds a database from the newest full image at or below the
 // target USN, applies the incremental chain, then (for point-in-time
@@ -44,13 +43,13 @@ const (
 	// KindFull is a complete database image (page file + WAL tail).
 	KindFull = 1
 	// KindIncremental is a delta image: every note (stubs included)
-	// modified since the parent image.
+	// committed since the parent image.
 	KindIncremental = 2
 )
 
 const (
 	imageMagic    = "NSFBKIM1"
-	imageVersion  = 1
+	imageVersion  = 2
 	imageHdrSize  = 8 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 32 + 8 + 8 + 4 + 4
 	digestSize    = 32
 	imageExt      = ".nbk"
@@ -63,7 +62,8 @@ const (
 var ErrCorruptImage = errors.New("backup: corrupt image")
 
 // ErrBrokenChain reports a backup set whose incremental chain does not link
-// (missing image, wrong parent digest, or USN discontinuity).
+// (missing image, wrong parent digest, USN discontinuity, or an image of
+// another copy).
 var ErrBrokenChain = errors.New("backup: broken image chain")
 
 // ErrEmptySet reports a restore from a set with no usable full image.
@@ -82,9 +82,9 @@ type Header struct {
 	BaseUSN uint64
 	// EndUSN is the last USN whose effects the image includes.
 	EndUSN uint64
-	// CursorMod is the modification-time high-water mark the image covers;
-	// the next incremental scans notes with Modified > CursorMod.
-	CursorMod nsf.Timestamp
+	// Incarnation identifies the source copy's USN sequence: an incremental
+	// follows its parent only when both carry the store's incarnation.
+	Incarnation uint64
 	// Created is the backup wall time in unix nanoseconds.
 	Created int64
 	// Parent is the SHA-256 digest of the parent image (zero for full).
@@ -123,7 +123,7 @@ func encodeHeader(h *Header) []byte {
 	o += 8
 	binary.LittleEndian.PutUint64(buf[o:], h.EndUSN)
 	o += 8
-	binary.LittleEndian.PutUint64(buf[o:], uint64(h.CursorMod))
+	binary.LittleEndian.PutUint64(buf[o:], h.Incarnation)
 	o += 8
 	binary.LittleEndian.PutUint64(buf[o:], uint64(h.Created))
 	o += 8
@@ -162,7 +162,7 @@ func decodeHeader(path string, buf []byte) (Header, error) {
 	o += 8
 	h.EndUSN = binary.LittleEndian.Uint64(buf[o:])
 	o += 8
-	h.CursorMod = nsf.Timestamp(binary.LittleEndian.Uint64(buf[o:]))
+	h.Incarnation = binary.LittleEndian.Uint64(buf[o:])
 	o += 8
 	h.Created = int64(binary.LittleEndian.Uint64(buf[o:]))
 	o += 8
@@ -340,8 +340,7 @@ func (s *Set) last() *ImageInfo {
 // chainTo returns the restore chain ending at target USN u: the newest
 // full image with EndUSN <= u (or the newest full at all when none is
 // below u and u is 0 meaning "latest"), followed by the incrementals up to
-// u. Chain links (Seq continuity, BaseUSN == parent.EndUSN, Parent digest)
-// are verified.
+// u. Every link is checked by checkLink.
 func (s *Set) chainTo(u uint64) ([]ImageInfo, error) {
 	if u == 0 {
 		u = ^uint64(0)
@@ -361,19 +360,29 @@ func (s *Set) chainTo(u uint64) ([]ImageInfo, error) {
 		if img.Kind != KindIncremental || img.EndUSN > u {
 			break
 		}
-		prev := chain[len(chain)-1]
-		if img.Seq != prev.Seq+1 {
-			return nil, fmt.Errorf("%w: image %s follows seq %d, want %d", ErrBrokenChain, img.Path, prev.Seq, prev.Seq+1)
-		}
-		if img.BaseUSN != prev.EndUSN {
-			return nil, fmt.Errorf("%w: image %s bases on USN %d, parent ends at %d", ErrBrokenChain, img.Path, img.BaseUSN, prev.EndUSN)
-		}
-		if img.Parent != prev.Digest {
-			return nil, fmt.Errorf("%w: image %s does not carry its parent's digest", ErrBrokenChain, img.Path)
+		if err := checkLink(&chain[0], &chain[len(chain)-1], &img); err != nil {
+			return nil, err
 		}
 		chain = append(chain, img)
 	}
 	return chain, nil
+}
+
+// checkLink reports, as ErrBrokenChain, why incremental img cannot follow
+// prev in a chain that starts at full: a sequence gap, a USN discontinuity,
+// another parent digest, or another copy (replica or incarnation).
+func checkLink(full, prev, img *ImageInfo) error {
+	switch {
+	case img.Seq != prev.Seq+1:
+		return fmt.Errorf("%w: image %s follows seq %d, want %d", ErrBrokenChain, img.Path, prev.Seq, prev.Seq+1)
+	case img.BaseUSN != prev.EndUSN:
+		return fmt.Errorf("%w: image %s bases on USN %d, parent ends at %d", ErrBrokenChain, img.Path, img.BaseUSN, prev.EndUSN)
+	case img.Parent != prev.Digest:
+		return fmt.Errorf("%w: image %s does not carry its parent's digest", ErrBrokenChain, img.Path)
+	case img.Replica != full.Replica || img.Incarnation != full.Incarnation:
+		return fmt.Errorf("%w: image %s is of another database copy than full image %s", ErrBrokenChain, img.Path, full.Path)
+	}
+	return nil
 }
 
 // Full takes a hot full backup of st into the set at dir, creating the
@@ -401,7 +410,7 @@ func Full(st *store.Store, dir string, now nsf.Timestamp) (ImageInfo, error) {
 		}
 		h.Replica = mark.Replica
 		h.EndUSN = mark.LastUSN
-		h.CursorMod = mark.ModHigh
+		h.Incarnation = mark.Incarnation
 		h.PageBytes = uint64(mark.PageBytes)
 		h.WALBytes = uint64(mark.WALBytes)
 		return nil
@@ -410,37 +419,38 @@ func Full(st *store.Store, dir string, now nsf.Timestamp) (ImageInfo, error) {
 }
 
 // Incremental takes an incremental backup of st into the set at dir: every
-// note (stubs included) modified since the set's newest image, chained to
-// it by USN and parent digest, followed by the manifest of all live UNIDs
-// at capture time. The manifest is how restore reproduces hard deletes —
-// the store does not keep per-UNID tombstones, so a note staged from an
-// earlier image that is missing from the manifest is known to have been
-// deleted in the covered span. With no prior image Incremental falls back
-// to a full backup. An incremental with zero changes is still written — it
-// renews the chain head and records the new cursor.
+// note (stubs included) committed after the set's newest image's EndUSN,
+// chained to it by USN and parent digest, followed by the manifest of all
+// live UNIDs at capture time. The manifest is how restore reproduces hard
+// deletes — the store does not keep per-UNID tombstones, so a note staged
+// from an earlier image that is missing from the manifest is known to have
+// been deleted in the covered span. It falls back to a full backup when the
+// set is empty or its newest image is of another copy (another replica, or
+// a database restored, recovered or recreated at the same path). An empty
+// incremental is still written: it renews the chain head and cursor.
 func Incremental(st *store.Store, dir string, now nsf.Timestamp) (ImageInfo, error) {
 	set, err := OpenSet(dir)
 	if err != nil {
 		return ImageInfo{}, err
 	}
 	parent := set.last()
-	if parent == nil {
+	if parent == nil || parent.Replica != st.ReplicaID() || parent.Incarnation != st.Incarnation() {
 		return Full(st, dir, now)
 	}
-	notes, manifest, mark, err := st.SnapshotModifiedSince(parent.CursorMod)
+	notes, manifest, mark, err := st.SnapshotSince(parent.EndUSN)
 	if err != nil {
 		return ImageInfo{}, err
 	}
 	h := Header{
-		Kind:      KindIncremental,
-		Seq:       parent.Seq + 1,
-		Replica:   mark.Replica,
-		BaseUSN:   parent.EndUSN,
-		EndUSN:    mark.LastUSN,
-		CursorMod: mark.ModHigh,
-		Created:   int64(now),
-		Parent:    parent.Digest,
-		Notes:     uint32(len(notes)),
+		Kind:        KindIncremental,
+		Seq:         parent.Seq + 1,
+		Replica:     mark.Replica,
+		BaseUSN:     parent.EndUSN,
+		EndUSN:      mark.LastUSN,
+		Incarnation: mark.Incarnation,
+		Created:     int64(now),
+		Parent:      parent.Digest,
+		Notes:       uint32(len(notes)),
 	}
 	return writeImage(dir, &h, func(w io.Writer) error {
 		var frame [8]byte

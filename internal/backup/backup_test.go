@@ -3,6 +3,7 @@ package backup
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -535,6 +536,90 @@ func TestVerifyAndChainDamage(t *testing.T) {
 		}
 		if r.OK() {
 			t.Fatal("verify missed an archive gap")
+		}
+	})
+}
+
+// TestIncrementalNeverChainsOntoAnotherCopy covers a set that holds images
+// of another database: a set directory is keyed by path, and a different
+// replica, or the same replica recreated or restored there, reuses it. The
+// newest image's USNs say nothing about the store being backed up, so
+// Incremental must start a new chain with a full image, and a restore must
+// refuse a chain whose links change copy.
+func TestIncrementalNeverChainsOntoAnotherCopy(t *testing.T) {
+	dir := t.TempDir()
+	open := func(name string, replica nsf.ReplicaID) *store.Store {
+		st, err := store.Open(filepath.Join(dir, name), store.Options{ReplicaID: replica})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
+	a := open("a.nsf", nsf.ReplicaID{})
+	ts := nsf.Timestamp(0)
+	for i := 0; i < 3; i++ {
+		ts++
+		if err := a.Put(testDoc(i, ts)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	others := []struct {
+		name string
+		st   *store.Store
+	}{
+		{"other-replica", open("b.nsf", nsf.ReplicaID{})},
+		{"same-replica-new-incarnation", open("a2.nsf", a.ReplicaID())},
+	}
+	for _, o := range others {
+		t.Run(o.name, func(t *testing.T) {
+			setDir := filepath.Join(t.TempDir(), "bak")
+			if _, err := Full(a, setDir, ts); err != nil {
+				t.Fatal(err)
+			}
+			ts++
+			n := testDoc(100, ts)
+			if err := o.st.Put(n); err != nil {
+				t.Fatal(err)
+			}
+			img, err := Incremental(o.st, setDir, ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if img.Kind != KindFull || img.Seq != 2 || img.EndUSN != o.st.LastUSN() {
+				t.Fatalf("incremental of another copy wrote %+v, want a full image at seq 2", img.Header)
+			}
+			targetPath := filepath.Join(t.TempDir(), "restored.nsf")
+			if _, err := Restore(setDir, targetPath, RestoreOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			checkState(t, targetPath, o.st.LastUSN(), map[nsf.UNID]noteState{
+				n.OID.UNID: {seq: n.OID.Seq, digest: n.CanonicalDigest()},
+			})
+		})
+	}
+
+	t.Run("foreign-link", func(t *testing.T) {
+		setDir := filepath.Join(t.TempDir(), "bak")
+		full, err := Full(a, setDir, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A well-formed, digest-linked incremental of another replica: zero
+		// notes and an empty manifest frame.
+		h := Header{Kind: KindIncremental, Seq: 2, Replica: nsf.NewReplicaID(), BaseUSN: full.EndUSN,
+			EndUSN: full.EndUSN, Incarnation: full.Incarnation, Parent: full.Digest}
+		if _, err := writeImage(setDir, &h, func(w io.Writer) error {
+			_, err := w.Write(make([]byte, 8))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Restore(setDir, filepath.Join(t.TempDir(), "r.nsf"), RestoreOptions{}); !errors.Is(err, ErrBrokenChain) {
+			t.Fatalf("restore across a foreign link: %v, want ErrBrokenChain", err)
+		}
+		if r, err := VerifySet(setDir, ""); err != nil || r.OK() {
+			t.Fatalf("verify of a foreign link: %v, problems %v", err, r.Problems)
 		}
 	})
 }

@@ -166,6 +166,8 @@ func Restore(setDir, targetPath string, opts RestoreOptions) (RestoreInfo, error
 			opts.TargetUSN, archiveClause(opts.ArchiveDir), info.ReachedUSN)
 	}
 
+	// Cursors the source issued may be past the USN restored to.
+	st.Reincarnate()
 	if err := st.Close(); err != nil {
 		return info, err
 	}

@@ -32,11 +32,11 @@ func (r *VerifyResult) problemf(format string, args ...any) {
 
 // VerifySet runs an offline integrity pass over the backup set in setDir:
 // every image's SHA-256 digest, every incremental note frame's CRC and
-// decodability, the chain links between consecutive images (sequence,
-// USN continuity, parent digest), and — when archiveDir is non-empty —
-// every archived segment's header and frame CRCs plus the USN continuity
-// of the archive as a whole. It collects problems rather than stopping at
-// the first, so one report covers the whole set.
+// decodability, the chain links between consecutive images (checkLink),
+// and — when archiveDir is non-empty — every archived segment's header and
+// frame CRCs plus the USN continuity of the archive as a whole. It collects
+// problems rather than stopping at the first, so one report covers the
+// whole set.
 func VerifySet(setDir, archiveDir string) (*VerifyResult, error) {
 	r := &VerifyResult{}
 	set, err := OpenSet(setDir)
@@ -49,7 +49,7 @@ func VerifySet(setDir, archiveDir string) (*VerifyResult, error) {
 	if len(set.Images) == 0 {
 		r.problemf("set %s holds no images", setDir)
 	}
-	var prev *ImageInfo
+	var full, prev *ImageInfo
 	for i := range set.Images {
 		img := &set.Images[i]
 		r.Images++
@@ -81,22 +81,14 @@ func VerifySet(setDir, archiveDir string) (*VerifyResult, error) {
 			}
 		}
 		switch {
-		case prev == nil:
-			if img.Kind != KindFull {
-				r.problemf("%s: set starts with an incremental image", img.Path)
-			}
-		case img.Kind == KindIncremental:
-			if img.Seq != prev.Seq+1 {
-				r.problemf("%s: sequence %d follows %d", img.Path, img.Seq, prev.Seq)
-			}
-			if img.BaseUSN != prev.EndUSN {
-				r.problemf("%s: bases on USN %d, parent ends at %d", img.Path, img.BaseUSN, prev.EndUSN)
-			}
-			if img.Parent != prev.Digest {
-				r.problemf("%s: parent digest does not match %s", img.Path, prev.Path)
-			}
+		case img.Kind == KindFull:
+			full = img // a full image starts a fresh chain; nothing to link
+		case full == nil:
+			r.problemf("%s: no full image precedes this incremental", img.Path)
 		default:
-			// A new full image starts a fresh chain; nothing to link.
+			if err := checkLink(full, prev, img); err != nil {
+				r.problemf("%v", err)
+			}
 		}
 		prev = img
 	}

@@ -20,9 +20,10 @@ func (db *Database) Backup(setDir string) (backup.ImageInfo, error) {
 	return backup.Full(db.st, setDir, db.clock.Now())
 }
 
-// BackupIncremental appends an incremental image (every note modified
+// BackupIncremental appends an incremental image (every note committed
 // since the set's newest image) to the backup set at setDir, falling back
-// to a full backup when the set is empty.
+// to a full backup when the set is empty or its newest image is of another
+// copy.
 func (db *Database) BackupIncremental(setDir string) (backup.ImageInfo, error) {
 	db.Refresh()
 	return backup.Incremental(db.st, setDir, db.clock.Now())

@@ -77,10 +77,10 @@ type Database struct {
 	feed *changefeed.Feed
 	wmu  sync.Mutex
 
-	// ftCursor is the catch-up cursor the full-text maintainer has applied
-	// through: every note with Modified <= ftCursor is reflected in the
-	// index. The sidecar persists it so reloads catch up incrementally.
-	ftCursor atomic.Int64
+	// ftCursor is the USN the full-text maintainer has applied through. The
+	// sidecar persists it, with the store's incarnation, so reloads catch up
+	// incrementally.
+	ftCursor atomic.Uint64
 
 	mu        sync.RWMutex
 	acl       *acl.ACL
@@ -371,9 +371,8 @@ func (db *Database) putVersionedAsync(n *nsf.Note) (store.Commit, error) {
 			}
 		}
 	}
-	// Timestamps are issued inside the commit section so Modified order
-	// matches feed (USN) order — the full-text catch-up cursor depends on
-	// that monotonicity.
+	// Timestamps are issued inside the commit section, so SeqTime and
+	// Modified order matches commit (USN) order.
 	now := db.clock.Now()
 	if isNew && n.Created == 0 {
 		n.Created = now
@@ -445,19 +444,20 @@ func (db *Database) applyToFullText(e changefeed.Entry) {
 	}
 	if e.Kind == changefeed.Delete {
 		fti.Remove(e.UNID)
-		return
+	} else {
+		fti.Update(e.Note)
 	}
-	fti.Update(e.Note)
-	db.advanceFTCursor(e.Note.Modified)
+	db.ftCursor.Store(e.USN)
 }
 
 // resyncFullText rebuilds the full-text index from the store into a fresh
-// index and swaps it in (searches keep hitting the old one meanwhile).
-func (db *Database) resyncFullText(uint64) error {
+// index and swaps it in (searches keep hitting the old one meanwhile). The
+// store already holds every change through the feed's USN, so the rebuild
+// covers at least that far.
+func (db *Database) resyncFullText(through uint64) error {
 	if db.FullText() == nil {
 		return nil
 	}
-	pre := db.clock.Now()
 	ix := ft.NewIndex()
 	err := db.st.ScanAll(func(n *nsf.Note) bool {
 		ix.Update(n)
@@ -469,7 +469,7 @@ func (db *Database) resyncFullText(uint64) error {
 	db.mu.Lock()
 	db.ftIndex = ix
 	db.mu.Unlock()
-	db.setFTCursor(pre)
+	db.ftCursor.Store(through)
 	return nil
 }
 
@@ -516,9 +516,9 @@ func (db *Database) RawPut(n *nsf.Note) error {
 		db.wmu.Unlock()
 		return err
 	}
-	// Replication must not regress the local modification index: stamp the
-	// local receive time so ScanModifiedSince finds the note for onward
-	// replication, while the OID keeps the original version identity.
+	// Modified means "modified in this file": stamp the local receive time,
+	// so unread marks (and @Modified, archiving cutoffs) see the arrival as
+	// a change here, while the OID keeps the original version identity.
 	n.Modified = db.clock.Now()
 	c, err := db.st.PutAsync(n)
 	if err != nil {
@@ -567,10 +567,10 @@ func (db *Database) RawDelete(unid nsf.UNID) error {
 	return c.Wait()
 }
 
-// ScanModifiedSince exposes the replication scan (stubs included) and
-// returns the next scan's cursor; see store.Store.ScanModifiedSince.
-func (db *Database) ScanModifiedSince(since nsf.Timestamp, fn func(*nsf.Note) bool) (nsf.Timestamp, error) {
-	return db.st.ScanModifiedSince(since, fn)
+// ScanSince exposes the replication scan (stubs included) and returns the
+// next scan's cursor; see store.Store.ScanSince.
+func (db *Database) ScanSince(since store.Cursor, fn func(*nsf.Note) bool) (store.Cursor, error) {
+	return db.st.ScanSince(since, fn)
 }
 
 // ScanAll visits every note, stubs and design notes included.
@@ -612,16 +612,3 @@ func (db *Database) Compact() (int, error) { return db.st.Compact() }
 // "fixup" in detect-only mode) and returns a description of each problem
 // found; empty means healthy.
 func (db *Database) Verify() []string { return db.st.Verify() }
-
-// advanceFTCursor moves the full-text catch-up cursor forward (never back).
-func (db *Database) advanceFTCursor(t nsf.Timestamp) {
-	for {
-		cur := db.ftCursor.Load()
-		if int64(t) <= cur || db.ftCursor.CompareAndSwap(cur, int64(t)) {
-			return
-		}
-	}
-}
-
-// setFTCursor pins the full-text catch-up cursor (rebuild and enable).
-func (db *Database) setFTCursor(t nsf.Timestamp) { db.ftCursor.Store(int64(t)) }

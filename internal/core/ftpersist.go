@@ -15,12 +15,12 @@ import (
 // Full-text index persistence. Like Domino's .ft directories, the index is
 // kept in a sidecar file next to the database (path + ".ft") so
 // EnableFullText on a large database loads a snapshot and catches up from
-// the modification index instead of re-tokenizing everything.
+// the store's USN index instead of re-tokenizing everything.
 //
-// Sidecar format: magic "NSFFT001", the catch-up cursor (the clock reading
-// at save time, 8 bytes), then the ft.Index snapshot, published through
+// Sidecar format: magic "NSFFT002", the catch-up cursor (store incarnation
+// and USN, 8 bytes each), then the ft.Index snapshot, published through
 // store.Publish. Snapshots are local state and never replicate.
-const ftSidecarMagic = "NSFFT001"
+const ftSidecarMagic = "NSFFT002"
 
 func (db *Database) ftSidecarPath() string { return db.st.Path() + ".ft" }
 
@@ -32,10 +32,10 @@ func (db *Database) ftSidecarPath() string { return db.st.Path() + ".ft" }
 func (db *Database) EnableFullText() error {
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
-	// Every note already committed has Modified < pre (the clock is strictly
-	// monotonic), so an index covering the current store is complete through
-	// pre; everything after flows through the feed maintainer.
-	pre := db.clock.Now()
+	// With the commit lock held nothing commits, so an index covering the
+	// current store is complete through the feed's USN; everything after
+	// flows through the feed maintainer.
+	pre := db.LastUSN()
 	ix, err := db.loadFullText()
 	if err != nil {
 		// No usable snapshot: full build.
@@ -51,13 +51,15 @@ func (db *Database) EnableFullText() error {
 	db.mu.Lock()
 	db.ftIndex = ix
 	db.mu.Unlock()
-	db.setFTCursor(pre)
+	db.ftCursor.Store(pre)
 	return nil
 }
 
 // loadFullText loads the sidecar snapshot and catches up: documents that
 // vanished while the index was offline are dropped, and everything
-// modified since the cursor is re-indexed.
+// committed since the cursor is re-indexed. A sidecar another incarnation
+// wrote (the copy before a restore) is refused, so the caller rebuilds: its
+// index may hold versions the restored copy never had.
 func (db *Database) loadFullText() (*ft.Index, error) {
 	f, err := os.Open(db.ftSidecarPath())
 	if err != nil {
@@ -71,11 +73,17 @@ func (db *Database) loadFullText() (*ft.Index, error) {
 	if string(magic) != ftSidecarMagic {
 		return nil, fmt.Errorf("core: bad full-text sidecar magic %q", magic)
 	}
-	var cursorBuf [8]byte
+	var cursorBuf [16]byte
 	if _, err := io.ReadFull(f, cursorBuf[:]); err != nil {
 		return nil, err
 	}
-	cursor := nsf.Timestamp(binary.LittleEndian.Uint64(cursorBuf[:]))
+	cursor := store.Cursor{
+		Incarnation: binary.LittleEndian.Uint64(cursorBuf[:]),
+		USN:         binary.LittleEndian.Uint64(cursorBuf[8:]),
+	}
+	if cursor.Incarnation != db.st.Incarnation() {
+		return nil, errors.New("core: full-text sidecar was written by another incarnation")
+	}
 	ix, err := ft.ReadIndex(f)
 	if err != nil {
 		return nil, err
@@ -90,8 +98,8 @@ func (db *Database) loadFullText() (*ft.Index, error) {
 			ix.Remove(u)
 		}
 	}
-	// Catch up on everything modified since the snapshot.
-	_, err = db.st.ScanModifiedSince(cursor, func(n *nsf.Note) bool {
+	// Catch up on everything committed since the snapshot.
+	_, err = db.st.ScanSince(cursor, func(n *nsf.Note) bool {
 		ix.Update(n)
 		return true
 	})
@@ -111,12 +119,13 @@ func (db *Database) SaveFullText() error {
 		return nil
 	}
 	// Drain pending maintenance so the snapshot is current, then record the
-	// maintainer's catch-up cursor: every note with Modified <= cursor is in
-	// the index; writes racing the save are re-indexed by the next catch-up,
+	// maintainer's catch-up cursor: every change at or below it is in the
+	// index; writes racing the save are re-indexed by the next catch-up,
 	// never lost. (After Close the feed is already drained and the barrier
 	// returns immediately.)
 	db.Refresh()
-	hdr := binary.LittleEndian.AppendUint64([]byte(ftSidecarMagic), uint64(db.ftCursor.Load()))
+	hdr := binary.LittleEndian.AppendUint64([]byte(ftSidecarMagic), db.st.Incarnation())
+	hdr = binary.LittleEndian.AppendUint64(hdr, db.ftCursor.Load())
 	return store.Publish(db.ftSidecarPath(), func(f *os.File) error {
 		if _, err := f.Write(hdr); err != nil {
 			return err

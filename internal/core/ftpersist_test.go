@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/backup"
 )
 
 func TestFullTextPersistsAcrossReopen(t *testing.T) {
@@ -137,5 +139,66 @@ func TestDropFullTextSidecar(t *testing.T) {
 	// Dropping again is fine.
 	if err := db2.DropFullTextSidecar(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFullTextSidecarFromBeforeRestoreIsRebuilt restores a database in
+// place to an earlier point, leaving the sidecar the pre-restore copy
+// saved. That sidecar indexes versions the restored copy never had, and its
+// cursor is past USNs the restored copy reuses, so catching up from it
+// would keep the stale terms and miss the new writes: it must be rebuilt.
+func TestFullTextSidecarFromBeforeRestoreIsRebuilt(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ft.nsf")
+	setDir := filepath.Join(dir, "bak")
+	db, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := db.Session("ada")
+	kept := memo("yak")
+	if err := s.Create(kept); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Backup(setDir); err != nil {
+		t.Fatal(err)
+	}
+	kept.SetText("Subject", "zebra")
+	if err := s.Update(kept); err != nil {
+		t.Fatal(err)
+	}
+	for _, subj := range []string{"filler one", "filler two"} {
+		if err := s.Create(memo(subj)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.EnableFullText(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{path, path + ".wal"} {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	restored, _, err := Restore(setDir, path, backup.RestoreOptions{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	rs := restored.Session("ada")
+	if err := rs.Create(memo("newcomer")); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.EnableFullText(); err != nil {
+		t.Fatal(err)
+	}
+	for query, want := range map[string]int{"zebra": 0, "yak": 1, "newcomer": 1} {
+		if hits, err := rs.Search(query); err != nil || len(hits) != want {
+			t.Errorf("search %q: %d hits (%v), want %d", query, len(hits), err, want)
+		}
 	}
 }

@@ -6,7 +6,7 @@ import (
 	gosync "sync"
 	"testing"
 
-	"repro/internal/nsf"
+	"repro/internal/store"
 )
 
 // TestSaveHistoryConcurrentSeq is the regression test for the unlocked
@@ -31,8 +31,8 @@ func TestSaveHistoryConcurrentSeq(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				h := history{
-					LastPull: nsf.Timestamp(s*rounds + i),
-					LastPush: nsf.Timestamp(s*rounds + i),
+					LastPull: store.Cursor{USN: uint64(s*rounds + i)},
+					LastPush: store.Cursor{USN: uint64(s*rounds + i)},
 				}
 				if err := saveHistory(a, "peer", h); err != nil {
 					t.Errorf("saveHistory: %v", err)

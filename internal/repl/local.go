@@ -2,7 +2,9 @@ package repl
 
 import (
 	"repro/internal/core"
+	"repro/internal/formula"
 	"repro/internal/nsf"
+	"repro/internal/store"
 )
 
 // LocalPeer adapts an open database to the Peer interface, evaluating
@@ -20,20 +22,32 @@ func (p *LocalPeer) ReplicaID() (nsf.ReplicaID, error) {
 	return p.DB.ReplicaID(), nil
 }
 
-// Summaries implements Peer: version summaries of notes modified after
+// Summaries implements Peer: version summaries of notes changed after
 // since. Replication-bookkeeping notes never replicate; deletion stubs
 // bypass the selective formula (deletes always propagate); documents
 // outside the selection are advertised as selection stubs rather than
 // silently withheld. The formula compile is memoized across sessions
 // (CompileSelection), and a bad source returns a typed *FormulaError.
-func (p *LocalPeer) Summaries(since nsf.Timestamp, formulaSrc string) ([]Summary, nsf.Timestamp, error) {
+func (p *LocalPeer) Summaries(since store.Cursor, formulaSrc string) ([]Summary, store.Cursor, error) {
 	sel, err := CompileSelection(formulaSrc)
 	if err != nil {
-		return nil, 0, err
+		return nil, since, err
 	}
 	var out []Summary
+	next, err := scanSelected(p.DB, since, sel, func(n *nsf.Note) { out = append(out, SummaryOf(n)) })
+	if err != nil {
+		return nil, since, err
+	}
+	return out, next, nil
+}
+
+// scanSelected hands fn every note of db changed since the cursor, except
+// replication bookkeeping, and returns the next cursor. Deletion stubs
+// bypass the selection (deletes always propagate); a document outside it
+// is handed over as its selection stub.
+func scanSelected(db *core.Database, since store.Cursor, sel *formula.Formula, fn func(*nsf.Note)) (store.Cursor, error) {
 	var evalErr error
-	next, err := p.DB.ScanModifiedSince(since, func(n *nsf.Note) bool {
+	next, err := db.ScanSince(since, func(n *nsf.Note) bool {
 		if n.Class == nsf.ClassReplFormula {
 			return true
 		}
@@ -44,20 +58,16 @@ func (p *LocalPeer) Summaries(since nsf.Timestamp, formulaSrc string) ([]Summary
 				return false
 			}
 			if !ok {
-				out = append(out, selStubSummary(n))
-				return true
+				n = SelectionStub(n)
 			}
 		}
-		out = append(out, SummaryOf(n))
+		fn(n)
 		return true
 	})
-	if err != nil {
-		return nil, 0, err
+	if err == nil {
+		err = evalErr
 	}
-	if evalErr != nil {
-		return nil, 0, evalErr
-	}
-	return out, next, nil
+	return next, err
 }
 
 // Fetch implements Peer.

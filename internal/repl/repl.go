@@ -2,7 +2,7 @@
 // incremental synchronization between databases sharing a replica ID.
 //
 // Change detection uses originator IDs (sequence number + sequence time):
-// the replicator pulls version summaries modified since the last sync,
+// the replicator pulls version summaries changed since the last sync,
 // fetches the notes whose remote version wins the OID comparison, and
 // applies them locally. Deletions travel as deletion stubs. Concurrent
 // edits with equal sequence numbers are conflicts: the loser is preserved
@@ -30,6 +30,7 @@ import (
 	"fmt"
 
 	"repro/internal/nsf"
+	"repro/internal/store"
 )
 
 // Summary is the version descriptor exchanged during the cheap first phase
@@ -68,15 +69,6 @@ func SummaryOf(n *nsf.Note) Summary {
 	}
 }
 
-// selStubSummary advertises a live note that falls outside the selection
-// formula as a selection stub.
-func selStubSummary(n *nsf.Note) Summary {
-	s := SummaryOf(n)
-	s.Deleted = true
-	s.SelStub = true
-	return s
-}
-
 // StubFromSummary materializes the deletion (or selection) stub a summary
 // describes. Stubs carry no content beyond identity, version, and class,
 // so the receiver can apply them from the summary alone — no fetch round
@@ -111,13 +103,14 @@ func SelectionStub(n *nsf.Note) *nsf.Note {
 type Peer interface {
 	// ReplicaID identifies the peer's replica set.
 	ReplicaID() (nsf.ReplicaID, error)
-	// Summaries lists version summaries of notes modified after since (in
-	// the peer's clock), filtered by the optional selective-replication
-	// formula source (stubs always pass). It also returns the cursor the
-	// caller persists for the next call: the highest modification stamp
-	// the scan saw (since when it saw none), never a clock reading, which
-	// could be past a version not yet indexed.
-	Summaries(since nsf.Timestamp, formulaSrc string) ([]Summary, nsf.Timestamp, error)
+	// Summaries lists version summaries of notes changed after the cursor
+	// since, filtered by the optional selective-replication formula source
+	// (stubs always pass). It also returns the cursor the caller persists
+	// for the next call. Cursors are the peer store's (incarnation, USN):
+	// one minted by another copy — a failover mate, or this peer before a
+	// restore — lists everything again rather than skipping what that copy
+	// numbered differently.
+	Summaries(since store.Cursor, formulaSrc string) ([]Summary, store.Cursor, error)
 	// Fetch returns the full notes for the given UNIDs; missing ones are
 	// silently omitted.
 	Fetch(unids []nsf.UNID) ([]*nsf.Note, error)

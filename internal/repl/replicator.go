@@ -2,6 +2,7 @@ package repl
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -10,13 +11,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/formula"
 	"repro/internal/nsf"
+	"repro/internal/store"
 )
 
 // Options configure one replication session.
 type Options struct {
 	// PeerName identifies the remote instance for history bookkeeping
 	// (e.g. a server name or file path). Required for incremental
-	// replication; when empty, every session starts from time zero.
+	// replication; when empty, every session starts from USN zero.
 	PeerName string
 	// Apply tunes local conflict handling.
 	Apply ApplyOptions
@@ -59,8 +61,25 @@ func (o Options) batchSize() int {
 // note of class ClassReplFormula, which never replicates (cursors are
 // meaningful only to this instance).
 type history struct {
-	LastPull nsf.Timestamp // peer's scan cursor after the last pull
-	LastPush nsf.Timestamp // local scan cursor after the last push
+	LastPull store.Cursor // peer's scan cursor after the last pull
+	LastPush store.Cursor // local scan cursor after the last push
+}
+
+// cursorValue stores a cursor as 16 raw bytes: incarnation, then USN.
+func cursorValue(c store.Cursor) nsf.Value {
+	b := binary.LittleEndian.AppendUint64(make([]byte, 0, 16), c.Incarnation)
+	return nsf.RawValue(binary.LittleEndian.AppendUint64(b, c.USN))
+}
+
+// cursorOf reads a cursorValue back; a missing item is the zero cursor.
+func cursorOf(v nsf.Value) store.Cursor {
+	if len(v.Raw) != 16 {
+		return store.Cursor{}
+	}
+	return store.Cursor{
+		Incarnation: binary.LittleEndian.Uint64(v.Raw),
+		USN:         binary.LittleEndian.Uint64(v.Raw[8:]),
+	}
 }
 
 func historyUNID(peerName string) nsf.UNID {
@@ -82,8 +101,8 @@ func loadHistory(db *core.Database, peerName string) (history, error) {
 		return history{}, err
 	}
 	return history{
-		LastPull: n.Time("LastPull"),
-		LastPush: n.Time("LastPush"),
+		LastPull: cursorOf(n.Get("LastPull")),
+		LastPush: cursorOf(n.Get("LastPush")),
 	}, nil
 }
 
@@ -124,8 +143,8 @@ func saveHistory(db *core.Database, peerName string, h history) error {
 		return err
 	}
 	n.SetText("Peer", peerName)
-	n.SetTime("LastPull", h.LastPull)
-	n.SetTime("LastPush", h.LastPush)
+	n.Set("LastPull", cursorValue(h.LastPull))
+	n.Set("LastPush", cursorValue(h.LastPush))
 	n.OID.Seq++
 	n.OID.SeqTime = db.Clock().Now()
 	return db.RawPut(n)
@@ -201,10 +220,10 @@ func Replicate(local *core.Database, peer Peer, opts Options) (Stats, error) {
 // stub has no content beyond its identity, and a selection stub has no
 // stored note on the source at all (the source holds the live version the
 // link withholds).
-func pull(local *core.Database, peer Peer, stats *Stats, since nsf.Timestamp, opts Options) (nsf.Timestamp, error) {
+func pull(local *core.Database, peer Peer, stats *Stats, since store.Cursor, opts Options) (store.Cursor, error) {
 	sums, peerNext, err := peer.Summaries(since, opts.Formula)
 	if err != nil {
-		return 0, err
+		return since, err
 	}
 	stats.SummariesIn += len(sums)
 	stats.BytesIn += int64(len(sums)) * summaryWireBytes
@@ -223,13 +242,13 @@ func pull(local *core.Database, peer Peer, stats *Stats, since nsf.Timestamp, op
 		case errors.Is(err, core.ErrNotFound):
 			if s.Deleted {
 				if err := applyStub(s); err != nil {
-					return 0, err
+					return since, err
 				}
 			} else {
 				need = append(need, s.UNID)
 			}
 		case err != nil:
-			return 0, err
+			return since, err
 		case cur.OID == s.OID():
 			if cur.IsSelStub() && !s.Deleted {
 				// Same version, but the local copy is a selection stub and
@@ -244,7 +263,7 @@ func pull(local *core.Database, peer Peer, stats *Stats, since nsf.Timestamp, op
 			// needs the full note to resolve.
 			if s.Deleted {
 				if err := applyStub(s); err != nil {
-					return 0, err
+					return since, err
 				}
 			} else {
 				need = append(need, s.UNID)
@@ -262,14 +281,14 @@ func pull(local *core.Database, peer Peer, stats *Stats, since nsf.Timestamp, op
 		need = need[len(batch):]
 		notes, err := peer.Fetch(batch)
 		if err != nil {
-			return 0, err
+			return since, err
 		}
 		stats.NotesFetched += len(notes)
 		for _, n := range notes {
 			stats.BytesIn += int64(len(nsf.EncodeNote(n)))
 			st, err := ApplyNote(local, n, opts.Apply)
 			if err != nil {
-				return 0, err
+				return since, err
 			}
 			stats.Pull.Add(st)
 		}
@@ -281,36 +300,15 @@ func pull(local *core.Database, peer Peer, stats *Stats, since nsf.Timestamp, op
 // Documents outside the selection formula travel as selection stubs
 // (identity only), so an edit that moves a document out of the selection
 // deletes it at the peer instead of leaving it frozen.
-func push(local *core.Database, peer Peer, stats *Stats, since nsf.Timestamp, opts Options) (nsf.Timestamp, error) {
+func push(local *core.Database, peer Peer, stats *Stats, since store.Cursor, opts Options) (store.Cursor, error) {
 	sel, err := opts.selection()
 	if err != nil {
-		return 0, err
+		return since, err
 	}
 	var batch []*nsf.Note
-	var evalErr error
-	next, err := local.ScanModifiedSince(since, func(n *nsf.Note) bool {
-		if n.Class == nsf.ClassReplFormula {
-			return true
-		}
-		if sel != nil && !n.IsStub() && n.Class == nsf.ClassDocument {
-			ok, err := sel.Selects(n, nil)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if !ok {
-				batch = append(batch, SelectionStub(n))
-				return true
-			}
-		}
-		batch = append(batch, n)
-		return true
-	})
+	next, err := scanSelected(local, since, sel, func(n *nsf.Note) { batch = append(batch, n) })
 	if err != nil {
-		return 0, err
-	}
-	if evalErr != nil {
-		return 0, evalErr
+		return since, err
 	}
 	for _, n := range batch {
 		stats.BytesOut += int64(len(nsf.EncodeNote(n)))
@@ -327,7 +325,7 @@ func push(local *core.Database, peer Peer, stats *Stats, since nsf.Timestamp, op
 		batch = batch[len(chunk):]
 		st, err := peer.Apply(chunk)
 		if err != nil {
-			return 0, err
+			return since, err
 		}
 		stats.Push.Add(st)
 	}
@@ -347,7 +345,7 @@ func FullCopy(local *core.Database, peer Peer) (Stats, error) {
 		return stats, fmt.Errorf("repl: replica ID mismatch")
 	}
 	// Pull everything.
-	sums, _, err := peer.Summaries(0, "")
+	sums, _, err := peer.Summaries(store.Cursor{}, "")
 	if err != nil {
 		return stats, err
 	}

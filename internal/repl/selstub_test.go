@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/nsf"
+	"repro/internal/store"
 )
 
 // rawNote fetches a note bypassing stub filtering; nil when absent.
@@ -290,7 +291,7 @@ func TestBadFormulaTypedError(t *testing.T) {
 	}
 
 	fe = nil
-	if _, _, err := (&LocalPeer{DB: b}).Summaries(0, bad.Formula); !errors.As(err, &fe) {
+	if _, _, err := (&LocalPeer{DB: b}).Summaries(store.Cursor{}, bad.Formula); !errors.As(err, &fe) {
 		t.Errorf("Summaries error = %v, want *FormulaError", err)
 	}
 

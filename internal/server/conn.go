@@ -375,7 +375,7 @@ func (c *connState) replAccess(hs *handleState, needWrite bool) error {
 const replChunk = 256
 
 func (c *connState) summaries(ctx context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
-	since := nsf.Timestamp(d.U64())
+	since := d.Cursor()
 	formulaSrc := d.Str()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -391,7 +391,7 @@ func (c *connState) summaries(ctx context.Context, hs *handleState, d *wire.Dec)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	resp := wire.NewResp(wire.OpSummaries, wire.StatusOK).U64(uint64(next)).U32(uint32(len(sums)))
+	resp := wire.NewResp(wire.OpSummaries, wire.StatusOK).Cursor(next).U32(uint32(len(sums)))
 	for i, s := range sums {
 		if i%replChunk == replChunk-1 {
 			if err := ctx.Err(); err != nil {

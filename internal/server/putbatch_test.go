@@ -147,7 +147,7 @@ func dialRawBatch(t *testing.T, addr, user, secret, dbPath string) *rawBatchConn
 	}
 	t.Cleanup(func() { conn.Close() })
 	r := &rawBatchConn{t: t, conn: conn}
-	d := r.roundTrip(wire.NewEnc(wire.OpHello).U32(2).Str(user).Str(secret), wire.OpHello)
+	d := r.roundTrip(wire.NewEnc(wire.OpHello).U32(wire.ProtocolVersion).Str(user).Str(secret), wire.OpHello)
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/nsf"
 	"repro/internal/repl"
 	"repro/internal/router"
+	"repro/internal/store"
 	"repro/internal/view"
 	"repro/internal/wire"
 )
@@ -262,7 +263,7 @@ func TestReplicationRequiresEditor(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reader can pull summaries but not apply.
-	if _, _, err := rdb.Summaries(0, ""); err != nil {
+	if _, _, err := rdb.Summaries(store.Cursor{}, ""); err != nil {
 		t.Errorf("reader Summaries: %v", err)
 	}
 	note := nsf.NewNote(nsf.ClassDocument)

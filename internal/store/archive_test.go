@@ -390,7 +390,8 @@ func TestApplyArchivePITR(t *testing.T) {
 }
 
 // TestUSNPersistsAcrossReopen pins the USN durability contract: dense while
-// running, exact across clean close, crash, and compaction.
+// running, exact across clean close, crash, and compaction. The incarnation
+// survives a clean close and compaction; crash recovery mints a new one.
 func TestUSNPersistsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "usn.nsf")
@@ -398,6 +399,7 @@ func TestUSNPersistsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	inc := s.Incarnation()
 	ts := nsf.Timestamp(0)
 	for i := 0; i < 12; i++ {
 		ts++
@@ -415,8 +417,8 @@ func TestUSNPersistsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.LastUSN(); got != 12 {
-		t.Fatalf("LastUSN after clean reopen = %d, want 12", got)
+	if got := s.LastUSN(); got != 12 || s.Incarnation() != inc {
+		t.Fatalf("after clean reopen: LastUSN %d, incarnation %x; want 12, %x", got, s.Incarnation(), inc)
 	}
 	ts++
 	if err := s.Put(newTestNote(100, ts)); err != nil {
@@ -427,18 +429,38 @@ func TestUSNPersistsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.LastUSN(); got != 13 {
-		t.Fatalf("LastUSN after crash recovery = %d, want 13", got)
+	if got := s2.LastUSN(); got != 13 || s2.Incarnation() == inc {
+		t.Fatalf("after crash recovery: LastUSN %d, incarnation %x; want 13 and not %x", got, s2.Incarnation(), inc)
 	}
+	inc = s2.Incarnation()
 	if _, err := s2.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if got := s2.LastUSN(); got != 13 {
 		t.Fatalf("LastUSN after compaction = %d, want 13", got)
 	}
-	mh := s2.ModHigh()
-	if mh != ts {
-		t.Fatalf("ModHigh after compaction = %d, want %d", mh, ts)
+	if s2.Incarnation() != inc {
+		t.Fatalf("incarnation after compaction = %x, want %x", s2.Incarnation(), inc)
 	}
-	s2.Close()
+	// Compaction swapped in a file its own Close marked clean; the store
+	// still counts as open, so a crash now must also re-mint.
+	s3, err := Open(path, Options{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s3.Incarnation() == inc {
+		t.Fatalf("crash after compaction kept incarnation %x", inc)
+	}
+	inc = s3.Incarnation()
+	if err := s3.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s4, err := Open(path, Options{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s4.Close()
+	if got := s4.LastUSN(); got != 13 || s4.Incarnation() != inc {
+		t.Fatalf("after clean reopen: LastUSN %d, incarnation %x; want 13, %x", got, s4.Incarnation(), inc)
+	}
 }

@@ -46,7 +46,7 @@ type btree struct {
 const (
 	rootSlotByID = iota
 	rootSlotByUNID
-	rootSlotByMod
+	rootSlotByUSN
 )
 
 func (t *btree) root() PageID {
@@ -56,7 +56,7 @@ func (t *btree) root() PageID {
 	case rootSlotByUNID:
 		return t.pg.rootByUNID
 	default:
-		return t.pg.rootByMod
+		return t.pg.rootByUSN
 	}
 }
 
@@ -67,7 +67,7 @@ func (t *btree) setRoot(id PageID) {
 	case rootSlotByUNID:
 		t.pg.rootByUNID = id
 	default:
-		t.pg.rootByMod = id
+		t.pg.rootByUSN = id
 	}
 	t.pg.hdrDirty = true
 }

@@ -220,7 +220,7 @@ func TestBtreeDrainToEmpty(t *testing.T) {
 	}
 }
 
-// TestBtreeMonotonicChurn mimics the byMod index pattern: monotonically
+// TestBtreeMonotonicChurn mimics the byUSN index pattern: monotonically
 // increasing keys inserted while old ones are deleted. Empty leaves must be
 // reclaimed rather than leaking.
 func TestBtreeMonotonicChurn(t *testing.T) {

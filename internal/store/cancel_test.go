@@ -27,7 +27,7 @@ func TestScanCancelledMidwayStopsAndReleasesLatch(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	visited := 0
-	err := s.ScanAllCtx(ctx, func(n *nsf.Note) bool {
+	err := s.ScanFromCtx(ctx, 0, func(n *nsf.Note) bool {
 		visited++
 		if visited == 1 {
 			cancel() // mid-scan: the first batch is being delivered

@@ -8,8 +8,9 @@ import (
 
 // Compact rewrites the database into a fresh file, dropping dead space
 // (freed pages, slack in heap pages, shallow B+trees), then atomically
-// swaps it in place and reopens. Note IDs, UNIDs, versions and the replica
-// identity are all preserved, so views and replication state stay valid.
+// swaps it in place and reopens. Note IDs, UNIDs, versions, USNs and the
+// replica identity and incarnation are all preserved, so views, replication
+// cursors and backup chains stay valid.
 // It returns the number of pages reclaimed. While a hot backup is copying
 // the page file, Compact waits for the copy to finish.
 func (s *Store) Compact() (int, error) {
@@ -51,33 +52,37 @@ func (s *Store) Compact() (int, error) {
 	}
 	// Copy the heap records and the three indexes straight across, in key
 	// order. Only byID holds RecordIDs, so its entries are re-pointed at each
-	// record's new home; the UNID and Modified indexes copy entry for entry.
-	// Nothing is logged and no USN is spent: the checkpoint in fresh.Close
-	// below is what makes the copy durable before the swap.
-	var ridBuf [8]byte
+	// record's new home (keeping their USNs); the UNID and USN indexes copy
+	// entry for entry. Nothing is logged and no USN is spent: the checkpoint
+	// in fresh.Close below is what makes the copy durable before the swap.
+	var loc [16]byte
 	err = copyTree(s.byID, fresh.byID, func(v []byte) ([]byte, error) {
-		enc, err := s.heap.get(RecordID(binary.BigEndian.Uint64(v)))
+		oldRID, usn := location(v)
+		enc, err := s.heap.get(oldRID)
 		if err != nil {
 			return nil, err
 		}
 		rid, err := fresh.heap.insert(enc)
-		binary.BigEndian.PutUint64(ridBuf[:], uint64(rid))
-		return ridBuf[:], err
+		binary.BigEndian.PutUint64(loc[:], uint64(rid))
+		binary.BigEndian.PutUint64(loc[8:], usn)
+		return loc[:], err
 	})
 	if err == nil {
 		err = copyTree(s.byUNID, fresh.byUNID, nil)
 	}
 	if err == nil {
-		err = copyTree(s.byMod, fresh.byMod, nil)
+		err = copyTree(s.byUSN, fresh.byUSN, nil)
 	}
 	if err != nil {
 		cleanupFresh()
 		return 0, err
 	}
-	// Carry the allocation high-water marks over: future NoteIDs never
-	// collide with ones handed out before compaction, and the USN stream
-	// continues where the original left off.
+	// Carry the allocation high-water marks and the incarnation over: future
+	// NoteIDs never collide with ones handed out before compaction, and the
+	// USN stream continues where the original left off, under the same
+	// identity, so existing cursors stay valid.
 	fresh.pg.nextNoteID = s.pg.nextNoteID
+	fresh.pg.incarnation = s.pg.incarnation
 	fresh.usn = s.usn
 	if err := fresh.Close(); err != nil {
 		cleanupFresh()
@@ -110,8 +115,12 @@ func (s *Store) Compact() (int, error) {
 	s.heap = newHeap(pg)
 	s.byID = &btree{pg: pg, slot: rootSlotByID}
 	s.byUNID = &btree{pg: pg, slot: rootSlotByUNID}
-	s.byMod = &btree{pg: pg, slot: rootSlotByMod}
+	s.byUSN = &btree{pg: pg, slot: rootSlotByUSN}
 	if err := s.heap.rebuild(); err != nil {
+		return 0, err
+	}
+	// Clear the clean mark fresh.Close left; the incarnation stays.
+	if err := s.markOpen(); err != nil {
 		return 0, err
 	}
 	// The rewrite recycled the whole RecordID space: every cached decode

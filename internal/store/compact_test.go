@@ -113,7 +113,7 @@ func TestCompactPreservesNoteIDs(t *testing.T) {
 	}
 }
 
-func TestCompactModifiedIndexIntact(t *testing.T) {
+func TestCompactUSNIndexIntact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.nsf")
 	s, err := Open(path, Options{})
 	if err != nil {
@@ -121,19 +121,16 @@ func TestCompactModifiedIndexIntact(t *testing.T) {
 	}
 	defer s.Close()
 	c := clock.New()
-	var stamps []nsf.Timestamp
 	for i := 0; i < 20; i++ {
-		n := makeNote(c, fmt.Sprint(i))
-		stamps = append(stamps, n.Modified)
-		s.Put(n)
+		s.Put(makeNote(c, fmt.Sprint(i)))
 	}
 	if _, err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	var seen int
-	s.ScanModifiedSince(stamps[9], func(*nsf.Note) bool { seen++; return true })
+	s.ScanSince(Cursor{s.Incarnation(), 10}, func(*nsf.Note) bool { seen++; return true })
 	if seen != 10 {
-		t.Errorf("ScanModifiedSince after compact saw %d, want 10", seen)
+		t.Errorf("ScanSince after compact saw %d, want 10", seen)
 	}
 }
 

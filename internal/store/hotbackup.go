@@ -23,9 +23,8 @@ import (
 type BackupMark struct {
 	// LastUSN is the USN of the last operation included in the snapshot.
 	LastUSN uint64
-	// ModHigh is the modification high-water mark included — the cursor
-	// the next incremental backup scans from.
-	ModHigh nsf.Timestamp
+	// Incarnation identifies the USN sequence LastUSN belongs to.
+	Incarnation uint64
 	// PageBytes and WALBytes are the sizes of the two copied streams.
 	PageBytes int64
 	WALBytes  int64
@@ -36,7 +35,8 @@ type BackupMark struct {
 // holdCheckpoints suspends checkpoints (and compaction) and returns the
 // pager, whose file cannot change until the release function runs. Release
 // resumes checkpoints, running a deferred one if it came due, and returns
-// that checkpoint's error (nil when none ran).
+// that checkpoint's error (nil when none ran); calls after the first do
+// nothing.
 func (s *Store) holdCheckpoints() (*pager, func() error, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -44,9 +44,14 @@ func (s *Store) holdCheckpoints() (*pager, func() error, error) {
 		return nil, nil, errors.New("store: closed")
 	}
 	s.ckHold++
+	released := false
 	return s.pg, func() error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
+		if released {
+			return nil
+		}
+		released = true
 		s.ckHold--
 		if s.ckHold > 0 {
 			return nil
@@ -69,15 +74,7 @@ func (s *Store) HotBackup(pageW, walW io.Writer) (BackupMark, error) {
 	if err != nil {
 		return BackupMark{}, err
 	}
-	var releaseErr error
-	released := false
-	doRelease := func() {
-		if !released {
-			releaseErr = release()
-			released = true
-		}
-	}
-	defer doRelease()
+	defer release()
 
 	// Phase 2: copy the page file through the pager's own descriptor. The
 	// file cannot change or be swapped while the hold is open, so a
@@ -100,11 +97,11 @@ func (s *Store) HotBackup(pageW, walW io.Writer) (BackupMark, error) {
 	}
 	raw, err := s.wal.readAll()
 	mark := BackupMark{
-		LastUSN:   s.usn,
-		ModHigh:   s.modHigh,
-		PageBytes: pageBytes,
-		WALBytes:  int64(len(raw)),
-		Replica:   s.pg.replicaID,
+		LastUSN:     s.usn,
+		Incarnation: s.pg.incarnation,
+		PageBytes:   pageBytes,
+		WALBytes:    int64(len(raw)),
+		Replica:     s.pg.replicaID,
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -113,21 +110,19 @@ func (s *Store) HotBackup(pageW, walW io.Writer) (BackupMark, error) {
 	if _, err := walW.Write(raw); err != nil {
 		return BackupMark{}, fmt.Errorf("store: copy wal tail: %w", err)
 	}
-	doRelease()
-	if releaseErr != nil {
-		return BackupMark{}, releaseErr
+	if err := release(); err != nil {
+		return BackupMark{}, err
 	}
 	return mark, nil
 }
 
-// SnapshotModifiedSince returns the encoded form of every note with
-// Modified > since, the full set of live UNIDs, and the store cursors, all
-// captured atomically under one lock hold — the delta an incremental
-// backup writes. Notes are returned in modification order. The UNID
-// manifest is what lets a restore reproduce hard deletes: any note staged
-// from earlier images whose UNID is absent from the manifest was deleted
-// in the span the delta covers.
-func (s *Store) SnapshotModifiedSince(since nsf.Timestamp) ([][]byte, []nsf.UNID, BackupMark, error) {
+// SnapshotSince returns the encoded form of every note last committed after
+// USN after, the full set of live UNIDs, and the store cursors, all captured
+// atomically under one lock hold — the delta an incremental backup writes.
+// Notes are returned in USN order. The UNID manifest is what lets a restore
+// reproduce hard deletes: any note staged from earlier images whose UNID is
+// absent from the manifest was deleted in the span the delta covers.
+func (s *Store) SnapshotSince(after uint64) ([][]byte, []nsf.UNID, BackupMark, error) {
 	// One read-latch hold across the whole capture: the note delta, the
 	// UNID manifest, and the cursors must be mutually consistent, so
 	// writers are held off for the duration — but concurrent readers are
@@ -137,10 +132,10 @@ func (s *Store) SnapshotModifiedSince(since nsf.Timestamp) ([][]byte, []nsf.UNID
 	if s.closed {
 		return nil, nil, BackupMark{}, errors.New("store: closed")
 	}
-	from := modKey(since, 0xFFFFFFFF)
+	from := usnKey(after + 1)
 	var ids []nsf.NoteID
-	err := s.byMod.Ascend(from, func(k, _ []byte) bool {
-		ids = append(ids, nsf.NoteID(binary.BigEndian.Uint32(k[8:])))
+	err := s.byUSN.Ascend(from[:], func(_, v []byte) bool {
+		ids = append(ids, nsf.NoteID(binary.BigEndian.Uint32(v)))
 		return true
 	})
 	if err != nil {
@@ -172,9 +167,9 @@ func (s *Store) SnapshotModifiedSince(since nsf.Timestamp) ([][]byte, []nsf.UNID
 		return nil, nil, BackupMark{}, err
 	}
 	mark := BackupMark{
-		LastUSN: s.usn,
-		ModHigh: s.modHigh,
-		Replica: s.pg.replicaID,
+		LastUSN:     s.usn,
+		Incarnation: s.pg.incarnation,
+		Replica:     s.pg.replicaID,
 	}
 	return notes, manifest, mark, nil
 }

@@ -26,10 +26,7 @@ const noteCacheCap = 4096
 //     (nsf.Note.CloneShared): the Items slice is the caller's to mutate,
 //     the Value backing arrays are shared and must be treated as immutable
 //     — the repo-wide contract is that stored values are replaced via the
-//     Set* mutators, never written in place. peek returns the cached
-//     instance itself and is reserved for the write path, which only
-//     inspects it under the exclusive store latch and must not retain or
-//     mutate it.
+//     Set* mutators, never written in place.
 type noteCache struct {
 	mu     sync.Mutex
 	notes  map[RecordID]*nsf.Note
@@ -78,15 +75,6 @@ func (c *noteCache) getByUNID(unid nsf.UNID) (*nsf.Note, bool) {
 	}
 	c.hits++
 	return n.CloneShared(), true
-}
-
-// peek returns the cached instance itself (no copy) or nil. Write-path
-// only: the caller holds the exclusive store latch, reads a field or two,
-// and does not retain the pointer.
-func (c *noteCache) peek(rid RecordID) *nsf.Note {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.notes[rid]
 }
 
 // add stores n (the cache takes ownership) and returns a copy for the

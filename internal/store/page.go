@@ -1,7 +1,7 @@
 // Package store implements the persistent storage engine backing an NSF
 // database: a page file with a buffer pool, a write-ahead log with logical
 // redo recovery, a slotted-page heap for note records, and persistent
-// B+trees indexing notes by NoteID, by UNID, and by modification time.
+// B+trees indexing notes by NoteID, by UNID, and by USN.
 //
 // Durability model: the WAL logs note-level operations. Dirty pages are
 // written back only at checkpoints (no-steal), so the page file is always

@@ -12,7 +12,7 @@ import (
 
 const (
 	headerMagic   = "NSFGODB1"
-	formatVersion = 1
+	formatVersion = 2
 	// cacheCap is the buffer-pool capacity in pages (16 MiB).
 	cacheCap = 4096
 )
@@ -27,13 +27,16 @@ const (
 //	20   4     free list head
 //	24   4     byID root
 //	28   4     byUNID root
-//	32   4     byMod root
+//	32   4     byUSN root
 //	36   4     next NoteID
 //	40   8     replica ID
 //	48   8     created timestamp
 //	56   2     title length, followed by title bytes (max 256)
 //	320  8     last USN folded into the page file by the last checkpoint
-//	           (zero in pre-USN files, which reads back as "no changes yet")
+//	328  8     incarnation: random, so USN cursors from another copy are
+//	           recognisable (see Store.markOpen and Store.Reincarnate)
+//	336  1     clean mark: 1 from a Close's final checkpoint until the next
+//	           open clears it
 const (
 	hdrOffVersion  = 8
 	hdrOffPageSize = 12
@@ -41,12 +44,14 @@ const (
 	hdrOffFreeHead = 20
 	hdrOffRootByID = 24
 	hdrOffRootUNID = 28
-	hdrOffRootMod  = 32
+	hdrOffRootUSN  = 32
 	hdrOffNextNote = 36
 	hdrOffReplica  = 40
 	hdrOffCreated  = 48
 	hdrOffTitle    = 56
 	hdrOffLastUSN  = 320
+	hdrOffIncarn   = 328
+	hdrOffClean    = 336
 	maxTitleLen    = 256
 )
 
@@ -64,17 +69,19 @@ type pager struct {
 	f     *os.File
 	pages map[PageID]*page
 	// header state, mirrored from page 0 and written back on flush.
-	pageCount  uint32
-	freeHead   PageID
-	rootByID   PageID
-	rootByUNID PageID
-	rootByMod  PageID
-	nextNoteID uint32
-	replicaID  nsf.ReplicaID
-	created    nsf.Timestamp
-	title      string
-	lastUSN    uint64
-	hdrDirty   bool
+	pageCount   uint32
+	freeHead    PageID
+	rootByID    PageID
+	rootByUNID  PageID
+	rootByUSN   PageID
+	nextNoteID  uint32
+	replicaID   nsf.ReplicaID
+	created     nsf.Timestamp
+	title       string
+	lastUSN     uint64
+	incarnation uint64
+	clean       bool
+	hdrDirty    bool
 }
 
 // openPager opens or creates the page file at path. When creating, replica
@@ -127,7 +134,7 @@ func (p *pager) loadHeader() error {
 		return fmt.Errorf("store: not a database file (bad magic %q)", buf[:8])
 	}
 	if v := binary.LittleEndian.Uint32(buf[hdrOffVersion:]); v != formatVersion {
-		return fmt.Errorf("store: unsupported format version %d", v)
+		return fmt.Errorf("store: unsupported format version %d (this build reads version %d; version 1 files predate the USN change index)", v, formatVersion)
 	}
 	if ps := binary.LittleEndian.Uint32(buf[hdrOffPageSize:]); ps != PageSize {
 		return fmt.Errorf("store: page size mismatch: file has %d, build uses %d", ps, PageSize)
@@ -136,7 +143,7 @@ func (p *pager) loadHeader() error {
 	p.freeHead = PageID(binary.LittleEndian.Uint32(buf[hdrOffFreeHead:]))
 	p.rootByID = PageID(binary.LittleEndian.Uint32(buf[hdrOffRootByID:]))
 	p.rootByUNID = PageID(binary.LittleEndian.Uint32(buf[hdrOffRootUNID:]))
-	p.rootByMod = PageID(binary.LittleEndian.Uint32(buf[hdrOffRootMod:]))
+	p.rootByUSN = PageID(binary.LittleEndian.Uint32(buf[hdrOffRootUSN:]))
 	p.nextNoteID = binary.LittleEndian.Uint32(buf[hdrOffNextNote:])
 	copy(p.replicaID[:], buf[hdrOffReplica:hdrOffReplica+8])
 	p.created = nsf.Timestamp(binary.LittleEndian.Uint64(buf[hdrOffCreated:]))
@@ -146,6 +153,8 @@ func (p *pager) loadHeader() error {
 	}
 	p.title = string(buf[hdrOffTitle+2 : hdrOffTitle+2+tl])
 	p.lastUSN = binary.LittleEndian.Uint64(buf[hdrOffLastUSN:])
+	p.incarnation = binary.LittleEndian.Uint64(buf[hdrOffIncarn:])
+	p.clean = buf[hdrOffClean] == 1
 	return nil
 }
 
@@ -161,13 +170,17 @@ func (p *pager) flushHeader() error {
 	binary.LittleEndian.PutUint32(buf[hdrOffFreeHead:], uint32(p.freeHead))
 	binary.LittleEndian.PutUint32(buf[hdrOffRootByID:], uint32(p.rootByID))
 	binary.LittleEndian.PutUint32(buf[hdrOffRootUNID:], uint32(p.rootByUNID))
-	binary.LittleEndian.PutUint32(buf[hdrOffRootMod:], uint32(p.rootByMod))
+	binary.LittleEndian.PutUint32(buf[hdrOffRootUSN:], uint32(p.rootByUSN))
 	binary.LittleEndian.PutUint32(buf[hdrOffNextNote:], p.nextNoteID)
 	copy(buf[hdrOffReplica:], p.replicaID[:])
 	binary.LittleEndian.PutUint64(buf[hdrOffCreated:], uint64(p.created))
 	binary.LittleEndian.PutUint16(buf[hdrOffTitle:], uint16(len(p.title)))
 	copy(buf[hdrOffTitle+2:], p.title)
 	binary.LittleEndian.PutUint64(buf[hdrOffLastUSN:], p.lastUSN)
+	binary.LittleEndian.PutUint64(buf[hdrOffIncarn:], p.incarnation)
+	if p.clean {
+		buf[hdrOffClean] = 1
+	}
 	if _, err := p.f.WriteAt(buf[:], 0); err != nil {
 		return fmt.Errorf("store: write header: %w", err)
 	}

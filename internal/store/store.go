@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -66,8 +67,8 @@ type Options struct {
 // concurrently with each other; mutations (Put, Delete, Checkpoint,
 // Compact, Close) take the exclusive latch. The pager's buffer pool and the
 // heap's free-space map carry their own internal latches so concurrent
-// readers can fault pages in safely. ScanAll and ScanModifiedSince are
-// snapshot scans: they collect the ID list under a short read latch, then
+// readers can fault pages in safely. ScanAll and ScanSince are snapshot
+// scans: they collect the ID list under a short read latch, then
 // fetch notes in batches (each batch under its own brief read latch) and
 // run the callback with no latch held — a full scan never blocks a writer
 // for more than one batch fetch. Notes deleted between the ID snapshot and
@@ -82,9 +83,9 @@ type Store struct {
 	gc              *commitGroup // every commit's way into the WAL
 	heap            *heap
 	cache           *noteCache // decoded-note cache
-	byID            *btree     // NoteID (4B BE)            -> RecordID (8B)
-	byUNID          *btree     // UNID (16B)                -> NoteID (4B BE)
-	byMod           *btree     // Modified (8B BE) + NoteID -> nil
+	byID            *btree     // NoteID (4B BE) -> RecordID (8B BE) + USN (8B BE)
+	byUNID          *btree     // UNID (16B)     -> NoteID (4B BE)
+	byUSN           *btree     // USN (8B BE)    -> NoteID (4B BE)
 	opts            Options
 	count           int // live notes (including stubs)
 	sinceCheckpoint int
@@ -93,12 +94,8 @@ type Store struct {
 	// usn is the update sequence number of the last committed operation.
 	// It is dense (every Put/Delete advances it by one), persisted in the
 	// header at checkpoints, and recovered exactly by WAL replay — the
-	// cursor backups and point-in-time recovery are built on.
+	// change cursor every "what changed since" reader is built on.
 	usn uint64
-	// modHigh is the high-water Modified timestamp over all notes ever
-	// stored — the incremental-backup cursor. Monotone even when the
-	// newest note is later hard-deleted.
-	modHigh nsf.Timestamp
 	// nextSegSeq numbers the next archived WAL segment (when archiving).
 	nextSegSeq uint32
 	// ckHold suspends checkpoints while a hot backup copies the page file
@@ -135,7 +132,7 @@ func Open(path string, opts Options) (*Store, error) {
 	s.cache = newNoteCache()
 	s.byID = &btree{pg: pg, slot: rootSlotByID}
 	s.byUNID = &btree{pg: pg, slot: rootSlotByUNID}
-	s.byMod = &btree{pg: pg, slot: rootSlotByMod}
+	s.byUSN = &btree{pg: pg, slot: rootSlotByUSN}
 	if opts.ArchiveDir != "" {
 		if err := s.initArchive(); err != nil {
 			s.closeFiles()
@@ -146,7 +143,25 @@ func Open(path string, opts Options) (*Store, error) {
 		s.closeFiles()
 		return nil, err
 	}
+	if err := s.markOpen(); err != nil {
+		s.closeFiles()
+		return nil, err
+	}
 	return s, nil
+}
+
+// markOpen durably clears the header's clean mark before any cursor is
+// issued. A cursor counts commits not yet logged, which a crash can drop
+// and recovery then renumbers below it, so a file opened without the mark
+// (crashed, copied while open, or new) takes a fresh incarnation.
+func (s *Store) markOpen() error {
+	s.pg.hdrDirty = true
+	if !s.pg.clean {
+		s.pg.incarnation = rand.Uint64()
+		return nil // already clear on disk: a crash before a checkpoint re-mints
+	}
+	s.pg.clean = false
+	return s.pg.flush()
 }
 
 // recover rebuilds in-memory state from the checkpointed page file and
@@ -161,17 +176,6 @@ func (s *Store) recover() error {
 	}
 	s.count = n
 	s.usn = s.pg.lastUSN
-	// Recover the modification high-water mark from the byMod index (WAL
-	// replay below advances it past the checkpoint).
-	err = s.byMod.Ascend(nil, func(k, _ []byte) bool {
-		if t := nsf.Timestamp(binary.BigEndian.Uint64(k)); t > s.modHigh {
-			s.modHigh = t
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
 	replayed := 0
 	err = s.wal.replay(func(rec walRecord) error {
 		replayed++
@@ -206,7 +210,7 @@ func (s *Store) replayRecord(rec walRecord) error {
 		if err != nil {
 			return fmt.Errorf("store: replay put USN %d: %w", rec.USN, err)
 		}
-		return s.applyPutEncoded(note, rec.Payload)
+		return s.applyPutEncoded(note, rec.Payload, rec.USN)
 	case walDelete:
 		if len(rec.Payload) != 16 {
 			return fmt.Errorf("store: replay delete USN %d: payload length %d", rec.USN, len(rec.Payload))
@@ -266,11 +270,17 @@ func idKey(id nsf.NoteID) []byte {
 	return k[:]
 }
 
-func modKey(t nsf.Timestamp, id nsf.NoteID) []byte {
-	var k [12]byte
-	binary.BigEndian.PutUint64(k[:], uint64(t))
-	binary.BigEndian.PutUint32(k[8:], uint32(id))
-	return k[:]
+// usnKey is a note's byUSN key: the USN of its last commit, big-endian so
+// keys sort in commit order. An array, so a key costs no allocation.
+func usnKey(usn uint64) (k [8]byte) {
+	binary.BigEndian.PutUint64(k[:], usn)
+	return k
+}
+
+// location decodes a byID value: where the note's record lives and the USN
+// of the commit that stored it (its byUSN key).
+func location(v []byte) (RecordID, uint64) {
+	return RecordID(binary.BigEndian.Uint64(v)), binary.BigEndian.Uint64(v[8:])
 }
 
 // Commit is a durability ticket for one logged operation. Wait blocks until
@@ -306,8 +316,8 @@ var encBufPool = sync.Pool{New: func() any { return new([]byte) }}
 const maxPooledEncBuf = 1 << 20
 
 // Put stores a note (insert or update, keyed by UNID), assigning a NoteID
-// when the note is new. The note's Modified timestamp indexes it for
-// replication scans; callers (internal/core) maintain OID versioning.
+// when the note is new. The commit's USN indexes it for ScanSince; callers
+// (internal/core) maintain OID versioning and the Modified stamp.
 func (s *Store) Put(n *nsf.Note) error {
 	c, err := s.PutAsync(n)
 	if err != nil {
@@ -362,13 +372,14 @@ func (s *Store) PutAsync(n *nsf.Note) (Commit, error) {
 	}
 	ticket := s.logRecord(walPut, s.usn+1, enc)
 	s.usn++
-	if err := s.applyPutEncoded(n, enc); err != nil {
+	if err := s.applyPutEncoded(n, enc, s.usn); err != nil {
 		return ticket, err
 	}
 	return ticket, s.maybeCheckpoint()
 }
 
-func (s *Store) applyPutEncoded(n *nsf.Note, enc []byte) error {
+// applyPutEncoded stores enc as note n's current version, committed at usn.
+func (s *Store) applyPutEncoded(n *nsf.Note, enc []byte, usn uint64) error {
 	if uint32(n.ID) >= s.pg.nextNoteID {
 		s.pg.nextNoteID = uint32(n.ID) + 1
 		s.pg.hdrDirty = true
@@ -377,13 +388,10 @@ func (s *Store) applyPutEncoded(n *nsf.Note, enc []byte) error {
 	if v, ok, err := s.byID.Get(idKey(n.ID)); err != nil {
 		return err
 	} else if ok {
-		oldRID := RecordID(binary.BigEndian.Uint64(v))
-		oldMod, err := s.storedModified(oldRID)
-		if err != nil {
-			return err
-		}
+		oldRID, oldUSN := location(v)
 		s.cache.invalidate(oldRID)
-		if _, err := s.byMod.Delete(modKey(oldMod, n.ID)); err != nil {
+		k := usnKey(oldUSN)
+		if _, err := s.byUSN.Delete(k[:]); err != nil {
 			return err
 		}
 		if err := s.heap.delete(oldRID); err != nil {
@@ -395,42 +403,22 @@ func (s *Store) applyPutEncoded(n *nsf.Note, enc []byte) error {
 	if err != nil {
 		return err
 	}
-	var ridBuf [8]byte
-	binary.BigEndian.PutUint64(ridBuf[:], uint64(rid))
-	if err := s.byID.Put(idKey(n.ID), ridBuf[:]); err != nil {
+	var loc [16]byte
+	binary.BigEndian.PutUint64(loc[:], uint64(rid))
+	binary.BigEndian.PutUint64(loc[8:], usn)
+	id := idKey(n.ID)
+	if err := s.byID.Put(id, loc[:]); err != nil {
 		return err
 	}
-	var idBuf [4]byte
-	binary.BigEndian.PutUint32(idBuf[:], uint32(n.ID))
-	if err := s.byUNID.Put(n.OID.UNID[:], idBuf[:]); err != nil {
+	if err := s.byUNID.Put(n.OID.UNID[:], id); err != nil {
 		return err
 	}
-	if err := s.byMod.Put(modKey(n.Modified, n.ID), nil); err != nil {
+	k := usnKey(usn)
+	if err := s.byUSN.Put(k[:], id); err != nil {
 		return err
-	}
-	if n.Modified > s.modHigh {
-		s.modHigh = n.Modified
 	}
 	s.count++
 	return nil
-}
-
-// storedModified returns the Modified stamp of the record at rid — the key
-// its byMod entry sits under. The cached decode (when present) supplies it
-// without re-reading the heap.
-func (s *Store) storedModified(rid RecordID) (nsf.Timestamp, error) {
-	if cached := s.cache.peek(rid); cached != nil {
-		return cached.Modified, nil
-	}
-	enc, err := s.heap.get(rid)
-	if err != nil {
-		return 0, err
-	}
-	old, err := nsf.DecodeNote(enc)
-	if err != nil {
-		return 0, err
-	}
-	return old.Modified, nil
 }
 
 // Delete removes a note physically (hard delete). Logical deletion —
@@ -483,13 +471,10 @@ func (s *Store) applyDelete(unid nsf.UNID) error {
 	if !ok {
 		return fmt.Errorf("store: index inconsistency: UNID %s maps to missing NoteID %d", unid, id)
 	}
-	rid := RecordID(binary.BigEndian.Uint64(rv))
-	oldMod, err := s.storedModified(rid)
-	if err != nil {
-		return err
-	}
+	rid, usn := location(rv)
 	s.cache.invalidate(rid)
-	if _, err := s.byMod.Delete(modKey(oldMod, id)); err != nil {
+	k := usnKey(usn)
+	if _, err := s.byUSN.Delete(k[:]); err != nil {
 		return err
 	}
 	if _, err := s.byID.Delete(idKey(id)); err != nil {
@@ -560,78 +545,68 @@ func (s *Store) getByIDLocked(id nsf.NoteID, admit bool) (*nsf.Note, error) {
 // scanBatch is how many notes a snapshot scan fetches per read-latch hold.
 const scanBatch = 256
 
-// ScanModifiedSince calls fn for every note with Modified > since, in
-// ascending modification order, until fn returns false. This is the scan
-// the replicator uses to find a delta.
+// Cursor is a position in one copy's change history: every change committed
+// at or below USN has been seen. USNs belong to one copy and rewind when it
+// is restored to an earlier point, so a cursor also names the incarnation
+// that issued it, and a scan handed a cursor from another incarnation starts
+// over from USN 0 — the way a scan cursor is bound to the server that
+// minted it.
+type Cursor struct {
+	Incarnation uint64
+	USN         uint64
+}
+
+// ScanSince calls fn for the current version of every note whose last
+// commit comes after since, in commit (USN) order, until fn returns false —
+// the delta replication and full-text catch-up read. Deletion stubs are
+// notes and are included; hard deletes leave nothing to report.
 //
-// The scan is snapshot-style: it observes the set of notes present when it
-// starts (a consistent prefix of the modification history), fetches them in
-// batches, and runs fn with no latch held — writers are never stalled for
-// the duration of the scan. Notes deleted while the scan is in flight are
-// skipped; notes modified while it is in flight may be observed in either
-// version.
+// The scan is snapshot-style: it observes the notes indexed when it starts,
+// fetches them in batches, and runs fn with no latch held — writers are
+// never stalled for the duration of the scan. Notes deleted while the scan
+// is in flight are skipped; notes modified while it is in flight may be
+// observed in either version.
 //
-// It returns the cursor for the next incremental scan: the highest
-// modification stamp in the snapshot, or since when the snapshot is empty.
-// Writers stamp Modified and index the note inside one commit section, so
-// every note indexed after the snapshot carries a higher stamp than any in
-// it, and a scan from the returned cursor cannot miss it. A clock reading
-// taken beside the scan can: it may already be past a stamp whose note is
-// not indexed yet.
-func (s *Store) ScanModifiedSince(since nsf.Timestamp, fn func(*nsf.Note) bool) (nsf.Timestamp, error) {
-	from := modKey(since, 0xFFFFFFFF) // strictly after all ids at `since`
-	high := since
+// It returns the cursor for the next incremental scan: the store's USN read
+// under the same latch as the snapshot. Every commit at or below it is in
+// the snapshot, so the cursor can never run ahead of what was indexed.
+func (s *Store) ScanSince(since Cursor, fn func(*nsf.Note) bool) (Cursor, error) {
 	s.mu.RLock()
+	if since.Incarnation != s.pg.incarnation {
+		since.USN = 0
+	}
+	next := Cursor{Incarnation: s.pg.incarnation, USN: s.usn}
+	from := usnKey(since.USN + 1)
 	var ids []nsf.NoteID
-	err := s.byMod.Ascend(from, func(k, _ []byte) bool {
-		high = nsf.Timestamp(binary.BigEndian.Uint64(k[:8]))
-		ids = append(ids, nsf.NoteID(binary.BigEndian.Uint32(k[8:])))
+	err := s.byUSN.Ascend(from[:], func(_, v []byte) bool {
+		ids = append(ids, nsf.NoteID(binary.BigEndian.Uint32(v)))
 		return true
 	})
 	s.mu.RUnlock()
 	if err != nil {
-		return 0, err
+		return Cursor{}, err
 	}
-	return high, s.fetchNotesCtx(context.Background(), ids, fn)
+	return next, s.fetchNotesCtx(context.Background(), ids, fn)
 }
 
-// ScanAll calls fn for every note in NoteID order until fn returns false.
-// Snapshot semantics match ScanModifiedSince: the ID list is collected
-// under a short read latch, notes are fetched in batches, fn runs with no
-// latch held, and concurrently deleted notes are skipped.
+// ScanAll calls fn for every note in NoteID order until fn returns false:
+// ScanFromCtx from the first NoteID, without a deadline.
 func (s *Store) ScanAll(fn func(*nsf.Note) bool) error {
-	return s.ScanAllCtx(context.Background(), fn)
-}
-
-// ScanAllCtx is ScanAll with cooperative cancellation: the deadline is
-// checked between fetch batches, so a cancelled scan stops within one
-// scanBatch of work and never holds the read latch past the check.
-func (s *Store) ScanAllCtx(ctx context.Context, fn func(*nsf.Note) bool) error {
-	s.mu.RLock()
-	var ids []nsf.NoteID
-	err := s.byID.Ascend(nil, func(k, _ []byte) bool {
-		ids = append(ids, nsf.NoteID(binary.BigEndian.Uint32(k)))
-		return true
-	})
-	s.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	return s.fetchNotesCtx(ctx, ids, fn)
+	return s.ScanFromCtx(context.Background(), 0, fn)
 }
 
 // ScanFromCtx calls fn for every note with NoteID strictly greater than
 // after, in NoteID order, until fn returns false or ctx is done. Snapshot
-// semantics and cancellation match ScanAllCtx. NoteIDs are assigned
-// monotonically and survive compaction, so a bulk reader that remembers the
-// last ID it consumed can resume a scan of this physical database exactly
-// where it stopped — the cursor the wire scan ops page with. (NoteIDs are
-// per-copy: a cursor is meaningless against another replica of the same
-// database.)
+// semantics match ScanSince: the ID list is collected under a short read
+// latch, notes are fetched in batches, fn runs with no latch held, and
+// concurrently deleted notes are skipped. The deadline is checked between
+// fetch batches, so a cancelled scan stops within one scanBatch of work.
+// NoteIDs are assigned monotonically from 1 and survive compaction, so a
+// bulk reader that remembers the last ID it consumed can resume a scan of
+// this physical database exactly where it stopped — the cursor the wire
+// scan ops page with. (NoteIDs are per-copy: a cursor is meaningless
+// against another replica of the same database.)
 func (s *Store) ScanFromCtx(ctx context.Context, after nsf.NoteID, fn func(*nsf.Note) bool) error {
-	if after == 0 {
-		return s.ScanAllCtx(ctx, fn)
-	}
 	if after == ^nsf.NoteID(0) {
 		return nil
 	}
@@ -754,12 +729,22 @@ func (s *Store) LastUSN() uint64 {
 	return s.usn
 }
 
-// ModHigh returns the high-water Modified timestamp over every note ever
-// stored — the cursor incremental backups scan from.
-func (s *Store) ModHigh() nsf.Timestamp {
+// Incarnation returns the identity of this copy's USN sequence, which only
+// markOpen (create, crash recovery) and Reincarnate (restore) replace.
+func (s *Store) Incarnation() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.modHigh
+	return s.pg.incarnation
+}
+
+// Reincarnate mints a new incarnation, durable at the next checkpoint, so
+// cursors issued by any earlier copy of this file restart from USN 0 here:
+// a restored copy's USNs may rewind below what those cursors saw.
+func (s *Store) Reincarnate() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.pg.incarnation = rand.Uint64()
+	s.pg.hdrDirty = true
 }
 
 // AdvanceUSN raises the store's USN to at least usn without logging an
@@ -821,6 +806,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.pg.clean = true // the final checkpoint folds in every issued USN
 	err := s.checkpointLocked()
 	if cerr := s.closeFiles(); err == nil {
 		err = cerr

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -114,19 +115,17 @@ func TestStoreLargeNotes(t *testing.T) {
 	}
 }
 
-func TestStoreScanModifiedSince(t *testing.T) {
+func TestStoreScanSince(t *testing.T) {
 	s, _ := openTestStore(t, Options{})
 	c := clock.New()
-	var stamps []nsf.Timestamp
 	for i := 0; i < 20; i++ {
-		n := makeNote(c, fmt.Sprintf("doc %d", i))
-		stamps = append(stamps, n.Modified)
-		if err := s.Put(n); err != nil {
+		if err := s.Put(makeNote(c, fmt.Sprintf("doc %d", i))); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 	}
+	inc := s.Incarnation()
 	var seen []string
-	next, err := s.ScanModifiedSince(stamps[9], func(n *nsf.Note) bool {
+	next, err := s.ScanSince(Cursor{inc, 10}, func(n *nsf.Note) bool {
 		seen = append(seen, n.Text("Subject"))
 		return true
 	})
@@ -134,14 +133,14 @@ func TestStoreScanModifiedSince(t *testing.T) {
 		t.Fatalf("Scan: %v", err)
 	}
 	if len(seen) != 10 || seen[0] != "doc 10" {
-		t.Fatalf("ScanModifiedSince = %v", seen)
+		t.Fatalf("ScanSince = %v", seen)
 	}
-	// The cursor is the newest stamp scanned, and stays put when the scan
-	// from it finds nothing.
-	if next != stamps[19] {
-		t.Fatalf("cursor = %v, want %v", next, stamps[19])
+	// The cursor is the store's USN, and stays put when the scan from it
+	// finds nothing.
+	if want := (Cursor{inc, 20}); next != want {
+		t.Fatalf("cursor = %v, want %v", next, want)
 	}
-	if again, _ := s.ScanModifiedSince(next, func(*nsf.Note) bool { return true }); again != next {
+	if again, _ := s.ScanSince(next, func(*nsf.Note) bool { return true }); again != next {
 		t.Fatalf("empty scan moved the cursor %v -> %v", next, again)
 	}
 	// A fresh update moves a note to the end of the scan order.
@@ -151,12 +150,45 @@ func TestStoreScanModifiedSince(t *testing.T) {
 		t.Fatalf("Put: %v", err)
 	}
 	seen = nil
-	s.ScanModifiedSince(stamps[19], func(n *nsf.Note) bool {
+	s.ScanSince(next, func(n *nsf.Note) bool {
 		seen = append(seen, n.Text("Subject"))
 		return true
 	})
 	if len(seen) != 1 || seen[0] != "doc 0" {
 		t.Fatalf("after touch, scan = %v", seen)
+	}
+	// A cursor another incarnation issued starts over from USN 0.
+	count := 0
+	if _, err := s.ScanSince(Cursor{inc + 1, 21}, func(*nsf.Note) bool { count++; return true }); err != nil || count != 20 {
+		t.Fatalf("foreign cursor scanned %d notes (%v), want all 20", count, err)
+	}
+}
+
+// TestOpenRefusesFormatVersion1 pins the upgrade rule: a file written
+// before the USN change index is refused with an error naming the version,
+// not misread.
+func TestOpenRefusesFormatVersion1(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.nsf")
+	s, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteAt([]byte{1, 0, 0, 0}, hdrOffVersion)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path, Options{}); err == nil || !strings.Contains(err.Error(), "format version 1") {
+		t.Fatalf("Open of a version 1 file: %v, want a format version error", err)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // Verify checks the cross-consistency of the storage structures — the
-// byID, byUNID, and byMod B+trees and the record heap — and returns a
+// byID, byUNID, and byUSN B+trees and the record heap — and returns a
 // description of every problem found (empty means healthy). It is the
 // equivalent of Domino's "fixup" in detect-only mode.
 func (s *Store) Verify() []string {
@@ -25,13 +25,13 @@ func (s *Store) Verify() []string {
 	// Pass 1: every byID entry resolves to a decodable heap record whose
 	// note agrees on the NoteID, and whose UNID maps back to it.
 	type noteInfo struct {
-		unid     nsf.UNID
-		modified nsf.Timestamp
+		unid nsf.UNID
+		usn  uint64
 	}
 	byID := make(map[nsf.NoteID]noteInfo)
 	err := s.byID.Ascend(nil, func(k, v []byte) bool {
 		id := nsf.NoteID(binary.BigEndian.Uint32(k))
-		rid := RecordID(binary.BigEndian.Uint64(v))
+		rid, usn := location(v)
 		enc, err := s.heap.get(rid)
 		if err != nil {
 			report("note %d: heap record %x unreadable: %v", id, rid, err)
@@ -45,7 +45,7 @@ func (s *Store) Verify() []string {
 		if n.ID != id {
 			report("note %d: record carries NoteID %d", id, n.ID)
 		}
-		byID[id] = noteInfo{unid: n.OID.UNID, modified: n.Modified}
+		byID[id] = noteInfo{unid: n.OID.UNID, usn: usn}
 		return true
 	})
 	if err != nil {
@@ -79,31 +79,30 @@ func (s *Store) Verify() []string {
 		report("byUNID has %d entries, byID has %d", unidSeen, len(byID))
 	}
 
-	// Pass 3: byMod covers every note exactly once with the right stamp.
-	modSeen := make(map[nsf.NoteID]bool, len(byID))
-	err = s.byMod.Ascend(nil, func(k, _ []byte) bool {
-		ts := nsf.Timestamp(binary.BigEndian.Uint64(k))
-		id := nsf.NoteID(binary.BigEndian.Uint32(k[8:]))
+	// Pass 3: byUSN covers every note exactly once, under the USN its byID
+	// entry carries, and no entry is newer than the store's USN.
+	usnSeen := make(map[nsf.NoteID]bool, len(byID))
+	err = s.byUSN.Ascend(nil, func(k, v []byte) bool {
+		usn := binary.BigEndian.Uint64(k)
+		id := nsf.NoteID(binary.BigEndian.Uint32(v))
 		info, ok := byID[id]
-		if !ok {
-			report("byMod entry (%d, %d) references missing note", ts, id)
-			return true
+		switch {
+		case !ok:
+			report("byUSN entry %d references missing note %d", usn, id)
+		case info.usn != usn:
+			report("byUSN entry %d for note %d, whose byID entry says USN %d", usn, id, info.usn)
+		case usn > s.usn:
+			report("byUSN entry %d for note %d is past the store's USN %d", usn, id, s.usn)
 		}
-		if info.modified != ts {
-			report("byMod entry for note %d has stamp %d, note says %d", id, ts, info.modified)
-		}
-		if modSeen[id] {
-			report("note %d appears twice in byMod", id)
-		}
-		modSeen[id] = true
+		usnSeen[id] = true
 		return true
 	})
 	if err != nil {
-		report("byMod scan failed: %v", err)
+		report("byUSN scan failed: %v", err)
 	}
 	for id := range byID {
-		if !modSeen[id] {
-			report("note %d missing from byMod", id)
+		if !usnSeen[id] {
+			report("note %d missing from byUSN", id)
 		}
 	}
 	return problems

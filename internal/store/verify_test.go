@@ -57,7 +57,7 @@ func TestVerifyDetectsDanglingUNID(t *testing.T) {
 	}
 }
 
-func TestVerifyDetectsMissingModEntry(t *testing.T) {
+func TestVerifyDetectsMissingUSNEntry(t *testing.T) {
 	s, _ := openTestStore(t, Options{})
 	c := clock.New()
 	n := makeNote(c, "victim")
@@ -65,13 +65,14 @@ func TestVerifyDetectsMissingModEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	if _, err := s.byMod.Delete(modKey(n.Modified, n.ID)); err != nil {
+	k := usnKey(s.usn)
+	if _, err := s.byUSN.Delete(k[:]); err != nil {
 		s.mu.Unlock()
 		t.Fatal(err)
 	}
 	s.mu.Unlock()
 	problems := s.Verify()
 	if len(problems) == 0 {
-		t.Fatal("missing byMod entry not detected")
+		t.Fatal("missing byUSN entry not detected")
 	}
 }

@@ -12,14 +12,14 @@ import (
 	"repro/internal/nsf"
 	"repro/internal/repl"
 	"repro/internal/retry"
+	"repro/internal/store"
 )
 
 // ProtocolVersion is negotiated in the hello exchange: the client sends it
-// and the server refuses any other. Version 2 replaced the one-shot
-// view/search reads with paginated bulk ops (and added OpScan); the row
-// encodings changed shape, so v1 peers are refused outright rather than
-// silently misparsed.
-const ProtocolVersion = 2
+// and the server refuses any other, so an older peer is refused rather than
+// misparsed. Version 2 made view/search reads paginated bulk ops (and added
+// OpScan); version 3 made OpSummaries cursors (incarnation, USN) pairs.
+const ProtocolVersion = 3
 
 // transport carries an encoded request to a server and brings the response
 // body back. The codecs (RemoteDB for database ops, session for server ops)
@@ -777,12 +777,12 @@ func (r *RemoteDB) Info() (DBInfo, error) {
 }
 
 // Summaries implements repl.Peer.
-func (r *RemoteDB) Summaries(since nsf.Timestamp, formulaSrc string) ([]repl.Summary, nsf.Timestamp, error) {
-	d, err := r.call(r.req(OpSummaries).U64(uint64(since)).Str(formulaSrc))
+func (r *RemoteDB) Summaries(since store.Cursor, formulaSrc string) ([]repl.Summary, store.Cursor, error) {
+	d, err := r.call(r.req(OpSummaries).Cursor(since).Str(formulaSrc))
 	if err != nil {
-		return nil, 0, err
+		return nil, store.Cursor{}, err
 	}
-	now := nsf.Timestamp(d.U64())
+	next := d.Cursor()
 	count := d.U32()
 	// A summary encodes to 33 fixed bytes; clamp the preallocation to what
 	// the payload could actually hold so a corrupt count can't demand
@@ -791,7 +791,7 @@ func (r *RemoteDB) Summaries(since nsf.Timestamp, formulaSrc string) ([]repl.Sum
 	for i := uint32(0); i < count && d.Err() == nil; i++ {
 		out = append(out, d.Summary())
 	}
-	return out, now, d.Err()
+	return out, next, d.Err()
 }
 
 // Fetch implements repl.Peer.

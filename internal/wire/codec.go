@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/nsf"
 	"repro/internal/repl"
+	"repro/internal/store"
 )
 
 // Enc builds a message payload. Encoders come from an internal pool:
@@ -143,6 +144,9 @@ func (e *Enc) Summary(s repl.Summary) *Enc {
 	}
 	return e.U8(flags)
 }
+
+// Cursor appends a change cursor: incarnation, then USN.
+func (e *Enc) Cursor(c store.Cursor) *Enc { return e.U64(c.Incarnation).U64(c.USN) }
 
 // ApplyStats appends replication apply statistics.
 func (e *Enc) ApplyStats(s repl.ApplyStats) *Enc {
@@ -294,6 +298,9 @@ func (d *Dec) Summary() repl.Summary {
 	s.SelStub = flags&2 != 0
 	return s
 }
+
+// Cursor reads a change cursor.
+func (d *Dec) Cursor() store.Cursor { return store.Cursor{Incarnation: d.U64(), USN: d.U64()} }
 
 // ApplyStats reads replication apply statistics.
 func (d *Dec) ApplyStats() repl.ApplyStats {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/nsf"
 	"repro/internal/repl"
+	"repro/internal/store"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -171,13 +172,13 @@ func TestStrHandlesLongStrings(t *testing.T) {
 	}
 }
 
-// TestGoldenFrames pins protocol version 2 byte for byte: for one op of
+// TestGoldenFrames pins protocol version 3 byte for byte: for one op of
 // every family, the exact request frame the client puts on the wire and a
 // hand-assembled response frame it must decode. The expectations are
 // spelled out as literal bytes (not built with Enc), so a codec change that
 // alters the format fails here even if client and server change together.
 // Only exported client API is used, so the same test passes on any peer
-// build that speaks version 2. Notes travel as opaque nsf blobs.
+// build that speaks version 3. Notes travel as opaque nsf blobs.
 func TestGoldenFrames(t *testing.T) {
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	str := func(s string) []byte { return append([]byte{byte(len(s))}, s...) } // uvarint length < 128
@@ -195,6 +196,7 @@ func TestGoldenFrames(t *testing.T) {
 	var placed ResolveInfo
 	var got *nsf.Note
 	var stored int
+	var next store.Cursor
 	created := note.Clone()
 	steps := []struct {
 		name      string
@@ -230,9 +232,12 @@ func TestGoldenFrames(t *testing.T) {
 		},
 			cat([]byte{0x15}, handle, str("SELECT @All"), []byte{2, 0, 0, 0, 0, 0, 0, 0}, []byte{2, 0xAA, 0xBB}),
 			cat([]byte{0x95, 0x00}, []byte{1, 9, 0, 0, 0}, unid[:], []byte{0, 1}, []byte{1, 0xCC})},
-		{"Summaries", func(_ *Client, db *RemoteDB) error { _, _, err := db.Summaries(0x0102, ""); return err },
-			cat([]byte{0x0A}, handle, []byte{2, 1, 0, 0, 0, 0, 0, 0}, str("")),
-			[]byte{0x8A, 0x00, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+		{"Summaries", func(_ *Client, db *RemoteDB) (err error) {
+			_, next, err = db.Summaries(store.Cursor{Incarnation: 0x0304, USN: 0x0102}, "")
+			return
+		},
+			cat([]byte{0x0A}, handle, []byte{4, 3, 0, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0}, str("")),
+			[]byte{0x8A, 0x00, 4, 3, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
 		{"PutBatch", func(_ *Client, db *RemoteDB) (err error) { stored, err = db.PutBatch([]*nsf.Note{note}); return },
 			nil, // carries a random session key: checked piecewise below
 			[]byte{0x90, 0x00, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1}},
@@ -285,7 +290,7 @@ func TestGoldenFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if want := cat([]byte{0x01, 2, 0, 0, 0}, str("ada"), str("pw")); !bytes.Equal(<-frames, want) {
+	if want := cat([]byte{0x01, 3, 0, 0, 0}, str("ada"), str("pw")); !bytes.Equal(<-frames, want) {
 		t.Errorf("hello frame differs from %x", want)
 	}
 	db, err := c.OpenDB("apps/x.nsf")
@@ -335,6 +340,9 @@ func TestGoldenFrames(t *testing.T) {
 	}
 	if stored != 1 {
 		t.Errorf("PutBatch stored = %d, want 1", stored)
+	}
+	if next != (store.Cursor{Incarnation: 0x0304, USN: 9}) {
+		t.Errorf("Summaries decoded cursor %+v", next)
 	}
 	if avail.State != StateOpen || avail.Index != 100 || avail.InFlight != 1 || avail.Queued != 2 || avail.Latency != 1500*time.Microsecond {
 		t.Errorf("Availability decoded %+v", avail)
