@@ -1,19 +1,19 @@
-// Package changefeed implements a per-database, monotonically sequenced
-// change log with subscriber cursors: the spine that decouples index and
-// subscriber maintenance from the write path.
+// Package changefeed implements a per-database change log with subscriber
+// cursors: the spine that decouples index and subscriber maintenance from
+// the write path.
 //
-// Every mutation the database commits is stamped with an update sequence
-// number (USN) and appended to a bounded in-memory ring. Consumers — view
-// indexes, the full-text index, change callbacks, cluster pushers —
-// subscribe with a handler and catch up asynchronously on their own
-// goroutine, each tracking the USN it has applied through. The writer never
-// waits for a consumer: appends are O(1) and never block.
+// Every mutation the database commits is appended, under the update
+// sequence number (USN) the store assigned it, to a bounded in-memory ring.
+// Consumers — view indexes, the full-text index, change callbacks, cluster
+// pushers — subscribe with a handler and catch up asynchronously on their
+// own goroutine, each tracking the USN it has applied through. The writer
+// never waits for a consumer: appends are O(1) and never block.
 //
 // Because the ring is bounded, a consumer that falls more than Capacity
-// entries behind loses its window into history. The feed detects this and
-// calls the handler's Resync, which must restore consistency from the
-// authoritative store (for an index, a full rebuild) — the classic
-// incremental-refresh-vs-rebuild fallback.
+// USNs behind loses its window into history. The feed detects this and
+// calls the handler's Resync with the USN the consumer applied through; the
+// store indexes every note by the USN of its last commit, so the handler
+// catches up from there.
 //
 // Read-your-writes is available on demand: WaitForUSN blocks until every
 // live subscriber has applied through a given USN, so a reader that
@@ -46,8 +46,8 @@ const (
 
 // Entry is one sequenced change.
 type Entry struct {
-	// USN is the entry's update sequence number: strictly increasing,
-	// starting at 1, dense (no gaps).
+	// USN is the update sequence number the store committed the change
+	// at; entries arrive in increasing USN order.
 	USN uint64
 	// Kind says whether the note was stored or physically removed.
 	Kind Kind
@@ -65,16 +65,17 @@ type Handler interface {
 	// Apply reflects one change. A panic drops the subscriber.
 	Apply(Entry)
 	// Resync is called instead of Apply when the subscriber fell out of the
-	// feed's retention window. It must restore consistency with the
-	// authoritative store through at least the given USN (typically a full
-	// rebuild). Returning an error drops the subscriber.
-	Resync(through uint64) error
+	// feed's retention window, with the USN it had applied through. It must
+	// reflect every change the store committed since then; entries appended
+	// meanwhile are applied again afterwards. Returning an error drops the
+	// subscriber.
+	Resync(applied uint64) error
 }
 
 // Funcs adapts plain functions to Handler; nil fields are no-ops.
 type Funcs struct {
 	ApplyFunc  func(Entry)
-	ResyncFunc func(through uint64) error
+	ResyncFunc func(applied uint64) error
 }
 
 // Apply implements Handler.
@@ -85,9 +86,9 @@ func (f Funcs) Apply(e Entry) {
 }
 
 // Resync implements Handler.
-func (f Funcs) Resync(through uint64) error {
+func (f Funcs) Resync(applied uint64) error {
 	if f.ResyncFunc != nil {
-		return f.ResyncFunc(through)
+		return f.ResyncFunc(applied)
 	}
 	return nil
 }
@@ -95,8 +96,7 @@ func (f Funcs) Resync(through uint64) error {
 // DefaultCapacity is the retention window when New is given no capacity.
 const DefaultCapacity = 8192
 
-// Feed is a bounded, sequenced change log. All methods are safe for
-// concurrent use.
+// Feed is a bounded change log. All methods are safe for concurrent use.
 type Feed struct {
 	capacity uint64
 
@@ -109,50 +109,38 @@ type Feed struct {
 	wg     sync.WaitGroup
 }
 
-// New returns an empty feed retaining the last capacity entries
+// New returns an empty feed retaining the last capacity USNs
 // (DefaultCapacity when capacity <= 0).
 func New(capacity int) *Feed {
-	return NewFrom(capacity, 0)
-}
-
-// NewFrom returns an empty feed whose next append is stamped last+1.
-// A database opening an existing store seeds the feed with the store's
-// persistent USN, so feed USNs and store USNs are the same sequence across
-// restarts — the invariant backup cursors and subscriber checkpoints rely
-// on. The ring holds no entries at or below last: subscribers start at the
-// head, and anything older is the store's (and archive's) business.
-func NewFrom(capacity int, last uint64) *Feed {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	f := &Feed{capacity: uint64(capacity), buf: make([]Entry, capacity), last: last}
+	f := &Feed{capacity: uint64(capacity), buf: make([]Entry, capacity)}
 	f.cond = sync.NewCond(&f.mu)
 	return f
 }
 
-// Append stamps a change with the next USN and records it, returning the
-// USN. It never blocks on consumers: when the ring is full the oldest entry
-// is overwritten and lagging subscribers will resync. Appends on a closed
-// feed are dropped (the store itself is closing).
-func (f *Feed) Append(kind Kind, unid nsf.UNID, note *nsf.Note) uint64 {
+// Append records a change the store committed at usn. Appends must come in
+// increasing USN order (a database appends under its commit mutex); a USN
+// at or below the last one is ignored, as is any append on a closed feed.
+// It never blocks on consumers: the entry overwrites the one a full ring
+// older, and subscribers still behind it will resync.
+func (f *Feed) Append(usn uint64, kind Kind, unid nsf.UNID, note *nsf.Note) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return f.last
+	if f.closed || usn <= f.last {
+		return
 	}
-	f.last++
-	f.buf[(f.last-1)%f.capacity] = Entry{USN: f.last, Kind: kind, UNID: unid, Note: note}
+	if f.last == 0 {
+		// The first entry: subscribers registered on the empty feed are at
+		// its head, whatever USN the store has reached.
+		for _, s := range f.subs {
+			s.applied = max(s.applied, usn-1)
+		}
+	}
+	f.last = usn
+	f.buf[(usn-1)%f.capacity] = Entry{USN: usn, Kind: kind, UNID: unid, Note: note}
 	f.cond.Broadcast()
-	return f.last
-}
-
-// firstLocked returns the oldest USN still in the ring (1 when nothing has
-// been evicted yet). Call with f.mu held.
-func (f *Feed) firstLocked() uint64 {
-	if f.last <= f.capacity {
-		return 1
-	}
-	return f.last - f.capacity + 1
 }
 
 // LastUSN returns the USN of the most recent append (0 when none).
@@ -182,20 +170,22 @@ func (f *Feed) Subscribe(name string, h Handler) *Subscriber {
 	return s
 }
 
-// WaitForUSN blocks until every live subscriber has applied through usn —
-// the read-side refresh barrier. Dropped or exited subscribers are skipped,
-// so a panicking consumer cannot wedge readers. Returns immediately when
-// usn has already been covered (or nothing is subscribed).
+// WaitForUSN blocks until every live subscriber has applied through usn,
+// or through the last USN appended when that is lower — the read-side
+// refresh barrier. Dropped or exited subscribers are skipped, so a
+// panicking consumer cannot wedge readers. Returns immediately when usn has
+// already been covered (or nothing is subscribed).
 func (f *Feed) WaitForUSN(usn uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for {
+		target := min(usn, f.last)
 		pending := false
 		for _, s := range f.subs {
 			if s.dropped || s.exited || s.unsubscribed {
 				continue
 			}
-			if s.applied < usn {
+			if s.applied < target {
 				pending = true
 				break
 			}
@@ -232,7 +222,7 @@ type SubscriberStats struct {
 	Lag uint64
 	// Applies counts entries applied incrementally.
 	Applies uint64
-	// Resyncs counts overflow-triggered rebuilds.
+	// Resyncs counts overflow-triggered catch-ups.
 	Resyncs uint64
 	// Dropped reports whether the subscriber was dropped after a panic or
 	// resync failure.
@@ -352,25 +342,30 @@ func (s *Subscriber) run() {
 		if s.dropped || s.applied >= f.last {
 			return // closed and drained, or dropped
 		}
-		if s.applied+1 < f.firstLocked() {
-			// Fell out of the retention window: rebuild from the store.
-			target := f.last
+		next := s.applied + 1
+		if next+f.capacity <= f.last {
+			// Fell out of the retention window: catch up from the store.
+			applied, target := s.applied, f.last
 			s.resyncs++
 			f.mu.Unlock()
-			ok := s.safeResync(target)
+			ok := s.safeResync(applied)
 			f.mu.Lock()
 			if !ok {
 				s.dropped = true
 				f.cond.Broadcast()
 				return
 			}
-			if s.applied < target {
-				s.applied = target
-			}
+			s.applied = target
 			f.cond.Broadcast()
 			continue
 		}
-		e := f.buf[s.applied%f.capacity] // entry with USN s.applied+1
+		e := f.buf[(next-1)%f.capacity]
+		if e.USN != next {
+			// No entry was appended at this USN (Append takes increasing,
+			// not consecutive, USNs); the slot holds an older one.
+			s.applied = next
+			continue
+		}
 		f.mu.Unlock()
 		ok := s.safeApply(e)
 		f.mu.Lock()
@@ -399,15 +394,15 @@ func (s *Subscriber) safeApply(e Entry) (ok bool) {
 
 // safeResync runs the handler's resync, converting a panic or error into a
 // drop.
-func (s *Subscriber) safeResync(through uint64) (ok bool) {
+func (s *Subscriber) safeResync(applied uint64) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			log.Printf("changefeed: subscriber %s panicked during resync to USN %d: %v; dropping it", s.name, through, r)
+			log.Printf("changefeed: subscriber %s panicked during resync from USN %d: %v; dropping it", s.name, applied, r)
 			ok = false
 		}
 	}()
-	if err := s.h.Resync(through); err != nil {
-		log.Printf("changefeed: subscriber %s resync to USN %d failed: %v; dropping it", s.name, through, err)
+	if err := s.h.Resync(applied); err != nil {
+		log.Printf("changefeed: subscriber %s resync from USN %d failed: %v; dropping it", s.name, applied, err)
 		return false
 	}
 	return true

@@ -17,14 +17,16 @@ func unid(i int) nsf.UNID {
 	return u
 }
 
-func TestAppendAssignsDenseUSNs(t *testing.T) {
+func TestAppendRecordsStoreUSNs(t *testing.T) {
 	f := New(16)
 	defer f.Close()
 	for i := 1; i <= 5; i++ {
-		if usn := f.Append(Put, unid(i), nil); usn != uint64(i) {
-			t.Fatalf("append %d got USN %d", i, usn)
+		f.Append(uint64(i), Put, unid(i), nil)
+		if f.LastUSN() != uint64(i) {
+			t.Fatalf("after append %d LastUSN = %d", i, f.LastUSN())
 		}
 	}
+	f.Append(3, Put, unid(9), nil) // out of order: ignored
 	if f.LastUSN() != 5 {
 		t.Errorf("LastUSN = %d", f.LastUSN())
 	}
@@ -40,8 +42,8 @@ func TestSubscriberSeesEntriesInOrder(t *testing.T) {
 		mu.Unlock()
 	}})
 	const n = 50
-	for i := 0; i < n; i++ {
-		f.Append(Put, unid(i), nil)
+	for i := 1; i <= n; i++ {
+		f.Append(uint64(i), Put, unid(i), nil)
 	}
 	f.WaitForUSN(uint64(n))
 	mu.Lock()
@@ -60,11 +62,11 @@ func TestSubscriberSeesEntriesInOrder(t *testing.T) {
 func TestSubscriberStartsAtHead(t *testing.T) {
 	f := New(16)
 	defer f.Close()
-	f.Append(Put, unid(1), nil)
-	f.Append(Put, unid(2), nil)
+	f.Append(1, Put, unid(1), nil)
+	f.Append(2, Put, unid(2), nil)
 	var applied atomic.Uint64
 	f.Subscribe("late", Funcs{ApplyFunc: func(e Entry) { applied.Add(1) }})
-	f.Append(Put, unid(3), nil)
+	f.Append(3, Put, unid(3), nil)
 	f.WaitForUSN(3)
 	if applied.Load() != 1 {
 		t.Errorf("late subscriber applied %d entries, want 1 (only the post-subscribe one)", applied.Load())
@@ -87,17 +89,20 @@ func TestOverflowTriggersResync(t *testing.T) {
 			}
 			applies.Add(1)
 		},
-		ResyncFunc: func(through uint64) error {
+		ResyncFunc: func(applied uint64) error {
+			if applied != 1 {
+				t.Errorf("resync from USN %d, want 1", applied)
+			}
 			resyncs.Add(1)
 			return nil
 		},
 	})
 	// First append, wait until the subscriber is inside Apply, then lap the
 	// ring while it is stalled.
-	f.Append(Put, unid(0), nil)
+	f.Append(1, Put, unid(0), nil)
 	<-started
-	for i := 1; i <= 20; i++ {
-		f.Append(Put, unid(i), nil)
+	for i := 2; i <= 21; i++ {
+		f.Append(uint64(i), Put, unid(i), nil)
 	}
 	close(block)
 	f.WaitForUSN(21)
@@ -117,8 +122,8 @@ func TestPanickingSubscriberIsDroppedNotFatal(t *testing.T) {
 	var healthy atomic.Uint64
 	f.Subscribe("bomb", Funcs{ApplyFunc: func(e Entry) { panic("boom") }})
 	f.Subscribe("healthy", Funcs{ApplyFunc: func(e Entry) { healthy.Add(1) }})
-	f.Append(Put, unid(1), nil)
-	f.Append(Put, unid(2), nil)
+	f.Append(1, Put, unid(1), nil)
+	f.Append(2, Put, unid(2), nil)
 	// The barrier must not wedge on the dropped subscriber.
 	done := make(chan struct{})
 	go func() { f.WaitForUSN(2); close(done) }()
@@ -157,10 +162,10 @@ func TestResyncErrorDropsSubscriber(t *testing.T) {
 		},
 		ResyncFunc: func(uint64) error { return errors.New("cannot rebuild") },
 	})
-	f.Append(Put, unid(0), nil)
+	f.Append(1, Put, unid(0), nil)
 	<-started
-	for i := 1; i <= 10; i++ {
-		f.Append(Put, unid(i), nil)
+	for i := 2; i <= 11; i++ {
+		f.Append(uint64(i), Put, unid(i), nil)
 	}
 	close(block)
 	f.WaitForUSN(11) // must not wedge: the failed subscriber is dropped
@@ -180,23 +185,24 @@ func TestCloseDrainsSubscribers(t *testing.T) {
 		applied.Add(1)
 	}})
 	const n = 200
-	for i := 0; i < n; i++ {
-		f.Append(Put, unid(i), nil)
+	for i := 1; i <= n; i++ {
+		f.Append(uint64(i), Put, unid(i), nil)
 	}
 	f.Close()
 	if applied.Load() != n {
 		t.Errorf("close drained %d entries, want %d", applied.Load(), n)
 	}
 	// Appends after close are dropped, not fatal.
-	if usn := f.Append(Put, unid(999), nil); usn != n {
-		t.Errorf("append after close returned %d", usn)
+	f.Append(n+1, Put, unid(999), nil)
+	if usn := f.LastUSN(); usn != n {
+		t.Errorf("append after close moved LastUSN to %d", usn)
 	}
 }
 
 func TestWaitForUSNWithNoSubscribers(t *testing.T) {
 	f := New(8)
 	defer f.Close()
-	f.Append(Put, unid(1), nil)
+	f.Append(1, Put, unid(1), nil)
 	f.WaitForUSN(1) // must not block
 }
 
@@ -211,8 +217,8 @@ func TestStatsLag(t *testing.T) {
 		}
 		<-block
 	}})
-	for i := 0; i < 10; i++ {
-		f.Append(Put, unid(i), nil)
+	for i := 1; i <= 10; i++ {
+		f.Append(uint64(i), Put, unid(i), nil)
 	}
 	<-started
 	st := f.Stats()
@@ -232,13 +238,21 @@ func TestConcurrentAppendersAndBarriers(t *testing.T) {
 	var applied atomic.Uint64
 	f.Subscribe("count", Funcs{ApplyFunc: func(e Entry) { applied.Add(1) }})
 	var wg sync.WaitGroup
+	// The commit mutex a database appends under: it hands out USNs in
+	// append order.
+	var commit sync.Mutex
+	var last uint64
 	const writers, per = 8, 100
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				usn := f.Append(Put, unid(w*per+i), nil)
+				commit.Lock()
+				last++
+				usn := last
+				f.Append(usn, Put, unid(w*per+i), nil)
+				commit.Unlock()
 				if i%10 == 0 {
 					f.WaitForUSN(usn)
 				}
@@ -253,27 +267,54 @@ func TestConcurrentAppendersAndBarriers(t *testing.T) {
 	f.Close()
 }
 
-// TestNewFromSeedsSequence checks that a feed seeded at a nonzero USN
-// continues that sequence: the first append is seed+1, barriers work, and
-// subscribers (who start at the head) see only post-seed entries.
-func TestNewFromSeedsSequence(t *testing.T) {
-	f := NewFrom(8, 100)
+// TestFirstAppendPastTheRing opens a feed over a store already at USN 100
+// — far more than a ring ahead of the subscriber's zero cursor: the
+// subscriber starts at the head, sees only the new entries, needs no
+// resync, and a barrier on the store's USN returns before any append.
+func TestFirstAppendPastTheRing(t *testing.T) {
+	f := New(8)
 	defer f.Close()
-	if got := f.LastUSN(); got != 100 {
-		t.Fatalf("seeded LastUSN = %d, want 100", got)
-	}
 	var first, count atomic.Uint64
-	f.Subscribe("tail", Funcs{ApplyFunc: func(e Entry) {
-		first.CompareAndSwap(0, e.USN)
-		count.Add(1)
-	}})
-	if usn := f.Append(Put, unid(1), nil); usn != 101 {
-		t.Fatalf("first append after seed = USN %d, want 101", usn)
-	}
-	f.Append(Delete, unid(1), nil)
+	f.Subscribe("tail", Funcs{
+		ApplyFunc: func(e Entry) {
+			first.CompareAndSwap(0, e.USN)
+			count.Add(1)
+		},
+		ResyncFunc: func(uint64) error { return errors.New("no resync expected") },
+	})
+	f.WaitForUSN(100) // nothing appended yet: must not block
+	f.Append(101, Put, unid(1), nil)
+	f.Append(102, Delete, unid(1), nil)
 	f.WaitForUSN(102)
 	if first.Load() != 101 || count.Load() != 2 {
 		t.Fatalf("subscriber saw first=%d count=%d, want 101/2", first.Load(), count.Load())
+	}
+	if st := f.Stats(); st.LastUSN != 102 || st.MaxLag != 0 || st.Subscribers[0].Resyncs != 0 || st.Subscribers[0].Dropped {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestSubscriberSkipsUnappendedUSNs appends USNs 1, 2 and 5: Append takes
+// increasing USNs, not necessarily consecutive ones. The subscriber applies
+// exactly the three entries and reaches the head.
+func TestSubscriberSkipsUnappendedUSNs(t *testing.T) {
+	f := New(8)
+	defer f.Close()
+	var mu sync.Mutex
+	var got []uint64
+	f.Subscribe("gaps", Funcs{ApplyFunc: func(e Entry) {
+		mu.Lock()
+		got = append(got, e.USN)
+		mu.Unlock()
+	}})
+	for _, usn := range []uint64{1, 2, 5} {
+		f.Append(usn, Put, unid(int(usn)), nil)
+	}
+	f.WaitForUSN(5)
+	mu.Lock()
+	defer mu.Unlock()
+	if fmt.Sprint(got) != "[1 2 5]" {
+		t.Fatalf("applied %v, want [1 2 5]", got)
 	}
 }
 
@@ -282,7 +323,7 @@ func TestUnsubscribeStopsDeliveryAndLeavesRoster(t *testing.T) {
 	defer f.Close()
 	var applied atomic.Uint64
 	sub := f.Subscribe("transient", Funcs{ApplyFunc: func(e Entry) { applied.Add(1) }})
-	f.Append(Put, unid(1), nil)
+	f.Append(1, Put, unid(1), nil)
 	f.WaitForUSN(1)
 	sub.Unsubscribe()
 	sub.Unsubscribe() // idempotent
@@ -294,7 +335,7 @@ func TestUnsubscribeStopsDeliveryAndLeavesRoster(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	f.Append(Put, unid(2), nil)
+	f.Append(2, Put, unid(2), nil)
 	f.WaitForUSN(2) // must not wedge on the detached cursor
 	if got := applied.Load(); got != 1 {
 		t.Errorf("applied %d entries after unsubscribe, want 1", got)
@@ -307,8 +348,8 @@ func TestUnsubscribeUnblocksWaiters(t *testing.T) {
 	release := make(chan struct{})
 	sub := f.Subscribe("wedged", Funcs{ApplyFunc: func(e Entry) { <-release }})
 	defer close(release)
-	f.Append(Put, unid(1), nil)
-	f.Append(Put, unid(2), nil)
+	f.Append(1, Put, unid(1), nil)
+	f.Append(2, Put, unid(2), nil)
 	// The consumer is wedged inside entry 1; a barrier on 2 would block
 	// forever. Unsubscribing must let the barrier pass.
 	sub.Unsubscribe()

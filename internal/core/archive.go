@@ -69,17 +69,9 @@ func (db *Database) ArchiveTo(dst *Database, cutoff nsf.Timestamp) (ArchiveStats
 			Flags:   n.Flags | nsf.FlagDeleted,
 			Created: n.Created,
 		}
-		stub.OID.Seq++
-		db.wmu.Lock()
-		now := db.clock.Now()
-		stub.OID.SeqTime = now
-		stub.Modified = now
-		if err := db.st.Put(stub); err != nil {
-			db.wmu.Unlock()
+		if err := db.putVersioned(stub); err != nil {
 			return stats, err
 		}
-		db.commit(stub)
-		db.wmu.Unlock()
 	}
 	return stats, nil
 }

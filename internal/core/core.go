@@ -4,13 +4,15 @@
 // incrementally maintained indexes, optional full-text indexing, and the
 // raw interfaces the replicator uses.
 //
-// Change propagation is asynchronous: every mutation is stamped with a USN
-// and appended to a per-database changefeed; view indexes, the full-text
-// index, unread tables, and OnChange subscribers catch up on their own
-// goroutines. Write latency is therefore independent of how many views or
-// subscribers are open. Readers get read-your-writes on demand through the
-// refresh barrier (WaitForUSN / Refresh), which Session.Rows and
-// Session.Search apply automatically — the Domino "view refresh on open".
+// Change propagation is asynchronous: every mutation is appended, under the
+// USN the store committed it at, to a per-database changefeed; view indexes,
+// the full-text index, unread tables, and OnChange subscribers catch up on
+// their own goroutines, and one that falls out of the feed catches up from
+// the store by USN. Write latency is therefore independent of how many
+// views or subscribers are open. Readers get read-your-writes on demand
+// through the refresh barrier (WaitForUSN / Refresh), which Session.Rows
+// and Session.Search apply automatically — the Domino "view refresh on
+// open".
 package core
 
 import (
@@ -52,10 +54,6 @@ type Options struct {
 	Clock *clock.Clock
 	// Store passes through storage engine options (sync, checkpointing).
 	Store store.Options
-	// FeedCapacity bounds the in-memory changefeed (entries retained for
-	// lagging consumers before they fall back to a rebuild). Zero uses
-	// changefeed.DefaultCapacity.
-	FeedCapacity int
 }
 
 // Database is an open NSF database.
@@ -64,12 +62,12 @@ type Database struct {
 	clock *clock.Clock
 	dirs  *dir.Directory
 
-	// feed is the sequenced change log every consumer hangs off; wmu orders
-	// store commits with feed appends so consumers observe commit order. It
-	// also makes every versioned read-modify-write atomic: reading the
-	// stored version, computing Seq/Revs/NoteID, and committing all happen
-	// under wmu, or two concurrent saves of one UNID would both stamp
-	// Seq=N+1 and silently lose an edit.
+	// feed is the change log every consumer hangs off; wmu orders store
+	// commits with feed appends (commitLocked) so consumers observe commit
+	// order. It also makes every versioned read-modify-write atomic:
+	// reading the stored version, computing Seq/Revs/NoteID, and committing
+	// all happen under wmu, or two concurrent saves of one UNID would both
+	// stamp Seq=N+1 and silently lose an edit.
 	//
 	// Latch order: wmu → store latch (Put/GetByUNID take the store latch
 	// internally). Code holding the store latch must never acquire wmu —
@@ -77,9 +75,9 @@ type Database struct {
 	feed *changefeed.Feed
 	wmu  sync.Mutex
 
-	// ftCursor is the USN the full-text maintainer has applied through. The
-	// sidecar persists it, with the store's incarnation, so reloads catch up
-	// incrementally.
+	// ftCursor is the USN the full-text index reflects every change
+	// through. The sidecar persists it, with the store's incarnation, so
+	// reloads catch up incrementally.
 	ftCursor atomic.Uint64
 
 	mu        sync.RWMutex
@@ -111,12 +109,7 @@ func Open(path string, opts Options) (*Database, error) {
 		clock: ck,
 		dirs:  opts.Directory,
 		views: make(map[string]*view.Index),
-		// Seed the feed with the store's persistent USN so feed USNs and
-		// store USNs are one sequence across restarts: every store commit
-		// under wmu is followed by exactly one feed append, so the two
-		// counters advance in lockstep from here on. Backup cursors and the
-		// refresh barrier both rely on this alignment.
-		feed: changefeed.NewFrom(opts.FeedCapacity, st.LastUSN()),
+		feed:  changefeed.New(changefeed.DefaultCapacity),
 	}
 	if err := db.loadDesign(); err != nil {
 		st.Close()
@@ -137,12 +130,9 @@ func (db *Database) startMaintainers() {
 		ApplyFunc:  db.applyToFullText,
 		ResyncFunc: db.resyncFullText,
 	})
-	db.feed.Subscribe("unread", changefeed.Funcs{
-		ApplyFunc: db.applyToUnread,
-		// Unread tables self-heal: UnreadCount prunes marks for vanished
-		// documents, so an overflow needs no rebuild.
-		ResyncFunc: func(uint64) error { return nil },
-	})
+	// Unread tables self-heal: UnreadCount prunes marks for vanished
+	// documents, so an overflow needs no catch-up.
+	db.feed.Subscribe("unread", changefeed.Funcs{ApplyFunc: db.applyToUnread})
 }
 
 // loadDesign reads the ACL note and view design notes.
@@ -231,7 +221,7 @@ func (db *Database) Stats() Stats {
 
 // LastUSN returns the update sequence number of the most recent committed
 // change (0 when none). Combine with WaitForUSN for read-your-writes.
-func (db *Database) LastUSN() uint64 { return db.feed.LastUSN() }
+func (db *Database) LastUSN() uint64 { return db.st.LastUSN() }
 
 // WaitForUSN blocks until every live change consumer (views, full-text,
 // unread tables, OnChange subscribers) has applied through usn — the
@@ -253,38 +243,87 @@ func (db *Database) ACL() *acl.ACL {
 // OnChange registers fn to run after every note change (including
 // replication applies and stub creation). Callbacks run asynchronously on
 // a dedicated changefeed subscriber goroutine, in commit order; a callback
-// that panics is dropped (with a log line) rather than unwinding anything
-// else. Callbacks must not invoke the read barrier (Rows, Search, View,
-// Refresh) on the same database — the barrier would wait on the callback's
-// own cursor. Use Refresh from the outside to observe callback effects.
-// The returned subscriber's Unsubscribe detaches the callback; callers that
-// outlive their interest in changes (replication triggers, mesh links)
-// should call it rather than leave a dead cursor on the feed.
+// that falls out of the feed is handed the current version of every note
+// changed since it last ran, and may then see a few of them again. A
+// callback that panics is dropped (with a log line) rather than unwinding
+// anything else. Callbacks must not invoke the read barrier (Rows, Search,
+// View, Refresh) on the same database — the barrier would wait on the
+// callback's own cursor. Use Refresh from the outside to observe callback
+// effects. The returned subscriber's Unsubscribe detaches the callback;
+// callers that outlive their interest in changes (replication triggers,
+// mesh links) should call it rather than leave a dead cursor on the feed.
+//
+// Local bookkeeping (notes of class ClassReplFormula: replication history,
+// unread tables) never reaches fn: it never replicates, and the history
+// save at the end of a replication run would otherwise look like a change
+// to every consumer — retriggering replication forever and counting as
+// database activity. Physical deletes (stub purges) stay local too.
 func (db *Database) OnChange(fn func(*nsf.Note)) *changefeed.Subscriber {
 	db.mu.Lock()
 	db.onChanges++
 	name := fmt.Sprintf("onchange-%d", db.onChanges)
 	db.mu.Unlock()
+	apply := func(e changefeed.Entry) {
+		if e.Kind == changefeed.Put && e.Note.Class != nsf.ClassReplFormula {
+			fn(e.Note)
+		}
+	}
 	return db.feed.Subscribe(name, changefeed.Funcs{
-		ApplyFunc: func(e changefeed.Entry) {
-			// Physical deletes (stub purges) stay local, as before the feed.
-			if e.Kind == changefeed.Put && e.Note != nil {
-				fn(e.Note)
-			}
+		ApplyFunc: apply,
+		ResyncFunc: func(applied uint64) error {
+			_, err := db.catchUp(applied, nil, apply)
+			return err
 		},
-		// Missed events cannot be replayed from a bounded feed; consumers
-		// with durability needs (cluster push) already have a catch-up path
-		// (the scheduled replicator).
-		ResyncFunc: func(uint64) error { return nil },
 	})
 }
 
-// commit appends a stored note to the changefeed. Call with wmu held, right
-// after the store write, so feed order matches commit order. The note is
-// cloned: consumers keep a frozen copy, so a caller mutating the note after
-// Put returns can never corrupt an index.
-func (db *Database) commit(n *nsf.Note) {
-	db.feed.Append(changefeed.Put, n.OID.UNID, n.Clone())
+// commitLocked is the one way a change reaches the store: it writes n (or,
+// when n is nil, hard-deletes unid) and appends the change to the feed at
+// the USN the store committed it at, so the store and the feed share one
+// sequence and feed order is commit order. Call with wmu held, and wait on
+// the returned ticket after releasing it: holding wmu across the log write
+// would serialize committers and no group-commit batch could form. The
+// feed carries a clone, so a caller mutating n afterwards can never corrupt
+// an index.
+func (db *Database) commitLocked(unid nsf.UNID, n *nsf.Note) (store.Commit, error) {
+	if n == nil {
+		c, err := db.st.DeleteAsync(unid)
+		if c.USN != 0 {
+			db.feed.Append(c.USN, changefeed.Delete, unid, nil)
+		}
+		return c, err
+	}
+	c, err := db.st.PutAsync(n)
+	if c.USN != 0 {
+		db.feed.Append(c.USN, changefeed.Put, unid, n.Clone())
+	}
+	return c, err
+}
+
+// catchUp brings a consumer that missed the changes after USN applied up to
+// date from the store: apply receives a Put entry for the current version
+// of every note committed since, then a Delete entry for every UNID in held
+// the store no longer has, since a hard delete leaves no USN to scan.
+// Catch-up entries carry no USN; catchUp returns the USN the scan covered.
+func (db *Database) catchUp(applied uint64, held []nsf.UNID, apply func(changefeed.Entry)) (uint64, error) {
+	since := store.Cursor{Incarnation: db.st.Incarnation(), USN: applied}
+	next, err := db.st.ScanSince(since, func(n *nsf.Note) bool {
+		apply(changefeed.Entry{Kind: changefeed.Put, UNID: n.OID.UNID, Note: n})
+		return true
+	})
+	if err != nil {
+		return 0, err
+	}
+	for _, u := range held {
+		ok, err := db.st.Exists(u)
+		if err != nil {
+			return 0, err
+		}
+		if !ok {
+			apply(changefeed.Entry{Kind: changefeed.Delete, UNID: u})
+		}
+	}
+	return next.USN, nil
 }
 
 // aclNoteUNID derives the deterministic UNID of the ACL note so that every
@@ -337,11 +376,6 @@ func (db *Database) putVersioned(n *nsf.Note) error {
 // let two concurrent saves of the same UNID both observe Seq=N and both
 // stamp Seq=N+1 — one edit vanished and replication conflict detection
 // (which compares Seq) lost the fork.
-//
-// The WAL force, by contrast, deliberately happens outside wmu (the caller
-// waits on the ticket after this returns): holding wmu across the log
-// write would serialize committers at this latch and no group-commit batch
-// could ever form.
 func (db *Database) putVersionedAsync(n *nsf.Note) (store.Commit, error) {
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
@@ -379,12 +413,7 @@ func (db *Database) putVersionedAsync(n *nsf.Note) (store.Commit, error) {
 	}
 	n.OID.SeqTime = now
 	n.Modified = now
-	c, err := db.st.PutAsync(n)
-	if err != nil {
-		return store.Commit{}, err
-	}
-	db.commit(n)
-	return c, nil
+	return db.commitLocked(n.OID.UNID, n)
 }
 
 func (db *Database) evalContext(user string) *formula.Context {
@@ -393,14 +422,20 @@ func (db *Database) evalContext(user string) *formula.Context {
 
 // --- changefeed maintainers (each runs on its own subscriber goroutine) ---
 
-// applyToViews reflects one change in every open view index.
-func (db *Database) applyToViews(e changefeed.Entry) {
+// openViews returns the registered view indexes.
+func (db *Database) openViews() []*view.Index {
 	db.mu.RLock()
+	defer db.mu.RUnlock()
 	views := make([]*view.Index, 0, len(db.views))
 	for _, ix := range db.views {
 		views = append(views, ix)
 	}
-	db.mu.RUnlock()
+	return views
+}
+
+// applyToViews reflects one change in every open view index.
+func (db *Database) applyToViews(e changefeed.Entry) {
+	views := db.openViews()
 	if e.Kind == changefeed.Delete {
 		for _, ix := range views {
 			ix.Remove(e.UNID)
@@ -418,57 +453,39 @@ func (db *Database) applyToViews(e changefeed.Entry) {
 	}
 }
 
-// resyncViews rebuilds every view from the store after the maintainer fell
-// out of the feed window — the refresh-vs-rebuild fallback.
-func (db *Database) resyncViews(uint64) error {
-	db.mu.RLock()
-	views := make([]*view.Index, 0, len(db.views))
-	for _, ix := range db.views {
-		views = append(views, ix)
-	}
-	db.mu.RUnlock()
-	for _, ix := range views {
-		if err := db.rebuildView(ix); err != nil {
-			return err
+// resyncViews catches every view up from the store after the maintainer
+// fell out of the feed window.
+func (db *Database) resyncViews(applied uint64) error {
+	var held []nsf.UNID
+	for _, ix := range db.openViews() {
+		for _, e := range ix.Entries() {
+			held = append(held, e.UNID)
 		}
 	}
-	return nil
+	_, err := db.catchUp(applied, held, db.applyToViews)
+	return err
 }
 
 // applyToFullText reflects one change in the full-text index, advancing the
 // sidecar catch-up cursor.
 func (db *Database) applyToFullText(e changefeed.Entry) {
-	fti := db.FullText()
-	if fti == nil {
-		return
+	if ix := db.FullText(); ix != nil {
+		applyToFT(ix, e)
+		db.ftCursor.Store(e.USN)
 	}
-	if e.Kind == changefeed.Delete {
-		fti.Remove(e.UNID)
-	} else {
-		fti.Update(e.Note)
-	}
-	db.ftCursor.Store(e.USN)
 }
 
-// resyncFullText rebuilds the full-text index from the store into a fresh
-// index and swaps it in (searches keep hitting the old one meanwhile). The
-// store already holds every change through the feed's USN, so the rebuild
-// covers at least that far.
-func (db *Database) resyncFullText(through uint64) error {
-	if db.FullText() == nil {
+// resyncFullText catches the full-text index up from the store after the
+// maintainer fell out of the feed window.
+func (db *Database) resyncFullText(applied uint64) error {
+	ix := db.FullText()
+	if ix == nil {
 		return nil
 	}
-	ix := ft.NewIndex()
-	err := db.st.ScanAll(func(n *nsf.Note) bool {
-		ix.Update(n)
-		return true
-	})
+	through, err := db.catchUpFullText(ix, applied)
 	if err != nil {
 		return err
 	}
-	db.mu.Lock()
-	db.ftIndex = ix
-	db.mu.Unlock()
 	db.ftCursor.Store(through)
 	return nil
 }
@@ -520,13 +537,11 @@ func (db *Database) RawPut(n *nsf.Note) error {
 	// so unread marks (and @Modified, archiving cutoffs) see the arrival as
 	// a change here, while the OID keeps the original version identity.
 	n.Modified = db.clock.Now()
-	c, err := db.st.PutAsync(n)
+	c, err := db.commitLocked(n.OID.UNID, n)
+	db.wmu.Unlock()
 	if err != nil {
-		db.wmu.Unlock()
 		return err
 	}
-	db.commit(n)
-	db.wmu.Unlock()
 	// Await durability outside wmu so concurrent applies share the group
 	// commit instead of serializing at this latch.
 	if err := c.Wait(); err != nil {
@@ -557,13 +572,11 @@ func (db *Database) RawPut(n *nsf.Note) error {
 // purger). Indexes drop the note when the feed entry reaches them.
 func (db *Database) RawDelete(unid nsf.UNID) error {
 	db.wmu.Lock()
-	c, err := db.st.DeleteAsync(unid)
+	c, err := db.commitLocked(unid, nil)
+	db.wmu.Unlock()
 	if err != nil {
-		db.wmu.Unlock()
 		return err
 	}
-	db.feed.Append(changefeed.Delete, unid, nil)
-	db.wmu.Unlock()
 	return c.Wait()
 }
 

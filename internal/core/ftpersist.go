@@ -7,15 +7,15 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/changefeed"
 	"repro/internal/ft"
-	"repro/internal/nsf"
 	"repro/internal/store"
 )
 
 // Full-text index persistence. Like Domino's .ft directories, the index is
 // kept in a sidecar file next to the database (path + ".ft") so
 // EnableFullText on a large database loads a snapshot and catches up from
-// the store's USN index instead of re-tokenizing everything.
+// the store's USN index (catchUp) instead of re-tokenizing everything.
 //
 // Sidecar format: magic "NSFFT002", the catch-up cursor (store incarnation
 // and USN, 8 bytes each), then the ft.Index snapshot, published through
@@ -24,89 +24,75 @@ const ftSidecarMagic = "NSFFT002"
 
 func (db *Database) ftSidecarPath() string { return db.st.Path() + ".ft" }
 
-// EnableFullText builds or loads the database's full-text index; after it
-// returns, the index is maintained incrementally through the changefeed,
-// and Close persists it. The commit lock is held across the build so the
-// scan sees a frozen store; feed entries still in flight re-apply versions
-// the scan already saw, which the index absorbs idempotently.
+// EnableFullText loads the database's full-text index from its sidecar, or
+// starts an empty one, and catches it up from the store; after it returns,
+// the index is maintained incrementally through the changefeed, and Close
+// persists it. The commit lock is held across the catch-up so the scan sees
+// a frozen store; feed entries still in flight re-apply versions the scan
+// already saw, which the index absorbs idempotently.
 func (db *Database) EnableFullText() error {
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
-	// With the commit lock held nothing commits, so an index covering the
-	// current store is complete through the feed's USN; everything after
-	// flows through the feed maintainer.
-	pre := db.LastUSN()
-	ix, err := db.loadFullText()
+	ix, from, err := db.loadFullText()
 	if err != nil {
-		// No usable snapshot: full build.
-		ix = ft.NewIndex()
-		err := db.st.ScanAll(func(n *nsf.Note) bool {
-			ix.Update(n)
-			return true
-		})
-		if err != nil {
-			return err
-		}
+		// No usable snapshot: index every note.
+		ix, from = ft.NewIndex(), 0
+	}
+	through, err := db.catchUpFullText(ix, from)
+	if err != nil {
+		return err
 	}
 	db.mu.Lock()
 	db.ftIndex = ix
 	db.mu.Unlock()
-	db.ftCursor.Store(pre)
+	db.ftCursor.Store(through)
 	return nil
 }
 
-// loadFullText loads the sidecar snapshot and catches up: documents that
-// vanished while the index was offline are dropped, and everything
-// committed since the cursor is re-indexed. A sidecar another incarnation
-// wrote (the copy before a restore) is refused, so the caller rebuilds: its
-// index may hold versions the restored copy never had.
-func (db *Database) loadFullText() (*ft.Index, error) {
+// catchUpFullText brings ix, which reflects every change through USN from,
+// up to date with the store, returning the USN it now reflects.
+func (db *Database) catchUpFullText(ix *ft.Index, from uint64) (uint64, error) {
+	return db.catchUp(from, ix.Docs(), func(e changefeed.Entry) { applyToFT(ix, e) })
+}
+
+// applyToFT reflects one change in a full-text index.
+func applyToFT(ix *ft.Index, e changefeed.Entry) {
+	if e.Kind == changefeed.Delete {
+		ix.Remove(e.UNID)
+	} else {
+		ix.Update(e.Note)
+	}
+}
+
+// loadFullText loads the sidecar snapshot and the USN it reflects every
+// change through. A sidecar another incarnation wrote (the copy before a
+// restore) is refused, so the caller rebuilds: its index may hold versions
+// the restored copy never had.
+func (db *Database) loadFullText() (*ft.Index, uint64, error) {
 	f, err := os.Open(db.ftSidecarPath())
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer f.Close()
 	magic := make([]byte, len(ftSidecarMagic))
 	if _, err := io.ReadFull(f, magic); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if string(magic) != ftSidecarMagic {
-		return nil, fmt.Errorf("core: bad full-text sidecar magic %q", magic)
+		return nil, 0, fmt.Errorf("core: bad full-text sidecar magic %q", magic)
 	}
-	var cursorBuf [16]byte
-	if _, err := io.ReadFull(f, cursorBuf[:]); err != nil {
-		return nil, err
+	var cursor [16]byte
+	if _, err := io.ReadFull(f, cursor[:]); err != nil {
+		return nil, 0, err
 	}
-	cursor := store.Cursor{
-		Incarnation: binary.LittleEndian.Uint64(cursorBuf[:]),
-		USN:         binary.LittleEndian.Uint64(cursorBuf[8:]),
-	}
-	if cursor.Incarnation != db.st.Incarnation() {
-		return nil, errors.New("core: full-text sidecar was written by another incarnation")
+	if binary.LittleEndian.Uint64(cursor[:]) != db.st.Incarnation() {
+		return nil, 0, errors.New("core: full-text sidecar was written by another incarnation")
 	}
 	ix, err := ft.ReadIndex(f)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	// Drop documents hard-deleted (e.g. purged stubs) while offline.
-	for _, u := range ix.Docs() {
-		ok, err := db.st.Exists(u)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			ix.Remove(u)
-		}
-	}
-	// Catch up on everything committed since the snapshot.
-	_, err = db.st.ScanSince(cursor, func(n *nsf.Note) bool {
-		ix.Update(n)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ix, nil
+	return ix, binary.LittleEndian.Uint64(cursor[8:]), nil
 }
 
 // SaveFullText writes the full-text sidecar snapshot (a no-op when

@@ -77,24 +77,10 @@ func (db *Database) persistUnread(user string, t *unreadTable) error {
 		blob = binary.LittleEndian.AppendUint64(blob, uint64(ts))
 	}
 	t.mu.Unlock()
-	unid := unreadNoteUNID(user)
-	n, err := db.st.GetByUNID(unid)
-	if errors.Is(err, ErrNotFound) {
-		n = &nsf.Note{
-			OID:   nsf.OID{UNID: unid, Seq: 1, SeqTime: db.clock.Now()},
-			Class: nsf.ClassReplFormula,
-		}
-		err = nil
-	}
-	if err != nil {
-		return err
-	}
+	n := &nsf.Note{OID: nsf.OID{UNID: unreadNoteUNID(user)}, Class: nsf.ClassReplFormula}
 	n.SetText("UnreadUser", user)
 	n.Set("ReadMarks", nsf.RawValue(blob))
-	n.OID.Seq++
-	n.OID.SeqTime = db.clock.Now()
-	n.Modified = db.clock.Now()
-	return db.st.Put(n)
+	return db.putVersioned(n)
 }
 
 // MarkRead records that the session's user has read the document in its

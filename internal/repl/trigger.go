@@ -15,11 +15,8 @@ import (
 // waiting out the polling period. Signals are coalesced — any number of
 // changes inside the debounce window produce one firing — and the channel
 // has capacity one, so a burst during an in-flight replication run leaves
-// exactly one pending signal behind.
-//
-// Bookkeeping notes (class ClassReplFormula: replication history, unread
-// tables) never fire the trigger; the history save at the end of a
-// replication run would otherwise retrigger it forever.
+// exactly one pending signal behind. Bookkeeping notes never fire it (see
+// core.Database.OnChange).
 type ChangeTrigger struct {
 	c   chan struct{}
 	sub *changefeed.Subscriber
@@ -34,12 +31,7 @@ type ChangeTrigger struct {
 // bursts into one replication run; <= 0 fires immediately.
 func NewChangeTrigger(db *core.Database, debounce time.Duration) *ChangeTrigger {
 	t := &ChangeTrigger{c: make(chan struct{}, 1)}
-	t.sub = db.OnChange(func(n *nsf.Note) {
-		if n.Class == nsf.ClassReplFormula {
-			return
-		}
-		t.kick(debounce)
-	})
+	t.sub = db.OnChange(func(*nsf.Note) { t.kick(debounce) })
 	return t
 }
 

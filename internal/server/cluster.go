@@ -115,9 +115,6 @@ func (s *Server) hookClusterDB(path string, db *core.Database) {
 		return
 	}
 	db.OnChange(func(n *nsf.Note) {
-		if n.Class == nsf.ClassReplFormula {
-			return // local bookkeeping never replicates
-		}
 		ev := clusterEvent{dbPath: path, note: n.Clone()}
 		for _, p := range pushers {
 			p.enqueue(ev)

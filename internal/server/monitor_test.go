@@ -2,11 +2,13 @@ package server
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/nsf"
+	"repro/internal/repl"
 )
 
 func TestMonitorCountsAndLogsThresholdEvents(t *testing.T) {
@@ -53,6 +55,38 @@ func TestMonitorCountsAndLogsThresholdEvents(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("monitor report = %q", report)
+	}
+}
+
+// TestMonitorCountsReplicatedDocumentsOnly replicates documents into a
+// monitored database: the activity count moves by exactly the documents
+// applied, not by the replication history the session saves.
+func TestMonitorCountsReplicatedDocumentsOnly(t *testing.T) {
+	tn := newTestNet(t)
+	tn.hub.EnableMonitor(1000)
+	db, err := tn.hub.OpenDB("apps/watched.nsf", core.Options{Title: "watched"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := core.Open(filepath.Join(t.TempDir(), "src.nsf"), core.Options{ReplicaID: db.ReplicaID()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	for i := 0; i < 7; i++ {
+		n := nsf.NewNote(nsf.ClassDocument)
+		n.SetText("Subject", fmt.Sprintf("doc %d", i))
+		if err := src.Session("admin").Create(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats, err := repl.Replicate(db, &repl.LocalPeer{DB: src}, repl.Options{PeerName: "src"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Refresh()
+	if got := tn.hub.ActivityCounts()["apps/watched.nsf"]; stats.Pull.Added != 7 || got != 7 {
+		t.Errorf("activity count = %d after a session applying %d documents, want 7", got, stats.Pull.Added)
 	}
 }
 

@@ -288,8 +288,10 @@ func location(v []byte) (RecordID, uint64) {
 // SyncWAL setting) and returns the log-write error, if any. Many tickets
 // resolve with one shared write. The zero Commit waits for nothing.
 type Commit struct {
-	g *commitGroup
-	b *pendingBatch
+	// USN is the update sequence number the store assigned the operation.
+	USN uint64
+	g   *commitGroup
+	b   *pendingBatch
 }
 
 // Wait blocks until the logged operation is durable.
@@ -303,7 +305,7 @@ func (c Commit) Wait() error {
 // logRecord enqueues one WAL record on the commit group and returns the
 // ticket to wait on.
 func (s *Store) logRecord(kind byte, usn uint64, payload []byte) Commit {
-	return Commit{g: s.gc, b: s.gc.enqueue(kind, usn, payload)}
+	return Commit{USN: usn, g: s.gc, b: s.gc.enqueue(kind, usn, payload)}
 }
 
 // encBufPool recycles per-put note-encode buffers. Both the commit group's
