@@ -29,26 +29,30 @@ race:
 # vs in-flight dispatch vs cluster pushers, failover clients losing a mate
 # mid-session), and the wire client — one lock now guards the whole of it —
 # re-sending across mates, racing and cancelling a hedge, and abandoning a
-# connection on budget expiry — and the changefeed: consumers stalled while
-# writers lap the ring, then catching up from the store, and a panicking
-# subscriber isolated from the writer and the other consumers.
+# connection on budget expiry or a session setup that outlives its budget
+# — and the changefeed: consumers stalled while writers lap the ring, then
+# catching up from the store, and a panicking subscriber isolated from the
+# writer and the other consumers.
 stress:
 	$(GO) test -race -count=2 \
-		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestSummariesCursorNeverSkips|TestPullAcrossMatesNeverSkips|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites|TestClientResendsIffIdempotent|TestFailoverResendsIffIdempotent|TestLoneMateIsABareClient|TestOnlyHedgeableOpsHedge|TestHedgedReadWinsOverSlowMate|TestBudgetAbandonThenRecover|TestLocalExpiryOpensBreaker|TestFailoverStalledFirstMate|TestBreakerCountsSpentTurns|TestFeedOverflowCatchesUpFromStore|TestOverflowCatchUpEqualsRebuild|TestPanickingOnChangeSubscriberIsIsolated' \
+		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestSummariesCursorNeverSkips|TestPullAcrossMatesNeverSkips|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites|TestClientResendsIffIdempotent|TestFailoverResendsIffIdempotent|TestLoneMateIsABareClient|TestOnlyHedgeableOpsHedge|TestHedgedReadWinsOverSlowMate|TestBudgetAbandonThenRecover|TestLocalExpiryOpensBreaker|TestSessionExpiryIsUnambiguous|TestFailoverStalledFirstMate|TestBreakerCountsSpentTurns|TestFeedOverflowCatchesUpFromStore|TestOverflowCatchUpEqualsRebuild|TestPanickingOnChangeSubscriberIsIsolated' \
 		./internal/core ./internal/repl ./internal/store ./internal/server ./internal/place ./internal/dir ./internal/wire
 
 # Short native-fuzz smoke over the parsers that guard trust boundaries: the
 # note codec (every WAL record and wire note passes through it), the frame
 # reader (the first parse on every connection), the bulk-page decoders
-# (view, scan and search pages a client reads off the wire), the formula
-# compiler (mesh link selection formulas arrive over the admin wire ops and
-# from topology files), and the incremental-image reader (backup images on
-# disk carry a digest anyone can recompute). Each target also keeps its
-# corpus as seed tests under plain `go test`.
+# (view, scan and search pages a client reads off the wire), the placement
+# records (resolve answers and wrong-mate redirects the routing policy
+# learns from), the formula compiler (mesh link selection formulas arrive
+# over the admin wire ops and from topology files), and the
+# incremental-image reader (backup images on disk carry a digest anyone can
+# recompute). Each target also keeps its corpus as seed tests under plain
+# `go test`.
 fuzz:
 	$(GO) test ./internal/nsf -run '^$$' -fuzz FuzzDecodeNote -fuzztime 15s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzReadFrame -fuzztime 15s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeBulkPages -fuzztime 15s
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodePlacement -fuzztime 15s
 	$(GO) test ./internal/formula -run '^$$' -fuzz FuzzCompile -fuzztime 15s
 	$(GO) test ./internal/backup -run '^$$' -fuzz FuzzReadIncremental -fuzztime 15s
 

@@ -29,8 +29,8 @@ func (a AvailabilityInfo) Restricted() bool { return a.State == StateRestricted 
 // DefaultProbeTimeout bounds one-shot pre-auth probes (availability,
 // resolve) when the caller passes no explicit timeout. It is deliberately
 // much smaller than the default OpTimeout: probes exist to notice stalled
-// mates, and a probe that waits 30s on a wedged socket defeats itself.
-// Failover clients configure theirs via FailoverOptions.ProbeTimeout.
+// mates, and a probe that waits 30s on a wedged socket defeats itself. The
+// failover walk's half-open probe is tighter still (probeTimeout).
 const DefaultProbeTimeout = 2 * time.Second
 
 // Availability asks the server for its current availability index.

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -112,39 +113,50 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// route is the routing policy the attempt loop consults: which address gets
-// the next turn, and whether an address whose turn is spent leaves the
-// operation somewhere else to go. The loop itself — dial, hello, re-open
-// handles, exchange, classify, re-send in place — is the same whatever the
-// policy. fixedRoute (a stand-alone server) always answers its one address
-// and never learns another; *FailoverClient answers from its mate list,
-// breakers and placement cache. Every method runs under the Client lock.
+// route is the routing policy the attempt loop consults. It does no I/O: it
+// ranks the candidates for a turn, vets an open against what it knows of
+// placement, and learns from what the loop reports; the loop does all the
+// rest, whatever the policy. fixedRoute (a stand-alone server) is one
+// address that never learns another; *FailoverClient ranks its mates by
+// breaker, availability and placement. Methods run under the Client lock.
 type route interface {
-	// connect starts a turn: it gives c a live session (through
-	// c.dialLocked) on the best address for an op on db; db is nil for
-	// server-level ops. On failure c.addr is the address still worth
-	// redialing in place, or empty.
-	connect(c *Client, db *RemoteDB) error
-	// placed vets opening db on the connected address. A policy that knows
-	// the database is homed elsewhere answers with the redirect the server
-	// would send, saving the round trip.
-	placed(c *Client, db *RemoteDB) error
-	// served records that an operation completed on the connected address.
-	served()
-	// failed ends the connected address's turn — once per turn, however many
-	// attempts it had: it folds the last verdict into the policy and reports
-	// whether a re-send should go to another address; hops counts the moves
-	// this operation has already made.
-	failed(v verdict, err error, hops int) (elsewhere bool)
+	// rank lists the candidates for a turn of an op on db, best first.
+	rank(db *RemoteDB) []candidate
+	// probed records a half-open probe of addr; an error vetoes the dial.
+	probed(addr string, info AvailabilityInfo, err error) error
+	// firstOpen reports whether path is opened for the first time, in which
+	// case the loop resolves it once, best effort, and learns the record.
+	firstOpen(path string) bool
+	// learn folds a placement record into the policy.
+	learn(path string, gen uint64, homes []HomeAddr)
+	// vet checks opening db on addr: a policy that knows the database is
+	// homed elsewhere answers with the redirect the server would send.
+	vet(db *RemoteDB, addr string) error
+	// served records that an operation completed on addr.
+	served(addr string)
+	// spent ends addr's turn — once per turn, however many attempts it had:
+	// it records the last verdict and reports whether a re-send should go to
+	// another address; hops counts the moves this operation already made.
+	spent(addr string, v verdict, err error, hops int) (elsewhere bool)
+}
+
+// candidate is one address of a turn's ranking; probe asks for a half-open
+// availability probe before the address is dialed.
+type candidate struct {
+	addr  string
+	probe bool
 }
 
 // fixedRoute is the one-address policy of a bare Client.
 type fixedRoute string
 
-func (a fixedRoute) connect(c *Client, _ *RemoteDB) error { return c.dialLocked(string(a), false) }
-func (fixedRoute) placed(*Client, *RemoteDB) error        { return nil }
-func (fixedRoute) served()                                {}
-func (fixedRoute) failed(verdict, error, int) bool        { return false }
+func (a fixedRoute) rank(*RemoteDB) []candidate                 { return []candidate{{addr: string(a)}} }
+func (fixedRoute) probed(string, AvailabilityInfo, error) error { return nil }
+func (fixedRoute) firstOpen(string) bool                        { return false }
+func (fixedRoute) learn(string, uint64, []HomeAddr)             {}
+func (fixedRoute) vet(*RemoteDB, string) error                  { return nil }
+func (fixedRoute) served(string)                                {}
+func (fixedRoute) spent(string, verdict, error, int) bool       { return false }
 
 // Client is an authenticated connection to a server. Requests are
 // serialized; one Client supports concurrent callers. The client survives
@@ -261,27 +273,62 @@ func (c *Client) breakLocked() {
 func (c *Client) backoffLocked(attempt int) {
 	d := retry.Backoff{Base: c.opts.BackoffBase, Max: c.opts.BackoffMax, Rand: c.opts.Jitter}.Delay(attempt)
 	if rem, ok := c.budgetLeftLocked(); ok {
-		if rem <= 0 {
-			return
-		}
-		if d > rem {
-			d = rem
-		}
+		d = min(d, rem) // a spent budget sleeps not at all
 	}
 	time.Sleep(d)
 }
 
+// probeTimeout bounds the walk's half-open availability probe.
+const probeTimeout = time.Second
+
+// walkLocked starts a turn: it walks the policy's ranking for an op on db
+// and leaves a session on the first candidate that takes one, probing first
+// where the ranking asks. A candidate that cannot be dialed has had its turn
+// (the policy hears it as spent); past the last one no address holds the
+// turn. Each candidate sets its session up under an OpBudget of its own: on
+// what is left of the operation's, a mate that accepts and then stalls would
+// eat it all, and every healthy mate behind it would be refused locally —
+// and blamed. A lone candidate is dialed as a bare Client dials its server,
+// on the operation's budget, and keeps the turn if the dial fails.
+func (c *Client) walkLocked(db *RemoteDB, hops int) error {
+	cands := c.route.rank(db)
+	if len(cands) == 1 {
+		return c.dialLocked(cands[0].addr)
+	}
+	if !c.deadline.IsZero() {
+		defer func(op time.Time) { c.deadline = op }(c.deadline)
+	}
+	var firstErr error
+	for _, cand := range cands {
+		if cand.probe {
+			info, err := ProbeAvailability(cand.addr, c.opts.Dialer, probeTimeout)
+			if err = c.route.probed(cand.addr, info, err); err != nil {
+				firstErr = cmp.Or(firstErr, err)
+				continue
+			}
+		}
+		if !c.deadline.IsZero() {
+			c.deadline = time.Now().Add(c.opts.OpBudget)
+		}
+		err := c.dialLocked(cand.addr)
+		if err == nil {
+			return nil
+		}
+		c.route.spent(cand.addr, classify(err), err, hops)
+		if firstErr == nil || !Retryable(firstErr) {
+			firstErr = err
+		}
+	}
+	c.addr = ""
+	return fmt.Errorf("wire: all %d mates unreachable: %w", len(cands), firstErr)
+}
+
 // dialLocked opens a session on addr: it dials, authenticates, and re-opens
 // every registered remote handle there. On return without error the
-// connection is usable. ownBudget establishes it under a fresh OpBudget
-// instead of the operation's deadline (see FailoverClient.connect).
-func (c *Client) dialLocked(addr string, ownBudget bool) error {
+// connection is usable.
+func (c *Client) dialLocked(addr string) error {
 	c.breakLocked()
 	c.addr = addr
-	if ownBudget && !c.deadline.IsZero() {
-		defer func(op time.Time) { c.deadline = op }(c.deadline)
-		c.deadline = time.Now().Add(c.opts.OpBudget)
-	}
 	dial := c.opts.Dialer
 	if dial == nil {
 		// The budget covers the TCP dial: a blackholed peer costs what is
@@ -349,6 +396,27 @@ func (c *Client) openLocked(db *RemoteDB) error {
 	return nil
 }
 
+// placeLocked readies opening db on the connected address: a path's first
+// open asks the server where the path lives — once and best effort, since
+// the open itself carries the same news in its redirect — and the policy
+// then vets the address.
+func (c *Client) placeLocked(db *RemoteDB) error {
+	if c.route.firstOpen(db.path) {
+		req := NewEnc(OpResolve).Str(db.path)
+		d, err := c.doLocked(req)
+		req.Release()
+		if err != nil && c.conn == nil {
+			return err // the session died under the resolve
+		}
+		if err == nil {
+			if recs, err := decResolveRecords(d); err == nil && len(recs) == 1 {
+				c.route.learn(db.path, recs[0].Generation, recs[0].Homes)
+			}
+		}
+	}
+	return c.route.vet(db, c.addr)
+}
+
 // doLocked performs one raw round trip on the current connection under the
 // per-operation deadline and decodes the response envelope. Any transport
 // or framing failure leaves the connection closed — a
@@ -371,10 +439,7 @@ func (c *Client) doLocked(req *Enc) (*Dec, error) {
 		// failover hops). The transport deadline gets a small grace past
 		// the budget so the server's own StatusDeadlineExceeded response
 		// can still arrive and tell us whether the op ran.
-		budgetMs = uint32((rem + time.Millisecond - 1) / time.Millisecond)
-		if budgetMs == 0 {
-			budgetMs = 1
-		}
+		budgetMs = max(uint32((rem+time.Millisecond-1)/time.Millisecond), 1)
 		if bdl := c.deadline.Add(deadlineGrace); bdl.Before(connDL) {
 			connDL = bdl
 		}
@@ -478,26 +543,35 @@ func (c *Client) roundTrip(db *RemoteDB, req *Enc) (*Dec, error) {
 	return c.do(db, req, time.Time{})
 }
 
-// do is the attempt loop, the only one the package has: one operation, under
-// the client lock, against whichever address the routing policy names. A nil
-// req (re)opens db instead of sending a prepared request; with db nil too it
-// only establishes a session. A zero deadline is stamped from
-// Options.OpBudget (when set); a hedged read passes the one deadline both of
-// its racers share. Either way ONE absolute deadline spans every retry,
-// backoff sleep, reconnect and mate switch, and each wire envelope carries
-// only what remains of it.
+// expired is the verdict on a budget that ran out while nothing of op was in
+// flight: op provably never executed, whatever step the budget cut.
+func expired(op Op, cause error) error {
+	return fmt.Errorf("%w; last attempt: %v", &DeadlineError{Op: op}, cause)
+}
+
+// do is the attempt loop, the only one the package has and the only code
+// that touches a connection: one operation, under the client lock, against
+// the addresses the routing policy ranks. A nil req (re)opens db instead of
+// sending a prepared request; with db nil too it only establishes a session.
+// ONE absolute deadline — stamped from Options.OpBudget when zero, or shared
+// by both racers of a hedged read — spans every retry, backoff sleep,
+// reconnect and mate switch, and each wire envelope carries what remains.
 //
 // What may be re-sent follows from the error's verdict and the op table: a
 // shed or misrouted request never executed, so any op is re-sent; a round
 // trip that died in flight may have executed, so only idempotent ops are; a
-// failed connect sent nothing, so it is retried regardless. A re-send first
-// stays in place: the same address after a backoff, MaxRetries times. Only
-// when that turn is spent does the policy hear the verdict and say whether
-// another address gets a turn. Everything else surfaces to the caller.
+// failed session setup sent nothing, so it is retried regardless. A re-send
+// first stays in place: the same address after a backoff, MaxRetries times.
+// Only when that turn is spent does the policy hear the verdict and say
+// whether another address gets a turn. Everything else surfaces; a budget
+// that expired before the op was sent is the op's unambiguous expiry.
 func (c *Client) do(db *RemoteDB, req *Enc, deadline time.Time) (*Dec, error) {
-	op := OpOpenDB
-	if req != nil {
+	op := OpHello // a session is all that is asked for
+	switch {
+	case req != nil:
 		op = req.op()
+	case db != nil:
+		op = OpOpenDB
 	}
 	info := op.Info()
 	if c.preAuth && !info.PreAuth {
@@ -523,17 +597,20 @@ func (c *Client) do(db *RemoteDB, req *Enc, deadline time.Time) (*Dec, error) {
 			// a provably-not-executed state (shed, redirect, refused, or a
 			// transport fault on an idempotent op), so this expiry is
 			// unambiguous.
-			return nil, fmt.Errorf("%w; last attempt: %v", &DeadlineError{Op: op}, err)
+			return nil, expired(op, err)
 		}
 		var d *Dec
 		err = nil
 		sent := false
 		if c.conn == nil {
 			if retries > 0 {
-				err = c.dialLocked(c.addr, false) // in place: the address keeps its turn
+				err = c.dialLocked(c.addr) // in place: the address keeps its turn
 			} else {
-				err = c.route.connect(c, db)
+				err = c.walkLocked(db, hops)
 			}
+		}
+		if err == nil && req == nil && db != nil {
+			err = c.placeLocked(db)
 		}
 		if err == nil {
 			sent = true
@@ -541,9 +618,7 @@ func (c *Client) do(db *RemoteDB, req *Enc, deadline time.Time) (*Dec, error) {
 			case req == nil && db == nil:
 				return nil, nil // a session is all that was asked for
 			case req == nil:
-				if err = c.route.placed(c, db); err == nil {
-					err = c.openLocked(db)
-				}
+				err = c.openLocked(db)
 			case db != nil && db.stale != nil:
 				err = db.stale
 			default:
@@ -554,7 +629,7 @@ func (c *Client) do(db *RemoteDB, req *Enc, deadline time.Time) (*Dec, error) {
 			}
 		}
 		if err == nil {
-			c.route.served()
+			c.route.served(c.addr)
 			return d, nil
 		}
 		if c.abandoned.Swap(false) {
@@ -574,7 +649,12 @@ func (c *Client) do(db *RemoteDB, req *Enc, deadline time.Time) (*Dec, error) {
 			retries++
 			continue
 		}
-		if !c.route.failed(v, err, hops) || !resend {
+		// With no address holding the turn, the walk has just heard every
+		// candidate's verdict.
+		if c.addr == "" || !c.route.spent(c.addr, v, err, hops) || !resend {
+			if v == verdictExpired && !sent {
+				err = expired(op, err) // session setup ran out of budget
+			}
 			return nil, err
 		}
 		hops++

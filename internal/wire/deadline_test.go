@@ -415,3 +415,61 @@ func TestBudgetFrameRoundTrip(t *testing.T) {
 		t.Errorf("passthrough = (%d, %q, %v), want (0, original, nil)", budget, got, err)
 	}
 }
+
+// TestSessionExpiryIsUnambiguous: a budget that runs out while the client is
+// still setting a session up — dial, hello, handle re-opens — expires an op
+// that never left the client. The error names the caller's op and is not
+// ambiguous, so the caller need not read back before re-issuing it.
+func TestSessionExpiryIsUnambiguous(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	t.Cleanup(func() { close(done); ln.Close() })
+	// The first session answers its hello and is severed under its first op;
+	// every later session stalls at its hello.
+	var sessions, deposits atomic.Int32
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				if sessions.Add(1) > 1 {
+					<-done
+					return
+				}
+				if _, err := ReadFrame(conn); err != nil {
+					return
+				}
+				if WriteFrame(conn, NewResp(OpHello, StatusOK).Bytes()) != nil {
+					return
+				}
+				if payload, err := ReadFrame(conn); err == nil {
+					if _, inner, err := SplitBudget(payload); err == nil && Op(inner[0]) == OpMailDeposit {
+						deposits.Add(1)
+					}
+				}
+			}()
+		}
+	}()
+	c, err := DialOptions(ln.Addr().String(), "u", "s", Options{OpBudget: 100 * time.Millisecond, MaxRetries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Availability(); err == nil {
+		t.Fatal("severed op reported success")
+	}
+	err = c.MailDeposit(nsf.NewNote(nsf.ClassDocument))
+	var de *DeadlineError
+	if !errors.As(err, &de) || de.Op != OpMailDeposit || de.Ambiguous || de.Remote {
+		t.Fatalf("deposit behind a stalled hello: err = %v (%+v), want a local unambiguous MailDeposit expiry", err, de)
+	}
+	if n := deposits.Load(); n != 0 {
+		t.Errorf("the mate saw %d deposits, want 0", n)
+	}
+}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -27,8 +28,6 @@ type FailoverOptions struct {
 	// Cooldown is how long an open breaker waits before a half-open
 	// probe may test the mate again (default 1s).
 	Cooldown time.Duration
-	// ProbeTimeout bounds one availability probe (default 1s).
-	ProbeTimeout time.Duration
 	// HedgeReads enables hedged reads for the ops the op table marks
 	// Hedgeable (Get, ViewPage, SearchPage): when the connected mate has
 	// not answered after a delay derived from the observed latency
@@ -66,27 +65,20 @@ func (o FailoverOptions) withDefaults() FailoverOptions {
 	if o.Cooldown <= 0 {
 		o.Cooldown = time.Second
 	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = time.Second
-	}
 	if o.HedgeRateCap <= 0 {
 		o.HedgeRateCap = 0.1
 	}
 	return o
 }
 
-// breaker states for one mate.
-const (
-	breakerClosed = iota // healthy, eligible
-	breakerOpen          // failing; only a half-open probe after cooldown may test it
-)
-
 // mate is one cluster member's address plus health bookkeeping. All fields
 // are guarded by the Client lock.
 type mate struct {
-	addr     string
-	name     string // cluster-mate name, learned from placement records
-	state    int
+	addr string
+	name string // cluster-mate name, learned from placement records
+	// open is the circuit breaker: the mate is failing, and only a
+	// half-open probe may test it.
+	open     bool
 	fails    int
 	openedAt time.Time
 	// reopens counts how many times the breaker has opened since the last
@@ -134,30 +126,26 @@ type placement struct {
 // cluster mates. Requests are serialized; one FailoverClient supports
 // concurrent callers.
 //
-// It retries nothing itself: it is the routing policy (see route) of one
-// Client, whose attempt loop asks it where to dial and, once a mate's
-// in-place retries are spent, where the operation should go next. It owns what a stand-alone client has no use for —
-// the mate list, per-mate circuit breakers, availability probes,
-// availability- and placement-weighted mate selection, redirect learning —
-// plus hedged reads. The semantics are therefore Client's, across mates:
-// idempotent operations (and shed or redirected requests, which provably
-// never executed) land on a better mate, where the loop re-opens every
-// registered handle as it does across a redial; a non-idempotent operation
-// that fails mid-round-trip is surfaced, because the dead mate may have
-// executed it, and the next operation lands on a live one. With a single
-// mate nothing is left to route and it behaves as a bare Client.
+// It touches no connection itself: it is the routing policy (see route) of
+// one Client's attempt loop, owning what a stand-alone client has no use
+// for — the mate list, per-mate circuit breakers, availability- and
+// placement-weighted ranking, redirect learning — plus hedged reads. The
+// semantics are therefore Client's, across mates: idempotent operations (and
+// shed or redirected requests, which provably never executed) land on a
+// better mate; a non-idempotent operation that fails mid-round-trip is
+// surfaced, because the dead mate may have executed it, and the next
+// operation lands on a live one. With a single mate nothing is left to rank
+// and it behaves as a bare Client.
 type FailoverClient struct {
 	session
 
 	opts FailoverOptions
-	// c runs every operation. Its lock guards the routing state below, so an
-	// operation takes one mutex however many mates it visits.
+	// c runs every operation; its addr is the mate holding the turn. Its
+	// lock guards the routing state below, so an operation takes one mutex
+	// however many mates it visits.
 	c *Client
 
-	mates []*mate
-	// cur indexes the mate the session was last dialed on; -1 once a
-	// connect found no mate at all.
-	cur    int
+	mates  []*mate
 	places map[string]*placement
 	stats  FailoverStats
 
@@ -191,9 +179,17 @@ func DialFailover(addrs []string, user, secret string, opts FailoverOptions) (*F
 	if len(addrs) == 0 {
 		return nil, errors.New("wire: failover: no mate addresses")
 	}
+	fc := newFailover(addrs, user, secret, opts)
+	if _, err := fc.c.do(nil, nil, time.Time{}); err != nil {
+		return nil, err
+	}
+	return fc, nil
+}
+
+// newFailover builds a failover client that dials on its first operation.
+func newFailover(addrs []string, user, secret string, opts FailoverOptions) *FailoverClient {
 	fc := &FailoverClient{
 		opts:   opts.withDefaults(),
-		cur:    -1,
 		places: make(map[string]*placement),
 		hDBs:   make(map[string]*RemoteDB),
 	}
@@ -202,10 +198,7 @@ func DialFailover(addrs []string, user, secret string, opts FailoverOptions) (*F
 		fc.mates = append(fc.mates, &mate{addr: a, avail: 100})
 	}
 	fc.c = newClient(fc, user, secret, fc.opts.Client.withDefaults())
-	if _, err := fc.c.do(nil, nil, time.Time{}); err != nil {
-		return nil, err
-	}
-	return fc, nil
+	return fc
 }
 
 // Close terminates the current connection (and any cached hedge session).
@@ -239,74 +232,62 @@ func (fc *FailoverClient) Stats() FailoverStats {
 	return st
 }
 
-// probeLocked sends one availability probe to mate i and folds the answer
-// into its health state. A failed probe counts as a breaker failure; a mate
-// that answers RESTRICTED is healthy but not to be dialed.
-func (fc *FailoverClient) probeLocked(i int) error {
-	m := fc.mates[i]
-	fc.stats.Probes++
-	info, err := ProbeAvailability(m.addr, fc.opts.Client.Dialer, fc.opts.ProbeTimeout)
-	if err != nil {
-		fc.markFailLocked(i)
-		return err
-	}
-	m.avail, m.restricted = info.Index, info.Restricted()
-	if m.restricted {
-		return fmt.Errorf("wire: failover: mate %s is RESTRICTED", m.addr)
+// mate returns the mate at addr. Every address the loop reports came from
+// rank, and mates are never dropped, so it is always found.
+func (fc *FailoverClient) mate(addr string) *mate {
+	for _, m := range fc.mates {
+		if m.addr == addr {
+			return m
+		}
 	}
 	return nil
 }
 
-// markFailLocked records a transport failure against mate i; enough
-// consecutive failures open its breaker.
-func (fc *FailoverClient) markFailLocked(i int) {
-	m := fc.mates[i]
+// markFail records a transport failure against m; enough consecutive
+// failures open its breaker.
+func (fc *FailoverClient) markFail(m *mate) {
 	m.fails++
-	if m.fails >= fc.opts.FailThreshold && m.state != breakerOpen {
-		m.state = breakerOpen
-		m.openedAt = time.Now()
-		m.reopens++
-	} else if m.state == breakerOpen {
-		m.openedAt = time.Now() // restart the cooldown
+	if m.fails >= fc.opts.FailThreshold && !m.open {
+		m.open, m.reopens = true, m.reopens+1
+	}
+	if m.open {
+		m.openedAt = time.Now() // a failure while open restarts the cooldown
 	}
 }
 
-// candidatesLocked orders the mates for a connection attempt. When the
-// attempt is on behalf of a placed database its home mates go first: a
-// non-home mate can only earn a redirect, though it stays as a fallback that
-// may teach us fresher placement. Within that, healthy mates (breaker closed
-// or cooled down, not restricted) precede open-breaker and restricted ones —
-// a last resort, because serving degraded beats not serving, and probed by
-// connect before a full dial, which is the half-open breaker transition.
-// Ties go to the higher availability index, then the configured order.
-func (fc *FailoverClient) candidatesLocked(db *RemoteDB) []int {
+// rank implements route. When the turn is on behalf of a placed database its
+// home mates go first: a non-home mate can only earn a redirect, though it
+// stays as a fallback that may teach us fresher placement. Within that,
+// healthy mates (breaker closed or cooled down, not restricted) precede
+// open-breaker and restricted ones — a last resort, because serving degraded
+// beats not serving. Ties go to the higher availability index, then the
+// configured order. An open or restricted mate is probed before it is
+// dialed: the half-open breaker transition.
+func (fc *FailoverClient) rank(db *RemoteDB) []candidate {
 	var p *placement
 	if db != nil {
 		p = fc.places[db.path]
 	}
 	now := time.Now()
-	rank := func(i int) (r int) {
-		m := fc.mates[i]
-		if p != nil && p.resolved && len(p.homes) > 0 && !p.homesMate(m) {
+	score := func(m *mate) (r int) {
+		if p != nil && len(p.homes) > 0 && !p.homesMate(m) {
 			r += 2
 		}
 		cooldown := retry.Exp(fc.opts.Cooldown, m.reopens-1, 8*fc.opts.Cooldown)
-		if m.restricted || m.state == breakerOpen && now.Sub(m.openedAt) < cooldown {
+		if m.restricted || m.open && now.Sub(m.openedAt) < cooldown {
 			r++
 		}
 		return r
 	}
-	order := make([]int, len(fc.mates))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		if d := rank(a) - rank(b); d != 0 {
-			return d
-		}
-		return fc.mates[b].avail - fc.mates[a].avail
+	order := slices.Clone(fc.mates)
+	slices.SortStableFunc(order, func(a, b *mate) int {
+		return cmp.Or(score(a)-score(b), b.avail-a.avail)
 	})
-	return order
+	cands := make([]candidate, len(order))
+	for i, m := range order {
+		cands[i] = candidate{addr: m.addr, probe: m.open || m.restricted}
+	}
+	return cands
 }
 
 // homesMate reports whether m is in the cached home set, matched
@@ -323,116 +304,59 @@ func (p *placement) homesMate(m *mate) bool {
 	return false
 }
 
-// noteRecordLocked folds a placement record (from an OpResolve or a
-// StatusWrongMate redirect) into the client: the path's cache adopts it
-// unless it already holds a fresher generation, and home addresses we have
-// never seen become new mates — a redirect can teach the client about
-// cluster members it was not configured with.
-func (fc *FailoverClient) noteRecordLocked(path string, gen uint64, homes []HomeAddr) {
-	if p := fc.places[path]; p != nil && (!p.resolved || gen >= p.gen) {
+// probed implements route: an answer is the half-open trial passed — the
+// breaker closes and the index is remembered — unless the mate is
+// RESTRICTED (healthy, but not to be dialed); no answer is a breaker failure.
+func (fc *FailoverClient) probed(addr string, info AvailabilityInfo, err error) error {
+	m := fc.mate(addr)
+	fc.stats.Probes++
+	if err != nil {
+		fc.markFail(m)
+		return err
+	}
+	m.avail, m.restricted = info.Index, info.Restricted()
+	if m.restricted {
+		return fmt.Errorf("wire: failover: mate %s is RESTRICTED", addr)
+	}
+	m.open = false
+	return nil
+}
+
+// firstOpen implements route: a path's cache entry is made on its first
+// open, so the loop resolves each path once.
+func (fc *FailoverClient) firstOpen(path string) bool {
+	if fc.places[path] != nil {
+		return false
+	}
+	fc.places[path] = &placement{}
+	fc.stats.Resolves++
+	return true
+}
+
+// learn implements route, and folds redirects too: the path's cache adopts
+// the record unless it already holds a fresher generation, and home
+// addresses never seen before become new mates — a redirect can teach the
+// client about cluster members it was not configured with.
+func (fc *FailoverClient) learn(path string, gen uint64, homes []HomeAddr) {
+	if p := fc.places[path]; p != nil && gen >= p.gen {
 		p.gen, p.homes, p.resolved = gen, append([]HomeAddr(nil), homes...), true
 	}
 	for _, h := range homes {
 		if h.Addr == "" {
 			continue
 		}
-		known := false
-		for _, m := range fc.mates {
-			if m.addr == h.Addr {
-				if m.name == "" {
-					m.name = h.Name
-				}
-				known = true
-				break
-			}
-		}
-		if !known {
+		if m := fc.mate(h.Addr); m == nil {
 			fc.mates = append(fc.mates, &mate{addr: h.Addr, name: h.Name, avail: 100})
+		} else if m.name == "" {
+			m.name = h.Name
 		}
 	}
 }
 
-// connect implements route: dial the best candidate mate. On success the
-// breaker closes. A candidate that cannot be dialed has had its turn — one
-// dial, one breaker failure — and the walk moves on; past the last one no
-// address holds the turn and the operation surfaces the failure.
-//
-// Each candidate's session (hello, handle re-opens) gets an OpBudget of its
-// own: on what is left of the operation's, a mate that accepts and then
-// stalls would eat it all, and every healthy mate behind it would be refused
-// locally — and blamed. A lone mate has nobody behind it: it is dialed as a
-// bare Client dials its server (no probe, the operation's budget) and keeps
-// the turn if the dial fails.
-func (fc *FailoverClient) connect(c *Client, db *RemoteDB) error {
-	lone := len(fc.mates) == 1
-	fc.cur = -1
-	var firstErr error
-	for _, i := range fc.candidatesLocked(db) {
-		m := fc.mates[i]
-		if !lone && (m.state == breakerOpen || m.restricted) {
-			// Half-open: one cheap probe decides whether the mate gets a
-			// real dial. A restricted (draining) mate is skipped until a
-			// probe says it is open again.
-			if err := fc.probeLocked(i); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-		}
-		if err := c.dialLocked(m.addr, !lone); err != nil {
-			if lone {
-				fc.cur = i
-				return err
-			}
-			fc.markFailLocked(i)
-			if firstErr == nil || !Retryable(firstErr) {
-				firstErr = err
-			}
-			continue
-		}
-		// A successful dial closes the breaker but does NOT clear the
-		// failure count — a mate that accepts connections and then dies on
-		// every operation would otherwise never trip it. Only a completed
-		// operation (served) proves health and resets the count.
-		fc.cur = i
-		m.state, m.restricted = breakerClosed, false
-		return nil
-	}
-	c.addr = ""
-	if firstErr == nil {
-		firstErr = errors.New("wire: failover: no reachable mate")
-	}
-	return fmt.Errorf("wire: failover: all %d mates unreachable: %w", len(fc.mates), firstErr)
-}
-
-// placed implements route: before db is opened on the connected mate, learn
-// where it lives, and redirect ourselves instead of asking a mate the cache
-// says is wrong.
-func (fc *FailoverClient) placed(c *Client, db *RemoteDB) error {
-	p := fc.places[db.path]
-	if p == nil {
-		// Eager resolve on a path's first open: one cheap RPC on the live
-		// session tells us the home set before we risk a redirect. It is
-		// best effort and not repeated — the open itself carries the same
-		// information in its redirect — but a session that died under the
-		// resolve has to be redialed before anything can be opened.
-		p = &placement{}
-		fc.places[db.path] = p
-		fc.stats.Resolves++
-		req := NewEnc(OpResolve).Str(db.path)
-		d, err := c.doLocked(req)
-		req.Release()
-		if err != nil && c.conn == nil {
-			return err
-		}
-		if err == nil {
-			if recs, err := decResolveRecords(d); err == nil && len(recs) == 1 {
-				fc.noteRecordLocked(db.path, recs[0].Generation, recs[0].Homes)
-			}
-		}
-	}
-	if p.resolved && len(p.homes) > 0 && !p.homesMate(fc.mates[fc.cur]) {
+// vet implements route: redirect ourselves instead of asking a mate the
+// cache says is wrong.
+func (fc *FailoverClient) vet(db *RemoteDB, addr string) error {
+	if p := fc.places[db.path]; len(p.homes) > 0 && !p.homesMate(fc.mate(addr)) {
 		return &WrongMateError{Op: OpOpenDB, Path: db.path, Generation: p.gen,
 			Homes: append([]HomeAddr(nil), p.homes...)}
 	}
@@ -440,19 +364,18 @@ func (fc *FailoverClient) placed(c *Client, db *RemoteDB) error {
 }
 
 // served implements route: a completed operation proves the mate healthy.
-func (fc *FailoverClient) served() {
-	m := fc.mates[fc.cur]
+// A successful dial does not: a mate that accepts connections and then dies
+// on every operation would otherwise never trip its breaker.
+func (fc *FailoverClient) served(addr string) {
+	m := fc.mate(addr)
 	m.fails, m.reopens = 0, 0
 }
 
-// failed implements route: remember what the spent turn says about the
-// connected mate, and give another mate a turn while there are other mates
-// and the operation has moved fewer than two times per mate.
-func (fc *FailoverClient) failed(v verdict, err error, hops int) bool {
-	if fc.cur < 0 {
-		return false // connect found no mate: every address was just tried
-	}
-	m := fc.mates[fc.cur]
+// spent implements route: remember what the spent turn says about the mate,
+// and give another mate a turn while there are other mates and the
+// operation has moved fewer than two times per mate.
+func (fc *FailoverClient) spent(addr string, v verdict, err error, hops int) bool {
+	m := fc.mate(addr)
 	switch v {
 	case verdictExpired:
 		// A LOCAL mid-op expiry means our own deadline had to cut a stalled
@@ -461,7 +384,7 @@ func (fc *FailoverClient) failed(v verdict, err error, hops int) bool {
 		// remote verdict or a pre-send refusal says nothing bad about it.
 		var de *DeadlineError
 		if errors.As(err, &de) && !de.Remote && de.Ambiguous {
-			fc.markFailLocked(fc.cur)
+			fc.markFail(m)
 		}
 		return false
 	case verdictShed:
@@ -471,17 +394,17 @@ func (fc *FailoverClient) failed(v verdict, err error, hops int) bool {
 		m.avail, m.restricted = be.Availability, be.State == StateRestricted
 		fc.stats.BusyRedirects++
 	case verdictMisrouted:
-		// Adopt the carried home set (fresher generation wins); the next
-		// connect for this database dials a home mate first.
+		// Adopt the carried home set; the next turn for this database goes
+		// to a home mate first.
 		var wme *WrongMateError
 		errors.As(err, &wme)
-		fc.noteRecordLocked(wme.Path, wme.Generation, wme.Homes)
+		fc.learn(wme.Path, wme.Generation, wme.Homes)
 		fc.stats.WrongMateRedirects++
 	case verdictSevered:
 		// Count the transport failure toward the breaker. If the dead mate
 		// may have executed the request the loop surfaces the failure
 		// anyway, and the NEXT operation finds a live mate.
-		fc.markFailLocked(fc.cur)
+		fc.markFail(m)
 		fc.stats.Failovers++
 	default:
 		return false // an application error: the mate is healthy
@@ -553,13 +476,8 @@ func (fc *FailoverClient) hedgeDelayLocked() time.Duration {
 	if fc.opts.HedgeDelay > 0 {
 		return fc.opts.HedgeDelay
 	}
-	d := time.Duration(fc.latEwmaUs+3*fc.latDevUs) * time.Microsecond
-	const floor = 2 * time.Millisecond
-	if d < floor {
-		// Also the cold-start delay before any latency has been observed.
-		return floor
-	}
-	return d
+	// The 2ms floor is also the cold-start delay, before any latency is seen.
+	return max(time.Duration(fc.latEwmaUs+3*fc.latDevUs)*time.Microsecond, 2*time.Millisecond)
 }
 
 // recordReadLatency folds one successful read's duration into the EWMA and
@@ -586,10 +504,7 @@ func (fc *FailoverClient) recordReadLatency(d time.Duration) {
 func (fc *FailoverClient) takeHedgeToken() bool {
 	fc.hmu.Lock()
 	defer fc.hmu.Unlock()
-	fc.hTokens += fc.opts.HedgeRateCap
-	if fc.hTokens > hedgeBurst {
-		fc.hTokens = hedgeBurst
-	}
+	fc.hTokens = min(fc.hTokens+fc.opts.HedgeRateCap, hedgeBurst)
 	if fc.hTokens < 1 || fc.hInFlight {
 		return false
 	}
@@ -668,11 +583,9 @@ func (fc *FailoverClient) hedgeSnapshot(db *RemoteDB) (deadline time.Time, alts 
 	if c.closed || c.conn == nil || c.opts.OpBudget <= 0 {
 		return time.Time{}, nil
 	}
-	// Candidate order honors breakers and availability; home-mate bias
-	// applies when the database is placed.
-	for _, i := range fc.candidatesLocked(db) {
-		if a := fc.mates[i].addr; a != c.addr {
-			alts = append(alts, a)
+	for _, cand := range fc.rank(db) {
+		if cand.addr != c.addr {
+			alts = append(alts, cand.addr)
 		}
 	}
 	return time.Now().Add(c.opts.OpBudget), alts

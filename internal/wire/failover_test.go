@@ -87,7 +87,7 @@ func TestBusyErrorCarriesAvailability(t *testing.T) {
 
 func failoverTestOpts() FailoverOptions {
 	o := noRetryOpts()
-	return FailoverOptions{Client: o, Cooldown: 50 * time.Millisecond, ProbeTimeout: 200 * time.Millisecond}
+	return FailoverOptions{Client: o, Cooldown: 50 * time.Millisecond}
 }
 
 // TestFailoverBusyRedirect: a mate that sheds everything drives the client

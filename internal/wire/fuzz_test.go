@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -50,6 +51,59 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if !bytes.Equal(got, payload) {
 			t.Fatal("frame round trip changed the payload")
+		}
+	})
+}
+
+// encResolveRecord appends one placement record the way a server encodes
+// it, for the round trip below.
+func encResolveRecord(e *Enc, r ResolveInfo) {
+	e.Str(r.Path).U64(r.Generation).U32(uint32(r.Replicas)).U32(uint32(len(r.Homes)))
+	for _, h := range r.Homes {
+		e.Str(h.Name).Str(h.Addr)
+	}
+}
+
+// FuzzDecodePlacement throws arbitrary bodies at the two placement-record
+// decoders the routing policy learns from: an OpResolve response and a
+// StatusWrongMate redirect, both parsed from untrusted server bytes. They
+// must never panic; records they accept must re-encode and decode to the
+// same records; and a redirect carries exactly what its record says, or
+// nothing when the record is malformed.
+func FuzzDecodePlacement(f *testing.F) {
+	// The Resolve response body of TestGoldenFrames: one record for
+	// apps/x.nsf at generation 3, two replicas, homed on hub at h:1.
+	golden := []byte{1, 0, 0, 0, 10}
+	golden = append(golden, "apps/x.nsf"...)
+	golden = append(golden, 3, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 3)
+	golden = append(golden, "hub"...)
+	golden = append(golden, 3)
+	golden = append(golden, "h:1"...)
+	f.Add(golden)
+	f.Add(golden[4:]) // the same record as a redirect body
+	f.Add([]byte{0, 0, 0, 0})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if recs, err := decResolveRecords(NewDec(append([]byte(nil), body...))); err == nil {
+			e := NewEnc(OpResolve).U32(uint32(len(recs)))
+			for _, r := range recs {
+				encResolveRecord(e, r)
+			}
+			again, err := decResolveRecords(NewDec(e.Bytes()[1:]))
+			if err != nil || !slices.EqualFunc(recs, again, func(a, b ResolveInfo) bool {
+				return a.Path == b.Path && a.Generation == b.Generation && a.Replicas == b.Replicas && slices.Equal(a.Homes, b.Homes)
+			}) {
+				t.Fatalf("records %+v re-decode as %+v (%v)", recs, again, err)
+			}
+		}
+		wme := decWrongMate(OpGetNote, NewDec(append([]byte(nil), body...)))
+		rec, err := decResolveRecord(NewDec(append([]byte(nil), body...)))
+		if err != nil {
+			rec = ResolveInfo{}
+		}
+		if wme.Op != OpGetNote || wme.Path != rec.Path || wme.Generation != rec.Generation || !slices.Equal(wme.Homes, rec.Homes) {
+			t.Fatalf("redirect %+v does not carry its record %+v", wme, rec)
 		}
 	})
 }
