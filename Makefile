@@ -44,10 +44,11 @@ stress:
 # (view, scan and search pages a client reads off the wire), the placement
 # records (resolve answers and wrong-mate redirects the routing policy
 # learns from), the formula compiler (mesh link selection formulas arrive
-# over the admin wire ops and from topology files), and the
-# incremental-image reader (backup images on disk carry a digest anyone can
-# recompute). Each target also keeps its corpus as seed tests under plain
-# `go test`.
+# over the admin wire ops and from topology files), the incremental-image
+# reader (backup images on disk carry a digest anyone can recompute), and
+# the full-text sidecar reader (it parses what it finds on disk at every
+# EnableFullText). Each target also keeps its corpus as seed tests under
+# plain `go test`.
 fuzz:
 	$(GO) test ./internal/nsf -run '^$$' -fuzz FuzzDecodeNote -fuzztime 15s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzReadFrame -fuzztime 15s
@@ -55,6 +56,7 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodePlacement -fuzztime 15s
 	$(GO) test ./internal/formula -run '^$$' -fuzz FuzzCompile -fuzztime 15s
 	$(GO) test ./internal/backup -run '^$$' -fuzz FuzzReadIncremental -fuzztime 15s
+	$(GO) test ./internal/ft -run '^$$' -fuzz FuzzReadIndex -fuzztime 15s
 
 # bench/ is a module of its own (it replaces repro with ../), so the root
 # `go test ./...` never compiles it: this is what makes a signature change

@@ -218,19 +218,32 @@ func (id *Identity) matchesAny(names []string) bool {
 	return false
 }
 
-// CanRead reports whether the identity may read note. Requires Reader level
-// or better, and — when the note carries Reader items — membership in the
-// reader list or the Authors list. Reader items restrict even Managers,
-// exactly as in Notes.
-func (id *Identity) CanRead(note *nsf.Note) bool {
-	if id.Level < Reader {
-		return false
-	}
+// ReadAccess returns the names that may read note: the entries of its
+// Readers items plus, whenever any Readers item exists, the entries of its
+// Authors items. It is nil for a note without Readers items, which every
+// reader of the database may read. Views and the full-text index keep this
+// list beside each entry, so a reader filtered there is filtered exactly as
+// CanRead filters a loaded note.
+func ReadAccess(note *nsf.Note) []string {
 	readers := note.Readers()
 	if len(readers) == 0 {
-		return true
+		return nil
 	}
-	return id.matchesAny(readers) || id.matchesAny(note.Authors())
+	return append(readers, note.Authors()...)
+}
+
+// Admits reports whether a note with the given ReadAccess list is visible to
+// the identity's names: a nil list admits everyone. It does not check the
+// access level.
+func (id *Identity) Admits(access []string) bool {
+	return len(access) == 0 || id.matchesAny(access)
+}
+
+// CanRead reports whether the identity may read note. Requires Reader level
+// or better and admission by the note's ReadAccess list. Reader items
+// restrict even Managers, exactly as in Notes.
+func (id *Identity) CanRead(note *nsf.Note) bool {
+	return id.Level >= Reader && id.Admits(ReadAccess(note))
 }
 
 // CanCreate reports whether the identity may create new documents.

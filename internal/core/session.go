@@ -197,7 +197,7 @@ func (s *Session) PutBatchCtx(ctx context.Context, notes []*nsf.Note) (applied i
 }
 
 // Rows renders the named view for this session: category rows plus the
-// entries the user may read (Reader items enforced).
+// entries the user may read (access lists enforced).
 func (s *Session) Rows(viewName string) ([]view.Row, error) {
 	ix, ok := s.db.View(viewName)
 	if !ok {
@@ -232,19 +232,8 @@ func (s *Session) RowsPageCtx(ctx context.Context, viewName string, start, limit
 	return ix.RowsRangeCtx(ctx, s.entryReadable, start, limit)
 }
 
-// entryReadable applies Reader-item filtering to a view entry without
-// loading the note.
-func (s *Session) entryReadable(e *view.Entry) bool {
-	if len(e.Readers) == 0 {
-		return true
-	}
-	for _, r := range e.Readers {
-		if s.id.Matches(r) {
-			return true
-		}
-	}
-	return false
-}
+// entryReadable applies the entry's access list without loading the note.
+func (s *Session) entryReadable(e *view.Entry) bool { return s.id.Admits(e.Access) }
 
 // Search runs a full-text query, filtering hits by read access. A refresh
 // barrier first waits for index maintenance to catch up, so the results
@@ -269,26 +258,15 @@ func (s *Session) SearchCtx(ctx context.Context, query string) ([]ft.Result, err
 	if err != nil {
 		return nil, err
 	}
-	// Filter by the reader restriction captured at indexing time — the same
-	// summary-level check views use, avoiding a store load per hit.
+	// Filter by the access list captured at indexing time — the same check
+	// CanRead makes on a loaded note, without a store load per hit.
 	out := hits[:0]
 	for _, h := range hits {
-		if len(h.Readers) == 0 || s.matchesAnyName(h.Readers) {
+		if s.id.Admits(h.Access) {
 			out = append(out, h)
 		}
 	}
 	return out, nil
-}
-
-// matchesAnyName reports whether any of names denotes this session's user,
-// groups, or roles.
-func (s *Session) matchesAnyName(names []string) bool {
-	for _, n := range names {
-		if s.id.Matches(n) {
-			return true
-		}
-	}
-	return false
 }
 
 // All visits every readable document (not stubs, not design notes).
@@ -355,25 +333,34 @@ func (s *Session) ScanFromCtx(ctx context.Context, after nsf.NoteID, sel *formul
 }
 
 // SearchJoined runs a full-text query and joins the named summary columns
-// onto each hit, so a hit list renders without a per-hit Get round trip.
-// Each hit's document is loaded through this session's Get — the full
-// note-level ACL check, strictly at least as strict as the index-time
-// Reader filter Search applies — and hits whose document vanished or
-// became unreadable since indexing are dropped.
+// onto each hit, so a hit list renders without a per-hit Get round trip:
+// SearchPageCtx over the whole hit list.
 func (s *Session) SearchJoined(query string, columns []string) ([]ft.HitSummary, error) {
 	return s.SearchJoinedCtx(context.Background(), query, columns)
 }
 
-// SearchJoinedCtx is SearchJoined with cooperative cancellation (the
-// query evaluation checks the deadline; the join re-checks before loading
-// documents, the expensive half).
+// SearchJoinedCtx is SearchJoined with cooperative cancellation.
 func (s *Session) SearchJoinedCtx(ctx context.Context, query string, columns []string) ([]ft.HitSummary, error) {
-	hits, err := s.SearchCtx(ctx, query)
+	hits, _, _, err := s.SearchPageCtx(ctx, query, columns, 0, 0)
+	return hits, err
+}
+
+// SearchPageCtx runs a full-text query and returns one page of its hits:
+// from position start of the access-filtered hit list, joined with the
+// named summary columns in rank order until limit hits have joined
+// (limit <= 0: to the end). Only the page is joined. Each hit's document is
+// loaded through this session's Get; a hit whose document was deleted since
+// the refresh barrier is skipped and not counted in total. next is the
+// position after the last hit used. The deadline is checked by the query
+// evaluation and again before the join.
+func (s *Session) SearchPageCtx(ctx context.Context, query string, columns []string, start, limit int) (hits []ft.HitSummary, total, next int, err error) {
+	all, err := s.SearchCtx(ctx, query)
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
-	return ft.JoinSummaries(hits, columns, s.Get), nil
+	hits, next, skipped := ft.JoinPage(all, start, limit, columns, s.Get)
+	return hits, len(all) - skipped, next, nil
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/acl"
 	"repro/internal/nsf"
 )
 
@@ -20,18 +21,17 @@ type Index struct {
 	postings map[string]map[nsf.UNID][]int32
 	// docTerms remembers each document's distinct terms for removal.
 	docTerms map[nsf.UNID][]string
-	// docReaders carries each document's Reader-item restriction (nil when
-	// unrestricted) so searches can be access-filtered without loading
-	// notes from the store.
-	docReaders map[nsf.UNID][]string
+	// docAccess carries each restricted document's acl.ReadAccess list so
+	// searches can be access-filtered without loading notes from the store.
+	docAccess map[nsf.UNID][]string
 }
 
 // NewIndex returns an empty index.
 func NewIndex() *Index {
 	return &Index{
-		postings:   make(map[string]map[nsf.UNID][]int32),
-		docTerms:   make(map[nsf.UNID][]string),
-		docReaders: make(map[nsf.UNID][]string),
+		postings:  make(map[string]map[nsf.UNID][]int32),
+		docTerms:  make(map[nsf.UNID][]string),
+		docAccess: make(map[nsf.UNID][]string),
 	}
 }
 
@@ -74,8 +74,8 @@ func (ix *Index) Update(n *nsf.Note) {
 		distinct = append(distinct, t)
 	}
 	ix.docTerms[n.OID.UNID] = distinct
-	if readers := n.Readers(); len(readers) > 0 {
-		ix.docReaders[n.OID.UNID] = readers
+	if access := acl.ReadAccess(n); len(access) > 0 {
+		ix.docAccess[n.OID.UNID] = access
 	}
 }
 
@@ -100,17 +100,16 @@ func (ix *Index) removeLocked(unid nsf.UNID) {
 		}
 	}
 	delete(ix.docTerms, unid)
-	delete(ix.docReaders, unid)
+	delete(ix.docAccess, unid)
 }
 
 // Result is one search hit.
 type Result struct {
 	UNID  nsf.UNID
 	Score float64
-	// Readers carries the document's Reader-item restriction as of indexing
-	// time (nil when unrestricted), for access filtering without a store
-	// load.
-	Readers []string
+	// Access is the document's acl.ReadAccess list as of indexing time (nil
+	// when unrestricted), for access filtering without a store load.
+	Access []string
 }
 
 // Search evaluates query and returns hits ranked by tf-idf score. A query
@@ -143,7 +142,7 @@ func (ix *Index) SearchCtx(ctx context.Context, query string) ([]Result, error) 
 	}
 	out := make([]Result, 0, len(scores))
 	for unid, score := range scores {
-		out = append(out, Result{UNID: unid, Score: score, Readers: ix.docReaders[unid]})
+		out = append(out, Result{UNID: unid, Score: score, Access: ix.docAccess[unid]})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {

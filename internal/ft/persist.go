@@ -2,107 +2,110 @@ package ft
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/nsf"
 )
 
 // Index persistence. The on-disk format is a snapshot of the inverted
-// index:
+// index, every part of it in a canonical order so that equal indexes write
+// equal bytes:
 //
-//	magic    "FTIDX001"
-//	docs     uvarint, then per doc: UNID (16B), reader count uvarint,
-//	         readers (len-prefixed strings)
-//	terms    uvarint, then per term: term (len-prefixed), doc count uvarint,
-//	         per doc: UNID (16B), position count uvarint, positions as
-//	         delta-encoded uvarints
+//	magic    "FTIDX002"
+//	docs     uvarint, then per doc in UNID order: UNID (16B), access-list
+//	         count uvarint, names (len-prefixed strings). A doc's place in
+//	         this table is its ordinal.
+//	terms    uvarint, then per term in sorted order: term (len-prefixed),
+//	         doc count uvarint, per doc in ordinal order: ordinal as a
+//	         uvarint delta from the previous one (the first from 0),
+//	         position count uvarint, positions as delta-encoded uvarints
 //
 // Snapshots are written atomically by the caller (write temp + rename).
-const persistMagic = "FTIDX001"
+const persistMagic = "FTIDX002"
+
+// Smallest encodings of the snapshot's counted parts. ReadIndex refuses a
+// count whose parts could not fit in the bytes left, so a short snapshot
+// cannot make it allocate more than the snapshot's own size.
+const (
+	minDocBytes     = len(nsf.UNID{}) + 1 // UNID, empty access list
+	minNameBytes    = 1                   // empty string
+	minTermBytes    = 2                   // empty term, doc count
+	minPostingBytes = 3                   // ordinal, count, one position
+	minPosBytes     = 1
+)
 
 // WriteTo serializes the index. It implements io.WriterTo.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	cw := &countingWriter{w: bufio.NewWriterSize(w, 1<<16)}
-	write := func(b []byte) error {
-		_, err := cw.Write(b)
-		return err
+	cw := &countingWriter{w: w}
+	bw := bufio.NewWriterSize(cw, 1<<16)
+	// bufio.Writer errors are sticky: the first one fails every later write
+	// and the final Flush, which reports it.
+	var scratch []byte
+	uvarint := func(v uint64) {
+		scratch = binary.AppendUvarint(scratch[:0], v)
+		bw.Write(scratch)
 	}
-	var scratch [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		return write(scratch[:n])
+	str := func(s string) {
+		uvarint(uint64(len(s)))
+		bw.WriteString(s)
 	}
-	writeStr := func(s string) error {
-		if err := writeUvarint(uint64(len(s))); err != nil {
-			return err
-		}
-		return write([]byte(s))
-	}
-	if err := write([]byte(persistMagic)); err != nil {
-		return cw.n, err
-	}
-	// Documents and their reader restrictions.
-	if err := writeUvarint(uint64(len(ix.docTerms))); err != nil {
-		return cw.n, err
-	}
+	bw.WriteString(persistMagic)
 	docs := make([]nsf.UNID, 0, len(ix.docTerms))
 	for u := range ix.docTerms {
 		docs = append(docs, u)
 	}
-	sort.Slice(docs, func(i, j int) bool { return string(docs[i][:]) < string(docs[j][:]) })
-	for _, u := range docs {
-		if err := write(u[:]); err != nil {
-			return cw.n, err
-		}
-		readers := ix.docReaders[u]
-		if err := writeUvarint(uint64(len(readers))); err != nil {
-			return cw.n, err
-		}
-		for _, r := range readers {
-			if err := writeStr(r); err != nil {
-				return cw.n, err
-			}
+	sort.Slice(docs, func(i, j int) bool { return bytes.Compare(docs[i][:], docs[j][:]) < 0 })
+	ordinal := make(map[nsf.UNID]uint64, len(docs))
+	uvarint(uint64(len(docs)))
+	for i, u := range docs {
+		ordinal[u] = uint64(i)
+		bw.Write(u[:])
+		access := ix.docAccess[u]
+		uvarint(uint64(len(access)))
+		for _, name := range access {
+			str(name)
 		}
 	}
-	// Postings.
 	terms := make([]string, 0, len(ix.postings))
 	for t := range ix.postings {
 		terms = append(terms, t)
 	}
 	sort.Strings(terms)
-	if err := writeUvarint(uint64(len(terms))); err != nil {
-		return cw.n, err
+	uvarint(uint64(len(terms)))
+	type posting struct {
+		ord       uint64
+		positions []int32
 	}
+	var list []posting
 	for _, t := range terms {
-		if err := writeStr(t); err != nil {
-			return cw.n, err
+		list = list[:0]
+		for u, positions := range ix.postings[t] {
+			list = append(list, posting{ordinal[u], positions})
 		}
-		m := ix.postings[t]
-		if err := writeUvarint(uint64(len(m))); err != nil {
-			return cw.n, err
-		}
-		for u, positions := range m {
-			if err := write(u[:]); err != nil {
-				return cw.n, err
-			}
-			if err := writeUvarint(uint64(len(positions))); err != nil {
-				return cw.n, err
-			}
+		sort.Slice(list, func(i, j int) bool { return list[i].ord < list[j].ord })
+		str(t)
+		uvarint(uint64(len(list)))
+		prevOrd := uint64(0)
+		for _, p := range list {
+			uvarint(p.ord - prevOrd)
+			prevOrd = p.ord
+			uvarint(uint64(len(p.positions)))
 			prev := int32(0)
-			for _, p := range positions {
-				if err := writeUvarint(uint64(p - prev)); err != nil {
-					return cw.n, err
-				}
-				prev = p
+			for _, pos := range p.positions {
+				uvarint(uint64(pos - prev))
+				prev = pos
 			}
 		}
 	}
-	return cw.n, cw.w.(*bufio.Writer).Flush()
+	err := bw.Flush()
+	return cw.n, err
 }
 
 type countingWriter struct {
@@ -116,118 +119,137 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// ReadIndex deserializes a snapshot written by WriteTo.
+// snapReader parses a snapshot held in memory. Its first error sticks:
+// every later read returns zero values.
+type snapReader struct {
+	b   []byte
+	err error
+}
+
+func (r *snapReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("ft: "+format, args...)
+	}
+}
+
+func (r *snapReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail("truncated or malformed varint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// count reads a count of parts each at least min bytes long, refusing one
+// the rest of the snapshot could not hold.
+func (r *snapReader) count(what string, min int) int {
+	n := r.uvarint()
+	if n > uint64(len(r.b)/min) {
+		r.fail("%s count %d exceeds the %d bytes left", what, n, len(r.b))
+		return 0
+	}
+	return int(n)
+}
+
+func (r *snapReader) take(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n > len(r.b) {
+		r.fail("truncated snapshot")
+		return nil
+	}
+	b := r.b[:n:n]
+	r.b = r.b[n:]
+	return b
+}
+
+func (r *snapReader) str() string { return string(r.take(r.count("string byte", 1))) }
+
+// ReadIndex deserializes a snapshot written by WriteTo. It reads r to its
+// end and refuses anything WriteTo could not have written: a count larger
+// than the bytes left could hold, documents or terms out of order, a
+// posting ordinal out of range or not increasing, an empty posting, and
+// trailing bytes.
 func ReadIndex(r io.Reader) (*Index, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	magic := make([]byte, len(persistMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("ft: read snapshot: %w", err)
 	}
-	if string(magic) != persistMagic {
-		return nil, fmt.Errorf("ft: bad snapshot magic %q", magic)
+	if !bytes.HasPrefix(data, []byte(persistMagic)) {
+		return nil, fmt.Errorf("ft: bad snapshot magic %q", data[:min(len(data), len(persistMagic))])
 	}
-	readUvarint := func() (uint64, error) { return binary.ReadUvarint(br) }
-	readStr := func() (string, error) {
-		n, err := readUvarint()
-		if err != nil {
-			return "", err
-		}
-		if n > 1<<20 {
-			return "", fmt.Errorf("ft: implausible string length %d", n)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
-	readUNID := func() (nsf.UNID, error) {
-		var u nsf.UNID
-		_, err := io.ReadFull(br, u[:])
-		return u, err
-	}
+	sr := &snapReader{b: data[len(persistMagic):]}
 	ix := NewIndex()
-	docCount, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	if docCount > 1<<28 {
-		return nil, fmt.Errorf("ft: implausible doc count %d", docCount)
-	}
-	for i := uint64(0); i < docCount; i++ {
-		u, err := readUNID()
-		if err != nil {
-			return nil, err
+	docs := make([]nsf.UNID, sr.count("doc", minDocBytes))
+	for i := range docs {
+		copy(docs[i][:], sr.take(len(docs[i])))
+		if i > 0 && bytes.Compare(docs[i-1][:], docs[i][:]) >= 0 {
+			sr.fail("doc %s out of order", docs[i])
 		}
-		nReaders, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nReaders > 1<<16 {
-			return nil, fmt.Errorf("ft: implausible reader count %d", nReaders)
-		}
-		var readers []string
-		for j := uint64(0); j < nReaders; j++ {
-			s, err := readStr()
-			if err != nil {
-				return nil, err
+		var access []string
+		if n := sr.count("access name", minNameBytes); n > 0 {
+			access = make([]string, n)
+			for j := range access {
+				access[j] = sr.str()
 			}
-			readers = append(readers, s)
+			ix.docAccess[docs[i]] = access
 		}
-		ix.docTerms[u] = nil // filled as postings load
-		if len(readers) > 0 {
-			ix.docReaders[u] = readers
-		}
+		ix.docTerms[docs[i]] = nil // filled as postings load
 	}
-	termCount, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	if termCount > 1<<28 {
-		return nil, fmt.Errorf("ft: implausible term count %d", termCount)
-	}
-	for i := uint64(0); i < termCount; i++ {
-		term, err := readStr()
-		if err != nil {
-			return nil, err
+	nTerms := sr.count("term", minTermBytes)
+	prevTerm := ""
+	for i := 0; i < nTerms && sr.err == nil; i++ {
+		term := sr.str()
+		if i > 0 && term <= prevTerm {
+			sr.fail("term %q out of order", term)
 		}
-		nDocs, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nDocs > docCount {
-			return nil, fmt.Errorf("ft: term %q has %d docs of %d", term, nDocs, docCount)
+		prevTerm = term
+		nDocs := sr.count("posting", minPostingBytes)
+		if nDocs == 0 {
+			sr.fail("term %q has no documents", term)
 		}
 		m := make(map[nsf.UNID][]int32, nDocs)
-		for j := uint64(0); j < nDocs; j++ {
-			u, err := readUNID()
-			if err != nil {
-				return nil, err
+		ord := uint64(0)
+		for j := 0; j < nDocs && sr.err == nil; j++ {
+			d := sr.uvarint()
+			if j > 0 && d == 0 {
+				sr.fail("term %q: ordinals not increasing", term)
 			}
-			if _, known := ix.docTerms[u]; !known {
-				return nil, fmt.Errorf("ft: posting references unknown doc %s", u)
+			if d >= uint64(len(docs))-ord {
+				sr.fail("term %q: ordinal out of range", term)
+				break
 			}
-			nPos, err := readUvarint()
-			if err != nil {
-				return nil, err
+			ord += d
+			positions := make([]int32, sr.count("position", minPosBytes))
+			if len(positions) == 0 {
+				sr.fail("term %q: empty posting", term)
 			}
-			if nPos > 1<<24 {
-				return nil, fmt.Errorf("ft: implausible position count %d", nPos)
-			}
-			positions := make([]int32, nPos)
-			prev := int32(0)
+			prev := uint64(0)
 			for k := range positions {
-				d, err := readUvarint()
-				if err != nil {
-					return nil, err
+				d := sr.uvarint()
+				if (k > 0 && d == 0) || d > math.MaxInt32-prev {
+					sr.fail("term %q: positions not increasing or out of range", term)
 				}
-				prev += int32(d)
-				positions[k] = prev
+				prev += d
+				positions[k] = int32(prev)
 			}
+			u := docs[ord]
 			m[u] = positions
 			ix.docTerms[u] = append(ix.docTerms[u], term)
 		}
 		ix.postings[term] = m
+	}
+	if sr.err == nil && len(sr.b) > 0 {
+		sr.fail("%d trailing bytes", len(sr.b))
+	}
+	if sr.err != nil {
+		return nil, sr.err
 	}
 	return ix, nil
 }

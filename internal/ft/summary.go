@@ -7,29 +7,44 @@ import "repro/internal/nsf"
 // document fetch.
 type HitSummary struct {
 	Result
+	// Pos is the hit's position in the hit list it was paged from.
+	Pos int
 	// Values holds one value per requested column, in request order. A
 	// column the document lacks is the zero Value (Type 0).
 	Values []nsf.Value
 }
 
-// JoinSummaries projects the named items onto each hit by loading its
-// document through load. Hits whose load fails are dropped — the document
-// vanished (or became unreadable) between indexing and the join, and a hit
-// list should not surface rows the caller cannot open.
-func JoinSummaries(hits []Result, columns []string, load func(nsf.UNID) (*nsf.Note, error)) []HitSummary {
-	out := make([]HitSummary, 0, len(hits))
-	for _, h := range hits {
-		n, err := load(h.UNID)
-		if err != nil {
-			continue
-		}
-		vals := make([]nsf.Value, len(columns))
-		for i, c := range columns {
-			if n.Has(c) {
-				vals[i] = n.Get(c)
+// JoinPage joins the named items onto hits in rank order, from position
+// start until limit hits have joined (limit <= 0: to the end), loading each
+// hit's document through load. A hit whose load fails is skipped — the
+// document vanished (or became unreadable) since indexing, and a hit list
+// should not surface rows the caller cannot open. It returns the page, the
+// position after the last hit it used, and how many hits it skipped. With
+// no columns nothing is joined and no document is loaded: the page is the
+// window of hits.
+func JoinPage(hits []Result, start, limit int, columns []string, load func(nsf.UNID) (*nsf.Note, error)) (page []HitSummary, next, skipped int) {
+	start = min(max(start, 0), len(hits))
+	if limit <= 0 {
+		limit = len(hits)
+	}
+	page = make([]HitSummary, 0, min(limit, len(hits)-start))
+	next = start
+	for ; next < len(hits) && len(page) < limit; next++ {
+		h := HitSummary{Result: hits[next], Pos: next}
+		if len(columns) > 0 {
+			n, err := load(h.UNID)
+			if err != nil {
+				skipped++
+				continue
+			}
+			h.Values = make([]nsf.Value, len(columns))
+			for i, c := range columns {
+				if n.Has(c) {
+					h.Values[i] = n.Get(c)
+				}
 			}
 		}
-		out = append(out, HitSummary{Result: h, Values: vals})
+		page = append(page, h)
 	}
-	return out
+	return page, next, skipped
 }

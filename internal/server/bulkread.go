@@ -240,61 +240,32 @@ func (c *connState) search(ctx context.Context, hs *handleState, d *wire.Dec) (*
 		return nil, err
 	}
 	maxRows, maxBytes := c.s.pageBudget(ctx, limit)
-	resp := wire.NewResp(wire.OpSearch, wire.StatusOK)
-	var total, sent int
-	if len(columns) == 0 {
-		hits, err := hs.sess.SearchCtx(ctx, query)
-		if err != nil {
-			resp.Release()
-			return nil, err
+	hits, total, next, err := hs.sess.SearchPageCtx(ctx, query, columns, start, maxRows)
+	if err != nil {
+		return nil, err
+	}
+	// total counts every hit but those the join skipped, all of which lie
+	// between first and next, so total-first-len(hits) hits lie past next.
+	first := min(start, next)
+	more := first+len(hits) < total
+	resp := wire.NewResp(wire.OpSearch, wire.StatusOK).
+		U32(uint32(total)).U32(uint32(first))
+	for i, h := range hits {
+		if i > 0 && len(resp.Bytes()) >= maxBytes {
+			next, more = h.Pos, true
+			break
 		}
-		total = len(hits)
-		if start < 0 {
-			start = 0
-		}
-		if start > total {
-			start = total
-		}
-		resp.U32(uint32(total)).U32(uint32(start))
-		for _, h := range hits[start:] {
-			if sent >= maxRows || (sent > 0 && len(resp.Bytes()) >= maxBytes) {
-				break
+		resp.U8(rowKindDoc).UNID(h.UNID).U64(math.Float64bits(h.Score))
+		for _, v := range h.Values {
+			if v.Type == 0 {
+				resp.U8(0)
+			} else {
+				resp.U8(1).Value(v)
 			}
-			resp.U8(rowKindDoc).UNID(h.UNID).U64(math.Float64bits(h.Score))
-			sent++
-		}
-	} else {
-		joined, err := hs.sess.SearchJoinedCtx(ctx, query, columns)
-		if err != nil {
-			resp.Release()
-			return nil, err
-		}
-		total = len(joined)
-		if start < 0 {
-			start = 0
-		}
-		if start > total {
-			start = total
-		}
-		resp.U32(uint32(total)).U32(uint32(start))
-		for _, h := range joined[start:] {
-			if sent >= maxRows || (sent > 0 && len(resp.Bytes()) >= maxBytes) {
-				break
-			}
-			resp.U8(rowKindDoc).UNID(h.UNID).U64(math.Float64bits(h.Score))
-			for _, v := range h.Values {
-				if v.Type == 0 {
-					resp.U8(0)
-				} else {
-					resp.U8(1).Value(v)
-				}
-			}
-			sent++
 		}
 	}
-	next := start + sent
 	resp.U8(rowKindEnd)
-	if next < total {
+	if more {
 		resp.U8(1)
 	} else {
 		resp.U8(0)

@@ -457,3 +457,59 @@ func TestSearchEmptyQueryOverWire(t *testing.T) {
 		t.Error("malformed query accepted over wire")
 	}
 }
+
+// TestSearchPagesAcrossASkippedHit: a hit whose document was deleted after
+// the refresh barrier is skipped by the join, and paging still reaches
+// every other hit — More stays true while hits remain past Next, although
+// the skip left Next equal to Total.
+func TestSearchPagesAcrossASkippedHit(t *testing.T) {
+	_, addr, db := newBulkServer(t, 0, 0)
+	seedBulk(t, db, 30)
+	sess := db.Session("ada")
+	local, err := sess.SearchJoined("body", []string{"Subject"})
+	if err != nil || len(local) < 4 {
+		t.Fatalf("SearchJoined = %d hits, %v", len(local), err)
+	}
+	// Delete the document behind hit 2, then put it back in the index as if
+	// the delete had landed after the barrier.
+	victim, err := sess.Get(local[2].UNID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Delete(victim.OID.UNID); err != nil {
+		t.Fatal(err)
+	}
+	db.Refresh()
+	db.FullText().Update(victim)
+
+	c, err := wire.Dial(addr, "ada", "ada-pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rdb, err := c.OpenDB("apps/bulk.nsf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := len(local) - 2
+	var got []wire.SearchHit
+	for start := 0; ; {
+		p, err := rdb.SearchPage("body", []string{"Subject"}, start, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, p.Hits...)
+		if !p.More {
+			break
+		}
+		start = p.Next
+	}
+	if len(got) != len(local)-1 {
+		t.Fatalf("paged %d hits, want %d (all but the deleted one)", len(got), len(local)-1)
+	}
+	for _, h := range got {
+		if h.UNID == victim.OID.UNID {
+			t.Fatal("the deleted document's hit was served")
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -47,11 +48,13 @@ const writeTimeout = 30 * time.Second
 // closes only this connection — never the process.
 func (s *Server) handleConn(conn net.Conn) {
 	st := &connState{s: s, handles: make(map[uint32]*handleState), nextH: 1}
+	// One reader per connection: its buffered bytes die with the connection.
+	rd := bufio.NewReader(conn)
 	for {
 		if s.opts.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		}
-		payload, err := wire.ReadFrame(conn)
+		payload, err := wire.ReadFrame(rd)
 		if err != nil {
 			return // closed, broken, or idle past the deadline
 		}

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/acl"
 	"repro/internal/formula"
 	"repro/internal/nsf"
 )
@@ -21,6 +22,9 @@ type Index struct {
 	mu      sync.RWMutex
 	entries []*Entry            // sorted by key
 	byUNID  map[nsf.UNID][]byte // UNID -> current key, for O(log n) removal
+	// restricted counts the entries with an access list. While it is zero,
+	// a page of a flat view is a slice of entries.
+	restricted int
 }
 
 // NewIndex returns an empty index over def.
@@ -49,6 +53,18 @@ func (ix *Index) locate(key []byte) (int, bool) {
 	return i, false
 }
 
+// newEntry builds note's entry from its column values.
+func (ix *Index) newEntry(note *nsf.Note, vals []nsf.Value) *Entry {
+	return &Entry{
+		UNID:   note.OID.UNID,
+		NoteID: note.ID,
+		Values: vals,
+		Access: acl.ReadAccess(note),
+		Parent: parentOf(note),
+		key:    collationKey(ix.def, vals, note.OID.UNID),
+	}
+}
+
 // Update reflects a single note change in the index: the note is inserted,
 // repositioned, or removed depending on the selection formula and its
 // current values. Deletion stubs always leave the view. It reports whether
@@ -69,20 +85,14 @@ func (ix *Index) Update(note *nsf.Note, ctx *formula.Context) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	e := &Entry{
-		UNID:    note.OID.UNID,
-		NoteID:  note.ID,
-		Values:  vals,
-		Readers: note.Readers(),
-		Parent:  parentOf(note),
-		key:     collationKey(ix.def, vals, note.OID.UNID),
-	}
+	e := ix.newEntry(note, vals)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if oldKey, ok := ix.byUNID[e.UNID]; ok {
 		if bytes.Equal(oldKey, e.key) {
 			// Same position: replace values in place.
 			if i, found := ix.locate(oldKey); found {
+				ix.restricted += e.restrictedCount() - ix.entries[i].restrictedCount()
 				ix.entries[i] = e
 				return true, nil
 			}
@@ -94,6 +104,7 @@ func (ix *Index) Update(note *nsf.Note, ctx *formula.Context) (bool, error) {
 	copy(ix.entries[i+1:], ix.entries[i:])
 	ix.entries[i] = e
 	ix.byUNID[e.UNID] = e.key
+	ix.restricted += e.restrictedCount()
 	return true, nil
 }
 
@@ -112,6 +123,7 @@ func (ix *Index) Remove(unid nsf.UNID) bool {
 
 func (ix *Index) removeKeyLocked(key []byte) {
 	if i, found := ix.locate(key); found {
+		ix.restricted -= ix.entries[i].restrictedCount()
 		ix.entries = append(ix.entries[:i], ix.entries[i+1:]...)
 	}
 }
@@ -138,14 +150,7 @@ func (ix *Index) Rebuild(ctx *formula.Context, scan func(fn func(*nsf.Note) bool
 			evalErr = err
 			return false
 		}
-		fresh = append(fresh, &Entry{
-			UNID:    n.OID.UNID,
-			NoteID:  n.ID,
-			Values:  vals,
-			Readers: n.Readers(),
-			Parent:  parentOf(n),
-			key:     collationKey(ix.def, vals, n.OID.UNID),
-		})
+		fresh = append(fresh, ix.newEntry(n, vals))
 		return true
 	})
 	if err != nil {
@@ -158,12 +163,15 @@ func (ix *Index) Rebuild(ctx *formula.Context, scan func(fn func(*nsf.Note) bool
 		return bytes.Compare(fresh[i].key, fresh[j].key) < 0
 	})
 	byUNID := make(map[nsf.UNID][]byte, len(fresh))
+	restricted := 0
 	for _, e := range fresh {
 		byUNID[e.UNID] = e.key
+		restricted += e.restrictedCount()
 	}
 	ix.mu.Lock()
 	ix.entries = fresh
 	ix.byUNID = byUNID
+	ix.restricted = restricted
 	ix.mu.Unlock()
 	return nil
 }
@@ -197,41 +205,16 @@ type Row struct {
 // categorized columns, Notes style, and — when the definition enables
 // ShowResponses — responses nested beneath their parents. Entries for which
 // allow returns false are skipped (pass nil to include everything); empty
-// categories are suppressed automatically.
+// categories are suppressed automatically. A view with Totals columns ends
+// with a grand-total row.
 func (ix *Index) Rows(allow func(*Entry) bool) []Row {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if ix.def.ShowResponses {
-		return ix.addTotals(ix.responseRows(allow))
-	}
-	var catCols []int
-	for i, c := range ix.def.Columns {
-		if c.Categorized {
-			catCols = append(catCols, i)
-		}
-	}
 	var rows []Row
-	var current []string
-	for _, e := range ix.entries {
-		if allow != nil && !allow(e) {
-			continue
-		}
-		if len(catCols) > 0 {
-			cats := make([]string, len(catCols))
-			for j, ci := range catCols {
-				cats[j] = e.ColumnText(ci)
-			}
-			// Emit headers where the category path diverges.
-			diverge := 0
-			for diverge < len(cats) && diverge < len(current) && cats[diverge] == current[diverge] {
-				diverge++
-			}
-			for j := diverge; j < len(cats); j++ {
-				rows = append(rows, Row{Category: cats[j], Indent: j})
-			}
-			current = cats
-		}
-		rows = append(rows, Row{Entry: e, Indent: len(catCols)})
+	if ix.def.ShowResponses {
+		rows, _ = ix.responseRows(context.Background(), allow)
+	} else {
+		rows, _, _ = ix.window(context.Background(), allow, 0, -1)
 	}
 	return ix.addTotals(rows)
 }
@@ -245,94 +228,155 @@ func (ix *Index) Rows(allow func(*Entry) bool) []Row {
 // itself does not change between calls; a reader that needs exactness
 // checks the returned total against its cursor. limit <= 0 means "to the
 // end"; start past the end returns an empty page.
+//
+// allow must admit every entry without an access list: a flat view none of
+// whose entries is restricted is paged without consulting it.
 func (ix *Index) RowsRange(allow func(*Entry) bool, start, limit int) ([]Row, int) {
 	rows, total, _ := ix.RowsRangeCtx(context.Background(), allow, start, limit)
 	return rows, total
 }
 
-// rowsCtxStride is how many entries the render walk visits between deadline
+// rowsCtxStride is how many entries a render walk visits between deadline
 // checks. Small enough that a cancelled render releases the read lock in
 // microseconds, large enough that ctx.Err() stays off the per-entry path.
 const rowsCtxStride = 512
 
-// RowsRangeCtx is RowsRange with cooperative cancellation. The render walk
-// checks ctx every rowsCtxStride entries; once the deadline is spent the
-// remaining walk degenerates to cheap skips (no column rendering, no row
-// allocation) and the call returns ctx's error, so a paginated reader whose
-// budget expired mid-render releases the view's read lock promptly instead
-// of materializing thousands of rows for a caller that already gave up.
+// RowsRangeCtx is RowsRange with cooperative cancellation. A page costs
+// its window, not the view: a flat view with no restricted entry is sliced
+// directly; a categorized or restricted view is walked once to count its
+// rows, building only the window's rows and summing the totals of the
+// window's category headers. A ShowResponses view renders in full. A walk
+// checks ctx every rowsCtxStride entries and returns ctx's error once the
+// deadline is spent, so a reader whose budget expired releases the view's
+// read lock promptly.
 func (ix *Index) RowsRangeCtx(ctx context.Context, allow func(*Entry) bool, start, limit int) ([]Row, int, error) {
-	var visited int
-	var ctxErr error
-	gated := func(e *Entry) bool {
-		if ctxErr != nil {
-			return false
-		}
-		if visited++; visited%rowsCtxStride == 0 {
-			if err := ctx.Err(); err != nil {
-				ctxErr = err
-				return false
-			}
-		}
-		return allow == nil || allow(e)
-	}
-	rows := ix.Rows(gated)
-	if ctxErr != nil {
-		return nil, 0, ctxErr
-	}
-	if n := len(rows); n > 0 && rows[n-1].GrandTotal {
-		rows = rows[:n-1]
-	}
-	total := len(rows)
-	if start < 0 {
-		start = 0
-	}
-	if start > total {
-		start = total
-	}
-	end := total
-	if limit > 0 && start+limit < end {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	start = max(start, 0)
+	end := -1
+	if limit > 0 {
 		end = start + limit
 	}
-	return rows[start:end], total, nil
+	switch {
+	case ix.def.ShowResponses:
+		rows, err := ix.responseRows(ctx, allow)
+		if err != nil {
+			return nil, 0, err
+		}
+		lo, hi := clip(len(rows), start, end)
+		return rows[lo:hi], len(rows), nil
+	case ix.restricted == 0 && len(columnsWith(ix.def, isCategorized)) == 0:
+		lo, hi := clip(len(ix.entries), start, end)
+		rows := make([]Row, hi-lo)
+		for i, e := range ix.entries[lo:hi] {
+			rows[i].Entry = e
+		}
+		return rows, len(ix.entries), nil
+	default:
+		return ix.window(ctx, allow, start, end)
+	}
 }
 
-// addTotals fills category rows with the sums of Totals columns over the
-// rows beneath them and appends a grand-total row. A no-op when the view
-// defines no totals columns.
-func (ix *Index) addTotals(rows []Row) []Row {
-	var totalCols []int
-	for i, c := range ix.def.Columns {
-		if c.Totals {
-			totalCols = append(totalCols, i)
+// clip bounds the window [start, end) (end < 0: to the end) to n rows.
+func clip(n, start, end int) (int, int) {
+	if end < 0 || end > n {
+		end = n
+	}
+	return min(start, end), end
+}
+
+func isCategorized(c Column) bool { return c.Categorized }
+func isTotals(c Column) bool      { return c.Totals }
+
+// columnsWith returns the indexes of def's columns for which want is true.
+func columnsWith(def *Definition, want func(Column) bool) []int {
+	var out []int
+	for i, c := range def.Columns {
+		if want(c) {
+			out = append(out, i)
 		}
 	}
+	return out
+}
+
+// window walks the entries once and renders rows [start, end) (end < 0: to
+// the last row) of the categorized rendering, returning them with the row
+// count of the whole rendering. Rows outside the window are counted, not
+// built; a header row's Totals sum every document beneath it, including
+// those past end.
+func (ix *Index) window(ctx context.Context, allow func(*Entry) bool, start, end int) ([]Row, int, error) {
+	catCols := columnsWith(ix.def, isCategorized)
+	totalCols := columnsWith(ix.def, isTotals)
+	depth := len(catCols)
+	// cur is the category path of the last visible entry, next the current
+	// entry's; open[j] is the index in rows of the header at depth j, or -1
+	// when that header lies outside the window.
+	cur, next := make([]string, depth), make([]string, depth)
+	open := make([]int, depth)
+	var rows []Row
+	pos := 0
+	inWindow := func() bool { return pos >= start && (end < 0 || pos < end) }
+	for i, e := range ix.entries {
+		if i%rowsCtxStride == rowsCtxStride-1 {
+			if err := ctx.Err(); err != nil {
+				return nil, 0, err
+			}
+		}
+		if allow != nil && !allow(e) {
+			continue
+		}
+		if depth > 0 {
+			for j, ci := range catCols {
+				next[j] = e.ColumnText(ci)
+			}
+			// Emit headers where the category path diverges.
+			diverge := 0
+			for pos > 0 && diverge < depth && next[diverge] == cur[diverge] {
+				diverge++
+			}
+			for j := diverge; j < depth; j++ {
+				open[j] = -1
+				if inWindow() {
+					open[j] = len(rows)
+					rows = append(rows, Row{Category: next[j], Indent: j})
+					if len(totalCols) > 0 {
+						rows[open[j]].Totals = make(map[int]float64, len(totalCols))
+					}
+				}
+				pos++
+			}
+			cur, next = next, cur
+		}
+		if inWindow() {
+			rows = append(rows, Row{Entry: e, Indent: depth})
+		}
+		pos++
+		for _, oi := range open {
+			if oi < 0 {
+				continue
+			}
+			for _, c := range totalCols {
+				rows[oi].Totals[c] += e.total(c)
+			}
+		}
+	}
+	return rows, pos, nil
+}
+
+// addTotals appends the grand-total row: the sums of the Totals columns
+// over every document row. A no-op when the view defines no totals columns.
+func (ix *Index) addTotals(rows []Row) []Row {
+	totalCols := columnsWith(ix.def, isTotals)
 	if len(totalCols) == 0 {
 		return rows
 	}
 	grand := make(map[int]float64, len(totalCols))
-	var open []int // indices of category rows currently covering entries
-	for i := range rows {
-		r := &rows[i]
+	for _, r := range rows {
 		if r.Entry == nil {
-			for len(open) > 0 && rows[open[len(open)-1]].Indent >= r.Indent {
-				open = open[:len(open)-1]
-			}
-			r.Totals = make(map[int]float64, len(totalCols))
-			open = append(open, i)
 			continue
 		}
 		for _, c := range totalCols {
-			v := 0.0
-			if c < len(r.Entry.Values) && r.Entry.Values[c].Type == nsf.TypeNumber {
-				for _, n := range r.Entry.Values[c].Numbers {
-					v += n
-				}
-			}
-			for _, oi := range open {
-				rows[oi].Totals[c] += v
-			}
-			grand[c] += v
+			grand[c] += r.Entry.total(c)
 		}
 	}
 	return append(rows, Row{GrandTotal: true, Totals: grand})
@@ -341,11 +385,17 @@ func (ix *Index) addTotals(rows []Row) []Row {
 // responseRows renders the response hierarchy: main documents in collation
 // order, each followed by its (visible) responses, recursively indented.
 // Responses whose parent is absent or hidden surface at the top level, so a
-// restricted parent never hides an unrestricted reply entirely.
-func (ix *Index) responseRows(allow func(*Entry) bool) []Row {
+// restricted parent never hides an unrestricted reply entirely. The walk
+// checks ctx every rowsCtxStride entries.
+func (ix *Index) responseRows(ctx context.Context, allow func(*Entry) bool) ([]Row, error) {
 	visible := make(map[nsf.UNID]bool, len(ix.entries))
 	children := make(map[nsf.UNID][]*Entry)
-	for _, e := range ix.entries {
+	for i, e := range ix.entries {
+		if i%rowsCtxStride == rowsCtxStride-1 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 		if allow != nil && !allow(e) {
 			continue
 		}
@@ -385,5 +435,5 @@ func (ix *Index) responseRows(allow func(*Entry) bool) []Row {
 			emit(e, 0)
 		}
 	}
-	return rows
+	return rows, nil
 }

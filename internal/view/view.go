@@ -66,9 +66,9 @@ type Entry struct {
 	NoteID nsf.NoteID
 	// Values holds one value per column.
 	Values []nsf.Value
-	// Readers carries the note's reader restriction for read-time ACL
-	// filtering (nil when the note is unrestricted).
-	Readers []string
+	// Access is the note's acl.ReadAccess list, for read-time filtering
+	// without loading the note (nil when the note is unrestricted).
+	Access []string
 	// Parent is the UNID from the note's $Ref item, if any; it drives
 	// response-hierarchy rendering.
 	Parent nsf.UNID
@@ -81,6 +81,26 @@ func (e *Entry) ColumnText(i int) string {
 		return ""
 	}
 	return e.Values[i].String()
+}
+
+// restrictedCount is 1 for an entry with an access list, else 0.
+func (e *Entry) restrictedCount() int {
+	if len(e.Access) > 0 {
+		return 1
+	}
+	return 0
+}
+
+// total returns the entry's contribution to a Totals column: the sum of
+// column i's numbers.
+func (e *Entry) total(i int) float64 {
+	v := 0.0
+	if i < len(e.Values) && e.Values[i].Type == nsf.TypeNumber {
+		for _, n := range e.Values[i].Numbers {
+			v += n
+		}
+	}
+	return v
 }
 
 // parentOf extracts the parent UNID from a note's $Ref item.

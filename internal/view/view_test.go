@@ -250,8 +250,8 @@ func TestReadersCarriedOnEntries(t *testing.T) {
 	n.SetWithFlags("DocReaders", nsf.TextValue("alice"), nsf.FlagReaders)
 	ix.Update(n, nil)
 	e := ix.Entries()[0]
-	if !reflect.DeepEqual(e.Readers, []string{"alice"}) {
-		t.Errorf("Readers = %v", e.Readers)
+	if !reflect.DeepEqual(e.Access, []string{"alice"}) {
+		t.Errorf("Access = %v", e.Access)
 	}
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"cmp"
 	"errors"
 	"fmt"
@@ -177,9 +178,11 @@ type Client struct {
 	// ops the table marks PreAuth are answered.
 	preAuth bool
 
-	// conn is the live session (nil: the next attempt dials) and addr the
+	// conn is the live session (nil: the next attempt dials), rd the one
+	// reader of its responses, made and dropped with it, and addr the
 	// address holding the turn: where conn was dialed, or tried to be.
 	conn   net.Conn
+	rd     *bufio.Reader
 	addr   string
 	closed bool
 	// dbs are the live remote handles to re-open on every new session.
@@ -229,7 +232,7 @@ func (c *Client) Close() error {
 		return nil
 	}
 	err := c.conn.Close()
-	c.conn = nil
+	c.conn, c.rd = nil, nil
 	return err
 }
 
@@ -262,7 +265,7 @@ func (c *Client) budgetLeftLocked() (time.Duration, bool) {
 func (c *Client) breakLocked() {
 	if c.conn != nil {
 		c.conn.Close()
-		c.conn = nil
+		c.conn, c.rd = nil, nil
 	}
 }
 
@@ -345,7 +348,7 @@ func (c *Client) dialLocked(addr string) error {
 	if err != nil {
 		return fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
-	c.conn = conn
+	c.conn, c.rd = conn, bufio.NewReader(conn)
 	c.liveConn.Store(&conn)
 	if c.preAuth {
 		return nil
@@ -446,15 +449,10 @@ func (c *Client) doLocked(req *Enc) (*Dec, error) {
 	}
 	c.conn.SetDeadline(connDL)
 	var payload []byte
-	var err error
-	if budgetMs > 0 {
-		err = WriteBudgetFrame(c.conn, budgetMs, req.Bytes())
-	} else {
-		err = WriteFrame(c.conn, req.Bytes())
-	}
+	err := writeFrame(c.conn, budgetMs, req.Bytes())
 	if err != nil {
 		err = fmt.Errorf("wire: send: %w", err)
-	} else if payload, err = ReadFrame(c.conn); err != nil {
+	} else if payload, err = ReadFrame(c.rd); err != nil {
 		err = fmt.Errorf("wire: receive: %w", err)
 	}
 	if err != nil {

@@ -386,7 +386,7 @@ func TestLocalExpiryOpensBreaker(t *testing.T) {
 	}
 }
 
-// TestBudgetFrameRoundTrip pins the envelope encoding: WriteBudgetFrame
+// TestBudgetFrameRoundTrip pins the envelope encoding: a budgeted frame
 // prepends exactly [OpBudget][u32 ms] and SplitBudget strips it, passing
 // unbudgeted payloads through untouched.
 func TestBudgetFrameRoundTrip(t *testing.T) {
@@ -394,7 +394,7 @@ func TestBudgetFrameRoundTrip(t *testing.T) {
 	left, right := net.Pipe()
 	defer left.Close()
 	defer right.Close()
-	go WriteBudgetFrame(left, 1234, inner)
+	go writeFrame(left, 1234, inner)
 	payload, err := ReadFrame(right)
 	if err != nil {
 		t.Fatal(err)

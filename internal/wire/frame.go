@@ -9,26 +9,51 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // MaxFrame bounds a single protocol frame (64 MiB).
 const MaxFrame = 64 << 20
 
-// WriteFrame writes one length-prefixed frame.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(payload))
+// framePool recycles the buffers frames are assembled in, so a frame
+// leaves in one Write without an allocation per frame.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// budgetEnvelope is the size of the OpBudget envelope: [OpBudget][u32 ms].
+const budgetEnvelope = 5
+
+// WriteFrame writes one length-prefixed frame in a single Write.
+func WriteFrame(w io.Writer, payload []byte) error { return writeFrame(w, 0, payload) }
+
+// writeFrame writes one length-prefixed frame in a single Write: the length,
+// then — when budgetMs > 0 — the OpBudget envelope [OpBudget][u32
+// budget-ms], then payload. The envelope is part of the header, so the
+// inner request encoder is not copied or modified.
+func writeFrame(w io.Writer, budgetMs uint32, payload []byte) error {
+	n := len(payload)
+	if budgetMs > 0 {
+		n += budgetEnvelope
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	if n > MaxFrame {
+		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	_, err := w.Write(payload)
+	bp := framePool.Get().(*[]byte)
+	buf := binary.LittleEndian.AppendUint32((*bp)[:0], uint32(n))
+	if budgetMs > 0 {
+		buf = binary.LittleEndian.AppendUint32(append(buf, byte(OpBudget)), budgetMs)
+	}
+	buf = append(buf, payload...)
+	_, err := w.Write(buf)
+	if cap(buf) <= maxPooledEnc {
+		*bp = buf
+	}
+	framePool.Put(bp)
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame.
+// ReadFrame reads one length-prefixed frame. A connection reads through one
+// bufio.Reader that lives and dies with it, so a frame costs one read
+// syscall when it fits the buffer.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -45,26 +70,6 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	return buf, nil
 }
 
-// WriteBudgetFrame writes payload wrapped in an OpBudget envelope: one
-// frame whose body is [OpBudget][u32 budget-ms][payload]. The envelope is
-// prepended in the frame header write, so the inner request encoder is
-// not copied or modified.
-func WriteBudgetFrame(w io.Writer, budgetMs uint32, payload []byte) error {
-	total := len(payload) + 5
-	if total > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", total)
-	}
-	var hdr [9]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(total))
-	hdr[4] = byte(OpBudget)
-	binary.LittleEndian.PutUint32(hdr[5:9], budgetMs)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
 // SplitBudget strips an OpBudget envelope from a request payload,
 // returning the carried budget (milliseconds) and the inner request.
 // Payloads that do not start with OpBudget pass through with budget 0.
@@ -72,10 +77,10 @@ func SplitBudget(payload []byte) (budgetMs uint32, inner []byte, err error) {
 	if len(payload) == 0 || Op(payload[0]) != OpBudget {
 		return 0, payload, nil
 	}
-	if len(payload) < 6 {
+	if len(payload) < budgetEnvelope+1 {
 		return 0, nil, fmt.Errorf("wire: short budget envelope (%d bytes)", len(payload))
 	}
-	return binary.LittleEndian.Uint32(payload[1:5]), payload[5:], nil
+	return binary.LittleEndian.Uint32(payload[1:budgetEnvelope]), payload[budgetEnvelope:], nil
 }
 
 // respBit marks response frames.
