@@ -24,8 +24,9 @@ race:
 # history forks), the replication change cursor (never skipping a commit
 # racing the scan, nor a note on a second mate pulled under the same peer
 # name), the snapshot-scan/reader-writer latching tests, the
-# group-commit races (64 committers vs checkpoint/compact/hot-backup and
-# crash-durability of acked batches), the server shutdown races (Close
+# group-commit races (64 committers vs checkpoint/compact/hot-backup,
+# crash-durability of acked batches, and a failed WAL fsync under
+# concurrent committers), the server shutdown races (Close
 # vs in-flight dispatch vs cluster pushers, failover clients losing a mate
 # mid-session), and the wire client — one lock now guards the whole of it —
 # re-sending across mates, racing and cancelling a hedge, and abandoning a
@@ -35,7 +36,7 @@ race:
 # writer and the other consumers.
 stress:
 	$(GO) test -race -count=2 \
-		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestSummariesCursorNeverSkips|TestPullAcrossMatesNeverSkips|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites|TestClientResendsIffIdempotent|TestFailoverResendsIffIdempotent|TestLoneMateIsABareClient|TestOnlyHedgeableOpsHedge|TestHedgedReadWinsOverSlowMate|TestBudgetAbandonThenRecover|TestLocalExpiryOpensBreaker|TestSessionExpiryIsUnambiguous|TestFailoverStalledFirstMate|TestBreakerCountsSpentTurns|TestFeedOverflowCatchesUpFromStore|TestOverflowCatchUpEqualsRebuild|TestPanickingOnChangeSubscriberIsIsolated' \
+		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestSummariesCursorNeverSkips|TestPullAcrossMatesNeverSkips|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitWALSyncEIO|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites|TestClientResendsIffIdempotent|TestFailoverResendsIffIdempotent|TestLoneMateIsABareClient|TestOnlyHedgeableOpsHedge|TestHedgedReadWinsOverSlowMate|TestBudgetAbandonThenRecover|TestLocalExpiryOpensBreaker|TestSessionExpiryIsUnambiguous|TestFailoverStalledFirstMate|TestBreakerCountsSpentTurns|TestFeedOverflowCatchesUpFromStore|TestOverflowCatchUpEqualsRebuild|TestPanickingOnChangeSubscriberIsIsolated' \
 		./internal/core ./internal/repl ./internal/store ./internal/server ./internal/place ./internal/dir ./internal/wire
 
 # Short native-fuzz smoke over the parsers that guard trust boundaries: the
@@ -45,10 +46,11 @@ stress:
 # records (resolve answers and wrong-mate redirects the routing policy
 # learns from), the formula compiler (mesh link selection formulas arrive
 # over the admin wire ops and from topology files), the incremental-image
-# reader (backup images on disk carry a digest anyone can recompute), and
+# reader (backup images on disk carry a digest anyone can recompute),
 # the full-text sidecar reader (it parses what it finds on disk at every
-# EnableFullText). Each target also keeps its corpus as seed tests under
-# plain `go test`.
+# EnableFullText), and WAL replay (crash recovery writes logged page images
+# back into the page file). Each target also keeps its corpus as seed tests
+# under plain `go test`.
 fuzz:
 	$(GO) test ./internal/nsf -run '^$$' -fuzz FuzzDecodeNote -fuzztime 15s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzReadFrame -fuzztime 15s
@@ -57,6 +59,7 @@ fuzz:
 	$(GO) test ./internal/formula -run '^$$' -fuzz FuzzCompile -fuzztime 15s
 	$(GO) test ./internal/backup -run '^$$' -fuzz FuzzReadIncremental -fuzztime 15s
 	$(GO) test ./internal/ft -run '^$$' -fuzz FuzzReadIndex -fuzztime 15s
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzReplayWAL -fuzztime 15s
 
 # bench/ is a module of its own (it replaces repro with ../), so the root
 # `go test ./...` never compiles it: this is what makes a signature change

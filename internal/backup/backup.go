@@ -36,6 +36,7 @@ import (
 
 	"repro/internal/nsf"
 	"repro/internal/store"
+	"repro/internal/vfs"
 )
 
 // Image kinds.
@@ -184,36 +185,21 @@ func imageName(seq uint32, kind uint32) string {
 	return fmt.Sprintf("img-%04d-%s%s", seq, k, imageExt)
 }
 
-// testCrashPoint, when set by tests, aborts image/restore writing at a
-// named point, simulating a process kill at exactly the state a crash
-// would leave on disk: temp files are left behind (not cleaned up) and
-// nothing is renamed into place.
-var testCrashPoint func(point string) error
-
-func crashPoint(point string) error {
-	if testCrashPoint != nil {
-		return testCrashPoint(point)
-	}
-	return nil
-}
-
-// writeImage publishes an image through store.Publish: header placeholder
-// and body, then the header with final values, then the SHA-256 trailer.
-// body streams the image body and may update the header (sizes and cursors
-// become known only after the copy). Any failure, like a kill, leaves the
-// temp file behind for OpenSet to ignore.
-func writeImage(dir string, h *Header, body func(w io.Writer) error) (ImageInfo, error) {
+// writeImage publishes an image on fsys through store.Publish: header
+// placeholder and body, then the header with final values, then the
+// SHA-256 trailer. body streams the image body and may update the header
+// (sizes and cursors become known only after the copy). Any failure, like
+// a kill, leaves the temp file behind for OpenSet to ignore.
+func writeImage(fsys vfs.FS, dir string, h *Header, body func(w io.Writer) error) (ImageInfo, error) {
 	final := filepath.Join(dir, imageName(h.Seq, h.Kind))
 	var digest [digestSize]byte
 	var n int64
-	err := store.Publish(final, func(f *os.File) error {
-		if _, err := f.Write(make([]byte, imageHdrSize)); err != nil {
+	err := store.Publish(fsys, final, func(f vfs.File) error {
+		w := io.NewOffsetWriter(f, 0)
+		if _, err := w.Write(make([]byte, imageHdrSize)); err != nil {
 			return fmt.Errorf("backup: write image: %w", err)
 		}
-		if err := body(f); err != nil {
-			return err
-		}
-		if err := crashPoint("image-body"); err != nil {
+		if err := body(w); err != nil {
 			return err
 		}
 		// Final header now that the body pinned the sizes and cursors.
@@ -223,19 +209,16 @@ func writeImage(dir string, h *Header, body func(w io.Writer) error) (ImageInfo,
 		// Digest pass: hash the whole file (header + body) and append the
 		// trailer. Rereading keeps the digest definitionally "over the bytes
 		// a reader will see".
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return err
-		}
+		n, _ = w.Seek(0, io.SeekCurrent)
 		hash := sha256.New()
-		var err error
-		if n, err = io.Copy(hash, f); err != nil {
+		if _, err := io.Copy(hash, io.NewSectionReader(f, 0, n)); err != nil {
 			return fmt.Errorf("backup: digest image: %w", err)
 		}
 		hash.Sum(digest[:0])
-		if _, err := f.Write(digest[:]); err != nil {
+		if _, err := w.Write(digest[:]); err != nil {
 			return fmt.Errorf("backup: write image digest: %w", err)
 		}
-		return crashPoint("image-rename")
+		return nil
 	})
 	if err != nil {
 		return ImageInfo{}, err
@@ -389,7 +372,7 @@ func checkLink(full, prev, img *ImageInfo) error {
 // directory if needed. Writes continue during the copy; only checkpoints
 // are suspended. The returned info records the image's USN and cursor.
 func Full(st *store.Store, dir string, now nsf.Timestamp) (ImageInfo, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := st.FS().MkdirAll(dir, 0o755); err != nil {
 		return ImageInfo{}, fmt.Errorf("backup: set dir: %w", err)
 	}
 	set, err := OpenSet(dir)
@@ -400,7 +383,7 @@ func Full(st *store.Store, dir string, now nsf.Timestamp) (ImageInfo, error) {
 	if lastImg := set.last(); lastImg != nil {
 		h.Seq = lastImg.Seq + 1
 	}
-	info, err := writeImage(dir, &h, func(w io.Writer) error {
+	info, err := writeImage(st.FS(), dir, &h, func(w io.Writer) error {
 		// Stream the page file, then the WAL tail, back to back. The split
 		// point (and so the final header) is only known after the copy, so
 		// the body pins it into the header via the closure.
@@ -452,7 +435,7 @@ func Incremental(st *store.Store, dir string, now nsf.Timestamp) (ImageInfo, err
 		Parent:      parent.Digest,
 		Notes:       uint32(len(notes)),
 	}
-	return writeImage(dir, &h, func(w io.Writer) error {
+	return writeImage(st.FS(), dir, &h, func(w io.Writer) error {
 		var frame [8]byte
 		for _, enc := range notes {
 			binary.LittleEndian.PutUint32(frame[:4], uint32(len(enc)))

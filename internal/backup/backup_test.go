@@ -10,8 +10,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/faultfs"
 	"repro/internal/nsf"
 	"repro/internal/store"
+	"repro/internal/vfs"
 )
 
 // noteState is the identity-and-content fingerprint the round-trip
@@ -213,7 +215,7 @@ func TestRoundTripProperty(t *testing.T) {
 	for _, target := range []uint64{14, 20, 24, 28, 32, 37, 40} {
 		t.Run(fmt.Sprintf("usn=%d", target), func(t *testing.T) {
 			targetPath := filepath.Join(t.TempDir(), "restored.nsf")
-			info, err := Restore(setDir, targetPath, RestoreOptions{TargetUSN: target, ArchiveDir: arcDir})
+			info, err := Restore(setDir, targetPath, RestoreOptions{TargetUSN: target, ArchiveDir: arcDir}, nil)
 			if err != nil {
 				t.Fatalf("Restore to USN %d: %v", target, err)
 			}
@@ -227,7 +229,7 @@ func TestRoundTripProperty(t *testing.T) {
 	// Restore with no target: everything the set and archive hold.
 	t.Run("latest", func(t *testing.T) {
 		targetPath := filepath.Join(t.TempDir(), "restored.nsf")
-		info, err := Restore(setDir, targetPath, RestoreOptions{ArchiveDir: arcDir})
+		info, err := Restore(setDir, targetPath, RestoreOptions{ArchiveDir: arcDir}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +243,7 @@ func TestRoundTripProperty(t *testing.T) {
 	// the target.
 	t.Run("images-only", func(t *testing.T) {
 		targetPath := filepath.Join(t.TempDir(), "restored.nsf")
-		info, err := Restore(setDir, targetPath, RestoreOptions{})
+		info, err := Restore(setDir, targetPath, RestoreOptions{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +257,7 @@ func TestRoundTripProperty(t *testing.T) {
 	// short-stop.
 	t.Run("unreachable", func(t *testing.T) {
 		targetPath := filepath.Join(t.TempDir(), "restored.nsf")
-		_, err := Restore(setDir, targetPath, RestoreOptions{TargetUSN: 28})
+		_, err := Restore(setDir, targetPath, RestoreOptions{TargetUSN: 28}, nil)
 		if err == nil {
 			t.Fatal("restore to USN 28 without the archive should fail (images stop at 24)")
 		}
@@ -320,7 +322,7 @@ func TestHotBackupUnderConcurrentWrites(t *testing.T) {
 	}
 
 	targetPath := filepath.Join(dir, "restored.nsf")
-	info, err := Restore(setDir, targetPath, RestoreOptions{})
+	info, err := Restore(setDir, targetPath, RestoreOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,123 +335,150 @@ func TestHotBackupUnderConcurrentWrites(t *testing.T) {
 	writeOne(-1)
 }
 
-// TestBackupCrashMidImage simulates a process kill at both crash points of
-// image writing (half-written temp file; complete temp file not yet
-// renamed). In every state the set stays verifiable and restorable, the
-// next backup succeeds, and the live store is unharmed.
-func TestBackupCrashMidImage(t *testing.T) {
-	for _, point := range []string{"image-body", "image-rename"} {
-		t.Run(point, func(t *testing.T) {
-			dir := t.TempDir()
-			st, err := store.Open(filepath.Join(dir, "src.nsf"), store.Options{CheckpointEvery: -1})
-			if err != nil {
-				t.Fatal(err)
+// killAt makes fs die at the n-th operation match accepts: every handle is
+// killed, and that operation and every later one fail, as nothing runs in a
+// dead process. fired reports whether it happened; fs.Inject(nil) restarts.
+func killAt(fs *faultfs.FS, n int, match func(faultfs.Op) bool) (fired func() bool) {
+	var mu sync.Mutex
+	seen, dead := 0, false
+	fs.Inject(func(op faultfs.Op) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if !dead && match(op) {
+			if seen++; seen == n {
+				dead = true
+				fs.Kill()
 			}
-			defer st.Close()
-			ts := nsf.Timestamp(0)
-			for i := 0; i < 10; i++ {
-				ts++
-				if err := st.Put(testDoc(i, ts)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			setDir := filepath.Join(dir, "bak")
-			if _, err := Full(st, setDir, ts); err != nil {
-				t.Fatal(err)
-			}
-
-			// Kill the next (incremental) backup at the crash point.
-			crashed := errors.New("simulated kill")
-			testCrashPoint = func(p string) error {
-				if p == point {
-					return crashed
-				}
-				return nil
-			}
-			defer func() { testCrashPoint = nil }()
-			ts++
-			if err := st.Put(testDoc(100, ts)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Incremental(st, setDir, ts); !errors.Is(err, crashed) {
-				t.Fatalf("crash point did not fire: %v", err)
-			}
-			// The kill left a temp file behind — prove it, then prove
-			// everything ignores it.
-			tmps, _ := filepath.Glob(filepath.Join(setDir, "*.tmp"))
-			if len(tmps) != 1 {
-				t.Fatalf("expected 1 leftover temp file, found %v", tmps)
-			}
-			testCrashPoint = nil
-
-			set, err := OpenSet(setDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(set.Images) != 1 {
-				t.Fatalf("set shows %d images, want the 1 published full", len(set.Images))
-			}
-			r, err := VerifySet(setDir, "")
-			if err != nil || !r.OK() {
-				t.Fatalf("set not verifiable after mid-backup kill: err=%v problems=%v", err, r.Problems)
-			}
-			// The interrupted backup reruns cleanly over the leftover.
-			img, err := Incremental(st, setDir, ts)
-			if err != nil {
-				t.Fatalf("backup rerun after kill: %v", err)
-			}
-			if img.EndUSN != 11 {
-				t.Fatalf("rerun image USN %d, want 11", img.EndUSN)
-			}
-			// And the set restores.
-			targetPath := filepath.Join(dir, "restored.nsf")
-			info, err := Restore(setDir, targetPath, RestoreOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if info.ReachedUSN != 11 {
-				t.Fatalf("restore reached %d, want 11", info.ReachedUSN)
-			}
-			// Live store unharmed.
-			ts++
-			if err := st.Put(testDoc(200, ts)); err != nil {
-				t.Fatalf("live store broken after mid-backup kill: %v", err)
-			}
-		})
+		}
+		if dead {
+			return faultfs.ErrKilled
+		}
+		return nil
+	})
+	return func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return dead
 	}
 }
 
-// TestRestoreCrashMidPublish simulates a kill just before the restored
-// files are renamed into place: the target must be untouched, and a rerun
-// (over the leftover staging directory) must succeed.
+// TestBackupCrashMidImage kills the process at every operation on an
+// incremental image's temp file in turn, from its create to its rename. In
+// every state the set stays verifiable and restorable, the restarted store
+// holds every acked write, and the next backup succeeds.
+func TestBackupCrashMidImage(t *testing.T) {
+	for n, whole := 1, false; !whole; n++ {
+		t.Run(fmt.Sprintf("op=%d", n), func(t *testing.T) { whole = backupKilledAt(t, n) })
+	}
+}
+
+// backupKilledAt runs TestBackupCrashMidImage's kill at the n-th temp-file
+// operation. It reports whether the image was written whole, n being past
+// the temp file's last operation.
+func backupKilledAt(t *testing.T, n int) (whole bool) {
+	dir := t.TempDir()
+	fs := faultfs.New(int64(n))
+	srcPath := filepath.Join(dir, "src.nsf")
+	st, err := store.Open(srcPath, store.Options{CheckpointEvery: -1, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := nsf.Timestamp(0)
+	for i := 0; i < 10; i++ {
+		ts++
+		if err := st.Put(testDoc(i, ts)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setDir := filepath.Join(dir, "bak")
+	if _, err := Full(st, setDir, ts); err != nil {
+		t.Fatal(err)
+	}
+	ts++
+	if err := st.Put(testDoc(100, ts)); err != nil {
+		t.Fatal(err)
+	}
+	fired := killAt(fs, n, func(op faultfs.Op) bool { return strings.HasSuffix(op.Path, imageExt+".tmp") })
+	_, err = Incremental(st, setDir, ts)
+	st.Close()
+	if !fired() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n < 5 {
+			t.Fatalf("an image write took only %d operations on its temp file", n-1)
+		}
+		return true
+	}
+	if err == nil {
+		t.Fatal("backup succeeded through a kill")
+	}
+	fs.Inject(nil)
+	// The kill left at most one temp file, and everything ignores it.
+	if tmps, _ := filepath.Glob(filepath.Join(setDir, "*.tmp")); len(tmps) > 1 {
+		t.Fatalf("%d leftover temp files", len(tmps))
+	}
+	set, err := OpenSet(setDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(set.Images) != 1 {
+		t.Fatalf("set shows %d images, want the 1 published full", len(set.Images))
+	}
+	r, err := VerifySet(setDir, "")
+	if err != nil || !r.OK() {
+		t.Fatalf("set not verifiable after mid-backup kill: err=%v problems=%v", err, r.Problems)
+	}
+	// The restarted store kept every acked write, and its backup reruns
+	// cleanly over the leftover.
+	st, err = store.Open(srcPath, store.Options{CheckpointEvery: -1, FS: fs})
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer st.Close()
+	img, err := Incremental(st, setDir, ts)
+	if err != nil {
+		t.Fatalf("backup rerun after kill: %v", err)
+	}
+	if img.EndUSN != 11 {
+		t.Fatalf("rerun image USN %d, want 11", img.EndUSN)
+	}
+	info, err := Restore(setDir, filepath.Join(dir, "restored.nsf"), RestoreOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.ReachedUSN != 11 {
+		t.Fatalf("restore reached %d, want 11", info.ReachedUSN)
+	}
+	return false
+}
+
+// TestRestoreCrashMidPublish kills the process as the restored files are
+// renamed into place: the target must be untouched, the staging directory
+// left as a dead process leaves it, and a rerun over it must succeed.
 func TestRestoreCrashMidPublish(t *testing.T) {
 	lg, _, setDir, arcDir := buildSet(t)
 	targetPath := filepath.Join(t.TempDir(), "restored.nsf")
-
-	crashed := errors.New("simulated kill")
-	testCrashPoint = func(p string) error {
-		if p == "restore-publish" {
-			return crashed
-		}
-		return nil
+	fs := faultfs.New(1)
+	fired := killAt(fs, 1, func(op faultfs.Op) bool {
+		return op.Kind == faultfs.OpRename && strings.HasPrefix(op.Path, targetPath+".restore")
+	})
+	if _, err := Restore(setDir, targetPath, RestoreOptions{ArchiveDir: arcDir}, fs); err == nil || !fired() {
+		t.Fatalf("restore through a kill at its rename: fired %v, err %v", fired(), err)
 	}
-	if _, err := Restore(setDir, targetPath, RestoreOptions{ArchiveDir: arcDir}); !errors.Is(err, crashed) {
-		testCrashPoint = nil
-		t.Fatalf("crash point did not fire: %v", err)
-	}
-	testCrashPoint = nil
+	fs.Inject(nil)
 	if _, err := os.Stat(targetPath); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("killed restore touched the target path")
 	}
 	if _, err := os.Stat(targetPath + ".restore"); err != nil {
-		t.Fatalf("killed restore left no staging dir (unexpected): %v", err)
+		t.Fatalf("killed restore left no staging dir: %v", err)
 	}
 	// The set is still sound and a rerun restores over the leftovers.
 	r, err := VerifySet(setDir, arcDir)
 	if err != nil || !r.OK() {
 		t.Fatalf("set not verifiable after mid-restore kill: err=%v problems=%v", err, r.Problems)
 	}
-	info, err := Restore(setDir, targetPath, RestoreOptions{ArchiveDir: arcDir})
+	info, err := Restore(setDir, targetPath, RestoreOptions{ArchiveDir: arcDir}, fs)
 	if err != nil {
 		t.Fatalf("restore rerun after kill: %v", err)
 	}
@@ -495,11 +524,11 @@ func TestVerifyAndChainDamage(t *testing.T) {
 			t.Fatal("verify missed a flipped image byte")
 		}
 		// Restore through the damaged image must refuse.
-		if _, err := Restore(setDir, filepath.Join(t.TempDir(), "r.nsf"), RestoreOptions{}); !errors.Is(err, ErrCorruptImage) {
+		if _, err := Restore(setDir, filepath.Join(t.TempDir(), "r.nsf"), RestoreOptions{}, nil); !errors.Is(err, ErrCorruptImage) {
 			t.Fatalf("restore through damaged image: %v, want ErrCorruptImage", err)
 		}
 		// But restoring to a point before the damage still works.
-		if _, err := Restore(setDir, filepath.Join(t.TempDir(), "r.nsf"), RestoreOptions{TargetUSN: chain[0].EndUSN}); err != nil {
+		if _, err := Restore(setDir, filepath.Join(t.TempDir(), "r.nsf"), RestoreOptions{TargetUSN: chain[0].EndUSN}, nil); err != nil {
 			t.Fatalf("restore before damaged image: %v", err)
 		}
 	})
@@ -516,14 +545,14 @@ func TestVerifyAndChainDamage(t *testing.T) {
 		if r.OK() {
 			t.Fatal("verify missed a missing chain link")
 		}
-		if _, err := Restore(setDir, filepath.Join(t.TempDir(), "r.nsf"), RestoreOptions{}); !errors.Is(err, ErrBrokenChain) {
+		if _, err := Restore(setDir, filepath.Join(t.TempDir(), "r.nsf"), RestoreOptions{}, nil); !errors.Is(err, ErrBrokenChain) {
 			t.Fatalf("restore across missing link: %v, want ErrBrokenChain", err)
 		}
 	})
 
 	t.Run("missing-segment", func(t *testing.T) {
 		_, _, setDir, arcDir := buildSet(t)
-		segs, err := store.ListSegments(arcDir)
+		segs, err := store.ListSegments(vfs.OS, arcDir)
 		if err != nil || len(segs) < 2 {
 			t.Fatalf("need >= 2 segments, got %d (%v)", len(segs), err)
 		}
@@ -590,7 +619,7 @@ func TestIncrementalNeverChainsOntoAnotherCopy(t *testing.T) {
 				t.Fatalf("incremental of another copy wrote %+v, want a full image at seq 2", img.Header)
 			}
 			targetPath := filepath.Join(t.TempDir(), "restored.nsf")
-			if _, err := Restore(setDir, targetPath, RestoreOptions{}); err != nil {
+			if _, err := Restore(setDir, targetPath, RestoreOptions{}, nil); err != nil {
 				t.Fatal(err)
 			}
 			checkState(t, targetPath, o.st.LastUSN(), map[nsf.UNID]noteState{
@@ -609,13 +638,13 @@ func TestIncrementalNeverChainsOntoAnotherCopy(t *testing.T) {
 		// notes and an empty manifest frame.
 		h := Header{Kind: KindIncremental, Seq: 2, Replica: nsf.NewReplicaID(), BaseUSN: full.EndUSN,
 			EndUSN: full.EndUSN, Incarnation: full.Incarnation, Parent: full.Digest}
-		if _, err := writeImage(setDir, &h, func(w io.Writer) error {
+		if _, err := writeImage(vfs.OS, setDir, &h, func(w io.Writer) error {
 			_, err := w.Write(make([]byte, 8))
 			return err
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Restore(setDir, filepath.Join(t.TempDir(), "r.nsf"), RestoreOptions{}); !errors.Is(err, ErrBrokenChain) {
+		if _, err := Restore(setDir, filepath.Join(t.TempDir(), "r.nsf"), RestoreOptions{}, nil); !errors.Is(err, ErrBrokenChain) {
 			t.Fatalf("restore across a foreign link: %v, want ErrBrokenChain", err)
 		}
 		if r, err := VerifySet(setDir, ""); err != nil || r.OK() {

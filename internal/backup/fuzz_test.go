@@ -79,7 +79,7 @@ func TestCraftedManifestCountRejected(t *testing.T) {
 	if err != nil || r.OK() {
 		t.Fatalf("verify passed a crafted manifest count: err=%v problems=%v", err, r.Problems)
 	}
-	if _, err := Restore(setDir, filepath.Join(t.TempDir(), "r.nsf"), RestoreOptions{}); !errors.Is(err, ErrCorruptImage) {
+	if _, err := Restore(setDir, filepath.Join(t.TempDir(), "r.nsf"), RestoreOptions{}, nil); !errors.Is(err, ErrCorruptImage) {
 		t.Fatalf("restore through crafted image: %v, want ErrCorruptImage", err)
 	}
 	info, err := readImageInfo(img.Path)

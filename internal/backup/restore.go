@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/nsf"
 	"repro/internal/store"
+	"repro/internal/vfs"
 )
 
 // RestoreOptions configure a restore.
@@ -46,9 +47,14 @@ type RestoreInfo struct {
 // renamed into place only after the restored store has been closed cleanly,
 // so a crash mid-restore leaves the target path untouched (at worst a
 // stale staging directory a rerun removes). Restore refuses to overwrite
-// an existing database.
-func Restore(setDir, targetPath string, opts RestoreOptions) (RestoreInfo, error) {
+// an existing database. The staging, the restored store and the final
+// rename all go through fsys (nil means vfs.OS), the filesystem the
+// caller will open the result on.
+func Restore(setDir, targetPath string, opts RestoreOptions, fsys vfs.FS) (RestoreInfo, error) {
 	var info RestoreInfo
+	if fsys == nil {
+		fsys = vfs.OS
+	}
 	if _, err := os.Stat(targetPath); err == nil {
 		return info, fmt.Errorf("backup: restore target %s already exists", targetPath)
 	} else if !errors.Is(err, os.ErrNotExist) {
@@ -70,28 +76,23 @@ func Restore(setDir, targetPath string, opts RestoreOptions) (RestoreInfo, error
 
 	stageDir := targetPath + ".restore"
 	// A stale staging directory from an interrupted restore is discarded.
-	if err := os.RemoveAll(stageDir); err != nil {
+	if err := fsys.RemoveAll(stageDir); err != nil {
 		return info, err
 	}
-	if err := os.MkdirAll(stageDir, 0o755); err != nil {
+	if err := fsys.MkdirAll(stageDir, 0o755); err != nil {
 		return info, err
 	}
-	crashed := false
-	defer func() {
-		if !crashed { // a simulated kill leaves the staging dir, like a real one
-			os.RemoveAll(stageDir)
-		}
-	}()
+	defer fsys.RemoveAll(stageDir)
 	stagePath := filepath.Join(stageDir, filepath.Base(targetPath))
 
 	// Lay down the full image's two streams as the staged page file and
 	// WAL; opening the store then runs ordinary crash recovery over them,
 	// reproducing exactly the state at the image's EndUSN.
 	full := chain[0]
-	if err := extractFullImage(full, stagePath); err != nil {
+	if err := extractFullImage(fsys, full, stagePath); err != nil {
 		return info, err
 	}
-	st, err := store.Open(stagePath, store.Options{CheckpointEvery: -1})
+	st, err := store.Open(stagePath, store.Options{CheckpointEvery: -1, FS: fsys})
 	if err != nil {
 		return info, fmt.Errorf("backup: open restored image: %w", err)
 	}
@@ -172,14 +173,10 @@ func Restore(setDir, targetPath string, opts RestoreOptions) (RestoreInfo, error
 		return info, err
 	}
 	closed = true
-	if err := crashPoint("restore-publish"); err != nil {
-		crashed = true
-		return info, err
-	}
 	// The target did not exist, so a crash between Install's renames leaves
 	// a page file without its (empty, post-checkpoint) WAL — open recreates
 	// an empty WAL, which is equivalent.
-	return info, store.Install(stagePath, targetPath)
+	return info, store.Install(fsys, stagePath, targetPath)
 }
 
 func archiveClause(dir string) string {
@@ -190,8 +187,8 @@ func archiveClause(dir string) string {
 }
 
 // extractFullImage publishes a full image's page and WAL streams as
-// stagePath and stagePath+".wal".
-func extractFullImage(img ImageInfo, stagePath string) error {
+// stagePath and stagePath+".wal" on fsys.
+func extractFullImage(fsys vfs.FS, img ImageInfo, stagePath string) error {
 	if img.Kind != KindFull {
 		return fmt.Errorf("backup: %s is not a full image", img.Path)
 	}
@@ -205,8 +202,8 @@ func extractFullImage(img ImageInfo, stagePath string) error {
 		return fmt.Errorf("%w: %s: size %d, header implies %d", ErrCorruptImage, img.Path, img.Size, want)
 	}
 	copyOut := func(dst string, off, n int64) error {
-		err := store.Publish(dst, func(out *os.File) error {
-			_, err := io.Copy(out, io.NewSectionReader(f, off, n))
+		err := store.Publish(fsys, dst, func(out vfs.File) error {
+			_, err := io.Copy(io.NewOffsetWriter(out, 0), io.NewSectionReader(f, off, n))
 			return err
 		})
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/nsf"
 	"repro/internal/store"
+	"repro/internal/vfs"
 )
 
 // VerifyResult reports the outcome of an offline integrity pass over a
@@ -94,7 +95,7 @@ func VerifySet(setDir, archiveDir string) (*VerifyResult, error) {
 	}
 
 	if archiveDir != "" {
-		segs, err := store.ListSegments(archiveDir)
+		segs, err := store.ListSegments(vfs.OS, archiveDir)
 		if err != nil {
 			r.problemf("%v", err)
 			segs = nil
@@ -106,7 +107,7 @@ func VerifySet(setDir, archiveDir string) (*VerifyResult, error) {
 				r.problemf("%s: archive gap: segment starts at USN %d, previous ends at %d",
 					seg.Path, seg.FirstUSN, lastUSN)
 			}
-			n, err := store.VerifySegment(seg)
+			n, err := store.VerifySegment(vfs.OS, seg)
 			if err != nil {
 				r.problemf("%v", err)
 			}

@@ -48,7 +48,7 @@ func LastBackupUSN(setDir string) (uint64, nsf.Timestamp, error) {
 // opens it. The restored database's views, full-text index, and feed
 // cursor rebuild from the restored store on open.
 func Restore(setDir, targetPath string, ropts backup.RestoreOptions, opts Options) (*Database, backup.RestoreInfo, error) {
-	info, err := backup.Restore(setDir, targetPath, ropts)
+	info, err := backup.Restore(setDir, targetPath, ropts, opts.Store.FS)
 	if err != nil {
 		return nil, info, err
 	}

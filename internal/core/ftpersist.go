@@ -10,6 +10,7 @@ import (
 	"repro/internal/changefeed"
 	"repro/internal/ft"
 	"repro/internal/store"
+	"repro/internal/vfs"
 )
 
 // Full-text index persistence. Like Domino's .ft directories, the index is
@@ -69,11 +70,16 @@ func applyToFT(ix *ft.Index, e changefeed.Entry) {
 // restore) is refused, so the caller rebuilds: its index may hold versions
 // the restored copy never had.
 func (db *Database) loadFullText() (*ft.Index, uint64, error) {
-	f, err := os.Open(db.ftSidecarPath())
+	file, err := db.st.FS().OpenFile(db.ftSidecarPath(), os.O_RDONLY, 0)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer f.Close()
+	defer file.Close()
+	size, err := file.Size()
+	if err != nil {
+		return nil, 0, err
+	}
+	f := io.NewSectionReader(file, 0, size)
 	magic := make([]byte, len(ftSidecarMagic))
 	if _, err := io.ReadFull(f, magic); err != nil {
 		return nil, 0, err
@@ -112,11 +118,12 @@ func (db *Database) SaveFullText() error {
 	db.Refresh()
 	hdr := binary.LittleEndian.AppendUint64([]byte(ftSidecarMagic), db.st.Incarnation())
 	hdr = binary.LittleEndian.AppendUint64(hdr, db.ftCursor.Load())
-	return store.Publish(db.ftSidecarPath(), func(f *os.File) error {
-		if _, err := f.Write(hdr); err != nil {
+	return store.Publish(db.st.FS(), db.ftSidecarPath(), func(f vfs.File) error {
+		w := io.NewOffsetWriter(f, 0)
+		if _, err := w.Write(hdr); err != nil {
 			return err
 		}
-		_, err := ix.WriteTo(f)
+		_, err := ix.WriteTo(w)
 		return err
 	})
 }
@@ -124,7 +131,7 @@ func (db *Database) SaveFullText() error {
 // DropFullTextSidecar deletes the persisted snapshot (e.g. before a manual
 // full rebuild).
 func (db *Database) DropFullTextSidecar() error {
-	err := os.Remove(db.ftSidecarPath())
+	err := db.st.FS().Remove(db.ftSidecarPath())
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/backup"
 	"repro/internal/core"
+	"repro/internal/faultfs"
 	"repro/internal/nsf"
 	"repro/internal/store"
 )
@@ -127,18 +128,19 @@ func TestPullAcrossMatesNeverSkips(t *testing.T) {
 }
 
 // TestPullAfterSourceCrashNeverSkips pulls from a source whose last commits
-// were applied but never made durable, then crashes the source so they are
-// lost. Recovery hands their USNs out again, below the cursor the puller
-// already holds, so every note the recovered source writes must still
-// arrive.
+// were applied but never made durable, then cuts the source's power so
+// they are lost. Recovery hands their USNs out again, below the cursor the
+// puller already holds, so every note the recovered source writes must
+// still arrive.
 func TestPullAfterSourceCrashNeverSkips(t *testing.T) {
 	dir := t.TempDir()
 	srcPath := filepath.Join(dir, "src.nsf")
-	src, err := core.Open(srcPath, core.Options{})
+	fs := faultfs.New(1)
+	srcOpts := core.Options{Store: store.Options{FS: fs}}
+	src, err := core.Open(srcPath, srcOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer src.Close()
 	local, err := core.Open(filepath.Join(dir, "local.nsf"), core.Options{ReplicaID: src.ReplicaID()})
 	if err != nil {
 		t.Fatal(err)
@@ -150,37 +152,22 @@ func TestPullAfterSourceCrashNeverSkips(t *testing.T) {
 	if err := src.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	info, err := os.Stat(srcPath + ".wal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	durable := info.Size()
+	// Without SyncWAL these commits reach the OS but no disk.
 	for i := 0; i < 3; i++ {
 		createDoc(t, src, fmt.Sprintf("lost in the crash %d", i))
 	}
 	pullFrom(t, local, src)
-
-	// The crash image: the page file as the last checkpoint left it and the
-	// WAL cut back to its durable prefix, as an OS crash leaves an
-	// unsynced log.
-	crashPath := filepath.Join(dir, "crashed.nsf")
-	for _, sfx := range []string{"", ".wal"} {
-		raw, err := os.ReadFile(srcPath + sfx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sfx == ".wal" {
-			raw = raw[:durable]
-		}
-		if err := os.WriteFile(crashPath+sfx, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	crashed, err := core.Open(crashPath, core.Options{})
+	lastUSN := src.LastUSN()
+	fs.Crash()
+	src.Close()
+	crashed, err := core.Open(srcPath, srcOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer crashed.Close()
+	if got := crashed.LastUSN(); got >= lastUSN {
+		t.Fatalf("the crash kept every commit (USN %d of %d): nothing to test", got, lastUSN)
+	}
 	var post []*nsf.Note
 	for i := 0; i < 2; i++ {
 		post = append(post, createDoc(t, crashed, fmt.Sprintf("after recovery %d", i)))

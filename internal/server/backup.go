@@ -160,7 +160,7 @@ func (s *Server) RestoreDB(path, setDir string, ropts backup.RestoreOptions) (ba
 		return backup.RestoreInfo{}, fmt.Errorf("server: database %s is open; restore needs a fresh path", path)
 	}
 	full := filepath.Join(s.opts.DataDir, filepath.FromSlash(key))
-	info, err := backup.Restore(setDir, full, ropts)
+	info, err := backup.Restore(setDir, full, ropts, nil)
 	if err != nil {
 		return info, err
 	}

@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/vfs"
 )
 
 // Log archiving: instead of discarding the sealed WAL at every checkpoint,
@@ -62,10 +64,10 @@ func segName(seq uint32) string { return fmt.Sprintf("seg-%08d.walseg", seq) }
 // initArchive creates the archive directory and positions the segment
 // counter after the highest existing segment.
 func (s *Store) initArchive() error {
-	if err := os.MkdirAll(s.opts.ArchiveDir, 0o755); err != nil {
+	if err := s.opts.FS.MkdirAll(s.opts.ArchiveDir, 0o755); err != nil {
 		return fmt.Errorf("store: archive dir: %w", err)
 	}
-	segs, err := ListSegments(s.opts.ArchiveDir)
+	segs, err := ListSegments(s.opts.FS, s.opts.ArchiveDir)
 	if err != nil {
 		return err
 	}
@@ -90,6 +92,9 @@ func (s *Store) sealWALLocked() error {
 	var first, last uint64
 	records := uint32(0)
 	consumed, _, err := scanFrames(bytes.NewReader(raw), int64(len(raw)), func(rec walRecord) error {
+		if rec.Kind == walPages {
+			return nil // not history: see the copy below
+		}
 		if records == 0 {
 			first = rec.USN
 		}
@@ -112,11 +117,25 @@ func (s *Store) sealWALLocked() error {
 	binary.LittleEndian.PutUint32(hdr[28:], records)
 	binary.LittleEndian.PutUint32(hdr[32:], crc32.Checksum(hdr[8:32], crcTable))
 
-	err = Publish(filepath.Join(s.opts.ArchiveDir, segName(seq)), func(f *os.File) error {
-		if _, err := f.Write(hdr); err != nil {
+	err = Publish(s.opts.FS, filepath.Join(s.opts.ArchiveDir, segName(seq)), func(f vfs.File) error {
+		w := io.NewOffsetWriter(f, 0)
+		if _, err := w.Write(hdr); err != nil {
 			return err
 		}
-		_, err := f.Write(raw[:consumed])
+		// Copy the frames verbatim, leaving out any walPages frame (a
+		// failed checkpoint's, kept in the log for recovery).
+		start := int64(0)
+		for off := int64(0); off < consumed; {
+			next := off + 8 + int64(binary.LittleEndian.Uint32(raw[off:]))
+			if raw[off+8] == walPages {
+				if _, err := w.Write(raw[start:off]); err != nil {
+					return err
+				}
+				start = next
+			}
+			off = next
+		}
+		_, err := w.Write(raw[start:consumed])
 		return err
 	})
 	if err != nil {
@@ -149,8 +168,8 @@ func readSegmentHeader(path string, r io.Reader) (SegmentInfo, error) {
 
 // ListSegments returns the archive's segments in sequence order, skipping
 // temp files. Segments with unreadable headers are reported as errors.
-func ListSegments(dir string) ([]SegmentInfo, error) {
-	entries, err := os.ReadDir(dir)
+func ListSegments(fsys vfs.FS, dir string) ([]SegmentInfo, error) {
+	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil, nil
@@ -164,11 +183,11 @@ func ListSegments(dir string) ([]SegmentInfo, error) {
 			continue
 		}
 		path := filepath.Join(dir, name)
-		f, err := os.Open(path)
+		f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 		if err != nil {
 			return nil, err
 		}
-		info, herr := readSegmentHeader(path, f)
+		info, herr := readSegmentHeader(path, io.NewSectionReader(f, 0, segHeaderSize))
 		f.Close()
 		if herr != nil {
 			return nil, herr
@@ -183,23 +202,19 @@ func ListSegments(dir string) ([]SegmentInfo, error) {
 // frame CRC, and agreement between the header's record count / USN range
 // and the frames actually present. It returns the number of intact records
 // read (even on error, so callers can report how far verification got).
-func VerifySegment(seg SegmentInfo) (int, error) {
-	f, err := os.Open(seg.Path)
+func VerifySegment(fsys vfs.FS, seg SegmentInfo) (int, error) {
+	f, size, err := openSegment(fsys, seg.Path)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	hdr, err := readSegmentHeader(seg.Path, f)
+	hdr, err := readSegmentHeader(seg.Path, io.NewSectionReader(f, 0, segHeaderSize))
 	if err != nil {
 		return 0, err
 	}
 	var first, last uint64
 	records := 0
-	frameBytes := info.Size() - segHeaderSize
+	frameBytes := size - segHeaderSize
 	_, clean, err := scanFrames(io.NewSectionReader(f, segHeaderSize, frameBytes), frameBytes, func(rec walRecord) error {
 		if records == 0 {
 			first = rec.USN
@@ -221,17 +236,31 @@ func VerifySegment(seg SegmentInfo) (int, error) {
 	return records, nil
 }
 
+// openSegment opens an archived segment for reading and returns its size.
+func openSegment(fsys vfs.FS, path string) (vfs.File, int64, error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		return nil, 0, err
+	}
+	size, err := f.Size()
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, size, nil
+}
+
 // ScanArchive calls fn for every intact record in the archive whose USN
 // lies in (afterUSN, toUSN], in USN order. Duplicate records (from
 // crash-reseal overlap) are delivered once. A corrupt or torn frame stops
 // the scan at the last intact record and returns ErrCorruptSegment wrapped
 // with the segment path; a missing USN inside the requested range returns
 // ErrArchiveGap. It returns the highest USN delivered.
-func ScanArchive(dir string, afterUSN, toUSN uint64, fn func(rec walRecord) error) (uint64, error) {
+func ScanArchive(fsys vfs.FS, dir string, afterUSN, toUSN uint64, fn func(rec walRecord) error) (uint64, error) {
 	if toUSN == 0 {
 		toUSN = ^uint64(0)
 	}
-	segs, err := ListSegments(dir)
+	segs, err := ListSegments(fsys, dir)
 	if err != nil {
 		return 0, err
 	}
@@ -245,20 +274,15 @@ func ScanArchive(dir string, afterUSN, toUSN uint64, fn func(rec walRecord) erro
 			return applied, fmt.Errorf("%w: need USN %d, next segment %s starts at %d",
 				ErrArchiveGap, applied+1, seg.Path, seg.FirstUSN)
 		}
-		f, err := os.Open(seg.Path)
+		f, size, err := openSegment(fsys, seg.Path)
 		if err != nil {
 			return applied, err
 		}
-		info, err := f.Stat()
-		if err != nil {
+		if _, err := readSegmentHeader(seg.Path, io.NewSectionReader(f, 0, segHeaderSize)); err != nil {
 			f.Close()
 			return applied, err
 		}
-		if _, err := readSegmentHeader(seg.Path, f); err != nil {
-			f.Close()
-			return applied, err
-		}
-		frameBytes := info.Size() - segHeaderSize
+		frameBytes := size - segHeaderSize
 		_, clean, err := scanFrames(io.NewSectionReader(f, segHeaderSize, frameBytes), frameBytes, func(rec walRecord) error {
 			if rec.USN <= applied || rec.USN > toUSN {
 				if rec.USN > toUSN {
@@ -304,7 +328,7 @@ func (s *Store) ApplyArchive(dir string, toUSN uint64) (int, error) {
 		return 0, err
 	}
 	applied := 0
-	_, err := ScanArchive(dir, s.usn, toUSN, func(rec walRecord) error {
+	_, err := ScanArchive(s.opts.FS, dir, s.usn, toUSN, func(rec walRecord) error {
 		if err := s.wal.append(rec.Kind, rec.USN, rec.Payload, false); err != nil {
 			return err
 		}

@@ -1,16 +1,16 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/faultfs"
 	"repro/internal/nsf"
+	"repro/internal/vfs"
 )
 
 func newTestNote(i int, ts nsf.Timestamp) *nsf.Note {
@@ -22,12 +22,13 @@ func newTestNote(i int, ts nsf.Timestamp) *nsf.Note {
 	return n
 }
 
-// archivedStore opens a store with log archiving on and manual checkpoints.
-func archivedStore(t *testing.T) (*Store, string) {
+// archivedStore opens a store with log archiving on and manual checkpoints,
+// on fs when it is not nil.
+func archivedStore(t *testing.T, fs vfs.FS) (*Store, string) {
 	t.Helper()
 	dir := t.TempDir()
 	arc := filepath.Join(dir, "walog")
-	s, err := Open(filepath.Join(dir, "db.nsf"), Options{CheckpointEvery: -1, ArchiveDir: arc})
+	s, err := Open(filepath.Join(dir, "db.nsf"), Options{CheckpointEvery: -1, ArchiveDir: arc, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func archivedStore(t *testing.T) (*Store, string) {
 }
 
 func TestArchiveSealAndScan(t *testing.T) {
-	s, arc := archivedStore(t)
+	s, arc := archivedStore(t, nil)
 	defer s.Close()
 	var unids []nsf.UNID
 	ts := nsf.Timestamp(0)
@@ -63,7 +64,7 @@ func TestArchiveSealAndScan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	segs, err := ListSegments(arc)
+	segs, err := ListSegments(vfs.OS, arc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestArchiveSealAndScan(t *testing.T) {
 			segs[1].FirstUSN, segs[1].LastUSN, segs[1].Records)
 	}
 	for _, seg := range segs {
-		if n, err := VerifySegment(seg); err != nil {
+		if n, err := VerifySegment(vfs.OS, seg); err != nil {
 			t.Fatalf("VerifySegment(%s): %v", seg.Path, err)
 		} else if n != int(seg.Records) {
 			t.Fatalf("VerifySegment(%s) read %d records, header says %d", seg.Path, n, seg.Records)
@@ -88,7 +89,7 @@ func TestArchiveSealAndScan(t *testing.T) {
 
 	var got []uint64
 	deletes := 0
-	last, err := ScanArchive(arc, 0, 0, func(rec walRecord) error {
+	last, err := ScanArchive(vfs.OS, arc, 0, 0, func(rec walRecord) error {
 		got = append(got, rec.USN)
 		if rec.Kind == walDelete {
 			deletes++
@@ -108,7 +109,7 @@ func TestArchiveSealAndScan(t *testing.T) {
 	}
 	// Bounded scan delivers exactly (after, to].
 	got = got[:0]
-	last, err = ScanArchive(arc, 3, 12, func(rec walRecord) error {
+	last, err = ScanArchive(vfs.OS, arc, 3, 12, func(rec walRecord) error {
 		got = append(got, rec.USN)
 		return nil
 	})
@@ -121,7 +122,8 @@ func TestArchiveSealAndScan(t *testing.T) {
 // in the WAL at crash time still make it into the archive: recovery replays
 // them and seals them into a segment, so the archived history stays dense.
 func TestArchiveCrashSealsReplayedTail(t *testing.T) {
-	s, arc := archivedStore(t)
+	fs := faultfs.New(1)
+	s, arc := archivedStore(t, fs)
 	ts := nsf.Timestamp(0)
 	for i := 0; i < 7; i++ {
 		ts++
@@ -129,8 +131,10 @@ func TestArchiveCrashSealsReplayedTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Crash: no checkpoint, no close. The 7 operations exist only in the WAL.
-	s2, err := Open(s.path, Options{CheckpointEvery: -1, ArchiveDir: arc})
+	// Kill before any checkpoint: the 7 operations exist only in the WAL.
+	fs.Kill()
+	s.Close()
+	s2, err := Open(s.path, Options{CheckpointEvery: -1, ArchiveDir: arc, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +143,7 @@ func TestArchiveCrashSealsReplayedTail(t *testing.T) {
 		t.Fatalf("recovered USN = %d, want 7", got)
 	}
 	var usns []uint64
-	if _, err := ScanArchive(arc, 0, 0, func(rec walRecord) error {
+	if _, err := ScanArchive(vfs.OS, arc, 0, 0, func(rec walRecord) error {
 		usns = append(usns, rec.USN)
 		return nil
 	}); err != nil {
@@ -150,12 +154,12 @@ func TestArchiveCrashSealsReplayedTail(t *testing.T) {
 	}
 }
 
-// TestArchiveOverlapTolerated simulates the crash-between-seal-and-reset
-// state: the same records sealed twice under consecutive sequence numbers.
-// The reader must deliver each USN exactly once.
+// TestArchiveOverlapTolerated cuts the power between a checkpoint's seal
+// and its WAL reset, so recovery seals the same records again as the next
+// segment. The reader must deliver each USN exactly once.
 func TestArchiveOverlapTolerated(t *testing.T) {
-	s, arc := archivedStore(t)
-	defer s.Close()
+	fs := faultfs.New(1)
+	s, arc := archivedStore(t, fs)
 	ts := nsf.Timestamp(0)
 	for i := 0; i < 5; i++ {
 		ts++
@@ -163,23 +167,28 @@ func TestArchiveOverlapTolerated(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
+	fs.Inject(func(op faultfs.Op) error {
+		if op.Kind == faultfs.OpTruncate {
+			fs.Crash()
+			return faultfs.ErrKilled
+		}
+		return nil
+	})
+	if err := s.Checkpoint(); err == nil {
+		t.Fatal("checkpoint survived a power loss at its WAL reset")
 	}
-	// Duplicate segment 1 as segment 2 (patching seq and its CRC), exactly
-	// what a re-seal after a badly timed crash produces.
-	raw, err := os.ReadFile(filepath.Join(arc, segName(1)))
+	fs.Inject(nil)
+	s.Close()
+	s, err := Open(s.path, Options{CheckpointEvery: -1, ArchiveDir: arc, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dup := bytes.Clone(raw)
-	binary.LittleEndian.PutUint32(dup[8:], 2)
-	binary.LittleEndian.PutUint32(dup[32:], crc32.Checksum(dup[8:32], crcTable))
-	if err := os.WriteFile(filepath.Join(arc, segName(2)), dup, 0o644); err != nil {
-		t.Fatal(err)
+	defer s.Close()
+	if segs, err := ListSegments(vfs.OS, arc); err != nil || len(segs) != 2 {
+		t.Fatalf("archive holds %d segments (err %v), want the seal and its re-seal", len(segs), err)
 	}
 	var usns []uint64
-	last, err := ScanArchive(arc, 0, 0, func(rec walRecord) error {
+	last, err := ScanArchive(vfs.OS, arc, 0, 0, func(rec walRecord) error {
 		usns = append(usns, rec.USN)
 		return nil
 	})
@@ -192,7 +201,7 @@ func TestArchiveOverlapTolerated(t *testing.T) {
 }
 
 func TestArchiveGapDetected(t *testing.T) {
-	s, arc := archivedStore(t)
+	s, arc := archivedStore(t, nil)
 	defer s.Close()
 	ts := nsf.Timestamp(0)
 	for seg := 0; seg < 2; seg++ {
@@ -209,12 +218,12 @@ func TestArchiveGapDetected(t *testing.T) {
 	if err := os.Remove(filepath.Join(arc, segName(1))); err != nil {
 		t.Fatal(err)
 	}
-	_, err := ScanArchive(arc, 0, 0, func(walRecord) error { return nil })
+	_, err := ScanArchive(vfs.OS, arc, 0, 0, func(walRecord) error { return nil })
 	if !errors.Is(err, ErrArchiveGap) {
 		t.Fatalf("scan over missing segment: %v, want ErrArchiveGap", err)
 	}
 	// Scanning only the range the surviving segment covers still works.
-	last, err := ScanArchive(arc, 5, 0, func(walRecord) error { return nil })
+	last, err := ScanArchive(vfs.OS, arc, 5, 0, func(walRecord) error { return nil })
 	if err != nil || last != 10 {
 		t.Fatalf("partial scan: last=%d err=%v, want 10/nil", last, err)
 	}
@@ -226,7 +235,7 @@ func TestArchiveGapDetected(t *testing.T) {
 // ErrCorruptSegment, never resurrecting or panicking.
 func TestArchiveCorruptSegmentStops(t *testing.T) {
 	build := func(t *testing.T) (string, string) {
-		s, arc := archivedStore(t)
+		s, arc := archivedStore(t, nil)
 		defer s.Close()
 		ts := nsf.Timestamp(0)
 		for i := 0; i < 8; i++ {
@@ -252,7 +261,7 @@ func TestArchiveCorruptSegmentStops(t *testing.T) {
 			t.Fatal(err)
 		}
 		var usns []uint64
-		last, err := ScanArchive(arc, 0, 0, func(rec walRecord) error {
+		last, err := ScanArchive(vfs.OS, arc, 0, 0, func(rec walRecord) error {
 			usns = append(usns, rec.USN)
 			return nil
 		})
@@ -280,7 +289,7 @@ func TestArchiveCorruptSegmentStops(t *testing.T) {
 			t.Fatal(err)
 		}
 		var usns []uint64
-		last, err := ScanArchive(arc, 0, 0, func(rec walRecord) error {
+		last, err := ScanArchive(vfs.OS, arc, 0, 0, func(rec walRecord) error {
 			usns = append(usns, rec.USN)
 			return nil
 		})
@@ -290,7 +299,7 @@ func TestArchiveCorruptSegmentStops(t *testing.T) {
 		if last != 3 || len(usns) != 3 {
 			t.Fatalf("bit-flipped segment delivered %d records (last %d), want the 3 before the flip", len(usns), last)
 		}
-		if _, err := VerifySegment(SegmentInfo{Path: seg}); err == nil {
+		if _, err := VerifySegment(vfs.OS, SegmentInfo{Path: seg}); err == nil {
 			t.Fatal("VerifySegment accepted a bit-flipped segment")
 		}
 	})
@@ -299,7 +308,7 @@ func TestArchiveCorruptSegmentStops(t *testing.T) {
 // TestApplyArchivePITR rolls an empty store forward to several points in
 // time and checks each lands exactly on the modeled state.
 func TestApplyArchivePITR(t *testing.T) {
-	s, arc := archivedStore(t)
+	s, arc := archivedStore(t, nil)
 	type op struct {
 		put  bool
 		unid nsf.UNID
@@ -395,7 +404,8 @@ func TestApplyArchivePITR(t *testing.T) {
 func TestUSNPersistsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "usn.nsf")
-	s, err := Open(path, Options{CheckpointEvery: -1})
+	fs := faultfs.New(1)
+	s, err := Open(path, Options{CheckpointEvery: -1, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +423,7 @@ func TestUSNPersistsAcrossReopen(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s, err = Open(path, Options{CheckpointEvery: -1})
+	s, err = Open(path, Options{CheckpointEvery: -1, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,8 +434,10 @@ func TestUSNPersistsAcrossReopen(t *testing.T) {
 	if err := s.Put(newTestNote(100, ts)); err != nil {
 		t.Fatal(err)
 	}
-	// Crash (no close): WAL replay must restore USN 13.
-	s2, err := Open(path, Options{CheckpointEvery: -1})
+	// Kill: WAL replay must restore USN 13.
+	fs.Kill()
+	s.Close()
+	s2, err := Open(path, Options{CheckpointEvery: -1, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +456,9 @@ func TestUSNPersistsAcrossReopen(t *testing.T) {
 	}
 	// Compaction swapped in a file its own Close marked clean; the store
 	// still counts as open, so a crash now must also re-mint.
-	s3, err := Open(path, Options{CheckpointEvery: -1})
+	fs.Kill()
+	s2.Close()
+	s3, err := Open(path, Options{CheckpointEvery: -1, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}

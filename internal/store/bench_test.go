@@ -10,13 +10,14 @@ import (
 	"repro/internal/clock"
 
 	"repro/internal/nsf"
+	"repro/internal/vfs"
 )
 
 // F5: B+tree point and range operations vs a heap scan, across tree sizes.
 
 func benchTree(b *testing.B, n int) *btree {
 	b.Helper()
-	p, err := openPager(filepath.Join(b.TempDir(), "bench.nsf"), nsf.NewReplicaID(), "b", 0)
+	p, _, err := openPager(vfs.OS, filepath.Join(b.TempDir(), "bench.nsf"), nsf.NewReplicaID(), "b", 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func benchTree(b *testing.B, n int) *btree {
 }
 
 func BenchmarkF5BtreeInsert(b *testing.B) {
-	p, err := openPager(filepath.Join(b.TempDir(), "bench.nsf"), nsf.NewReplicaID(), "b", 0)
+	p, _, err := openPager(vfs.OS, filepath.Join(b.TempDir(), "bench.nsf"), nsf.NewReplicaID(), "b", 0)
 	if err != nil {
 		b.Fatal(err)
 	}

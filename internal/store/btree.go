@@ -69,7 +69,6 @@ func (t *btree) setRoot(id PageID) {
 	default:
 		t.pg.rootByUSN = id
 	}
-	t.pg.hdrDirty = true
 }
 
 // --- node accessors ---

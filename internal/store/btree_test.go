@@ -10,12 +10,13 @@ import (
 	"testing"
 
 	"repro/internal/nsf"
+	"repro/internal/vfs"
 )
 
 func testPager(t *testing.T) *pager {
 	t.Helper()
 	dir := t.TempDir()
-	p, err := openPager(filepath.Join(dir, "test.nsf"), nsf.NewReplicaID(), "t", 0)
+	p, _, err := openPager(vfs.OS, filepath.Join(dir, "test.nsf"), nsf.NewReplicaID(), "t", 0)
 	if err != nil {
 		t.Fatalf("openPager: %v", err)
 	}
@@ -253,7 +254,7 @@ func TestBtreeMonotonicChurn(t *testing.T) {
 func TestBtreePersistsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "test.nsf")
-	p, err := openPager(path, nsf.NewReplicaID(), "t", 0)
+	p, _, err := openPager(vfs.OS, path, nsf.NewReplicaID(), "t", 0)
 	if err != nil {
 		t.Fatalf("openPager: %v", err)
 	}
@@ -269,7 +270,7 @@ func TestBtreePersistsAcrossReopen(t *testing.T) {
 	if err := p.close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	p2, err := openPager(path, nsf.ReplicaID{}, "", 0)
+	p2, _, err := openPager(vfs.OS, path, nsf.ReplicaID{}, "", 0)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

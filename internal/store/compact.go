@@ -3,7 +3,8 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"os"
+
+	"repro/internal/vfs"
 )
 
 // Compact rewrites the database into a fresh file, dropping dead space
@@ -36,19 +37,20 @@ func (s *Store) Compact() (int, error) {
 
 	tmpPath := s.path + ".compact"
 	// A stale temp file from an interrupted compaction is discarded.
-	removeDB(tmpPath)
+	removeDB(s.opts.FS, tmpPath)
 	fresh, err := Open(tmpPath, Options{
 		ReplicaID:       s.pg.replicaID,
 		Title:           s.pg.title,
 		Created:         s.pg.created,
 		CheckpointEvery: -1,
+		FS:              s.opts.FS,
 	})
 	if err != nil {
 		return 0, err
 	}
 	cleanupFresh := func() {
 		fresh.Close()
-		removeDB(tmpPath)
+		removeDB(s.opts.FS, tmpPath)
 	}
 	// Copy the heap records and the three indexes straight across, in key
 	// order. Only byID holds RecordIDs, so its entries are re-pointed at each
@@ -88,21 +90,20 @@ func (s *Store) Compact() (int, error) {
 		cleanupFresh()
 		return 0, err
 	}
-	after := int(fresh.pg.pageCount)
 	// fresh.Close checkpointed, fsyncing both temp files, so Install can
 	// swap them in.
 	if err := s.closeFiles(); err != nil {
 		return 0, err
 	}
-	if err := Install(tmpPath, s.path); err != nil {
-		return 0, err
-	}
-	// Reopen in place.
-	pg, err := openPager(s.path, s.pg.replicaID, s.pg.title, s.pg.created)
+	// Reopen in place whether or not the swap happened: a failed first
+	// rename leaves the original pair, a failed second one the new page
+	// file beside the original WAL, which the checkpoint above emptied.
+	ierr := Install(s.opts.FS, tmpPath, s.path)
+	pg, _, err := openPager(s.opts.FS, s.path, s.pg.replicaID, s.pg.title, s.pg.created)
 	if err != nil {
 		return 0, err
 	}
-	w, err := openWAL(s.path + ".wal")
+	w, err := openWAL(s.opts.FS, s.path+".wal")
 	if err != nil {
 		pg.close()
 		return 0, err
@@ -127,13 +128,16 @@ func (s *Store) Compact() (int, error) {
 	// now points at reused page/slot coordinates. Drop them all.
 	s.cache.clear()
 	s.sinceCheckpoint = 0
-	return before - after, nil
+	if ierr != nil {
+		return 0, ierr
+	}
+	return before - int(s.pg.pageCount), nil
 }
 
 // removeDB deletes the page file and WAL at path, if present.
-func removeDB(path string) {
+func removeDB(fsys vfs.FS, path string) {
 	for _, p := range []string{path, path + ".wal"} {
-		os.Remove(p)
+		fsys.Remove(p)
 	}
 }
 

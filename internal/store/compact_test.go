@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/nsf"
+	"repro/internal/vfs"
 )
 
 func TestCompactReclaimsSpace(t *testing.T) {
@@ -225,7 +226,7 @@ func TestCompactWaitsForHotBackup(t *testing.T) {
 // records logged since the last checkpoint must reach the archive first;
 // otherwise point-in-time recovery across the compaction finds a gap.
 func TestCompactSealsWALIntoArchive(t *testing.T) {
-	s, arc := archivedStore(t)
+	s, arc := archivedStore(t, nil)
 	defer s.Close()
 	for i := 1; i <= 10; i++ {
 		if err := s.Put(newTestNote(i, nsf.Timestamp(i))); err != nil {
@@ -241,7 +242,7 @@ func TestCompactSealsWALIntoArchive(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	last, err := ScanArchive(arc, 0, 0, func(walRecord) error { return nil })
+	last, err := ScanArchive(vfs.OS, arc, 0, 0, func(walRecord) error { return nil })
 	if err != nil || last != 11 {
 		t.Fatalf("archive replays to USN %d (err %v), want 11", last, err)
 	}

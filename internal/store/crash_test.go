@@ -4,25 +4,67 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
+	"repro/internal/faultfs"
 	"repro/internal/nsf"
 )
 
-// TestCrashPointFuzz drives random put/update/delete workloads, "crashes"
-// at a random point (abandoning the store without flushing), reopens, and
-// checks the recovered state against a shadow model. Because the WAL is
-// written synchronously to the OS on every operation and a checkpoint only
-// truncates it after a successful flush, recovery must reproduce the model
-// exactly at any crash point.
+// dieAt makes fs die at its n-th operation from now: a power loss when
+// crash is set, else a process kill. That operation and every later one
+// fail, as a dead process makes no more; fs.Inject(nil) restarts it. fired
+// reports whether it happened.
+func dieAt(fs *faultfs.FS, n int, crash bool) (fired func() bool) {
+	var mu sync.Mutex
+	seen := 0
+	fs.Inject(func(faultfs.Op) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if seen++; seen == n {
+			die(fs, crash)
+		}
+		if seen >= n {
+			return faultfs.ErrKilled
+		}
+		return nil
+	})
+	return func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return seen >= n
+	}
+}
+
+// die cuts fs's power when crash is set, else kills its process.
+func die(fs *faultfs.FS, crash bool) {
+	if crash {
+		fs.Crash()
+	} else {
+		fs.Kill()
+	}
+}
+
+// TestCrashPointFuzz drives random put/update/delete workloads on a faultfs,
+// dies at a random file operation (so some deaths fall inside checkpoints),
+// reopens, and checks the recovered state against a shadow model of the
+// acknowledged operations. Every seed runs twice: with SyncWAL off and a
+// process kill, which keeps every byte written, and with SyncWAL on and a
+// power loss, which keeps only what was synced (and tears the rest). Either
+// way an acknowledged operation survives; the one in flight at the death
+// may or may not.
 func TestCrashPointFuzz(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runCrashFuzz(t, seed)
+			for _, crash := range []bool{false, true} {
+				t.Run(fmt.Sprintf("crash=%v", crash), func(t *testing.T) {
+					runCrashFuzz(t, seed, crash)
+				})
+			}
 		})
 	}
 }
@@ -32,23 +74,22 @@ type modelDoc struct {
 	body    int // body payload size, to vary record shapes
 }
 
-func runCrashFuzz(t *testing.T, seed int64) {
+// crashWorkload is one seed's workload on fs. It stops at the first failed
+// operation and returns the model of the acknowledged operations and, in
+// alt, that model with the failed operation applied.
+func crashWorkload(t *testing.T, seed int64, path string, opts Options) (model, alt map[nsf.UNID]modelDoc, unids []nsf.UNID) {
 	rng := rand.New(rand.NewSource(seed))
-	path := filepath.Join(t.TempDir(), "fuzz.nsf")
-	// Small checkpoint interval so crashes land both before and after
-	// checkpoints across seeds.
-	opts := Options{CheckpointEvery: 20 + rng.Intn(60)}
+	model = make(map[nsf.UNID]modelDoc)
 	s, err := Open(path, opts)
 	if err != nil {
-		t.Fatal(err)
+		return model, model, nil
 	}
-	model := make(map[nsf.UNID]modelDoc)
-	var unids []nsf.UNID
-	var ts nsf.Timestamp
-
+	defer s.Close()
 	ops := 100 + rng.Intn(300)
 	for i := 0; i < ops; i++ {
-		ts++
+		ts := nsf.Timestamp(i + 1)
+		var u nsf.UNID
+		var doc *modelDoc
 		switch r := rng.Intn(10); {
 		case r < 5 || len(unids) == 0: // create
 			n := nsf.NewNote(nsf.ClassDocument)
@@ -58,98 +99,136 @@ func runCrashFuzz(t *testing.T, seed int64) {
 			body := rng.Intn(6000)
 			n.SetText("Subject", fmt.Sprintf("doc-%d-%d", seed, i))
 			n.SetText("Body", string(make([]byte, body)))
-			if err := s.Put(n); err != nil {
-				t.Fatal(err)
-			}
-			model[n.OID.UNID] = modelDoc{subject: n.Text("Subject"), body: body}
-			unids = append(unids, n.OID.UNID)
+			u, doc = n.OID.UNID, &modelDoc{subject: n.Text("Subject"), body: body}
+			unids = append(unids, u)
+			err = s.Put(n)
 		case r < 8: // update
-			u := unids[rng.Intn(len(unids))]
+			u = unids[rng.Intn(len(unids))]
 			if _, ok := model[u]; !ok {
 				continue
-			}
-			n, err := s.GetByUNID(u)
-			if err != nil {
-				t.Fatalf("GetByUNID: %v", err)
 			}
 			body := rng.Intn(6000)
-			n.SetText("Subject", fmt.Sprintf("upd-%d-%d", seed, i))
-			n.SetText("Body", string(make([]byte, body)))
-			n.Modified = ts
-			if err := s.Put(n); err != nil {
-				t.Fatal(err)
+			doc = &modelDoc{subject: fmt.Sprintf("upd-%d-%d", seed, i), body: body}
+			var n *nsf.Note
+			if n, err = s.GetByUNID(u); err == nil {
+				n.SetText("Subject", doc.subject)
+				n.SetText("Body", string(make([]byte, body)))
+				n.Modified = ts
+				err = s.Put(n)
 			}
-			model[u] = modelDoc{subject: n.Text("Subject"), body: body}
 		default: // delete
-			u := unids[rng.Intn(len(unids))]
+			u = unids[rng.Intn(len(unids))]
 			if _, ok := model[u]; !ok {
 				continue
 			}
-			if err := s.Delete(u); err != nil {
-				t.Fatal(err)
-			}
-			delete(model, u)
+			err = s.Delete(u)
 		}
+		next := maps.Clone(model)
+		if doc != nil {
+			next[u] = *doc
+		} else {
+			delete(next, u)
+		}
+		if err != nil {
+			return model, next, unids
+		}
+		model = next
 	}
-	// Crash: abandon s (no Close, no flush) and recover.
+	return model, model, unids
+}
+
+func runCrashFuzz(t *testing.T, seed int64, crash bool) {
+	// Small checkpoint interval so deaths land before, inside and after
+	// checkpoints across seeds.
+	opts := Options{CheckpointEvery: 20 + rand.New(rand.NewSource(seed)).Intn(60), SyncWAL: crash}
+	// A dry run counts the workload's file operations, so the death can
+	// land at a random one of them. The count varies a little from run to
+	// run (heap placement follows map order); a death drawn past the real
+	// run's end lands after it.
+	total := 0
+	dry := faultfs.New(seed)
+	dry.Inject(func(faultfs.Op) error { total++; return nil })
+	opts.FS = dry
+	crashWorkload(t, seed, filepath.Join(t.TempDir(), "dry.nsf"), opts)
+
+	fs := faultfs.New(seed)
+	opts.FS = fs
+	path := filepath.Join(t.TempDir(), "fuzz.nsf")
+	fired := dieAt(fs, 1+rand.New(rand.NewSource(-seed)).Intn(total), crash)
+	model, alt, unids := crashWorkload(t, seed, path, opts)
+	if !fired() {
+		die(fs, crash)
+	}
+	fs.Inject(nil)
 	s2, err := Open(path, opts)
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
 	defer s2.Close()
-	if got := s2.Count(); got != len(model) {
-		t.Fatalf("recovered count = %d, model has %d", got, len(model))
+	if problems := s2.Verify(); len(problems) != 0 {
+		t.Fatalf("recovered store fails verification: %v", problems)
 	}
-	for u, want := range model {
-		n, err := s2.GetByUNID(u)
-		if err != nil {
-			t.Fatalf("doc %s lost in recovery: %v", u, err)
-		}
-		if n.Text("Subject") != want.subject || len(n.Text("Body")) != want.body {
-			t.Fatalf("doc %s corrupted: subject %q body %d, want %q %d",
-				u, n.Text("Subject"), len(n.Text("Body")), want.subject, want.body)
-		}
+	if !recoveredModel(t, s2, model, unids) && !recoveredModel(t, s2, alt, unids) {
+		t.Fatalf("recovered state (%d notes) is neither the %d acked operations' nor theirs plus the one in flight",
+			s2.Count(), len(model))
 	}
-	for _, u := range unids {
-		if _, ok := model[u]; ok {
-			continue
-		}
-		if _, err := s2.GetByUNID(u); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("deleted doc %s resurrected: %v", u, err)
-		}
-	}
-	// The recovered store keeps working and survives a second crash cycle.
+	// The recovered store keeps working and survives a second death.
 	n := nsf.NewNote(nsf.ClassDocument)
 	n.OID.Seq = 1
-	n.OID.SeqTime = ts + 1
-	n.Modified = ts + 1
+	n.OID.SeqTime = 1 << 20
+	n.Modified = 1 << 20
 	n.SetText("Subject", "post-recovery")
 	if err := s2.Put(n); err != nil {
 		t.Fatalf("Put after recovery: %v", err)
 	}
+	want := s2.Count()
+	die(fs, crash)
 	s3, err := Open(path, opts)
 	if err != nil {
 		t.Fatalf("second recovery: %v", err)
 	}
 	defer s3.Close()
 	if _, err := s3.GetByUNID(n.OID.UNID); err != nil {
-		t.Fatalf("post-recovery doc lost after second crash: %v", err)
+		t.Fatalf("post-recovery doc lost after second death: %v", err)
 	}
-	if s3.Count() != len(model)+1 {
-		t.Fatalf("second recovery count = %d, want %d", s3.Count(), len(model)+1)
+	if s3.Count() != want {
+		t.Fatalf("second recovery count = %d, want %d", s3.Count(), want)
 	}
 }
 
-// crashedWALStore writes n notes without checkpointing and abandons the
-// store, returning the page-file path so tests can damage the WAL before
+// recoveredModel reports whether s holds exactly model's documents among
+// unids.
+func recoveredModel(t *testing.T, s *Store, model map[nsf.UNID]modelDoc, unids []nsf.UNID) bool {
+	t.Helper()
+	if s.Count() != len(model) {
+		return false
+	}
+	for _, u := range unids {
+		n, err := s.GetByUNID(u)
+		want, ok := model[u]
+		switch {
+		case !ok && errors.Is(err, ErrNotFound):
+		case !ok || err != nil:
+			return false
+		case n.Text("Subject") != want.subject || len(n.Text("Body")) != want.body:
+			return false
+		}
+	}
+	return true
+}
+
+// crashedWALStore writes n notes without checkpointing and kills the
+// process, returning the page-file path so tests can damage the WAL before
 // recovery.
 func crashedWALStore(t *testing.T, n int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "torn.nsf")
-	s, err := Open(path, Options{CheckpointEvery: -1})
+	fs := faultfs.New(1)
+	s, err := Open(path, Options{CheckpointEvery: -1, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	for i := 0; i < n; i++ {
 		note := nsf.NewNote(nsf.ClassDocument)
 		note.OID.Seq = 1
@@ -160,7 +239,8 @@ func crashedWALStore(t *testing.T, n int) string {
 			t.Fatal(err)
 		}
 	}
-	return path // no Close: crash with everything in the WAL
+	fs.Kill() // everything is in the WAL
+	return path
 }
 
 // checkRecoveredPrefix opens the damaged store and asserts recovery kept

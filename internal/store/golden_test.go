@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/nsf"
+	"repro/internal/vfs"
 )
 
 // seqUNID returns the UNID whose bytes count up from first.
@@ -41,7 +42,7 @@ func TestGoldenWAL(t *testing.T) {
 
 	t.Run("log", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "golden.wal")
-		w, err := openWAL(path)
+		w, err := openWAL(vfs.OS, path)
 		if err != nil {
 			t.Fatal(err)
 		}

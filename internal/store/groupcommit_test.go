@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultfs"
 	"repro/internal/nsf"
+	"repro/internal/vfs"
 )
 
 func gcNote(ts nsf.Timestamp, subject string) *nsf.Note {
@@ -71,17 +73,20 @@ func TestGroupCommitBasicSemantics(t *testing.T) {
 }
 
 // TestGroupCommitCrashKeepsAckedPuts runs concurrent committers against a
-// group-commit store, crashes (abandons the store without closing), and
-// requires every acknowledged put to survive recovery: acked ⊆ recovered ⊆
-// attempted, with the store verifiably intact.
+// group-commit store, then kills the process (SyncWAL off) or cuts the
+// power (SyncWAL on), and requires every acknowledged put to survive
+// recovery: acked ⊆ recovered ⊆ attempted, with the store verifiably
+// intact.
 func TestGroupCommitCrashKeepsAckedPuts(t *testing.T) {
 	for _, syncWAL := range []bool{false, true} {
 		t.Run(fmt.Sprintf("syncWAL=%v", syncWAL), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "crash.nsf")
+			fs := faultfs.New(1)
 			s, err := Open(path, Options{
 				GroupCommitWindow: 100 * time.Microsecond,
 				SyncWAL:           syncWAL,
 				CheckpointEvery:   50,
+				FS:                fs,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -107,9 +112,15 @@ func TestGroupCommitCrashKeepsAckedPuts(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			// Crash: abandon without Close. Everything acked went through a
-			// batch write (+fsync per SyncWAL), so recovery must see it.
-			s2, err := Open(path, Options{})
+			// Everything acked went through a batch write, and with SyncWAL
+			// an fsync, so recovery must see it.
+			if syncWAL {
+				fs.Crash()
+			} else {
+				fs.Kill()
+			}
+			s.Close()
+			s2, err := Open(path, Options{FS: fs})
 			if err != nil {
 				t.Fatalf("recovery: %v", err)
 			}
@@ -143,13 +154,14 @@ func TestGroupCommitCrashKeepsAckedPuts(t *testing.T) {
 }
 
 // gcTornBatchStore builds a store whose WAL ends in one 4-record batch
-// frame after 3 acked single-record frames, then abandons it (no Close).
-// It returns the database path and the [pre, post) byte range of the batch
+// frame after 3 acked single-record frames, then kills the process. It
+// returns the database path and the [pre, post) byte range of the batch
 // frame in the WAL.
 func gcTornBatchStore(t *testing.T) (path string, pre, post int64) {
 	t.Helper()
 	path = filepath.Join(t.TempDir(), "torn.nsf")
-	s, err := Open(path, Options{GroupCommitWindow: time.Millisecond, CheckpointEvery: -1})
+	fs := faultfs.New(1)
+	s, err := Open(path, Options{GroupCommitWindow: time.Millisecond, CheckpointEvery: -1, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +197,9 @@ func gcTornBatchStore(t *testing.T) (path string, pre, post int64) {
 	if got := int64(binary.LittleEndian.Uint32(raw[pre:])); got != post-pre-8 {
 		t.Fatalf("batch frame length %d, want %d — not a single frame", got, post-pre-8)
 	}
-	return path, pre, post // no Close: crash with the batch in the WAL tail
+	fs.Kill() // with the batch in the WAL tail
+	s.Close()
+	return path, pre, post
 }
 
 // checkTornBatchRecovery opens the damaged store and asserts all-or-nothing
@@ -266,7 +280,7 @@ func TestGroupCommitTornBatchAllOrNothing(t *testing.T) {
 func TestWALBatchReplayTruncation(t *testing.T) {
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.wal")
-	w, err := openWAL(full)
+	w, err := openWAL(vfs.OS, full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +311,7 @@ func TestWALBatchReplayTruncation(t *testing.T) {
 		if err := os.WriteFile(p, contents, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cw, err := openWAL(p)
+		cw, err := openWAL(vfs.OS, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +350,7 @@ func TestWALBatchReplayTruncation(t *testing.T) {
 	// A malformed batch interior (sub-record length past the payload) under
 	// a valid frame CRC means a broken writer: the whole batch must be
 	// dropped, not a prefix of it.
-	mw, err := openWAL(filepath.Join(dir, "malformed.wal"))
+	mw, err := openWAL(vfs.OS, filepath.Join(dir, "malformed.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}

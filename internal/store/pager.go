@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/nsf"
+	"repro/internal/vfs"
 )
 
 const (
@@ -66,7 +67,7 @@ const (
 // operation are never invalidated underneath it.
 type pager struct {
 	mu    sync.Mutex
-	f     *os.File
+	f     vfs.File
 	pages map[PageID]*page
 	// header state, mirrored from page 0 and written back on flush.
 	pageCount   uint32
@@ -81,34 +82,30 @@ type pager struct {
 	lastUSN     uint64
 	incarnation uint64
 	clean       bool
-	hdrDirty    bool
 }
 
 // openPager opens or creates the page file at path. When creating, replica
-// identifies the new database.
-func openPager(path string, replica nsf.ReplicaID, title string, created nsf.Timestamp) (*pager, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+// identifies the new database, and the header is synced before openPager
+// returns (isNew reports this, so the caller can make the name durable).
+func openPager(fsys vfs.FS, path string, replica nsf.ReplicaID, title string, created nsf.Timestamp) (p *pager, isNew bool, err error) {
+	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("store: open page file: %w", err)
+		return nil, false, fmt.Errorf("store: open page file: %w", err)
 	}
-	p := &pager{f: f, pages: make(map[PageID]*page)}
-	info, err := f.Stat()
+	p = &pager{f: f, pages: make(map[PageID]*page)}
+	size, err := f.Size()
+	if err != nil {
+		err = fmt.Errorf("store: stat page file: %w", err)
+	} else if isNew = size == 0; isNew {
+		err = p.initHeader(replica, title, created)
+	} else {
+		err = p.loadHeader()
+	}
 	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("store: stat page file: %w", err)
+		return nil, false, err
 	}
-	if info.Size() == 0 {
-		if err := p.initHeader(replica, title, created); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return p, nil
-	}
-	if err := p.loadHeader(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return p, nil
+	return p, isNew, nil
 }
 
 func (p *pager) initHeader(replica nsf.ReplicaID, title string, created nsf.Timestamp) error {
@@ -121,8 +118,7 @@ func (p *pager) initHeader(replica nsf.ReplicaID, title string, created nsf.Time
 	p.replicaID = replica
 	p.created = created
 	p.title = title
-	p.hdrDirty = true
-	return p.flushHeader()
+	return p.flush()
 }
 
 func (p *pager) loadHeader() error {
@@ -158,11 +154,11 @@ func (p *pager) loadHeader() error {
 	return nil
 }
 
-func (p *pager) flushHeader() error {
-	if !p.hdrDirty {
-		return nil
-	}
-	var buf [PageSize]byte
+// headerImage encodes the header mirror as page 0. Every field lies in the
+// first 512 bytes, one disk sector, so a torn header write leaves either
+// the old header or the new one.
+func (p *pager) headerImage(buf *[PageSize]byte) {
+	*buf = [PageSize]byte{}
 	copy(buf[:8], headerMagic)
 	binary.LittleEndian.PutUint32(buf[hdrOffVersion:], formatVersion)
 	binary.LittleEndian.PutUint32(buf[hdrOffPageSize:], PageSize)
@@ -181,11 +177,6 @@ func (p *pager) flushHeader() error {
 	if p.clean {
 		buf[hdrOffClean] = 1
 	}
-	if _, err := p.f.WriteAt(buf[:], 0); err != nil {
-		return fmt.Errorf("store: write header: %w", err)
-	}
-	p.hdrDirty = false
-	return nil
 }
 
 // get returns the buffer-pool frame for id, reading it from disk if needed.
@@ -232,14 +223,12 @@ func (p *pager) alloc() (*page, error) {
 			return nil, err
 		}
 		p.freeHead = PageID(binary.LittleEndian.Uint32(pg.data[4:]))
-		p.hdrDirty = true
 		pg.data = [PageSize]byte{}
 		pg.dirty = true
 		return pg, nil
 	}
 	id := PageID(p.pageCount)
 	p.pageCount++
-	p.hdrDirty = true
 	pg := &page{id: id, dirty: true}
 	p.admit(pg)
 	return pg, nil
@@ -256,30 +245,54 @@ func (p *pager) free(id PageID) error {
 	binary.LittleEndian.PutUint32(pg.data[4:], uint32(p.freeHead))
 	pg.dirty = true
 	p.freeHead = id
-	p.hdrDirty = true
 	return nil
 }
 
-// flush writes all dirty pages and the header to disk and syncs the file.
-// This is the checkpoint device: after flush the page file is a consistent
-// snapshot of the database.
-func (p *pager) flush() error {
+// images calls fn with the header image and then every dirty page: the
+// page images a checkpoint logs (walPages) before flush overwrites them in
+// place.
+func (p *pager) images(fn func(id PageID, data []byte) error) error {
+	var hdr [PageSize]byte
+	p.headerImage(&hdr)
+	if err := fn(0, hdr[:]); err != nil {
+		return err
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for id, pg := range p.pages {
-		if !pg.dirty {
-			continue
+		if pg.dirty {
+			if err := fn(id, pg.data[:]); err != nil {
+				return err
+			}
 		}
-		if _, err := p.f.WriteAt(pg.data[:], int64(id)*PageSize); err != nil {
+	}
+	return nil
+}
+
+// flush writes the header and every dirty page in place (the same pages
+// images yields) and syncs the file. A crash midway leaves each page old or
+// new, so a checkpoint logs the images first (see Store.checkpointLocked);
+// after flush returns nil the page file is a consistent snapshot of the
+// database. Frames are marked clean only once the sync succeeds: a failed
+// sync may have dropped the writes, so the next flush must write them
+// again.
+func (p *pager) flush() error {
+	err := p.images(func(id PageID, data []byte) error {
+		if _, err := p.f.WriteAt(data, int64(id)*PageSize); err != nil {
 			return fmt.Errorf("store: write page %d: %w", id, err)
 		}
-		pg.dirty = false
-	}
-	if err := p.flushHeader(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	if err := p.f.Sync(); err != nil {
 		return fmt.Errorf("store: sync page file: %w", err)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, pg := range p.pages {
+		pg.dirty = false
 	}
 	// Trim the pool back to capacity now that every frame is clean. No
 	// operation is in flight during a flush (the caller holds the store's
@@ -308,13 +321,38 @@ func (p *pager) dirtyCount() int {
 	return n
 }
 
+// restore writes logged page images (a walPages payload, header first)
+// in place, syncs, and reloads the header from them. Recovery calls it
+// before anything is read through the pool.
+func (p *pager) restore(images []byte) error {
+	for ; len(images) > 0; images = images[pageImageSize:] {
+		id := binary.LittleEndian.Uint32(images)
+		if _, err := p.f.WriteAt(images[4:pageImageSize], int64(id)*PageSize); err != nil {
+			return fmt.Errorf("store: restore page %d: %w", id, err)
+		}
+	}
+	if err := p.f.Sync(); err != nil {
+		return fmt.Errorf("store: sync page file: %w", err)
+	}
+	p.pages = make(map[PageID]*page)
+	if err := p.loadHeader(); err != nil {
+		return err
+	}
+	// Every page a checkpoint added is in its images, so the file now
+	// holds every page the logged header counts.
+	if size, err := p.f.Size(); err != nil || size < int64(p.pageCount)*PageSize {
+		return fmt.Errorf("store: logged header counts %d pages past the file's end (%v)", p.pageCount, err)
+	}
+	return nil
+}
+
 // copyTo streams the page file as the last flush left it.
 func (p *pager) copyTo(w io.Writer) (int64, error) {
-	info, err := p.f.Stat()
+	size, err := p.f.Size()
 	if err != nil {
 		return 0, err
 	}
-	return io.Copy(w, io.NewSectionReader(p.f, 0, info.Size()))
+	return io.Copy(w, io.NewSectionReader(p.f, 0, size))
 }
 
 func (p *pager) close() error {

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"repro/internal/vfs"
 )
 
 // Durable publication. Every file the system makes durably visible reaches
-// its name through one of the two functions below, so there is one answer
-// to "what can a crash leave behind":
+// its name through one of the two functions below, on the filesystem it is
+// handed, so there is one answer to "what can a crash leave behind":
 //
 //   - Publish (archived WAL segments, backup images, restore staging files,
 //     the full-text sidecar) writes path+".tmp", fsyncs and closes it,
@@ -20,11 +22,11 @@ import (
 //     database — page file and WAL — onto a database path and fsyncs the
 //     directory.
 
-// Publish makes the bytes write produces durably visible at path. write
-// receives the truncated temp file; its error is returned unwrapped.
-func Publish(path string, write func(f *os.File) error) error {
+// Publish makes the bytes write produces durably visible at path on fsys.
+// write receives the truncated temp file; its error is returned unwrapped.
+func Publish(fsys vfs.FS, path string, write func(f vfs.File) error) error {
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := fsys.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: publish %s: %w", path, err)
 	}
@@ -37,12 +39,12 @@ func Publish(path string, write func(f *os.File) error) error {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = fsys.Rename(tmp, path)
 	}
 	if err != nil {
 		return fmt.Errorf("store: publish %s: %w", path, err)
 	}
-	return syncDir(filepath.Dir(path))
+	return syncDir(fsys, filepath.Dir(path))
 }
 
 // Install moves the database at from (page file and WAL, both closed and
@@ -50,26 +52,18 @@ func Publish(path string, write func(f *os.File) error) error {
 // first, and a crash between the renames leaves the new page file beside
 // the WAL previously at path, so that WAL must be empty (Compact
 // checkpoints before the swap) or absent (Restore).
-func Install(from, path string) error {
+func Install(fsys vfs.FS, from, path string) error {
 	for _, suffix := range []string{"", ".wal"} {
-		if err := os.Rename(from+suffix, path+suffix); err != nil {
+		if err := fsys.Rename(from+suffix, path+suffix); err != nil {
 			return fmt.Errorf("store: install %s: %w", path+suffix, err)
 		}
 	}
-	return syncDir(filepath.Dir(path))
+	return syncDir(fsys, filepath.Dir(path))
 }
 
 // syncDir fsyncs a directory so renames within it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("store: open dir for sync: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+func syncDir(fsys vfs.FS, dir string) error {
+	if err := fsys.SyncDir(dir); err != nil {
 		return fmt.Errorf("store: sync dir %s: %w", dir, err)
 	}
 	return nil

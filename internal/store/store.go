@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"path/filepath"
 	"sync"
 	"time"
 
 	"repro/internal/nsf"
+	"repro/internal/vfs"
 )
 
 // ErrNotFound is returned when a requested note does not exist.
@@ -57,6 +59,10 @@ type Options struct {
 	// in-place updates that do not grow the file still work). Zero means
 	// unlimited.
 	QuotaBytes int64
+	// FS is the filesystem every file of the store, its archive and its
+	// publishes goes through. Nil means the operating system (vfs.OS);
+	// tests pass a fault-injecting one (internal/faultfs).
+	FS vfs.FS
 }
 
 // Store is a persistent note store: the storage half of an NSF database.
@@ -117,14 +123,26 @@ func Open(path string, opts Options) (*Store, error) {
 	if opts.CheckpointEvery == 0 {
 		opts.CheckpointEvery = 8192
 	}
-	pg, err := openPager(path, replica, opts.Title, opts.Created)
+	if opts.FS == nil {
+		opts.FS = vfs.OS
+	}
+	pg, isNew, err := openPager(opts.FS, path, replica, opts.Title, opts.Created)
 	if err != nil {
 		return nil, err
 	}
-	w, err := openWAL(path + ".wal")
+	w, err := openWAL(opts.FS, path+".wal")
 	if err != nil {
 		pg.close()
 		return nil, err
+	}
+	// A new database's names must be durable before its first commit is
+	// acknowledged, or a power loss could take the files with it.
+	if isNew {
+		if err := syncDir(opts.FS, filepath.Dir(path)); err != nil {
+			pg.close()
+			w.close()
+			return nil, err
+		}
 	}
 	s := &Store{path: path, pg: pg, wal: w, heap: newHeap(pg), opts: opts}
 	s.ckFree = sync.NewCond(&s.mu)
@@ -153,9 +171,11 @@ func Open(path string, opts Options) (*Store, error) {
 // markOpen durably clears the header's clean mark before any cursor is
 // issued. A cursor counts commits not yet logged, which a crash can drop
 // and recovery then renumbers below it, so a file opened without the mark
-// (crashed, copied while open, or new) takes a fresh incarnation.
+// (crashed, copied while open, or new) takes a fresh incarnation. Its
+// flush writes the header page alone (recovery left nothing else dirty),
+// which needs no logged image: the header fits in one sector, so a torn
+// write leaves it either marked or cleared.
 func (s *Store) markOpen() error {
-	s.pg.hdrDirty = true
 	if !s.pg.clean {
 		s.pg.incarnation = rand.Uint64()
 		return nil // already clear on disk: a crash before a checkpoint re-mints
@@ -165,8 +185,29 @@ func (s *Store) markOpen() error {
 }
 
 // recover rebuilds in-memory state from the checkpointed page file and
-// replays the WAL through replayRecord.
-func (s *Store) recover() error {
+// replays the WAL through replayRecord. A checkpoint that crashed while
+// overwriting pages left some old and some new, which logical redo cannot
+// repair; its logged page images (walPages) can. So recovery first writes
+// the last image frame's pages back in place, then redoes only the records
+// logged after it.
+func (s *Store) recover() (err error) {
+	images, imagesUSN, err := s.wal.lastImages()
+	if err != nil {
+		return err
+	}
+	if images != nil {
+		if err := s.pg.restore(images); err != nil {
+			return err
+		}
+		// Pages off the log are trusted only once the structures they form
+		// check out (Verify below). A corrupt image can hold any bytes,
+		// including ones the B+tree and heap code index out of range on.
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("store: logged page images are corrupt: %v", r)
+			}
+		}()
+	}
 	if err := s.heap.rebuild(); err != nil {
 		return err
 	}
@@ -176,15 +217,23 @@ func (s *Store) recover() error {
 	}
 	s.count = n
 	s.usn = s.pg.lastUSN
+	if images != nil {
+		if problems := s.Verify(); len(problems) != 0 {
+			return fmt.Errorf("store: logged page images are inconsistent: %s", problems[0])
+		}
+	}
 	replayed := 0
 	err = s.wal.replay(func(rec walRecord) error {
+		if rec.Kind == walPages || (images != nil && rec.USN <= imagesUSN) {
+			return nil // already in the restored pages
+		}
 		replayed++
 		return s.replayRecord(rec)
 	})
 	if err != nil {
 		return err
 	}
-	if replayed > 0 {
+	if replayed > 0 || images != nil {
 		// Fold the replayed tail into a fresh checkpoint so the WAL shrinks
 		// and a second crash replays nothing twice. (With archiving on this
 		// also seals the replayed records into a segment; a crash between
@@ -210,6 +259,11 @@ func (s *Store) replayRecord(rec walRecord) error {
 		if err != nil {
 			return fmt.Errorf("store: replay put USN %d: %w", rec.USN, err)
 		}
+		if ok, err := s.idFits(note); err != nil {
+			return err
+		} else if !ok {
+			return fmt.Errorf("store: replay put USN %d: NoteID %d conflicts with the indexes", rec.USN, note.ID)
+		}
 		return s.applyPutEncoded(note, rec.Payload, rec.USN)
 	case walDelete:
 		if len(rec.Payload) != 16 {
@@ -224,8 +278,26 @@ func (s *Store) replayRecord(rec walRecord) error {
 	}
 }
 
+// idFits reports whether a logged put of n keeps the NoteID its UNID
+// already has, or takes one no other note has. Anything else is a corrupt
+// log, and applying it would leave two UNIDs on one NoteID.
+func (s *Store) idFits(n *nsf.Note) (bool, error) {
+	if n.ID == 0 || n.OID.UNID.IsZero() {
+		return false, nil
+	}
+	v, ok, err := s.byUNID.Get(n.OID.UNID[:])
+	if err != nil || ok {
+		return ok && nsf.NoteID(binary.BigEndian.Uint32(v)) == n.ID, err
+	}
+	_, taken, err := s.byID.Get(idKey(n.ID))
+	return !taken, err
+}
+
 // Path returns the page file path the store was opened with.
 func (s *Store) Path() string { return s.path }
+
+// FS returns the filesystem the store's files live on (Options.FS).
+func (s *Store) FS() vfs.FS { return s.opts.FS }
 
 // Exists reports whether a note with the given UNID is stored, without
 // loading it.
@@ -351,7 +423,6 @@ func (s *Store) PutAsync(n *nsf.Note) (Commit, error) {
 		} else {
 			n.ID = nsf.NoteID(s.pg.nextNoteID)
 			s.pg.nextNoteID++
-			s.pg.hdrDirty = true
 		}
 	}
 	bufp := encBufPool.Get().(*[]byte)
@@ -384,7 +455,6 @@ func (s *Store) PutAsync(n *nsf.Note) (Commit, error) {
 func (s *Store) applyPutEncoded(n *nsf.Note, enc []byte, usn uint64) error {
 	if uint32(n.ID) >= s.pg.nextNoteID {
 		s.pg.nextNoteID = uint32(n.ID) + 1
-		s.pg.hdrDirty = true
 	}
 	// Remove the previous version, if any.
 	if v, ok, err := s.byID.Get(idKey(n.ID)); err != nil {
@@ -710,7 +780,13 @@ func (s *Store) checkpointLocked() error {
 		return err
 	}
 	s.pg.lastUSN = s.usn
-	s.pg.hdrDirty = true
+	// Log the header and every dirty page, synced, before overwriting any
+	// of them in place: a crash amid the overwrites then recovers from the
+	// images (see recover). A failed flush leaves the frame in the log and
+	// the pages dirty, so the next checkpoint writes them again.
+	if err := s.wal.appendImages(s.usn, s.pg); err != nil {
+		return err
+	}
 	if err := s.pg.flush(); err != nil {
 		return err
 	}
@@ -746,7 +822,6 @@ func (s *Store) Reincarnate() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pg.incarnation = rand.Uint64()
-	s.pg.hdrDirty = true
 }
 
 // AdvanceUSN raises the store's USN to at least usn without logging an

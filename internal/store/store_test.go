@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/faultfs"
 	"repro/internal/nsf"
 )
 
@@ -244,12 +245,13 @@ func TestStorePersistenceAfterClose(t *testing.T) {
 	}
 }
 
-// TestStoreCrashRecovery simulates a crash by reopening the files without
-// closing (no checkpoint): everything must come back from the WAL.
+// TestStoreCrashRecovery kills the process before any checkpoint:
+// everything must come back from the WAL.
 func TestStoreCrashRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.nsf")
 	c := clock.New()
-	s, err := Open(path, Options{CheckpointEvery: -1}) // never checkpoint
+	fs := faultfs.New(1)
+	s, err := Open(path, Options{CheckpointEvery: -1, FS: fs}) // never checkpoint
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -275,8 +277,10 @@ func TestStoreCrashRecovery(t *testing.T) {
 			t.Fatalf("Put: %v", err)
 		}
 	}
-	// Crash: abandon s without Close. Its page file was never flushed.
-	s2, err := Open(path, Options{})
+	// Kill: the page file was never flushed.
+	fs.Kill()
+	s.Close()
+	s2, err := Open(path, Options{FS: fs})
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
@@ -307,7 +311,8 @@ func TestStoreCrashRecovery(t *testing.T) {
 func TestStoreCrashAfterCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.nsf")
 	c := clock.New()
-	s, err := Open(path, Options{CheckpointEvery: -1})
+	fs := faultfs.New(1)
+	s, err := Open(path, Options{CheckpointEvery: -1, FS: fs})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -322,8 +327,9 @@ func TestStoreCrashAfterCheckpoint(t *testing.T) {
 	if err := s.Put(n2); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	// Crash without close.
-	s2, err := Open(path, Options{})
+	fs.Kill()
+	s.Close()
+	s2, err := Open(path, Options{FS: fs})
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
@@ -343,12 +349,13 @@ func TestStoreCrashAfterCheckpoint(t *testing.T) {
 	}
 }
 
-// TestStoreTornWALTail appends garbage to the WAL and verifies recovery
-// ignores the torn tail and keeps the intact prefix.
+// TestStoreTornWALTail cuts the WAL's last bytes after a kill and verifies
+// recovery ignores the torn tail and keeps the intact prefix.
 func TestStoreTornWALTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.nsf")
 	c := clock.New()
-	s, err := Open(path, Options{CheckpointEvery: -1})
+	fs := faultfs.New(1)
+	s, err := Open(path, Options{CheckpointEvery: -1, FS: fs})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -362,9 +369,10 @@ func TestStoreTornWALTail(t *testing.T) {
 	if err := s.Put(n2); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	walPath := path + ".wal"
 	size := s.wal.size.Load()
-	if err := s.wal.f.Truncate(size - 3); err != nil {
+	fs.Kill()
+	s.Close()
+	if err := os.Truncate(path+".wal", size-3); err != nil {
 		t.Fatalf("truncate: %v", err)
 	}
 	s2, err := Open(path, Options{})
@@ -378,7 +386,6 @@ func TestStoreTornWALTail(t *testing.T) {
 	if _, err := s2.GetByUNID(n2.OID.UNID); !errors.Is(err, ErrNotFound) {
 		t.Errorf("torn note should be gone, got %v", err)
 	}
-	_ = walPath
 }
 
 func TestStoreAutoCheckpoint(t *testing.T) {

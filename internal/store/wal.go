@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,6 +9,8 @@ import (
 	"io"
 	"os"
 	"sync/atomic"
+
+	"repro/internal/vfs"
 )
 
 // WAL record kinds.
@@ -22,7 +25,19 @@ const (
 	// batches, so replay, sealing, and archive scans only ever see the
 	// logical records with their dense USNs.
 	walBatch = 3
+	// walPages carries page images: the header page, then every page a
+	// checkpoint is about to overwrite in place, each as a 4-byte page ID
+	// and PageSize bytes. It is logged and synced before the in-place
+	// writes and lives only until the checkpoint's WAL reset, so a crash
+	// amid the writes finds it as the log's last page-image frame and
+	// recovery rewrites the pages from it (see Store.recover). Segments
+	// never carry it: the checkpoint seals the WAL before logging it, and
+	// a seal leaves out the frame a failed checkpoint left behind.
+	walPages = 4
 )
+
+// pageImageSize is one page image in a walPages payload.
+const pageImageSize = 4 + PageSize
 
 // walRecord is one logical operation in the log. Every record carries the
 // database-wide update sequence number (USN) assigned at commit, so
@@ -45,7 +60,7 @@ type walRecord struct {
 // Replay stops at the first torn or corrupt record, which by write ordering
 // can only be the tail.
 type wal struct {
-	f *os.File
+	f vfs.File
 	// size is the committed tail offset. It is atomic because a group-commit
 	// leader appends outside the store latch while latch-holding readers
 	// (Stats, backup) observe it; writes are still serialized (one leader at
@@ -55,18 +70,18 @@ type wal struct {
 	buf  []byte
 }
 
-func openWAL(path string) (*wal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+func openWAL(fsys vfs.FS, path string) (*wal, error) {
+	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: open wal: %w", err)
 	}
-	info, err := f.Stat()
+	size, err := f.Size()
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("store: stat wal: %w", err)
 	}
 	w := &wal{f: f}
-	w.size.Store(info.Size())
+	w.size.Store(size)
 	return w, nil
 }
 
@@ -143,6 +158,65 @@ func (w *wal) writeFrame(buf []byte, sync bool) error {
 	return nil
 }
 
+// appendImages logs pg's page images (see pager.images) as one walPages
+// frame stamped with usn and syncs the log. The images stream through a
+// small buffer straight into the file; the frame header goes last, so the
+// frame is intact only once every image has been written.
+func (w *wal) appendImages(usn uint64, pg *pager) error {
+	start := w.size.Load()
+	bw := bufio.NewWriterSize(io.NewOffsetWriter(w.f, start+8), 64<<10)
+	var hdr [9]byte
+	hdr[0] = walPages
+	binary.LittleEndian.PutUint64(hdr[1:], usn)
+	crc := crc32.Checksum(hdr[:], crcTable)
+	bw.Write(hdr[:])
+	length := int64(len(hdr))
+	err := pg.images(func(id PageID, data []byte) error {
+		var idb [4]byte
+		binary.LittleEndian.PutUint32(idb[:], uint32(id))
+		crc = crc32.Update(crc32.Update(crc, crcTable, idb[:]), crcTable, data)
+		bw.Write(idb[:])
+		_, err := bw.Write(data)
+		length += pageImageSize
+		return err
+	})
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		var frame [8]byte
+		binary.LittleEndian.PutUint32(frame[:], uint32(length))
+		binary.LittleEndian.PutUint32(frame[4:], crc)
+		_, err = w.f.WriteAt(frame[:], start)
+	}
+	if err == nil {
+		err = w.f.Sync()
+	}
+	if err != nil {
+		return fmt.Errorf("store: log page images: %w", err)
+	}
+	w.size.Store(start + 8 + length)
+	return nil
+}
+
+// validImages reports whether a walPages payload is whole page images with
+// the header first and every page ID inside the page count that header
+// records. Anything else is corruption, and recovery must not write it: an
+// unchecked ID could address a page terabytes past the end of the file.
+func validImages(p []byte) bool {
+	if len(p) == 0 || len(p)%pageImageSize != 0 || binary.LittleEndian.Uint32(p) != 0 ||
+		string(p[4:4+len(headerMagic)]) != headerMagic {
+		return false
+	}
+	count := binary.LittleEndian.Uint32(p[4+hdrOffCount:])
+	for q := p[pageImageSize:]; len(q) > 0; q = q[pageImageSize:] {
+		if binary.LittleEndian.Uint32(q) >= count {
+			return false
+		}
+	}
+	return true
+}
+
 // scanFrames reads CRC-framed records from r (at most size bytes) and calls
 // fn for every intact one. It returns the byte count consumed by intact
 // frames and whether the stream ended cleanly at a frame boundary; a torn or
@@ -182,6 +256,9 @@ func scanFrames(r io.Reader, size int64, fn func(rec walRecord) error) (consumed
 			USN:     binary.LittleEndian.Uint64(body[1:9]),
 			Payload: body[9:],
 		}
+		if rec.Kind == walPages && !validImages(rec.Payload) {
+			return offset, false, nil
+		}
 		if rec.Kind == walBatch {
 			// Flatten the batch so every consumer (replay, seal, archive
 			// scan) sees ordinary records with dense USNs. The frame CRC
@@ -191,7 +268,7 @@ func scanFrames(r io.Reader, size int64, fn func(rec walRecord) error) (consumed
 			// validating the whole batch BEFORE delivering any record of it.
 			sub := rec.Payload
 			for len(sub) > 0 {
-				if len(sub) < batchSubHeader {
+				if len(sub) < batchSubHeader || (sub[0] != walPut && sub[0] != walDelete) {
 					return offset, false, nil
 				}
 				plen := int(binary.LittleEndian.Uint32(sub[9:13]))
@@ -217,6 +294,19 @@ func scanFrames(r io.Reader, size int64, fn func(rec walRecord) error) (consumed
 		}
 		offset += 8 + int64(length)
 	}
+}
+
+// lastImages returns the payload and USN of the log's last intact walPages
+// frame (nil when there is none).
+func (w *wal) lastImages() (images []byte, usn uint64, err error) {
+	size := w.size.Load()
+	_, _, err = scanFrames(io.NewSectionReader(w.f, 0, size), size, func(rec walRecord) error {
+		if rec.Kind == walPages {
+			images, usn = rec.Payload, rec.USN
+		}
+		return nil
+	})
+	return images, usn, err
 }
 
 // replay invokes fn for every intact record from the start of the log. A
