@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 
 	"repro/internal/faultfs"
@@ -362,20 +363,51 @@ func killAt(fs *faultfs.FS, n int, match func(faultfs.Op) bool) (fired func() bo
 	}
 }
 
+// failAt makes fs fail the n-th operation match accepts with EIO, and no
+// other. fired reports whether it happened.
+func failAt(fs *faultfs.FS, n int, match func(faultfs.Op) bool) (fired func() bool) {
+	var mu sync.Mutex
+	seen := 0
+	fs.Inject(func(op faultfs.Op) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if match(op) {
+			if seen++; seen == n {
+				return syscall.EIO
+			}
+		}
+		return nil
+	})
+	return func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return seen >= n
+	}
+}
+
 // TestBackupCrashMidImage kills the process at every operation on an
 // incremental image's temp file in turn, from its create to its rename. In
 // every state the set stays verifiable and restorable, the restarted store
 // holds every acked write, and the next backup succeeds.
 func TestBackupCrashMidImage(t *testing.T) {
 	for n, whole := 1, false; !whole; n++ {
-		t.Run(fmt.Sprintf("op=%d", n), func(t *testing.T) { whole = backupKilledAt(t, n) })
+		t.Run(fmt.Sprintf("op=%d", n), func(t *testing.T) { whole = backupFailedAt(t, n, true) })
 	}
 }
 
-// backupKilledAt runs TestBackupCrashMidImage's kill at the n-th temp-file
-// operation. It reports whether the image was written whole, n being past
-// the temp file's last operation.
-func backupKilledAt(t *testing.T, n int) (whole bool) {
+// TestBackupIOErrorMidImage fails each operation on an incremental image's
+// temp file in turn with EIO, in a process that lives on: the rerun is
+// again an incremental, written over the leftover temp file.
+func TestBackupIOErrorMidImage(t *testing.T) {
+	for n, whole := 1, false; !whole; n++ {
+		t.Run(fmt.Sprintf("op=%d", n), func(t *testing.T) { whole = backupFailedAt(t, n, false) })
+	}
+}
+
+// backupFailedAt fails the n-th operation on an incremental image's temp
+// file, killing the process there when kill is set. It reports whether the
+// image was written whole, n being past the temp file's last operation.
+func backupFailedAt(t *testing.T, n int, kill bool) (whole bool) {
 	dir := t.TempDir()
 	fs := faultfs.New(int64(n))
 	srcPath := filepath.Join(dir, "src.nsf")
@@ -383,6 +415,7 @@ func backupKilledAt(t *testing.T, n int) (whole bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer func() { st.Close() }()
 	ts := nsf.Timestamp(0)
 	for i := 0; i < 10; i++ {
 		ts++
@@ -398,9 +431,14 @@ func backupKilledAt(t *testing.T, n int) (whole bool) {
 	if err := st.Put(testDoc(100, ts)); err != nil {
 		t.Fatal(err)
 	}
-	fired := killAt(fs, n, func(op faultfs.Op) bool { return strings.HasSuffix(op.Path, imageExt+".tmp") })
+	isTemp := func(op faultfs.Op) bool { return strings.HasSuffix(op.Path, imageExt+".tmp") }
+	var fired func() bool
+	if kill {
+		fired = killAt(fs, n, isTemp)
+	} else {
+		fired = failAt(fs, n, isTemp)
+	}
 	_, err = Incremental(st, setDir, ts)
-	st.Close()
 	if !fired() {
 		if err != nil {
 			t.Fatal(err)
@@ -410,13 +448,15 @@ func backupKilledAt(t *testing.T, n int) (whole bool) {
 		}
 		return true
 	}
-	if err == nil {
-		t.Fatal("backup succeeded through a kill")
+	if err == nil || !kill && !errors.Is(err, syscall.EIO) {
+		t.Fatalf("backup through a failed operation: %v", err)
 	}
 	fs.Inject(nil)
-	// The kill left at most one temp file, and everything ignores it.
-	if tmps, _ := filepath.Glob(filepath.Join(setDir, "*.tmp")); len(tmps) > 1 {
-		t.Fatalf("%d leftover temp files", len(tmps))
+	// The failure left the temp file unless it was its create, and
+	// everything ignores it.
+	tmps, _ := filepath.Glob(filepath.Join(setDir, "*.tmp"))
+	if want := min(n-1, 1); len(tmps) != want {
+		t.Fatalf("%d leftover temp files, want %d", len(tmps), want)
 	}
 	set, err := OpenSet(setDir)
 	if err != nil {
@@ -427,21 +467,24 @@ func backupKilledAt(t *testing.T, n int) (whole bool) {
 	}
 	r, err := VerifySet(setDir, "")
 	if err != nil || !r.OK() {
-		t.Fatalf("set not verifiable after mid-backup kill: err=%v problems=%v", err, r.Problems)
+		t.Fatalf("set not verifiable after a failed backup: err=%v problems=%v", err, r.Problems)
 	}
-	// The restarted store kept every acked write, and its backup reruns
-	// cleanly over the leftover.
-	st, err = store.Open(srcPath, store.Options{CheckpointEvery: -1, FS: fs})
-	if err != nil {
-		t.Fatalf("restart: %v", err)
+	// A killed store restarts as a new incarnation, which its next backup
+	// starts over from with a full image; a live one reruns the incremental.
+	wantKind := uint32(KindIncremental)
+	if kill {
+		st.Close()
+		if st, err = store.Open(srcPath, store.Options{CheckpointEvery: -1, FS: fs}); err != nil {
+			t.Fatalf("restart: %v", err)
+		}
+		wantKind = KindFull
 	}
-	defer st.Close()
 	img, err := Incremental(st, setDir, ts)
 	if err != nil {
-		t.Fatalf("backup rerun after kill: %v", err)
+		t.Fatalf("backup rerun: %v", err)
 	}
-	if img.EndUSN != 11 {
-		t.Fatalf("rerun image USN %d, want 11", img.EndUSN)
+	if img.Kind != wantKind || img.EndUSN != 11 {
+		t.Fatalf("rerun image kind %d at USN %d, want kind %d at 11", img.Kind, img.EndUSN, wantKind)
 	}
 	info, err := Restore(setDir, filepath.Join(dir, "restored.nsf"), RestoreOptions{}, nil)
 	if err != nil {

@@ -18,6 +18,7 @@
 package faultfs
 
 import (
+	"cmp"
 	"errors"
 	iofs "io/fs"
 	"math/rand"
@@ -444,10 +445,18 @@ func (h *file) Size() (n int64, err error) {
 	return n, err
 }
 
+// Close releases the descriptor even when it fails, as close(2) does.
 func (h *file) Close() error {
-	return h.do(Op{Kind: OpClose}, func() error {
-		delete(h.fs.open, h)
-		h.dead = true
-		return h.f.Close()
-	})
+	err := h.fs.hook(Op{Kind: OpClose, Path: h.name})
+	h.fs.mu.Lock()
+	defer h.fs.mu.Unlock()
+	if h.dead {
+		return cmp.Or(err, ErrKilled)
+	}
+	delete(h.fs.open, h)
+	h.dead = true
+	if cerr := h.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -75,14 +75,14 @@ type modelDoc struct {
 }
 
 // crashWorkload is one seed's workload on fs. It stops at the first failed
-// operation and returns the model of the acknowledged operations and, in
-// alt, that model with the failed operation applied.
-func crashWorkload(t *testing.T, seed int64, path string, opts Options) (model, alt map[nsf.UNID]modelDoc, unids []nsf.UNID) {
+// operation and returns the model of the acknowledged operations, in alt
+// that model with the failed operation applied, and the failure.
+func crashWorkload(t *testing.T, seed int64, path string, opts Options) (model, alt map[nsf.UNID]modelDoc, unids []nsf.UNID, err error) {
 	rng := rand.New(rand.NewSource(seed))
 	model = make(map[nsf.UNID]modelDoc)
 	s, err := Open(path, opts)
 	if err != nil {
-		return model, model, nil
+		return model, model, nil, err
 	}
 	defer s.Close()
 	ops := 100 + rng.Intn(300)
@@ -130,11 +130,11 @@ func crashWorkload(t *testing.T, seed int64, path string, opts Options) (model, 
 			delete(next, u)
 		}
 		if err != nil {
-			return model, next, unids
+			return model, next, unids, err
 		}
 		model = next
 	}
-	return model, model, unids
+	return model, model, unids, nil
 }
 
 func runCrashFuzz(t *testing.T, seed int64, crash bool) {
@@ -149,14 +149,19 @@ func runCrashFuzz(t *testing.T, seed int64, crash bool) {
 	dry := faultfs.New(seed)
 	dry.Inject(func(faultfs.Op) error { total++; return nil })
 	opts.FS = dry
-	crashWorkload(t, seed, filepath.Join(t.TempDir(), "dry.nsf"), opts)
+	if _, _, _, err := crashWorkload(t, seed, filepath.Join(t.TempDir(), "dry.nsf"), opts); err != nil {
+		t.Fatalf("dry run: %v", err)
+	}
 
 	fs := faultfs.New(seed)
 	opts.FS = fs
 	path := filepath.Join(t.TempDir(), "fuzz.nsf")
 	fired := dieAt(fs, 1+rand.New(rand.NewSource(-seed)).Intn(total), crash)
-	model, alt, unids := crashWorkload(t, seed, path, opts)
+	model, alt, unids, err := crashWorkload(t, seed, path, opts)
 	if !fired() {
+		if err != nil {
+			t.Fatalf("operation failed before the death: %v", err)
+		}
 		die(fs, crash)
 	}
 	fs.Inject(nil)

@@ -325,6 +325,25 @@ func (p *pager) dirtyCount() int {
 // in place, syncs, and reloads the header from them. Recovery calls it
 // before anything is read through the pool.
 func (p *pager) restore(images []byte) error {
+	size, err := p.f.Size()
+	if err != nil {
+		return fmt.Errorf("store: restore pages: %w", err)
+	}
+	// A checkpoint logs every page it added, so the images past the file's
+	// end are exactly the pages from there up to the logged header's count
+	// (validImages bounds every ID by that count). Anything else is
+	// corruption, refused before a byte is written: it could grow the file
+	// to a page ID far past its end.
+	end, count := size/PageSize, int64(binary.LittleEndian.Uint32(images[4+hdrOffCount:]))
+	past := map[uint32]bool{}
+	for q := images; len(q) > 0; q = q[pageImageSize:] {
+		if id := binary.LittleEndian.Uint32(q); int64(id) >= end {
+			past[id] = true
+		}
+	}
+	if int64(len(past)) != max(count-end, 0) {
+		return fmt.Errorf("store: logged header counts %d pages, but the file holds %d and the log %d more", count, end, len(past))
+	}
 	for ; len(images) > 0; images = images[pageImageSize:] {
 		id := binary.LittleEndian.Uint32(images)
 		if _, err := p.f.WriteAt(images[4:pageImageSize], int64(id)*PageSize); err != nil {
@@ -335,15 +354,7 @@ func (p *pager) restore(images []byte) error {
 		return fmt.Errorf("store: sync page file: %w", err)
 	}
 	p.pages = make(map[PageID]*page)
-	if err := p.loadHeader(); err != nil {
-		return err
-	}
-	// Every page a checkpoint added is in its images, so the file now
-	// holds every page the logged header counts.
-	if size, err := p.f.Size(); err != nil || size < int64(p.pageCount)*PageSize {
-		return fmt.Errorf("store: logged header counts %d pages past the file's end (%v)", p.pageCount, err)
-	}
-	return nil
+	return p.loadHeader()
 }
 
 // copyTo streams the page file as the last flush left it.
