@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/acl"
+	"repro/internal/formula"
 	"repro/internal/ft"
 	"repro/internal/nsf"
 	"repro/internal/view"
@@ -131,5 +133,54 @@ func TestSearchPageJoinsOnlyThePage(t *testing.T) {
 		if h.UNID == victim.OID.UNID {
 			t.Fatal("the deleted document's hit was joined")
 		}
+	}
+}
+
+// TestScanProjectsToColumnsFieldsAndAccess: a projected scan hands fn the
+// named columns, the formula's fields and the Readers items, and nothing
+// else, and selects and admits exactly the documents a whole-note scan
+// does.
+func TestScanProjectsToColumnsFieldsAndAccess(t *testing.T) {
+	db := openDB(t, Options{})
+	db.ACL().Set("alice", acl.Editor)
+	db.ACL().Set("bob", acl.Reader)
+	for i := 0; i < 40; i++ {
+		n := memo(fmt.Sprintf("doc %d", i))
+		n.SetNumber("Priority", float64(i%10))
+		n.SetText("Body", strings.Repeat("body ", 100))
+		if i%3 == 0 {
+			n.SetWithFlags("DocReaders", nsf.TextValue("alice"), nsf.FlagReaders)
+		}
+		if err := db.Session("alice").Create(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sel := formula.MustCompile(`SELECT Priority > 4`)
+	counts := map[string]int{}
+	for _, user := range []string{"alice", "bob"} {
+		s := db.Session(user)
+		var whole, proj []nsf.NoteID
+		if err := s.ScanFromCtx(context.Background(), 0, sel, nil, func(n *nsf.Note) bool {
+			whole = append(whole, n.ID)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ScanFromCtx(context.Background(), 0, sel, []string{"Subject"}, func(n *nsf.Note) bool {
+			if n.Has("Body") || n.Has("Form") || !n.Has("Subject") || !n.Has("Priority") {
+				t.Errorf("%s: note %d projected to %v", user, n.ID, n.ItemNames())
+			}
+			proj = append(proj, n.ID)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(whole) == 0 || !reflect.DeepEqual(whole, proj) {
+			t.Errorf("%s: whole-note scan %v, projected scan %v", user, whole, proj)
+		}
+		counts[user] = len(proj)
+	}
+	if counts["bob"] >= counts["alice"] {
+		t.Errorf("Readers items inert on the projected scan: %v", counts)
 	}
 }

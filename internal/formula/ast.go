@@ -1,14 +1,13 @@
 package formula
 
+import "repro/internal/nsf"
+
 // expr is a node of the parsed formula tree.
 type expr interface{ isExpr() }
 
-// litExpr is a literal value: a number or a string.
-type litExpr struct {
-	num   float64
-	text  string
-	isNum bool
-}
+// litExpr is a literal value: a number or a string, built once at parse
+// time and shared by every evaluation (values are never mutated).
+type litExpr struct{ val nsf.Value }
 
 // fieldExpr references an item on the current note (or a temp variable set
 // by an earlier statement).

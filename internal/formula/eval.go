@@ -2,7 +2,9 @@ package formula
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/nsf"
 )
@@ -17,8 +19,18 @@ type Context struct {
 	// Now supplies the current time for @Now. If nil, time items evaluate
 	// @Now to zero.
 	Now func() nsf.Timestamp
-	// temps holds values assigned with := during this evaluation.
+	// temps holds values assigned with := during this evaluation, keyed by
+	// lower-cased name; it is made on the first assignment.
 	temps map[string]nsf.Value
+}
+
+// temp looks up a temp variable, lower-casing name only when a temp exists.
+func (ctx *Context) temp(name string) (nsf.Value, bool) {
+	if len(ctx.temps) == 0 {
+		return nsf.Value{}, false
+	}
+	v, ok := ctx.temps[strings.ToLower(name)]
+	return v, ok
 }
 
 // Formula is a compiled formula, safe for concurrent evaluation.
@@ -27,6 +39,8 @@ type Formula struct {
 	stmts []stmt
 	// hasSelect records whether any statement is a SELECT.
 	hasSelect bool
+	// fields lists every item name evaluation may read or write.
+	fields []string
 }
 
 // Compile parses src into a reusable Formula.
@@ -40,8 +54,49 @@ func Compile(src string) (*Formula, error) {
 		if s.kind == stmtSelect {
 			f.hasSelect = true
 		}
+		if s.kind != stmtExpr && s.kind != stmtSelect {
+			f.addField(s.name)
+		}
+		f.collectFields(s.x)
 	}
 	return f, nil
+}
+
+// Fields returns every item name an evaluation of f may read or write, once
+// each (case-insensitively): the field references, the FIELD, DEFAULT and
+// temp assignment targets (a DEFAULT must see the stored item it would
+// otherwise overwrite), and $Ref for @IsResponseDoc. A note carrying these
+// items, its header and its Readers/Authors items (@Authors, access checks)
+// evaluates exactly as the whole note does — what lets a scan decode only
+// the items its page needs.
+func (f *Formula) Fields() []string { return slices.Clone(f.fields) }
+
+func (f *Formula) collectFields(e expr) {
+	switch e := e.(type) {
+	case fieldExpr:
+		f.addField(e.name)
+	case callExpr:
+		if e.name == "@isresponsedoc" {
+			f.addField("$Ref")
+		}
+		for _, a := range e.args {
+			f.collectFields(a)
+		}
+	case unaryExpr:
+		f.collectFields(e.x)
+	case binExpr:
+		f.collectFields(e.l)
+		f.collectFields(e.r)
+	}
+}
+
+func (f *Formula) addField(name string) {
+	for _, have := range f.fields {
+		if nsf.EqualNames(have, name) {
+			return
+		}
+	}
+	f.fields = append(f.fields, name)
 }
 
 // MustCompile is Compile, panicking on error; for static formulas.
@@ -67,12 +122,17 @@ func (f *Formula) Eval(ctx *Context) (nsf.Value, error) {
 // reports whether the note is selected: the value of the SELECT statement
 // if present, otherwise the final value, interpreted as a boolean.
 func (f *Formula) Selects(note *nsf.Note, ctx *Context) (bool, error) {
-	local := Context{Note: note}
+	local := selectContexts.Get().(*Context)
+	temps := local.temps
 	if ctx != nil {
-		local = *ctx
-		local.Note = note
+		*local = *ctx
+	} else {
+		*local = Context{}
 	}
-	v, sel, err := f.run(&local)
+	local.Note, local.temps = note, temps
+	v, sel, err := f.run(local)
+	*local = Context{temps: local.temps}
+	selectContexts.Put(local)
 	if err != nil {
 		return false, err
 	}
@@ -82,14 +142,15 @@ func (f *Formula) Selects(note *nsf.Note, ctx *Context) (bool, error) {
 	return truthy(v), nil
 }
 
+// selectContexts recycles the contexts Selects evaluates in (a copy of the
+// caller's, pointed at the note), so a selection run over many notes
+// allocates neither a Context nor a temps map per note.
+var selectContexts = sync.Pool{New: func() any { return new(Context) }}
+
 // run executes all statements, returning the final value and the value of
 // the last SELECT statement.
 func (f *Formula) run(ctx *Context) (last, sel nsf.Value, err error) {
-	if ctx.temps == nil {
-		ctx.temps = make(map[string]nsf.Value)
-	} else {
-		clear(ctx.temps)
-	}
+	clear(ctx.temps)
 	for _, s := range f.stmts {
 		v, err := evalExpr(ctx, s.x)
 		if err != nil {
@@ -99,6 +160,9 @@ func (f *Formula) run(ctx *Context) (last, sel nsf.Value, err error) {
 		case stmtSelect:
 			sel = v
 		case stmtAssignTemp:
+			if ctx.temps == nil {
+				ctx.temps = make(map[string]nsf.Value)
+			}
 			ctx.temps[strings.ToLower(s.name)] = v
 		case stmtAssignField:
 			if ctx.Note == nil {
@@ -141,22 +205,27 @@ func truthy(v nsf.Value) bool {
 	return false
 }
 
+// trueValue and falseValue are shared by every boolean result. Their
+// one-element slices have cap == len, so an append copies, and values are
+// never mutated in place.
+var (
+	trueValue  = nsf.NumberValue(1)
+	falseValue = nsf.NumberValue(0)
+)
+
 func boolValue(b bool) nsf.Value {
 	if b {
-		return nsf.NumberValue(1)
+		return trueValue
 	}
-	return nsf.NumberValue(0)
+	return falseValue
 }
 
 func evalExpr(ctx *Context, e expr) (nsf.Value, error) {
 	switch e := e.(type) {
 	case litExpr:
-		if e.isNum {
-			return nsf.NumberValue(e.num), nil
-		}
-		return nsf.TextValue(e.text), nil
+		return e.val, nil
 	case fieldExpr:
-		if v, ok := ctx.temps[strings.ToLower(e.name)]; ok {
+		if v, ok := ctx.temp(e.name); ok {
 			return v, nil
 		}
 		if ctx.Note != nil {

@@ -40,7 +40,7 @@ func evalCall(ctx *Context, e callExpr) (nsf.Value, error) {
 			return nsf.Value{}, fmt.Errorf("formula: %s wants a field name", e.name)
 		}
 		avail := false
-		if _, isTemp := ctx.temps[strings.ToLower(fe.name)]; isTemp {
+		if _, isTemp := ctx.temp(fe.name); isTemp {
 			avail = true
 		} else if ctx.Note != nil && ctx.Note.Has(fe.name) {
 			avail = true

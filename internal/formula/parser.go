@@ -3,6 +3,8 @@ package formula
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/nsf"
 )
 
 // parser is a recursive-descent parser with classic precedence climbing.
@@ -89,7 +91,7 @@ func (p *parser) parseStmt() (stmt, error) {
 			if p.at(tokString) {
 				p.next()
 			}
-			return stmt{kind: stmtExpr, x: litExpr{text: "", isNum: false}}, nil
+			return stmt{kind: stmtExpr, x: litExpr{val: nsf.TextValue("")}}, nil
 		}
 		// Plain temp assignment: ident := expr
 		if p.toks[p.pos+1].kind == tokAssign {
@@ -243,10 +245,10 @@ func (p *parser) parsePrimary() (expr, error) {
 	switch t.kind {
 	case tokNumber:
 		p.next()
-		return litExpr{num: t.num, isNum: true}, nil
+		return litExpr{val: nsf.NumberValue(t.num)}, nil
 	case tokString:
 		p.next()
-		return litExpr{text: t.text}, nil
+		return litExpr{val: nsf.TextValue(t.text)}, nil
 	case tokLParen:
 		p.next()
 		x, err := p.parseExpr()

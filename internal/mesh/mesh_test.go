@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -127,6 +128,18 @@ func waitConverged(t *testing.T, replicas map[string]*core.Database, within time
 	}
 }
 
+// waitStatus polls m.Status until done holds or the deadline passes and
+// returns the last status read; the caller asserts on it either way.
+func waitStatus(m *Mesh, deadline time.Time, done func([]LinkStatus) bool) []LinkStatus {
+	for {
+		st := m.Status()
+		if done(st) || time.Now().After(deadline) {
+			return st
+		}
+		runtime.Gosched()
+	}
+}
+
 func newMeshPair(t *testing.T) (*testNode, *testNode, *testDialer, *Mesh) {
 	t.Helper()
 	replica := nsf.NewReplicaID()
@@ -154,8 +167,12 @@ func TestColdLinkConverges(t *testing.T) {
 	}
 	createDoc(t, a.dbs["disc.nsf"], "from alpha")
 	createDoc(t, b.dbs["disc.nsf"], "from beta")
-	waitConverged(t, map[string]*core.Database{"a": a.dbs["disc.nsf"], "b": b.dbs["disc.nsf"]}, 5*time.Second)
-	st := m.Status()
+	deadline := time.Now().Add(5 * time.Second)
+	waitConverged(t, map[string]*core.Database{"a": a.dbs["disc.nsf"], "b": b.dbs["disc.nsf"]}, time.Until(deadline))
+	// The data lands before the round that carried it settles its counters.
+	st := waitStatus(m, deadline, func(st []LinkStatus) bool {
+		return len(st) == 1 && st[0].Rounds > 0 && st[0].NotesIn > 0 && st[0].NotesOut > 0
+	})
 	if len(st) != 1 || st[0].Rounds == 0 || st[0].Failures != 0 {
 		t.Errorf("status = %+v", st)
 	}
@@ -270,8 +287,10 @@ func TestReplicaMismatchIsSkipNotFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	createDoc(t, a.dbs["disc.nsf"], "shared doc")
-	waitConverged(t, map[string]*core.Database{"a": a.dbs["disc.nsf"], "b": b.dbs["disc.nsf"]}, 5*time.Second)
-	st := m.Status()[0]
+	deadline := time.Now().Add(5 * time.Second)
+	waitConverged(t, map[string]*core.Database{"a": a.dbs["disc.nsf"], "b": b.dbs["disc.nsf"]}, time.Until(deadline))
+	// disc.nsf may converge before the same round reaches other.nsf.
+	st := waitStatus(m, deadline, func(st []LinkStatus) bool { return st[0].SkippedDBs > 0 })[0]
 	if st.Failures != 0 {
 		t.Errorf("mismatch counted as failure: %+v", st)
 	}

@@ -1,6 +1,7 @@
 package nsf
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -143,6 +144,11 @@ func (d *decoder) length() (int, error) {
 	return int(v), nil
 }
 
+// capFor bounds the capacity preallocated for count entries of at least
+// size bytes each by what the rest of the buffer can hold, so a hostile
+// count fails on truncation before it costs a large allocation.
+func (d *decoder) capFor(count, size int) int { return min(count, d.remain()/size) }
+
 // EncodeValue returns the canonical binary encoding of a single value (the
 // same encoding items use inside EncodeNote).
 func EncodeValue(v Value) []byte { return appendValue(nil, v) }
@@ -166,7 +172,14 @@ func DecodeValue(buf []byte) (Value, error) {
 
 // DecodeNote decodes a note previously produced by EncodeNote. The returned
 // note does not alias buf.
-func DecodeNote(buf []byte) (*Note, error) {
+func DecodeNote(buf []byte) (*Note, error) { return DecodeNoteItems(buf, nil) }
+
+// DecodeNoteItems decodes a note keeping only the items keep accepts, in
+// stored order; a nil keep keeps them all. keep sees each item's name as a
+// view into buf, valid only during the call. A rejected item is validated
+// and skipped without being copied, so every projection rejects exactly the
+// inputs DecodeNote rejects. The returned note does not alias buf.
+func DecodeNoteItems(buf []byte, keep func(name []byte, flags ItemFlags) bool) (*Note, error) {
 	d := &decoder{buf: buf}
 	ver, err := d.byte1()
 	if err != nil {
@@ -218,13 +231,12 @@ func DecodeNote(buf []byte) (*Note, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.Items = make([]Item, 0, count)
+	// An item takes at least 4 bytes (name length, flags, rev, type).
+	n.Items = make([]Item, 0, d.capFor(count, 4))
 	for i := 0; i < count; i++ {
-		it, err := decodeItem(d)
-		if err != nil {
+		if err := decodeItem(d, n, keep); err != nil {
 			return nil, fmt.Errorf("nsf: item %d: %w", i, err)
 		}
-		n.Items = append(n.Items, it)
 	}
 	if d.remain() != 0 {
 		return nil, fmt.Errorf("nsf: %d trailing bytes after note", d.remain())
@@ -232,29 +244,98 @@ func DecodeNote(buf []byte) (*Note, error) {
 	return n, nil
 }
 
-func decodeItem(d *decoder) (Item, error) {
-	var it Item
+// KeepItems returns a DecodeNoteItems filter keeping the items named in
+// names (case-insensitively, as EqualNames compares) and every item
+// carrying any of the bits in flags.
+func KeepItems(names []string, flags ItemFlags) func(name []byte, flags ItemFlags) bool {
+	want := make([][]byte, len(names))
+	for i, n := range names {
+		want[i] = []byte(n)
+	}
+	return func(name []byte, fl ItemFlags) bool {
+		if fl&flags != 0 {
+			return true
+		}
+		for _, w := range want {
+			if bytes.EqualFold(name, w) {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// decodeItem decodes one item, appending it to n.Items if keep (nil: all)
+// accepts it and skipping its value otherwise.
+func decodeItem(d *decoder, n *Note, keep func([]byte, ItemFlags) bool) error {
 	nameLen, err := d.length()
 	if err != nil {
-		return it, err
+		return err
 	}
 	name, err := d.bytes(nameLen)
 	if err != nil {
-		return it, err
+		return err
 	}
-	it.Name = string(name)
 	fl, err := d.byte1()
 	if err != nil {
-		return it, err
+		return err
 	}
-	it.Flags = ItemFlags(fl)
 	rev, err := d.uvarint()
 	if err != nil {
-		return it, err
+		return err
 	}
-	it.Rev = uint32(rev)
-	it.Value, err = decodeValue(d)
-	return it, err
+	if keep != nil && !keep(name, ItemFlags(fl)) {
+		return skipValue(d)
+	}
+	v, err := decodeValue(d)
+	if err != nil {
+		return err
+	}
+	n.Items = append(n.Items, Item{Name: string(name), Flags: ItemFlags(fl), Rev: uint32(rev), Value: v})
+	return nil
+}
+
+// skipValue moves past one encoded value, failing exactly where
+// decodeValue would: an unknown type, an implausible length, truncation.
+func skipValue(d *decoder) error {
+	t, err := d.byte1()
+	if err != nil {
+		return err
+	}
+	switch ItemType(t) {
+	case TypeText:
+		count, err := d.length()
+		if err != nil {
+			return err
+		}
+		for i := 0; i < count; i++ {
+			sl, err := d.length()
+			if err != nil {
+				return err
+			}
+			if _, err := d.bytes(sl); err != nil {
+				return err
+			}
+		}
+	case TypeNumber, TypeTime:
+		count, err := d.length()
+		if err != nil {
+			return err
+		}
+		_, err = d.bytes(8 * count)
+		return err
+	case TypeRaw:
+		size, err := d.length()
+		if err != nil {
+			return err
+		}
+		_, err = d.bytes(size)
+		return err
+	case 0:
+	default:
+		return fmt.Errorf("nsf: unknown item type %d", t)
+	}
+	return nil
 }
 
 func decodeValue(d *decoder) (Value, error) {
@@ -270,7 +351,7 @@ func decodeValue(d *decoder) (Value, error) {
 		if err != nil {
 			return v, err
 		}
-		v.Text = make([]string, 0, count)
+		v.Text = make([]string, 0, d.capFor(count, 1))
 		for i := 0; i < count; i++ {
 			sl, err := d.length()
 			if err != nil {
@@ -287,7 +368,7 @@ func decodeValue(d *decoder) (Value, error) {
 		if err != nil {
 			return v, err
 		}
-		v.Numbers = make([]float64, 0, count)
+		v.Numbers = make([]float64, 0, d.capFor(count, 8))
 		for i := 0; i < count; i++ {
 			bits, err := d.u64()
 			if err != nil {
@@ -300,7 +381,7 @@ func decodeValue(d *decoder) (Value, error) {
 		if err != nil {
 			return v, err
 		}
-		v.Times = make([]Timestamp, 0, count)
+		v.Times = make([]Timestamp, 0, d.capFor(count, 8))
 		for i := 0; i < count; i++ {
 			tv, err := d.u64()
 			if err != nil {

@@ -1,9 +1,11 @@
 package nsf
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -68,6 +70,31 @@ func TestCodecRejectsBadVersion(t *testing.T) {
 	enc[0] = 99
 	if _, err := DecodeNote(enc); err == nil {
 		t.Fatal("DecodeNote accepted bad version")
+	}
+}
+
+// TestCodecHostileCountsAllocateLittle feeds counts at the decoder's
+// plausibility limit with nothing behind them: the note must be rejected as
+// truncated without first preallocating for the claimed entries.
+func TestCodecHostileCountsAllocateLittle(t *testing.T) {
+	hdr := EncodeNote(NewNote(ClassDocument))
+	hdr = hdr[:len(hdr)-1] // drop the zero item count
+	huge := binary.AppendUvarint(nil, maxEncodedLen)
+	item := append(append([]byte{1, 'x', 0, 0}, byte(TypeNumber)), huge...)
+	for name, buf := range map[string][]byte{
+		"items":   append(append([]byte{}, hdr...), huge...),
+		"numbers": append(append(append([]byte{}, hdr...), 1), item...),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeNote(buf)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: hostile count accepted", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: rejecting a %d-byte note allocated %d bytes", name, len(buf), grew)
+		}
 	}
 }
 

@@ -190,7 +190,7 @@ func (c *connState) scan(ctx context.Context, hs *handleState, d *wire.Dec) (*wi
 	resp := wire.NewResp(wire.OpScan, wire.StatusOK)
 	var last nsf.NoteID
 	sent, full := 0, false
-	err = hs.sess.ScanFromCtx(ctx, after, sel, func(n *nsf.Note) bool {
+	err = hs.sess.ScanFromCtx(ctx, after, sel, columns, func(n *nsf.Note) bool {
 		if sent >= maxRows || (sent > 0 && len(resp.Bytes()) >= maxBytes) {
 			// A selected document exists past this page, so More is true
 			// even when the page filled exactly at the end of the store.

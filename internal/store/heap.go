@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -289,8 +290,20 @@ func (h *heap) noteFree(pg *page) {
 	h.mu.Unlock()
 }
 
-// get reads the full record stored at rid, following segment chains.
+// get returns a copy of the record stored at rid, for callers that keep
+// the bytes after releasing the store latch.
 func (h *heap) get(rid RecordID) ([]byte, error) {
+	rec, err := h.view(rid)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Clone(rec), nil
+}
+
+// view returns the record stored at rid. A one-segment record is aliased
+// straight from its page and is valid only while the caller holds the
+// store latch; a chained record is assembled into a fresh buffer.
+func (h *heap) view(rid RecordID) ([]byte, error) {
 	var out []byte
 	for {
 		pg, err := h.pg.get(rid.page())
@@ -311,8 +324,10 @@ func (h *heap) get(rid RecordID) ([]byte, error) {
 		flag := seg[0]
 		switch flag {
 		case segFlagNone:
-			out = append(out, seg[1:]...)
-			return out, nil
+			if out == nil {
+				return seg[1:], nil
+			}
+			return append(out, seg[1:]...), nil
 		case segFlagNext:
 			next := RecordID(binary.LittleEndian.Uint64(seg[1:9]))
 			out = append(out, seg[9:]...)

@@ -73,14 +73,14 @@ type Options struct {
 // concurrently with each other; mutations (Put, Delete, Checkpoint,
 // Compact, Close) take the exclusive latch. The pager's buffer pool and the
 // heap's free-space map carry their own internal latches so concurrent
-// readers can fault pages in safely. ScanAll and ScanSince are snapshot
-// scans: they collect the ID list under a short read latch, then
-// fetch notes in batches (each batch under its own brief read latch) and
-// run the callback with no latch held — a full scan never blocks a writer
-// for more than one batch fetch. Notes deleted between the ID snapshot and
-// the fetch are skipped. This replaces the seed's literal reproduction of
-// Domino's per-database update semaphore (one mutex around everything),
-// which made every view rebuild or replication scan stall all writers.
+// readers can fault pages in safely. Scans never hold the latch across
+// their callback: ScanFromCtx walks the NoteID index up to its high-water
+// mark one batch per brief read latch, and ScanSince fetches a USN
+// snapshot the same way — a full scan never blocks a writer for more than
+// one batch. Notes deleted mid-scan are skipped. This replaces the seed's
+// literal reproduction of Domino's per-database update semaphore (one
+// mutex around everything), which made every view rebuild or replication
+// scan stall all writers.
 type Store struct {
 	mu              sync.RWMutex
 	path            string
@@ -594,7 +594,7 @@ func (s *Store) getByIDLocked(id nsf.NoteID, admit bool) (*nsf.Note, error) {
 	if n, ok := s.cache.get(rid); ok {
 		return n, nil
 	}
-	enc, err := s.heap.get(rid)
+	enc, err := s.heap.view(rid)
 	if err != nil {
 		return nil, err
 	}
@@ -662,43 +662,95 @@ func (s *Store) ScanSince(since Cursor, fn func(*nsf.Note) bool) (Cursor, error)
 }
 
 // ScanAll calls fn for every note in NoteID order until fn returns false:
-// ScanFromCtx from the first NoteID, without a deadline.
+// ScanFromCtx from the first NoteID over whole notes, without a deadline.
 func (s *Store) ScanAll(fn func(*nsf.Note) bool) error {
-	return s.ScanFromCtx(context.Background(), 0, fn)
+	return s.ScanFromCtx(context.Background(), 0, nil, fn)
 }
 
 // ScanFromCtx calls fn for every note with NoteID strictly greater than
-// after, in NoteID order, until fn returns false or ctx is done. Snapshot
-// semantics match ScanSince: the ID list is collected under a short read
-// latch, notes are fetched in batches, fn runs with no latch held, and
-// concurrently deleted notes are skipped. The deadline is checked between
-// fetch batches, so a cancelled scan stops within one scanBatch of work.
-// NoteIDs are assigned monotonically from 1 and survive compaction, so a
-// bulk reader that remembers the last ID it consumed can resume a scan of
-// this physical database exactly where it stopped — the cursor the wire
-// scan ops page with. (NoteIDs are per-copy: a cursor is meaningless
-// against another replica of the same database.)
-func (s *Store) ScanFromCtx(ctx context.Context, after nsf.NoteID, fn func(*nsf.Note) bool) error {
+// after, in NoteID order, until fn returns false or ctx is done. Each note
+// carries only the items keep accepts (nsf.DecodeNoteItems; nil keeps all).
+//
+// The scan is one bounded walk of the NoteID index. The first latch hold
+// reads the NoteID high-water mark, and the walk stops there, so notes
+// created during the scan are never visited and the scan always ends. Each
+// read-latch hold walks up to scanBatch entries, decoding every note
+// straight from its heap page; fn runs with no latch held, so fn may
+// re-enter the store (even to write) and a slow consumer never holds the
+// latch. The next hold resumes after the last NoteID walked. Notes deleted
+// during the scan are skipped, notes updated during it are seen in either
+// version, and the note cache is neither consulted nor filled. The deadline
+// is checked before each hold, so a cancelled scan stops within one
+// scanBatch of work. NoteIDs are assigned monotonically from 1 and survive
+// compaction, so a bulk reader that remembers the last ID it consumed can
+// resume a scan of this physical database exactly where it stopped — the
+// cursor the wire scan ops page with. (NoteIDs are per-copy: a cursor is
+// meaningless against another replica of the same database.)
+func (s *Store) ScanFromCtx(ctx context.Context, after nsf.NoteID, keep func(name []byte, flags nsf.ItemFlags) bool, fn func(*nsf.Note) bool) error {
 	if after == ^nsf.NoteID(0) {
 		return nil
 	}
-	s.mu.RLock()
-	var ids []nsf.NoteID
-	err := s.byID.Ascend(idKey(after+1), func(k, _ []byte) bool {
-		ids = append(ids, nsf.NoteID(binary.BigEndian.Uint32(k)))
-		return true
-	})
-	s.mu.RUnlock()
-	if err != nil {
-		return err
+	high := nsf.NoteID(0) // read under the first hold; 0 means not yet
+	batch := make([]*nsf.Note, 0, scanBatch)
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		batch = batch[:0]
+		more := false
+		var werr error
+		s.mu.RLock()
+		if s.closed {
+			s.mu.RUnlock()
+			return errors.New("store: closed")
+		}
+		if high == 0 {
+			high = nsf.NoteID(s.pg.nextNoteID)
+		}
+		err := s.byID.Ascend(idKey(after+1), func(k, v []byte) bool {
+			id := nsf.NoteID(binary.BigEndian.Uint32(k))
+			if id >= high {
+				return false
+			}
+			if len(batch) == scanBatch {
+				more = true
+				return false
+			}
+			rid, _ := location(v)
+			var rec []byte
+			var n *nsf.Note
+			if rec, werr = s.heap.view(rid); werr == nil {
+				n, werr = nsf.DecodeNoteItems(rec, keep)
+			}
+			if werr != nil {
+				return false
+			}
+			batch = append(batch, n)
+			after = id
+			return true
+		})
+		s.mu.RUnlock()
+		if err == nil {
+			err = werr
+		}
+		if err != nil {
+			return err
+		}
+		for _, n := range batch {
+			if !fn(n) {
+				return nil
+			}
+		}
+		if !more {
+			return nil
+		}
 	}
-	return s.fetchNotesCtx(ctx, ids, fn)
 }
 
-// fetchNotesCtx delivers the snapshot ID list to fn: each batch of notes is
-// fetched under one brief read latch, then fn runs latch-free, so fn may
-// re-enter the store (even to write) and a slow consumer never holds the
-// latch. IDs whose notes vanished since the snapshot are skipped. The
+// fetchNotesCtx delivers ScanSince's snapshot ID list to fn: each batch of
+// notes is fetched under one brief read latch, then fn runs latch-free, so
+// fn may re-enter the store (even to write) and a slow consumer never holds
+// the latch. IDs whose notes vanished since the snapshot are skipped. The
 // deadline is checked before each batch's latch acquisition: a cancelled
 // scan returns ctx's error without fetching or delivering the rest of the
 // snapshot.
