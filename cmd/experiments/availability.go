@@ -9,6 +9,7 @@ import (
 	"time"
 
 	domino "repro"
+	invariant "repro/internal/check"
 )
 
 // --- W5: availability under node loss and overload ---
@@ -46,7 +47,8 @@ func w5Failover(docs int) row {
 	}
 
 	killAt := docs / 2
-	var acked []*domino.Note
+	model := invariant.NewModel()
+	acked := 0
 	var window time.Duration
 	for i := 0; i < docs; i++ {
 		if i == killAt {
@@ -55,12 +57,12 @@ func w5Failover(docs int) row {
 		n := domino.NewDocument()
 		n.SetText("Subject", fmt.Sprintf("w5 doc %d", i))
 		start := time.Now()
-		ok, _ := ackedCreate(db, n, 0)
+		o, _ := model.Create(db, n, 0)
 		if i == killAt {
 			window = time.Since(start)
 		}
-		if ok {
-			acked = append(acked, n)
+		if o == invariant.Acked {
+			acked++
 		}
 	}
 
@@ -73,8 +75,8 @@ func w5Failover(docs int) row {
 		domino.ReplicationOptions{PeerName: "catchup"}); err != nil {
 		log.Fatal(err)
 	}
-	lost, _ := auditAcked(dbs[1], acked)
-	return newRow("failover", "docs", docs, "acked", len(acked), "lost_acked", lost,
+	lost := model.Durable(dbs[1]).Lost
+	return newRow("failover", "docs", docs, "acked", acked, "lost_acked", lost,
 		"failover_window_ms", msf(window), "failovers", fc.Stats().Failovers)
 }
 

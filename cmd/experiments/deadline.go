@@ -10,6 +10,7 @@ import (
 	"time"
 
 	domino "repro"
+	invariant "repro/internal/check"
 	"repro/internal/faultnet"
 )
 
@@ -246,22 +247,22 @@ func w10WriteSafety(docs int) row {
 	}
 
 	c.nets["alpha"].Enable()
-	var acked []*domino.Note
-	recovered := 0
+	model := invariant.NewModel()
+	acked, recovered := 0, 0
 	for i := 0; i < docs; i++ {
 		n := domino.NewDocument()
 		n.SetText("Subject", fmt.Sprintf("w10c doc %04d", i))
 		// An expiry or transport death after send is ambiguous: never
 		// blind-resend. Read back first, for the 75ms a cluster push may
 		// take to surface a create the stalled mate applied.
-		ok, rec := ackedCreate(db, n, 75*time.Millisecond)
-		if !ok {
-			continue // never acknowledged anywhere — excluded from audit
+		o, rec := model.Create(db, n, 75*time.Millisecond)
+		if o != invariant.Acked {
+			continue // never acknowledged anywhere
 		}
 		if rec {
 			recovered++
 		}
-		acked = append(acked, n)
+		acked++
 	}
 	c.nets["alpha"].Disable()
 
@@ -270,9 +271,9 @@ func w10WriteSafety(docs int) row {
 	if _, err := domino.Replicate(dbs[0], &domino.LocalPeer{DB: dbs[1]}, domino.ReplicationOptions{PeerName: "audit"}); err != nil {
 		log.Fatal(err)
 	}
-	lost, dup := auditAcked(dbs[1], acked)
-	return newRow("write-safety", "docs", docs, "acked", len(acked), "recovered", recovered,
-		"lost_acked", lost, "duplicated", dup)
+	audit := model.Durable(dbs[1])
+	return newRow("write-safety", "docs", docs, "acked", acked, "recovered", recovered,
+		"lost_acked", audit.Lost, "duplicated", audit.Duplicated)
 }
 
 const (

@@ -18,9 +18,9 @@ import (
 )
 
 // The experiment harness: the four things every experiment needs and none
-// should re-build — a cluster fixture, a latency recorder (plus the
-// acked-write audit), the one baseline file, and the drift-guard probe
-// table. Experiments are scenario descriptions over these.
+// should re-build — a cluster fixture, a latency recorder, the one
+// baseline file, and the drift-guard probe table. Experiments are scenario
+// descriptions over these; the acked-write audit is package check's Model.
 
 // --- scratch space and invariant collection ---
 
@@ -286,52 +286,6 @@ func (c *cluster) remote(name, path string, opts domino.ClientOptions) (*domino.
 		log.Fatal(err)
 	}
 	return cl, rdb
-}
-
-// --- acknowledged-write protocol and audit ---
-
-// ackedCreate issues one create with the safe-retry protocol. An error is
-// ambiguous — the write may have been applied before its ack was lost — so
-// the client reads the UNID back and re-issues only while it is absent.
-// settle is how long it keeps reading back before the first re-issue: the
-// window in which a cluster push may still surface a create the failed mate
-// applied. acked is false only if the write was never acknowledged anywhere;
-// recovered reports that the first attempt failed.
-func ackedCreate(db *domino.FailoverDB, n *domino.Note, settle time.Duration) (acked, recovered bool) {
-	if db.Create(n) == nil {
-		return true, false
-	}
-	start := time.Now()
-	for time.Since(start) < 5*time.Second {
-		if _, err := db.Get(n.OID.UNID); err == nil {
-			return true, true
-		}
-		if time.Since(start) >= settle && db.Create(n) == nil {
-			return true, true
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return false, true
-}
-
-// auditAcked checks the zero-lost-acked-writes contract against db: lost
-// counts acknowledged notes that are absent, duplicated those whose Subject
-// appears more than once (a re-issued create that landed twice surfaces as
-// a replication conflict carrying the same subject).
-func auditAcked(db *domino.Database, acked []*domino.Note) (lost, duplicated int) {
-	subjects := map[string]int{}
-	db.ScanAll(func(n *domino.Note) bool {
-		subjects[n.Text("Subject")]++
-		return true
-	})
-	for _, n := range acked {
-		if _, err := db.RawGet(n.OID.UNID); err != nil {
-			lost++
-		} else if subjects[n.Text("Subject")] > 1 {
-			duplicated++
-		}
-	}
-	return lost, duplicated
 }
 
 // --- baseline file ---

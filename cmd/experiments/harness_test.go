@@ -11,6 +11,7 @@ import (
 	"time"
 
 	domino "repro"
+	invariant "repro/internal/check"
 )
 
 func TestProbeVerdict(t *testing.T) {
@@ -187,17 +188,16 @@ func TestClusterKillRestartLosesNoAckedWrite(t *testing.T) {
 	}
 	bound := mateAt()
 
-	var acked []*domino.Note
+	model := invariant.NewModel()
 	for i := 0; i < 8; i++ {
 		if i == 4 {
 			c.kill(bound)
 		}
 		n := domino.NewDocument()
 		n.SetText("Subject", fmt.Sprintf("doc %d", i))
-		if ok, _ := ackedCreate(db, n, 0); !ok {
+		if o, _ := model.Create(db, n, 0); o != invariant.Acked {
 			t.Fatalf("create %d never acknowledged", i)
 		}
-		acked = append(acked, n)
 	}
 	survivor := mateAt()
 	if survivor == bound {
@@ -218,11 +218,12 @@ func TestClusterKillRestartLosesNoAckedWrite(t *testing.T) {
 		domino.ReplicationOptions{PeerName: "catchup"}); err != nil {
 		t.Fatal(err)
 	}
-	if lost, dup := auditAcked(c.db(survivor, path), acked); lost != 0 || dup != 0 {
-		t.Errorf("audit: %d lost, %d duplicated of %d acked", lost, dup, len(acked))
+	if err := model.Durable(c.db(survivor, path)).Err(); err != nil {
+		t.Error(err)
 	}
 	// The audit is not vacuous: a UNID that was never written is lost.
-	if lost, _ := auditAcked(c.db(survivor, path), append(acked, domino.NewDocument())); lost != 1 {
+	model.Created(domino.NewDocument(), invariant.Acked)
+	if lost := model.Durable(c.db(survivor, path)).Lost; lost != 1 {
 		t.Errorf("audit of a never-written note: lost = %d, want 1", lost)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	domino "repro"
+	invariant "repro/internal/check"
 	"repro/internal/faultnet"
 	"repro/internal/mesh"
 )
@@ -14,10 +15,10 @@ import (
 //
 // The replication-topology claim, measured end to end over the wire: 8
 // servers each holding a replica of one database, connected by a mesh of
-// hot links in a ring and in a hub-and-spoke, converge to identical
-// (UNID, Seq, SeqTime) fingerprints — while the network drops and severs
-// connections, one node sits behind a near-total inbound partition, and
-// another is killed mid-churn and restarted on a new address. The audit
+// hot links in a ring and in a hub-and-spoke, converge (check.Converged)
+// — while the network drops and severs connections, one node sits behind a
+// near-total inbound partition, and another is killed mid-churn and
+// restarted on a new address. The audit
 // also requires zero spurious conflicts: distinct documents gossiped over
 // redundant paths must never be misread as concurrent edits.
 //
@@ -83,34 +84,28 @@ func (c *w8Mesh) write(name string, n int) {
 	}
 }
 
-// waitConverged polls the convergence audit over the live replicas; it
-// returns the elapsed time and the last audit (converged or timed out).
-func (c *w8Mesh) waitConverged(timeout time.Duration) (time.Duration, mesh.Audit) {
-	start := time.Now()
-	for {
-		dbs := map[string]*domino.Database{}
-		for name := range c.srv {
-			dbs[name] = c.db(name, w8Path)
-		}
-		audit, err := mesh.AuditConvergence(dbs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if audit.Converged || time.Since(start) > timeout {
-			return time.Since(start), audit
-		}
-		time.Sleep(10 * time.Millisecond)
+// converge waits for every live replica to converge and returns how long
+// that took and the last verdict.
+func (c *w8Mesh) converge(timeout time.Duration) (time.Duration, error) {
+	var dbs []*domino.Database
+	for name := range c.srv {
+		dbs = append(dbs, c.db(name, w8Path))
 	}
+	return invariant.WaitConverged(timeout, dbs...)
 }
 
 // result checks one run's convergence invariants and records its audit and
 // the traffic summed over every live link and fault injector.
-func (c *w8Mesh) result(topoName string, docs int, elapsed time.Duration, audit mesh.Audit) row {
+func (c *w8Mesh) result(topoName string, docs int, elapsed time.Duration, diverged error) row {
 	conflicts := 0
-	for _, fp := range audit.Fingerprints {
+	for name := range c.srv {
+		fp, err := invariant.Fingerprint(c.db(name, w8Path))
+		if err != nil {
+			log.Fatal(err)
+		}
 		conflicts += fp.Conflicts
 	}
-	check(audit.Converged, "W8 %s: replicas failed to converge", topoName)
+	check(diverged == nil, "W8 %s: replicas failed to converge: %v", topoName, diverged)
 	check(conflicts == 0, "W8 %s: %d spurious conflicts", topoName, conflicts)
 	var sum domino.MeshLinkStatus
 	for _, m := range c.mesh {
@@ -129,7 +124,7 @@ func (c *w8Mesh) result(topoName string, docs int, elapsed time.Duration, audit 
 		drops, severs = drops+st.Drops, severs+st.Severs
 	}
 	return newRow(topoName, "servers", len(c.mates), "links", len(c.topo), "docs", docs,
-		"converged", audit.Converged, "converge_ms", msf(elapsed), "spurious_conflicts", conflicts,
+		"converged", diverged == nil, "converge_ms", msf(elapsed), "spurious_conflicts", conflicts,
 		"rounds", sum.Rounds, "link_failures", sum.Failures,
 		"notes_in", sum.NotesIn, "notes_out", sum.NotesOut,
 		"bytes_in", sum.BytesIn, "bytes_out", sum.BytesOut,
@@ -195,8 +190,8 @@ func w8Churn(topoName string, servers, docsPer int, quick bool) row {
 
 	// Heal the network and measure time to convergence.
 	c.churn(false)
-	elapsed, audit := c.waitConverged(90 * time.Second)
-	return c.result(topoName, servers*docsPer, elapsed, audit)
+	elapsed, diverged := c.converge(90 * time.Second)
+	return c.result(topoName, servers*docsPer, elapsed, diverged)
 }
 
 // w8Selective runs the selection-stub phase: a two-server link whose
@@ -225,8 +220,8 @@ func w8Selective(docs int) row {
 			edited = append(edited, doc)
 		}
 	}
-	if _, audit := c.waitConverged(30 * time.Second); !audit.Converged {
-		log.Fatal("w8 selective: initial convergence failed")
+	if _, err := c.converge(30 * time.Second); err != nil {
+		log.Fatalf("w8 selective: initial convergence failed: %v", err)
 	}
 	// Edit half the documents out of the selection.
 	for _, doc := range edited {
@@ -235,7 +230,7 @@ func w8Selective(docs int) row {
 			log.Fatal(err)
 		}
 	}
-	elapsed, audit := c.waitConverged(30 * time.Second)
+	elapsed, diverged := c.converge(30 * time.Second)
 
 	dstDB := c.db("dst", w8Path)
 	stubs := 0
@@ -244,7 +239,7 @@ func w8Selective(docs int) row {
 			stubs++
 		}
 	}
-	r := c.result("selective", docs, elapsed, audit)
+	r := c.result("selective", docs, elapsed, diverged)
 	r.M["sel_stubs"] = float64(stubs)
 	return r
 }

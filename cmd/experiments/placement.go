@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"log"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	domino "repro"
+	invariant "repro/internal/check"
 )
 
 // --- W6: partitioned namespace — live moves and dead-mate re-homing ---
@@ -56,8 +56,8 @@ func w6LiveMove(docs int) row {
 		log.Fatal(err)
 	}
 
-	var mu sync.Mutex
-	var acked []*domino.Note
+	model := invariant.NewModel()
+	var acked atomic.Int64
 	var stop atomic.Bool
 	done := make(chan struct{})
 	go func() {
@@ -65,25 +65,17 @@ func w6LiveMove(docs int) row {
 		for i := 0; !stop.Load(); i++ {
 			n := domino.NewDocument()
 			n.SetText("Subject", fmt.Sprintf("w6 doc %d", i))
-			if ok, _ := ackedCreate(db, n, 0); ok {
-				mu.Lock()
-				acked = append(acked, n)
-				mu.Unlock()
+			if o, _ := model.Create(db, n, 0); o == invariant.Acked {
+				acked.Add(1)
 			}
 		}
 	}()
-	waitAcked := func(min int) {
-		for {
-			mu.Lock()
-			n := len(acked)
-			mu.Unlock()
-			if n >= min {
-				return
-			}
+	waitAcked := func(min int64) {
+		for acked.Load() < min {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
-	waitAcked(docs / 2)
+	waitAcked(int64(docs / 2))
 
 	res, err := domino.MoveDatabase(c.dir, c.srv["alpha"], c.srv["beta"], path, domino.MoveOptions{
 		BackupRoot: filepath.Join(c.root, "imgroot"), QuiesceTimeout: 10 * time.Second,
@@ -93,16 +85,13 @@ func w6LiveMove(docs int) row {
 	}
 	// The writer must keep acking after the flip — through the stale-cache
 	// redirect — before the audit runs.
-	mu.Lock()
-	atMove := len(acked)
-	mu.Unlock()
-	waitAcked(atMove + docs/2)
+	waitAcked(acked.Load() + int64(docs/2))
 	stop.Store(true)
 	<-done
 
-	lost, _ := auditAcked(c.db("beta", path), acked)
+	lost := model.Durable(c.db("beta", path)).Lost
 	check(lost == 0, "W6: %d acknowledged writes lost across the move", lost)
-	return newRow("live-move", "acked", len(acked), "lost_acked", lost,
+	return newRow("live-move", "acked", acked.Load(), "lost_acked", lost,
 		"move_ms", msf(res.Elapsed), "moved_notes", res.Moved, "catchup_rounds", res.Rounds,
 		"generation", res.Generation, "redirects", fc.Stats().WrongMateRedirects)
 }
@@ -131,13 +120,14 @@ func w6Rehome(dbs, docs, delta, post int) row {
 	fc := w6Dial(c)
 	defer fc.Close()
 	handles := map[string]*domino.FailoverDB{}
-	acked := map[string][]*domino.Note{}
+	models := map[string]*invariant.Model{}
+	acked := map[string]int{}
 	write := func(path string, k int) {
 		for i := 0; i < k; i++ {
 			n := domino.NewDocument()
-			n.SetText("Subject", fmt.Sprintf("%s doc %d", path, len(acked[path])))
-			if ok, _ := ackedCreate(handles[path], n, 0); ok {
-				acked[path] = append(acked[path], n)
+			n.SetText("Subject", fmt.Sprintf("%s doc %d", path, acked[path]))
+			if o, _ := models[path].Create(handles[path], n, 0); o == invariant.Acked {
+				acked[path]++
 			}
 		}
 	}
@@ -146,7 +136,7 @@ func w6Rehome(dbs, docs, delta, post int) row {
 		if err != nil {
 			log.Fatal(err)
 		}
-		handles[path] = h
+		handles[path], models[path] = h, invariant.NewModel()
 		write(path, docs)
 	}
 
@@ -209,8 +199,7 @@ func w6Rehome(dbs, docs, delta, post int) row {
 	// database's current home.
 	total, lost := 0, 0
 	for _, path := range paths {
-		l, _ := auditAcked(c.db(home[path], path), acked[path])
-		total, lost = total+len(acked[path]), lost+l
+		total, lost = total+acked[path], lost+models[path].Durable(c.db(home[path], path)).Lost
 	}
 	check(lost == 0, "W6: %d acknowledged writes lost across the mate kill + re-home", lost)
 	return newRow("rehome", "databases", dbs, "mates", len(names), "dead_homed", rehome.n(),

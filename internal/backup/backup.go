@@ -228,38 +228,38 @@ func writeImage(fsys vfs.FS, dir string, h *Header, body func(w io.Writer) error
 
 // readImageInfo loads an image's header and trailer digest without
 // verifying the body (Verify and Restore do the full digest pass).
-func readImageInfo(path string) (ImageInfo, error) {
-	f, err := os.Open(path)
+func readImageInfo(fsys vfs.FS, path string) (ImageInfo, error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return ImageInfo{}, err
 	}
 	defer f.Close()
 	hdr := make([]byte, imageHdrSize)
-	if _, err := io.ReadFull(f, hdr); err != nil {
+	if _, err := io.ReadFull(io.NewSectionReader(f, 0, imageHdrSize), hdr); err != nil {
 		return ImageInfo{}, fmt.Errorf("%w: %s: short header", ErrCorruptImage, path)
 	}
 	h, err := decodeHeader(path, hdr)
 	if err != nil {
 		return ImageInfo{}, err
 	}
-	info, err := f.Stat()
+	size, err := f.Size()
 	if err != nil {
 		return ImageInfo{}, err
 	}
-	if info.Size() < imageHdrSize+digestSize {
+	if size < imageHdrSize+digestSize {
 		return ImageInfo{}, fmt.Errorf("%w: %s: truncated", ErrCorruptImage, path)
 	}
 	var digest [digestSize]byte
-	if _, err := f.ReadAt(digest[:], info.Size()-digestSize); err != nil {
+	if _, err := f.ReadAt(digest[:], size-digestSize); err != nil {
 		return ImageInfo{}, fmt.Errorf("%w: %s: unreadable digest", ErrCorruptImage, path)
 	}
-	return ImageInfo{Header: h, Path: path, Digest: digest, Size: info.Size()}, nil
+	return ImageInfo{Header: h, Path: path, Digest: digest, Size: size}, nil
 }
 
 // verifyImageDigest re-hashes the image body and compares it to the
 // trailer digest.
-func verifyImageDigest(info ImageInfo) error {
-	f, err := os.Open(info.Path)
+func verifyImageDigest(fsys vfs.FS, info ImageInfo) error {
+	f, err := fsys.OpenFile(info.Path, os.O_RDONLY, 0)
 	if err != nil {
 		return err
 	}
@@ -288,9 +288,12 @@ type Set struct {
 // OpenSet loads the backup set in dir. Temp files (crash leftovers) are
 // ignored; images with unreadable headers fail the load. An empty or
 // missing directory yields an empty set.
-func OpenSet(dir string) (*Set, error) {
+func OpenSet(dir string) (*Set, error) { return openSet(vfs.OS, dir) }
+
+// openSet is OpenSet reading through fsys.
+func openSet(fsys vfs.FS, dir string) (*Set, error) {
 	s := &Set{Dir: dir}
-	entries, err := os.ReadDir(dir)
+	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return s, nil
@@ -302,7 +305,7 @@ func OpenSet(dir string) (*Set, error) {
 		if e.IsDir() || !strings.HasPrefix(name, "img-") || !strings.HasSuffix(name, imageExt) {
 			continue
 		}
-		info, err := readImageInfo(filepath.Join(dir, name))
+		info, err := readImageInfo(fsys, filepath.Join(dir, name))
 		if err != nil {
 			return nil, err
 		}
@@ -375,7 +378,7 @@ func Full(st *store.Store, dir string, now nsf.Timestamp) (ImageInfo, error) {
 	if err := st.FS().MkdirAll(dir, 0o755); err != nil {
 		return ImageInfo{}, fmt.Errorf("backup: set dir: %w", err)
 	}
-	set, err := OpenSet(dir)
+	set, err := openSet(st.FS(), dir)
 	if err != nil {
 		return ImageInfo{}, err
 	}
@@ -412,7 +415,7 @@ func Full(st *store.Store, dir string, now nsf.Timestamp) (ImageInfo, error) {
 // a database restored, recovered or recreated at the same path). An empty
 // incremental is still written: it renews the chain head and cursor.
 func Incremental(st *store.Store, dir string, now nsf.Timestamp) (ImageInfo, error) {
-	set, err := OpenSet(dir)
+	set, err := openSet(st.FS(), dir)
 	if err != nil {
 		return ImageInfo{}, err
 	}
@@ -466,8 +469,8 @@ func Incremental(st *store.Store, dir string, now nsf.Timestamp) (ImageInfo, err
 // readIncremental streams the note frames of an incremental image to fn,
 // then reads the live-UNID manifest that follows them and returns it as a
 // set.
-func readIncremental(img ImageInfo, fn func(enc []byte) error) (map[nsf.UNID]struct{}, error) {
-	f, err := os.Open(img.Path)
+func readIncremental(fsys vfs.FS, img ImageInfo, fn func(enc []byte) error) (map[nsf.UNID]struct{}, error) {
+	f, err := fsys.OpenFile(img.Path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, err
 	}

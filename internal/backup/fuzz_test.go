@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/nsf"
 	"repro/internal/store"
+	"repro/internal/vfs"
 )
 
 // incrementalImage builds a store of notes documents, takes a full image,
@@ -82,13 +83,13 @@ func TestCraftedManifestCountRejected(t *testing.T) {
 	if _, err := Restore(setDir, filepath.Join(t.TempDir(), "r.nsf"), RestoreOptions{}, nil); !errors.Is(err, ErrCorruptImage) {
 		t.Fatalf("restore through crafted image: %v, want ErrCorruptImage", err)
 	}
-	info, err := readImageInfo(img.Path)
+	info, err := readImageInfo(vfs.OS, img.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = readIncremental(info, func([]byte) error { return nil })
+	_, err = readIncremental(vfs.OS, info, func([]byte) error { return nil })
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrCorruptImage) {
 		t.Fatalf("readIncremental: %v, want ErrCorruptImage", err)

@@ -55,12 +55,13 @@ func Restore(setDir, targetPath string, opts RestoreOptions, fsys vfs.FS) (Resto
 	if fsys == nil {
 		fsys = vfs.OS
 	}
-	if _, err := os.Stat(targetPath); err == nil {
+	if f, err := fsys.OpenFile(targetPath, os.O_RDONLY, 0); err == nil {
+		f.Close()
 		return info, fmt.Errorf("backup: restore target %s already exists", targetPath)
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return info, err
 	}
-	set, err := OpenSet(setDir)
+	set, err := openSet(fsys, setDir)
 	if err != nil {
 		return info, err
 	}
@@ -69,7 +70,7 @@ func Restore(setDir, targetPath string, opts RestoreOptions, fsys vfs.FS) (Resto
 		return info, err
 	}
 	for _, img := range chain {
-		if err := verifyImageDigest(img); err != nil {
+		if err := verifyImageDigest(fsys, img); err != nil {
 			return info, err
 		}
 	}
@@ -117,7 +118,7 @@ func Restore(setDir, targetPath string, opts RestoreOptions, fsys vfs.FS) (Resto
 	// never overshoot the image's EndUSN; AdvanceUSN then equalizes to it,
 	// keeping the cursor aligned for archive replay.
 	for _, img := range chain[1:] {
-		manifest, err := readIncremental(img, func(enc []byte) error {
+		manifest, err := readIncremental(fsys, img, func(enc []byte) error {
 			n, err := nsf.DecodeNote(enc)
 			if err != nil {
 				return fmt.Errorf("%w: %s: undecodable note: %v", ErrCorruptImage, img.Path, err)
@@ -192,7 +193,7 @@ func extractFullImage(fsys vfs.FS, img ImageInfo, stagePath string) error {
 	if img.Kind != KindFull {
 		return fmt.Errorf("backup: %s is not a full image", img.Path)
 	}
-	f, err := os.Open(img.Path)
+	f, err := fsys.OpenFile(img.Path, os.O_RDONLY, 0)
 	if err != nil {
 		return err
 	}

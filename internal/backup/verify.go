@@ -54,13 +54,13 @@ func VerifySet(setDir, archiveDir string) (*VerifyResult, error) {
 	for i := range set.Images {
 		img := &set.Images[i]
 		r.Images++
-		if err := verifyImageDigest(*img); err != nil {
+		if err := verifyImageDigest(vfs.OS, *img); err != nil {
 			r.problemf("%v", err)
 			// The body is untrustworthy; skip its frame checks but still
 			// check the chain fields, which the header CRC vouches for.
 		} else if img.Kind == KindIncremental {
 			var unids []nsf.UNID
-			manifest, err := readIncremental(*img, func(enc []byte) error {
+			manifest, err := readIncremental(vfs.OS, *img, func(enc []byte) error {
 				n, err := nsf.DecodeNote(enc)
 				if err != nil {
 					return fmt.Errorf("%s: undecodable note: %v", img.Path, err)

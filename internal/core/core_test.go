@@ -72,6 +72,31 @@ func TestSessionCRUDAndVersioning(t *testing.T) {
 	}
 }
 
+// TestUpdateNeverResurrects: an update that reaches a replica after the
+// document's deletion (a request delayed past its client's patience, or
+// sent before the deletion replicated in) fails instead of reviving the
+// document at a higher Seq, where no replication would ever delete it
+// again.
+func TestUpdateNeverResurrects(t *testing.T) {
+	db := openDB(t, Options{})
+	s := db.Session("alice")
+	n := memo("doomed")
+	if err := s.Create(n); err != nil {
+		t.Fatal(err)
+	}
+	late := n.Clone()
+	late.SetText("Subject", "edited too late")
+	if err := s.Delete(n.OID.UNID); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Update(late); !errors.Is(err, ErrNotFound) {
+		t.Errorf("update of a deleted document: %v, want ErrNotFound", err)
+	}
+	if stub, err := db.RawGet(n.OID.UNID); err != nil || !stub.IsStub() || stub.OID.Seq != 2 {
+		t.Errorf("after the late update: %+v, %v; want the seq-2 stub", stub, err)
+	}
+}
+
 func TestCreateDuplicateFails(t *testing.T) {
 	db := openDB(t, Options{})
 	s := db.Session("alice")

@@ -88,11 +88,16 @@ func (s *Session) Get(unid nsf.UNID) (*nsf.Note, error) {
 }
 
 // Update stores a modified document, advancing its version. The caller must
-// pass the full note (as returned by Get, then mutated).
+// pass the full note (as returned by Get, then mutated). A stub reads as
+// not found, as in Get: an update that arrives after the delete must not
+// bring the document back.
 func (s *Session) Update(n *nsf.Note) error {
 	old, err := s.db.st.GetByUNID(n.OID.UNID)
 	if err != nil {
 		return err
+	}
+	if old.IsStub() {
+		return ErrNotFound
 	}
 	if !s.id.CanEdit(old) {
 		return fmt.Errorf("%w: %s may not edit %s", ErrAccessDenied, s.user, n.OID.UNID)

@@ -3,8 +3,8 @@
 // selection formula, a direction, and a schedule class. Links gossip
 // changes pairwise — hot links fire off the local changefeed (debounced),
 // cold links run jittered anti-entropy rounds — and the whole mesh
-// converges every replica of a database to the same (UNID, Seq, SeqTime)
-// set, which the convergence audit fingerprints.
+// converges every replica of a database to the same replicated state,
+// which package check fingerprints.
 //
 // The scheduler respects the server's admission state (a draining node
 // stops originating rounds), backs off failing links exponentially, and
@@ -24,9 +24,14 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/repl"
 )
+
+// FingerprintDB is check.Fingerprint, kept for callers that reach the
+// convergence fingerprint through the mesh.
+func FingerprintDB(db *core.Database) (check.Print, error) { return check.Fingerprint(db) }
 
 // Direction says which way a link moves changes.
 type Direction uint8

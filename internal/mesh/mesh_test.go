@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/nsf"
 	"repro/internal/repl"
@@ -106,28 +107,6 @@ func createDoc(t *testing.T, db *core.Database, subject string) *nsf.Note {
 	return n
 }
 
-// waitConverged polls the audit until every replica fingerprints the same.
-func waitConverged(t *testing.T, replicas map[string]*core.Database, within time.Duration) Audit {
-	t.Helper()
-	deadline := time.Now().Add(within)
-	for {
-		a, err := AuditConvergence(replicas)
-		if err != nil {
-			t.Fatalf("AuditConvergence: %v", err)
-		}
-		if a.Converged {
-			return a
-		}
-		if time.Now().After(deadline) {
-			for label, fp := range a.Fingerprints {
-				t.Logf("%s: %s (%d notes, %d live)", label, fp.Digest[:12], fp.Notes, fp.Live)
-			}
-			t.Fatal("replicas did not converge")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // waitStatus polls m.Status until done holds or the deadline passes and
 // returns the last status read; the caller asserts on it either way.
 func waitStatus(m *Mesh, deadline time.Time, done func([]LinkStatus) bool) []LinkStatus {
@@ -168,7 +147,9 @@ func TestColdLinkConverges(t *testing.T) {
 	createDoc(t, a.dbs["disc.nsf"], "from alpha")
 	createDoc(t, b.dbs["disc.nsf"], "from beta")
 	deadline := time.Now().Add(5 * time.Second)
-	waitConverged(t, map[string]*core.Database{"a": a.dbs["disc.nsf"], "b": b.dbs["disc.nsf"]}, time.Until(deadline))
+	if _, err := check.WaitConverged(time.Until(deadline), a.dbs["disc.nsf"], b.dbs["disc.nsf"]); err != nil {
+		t.Fatal(err)
+	}
 	// The data lands before the round that carried it settles its counters.
 	st := waitStatus(m, deadline, func(st []LinkStatus) bool {
 		return len(st) == 1 && st[0].Rounds > 0 && st[0].NotesIn > 0 && st[0].NotesOut > 0
@@ -190,7 +171,9 @@ func TestHotLinkFiresOnWrite(t *testing.T) {
 	}
 	time.Sleep(10 * time.Millisecond) // let the trigger attach
 	createDoc(t, a.dbs["disc.nsf"], "instant")
-	waitConverged(t, map[string]*core.Database{"a": a.dbs["disc.nsf"], "b": b.dbs["disc.nsf"]}, 5*time.Second)
+	if _, err := check.WaitConverged(5*time.Second, a.dbs["disc.nsf"], b.dbs["disc.nsf"]); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestSelectiveLinkStubsDeselected(t *testing.T) {
@@ -201,7 +184,9 @@ func TestSelectiveLinkStubsDeselected(t *testing.T) {
 	}
 	createDoc(t, a.dbs["disc.nsf"], "public")
 	secret := createDoc(t, a.dbs["disc.nsf"], "secret")
-	waitConverged(t, map[string]*core.Database{"a": a.dbs["disc.nsf"], "b": b.dbs["disc.nsf"]}, 5*time.Second)
+	if _, err := check.WaitConverged(5*time.Second, a.dbs["disc.nsf"], b.dbs["disc.nsf"]); err != nil {
+		t.Fatal(err)
+	}
 	nb, err := b.dbs["disc.nsf"].RawGet(secret.OID.UNID)
 	if err != nil || !nb.IsSelStub() {
 		t.Fatalf("secret at beta = %+v err=%v, want selection stub", nb, err)
@@ -238,7 +223,9 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	// link converges.
 	d.fail.Store(false)
 	createDoc(t, a.dbs["disc.nsf"], "after outage")
-	waitConverged(t, map[string]*core.Database{"a": a.dbs["disc.nsf"], "b": b.dbs["disc.nsf"]}, 5*time.Second)
+	if _, err := check.WaitConverged(5*time.Second, a.dbs["disc.nsf"], b.dbs["disc.nsf"]); err != nil {
+		t.Fatal(err)
+	}
 	st := m.Status()[0]
 	if st.BreakerOpen || st.ConsecFails != 0 {
 		t.Errorf("breaker did not close after recovery: %+v", st)
@@ -264,7 +251,9 @@ func TestDrainHoldsRounds(t *testing.T) {
 		t.Errorf("status note = %q, want draining hold", st.Note)
 	}
 	a.admitted.Store(true)
-	waitConverged(t, map[string]*core.Database{"a": a.dbs["disc.nsf"], "b": b.dbs["disc.nsf"]}, 5*time.Second)
+	if _, err := check.WaitConverged(5*time.Second, a.dbs["disc.nsf"], b.dbs["disc.nsf"]); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestReplicaMismatchIsSkipNotFailure(t *testing.T) {
@@ -288,7 +277,9 @@ func TestReplicaMismatchIsSkipNotFailure(t *testing.T) {
 	}
 	createDoc(t, a.dbs["disc.nsf"], "shared doc")
 	deadline := time.Now().Add(5 * time.Second)
-	waitConverged(t, map[string]*core.Database{"a": a.dbs["disc.nsf"], "b": b.dbs["disc.nsf"]}, time.Until(deadline))
+	if _, err := check.WaitConverged(time.Until(deadline), a.dbs["disc.nsf"], b.dbs["disc.nsf"]); err != nil {
+		t.Fatal(err)
+	}
 	// disc.nsf may converge before the same round reaches other.nsf.
 	st := waitStatus(m, deadline, func(st []LinkStatus) bool { return st[0].SkippedDBs > 0 })[0]
 	if st.Failures != 0 {
@@ -308,7 +299,9 @@ func TestRunNowAndRemove(t *testing.T) {
 	if err := m.RunNow("ab"); err != nil {
 		t.Fatal(err)
 	}
-	waitConverged(t, map[string]*core.Database{"a": a.dbs["disc.nsf"], "b": b.dbs["disc.nsf"]}, 5*time.Second)
+	if _, err := check.WaitConverged(5*time.Second, a.dbs["disc.nsf"], b.dbs["disc.nsf"]); err != nil {
+		t.Fatal(err)
+	}
 	if err := m.Remove("ab"); err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +319,9 @@ func TestRunNowAndRemove(t *testing.T) {
 		t.Fatal(err)
 	}
 	createDoc(t, a.dbs["disc.nsf"], "after re-add")
-	waitConverged(t, map[string]*core.Database{"a": a.dbs["disc.nsf"], "b": b.dbs["disc.nsf"]}, 5*time.Second)
+	if _, err := check.WaitConverged(5*time.Second, a.dbs["disc.nsf"], b.dbs["disc.nsf"]); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestValidateRejectsBadLinks(t *testing.T) {

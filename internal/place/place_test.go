@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/acl"
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/dir"
 	"repro/internal/nsf"
@@ -110,49 +111,39 @@ func fastOpts() wire.Options {
 }
 
 // ackedWriter streams single-document creates through a failover handle
-// until stopped, using the ambiguous-create recovery discipline: a failed
-// create is re-issued unless a read-back proves it landed. Every UNID it
-// returns was acknowledged (directly or by the read-back).
+// until stopped, each under the model's safe-retry create, and counts the
+// acknowledged ones.
 type ackedWriter struct {
-	mu    sync.Mutex
-	unids []nsf.UNID
+	model *check.Model
+	acked atomic.Int64
 	stop  atomic.Bool
 	done  chan struct{}
 }
 
 func startWriter(t *testing.T, db *wire.FailoverDB) *ackedWriter {
-	w := &ackedWriter{done: make(chan struct{})}
+	w := &ackedWriter{model: check.NewModel(), done: make(chan struct{})}
 	go func() {
 		defer close(w.done)
 		for i := 0; !w.stop.Load(); i++ {
 			n := nsf.NewNote(nsf.ClassDocument)
 			n.SetText("Subject", fmt.Sprintf("doc-%d", i))
-			for attempt := 0; ; attempt++ {
-				if err := db.Create(n); err == nil {
-					break
-				}
-				if _, gerr := db.Get(n.OID.UNID); gerr == nil {
-					break // ambiguous create actually landed
-				}
-				if attempt > 5000 {
+			// A create not confirmed within one round of the protocol is
+			// still unsettled: run it again, as the same create.
+			o := check.Ambiguous
+			for round := 0; o != check.Acked; round++ {
+				if round == 3 {
 					t.Errorf("doc-%d never acked", i)
 					return
 				}
-				time.Sleep(2 * time.Millisecond)
+				o, _ = w.model.Create(db, n, 0)
 			}
-			w.mu.Lock()
-			w.unids = append(w.unids, n.OID.UNID)
-			w.mu.Unlock()
+			w.acked.Add(1)
 		}
 	}()
 	return w
 }
 
-func (w *ackedWriter) count() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.unids)
-}
+func (w *ackedWriter) count() int { return int(w.acked.Load()) }
 
 func (w *ackedWriter) waitFor(t *testing.T, n int) {
 	t.Helper()
@@ -169,25 +160,11 @@ func (w *ackedWriter) waitFor(t *testing.T, n int) {
 	}
 }
 
-func (w *ackedWriter) finish() []nsf.UNID {
+// finish stops the writer and returns its model of what was acked.
+func (w *ackedWriter) finish() *check.Model {
 	w.stop.Store(true)
 	<-w.done
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]nsf.UNID(nil), w.unids...)
-}
-
-func auditAcked(t *testing.T, db *core.Database, unids []nsf.UNID) {
-	t.Helper()
-	lost := 0
-	for _, u := range unids {
-		if _, err := db.RawGet(u); err != nil {
-			lost++
-		}
-	}
-	if lost > 0 {
-		t.Errorf("%d of %d acked writes lost after move", lost, len(unids))
-	}
+	return w.model
 }
 
 // TestLiveMoveZeroLostAckedWrites is the headline: a database moves between
@@ -250,7 +227,9 @@ func TestLiveMoveZeroLostAckedWrites(t *testing.T) {
 	if !ok || p.Generation != 2 || len(p.Home) != 1 || p.Home[0] != "beta" {
 		t.Fatalf("placement after move = %+v", p)
 	}
-	auditAcked(t, r.db(t, "beta"), acked)
+	if err := acked.Durable(r.db(t, "beta")).Err(); err != nil {
+		t.Error(err)
+	}
 	// The streaming writer was re-routed by some transparent mechanism: a
 	// WrongMate redirect after the flip, a busy shed during the fence, or a
 	// transport failover whose rebind adopted the carried record.
@@ -297,10 +276,9 @@ func TestConcurrentMovesExactlyOneWinner(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// PutBatch writers: acked batches recorded by UNID; the batch cursor
+	// PutBatch writers: acked batches recorded in the model; the batch cursor
 	// plus create-or-update semantics make whole-batch retries safe.
-	var mu sync.Mutex
-	var acked []nsf.UNID
+	acked := check.NewModel()
 	var stop atomic.Bool
 	writersDone := make(chan struct{})
 	go func() {
@@ -322,11 +300,9 @@ func TestConcurrentMovesExactlyOneWinner(t *testing.T) {
 				}
 				time.Sleep(2 * time.Millisecond)
 			}
-			mu.Lock()
 			for _, n := range notes {
-				acked = append(acked, n.OID.UNID)
+				acked.Created(n, check.Acked)
 			}
-			mu.Unlock()
 		}
 	}()
 
@@ -363,10 +339,9 @@ func TestConcurrentMovesExactlyOneWinner(t *testing.T) {
 		t.Fatalf("placement = %+v, want gen 2 home [%s]", p, winner)
 	}
 
-	mu.Lock()
-	all := append([]nsf.UNID(nil), acked...)
-	mu.Unlock()
-	auditAcked(t, r.db(t, winner), all)
+	if err := acked.Durable(r.db(t, winner)).Err(); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestRecoverDeadMate re-homes a database off a killed mate: restore its
@@ -381,15 +356,17 @@ func TestRecoverDeadMate(t *testing.T) {
 	backupRoot := t.TempDir()
 
 	alphaDB := r.db(t, "alpha")
-	var unids []nsf.UNID
+	acked := check.NewModel()
+	written := 0
 	write := func(k int) {
 		for i := 0; i < k; i++ {
 			n := nsf.NewNote(nsf.ClassDocument)
-			n.SetText("Subject", fmt.Sprintf("doc-%d", len(unids)))
+			n.SetText("Subject", fmt.Sprintf("doc-%d", written))
 			if err := alphaDB.RawPut(n); err != nil {
 				t.Fatal(err)
 			}
-			unids = append(unids, n.OID.UNID)
+			acked.Created(n, check.Acked)
+			written++
 		}
 	}
 	write(10)
@@ -413,7 +390,9 @@ func TestRecoverDeadMate(t *testing.T) {
 	if res.Generation != 2 || len(res.To) != 1 || res.To[0] != "beta" {
 		t.Fatalf("recover result = %+v", res)
 	}
-	auditAcked(t, r.db(t, "beta"), unids)
+	if err := acked.Durable(r.db(t, "beta")).Err(); err != nil {
+		t.Error(err)
+	}
 	p, _ := r.d.GetPlacement(dbPath)
 	if p.Generation != 2 || len(p.Home) != 1 || p.Home[0] != "beta" {
 		t.Fatalf("placement after recover = %+v", p)
@@ -429,21 +408,24 @@ func TestMoveReusesExistingCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	alphaDB := r.db(t, "alpha")
-	var unids []nsf.UNID
-	for i := 0; i < 8; i++ {
+	const docs = 8
+	acked := check.NewModel()
+	for i := 0; i < docs; i++ {
 		n := nsf.NewNote(nsf.ClassDocument)
 		n.SetText("Subject", fmt.Sprintf("doc-%d", i))
 		if err := alphaDB.RawPut(n); err != nil {
 			t.Fatal(err)
 		}
-		unids = append(unids, n.OID.UNID)
+		acked.Created(n, check.Acked)
 	}
 	res, err := place.Move(r.d, r.srv["alpha"], r.srv["beta"], dbPath, place.MoveOptions{})
 	if err != nil {
 		t.Fatalf("move without BackupRoot onto standing replica: %v", err)
 	}
-	if res.Moved < len(unids) {
-		t.Errorf("catch-up moved %d notes, want >= %d", res.Moved, len(unids))
+	if res.Moved < docs {
+		t.Errorf("catch-up moved %d notes, want >= %d", res.Moved, docs)
 	}
-	auditAcked(t, r.db(t, "beta"), unids)
+	if err := acked.Durable(r.db(t, "beta")).Err(); err != nil {
+		t.Error(err)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/nsf"
 )
@@ -120,7 +121,9 @@ func runConvergence(t *testing.T, seed int64, merge bool) {
 		}
 	}
 	for i := 1; i < nReplicas; i++ {
-		checkConverged(t, dbs[0], dbs[i])
+		if err := check.Identical(dbs[0], dbs[i]); err != nil {
+			t.Error(err)
+		}
 		if t.Failed() {
 			t.Fatalf("replica %d diverged (seed %d, merge %v)", i, seed, merge)
 		}

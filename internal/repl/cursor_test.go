@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	gosync "sync"
 	"sync/atomic"
 	"testing"
@@ -118,6 +119,53 @@ func TestPullAcrossMatesNeverSkips(t *testing.T) {
 		return db
 	}
 	a, b, local := open("a.nsf"), open("b.nsf"), open("local.nsf")
+	early := createDoc(t, b, "written on B first")
+	for i := 0; i < 3; i++ {
+		createDoc(t, a, fmt.Sprintf("written on A %d", i))
+	}
+	pullFrom(t, local, a)
+	pullFrom(t, local, b)
+	requireDocs(t, local, []*nsf.Note{early})
+}
+
+// TestPullFromCopySeededMateNeverSkips is TestPullAcrossMatesNeverSkips
+// with mate B seeded by copying mate A's cleanly closed file: the two start
+// from one USN sequence and then number different notes alike, so a cursor
+// A issued must not be honoured by B.
+func TestPullFromCopySeededMateNeverSkips(t *testing.T) {
+	dir := t.TempDir()
+	aPath, bPath := filepath.Join(dir, "a.nsf"), filepath.Join(dir, "b.nsf")
+	replica := nsf.NewReplicaID()
+	open := func(path string) *core.Database {
+		db, err := core.Open(path, core.Options{ReplicaID: replica})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		return db
+	}
+	seed, err := core.Open(aPath, core.Options{ReplicaID: replica})
+	if err != nil {
+		t.Fatal(err)
+	}
+	createDoc(t, seed, "in both")
+	if err := seed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(aPath + "*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(bPath+strings.TrimPrefix(f, aPath), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b, local := open(aPath), open(bPath), open(filepath.Join(dir, "local.nsf"))
 	early := createDoc(t, b, "written on B first")
 	for i := 0; i < 3; i++ {
 		createDoc(t, a, fmt.Sprintf("written on A %d", i))

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/dir"
 	"repro/internal/faultnet"
@@ -87,47 +88,6 @@ func fastClientOpts(retries int, seed int64) wire.Options {
 		BackoffBase: time.Millisecond,
 		BackoffMax:  10 * time.Millisecond,
 		Jitter:      rand.New(rand.NewSource(seed)),
-	}
-}
-
-// snapshot fingerprints every replicated note: OID version, stub flag, and
-// the canonical content digest. Replication bookkeeping notes are local by
-// design and excluded.
-func snapshot(t *testing.T, db *core.Database) map[nsf.UNID]string {
-	t.Helper()
-	out := make(map[nsf.UNID]string)
-	err := db.ScanAll(func(n *nsf.Note) bool {
-		if n.Class == nsf.ClassReplFormula {
-			return true
-		}
-		digest := n.CanonicalDigest()
-		out[n.OID.UNID] = fmt.Sprintf("seq=%d st=%d stub=%v digest=%x",
-			n.OID.Seq, n.OID.SeqTime, n.IsStub(), digest[:8])
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// assertConverged requires byte-identical replicated content on both
-// databases.
-func assertConverged(t *testing.T, a, b *core.Database) {
-	t.Helper()
-	sa, sb := snapshot(t, a), snapshot(t, b)
-	if len(sa) != len(sb) {
-		t.Errorf("replicas diverge: %d vs %d notes", len(sa), len(sb))
-	}
-	for u, fa := range sa {
-		fb, ok := sb[u]
-		if !ok {
-			t.Errorf("note %s missing from %s", u, b.Title())
-			continue
-		}
-		if fa != fb {
-			t.Errorf("note %s differs:\n  %s: %s\n  %s: %s", u, a.Title(), fa, b.Title(), fb)
-		}
 	}
 }
 
@@ -216,7 +176,9 @@ func TestSeveredSessionResumeConverges(t *testing.T) {
 	}
 	p.fn.Disable()
 
-	assertConverged(t, p.local, p.remote)
+	if err := check.Identical(p.local, p.remote); err != nil {
+		t.Error(err)
+	}
 	for _, u := range deleted {
 		for _, db := range []*core.Database{p.local, p.remote} {
 			n, err := db.RawGet(u)
@@ -267,7 +229,9 @@ func TestTransparentRetriesHideLinkFaults(t *testing.T) {
 		t.Errorf("no severs injected; test exercised nothing (stats %+v)", fst)
 	}
 	p.fn.Disable()
-	assertConverged(t, p.local, p.remote)
+	if err := check.Identical(p.local, p.remote); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestChaosConvergence is the property-style suite: randomized (seeded)
@@ -372,7 +336,9 @@ func runChaos(t *testing.T, seed int64) {
 			t.Fatalf("settle session %d: %v", i, err)
 		}
 	}
-	assertConverged(t, p.local, p.remote)
+	if err := check.Identical(p.local, p.remote); err != nil {
+		t.Error(err)
+	}
 	if c := countConflicts(t, p.local) + countConflicts(t, p.remote); c != 0 {
 		t.Errorf("disjoint edits produced %d conflict documents (retry duplication)", c)
 	}

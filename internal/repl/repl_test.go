@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/nsf"
 )
@@ -211,7 +212,9 @@ func TestConcurrentEditMakesConflictDoc(t *testing.T) {
 	}
 	sync(t, a, b, Options{})
 	// Both replicas converge: same winner body, exactly one conflict doc.
-	checkConverged(t, a, b)
+	if err := check.Identical(a, b); err != nil {
+		t.Error(err)
+	}
 	for _, db := range []*core.Database{a, b} {
 		conflicts := 0
 		winnerBody := ""
@@ -261,7 +264,9 @@ func TestFieldMergeResolvesDisjointEdits(t *testing.T) {
 		t.Fatalf("no merge happened: %v", st)
 	}
 	sync(t, a, b, opts)
-	checkConverged(t, a, b)
+	if err := check.Identical(a, b); err != nil {
+		t.Error(err)
+	}
 	for _, db := range []*core.Database{a, b} {
 		got, err := db.Session("user").Get(n.OID.UNID)
 		if err != nil {
@@ -348,7 +353,9 @@ func TestDeleteWinsEvenAgainstHigherSeq(t *testing.T) {
 			t.Errorf("db %s: doc with higher seq beat the stub: %v", db.Title(), err)
 		}
 	}
-	checkConverged(t, a, b)
+	if err := check.Identical(a, b); err != nil {
+		t.Error(err)
+	}
 }
 
 func TestSelectiveReplication(t *testing.T) {
@@ -402,38 +409,8 @@ func TestThreeWayConvergence(t *testing.T) {
 		t.Fatalf("r0 has %d docs", len(want))
 	}
 	for i := 1; i < len(dbs); i++ {
-		checkConverged(t, dbs[0], dbs[i])
-	}
-}
-
-// checkConverged verifies two replicas hold identical note inventories
-// (UNID -> OID and item values), ignoring replication bookkeeping.
-func checkConverged(t *testing.T, a, b *core.Database) {
-	t.Helper()
-	snap := func(db *core.Database) map[nsf.UNID]string {
-		out := make(map[nsf.UNID]string)
-		db.ScanAll(func(n *nsf.Note) bool {
-			if n.Class == nsf.ClassReplFormula {
-				return true
-			}
-			fp := fmt.Sprintf("seq=%d st=%d del=%v", n.OID.Seq, n.OID.SeqTime, n.IsStub())
-			for _, it := range n.Items {
-				fp += "|" + it.Name + "=" + it.Value.String()
-			}
-			out[n.OID.UNID] = fp
-			return true
-		})
-		return out
-	}
-	sa, sb := snap(a), snap(b)
-	if len(sa) != len(sb) {
-		t.Errorf("replicas diverge: %d vs %d notes", len(sa), len(sb))
-	}
-	for u, fa := range sa {
-		if fb, ok := sb[u]; !ok {
-			t.Errorf("note %s missing at %s", u, b.Title())
-		} else if fa != fb {
-			t.Errorf("note %s differs:\n a: %s\n b: %s", u, fa, fb)
+		if err := check.Identical(dbs[0], dbs[i]); err != nil {
+			t.Error(err)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/acl"
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/dir"
 	"repro/internal/nsf"
@@ -508,25 +509,16 @@ func TestFailoverKillMidNotesSession(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var acked []nsf.UNID
+	// The create the mate dies in is ambiguous: it only counts once a live
+	// mate confirms it, so the model's safe retry reads it back from the
+	// survivor and re-issues it there if absent.
+	model := check.NewModel()
 	for i := 0; i < total; i++ {
 		n := nsf.NewNote(nsf.ClassDocument)
 		n.SetText("Subject", fmt.Sprintf("doc %d", i))
-		if err := db.Create(n); err != nil {
-			// Ambiguous: the mate died mid-round-trip, so the create is not
-			// acknowledged. It only counts once a live mate confirms it —
-			// re-issue if the survivor lacks it.
-			if _, gerr := db.Get(n.OID.UNID); gerr != nil {
-				var se *wire.ServerError
-				if !errors.As(gerr, &se) {
-					t.Fatalf("recheck after ambiguous create: %v", gerr)
-				}
-				if cerr := db.Create(n); cerr != nil {
-					t.Fatalf("re-issue on survivor: %v", cerr)
-				}
-			}
+		if o, _ := model.Create(db, n, 0); o != check.Acked {
+			t.Fatalf("create %d never acknowledged", i)
 		}
-		acked = append(acked, n.OID.UNID)
 	}
 	if cur, ok := fc.Current(); !ok || cur != p.spokeAddr {
 		t.Errorf("connected mate = %q, want survivor %q", cur, p.spokeAddr)
@@ -551,14 +543,8 @@ func TestFailoverKillMidNotesSession(t *testing.T) {
 	if _, err := repl.Replicate(reopened, &repl.LocalPeer{DB: p.spokeDB}, repl.Options{PeerName: "catchup"}); err != nil {
 		t.Fatalf("catch-up replication: %v", err)
 	}
-	lost := 0
-	for _, u := range acked {
-		if n, err := p.spokeDB.RawGet(u); err != nil || n.IsStub() {
-			lost++
-		}
-	}
-	if lost != 0 {
-		t.Fatalf("%d of %d acknowledged writes missing on the survivor", lost, len(acked))
+	if err := model.Durable(p.spokeDB).Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 

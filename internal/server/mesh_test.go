@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/acl"
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/mesh"
 	"repro/internal/nsf"
@@ -39,24 +40,6 @@ func newMeshNet(t *testing.T) (*testNet, *mesh.Mesh, *core.Database, *core.Datab
 	return net, m, hubDB, spokeDB
 }
 
-func waitMeshConverged(t *testing.T, dbs map[string]*core.Database) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		audit, err := mesh.AuditConvergence(dbs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if audit.Converged {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replicas never converged: %+v", audit.Fingerprints)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestMeshOverWire runs a hot mesh link between two real servers over the
 // wire protocol and audits that the replicas converge to identical
 // (UNID, Seq, SeqTime) fingerprints.
@@ -79,7 +62,9 @@ func TestMeshOverWire(t *testing.T) {
 	if err := spokeDB.Session("admin").Create(n); err != nil {
 		t.Fatal(err)
 	}
-	waitMeshConverged(t, map[string]*core.Database{"hub": hubDB, "spoke": spokeDB})
+	if _, err := check.WaitConverged(10*time.Second, hubDB, spokeDB); err != nil {
+		t.Fatal(err)
+	}
 
 	sts := m.Status()
 	if len(sts) != 1 || sts[0].Rounds == 0 || sts[0].Failures != 0 {
@@ -158,7 +143,9 @@ func TestMeshAdminOverWire(t *testing.T) {
 	if err := s.Create(hid); err != nil {
 		t.Fatal(err)
 	}
-	waitMeshConverged(t, map[string]*core.Database{"hub": hubDB, "spoke": spokeDB})
+	if _, err := check.WaitConverged(10*time.Second, hubDB, spokeDB); err != nil {
+		t.Fatal(err)
+	}
 	got, err := spokeDB.RawGet(hid.OID.UNID)
 	if err != nil {
 		t.Fatal(err)

@@ -120,8 +120,10 @@ func (s *Store) Compact() (int, error) {
 	if err := s.heap.rebuild(); err != nil {
 		return 0, err
 	}
-	// Clear the clean mark fresh.Close left; the incarnation stays.
-	if err := s.markOpen(); err != nil {
+	// Clear the close stamp fresh.Close left (it names the temp path); the
+	// incarnation stays.
+	s.pg.closedAt = 0
+	if err := s.pg.flush(); err != nil {
 		return 0, err
 	}
 	// The rewrite recycled the whole RecordID space: every cached decode

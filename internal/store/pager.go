@@ -36,8 +36,9 @@ const (
 //	320  8     last USN folded into the page file by the last checkpoint
 //	328  8     incarnation: random, so USN cursors from another copy are
 //	           recognisable (see Store.markOpen and Store.Reincarnate)
-//	336  1     clean mark: 1 from a Close's final checkpoint until the next
-//	           open clears it
+//	336  8     close stamp: where the file was last closed cleanly (see
+//	           closeStamp), from a Close's final checkpoint until the next
+//	           open clears it to 0
 const (
 	hdrOffVersion  = 8
 	hdrOffPageSize = 12
@@ -52,7 +53,7 @@ const (
 	hdrOffTitle    = 56
 	hdrOffLastUSN  = 320
 	hdrOffIncarn   = 328
-	hdrOffClean    = 336
+	hdrOffClosedAt = 336
 	maxTitleLen    = 256
 )
 
@@ -81,7 +82,7 @@ type pager struct {
 	title       string
 	lastUSN     uint64
 	incarnation uint64
-	clean       bool
+	closedAt    uint64
 }
 
 // openPager opens or creates the page file at path. When creating, replica
@@ -150,7 +151,7 @@ func (p *pager) loadHeader() error {
 	p.title = string(buf[hdrOffTitle+2 : hdrOffTitle+2+tl])
 	p.lastUSN = binary.LittleEndian.Uint64(buf[hdrOffLastUSN:])
 	p.incarnation = binary.LittleEndian.Uint64(buf[hdrOffIncarn:])
-	p.clean = buf[hdrOffClean] == 1
+	p.closedAt = binary.LittleEndian.Uint64(buf[hdrOffClosedAt:])
 	return nil
 }
 
@@ -174,9 +175,7 @@ func (p *pager) headerImage(buf *[PageSize]byte) {
 	copy(buf[hdrOffTitle+2:], p.title)
 	binary.LittleEndian.PutUint64(buf[hdrOffLastUSN:], p.lastUSN)
 	binary.LittleEndian.PutUint64(buf[hdrOffIncarn:], p.incarnation)
-	if p.clean {
-		buf[hdrOffClean] = 1
-	}
+	binary.LittleEndian.PutUint64(buf[hdrOffClosedAt:], p.closedAt)
 }
 
 // get returns the buffer-pool frame for id, reading it from disk if needed.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand/v2"
 	"path/filepath"
 	"sync"
@@ -168,20 +169,38 @@ func Open(path string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// markOpen durably clears the header's clean mark before any cursor is
+// markOpen durably clears the header's close stamp before any cursor is
 // issued. A cursor counts commits not yet logged, which a crash can drop
-// and recovery then renumbers below it, so a file opened without the mark
-// (crashed, copied while open, or new) takes a fresh incarnation. Its
-// flush writes the header page alone (recovery left nothing else dirty),
-// which needs no logged image: the header fits in one sector, so a torn
-// write leaves it either marked or cleared.
+// and recovery then renumbers below it, so a file opened without a stamp
+// (crashed, copied while open, or new) takes a fresh incarnation. So does a
+// file closed somewhere else: a copy of a closed file would otherwise share
+// its source's incarnation, and a cursor one issued would be honoured by
+// the other, whose notes at the same USNs differ. The flush writes the
+// header page alone (recovery left nothing else dirty), which needs no
+// logged image: the header fits in one sector, so a torn write leaves it
+// either stamped or cleared.
 func (s *Store) markOpen() error {
-	if !s.pg.clean {
+	if s.pg.closedAt != closeStamp(s.path) {
 		s.pg.incarnation = rand.Uint64()
+	}
+	if s.pg.closedAt == 0 {
 		return nil // already clear on disk: a crash before a checkpoint re-mints
 	}
-	s.pg.clean = false
+	s.pg.closedAt = 0
 	return s.pg.flush()
+}
+
+// closeStamp names where a file is closed: a hash of its absolute path,
+// never 0 (the stamp of a file that is open). It cannot tell hosts apart:
+// a copy opened at the same absolute path on another host keeps the
+// incarnation, so such a copy must be seeded by restore.
+func closeStamp(path string) uint64 {
+	if abs, err := filepath.Abs(path); err == nil {
+		path = abs
+	}
+	h := fnv.New64a()
+	h.Write([]byte(path))
+	return h.Sum64() | 1
 }
 
 // recover rebuilds in-memory state from the checkpointed page file and
@@ -935,7 +954,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.pg.clean = true // the final checkpoint folds in every issued USN
+	s.pg.closedAt = closeStamp(s.path) // the final checkpoint folds in every issued USN
 	err := s.checkpointLocked()
 	if cerr := s.closeFiles(); err == nil {
 		err = cerr

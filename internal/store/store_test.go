@@ -409,3 +409,49 @@ func TestStoreAutoCheckpoint(t *testing.T) {
 		t.Errorf("Notes = %d", st.Notes)
 	}
 }
+
+// TestCopyOfClosedFileTakesNewIncarnation: a cleanly closed file reopened
+// where it was closed keeps its incarnation, so replication cursors survive
+// a restart; a copy of it opened at another path takes a new one, so a
+// cursor the original issued is not honoured by the copy, whose notes at
+// the same USNs differ.
+func TestCopyOfClosedFileTakesNewIncarnation(t *testing.T) {
+	dir := t.TempDir()
+	orig, copied := filepath.Join(dir, "a.nsf"), filepath.Join(dir, "b.nsf")
+	s, err := Open(orig, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(newTestNote(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	inc := s.Incarnation()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, suffix := range []string{"", ".wal"} {
+		b, err := os.ReadFile(orig + suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(copied+suffix, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		path string
+		same bool
+	}{{orig, true}, {copied, false}} {
+		s, err := Open(tc.path, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Incarnation(); (got == inc) != tc.same {
+			t.Errorf("%s: incarnation %x, source's %x; want same=%v", filepath.Base(tc.path), got, inc, tc.same)
+		}
+		if got := s.LastUSN(); got != 1 {
+			t.Errorf("%s: LastUSN %d, want 1", filepath.Base(tc.path), got)
+		}
+		s.Close()
+	}
+}

@@ -542,9 +542,11 @@ func (c *Client) roundTrip(db *RemoteDB, req *Enc) (*Dec, error) {
 }
 
 // expired is the verdict on a budget that ran out while nothing of op was in
-// flight: op provably never executed, whatever step the budget cut.
-func expired(op Op, cause error) error {
-	return fmt.Errorf("%w; last attempt: %v", &DeadlineError{Op: op}, cause)
+// flight. It is unambiguous only if no earlier attempt died in flight (ran):
+// an idempotent op is re-sent after a sever, and the attempt the sever cut
+// may have executed.
+func expired(op Op, ran bool, cause error) error {
+	return fmt.Errorf("%w; last attempt: %v", &DeadlineError{Op: op, Ambiguous: ran}, cause)
 }
 
 // do is the attempt loop, the only one the package has and the only code
@@ -586,16 +588,16 @@ func (c *Client) do(db *RemoteDB, req *Enc, deadline time.Time) (*Dec, error) {
 	// poison this one; in-flight cancels are caught after the attempt below.
 	c.abandoned.Store(false)
 	var err error
+	ran := false // an attempt died in flight: op may have executed
 	for retries, hops := 0, 0; ; {
 		if c.closed {
 			return nil, ErrClosed
 		}
 		if rem, ok := c.budgetLeftLocked(); ok && rem <= 0 && err != nil {
-			// Out of budget between attempts. Every prior attempt ended in
-			// a provably-not-executed state (shed, redirect, refused, or a
-			// transport fault on an idempotent op), so this expiry is
-			// unambiguous.
-			return nil, expired(op, err)
+			// Out of budget between attempts: unambiguous only if every
+			// prior attempt provably never executed (shed, redirect,
+			// refused, a session that never formed).
+			return nil, expired(op, ran, err)
 		}
 		var d *Dec
 		err = nil
@@ -638,6 +640,7 @@ func (c *Client) do(db *RemoteDB, req *Enc, deadline time.Time) (*Dec, error) {
 			return nil, ErrAbandoned
 		}
 		v := classify(err)
+		ran = ran || v == verdictSevered && sent
 		resend := v == verdictShed || v == verdictMisrouted ||
 			v == verdictSevered && (info.Idempotent || !sent)
 		if resend && v != verdictMisrouted && c.addr != "" && retries < c.opts.MaxRetries {
@@ -650,8 +653,8 @@ func (c *Client) do(db *RemoteDB, req *Enc, deadline time.Time) (*Dec, error) {
 		// With no address holding the turn, the walk has just heard every
 		// candidate's verdict.
 		if c.addr == "" || !c.route.spent(c.addr, v, err, hops) || !resend {
-			if v == verdictExpired && !sent {
-				err = expired(op, err) // session setup ran out of budget
+			if v == verdictExpired && (!sent || ran) {
+				err = expired(op, ran, err) // setup or a re-send ran out of budget
 			}
 			return nil, err
 		}

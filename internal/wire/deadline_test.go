@@ -473,3 +473,35 @@ func TestSessionExpiryIsUnambiguous(t *testing.T) {
 		t.Errorf("the mate saw %d deposits, want 0", n)
 	}
 }
+
+// TestExpiryAfterSeveredSendIsAmbiguous: an idempotent op whose first send
+// is severed in flight is re-sent, and when the budget runs out before the
+// re-send the expiry must say the op may have executed — the severed send
+// may have reached the server. Calling it unambiguous would tell the caller
+// that a delete which did land was never applied.
+func TestExpiryAfterSeveredSendIsAmbiguous(t *testing.T) {
+	for _, info := range Ops() {
+		if !info.Idempotent || info.PreAuth {
+			continue
+		}
+		t.Run(info.Name, func(t *testing.T) {
+			var seen atomic.Int32
+			opts := fastOpts()
+			opts.OpBudget = 30 * time.Millisecond
+			opts.BackoffBase, opts.BackoffMax = time.Second, time.Second
+			c, err := DialOptions(severing(t, &seen), "u", "s", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			_, err = c.call(NewEnc(info.Op))
+			var de *DeadlineError
+			if !errors.As(err, &de) || !de.Ambiguous {
+				t.Errorf("%v: %v, want an ambiguous expiry", info.Op, err)
+			}
+			if n := seen.Load(); n != 1 {
+				t.Errorf("%v sent %d times, want 1", info.Op, n)
+			}
+		})
+	}
+}

@@ -243,17 +243,17 @@ func TestFailoverStalledFirstMate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sever the live session once: the reconnect walks past the stalled mate
-	// again. The op whose budget that walk outlasts may expire (unambiguously:
-	// a Get is idempotent and nothing of it is in flight); every later op
-	// must find the session on the healthy mate.
+	// again. The op whose budget that walk outlasts may expire, ambiguously:
+	// the severed attempt was in flight and may have executed. Every later
+	// op must find the session on the healthy mate.
 	sever.Store(true)
 	failures := 0
 	for i := 0; i < 20; i++ {
 		if _, err := db.Get(nsf.UNID{}); err != nil {
 			failures++
 			var de *DeadlineError
-			if !errors.As(err, &de) || de.Ambiguous {
-				t.Errorf("get %d: %v, want an unambiguous expiry", i, err)
+			if !errors.As(err, &de) || !de.Ambiguous {
+				t.Errorf("get %d: %v, want an ambiguous expiry", i, err)
 			}
 		}
 	}
