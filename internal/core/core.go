@@ -16,6 +16,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -305,9 +306,12 @@ func (db *Database) commitLocked(unid nsf.UNID, n *nsf.Note) (store.Commit, erro
 // of every note committed since, then a Delete entry for every UNID in held
 // the store no longer has, since a hard delete leaves no USN to scan.
 // Catch-up entries carry no USN; catchUp returns the USN the scan covered.
+// A note committed again during the scan moves past that USN and is left
+// to the feed: a resync resumes at the feed head it captured before the
+// catch-up, which is at most that USN, so the ring still applies it.
 func (db *Database) catchUp(applied uint64, held []nsf.UNID, apply func(changefeed.Entry)) (uint64, error) {
 	since := store.Cursor{Incarnation: db.st.Incarnation(), USN: applied}
-	next, err := db.st.ScanSince(since, func(n *nsf.Note) bool {
+	next, err := db.st.ScanSince(context.Background(), since, nil, func(n *nsf.Note) bool {
 		apply(changefeed.Entry{Kind: changefeed.Put, UNID: n.OID.UNID, Note: n})
 		return true
 	})
@@ -580,10 +584,10 @@ func (db *Database) RawDelete(unid nsf.UNID) error {
 	return c.Wait()
 }
 
-// ScanSince exposes the replication scan (stubs included) and returns the
-// next scan's cursor; see store.Store.ScanSince.
-func (db *Database) ScanSince(since store.Cursor, fn func(*nsf.Note) bool) (store.Cursor, error) {
-	return db.st.ScanSince(since, fn)
+// ScanSince exposes the replication scan (stubs included, projected by
+// keep) and returns the next scan's cursor; see store.Store.ScanSince.
+func (db *Database) ScanSince(ctx context.Context, since store.Cursor, keep func(name []byte, flags nsf.ItemFlags) bool, fn func(*nsf.Note) bool) (store.Cursor, error) {
+	return db.st.ScanSince(ctx, since, keep, fn)
 }
 
 // ScanAll visits every note, stubs and design notes included.

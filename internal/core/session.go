@@ -302,10 +302,10 @@ func (s *Session) ScanFrom(after nsf.NoteID, sel *formula.Formula, fn func(*nsf.
 // the store's batch loop and per candidate document here — a scan whose
 // formula deselects everything must still notice a spent deadline, even
 // though it never fills a page. A non-nil items projects each document:
-// the note fn sees carries those items, the items sel reads or writes
-// (Formula.Fields) and the Readers/Authors items that CanRead and @Authors
-// read, so selection and access decide exactly as on the whole note. Nil
-// items hands fn whole notes.
+// the note fn sees carries those items and what sel.Keep keeps (the items
+// sel reads or writes, the Readers/Authors items CanRead reads), so
+// selection and access decide exactly as on the whole note. Nil items
+// hands fn whole notes.
 func (s *Session) ScanFromCtx(ctx context.Context, after nsf.NoteID, sel *formula.Formula, items []string, fn func(*nsf.Note) bool) error {
 	if s.id.Level < acl.Reader {
 		return fmt.Errorf("%w: %s may not read", ErrAccessDenied, s.user)
@@ -314,12 +314,9 @@ func (s *Session) ScanFromCtx(ctx context.Context, after nsf.NoteID, sel *formul
 	var keep func([]byte, nsf.ItemFlags) bool
 	if sel != nil {
 		fctx = s.db.evalContext(s.user)
-		if items != nil {
-			items = append(sel.Fields(), items...)
-		}
 	}
 	if items != nil {
-		keep = nsf.KeepItems(items, nsf.FlagReaders|nsf.FlagAuthors)
+		keep = sel.Keep(items...)
 	}
 	var evalErr error
 	err := s.db.st.ScanFromCtx(ctx, after, keep, func(n *nsf.Note) bool {

@@ -71,6 +71,17 @@ func Compile(src string) (*Formula, error) {
 // the items its page needs.
 func (f *Formula) Fields() []string { return slices.Clone(f.fields) }
 
+// Keep returns the DecodeNoteItems filter that projects a note for f: its
+// Fields, the extra names, and every Readers/Authors item (@Authors finds
+// its items by flag, and access checks read them). f may be nil: the
+// filter then keeps the extra names and the Readers/Authors items.
+func (f *Formula) Keep(extra ...string) func(name []byte, flags nsf.ItemFlags) bool {
+	if f != nil {
+		extra = append(f.Fields(), extra...)
+	}
+	return nsf.KeepItems(extra, nsf.FlagReaders|nsf.FlagAuthors)
+}
+
 func (f *Formula) collectFields(e expr) {
 	switch e := e.(type) {
 	case fieldExpr:

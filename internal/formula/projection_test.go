@@ -83,7 +83,8 @@ func projectionFormulas() []string {
 }
 
 // TestFieldsProjectionIsEquivalent is the licence for scan projection: a
-// note decoded to f.Fields() plus its Readers/Authors items evaluates —
+// note decoded through f.Keep() (f.Fields() plus its Readers/Authors
+// items) evaluates —
 // value, selection, error and the items it writes — exactly as the whole
 // note does, for every builtin. A builtin that reads the note by some
 // other route fails here until Fields covers it.
@@ -95,8 +96,7 @@ func TestFieldsProjectionIsEquivalent(t *testing.T) {
 			t.Fatalf("Compile(%q): %v", src, err)
 		}
 		whole := projectionNote()
-		proj, err := nsf.DecodeNoteItems(nsf.EncodeNote(whole),
-			nsf.KeepItems(f.Fields(), nsf.FlagReaders|nsf.FlagAuthors))
+		proj, err := nsf.DecodeNoteItems(nsf.EncodeNote(whole), f.Keep())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,37 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/nsf"
 	"repro/internal/store"
+	"repro/internal/workload"
 )
+
+// TestSummariesDecodeHeaders: a summary is a note's header, so listing
+// summaries decodes what the selection formula needs and nothing else
+// — no 1 KiB body. Decoding whole notes costs about 20 allocations per
+// note; a header costs 3 (the note, its item slice, its index lookup).
+func TestSummariesDecodeHeaders(t *testing.T) {
+	db, err := core.Open(filepath.Join(t.TempDir(), "sums.nsf"), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	g := workload.New(3)
+	const notes, perNote, slack = 512, 4, 64
+	for i := 0; i < notes; i++ {
+		if err := db.RawPut(g.Document(1024)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.Refresh()
+	p := &LocalPeer{DB: db}
+	allocs := testing.AllocsPerRun(5, func() {
+		if sums, _, err := p.Summaries(store.Cursor{}, ""); err != nil || len(sums) != notes {
+			t.Fatalf("Summaries: %d summaries (%v), want %d", len(sums), err, notes)
+		}
+	})
+	if allocs > perNote*notes+slack {
+		t.Errorf("Summaries of %d notes: %.0f allocs, ceiling %d per note + %d", notes, allocs, perNote, slack)
+	}
+}
 
 // TestSummariesCursorNeverSkips pins safe incremental sync: a reader that
 // pages LocalPeer.Summaries with the cursor each call hands back, while

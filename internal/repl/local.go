@@ -1,6 +1,9 @@
 package repl
 
 import (
+	"cmp"
+	"context"
+
 	"repro/internal/core"
 	"repro/internal/formula"
 	"repro/internal/nsf"
@@ -13,6 +16,9 @@ import (
 type LocalPeer struct {
 	DB   *core.Database
 	Opts ApplyOptions
+	// Ctx bounds Summaries' scan, which stops within one store batch of
+	// its deadline: a server passes the request's. Nil means no deadline.
+	Ctx context.Context
 }
 
 var _ Peer = (*LocalPeer)(nil)
@@ -28,13 +34,18 @@ func (p *LocalPeer) ReplicaID() (nsf.ReplicaID, error) {
 // outside the selection are advertised as selection stubs rather than
 // silently withheld. The formula compile is memoized across sessions
 // (CompileSelection), and a bad source returns a typed *FormulaError.
+// Notes are decoded to what sel.Keep keeps, or to headers without a formula.
 func (p *LocalPeer) Summaries(since store.Cursor, formulaSrc string) ([]Summary, store.Cursor, error) {
 	sel, err := CompileSelection(formulaSrc)
 	if err != nil {
 		return nil, since, err
 	}
+	keep := nsf.KeepItems(nil, 0)
+	if sel != nil {
+		keep = sel.Keep()
+	}
 	var out []Summary
-	next, err := scanSelected(p.DB, since, sel, func(n *nsf.Note) { out = append(out, SummaryOf(n)) })
+	next, err := scanSelected(cmp.Or(p.Ctx, context.Background()), p.DB, since, sel, keep, func(n *nsf.Note) { out = append(out, SummaryOf(n)) })
 	if err != nil {
 		return nil, since, err
 	}
@@ -44,10 +55,11 @@ func (p *LocalPeer) Summaries(since store.Cursor, formulaSrc string) ([]Summary,
 // scanSelected hands fn every note of db changed since the cursor, except
 // replication bookkeeping, and returns the next cursor. Deletion stubs
 // bypass the selection (deletes always propagate); a document outside it
-// is handed over as its selection stub.
-func scanSelected(db *core.Database, since store.Cursor, sel *formula.Formula, fn func(*nsf.Note)) (store.Cursor, error) {
+// is handed over as its selection stub. Notes carry the items keep accepts
+// (nil: all), which must include every item sel reads.
+func scanSelected(ctx context.Context, db *core.Database, since store.Cursor, sel *formula.Formula, keep func([]byte, nsf.ItemFlags) bool, fn func(*nsf.Note)) (store.Cursor, error) {
 	var evalErr error
-	next, err := db.ScanSince(since, func(n *nsf.Note) bool {
+	next, err := db.ScanSince(ctx, since, keep, func(n *nsf.Note) bool {
 		if n.Class == nsf.ClassReplFormula {
 			return true
 		}

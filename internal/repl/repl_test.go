@@ -9,6 +9,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/nsf"
+	"repro/internal/store"
 )
 
 // pairedDBs creates two empty replicas of the same database.
@@ -373,6 +374,41 @@ func TestSelectiveReplication(t *testing.T) {
 	got := docSubjects(t, b)
 	if got["urgent thing"] != 1 || got["boring thing"] != 0 {
 		t.Errorf("selective replication at b: %v", got)
+	}
+}
+
+// TestSelectiveSummariesReadAuthors: Summaries projects notes for its
+// selection formula, and @Authors finds its items by the Authors flag, not
+// by name. A formula on @Authors must see them: a document whose Authors
+// item names bob is listed live, the other as a selection stub, and a
+// selective pull receives the first.
+func TestSelectiveSummariesReadAuthors(t *testing.T) {
+	a, b := pairedDBs(t)
+	const formula = `SELECT @Contains(@Authors; "bob")`
+	for _, author := range []string{"bob", "carol"} {
+		n := nsf.NewNote(nsf.ClassDocument)
+		n.SetText("Subject", "by "+author)
+		n.SetWithFlags("DocAuthors", nsf.TextValue(author), nsf.FlagAuthors)
+		if err := a.Session("user").Create(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sums, _, err := (&LocalPeer{DB: a}).Summaries(store.Cursor{}, formula)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := 0
+	for _, s := range sums {
+		if s.Class == nsf.ClassDocument && !s.SelStub {
+			live++
+		}
+	}
+	if live != 1 {
+		t.Errorf("Summaries(%s) listed %d documents live, want the one bob authored: %+v", formula, live, sums)
+	}
+	sync(t, b, a, Options{Formula: formula}) // b pulls a's Summaries
+	if got := docSubjects(t, b); got["by bob"] != 1 || got["by carol"] != 0 {
+		t.Errorf("selective pull on @Authors at b: %v", got)
 	}
 }
 

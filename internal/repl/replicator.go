@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -306,7 +307,7 @@ func push(local *core.Database, peer Peer, stats *Stats, since store.Cursor, opt
 		return since, err
 	}
 	var batch []*nsf.Note
-	next, err := scanSelected(local, since, sel, func(n *nsf.Note) { batch = append(batch, n) })
+	next, err := scanSelected(context.Background(), local, since, sel, nil, func(n *nsf.Note) { batch = append(batch, n) })
 	if err != nil {
 		return since, err
 	}

@@ -149,7 +149,8 @@ func decodeScanCursor(cursor []byte, server string) (nsf.NoteID, error) {
 	}
 	rest := cursor[1:]
 	n, sz := binary.Uvarint(rest)
-	if sz <= 0 || uint64(len(rest)-sz) < n+4 {
+	// Compared without n+4, which a length near 2^64 wraps.
+	if sz <= 0 || n > uint64(len(rest)-sz) || uint64(len(rest)-sz)-n < 4 {
 		return 0, fmt.Errorf("malformed scan cursor")
 	}
 	name := string(rest[sz : sz+int(n)])

@@ -386,7 +386,7 @@ func (c *connState) summaries(ctx context.Context, hs *handleState, d *wire.Dec)
 	if err := c.replAccess(hs, false); err != nil {
 		return nil, err
 	}
-	peer := &repl.LocalPeer{DB: hs.db}
+	peer := &repl.LocalPeer{DB: hs.db, Ctx: ctx}
 	sums, next, err := peer.Summaries(since, formulaSrc)
 	if err != nil {
 		return nil, err

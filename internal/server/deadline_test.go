@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/dir"
 	"repro/internal/faultnet"
 	"repro/internal/nsf"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -179,5 +181,61 @@ func TestMailForwardToStalledPeerReturnsWithinBudget(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > budget+time.Second {
 		t.Errorf("forward took %v, the %v peer budget did not bound it", elapsed, budget)
+	}
+}
+
+// spentAfter is a request context whose deadline passes at its checks-th
+// Err call: a budget that runs out at a chosen point of a handler instead
+// of at a chosen instant.
+type spentAfter struct {
+	context.Context
+	checks int
+}
+
+func (c *spentAfter) Err() error {
+	if c.checks--; c.checks < 0 {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestSummariesScanStopsWithItsBudget: a summaries request whose budget runs
+// out while the server scans a delta of several store batches is aborted
+// within a batch, not after the whole delta has been read. The budget here
+// passes after one batch: the dispatcher's check and the scan's first check
+// go through, the second stops the scan. The last note of the delta makes the selection formula fail,
+// so a scan that ignores its budget reaches it and answers with a formula
+// error instead of the deadline.
+func TestSummariesScanStopsWithItsBudget(t *testing.T) {
+	s, _ := newHookServer(t, Options{}, nil)
+	db, _ := s.DB("apps/db.nsf")
+	sess := db.Session("ada")
+	for i := 0; i < 600; i++ {
+		n := nsf.NewNote(nsf.ClassDocument)
+		n.SetNumber("Divisor", float64(min(599-i, 1))) // 0 on the last note only
+		if err := sess.Create(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := &connState{s: s, user: "ada", handles: map[uint32]*handleState{}, nextH: 1}
+	body := func(e *wire.Enc) *wire.Dec { return wire.NewDec(e.Bytes()[1:]) }
+	if resp := c.dispatch(context.Background(), wire.OpOpenDB, body(wire.NewEnc(wire.OpOpenDB).Str("apps/db.nsf"))); resp.Bytes()[1] != wire.StatusOK {
+		t.Fatalf("open: status %d", resp.Bytes()[1])
+	}
+	req := wire.NewEnc(wire.OpSummaries).U32(1).Cursor(store.Cursor{}).Str("SELECT 1 / Divisor > 0")
+	ctx := &spentAfter{Context: context.Background(), checks: 2}
+	resp := c.dispatch(ctx, wire.OpSummaries, body(req))
+	if st := resp.Bytes()[1]; st != wire.StatusDeadlineExceeded {
+		t.Fatalf("summaries with a budget spent after one batch: status %d (%s), want a deadline abort",
+			st, wire.NewDec(resp.Bytes()[2:]).Str())
+	}
+	// Exactly three checks: the dispatcher's, the first batch's and the
+	// second batch's, which stopped the scan. Any other count means the
+	// budget ran out somewhere other than between two batches of the walk.
+	if ctx.checks != -1 {
+		t.Errorf("the budget was checked %d times, want 3 (dispatcher, then two scan batches)", 2-ctx.checks)
+	}
+	if h := s.Health(); h.DeadlineAborts != 1 {
+		t.Errorf("health = %+v, want one deadline abort", h)
 	}
 }

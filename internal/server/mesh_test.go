@@ -66,7 +66,13 @@ func TestMeshOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The replicas converge while the round that carried the notes is
+	// still returning: its counts land after Replicate does.
 	sts := m.Status()
+	for end := time.Now().Add(10 * time.Second); len(sts) == 1 && time.Now().Before(end) &&
+		(sts[0].Rounds == 0 || sts[0].NotesOut == 0 || sts[0].NotesIn == 0); sts = m.Status() {
+		time.Sleep(time.Millisecond)
+	}
 	if len(sts) != 1 || sts[0].Rounds == 0 || sts[0].Failures != 0 {
 		t.Errorf("status = %+v", sts)
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -129,7 +130,7 @@ func TestCompactUSNIndexIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seen int
-	s.ScanSince(Cursor{s.Incarnation(), 10}, func(*nsf.Note) bool { seen++; return true })
+	s.ScanSince(context.Background(), Cursor{s.Incarnation(), 10}, nil, func(*nsf.Note) bool { seen++; return true })
 	if seen != 10 {
 		t.Errorf("ScanSince after compact saw %d, want 10", seen)
 	}

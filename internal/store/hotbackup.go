@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -133,28 +132,22 @@ func (s *Store) SnapshotSince(after uint64) ([][]byte, []nsf.UNID, BackupMark, e
 		return nil, nil, BackupMark{}, errors.New("store: closed")
 	}
 	from := usnKey(after + 1)
-	var ids []nsf.NoteID
-	err := s.byUSN.Ascend(from[:], func(_, v []byte) bool {
-		ids = append(ids, nsf.NoteID(binary.BigEndian.Uint32(v)))
-		return true
-	})
-	if err != nil {
-		return nil, nil, BackupMark{}, err
-	}
-	notes := make([][]byte, 0, len(ids))
-	for _, id := range ids {
-		v, ok, err := s.byID.Get(idKey(id))
-		if err != nil {
-			return nil, nil, BackupMark{}, err
-		}
-		if !ok {
-			continue // deleted between index scan and read (same lock: cannot happen; defensive)
-		}
-		enc, err := s.heap.get(RecordID(binary.BigEndian.Uint64(v)))
-		if err != nil {
-			return nil, nil, BackupMark{}, err
+	var notes [][]byte
+	var werr error
+	err := s.byUSN.Ascend(from[:], func(k, v []byte) bool {
+		var rid RecordID
+		var enc []byte
+		if _, rid, werr = s.walkEntry(true, k, v); werr == nil {
+			enc, werr = s.heap.get(rid)
 		}
 		notes = append(notes, enc)
+		return werr == nil
+	})
+	if err == nil {
+		err = werr
+	}
+	if err != nil {
+		return nil, nil, BackupMark{}, err
 	}
 	manifest := make([]nsf.UNID, 0, s.count)
 	err = s.byUNID.Ascend(nil, func(k, _ []byte) bool {

@@ -82,62 +82,105 @@ func TestScanFromCursorSemantics(t *testing.T) {
 	}
 }
 
-// TestScanSkipsNotesCreatedDuringScan pins the bound of the NoteID walk:
-// a callback that creates a note for every note it is handed never sees
-// one of them, and the scan still ends. A note updated ahead of the
-// cursor is delivered exactly once, in its new version.
+// TestScanSkipsNotesCreatedDuringScan pins the bound of both walks: a
+// callback that creates a note for every note it is handed never sees one
+// of them, and the scan still ends. A note updated ahead of the walk is
+// delivered exactly once, in its new version: by the NoteID walk itself,
+// and by the USN walk's follow-up scan from the cursor it returned, because
+// the update moved the note past that cursor.
 func TestScanSkipsNotesCreatedDuringScan(t *testing.T) {
-	s, _ := openTestStore(t, Options{Title: "scanbound"})
-	c := clock.New()
-	const seeded = 3*scanBatch + 10 // the walk crosses several latch holds
-	var last *nsf.Note
-	for i := 0; i < seeded; i++ {
-		last = makeNote(c, fmt.Sprintf("doc %04d", i))
-		if err := s.Put(last); err != nil {
-			t.Fatal(err)
-		}
-	}
-	created := map[nsf.NoteID]bool{}
-	seen := map[nsf.NoteID]int{}
-	err := s.ScanAll(func(n *nsf.Note) bool {
-		if created[n.ID] {
-			t.Fatalf("scan visited note %d, created during the scan", n.ID)
-		}
-		seen[n.ID]++
-		if len(seen) > 2*seeded {
-			t.Fatal("scan does not end")
-		}
-		if len(seen) == 1 {
-			upd := last.Clone()
-			upd.OID.Seq++
-			upd.SetText("Subject", "updated ahead of the cursor")
-			if err := s.Put(upd); err != nil {
+	for _, byUSN := range []bool{false, true} {
+		t.Run(map[bool]string{false: "NoteID", true: "USN"}[byUSN], func(t *testing.T) {
+			s, _ := openTestStore(t, Options{Title: "scanbound"})
+			c := clock.New()
+			const seeded = 3*scanBatch + 10 // the walk crosses several latch holds
+			var last *nsf.Note
+			for i := 0; i < seeded; i++ {
+				last = makeNote(c, fmt.Sprintf("doc %04d", i))
+				if err := s.Put(last); err != nil {
+					t.Fatal(err)
+				}
+			}
+			scan := func(since Cursor, fn func(*nsf.Note) bool) (Cursor, error) {
+				if byUSN {
+					return s.ScanSince(context.Background(), since, nil, fn)
+				}
+				return Cursor{}, s.ScanAll(fn)
+			}
+			const newSubject = "updated ahead of the walk"
+			created := map[nsf.NoteID]bool{}
+			seen := map[nsf.NoteID]int{}
+			updates := 0 // deliveries of last in its new version
+			next, err := scan(Cursor{s.Incarnation(), 0}, func(n *nsf.Note) bool {
+				if created[n.ID] {
+					t.Fatalf("scan visited note %d, created during the scan", n.ID)
+				}
+				seen[n.ID]++
+				if len(seen) > 2*seeded {
+					t.Fatal("scan does not end")
+				}
+				if len(seen) == 1 {
+					upd := last.Clone()
+					upd.OID.Seq++
+					upd.SetText("Subject", newSubject)
+					if err := s.Put(upd); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fresh := makeNote(c, "created mid-scan")
+				if err := s.Put(fresh); err != nil {
+					t.Fatal(err)
+				}
+				created[fresh.ID] = true
+				if n.ID == last.ID {
+					if n.Text("Subject") != newSubject {
+						t.Errorf("note %d delivered in its old version", n.ID)
+					}
+					updates++
+				}
+				return true
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		fresh := makeNote(c, "created mid-scan")
-		if err := s.Put(fresh); err != nil {
-			t.Fatal(err)
-		}
-		created[fresh.ID] = true
-		if n.ID == last.ID && n.Text("Subject") != "updated ahead of the cursor" {
-			t.Errorf("note %d delivered in its old version", n.ID)
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != seeded {
-		t.Errorf("scan visited %d notes, want the %d that existed when it began", len(seen), seeded)
-	}
-	for id, k := range seen {
-		if k != 1 {
-			t.Errorf("note %d delivered %d times", id, k)
-		}
-	}
-	if seen[last.ID] != 1 {
-		t.Errorf("updated note %d delivered %d times, want once", last.ID, seen[last.ID])
+			want := seeded
+			if byUSN {
+				want-- // last moved past the cursor
+			}
+			if len(seen) != want {
+				t.Errorf("scan visited %d notes, want %d of the %d that existed when it began", len(seen), want, seeded)
+			}
+			for id, k := range seen {
+				if k != 1 {
+					t.Errorf("note %d delivered %d times", id, k)
+				}
+			}
+			if byUSN {
+				// The follow-up scan delivers what the walk left behind
+				// its cursor: the created notes and the updated one.
+				again := map[nsf.NoteID]int{}
+				if _, err := scan(next, func(n *nsf.Note) bool {
+					again[n.ID]++
+					if n.ID == last.ID && n.Text("Subject") == newSubject {
+						updates++
+					}
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if len(again) != len(created)+1 {
+					t.Errorf("follow-up scan visited %d notes, want the %d created mid-scan and the updated one", len(again), len(created))
+				}
+				for id, k := range again {
+					if k != 1 || !created[id] && id != last.ID {
+						t.Errorf("follow-up scan delivered note %d %d times", id, k)
+					}
+				}
+			}
+			if updates != 1 {
+				t.Errorf("updated note %d delivered %d times in its new version, want once", last.ID, updates)
+			}
+		})
 	}
 }
 

@@ -75,13 +75,12 @@ type Options struct {
 // Compact, Close) take the exclusive latch. The pager's buffer pool and the
 // heap's free-space map carry their own internal latches so concurrent
 // readers can fault pages in safely. Scans never hold the latch across
-// their callback: ScanFromCtx walks the NoteID index up to its high-water
-// mark one batch per brief read latch, and ScanSince fetches a USN
-// snapshot the same way — a full scan never blocks a writer for more than
-// one batch. Notes deleted mid-scan are skipped. This replaces the seed's
-// literal reproduction of Domino's per-database update semaphore (one
-// mutex around everything), which made every view rebuild or replication
-// scan stall all writers.
+// their callback: ScanFromCtx and ScanSince are one bounded walk, of the
+// NoteID or the USN index, one batch per brief read latch — a full scan
+// never blocks a writer for more than one batch. Notes deleted mid-scan are
+// skipped. This replaces the seed's literal reproduction of Domino's
+// per-database update semaphore (one mutex around everything), which made
+// every view rebuild or replication scan stall all writers.
 type Store struct {
 	mu              sync.RWMutex
 	path            string
@@ -596,12 +595,12 @@ func (s *Store) GetByUNID(unid nsf.UNID) (*nsf.Note, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	return s.getByIDLocked(nsf.NoteID(binary.BigEndian.Uint32(v)), true)
+	return s.getByIDLocked(nsf.NoteID(binary.BigEndian.Uint32(v)))
 }
 
-// getByIDLocked loads a note by NoteID. The caller holds the store latch
-// (read or exclusive).
-func (s *Store) getByIDLocked(id nsf.NoteID, admit bool) (*nsf.Note, error) {
+// getByIDLocked loads a note by NoteID through the note cache. The caller
+// holds the store latch (read or exclusive).
+func (s *Store) getByIDLocked(id nsf.NoteID) (*nsf.Note, error) {
 	v, ok, err := s.byID.Get(idKey(id))
 	if err != nil {
 		return nil, err
@@ -621,19 +620,12 @@ func (s *Store) getByIDLocked(id nsf.NoteID, admit bool) (*nsf.Note, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Scans pass admit=false for scan resistance: one pass over a corpus
-	// larger than the cache would otherwise evict the point-read working
-	// set (and pay an eviction per miss) without ever re-using what it
-	// inserted.
-	if !admit {
-		return n, nil
-	}
 	// The cache takes ownership of the decoded note and hands back a copy,
 	// so a caller mutating its result can never corrupt a later read.
 	return s.cache.add(rid, n), nil
 }
 
-// scanBatch is how many notes a snapshot scan fetches per read-latch hold.
+// scanBatch is how many index entries a note walk visits per latch hold.
 const scanBatch = 256
 
 // Cursor is a position in one copy's change history: every change committed
@@ -648,36 +640,27 @@ type Cursor struct {
 }
 
 // ScanSince calls fn for the current version of every note whose last
-// commit comes after since, in commit (USN) order, until fn returns false —
-// the delta replication and full-text catch-up read. Deletion stubs are
-// notes and are included; hard deletes leave nothing to report.
+// commit comes after since, in commit (USN) order, until fn returns false
+// or ctx is done — the delta replication and index catch-up read. Deletion
+// stubs are notes and are included; hard deletes leave nothing to report.
+// Each note carries only the items keep accepts (nil keeps all).
 //
-// The scan is snapshot-style: it observes the notes indexed when it starts,
-// fetches them in batches, and runs fn with no latch held — writers are
-// never stalled for the duration of the scan. Notes deleted while the scan
-// is in flight are skipped; notes modified while it is in flight may be
-// observed in either version.
-//
-// It returns the cursor for the next incremental scan: the store's USN read
-// under the same latch as the snapshot. Every commit at or below it is in
-// the snapshot, so the cursor can never run ahead of what was indexed.
-func (s *Store) ScanSince(since Cursor, fn func(*nsf.Note) bool) (Cursor, error) {
-	s.mu.RLock()
-	if since.Incarnation != s.pg.incarnation {
-		since.USN = 0
-	}
-	next := Cursor{Incarnation: s.pg.incarnation, USN: s.usn}
-	from := usnKey(since.USN + 1)
-	var ids []nsf.NoteID
-	err := s.byUSN.Ascend(from[:], func(_, v []byte) bool {
-		ids = append(ids, nsf.NoteID(binary.BigEndian.Uint32(v)))
-		return true
-	})
-	s.mu.RUnlock()
-	if err != nil {
-		return Cursor{}, err
-	}
-	return next, s.fetchNotesCtx(context.Background(), ids, fn)
+// It is ScanFromCtx's walk over the USN index. The store's USN, read under
+// the first latch hold, bounds the walk and is the cursor returned for the
+// next incremental scan. A note committed again while the walk is in flight
+// moves past that cursor, so the next scan delivers it instead of this one:
+// no note is delivered twice in one scan, and a scan plus the next one from
+// its cursor never skip a latest version.
+func (s *Store) ScanSince(ctx context.Context, since Cursor, keep func(name []byte, flags nsf.ItemFlags) bool, fn func(*nsf.Note) bool) (Cursor, error) {
+	var next Cursor
+	err := s.walk(ctx, true, func() (uint64, uint64) {
+		next = Cursor{Incarnation: s.pg.incarnation, USN: s.usn}
+		if since.Incarnation != next.Incarnation {
+			return 0, next.USN
+		}
+		return since.USN, next.USN
+	}, keep, fn)
+	return next, err
 }
 
 // ScanAll calls fn for every note in NoteID order until fn returns false:
@@ -690,28 +673,33 @@ func (s *Store) ScanAll(fn func(*nsf.Note) bool) error {
 // after, in NoteID order, until fn returns false or ctx is done. Each note
 // carries only the items keep accepts (nsf.DecodeNoteItems; nil keeps all).
 //
-// The scan is one bounded walk of the NoteID index. The first latch hold
-// reads the NoteID high-water mark, and the walk stops there, so notes
-// created during the scan are never visited and the scan always ends. Each
-// read-latch hold walks up to scanBatch entries, decoding every note
-// straight from its heap page; fn runs with no latch held, so fn may
-// re-enter the store (even to write) and a slow consumer never holds the
-// latch. The next hold resumes after the last NoteID walked. Notes deleted
-// during the scan are skipped, notes updated during it are seen in either
-// version, and the note cache is neither consulted nor filled. The deadline
-// is checked before each hold, so a cancelled scan stops within one
-// scanBatch of work. NoteIDs are assigned monotonically from 1 and survive
+// The walk stops at the NoteID high-water mark read under its first latch
+// hold, so notes created during the scan are never visited and the scan
+// always ends. NoteIDs are assigned monotonically from 1 and survive
 // compaction, so a bulk reader that remembers the last ID it consumed can
 // resume a scan of this physical database exactly where it stopped — the
 // cursor the wire scan ops page with. (NoteIDs are per-copy: a cursor is
 // meaningless against another replica of the same database.)
 func (s *Store) ScanFromCtx(ctx context.Context, after nsf.NoteID, keep func(name []byte, flags nsf.ItemFlags) bool, fn func(*nsf.Note) bool) error {
-	if after == ^nsf.NoteID(0) {
-		return nil
-	}
-	high := nsf.NoteID(0) // read under the first hold; 0 means not yet
+	return s.walk(ctx, false, func() (uint64, uint64) {
+		return uint64(after), uint64(s.pg.nextNoteID) - 1
+	}, keep, fn)
+}
+
+// walk is the one note walk, behind ScanFromCtx (byUSN false: the NoteID
+// index) and ScanSince (byUSN true: the USN index). start, called under the
+// first read-latch hold, names the key the walk resumes after and the last
+// key it may visit. Each hold walks up to scanBatch entries, decoding each
+// note straight from its heap record with the items keep accepts; fn runs
+// with no latch held, so fn may re-enter the store (even to write) and a
+// slow consumer never holds the latch. The next hold resumes after the last
+// key walked. Notes deleted during the walk are skipped, and the note cache
+// is neither consulted nor filled. ctx is checked before each hold, so a
+// cancelled walk stops within one scanBatch of work.
+func (s *Store) walk(ctx context.Context, byUSN bool, start func() (after, last uint64), keep func([]byte, nsf.ItemFlags) bool, fn func(*nsf.Note) bool) error {
+	var after, last uint64
 	batch := make([]*nsf.Note, 0, scanBatch)
-	for {
+	for first := true; ; first = false {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -723,19 +711,29 @@ func (s *Store) ScanFromCtx(ctx context.Context, after nsf.NoteID, keep func(nam
 			s.mu.RUnlock()
 			return errors.New("store: closed")
 		}
-		if high == 0 {
-			high = nsf.NoteID(s.pg.nextNoteID)
+		if first {
+			after, last = start()
 		}
-		err := s.byID.Ascend(idKey(after+1), func(k, v []byte) bool {
-			id := nsf.NoteID(binary.BigEndian.Uint32(k))
-			if id >= high {
+		if after >= last {
+			s.mu.RUnlock()
+			return nil
+		}
+		ix, from := s.byID, idKey(nsf.NoteID(after+1))
+		if byUSN {
+			k := usnKey(after + 1)
+			ix, from = s.byUSN, k[:]
+		}
+		err := ix.Ascend(from, func(k, v []byte) bool {
+			var key uint64
+			var rid RecordID
+			key, rid, werr = s.walkEntry(byUSN, k, v)
+			if werr != nil || key > last {
 				return false
 			}
 			if len(batch) == scanBatch {
 				more = true
 				return false
 			}
-			rid, _ := location(v)
 			var rec []byte
 			var n *nsf.Note
 			if rec, werr = s.heap.view(rid); werr == nil {
@@ -745,7 +743,7 @@ func (s *Store) ScanFromCtx(ctx context.Context, after nsf.NoteID, keep func(nam
 				return false
 			}
 			batch = append(batch, n)
-			after = id
+			after = key
 			return true
 		})
 		s.mu.RUnlock()
@@ -766,49 +764,24 @@ func (s *Store) ScanFromCtx(ctx context.Context, after nsf.NoteID, keep func(nam
 	}
 }
 
-// fetchNotesCtx delivers ScanSince's snapshot ID list to fn: each batch of
-// notes is fetched under one brief read latch, then fn runs latch-free, so
-// fn may re-enter the store (even to write) and a slow consumer never holds
-// the latch. IDs whose notes vanished since the snapshot are skipped. The
-// deadline is checked before each batch's latch acquisition: a cancelled
-// scan returns ctx's error without fetching or delivering the rest of the
-// snapshot.
-func (s *Store) fetchNotesCtx(ctx context.Context, ids []nsf.NoteID, fn func(*nsf.Note) bool) error {
-	batch := make([]*nsf.Note, 0, scanBatch)
-	for len(ids) > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		chunk := ids
-		if len(chunk) > scanBatch {
-			chunk = chunk[:scanBatch]
-		}
-		ids = ids[len(chunk):]
-		batch = batch[:0]
-		s.mu.RLock()
-		if s.closed {
-			s.mu.RUnlock()
-			return errors.New("store: closed")
-		}
-		for _, id := range chunk {
-			n, err := s.getByIDLocked(id, false)
-			if err != nil {
-				if errors.Is(err, ErrNotFound) {
-					continue
-				}
-				s.mu.RUnlock()
-				return err
-			}
-			batch = append(batch, n)
-		}
-		s.mu.RUnlock()
-		for _, n := range batch {
-			if !fn(n) {
-				return nil
-			}
-		}
+// walkEntry reads an entry of the index a walk follows: its key (a NoteID,
+// or with byUSN a USN) and the heap record of the note it names. A byID
+// value holds the record; a byUSN value holds the NoteID to look it up by.
+// The caller holds the store latch.
+func (s *Store) walkEntry(byUSN bool, k, v []byte) (uint64, RecordID, error) {
+	if !byUSN {
+		rid, _ := location(v)
+		return uint64(binary.BigEndian.Uint32(k)), rid, nil
 	}
-	return nil
+	loc, ok, err := s.byID.Get(v)
+	if err == nil && !ok {
+		err = fmt.Errorf("store: index inconsistency: USN %d maps to missing NoteID %d", binary.BigEndian.Uint64(k), binary.BigEndian.Uint32(v))
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	rid, _ := location(loc)
+	return binary.BigEndian.Uint64(k), rid, nil
 }
 
 // maybeCheckpoint checkpoints when the configured operation budget since the

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -17,7 +18,7 @@ import (
 func getByID(s *Store, id nsf.NoteID) (*nsf.Note, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.getByIDLocked(id, true)
+	return s.getByIDLocked(id)
 }
 
 func openTestStore(t *testing.T, opts Options) (*Store, string) {
@@ -126,7 +127,7 @@ func TestStoreScanSince(t *testing.T) {
 	}
 	inc := s.Incarnation()
 	var seen []string
-	next, err := s.ScanSince(Cursor{inc, 10}, func(n *nsf.Note) bool {
+	next, err := s.ScanSince(context.Background(), Cursor{inc, 10}, nil, func(n *nsf.Note) bool {
 		seen = append(seen, n.Text("Subject"))
 		return true
 	})
@@ -141,7 +142,7 @@ func TestStoreScanSince(t *testing.T) {
 	if want := (Cursor{inc, 20}); next != want {
 		t.Fatalf("cursor = %v, want %v", next, want)
 	}
-	if again, _ := s.ScanSince(next, func(*nsf.Note) bool { return true }); again != next {
+	if again, _ := s.ScanSince(context.Background(), next, nil, func(*nsf.Note) bool { return true }); again != next {
 		t.Fatalf("empty scan moved the cursor %v -> %v", next, again)
 	}
 	// A fresh update moves a note to the end of the scan order.
@@ -151,7 +152,7 @@ func TestStoreScanSince(t *testing.T) {
 		t.Fatalf("Put: %v", err)
 	}
 	seen = nil
-	s.ScanSince(next, func(n *nsf.Note) bool {
+	s.ScanSince(context.Background(), next, nil, func(n *nsf.Note) bool {
 		seen = append(seen, n.Text("Subject"))
 		return true
 	})
@@ -160,8 +161,25 @@ func TestStoreScanSince(t *testing.T) {
 	}
 	// A cursor another incarnation issued starts over from USN 0.
 	count := 0
-	if _, err := s.ScanSince(Cursor{inc + 1, 21}, func(*nsf.Note) bool { count++; return true }); err != nil || count != 20 {
+	if _, err := s.ScanSince(context.Background(), Cursor{inc + 1, 21}, nil, func(*nsf.Note) bool { count++; return true }); err != nil || count != 20 {
 		t.Fatalf("foreign cursor scanned %d notes (%v), want all 20", count, err)
+	}
+	// Notes carry only the items keep accepts.
+	count = 0
+	if _, err := s.ScanSince(context.Background(), Cursor{inc, 0}, nsf.KeepItems([]string{"Subject"}, 0), func(n *nsf.Note) bool {
+		if count++; len(n.Items) != 1 || n.Text("Subject") == "" {
+			t.Errorf("note %d projected to %v, want Subject alone", n.ID, n.ItemNames())
+		}
+		return true
+	}); err != nil || count != 20 {
+		t.Fatalf("projected scan: %d notes (%v), want 20", count, err)
+	}
+	// A done ctx stops the walk before it delivers anything.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	count = 0
+	if _, err := s.ScanSince(ctx, Cursor{inc, 0}, nil, func(*nsf.Note) bool { count++; return true }); !errors.Is(err, context.Canceled) || count != 0 {
+		t.Fatalf("cancelled scan: %d notes, err %v; want none and context.Canceled", count, err)
 	}
 }
 

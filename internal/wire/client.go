@@ -564,7 +564,9 @@ func expired(op Op, ran bool, cause error) error {
 // first stays in place: the same address after a backoff, MaxRetries times.
 // Only when that turn is spent does the policy hear the verdict and say
 // whether another address gets a turn. Everything else surfaces; a budget
-// that expired before the op was sent is the op's unambiguous expiry.
+// that expired before the op was sent is the op's unambiguous expiry. Once
+// an attempt has died in flight, no later verdict may claim the op never
+// ran: an expiry surfaces as ambiguous, a refusal as that in-flight failure.
 func (c *Client) do(db *RemoteDB, req *Enc, deadline time.Time) (*Dec, error) {
 	op := OpHello // a session is all that is asked for
 	switch {
@@ -588,7 +590,7 @@ func (c *Client) do(db *RemoteDB, req *Enc, deadline time.Time) (*Dec, error) {
 	// poison this one; in-flight cancels are caught after the attempt below.
 	c.abandoned.Store(false)
 	var err error
-	ran := false // an attempt died in flight: op may have executed
+	var inflight error // the last attempt that died in flight: op may have executed
 	for retries, hops := 0, 0; ; {
 		if c.closed {
 			return nil, ErrClosed
@@ -597,7 +599,7 @@ func (c *Client) do(db *RemoteDB, req *Enc, deadline time.Time) (*Dec, error) {
 			// Out of budget between attempts: unambiguous only if every
 			// prior attempt provably never executed (shed, redirect,
 			// refused, a session that never formed).
-			return nil, expired(op, ran, err)
+			return nil, expired(op, inflight != nil, err)
 		}
 		var d *Dec
 		err = nil
@@ -640,7 +642,9 @@ func (c *Client) do(db *RemoteDB, req *Enc, deadline time.Time) (*Dec, error) {
 			return nil, ErrAbandoned
 		}
 		v := classify(err)
-		ran = ran || v == verdictSevered && sent
+		if v == verdictSevered && sent {
+			inflight = err
+		}
 		resend := v == verdictShed || v == verdictMisrouted ||
 			v == verdictSevered && (info.Idempotent || !sent)
 		if resend && v != verdictMisrouted && c.addr != "" && retries < c.opts.MaxRetries {
@@ -653,8 +657,10 @@ func (c *Client) do(db *RemoteDB, req *Enc, deadline time.Time) (*Dec, error) {
 		// With no address holding the turn, the walk has just heard every
 		// candidate's verdict.
 		if c.addr == "" || !c.route.spent(c.addr, v, err, hops) || !resend {
-			if v == verdictExpired && (!sent || ran) {
-				err = expired(op, ran, err) // setup or a re-send ran out of budget
+			if v == verdictExpired && (!sent || inflight != nil) {
+				err = expired(op, inflight != nil, err) // setup or a re-send ran out of budget
+			} else if (v == verdictShed || v == verdictMisrouted) && inflight != nil {
+				err = fmt.Errorf("%w; last attempt: %v", inflight, err)
 			}
 			return nil, err
 		}

@@ -505,3 +505,69 @@ func TestExpiryAfterSeveredSendIsAmbiguous(t *testing.T) {
 		})
 	}
 }
+
+// TestShedAfterSeveredSendIsAmbiguous: an idempotent op whose first send is
+// severed in flight is re-sent, and every re-send is shed. The sheds prove
+// only that the re-sends never ran; the severed send may have, so the op
+// must surface as the in-flight failure, never as a refusal — a caller
+// reading a shed as "never applied" would lose a delete that landed.
+func TestShedAfterSeveredSendIsAmbiguous(t *testing.T) {
+	for _, info := range Ops() {
+		if !info.Idempotent || info.PreAuth {
+			continue
+		}
+		t.Run(info.Name, func(t *testing.T) {
+			var seen atomic.Int32
+			addr := scriptServer(t, func(conn net.Conn, _ int, payload []byte) bool {
+				if seen.Add(1) == 1 {
+					return false
+				}
+				return WriteFrame(conn, busyResp(payload, StateRestricted, 0)) == nil
+			})
+			opts := fastOpts()
+			c, err := DialOptions(addr, "u", "s", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			_, err = c.call(NewEnc(info.Op))
+			var be *BusyError
+			if errors.As(err, &be) || classify(err) != verdictSevered {
+				t.Errorf("%v: %v, want the severed send's failure, not a refusal", info.Op, err)
+			}
+			if n := seen.Load(); n != int32(1+opts.MaxRetries) {
+				t.Errorf("%v sent %d times, want %d", info.Op, n, 1+opts.MaxRetries)
+			}
+		})
+	}
+}
+
+// TestAllMatesRestrictedIsRefused: every mate sheds the op as RESTRICTED,
+// and the last walk finds both RESTRICTED at their probes, so nothing of it
+// was ever executed. The op must surface as the refusal it is — a
+// RESTRICTED BusyError — so a caller knows it never ran and may retry.
+func TestAllMatesRestrictedIsRefused(t *testing.T) {
+	for _, info := range Ops() {
+		if info.PreAuth {
+			continue
+		}
+		t.Run(info.Name, func(t *testing.T) {
+			var addrs []string
+			for range 2 {
+				addrs = append(addrs, scriptMate(t, StateRestricted, func(conn net.Conn, _ int, payload []byte) bool {
+					return WriteFrame(conn, busyResp(payload, StateRestricted, 0)) == nil
+				}))
+			}
+			fc, err := DialFailover(addrs, "u", "s", failoverTestOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fc.Close()
+			_, err = fc.call(NewEnc(info.Op))
+			var be *BusyError
+			if !errors.As(err, &be) || be.State != StateRestricted || !Retryable(err) {
+				t.Errorf("%v: %v, want a RESTRICTED refusal", info.Op, err)
+			}
+		})
+	}
+}

@@ -306,7 +306,7 @@ func (p *placement) homesMate(m *mate) bool {
 
 // probed implements route: an answer is the half-open trial passed — the
 // breaker closes and the index is remembered — unless the mate is
-// RESTRICTED (healthy, but not to be dialed); no answer is a breaker failure.
+// RESTRICTED (not to be dialed: a *BusyError); no answer is a breaker failure.
 func (fc *FailoverClient) probed(addr string, info AvailabilityInfo, err error) error {
 	m := fc.mate(addr)
 	fc.stats.Probes++
@@ -316,7 +316,7 @@ func (fc *FailoverClient) probed(addr string, info AvailabilityInfo, err error) 
 	}
 	m.avail, m.restricted = info.Index, info.Restricted()
 	if m.restricted {
-		return fmt.Errorf("wire: failover: mate %s is RESTRICTED", addr)
+		return fmt.Errorf("wire: failover: mate %s: %w", addr, &BusyError{State: StateRestricted, Availability: info.Index})
 	}
 	m.open = false
 	return nil

@@ -36,6 +36,13 @@ func noRetryOpts() Options {
 // payload) returning false to kill the connection.
 func scriptServer(t *testing.T, script func(conn net.Conn, opNum int, payload []byte) bool) string {
 	t.Helper()
+	return scriptMate(t, StateOpen, script)
+}
+
+// scriptMate is scriptServer for a mate whose availability probe answers
+// state.
+func scriptMate(t *testing.T, state byte, script func(conn net.Conn, opNum int, payload []byte) bool) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -51,13 +58,13 @@ func scriptServer(t *testing.T, script func(conn net.Conn, opNum int, payload []
 				defer conn.Close()
 				// Hello exchange: accept anything — except an availability
 				// probe, which (like a real server) is answered pre-auth:
-				// open and idle.
+				// idle, in the mate's state.
 				first, err := ReadFrame(conn)
 				if err != nil {
 					return
 				}
 				if len(first) > 0 && Op(first[0]) == OpAvailability {
-					WriteFrame(conn, NewResp(OpAvailability, StatusOK).U8(StateOpen).U32(100).U32(0).U32(0).U64(0).Bytes())
+					WriteFrame(conn, NewResp(OpAvailability, StatusOK).U8(state).U32(100).U32(0).U32(0).U64(0).Bytes())
 					return
 				}
 				if err := WriteFrame(conn, NewResp(OpHello, StatusOK).Bytes()); err != nil {
