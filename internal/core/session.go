@@ -305,8 +305,44 @@ func (s *Session) ScanFrom(after nsf.NoteID, sel *formula.Formula, fn func(*nsf.
 // the note fn sees carries those items and what sel.Keep keeps (the items
 // sel reads or writes, the Readers/Authors items CanRead reads), so
 // selection and access decide exactly as on the whole note. Nil items
-// hands fn whole notes.
+// hands fn whole notes. Each note is fn's to keep.
 func (s *Session) ScanFromCtx(ctx context.Context, after nsf.NoteID, sel *formula.Formula, items []string, fn func(*nsf.Note) bool) error {
+	return s.scan(ctx, after, sel, items, nsf.DecodeNote, func(n *nsf.Note, _ []byte) bool { return fn(n) })
+}
+
+// ScanRow is a document a scan selected, lent to the callback: both fields
+// are reused for the next row and valid only during the call.
+type ScanRow struct {
+	// Note is the document as the selection formula left it: its header,
+	// the items sel.Keep keeps, and whatever the formula's FIELD and
+	// DEFAULT statements assigned.
+	Note *nsf.Note
+	// Record is the stored document projected to the scan's items and
+	// sel.Keep's, in nsf encoding: values the formula does not name are
+	// copied from here as they are stored.
+	Record []byte
+}
+
+// ScanRowsCtx is ScanFromCtx lending fn each row instead of handing it a
+// note: only the items the formula and the access check read are decoded,
+// into one note reused for every document the walk visits, so a scan
+// whose formula reads numbers allocates nothing per note.
+func (s *Session) ScanRowsCtx(ctx context.Context, after nsf.NoteID, sel *formula.Formula, items []string, fn func(ScanRow) bool) error {
+	var scratch nsf.Note
+	var arena nsf.Arena
+	evalKeep := sel.Keep()
+	return s.scan(ctx, after, sel, items, func(rec []byte) (*nsf.Note, error) {
+		arena.Reset()
+		return &scratch, nsf.DecodeNoteInto(&scratch, &arena, rec, evalKeep)
+	}, func(n *nsf.Note, rec []byte) bool { return fn(ScanRow{Note: n, Record: rec}) })
+}
+
+// scan is the one session scan behind ScanFromCtx and ScanRowsCtx: the
+// store's record walk, projected to items and what sel.Keep keeps (nil
+// items: whole records), each record decoded by decode, filtered to the
+// readable documents sel selects, and handed to fn with its record.
+func (s *Session) scan(ctx context.Context, after nsf.NoteID, sel *formula.Formula, items []string,
+	decode func(rec []byte) (*nsf.Note, error), fn func(n *nsf.Note, rec []byte) bool) error {
 	if s.id.Level < acl.Reader {
 		return fmt.Errorf("%w: %s may not read", ErrAccessDenied, s.user)
 	}
@@ -319,9 +355,14 @@ func (s *Session) ScanFromCtx(ctx context.Context, after nsf.NoteID, sel *formul
 		keep = sel.Keep(items...)
 	}
 	var evalErr error
-	err := s.db.st.ScanFromCtx(ctx, after, keep, func(n *nsf.Note) bool {
+	err := s.db.st.ScanRecords(ctx, after, keep, func(rec []byte) bool {
 		if cerr := ctx.Err(); cerr != nil {
 			evalErr = cerr
+			return false
+		}
+		n, derr := decode(rec)
+		if derr != nil {
+			evalErr = derr
 			return false
 		}
 		if n.IsStub() || n.Class != nsf.ClassDocument || !s.id.CanRead(n) {
@@ -337,7 +378,7 @@ func (s *Session) ScanFromCtx(ctx context.Context, after nsf.NoteID, sel *formul
 				return true
 			}
 		}
-		return fn(n)
+		return fn(n, rec)
 	})
 	if err == nil {
 		err = evalErr

@@ -11,7 +11,10 @@ import (
 // accepts must survive a re-encode/re-decode round trip unchanged. The
 // projecting decoder runs beside it under a keep derived from the input:
 // it rejects whatever DecodeNote rejects, and otherwise returns exactly
-// DecodeNote's items that pass keep, in order.
+// DecodeNote's items that pass keep, in order. So do the item iterator
+// (each raw value decoding to its item's value), AppendProjected (whose
+// record decodes to the projection) and DecodeNoteInto through an arena
+// reused from a previous decode.
 func FuzzDecodeNote(f *testing.F) {
 	f.Add(EncodeNote(sampleNote()))
 	f.Add(EncodeNote(NewNote(ClassDocument)))
@@ -26,14 +29,52 @@ func FuzzDecodeNote(f *testing.F) {
 		keep := fuzzKeep(data)
 		n, err := DecodeNote(data)
 		p, perr := DecodeNoteItems(data, keep)
+		var it ItemIter
+		var raw []RawItem
+		if it.Reset(data, nil) == nil {
+			for it.Next() {
+				raw = append(raw, it.Item())
+			}
+		}
+		rec, rerr := AppendProjected([]byte("prefix"), data, keep)
+		var into Note
+		var arena Arena
+		DecodeNoteInto(&into, &arena, EncodeNote(sampleNote()), nil)
+		arena.Reset()
+		ierr := DecodeNoteInto(&into, &arena, data, keep)
 		if err != nil {
-			if perr == nil {
-				t.Fatalf("DecodeNote rejected (%v) what DecodeNoteItems accepted", err)
+			if perr == nil || it.Err() == nil || rerr == nil || ierr == nil {
+				t.Fatalf("DecodeNote rejected (%v) what another decoder accepted: items %v, iterator %v, projection %v, into %v",
+					err, perr, it.Err(), rerr, ierr)
+			}
+			if string(rec) != "prefix" {
+				t.Fatalf("a rejected projection left %q behind", rec)
 			}
 			return // rejection is fine; panicking is not
 		}
-		if perr != nil {
-			t.Fatalf("DecodeNoteItems rejected what DecodeNote accepted: %v", perr)
+		if perr != nil || it.Err() != nil || rerr != nil || ierr != nil {
+			t.Fatalf("DecodeNote accepted what another decoder rejected: items %v, iterator %v, projection %v, into %v",
+				perr, it.Err(), rerr, ierr)
+		}
+		if len(raw) != len(n.Items) {
+			t.Fatalf("iterator walked %d items, DecodeNote decoded %d", len(raw), len(n.Items))
+		}
+		for i, ri := range raw {
+			v, err := DecodeValue(ri.Value)
+			want := n.Items[i]
+			if err != nil || string(ri.Name) != want.Name || ri.Flags != want.Flags || ri.Rev != want.Rev || !v.Equal(want.Value) || v.Type != want.Value.Type {
+				t.Fatalf("iterator item %d = %q %v %d %x (%v), DecodeNote's %+v", i, ri.Name, ri.Flags, ri.Rev, ri.Value, err, want)
+			}
+		}
+		if !bytes.HasPrefix(rec, []byte("prefix")) {
+			t.Fatalf("projection lost dst's bytes: %q", rec)
+		}
+		proj, err := DecodeNote(rec[len("prefix"):])
+		if err != nil || !noteEqual(proj, p) {
+			t.Fatalf("projected record decodes to %+v (%v), want %+v", proj, err, p)
+		}
+		if !noteEqual(&into, p) {
+			t.Fatalf("DecodeNoteInto through a reused arena = %+v, want %+v", &into, p)
 		}
 		want := *n
 		want.Items = nil

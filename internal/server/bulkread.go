@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/formula"
 	"repro/internal/nsf"
 	"repro/internal/wire"
@@ -177,7 +179,7 @@ func (c *connState) scan(ctx context.Context, hs *handleState, d *wire.Dec) (*wi
 		return nil, err
 	}
 	var sel *formula.Formula
-	var err error
+	var err, encErr error
 	if formulaSrc != "" {
 		if sel, err = formula.Compile(formulaSrc); err != nil {
 			return nil, err
@@ -189,27 +191,28 @@ func (c *connState) scan(ctx context.Context, hs *handleState, d *wire.Dec) (*wi
 	}
 	maxRows, maxBytes := c.s.pageBudget(ctx, limit)
 	resp := wire.NewResp(wire.OpScan, wire.StatusOK)
+	cols := newScanColumns(columns, sel)
 	var last nsf.NoteID
 	sent, full := 0, false
-	err = hs.sess.ScanFromCtx(ctx, after, sel, columns, func(n *nsf.Note) bool {
+	err = hs.sess.ScanRowsCtx(ctx, after, sel, columns, func(r core.ScanRow) bool {
 		if sent >= maxRows || (sent > 0 && len(resp.Bytes()) >= maxBytes) {
 			// A selected document exists past this page, so More is true
 			// even when the page filled exactly at the end of the store.
 			full = true
 			return false
 		}
-		resp.U8(rowKindDoc).U32(uint32(n.ID)).UNID(n.OID.UNID)
-		for _, col := range columns {
-			if n.Has(col) {
-				resp.U8(1).Value(n.Get(col))
-			} else {
-				resp.U8(0)
-			}
+		resp.U8(rowKindDoc).U32(uint32(r.Note.ID)).UNID(r.Note.OID.UNID)
+		if err := cols.encode(resp, r); err != nil {
+			encErr = err
+			return false
 		}
-		last = n.ID
+		last = r.Note.ID
 		sent++
 		return true
 	})
+	if err == nil {
+		err = encErr
+	}
 	if err != nil {
 		resp.Release()
 		return nil, err
@@ -221,6 +224,76 @@ func (c *connState) scan(ctx context.Context, hs *handleState, d *wire.Dec) (*wi
 		resp.U8(0)
 	}
 	return resp.Blob(encodeScanCursor(c.s.opts.Name, last)), nil
+}
+
+// scanColumns encodes a scan row's projected columns the way Enc.Value
+// would encode each document's item, without building the values: a
+// column the formula names (Fields includes FIELD and DEFAULT targets) is
+// encoded from the note the formula left; any other column is copied as
+// its stored value bytes, which are that value's canonical encoding.
+type scanColumns struct {
+	columns   []string
+	names     [][]byte // the columns, as bytes to compare item names with
+	evaluated []bool   // named by the formula
+	stored    [][]byte // per column, the row's stored value bytes or nil
+}
+
+func newScanColumns(columns []string, sel *formula.Formula) *scanColumns {
+	c := &scanColumns{
+		columns:   columns,
+		names:     make([][]byte, len(columns)),
+		evaluated: make([]bool, len(columns)),
+		stored:    make([][]byte, len(columns)),
+	}
+	var fields []string
+	if sel != nil {
+		fields = sel.Fields()
+	}
+	for i, col := range columns {
+		c.names[i] = []byte(col)
+		for _, f := range fields {
+			if nsf.EqualNames(f, col) {
+				c.evaluated[i] = true
+			}
+		}
+	}
+	return c
+}
+
+// encode appends r's columns to resp: a presence byte, then the value blob.
+// As Note.Get does, a column takes the first item of its name.
+func (c *scanColumns) encode(resp *wire.Enc, r core.ScanRow) error {
+	clear(c.stored)
+	var it nsf.ItemIter
+	if err := it.Reset(r.Record, nil); err != nil {
+		return err
+	}
+	for it.Next() {
+		ri := it.Item()
+		for i, name := range c.names {
+			if c.stored[i] == nil && !c.evaluated[i] && bytes.EqualFold(ri.Name, name) {
+				c.stored[i] = ri.Value
+			}
+		}
+	}
+	if err := it.Err(); err != nil {
+		return err
+	}
+	for i, col := range c.columns {
+		switch {
+		case c.evaluated[i]:
+			if item, ok := r.Note.Item(col); ok {
+				resp.U8(1).Value(item.Value)
+			} else {
+				resp.U8(0)
+			}
+		case c.stored[i] != nil:
+			resp.U8(1).Blob(c.stored[i])
+		default:
+			resp.U8(0)
+		}
+	}
+	return nil
 }
 
 // search serves one page of ranked full-text hits: request (handle, query,

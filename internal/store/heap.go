@@ -293,7 +293,7 @@ func (h *heap) noteFree(pg *page) {
 // get returns a copy of the record stored at rid, for callers that keep
 // the bytes after releasing the store latch.
 func (h *heap) get(rid RecordID) ([]byte, error) {
-	rec, err := h.view(rid)
+	rec, err := h.view(rid, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -302,10 +302,15 @@ func (h *heap) get(rid RecordID) ([]byte, error) {
 
 // view returns the record stored at rid. A one-segment record is aliased
 // straight from its page and is valid only while the caller holds the
-// store latch; a chained record is assembled into a fresh buffer.
-func (h *heap) view(rid RecordID) ([]byte, error) {
+// store latch; a chained record is assembled by appending its segments to
+// *chain (a fresh buffer when chain is nil), so a walk reuses one buffer
+// for every chained record it meets.
+func (h *heap) view(rid RecordID, chain *[]byte) ([]byte, error) {
 	var out []byte
-	for {
+	if chain != nil {
+		out = (*chain)[:0]
+	}
+	for segs := 0; ; segs++ {
 		pg, err := h.pg.get(rid.page())
 		if err != nil {
 			return nil, err
@@ -324,10 +329,14 @@ func (h *heap) view(rid RecordID) ([]byte, error) {
 		flag := seg[0]
 		switch flag {
 		case segFlagNone:
-			if out == nil {
+			if segs == 0 {
 				return seg[1:], nil
 			}
-			return append(out, seg[1:]...), nil
+			out = append(out, seg[1:]...)
+			if chain != nil {
+				*chain = out
+			}
+			return out, nil
 		case segFlagNext:
 			next := RecordID(binary.LittleEndian.Uint64(seg[1:9]))
 			out = append(out, seg[9:]...)

@@ -2,7 +2,11 @@ package store
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/clock"
@@ -229,4 +233,158 @@ func TestProjectedScanAllocs(t *testing.T) {
 		t.Errorf("projected scan of %d notes: %.0f allocs, ceiling %d per note + %d",
 			notes, allocs, maxScanAllocsPerNote, scanAllocSlack)
 	}
+}
+
+// recordWalkAllocSlack bounds what a whole record walk may allocate: the
+// arena and chain buffers growing to a batch, the per-walk closures and
+// one start key per latch hold. Nothing is allowed per note.
+const recordWalkAllocSlack = 48
+
+// TestRecordWalkAllocatesNothingPerNote: ScanRecords copies each visited
+// record, projected, into one arena every latch hold reuses, chained
+// records included, so a walk over eight batches allocates what a walk
+// over one does, give or take a key per hold.
+func TestRecordWalkAllocatesNothingPerNote(t *testing.T) {
+	s, _ := openTestStore(t, Options{Title: "walkallocs"})
+	g := workload.New(5)
+	const notes = 8 * scanBatch
+	for i := 0; i < notes; i++ {
+		body := 512
+		if i%64 == 0 {
+			body = 3 * PageSize // spans pages: a chained record
+		}
+		if err := s.Put(g.Document(body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keep := nsf.KeepItems([]string{"Subject", "From", "Priority"}, nsf.FlagReaders|nsf.FlagAuthors)
+	for _, tc := range []struct {
+		name string
+		keep func([]byte, nsf.ItemFlags) bool
+	}{{"projected", keep}, {"whole", nil}} {
+		walk := func(limit int) int {
+			visited := 0
+			if err := s.ScanRecords(context.Background(), 0, tc.keep, func(rec []byte) bool {
+				visited++
+				return visited < limit
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return visited
+		}
+		one := testing.AllocsPerRun(5, func() { walk(scanBatch) })
+		all := testing.AllocsPerRun(5, func() { walk(notes) })
+		if got := walk(notes); got != notes {
+			t.Fatalf("%s: walk visited %d notes, want %d", tc.name, got, notes)
+		}
+		t.Logf("%s: %.0f allocs for %d notes, %.0f for %d", tc.name, all, notes, one, scanBatch)
+		if all > recordWalkAllocSlack || all-one > 16 {
+			t.Errorf("%s: walk of %d notes made %.0f allocs (%.0f for one batch), want none per note and at most %d in all",
+				tc.name, notes, all, one, recordWalkAllocSlack)
+		}
+	}
+	// Every record decodes to the note the adapter hands out.
+	if err := s.ScanRecords(context.Background(), 0, keep, func(rec []byte) bool {
+		n, err := nsf.DecodeNote(rec)
+		if err != nil || n.Has("Body") || !n.Has("Subject") {
+			t.Fatalf("record %x: note %v, %v", rec[:8], n, err)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScanRecordsRacingWriters walks the notes while two writers update
+// and delete them: every record handed out must be one whole version of
+// its note (its Subject names its Version, and a rewrite may move it
+// between one heap segment and a chain), NoteIDs must rise, and every
+// note no writer deletes must be visited exactly once per walk.
+func TestScanRecordsRacingWriters(t *testing.T) {
+	s, _ := openTestStore(t, Options{Title: "scanrace"})
+	c := clock.New()
+	const seeded = 4 * scanBatch
+	notes := make([]*nsf.Note, seeded)
+	version := func(n *nsf.Note, v int) {
+		n.SetText("Subject", fmt.Sprintf("v%d", v))
+		n.SetNumber("Version", float64(v))
+		size := 64
+		if v%5 == 4 {
+			size = 2 * PageSize // a chained record
+		}
+		n.SetText("Body", strings.Repeat("b", size))
+	}
+	for i := range notes {
+		notes[i] = makeNote(c, "")
+		version(notes[i], 0)
+		if err := s.Put(notes[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doomed := func(i int) bool { return i%7 == 0 } // the only notes deleted
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for v := 1; ; v++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				i := rng.Intn(seeded)
+				if doomed(i) && rng.Intn(4) == 0 {
+					if err := s.Delete(notes[i].OID.UNID); err != nil && !errors.Is(err, ErrNotFound) {
+						t.Error(err)
+						return
+					}
+					continue
+				}
+				if i%2 != w || doomed(i) {
+					continue // each surviving note has one writer
+				}
+				n := notes[i].Clone()
+				n.OID.Seq++
+				version(n, v)
+				if err := s.Put(n); err != nil {
+					t.Error(err)
+					return
+				}
+				notes[i] = n
+			}
+		}(w)
+	}
+	keep := nsf.KeepItems([]string{"Subject", "Version"}, 0)
+	for pass := 0; pass < 6; pass++ {
+		var prev nsf.NoteID
+		seen := map[nsf.NoteID]bool{}
+		err := s.ScanRecords(context.Background(), 0, map[bool]func([]byte, nsf.ItemFlags) bool{true: keep}[pass%2 == 0], func(rec []byte) bool {
+			n, err := nsf.DecodeNote(rec)
+			if err != nil {
+				t.Fatalf("pass %d: record does not decode: %v", pass, err)
+			}
+			if n.ID <= prev {
+				t.Fatalf("pass %d: note %d after note %d", pass, n.ID, prev)
+			}
+			prev = n.ID
+			seen[n.ID] = true
+			if want := fmt.Sprintf("v%g", n.Number("Version")); n.Text("Subject") != want {
+				t.Fatalf("pass %d: note %d is torn: Subject %q, Version %g", pass, n.ID, n.Text("Subject"), n.Number("Version"))
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range notes {
+			if !doomed(i) && !seen[nsf.NoteID(i+1)] {
+				t.Errorf("pass %d: note %d, never deleted, was not visited", pass, i+1)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"math/rand/v2"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -612,7 +613,7 @@ func (s *Store) getByIDLocked(id nsf.NoteID) (*nsf.Note, error) {
 	if n, ok := s.cache.get(rid); ok {
 		return n, nil
 	}
-	enc, err := s.heap.view(rid)
+	enc, err := s.heap.view(rid, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -653,13 +654,17 @@ type Cursor struct {
 // its cursor never skip a latest version.
 func (s *Store) ScanSince(ctx context.Context, since Cursor, keep func(name []byte, flags nsf.ItemFlags) bool, fn func(*nsf.Note) bool) (Cursor, error) {
 	var next Cursor
+	var derr error
 	err := s.walk(ctx, true, func() (uint64, uint64) {
 		next = Cursor{Incarnation: s.pg.incarnation, USN: s.usn}
 		if since.Incarnation != next.Incarnation {
 			return 0, next.USN
 		}
 		return since.USN, next.USN
-	}, keep, fn)
+	}, keep, decoded(fn, &derr))
+	if err == nil {
+		err = derr
+	}
 	return next, err
 }
 
@@ -671,7 +676,23 @@ func (s *Store) ScanAll(fn func(*nsf.Note) bool) error {
 
 // ScanFromCtx calls fn for every note with NoteID strictly greater than
 // after, in NoteID order, until fn returns false or ctx is done. Each note
-// carries only the items keep accepts (nsf.DecodeNoteItems; nil keeps all).
+// carries only the items keep accepts (nil keeps all): it is ScanRecords
+// with each record decoded.
+func (s *Store) ScanFromCtx(ctx context.Context, after nsf.NoteID, keep func(name []byte, flags nsf.ItemFlags) bool, fn func(*nsf.Note) bool) error {
+	var derr error
+	err := s.ScanRecords(ctx, after, keep, decoded(fn, &derr))
+	if err == nil {
+		err = derr
+	}
+	return err
+}
+
+// ScanRecords calls fn with the record of every note with NoteID strictly
+// greater than after, in NoteID order, until fn returns false or ctx is
+// done. A record is the note's encoding (nsf.EncodeNote's form) carrying
+// only the items keep accepts (nsf.AppendProjected, which validates it),
+// or with a nil keep the stored record as it is, and is valid only during
+// the call.
 //
 // The walk stops at the NoteID high-water mark read under its first latch
 // hold, so notes created during the scan are never visited and the scan
@@ -680,32 +701,79 @@ func (s *Store) ScanAll(fn func(*nsf.Note) bool) error {
 // resume a scan of this physical database exactly where it stopped — the
 // cursor the wire scan ops page with. (NoteIDs are per-copy: a cursor is
 // meaningless against another replica of the same database.)
-func (s *Store) ScanFromCtx(ctx context.Context, after nsf.NoteID, keep func(name []byte, flags nsf.ItemFlags) bool, fn func(*nsf.Note) bool) error {
+func (s *Store) ScanRecords(ctx context.Context, after nsf.NoteID, keep func(name []byte, flags nsf.ItemFlags) bool, fn func(rec []byte) bool) error {
 	return s.walk(ctx, false, func() (uint64, uint64) {
 		return uint64(after), uint64(s.pg.nextNoteID) - 1
 	}, keep, fn)
 }
 
-// walk is the one note walk, behind ScanFromCtx (byUSN false: the NoteID
+// decoded adapts a note callback to the record walk: each record is
+// decoded whole, so the note carries exactly the items the walk kept. A
+// record that does not decode stops the walk with its error in *err.
+func decoded(fn func(*nsf.Note) bool, err *error) func([]byte) bool {
+	return func(rec []byte) bool {
+		n, derr := nsf.DecodeNote(rec)
+		if derr != nil {
+			*err = derr
+			return false
+		}
+		return fn(n)
+	}
+}
+
+// walk is the one note walk, behind ScanRecords (byUSN false: the NoteID
 // index) and ScanSince (byUSN true: the USN index). start, called under the
 // first read-latch hold, names the key the walk resumes after and the last
-// key it may visit. Each hold walks up to scanBatch entries, decoding each
-// note straight from its heap record with the items keep accepts; fn runs
-// with no latch held, so fn may re-enter the store (even to write) and a
-// slow consumer never holds the latch. The next hold resumes after the last
-// key walked. Notes deleted during the walk are skipped, and the note cache
-// is neither consulted nor filled. ctx is checked before each hold, so a
-// cancelled walk stops within one scanBatch of work.
-func (s *Store) walk(ctx context.Context, byUSN bool, start func() (after, last uint64), keep func([]byte, nsf.ItemFlags) bool, fn func(*nsf.Note) bool) error {
+// key it may visit. Each hold walks up to scanBatch entries and appends
+// each note's record, projected to the items keep accepts, to one arena
+// that every hold reuses (a chained record is assembled in one reused
+// buffer first), so a hold allocates nothing per note. fn then gets the
+// records with no latch held, so fn may re-enter the store (even to write)
+// and a slow consumer never holds the latch. The next hold resumes after
+// the last key walked. Notes deleted during the walk are skipped, and the
+// note cache is neither consulted nor filled. ctx is checked before each
+// hold, so a cancelled walk stops within one scanBatch of work.
+func (s *Store) walk(ctx context.Context, byUSN bool, start func() (after, last uint64), keep func([]byte, nsf.ItemFlags) bool, fn func(rec []byte) bool) error {
 	var after, last uint64
-	batch := make([]*nsf.Note, 0, scanBatch)
+	var arena, chain []byte
+	ends := make([]int, 0, scanBatch) // where each record in arena ends
+	more := false
+	var werr error
+	visit := func(k, v []byte) bool {
+		key, rid, err := s.walkEntry(byUSN, k, v)
+		if err != nil || key > last {
+			werr = err
+			return false
+		}
+		if len(ends) == scanBatch {
+			more = true
+			return false
+		}
+		rec, err := s.heap.view(rid, &chain)
+		if err == nil {
+			if cap(arena)-len(arena) < len(rec) {
+				// Double, rather than the quarter append adds past 256 bytes.
+				arena = slices.Grow(arena, max(len(rec)+len(arena), 4<<10))
+			}
+			if keep == nil {
+				arena = append(arena, rec...) // validated where it is decoded
+			} else {
+				arena, err = nsf.AppendProjected(arena, rec, keep)
+			}
+		}
+		if err != nil {
+			werr = err
+			return false
+		}
+		ends = append(ends, len(arena))
+		after = key
+		return true
+	}
 	for first := true; ; first = false {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		batch = batch[:0]
-		more := false
-		var werr error
+		arena, ends, more, werr = arena[:0], ends[:0], false, nil
 		s.mu.RLock()
 		if s.closed {
 			s.mu.RUnlock()
@@ -723,29 +791,7 @@ func (s *Store) walk(ctx context.Context, byUSN bool, start func() (after, last 
 			k := usnKey(after + 1)
 			ix, from = s.byUSN, k[:]
 		}
-		err := ix.Ascend(from, func(k, v []byte) bool {
-			var key uint64
-			var rid RecordID
-			key, rid, werr = s.walkEntry(byUSN, k, v)
-			if werr != nil || key > last {
-				return false
-			}
-			if len(batch) == scanBatch {
-				more = true
-				return false
-			}
-			var rec []byte
-			var n *nsf.Note
-			if rec, werr = s.heap.view(rid); werr == nil {
-				n, werr = nsf.DecodeNoteItems(rec, keep)
-			}
-			if werr != nil {
-				return false
-			}
-			batch = append(batch, n)
-			after = key
-			return true
-		})
+		err := ix.Ascend(from, visit)
 		s.mu.RUnlock()
 		if err == nil {
 			err = werr
@@ -753,10 +799,12 @@ func (s *Store) walk(ctx context.Context, byUSN bool, start func() (after, last 
 		if err != nil {
 			return err
 		}
-		for _, n := range batch {
-			if !fn(n) {
+		begin := 0
+		for _, end := range ends {
+			if !fn(arena[begin:end:end]) {
 				return nil
 			}
+			begin = end
 		}
 		if !more {
 			return nil

@@ -32,7 +32,7 @@ func (s *Store) Verify() []string {
 	err := s.byID.Ascend(nil, func(k, v []byte) bool {
 		id := nsf.NoteID(binary.BigEndian.Uint32(k))
 		rid, usn := location(v)
-		enc, err := s.heap.view(rid)
+		enc, err := s.heap.view(rid, nil)
 		if err != nil {
 			report("note %d: heap record %x unreadable: %v", id, rid, err)
 			return true

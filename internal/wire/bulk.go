@@ -2,6 +2,7 @@ package wire
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/ft"
 	"repro/internal/nsf"
@@ -44,7 +45,9 @@ type ViewRow struct {
 	Columns []string
 }
 
-// ViewPage is one page of a rendered view.
+// ViewPage is one page of a rendered view. Its strings are substrings of
+// one string holding the page's whole response body, so retaining any of
+// them keeps that string alive.
 type ViewPage struct {
 	Rows []ViewRow
 	// Total is the full rendering's row count (grand-total row excluded).
@@ -65,7 +68,10 @@ type ScanRow struct {
 	Values []nsf.Value
 }
 
-// ScanPage is one page of a bulk scan.
+// ScanPage is one page of a bulk scan. Its text values are substrings of
+// one string holding the page's whole response body, so retaining any of
+// them keeps that string alive; values share per-page arrays, cut so that
+// appending to one never writes into another.
 type ScanPage struct {
 	Rows []ScanRow
 	// Cursor resumes the scan after the last row of this page. It is
@@ -99,7 +105,9 @@ type SearchHit struct {
 	Values []nsf.Value
 }
 
-// SearchPage is one page of ranked full-text hits.
+// SearchPage is one page of ranked full-text hits. Like a ScanPage's, its
+// text values are substrings of the page's one body string, which a
+// retained value keeps alive.
 type SearchPage struct {
 	Hits        []SearchHit
 	Total       int
@@ -107,9 +115,95 @@ type SearchPage struct {
 	More        bool
 }
 
+// pageDec decodes one bulk-read page with a constant number of
+// allocations rather than a few per row: the body is converted to one
+// string, every text a page returns is a substring of it, and values,
+// column lists and text lists are cut from per-page arrays with full slice
+// expressions, so a caller's append to one row never writes into the next.
+type pageDec struct {
+	d     *Dec
+	s     string // the body from base on
+	base  int    // d's offset at the start of s
+	vals  []nsf.Value
+	cols  []string
+	arena nsf.Arena
+}
+
+func newPageDec(d *Dec) *pageDec {
+	return &pageDec{d: d, s: string(d.buf[d.off:]), base: d.off}
+}
+
+// blob reads a length-prefixed byte slice, returning it both as it
+// aliases the body and as the substring of the page holding those bytes.
+func (p *pageDec) blob() ([]byte, string) {
+	b := p.d.Blob()
+	if p.d.err != nil {
+		return nil, ""
+	}
+	end := p.d.off - p.base
+	return b, p.s[end-len(b) : end]
+}
+
+// str reads a length-prefixed string as a substring of the page.
+func (p *pageDec) str() string {
+	_, s := p.blob()
+	return s
+}
+
+// columns reads a view row's count-prefixed column texts; none is nil.
+func (p *pageDec) columns() []string {
+	n := p.d.U32()
+	if n == 0 {
+		return nil
+	}
+	start := len(p.cols)
+	p.cols = slices.Grow(p.cols, p.d.Cap(n, 1))
+	for j := uint32(0); j < n && p.d.Err() == nil; j++ {
+		p.cols = append(p.cols, p.str())
+	}
+	return p.cols[start:len(p.cols):len(p.cols)]
+}
+
+// values reads one row's projected columns: a presence byte, then the
+// typed value, per requested column. An absent column stays the zero
+// Value; no columns requested yields nil.
+func (p *pageDec) values(ncols int) []nsf.Value {
+	if ncols == 0 {
+		return nil
+	}
+	start := len(p.vals)
+	for j := 0; j < ncols && p.d.Err() == nil; j++ {
+		var v nsf.Value
+		if p.d.U8() != 0 {
+			v = p.value()
+		}
+		p.vals = append(p.vals, v)
+	}
+	// A truncated row still carries ncols values.
+	for len(p.vals)-start < ncols {
+		p.vals = append(p.vals, nsf.Value{})
+	}
+	return p.vals[start:len(p.vals):len(p.vals)]
+}
+
+// value reads a typed item value appended by Enc.Value.
+func (p *pageDec) value() nsf.Value {
+	b, s := p.blob()
+	if p.d.err != nil {
+		return nsf.Value{}
+	}
+	v, err := p.arena.DecodeValue(b, s)
+	if err != nil {
+		p.d.fail("bad value: %v", err)
+		return nsf.Value{}
+	}
+	return v
+}
+
 // decodeViewPage parses an OpViewRows response body.
 func decodeViewPage(d *Dec) (ViewPage, error) {
 	p := ViewPage{Total: int(d.U32()), Start: int(d.U32())}
+	pd := newPageDec(d)
 	for d.Err() == nil {
 		kind := d.U8()
 		if kind == rowKindEnd || d.Err() != nil {
@@ -119,17 +213,12 @@ func decodeViewPage(d *Dec) (ViewPage, error) {
 		switch kind {
 		case rowKindCategory:
 			row.IsCategory = true
-			row.Category = d.Str()
+			row.Category = pd.str()
 			row.Indent = int(d.U32())
 		case rowKindDoc:
 			row.Indent = int(d.U32())
 			row.UNID = d.UNID()
-			if cols := d.U32(); cols > 0 {
-				row.Columns = make([]string, 0, d.Cap(cols, 1))
-				for j := uint32(0); j < cols && d.Err() == nil; j++ {
-					row.Columns = append(row.Columns, d.Str())
-				}
-			}
+			row.Columns = pd.columns()
 		default:
 			return p, protoErrorf("bad view row kind %#x", kind)
 		}
@@ -140,25 +229,10 @@ func decodeViewPage(d *Dec) (ViewPage, error) {
 	return p, d.Err()
 }
 
-// decValues parses one row's projected columns: a presence byte, then the
-// typed value, per requested column. An absent column stays the zero Value;
-// no columns requested yields nil.
-func decValues(d *Dec, ncols int) []nsf.Value {
-	if ncols == 0 {
-		return nil
-	}
-	vals := make([]nsf.Value, ncols)
-	for j := 0; j < ncols && d.Err() == nil; j++ {
-		if d.U8() != 0 {
-			vals[j] = d.Value()
-		}
-	}
-	return vals
-}
-
 // decodeScanPage parses an OpScan response body.
 func decodeScanPage(d *Dec, ncols int) (ScanPage, error) {
 	var p ScanPage
+	pd := newPageDec(d)
 	for d.Err() == nil {
 		kind := d.U8()
 		if kind == rowKindEnd || d.Err() != nil {
@@ -167,7 +241,7 @@ func decodeScanPage(d *Dec, ncols int) (ScanPage, error) {
 		if kind != rowKindDoc {
 			return p, protoErrorf("bad scan row kind %#x", kind)
 		}
-		p.Rows = append(p.Rows, ScanRow{NoteID: nsf.NoteID(d.U32()), UNID: d.UNID(), Values: decValues(d, ncols)})
+		p.Rows = append(p.Rows, ScanRow{NoteID: nsf.NoteID(d.U32()), UNID: d.UNID(), Values: pd.values(ncols)})
 	}
 	p.More = d.U8() != 0
 	// The cursor blob aliases the response buffer; copy so the page owns it.
@@ -179,6 +253,7 @@ func decodeScanPage(d *Dec, ncols int) (ScanPage, error) {
 // IEEE-754 bits, so zero and negative scores round-trip exactly.
 func decodeSearchPage(d *Dec, ncols int) (SearchPage, error) {
 	p := SearchPage{Total: int(d.U32()), Start: int(d.U32())}
+	pd := newPageDec(d)
 	for d.Err() == nil {
 		kind := d.U8()
 		if kind == rowKindEnd || d.Err() != nil {
@@ -187,7 +262,7 @@ func decodeSearchPage(d *Dec, ncols int) (SearchPage, error) {
 		if kind != rowKindDoc {
 			return p, protoErrorf("bad search row kind %#x", kind)
 		}
-		p.Hits = append(p.Hits, SearchHit{UNID: d.UNID(), Score: math.Float64frombits(d.U64()), Values: decValues(d, ncols)})
+		p.Hits = append(p.Hits, SearchHit{UNID: d.UNID(), Score: math.Float64frombits(d.U64()), Values: pd.values(ncols)})
 	}
 	p.More = d.U8() != 0
 	p.Next = int(d.U32())
@@ -244,15 +319,26 @@ func (r *RemoteDB) ScanPage(opts ScanOptions, cursor []byte) (ScanPage, error) {
 }
 
 // Scan pages a formula-filtered, projected scan through fn until the scan
-// is exhausted or fn returns false.
+// is exhausted or fn returns false. Rows come in NoteID order, so a page
+// that says More yet carries no row, or a row that does not follow the
+// last one delivered (a cursor that did not advance, or that restarted the
+// scan), is a protocol error rather than a loop.
 func (r *RemoteDB) Scan(opts ScanOptions, fn func(ScanRow) bool) error {
 	var cursor []byte
+	var last nsf.NoteID
 	for {
 		p, err := r.ScanPage(opts, cursor)
 		if err != nil {
 			return err
 		}
+		if p.More && len(p.Rows) == 0 {
+			return protoErrorf("scan page says more but carries no rows")
+		}
 		for _, row := range p.Rows {
+			if row.NoteID <= last {
+				return protoErrorf("scan row %d does not follow row %d: the cursor did not advance", row.NoteID, last)
+			}
+			last = row.NoteID
 			if !fn(row) {
 				return nil
 			}

@@ -1,9 +1,17 @@
 package wire
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"math"
+	"math/bits"
+	"net"
 	"reflect"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/nsf"
 )
@@ -140,7 +148,10 @@ func TestUntrustedCountsClamped(t *testing.T) {
 }
 
 // FuzzDecodeBulkPages throws arbitrary bodies at the three bulk-read
-// decoders: they must never panic or allocate past the body size.
+// decoders: they must never panic, must agree with a reference decoder
+// that reads every string with Dec.Str and every value with nsf.DecodeValue
+// of its blob, and must make a number of allocations that grows with the
+// logarithm of the body, never with its rows.
 func FuzzDecodeBulkPages(f *testing.F) {
 	u := nsf.NewUNID()
 	view := NewResp(OpViewRows, StatusOK).U32(3).U32(0)
@@ -157,8 +168,267 @@ func FuzzDecodeBulkPages(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		decodeViewPage(NewDec(append([]byte(nil), body...)))
-		decodeScanPage(NewDec(append([]byte(nil), body...)), 1)
-		decodeSearchPage(NewDec(append([]byte(nil), body...)), 1)
+		vp, verr := decodeViewPage(NewDec(append([]byte(nil), body...)))
+		wvp, wverr := refViewPage(NewDec(body))
+		if (verr == nil) != (wverr == nil) || verr == nil && !reflect.DeepEqual(vp, wvp) {
+			t.Fatalf("view page (%v) differs from the reference (%v):\n got %+v\nwant %+v", verr, wverr, vp, wvp)
+		}
+		sp, serr := decodeScanPage(NewDec(append([]byte(nil), body...)), 2)
+		wsp, wserr := refScanPage(NewDec(body), 2)
+		if (serr == nil) != (wserr == nil) || serr == nil && !scanPagesEqual(sp, wsp) {
+			t.Fatalf("scan page (%v) differs from the reference (%v):\n got %+v\nwant %+v", serr, wserr, sp, wsp)
+		}
+		hp, herr := decodeSearchPage(NewDec(append([]byte(nil), body...)), 1)
+		whp, wherr := refSearchPage(NewDec(body), 1)
+		if (herr == nil) != (wherr == nil) || herr == nil && !searchPagesEqual(hp, whp) {
+			t.Fatalf("search page (%v) differs from the reference (%v):\n got %+v\nwant %+v", herr, wherr, hp, whp)
+		}
+		if raceEnabled {
+			return // the race detector adds bookkeeping allocations
+		}
+		ceiling := 48 + 8*float64(bits.Len(uint(len(body))))
+		for name, decode := range map[string]func(){
+			"view":   func() { decodeViewPage(NewDec(body)) },
+			"scan":   func() { decodeScanPage(NewDec(body), 2) },
+			"search": func() { decodeSearchPage(NewDec(body), 1) },
+		} {
+			if allocs := testing.AllocsPerRun(1, decode); allocs > ceiling {
+				t.Fatalf("%s page of %d bytes: %.0f allocations, ceiling %.0f", name, len(body), allocs, ceiling)
+			}
+		}
 	})
+}
+
+// refViewPage, refScanPage and refSearchPage decode a page the plain way,
+// a string and a value at a time: the reference the page decoders must
+// match.
+func refViewPage(d *Dec) (ViewPage, error) {
+	p := ViewPage{Total: int(d.U32()), Start: int(d.U32())}
+	for d.Err() == nil {
+		kind := d.U8()
+		if kind == rowKindEnd || d.Err() != nil {
+			break
+		}
+		var row ViewRow
+		switch kind {
+		case rowKindCategory:
+			row.IsCategory, row.Category, row.Indent = true, d.Str(), int(d.U32())
+		case rowKindDoc:
+			row.Indent = int(d.U32())
+			row.UNID = d.UNID()
+			if cols := d.U32(); cols > 0 {
+				for j := uint32(0); j < cols && d.Err() == nil; j++ {
+					row.Columns = append(row.Columns, d.Str())
+				}
+			}
+		default:
+			return p, protoErrorf("bad view row kind %#x", kind)
+		}
+		p.Rows = append(p.Rows, row)
+	}
+	p.More = d.U8() != 0
+	p.Next = int(d.U32())
+	return p, d.Err()
+}
+
+func refValues(d *Dec, ncols int) []nsf.Value {
+	vals := make([]nsf.Value, ncols)
+	for j := 0; j < ncols && d.Err() == nil; j++ {
+		if d.U8() != 0 {
+			vals[j] = d.Value()
+		}
+	}
+	return vals
+}
+
+func refScanPage(d *Dec, ncols int) (ScanPage, error) {
+	var p ScanPage
+	for d.Err() == nil {
+		kind := d.U8()
+		if kind == rowKindEnd || d.Err() != nil {
+			break
+		}
+		if kind != rowKindDoc {
+			return p, protoErrorf("bad scan row kind %#x", kind)
+		}
+		p.Rows = append(p.Rows, ScanRow{NoteID: nsf.NoteID(d.U32()), UNID: d.UNID(), Values: refValues(d, ncols)})
+	}
+	p.More = d.U8() != 0
+	p.Cursor = append([]byte(nil), d.Blob()...)
+	return p, d.Err()
+}
+
+func refSearchPage(d *Dec, ncols int) (SearchPage, error) {
+	p := SearchPage{Total: int(d.U32()), Start: int(d.U32())}
+	for d.Err() == nil {
+		kind := d.U8()
+		if kind == rowKindEnd || d.Err() != nil {
+			break
+		}
+		if kind != rowKindDoc {
+			return p, protoErrorf("bad search row kind %#x", kind)
+		}
+		p.Hits = append(p.Hits, SearchHit{UNID: d.UNID(), Score: math.Float64frombits(d.U64()), Values: refValues(d, ncols)})
+	}
+	p.More = d.U8() != 0
+	p.Next = int(d.U32())
+	return p, d.Err()
+}
+
+func valuesEqual(a, b []nsf.Value) bool {
+	return slices.EqualFunc(a, b, func(x, y nsf.Value) bool { return x.Type == y.Type && x.Equal(y) })
+}
+
+func scanPagesEqual(a, b ScanPage) bool {
+	return a.More == b.More && bytes.Equal(a.Cursor, b.Cursor) && slices.EqualFunc(a.Rows, b.Rows, func(x, y ScanRow) bool {
+		return x.NoteID == y.NoteID && x.UNID == y.UNID && valuesEqual(x.Values, y.Values)
+	})
+}
+
+func searchPagesEqual(a, b SearchPage) bool {
+	return a.Total == b.Total && a.Start == b.Start && a.Next == b.Next && a.More == b.More &&
+		slices.EqualFunc(a.Hits, b.Hits, func(x, y SearchHit) bool {
+			return x.UNID == y.UNID && math.Float64bits(x.Score) == math.Float64bits(y.Score) && valuesEqual(x.Values, y.Values)
+		})
+}
+
+// maxPageDecodeAllocs is the ceiling on allocations for decoding one bulk
+// page, whatever its row count: the page string, the cursor, and the
+// row, value, column and text arrays growing by doubling.
+const maxPageDecodeAllocs = 64
+
+// TestPageDecodeAllocsDoNotGrowWithRows decodes a 1,000-row two-column
+// scan page and a 100-row view page within maxPageDecodeAllocs each; a
+// decoder that allocates per row or per value makes thousands.
+func TestPageDecodeAllocsDoNotGrowWithRows(t *testing.T) {
+	u := nsf.NewUNID()
+	scan := NewResp(OpScan, StatusOK)
+	for i := 0; i < 1000; i++ {
+		scan.U8(1).U32(uint32(i + 1)).UNID(u)
+		scan.U8(1).Value(nsf.TextValue(fmt.Sprintf("subject %d", i)))
+		scan.U8(1).Value(nsf.TextValue("ada", "bob"))
+	}
+	scan.U8(0).U8(1).Blob([]byte("cursor"))
+	scanBody := respBody(scan)
+	view := NewResp(OpViewRows, StatusOK).U32(5000).U32(0)
+	for i := 0; i < 100; i++ {
+		if i%10 == 0 {
+			view.U8(2).Str(fmt.Sprintf("category %d", i)).U32(0)
+			continue
+		}
+		view.U8(1).U32(1).UNID(u).U32(3).Str(fmt.Sprintf("row %d", i)).Str("ada").Str("2026-10-17")
+	}
+	view.U8(0).U8(1).U32(100)
+	viewBody := respBody(view)
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"1000-row scan page", func() error {
+			p, err := decodeScanPage(NewDec(scanBody), 2)
+			if err == nil && (len(p.Rows) != 1000 || p.Rows[999].Values[0].Text[0] != "subject 999") {
+				err = fmt.Errorf("decoded %d rows", len(p.Rows))
+			}
+			return err
+		}},
+		{"100-row view page", func() error {
+			p, err := decodeViewPage(NewDec(viewBody))
+			if err == nil && (len(p.Rows) != 100 || p.Rows[99].Columns[0] != "row 99") {
+				err = fmt.Errorf("decoded %d rows", len(p.Rows))
+			}
+			return err
+		}},
+	} {
+		if err := tc.decode(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		allocs := testing.AllocsPerRun(10, func() { tc.decode() })
+		t.Logf("%s: %.0f allocations", tc.name, allocs)
+		if allocs > maxPageDecodeAllocs {
+			t.Errorf("%s: %.0f allocations, ceiling %d", tc.name, allocs, maxPageDecodeAllocs)
+		}
+	}
+}
+
+// TestPageRowsDoNotShareSpare: a caller appending to one row's values or
+// columns gets a copy, never a write into the next row's.
+func TestPageRowsDoNotShareSpare(t *testing.T) {
+	u := nsf.NewUNID()
+	scan := NewResp(OpScan, StatusOK)
+	for i := 0; i < 3; i++ {
+		scan.U8(1).U32(uint32(i + 1)).UNID(u).U8(1).Value(nsf.TextValue("a", "b")).U8(1).Value(nsf.NumberValue(float64(i)))
+	}
+	scan.U8(0).U8(0).Blob(nil)
+	p, err := decodeScanPage(NewDec(respBody(scan)), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = append(p.Rows[0].Values, nsf.TextValue("clobber"))
+	_ = append(p.Rows[0].Values[0].Text, "clobber")
+	_ = append(p.Rows[0].Values[1].Numbers, 99)
+	if p.Rows[1].Values[0].Text[0] != "a" || p.Rows[1].Values[1].Numbers[0] != 1 {
+		t.Errorf("an append to row 0 wrote into row 1: %+v", p.Rows[1].Values)
+	}
+	view := NewResp(OpViewRows, StatusOK).U32(2).U32(0)
+	view.U8(1).U32(0).UNID(u).U32(1).Str("x")
+	view.U8(1).U32(0).UNID(u).U32(1).Str("y")
+	view.U8(0).U8(0).U32(2)
+	vp, err := decodeViewPage(NewDec(respBody(view)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = append(vp.Rows[0].Columns, "clobber")
+	if vp.Rows[1].Columns[0] != "y" {
+		t.Errorf("an append to row 0's columns wrote into row 1: %q", vp.Rows[1].Columns)
+	}
+}
+
+// TestScanStopsOnAPageThatDoesNotAdvance: RemoteDB.Scan against a server
+// whose pages say More without moving on — no rows, the same rows again,
+// or a cursor that restarts the scan — returns a protocol error instead
+// of paging forever.
+func TestScanStopsOnAPageThatDoesNotAdvance(t *testing.T) {
+	u := nsf.NewUNID()
+	pages := map[string]func(page int) *Enc{
+		"no rows": func(int) *Enc {
+			return NewResp(OpScan, StatusOK).U8(0).U8(1).Blob([]byte("c"))
+		},
+		"same cursor": func(int) *Enc {
+			return NewResp(OpScan, StatusOK).U8(1).U32(5).UNID(u).U8(0).U8(1).Blob([]byte("c"))
+		},
+		"restarted": func(page int) *Enc {
+			return NewResp(OpScan, StatusOK).U8(1).U32(uint32(1 + page%2)).UNID(u).U8(0).U8(1).Blob([]byte{byte(page)})
+		},
+	}
+	for name, page := range pages {
+		t.Run(name, func(t *testing.T) {
+			var served atomic.Int32
+			addr := scriptServer(t, func(conn net.Conn, _ int, payload []byte) bool {
+				if Op(payload[0]) == OpOpenDB {
+					return openOK(conn, payload)
+				}
+				return WriteFrame(conn, page(int(served.Add(1))).Bytes()) == nil
+			})
+			c, err := DialOptions(addr, "u", "s", noRetryOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			db, err := c.OpenDB("x.nsf")
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- db.Scan(ScanOptions{}, func(ScanRow) bool { return true }) }()
+			select {
+			case err := <-done:
+				var pe *protoError
+				if !errors.As(err, &pe) {
+					t.Errorf("Scan returned %v, want a protocol error", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("Scan still paging after %d pages", served.Load())
+			}
+		})
+	}
 }
