@@ -65,7 +65,7 @@
 //
 // Runtime quiesce/resume directives are delivered as signals: SIGUSR1
 // puts the server in RESTRICTED drain mode (new sessions refused, probes
-// answer RESTRICTED, in-flight work finishes, cluster pushers flush) and
+// answer RESTRICTED, in-flight work finishes, cluster pushers catch up) and
 // SIGUSR2 resumes service. SIGTERM/SIGINT gracefully drain (bounded by
 // the drain timeout) before closing, so a planned restart shifts clients
 // to their failover mates instead of stranding them mid-request.
@@ -551,13 +551,6 @@ func main() {
 			log.Printf("mesh link %s -> %s (glob %q %s %s every %s)",
 				l.Name, l.Peer, l.Glob, l.Class, l.Direction, l.Interval)
 		}
-		// When a cluster pusher drops an event (mate down, queue overflow),
-		// run the replicate link for that mate and database now, so catch-up
-		// starts immediately instead of waiting out the interval. RunNow
-		// errors only for a pair no replicate directive names.
-		srv.OnClusterDrop(func(mate, dbPath string) {
-			_ = m.RunNow(replicateLinkName(mate, dbPath))
-		})
 	}
 	// Placement records: pins first (a pin wins over auto-assignment), then
 	// rendezvous-assign the remaining pre-opened databases across this mate

@@ -224,6 +224,10 @@ func (db *Database) Stats() Stats {
 // change (0 when none). Combine with WaitForUSN for read-your-writes.
 func (db *Database) LastUSN() uint64 { return db.st.LastUSN() }
 
+// Cursor returns the database's position in its change history; see
+// store.Store.Cursor.
+func (db *Database) Cursor() store.Cursor { return db.st.Cursor() }
+
 // WaitForUSN blocks until every live change consumer (views, full-text,
 // unread tables, OnChange subscribers) has applied through usn — the
 // read-side refresh barrier.

@@ -200,7 +200,7 @@ func Replicate(local *core.Database, peer Peer, opts Options) (Stats, error) {
 		}
 	}
 	if !opts.PullOnly {
-		localNext, err := push(local, peer, &stats, h.LastPush, opts)
+		localNext, err := Push(local, peer, &stats, h.LastPush, opts)
 		if err != nil {
 			return stats, err
 		}
@@ -285,8 +285,8 @@ func pull(local *core.Database, peer Peer, stats *Stats, since store.Cursor, opt
 			return since, err
 		}
 		stats.NotesFetched += len(notes)
+		stats.BytesIn += encodedBytes(notes)
 		for _, n := range notes {
-			stats.BytesIn += int64(len(nsf.EncodeNote(n)))
 			st, err := ApplyNote(local, n, opts.Apply)
 			if err != nil {
 				return since, err
@@ -297,11 +297,11 @@ func pull(local *core.Database, peer Peer, stats *Stats, since store.Cursor, opt
 	return peerNext, nil
 }
 
-// push sends local changes since the cursor for the peer to apply.
-// Documents outside the selection formula travel as selection stubs
-// (identity only), so an edit that moves a document out of the selection
-// deletes it at the peer instead of leaving it frozen.
-func push(local *core.Database, peer Peer, stats *Stats, since store.Cursor, opts Options) (store.Cursor, error) {
+// Push sends local changes since the cursor for the peer to apply: the push
+// phase of Replicate and of a cluster push. Documents outside the selection
+// formula travel as selection stubs (identity only), so an edit that moves a
+// document out of the selection deletes it at the peer, not leaves it frozen.
+func Push(local *core.Database, peer Peer, stats *Stats, since store.Cursor, opts Options) (store.Cursor, error) {
 	sel, err := opts.selection()
 	if err != nil {
 		return since, err
@@ -311,9 +311,7 @@ func push(local *core.Database, peer Peer, stats *Stats, since store.Cursor, opt
 	if err != nil {
 		return since, err
 	}
-	for _, n := range batch {
-		stats.BytesOut += int64(len(nsf.EncodeNote(n)))
-	}
+	stats.BytesOut += encodedBytes(batch)
 	stats.NotesSent += len(batch)
 	// Ship in bounded batches: each applied batch is durable at the peer,
 	// and a batch whose acknowledgment was lost re-applies as skips.
@@ -331,6 +329,17 @@ func push(local *core.Database, peer Peer, stats *Stats, since store.Cursor, opt
 		stats.Push.Add(st)
 	}
 	return next, nil
+}
+
+// encodedBytes sums the encoded sizes of notes, encoding each into one
+// reused buffer.
+func encodedBytes(notes []*nsf.Note) (total int64) {
+	var buf []byte
+	for _, n := range notes {
+		buf = nsf.AppendNote(buf[:0], n)
+		total += int64(len(buf))
+	}
+	return total
 }
 
 // FullCopy is the naive baseline: it transfers the peer's complete note
@@ -359,8 +368,8 @@ func FullCopy(local *core.Database, peer Peer) (Stats, error) {
 		return stats, err
 	}
 	stats.NotesFetched = len(notes)
+	stats.BytesIn += encodedBytes(notes)
 	for _, n := range notes {
-		stats.BytesIn += int64(len(nsf.EncodeNote(n)))
 		st, err := ApplyNote(local, n, ApplyOptions{})
 		if err != nil {
 			return stats, err
@@ -379,9 +388,7 @@ func FullCopy(local *core.Database, peer Peer) (Stats, error) {
 		return stats, err
 	}
 	stats.NotesSent = len(batch)
-	for _, n := range batch {
-		stats.BytesOut += int64(len(nsf.EncodeNote(n)))
-	}
+	stats.BytesOut += encodedBytes(batch)
 	if len(batch) > 0 {
 		st, err := peer.Apply(batch)
 		if err != nil {

@@ -19,7 +19,7 @@ import (
 // briefly, then are shed with StatusBusy carrying the index), a live index
 // computed from in-flight occupancy, queue depth, and a latency EWMA, and
 // a RESTRICTED drain state (Quiesce) that refuses new work while letting
-// in-flight requests finish and cluster pushers flush.
+// in-flight requests finish and cluster pushers catch up.
 
 // LogHealth is the log kind for admission/availability events.
 const LogHealth = "health"
@@ -148,9 +148,9 @@ func (a *admissionState) queueEstimate() time.Duration {
 }
 
 // release returns the slot and folds the request's dispatch time into the
-// latency EWMA (new = 7/8 old + 1/8 sample).
-func (a *admissionState) release(elapsed time.Duration) {
-	a.inflight.Add(-1)
+// latency EWMA (new = 7/8 old + 1/8 sample); idle is nothing left in flight.
+func (a *admissionState) release(elapsed time.Duration) (idle bool) {
+	idle = a.inflight.Add(-1) == 0
 	if a.sem != nil {
 		<-a.sem
 	}
@@ -162,7 +162,7 @@ func (a *admissionState) release(elapsed time.Duration) {
 			nu = (old*7 + us) / 8
 		}
 		if a.ewmaUs.CompareAndSwap(old, nu) {
-			return
+			return idle
 		}
 	}
 }
@@ -272,14 +272,17 @@ func (c *connState) availability(context.Context, *wire.Dec) (*wire.Enc, error) 
 // refused, new requests on existing sessions are shed with a RESTRICTED
 // busy response (driving failover clients to a mate), availability probes
 // answer with index 0, and the call waits — up to timeout — for in-flight
-// requests to finish and cluster pushers to flush their queues. The
-// listener stays up so probes keep answering; call Close afterwards to
-// shut down, or Resume to return to service.
+// requests to finish and cluster pushers to go idle. The listener stays up
+// so probes keep answering; call Close afterwards to shut down, or Resume
+// to return to service.
 func (s *Server) Quiesce(timeout time.Duration) error {
 	if s.draining.CompareAndSwap(false, true) {
 		s.logf(LogHealth, "quiesce: entering RESTRICTED drain mode")
 	}
 	deadline := time.Now().Add(timeout)
+	defer time.AfterFunc(timeout, s.signalDrain).Stop()
+	s.drainMu.Lock()
+	defer s.drainMu.Unlock()
 	for {
 		inflight := s.admission.inflight.Load()
 		flushed := s.clusterFlushed()
@@ -287,13 +290,20 @@ func (s *Server) Quiesce(timeout time.Duration) error {
 			s.logf(LogHealth, "quiesce: drained (in-flight 0, cluster flushed)")
 			return nil
 		}
-		if time.Now().After(deadline) {
+		if !time.Now().Before(deadline) {
 			err := fmt.Errorf("server: quiesce timed out (in-flight %d, cluster flushed %v)", inflight, flushed)
 			s.logf(LogHealth, "quiesce: %v", err)
 			return err
 		}
-		time.Sleep(5 * time.Millisecond)
+		s.drained.Wait()
 	}
+}
+
+// signalDrain wakes a waiting Quiesce to look at its condition again.
+func (s *Server) signalDrain() {
+	s.drainMu.Lock()
+	s.drainMu.Unlock()
+	s.drained.Broadcast()
 }
 
 // Resume leaves drain mode and accepts work again.

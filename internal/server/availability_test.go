@@ -318,53 +318,6 @@ func TestPanicRecoveryClosesOnlyThatConn(t *testing.T) {
 	checkServes(t, addr)
 }
 
-// TestClusterDropSignalsCatchUp: a push to a dead mate is dropped, counted
-// per mate, surfaced in the monitor report, and fires the OnClusterDrop
-// callback with the mate and database — the signal dominod turns into an
-// immediate catch-up replication.
-func TestClusterDropSignalsCatchUp(t *testing.T) {
-	s, _ := newHookServer(t, Options{}, nil)
-	type drop struct{ mate, dbPath string }
-	drops := make(chan drop, 64)
-	s.OnClusterDrop(func(mate, dbPath string) {
-		select {
-		case drops <- drop{mate, dbPath}:
-		default:
-		}
-	})
-	s.EnableClustering(map[string]string{"ghost": "127.0.0.1:1"}) // unreachable
-
-	db, _ := s.DB("apps/db.nsf")
-	n := nsf.NewNote(nsf.ClassDocument)
-	n.SetText("Subject", "undeliverable")
-	if err := db.Session("admin").Create(n); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case d := <-drops:
-		if d.mate != "ghost" || d.dbPath != "apps/db.nsf" {
-			t.Errorf("drop callback got (%q, %q)", d.mate, d.dbPath)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("drop to a dead mate never fired OnClusterDrop")
-	}
-	waitFor(t, "the drop counter", func() bool { return s.DroppedByMate()["ghost"] >= 1 })
-	report := s.MonitorReport()
-	last := report[len(report)-1]
-	if want := "dropped[ghost]="; !contains(last, want) {
-		t.Errorf("monitor report %q missing %q", last, want)
-	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
 // TestCloseRacesInflightAndClusterPush: Close while requests are mid-flight
 // and cluster pushers are retrying against a dead mate must terminate
 // promptly with no deadlock or leaked goroutine (run under -race in the

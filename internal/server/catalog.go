@@ -110,8 +110,8 @@ func (s *Server) RefreshCatalog() (int, error) {
 		}
 		written++
 	}
-	// Cluster-mate health docs: per-mate push-drop counts and queue depth,
-	// so an administrator browsing the catalog sees which mate is behind.
+	// Cluster-mate health docs: how many USNs each mate's push trails, so
+	// an administrator browsing the catalog sees which mate is behind.
 	upsert := func(unid nsf.UNID, form string, set func(n *nsf.Note)) error {
 		valid[unid] = true
 		n, err := cat.RawGet(unid)
@@ -130,16 +130,11 @@ func (s *Server) RefreshCatalog() (int, error) {
 		n.Modified = s.clock.Now()
 		return cat.RawPut(n)
 	}
-	s.mu.Lock()
-	pushers := append([]*clusterPusher(nil), s.cluster...)
-	s.mu.Unlock()
-	for _, p := range pushers {
-		dropped, queued := p.snapshot()
-		err := upsert(catalogDocUNID(s.opts.Name, "clustermate:"+p.mateName), "ClusterMate", func(n *nsf.Note) {
-			n.SetWithFlags("Mate", nsf.TextValue(p.mateName), nsf.FlagSummary)
-			n.SetText("Addr", p.mateAddr)
-			n.SetNumber("Dropped", float64(dropped))
-			n.SetNumber("Queue", float64(queued))
+	for _, p := range s.pushers() {
+		err := upsert(catalogDocUNID(s.opts.Name, "clustermate:"+p.mate), "ClusterMate", func(n *nsf.Note) {
+			n.SetWithFlags("Mate", nsf.TextValue(p.mate), nsf.FlagSummary)
+			n.SetText("Addr", p.addr)
+			n.SetNumber("Behind", float64(p.lag()))
 		})
 		if err != nil {
 			return written, err

@@ -1,100 +1,87 @@
 package server
 
 import (
+	"errors"
+	"maps"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/nsf"
+	"repro/internal/repl"
+	"repro/internal/retry"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
-// Cluster replication: Domino clusters push changes to cluster mates as
-// they happen (event-driven), rather than waiting for the scheduled
-// replicator. Every save on a clustered database is queued and applied on
-// each mate within moments. The scheduled replicator remains the catch-up
-// path after outages — and a dropped push *tells* it to run: drops fire
-// the server's OnClusterDrop callback, which dominod wires to the mesh's
-// RunNow on the replicate link for that mate and database, an immediate
-// catch-up pass.
+// Cluster replication: Domino clusters push changes to mates as they
+// happen. A pusher keeps an in-memory store.Cursor per database; a commit
+// wakes it to run repl.Push for every database whose cursor trails its USN.
+// The cursor moves only on the mate's ack, so nothing is dropped: a failed
+// push is retried from the cursor, the mate skipping what it already has.
 
 // LogCluster is the log kind for cluster push events.
 const LogCluster = "cluster"
 
-// clusterEvent is one pending push.
-type clusterEvent struct {
-	dbPath string
-	note   *nsf.Note
+// The backoff after a failed push, and how long a database the mate
+// refused is left alone.
+const pushRetryBase, pushRetryMax, refusedRetry = 50 * time.Millisecond, 2 * time.Second, time.Minute
+
+// errOtherReplica refuses a mate's unrelated database at the same path.
+var errOtherReplica = errors.New("another replica at this path")
+
+// clusterPusher pushes every hooked database to one cluster mate.
+type clusterPusher struct {
+	server     *Server
+	mate, addr string
+	kick       chan struct{} // one pending wake
+	stop       chan struct{} // closed by stopCluster
+
+	mu           sync.Mutex
+	targets      []*pushTarget // append-only
+	busy, failed bool          // a round is running; the last one failed
+
+	client *wire.Client // the run goroutine's own, like each target's remote
 }
 
-// clusterPusher streams change events to one cluster mate.
-type clusterPusher struct {
-	server   *Server
-	mateName string
-	mateAddr string
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []clusterEvent
-	closed  bool
-	busy    bool // a batch is being delivered right now
-	dropped int
-
-	client  *wire.Client
-	remotes map[string]*wire.RemoteDB
+// pushTarget is one database a pusher pushes: cursor is what the mate has
+// acked, refused when it last declined; only run writes them, under mu.
+type pushTarget struct {
+	path    string
+	db      *core.Database
+	cursor  store.Cursor
+	refused time.Time
+	remote  *wire.RemoteDB
 }
 
 // EnableClustering starts event-driven push replication to the given mates
 // (name -> address) for every database the server has opened or will open.
-// Events that cannot be delivered after retries are dropped and left to the
-// scheduled replicator; Dropped() exposes the count and OnClusterDrop
-// turns each drop into a catch-up signal.
 func (s *Server) EnableClustering(mates map[string]string) {
+	var added []*clusterPusher
 	s.mu.Lock()
 	for name, addr := range mates {
-		p := &clusterPusher{server: s, mateName: name, mateAddr: addr, remotes: make(map[string]*wire.RemoteDB)}
-		p.cond = sync.NewCond(&p.mu)
+		p := &clusterPusher{server: s, mate: name, addr: addr, kick: make(chan struct{}, 1), stop: make(chan struct{})}
 		s.cluster = append(s.cluster, p)
+		added = append(added, p)
 		s.wg.Add(1)
 		go p.run()
 	}
-	// Hook databases that are already open.
-	dbs := make(map[string]*core.Database, len(s.dbs))
-	for path, db := range s.dbs {
-		dbs[path] = db
-	}
+	dbs := maps.Clone(s.dbs)
 	s.mu.Unlock()
 	for path, db := range dbs {
-		s.hookClusterDB(path, db)
+		hookClusterDB(added, path, db)
 	}
 }
 
-// ClusterMates returns the names of the configured cluster mates.
-func (s *Server) ClusterMates() []string {
+func (s *Server) pushers() []*clusterPusher {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.cluster))
-	for _, p := range s.cluster {
-		names = append(names, p.mateName)
-	}
-	return names
+	return append([]*clusterPusher(nil), s.cluster...)
 }
 
-// OnClusterDrop registers fn to be called (outside all locks) whenever a
-// push event is abandoned to the scheduled replicator, with the mate name
-// and database path. dominod wires this to the mesh's RunNow on the
-// matching replicate link, so a drop starts a catch-up round at once
-// instead of waiting out the link interval.
-func (s *Server) OnClusterDrop(fn func(mate, dbPath string)) {
-	s.onClusterDrop.Store(fn)
-}
-
-// notifyClusterDrop fires the registered drop callback, if any.
-func (s *Server) notifyClusterDrop(mate, dbPath string) {
-	if fn, ok := s.onClusterDrop.Load().(func(mate, dbPath string)); ok && fn != nil {
-		fn(mate, dbPath)
-	}
-}
+// Dropped is always 0: a cluster push retries from its cursor until the
+// mate acknowledges it. It stays for callers that read the old drop count.
+func (s *Server) Dropped() int { return 0 }
 
 // localOnlyDBs are server-private databases that never cluster-replicate.
 var localOnlyDBs = map[string]bool{
@@ -103,182 +90,184 @@ var localOnlyDBs = map[string]bool{
 	CatalogPath: true,
 }
 
-// hookClusterDB subscribes the cluster pushers to a database's changes.
-func (s *Server) hookClusterDB(path string, db *core.Database) {
-	if localOnlyDBs[path] {
+// hookClusterDB gives each pusher a cursor on db, subscribes them to its
+// commits, and wakes them once for a commit made in between.
+func hookClusterDB(pushers []*clusterPusher, path string, db *core.Database) {
+	if localOnlyDBs[path] || len(pushers) == 0 {
 		return
 	}
-	s.mu.Lock()
-	pushers := append([]*clusterPusher(nil), s.cluster...)
-	s.mu.Unlock()
-	if len(pushers) == 0 {
-		return
+	for _, p := range pushers {
+		p.mu.Lock()
+		p.targets = append(p.targets, &pushTarget{path: path, db: db, cursor: db.Cursor()})
+		p.mu.Unlock()
 	}
-	db.OnChange(func(n *nsf.Note) {
-		ev := clusterEvent{dbPath: path, note: n.Clone()}
+	wakeAll := func(*nsf.Note) {
 		for _, p := range pushers {
-			p.enqueue(ev)
+			p.wake()
 		}
-	})
-}
-
-func (p *clusterPusher) enqueue(ev clusterEvent) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
 	}
-	const maxQueue = 10000
-	if len(p.queue) >= maxQueue {
-		p.dropped++
-		p.mu.Unlock()
-		p.server.notifyClusterDrop(p.mateName, ev.dbPath)
-		return
+	db.OnChange(wakeAll)
+	wakeAll(nil)
+}
+
+func (p *clusterPusher) wake() {
+	select {
+	case p.kick <- struct{}{}:
+	default:
 	}
-	p.queue = append(p.queue, ev)
-	p.cond.Signal()
-	p.mu.Unlock()
 }
 
-// drop records one abandoned event and signals the catch-up path.
-func (p *clusterPusher) drop(ev clusterEvent) {
-	p.mu.Lock()
-	p.dropped++
-	p.mu.Unlock()
-	p.server.notifyClusterDrop(p.mateName, ev.dbPath)
-}
-
-// snapshot returns the pusher's drop count and current queue depth.
-func (p *clusterPusher) snapshot() (dropped, queued int) {
+// lag is how many USNs the mate trails, over the databases it did not refuse.
+func (p *clusterPusher) lag() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.dropped, len(p.queue)
-}
-
-// Dropped returns events abandoned due to overflow or delivery failure, for
-// all mates.
-func (s *Server) Dropped() int {
-	total := 0
-	for _, d := range s.DroppedByMate() {
-		total += d
-	}
-	return total
-}
-
-// DroppedByMate returns abandoned push events per cluster mate.
-func (s *Server) DroppedByMate() map[string]int {
-	s.mu.Lock()
-	pushers := append([]*clusterPusher(nil), s.cluster...)
-	s.mu.Unlock()
-	out := make(map[string]int, len(pushers))
-	for _, p := range pushers {
-		d, _ := p.snapshot()
-		out[p.mateName] += d
-	}
-	return out
-}
-
-// clusterFlushed reports whether every pusher's queue is empty and no
-// batch is mid-delivery — the drain condition Quiesce waits on.
-func (s *Server) clusterFlushed() bool {
-	s.mu.Lock()
-	pushers := append([]*clusterPusher(nil), s.cluster...)
-	s.mu.Unlock()
-	for _, p := range pushers {
-		p.mu.Lock()
-		pending := len(p.queue) > 0 || p.busy
-		p.mu.Unlock()
-		if pending {
-			return false
+	var lag uint64
+	for _, t := range p.targets {
+		switch now := t.db.Cursor(); {
+		case !t.refused.IsZero():
+		case now.Incarnation != t.cursor.Incarnation:
+			lag += now.USN // the next push starts from USN 0
+		default:
+			lag += now.USN - t.cursor.USN
 		}
 	}
-	return true
+	return lag
 }
 
-// run drains the queue, delivering events to the mate.
+// clusterFlushed reports whether every pusher is idle: no round running or
+// wake pending, and caught up or failed once (a dead mate holds Quiesce for
+// one attempt). It wakes one left behind by commits that wake no one.
+func (s *Server) clusterFlushed() bool {
+	flushed := true
+	for _, p := range s.pushers() {
+		p.mu.Lock()
+		busy, failed := p.busy || len(p.kick) > 0, p.failed
+		p.mu.Unlock()
+		if !busy && !failed && p.lag() > 0 {
+			p.wake()
+			busy = true
+		}
+		flushed = flushed && !busy
+	}
+	return flushed
+}
+
+// run pushes on every wake, and after a failed round on a backoff tick,
+// until stopCluster.
 func (p *clusterPusher) run() {
 	defer p.server.wg.Done()
-	for {
-		p.mu.Lock()
-		for len(p.queue) == 0 && !p.closed {
-			p.cond.Wait()
+	defer func() {
+		if p.client != nil {
+			p.client.Close()
 		}
-		if p.closed {
-			p.mu.Unlock()
-			if p.client != nil {
-				p.client.Close()
-			}
+	}()
+	var retryC <-chan time.Time // set while a failed round awaits its retry
+	for failures := 0; ; {
+		select {
+		case <-p.stop:
 			return
+		case <-p.kick:
+		case <-retryC:
 		}
-		batch := p.queue
-		p.queue = nil
+		p.mu.Lock()
 		p.busy = true
 		p.mu.Unlock()
-		for i, ev := range batch {
-			if err := p.deliver(ev); err != nil {
-				// The client already spent its one redial. A dead mate
-				// fails every event the same way; hand the rest of the
-				// batch to the scheduled replicator in one sweep (each drop
-				// still signals catch-up) instead of paying a dial timeout
-				// per event, then let the queue rebuild. One log line
-				// covers the sweep.
-				for _, dropped := range batch[i:] {
-					p.drop(dropped)
-				}
-				p.server.logf(LogCluster, "push to %s failed, %d events left to the replicator: %v",
-					p.mateName, len(batch)-i, err)
-				time.Sleep(50 * time.Millisecond)
-				break
-			}
-		}
+		err := p.round()
 		p.mu.Lock()
-		p.busy = false
+		p.busy, p.failed = false, err != nil
 		p.mu.Unlock()
+		p.server.signalDrain()
+		if err == nil {
+			failures, retryC = 0, nil
+			continue
+		}
+		if failures == 0 {
+			p.server.logf(LogCluster, "push to %s failed, retrying from its cursor: %v", p.mate, err)
+		}
+		retryC = time.After(retry.Exp(pushRetryBase, failures, pushRetryMax))
+		failures++
 	}
 }
 
-// deliver applies one event on the mate, connecting lazily. Reconnecting is
-// the client's business: its loop redials once and re-opens the handles in
-// remotes. The profile fails fast (one retry, short timeouts): past that the
-// event is dropped, and a patient retry loop would stall Close and Quiesce
-// behind a dead mate.
-func (p *clusterPusher) deliver(ev clusterEvent) error {
+// round pushes until every database is caught up or refused, or the pusher
+// stops. A transport error ends it: the other databases wait for the retry.
+func (p *clusterPusher) round() error {
+	for caughtUp := false; !caughtUp; {
+		p.mu.Lock()
+		targets := p.targets
+		p.mu.Unlock()
+		caughtUp = true
+		for _, t := range targets {
+			select {
+			case <-p.stop:
+				return nil
+			default:
+			}
+			if time.Since(t.refused) < refusedRetry || t.db.Cursor() == t.cursor {
+				continue
+			}
+			caughtUp = false
+			if err := p.push(t); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// push runs repl.Push for one database, dialing the mate (failing fast, so
+// a dead mate stalls neither Close nor Quiesce; reconnects are the client's
+// business) and opening the database there, checking its replica ID once
+// per open, when need be. A refusal is logged once and keeps the database
+// out for refusedRetry; any other error fails the round.
+func (p *clusterPusher) push(t *pushTarget) error {
+	var err error
 	if p.client == nil {
-		c, err := p.server.dialPeer(p.mateName, p.mateAddr, wire.Options{
+		p.client, err = p.server.dialPeer(p.mate, p.addr, wire.Options{
 			MaxRetries: 1, BackoffBase: 10 * time.Millisecond, DialTimeout: 2 * time.Second})
 		if err != nil {
 			return err
 		}
-		p.client = c
 	}
-	rdb, ok := p.remotes[ev.dbPath]
-	if !ok {
-		r, err := p.client.OpenDB(ev.dbPath)
-		if err != nil {
-			return err
+	if t.remote == nil {
+		var replica nsf.ReplicaID
+		if t.remote, err = p.client.OpenDB(t.path); err == nil {
+			if replica, err = t.remote.ReplicaID(); err == nil && replica != t.db.ReplicaID() {
+				err = errOtherReplica
+			}
 		}
-		rdb = r
-		p.remotes[ev.dbPath] = rdb
 	}
-	_, err := rdb.Apply([]*nsf.Note{ev.note})
-	if err != nil {
+	next := t.cursor
+	if err == nil {
+		next, err = repl.Push(t.db, t.remote, &repl.Stats{}, t.cursor, repl.Options{})
+	}
+	var se *wire.ServerError
+	refused := errors.As(err, &se) || errors.Is(err, wire.ErrWrongMate) || errors.Is(err, errOtherReplica)
+	if err != nil && t.remote != nil {
 		// Open afresh next time: a handle the mate could not re-open after
 		// a redial stays poisoned for as long as that session lives.
-		rdb.Release()
-		delete(p.remotes, ev.dbPath)
+		t.remote.Release()
+		t.remote = nil
 	}
-	return err
+	if err != nil && !refused {
+		return err
+	}
+	if refused && t.refused.IsZero() {
+		p.server.logf(LogCluster, "%s refused %s, not pushed: %v", p.mate, t.path, err)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if refused {
+		t.refused = time.Now()
+	} else {
+		t.cursor, t.refused = next, time.Time{}
+	}
+	return nil
 }
 
 // stopCluster shuts the pushers down (called from Close).
 func (s *Server) stopCluster() {
-	s.mu.Lock()
-	pushers := append([]*clusterPusher(nil), s.cluster...)
-	s.mu.Unlock()
-	for _, p := range pushers {
-		p.mu.Lock()
-		p.closed = true
-		p.cond.Signal()
-		p.mu.Unlock()
+	for _, p := range s.pushers() {
+		close(p.stop)
 	}
 }

@@ -96,7 +96,9 @@ func (s *Server) handleConn(conn net.Conn) {
 				s.admission.dispatched.Add(1)
 				start := time.Now()
 				resp = st.safeDispatch(op, budget, payload[1:])
-				s.admission.release(time.Since(start))
+				if s.admission.release(time.Since(start)) && s.draining.Load() {
+					s.signalDrain()
+				}
 			}
 		}
 		if resp == nil {

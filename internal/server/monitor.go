@@ -132,8 +132,8 @@ func (s *Server) MonitorReport() []string {
 	health := fmt.Sprintf("server: availability=%d state=%s inflight=%d queued=%d sheds=%d panics=%d dispatched=%d deadline-sheds=%d deadline-aborts=%d",
 		h.Index, state, h.InFlight, h.Queued, h.Sheds, h.Panics,
 		h.Dispatched, h.DeadlineSheds, h.DeadlineAborts)
-	for _, mateName := range s.ClusterMates() {
-		health += fmt.Sprintf(" dropped[%s]=%d", mateName, s.DroppedByMate()[mateName])
+	for _, p := range s.pushers() {
+		health += fmt.Sprintf(" lag[%s]=%d", p.mate, p.lag())
 	}
 	out = append(out, health)
 	// Mesh links: one line per configured replication link with its live

@@ -111,6 +111,8 @@ type Server struct {
 
 	admission admissionState
 	draining  atomic.Bool
+	drainMu   sync.Mutex
+	drained   *sync.Cond // on drainMu: wakes Quiesce to look again
 
 	// putSess maps a pipelined-put session key (user, client key, database)
 	// to the highest batch sequence durably applied, so a batch re-sent
@@ -121,9 +123,6 @@ type Server struct {
 	putSessMu sync.Mutex
 	putSess   map[string]uint64
 	putSessQ  []string
-	// onClusterDrop, when set, is called (outside locks) for every cluster
-	// push event abandoned to the scheduled replicator.
-	onClusterDrop atomic.Value // of func(mate, dbPath string)
 	// testPreDispatch, when set by tests before Serve, runs at the top of
 	// every dispatched request — the hook for injecting panics and delays.
 	testPreDispatch func(op wire.Op, budget time.Duration)
@@ -178,6 +177,7 @@ func New(opts Options) (*Server, error) {
 		conns: make(map[net.Conn]struct{}),
 	}
 	s.admission.init(opts)
+	s.drained = sync.NewCond(&s.drainMu)
 	mailbox, err := s.OpenDB("mail.box", core.Options{Title: "Mail Router Box"})
 	if err != nil {
 		return nil, err
@@ -254,11 +254,9 @@ func (s *Server) OpenDB(path string, opts core.Options) (*core.Database, error) 
 		return nil, err
 	}
 	s.dbs[key] = db
-	clustered := len(s.cluster) > 0
+	pushers := append([]*clusterPusher(nil), s.cluster...)
 	s.mu.Unlock()
-	if clustered {
-		s.hookClusterDB(key, db)
-	}
+	hookClusterDB(pushers, key, db)
 	s.hookMonitorDB(key, db)
 	s.mu.Lock()
 	return db, nil

@@ -752,8 +752,9 @@ func (s *Store) walk(ctx context.Context, byUSN bool, start func() (after, last 
 		rec, err := s.heap.view(rid, &chain)
 		if err == nil {
 			if cap(arena)-len(arena) < len(rec) {
-				// Double, rather than the quarter append adds past 256 bytes.
-				arena = slices.Grow(arena, max(len(rec)+len(arena), 4<<10))
+				// Double, rather than the quarter append adds past 256 bytes,
+				// from 4 KiB or, with fewer keys left, that many records.
+				arena = slices.Grow(arena, max(len(rec)+len(arena), min(4<<10, int(min(last-after, 4<<10))*len(rec))))
 			}
 			if keep == nil {
 				arena = append(arena, rec...) // validated where it is decoded
@@ -893,19 +894,19 @@ func (s *Store) checkpointLocked() error {
 // LastUSN returns the update sequence number of the last committed
 // operation. USNs are dense, persistent, and recovered exactly by crash
 // recovery.
-func (s *Store) LastUSN() uint64 {
+func (s *Store) LastUSN() uint64 { return s.Cursor().USN }
+
+// Cursor returns the incarnation and the USN under one latch hold: the
+// cursor a ScanSince started now would return.
+func (s *Store) Cursor() Cursor {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.usn
+	return Cursor{Incarnation: s.pg.incarnation, USN: s.usn}
 }
 
 // Incarnation returns the identity of this copy's USN sequence, which only
 // markOpen (create, crash recovery) and Reincarnate (restore) replace.
-func (s *Store) Incarnation() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.pg.incarnation
-}
+func (s *Store) Incarnation() uint64 { return s.Cursor().Incarnation }
 
 // Reincarnate mints a new incarnation, durable at the next checkpoint, so
 // cursors issued by any earlier copy of this file restart from USN 0 here:

@@ -1,6 +1,7 @@
 package domino_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -13,22 +14,22 @@ import (
 
 // The seams as ratchets: rules about the code's shape that the build
 // enforces, so a change that breaks one fails here instead of waiting for
-// someone to notice. Each rule reads the imports of every non-test Go file
-// in the repository.
+// someone to notice. Each rule reads the imports, or the calls, of every
+// non-test Go file it covers.
 
-// sourceImports maps every non-test Go file under the repository root
-// (slash-separated, relative) to its import paths. testdata and hidden
-// directories are skipped.
-func sourceImports(t *testing.T) map[string][]string {
+// sourceFiles parses every non-test Go file under root (slash-separated
+// paths relative to the repository root) with the given mode. testdata and
+// hidden directories are skipped.
+func sourceFiles(t *testing.T, root string, mode parser.Mode) map[string]*ast.File {
 	t.Helper()
-	out := map[string][]string{}
+	out := map[string]*ast.File{}
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -36,19 +37,11 @@ func sourceImports(t *testing.T) map[string][]string {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		f, err := parser.ParseFile(fset, path, nil, mode)
 		if err != nil {
 			return err
 		}
-		var imports []string
-		for _, spec := range f.Imports {
-			p, err := strconv.Unquote(spec.Path.Value)
-			if err != nil {
-				return err
-			}
-			imports = append(imports, p)
-		}
-		out[filepath.ToSlash(path)] = imports
+		out[filepath.ToSlash(path)] = f
 		return nil
 	})
 	if err != nil {
@@ -56,6 +49,25 @@ func sourceImports(t *testing.T) map[string][]string {
 	}
 	if len(out) == 0 {
 		t.Fatal("no Go files found")
+	}
+	return out
+}
+
+// sourceImports maps every non-test Go file in the repository to its
+// import paths.
+func sourceImports(t *testing.T) map[string][]string {
+	t.Helper()
+	out := map[string][]string{}
+	for path, f := range sourceFiles(t, ".", parser.ImportsOnly) {
+		var imports []string
+		for _, spec := range f.Imports {
+			p, err := strconv.Unquote(spec.Path.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			imports = append(imports, p)
+		}
+		out[path] = imports
 	}
 	return out
 }
@@ -85,4 +97,37 @@ func TestRatchets(t *testing.T) {
 		}
 	}
 	t.Logf("%d non-test files checked", len(files))
+}
+
+// sleepAllowed lists the non-test files under internal/ that may call
+// time.Sleep, each for a reason of its own: injected latency, the group
+// commit window, the wire client's retry backoff, and the checker's
+// polling waits. Everything else waits on an event, a timer it can stop,
+// or a condition.
+var sleepAllowed = []string{
+	"internal/faultnet/faultnet.go",
+	"internal/store/groupcommit.go",
+	"internal/wire/client.go",
+	"internal/check/model.go",
+	"internal/check/check.go",
+}
+
+// TestNoStraySleep checks that no non-test file under internal/ outside
+// sleepAllowed calls time.Sleep.
+func TestNoStraySleep(t *testing.T) {
+	files := sourceFiles(t, "internal", parser.SkipObjectResolution)
+	for path, f := range files {
+		if slices.Contains(sleepAllowed, path) {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sleep" {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "time" {
+					t.Errorf("%s calls time.Sleep; only %v may", path, sleepAllowed)
+				}
+			}
+			return true
+		})
+	}
+	t.Logf("%d non-test files under internal/ checked", len(files))
 }
