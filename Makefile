@@ -41,11 +41,13 @@ race:
 # connection on budget expiry or a session setup that outlives its budget
 # — and the changefeed: consumers stalled while writers lap the ring, then
 # catching up from the store, and a panicking subscriber isolated from the
-# writer and the other consumers.
+# writer and the other consumers — and two full-text indexes updated at once,
+# as a home database and its cluster mate are in one process, while one of
+# them is searched and snapshotted.
 stress:
 	$(GO) test -race -count=2 \
-		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestSummariesCursorNeverSkips|TestPullAcrossMatesNeverSkips|TestPullFromCopySeededMateNeverSkips|TestSeededHistory|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestScanFromCursorSemantics|TestScanSkipsNotesCreatedDuringScan|TestScanRecordsRacingWriters|TestStoreScanSince|TestSummariesDecodeHeaders|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitWALSyncEIO|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestClusterPushSurvivesOutage|TestClusterPushSurvivesMateRestart|TestClusterPushSkipsOtherReplica|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites|TestClientResendsIffIdempotent|TestFailoverResendsIffIdempotent|TestLoneMateIsABareClient|TestOnlyHedgeableOpsHedge|TestHedgedReadWinsOverSlowMate|TestBudgetAbandonThenRecover|TestLocalExpiryOpensBreaker|TestSessionExpiryIsUnambiguous|TestFailoverStalledFirstMate|TestBreakerCountsSpentTurns|TestFeedOverflowCatchesUpFromStore|TestOverflowCatchUpEqualsRebuild|TestPanickingOnChangeSubscriberIsIsolated' \
-		./internal/core ./internal/repl ./internal/store ./internal/server ./internal/place ./internal/dir ./internal/wire ./internal/check
+		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestSummariesCursorNeverSkips|TestPullAcrossMatesNeverSkips|TestPullFromCopySeededMateNeverSkips|TestSeededHistory|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestScanFromCursorSemantics|TestScanSkipsNotesCreatedDuringScan|TestScanRecordsRacingWriters|TestStoreScanSince|TestSummariesDecodeHeaders|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitWALSyncEIO|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestClusterPushSurvivesOutage|TestClusterPushSurvivesMateRestart|TestClusterPushSkipsOtherReplica|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites|TestClientResendsIffIdempotent|TestFailoverResendsIffIdempotent|TestLoneMateIsABareClient|TestOnlyHedgeableOpsHedge|TestHedgedReadWinsOverSlowMate|TestBudgetAbandonThenRecover|TestLocalExpiryOpensBreaker|TestSessionExpiryIsUnambiguous|TestFailoverStalledFirstMate|TestBreakerCountsSpentTurns|TestFeedOverflowCatchesUpFromStore|TestOverflowCatchUpEqualsRebuild|TestPanickingOnChangeSubscriberIsIsolated|TestConcurrentUpdateAndSearch' \
+		./internal/core ./internal/repl ./internal/store ./internal/server ./internal/place ./internal/dir ./internal/wire ./internal/check ./internal/ft
 
 # Short native-fuzz smoke over the parsers that guard trust boundaries: the
 # note codec (every WAL record and wire note passes through it), the frame
@@ -56,7 +58,9 @@ stress:
 # over the admin wire ops and from topology files), the incremental-image
 # reader (backup images on disk carry a digest anyone can recompute),
 # the full-text sidecar reader (it parses what it finds on disk at every
-# EnableFullText), WAL replay (crash recovery writes logged page images
+# EnableFullText), the full-text term walker (every indexed text value and
+# every query passes through it; checked against the slow ToLower +
+# FieldsFunc rule), WAL replay (crash recovery writes logged page images
 # back into the page file), the archive readers (point-in-time restore
 # replays whatever seg-*.walseg files it finds), and the scan cursor parser
 # (a client hands back whatever cursor it likes). Each target also keeps its
@@ -69,6 +73,7 @@ fuzz:
 	$(GO) test ./internal/formula -run '^$$' -fuzz FuzzCompile -fuzztime 15s
 	$(GO) test ./internal/backup -run '^$$' -fuzz FuzzReadIncremental -fuzztime 15s
 	$(GO) test ./internal/ft -run '^$$' -fuzz FuzzReadIndex -fuzztime 15s
+	$(GO) test ./internal/ft -run '^$$' -fuzz FuzzTerms -fuzztime 15s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzReplayWAL -fuzztime 15s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzScanArchive -fuzztime 15s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzDecodeScanCursor -fuzztime 15s

@@ -16,23 +16,47 @@ import (
 // safe for concurrent use.
 type Index struct {
 	mu sync.RWMutex
-	// postings maps term -> document -> positions of the term in the
-	// document's token stream.
-	postings map[string]map[nsf.UNID][]int32
-	// docTerms remembers each document's distinct terms for removal.
+	// postings maps term -> its posting list.
+	postings map[string]postingList
+	// docTerms remembers each document's distinct terms (postings keys) for
+	// removal.
 	docTerms map[nsf.UNID][]string
 	// docAccess carries each restricted document's acl.ReadAccess list so
 	// searches can be access-filtered without loading notes from the store.
 	docAccess map[nsf.UNID][]string
+
+	// work is Update's working memory, reused from one document to the
+	// next; its lock serializes Updates.
+	work struct {
+		sync.Mutex
+		w     termWalker
+		ids   map[string]int32 // term -> its index in terms
+		terms []string         // the document's distinct terms, interned
+		ends  []int32          // per term: its count, its window's start, then its end
+		toks  []int32          // per token, in order: its term's index
+	}
+}
+
+// postingList maps each document holding a term to the term's positions in
+// the document's token stream, in increasing order. It carries its own key,
+// so Update interns a term it has seen before without allocating. All of
+// one document's positions share one slab, each term a full-slice window of
+// it, so a document costs one positions allocation however many terms it
+// has.
+type postingList struct {
+	term string
+	docs map[nsf.UNID][]int32
 }
 
 // NewIndex returns an empty index.
 func NewIndex() *Index {
-	return &Index{
-		postings:  make(map[string]map[nsf.UNID][]int32),
+	ix := &Index{
+		postings:  make(map[string]postingList),
 		docTerms:  make(map[nsf.UNID][]string),
 		docAccess: make(map[nsf.UNID][]string),
 	}
+	ix.work.ids = make(map[string]int32)
+	return ix
 }
 
 // DocCount returns the number of indexed documents.
@@ -50,32 +74,79 @@ func (ix *Index) TermCount() int {
 }
 
 // Update (re)indexes a note. Deletion stubs and non-documents are removed.
+// One pass over the note's terms counts each distinct term's tokens; a
+// second lays their positions into one slab, grouped by term; then, under
+// the write lock, the document leaves the terms it no longer has and takes
+// its windows in the rest.
 func (ix *Index) Update(n *nsf.Note) {
+	unid := n.OID.UNID
 	if n.IsStub() || n.Class != nsf.ClassDocument {
-		ix.Remove(n.OID.UNID)
+		ix.Remove(unid)
 		return
 	}
-	terms := noteTerms(n)
-	pos := make(map[string][]int32)
-	for i, t := range terms {
-		pos[t] = append(pos[t], int32(i))
+	access := acl.ReadAccess(n)
+	sc := &ix.work
+	sc.Lock()
+	defer sc.Unlock()
+	clear(sc.ids)
+	sc.terms, sc.ends, sc.toks = sc.terms[:0], sc.ends[:0], sc.toks[:0]
+	ix.mu.RLock()
+	for sc.w.resetNote(n); ; {
+		b, ok := sc.w.next()
+		if !ok {
+			break
+		}
+		id, seen := sc.ids[string(b)]
+		if !seen {
+			t := ix.postings[string(b)].term
+			if t == "" {
+				t = string(b)
+			}
+			id = int32(len(sc.terms))
+			sc.ids[t] = id
+			sc.terms = append(sc.terms, t)
+			sc.ends = append(sc.ends, 0)
+		}
+		sc.ends[id]++
+		sc.toks = append(sc.toks, id)
 	}
+	ix.mu.RUnlock()
+	var end int32
+	for id, count := range sc.ends {
+		sc.ends[id] = end // the window's start, until filled
+		end += count
+	}
+	slab := make([]int32, len(sc.toks))
+	for pos, id := range sc.toks {
+		slab[sc.ends[id]] = int32(pos)
+		sc.ends[id]++
+	}
+	terms := make([]string, len(sc.terms))
+	copy(terms, sc.terms)
+
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.removeLocked(n.OID.UNID)
-	distinct := make([]string, 0, len(pos))
-	for t, ps := range pos {
-		m := ix.postings[t]
-		if m == nil {
-			m = make(map[nsf.UNID][]int32)
-			ix.postings[t] = m
+	for _, t := range ix.docTerms[unid] {
+		if _, kept := sc.ids[t]; !kept {
+			ix.dropPostingLocked(t, unid)
 		}
-		m[n.OID.UNID] = ps
-		distinct = append(distinct, t)
 	}
-	ix.docTerms[n.OID.UNID] = distinct
-	if access := acl.ReadAccess(n); len(access) > 0 {
-		ix.docAccess[n.OID.UNID] = access
+	var start int32
+	for id, t := range terms {
+		pl := ix.postings[t]
+		if pl.docs == nil {
+			pl = postingList{term: t, docs: make(map[nsf.UNID][]int32, 1)}
+			ix.postings[t] = pl
+		}
+		end := sc.ends[id]
+		pl.docs[unid] = slab[start:end:end]
+		start = end
+	}
+	ix.docTerms[unid] = terms
+	if len(access) > 0 {
+		ix.docAccess[unid] = access
+	} else {
+		delete(ix.docAccess, unid)
 	}
 }
 
@@ -83,24 +154,22 @@ func (ix *Index) Update(n *nsf.Note) {
 func (ix *Index) Remove(unid nsf.UNID) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.removeLocked(unid)
-}
-
-func (ix *Index) removeLocked(unid nsf.UNID) {
-	terms, ok := ix.docTerms[unid]
-	if !ok {
-		return
-	}
-	for _, t := range terms {
-		if m := ix.postings[t]; m != nil {
-			delete(m, unid)
-			if len(m) == 0 {
-				delete(ix.postings, t)
-			}
-		}
+	for _, t := range ix.docTerms[unid] {
+		ix.dropPostingLocked(t, unid)
 	}
 	delete(ix.docTerms, unid)
 	delete(ix.docAccess, unid)
+}
+
+// dropPostingLocked takes unid off term's posting list, and the term off
+// the index with its last document.
+func (ix *Index) dropPostingLocked(term string, unid nsf.UNID) {
+	if docs := ix.postings[term].docs; docs != nil {
+		delete(docs, unid)
+		if len(docs) == 0 {
+			delete(ix.postings, term)
+		}
+	}
 }
 
 // Result is one search hit.
@@ -229,7 +298,7 @@ func (ix *Index) eval(q qnode) map[nsf.UNID]float64 {
 }
 
 func (ix *Index) idf(term string) float64 {
-	df := len(ix.postings[term])
+	df := len(ix.postings[term].docs)
 	if df == 0 {
 		return 0
 	}
@@ -237,7 +306,7 @@ func (ix *Index) idf(term string) float64 {
 }
 
 func (ix *Index) evalTerm(term string) map[nsf.UNID]float64 {
-	m := ix.postings[term]
+	m := ix.postings[term].docs
 	if m == nil {
 		return nil
 	}
@@ -254,7 +323,7 @@ func (ix *Index) evalPhrase(terms []string) map[nsf.UNID]float64 {
 	if len(terms) == 0 {
 		return nil
 	}
-	first := ix.postings[terms[0]]
+	first := ix.postings[terms[0]].docs
 	if first == nil {
 		return nil
 	}
@@ -268,7 +337,7 @@ func (ix *Index) evalPhrase(terms []string) map[nsf.UNID]float64 {
 	starts:
 		for _, p := range starts {
 			for off, t := range terms[1:] {
-				m := ix.postings[t]
+				m := ix.postings[t].docs
 				if m == nil {
 					return nil
 				}
@@ -312,15 +381,27 @@ func ScanSearch(query string, scan func(fn func(*nsf.Note) bool) error) ([]Resul
 	if err != nil {
 		return nil, err
 	}
+	// One positions map, keyed by the query's terms, serves every note.
+	pos := scanPositions{}
+	pos.add(q)
+	var w termWalker
 	var out []Result
 	err = scan(func(n *nsf.Note) bool {
 		if n.IsStub() || n.Class != nsf.ClassDocument {
 			return true
 		}
-		terms := noteTerms(n)
-		pos := make(map[string][]int32)
-		for i, t := range terms {
-			pos[t] = append(pos[t], int32(i))
+		for _, ps := range pos {
+			*ps = (*ps)[:0]
+		}
+		w.resetNote(n)
+		for i := int32(0); ; i++ {
+			t, ok := w.next()
+			if !ok {
+				break
+			}
+			if ps := pos[string(t)]; ps != nil {
+				*ps = append(*ps, i)
+			}
 		}
 		if matchScan(q, pos) {
 			out = append(out, Result{UNID: n.OID.UNID, Score: 1})
@@ -330,16 +411,39 @@ func ScanSearch(query string, scan func(fn func(*nsf.Note) bool) error) ([]Resul
 	return out, err
 }
 
-func matchScan(q qnode, pos map[string][]int32) bool {
+// scanPositions holds one note's positions of each term a query names.
+type scanPositions map[string]*[]int32
+
+// add makes room for every term of q.
+func (pos scanPositions) add(q qnode) {
 	switch q := q.(type) {
 	case qTerm:
-		return len(pos[q.term]) > 0
+		pos[q.term] = new([]int32)
 	case qPhrase:
-		starts := pos[q.terms[0]]
+		for _, t := range q.terms {
+			pos[t] = new([]int32)
+		}
+	case qAnd:
+		pos.add(q.l)
+		pos.add(q.r)
+	case qOr:
+		pos.add(q.l)
+		pos.add(q.r)
+	case qNot:
+		pos.add(q.x)
+	}
+}
+
+func matchScan(q qnode, pos scanPositions) bool {
+	switch q := q.(type) {
+	case qTerm:
+		return len(*pos[q.term]) > 0
+	case qPhrase:
+		starts := *pos[q.terms[0]]
 	starts:
 		for _, p := range starts {
 			for off, t := range q.terms[1:] {
-				if !containsPos(pos[t], p+int32(off)+1) {
+				if !containsPos(*pos[t], p+int32(off)+1) {
 					continue starts
 				}
 			}

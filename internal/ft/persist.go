@@ -86,7 +86,7 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	var list []posting
 	for _, t := range terms {
 		list = list[:0]
-		for u, positions := range ix.postings[t] {
+		for u, positions := range ix.postings[t].docs {
 			list = append(list, posting{ordinal[u], positions})
 		}
 		sort.Slice(list, func(i, j int) bool { return list[i].ord < list[j].ord })
@@ -243,7 +243,7 @@ func ReadIndex(r io.Reader) (*Index, error) {
 			m[u] = positions
 			ix.docTerms[u] = append(ix.docTerms[u], term)
 		}
-		ix.postings[term] = m
+		ix.postings[term] = postingList{term: term, docs: m}
 	}
 	if sr.err == nil && len(sr.b) > 0 {
 		sr.fail("%d trailing bytes", len(sr.b))

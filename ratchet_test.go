@@ -75,13 +75,15 @@ func sourceImports(t *testing.T) map[string][]string {
 // TestRatchets checks, for every non-test file:
 //   - it does not import unsafe;
 //   - under internal/store, it imports nothing from internal/ but nsf and vfs;
-//   - under internal/nsf, it imports nothing from internal/.
+//   - under internal/nsf, it imports nothing from internal/;
+//   - under internal/ft, it imports nothing from internal/ but nsf and acl.
 func TestRatchets(t *testing.T) {
 	const internal = "repro/internal/"
 	inPackage := func(file, dir string) bool { return filepath.ToSlash(filepath.Dir(file)) == dir }
 	allowed := map[string][]string{
 		"internal/store": {internal + "nsf", internal + "vfs"},
 		"internal/nsf":   nil,
+		"internal/ft":    {internal + "nsf", internal + "acl"},
 	}
 	files := sourceImports(t)
 	for file, imports := range files {
