@@ -41,13 +41,16 @@ race:
 # connection on budget expiry or a session setup that outlives its budget
 # — and the changefeed: consumers stalled while writers lap the ring, then
 # catching up from the store, and a panicking subscriber isolated from the
-# writer and the other consumers — and two full-text indexes updated at once,
+# writer and the other consumers — the commit signal that wakes cluster
+# pushers, mesh hot links and live moves, with a hot link missing no commit
+# made right after it is added and debouncing a burst into one round — and
+# two full-text indexes updated at once,
 # as a home database and its cluster mate are in one process, while one of
 # them is searched and snapshotted.
 stress:
 	$(GO) test -race -count=2 \
-		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestSummariesCursorNeverSkips|TestPullAcrossMatesNeverSkips|TestPullFromCopySeededMateNeverSkips|TestSeededHistory|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestScanFromCursorSemantics|TestScanSkipsNotesCreatedDuringScan|TestScanRecordsRacingWriters|TestStoreScanSince|TestSummariesDecodeHeaders|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitWALSyncEIO|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestClusterPushSurvivesOutage|TestClusterPushSurvivesMateRestart|TestClusterPushSkipsOtherReplica|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites|TestClientResendsIffIdempotent|TestFailoverResendsIffIdempotent|TestLoneMateIsABareClient|TestOnlyHedgeableOpsHedge|TestHedgedReadWinsOverSlowMate|TestBudgetAbandonThenRecover|TestLocalExpiryOpensBreaker|TestSessionExpiryIsUnambiguous|TestFailoverStalledFirstMate|TestBreakerCountsSpentTurns|TestFeedOverflowCatchesUpFromStore|TestOverflowCatchUpEqualsRebuild|TestPanickingOnChangeSubscriberIsIsolated|TestConcurrentUpdateAndSearch' \
-		./internal/core ./internal/repl ./internal/store ./internal/server ./internal/place ./internal/dir ./internal/wire ./internal/check ./internal/ft
+		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestSummariesCursorNeverSkips|TestPullAcrossMatesNeverSkips|TestPullFromCopySeededMateNeverSkips|TestSeededHistory|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestScanFromCursorSemantics|TestScanSkipsNotesCreatedDuringScan|TestScanRecordsRacingWriters|TestStoreScanSince|TestSummariesDecodeHeaders|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitWALSyncEIO|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestClusterPushSurvivesOutage|TestClusterPushSurvivesMateRestart|TestClusterPushSkipsOtherReplica|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites|TestClientResendsIffIdempotent|TestFailoverResendsIffIdempotent|TestLoneMateIsABareClient|TestOnlyHedgeableOpsHedge|TestHedgedReadWinsOverSlowMate|TestBudgetAbandonThenRecover|TestLocalExpiryOpensBreaker|TestSessionExpiryIsUnambiguous|TestFailoverStalledFirstMate|TestBreakerCountsSpentTurns|TestFeedOverflowCatchesUpFromStore|TestOverflowCatchUpEqualsRebuild|TestPanickingOnChangeSubscriberIsIsolated|TestNotify|TestHotLinkFiresOnWrite|TestHotLinkDebouncesBursts|TestConcurrentUpdateAndSearch' \
+		./internal/core ./internal/repl ./internal/store ./internal/server ./internal/place ./internal/dir ./internal/wire ./internal/check ./internal/ft ./internal/mesh
 
 # Short native-fuzz smoke over the parsers that guard trust boundaries: the
 # note codec (every WAL record and wire note passes through it), the frame

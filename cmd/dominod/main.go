@@ -49,7 +49,7 @@
 //	                                        # takes the links it is the source of
 //
 // Mesh links (meshlink directives plus this server's lines of the topology
-// file) start the mesh scheduler: hot links replicate off the changefeed
+// file) start the mesh scheduler: hot links replicate on local commits
 // (debounced), cold links run jittered anti-entropy rounds, and links to
 // unreachable peers back off behind a circuit breaker. Links can also be
 // added and removed at runtime with nsfadmin mesh.

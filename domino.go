@@ -196,15 +196,7 @@ type (
 	Peer = repl.Peer
 	// LocalPeer adapts a local database to Peer.
 	LocalPeer = repl.LocalPeer
-	// ChangeTrigger converts a database's changefeed into a debounced
-	// replicate-now signal for scheduled replication loops.
-	ChangeTrigger = repl.ChangeTrigger
 )
-
-// NewChangeTrigger subscribes a replication trigger to db's changefeed.
-func NewChangeTrigger(db *Database, debounce time.Duration) *ChangeTrigger {
-	return repl.NewChangeTrigger(db, debounce)
-}
 
 // Replicate runs one replication session between a local database and a
 // peer (local or remote).

@@ -4,8 +4,8 @@
 //
 // Every mutation the database commits is appended, under the update
 // sequence number (USN) the store assigned it, to a bounded in-memory ring.
-// Consumers — view indexes, the full-text index, change callbacks, cluster
-// pushers — subscribe with a handler and catch up asynchronously on their
+// Consumers — view indexes, the full-text index, change callbacks —
+// subscribe with a handler and catch up asynchronously on their
 // own goroutine, each tracking the USN it has applied through. The writer
 // never waits for a consumer: appends are O(1) and never block.
 //
@@ -104,7 +104,7 @@ type Feed struct {
 	cond   *sync.Cond // broadcast on append, cursor advance, drop, close
 	buf    []Entry    // ring: entry with USN u lives at buf[(u-1)%capacity]
 	last   uint64     // highest USN appended; 0 when empty
-	subs   []*Subscriber
+	subs   []*subscriber
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -153,21 +153,19 @@ func (f *Feed) LastUSN() uint64 {
 // Subscribe registers a handler and starts its consumer goroutine. The
 // subscriber's cursor starts at the current head: it observes only changes
 // appended after Subscribe returns. The name labels the subscriber in
-// stats and logs.
-func (f *Feed) Subscribe(name string, h Handler) *Subscriber {
-	s := &Subscriber{feed: f, name: name, h: h}
+// stats and logs. Subscribing to a closed feed does nothing.
+func (f *Feed) Subscribe(name string, h Handler) {
+	s := &subscriber{feed: f, name: name, h: h}
 	f.mu.Lock()
 	if f.closed {
-		s.exited = true
 		f.mu.Unlock()
-		return s
+		return
 	}
 	s.applied = f.last
 	f.subs = append(f.subs, s)
 	f.mu.Unlock()
 	f.wg.Add(1)
 	go s.run()
-	return s
 }
 
 // WaitForUSN blocks until every live subscriber has applied through usn,
@@ -182,7 +180,7 @@ func (f *Feed) WaitForUSN(usn uint64) {
 		target := min(usn, f.last)
 		pending := false
 		for _, s := range f.subs {
-			if s.dropped || s.exited || s.unsubscribed {
+			if s.dropped || s.exited {
 				continue
 			}
 			if s.applied < target {
@@ -266,63 +264,23 @@ func (f *Feed) Stats() Stats {
 	return st
 }
 
-// Subscriber is one consumer's cursor into the feed.
-type Subscriber struct {
+// subscriber is one consumer's cursor into the feed.
+type subscriber struct {
 	feed *Feed
 	name string
 	h    Handler
 
 	// The fields below are guarded by feed.mu.
-	applied      uint64 // USN applied through
-	applies      uint64
-	resyncs      uint64
-	dropped      bool
-	exited       bool
-	unsubscribed bool
-}
-
-// Unsubscribe detaches the subscriber: its consumer goroutine exits without
-// draining further entries and the subscriber is removed from the feed's
-// roster, so a transient consumer (a stopped replication trigger, a closed
-// session watcher) does not accumulate as a dead cursor for the feed's
-// lifetime. Idempotent and safe to call concurrently with Close; entries
-// already handed to the handler are unaffected.
-func (s *Subscriber) Unsubscribe() {
-	f := s.feed
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if s.unsubscribed || s.exited {
-		s.unsubscribed = true
-		f.removeLocked(s)
-		return
-	}
-	s.unsubscribed = true
-	f.cond.Broadcast()
-}
-
-// removeLocked drops s from the subscriber roster. Call with f.mu held.
-func (f *Feed) removeLocked(s *Subscriber) {
-	for i, cur := range f.subs {
-		if cur == s {
-			f.subs = append(f.subs[:i], f.subs[i+1:]...)
-			return
-		}
-	}
-}
-
-// Name returns the subscriber's label.
-func (s *Subscriber) Name() string { return s.name }
-
-// Applied returns the USN the subscriber has applied through.
-func (s *Subscriber) Applied() uint64 {
-	s.feed.mu.Lock()
-	defer s.feed.mu.Unlock()
-	return s.applied
+	applied uint64 // USN applied through
+	applies uint64
+	resyncs uint64
+	dropped bool
+	exited  bool
 }
 
 // run is the consumer loop: apply entries in order, resync on overflow,
 // drop on panic, drain on close.
-func (s *Subscriber) run() {
+func (s *subscriber) run() {
 	f := s.feed
 	defer f.wg.Done()
 	f.mu.Lock()
@@ -332,12 +290,8 @@ func (s *Subscriber) run() {
 		f.mu.Unlock()
 	}()
 	for {
-		for !f.closed && !s.dropped && !s.unsubscribed && s.applied >= f.last {
+		for !f.closed && !s.dropped && s.applied >= f.last {
 			f.cond.Wait()
-		}
-		if s.unsubscribed {
-			f.removeLocked(s)
-			return
 		}
 		if s.dropped || s.applied >= f.last {
 			return // closed and drained, or dropped
@@ -381,7 +335,7 @@ func (s *Subscriber) run() {
 }
 
 // safeApply runs the handler, converting a panic into a drop.
-func (s *Subscriber) safeApply(e Entry) (ok bool) {
+func (s *subscriber) safeApply(e Entry) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			log.Printf("changefeed: subscriber %s panicked at USN %d: %v; dropping it", s.name, e.USN, r)
@@ -394,7 +348,7 @@ func (s *Subscriber) safeApply(e Entry) (ok bool) {
 
 // safeResync runs the handler's resync, converting a panic or error into a
 // drop.
-func (s *Subscriber) safeResync(applied uint64) (ok bool) {
+func (s *subscriber) safeResync(applied uint64) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			log.Printf("changefeed: subscriber %s panicked during resync from USN %d: %v; dropping it", s.name, applied, r)

@@ -317,54 +317,3 @@ func TestSubscriberSkipsUnappendedUSNs(t *testing.T) {
 		t.Fatalf("applied %v, want [1 2 5]", got)
 	}
 }
-
-func TestUnsubscribeStopsDeliveryAndLeavesRoster(t *testing.T) {
-	f := New(16)
-	defer f.Close()
-	var applied atomic.Uint64
-	sub := f.Subscribe("transient", Funcs{ApplyFunc: func(e Entry) { applied.Add(1) }})
-	f.Append(1, Put, unid(1), nil)
-	f.WaitForUSN(1)
-	sub.Unsubscribe()
-	sub.Unsubscribe() // idempotent
-	// Give the consumer goroutine a chance to exit, then append more.
-	deadline := time.Now().Add(2 * time.Second)
-	for len(f.Stats().Subscribers) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("subscriber still on roster: %+v", f.Stats().Subscribers)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	f.Append(2, Put, unid(2), nil)
-	f.WaitForUSN(2) // must not wedge on the detached cursor
-	if got := applied.Load(); got != 1 {
-		t.Errorf("applied %d entries after unsubscribe, want 1", got)
-	}
-}
-
-func TestUnsubscribeUnblocksWaiters(t *testing.T) {
-	f := New(16)
-	defer f.Close()
-	release := make(chan struct{})
-	sub := f.Subscribe("wedged", Funcs{ApplyFunc: func(e Entry) { <-release }})
-	defer close(release)
-	f.Append(1, Put, unid(1), nil)
-	f.Append(2, Put, unid(2), nil)
-	// The consumer is wedged inside entry 1; a barrier on 2 would block
-	// forever. Unsubscribing must let the barrier pass.
-	sub.Unsubscribe()
-	done := make(chan struct{})
-	go func() { f.WaitForUSN(2); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("WaitForUSN still waits on an unsubscribed consumer")
-	}
-}
-
-func TestUnsubscribeAfterClose(t *testing.T) {
-	f := New(16)
-	sub := f.Subscribe("late", Funcs{})
-	f.Close()
-	sub.Unsubscribe() // must not panic or deadlock
-}

@@ -8,8 +8,9 @@
 // USN the store committed it at, to a per-database changefeed; view indexes,
 // the full-text index, unread tables, and OnChange subscribers catch up on
 // their own goroutines, and one that falls out of the feed catches up from
-// the store by USN. Write latency is therefore independent of how many
-// views or subscribers are open. Readers get read-your-writes on demand
+// the store by USN; Notify only wakes a consumer that reads the store
+// itself. Write latency is therefore independent of how many views or
+// subscribers are open. Readers get read-your-writes on demand
 // through the refresh barrier (WaitForUSN / Refresh), which Session.Rows
 // and Session.Search apply automatically — the Domino "view refresh on
 // open".
@@ -19,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -75,6 +77,9 @@ type Database struct {
 	// the store never calls back into core, so the order is easy to keep.
 	feed *changefeed.Feed
 	wmu  sync.Mutex
+	// notify are the channels Notify registered; commitLocked wakes them.
+	// Guarded by wmu.
+	notify []chan<- struct{}
 
 	// ftCursor is the USN the full-text index reflects every change
 	// through. The sidecar persists it, with the store's incarnation, so
@@ -254,16 +259,15 @@ func (db *Database) ACL() *acl.ACL {
 // anything else. Callbacks must not invoke the read barrier (Rows, Search,
 // View, Refresh) on the same database — the barrier would wait on the
 // callback's own cursor. Use Refresh from the outside to observe callback
-// effects. The returned subscriber's Unsubscribe detaches the callback;
-// callers that outlive their interest in changes (replication triggers,
-// mesh links) should call it rather than leave a dead cursor on the feed.
+// effects. A consumer that only needs to know that something changed uses
+// Notify instead.
 //
 // Local bookkeeping (notes of class ClassReplFormula: replication history,
 // unread tables) never reaches fn: it never replicates, and the history
 // save at the end of a replication run would otherwise look like a change
 // to every consumer — retriggering replication forever and counting as
 // database activity. Physical deletes (stub purges) stay local too.
-func (db *Database) OnChange(fn func(*nsf.Note)) *changefeed.Subscriber {
+func (db *Database) OnChange(fn func(*nsf.Note)) {
 	db.mu.Lock()
 	db.onChanges++
 	name := fmt.Sprintf("onchange-%d", db.onChanges)
@@ -273,7 +277,7 @@ func (db *Database) OnChange(fn func(*nsf.Note)) *changefeed.Subscriber {
 			fn(e.Note)
 		}
 	}
-	return db.feed.Subscribe(name, changefeed.Funcs{
+	db.feed.Subscribe(name, changefeed.Funcs{
 		ApplyFunc: apply,
 		ResyncFunc: func(applied uint64) error {
 			_, err := db.catchUp(applied, nil, apply)
@@ -282,14 +286,32 @@ func (db *Database) OnChange(fn func(*nsf.Note)) *changefeed.Subscriber {
 	})
 }
 
+// Notify registers c to be sent a value, without blocking, by every commit
+// OnChange reports, as it commits. It suits a consumer that reads what
+// changed from the store by its own cursor: with a capacity of one, a burst
+// leaves one pending wake. No goroutine or feed cursor backs c, so the
+// refresh barrier never waits on it. After stop returns, c is sent nothing.
+func (db *Database) Notify(c chan<- struct{}) (stop func()) {
+	db.wmu.Lock()
+	db.notify = append(db.notify, c)
+	db.wmu.Unlock()
+	return func() {
+		db.wmu.Lock()
+		defer db.wmu.Unlock()
+		if i := slices.Index(db.notify, c); i >= 0 {
+			db.notify = slices.Delete(db.notify, i, i+1)
+		}
+	}
+}
+
 // commitLocked is the one way a change reaches the store: it writes n (or,
 // when n is nil, hard-deletes unid) and appends the change to the feed at
 // the USN the store committed it at, so the store and the feed share one
 // sequence and feed order is commit order. Call with wmu held, and wait on
 // the returned ticket after releasing it: holding wmu across the log write
-// would serialize committers and no group-commit batch could form. The
-// feed carries a clone, so a caller mutating n afterwards can never corrupt
-// an index.
+// would serialize committers and no group-commit batch could form. A Put
+// that OnChange reports also wakes every Notify channel. The feed carries a
+// clone, so a caller mutating n afterwards can never corrupt an index.
 func (db *Database) commitLocked(unid nsf.UNID, n *nsf.Note) (store.Commit, error) {
 	if n == nil {
 		c, err := db.st.DeleteAsync(unid)
@@ -301,6 +323,14 @@ func (db *Database) commitLocked(unid nsf.UNID, n *nsf.Note) (store.Commit, erro
 	c, err := db.st.PutAsync(n)
 	if c.USN != 0 {
 		db.feed.Append(c.USN, changefeed.Put, unid, n.Clone())
+		if n.Class != nsf.ClassReplFormula {
+			for _, ch := range db.notify {
+				select {
+				case ch <- struct{}{}:
+				default:
+				}
+			}
+		}
 	}
 	return c, err
 }

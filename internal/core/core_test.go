@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/acl"
 	"repro/internal/dir"
@@ -344,6 +346,92 @@ func TestOnChangeFires(t *testing.T) {
 	if len(events) != 2 || events[0] != "e1" || events[1] != "e2" {
 		t.Errorf("events = %v", events)
 	}
+}
+
+// TestNotify checks the commit signal: a Put wakes the channel at commit,
+// bookkeeping and hard deletes do not, a burst leaves one pending wake, stop
+// ends the sends, and neither a commit nor the refresh barrier waits on a
+// channel nobody drains.
+func TestNotify(t *testing.T) {
+	db := openDB(t, Options{})
+	s := db.Session("alice")
+	c := make(chan struct{}, 1)
+	stop := db.Notify(c)
+	pending := func() bool {
+		select {
+		case <-c:
+			return true
+		default:
+			return false
+		}
+	}
+	n := memo("wake")
+	if err := s.Create(n); err != nil {
+		t.Fatal(err)
+	}
+	if !pending() {
+		t.Fatal("a Put did not wake the channel")
+	}
+	h := &nsf.Note{OID: nsf.OID{UNID: nsf.NewUNID(), Seq: 1, SeqTime: db.Clock().Now()}, Class: nsf.ClassReplFormula}
+	if err := db.RawPut(h); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RawDelete(n.OID.UNID); err != nil {
+		t.Fatal(err)
+	}
+	if pending() {
+		t.Fatal("a replication-history save or a hard delete woke the channel")
+	}
+	for i := range 100 {
+		if err := s.Create(memo(fmt.Sprint("burst ", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(c) != 1 || !pending() {
+		t.Fatal("a burst of 100 commits did not leave one pending wake")
+	}
+	stop()
+	if err := s.Create(memo("after stop")); err != nil {
+		t.Fatal(err)
+	}
+	if pending() {
+		t.Fatal("a commit after stop woke the channel")
+	}
+
+	undrained := make(chan struct{})
+	defer db.Notify(undrained)()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := s.Create(memo("nobody listens")); err != nil {
+			t.Error(err)
+		}
+		db.Refresh()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a commit or Refresh waited on an undrained Notify channel")
+	}
+
+	// Registrations come and go while writers commit.
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				if err := s.Create(memo(fmt.Sprint("writer ", w, " ", i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for range 100 {
+		db.Notify(make(chan struct{}, 1))()
+	}
+	wg.Wait()
 }
 
 func TestDepositorCanCreateNotRead(t *testing.T) {

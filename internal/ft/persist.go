@@ -175,7 +175,9 @@ func (r *snapReader) str() string { return string(r.take(r.count("string byte", 
 // end and refuses anything WriteTo could not have written: a count larger
 // than the bytes left could hold, documents or terms out of order, a
 // posting ordinal out of range or not increasing, an empty posting, and
-// trailing bytes.
+// trailing bytes. The postings decode into scratch first; then each
+// document gets one positions slab and one term list, cut to size, as
+// Update lays them.
 func ReadIndex(r io.Reader) (*Index, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -200,56 +202,87 @@ func ReadIndex(r io.Reader) (*Index, error) {
 			}
 			ix.docAccess[docs[i]] = access
 		}
-		ix.docTerms[docs[i]] = nil // filled as postings load
 	}
-	nTerms := sr.count("term", minTermBytes)
-	prevTerm := ""
-	for i := 0; i < nTerms && sr.err == nil; i++ {
-		term := sr.str()
-		if i > 0 && term <= prevTerm {
-			sr.fail("term %q out of order", term)
+	type term struct {
+		name string
+		docs int
+	}
+	type posting struct{ ord, end int } // end: where its positions end in pos
+	terms := make([]term, sr.count("term", minTermBytes))
+	var postings []posting
+	var pos []int32
+	perDoc := make([]struct{ terms, positions int }, len(docs))
+	for i := 0; i < len(terms) && sr.err == nil; i++ {
+		t := sr.str()
+		if i > 0 && t <= terms[i-1].name {
+			sr.fail("term %q out of order", t)
 		}
-		prevTerm = term
 		nDocs := sr.count("posting", minPostingBytes)
 		if nDocs == 0 {
-			sr.fail("term %q has no documents", term)
+			sr.fail("term %q has no documents", t)
 		}
-		m := make(map[nsf.UNID][]int32, nDocs)
+		terms[i] = term{t, nDocs}
 		ord := uint64(0)
 		for j := 0; j < nDocs && sr.err == nil; j++ {
 			d := sr.uvarint()
 			if j > 0 && d == 0 {
-				sr.fail("term %q: ordinals not increasing", term)
+				sr.fail("term %q: ordinals not increasing", t)
 			}
 			if d >= uint64(len(docs))-ord {
-				sr.fail("term %q: ordinal out of range", term)
+				sr.fail("term %q: ordinal out of range", t)
 				break
 			}
 			ord += d
-			positions := make([]int32, sr.count("position", minPosBytes))
-			if len(positions) == 0 {
-				sr.fail("term %q: empty posting", term)
+			n := sr.count("position", minPosBytes)
+			if n == 0 {
+				sr.fail("term %q: empty posting", t)
 			}
 			prev := uint64(0)
-			for k := range positions {
+			for k := 0; k < n; k++ {
 				d := sr.uvarint()
 				if (k > 0 && d == 0) || d > math.MaxInt32-prev {
-					sr.fail("term %q: positions not increasing or out of range", term)
+					sr.fail("term %q: positions not increasing or out of range", t)
 				}
 				prev += d
-				positions[k] = int32(prev)
+				pos = append(pos, int32(prev))
 			}
-			u := docs[ord]
-			m[u] = positions
-			ix.docTerms[u] = append(ix.docTerms[u], term)
+			postings = append(postings, posting{int(ord), len(pos)})
+			perDoc[ord].terms++
+			perDoc[ord].positions += n
 		}
-		ix.postings[term] = postingList{term: term, docs: m}
 	}
 	if sr.err == nil && len(sr.b) > 0 {
 		sr.fail("%d trailing bytes", len(sr.b))
 	}
 	if sr.err != nil {
 		return nil, sr.err
+	}
+
+	slabs := make([][]int32, len(docs))
+	docTerms := make([][]string, len(docs))
+	for i, c := range perDoc {
+		if c.terms > 0 {
+			slabs[i] = make([]int32, 0, c.positions)
+			docTerms[i] = make([]string, 0, c.terms)
+		}
+	}
+	ix.postings = make(map[string]postingList, len(terms))
+	start := 0
+	for _, t := range terms {
+		m := make(map[nsf.UNID][]int32, t.docs)
+		for _, p := range postings[:t.docs] {
+			slab := append(slabs[p.ord], pos[start:p.end]...)
+			m[docs[p.ord]] = slab[len(slabs[p.ord]):len(slab):len(slab)]
+			slabs[p.ord] = slab
+			docTerms[p.ord] = append(docTerms[p.ord], t.name)
+			start = p.end
+		}
+		postings = postings[t.docs:]
+		ix.postings[t.name] = postingList{term: t.name, docs: m}
+	}
+	ix.docTerms = make(map[nsf.UNID][]string, len(docs))
+	for i, u := range docs {
+		ix.docTerms[u] = docTerms[i]
 	}
 	return ix, nil
 }

@@ -223,6 +223,29 @@ func TestReadIndexBoundsCountsBySize(t *testing.T) {
 // what it finds on disk at every EnableFullText. It must never panic, and
 // an index it accepts must survive WriteTo → ReadIndex → WriteTo with the
 // same bytes.
+// TestReadIndexAllocatesPerDocument holds loading a snapshot to a few
+// allocations per document and per term, none per posting: each document's
+// positions land in one slab, as Update lays them, and its term list is cut
+// to size. The loaded index writes the same bytes back.
+func TestReadIndexAllocatesPerDocument(t *testing.T) {
+	ix, _ := indexedCorpus(1000)
+	snap := snapshotBytes(t, ix)
+	var loaded *Index
+	allocs := testing.AllocsPerRun(5, func() {
+		var err error
+		if loaded, err = ReadIndex(bytes.NewReader(snap)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("load of %d docs, %d terms: %.0f allocations", loaded.DocCount(), loaded.TermCount(), allocs)
+	if allocs > 6000 {
+		t.Errorf("load made %.0f allocations, want <= 6000", allocs)
+	}
+	if !bytes.Equal(snapshotBytes(t, loaded), snap) {
+		t.Error("the loaded index writes different bytes")
+	}
+}
+
 func FuzzReadIndex(f *testing.F) {
 	ix := NewIndex()
 	restricted := textNote("secret plans", "the heist begins at dawn dawn")

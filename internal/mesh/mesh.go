@@ -1,7 +1,7 @@
 // Package mesh implements the epidemic replication mesh: a server's set of
 // replication links, each naming a peer, a database glob, an optional
 // selection formula, a direction, and a schedule class. Links gossip
-// changes pairwise — hot links fire off the local changefeed (debounced),
+// changes pairwise — hot links fire on local commits (debounced),
 // cold links run jittered anti-entropy rounds — and the whole mesh
 // converges every replica of a database to the same replicated state,
 // which package check fingerprints.
@@ -78,7 +78,7 @@ type Class uint8
 const (
 	// Cold links replicate on a jittered anti-entropy interval.
 	Cold Class = iota
-	// Hot links additionally fire off the local changefeed (debounced), so
+	// Hot links additionally fire on local commits (debounced), so
 	// local writes propagate within the debounce window; the interval
 	// remains as the catch-up floor for changes that arrive at the peer.
 	Hot
@@ -125,7 +125,7 @@ type Link struct {
 	// Interval is the anti-entropy period (cold) or catch-up floor (hot).
 	// 0 uses the mesh default.
 	Interval time.Duration
-	// Debounce is the hot-link changefeed debounce window. 0 uses the mesh
+	// Debounce is the hot-link commit debounce window. 0 uses the mesh
 	// default.
 	Debounce time.Duration
 }
@@ -286,9 +286,10 @@ func (m *Mesh) Add(l Link) error {
 		l.Debounce = m.opts.Debounce
 	}
 	ls := &linkState{
-		link: l,
-		kick: make(chan struct{}, 1),
-		stop: make(chan struct{}),
+		link:    l,
+		kick:    make(chan struct{}, 1),
+		changed: make(chan struct{}, 1),
+		stop:    make(chan struct{}),
 	}
 	m.mu.Lock()
 	if m.closed {
@@ -302,6 +303,9 @@ func (m *Mesh) Add(l Link) error {
 	m.links[l.Name] = ls
 	m.wg.Add(1)
 	m.mu.Unlock()
+	if l.Class == Hot {
+		m.attach(ls) // before Add returns, so no commit after it is missed
+	}
 	go m.run(ls)
 	m.logf("link %s: added (%s -> %s glob %q %s %s every %s)",
 		l.Name, m.opts.Node.Name(), l.Peer, l.Glob, l.Class, l.Direction, l.Interval)

@@ -164,13 +164,55 @@ func TestColdLinkConverges(t *testing.T) {
 
 func TestHotLinkFiresOnWrite(t *testing.T) {
 	a, b, _, m := newMeshPair(t)
-	// Interval far beyond the test: only the changefeed trigger can move it.
+	// Interval far beyond the test: only the commit wake can move it, and
+	// Add attaches it before returning.
 	err := m.Add(Link{Name: "hot", Peer: "beta", Glob: "disc.nsf", Class: Hot, Interval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond) // let the trigger attach
 	createDoc(t, a.dbs["disc.nsf"], "instant")
+	if _, err := check.WaitConverged(5*time.Second, a.dbs["disc.nsf"], b.dbs["disc.nsf"]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHotLinkDebouncesBursts checks that a burst of commits inside one
+// debounce window makes one round, and that RunNow does not wait for the
+// window.
+func TestHotLinkDebouncesBursts(t *testing.T) {
+	const window = 100 * time.Millisecond
+	a, b, _, m := newMeshPair(t)
+	err := m.Add(Link{Name: "hot", Peer: "beta", Glob: "disc.nsf", Class: Hot, Interval: time.Hour, Debounce: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	for i := range 30 {
+		createDoc(t, a.dbs["disc.nsf"], fmt.Sprintf("burst %d", i))
+	}
+	if took := time.Since(start); took >= window {
+		t.Fatalf("the burst took %v, longer than the %v window", took, window)
+	}
+	if _, err := check.WaitConverged(5*time.Second, a.dbs["disc.nsf"], b.dbs["disc.nsf"]); err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(m, time.Now().Add(5*time.Second), func(st []LinkStatus) bool { return st[0].Rounds > 0 })
+	// A second round, if the burst made one, would start within a window.
+	st := waitStatus(m, time.Now().Add(3*window), func(st []LinkStatus) bool { return st[0].Rounds > 1 })
+	if st[0].Rounds != 1 {
+		t.Errorf("30 commits in one window made %d rounds, want 1", st[0].Rounds)
+	}
+
+	// With a window longer than the test, only RunNow can move a commit.
+	a, b, _, m = newMeshPair(t)
+	err = m.Add(Link{Name: "hot", Peer: "beta", Glob: "disc.nsf", Class: Hot, Interval: time.Hour, Debounce: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	createDoc(t, a.dbs["disc.nsf"], "kicked")
+	if err := m.RunNow("hot"); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := check.WaitConverged(5*time.Second, a.dbs["disc.nsf"], b.dbs["disc.nsf"]); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +268,10 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	if _, err := check.WaitConverged(5*time.Second, a.dbs["disc.nsf"], b.dbs["disc.nsf"]); err != nil {
 		t.Fatal(err)
 	}
-	st := m.Status()[0]
+	// The data lands before the probe that carried it settles the breaker.
+	st := waitStatus(m, time.Now().Add(5*time.Second), func(st []LinkStatus) bool {
+		return !st[0].BreakerOpen && st[0].ConsecFails == 0
+	})[0]
 	if st.BreakerOpen || st.ConsecFails != 0 {
 		t.Errorf("breaker did not close after recovery: %+v", st)
 	}

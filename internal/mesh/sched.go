@@ -10,16 +10,18 @@ import (
 	"repro/internal/retry"
 )
 
-// linkState is one scheduled link: its definition, its kick channel (hot
-// triggers, RunNow), and its counters.
+// linkState is one scheduled link: its definition, its kick channel
+// (RunNow), its changed channel (a hot link's databases' commits), and its
+// counters.
 type linkState struct {
-	link Link
-	kick chan struct{}
-	stop chan struct{}
+	link    Link
+	kick    chan struct{}
+	changed chan struct{}
+	stop    chan struct{}
 
 	mu       sync.Mutex
 	stopped  bool
-	triggers map[string]*repl.ChangeTrigger // by db path
+	attached map[string]func() // by db path: stops its Notify
 	rounds   uint64
 	failures uint64
 	consec   int
@@ -34,8 +36,8 @@ type linkState struct {
 	halfOpen bool
 }
 
-// shutdown stops the link's scheduler goroutine and detaches its
-// changefeed triggers.
+// shutdown stops the link's scheduler goroutine and detaches it from its
+// databases' commits.
 func (ls *linkState) shutdown() {
 	ls.mu.Lock()
 	if ls.stopped {
@@ -43,12 +45,12 @@ func (ls *linkState) shutdown() {
 		return
 	}
 	ls.stopped = true
-	triggers := ls.triggers
-	ls.triggers = nil
+	attached := ls.attached
+	ls.attached = nil
 	ls.mu.Unlock()
 	close(ls.stop)
-	for _, tr := range triggers {
-		tr.Stop()
+	for _, stop := range attached {
+		stop()
 	}
 }
 
@@ -74,9 +76,9 @@ func (ls *linkState) status() LinkStatus {
 	return st
 }
 
-// run is the per-link scheduler loop: wait out the interval (with jitter)
-// or a kick, check admission and the breaker, run one round, update the
-// backoff state.
+// run is the per-link scheduler loop: wait out the interval (with jitter),
+// a kick, or a hot link's debounce window after a commit, check admission
+// and the breaker, run one round, update the backoff state.
 func (m *Mesh) run(ls *linkState) {
 	defer m.wg.Done()
 	// Deterministic per-link jitter source: links with the same interval
@@ -85,19 +87,26 @@ func (m *Mesh) run(ls *linkState) {
 	h.Write([]byte(ls.link.Name))
 	rng := rand.New(rand.NewSource(int64(h.Sum64())))
 
-	if ls.link.Class == Hot {
-		m.attachTriggers(ls)
-	}
 	for {
 		timer := time.NewTimer(m.nextDelay(ls, rng))
-		select {
-		case <-ls.stop:
-			timer.Stop()
-			return
-		case <-ls.kick:
-			timer.Stop()
-		case <-timer.C:
+		var debounced <-chan time.Time // armed by the first commit since the last round
+		for {
+			select {
+			case <-ls.stop:
+				timer.Stop()
+				return
+			case <-ls.changed:
+				if debounced == nil {
+					debounced = time.After(ls.link.Debounce)
+				}
+				continue
+			case <-debounced:
+			case <-ls.kick:
+			case <-timer.C:
+			}
+			break
 		}
+		timer.Stop()
 		if !m.breakerAllows(ls) {
 			continue
 		}
@@ -108,7 +117,7 @@ func (m *Mesh) run(ls *linkState) {
 			continue
 		}
 		if ls.link.Class == Hot {
-			m.attachTriggers(ls) // pick up databases created since last round
+			m.attach(ls) // pick up databases created since last round
 		}
 		err := m.round(ls)
 		m.settle(ls, err)
@@ -198,53 +207,37 @@ func (m *Mesh) settle(ls *linkState, err error) {
 	}
 }
 
-// attachTriggers wires a hot link's kick channel to the changefeed of every
-// covered local database that does not have a trigger yet. Each trigger is
-// debounced per link, so a write burst costs one round; trigger firings
-// are forwarded into the kick channel (capacity one — firings during an
-// in-flight round coalesce into a single follow-up).
-func (m *Mesh) attachTriggers(ls *linkState) {
+// attach registers a hot link's changed channel for the commits of every
+// covered local database it is not registered on yet. The channel holds one
+// wake, so commits during an in-flight round leave one follow-up, which run
+// debounces like any other.
+func (m *Mesh) attach(ls *linkState) {
 	for _, p := range m.opts.Node.Paths() {
 		if !matches(ls.link.Glob, p) {
 			continue
 		}
 		ls.mu.Lock()
-		if ls.stopped || ls.triggers[p] != nil {
-			ls.mu.Unlock()
+		_, done := ls.attached[p]
+		ls.mu.Unlock()
+		if done {
 			continue
 		}
-		ls.mu.Unlock()
 		db, err := m.opts.Node.Open(p)
 		if err != nil {
 			continue
 		}
-		tr := repl.NewChangeTrigger(db, ls.link.Debounce)
+		stop := db.Notify(ls.changed)
 		ls.mu.Lock()
 		if ls.stopped {
 			ls.mu.Unlock()
-			tr.Stop()
+			stop()
 			return
 		}
-		if ls.triggers == nil {
-			ls.triggers = make(map[string]*repl.ChangeTrigger)
+		if ls.attached == nil {
+			ls.attached = make(map[string]func())
 		}
-		ls.triggers[p] = tr
+		ls.attached[p] = stop
 		ls.mu.Unlock()
-		m.wg.Add(1)
-		go func(tr *repl.ChangeTrigger) {
-			defer m.wg.Done()
-			for {
-				select {
-				case <-ls.stop:
-					return
-				case <-tr.C():
-					select {
-					case ls.kick <- struct{}{}:
-					default:
-					}
-				}
-			}
-		}(tr)
 	}
 }
 

@@ -11,7 +11,7 @@
 //
 //	IMAGE    src.BackupDB (hot, full) -> dst.RestoreDB  [skipped if dst holds a copy]
 //	CATCHUP  repl.Replicate(src -> dst) until a round moves nothing,
-//	         re-kicked by a ChangeTrigger while writers keep committing
+//	         woken by the source's commits (Notify) while writers go on
 //	FENCE    src.Quiesce: drain in-flight ops, shed new ones (retryable)
 //	DELTA    one final replication pass over the now-quiet source
 //	FLIP     dir.UpdatePlacement CAS at the generation read at start;
@@ -195,11 +195,11 @@ func Move(d *dir.Directory, src, dst *server.Server, path string, opts MoveOptio
 	peer := &repl.LocalPeer{DB: dstDB}
 	ropts := repl.Options{PeerName: "move:" + strings.ToLower(dst.Name())}
 
-	// CATCHUP: replicate the delta while writers keep going. The change
-	// trigger re-arms each round so a steady writer doesn't force a full
-	// catchupRounds spin when the delta is already drained.
-	trig := repl.NewChangeTrigger(srcDB, time.Millisecond)
-	defer trig.Stop()
+	// CATCHUP: replicate the delta while writers keep going. A commit wakes
+	// the next round, so a steady writer doesn't force a full catchupRounds
+	// spin when the delta is already drained.
+	changed := make(chan struct{}, 1)
+	defer srcDB.Notify(changed)()
 	for res.Rounds < catchupRounds {
 		res.Rounds++
 		st, err := repl.Replicate(srcDB, peer, ropts)
@@ -212,7 +212,7 @@ func Move(d *dir.Directory, src, dst *server.Server, path string, opts MoveOptio
 			break
 		}
 		select {
-		case <-trig.C():
+		case <-changed:
 		case <-time.After(10 * time.Millisecond):
 		}
 	}

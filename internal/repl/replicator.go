@@ -108,8 +108,8 @@ func loadHistory(db *core.Database, peerName string) (history, error) {
 }
 
 // histLocks serializes history read-modify-writes per (replica, peer).
-// Overlapping sessions against the same peer are normal — the scheduler and
-// a ChangeTrigger can both fire — and without serialization both would read
+// Overlapping sessions against the same peer are normal — a scheduled
+// round and a manual one can both run — and without serialization both would read
 // the history note at Seq=N and hand-stamp Seq=N+1, writing duplicate
 // sequence numbers into the note's version chain. Locks are striped by
 // hash: a collision only over-serializes two unrelated saves, never

@@ -90,8 +90,8 @@ var localOnlyDBs = map[string]bool{
 	CatalogPath: true,
 }
 
-// hookClusterDB gives each pusher a cursor on db, subscribes them to its
-// commits, and wakes them once for a commit made in between.
+// hookClusterDB gives each pusher a cursor on db, registers its kick channel
+// for db's commits, and wakes it once for a commit made in between.
 func hookClusterDB(pushers []*clusterPusher, path string, db *core.Database) {
 	if localOnlyDBs[path] || len(pushers) == 0 {
 		return
@@ -100,14 +100,9 @@ func hookClusterDB(pushers []*clusterPusher, path string, db *core.Database) {
 		p.mu.Lock()
 		p.targets = append(p.targets, &pushTarget{path: path, db: db, cursor: db.Cursor()})
 		p.mu.Unlock()
+		db.Notify(p.kick)
+		p.wake()
 	}
-	wakeAll := func(*nsf.Note) {
-		for _, p := range pushers {
-			p.wake()
-		}
-	}
-	db.OnChange(wakeAll)
-	wakeAll(nil)
 }
 
 func (p *clusterPusher) wake() {

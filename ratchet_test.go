@@ -18,9 +18,9 @@ import (
 // non-test Go file it covers.
 
 // sourceFiles parses every non-test Go file under root (slash-separated
-// paths relative to the repository root) with the given mode. testdata and
-// hidden directories are skipped.
-func sourceFiles(t *testing.T, root string, mode parser.Mode) map[string]*ast.File {
+// paths relative to the repository root) with the given mode, or, with
+// tests set, every test file. testdata and hidden directories are skipped.
+func sourceFiles(t *testing.T, root string, mode parser.Mode, tests bool) map[string]*ast.File {
 	t.Helper()
 	out := map[string]*ast.File{}
 	fset := token.NewFileSet()
@@ -34,7 +34,7 @@ func sourceFiles(t *testing.T, root string, mode parser.Mode) map[string]*ast.Fi
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") != tests {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, mode)
@@ -58,7 +58,7 @@ func sourceFiles(t *testing.T, root string, mode parser.Mode) map[string]*ast.Fi
 func sourceImports(t *testing.T) map[string][]string {
 	t.Helper()
 	out := map[string][]string{}
-	for path, f := range sourceFiles(t, ".", parser.ImportsOnly) {
+	for path, f := range sourceFiles(t, ".", parser.ImportsOnly, false) {
 		var imports []string
 		for _, spec := range f.Imports {
 			p, err := strconv.Unquote(spec.Path.Value)
@@ -76,7 +76,10 @@ func sourceImports(t *testing.T) map[string][]string {
 //   - it does not import unsafe;
 //   - under internal/store, it imports nothing from internal/ but nsf and vfs;
 //   - under internal/nsf, it imports nothing from internal/;
-//   - under internal/ft, it imports nothing from internal/ but nsf and acl.
+//   - under internal/ft, it imports nothing from internal/ but nsf and acl;
+//   - outside internal/core and the root facade, it does not import
+//     internal/changefeed: a consumer outside core hears of commits through
+//     core's OnChange or Notify.
 func TestRatchets(t *testing.T) {
 	const internal = "repro/internal/"
 	inPackage := func(file, dir string) bool { return filepath.ToSlash(filepath.Dir(file)) == dir }
@@ -90,6 +93,9 @@ func TestRatchets(t *testing.T) {
 		for _, imp := range imports {
 			if imp == "unsafe" {
 				t.Errorf("%s imports unsafe", file)
+			}
+			if imp == internal+"changefeed" && !inPackage(file, "internal/core") && !inPackage(file, ".") {
+				t.Errorf("%s imports %s; only internal/core and the root package may", file, imp)
 			}
 			for dir, ok := range allowed {
 				if inPackage(file, dir) && strings.HasPrefix(imp, internal) && !slices.Contains(ok, imp) {
@@ -114,22 +120,50 @@ var sleepAllowed = []string{
 	"internal/check/check.go",
 }
 
+// sleepCalls counts the time.Sleep calls in f.
+func sleepCalls(f *ast.File) int {
+	n := 0
+	ast.Inspect(f, func(node ast.Node) bool {
+		if sel, ok := node.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sleep" {
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == "time" {
+				n++
+			}
+		}
+		return true
+	})
+	return n
+}
+
 // TestNoStraySleep checks that no non-test file under internal/ outside
 // sleepAllowed calls time.Sleep.
 func TestNoStraySleep(t *testing.T) {
-	files := sourceFiles(t, "internal", parser.SkipObjectResolution)
+	files := sourceFiles(t, "internal", parser.SkipObjectResolution, false)
 	for path, f := range files {
-		if slices.Contains(sleepAllowed, path) {
-			continue
+		if !slices.Contains(sleepAllowed, path) && sleepCalls(f) > 0 {
+			t.Errorf("%s calls time.Sleep; only %v may", path, sleepAllowed)
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sleep" {
-				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "time" {
-					t.Errorf("%s calls time.Sleep; only %v may", path, sleepAllowed)
-				}
-			}
-			return true
-		})
 	}
 	t.Logf("%d non-test files under internal/ checked", len(files))
+}
+
+// testSleepCeiling is how many time.Sleep calls the test files outside
+// bench/ make. A test that waits on an event instead of a sleep lowers it;
+// nothing raises it.
+const testSleepCeiling = 31
+
+// TestTestSleepCeiling holds the test files' time.Sleep calls at
+// testSleepCeiling, and asks for the ceiling to be lowered when they fall.
+func TestTestSleepCeiling(t *testing.T) {
+	n := 0
+	for path, f := range sourceFiles(t, ".", parser.SkipObjectResolution, true) {
+		if !strings.HasPrefix(path, "bench/") {
+			n += sleepCalls(f)
+		}
+	}
+	switch {
+	case n > testSleepCeiling:
+		t.Errorf("test files call time.Sleep %d times, over the ceiling of %d: wait on an event instead", n, testSleepCeiling)
+	case n < testSleepCeiling:
+		t.Errorf("test files call time.Sleep %d times: lower testSleepCeiling to %d", n, n)
+	}
 }
