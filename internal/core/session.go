@@ -399,22 +399,115 @@ func (s *Session) SearchJoinedCtx(ctx context.Context, query string, columns []s
 	return hits, err
 }
 
-// SearchPageCtx runs a full-text query and returns one page of its hits:
-// from position start of the access-filtered hit list, joined with the
-// named summary columns in rank order until limit hits have joined
-// (limit <= 0: to the end). Only the page is joined. Each hit's document is
-// loaded through this session's Get; a hit whose document was deleted since
-// the refresh barrier is skipped and not counted in total. next is the
-// position after the last hit used. The deadline is checked by the query
-// evaluation and again before the join.
+// SearchPageCtx is SearchRowsCtx collecting its rows: each column is
+// decoded from the hit's record into a value the caller keeps (a column
+// the document lacks is the zero Value).
 func (s *Session) SearchPageCtx(ctx context.Context, query string, columns []string, start, limit int) (hits []ft.HitSummary, total, next int, err error) {
+	names := make([][]byte, len(columns))
+	for i, c := range columns {
+		names[i] = []byte(c)
+	}
+	stored := make([][]byte, len(columns))
+	var derr error
+	total, next, err = s.SearchRowsCtx(ctx, query, columns, start, limit, func(r SearchRow) bool {
+		h := ft.HitSummary{Result: r.Result, Pos: r.Pos}
+		if r.Record != nil {
+			h.Values = make([]nsf.Value, len(columns))
+			derr = nsf.ItemValues(r.Record, names, stored)
+			for i, b := range stored {
+				if b != nil && derr == nil {
+					h.Values[i], derr = nsf.DecodeValue(b)
+				}
+			}
+		}
+		hits = append(hits, h)
+		return derr == nil
+	})
+	if err == nil {
+		err = derr
+	}
+	return hits, total, next, err
+}
+
+// SearchRow is a search hit SearchRowsCtx joined, lent to the callback:
+// Note and Record are reused for the next row and valid only during the
+// call. Without columns no document is read, and both are nil.
+type SearchRow struct {
+	ft.Result
+	// Pos is the hit's position in the access-filtered hit list.
+	Pos int
+	// Note is the document's header and its Readers and Authors items: what
+	// the stub check and CanRead read.
+	Note *nsf.Note
+	// Record is the stored document projected to the columns and the
+	// access items, in nsf encoding: a column is its first item of that
+	// name, copied as stored.
+	Record []byte
+}
+
+// SearchRowsCtx runs a full-text query and joins one page of its hits:
+// from position start of the access-filtered hit list, in rank order,
+// lending fn each hit until limit have joined (limit <= 0: to the end) or
+// fn returns false, which stops the join before that hit. Each hit's
+// document is read as its stored record projected to the columns
+// (store.RecordsByUNID), never decoded whole; a hit whose document was
+// deleted, stubbed or made unreadable since the refresh barrier is
+// skipped and not counted in total. Hits past the last one examined are
+// counted. next is the position of the first hit not used. The deadline
+// is checked by the query evaluation and again before each store hold.
+func (s *Session) SearchRowsCtx(ctx context.Context, query string, columns []string, start, limit int, fn func(SearchRow) bool) (total, next int, err error) {
 	all, err := s.SearchCtx(ctx, query)
 	if err != nil {
-		return nil, 0, 0, err
+		return 0, 0, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, 0, 0, err
+		return 0, 0, err
 	}
-	hits, next, skipped := ft.JoinPage(all, start, limit, columns, s.Get)
-	return hits, len(all) - skipped, next, nil
+	next = min(max(start, 0), len(all))
+	if limit <= 0 {
+		limit = len(all)
+	}
+	if len(columns) == 0 {
+		for ; next < len(all) && limit > 0 && fn(SearchRow{Result: all[next], Pos: next}); next++ {
+			limit--
+		}
+		return len(all), next, nil
+	}
+	var scratch nsf.Note
+	var arena nsf.Arena
+	access := (*formula.Formula)(nil).Keep()
+	keep := (*formula.Formula)(nil).Keep(columns...)
+	skipped, stopped := 0, false
+	var derr error
+	// One lookup per window of as many hits as the page still wants; a
+	// window that skipped hits leaves the page short, and the next one
+	// fills it.
+	for !stopped && next < len(all) && limit > 0 {
+		from := next
+		err := s.db.st.RecordsByUNID(ctx, min(limit, len(all)-from), func(i int) nsf.UNID { return all[from+i].UNID }, keep, func(i int, rec []byte) bool {
+			if rec != nil {
+				arena.Reset()
+				if derr = nsf.DecodeNoteInto(&scratch, &arena, rec, access); derr != nil {
+					return false
+				}
+			}
+			if rec == nil || scratch.IsStub() || !s.id.CanRead(&scratch) {
+				skipped++
+			} else if fn(SearchRow{Result: all[from+i], Pos: from + i, Note: &scratch, Record: rec}) {
+				limit--
+			} else {
+				stopped = true
+				return false
+			}
+			next++
+			return true
+		})
+		if err == nil {
+			err = derr
+		}
+		if err != nil {
+			return 0, 0, err
+		}
+	}
+	return len(all) - skipped, next, nil
 }

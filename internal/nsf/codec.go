@@ -374,6 +374,27 @@ func AppendProjected(dst, buf []byte, keep func(name []byte, flags ItemFlags) bo
 	return dst[:countAt+w+n], nil
 }
 
+// ItemValues sets values[i] to the stored value bytes (EncodeValue's form)
+// of the first item in buf named names[i], compared as EqualNames does,
+// or to nil when buf has none: what Note.Get would return, not decoded.
+// The values alias buf; it validates buf as DecodeNote does and allocates
+// nothing.
+func ItemValues(buf []byte, names [][]byte, values [][]byte) error {
+	clear(values)
+	var it ItemIter
+	if err := it.Reset(buf, nil); err != nil {
+		return err
+	}
+	for it.Next() {
+		for i, name := range names {
+			if values[i] == nil && bytes.EqualFold(it.item.Name, name) {
+				values[i] = it.item.Value
+			}
+		}
+	}
+	return it.Err()
+}
+
 // decodeHeader decodes an encoded note's fixed header into n.
 func decodeHeader(d *decoder, n *Note) error {
 	ver, err := d.byte1()

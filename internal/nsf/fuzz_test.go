@@ -42,19 +42,34 @@ func FuzzDecodeNote(f *testing.F) {
 		DecodeNoteInto(&into, &arena, EncodeNote(sampleNote()), nil)
 		arena.Reset()
 		ierr := DecodeNoteInto(&into, &arena, data, keep)
+		names := [][]byte{[]byte("SUBJECT"), []byte("missing")}
+		for _, ri := range raw {
+			names = append(names, ri.Name)
+		}
+		values := make([][]byte, len(names))
+		verr := ItemValues(data, names, values)
 		if err != nil {
-			if perr == nil || it.Err() == nil || rerr == nil || ierr == nil {
-				t.Fatalf("DecodeNote rejected (%v) what another decoder accepted: items %v, iterator %v, projection %v, into %v",
-					err, perr, it.Err(), rerr, ierr)
+			if perr == nil || it.Err() == nil || rerr == nil || ierr == nil || verr == nil {
+				t.Fatalf("DecodeNote rejected (%v) what another decoder accepted: items %v, iterator %v, projection %v, into %v, values %v",
+					err, perr, it.Err(), rerr, ierr, verr)
 			}
 			if string(rec) != "prefix" {
 				t.Fatalf("a rejected projection left %q behind", rec)
 			}
 			return // rejection is fine; panicking is not
 		}
-		if perr != nil || it.Err() != nil || rerr != nil || ierr != nil {
-			t.Fatalf("DecodeNote accepted what another decoder rejected: items %v, iterator %v, projection %v, into %v",
-				perr, it.Err(), rerr, ierr)
+		if perr != nil || it.Err() != nil || rerr != nil || ierr != nil || verr != nil {
+			t.Fatalf("DecodeNote accepted what another decoder rejected: items %v, iterator %v, projection %v, into %v, values %v",
+				perr, it.Err(), rerr, ierr, verr)
+		}
+		for i, name := range names {
+			want, ok := n.Item(string(name))
+			if ok != (values[i] != nil) {
+				t.Fatalf("ItemValues(%q) = %x, Note.Item found it: %v", name, values[i], ok)
+			}
+			if v, err := DecodeValue(values[i]); ok && (err != nil || !v.Equal(want.Value) || v.Type != want.Value.Type) {
+				t.Fatalf("ItemValues(%q) decodes to %+v (%v), Note.Get's %+v", name, v, err, want.Value)
+			}
 		}
 		if len(raw) != len(n.Items) {
 			t.Fatalf("iterator walked %d items, DecodeNote decoded %d", len(raw), len(n.Items))

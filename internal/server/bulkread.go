@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -202,7 +201,7 @@ func (c *connState) scan(ctx context.Context, hs *handleState, d *wire.Dec) (*wi
 			return false
 		}
 		resp.U8(rowKindDoc).U32(uint32(r.Note.ID)).UNID(r.Note.OID.UNID)
-		if err := cols.encode(resp, r); err != nil {
+		if err := cols.encode(resp, r.Note, r.Record); err != nil {
 			encErr = err
 			return false
 		}
@@ -226,16 +225,20 @@ func (c *connState) scan(ctx context.Context, hs *handleState, d *wire.Dec) (*wi
 	return resp.Blob(encodeScanCursor(c.s.opts.Name, last)), nil
 }
 
-// scanColumns encodes a scan row's projected columns the way Enc.Value
-// would encode each document's item, without building the values: a
-// column the formula names (Fields includes FIELD and DEFAULT targets) is
-// encoded from the note the formula left; any other column is copied as
-// its stored value bytes, which are that value's canonical encoding.
+// scanColumns encodes a scan row's or search hit's projected columns the
+// way Enc.Value would encode each document's item, without building the
+// values: a column the formula names (Fields includes FIELD and DEFAULT
+// targets) is encoded from the note the formula left; any other column is
+// copied as its stored value bytes, which are that value's canonical
+// encoding.
 type scanColumns struct {
 	columns   []string
 	names     [][]byte // the columns, as bytes to compare item names with
 	evaluated []bool   // named by the formula
 	stored    [][]byte // per column, the row's stored value bytes or nil
+	// untypedAbsent sends a column whose item has type 0 as absent, as a
+	// search hit always has; a scan row sends it as present.
+	untypedAbsent bool
 }
 
 func newScanColumns(columns []string, sel *formula.Formula) *scanColumns {
@@ -260,34 +263,25 @@ func newScanColumns(columns []string, sel *formula.Formula) *scanColumns {
 	return c
 }
 
-// encode appends r's columns to resp: a presence byte, then the value blob.
-// As Note.Get does, a column takes the first item of its name.
-func (c *scanColumns) encode(resp *wire.Enc, r core.ScanRow) error {
-	clear(c.stored)
-	var it nsf.ItemIter
-	if err := it.Reset(r.Record, nil); err != nil {
-		return err
+// encode appends the columns of a row — the note the formula left and the
+// projected record — to resp: a presence byte, then the value blob. As
+// Note.Get does, a column takes the first item of its name.
+func (c *scanColumns) encode(resp *wire.Enc, note *nsf.Note, rec []byte) error {
+	if len(c.columns) == 0 {
+		return nil
 	}
-	for it.Next() {
-		ri := it.Item()
-		for i, name := range c.names {
-			if c.stored[i] == nil && !c.evaluated[i] && bytes.EqualFold(ri.Name, name) {
-				c.stored[i] = ri.Value
-			}
-		}
-	}
-	if err := it.Err(); err != nil {
+	if err := nsf.ItemValues(rec, c.names, c.stored); err != nil {
 		return err
 	}
 	for i, col := range c.columns {
 		switch {
 		case c.evaluated[i]:
-			if item, ok := r.Note.Item(col); ok {
+			if item, ok := note.Item(col); ok {
 				resp.U8(1).Value(item.Value)
 			} else {
 				resp.U8(0)
 			}
-		case c.stored[i] != nil:
+		case c.stored[i] != nil && !(c.untypedAbsent && nsf.ItemType(c.stored[i][0]) == 0):
 			resp.U8(1).Blob(c.stored[i])
 		default:
 			resp.U8(0)
@@ -300,7 +294,8 @@ func (c *scanColumns) encode(resp *wire.Enc, r core.ScanRow) error {
 // start, limit, column names), response (total, start, kind-prefixed hits
 // with IEEE-754 score bits and optional joined summary values, more, next).
 // Scores travel as Float64bits — the earlier fixed-point encoding wrapped
-// negative scores into huge positives.
+// negative scores into huge positives. Each hit's columns are copied from
+// its stored record as it joins; total and start are filled in after.
 func (c *connState) search(ctx context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	query := d.Str()
 	start := int(d.U32())
@@ -314,30 +309,37 @@ func (c *connState) search(ctx context.Context, hs *handleState, d *wire.Dec) (*
 		return nil, err
 	}
 	maxRows, maxBytes := c.s.pageBudget(ctx, limit)
-	hits, total, next, err := hs.sess.SearchPageCtx(ctx, query, columns, start, maxRows)
+	resp := wire.NewResp(wire.OpSearch, wire.StatusOK)
+	head := len(resp.Bytes())
+	resp.U32(0).U32(0) // total and first, known once the join ends
+	cols := newScanColumns(columns, nil)
+	cols.untypedAbsent = true
+	sent := 0
+	var encErr error
+	total, next, err := hs.sess.SearchRowsCtx(ctx, query, columns, start, maxRows, func(r core.SearchRow) bool {
+		if sent > 0 && len(resp.Bytes()) >= maxBytes {
+			return false
+		}
+		resp.U8(rowKindDoc).UNID(r.UNID).U64(math.Float64bits(r.Score))
+		if encErr = cols.encode(resp, r.Note, r.Record); encErr != nil {
+			return false
+		}
+		sent++
+		return true
+	})
+	if err == nil {
+		err = encErr
+	}
 	if err != nil {
+		resp.Release()
 		return nil, err
 	}
 	// total counts every hit but those the join skipped, all of which lie
-	// between first and next, so total-first-len(hits) hits lie past next.
+	// between first and next, so hits lie past next iff first+sent < total.
 	first := min(start, next)
-	more := first+len(hits) < total
-	resp := wire.NewResp(wire.OpSearch, wire.StatusOK).
-		U32(uint32(total)).U32(uint32(first))
-	for i, h := range hits {
-		if i > 0 && len(resp.Bytes()) >= maxBytes {
-			next, more = h.Pos, true
-			break
-		}
-		resp.U8(rowKindDoc).UNID(h.UNID).U64(math.Float64bits(h.Score))
-		for _, v := range h.Values {
-			if v.Type == 0 {
-				resp.U8(0)
-			} else {
-				resp.U8(1).Value(v)
-			}
-		}
-	}
+	more := first+sent < total
+	resp.SetU32(head, uint32(total))
+	resp.SetU32(head+4, uint32(first))
 	resp.U8(rowKindEnd)
 	if more {
 		resp.U8(1)

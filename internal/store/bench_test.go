@@ -62,7 +62,7 @@ func BenchmarkF5BtreeGet(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				binary.BigEndian.PutUint64(key[:], uint64(rng.Intn(n)))
-				if _, ok, err := tr.Get(key[:]); err != nil || !ok {
+				if _, ok, err := tr.Get(key[:], nil); err != nil || !ok {
 					b.Fatalf("Get: %v %v", ok, err)
 				}
 			}

@@ -213,7 +213,8 @@ func compact(pg *page) {
 	typ := nodeType(pg)
 	var scratch [PageSize]byte
 	off := PageSize
-	offsets := make([]int, n)
+	// Slot i is read before it is rewritten, and the cell bodies move only
+	// after the loop, so each slot takes its new offset in place.
 	for i := 0; i < n; i++ {
 		src := slotOffset(pg, i)
 		var size int
@@ -226,13 +227,10 @@ func compact(pg *page) {
 		}
 		off -= size
 		copy(scratch[off:], pg.data[src:src+size])
-		offsets[i] = off
+		setSlotOffset(pg, i, off)
 	}
 	copy(pg.data[off:], scratch[off:])
 	setCellStart(pg, off)
-	for i, o := range offsets {
-		setSlotOffset(pg, i, o)
-	}
 	pg.dirty = true
 }
 
@@ -254,8 +252,11 @@ func liveBytes(pg *page) int {
 	return total
 }
 
-// Get returns the value stored under key, or (nil, false).
-func (t *btree) Get(key []byte) ([]byte, bool, error) {
+// Get returns the value stored under key, copied into dst's array when it
+// has room (dst[:0] is appended to), or (nil, false). The value is never
+// an alias into the page: a frame may be evicted once the caller lets go
+// of the latch.
+func (t *btree) Get(key, dst []byte) ([]byte, bool, error) {
 	id := t.root()
 	if id == nilPage {
 		return nil, false, nil
@@ -271,9 +272,7 @@ func (t *btree) Get(key []byte) ([]byte, bool, error) {
 				return nil, false, nil
 			}
 			_, v := leafCell(pg, idx)
-			out := make([]byte, len(v))
-			copy(out, v)
-			return out, true, nil
+			return append(dst[:0], v...), true, nil
 		}
 		id = t.childAt(pg, idx, found)
 	}
@@ -299,11 +298,14 @@ type pathEntry struct {
 	idx int // slot index descended, nodeCount(pg) means rightmost child
 }
 
-// descend walks from the root to the leaf responsible for key, recording the
-// branch path.
-func (t *btree) descend(key []byte) (*page, []pathEntry, error) {
+// maxDepth is the tree depth whose descent path Put and Delete keep on
+// the stack; a deeper tree (far beyond any file's size) only allocates.
+const maxDepth = 16
+
+// descend walks from the root to the leaf responsible for key, appending
+// the branch path to path.
+func (t *btree) descend(key []byte, path []pathEntry) (*page, []pathEntry, error) {
 	id := t.root()
-	var path []pathEntry
 	for {
 		pg, err := t.pg.get(id)
 		if err != nil {
@@ -338,7 +340,8 @@ func (t *btree) Put(key, val []byte) error {
 		initNode(pg, pageLeaf)
 		t.setRoot(pg.id)
 	}
-	leaf, path, err := t.descend(key)
+	var stack [maxDepth]pathEntry
+	leaf, path, err := t.descend(key, stack[:0])
 	if err != nil {
 		return err
 	}
@@ -528,7 +531,8 @@ func (t *btree) Delete(key []byte) (bool, error) {
 	if t.root() == nilPage {
 		return false, nil
 	}
-	leaf, path, err := t.descend(key)
+	var stack [maxDepth]pathEntry
+	leaf, path, err := t.descend(key, stack[:0])
 	if err != nil {
 		return false, err
 	}

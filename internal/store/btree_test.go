@@ -28,9 +28,46 @@ func testTree(t *testing.T) *btree {
 	return &btree{pg: testPager(t), slot: rootSlotByID}
 }
 
+// TestBtreeWarmReplaceAllocatesNothing: on a tree whose pages are cached,
+// replacing a key's value keeps its descent path on the stack and compacts
+// leaves in place, and a Get copies into the caller's buffer: none of them
+// allocates.
+func TestBtreeWarmReplaceAllocatesNothing(t *testing.T) {
+	tr := testTree(t)
+	const keys = 5000
+	var key, val [8]byte
+	for i := 0; i < keys; i++ {
+		binary.BigEndian.PutUint64(key[:], uint64(i))
+		if err := tr.Put(key[:], key[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(2000, func() {
+		binary.BigEndian.PutUint64(key[:], uint64(i*7919%keys))
+		binary.BigEndian.PutUint64(val[:], uint64(i))
+		if err := tr.Put(key[:], val[:]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); allocs != 0 {
+		t.Errorf("replacing a key allocates %v times", allocs)
+	}
+	var buf [8]byte
+	if allocs := testing.AllocsPerRun(1000, func() {
+		binary.BigEndian.PutUint64(key[:], uint64(i%keys))
+		if v, ok, err := tr.Get(key[:], buf[:0]); err != nil || !ok || len(v) != 8 {
+			t.Fatalf("Get = %x, %v, %v", v, ok, err)
+		}
+		i++
+	}); allocs != 0 {
+		t.Errorf("Get into a buffer allocates %v times", allocs)
+	}
+}
+
 func TestBtreeBasic(t *testing.T) {
 	tr := testTree(t)
-	if _, ok, err := tr.Get([]byte("missing")); err != nil || ok {
+	if _, ok, err := tr.Get([]byte("missing"), nil); err != nil || ok {
 		t.Fatalf("Get on empty tree = %v, %v", ok, err)
 	}
 	if err := tr.Put([]byte("alpha"), []byte("1")); err != nil {
@@ -39,7 +76,7 @@ func TestBtreeBasic(t *testing.T) {
 	if err := tr.Put([]byte("beta"), []byte("2")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	v, ok, err := tr.Get([]byte("alpha"))
+	v, ok, err := tr.Get([]byte("alpha"), nil)
 	if err != nil || !ok || string(v) != "1" {
 		t.Fatalf("Get alpha = %q, %v, %v", v, ok, err)
 	}
@@ -47,7 +84,7 @@ func TestBtreeBasic(t *testing.T) {
 	if err := tr.Put([]byte("alpha"), []byte("one")); err != nil {
 		t.Fatalf("Put overwrite: %v", err)
 	}
-	v, _, _ = tr.Get([]byte("alpha"))
+	v, _, _ = tr.Get([]byte("alpha"), nil)
 	if string(v) != "one" {
 		t.Fatalf("after overwrite Get = %q", v)
 	}
@@ -58,7 +95,7 @@ func TestBtreeBasic(t *testing.T) {
 	if err != nil || !found {
 		t.Fatalf("Delete = %v, %v", found, err)
 	}
-	if _, ok, _ := tr.Get([]byte("alpha")); ok {
+	if _, ok, _ := tr.Get([]byte("alpha"), nil); ok {
 		t.Fatal("deleted key still present")
 	}
 	if found, _ := tr.Delete([]byte("alpha")); found {
@@ -155,7 +192,7 @@ func TestBtreeRandomOpsAgainstModel(t *testing.T) {
 			delete(model, k)
 		default: // get
 			k := keyOf()
-			v, ok, err := tr.Get([]byte(k))
+			v, ok, err := tr.Get([]byte(k), nil)
 			if err != nil {
 				t.Fatalf("op %d Get: %v", op, err)
 			}
@@ -277,7 +314,7 @@ func TestBtreePersistsAcrossReopen(t *testing.T) {
 	defer p2.close()
 	tr2 := &btree{pg: p2, slot: rootSlotByID}
 	for i := 0; i < 1000; i += 97 {
-		v, ok, err := tr2.Get([]byte(fmt.Sprintf("key-%04d", i)))
+		v, ok, err := tr2.Get([]byte(fmt.Sprintf("key-%04d", i)), nil)
 		if err != nil || !ok || string(v) != fmt.Sprint(i) {
 			t.Fatalf("after reopen Get %d = %q,%v,%v", i, v, ok, err)
 		}

@@ -304,11 +304,12 @@ func (s *Store) idFits(n *nsf.Note) (bool, error) {
 	if n.ID == 0 || n.OID.UNID.IsZero() {
 		return false, nil
 	}
-	v, ok, err := s.byUNID.Get(n.OID.UNID[:])
+	var buf [16]byte
+	v, ok, err := s.byUNID.Get(n.OID.UNID[:], buf[:0])
 	if err != nil || ok {
 		return ok && nsf.NoteID(binary.BigEndian.Uint32(v)) == n.ID, err
 	}
-	_, taken, err := s.byID.Get(idKey(n.ID))
+	_, taken, err := s.byID.Get(idKey(n.ID), buf[:0])
 	return !taken, err
 }
 
@@ -323,7 +324,8 @@ func (s *Store) FS() vfs.FS { return s.opts.FS }
 func (s *Store) Exists(unid nsf.UNID) (bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, ok, err := s.byUNID.Get(unid[:])
+	var buf [4]byte
+	_, ok, err := s.byUNID.Get(unid[:], buf[:0])
 	return ok, err
 }
 
@@ -435,7 +437,8 @@ func (s *Store) PutAsync(n *nsf.Note) (Commit, error) {
 	}
 	if n.ID == 0 {
 		// Reuse the NoteID if this UNID already exists; otherwise allocate.
-		if v, ok, err := s.byUNID.Get(n.OID.UNID[:]); err != nil {
+		var buf [4]byte
+		if v, ok, err := s.byUNID.Get(n.OID.UNID[:], buf[:0]); err != nil {
 			return Commit{}, err
 		} else if ok {
 			n.ID = nsf.NoteID(binary.BigEndian.Uint32(v))
@@ -476,7 +479,8 @@ func (s *Store) applyPutEncoded(n *nsf.Note, enc []byte, usn uint64) error {
 		s.pg.nextNoteID = uint32(n.ID) + 1
 	}
 	// Remove the previous version, if any.
-	if v, ok, err := s.byID.Get(idKey(n.ID)); err != nil {
+	var buf [16]byte
+	if v, ok, err := s.byID.Get(idKey(n.ID), buf[:0]); err != nil {
 		return err
 	} else if ok {
 		oldRID, oldUSN := location(v)
@@ -533,7 +537,8 @@ func (s *Store) DeleteAsync(unid nsf.UNID) (Commit, error) {
 	}
 	// Check existence before logging: a delete of a missing note must not
 	// consume a USN or leave a record for recovery to replay.
-	if _, ok, err := s.byUNID.Get(unid[:]); err != nil {
+	var buf [4]byte
+	if _, ok, err := s.byUNID.Get(unid[:], buf[:0]); err != nil {
 		return Commit{}, err
 	} else if !ok {
 		return Commit{}, ErrNotFound
@@ -547,22 +552,10 @@ func (s *Store) DeleteAsync(unid nsf.UNID) (Commit, error) {
 }
 
 func (s *Store) applyDelete(unid nsf.UNID) error {
-	v, ok, err := s.byUNID.Get(unid[:])
+	id, rid, usn, err := s.locate(unid)
 	if err != nil {
 		return err
 	}
-	if !ok {
-		return ErrNotFound
-	}
-	id := nsf.NoteID(binary.BigEndian.Uint32(v))
-	rv, ok, err := s.byID.Get(idKey(id))
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("store: index inconsistency: UNID %s maps to missing NoteID %d", unid, id)
-	}
-	rid, usn := location(rv)
 	s.cache.invalidate(rid)
 	k := usnKey(usn)
 	if _, err := s.byUSN.Delete(k[:]); err != nil {
@@ -589,27 +582,10 @@ func (s *Store) GetByUNID(unid nsf.UNID) (*nsf.Note, error) {
 	if n, ok := s.cache.getByUNID(unid); ok {
 		return n, nil
 	}
-	v, ok, err := s.byUNID.Get(unid[:])
+	_, rid, _, err := s.locate(unid)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return s.getByIDLocked(nsf.NoteID(binary.BigEndian.Uint32(v)))
-}
-
-// getByIDLocked loads a note by NoteID through the note cache. The caller
-// holds the store latch (read or exclusive).
-func (s *Store) getByIDLocked(id nsf.NoteID) (*nsf.Note, error) {
-	v, ok, err := s.byID.Get(idKey(id))
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, ErrNotFound
-	}
-	rid := RecordID(binary.BigEndian.Uint64(v))
 	if n, ok := s.cache.get(rid); ok {
 		return n, nil
 	}
@@ -749,19 +725,7 @@ func (s *Store) walk(ctx context.Context, byUSN bool, start func() (after, last 
 			more = true
 			return false
 		}
-		rec, err := s.heap.view(rid, &chain)
-		if err == nil {
-			if cap(arena)-len(arena) < len(rec) {
-				// Double, rather than the quarter append adds past 256 bytes,
-				// from 4 KiB or, with fewer keys left, that many records.
-				arena = slices.Grow(arena, max(len(rec)+len(arena), min(4<<10, int(min(last-after, 4<<10))*len(rec))))
-			}
-			if keep == nil {
-				arena = append(arena, rec...) // validated where it is decoded
-			} else {
-				arena, err = nsf.AppendProjected(arena, rec, keep)
-			}
-		}
+		arena, err = s.appendRecord(arena, rid, &chain, keep, int(min(last-after, 4<<10)))
 		if err != nil {
 			werr = err
 			return false
@@ -813,6 +777,103 @@ func (s *Store) walk(ctx context.Context, byUSN bool, start func() (after, last 
 	}
 }
 
+// appendRecord appends the record rid names, projected to the items keep
+// accepts (nil: the stored record as it is, validated where it is
+// decoded), to arena; a chained record is assembled in *chain first. The
+// arena doubles, rather than growing by the quarter append adds past 256
+// bytes, from 4 KiB or, with fewer records left, that many of this one's
+// size. The caller holds the store latch.
+func (s *Store) appendRecord(arena []byte, rid RecordID, chain *[]byte, keep func([]byte, nsf.ItemFlags) bool, left int) ([]byte, error) {
+	rec, err := s.heap.view(rid, chain)
+	if err != nil {
+		return arena, err
+	}
+	if cap(arena)-len(arena) < len(rec) {
+		arena = slices.Grow(arena, max(len(rec)+len(arena), min(4<<10, min(left, 4<<10)*len(rec))))
+	}
+	if keep == nil {
+		return append(arena, rec...), nil
+	}
+	return nsf.AppendProjected(arena, rec, keep)
+}
+
+// RecordsByUNID calls fn(i, rec) for i from 0 to n-1, in order, with the
+// record of the note unid(i) names, projected to the items keep accepts
+// as ScanRecords projects it, or a nil rec when there is no such note,
+// until fn returns false or ctx is done. It is the search join's lookup,
+// run as the note walk runs: holds of at most scanBatch lookups copy the
+// records into one arena every hold reuses (no allocation per note), ctx
+// is checked before each hold, fn runs with no latch held and a record is
+// valid only during its call, and the note cache is neither read nor
+// filled. unid runs under the read latch and must not call into the store.
+func (s *Store) RecordsByUNID(ctx context.Context, n int, unid func(i int) nsf.UNID, keep func([]byte, nsf.ItemFlags) bool, fn func(i int, rec []byte) bool) error {
+	var arena, chain []byte
+	ends := make([]int, 0, min(n, scanBatch)) // where each record in arena ends; -1: no such note
+	for i := 0; i < n; {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		arena, ends = arena[:0], ends[:0]
+		s.mu.RLock()
+		if s.closed {
+			s.mu.RUnlock()
+			return errors.New("store: closed")
+		}
+		var err error
+		for j := i; j < min(n, i+scanBatch) && err == nil; j++ {
+			var rid RecordID
+			if _, rid, _, err = s.locate(unid(j)); err == nil {
+				arena, err = s.appendRecord(arena, rid, &chain, keep, n-j)
+				ends = append(ends, len(arena))
+			} else if errors.Is(err, ErrNotFound) {
+				err = nil
+				ends = append(ends, -1)
+			}
+		}
+		s.mu.RUnlock()
+		if err != nil {
+			return err
+		}
+		begin := 0
+		for _, end := range ends {
+			var rec []byte
+			if end >= 0 {
+				rec, begin = arena[begin:end:end], end
+			}
+			if !fn(i, rec) {
+				return nil
+			}
+			i++
+		}
+	}
+	return nil
+}
+
+// locate finds the note unid names: its NoteID, its record and the USN of
+// the commit that stored it, or ErrNotFound. The index values are copied
+// into stack buffers, so a lookup allocates nothing. The caller holds the
+// store latch.
+func (s *Store) locate(unid nsf.UNID) (nsf.NoteID, RecordID, uint64, error) {
+	var idBuf [4]byte
+	var locBuf [16]byte
+	id, ok, err := s.byUNID.Get(unid[:], idBuf[:0])
+	if err == nil && !ok {
+		err = ErrNotFound
+	}
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	loc, ok, err := s.byID.Get(id, locBuf[:0])
+	if err == nil && !ok {
+		err = fmt.Errorf("store: index inconsistency: UNID %s maps to missing NoteID %d", unid, binary.BigEndian.Uint32(id))
+	}
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	rid, usn := location(loc)
+	return nsf.NoteID(binary.BigEndian.Uint32(id)), rid, usn, nil
+}
+
 // walkEntry reads an entry of the index a walk follows: its key (a NoteID,
 // or with byUSN a USN) and the heap record of the note it names. A byID
 // value holds the record; a byUSN value holds the NoteID to look it up by.
@@ -822,7 +883,8 @@ func (s *Store) walkEntry(byUSN bool, k, v []byte) (uint64, RecordID, error) {
 		rid, _ := location(v)
 		return uint64(binary.BigEndian.Uint32(k)), rid, nil
 	}
-	loc, ok, err := s.byID.Get(v)
+	var buf [16]byte
+	loc, ok, err := s.byID.Get(v, buf[:0])
 	if err == nil && !ok {
 		err = fmt.Errorf("store: index inconsistency: USN %d maps to missing NoteID %d", binary.BigEndian.Uint64(k), binary.BigEndian.Uint32(v))
 	}

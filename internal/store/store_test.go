@@ -18,7 +18,19 @@ import (
 func getByID(s *Store, id nsf.NoteID) (*nsf.Note, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.getByIDLocked(id)
+	v, ok, err := s.byID.Get(idKey(id), nil)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, ErrNotFound
+	}
+	rid, _ := location(v)
+	enc, err := s.heap.view(rid, nil)
+	if err != nil {
+		return nil, err
+	}
+	return nsf.DecodeNote(enc)
 }
 
 func openTestStore(t *testing.T, opts Options) (*Store, string) {

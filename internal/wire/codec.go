@@ -74,6 +74,10 @@ func (e *Enc) U32(v uint32) *Enc {
 	return e
 }
 
+// SetU32 overwrites the little-endian uint32 at offset off, a field
+// appended before its value was known.
+func (e *Enc) SetU32(off int, v uint32) { binary.LittleEndian.PutUint32(e.buf[off:off+4], v) }
+
 // U64 appends a little-endian uint64.
 func (e *Enc) U64(v uint64) *Enc {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
