@@ -1,8 +1,11 @@
 package main
 
 import (
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -232,5 +235,27 @@ topology /var/domino/mesh.topo
 		if _, err := parseConfig(writeConf(t, body)); err == nil {
 			t.Errorf("config accepted: %q", body)
 		}
+	}
+}
+
+// TestDebugServesAllocsProfile: -debug serves net/http/pprof, and the
+// allocation profile a perf change starts from answers.
+func TestDebugServesAllocsProfile(t *testing.T) {
+	ln, err := serveDebug("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	resp, err := http.Get("http://" + ln.Addr().String() + "/debug/pprof/allocs?debug=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "heap profile") {
+		t.Fatalf("/debug/pprof/allocs: status %d, body %.80q", resp.StatusCode, body)
 	}
 }

@@ -63,6 +63,10 @@
 // -cluster name=addr flags (added to any config "cluster" directives; the
 // address registers the peer too, so no separate "peer" line is needed).
 //
+// -debug addr serves Go's profiles (net/http/pprof, under /debug/pprof/)
+// on addr and on nothing else; it is off by default. Bind it to a loopback
+// address: the profiles are not authenticated.
+//
 // Runtime quiesce/resume directives are delivered as signals: SIGUSR1
 // puts the server in RESTRICTED drain mode (new sessions refused, probes
 // answer RESTRICTED, in-flight work finishes, cluster pushers catch up) and
@@ -77,6 +81,8 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -418,6 +424,23 @@ func (c *clusterFlag) Set(v string) error {
 	return nil
 }
 
+// serveDebug serves net/http/pprof's handlers, and nothing else, on addr
+// until the returned listener is closed.
+func serveDebug(addr string) (net.Listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	go http.Serve(ln, mux) // returns once ln is closed; nothing to report then
+	return ln, nil
+}
+
 func main() {
 	configPath := flag.String("config", "server.conf", "configuration file")
 	faultSpec := flag.String("fault", "",
@@ -428,7 +451,14 @@ func main() {
 	var clusterMates clusterFlag
 	flag.Var(&clusterMates, "cluster",
 		"cluster mate as name=addr (repeatable; adds to config cluster/peer directives)")
+	debugAddr := flag.String("debug", "",
+		"serve net/http/pprof (/debug/pprof/) on this address, e.g. 127.0.0.1:6060; off when empty")
 	flag.Parse()
+	if *debugAddr != "" {
+		if _, err := serveDebug(*debugAddr); err != nil {
+			log.Fatalf("dominod: debug: %v", err)
+		}
+	}
 	cfg, err := parseConfig(*configPath)
 	if err != nil {
 		log.Fatalf("dominod: %v", err)

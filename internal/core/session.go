@@ -72,19 +72,53 @@ func (s *Session) Create(n *nsf.Note) error {
 }
 
 // Get returns the document with the given UNID, subject to read access.
-// Deletion stubs read as not found.
+// Deletion stubs read as not found. It decodes the stored record
+// AppendRecord reads; the note cache is neither read nor filled.
 func (s *Session) Get(unid nsf.UNID) (*nsf.Note, error) {
-	n, err := s.db.st.GetByUNID(unid)
+	var sc RecordScratch
+	rec, err := s.AppendRecord(nil, unid, &sc)
 	if err != nil {
 		return nil, err
 	}
-	if n.IsStub() {
-		return nil, ErrNotFound
+	return nsf.DecodeNote(rec)
+}
+
+// RecordScratch is what a record read (AppendRecord, the search join)
+// decodes a record's header and access items into. The zero value is
+// ready; one goroutine reuses one across reads, so a read allocates nothing
+// for its checks.
+type RecordScratch struct {
+	note  nsf.Note
+	arena nsf.Arena
+}
+
+// accessItems keeps a record's Readers and Authors items: with the header,
+// all the stub check and CanRead read.
+var accessItems = (*formula.Formula)(nil).Keep()
+
+// AppendRecord appends the stored record of the document unid names to dst
+// (nsf.EncodeNote's form, as the store holds it) subject to read access,
+// as Get does: a missing document or a deletion stub is ErrNotFound, and
+// one the session may not read is ErrAccessDenied, with Get's error text.
+// Only the header and the access items are decoded, into sc; on an error
+// dst comes back as it was passed.
+func (s *Session) AppendRecord(dst []byte, unid nsf.UNID, sc *RecordScratch) ([]byte, error) {
+	start := len(dst)
+	dst, err := s.db.st.AppendRecord(dst, unid)
+	if err != nil {
+		return dst, err
 	}
-	if !s.id.CanRead(n) {
-		return nil, fmt.Errorf("%w: %s may not read %s", ErrAccessDenied, s.user, unid)
+	sc.arena.Reset()
+	if err := nsf.DecodeNoteInto(&sc.note, &sc.arena, dst[start:], accessItems); err != nil {
+		return dst[:start], err
 	}
-	return n, nil
+	if sc.note.IsStub() {
+		return dst[:start], ErrNotFound
+	}
+	if !s.id.CanRead(&sc.note) {
+		return dst[:start], fmt.Errorf("%w: %s may not read %s", ErrAccessDenied, s.user, unid)
+	}
+	return dst, nil
 }
 
 // Update stores a modified document, advancing its version. The caller must
@@ -473,9 +507,7 @@ func (s *Session) SearchRowsCtx(ctx context.Context, query string, columns []str
 		}
 		return len(all), next, nil
 	}
-	var scratch nsf.Note
-	var arena nsf.Arena
-	access := (*formula.Formula)(nil).Keep()
+	var sc RecordScratch
 	keep := (*formula.Formula)(nil).Keep(columns...)
 	skipped, stopped := 0, false
 	var derr error
@@ -486,14 +518,14 @@ func (s *Session) SearchRowsCtx(ctx context.Context, query string, columns []str
 		from := next
 		err := s.db.st.RecordsByUNID(ctx, min(limit, len(all)-from), func(i int) nsf.UNID { return all[from+i].UNID }, keep, func(i int, rec []byte) bool {
 			if rec != nil {
-				arena.Reset()
-				if derr = nsf.DecodeNoteInto(&scratch, &arena, rec, access); derr != nil {
+				sc.arena.Reset()
+				if derr = nsf.DecodeNoteInto(&sc.note, &sc.arena, rec, accessItems); derr != nil {
 					return false
 				}
 			}
-			if rec == nil || scratch.IsStub() || !s.id.CanRead(&scratch) {
+			if rec == nil || sc.note.IsStub() || !s.id.CanRead(&sc.note) {
 				skipped++
-			} else if fn(SearchRow{Result: all[from+i], Pos: from + i, Note: &scratch, Record: rec}) {
+			} else if fn(SearchRow{Result: all[from+i], Pos: from + i, Note: &sc.note, Record: rec}) {
 				limit--
 			} else {
 				stopped = true

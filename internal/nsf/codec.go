@@ -187,6 +187,57 @@ func DecodeNoteItems(buf []byte, keep func(name []byte, flags ItemFlags) bool) (
 // same n after a.Reset allocates nothing once both have grown, save a
 // string per text entry. Such a note is valid until the arena is Reset.
 func DecodeNoteInto(n *Note, a *Arena, buf []byte, keep func(name []byte, flags ItemFlags) bool) error {
+	return decodeInto(n, a, buf, "", keep)
+}
+
+// DecodeNoteOwned decodes buf into n as DecodeNote would, with a constant
+// number of allocations whatever the note holds: n's header is overwritten
+// and it gets an Items slice of its own. A first walk validates buf and
+// counts what its values hold; then item names and text entries are
+// substrings of one string copy of buf, and each kind of value array
+// (text, numbers, times, raw bytes) is cut from one array sized by that
+// count, with full slice expressions. Nothing aliases buf or another note,
+// but a retained name or text entry keeps the whole string alive, as a bulk
+// page's values keep their page's. It rejects exactly what DecodeNote
+// rejects.
+func DecodeNoteOwned(n *Note, buf []byte) error {
+	var it ItemIter
+	if err := it.Reset(buf, nil); err != nil {
+		return err
+	}
+	var text, nums, times, raw int
+	for it.Next() {
+		// The walk validated the value, so its type byte and count are there.
+		v := it.item.Value
+		count, _ := binary.Uvarint(v[1:])
+		switch ItemType(v[0]) {
+		case TypeText:
+			text += int(count)
+		case TypeNumber:
+			nums += int(count)
+		case TypeTime:
+			times += int(count)
+		case TypeRaw:
+			raw += int(count)
+		}
+	}
+	if err := it.Err(); err != nil {
+		return err
+	}
+	a := Arena{
+		text:  make([]string, 0, text),
+		nums:  make([]float64, 0, nums),
+		times: make([]Timestamp, 0, times),
+		raw:   make([]byte, 0, raw),
+	}
+	n.Items = make([]Item, 0, it.count)
+	return decodeInto(n, &a, buf, string(buf), nil)
+}
+
+// decodeInto is DecodeNoteInto with src, when non-empty, holding the same
+// bytes as buf: item names and text entries are then substrings of src
+// rather than copies.
+func decodeInto(n *Note, a *Arena, buf []byte, src string, keep func(name []byte, flags ItemFlags) bool) error {
 	var it ItemIter
 	if err := it.Reset(buf, n); err != nil {
 		return err
@@ -204,11 +255,17 @@ func DecodeNoteInto(n *Note, a *Arena, buf []byte, keep func(name []byte, flags 
 			}
 			continue
 		}
-		v, err := decodeValue(&it.d, a, "")
+		v, err := decodeValue(&it.d, a, src)
 		if !it.check(err) {
 			break
 		}
-		items = append(items, Item{Name: a.name(ri.Name), Flags: ri.Flags, Rev: ri.Rev, Value: v})
+		var name string
+		if src != "" {
+			name = src[it.nameAt : it.nameAt+len(ri.Name)]
+		} else {
+			name = a.name(ri.Name)
+		}
+		items = append(items, Item{Name: name, Flags: ri.Flags, Rev: ri.Rev, Value: v})
 	}
 	n.Items = items
 	return it.Err()
@@ -241,12 +298,13 @@ type RawItem struct {
 //	for it.Next() { use(it.Item()) }
 //	if err := it.Err(); err != nil { ... }
 type ItemIter struct {
-	d     decoder
-	count int // items the note declares
-	i     int // items begun
-	start int // offset of the current item's encoding
-	item  RawItem
-	err   error
+	d      decoder
+	count  int // items the note declares
+	i      int // items begun
+	start  int // offset of the current item's encoding
+	nameAt int // offset of the current item's name
+	item   RawItem
+	err    error
 }
 
 // Reset starts the iterator on buf, checking the note header and decoding
@@ -304,6 +362,7 @@ func (it *ItemIter) head() bool {
 	if !it.check(err) {
 		return false
 	}
+	it.nameAt = d.off
 	name, err := d.bytes(nameLen)
 	if !it.check(err) {
 		return false

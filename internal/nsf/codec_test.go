@@ -38,6 +38,39 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeNoteOwned: the owned decode equals DecodeNote's, aliases
+// nothing of its input, and cuts each value from the shared arrays with
+// full slice expressions, so an append to one value never reaches its
+// neighbour.
+func TestDecodeNoteOwned(t *testing.T) {
+	n := sampleNote()
+	n.SetNumber("More", 4, 5)
+	n.Set("Blob2", RawValue([]byte{9, 9}))
+	enc := EncodeNote(n)
+	var got Note
+	if err := DecodeNoteOwned(&got, enc); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&got, n) {
+		t.Fatalf("owned decode mismatch:\n got %+v\nwant %+v", &got, n)
+	}
+	clear(enc)
+	if !reflect.DeepEqual(&got, n) {
+		t.Fatal("the owned note changed with its input buffer")
+	}
+	for _, name := range []string{"Subject", "Priority", "Due", "Blob"} {
+		it, _ := got.Item(name)
+		v := it.Value
+		v.Text = append(v.Text, "x")
+		v.Numbers = append(v.Numbers, 1)
+		v.Times = append(v.Times, 1)
+		v.Raw = append(v.Raw, 1)
+	}
+	if !reflect.DeepEqual(&got, n) {
+		t.Fatal("an append to one value wrote into another")
+	}
+}
+
 func TestCodecEmptyNote(t *testing.T) {
 	n := NewNote(ClassDocument)
 	got, err := DecodeNote(EncodeNote(n))
@@ -85,15 +118,20 @@ func TestCodecHostileCountsAllocateLittle(t *testing.T) {
 		"items":   append(append([]byte{}, hdr...), huge...),
 		"numbers": append(append(append([]byte{}, hdr...), 1), item...),
 	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := DecodeNote(buf)
-		runtime.ReadMemStats(&after)
-		if err == nil {
-			t.Errorf("%s: hostile count accepted", name)
-		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-			t.Errorf("%s: rejecting a %d-byte note allocated %d bytes", name, len(buf), grew)
+		for decoder, decode := range map[string]func([]byte) error{
+			"DecodeNote":      func(b []byte) error { _, err := DecodeNote(b); return err },
+			"DecodeNoteOwned": func(b []byte) error { return DecodeNoteOwned(new(Note), b) },
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := decode(buf)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("%s, %s: hostile count accepted", decoder, name)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Errorf("%s, %s: rejecting a %d-byte note allocated %d bytes", decoder, name, len(buf), grew)
+			}
 		}
 	}
 }

@@ -14,7 +14,9 @@ import (
 // DecodeNote's items that pass keep, in order. So do the item iterator
 // (each raw value decoding to its item's value), AppendProjected (whose
 // record decodes to the projection) and DecodeNoteInto through an arena
-// reused from a previous decode.
+// reused from a previous decode. The owned decode, DecodeNoteOwned,
+// rejects the same inputs and otherwise returns a note equal to
+// DecodeNote's.
 func FuzzDecodeNote(f *testing.F) {
 	f.Add(EncodeNote(sampleNote()))
 	f.Add(EncodeNote(NewNote(ClassDocument)))
@@ -42,6 +44,8 @@ func FuzzDecodeNote(f *testing.F) {
 		DecodeNoteInto(&into, &arena, EncodeNote(sampleNote()), nil)
 		arena.Reset()
 		ierr := DecodeNoteInto(&into, &arena, data, keep)
+		var owned Note
+		oerr := DecodeNoteOwned(&owned, data)
 		names := [][]byte{[]byte("SUBJECT"), []byte("missing")}
 		for _, ri := range raw {
 			names = append(names, ri.Name)
@@ -49,18 +53,21 @@ func FuzzDecodeNote(f *testing.F) {
 		values := make([][]byte, len(names))
 		verr := ItemValues(data, names, values)
 		if err != nil {
-			if perr == nil || it.Err() == nil || rerr == nil || ierr == nil || verr == nil {
-				t.Fatalf("DecodeNote rejected (%v) what another decoder accepted: items %v, iterator %v, projection %v, into %v, values %v",
-					err, perr, it.Err(), rerr, ierr, verr)
+			if perr == nil || it.Err() == nil || rerr == nil || ierr == nil || verr == nil || oerr == nil {
+				t.Fatalf("DecodeNote rejected (%v) what another decoder accepted: items %v, iterator %v, projection %v, into %v, values %v, owned %v",
+					err, perr, it.Err(), rerr, ierr, verr, oerr)
 			}
 			if string(rec) != "prefix" {
 				t.Fatalf("a rejected projection left %q behind", rec)
 			}
 			return // rejection is fine; panicking is not
 		}
-		if perr != nil || it.Err() != nil || rerr != nil || ierr != nil || verr != nil {
-			t.Fatalf("DecodeNote accepted what another decoder rejected: items %v, iterator %v, projection %v, into %v, values %v",
-				perr, it.Err(), rerr, ierr, verr)
+		if perr != nil || it.Err() != nil || rerr != nil || ierr != nil || verr != nil || oerr != nil {
+			t.Fatalf("DecodeNote accepted what another decoder rejected: items %v, iterator %v, projection %v, into %v, values %v, owned %v",
+				perr, it.Err(), rerr, ierr, verr, oerr)
+		}
+		if !noteEqual(&owned, n) {
+			t.Fatalf("DecodeNoteOwned = %+v, want %+v", &owned, n)
 		}
 		for i, name := range names {
 			want, ok := n.Item(string(name))

@@ -27,7 +27,15 @@ type connState struct {
 	// request (handlers are called through a table, which would otherwise
 	// force each one to the heap).
 	dec wire.Dec
+	// rec and scratch serve Gets: the stored record is read into rec, and
+	// its access items are decoded into scratch for the read check.
+	rec     []byte
+	scratch core.RecordScratch
 }
+
+// maxKeptRecord caps the record buffer a connection keeps between Gets,
+// so one huge note cannot pin a huge buffer for the connection's life.
+const maxKeptRecord = 1 << 20
 
 type handleState struct {
 	db   *core.Database
@@ -309,11 +317,16 @@ func (c *connState) getNote(_ context.Context, hs *handleState, d *wire.Dec) (*w
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	n, err := hs.sess.Get(unid)
+	// The stored record already is the reply's note encoding
+	// (nsf.AppendNote's form): it is shipped as stored, never decoded whole.
+	rec, err := hs.sess.AppendRecord(c.rec[:0], unid, &c.scratch)
+	if cap(rec) <= maxKeptRecord {
+		c.rec = rec
+	}
 	if err != nil {
 		return nil, err
 	}
-	return wire.NewResp(wire.OpGetNote, wire.StatusOK).Note(n), nil
+	return wire.NewResp(wire.OpGetNote, wire.StatusOK).Blob(rec), nil
 }
 
 func (c *connState) createNote(_ context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {

@@ -12,8 +12,9 @@ import (
 const noteCacheCap = 4096
 
 // noteCache caches decoded notes keyed by their heap RecordID, with a
-// UNID → RecordID hint so the hottest read (GetByUNID) can skip both
-// B+tree descents and the DecodeNote on a hit.
+// UNID → RecordID hint so GetByUNID — the write path's read-modify-write,
+// not a client's Get, which ships its stored record (AppendRecord) — can
+// skip both B+tree descents and the DecodeNote on a hit.
 //
 // Correctness contract:
 //   - A RecordID names immutable bytes for as long as the record is live:

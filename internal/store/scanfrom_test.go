@@ -299,7 +299,8 @@ func TestRecordWalkAllocatesNothingPerNote(t *testing.T) {
 // and delete them: every record handed out must be one whole version of
 // its note (its Subject names its Version, and a rewrite may move it
 // between one heap segment and a chain), NoteIDs must rise, and every
-// note no writer deletes must be visited exactly once per walk.
+// note no writer deletes must be visited exactly once per walk. So must
+// every point read (AppendRecord) after each walk find a whole version.
 func TestScanRecordsRacingWriters(t *testing.T) {
 	s, _ := openTestStore(t, Options{Title: "scanrace"})
 	c := clock.New()
@@ -320,6 +321,10 @@ func TestScanRecordsRacingWriters(t *testing.T) {
 		if err := s.Put(notes[i]); err != nil {
 			t.Fatal(err)
 		}
+	}
+	unids := make([]nsf.UNID, seeded) // read while the writers replace notes[i]
+	for i, n := range notes {
+		unids[i] = n.OID.UNID
 	}
 	doomed := func(i int) bool { return i%7 == 0 } // the only notes deleted
 	stop := make(chan struct{})
@@ -382,6 +387,24 @@ func TestScanRecordsRacingWriters(t *testing.T) {
 		for i := range notes {
 			if !doomed(i) && !seen[nsf.NoteID(i+1)] {
 				t.Errorf("pass %d: note %d, never deleted, was not visited", pass, i+1)
+			}
+		}
+		// Point reads into one reused buffer see whole versions too.
+		var rec []byte
+		for i, u := range unids {
+			rec, err = s.AppendRecord(rec[:0], u)
+			if errors.Is(err, ErrNotFound) && doomed(i) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("pass %d: AppendRecord of note %d: %v", pass, i+1, err)
+			}
+			n, err := nsf.DecodeNote(rec)
+			if err != nil || n.OID.UNID != u {
+				t.Fatalf("pass %d: point read of note %d decodes to %v (%v)", pass, i+1, n, err)
+			}
+			if want := fmt.Sprintf("v%g", n.Number("Version")); n.Text("Subject") != want {
+				t.Fatalf("pass %d: point read of note %d is torn: Subject %q, Version %g", pass, i+1, n.Text("Subject"), n.Number("Version"))
 			}
 		}
 	}

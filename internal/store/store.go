@@ -70,12 +70,12 @@ type Options struct {
 // Store is a persistent note store: the storage half of an NSF database.
 // All methods are safe for concurrent use.
 //
-// Latching discipline: mu is a reader/writer latch. Point reads (GetByUNID,
-// Exists, Count, metadata, Stats, Verify) take the read latch and run
-// concurrently with each other; mutations (Put, Delete, Checkpoint,
-// Compact, Close) take the exclusive latch. The pager's buffer pool and the
-// heap's free-space map carry their own internal latches so concurrent
-// readers can fault pages in safely. Scans never hold the latch across
+// Latching discipline: mu is a reader/writer latch. Point reads
+// (AppendRecord, GetByUNID, Exists, Count, metadata, Stats, Verify) take
+// the read latch and run concurrently with each other; mutations (Put,
+// Delete, Checkpoint, Compact, Close) take the exclusive latch. The
+// pager's buffer pool and the heap's free-space map carry their own
+// internal latches so concurrent readers can fault pages in safely. Scans never hold the latch across
 // their callback: ScanFromCtx and ScanSince are one bounded walk, of the
 // NoteID or the USN index, one batch per brief read latch — a full scan
 // never blocks a writer for more than one batch. Notes deleted mid-scan are
@@ -795,6 +795,25 @@ func (s *Store) appendRecord(arena []byte, rid RecordID, chain *[]byte, keep fun
 		return append(arena, rec...), nil
 	}
 	return nsf.AppendProjected(arena, rec, keep)
+}
+
+// AppendRecord appends the stored record of the note unid names to dst,
+// as it is stored (nsf.EncodeNote's form), or returns dst and ErrNotFound
+// when there is no such note: the point read a Get ships. A chained record
+// is assembled in dst's spare room, so a caller that reuses dst makes no
+// allocation. The note cache is neither read nor filled.
+func (s *Store) AppendRecord(dst []byte, unid nsf.UNID) ([]byte, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return dst, errors.New("store: closed")
+	}
+	_, rid, _, err := s.locate(unid)
+	if err != nil {
+		return dst, err
+	}
+	chain := dst[len(dst):]
+	return s.appendRecord(dst, rid, &chain, nil, 1)
 }
 
 // RecordsByUNID calls fn(i, rec) for i from 0 to n-1, in order, with the

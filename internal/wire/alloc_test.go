@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"fmt"
 	"net"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/nsf"
@@ -105,5 +108,52 @@ func TestFailoverGetAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, get); avg > 12 {
 		t.Errorf("FailoverDB.Get allocates %.1f times per call, want at most 12", avg)
+	}
+}
+
+// noteSink keeps decoded notes alive, so a decode cannot be optimised into
+// stack allocations the client's Get does not get.
+var noteSink *nsf.Note
+
+// TestNoteReplyDecodeAllocs pins the decode of a Get reply, as RemoteDB.Get
+// runs it, at no more than 6 allocations whatever the note's item and text
+// entry counts: one string of the blob, the note, its items and one array
+// per kind of value it holds (text, numbers and times here). The decoded
+// note equals DecodeNote's.
+func TestNoteReplyDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector adds bookkeeping allocations")
+	}
+	allocs := map[int]float64{}
+	for _, items := range []int{6, 200} {
+		n := nsf.NewNote(nsf.ClassDocument)
+		for i := 0; len(n.Items) < items; i++ {
+			switch i % 3 {
+			case 0:
+				n.SetText(fmt.Sprintf("T%d", i), strings.Split(strings.Repeat("entry,", i%7+1), ",")...)
+			case 1:
+				n.SetNumber(fmt.Sprintf("N%d", i), float64(i), 1)
+			default:
+				n.SetTime(fmt.Sprintf("D%d", i), nsf.Timestamp(i))
+			}
+		}
+		body := NewResp(OpGetNote, StatusOK).Note(n).Bytes()[2:]
+		decode := func() {
+			d := Dec{buf: body}
+			got := new(nsf.Note)
+			if err := d.ownedNote(got); err != nil {
+				t.Fatal(err)
+			}
+			noteSink = got
+		}
+		decode()
+		if want, _ := nsf.DecodeNote(nsf.EncodeNote(n)); !reflect.DeepEqual(noteSink, want) {
+			t.Fatalf("%d items: reply decodes to %+v, want %+v", items, noteSink, want)
+		}
+		allocs[items] = testing.AllocsPerRun(100, decode)
+	}
+	t.Logf("allocations per reply decode: %.1f for 6 items, %.1f for 200", allocs[6], allocs[200])
+	if allocs[200] != allocs[6] || allocs[200] > 6 {
+		t.Errorf("a reply of 6 items decoded in %.1f allocations and one of 200 in %.1f, want the same and at most 6", allocs[6], allocs[200])
 	}
 }

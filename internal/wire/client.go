@@ -754,8 +754,11 @@ func (r *RemoteDB) Get(unid nsf.UNID) (*nsf.Note, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := d.Note()
-	return n, d.Err()
+	n := new(nsf.Note)
+	if err := d.ownedNote(n); err != nil {
+		return nil, err
+	}
+	return n, nil
 }
 
 // Create stores a new document; the server assigns its identity, and n is
@@ -774,11 +777,11 @@ func (r *RemoteDB) put(op Op, n *nsf.Note) error {
 	if err != nil {
 		return err
 	}
-	stored := d.Note()
-	if err := d.Err(); err != nil {
+	var stored nsf.Note
+	if err := d.ownedNote(&stored); err != nil {
 		return err
 	}
-	*n = *stored
+	*n = stored
 	return nil
 }
 

@@ -259,6 +259,21 @@ func (d *Dec) Note() *nsf.Note {
 	return n
 }
 
+// ownedNote reads an encoded note into n with nsf.DecodeNoteOwned: a
+// constant number of allocations per note, its names and text entries
+// substrings of one copy of the blob. Replies decode this way; requests a
+// server keeps parts of (view and full-text entries) decode with Note, so
+// a kept string never pins a whole request.
+func (d *Dec) ownedNote(n *nsf.Note) error {
+	b := d.Blob()
+	if d.err == nil {
+		if err := nsf.DecodeNoteOwned(n, b); err != nil {
+			d.fail("bad note: %v", err)
+		}
+	}
+	return d.err
+}
+
 // Value reads a typed item value appended by Enc.Value.
 func (d *Dec) Value() nsf.Value {
 	b := d.Blob()
