@@ -2,10 +2,11 @@ package ft
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/acl"
@@ -14,16 +15,23 @@ import (
 
 // Index is an inverted full-text index over a database's documents. It is
 // safe for concurrent use.
+//
+// Each document has a dense ordinal, its slot in docs; a posting list is
+// its term's documents in ordinal order. A new document takes the next
+// ordinal, so every list it joins is appended to; an updated one keeps its
+// ordinal; a removed one leaves its slot free and its postings dead, and
+// once free slots outnumber live documents one order-preserving pass
+// renumbers them all. Searches merge posting lists in ordinal order.
 type Index struct {
 	mu sync.RWMutex
 	// postings maps term -> its posting list.
-	postings map[string]postingList
-	// docTerms remembers each document's distinct terms (postings keys) for
-	// removal.
-	docTerms map[nsf.UNID][]string
-	// docAccess carries each restricted document's acl.ReadAccess list so
-	// searches can be access-filtered without loading notes from the store.
-	docAccess map[nsf.UNID][]string
+	postings map[string]*postingList
+	// ords maps each indexed document to its ordinal.
+	ords map[nsf.UNID]uint32
+	// docs holds each ordinal's document; a removed document's slot is
+	// free (live false) until the next renumbering.
+	docs []docEntry
+	live int // documents indexed: the live slots of docs
 
 	// work is Update's working memory, reused from one document to the
 	// next; its lock serializes Updates.
@@ -37,23 +45,63 @@ type Index struct {
 	}
 }
 
-// postingList maps each document holding a term to the term's positions in
-// the document's token stream, in increasing order. It carries its own key,
-// so Update interns a term it has seen before without allocating. All of
-// one document's positions share one slab, each term a full-slice window of
-// it, so a document costs one positions allocation however many terms it
-// has.
+// docEntry is one indexed document.
+type docEntry struct {
+	unid nsf.UNID
+	live bool
+	// access carries a restricted document's acl.ReadAccess list so
+	// searches can be access-filtered without loading notes from the store.
+	access []string
+	// terms are the posting lists holding the document, for its removal.
+	terms []*postingList
+	// slab holds the document's term positions grouped by term: each of its
+	// postings is a window of it, so a document costs one positions
+	// allocation however many terms it has.
+	slab []int32
+}
+
+// postingList is a term's documents in increasing ordinal order. It carries
+// its own key, so Update interns a term it has seen before without
+// allocating.
+//
+// A document leaving the list leaves its posting dead in place, so no
+// removal moves the list; a document regaining the term revives it. The
+// list is compacted once its dead postings outnumber its live ones, and
+// dropped from the index when it has none live.
 type postingList struct {
 	term string
-	docs map[nsf.UNID][]int32
+	list []posting
+	dead int
+}
+
+// df is the term's document frequency: its live postings.
+func (pl *postingList) df() int { return len(pl.list) - pl.dead }
+
+// posting is one document holding a term: its ordinal, and the window of
+// its slab holding the term's positions in the document's token stream, in
+// increasing order. A live posting has at least one position; n == 0 marks
+// a dead one.
+type posting struct {
+	ord, start, n uint32
+}
+
+// positions returns p's window of its document's slab.
+func (ix *Index) positions(p posting) []int32 {
+	return ix.docs[p.ord].slab[p.start : p.start+p.n]
+}
+
+// find returns where ord is, or belongs, in pl's list.
+func (pl *postingList) find(ord uint32) (int, bool) {
+	return slices.BinarySearchFunc(pl.list, ord, func(p posting, o uint32) int {
+		return cmp.Compare(p.ord, o)
+	})
 }
 
 // NewIndex returns an empty index.
 func NewIndex() *Index {
 	ix := &Index{
-		postings:  make(map[string]postingList),
-		docTerms:  make(map[nsf.UNID][]string),
-		docAccess: make(map[nsf.UNID][]string),
+		postings: make(map[string]*postingList),
+		ords:     make(map[nsf.UNID]uint32),
 	}
 	ix.work.ids = make(map[string]int32)
 	return ix
@@ -63,7 +111,7 @@ func NewIndex() *Index {
 func (ix *Index) DocCount() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.docTerms)
+	return ix.live
 }
 
 // TermCount returns the number of distinct terms.
@@ -76,8 +124,9 @@ func (ix *Index) TermCount() int {
 // Update (re)indexes a note. Deletion stubs and non-documents are removed.
 // One pass over the note's terms counts each distinct term's tokens; a
 // second lays their positions into one slab, grouped by term; then, under
-// the write lock, the document leaves the terms it no longer has and takes
-// its windows in the rest.
+// the write lock, the document leaves the lists of the terms it no longer
+// has and takes its windows in the rest, appended at the end of each list
+// for a new document.
 func (ix *Index) Update(n *nsf.Note) {
 	unid := n.OID.UNID
 	if n.IsStub() || n.Class != nsf.ClassDocument {
@@ -98,8 +147,10 @@ func (ix *Index) Update(n *nsf.Note) {
 		}
 		id, seen := sc.ids[string(b)]
 		if !seen {
-			t := ix.postings[string(b)].term
-			if t == "" {
+			var t string
+			if pl := ix.postings[string(b)]; pl != nil {
+				t = pl.term
+			} else {
 				t = string(b)
 			}
 			id = int32(len(sc.terms))
@@ -121,53 +172,105 @@ func (ix *Index) Update(n *nsf.Note) {
 		slab[sc.ends[id]] = int32(pos)
 		sc.ends[id]++
 	}
-	terms := make([]string, len(sc.terms))
-	copy(terms, sc.terms)
+	terms := make([]*postingList, len(sc.terms))
 
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	for _, t := range ix.docTerms[unid] {
-		if _, kept := sc.ids[t]; !kept {
-			ix.dropPostingLocked(t, unid)
+	ord, ok := ix.ords[unid]
+	if !ok {
+		ord = uint32(len(ix.docs))
+		ix.ords[unid] = ord
+		ix.docs = append(ix.docs, docEntry{unid: unid, live: true})
+		ix.live++
+	}
+	d := &ix.docs[ord]
+	for _, pl := range d.terms {
+		if _, kept := sc.ids[pl.term]; !kept {
+			ix.dropPostingLocked(pl, ord)
 		}
 	}
 	var start int32
-	for id, t := range terms {
+	for id, t := range sc.terms {
 		pl := ix.postings[t]
-		if pl.docs == nil {
-			pl = postingList{term: t, docs: make(map[nsf.UNID][]int32, 1)}
+		if pl == nil {
+			pl = &postingList{term: t}
 			ix.postings[t] = pl
 		}
+		terms[id] = pl
 		end := sc.ends[id]
-		pl.docs[unid] = slab[start:end:end]
+		p := posting{ord: ord, start: uint32(start), n: uint32(end - start)}
 		start = end
+		if k := len(pl.list); k == 0 || pl.list[k-1].ord < ord {
+			pl.list = append(pl.list, p)
+		} else if i, found := pl.find(ord); found {
+			if pl.list[i].n == 0 {
+				pl.dead--
+			}
+			pl.list[i] = p
+		} else {
+			pl.list = slices.Insert(pl.list, i, p)
+		}
 	}
-	ix.docTerms[unid] = terms
-	if len(access) > 0 {
-		ix.docAccess[unid] = access
-	} else {
-		delete(ix.docAccess, unid)
-	}
+	d.terms, d.slab, d.access = terms, slab, access
 }
 
 // Remove drops a document from the index.
 func (ix *Index) Remove(unid nsf.UNID) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	for _, t := range ix.docTerms[unid] {
-		ix.dropPostingLocked(t, unid)
+	ord, ok := ix.ords[unid]
+	if !ok {
+		return
 	}
-	delete(ix.docTerms, unid)
-	delete(ix.docAccess, unid)
+	for _, pl := range ix.docs[ord].terms {
+		ix.dropPostingLocked(pl, ord)
+	}
+	ix.docs[ord] = docEntry{}
+	delete(ix.ords, unid)
+	ix.live--
+	if len(ix.docs)-ix.live > ix.live {
+		ix.renumberLocked()
+	}
 }
 
-// dropPostingLocked takes unid off term's posting list, and the term off
-// the index with its last document.
-func (ix *Index) dropPostingLocked(term string, unid nsf.UNID) {
-	if docs := ix.postings[term].docs; docs != nil {
-		delete(docs, unid)
-		if len(docs) == 0 {
-			delete(ix.postings, term)
+// dropPostingLocked marks ord's posting on pl dead, compacting pl once most
+// of it is dead and taking pl's term off the index with its last document.
+func (ix *Index) dropPostingLocked(pl *postingList, ord uint32) {
+	i, found := pl.find(ord)
+	if !found || pl.list[i].n == 0 {
+		return
+	}
+	pl.list[i].n = 0
+	switch pl.dead++; {
+	case pl.df() == 0:
+		delete(ix.postings, pl.term)
+	case pl.dead > pl.df():
+		pl.list = slices.DeleteFunc(pl.list, dead)
+		pl.dead = 0
+	}
+}
+
+func dead(p posting) bool { return p.n == 0 }
+
+// renumberLocked closes the free slots up: the live documents take
+// ordinals 0, 1, … in the order they had, so every posting list stays
+// sorted as it drops its dead postings and is rewritten.
+func (ix *Index) renumberLocked() {
+	renum := make([]uint32, len(ix.docs))
+	live := ix.docs[:0]
+	for ord, d := range ix.docs {
+		if d.live {
+			renum[ord] = uint32(len(live))
+			ix.ords[d.unid] = uint32(len(live))
+			live = append(live, d)
+		}
+	}
+	clear(ix.docs[len(live):])
+	ix.docs = live
+	for _, pl := range ix.postings {
+		pl.list, pl.dead = slices.DeleteFunc(pl.list, dead), 0
+		for i := range pl.list {
+			pl.list[i].ord = renum[pl.list[i].ord]
 		}
 	}
 }
@@ -189,8 +292,8 @@ func (ix *Index) Search(query string) ([]Result, error) {
 }
 
 // SearchCtx is Search with cooperative cancellation: the deadline is
-// checked at every query-tree node and again before the ranking sort, so a
-// query whose budget expires mid-evaluation releases the index's read lock
+// checked at every query-tree node and again before ranking, so a query
+// whose budget expires mid-evaluation releases the index's read lock
 // promptly instead of scoring postings for a caller that already gave up.
 func (ix *Index) SearchCtx(ctx context.Context, query string) ([]Result, error) {
 	q, err := parseQuery(query)
@@ -202,156 +305,370 @@ func (ix *Index) SearchCtx(ctx context.Context, query string) ([]Result, error) 
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	scores, err := ix.evalCtx(ctx, q)
+	e := evaluators.Get().(*evaluator)
+	defer e.done()
+	e.ix, e.ctx = ix, ctx
+	hits, err := e.eval(q)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	out := make([]Result, 0, len(scores))
-	for unid, score := range scores {
-		out = append(out, Result{UNID: unid, Score: score, Access: ix.docAccess[unid]})
+	out := make([]Result, len(hits))
+	for i, h := range hits {
+		d := &ix.docs[h.ord]
+		out[i] = Result{UNID: d.unid, Score: h.score, Access: d.access}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	e.release(hits)
+	slices.SortFunc(out, func(a, b Result) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return bytes.Compare(out[i].UNID[:], out[j].UNID[:]) < 0
+		return bytes.Compare(a.UNID[:], b.UNID[:])
 	})
 	return out, nil
 }
 
-// evalCtx walks the query tree, checking the deadline at each interior
-// node. Leaf evaluation (one term or phrase's postings) runs
-// uninterrupted — it is bounded by a single posting list, while AND/OR/NOT
-// trees can multiply that work arbitrarily.
-func (ix *Index) evalCtx(ctx context.Context, q qnode) (map[nsf.UNID]float64, error) {
-	if err := ctx.Err(); err != nil {
+// hit is one document's score in a query node's result. A node's hits are
+// in increasing ordinal order.
+type hit struct {
+	ord   uint32
+	score float64
+}
+
+// evaluator is one search's working memory: the hit buffers its query
+// nodes write into, each taken back once its node's parent has merged it,
+// so a search allocates none of them once the pool has grown.
+type evaluator struct {
+	ix   *Index
+	ctx  context.Context
+	free [][]hit
+	curs []cursor // a phrase's place in each of its terms' lists
+}
+
+var evaluators = sync.Pool{New: func() any { return new(evaluator) }}
+
+// done returns e to the pool.
+func (e *evaluator) done() {
+	e.ix, e.ctx = nil, nil
+	evaluators.Put(e)
+}
+
+// buf returns an empty hit buffer with room for n hits.
+func (e *evaluator) buf(n int) []hit {
+	var b []hit
+	if k := len(e.free); k > 0 {
+		b, e.free = e.free[k-1], e.free[:k-1]
+	}
+	return slices.Grow(b[:0], n)
+}
+
+// release takes a buffer back.
+func (e *evaluator) release(b []hit) {
+	if cap(b) > 0 {
+		e.free = append(e.free, b)
+	}
+}
+
+// eval evaluates one query node, checking the deadline first. A leaf (one
+// term or phrase's postings) runs uninterrupted: it is bounded by its
+// posting lists, while AND/OR/NOT trees can multiply that work.
+//
+// Scores are those of the plain definition: a term scores (1 + ln tf) ·
+// idf, AND and OR add their operands' scores left to right, and NOT scores
+// a flat 0.1 for carrying no relevance signal.
+func (e *evaluator) eval(q qnode) ([]hit, error) {
+	if err := e.ctx.Err(); err != nil {
 		return nil, err
 	}
 	switch q := q.(type) {
-	case qAnd:
-		l, err := ix.evalCtx(ctx, q.l)
-		if err != nil {
-			return nil, err
-		}
-		if len(l) == 0 {
-			return l, nil
-		}
-		r, err := ix.evalCtx(ctx, q.r)
-		if err != nil {
-			return nil, err
-		}
-		out := make(map[nsf.UNID]float64)
-		for unid, s := range l {
-			if s2, ok := r[unid]; ok {
-				out[unid] = s + s2
-			}
-		}
-		return out, nil
-	case qOr:
-		l, err := ix.evalCtx(ctx, q.l)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ix.evalCtx(ctx, q.r)
-		if err != nil {
-			return nil, err
-		}
-		out := make(map[nsf.UNID]float64, len(l)+len(r))
-		for unid, s := range l {
-			out[unid] = s
-		}
-		for unid, s := range r {
-			out[unid] += s
-		}
-		return out, nil
-	case qNot:
-		exclude, err := ix.evalCtx(ctx, q.x)
-		if err != nil {
-			return nil, err
-		}
-		out := make(map[nsf.UNID]float64)
-		for unid := range ix.docTerms {
-			if _, ok := exclude[unid]; !ok {
-				out[unid] = 0.1 // flat score: NOT carries no relevance signal
-			}
-		}
-		return out, nil
-	default:
-		return ix.eval(q), nil
-	}
-}
-
-// eval scores a leaf of the query tree: one term or phrase's postings.
-// evalCtx owns the interior nodes.
-func (ix *Index) eval(q qnode) map[nsf.UNID]float64 {
-	switch q := q.(type) {
 	case qTerm:
-		return ix.evalTerm(q.term)
+		return e.term(e.ix.postings[q.term]), nil
 	case qPhrase:
-		return ix.evalPhrase(q.terms)
-	default:
-		return nil
+		return e.phrase(q.terms), nil
+	case qAnd:
+		l, r := q.l, q.r
+		if lt, ok := l.(qTerm); ok {
+			// Of two terms, the shorter list is walked and the other
+			// galloped through; addition commutes.
+			if rt, ok := r.(qTerm); ok && e.df(rt.term) < e.df(lt.term) {
+				l, r = r, l
+			}
+		}
+		hits, err := e.eval(l)
+		if err != nil || len(hits) == 0 {
+			return hits, err
+		}
+		switch r := r.(type) {
+		case qTerm:
+			return e.andTerm(hits, e.ix.postings[r.term]), nil
+		case qNot:
+			if err := e.ctx.Err(); err != nil {
+				return nil, err
+			}
+			x, err := e.eval(r.x)
+			if err != nil {
+				return nil, err
+			}
+			return e.andNot(hits, x), nil
+		}
+		x, err := e.eval(r)
+		if err != nil {
+			return nil, err
+		}
+		return e.and(hits, x), nil
+	case qOr:
+		l, err := e.eval(q.l)
+		if err != nil {
+			return nil, err
+		}
+		r, err := e.eval(q.r)
+		if err != nil {
+			return nil, err
+		}
+		return e.or(l, r), nil
+	case qNot:
+		x, err := e.eval(q.x)
+		if err != nil {
+			return nil, err
+		}
+		return e.not(x), nil
 	}
+	return nil, nil
 }
 
-func (ix *Index) idf(term string) float64 {
-	df := len(ix.postings[term].docs)
-	if df == 0 {
+// df is a term's document frequency.
+func (e *evaluator) df(term string) int {
+	if pl := e.ix.postings[term]; pl != nil {
+		return pl.df()
+	}
+	return 0
+}
+
+// idf is a term's inverse document frequency over the live documents.
+func (ix *Index) idf(pl *postingList) float64 {
+	if pl == nil || pl.df() == 0 {
 		return 0
 	}
-	return math.Log(1 + float64(len(ix.docTerms))/float64(df))
+	return math.Log(1 + float64(ix.live)/float64(pl.df()))
 }
 
-func (ix *Index) evalTerm(term string) map[nsf.UNID]float64 {
-	m := ix.postings[term].docs
-	if m == nil {
+// tfWeights[n] is 1 + ln n, the weight of a term a document holds n times,
+// for the small n nearly every posting has.
+var tfWeights = func() (w [256]float64) {
+	for n := 1; n < len(w); n++ {
+		w[n] = 1 + math.Log(float64(n))
+	}
+	return w
+}()
+
+// score is (1 + ln n) · weight, rounded to float64 before anything adds to
+// it: the explicit conversion keeps a compiler from fusing it with an
+// addition, so scores are the same bits whichever way a node reaches them.
+func score(n uint32, weight float64) float64 {
+	if n < uint32(len(tfWeights)) {
+		return float64(tfWeights[n] * weight)
+	}
+	return float64((1 + math.Log(float64(n))) * weight)
+}
+
+// term scores every document on a term's list.
+func (e *evaluator) term(pl *postingList) []hit {
+	if pl == nil {
 		return nil
 	}
-	idf := ix.idf(term)
-	out := make(map[nsf.UNID]float64, len(m))
-	for unid, positions := range m {
-		out[unid] = (1 + math.Log(float64(len(positions)))) * idf
+	idf := e.ix.idf(pl)
+	out := e.buf(pl.df())
+	for _, p := range pl.list {
+		if p.n > 0 {
+			out = append(out, hit{p.ord, score(p.n, idf)})
+		}
 	}
 	return out
 }
 
-// evalPhrase matches documents containing the terms consecutively.
-func (ix *Index) evalPhrase(terms []string) map[nsf.UNID]float64 {
-	if len(terms) == 0 {
+// andTerm keeps the hits on a term's list, adding the term's score: one
+// pass over hits, galloping through the list. It writes over hits.
+func (e *evaluator) andTerm(hits []hit, pl *postingList) []hit {
+	if pl == nil {
+		e.release(hits)
 		return nil
 	}
-	first := ix.postings[terms[0]].docs
-	if first == nil {
-		return nil
+	idf := e.ix.idf(pl)
+	out, j := hits[:0], 0
+	for _, h := range hits {
+		if j = seekPosting(pl.list, j, h.ord); j == len(pl.list) {
+			break
+		}
+		if p := pl.list[j]; p.ord == h.ord && p.n > 0 {
+			out = append(out, hit{h.ord, h.score + score(p.n, idf)})
+		}
 	}
-	score := 0.0
+	return out
+}
+
+// and keeps the hits of l that r also has, adding r's score: one pass over
+// l, galloping through r. It writes over l.
+func (e *evaluator) and(l, r []hit) []hit {
+	out, j := l[:0], 0
+	for _, h := range l {
+		if j = seekHit(r, j, h.ord); j == len(r) {
+			break
+		}
+		if r[j].ord == h.ord {
+			out = append(out, hit{h.ord, h.score + r[j].score})
+		}
+	}
+	e.release(r)
+	return out
+}
+
+// andNot keeps the hits of l that x lacks, adding NOT's flat score. It
+// writes over l.
+func (e *evaluator) andNot(l, x []hit) []hit {
+	out, j := l[:0], 0
+	for _, h := range l {
+		if j = seekHit(x, j, h.ord); j == len(x) || x[j].ord != h.ord {
+			out = append(out, hit{h.ord, h.score + notScore})
+		}
+	}
+	e.release(x)
+	return out
+}
+
+// notScore is the flat score NOT gives every document it matches.
+const notScore = 0.1
+
+// or merges l and r, adding the scores of the hits they share.
+func (e *evaluator) or(l, r []hit) []hit {
+	out := e.buf(len(l) + len(r))
+	i, j := 0, 0
+	for i < len(l) && j < len(r) {
+		switch a, b := l[i], r[j]; {
+		case a.ord < b.ord:
+			out = append(out, a)
+			i++
+		case a.ord > b.ord:
+			out = append(out, b)
+			j++
+		default:
+			out = append(out, hit{a.ord, a.score + b.score})
+			i++
+			j++
+		}
+	}
+	out = append(append(out, l[i:]...), r[j:]...)
+	e.release(l)
+	e.release(r)
+	return out
+}
+
+// not returns every live document x lacks.
+func (e *evaluator) not(x []hit) []hit {
+	out := e.buf(e.ix.live)
+	j := 0
+	for ord, d := range e.ix.docs {
+		if !d.live {
+			continue
+		}
+		for j < len(x) && x[j].ord < uint32(ord) {
+			j++
+		}
+		if j == len(x) || x[j].ord != uint32(ord) {
+			out = append(out, hit{uint32(ord), notScore})
+		}
+	}
+	e.release(x)
+	return out
+}
+
+// phrase matches the documents holding the terms consecutively: it walks
+// the first term's list, gallops through the others', and checks positions
+// only in the documents every list has.
+func (e *evaluator) phrase(terms []string) []hit {
+	ix := e.ix
+	weight := 0.0
+	e.curs = e.curs[:0]
 	for _, t := range terms {
-		score += ix.idf(t)
+		pl := ix.postings[t]
+		if pl == nil {
+			return nil
+		}
+		weight += ix.idf(pl)
+		e.curs = append(e.curs, cursor{list: pl.list})
 	}
-	out := make(map[nsf.UNID]float64)
-	for unid, starts := range first {
-		count := 0
+	first, rest := e.curs[0].list, e.curs[1:]
+	out := e.buf(len(first))
+docs:
+	for _, p := range first {
+		if p.n == 0 {
+			continue
+		}
+		for k := range rest {
+			c := &rest[k]
+			if c.at = seekPosting(c.list, c.at, p.ord); c.at == len(c.list) {
+				break docs
+			}
+			if q := c.list[c.at]; q.ord != p.ord || q.n == 0 {
+				continue docs
+			}
+		}
+		count := uint32(0)
 	starts:
-		for _, p := range starts {
-			for off, t := range terms[1:] {
-				m := ix.postings[t].docs
-				if m == nil {
-					return nil
-				}
-				if !containsPos(m[unid], p+int32(off)+1) {
+		for _, start := range ix.positions(p) {
+			for k, c := range rest {
+				if !containsPos(ix.positions(c.list[c.at]), start+int32(k)+1) {
 					continue starts
 				}
 			}
 			count++
 		}
 		if count > 0 {
-			out[unid] = (1 + math.Log(float64(count))) * score
+			out = append(out, hit{p.ord, score(count, weight)})
 		}
 	}
 	return out
+}
+
+// cursor is a place in a posting list.
+type cursor struct {
+	list []posting
+	at   int
+}
+
+// seekPosting returns the index of the first posting at or after lo whose
+// ordinal is at least ord: it gallops ahead in doubling steps to bracket
+// ord, then binary searches the bracket.
+func seekPosting(list []posting, lo int, ord uint32) int {
+	hi := lo
+	for step := 1; hi < len(list) && list[hi].ord < ord; step <<= 1 {
+		lo, hi = hi+1, hi+step
+	}
+	for hi = min(hi, len(list)); lo < hi; {
+		if mid := int(uint(lo+hi) >> 1); list[mid].ord < ord {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// seekHit is seekPosting over a node's hits.
+func seekHit(hits []hit, lo int, ord uint32) int {
+	hi := lo
+	for step := 1; hi < len(hits) && hits[hi].ord < ord; step <<= 1 {
+		lo, hi = hi+1, hi+step
+	}
+	for hi = min(hi, len(hits)); lo < hi; {
+		if mid := int(uint(lo+hi) >> 1); hits[mid].ord < ord {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 func containsPos(ps []int32, want int32) bool {

@@ -3,11 +3,12 @@ package ft
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/nsf"
 )
@@ -39,7 +40,10 @@ const (
 	minPosBytes     = 1
 )
 
-// WriteTo serializes the index. It implements io.WriterTo.
+// WriteTo serializes the index. It implements io.WriterTo. On disk a
+// document's ordinal is its UNID's rank: the index's ordinals are
+// translated, and a posting list sorted only when a document indexed since
+// the load has put its ranks out of order.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -57,19 +61,23 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		bw.WriteString(s)
 	}
 	bw.WriteString(persistMagic)
-	docs := make([]nsf.UNID, 0, len(ix.docTerms))
-	for u := range ix.docTerms {
-		docs = append(docs, u)
+	byUNID := make([]uint32, 0, ix.live)
+	for ord, d := range ix.docs {
+		if d.live {
+			byUNID = append(byUNID, uint32(ord))
+		}
 	}
-	sort.Slice(docs, func(i, j int) bool { return bytes.Compare(docs[i][:], docs[j][:]) < 0 })
-	ordinal := make(map[nsf.UNID]uint64, len(docs))
-	uvarint(uint64(len(docs)))
-	for i, u := range docs {
-		ordinal[u] = uint64(i)
-		bw.Write(u[:])
-		access := ix.docAccess[u]
-		uvarint(uint64(len(access)))
-		for _, name := range access {
+	slices.SortFunc(byUNID, func(a, b uint32) int {
+		return bytes.Compare(ix.docs[a].unid[:], ix.docs[b].unid[:])
+	})
+	rank := make([]uint32, len(ix.docs))
+	uvarint(uint64(len(byUNID)))
+	for r, ord := range byUNID {
+		rank[ord] = uint32(r)
+		d := &ix.docs[ord]
+		bw.Write(d.unid[:])
+		uvarint(uint64(len(d.access)))
+		for _, name := range d.access {
 			str(name)
 		}
 	}
@@ -77,28 +85,28 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	for t := range ix.postings {
 		terms = append(terms, t)
 	}
-	sort.Strings(terms)
+	slices.Sort(terms)
 	uvarint(uint64(len(terms)))
-	type posting struct {
-		ord       uint64
-		positions []int32
-	}
-	var list []posting
+	var list []posting // a term's postings, ordinals as ranks
 	for _, t := range terms {
 		list = list[:0]
-		for u, positions := range ix.postings[t].docs {
-			list = append(list, posting{ordinal[u], positions})
+		for _, p := range ix.postings[t].list {
+			if p.n > 0 {
+				list = append(list, posting{rank[p.ord], p.start, p.n})
+			}
 		}
-		sort.Slice(list, func(i, j int) bool { return list[i].ord < list[j].ord })
+		if !slices.IsSortedFunc(list, byOrd) {
+			slices.SortFunc(list, byOrd)
+		}
 		str(t)
 		uvarint(uint64(len(list)))
-		prevOrd := uint64(0)
+		prevOrd := uint32(0)
 		for _, p := range list {
-			uvarint(p.ord - prevOrd)
+			uvarint(uint64(p.ord - prevOrd))
 			prevOrd = p.ord
-			uvarint(uint64(len(p.positions)))
+			uvarint(uint64(p.n))
 			prev := int32(0)
-			for _, pos := range p.positions {
+			for _, pos := range ix.docs[byUNID[p.ord]].slab[p.start : p.start+p.n] {
 				uvarint(uint64(pos - prev))
 				prev = pos
 			}
@@ -107,6 +115,8 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	err := bw.Flush()
 	return cw.n, err
 }
+
+func byOrd(a, b posting) int { return cmp.Compare(a.ord, b.ord) }
 
 type countingWriter struct {
 	w io.Writer
@@ -175,9 +185,10 @@ func (r *snapReader) str() string { return string(r.take(r.count("string byte", 
 // end and refuses anything WriteTo could not have written: a count larger
 // than the bytes left could hold, documents or terms out of order, a
 // posting ordinal out of range or not increasing, an empty posting, and
-// trailing bytes. The postings decode into scratch first; then each
-// document gets one positions slab and one term list, cut to size, as
-// Update lays them.
+// trailing bytes. A document's ordinal is its place in the snapshot. The
+// postings decode into scratch first; then each document gets one
+// positions slab and one term list, cut to size, as Update lays them, and
+// the posting lists are cut from one array.
 func ReadIndex(r io.Reader) (*Index, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -187,29 +198,28 @@ func ReadIndex(r io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("ft: bad snapshot magic %q", data[:min(len(data), len(persistMagic))])
 	}
 	sr := &snapReader{b: data[len(persistMagic):]}
-	ix := NewIndex()
-	docs := make([]nsf.UNID, sr.count("doc", minDocBytes))
+	docs := make([]docEntry, sr.count("doc", minDocBytes))
 	for i := range docs {
-		copy(docs[i][:], sr.take(len(docs[i])))
-		if i > 0 && bytes.Compare(docs[i-1][:], docs[i][:]) >= 0 {
-			sr.fail("doc %s out of order", docs[i])
+		d := &docs[i]
+		d.live = true
+		copy(d.unid[:], sr.take(len(d.unid)))
+		if i > 0 && bytes.Compare(docs[i-1].unid[:], d.unid[:]) >= 0 {
+			sr.fail("doc %s out of order", d.unid)
 		}
-		var access []string
 		if n := sr.count("access name", minNameBytes); n > 0 {
-			access = make([]string, n)
-			for j := range access {
-				access[j] = sr.str()
+			d.access = make([]string, n)
+			for j := range d.access {
+				d.access[j] = sr.str()
 			}
-			ix.docAccess[docs[i]] = access
 		}
 	}
 	type term struct {
 		name string
 		docs int
 	}
-	type posting struct{ ord, end int } // end: where its positions end in pos
+	type entry struct{ ord, end int } // end: where its positions end in pos
 	terms := make([]term, sr.count("term", minTermBytes))
-	var postings []posting
+	var entries []entry
 	var pos []int32
 	perDoc := make([]struct{ terms, positions int }, len(docs))
 	for i := 0; i < len(terms) && sr.err == nil; i++ {
@@ -246,7 +256,7 @@ func ReadIndex(r io.Reader) (*Index, error) {
 				prev += d
 				pos = append(pos, int32(prev))
 			}
-			postings = append(postings, posting{int(ord), len(pos)})
+			entries = append(entries, entry{int(ord), len(pos)})
 			perDoc[ord].terms++
 			perDoc[ord].positions += n
 		}
@@ -258,31 +268,34 @@ func ReadIndex(r io.Reader) (*Index, error) {
 		return nil, sr.err
 	}
 
-	slabs := make([][]int32, len(docs))
-	docTerms := make([][]string, len(docs))
 	for i, c := range perDoc {
 		if c.terms > 0 {
-			slabs[i] = make([]int32, 0, c.positions)
-			docTerms[i] = make([]string, 0, c.terms)
+			docs[i].slab = make([]int32, 0, c.positions)
+			docs[i].terms = make([]*postingList, 0, c.terms)
 		}
 	}
-	ix.postings = make(map[string]postingList, len(terms))
+	ix := NewIndex()
+	ix.docs, ix.live = docs, len(docs)
+	ix.ords = make(map[nsf.UNID]uint32, len(docs))
+	for i := range docs {
+		ix.ords[docs[i].unid] = uint32(i)
+	}
+	ix.postings = make(map[string]*postingList, len(terms))
+	lists := make([]postingList, len(terms))
+	all := make([]posting, len(entries))
 	start := 0
-	for _, t := range terms {
-		m := make(map[nsf.UNID][]int32, t.docs)
-		for _, p := range postings[:t.docs] {
-			slab := append(slabs[p.ord], pos[start:p.end]...)
-			m[docs[p.ord]] = slab[len(slabs[p.ord]):len(slab):len(slab)]
-			slabs[p.ord] = slab
-			docTerms[p.ord] = append(docTerms[p.ord], t.name)
-			start = p.end
+	for i, t := range terms {
+		pl := &lists[i]
+		pl.term, pl.list, all = t.name, all[:t.docs:t.docs], all[t.docs:]
+		for k, e := range entries[:t.docs] {
+			d := &docs[e.ord]
+			pl.list[k] = posting{ord: uint32(e.ord), start: uint32(len(d.slab)), n: uint32(e.end - start)}
+			d.slab = append(d.slab, pos[start:e.end]...)
+			d.terms = append(d.terms, pl)
+			start = e.end
 		}
-		postings = postings[t.docs:]
-		ix.postings[t.name] = postingList{term: t.name, docs: m}
-	}
-	ix.docTerms = make(map[nsf.UNID][]string, len(docs))
-	for i, u := range docs {
-		ix.docTerms[u] = docTerms[i]
+		entries = entries[t.docs:]
+		ix.postings[t.name] = pl
 	}
 	return ix, nil
 }
@@ -291,9 +304,11 @@ func ReadIndex(r io.Reader) (*Index, error) {
 func (ix *Index) Docs() []nsf.UNID {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	out := make([]nsf.UNID, 0, len(ix.docTerms))
-	for u := range ix.docTerms {
-		out = append(out, u)
+	out := make([]nsf.UNID, 0, ix.live)
+	for _, d := range ix.docs {
+		if d.live {
+			out = append(out, d.unid)
+		}
 	}
 	return out
 }

@@ -698,6 +698,49 @@ func (a *Arena) DecodeValue(enc []byte, src string) (Value, error) {
 	return v, nil
 }
 
+// ArenaSize counts the entries of each kind of array an Arena cuts values
+// from, so a caller that has read the encodings first can size an arena
+// once with Grow.
+type ArenaSize struct{ Text, Numbers, Times, Raw int }
+
+// AddValue checks enc, an encoded value, as Arena.DecodeValue would (it
+// fails on exactly the inputs DecodeValue fails on) and adds what the value
+// holds to s.
+func (s *ArenaSize) AddValue(enc []byte) error {
+	d := &decoder{buf: enc}
+	if err := skipValue(d); err != nil {
+		return err
+	}
+	if d.remain() != 0 {
+		return fmt.Errorf("nsf: %d trailing bytes after value", d.remain())
+	}
+	if len(enc) < 2 {
+		return nil // the zero value
+	}
+	// The walk validated the value, so its count is there.
+	count, _ := binary.Uvarint(enc[1:])
+	switch ItemType(enc[0]) {
+	case TypeText:
+		s.Text += int(count)
+	case TypeNumber:
+		s.Numbers += int(count)
+	case TypeTime:
+		s.Times += int(count)
+	case TypeRaw:
+		s.Raw += int(count)
+	}
+	return nil
+}
+
+// Grow makes room in a for values holding s, so that decoding them into a
+// cuts each kind of array from one allocation.
+func (a *Arena) Grow(s ArenaSize) {
+	a.text = slices.Grow(a.text, s.Text)
+	a.nums = slices.Grow(a.nums, s.Numbers)
+	a.times = slices.Grow(a.times, s.Times)
+	a.raw = slices.Grow(a.raw, s.Raw)
+}
+
 // name returns an item name as a string, shared across the notes decoded
 // into a (a nil arena copies it).
 func (a *Arena) name(b []byte) string {

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/ft"
 	"repro/internal/nsf"
@@ -120,6 +119,7 @@ type SearchPage struct {
 // string, every text a page returns is a substring of it, and values,
 // column lists and text lists are cut from per-page arrays with full slice
 // expressions, so a caller's append to one row never writes into the next.
+// A pre-pass (pageSize) sizes those arrays, and the page's rows, once.
 type pageDec struct {
 	d     *Dec
 	s     string // the body from base on
@@ -129,8 +129,11 @@ type pageDec struct {
 	arena nsf.Arena
 }
 
-func newPageDec(d *Dec) *pageDec {
-	return &pageDec{d: d, s: string(d.buf[d.off:]), base: d.off}
+func newPageDec(d *Dec, z pageSize) *pageDec {
+	p := &pageDec{d: d, s: string(d.buf[d.off:]), base: d.off,
+		vals: make([]nsf.Value, 0, z.vals), cols: make([]string, 0, z.cols)}
+	p.arena.Grow(z.arena)
+	return p
 }
 
 // blob reads a length-prefixed byte slice, returning it both as it
@@ -157,7 +160,6 @@ func (p *pageDec) columns() []string {
 		return nil
 	}
 	start := len(p.cols)
-	p.cols = slices.Grow(p.cols, p.d.Cap(n, 1))
 	for j := uint32(0); j < n && p.d.Err() == nil; j++ {
 		p.cols = append(p.cols, p.str())
 	}
@@ -200,10 +202,90 @@ func (p *pageDec) value() nsf.Value {
 	return v
 }
 
+// pageSize is what a page body holds: its rows, values, view columns and
+// the entries of its values' arrays. Each page's pre-pass counts them
+// reading the body as its decoder will, on a copy of the decoder, and
+// fails where the decoder would, so a page it accepts decodes into arrays
+// sized once.
+type pageSize struct {
+	rows, vals, cols int
+	arena            nsf.ArenaSize
+}
+
+// columns counts a view row's column texts.
+func (z *pageSize) columns(d *Dec) {
+	n := d.U32()
+	for j := uint32(0); j < n && d.Err() == nil; j++ {
+		d.Blob()
+		z.cols++
+	}
+}
+
+// values counts one row's projected columns, checking each value present.
+func (z *pageSize) values(d *Dec, ncols int) {
+	z.vals += ncols
+	for j := 0; j < ncols && d.Err() == nil; j++ {
+		if d.U8() == 0 {
+			continue
+		}
+		if b := d.Blob(); d.Err() == nil {
+			if err := z.arena.AddValue(b); err != nil {
+				d.fail("bad value: %v", err)
+			}
+		}
+	}
+}
+
+// sized returns an empty slice with room for n elements, nil for none, as
+// appending to a nil slice leaves a page that has no rows.
+func sized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
+}
+
+// sizeViewPage is decodeViewPage's pre-pass.
+func sizeViewPage(d Dec) (pageSize, error) {
+	var z pageSize
+	d.U32()
+	d.U32()
+	for d.Err() == nil {
+		kind := d.U8()
+		if kind == rowKindEnd || d.Err() != nil {
+			break
+		}
+		switch kind {
+		case rowKindCategory:
+			d.Blob()
+			d.U32()
+		case rowKindDoc:
+			d.U32()
+			d.UNID()
+			z.columns(&d)
+		default:
+			return z, protoErrorf("bad view row kind %#x", kind)
+		}
+		z.rows++
+	}
+	d.U8()
+	d.U32()
+	return z, d.Err()
+}
+
 // decodeViewPage parses an OpViewRows response body.
 func decodeViewPage(d *Dec) (ViewPage, error) {
-	p := ViewPage{Total: int(d.U32()), Start: int(d.U32())}
-	pd := newPageDec(d)
+	z, err := sizeViewPage(*d)
+	if err != nil {
+		return ViewPage{}, err
+	}
+	return readViewPage(d, z)
+}
+
+// readViewPage decodes a view page into arrays sized by z.
+func readViewPage(d *Dec, z pageSize) (ViewPage, error) {
+	p := ViewPage{Total: int(d.U32()), Start: int(d.U32()), Rows: sized[ViewRow](z.rows)}
+	pd := newPageDec(d, z)
 	for d.Err() == nil {
 		kind := d.U8()
 		if kind == rowKindEnd || d.Err() != nil {
@@ -229,10 +311,40 @@ func decodeViewPage(d *Dec) (ViewPage, error) {
 	return p, d.Err()
 }
 
+// sizeScanPage is decodeScanPage's pre-pass.
+func sizeScanPage(d Dec, ncols int) (pageSize, error) {
+	var z pageSize
+	for d.Err() == nil {
+		kind := d.U8()
+		if kind == rowKindEnd || d.Err() != nil {
+			break
+		}
+		if kind != rowKindDoc {
+			return z, protoErrorf("bad scan row kind %#x", kind)
+		}
+		d.U32()
+		d.UNID()
+		z.values(&d, ncols)
+		z.rows++
+	}
+	d.U8()
+	d.Blob()
+	return z, d.Err()
+}
+
 // decodeScanPage parses an OpScan response body.
 func decodeScanPage(d *Dec, ncols int) (ScanPage, error) {
-	var p ScanPage
-	pd := newPageDec(d)
+	z, err := sizeScanPage(*d, ncols)
+	if err != nil {
+		return ScanPage{}, err
+	}
+	return readScanPage(d, ncols, z)
+}
+
+// readScanPage decodes a scan page into arrays sized by z.
+func readScanPage(d *Dec, ncols int, z pageSize) (ScanPage, error) {
+	p := ScanPage{Rows: sized[ScanRow](z.rows)}
+	pd := newPageDec(d, z)
 	for d.Err() == nil {
 		kind := d.U8()
 		if kind == rowKindEnd || d.Err() != nil {
@@ -249,11 +361,43 @@ func decodeScanPage(d *Dec, ncols int) (ScanPage, error) {
 	return p, d.Err()
 }
 
+// sizeSearchPage is decodeSearchPage's pre-pass.
+func sizeSearchPage(d Dec, ncols int) (pageSize, error) {
+	var z pageSize
+	d.U32()
+	d.U32()
+	for d.Err() == nil {
+		kind := d.U8()
+		if kind == rowKindEnd || d.Err() != nil {
+			break
+		}
+		if kind != rowKindDoc {
+			return z, protoErrorf("bad search row kind %#x", kind)
+		}
+		d.UNID()
+		d.U64()
+		z.values(&d, ncols)
+		z.rows++
+	}
+	d.U8()
+	d.U32()
+	return z, d.Err()
+}
+
 // decodeSearchPage parses an OpSearch response body. Scores travel as
 // IEEE-754 bits, so zero and negative scores round-trip exactly.
 func decodeSearchPage(d *Dec, ncols int) (SearchPage, error) {
-	p := SearchPage{Total: int(d.U32()), Start: int(d.U32())}
-	pd := newPageDec(d)
+	z, err := sizeSearchPage(*d, ncols)
+	if err != nil {
+		return SearchPage{}, err
+	}
+	return readSearchPage(d, ncols, z)
+}
+
+// readSearchPage decodes a search page into arrays sized by z.
+func readSearchPage(d *Dec, ncols int, z pageSize) (SearchPage, error) {
+	p := SearchPage{Total: int(d.U32()), Start: int(d.U32()), Hits: sized[SearchHit](z.rows)}
+	pd := newPageDec(d, z)
 	for d.Err() == nil {
 		kind := d.U8()
 		if kind == rowKindEnd || d.Err() != nil {

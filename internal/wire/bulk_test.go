@@ -151,7 +151,9 @@ func TestUntrustedCountsClamped(t *testing.T) {
 // decoders: they must never panic, must agree with a reference decoder
 // that reads every string with Dec.Str and every value with nsf.DecodeValue
 // of its blob, and must make a number of allocations that grows with the
-// logarithm of the body, never with its rows.
+// logarithm of the body, never with its rows. Each decoder's sizing
+// pre-pass must accept exactly the bodies the decoder, run without it,
+// accepts.
 func FuzzDecodeBulkPages(f *testing.F) {
 	u := nsf.NewUNID()
 	view := NewResp(OpViewRows, StatusOK).U32(3).U32(0)
@@ -183,6 +185,15 @@ func FuzzDecodeBulkPages(f *testing.F) {
 		if (herr == nil) != (wherr == nil) || herr == nil && !searchPagesEqual(hp, whp) {
 			t.Fatalf("search page (%v) differs from the reference (%v):\n got %+v\nwant %+v", herr, wherr, hp, whp)
 		}
+		for name, errs := range map[string][2]error{
+			"view":   {second(sizeViewPage(*NewDec(body))), second(readViewPage(NewDec(body), pageSize{}))},
+			"scan":   {second(sizeScanPage(*NewDec(body), 2)), second(readScanPage(NewDec(body), 2, pageSize{}))},
+			"search": {second(sizeSearchPage(*NewDec(body), 1)), second(readSearchPage(NewDec(body), 1, pageSize{}))},
+		} {
+			if (errs[0] == nil) != (errs[1] == nil) {
+				t.Fatalf("%s page: the pre-pass says %v, the decode %v", name, errs[0], errs[1])
+			}
+		}
 		if raceEnabled {
 			return // the race detector adds bookkeeping allocations
 		}
@@ -198,6 +209,8 @@ func FuzzDecodeBulkPages(f *testing.F) {
 		}
 	})
 }
+
+func second[T any](_ T, err error) error { return err }
 
 // refViewPage, refScanPage and refSearchPage decode a page the plain way,
 // a string and a value at a time: the reference the page decoders must
@@ -293,23 +306,32 @@ func searchPagesEqual(a, b SearchPage) bool {
 }
 
 // maxPageDecodeAllocs is the ceiling on allocations for decoding one bulk
-// page, whatever its row count: the page string, the cursor, and the
-// row, value, column and text arrays growing by doubling.
-const maxPageDecodeAllocs = 64
+// page, whatever its row count: the page string, the page decoder, the
+// cursor, and one array each for the rows, values, columns and text, sized
+// by the pre-pass.
+const maxPageDecodeAllocs = 8
 
-// TestPageDecodeAllocsDoNotGrowWithRows decodes a 1,000-row two-column
-// scan page and a 100-row view page within maxPageDecodeAllocs each; a
-// decoder that allocates per row or per value makes thousands.
-func TestPageDecodeAllocsDoNotGrowWithRows(t *testing.T) {
+// scanPageBody encodes a scan page of rows two-column rows.
+func scanPageBody(rows int) []byte {
 	u := nsf.NewUNID()
 	scan := NewResp(OpScan, StatusOK)
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < rows; i++ {
 		scan.U8(1).U32(uint32(i + 1)).UNID(u)
 		scan.U8(1).Value(nsf.TextValue(fmt.Sprintf("subject %d", i)))
 		scan.U8(1).Value(nsf.TextValue("ada", "bob"))
 	}
 	scan.U8(0).U8(1).Blob([]byte("cursor"))
-	scanBody := respBody(scan)
+	return respBody(scan)
+}
+
+// TestPageDecodeAllocsDoNotGrowWithRows decodes a 10-row and a 1,000-row
+// two-column scan page with the same number of allocations, and a 100-row
+// view page, all within maxPageDecodeAllocs; a decoder that allocates per
+// row or per value makes thousands, and one that grows its arrays makes
+// more at 1,000 rows than at 10.
+func TestPageDecodeAllocsDoNotGrowWithRows(t *testing.T) {
+	u := nsf.NewUNID()
+	smallScan, scanBody := scanPageBody(10), scanPageBody(1000)
 	view := NewResp(OpViewRows, StatusOK).U32(5000).U32(0)
 	for i := 0; i < 100; i++ {
 		if i%10 == 0 {
@@ -320,10 +342,18 @@ func TestPageDecodeAllocsDoNotGrowWithRows(t *testing.T) {
 	}
 	view.U8(0).U8(1).U32(100)
 	viewBody := respBody(view)
+	counts := map[string]float64{}
 	for _, tc := range []struct {
 		name   string
 		decode func() error
 	}{
+		{"10-row scan page", func() error {
+			p, err := decodeScanPage(NewDec(smallScan), 2)
+			if err == nil && len(p.Rows) != 10 {
+				err = fmt.Errorf("decoded %d rows", len(p.Rows))
+			}
+			return err
+		}},
 		{"1000-row scan page", func() error {
 			p, err := decodeScanPage(NewDec(scanBody), 2)
 			if err == nil && (len(p.Rows) != 1000 || p.Rows[999].Values[0].Text[0] != "subject 999") {
@@ -342,11 +372,15 @@ func TestPageDecodeAllocsDoNotGrowWithRows(t *testing.T) {
 		if err := tc.decode(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		allocs := testing.AllocsPerRun(10, func() { tc.decode() })
+		allocs := testing.AllocsPerRun(100, func() { tc.decode() })
 		t.Logf("%s: %.0f allocations", tc.name, allocs)
 		if allocs > maxPageDecodeAllocs {
 			t.Errorf("%s: %.0f allocations, ceiling %d", tc.name, allocs, maxPageDecodeAllocs)
 		}
+		counts[tc.name] = allocs
+	}
+	if small, large := counts["10-row scan page"], counts["1000-row scan page"]; small != large {
+		t.Errorf("scan page allocations: %.0f at 10 rows, %.0f at 1000", small, large)
 	}
 }
 
