@@ -24,7 +24,9 @@ race:
 # history forks), the replication change cursor (never skipping a commit
 # racing the scan, nor a note on a second mate pulled under the same peer
 # name, that mate seeded by copying the first one's file or not), the seeded
-# two-mate history that internal/check audits, the snapshot-scan/
+# two-mate history that internal/check audits, replication applies racing
+# the receiving mate's own updates and deletes of the same documents (each
+# apply stores only over the version it decided on), the snapshot-scan/
 # reader-writer latching tests, the bounded
 # note walk over the NoteID and the USN index (resumable from a cursor,
 # never visiting a note created mid-scan, a note updated ahead of it
@@ -52,7 +54,7 @@ race:
 # delete the hits.
 stress:
 	$(GO) test -race -count=2 \
-		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestSummariesCursorNeverSkips|TestPullAcrossMatesNeverSkips|TestPullFromCopySeededMateNeverSkips|TestSeededHistory|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestScanFromCursorSemantics|TestScanSkipsNotesCreatedDuringScan|TestScanRecordsRacingWriters|TestStoreScanSince|TestSummariesDecodeHeaders|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitWALSyncEIO|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestClusterPushSurvivesOutage|TestClusterPushSurvivesMateRestart|TestClusterPushSkipsOtherReplica|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites|TestClientResendsIffIdempotent|TestFailoverResendsIffIdempotent|TestLoneMateIsABareClient|TestOnlyHedgeableOpsHedge|TestHedgedReadWinsOverSlowMate|TestBudgetAbandonThenRecover|TestLocalExpiryOpensBreaker|TestSessionExpiryIsUnambiguous|TestFailoverStalledFirstMate|TestBreakerCountsSpentTurns|TestFeedOverflowCatchesUpFromStore|TestOverflowCatchUpEqualsRebuild|TestPanickingOnChangeSubscriberIsIsolated|TestNotify|TestHotLinkFiresOnWrite|TestHotLinkDebouncesBursts|TestConcurrentUpdateAndSearch|TestSearchRacesRenumber|TestSearchJoinRacingWriters' \
+		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestSummariesCursorNeverSkips|TestPullAcrossMatesNeverSkips|TestPullFromCopySeededMateNeverSkips|TestSeededHistory|TestApplyRacesLocalWrites|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestScanFromCursorSemantics|TestScanSkipsNotesCreatedDuringScan|TestScanRecordsRacingWriters|TestStoreScanSince|TestSummariesDecodeHeaders|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitWALSyncEIO|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestClusterPushSurvivesOutage|TestClusterPushSurvivesMateRestart|TestClusterPushSkipsOtherReplica|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites|TestClientResendsIffIdempotent|TestFailoverResendsIffIdempotent|TestLoneMateIsABareClient|TestOnlyHedgeableOpsHedge|TestHedgedReadWinsOverSlowMate|TestBudgetAbandonThenRecover|TestLocalExpiryOpensBreaker|TestSessionExpiryIsUnambiguous|TestFailoverStalledFirstMate|TestBreakerCountsSpentTurns|TestFeedOverflowCatchesUpFromStore|TestOverflowCatchUpEqualsRebuild|TestPanickingOnChangeSubscriberIsIsolated|TestNotify|TestHotLinkFiresOnWrite|TestHotLinkDebouncesBursts|TestConcurrentUpdateAndSearch|TestSearchRacesRenumber|TestSearchJoinRacingWriters' \
 		./internal/core ./internal/repl ./internal/store ./internal/server ./internal/place ./internal/dir ./internal/wire ./internal/check ./internal/ft ./internal/mesh
 
 # Short native-fuzz smoke over the parsers that guard trust boundaries: the

@@ -44,10 +44,10 @@ func (db *Database) ArchiveTo(dst *Database, cutoff nsf.Timestamp) (ArchiveStats
 		return stats, err
 	}
 	for _, n := range victims {
-		existing, err := dst.RawGet(n.OID.UNID)
+		existing, err := dst.RawHeader(n.OID.UNID)
 		switch {
 		case errors.Is(err, ErrNotFound):
-			if err := dst.RawPut(n.Clone()); err != nil {
+			if err := dst.RawPut(n); err != nil {
 				return stats, fmt.Errorf("core: archive copy: %w", err)
 			}
 			stats.Moved++
@@ -56,7 +56,7 @@ func (db *Database) ArchiveTo(dst *Database, cutoff nsf.Timestamp) (ArchiveStats
 		case existing.OID == n.OID:
 			stats.Skipped++
 		default:
-			if err := dst.RawPut(n.Clone()); err != nil {
+			if err := dst.RawPut(n); err != nil {
 				return stats, err
 			}
 			stats.Moved++

@@ -398,7 +398,7 @@ func (db *Database) SaveACL(s *Session) error {
 
 // putVersioned advances a note's OID and stores it durably.
 func (db *Database) putVersioned(n *nsf.Note) error {
-	c, err := db.putVersionedAsync(n)
+	c, err := db.putVersionedAsync(n, false)
 	if err != nil {
 		return err
 	}
@@ -406,7 +406,11 @@ func (db *Database) putVersioned(n *nsf.Note) error {
 }
 
 // putVersionedAsync advances a note's OID and stores it, returning the
-// store's durability ticket instead of waiting on it.
+// store's durability ticket instead of waiting on it. With update, n must
+// replace a stored note that is not a stub, or nothing is stored and the
+// error is ErrNotFound: checked here, under wmu, a delete (or a deletion
+// stub a replication apply stores) landing after the caller's own check
+// cannot be overwritten by the update and the document brought back.
 //
 // The whole read-modify-write runs under wmu: the stored version is read,
 // Seq and per-item Revs are computed, and the note is committed as one
@@ -414,12 +418,14 @@ func (db *Database) putVersioned(n *nsf.Note) error {
 // let two concurrent saves of the same UNID both observe Seq=N and both
 // stamp Seq=N+1 — one edit vanished and replication conflict detection
 // (which compares Seq) lost the fork.
-func (db *Database) putVersionedAsync(n *nsf.Note) (store.Commit, error) {
+func (db *Database) putVersionedAsync(n *nsf.Note, update bool) (store.Commit, error) {
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
 	old, err := db.st.GetByUNID(n.OID.UNID)
 	isNew := false
 	switch {
+	case update && errors.Is(err, ErrNotFound), update && err == nil && old.IsStub():
+		return store.Commit{}, ErrNotFound
 	case errors.Is(err, ErrNotFound):
 		isNew = true
 		n.OID.Seq = 1
@@ -552,30 +558,103 @@ func (db *Database) applyToUnread(e changefeed.Entry) {
 // RawGet returns a note bypassing ACL checks.
 func (db *Database) RawGet(unid nsf.UNID) (*nsf.Note, error) { return db.st.GetByUNID(unid) }
 
+// RawRecord appends the stored record of the note unid names to dst
+// (nsf.AppendNote's form, as the store holds it) bypassing ACL checks, and
+// decodes its header, every field but Items, into hdr when hdr is non-nil.
+// Every item is walked, so it rejects exactly the records RawGet rejects;
+// on an error dst comes back as it was passed. The note cache is neither
+// read nor filled.
+func (db *Database) RawRecord(dst []byte, unid nsf.UNID, hdr *nsf.Note) ([]byte, error) {
+	start := len(dst)
+	dst, err := db.st.AppendRecord(dst, unid)
+	if err != nil {
+		return dst, err
+	}
+	var it nsf.ItemIter
+	if err := it.Reset(dst[start:], hdr); err != nil {
+		return dst[:start], err
+	}
+	for it.Next() {
+	}
+	if err := it.Err(); err != nil {
+		return dst[:start], err
+	}
+	return dst, nil
+}
+
+// recordPool recycles the buffers RawHeader reads records into.
+var recordPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledRecord caps the buffer RawHeader returns to the pool, so one
+// huge note cannot pin a huge buffer.
+const maxPooledRecord = 1 << 20
+
+// RawHeader returns the header of the note unid names, every field but
+// Items, bypassing ACL checks: the version check replication makes before
+// it fetches or applies a note. It rejects what RawGet rejects, makes no
+// allocation once its pooled buffer has grown, and neither reads nor fills
+// the note cache.
+func (db *Database) RawHeader(unid nsf.UNID) (nsf.Note, error) {
+	var h nsf.Note
+	bp := recordPool.Get().(*[]byte)
+	rec, err := db.RawRecord((*bp)[:0], unid, &h)
+	if cap(rec) <= maxPooledRecord {
+		*bp = rec
+	}
+	recordPool.Put(bp)
+	if err != nil {
+		return nsf.Note{}, err
+	}
+	return h, nil
+}
+
+// ErrChanged is returned by RawPutIf when the stored note is no longer the
+// version the caller read.
+var ErrChanged = errors.New("core: note changed since it was read")
+
 // RawPut stores a note without touching its OID (the replicator supplies
 // complete OIDs from the source replica). Views, full-text, and change
-// subscribers are maintained through the changefeed.
-func (db *Database) RawPut(n *nsf.Note) error {
+// subscribers are maintained through the changefeed. n itself is not
+// modified: the local NoteID and the Modified stamp go on a copy of its
+// header, which shares n's items.
+func (db *Database) RawPut(n *nsf.Note) error { return db.rawPut(n, nil) }
+
+// RawPutIf is RawPut on the condition that the note n's UNID names is
+// still at the version was describes, by OID and flags (a zero was: no
+// such note); otherwise it stores nothing and returns ErrChanged. A
+// replication apply decides on a header it read before this write's latch,
+// and a local update or delete committed in between must not be
+// overwritten by a decision made without it.
+func (db *Database) RawPutIf(n *nsf.Note, was *nsf.Note) error { return db.rawPut(n, was) }
+
+func (db *Database) rawPut(n *nsf.Note, was *nsf.Note) error {
 	db.clock.Observe(n.OID.SeqTime)
 	db.clock.Observe(n.Modified)
+	h := *n
+	// A zero NoteID makes the store keep the one this UNID already has, or
+	// allocate one, under the store latch that covers the put itself: a
+	// concurrent delete-and-recreate of the same UNID can never leave two
+	// NoteIDs live for one logical note.
+	h.ID = 0
 	db.wmu.Lock()
-	// Preserve the local NoteID if this UNID already exists. The lookup
-	// must sit inside wmu with the Put: done outside (as the seed did), a
-	// concurrent delete-and-recreate of the same UNID could interleave so
-	// that two NoteIDs end up live for one logical note — an orphan byID
-	// entry the UNID index no longer points at.
-	n.ID = 0
-	if old, err := db.st.GetByUNID(n.OID.UNID); err == nil {
-		n.ID = old.ID
-	} else if !errors.Is(err, ErrNotFound) {
-		db.wmu.Unlock()
-		return err
+	if was != nil {
+		cur, err := db.RawHeader(h.OID.UNID)
+		if errors.Is(err, ErrNotFound) {
+			err = nil
+		}
+		if err == nil && (cur.OID != was.OID || cur.Flags != was.Flags) {
+			err = ErrChanged
+		}
+		if err != nil {
+			db.wmu.Unlock()
+			return err
+		}
 	}
 	// Modified means "modified in this file": stamp the local receive time,
 	// so unread marks (and @Modified, archiving cutoffs) see the arrival as
 	// a change here, while the OID keeps the original version identity.
-	n.Modified = db.clock.Now()
-	c, err := db.commitLocked(n.OID.UNID, n)
+	h.Modified = db.clock.Now()
+	c, err := db.commitLocked(h.OID.UNID, &h)
 	db.wmu.Unlock()
 	if err != nil {
 		return err

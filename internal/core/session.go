@@ -136,7 +136,11 @@ func (s *Session) Update(n *nsf.Note) error {
 	if !s.id.CanEdit(old) {
 		return fmt.Errorf("%w: %s may not edit %s", ErrAccessDenied, s.user, n.OID.UNID)
 	}
-	return s.db.putVersioned(n)
+	c, err := s.db.putVersionedAsync(n, true)
+	if err != nil {
+		return err
+	}
+	return c.Wait()
 }
 
 // Delete replaces the document with a deletion stub so the delete
@@ -214,7 +218,7 @@ func (s *Session) PutBatchCtx(ctx context.Context, notes []*nsf.Note) (applied i
 		if err != nil {
 			break
 		}
-		c, perr := s.db.putVersionedAsync(n)
+		c, perr := s.db.putVersionedAsync(n, false)
 		if perr != nil {
 			err = fmt.Errorf("core: PutBatch document %d: %w", i, perr)
 			break

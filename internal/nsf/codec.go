@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -39,6 +40,39 @@ func AppendNote(dst []byte, n *Note) []byte {
 func EncodeNote(n *Note) []byte {
 	return AppendNote(make([]byte, 0, 64+32*len(n.Items)), n)
 }
+
+// EncodedLen returns len(AppendNote(nil, n)) without encoding n.
+func EncodedLen(n *Note) int {
+	size := noteHeaderLen + uvarintLen(uint64(len(n.Items)))
+	for i := range n.Items {
+		it := &n.Items[i]
+		size += uvarintLen(uint64(len(it.Name))) + len(it.Name) + 1 + uvarintLen(uint64(it.Rev)) + valueLen(it.Value)
+	}
+	return size
+}
+
+// valueLen returns len(appendValue(nil, v)).
+func valueLen(v Value) int {
+	switch v.Type {
+	case TypeText:
+		size := 1 + uvarintLen(uint64(len(v.Text)))
+		for _, s := range v.Text {
+			size += uvarintLen(uint64(len(s))) + len(s)
+		}
+		return size
+	case TypeNumber:
+		return 1 + uvarintLen(uint64(len(v.Numbers))) + 8*len(v.Numbers)
+	case TypeTime:
+		return 1 + uvarintLen(uint64(len(v.Times))) + 8*len(v.Times)
+	case TypeRaw:
+		return 1 + uvarintLen(uint64(len(v.Raw))) + len(v.Raw)
+	default:
+		return 1
+	}
+}
+
+// uvarintLen returns len(binary.AppendUvarint(nil, x)).
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 func appendItem(dst []byte, it *Item) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(it.Name)))

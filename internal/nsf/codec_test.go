@@ -204,7 +204,12 @@ func TestCodecQuick(t *testing.T) {
 				Value: randomValue(rng),
 			})
 		}
-		got, err := DecodeNote(EncodeNote(n))
+		enc := EncodeNote(n)
+		if EncodedLen(n) != len(enc) {
+			t.Logf("EncodedLen = %d, encoding is %d bytes", EncodedLen(n), len(enc))
+			return false
+		}
+		got, err := DecodeNote(enc)
 		if err != nil {
 			t.Logf("decode error: %v", err)
 			return false
@@ -213,6 +218,24 @@ func TestCodecQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEncodedLenMultiByteLengths: EncodedLen counts every length prefix
+// that needs more than one varint byte (names, item counts, text lists,
+// entries and raw values past 127) and the payload-free zero-typed value.
+func TestEncodedLenMultiByteLengths(t *testing.T) {
+	n := sampleNote()
+	n.Set(string(make([]byte, 200)), TextValue(make([]string, 300)...))
+	n.Set("Long", TextValue(string(make([]byte, 20000))))
+	n.Set("Raw", RawValue(make([]byte, 1<<17)))
+	n.Set("Nums", NumberValue(make([]float64, 130)...))
+	n.Items = append(n.Items, Item{Name: "Zero", Rev: 1 << 30})
+	for len(n.Items) < 130 {
+		n.SetText(string(rune('a'+len(n.Items)%26))+string(rune('0'+len(n.Items)/26)), "x")
+	}
+	if got, want := EncodedLen(n), len(EncodeNote(n)); got != want {
+		t.Fatalf("EncodedLen = %d, encoding is %d bytes", got, want)
 	}
 }
 

@@ -109,6 +109,12 @@ func FuzzDecodeNote(f *testing.F) {
 			t.Fatalf("projection differs from the filtered full decode:\n got %+v\nwant %+v", p, &want)
 		}
 		re := EncodeNote(n)
+		if got, want := EncodedLen(n), len(re); got != want {
+			t.Fatalf("EncodedLen = %d, encoding is %d bytes", got, want)
+		}
+		if got, want := EncodedLen(p), len(EncodeNote(p)); got != want {
+			t.Fatalf("EncodedLen of the projection = %d, encoding is %d bytes", got, want)
+		}
 		n2, err := DecodeNote(re)
 		if err != nil {
 			t.Fatalf("re-decode of accepted input failed: %v", err)

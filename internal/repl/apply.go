@@ -19,13 +19,31 @@ type ApplyOptions struct {
 // rules, returning what happened. It is the receiving half of replication
 // and is deterministic: applying the same note twice, or on two replicas
 // holding the same state, yields identical results.
+//
+// The version rules read only the local copy's stored header
+// (Database.RawHeader); the whole local note is read only for an
+// equal-sequence conflict, which compares items. incoming is stored as it
+// is and never modified. It is stored only over the version the rules were
+// applied to (Database.RawPutIf): when a local write replaces that version
+// first, the rules are applied again to the one it stored.
 func ApplyNote(db *core.Database, incoming *nsf.Note, opts ApplyOptions) (ApplyStats, error) {
+	for {
+		st, err := applyNote(db, incoming, opts)
+		if !errors.Is(err, core.ErrChanged) {
+			return st, err
+		}
+	}
+}
+
+// applyNote is one attempt of ApplyNote: core.ErrChanged means a local
+// write replaced the version it decided on, and nothing was stored.
+func applyNote(db *core.Database, incoming *nsf.Note, opts ApplyOptions) (ApplyStats, error) {
 	var st ApplyStats
-	local, err := db.RawGet(incoming.OID.UNID)
+	local, err := db.RawHeader(incoming.OID.UNID)
 	if errors.Is(err, core.ErrNotFound) {
 		// New to this replica. Stubs are stored too: the deletion must keep
 		// propagating to replicas that still hold the document.
-		if err := db.RawPut(incoming.Clone()); err != nil {
+		if err := db.RawPutIf(incoming, &local); err != nil {
 			return st, err
 		}
 		if incoming.IsStub() {
@@ -43,7 +61,7 @@ func ApplyNote(db *core.Database, incoming *nsf.Note, opts ApplyOptions) (ApplyS
 		// materialized because a link's formula withheld this exact version,
 		// so the live copy resurrects the content without a version bump.
 		if local.IsSelStub() && !incoming.IsStub() {
-			if err := db.RawPut(incoming.Clone()); err != nil {
+			if err := db.RawPutIf(incoming, &local); err != nil {
 				return st, err
 			}
 			st.Added++
@@ -65,11 +83,11 @@ func ApplyNote(db *core.Database, incoming *nsf.Note, opts ApplyOptions) (ApplyS
 	if incoming.IsStub() != local.IsStub() {
 		stub := incoming
 		if local.IsStub() {
-			stub = local
+			stub = &local
 		}
 		if !stub.IsSelStub() {
 			if incoming.IsStub() {
-				if err := db.RawPut(incoming.Clone()); err != nil {
+				if err := db.RawPutIf(incoming, &local); err != nil {
 					return st, err
 				}
 				st.Deleted++
@@ -79,7 +97,7 @@ func ApplyNote(db *core.Database, incoming *nsf.Note, opts ApplyOptions) (ApplyS
 			return st, nil
 		}
 		if incoming.OID.Newer(local.OID) {
-			if err := db.RawPut(incoming.Clone()); err != nil {
+			if err := db.RawPutIf(incoming, &local); err != nil {
 				return st, err
 			}
 			if incoming.IsStub() {
@@ -94,10 +112,18 @@ func ApplyNote(db *core.Database, incoming *nsf.Note, opts ApplyOptions) (ApplyS
 	}
 	switch {
 	case incoming.OID.Seq == local.OID.Seq:
-		// Same edit count on both sides: a true concurrent-edit conflict.
-		return applyConflict(db, local, incoming, opts)
+		// Same edit count on both sides: a true concurrent-edit conflict,
+		// which compares items and so needs the whole local note.
+		full, err := db.RawGet(incoming.OID.UNID)
+		if errors.Is(err, core.ErrNotFound) || err == nil && (full.OID != local.OID || full.Flags != local.Flags) {
+			return st, core.ErrChanged // replaced since its header was read
+		}
+		if err != nil {
+			return st, err
+		}
+		return applyConflict(db, full, incoming, opts)
 	case incoming.OID.Newer(local.OID):
-		if err := db.RawPut(incoming.Clone()); err != nil {
+		if err := db.RawPutIf(incoming, &local); err != nil {
 			return st, err
 		}
 		if incoming.IsStub() && !local.IsStub() {
@@ -133,7 +159,7 @@ func applyConflict(db *core.Database, local, incoming *nsf.Note, opts ApplyOptio
 			st.Skipped++
 			return st, nil
 		}
-		if err := db.RawPut(stub.Clone()); err != nil {
+		if err := db.RawPutIf(stub, local); err != nil {
 			return st, err
 		}
 		st.Deleted++
@@ -145,7 +171,7 @@ func applyConflict(db *core.Database, local, incoming *nsf.Note, opts ApplyOptio
 	// that meet a merged note and a raw loser from re-detecting a conflict.
 	if loserSubsumed(winner, loser) {
 		if winner != local {
-			if err := db.RawPut(winner.Clone()); err != nil {
+			if err := db.RawPutIf(winner, local); err != nil {
 				return st, err
 			}
 			st.Updated++
@@ -156,7 +182,7 @@ func applyConflict(db *core.Database, local, incoming *nsf.Note, opts ApplyOptio
 	}
 	if opts.FieldMerge {
 		if merged, ok := mergeDisjoint(winner, loser); ok {
-			if err := db.RawPut(merged); err != nil {
+			if err := db.RawPutIf(merged, local); err != nil {
 				return st, err
 			}
 			st.Merged++
@@ -166,7 +192,7 @@ func applyConflict(db *core.Database, local, incoming *nsf.Note, opts ApplyOptio
 	// Keep the winner as the main document and preserve the loser as a
 	// conflict response document with a deterministic UNID.
 	if winner != local {
-		if err := db.RawPut(winner.Clone()); err != nil {
+		if err := db.RawPutIf(winner, local); err != nil {
 			return st, err
 		}
 	}

@@ -47,6 +47,43 @@ func TestSummariesDecodeHeaders(t *testing.T) {
 	}
 }
 
+// TestUnchangedPullSkipsNoteCache: a pull of summaries the replica already
+// holds — live documents and deletion stubs — compares them with stored
+// headers, so it decodes no note: the receiver's note cache neither misses,
+// hits nor grows.
+func TestUnchangedPullSkipsNoteCache(t *testing.T) {
+	a, b := pairedDBs(t)
+	const docs = 40
+	for i := 0; i < docs; i++ {
+		n := createDoc(t, a, fmt.Sprintf("doc %d", i))
+		if i%5 == 0 {
+			if err := a.Session("user").Delete(n.OID.UNID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	peer := &LocalPeer{DB: a}
+	if _, err := Replicate(b, peer, Options{PullOnly: true}); err != nil {
+		t.Fatal(err)
+	}
+	before := b.Stats()
+	var st Stats
+	if _, err := pull(b, peer, &st, store.Cursor{}, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	after := b.Stats()
+	if st.SummariesIn != docs || st.Pull.Skipped != docs || st.NotesFetched != 0 {
+		t.Fatalf("pull of unchanged notes: %d summaries, %d skipped, %d fetched; want %d, %d, 0",
+			st.SummariesIn, st.Pull.Skipped, st.NotesFetched, docs, docs)
+	}
+	if after.NoteCacheEntries != before.NoteCacheEntries || after.NoteCacheMisses != before.NoteCacheMisses ||
+		after.NoteCacheHits != before.NoteCacheHits {
+		t.Errorf("the pull used the note cache: %d entries, %d hits, %d misses before; %d, %d, %d after",
+			before.NoteCacheEntries, before.NoteCacheHits, before.NoteCacheMisses,
+			after.NoteCacheEntries, after.NoteCacheHits, after.NoteCacheMisses)
+	}
+}
+
 // TestSummariesCursorNeverSkips pins safe incremental sync: a reader that
 // pages LocalPeer.Summaries with the cursor each call hands back, while
 // writers keep committing, has been told every note's final version once

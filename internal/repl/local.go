@@ -3,6 +3,7 @@ package repl
 import (
 	"cmp"
 	"context"
+	"errors"
 
 	"repro/internal/core"
 	"repro/internal/formula"
@@ -17,7 +18,8 @@ type LocalPeer struct {
 	DB   *core.Database
 	Opts ApplyOptions
 	// Ctx bounds Summaries' scan, which stops within one store batch of
-	// its deadline: a server passes the request's. Nil means no deadline.
+	// its deadline, and FetchRecords: a server passes the request's. Nil
+	// means no deadline.
 	Ctx context.Context
 }
 
@@ -82,17 +84,54 @@ func scanSelected(ctx context.Context, db *core.Database, since store.Cursor, se
 	return next, err
 }
 
-// Fetch implements Peer.
+// Fetch implements Peer: the notes FetchRecords reads, decoded.
 func (p *LocalPeer) Fetch(unids []nsf.UNID) ([]*nsf.Note, error) {
 	out := make([]*nsf.Note, 0, len(unids))
-	for _, u := range unids {
-		n, err := p.DB.RawGet(u)
-		if err != nil {
-			continue // vanished since the summary scan
+	_, err := p.FetchRecords(nil, unids, func(rec []byte) error {
+		n, err := nsf.DecodeNote(rec)
+		if err == nil {
+			out = append(out, n)
 		}
-		out = append(out, n)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// fetchCheckEvery is how many notes FetchRecords reads between checks of
+// its context.
+const fetchCheckEvery = 256
+
+// FetchRecords calls fn, in order, with the stored record (nsf.AppendNote's
+// form) of each note unids names, skipping a note that vanished since the
+// summary scan: the fetch a source serves, which ships the records as they
+// are stored. Each record is read into buf, which is returned grown for
+// the next call to reuse, and is valid only during fn's call. A record
+// that does not decode is an error, as is one fn returns; Ctx is checked
+// every fetchCheckEvery notes.
+func (p *LocalPeer) FetchRecords(buf []byte, unids []nsf.UNID, fn func(rec []byte) error) ([]byte, error) {
+	ctx := cmp.Or(p.Ctx, context.Background())
+	for i, u := range unids {
+		if i%fetchCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return buf, err
+			}
+		}
+		rec, err := p.DB.RawRecord(buf[:0], u, nil)
+		buf = rec
+		if errors.Is(err, core.ErrNotFound) {
+			continue
+		}
+		if err != nil {
+			return buf, err
+		}
+		if err := fn(rec); err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // Apply implements Peer.

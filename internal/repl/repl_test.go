@@ -359,6 +359,36 @@ func TestDeleteWinsEvenAgainstHigherSeq(t *testing.T) {
 	}
 }
 
+// TestDeleteWinsWhenTheEditorPulls is TestDeleteWinsEvenAgainstHigherSeq
+// with the replica holding the edits starting the session: the stub it
+// pulls carries a lower sequence number than its live copy, and must still
+// win. Skipped as older, the stub stayed on one side and the edit on the
+// other, since the pushed edit cannot beat the stub, and the replicas
+// never converged.
+func TestDeleteWinsWhenTheEditorPulls(t *testing.T) {
+	a, b := pairedDBs(t)
+	n := createDoc(t, a, "edited a lot offline")
+	sync(t, b, a, Options{})
+	a.Session("user").Delete(n.OID.UNID)
+	sb := b.Session("user")
+	nb, _ := sb.Get(n.OID.UNID)
+	for _, body := range []string{"edit one", "edit two"} {
+		nb.SetText("Body", body)
+		if err := sb.Update(nb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sync(t, b, a, Options{})
+	for _, db := range []*core.Database{a, b} {
+		if _, err := db.Session("user").Get(n.OID.UNID); !errors.Is(err, core.ErrNotFound) {
+			t.Errorf("db %s: doc with higher seq beat the stub: %v", db.Title(), err)
+		}
+	}
+	if err := check.Identical(a, b); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestSelectiveReplication(t *testing.T) {
 	a, b := pairedDBs(t)
 	urgent := nsf.NewNote(nsf.ClassDocument)

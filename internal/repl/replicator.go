@@ -237,19 +237,22 @@ func pull(local *core.Database, peer Peer, stats *Stats, since store.Cursor, opt
 		return nil
 	}
 	var need []nsf.UNID
+	// The version check reads stored headers only: a summary that ends up
+	// skipped costs no note decode.
 	for _, s := range sums {
-		cur, err := local.RawGet(s.UNID)
+		cur, err := local.RawHeader(s.UNID)
 		switch {
-		case errors.Is(err, core.ErrNotFound):
-			if s.Deleted {
-				if err := applyStub(s); err != nil {
-					return since, err
-				}
-			} else {
-				need = append(need, s.UNID)
+		case err != nil && !errors.Is(err, core.ErrNotFound):
+			return since, err
+		case s.Deleted && (err != nil || cur.OID != s.OID()):
+			// A stub needs no fetch, and ApplyNote's rules decide it:
+			// a deletion wins over a live copy whatever its sequence
+			// number, which the comparisons below cannot tell.
+			if err := applyStub(s); err != nil {
+				return since, err
 			}
 		case err != nil:
-			return since, err
+			need = append(need, s.UNID)
 		case cur.OID == s.OID():
 			if cur.IsSelStub() && !s.Deleted {
 				// Same version, but the local copy is a selection stub and
@@ -262,13 +265,7 @@ func pull(local *core.Database, peer Peer, stats *Stats, since store.Cursor, opt
 		case s.OID().Newer(cur.OID) || s.Seq == cur.OID.Seq:
 			// Either the remote wins, or it is a potential conflict that
 			// needs the full note to resolve.
-			if s.Deleted {
-				if err := applyStub(s); err != nil {
-					return since, err
-				}
-			} else {
-				need = append(need, s.UNID)
-			}
+			need = append(need, s.UNID)
 		default:
 			stats.Pull.Skipped++
 		}
@@ -331,13 +328,10 @@ func Push(local *core.Database, peer Peer, stats *Stats, since store.Cursor, opt
 	return next, nil
 }
 
-// encodedBytes sums the encoded sizes of notes, encoding each into one
-// reused buffer.
+// encodedBytes sums the encoded sizes of notes.
 func encodedBytes(notes []*nsf.Note) (total int64) {
-	var buf []byte
 	for _, n := range notes {
-		buf = nsf.AppendNote(buf[:0], n)
-		total += int64(len(buf))
+		total += int64(nsf.EncodedLen(n))
 	}
 	return total
 }

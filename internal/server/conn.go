@@ -28,7 +28,8 @@ type connState struct {
 	// force each one to the heap).
 	dec wire.Dec
 	// rec and scratch serve Gets: the stored record is read into rec, and
-	// its access items are decoded into scratch for the read check.
+	// its access items are decoded into scratch for the read check. A
+	// replication fetch reads its records into rec too.
 	rec     []byte
 	scratch core.RecordScratch
 }
@@ -436,29 +437,27 @@ func (c *connState) fetch(ctx context.Context, hs *handleState, d *wire.Dec) (*w
 	if err := c.replAccess(hs, false); err != nil {
 		return nil, err
 	}
-	peer := &repl.LocalPeer{DB: hs.db}
-	// Fetch in chunks with a deadline check between them, so a huge pull
-	// from an abandoned replicator stops instead of running to the end.
-	var notes []*nsf.Note
-	for len(unids) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		chunk := unids
-		if len(chunk) > replChunk {
-			chunk = chunk[:replChunk]
-		}
-		unids = unids[len(chunk):]
-		got, err := peer.Fetch(chunk)
-		if err != nil {
-			return nil, err
-		}
-		notes = append(notes, got...)
+	// A stored record already is the reply's note encoding
+	// (nsf.AppendNote's form): each is shipped as stored, never decoded
+	// whole, through the connection's record buffer. The count goes in
+	// front once the notes that vanished since the summary scan are known.
+	resp := wire.NewResp(wire.OpFetch, wire.StatusOK).U32(0)
+	countAt := len(resp.Bytes()) - 4
+	shipped := 0
+	peer := &repl.LocalPeer{DB: hs.db, Ctx: ctx}
+	rec, err := peer.FetchRecords(c.rec[:0], unids, func(rec []byte) error {
+		resp.Blob(rec)
+		shipped++
+		return nil
+	})
+	if cap(rec) <= maxKeptRecord {
+		c.rec = rec
 	}
-	resp := wire.NewResp(wire.OpFetch, wire.StatusOK).U32(uint32(len(notes)))
-	for _, n := range notes {
-		resp.Note(n)
+	if err != nil {
+		resp.Release()
+		return nil, err
 	}
+	resp.SetU32(countAt, uint32(shipped))
 	return resp, nil
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -167,5 +168,49 @@ func TestGetAllocsDoNotGrowWithItems(t *testing.T) {
 	t.Logf("server allocations per Get: %.1f for 6 items, %.1f for 200", allocs[6], allocs[200])
 	if allocs[200] != allocs[6] || allocs[200] > 2 {
 		t.Errorf("a Get of 6 items made %.1f allocations and one of 200 made %.1f, want the same and at most 2", allocs[6], allocs[200])
+	}
+}
+
+// TestFetchReplyMatchesEncodedNotes: an OpFetch reply over a churned
+// corpus — stubs, records chained over several pages, a UNID that never
+// existed and one hard-deleted since — is byte for byte the reply built by
+// re-encoding each note RawGet returns with Enc.Note, skipping the UNIDs
+// RawGet does not find: the stored records shipped as stored are the same
+// wire bytes.
+func TestFetchReplyMatchesEncodedNotes(t *testing.T) {
+	s, _ := newHookServer(t, Options{}, nil)
+	db, _ := s.DB("apps/db.nsf")
+	seedScanCorpus(t, db)
+	unids := churnScanCorpus(t, db)
+	gone := unids[len(unids)/2]
+	if err := db.RawDelete(gone); err != nil {
+		t.Fatal(err)
+	}
+	unids = append(unids, nsf.NewUNID())
+	req := wire.NewEnc(wire.OpFetch).U32(1).U32(uint32(len(unids)))
+	want := wire.NewResp(wire.OpFetch, wire.StatusOK).U32(0)
+	var shipped, stubs int
+	for _, u := range unids {
+		req.UNID(u)
+		n, err := db.RawGet(u)
+		if errors.Is(err, core.ErrNotFound) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Note(n)
+		shipped++
+		if n.IsStub() {
+			stubs++
+		}
+	}
+	want.SetU32(2, uint32(shipped))
+	if shipped != len(unids)-2 || stubs == 0 {
+		t.Fatalf("corpus lost its edge cases: %d of %d UNIDs shipped, %d stubs", shipped, len(unids), stubs)
+	}
+	got := dbConn(t, s, "ada")(req)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("fetch reply differs from the re-encoded notes'\n got %q\nwant %q", got.Bytes(), want.Bytes())
 	}
 }
