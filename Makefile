@@ -21,7 +21,8 @@ race:
 
 # Short -race stress pass over the concurrency regression tests: the
 # versioned-write races (lost Seq updates, RawPut orphaning, replication
-# history forks), the replication change cursor (never skipping a commit
+# history forks, a batch put over a deletion stub), the replication change
+# cursor (never skipping a commit
 # racing the scan, nor a note on a second mate pulled under the same peer
 # name, that mate seeded by copying the first one's file or not), the seeded
 # two-mate history that internal/check audits, replication applies racing
@@ -41,9 +42,15 @@ race:
 # or restart and skipping a mate's unrelated database, and the wire client — one lock now guards the whole of it —
 # re-sending across mates, racing and cancelling a hedge, and abandoning a
 # connection on budget expiry or a session setup that outlives its budget
-# — and the changefeed: consumers stalled while writers lap the ring, then
-# catching up from the store, and a panicking subscriber isolated from the
-# writer and the other consumers — the commit signal that wakes cluster
+# — and the change maintainer: stalled while 8,292 changes commit behind it,
+# then catching up from the store to the rebuilt indexes, one pass covering
+# a hard delete and a re-create, the barrier covering hard deletes and a
+# note committed again ahead of the walk, a failed walk releasing the
+# barrier, every write reaching it, callbacks starting at the head in
+# commit order (also when registered mid-pass) and drained by Close, and a
+# panicking callback
+# isolated from the writer and the other consumers — the commit signal that
+# wakes cluster
 # pushers, mesh hot links and live moves, with a hot link missing no commit
 # made right after it is added and debouncing a burst into one round — and
 # two full-text indexes updated at once,
@@ -54,7 +61,7 @@ race:
 # delete the hits.
 stress:
 	$(GO) test -race -count=2 \
-		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestSummariesCursorNeverSkips|TestPullAcrossMatesNeverSkips|TestPullFromCopySeededMateNeverSkips|TestSeededHistory|TestApplyRacesLocalWrites|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestScanFromCursorSemantics|TestScanSkipsNotesCreatedDuringScan|TestScanRecordsRacingWriters|TestStoreScanSince|TestSummariesDecodeHeaders|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitWALSyncEIO|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestClusterPushSurvivesOutage|TestClusterPushSurvivesMateRestart|TestClusterPushSkipsOtherReplica|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites|TestClientResendsIffIdempotent|TestFailoverResendsIffIdempotent|TestLoneMateIsABareClient|TestOnlyHedgeableOpsHedge|TestHedgedReadWinsOverSlowMate|TestBudgetAbandonThenRecover|TestLocalExpiryOpensBreaker|TestSessionExpiryIsUnambiguous|TestFailoverStalledFirstMate|TestBreakerCountsSpentTurns|TestFeedOverflowCatchesUpFromStore|TestOverflowCatchUpEqualsRebuild|TestPanickingOnChangeSubscriberIsIsolated|TestNotify|TestHotLinkFiresOnWrite|TestHotLinkDebouncesBursts|TestConcurrentUpdateAndSearch|TestSearchRacesRenumber|TestSearchJoinRacingWriters' \
+		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestSummariesCursorNeverSkips|TestPullAcrossMatesNeverSkips|TestPullFromCopySeededMateNeverSkips|TestSeededHistory|TestApplyRacesLocalWrites|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestScanFromCursorSemantics|TestScanSkipsNotesCreatedDuringScan|TestScanRecordsRacingWriters|TestStoreScanSince|TestSummariesDecodeHeaders|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitWALSyncEIO|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestClusterPushSurvivesOutage|TestClusterPushSurvivesMateRestart|TestClusterPushSkipsOtherReplica|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites|TestClientResendsIffIdempotent|TestFailoverResendsIffIdempotent|TestLoneMateIsABareClient|TestOnlyHedgeableOpsHedge|TestHedgedReadWinsOverSlowMate|TestBudgetAbandonThenRecover|TestLocalExpiryOpensBreaker|TestSessionExpiryIsUnambiguous|TestFailoverStalledFirstMate|TestBreakerCountsSpentTurns|TestPutBatchNeverResurrects|TestFeedOverflowCatchesUpFromStore|TestOverflowCatchUpEqualsRebuild|TestPassCoversHardDeleteThenRecreate|TestWaitForUSNCoversHardDelete|TestEveryWriteSharesTheStoreUSN|TestOnChangeSeesCommitsInOrder|TestOnChangeStartsAtHead|TestOnChangeRegistersDuringPasses|TestCloseDrainsConsumers|TestBarrierCoversNoteCommittedAgainInPass|TestFailedWalkReleasesBarrier|TestOnChangeRegisteredMidWalk|TestPanickingOnChangeSubscriberIsIsolated|TestNotify|TestHotLinkFiresOnWrite|TestHotLinkDebouncesBursts|TestConcurrentUpdateAndSearch|TestSearchRacesRenumber|TestSearchJoinRacingWriters' \
 		./internal/core ./internal/repl ./internal/store ./internal/server ./internal/place ./internal/dir ./internal/wire ./internal/check ./internal/ft ./internal/mesh
 
 # Short native-fuzz smoke over the parsers that guard trust boundaries: the

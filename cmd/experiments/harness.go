@@ -441,7 +441,7 @@ func (p probe) best() float64 {
 // probes is the drift-guard table. Sizes are the quick ones whatever the
 // flag says: the guard runs in CI.
 var probes = []probe{
-	// Async put p50 with 0 and 8 open views: the changefeed claim.
+	// Async put p50 with 0 and 8 open views: the asynchronous-maintenance claim.
 	{"W1", w1Row(0, false, "async"), "p50_us", "lower", 1.30, 15, 3, func() float64 { return w1Probe(0) }},
 	{"W1", w1Row(8, false, "async"), "p50_us", "lower", 1.30, 15, 3, func() float64 { return w1Probe(8) }},
 	// The fsync-bound lone writer and 64 writers sharing its forces: the two

@@ -25,7 +25,6 @@ import (
 	"repro/internal/acl"
 	"repro/internal/agent"
 	"repro/internal/backup"
-	"repro/internal/changefeed"
 	"repro/internal/check"
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -73,9 +72,6 @@ type (
 	// DatabaseStats combines storage and change-propagation statistics
 	// (returned by Database.Stats).
 	DatabaseStats = core.Stats
-	// ChangefeedStats reports a database's change-propagation position and
-	// per-consumer lag.
-	ChangefeedStats = changefeed.Stats
 )
 
 // Errors.

@@ -86,7 +86,7 @@ func TestSaveTriggeredAgent(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := task(db, t, "auto", 1)
-	db.Refresh() // save triggers run on the changefeed, not the writer
+	db.Refresh() // save triggers run on the maintainer, not the writer
 	got, _ := db.Session("admin").Get(n.OID.UNID)
 	if got.Text("Stamped") != "yes" {
 		t.Errorf("save trigger did not run: Stamped = %q", got.Text("Stamped"))

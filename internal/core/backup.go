@@ -6,11 +6,9 @@ import (
 )
 
 // Online backup and media recovery, layered on internal/backup. The
-// database-level entry points add the changefeed barrier: before an image
-// is cut, every change consumer (views, full-text, subscribers) has
-// applied through the image's USN, so a backup is a clean point in the
-// change stream — no consumer is mid-entry at the captured USN, and a
-// restored database's consumers rebuild to exactly the image state.
+// database-level entry points take the refresh barrier first, so the
+// indexes have caught up with every change before the image; a restored
+// database rebuilds its indexes from the restored store on open.
 
 // Backup takes a hot full backup of the database into the backup set at
 // setDir. Writes continue during the copy; the commit path is never
@@ -45,8 +43,8 @@ func LastBackupUSN(setDir string) (uint64, nsf.Timestamp, error) {
 
 // Restore rebuilds a database at targetPath from the backup set at setDir
 // (plus, optionally, archived WAL segments for point-in-time recovery) and
-// opens it. The restored database's views, full-text index, and feed
-// cursor rebuild from the restored store on open.
+// opens it. The restored database's views, full-text index, and
+// maintainer cursor rebuild from the restored store on open.
 func Restore(setDir, targetPath string, ropts backup.RestoreOptions, opts Options) (*Database, backup.RestoreInfo, error) {
 	info, err := backup.Restore(setDir, targetPath, ropts, opts.Store.FS)
 	if err != nil {

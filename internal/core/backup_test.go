@@ -113,10 +113,9 @@ func TestBackupRestoreEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFeedUSNContinuityAcrossReopen checks that the changefeed is seeded
-// from the store's persistent USN on open: feed and store share one USN
-// sequence across restarts, so backup cursors and subscriber positions
-// stay comparable.
+// TestFeedUSNContinuityAcrossReopen checks that the database's USN is the
+// store's persistent one across restarts, so backup cursors and change
+// cursors stay comparable.
 func TestFeedUSNContinuityAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seq.nsf")
 	db, err := Open(path, Options{Title: "seq"})

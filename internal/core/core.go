@@ -4,16 +4,13 @@
 // incrementally maintained indexes, optional full-text indexing, and the
 // raw interfaces the replicator uses.
 //
-// Change propagation is asynchronous: every mutation is appended, under the
-// USN the store committed it at, to a per-database changefeed; view indexes,
-// the full-text index, unread tables, and OnChange subscribers catch up on
-// their own goroutines, and one that falls out of the feed catches up from
-// the store by USN; Notify only wakes a consumer that reads the store
-// itself. Write latency is therefore independent of how many views or
-// subscribers are open. Readers get read-your-writes on demand
-// through the refresh barrier (WaitForUSN / Refresh), which Session.Rows
-// and Session.Search apply automatically — the Domino "view refresh on
-// open".
+// Change propagation is asynchronous: each commit wakes the database's one
+// maintainer goroutine, which walks the store's USN index from its cursor
+// and hands each changed note to the views, full text, unread tables and
+// OnChange callbacks, so write latency does not grow with their number.
+// Readers get read-your-writes on demand through the refresh barrier
+// (WaitForUSN / Refresh), which Session.Rows and Session.Search apply
+// automatically — the Domino "view refresh on open".
 package core
 
 import (
@@ -23,10 +20,8 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/acl"
-	"repro/internal/changefeed"
 	"repro/internal/clock"
 	"repro/internal/dir"
 	"repro/internal/formula"
@@ -65,33 +60,27 @@ type Database struct {
 	clock *clock.Clock
 	dirs  *dir.Directory
 
-	// feed is the change log every consumer hangs off; wmu orders store
-	// commits with feed appends (commitLocked) so consumers observe commit
-	// order. It also makes every versioned read-modify-write atomic:
-	// reading the stored version, computing Seq/Revs/NoteID, and committing
-	// all happen under wmu, or two concurrent saves of one UNID would both
-	// stamp Seq=N+1 and silently lose an edit.
+	// wmu makes every versioned read-modify-write atomic: reading the
+	// stored version, computing Seq/Revs/NoteID, and committing all happen
+	// under wmu, or two concurrent saves of one UNID would both stamp
+	// Seq=N+1 and silently lose an edit.
 	//
-	// Latch order: wmu → store latch (Put/GetByUNID take the store latch
-	// internally). Code holding the store latch must never acquire wmu —
-	// the store never calls back into core, so the order is easy to keep.
-	feed *changefeed.Feed
-	wmu  sync.Mutex
+	// Latch order: wmu → maint.mu → store latch (Put/GetByUNID take the
+	// store latch internally). Code holding the store latch must never
+	// acquire wmu — the store never calls back into core, so the order is
+	// easy to keep.
+	wmu sync.Mutex
 	// notify are the channels Notify registered; commitLocked wakes them.
 	// Guarded by wmu.
 	notify []chan<- struct{}
+	// maint keeps the indexes and OnChange callbacks up to date.
+	maint maintainer
 
-	// ftCursor is the USN the full-text index reflects every change
-	// through. The sidecar persists it, with the store's incarnation, so
-	// reloads catch up incrementally.
-	ftCursor atomic.Uint64
-
-	mu        sync.RWMutex
-	acl       *acl.ACL
-	views     map[string]*view.Index
-	ftIndex   *ft.Index
-	onChanges int // counter naming OnChange subscribers
-	unread    map[string]*unreadTable
+	mu      sync.RWMutex
+	acl     *acl.ACL
+	views   map[string]*view.Index
+	ftIndex *ft.Index
+	unread  map[string]*unreadTable
 }
 
 // Open opens or creates the database file at path.
@@ -115,30 +104,13 @@ func Open(path string, opts Options) (*Database, error) {
 		clock: ck,
 		dirs:  opts.Directory,
 		views: make(map[string]*view.Index),
-		feed:  changefeed.New(changefeed.DefaultCapacity),
 	}
 	if err := db.loadDesign(); err != nil {
 		st.Close()
 		return nil, err
 	}
-	db.startMaintainers()
+	db.startMaintainer()
 	return db, nil
-}
-
-// startMaintainers subscribes the index maintainers to the changefeed. They
-// run for the life of the database, each on its own goroutine.
-func (db *Database) startMaintainers() {
-	db.feed.Subscribe("views", changefeed.Funcs{
-		ApplyFunc:  db.applyToViews,
-		ResyncFunc: db.resyncViews,
-	})
-	db.feed.Subscribe("fulltext", changefeed.Funcs{
-		ApplyFunc:  db.applyToFullText,
-		ResyncFunc: db.resyncFullText,
-	})
-	// Unread tables self-heal: UnreadCount prunes marks for vanished
-	// documents, so an overflow needs no catch-up.
-	db.feed.Subscribe("unread", changefeed.Funcs{ApplyFunc: db.applyToUnread})
 }
 
 // loadDesign reads the ACL note and view design notes.
@@ -187,11 +159,12 @@ func (db *Database) loadDesign() error {
 	return nil
 }
 
-// Close drains the changefeed (maintainers apply everything already
-// committed), persists the full-text sidecar (when enabled), checkpoints,
+// Close stops the maintainer once it has applied everything already
+// committed, persists the full-text sidecar (when enabled), checkpoints,
 // and closes the database.
 func (db *Database) Close() error {
-	db.feed.Close()
+	db.maint.stopOnce.Do(func() { close(db.maint.stop) })
+	<-db.maint.done
 	ftErr := db.SaveFullText()
 	err := db.st.Close()
 	if err == nil {
@@ -212,17 +185,25 @@ func (db *Database) Count() int { return db.st.Count() }
 // Clock returns the database's clock (shared with its server).
 func (db *Database) Clock() *clock.Clock { return db.clock }
 
-// Stats reports database statistics: storage plus change-propagation (feed
-// head, per-consumer lag, resync and drop counts).
+// Stats reports database statistics: storage plus change propagation (the
+// maintainer's lag and each consumer's drop flag).
 type Stats struct {
 	store.Stats
-	// Feed reports changefeed position and per-subscriber progress.
-	Feed changefeed.Stats
+	// Feed reports the maintainer's progress.
+	Feed FeedStats
 }
 
 // Stats returns current database statistics.
 func (db *Database) Stats() Stats {
-	return Stats{Stats: db.st.Stats(), Feed: db.feed.Stats()}
+	st := Stats{Stats: db.st.Stats(), Feed: FeedStats{LastUSN: db.st.LastUSN()}}
+	m, fs := &db.maint, &st.Feed
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	fs.MaxLag = fs.LastUSN - min(fs.LastUSN, m.cursor.USN)
+	for _, c := range m.consumers {
+		fs.Subscribers = append(fs.Subscribers, ConsumerStats{Name: c.name, Dropped: c.dropped})
+	}
+	return st
 }
 
 // LastUSN returns the update sequence number of the most recent committed
@@ -233,16 +214,6 @@ func (db *Database) LastUSN() uint64 { return db.st.LastUSN() }
 // store.Store.Cursor.
 func (db *Database) Cursor() store.Cursor { return db.st.Cursor() }
 
-// WaitForUSN blocks until every live change consumer (views, full-text,
-// unread tables, OnChange subscribers) has applied through usn — the
-// read-side refresh barrier.
-func (db *Database) WaitForUSN(usn uint64) { db.feed.WaitForUSN(usn) }
-
-// Refresh waits until all change consumers have caught up with every
-// change committed before the call — Domino's "view refresh", generalized.
-// Session.Rows and Session.Search call it automatically.
-func (db *Database) Refresh() { db.feed.WaitForUSN(db.feed.LastUSN()) }
-
 // ACL returns the database ACL.
 func (db *Database) ACL() *acl.ACL {
 	db.mu.RLock()
@@ -250,47 +221,11 @@ func (db *Database) ACL() *acl.ACL {
 	return db.acl
 }
 
-// OnChange registers fn to run after every note change (including
-// replication applies and stub creation). Callbacks run asynchronously on
-// a dedicated changefeed subscriber goroutine, in commit order; a callback
-// that falls out of the feed is handed the current version of every note
-// changed since it last ran, and may then see a few of them again. A
-// callback that panics is dropped (with a log line) rather than unwinding
-// anything else. Callbacks must not invoke the read barrier (Rows, Search,
-// View, Refresh) on the same database — the barrier would wait on the
-// callback's own cursor. Use Refresh from the outside to observe callback
-// effects. A consumer that only needs to know that something changed uses
-// Notify instead.
-//
-// Local bookkeeping (notes of class ClassReplFormula: replication history,
-// unread tables) never reaches fn: it never replicates, and the history
-// save at the end of a replication run would otherwise look like a change
-// to every consumer — retriggering replication forever and counting as
-// database activity. Physical deletes (stub purges) stay local too.
-func (db *Database) OnChange(fn func(*nsf.Note)) {
-	db.mu.Lock()
-	db.onChanges++
-	name := fmt.Sprintf("onchange-%d", db.onChanges)
-	db.mu.Unlock()
-	apply := func(e changefeed.Entry) {
-		if e.Kind == changefeed.Put && e.Note.Class != nsf.ClassReplFormula {
-			fn(e.Note)
-		}
-	}
-	db.feed.Subscribe(name, changefeed.Funcs{
-		ApplyFunc: apply,
-		ResyncFunc: func(applied uint64) error {
-			_, err := db.catchUp(applied, nil, apply)
-			return err
-		},
-	})
-}
-
 // Notify registers c to be sent a value, without blocking, by every commit
-// OnChange reports, as it commits. It suits a consumer that reads what
-// changed from the store by its own cursor: with a capacity of one, a burst
-// leaves one pending wake. No goroutine or feed cursor backs c, so the
-// refresh barrier never waits on it. After stop returns, c is sent nothing.
+// OnChange reports, as it commits: a wake for a consumer that reads what
+// changed from the store by its own cursor (with a capacity of one, a
+// burst leaves one pending wake). The refresh barrier never waits on it.
+// After stop returns, c is sent nothing.
 func (db *Database) Notify(c chan<- struct{}) (stop func()) {
 	db.wmu.Lock()
 	db.notify = append(db.notify, c)
@@ -305,25 +240,25 @@ func (db *Database) Notify(c chan<- struct{}) (stop func()) {
 }
 
 // commitLocked is the one way a change reaches the store: it writes n (or,
-// when n is nil, hard-deletes unid) and appends the change to the feed at
-// the USN the store committed it at, so the store and the feed share one
-// sequence and feed order is commit order. Call with wmu held, and wait on
-// the returned ticket after releasing it: holding wmu across the log write
-// would serialize committers and no group-commit batch could form. A Put
-// that OnChange reports also wakes every Notify channel. The feed carries a
-// clone, so a caller mutating n afterwards can never corrupt an index.
+// when n is nil, hard-deletes unid, listed for the maintainer) and wakes
+// the maintainer, and every Notify channel for a Put OnChange reports.
+// Call with wmu held, and wait on the returned ticket after releasing it:
+// holding wmu across the log write would keep group-commit batches from
+// forming.
 func (db *Database) commitLocked(unid nsf.UNID, n *nsf.Note) (store.Commit, error) {
+	var c store.Commit
+	var err error
 	if n == nil {
-		c, err := db.st.DeleteAsync(unid)
+		m := &db.maint
+		m.mu.Lock()
+		c, err = db.st.DeleteAsync(unid)
 		if c.USN != 0 {
-			db.feed.Append(c.USN, changefeed.Delete, unid, nil)
+			m.purged = append(m.purged, purge{c.USN, unid})
 		}
-		return c, err
-	}
-	c, err := db.st.PutAsync(n)
-	if c.USN != 0 {
-		db.feed.Append(c.USN, changefeed.Put, unid, n.Clone())
-		if n.Class != nsf.ClassReplFormula {
+		m.mu.Unlock()
+	} else {
+		c, err = db.st.PutAsync(n)
+		if c.USN != 0 && n.Class != nsf.ClassReplFormula {
 			for _, ch := range db.notify {
 				select {
 				case ch <- struct{}{}:
@@ -332,36 +267,13 @@ func (db *Database) commitLocked(unid nsf.UNID, n *nsf.Note) (store.Commit, erro
 			}
 		}
 	}
+	if c.USN != 0 {
+		select {
+		case db.maint.wake <- struct{}{}:
+		default:
+		}
+	}
 	return c, err
-}
-
-// catchUp brings a consumer that missed the changes after USN applied up to
-// date from the store: apply receives a Put entry for the current version
-// of every note committed since, then a Delete entry for every UNID in held
-// the store no longer has, since a hard delete leaves no USN to scan.
-// Catch-up entries carry no USN; catchUp returns the USN the scan covered.
-// A note committed again during the scan moves past that USN and is left
-// to the feed: a resync resumes at the feed head it captured before the
-// catch-up, which is at most that USN, so the ring still applies it.
-func (db *Database) catchUp(applied uint64, held []nsf.UNID, apply func(changefeed.Entry)) (uint64, error) {
-	since := store.Cursor{Incarnation: db.st.Incarnation(), USN: applied}
-	next, err := db.st.ScanSince(context.Background(), since, nil, func(n *nsf.Note) bool {
-		apply(changefeed.Entry{Kind: changefeed.Put, UNID: n.OID.UNID, Note: n})
-		return true
-	})
-	if err != nil {
-		return 0, err
-	}
-	for _, u := range held {
-		ok, err := db.st.Exists(u)
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			apply(changefeed.Entry{Kind: changefeed.Delete, UNID: u})
-		}
-	}
-	return next.USN, nil
 }
 
 // aclNoteUNID derives the deterministic UNID of the ACL note so that every
@@ -464,95 +376,6 @@ func (db *Database) evalContext(user string) *formula.Context {
 	return &formula.Context{UserName: user, Now: db.clock.Now}
 }
 
-// --- changefeed maintainers (each runs on its own subscriber goroutine) ---
-
-// openViews returns the registered view indexes.
-func (db *Database) openViews() []*view.Index {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	views := make([]*view.Index, 0, len(db.views))
-	for _, ix := range db.views {
-		views = append(views, ix)
-	}
-	return views
-}
-
-// applyToViews reflects one change in every open view index.
-func (db *Database) applyToViews(e changefeed.Entry) {
-	views := db.openViews()
-	if e.Kind == changefeed.Delete {
-		for _, ix := range views {
-			ix.Remove(e.UNID)
-		}
-		return
-	}
-	ctx := db.evalContext("")
-	for _, ix := range views {
-		// Design changes to the view itself are handled by AddView; data
-		// note errors here indicate a broken column formula — surface by
-		// dropping the note from the view rather than failing maintenance.
-		if _, err := ix.Update(e.Note, ctx); err != nil {
-			ix.Remove(e.UNID)
-		}
-	}
-}
-
-// resyncViews catches every view up from the store after the maintainer
-// fell out of the feed window.
-func (db *Database) resyncViews(applied uint64) error {
-	var held []nsf.UNID
-	for _, ix := range db.openViews() {
-		for _, e := range ix.Entries() {
-			held = append(held, e.UNID)
-		}
-	}
-	_, err := db.catchUp(applied, held, db.applyToViews)
-	return err
-}
-
-// applyToFullText reflects one change in the full-text index, advancing the
-// sidecar catch-up cursor.
-func (db *Database) applyToFullText(e changefeed.Entry) {
-	if ix := db.FullText(); ix != nil {
-		applyToFT(ix, e)
-		db.ftCursor.Store(e.USN)
-	}
-}
-
-// resyncFullText catches the full-text index up from the store after the
-// maintainer fell out of the feed window.
-func (db *Database) resyncFullText(applied uint64) error {
-	ix := db.FullText()
-	if ix == nil {
-		return nil
-	}
-	through, err := db.catchUpFullText(ix, applied)
-	if err != nil {
-		return err
-	}
-	db.ftCursor.Store(through)
-	return nil
-}
-
-// applyToUnread drops read marks for documents that no longer exist, so
-// loaded unread tables do not accumulate marks for purged notes.
-func (db *Database) applyToUnread(e changefeed.Entry) {
-	if e.Kind != changefeed.Delete && (e.Note == nil || !e.Note.IsStub()) {
-		return
-	}
-	db.mu.RLock()
-	tables := make([]*unreadTable, 0, len(db.unread))
-	for _, t := range db.unread {
-		tables = append(tables, t)
-	}
-	db.mu.RUnlock()
-	for _, t := range tables {
-		t.mu.Lock()
-		delete(t.read, e.UNID)
-		t.mu.Unlock()
-	}
-}
-
 // --- raw (trusted) access, used by the replicator and server tasks ---
 
 // RawGet returns a note bypassing ACL checks.
@@ -613,8 +436,8 @@ func (db *Database) RawHeader(unid nsf.UNID) (nsf.Note, error) {
 var ErrChanged = errors.New("core: note changed since it was read")
 
 // RawPut stores a note without touching its OID (the replicator supplies
-// complete OIDs from the source replica). Views, full-text, and change
-// subscribers are maintained through the changefeed. n itself is not
+// complete OIDs from the source replica). The maintainer brings views, full
+// text and OnChange callbacks up to date. n itself is not
 // modified: the local NoteID and the Modified stamp go on a copy of its
 // header, which shares n's items.
 func (db *Database) RawPut(n *nsf.Note) error { return db.rawPut(n, nil) }
@@ -686,7 +509,7 @@ func (db *Database) rawPut(n *nsf.Note, was *nsf.Note) error {
 }
 
 // RawDelete removes a note physically, bypassing stubs (used by the stub
-// purger). Indexes drop the note when the feed entry reaches them.
+// purger). Indexes drop the note at the maintainer's next pass.
 func (db *Database) RawDelete(unid nsf.UNID) error {
 	db.wmu.Lock()
 	c, err := db.commitLocked(unid, nil)

@@ -99,6 +99,32 @@ func TestUpdateNeverResurrects(t *testing.T) {
 	}
 }
 
+// TestPutBatchNeverResurrects puts a deleted document's UNID in a batch:
+// the batch stops there with ErrNotFound and the deletion stub stays.
+func TestPutBatchNeverResurrects(t *testing.T) {
+	db := openDB(t, Options{})
+	s := db.Session("alice")
+	n := memo("doomed")
+	if err := s.Create(n); err != nil {
+		t.Fatal(err)
+	}
+	late := n.Clone()
+	late.SetText("Subject", "batched too late")
+	if err := s.Delete(n.OID.UNID); err != nil {
+		t.Fatal(err)
+	}
+	applied, err := s.PutBatch([]*nsf.Note{late, memo("after")})
+	if applied != 0 || !errors.Is(err, ErrNotFound) {
+		t.Errorf("batch with a deleted document: applied %d, %v; want 0, ErrNotFound", applied, err)
+	}
+	if _, err := s.Get(n.OID.UNID); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Get after the batch: %v, want ErrNotFound", err)
+	}
+	if stub, err := db.RawGet(n.OID.UNID); err != nil || !stub.IsStub() || stub.OID.Seq != 2 {
+		t.Errorf("after the batch: %+v, %v; want the seq-2 stub", stub, err)
+	}
+}
+
 func TestCreateDuplicateFails(t *testing.T) {
 	db := openDB(t, Options{})
 	s := db.Session("alice")
@@ -340,11 +366,23 @@ func TestOnChangeFires(t *testing.T) {
 	s := db.Session("alice")
 	n := memo("e1")
 	s.Create(n)
+	// Callbacks run on the maintainer goroutine and get the current
+	// version, so each version is waited out before the next is written.
+	db.Refresh()
 	n.SetText("Subject", "e2")
 	s.Update(n)
-	db.Refresh() // callbacks run on a feed subscriber goroutine
+	db.Refresh()
 	if len(events) != 2 || events[0] != "e1" || events[1] != "e2" {
 		t.Errorf("events = %v", events)
+	}
+	// A burst of updates may arrive as one call, with the last version.
+	for _, subject := range []string{"e3", "e4"} {
+		n.SetText("Subject", subject)
+		s.Update(n)
+	}
+	db.Refresh()
+	if last := events[len(events)-1]; len(events) > 4 || last != "e4" {
+		t.Errorf("after a burst events = %v, want it to end at e4", events)
 	}
 }
 

@@ -1,14 +1,15 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 
-	"repro/internal/changefeed"
 	"repro/internal/ft"
+	"repro/internal/nsf"
 	"repro/internal/store"
 	"repro/internal/vfs"
 )
@@ -16,7 +17,7 @@ import (
 // Full-text index persistence. Like Domino's .ft directories, the index is
 // kept in a sidecar file next to the database (path + ".ft") so
 // EnableFullText on a large database loads a snapshot and catches up from
-// the store's USN index (catchUp) instead of re-tokenizing everything.
+// the store's USN index instead of re-tokenizing everything.
 //
 // Sidecar format: magic "NSFFT002", the catch-up cursor (store incarnation
 // and USN, 8 bytes each), then the ft.Index snapshot, published through
@@ -26,11 +27,13 @@ const ftSidecarMagic = "NSFFT002"
 func (db *Database) ftSidecarPath() string { return db.st.Path() + ".ft" }
 
 // EnableFullText loads the database's full-text index from its sidecar, or
-// starts an empty one, and catches it up from the store; after it returns,
-// the index is maintained incrementally through the changefeed, and Close
-// persists it. The commit lock is held across the catch-up so the scan sees
-// a frozen store; feed entries still in flight re-apply versions the scan
-// already saw, which the index absorbs idempotently.
+// starts an empty one, and catches it up from the store: it indexes the
+// current version of every note committed since the snapshot, then removes
+// each document the store no longer has, since a hard delete leaves no USN
+// to walk. The commit lock is held across the catch-up so the scan sees a
+// frozen store; a maintainer pass behind it re-applies versions the scan
+// already saw, which the index absorbs. After it returns, the maintainer
+// keeps the index up to date, and Close persists it.
 func (db *Database) EnableFullText() error {
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
@@ -39,30 +42,27 @@ func (db *Database) EnableFullText() error {
 		// No usable snapshot: index every note.
 		ix, from = ft.NewIndex(), 0
 	}
-	through, err := db.catchUpFullText(ix, from)
+	since := store.Cursor{Incarnation: db.st.Incarnation(), USN: from}
+	_, err = db.st.ScanSince(context.Background(), since, nil, func(n *nsf.Note) bool {
+		ix.Update(n)
+		return true
+	})
+	for _, u := range ix.Docs() {
+		if err != nil {
+			break
+		}
+		var ok bool
+		if ok, err = db.st.Exists(u); err == nil && !ok {
+			ix.Remove(u)
+		}
+	}
 	if err != nil {
 		return err
 	}
 	db.mu.Lock()
 	db.ftIndex = ix
 	db.mu.Unlock()
-	db.ftCursor.Store(through)
 	return nil
-}
-
-// catchUpFullText brings ix, which reflects every change through USN from,
-// up to date with the store, returning the USN it now reflects.
-func (db *Database) catchUpFullText(ix *ft.Index, from uint64) (uint64, error) {
-	return db.catchUp(from, ix.Docs(), func(e changefeed.Entry) { applyToFT(ix, e) })
-}
-
-// applyToFT reflects one change in a full-text index.
-func applyToFT(ix *ft.Index, e changefeed.Entry) {
-	if e.Kind == changefeed.Delete {
-		ix.Remove(e.UNID)
-	} else {
-		ix.Update(e.Note)
-	}
 }
 
 // loadFullText loads the sidecar snapshot and the USN it reflects every
@@ -110,14 +110,19 @@ func (db *Database) SaveFullText() error {
 	if ix == nil {
 		return nil
 	}
-	// Drain pending maintenance so the snapshot is current, then record the
-	// maintainer's catch-up cursor: every change at or below it is in the
-	// index; writes racing the save are re-indexed by the next catch-up,
-	// never lost. (After Close the feed is already drained and the barrier
-	// returns immediately.)
+	// Record the cursor the barrier brings the index to, or 0 once its
+	// consumer was dropped, so the next load re-walks every note. Writes
+	// racing the save are re-indexed by the next catch-up, never lost.
 	db.Refresh()
+	m := &db.maint
+	m.mu.Lock()
+	through := m.cursor.USN
+	if m.consumers[ftConsumer].dropped {
+		through = 0
+	}
+	m.mu.Unlock()
 	hdr := binary.LittleEndian.AppendUint64([]byte(ftSidecarMagic), db.st.Incarnation())
-	hdr = binary.LittleEndian.AppendUint64(hdr, db.ftCursor.Load())
+	hdr = binary.LittleEndian.AppendUint64(hdr, through)
 	return store.Publish(db.st.FS(), db.ftSidecarPath(), func(f vfs.File) error {
 		w := io.NewOffsetWriter(f, 0)
 		if _, err := w.Write(hdr); err != nil {

@@ -174,8 +174,9 @@ const putBatchWaitStride = 256
 // per document (batches flush in order, so waiting on the last ticket
 // covers them all — including any earlier write error, which poisons the
 // group). Access is checked per document: CanCreate for new UNIDs, CanEdit
-// for existing ones. Zero UNIDs are assigned; Author-level users get the
-// same automatic $Authors item as Create.
+// for existing ones; a deleted document's UNID stops the batch with
+// ErrNotFound, as Update does. Zero UNIDs are assigned; Author-level users
+// get the same automatic $Authors item as Create.
 //
 // It returns how many documents were stored: on error, exactly the first
 // `applied` documents were stored and are durable.
@@ -201,6 +202,7 @@ func (s *Session) PutBatchCtx(ctx context.Context, notes []*nsf.Note) (applied i
 			n.OID.UNID = nsf.NewUNID()
 		}
 		old, gerr := s.db.st.GetByUNID(n.OID.UNID)
+		update := gerr == nil
 		switch {
 		case errors.Is(gerr, ErrNotFound):
 			if !s.id.CanCreate() {
@@ -210,15 +212,18 @@ func (s *Session) PutBatchCtx(ctx context.Context, notes []*nsf.Note) (applied i
 			}
 		case gerr != nil:
 			err = fmt.Errorf("core: PutBatch document %d: %w", i, gerr)
-		default:
-			if !s.id.CanEdit(old) {
-				err = fmt.Errorf("%w: %s may not edit %s (document %d)", ErrAccessDenied, s.user, n.OID.UNID, i)
-			}
+		case old.IsStub():
+			// A deleted document stays deleted, as Update leaves it.
+			err = fmt.Errorf("core: PutBatch document %d: %w", i, ErrNotFound)
+		case !s.id.CanEdit(old):
+			err = fmt.Errorf("%w: %s may not edit %s (document %d)", ErrAccessDenied, s.user, n.OID.UNID, i)
 		}
 		if err != nil {
 			break
 		}
-		c, perr := s.db.putVersionedAsync(n, false)
+		// An update repeats the stub check under wmu, so a delete racing
+		// the batch cannot be overwritten either.
+		c, perr := s.db.putVersionedAsync(n, update)
 		if perr != nil {
 			err = fmt.Errorf("core: PutBatch document %d: %w", i, perr)
 			break

@@ -43,6 +43,18 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
+// TestStopwordsFitMaxStopword holds maxStopword, the length past which the
+// term walker skips the stopword lookup, to the longest stopword.
+func TestStopwordsFitMaxStopword(t *testing.T) {
+	longest := 0
+	for w := range stopwords {
+		longest = max(longest, len(w))
+	}
+	if longest != maxStopword {
+		t.Errorf("longest stopword has %d bytes, maxStopword is %d", longest, maxStopword)
+	}
+}
+
 func TestBasicSearch(t *testing.T) {
 	ix := NewIndex()
 	a := textNote("database systems", "replication and recovery in groupware")

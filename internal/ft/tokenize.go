@@ -22,6 +22,10 @@ var stopwords = map[string]bool{
 
 const maxTermLen = 64
 
+// maxStopword is the length of the longest stopword; a longer term is
+// never looked up.
+const maxStopword = 4
+
 // termWalker yields the index terms of a text, or of every text value of a
 // note in item order, without allocating once its buffer has grown. A term
 // is a maximal run of letters and digits, lower-cased: a byte below 0x80
@@ -52,9 +56,8 @@ func (w *termWalker) next() ([]byte, bool) {
 	for {
 		for w.i < len(w.s) {
 			w.buf = w.buf[:0]
-			for w.i < len(w.s) && w.step() {
-			}
-			if n := len(w.buf); n > 0 && n <= maxTermLen && !stopwords[string(w.buf)] {
+			w.term()
+			if n := len(w.buf); n > 0 && n <= maxTermLen && (n > maxStopword || !stopwords[string(w.buf)]) {
 				return w.buf, true
 			}
 		}
@@ -64,27 +67,29 @@ func (w *termWalker) next() ([]byte, bool) {
 	}
 }
 
-// step consumes one character, appending its lower-cased form to buf if it
-// belongs to a term; it reports whether it did.
-func (w *termWalker) step() bool {
-	if c := w.s[w.i]; c < utf8.RuneSelf {
+// term consumes characters up to and including the next separator,
+// appending the lower-cased form of each one before it to buf.
+func (w *termWalker) term() {
+	for w.i < len(w.s) {
+		c := w.s[w.i]
+		if c >= utf8.RuneSelf {
+			r, size := utf8.DecodeRuneInString(w.s[w.i:])
+			w.i += size
+			if r = unicode.ToLower(r); !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+				return
+			}
+			w.buf = utf8.AppendRune(w.buf, r)
+			continue
+		}
 		w.i++
 		if 'A' <= c && c <= 'Z' {
 			c += 'a' - 'A'
 		}
-		if 'a' <= c && c <= 'z' || '0' <= c && c <= '9' {
-			w.buf = append(w.buf, c)
-			return true
+		if (c < 'a' || c > 'z') && (c < '0' || c > '9') {
+			return
 		}
-		return false
+		w.buf = append(w.buf, c)
 	}
-	r, size := utf8.DecodeRuneInString(w.s[w.i:])
-	w.i += size
-	if r = unicode.ToLower(r); unicode.IsLetter(r) || unicode.IsDigit(r) {
-		w.buf = utf8.AppendRune(w.buf, r)
-		return true
-	}
-	return false
 }
 
 // nextText moves the walk to the note's next text value, reporting false

@@ -199,8 +199,8 @@ func TestAdmissionShedsUnderOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Baseline after the first OpenDB: the server's lazily opened database
-	// handle keeps its changefeed subscribers alive for the server's
-	// lifetime, so measuring any earlier would count them as a leak.
+	// handle keeps its maintainer goroutine alive for the server's
+	// lifetime, so measuring any earlier would count it as a leak.
 	baseline := runtime.NumGoroutine()
 
 	var wg sync.WaitGroup

@@ -68,18 +68,16 @@ func (s *Server) RefreshCatalog() (int, error) {
 		n.SetWithFlags("ReplicaID", nsf.TextValue(db.ReplicaID().String()), nsf.FlagSummary)
 		n.SetNumber("Notes", float64(stats.Notes))
 		n.SetNumber("Pages", float64(stats.Pages))
-		// Change-propagation health: feed position, worst consumer lag, and
-		// how often consumers fell back to a rebuild.
+		// Change-propagation health: the store's USN, how far the
+		// maintainer lags it, and how many consumers were dropped.
 		n.SetNumber("ChangeUSN", float64(stats.Feed.LastUSN))
 		n.SetNumber("ChangeMaxLag", float64(stats.Feed.MaxLag))
-		resyncs, dropped := 0.0, 0.0
+		dropped := 0.0
 		for _, sub := range stats.Feed.Subscribers {
-			resyncs += float64(sub.Resyncs)
 			if sub.Dropped {
 				dropped++
 			}
 		}
-		n.SetNumber("ChangeResyncs", resyncs)
 		n.SetNumber("ChangeDroppedSubs", dropped)
 		// Placement: which mates home this database and at what generation.
 		// "*" means unplaced — any mate serves it.

@@ -13,11 +13,11 @@ import (
 )
 
 // The event monitor: Domino's event task watches database activity and
-// writes threshold events to the log. Here the monitor consumes each
-// database's changefeed (via OnChange) rather than hooking the writer, so
-// a slow log write can only ever delay the monitor's own feed cursor —
-// never a save. Server-private databases (mail.box, log.nsf, catalog.nsf)
-// are not monitored; monitoring the log would feed back into itself.
+// writes threshold events to the log. Here the monitor is an OnChange
+// callback of each database, so a slow log write can only delay that
+// database's maintainer, never a save. Server-private databases (mail.box,
+// log.nsf, catalog.nsf) are not monitored: the log would feed back into
+// itself.
 
 // LogMonitor is the log kind for activity-threshold events.
 const LogMonitor = "monitor"
@@ -35,8 +35,8 @@ type monitorState struct {
 // EnableMonitor starts the event monitor on every database the server has
 // opened or will open. Each time a monitored database accumulates
 // threshold changes, the monitor writes a LogMonitor event to log.nsf with
-// the database path, the running total, and the database's changefeed
-// position. threshold <= 0 uses 100.
+// the database path, the running total, and the database's USN and
+// maintainer lag. threshold <= 0 uses 100.
 func (s *Server) EnableMonitor(threshold int) {
 	if threshold <= 0 {
 		threshold = 100
@@ -61,7 +61,7 @@ func (s *Server) EnableMonitor(threshold int) {
 	}
 }
 
-// hookMonitorDB subscribes the monitor to one database's changefeed.
+// hookMonitorDB registers the monitor as one database's OnChange callback.
 func (s *Server) hookMonitorDB(path string, db *core.Database) {
 	if localOnlyDBs[path] {
 		return

@@ -622,25 +622,46 @@ type Cursor struct {
 // stubs are notes and are included; hard deletes leave nothing to report.
 // Each note carries only the items keep accepts (nil keeps all).
 //
-// It is ScanFromCtx's walk over the USN index. The store's USN, read under
-// the first latch hold, bounds the walk and is the cursor returned for the
-// next incremental scan. A note committed again while the walk is in flight
-// moves past that cursor, so the next scan delivers it instead of this one:
-// no note is delivered twice in one scan, and a scan plus the next one from
-// its cursor never skip a latest version.
+// The store's USN, read under the walk's first latch hold, bounds it and is
+// the cursor returned. A note committed again during the walk moves past
+// that cursor, so the next scan delivers it instead of this one: no note
+// comes twice in one scan, and a scan plus the next one from its cursor
+// never skip a latest version.
 func (s *Store) ScanSince(ctx context.Context, since Cursor, keep func(name []byte, flags nsf.ItemFlags) bool, fn func(*nsf.Note) bool) (Cursor, error) {
-	var next Cursor
 	var derr error
-	err := s.walk(ctx, true, func() (uint64, uint64) {
-		next = Cursor{Incarnation: s.pg.incarnation, USN: s.usn}
-		if since.Incarnation != next.Incarnation {
-			return 0, next.USN
-		}
-		return since.USN, next.USN
-	}, keep, decoded(fn, &derr))
+	dec := decoded(fn, &derr)
+	next, err := s.scanSince(ctx, since, false, keep, func(_ uint64, rec []byte) bool { return dec(rec) })
 	if err == nil {
 		err = derr
 	}
+	return next, err
+}
+
+// ScanSinceRecords calls fn with the USN and the record of every note
+// whose last commit comes after since, in USN order, until fn returns
+// false or ctx is done; a record is as ScanRecords hands it out.
+//
+// Unlike ScanSince it has no bound: it ends at the latch hold that reaches
+// the end of the USN index, and returns that hold's USN. A note committed
+// again during the walk lands past the walk's position, so fn got every
+// note whose last commit is at or below that cursor, at that commit: the
+// cursor a change consumer is current through. Commits arriving faster
+// than fn takes them keep the walk from ending.
+func (s *Store) ScanSinceRecords(ctx context.Context, since Cursor, keep func(name []byte, flags nsf.ItemFlags) bool, fn func(usn uint64, rec []byte) bool) (Cursor, error) {
+	return s.scanSince(ctx, since, true, keep, fn)
+}
+
+// scanSince is the USN index walk behind ScanSince and ScanSinceRecords.
+// A cursor from another incarnation starts it over from USN 0.
+func (s *Store) scanSince(ctx context.Context, since Cursor, chase bool, keep func(name []byte, flags nsf.ItemFlags) bool, fn func(usn uint64, rec []byte) bool) (Cursor, error) {
+	var next Cursor
+	last, err := s.walk(ctx, true, chase, func() (after, last uint64) {
+		if next.Incarnation = s.pg.incarnation; since.Incarnation == next.Incarnation {
+			after = since.USN
+		}
+		return after, s.usn
+	}, keep, fn)
+	next.USN = last
 	return next, err
 }
 
@@ -678,9 +699,10 @@ func (s *Store) ScanFromCtx(ctx context.Context, after nsf.NoteID, keep func(nam
 // cursor the wire scan ops page with. (NoteIDs are per-copy: a cursor is
 // meaningless against another replica of the same database.)
 func (s *Store) ScanRecords(ctx context.Context, after nsf.NoteID, keep func(name []byte, flags nsf.ItemFlags) bool, fn func(rec []byte) bool) error {
-	return s.walk(ctx, false, func() (uint64, uint64) {
+	_, err := s.walk(ctx, false, false, func() (uint64, uint64) {
 		return uint64(after), uint64(s.pg.nextNoteID) - 1
-	}, keep, fn)
+	}, keep, func(_ uint64, rec []byte) bool { return fn(rec) })
+	return err
 }
 
 // decoded adapts a note callback to the record walk: each record is
@@ -698,9 +720,11 @@ func decoded(fn func(*nsf.Note) bool, err *error) func([]byte) bool {
 }
 
 // walk is the one note walk, behind ScanRecords (byUSN false: the NoteID
-// index) and ScanSince (byUSN true: the USN index). start, called under the
-// first read-latch hold, names the key the walk resumes after and the last
-// key it may visit. Each hold walks up to scanBatch entries and appends
+// index) and scanSince (byUSN true: the USN index), handing fn each note's
+// key in that index with its record. start, called under the first
+// read-latch hold, names the key the walk resumes after and the last key
+// it may visit; with chase, each later hold moves that last key up to the
+// store's USN. walk returns the last key in force when it ended. Each hold walks up to scanBatch entries and appends
 // each note's record, projected to the items keep accepts, to one arena
 // that every hold reuses (a chained record is assembled in one reused
 // buffer first), so a hold allocates nothing per note. fn then gets the
@@ -709,10 +733,14 @@ func decoded(fn func(*nsf.Note) bool, err *error) func([]byte) bool {
 // the last key walked. Notes deleted during the walk are skipped, and the
 // note cache is neither consulted nor filled. ctx is checked before each
 // hold, so a cancelled walk stops within one scanBatch of work.
-func (s *Store) walk(ctx context.Context, byUSN bool, start func() (after, last uint64), keep func([]byte, nsf.ItemFlags) bool, fn func(rec []byte) bool) error {
+func (s *Store) walk(ctx context.Context, byUSN, chase bool, start func() (after, last uint64), keep func([]byte, nsf.ItemFlags) bool, fn func(key uint64, rec []byte) bool) (uint64, error) {
+	type span struct {
+		key uint64
+		end int // where the record ends in arena
+	}
 	var after, last uint64
 	var arena, chain []byte
-	ends := make([]int, 0, scanBatch) // where each record in arena ends
+	ends := make([]span, 0, scanBatch)
 	more := false
 	var werr error
 	visit := func(k, v []byte) bool {
@@ -730,26 +758,28 @@ func (s *Store) walk(ctx context.Context, byUSN bool, start func() (after, last 
 			werr = err
 			return false
 		}
-		ends = append(ends, len(arena))
+		ends = append(ends, span{key, len(arena)})
 		after = key
 		return true
 	}
 	for first := true; ; first = false {
 		if err := ctx.Err(); err != nil {
-			return err
+			return last, err
 		}
 		arena, ends, more, werr = arena[:0], ends[:0], false, nil
 		s.mu.RLock()
 		if s.closed {
 			s.mu.RUnlock()
-			return errors.New("store: closed")
+			return last, errors.New("store: closed")
 		}
 		if first {
 			after, last = start()
+		} else if chase {
+			last = s.usn
 		}
 		if after >= last {
 			s.mu.RUnlock()
-			return nil
+			return last, nil
 		}
 		ix, from := s.byID, idKey(nsf.NoteID(after+1))
 		if byUSN {
@@ -762,17 +792,17 @@ func (s *Store) walk(ctx context.Context, byUSN bool, start func() (after, last 
 			err = werr
 		}
 		if err != nil {
-			return err
+			return last, err
 		}
 		begin := 0
-		for _, end := range ends {
-			if !fn(arena[begin:end:end]) {
-				return nil
+		for _, e := range ends {
+			if !fn(e.key, arena[begin:e.end:e.end]) {
+				return last, nil
 			}
-			begin = end
+			begin = e.end
 		}
 		if !more {
-			return nil
+			return last, nil
 		}
 	}
 }
