@@ -49,7 +49,11 @@ race:
 # barrier, every write reaching it, callbacks starting at the head in
 # commit order (also when registered mid-pass) and drained by Close, and a
 # panicking callback
-# isolated from the writer and the other consumers — the commit signal that
+# isolated from the writer and the other consumers, and each callback's note
+# its own to keep while the maintainer reuses the note it decodes into — the
+# notes of a request, decoded into the note slab and arena its connection
+# reuses, never outliving the request while two connections alternate
+# batch puts and updates — the commit signal that
 # wakes cluster
 # pushers, mesh hot links and live moves, with a hot link missing no commit
 # made right after it is added and debouncing a burst into one round — and
@@ -61,7 +65,7 @@ race:
 # delete the hits.
 stress:
 	$(GO) test -race -count=2 \
-		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestSummariesCursorNeverSkips|TestPullAcrossMatesNeverSkips|TestPullFromCopySeededMateNeverSkips|TestSeededHistory|TestApplyRacesLocalWrites|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestScanFromCursorSemantics|TestScanSkipsNotesCreatedDuringScan|TestScanRecordsRacingWriters|TestStoreScanSince|TestSummariesDecodeHeaders|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitWALSyncEIO|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestClusterPushSurvivesOutage|TestClusterPushSurvivesMateRestart|TestClusterPushSkipsOtherReplica|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites|TestClientResendsIffIdempotent|TestFailoverResendsIffIdempotent|TestLoneMateIsABareClient|TestOnlyHedgeableOpsHedge|TestHedgedReadWinsOverSlowMate|TestBudgetAbandonThenRecover|TestLocalExpiryOpensBreaker|TestSessionExpiryIsUnambiguous|TestFailoverStalledFirstMate|TestBreakerCountsSpentTurns|TestPutBatchNeverResurrects|TestFeedOverflowCatchesUpFromStore|TestOverflowCatchUpEqualsRebuild|TestPassCoversHardDeleteThenRecreate|TestWaitForUSNCoversHardDelete|TestEveryWriteSharesTheStoreUSN|TestOnChangeSeesCommitsInOrder|TestOnChangeStartsAtHead|TestOnChangeRegistersDuringPasses|TestCloseDrainsConsumers|TestBarrierCoversNoteCommittedAgainInPass|TestFailedWalkReleasesBarrier|TestOnChangeRegisteredMidWalk|TestPanickingOnChangeSubscriberIsIsolated|TestNotify|TestHotLinkFiresOnWrite|TestHotLinkDebouncesBursts|TestConcurrentUpdateAndSearch|TestSearchRacesRenumber|TestSearchJoinRacingWriters' \
+		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestSummariesCursorNeverSkips|TestPullAcrossMatesNeverSkips|TestPullFromCopySeededMateNeverSkips|TestSeededHistory|TestApplyRacesLocalWrites|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestScanFromCursorSemantics|TestScanSkipsNotesCreatedDuringScan|TestScanRecordsRacingWriters|TestStoreScanSince|TestSummariesDecodeHeaders|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitWALSyncEIO|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestClusterPushSurvivesOutage|TestClusterPushSurvivesMateRestart|TestClusterPushSkipsOtherReplica|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites|TestClientResendsIffIdempotent|TestFailoverResendsIffIdempotent|TestLoneMateIsABareClient|TestOnlyHedgeableOpsHedge|TestHedgedReadWinsOverSlowMate|TestBudgetAbandonThenRecover|TestLocalExpiryOpensBreaker|TestSessionExpiryIsUnambiguous|TestFailoverStalledFirstMate|TestBreakerCountsSpentTurns|TestPutBatchNeverResurrects|TestFeedOverflowCatchesUpFromStore|TestOverflowCatchUpEqualsRebuild|TestPassCoversHardDeleteThenRecreate|TestWaitForUSNCoversHardDelete|TestEveryWriteSharesTheStoreUSN|TestOnChangeSeesCommitsInOrder|TestOnChangeStartsAtHead|TestOnChangeRegistersDuringPasses|TestCloseDrainsConsumers|TestBarrierCoversNoteCommittedAgainInPass|TestFailedWalkReleasesBarrier|TestOnChangeRegisteredMidWalk|TestPanickingOnChangeSubscriberIsIsolated|TestOnChangeOwnsItsNote|TestRequestNotesDoNotOutliveTheirRequest|TestNotify|TestHotLinkFiresOnWrite|TestHotLinkDebouncesBursts|TestConcurrentUpdateAndSearch|TestSearchRacesRenumber|TestSearchJoinRacingWriters' \
 		./internal/core ./internal/repl ./internal/store ./internal/server ./internal/place ./internal/dir ./internal/wire ./internal/check ./internal/ft ./internal/mesh
 
 # Short native-fuzz smoke over the parsers that guard trust boundaries: the
@@ -75,7 +79,9 @@ stress:
 # the full-text sidecar reader (it parses what it finds on disk at every
 # EnableFullText), the full-text term walker (every indexed text value and
 # every query passes through it; checked against the slow ToLower +
-# FieldsFunc rule), full-text search (fuzzer-chosen documents, changes and
+# FieldsFunc rule), the view collation key builder (every view entry's sort
+# key; checked byte for byte against the segment-per-value reference),
+# full-text search (fuzzer-chosen documents, changes and
 # queries through the ordinal index, checked against the map-based oracle
 # and the linear scan), WAL replay (crash recovery writes logged page images
 # back into the page file), the archive readers (point-in-time restore
@@ -91,6 +97,7 @@ fuzz:
 	$(GO) test ./internal/backup -run '^$$' -fuzz FuzzReadIncremental -fuzztime 15s
 	$(GO) test ./internal/ft -run '^$$' -fuzz FuzzReadIndex -fuzztime 15s
 	$(GO) test ./internal/ft -run '^$$' -fuzz FuzzTerms -fuzztime 15s
+	$(GO) test ./internal/view -run '^$$' -fuzz FuzzCollationKey -fuzztime 15s
 	$(GO) test ./internal/ft -run '^$$' -fuzz FuzzSearch -fuzztime 15s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzReplayWAL -fuzztime 15s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzScanArchive -fuzztime 15s

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 
 	"repro/internal/acl"
@@ -76,11 +75,14 @@ type Database struct {
 	// maint keeps the indexes and OnChange callbacks up to date.
 	maint maintainer
 
-	mu      sync.RWMutex
-	acl     *acl.ACL
-	views   map[string]*view.Index
-	ftIndex *ft.Index
-	unread  map[string]*unreadTable
+	mu    sync.RWMutex
+	acl   *acl.ACL
+	views map[string]*view.Index
+	// viewList holds the indexes of views, replaced (never modified) by
+	// setView, so the maintainer reads it without copying.
+	viewList []*view.Index
+	ftIndex  *ft.Index
+	unread   map[string]*unreadTable
 }
 
 // Open opens or creates the database file at path.
@@ -153,7 +155,7 @@ func (db *Database) loadDesign() error {
 			if err := db.rebuildView(ix); err != nil {
 				return err
 			}
-			db.views[strings.ToLower(def.Name)] = ix
+			db.setView(ix)
 		}
 	}
 	return nil

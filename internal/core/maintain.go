@@ -6,9 +6,9 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/formula"
 	"repro/internal/nsf"
 	"repro/internal/store"
-	"repro/internal/view"
 )
 
 // maintainer is a database's one change consumer goroutine: it walks the
@@ -35,6 +35,14 @@ type maintainer struct {
 	// callback, in registration order; the list never shrinks.
 	consumers []*consumer
 	exited    bool // the goroutine has exited: after Close or a failed walk
+
+	// note and arena are what a pass decodes each record into, and evalCtx
+	// what views evaluate formulas in; only the maintainer goroutine uses
+	// them. The views, full text and unread marks borrow the note for one
+	// call and copy what they keep.
+	note    nsf.Note
+	arena   nsf.Arena
+	evalCtx formula.Context
 }
 
 // purge is a hard delete: the USN the store committed it at and its note.
@@ -49,10 +57,10 @@ type consumer struct {
 	// from is the store's USN when the consumer registered: it is handed
 	// only the changes committed after it.
 	from uint64
-	// apply reflects one change: n is the note's stored version, or nil
-	// when the note was hard-deleted. n is shared by every consumer and
-	// must not be modified.
-	apply func(unid nsf.UNID, n *nsf.Note)
+	// apply reflects one change: n is the note's stored version, decoded
+	// from rec, or nil when the note was hard-deleted. n is shared by every
+	// consumer, valid only during the call, and must not be modified.
+	apply func(unid nsf.UNID, n *nsf.Note, rec []byte)
 	// dropped is set, under mu, once apply panicked or a walk failed; only
 	// the maintainer goroutine sets it.
 	dropped bool
@@ -69,6 +77,7 @@ func (db *Database) startMaintainer() {
 	m.wake, m.stop, m.done = make(chan struct{}, 1), make(chan struct{}), make(chan struct{})
 	m.moved.L = &m.mu
 	m.cursor = db.st.Cursor()
+	m.evalCtx = formula.Context{Now: db.clock.Now}
 	m.consumers = []*consumer{
 		{name: "views", apply: db.applyToViews},
 		{name: "fulltext", apply: db.applyToFullText},
@@ -112,8 +121,9 @@ func (db *Database) pass() error {
 	m.mu.Unlock()
 	next, err := db.st.ScanSinceRecords(context.Background(), since, nil, func(usn uint64, rec []byte) bool {
 		if cs := m.purge(usn - 1); len(cs) > builtins || db.indexed() {
-			if n := new(nsf.Note); nsf.DecodeNoteOwned(n, rec) == nil {
-				m.deliver(cs, usn, n.OID.UNID, n)
+			m.arena.Reset()
+			if nsf.DecodeNoteIntoSrc(&m.note, &m.arena, rec, string(rec)) == nil {
+				m.deliver(cs, usn, m.note.OID.UNID, &m.note, rec)
 			}
 		}
 		// Yield after each note: a long pass would otherwise keep its
@@ -146,7 +156,7 @@ func (m *maintainer) purge(usn uint64) []*consumer {
 	m.purged = m.purged[i:]
 	m.mu.Unlock()
 	for _, d := range dels {
-		m.deliver(cs, d.usn, d.unid, nil)
+		m.deliver(cs, d.usn, d.unid, nil, nil)
 	}
 	return cs
 }
@@ -154,7 +164,7 @@ func (m *maintainer) purge(usn uint64) []*consumer {
 // deliver hands the change committed at usn to each of cs registered
 // before it and not dropped. A consumer that panics is dropped, which
 // Stats reports, and the others go on.
-func (m *maintainer) deliver(cs []*consumer, usn uint64, unid nsf.UNID, n *nsf.Note) {
+func (m *maintainer) deliver(cs []*consumer, usn uint64, unid nsf.UNID, n *nsf.Note, rec []byte) {
 	for _, c := range cs {
 		if usn <= c.from || c.dropped {
 			continue
@@ -167,7 +177,7 @@ func (m *maintainer) deliver(cs []*consumer, usn uint64, unid nsf.UNID, n *nsf.N
 					m.mu.Unlock()
 				}
 			}()
-			c.apply(unid, n)
+			c.apply(unid, n, rec)
 		}()
 	}
 }
@@ -196,7 +206,8 @@ func (db *Database) Refresh() { db.WaitForUSN(db.st.LastUSN()) }
 // returns (replication applies and stub creation included). Callbacks run
 // on the database's maintainer goroutine, in commit order, and get the
 // note's current version: a burst of updates to one note may arrive as
-// one call. A callback that panics is dropped rather than unwinding
+// one call. Each call gets a note of its own, which fn may modify and
+// keep. A callback that panics is dropped rather than unwinding
 // anything else. A callback must not call the read barrier (Rows, Search,
 // View, Refresh) on the same database: the barrier waits on the goroutine
 // running it. A consumer that only needs to know that something changed
@@ -215,9 +226,13 @@ func (db *Database) OnChange(fn func(*nsf.Note)) {
 		name:    fmt.Sprintf("onchange-%d", len(m.consumers)-builtins+1),
 		from:    db.st.LastUSN(),
 		dropped: m.exited,
-		apply: func(_ nsf.UNID, n *nsf.Note) {
-			if n != nil && n.Class != nsf.ClassReplFormula {
-				fn(n)
+		apply: func(_ nsf.UNID, n *nsf.Note, rec []byte) {
+			if n == nil || n.Class == nsf.ClassReplFormula {
+				return
+			}
+			own := new(nsf.Note)
+			if nsf.DecodeNoteOwned(own, rec) == nil {
+				fn(own)
 			}
 		},
 	})
@@ -248,14 +263,11 @@ type ConsumerStats struct {
 // applyToViews reflects one change in every open view index. A note a
 // view's column formulas fail on leaves that view rather than failing
 // maintenance; design changes to the view itself are AddView's.
-func (db *Database) applyToViews(unid nsf.UNID, n *nsf.Note) {
+func (db *Database) applyToViews(unid nsf.UNID, n *nsf.Note, _ []byte) {
 	db.mu.RLock()
-	views := make([]*view.Index, 0, len(db.views))
-	for _, ix := range db.views {
-		views = append(views, ix)
-	}
+	views := db.viewList
 	db.mu.RUnlock()
-	ctx := db.evalContext("")
+	ctx := &db.maint.evalCtx
 	for _, ix := range views {
 		if n == nil {
 			ix.Remove(unid)
@@ -266,7 +278,7 @@ func (db *Database) applyToViews(unid nsf.UNID, n *nsf.Note) {
 }
 
 // applyToFullText reflects one change in the full-text index, if enabled.
-func (db *Database) applyToFullText(unid nsf.UNID, n *nsf.Note) {
+func (db *Database) applyToFullText(unid nsf.UNID, n *nsf.Note, _ []byte) {
 	switch ix := db.FullText(); {
 	case ix == nil:
 	case n == nil:
@@ -278,7 +290,7 @@ func (db *Database) applyToFullText(unid nsf.UNID, n *nsf.Note) {
 
 // applyToUnread drops read marks for documents that no longer exist, so
 // loaded unread tables do not accumulate marks for purged notes.
-func (db *Database) applyToUnread(unid nsf.UNID, n *nsf.Note) {
+func (db *Database) applyToUnread(unid nsf.UNID, n *nsf.Note, _ []byte) {
 	if n != nil && !n.IsStub() {
 		return
 	}

@@ -144,9 +144,20 @@ func (db *Database) installView(ix *view.Index) error {
 		return err
 	}
 	db.mu.Lock()
-	db.views[strings.ToLower(ix.Definition().Name)] = ix
+	db.setView(ix)
 	db.mu.Unlock()
 	return nil
+}
+
+// setView makes ix the index of its view, replacing any of the same name.
+// The caller holds mu for writing, or is opening the database.
+func (db *Database) setView(ix *view.Index) {
+	db.views[strings.ToLower(ix.Definition().Name)] = ix
+	list := make([]*view.Index, 0, len(db.views))
+	for _, v := range db.views {
+		list = append(list, v)
+	}
+	db.viewList = list
 }
 
 // findViewNote locates the design note for the named view.

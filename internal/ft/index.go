@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/acl"
@@ -133,7 +134,7 @@ func (ix *Index) Update(n *nsf.Note) {
 		ix.Remove(unid)
 		return
 	}
-	access := acl.ReadAccess(n)
+	access := ownedAccess(n)
 	sc := &ix.work
 	sc.Lock()
 	defer sc.Unlock()
@@ -162,6 +163,7 @@ func (ix *Index) Update(n *nsf.Note) {
 		sc.toks = append(sc.toks, id)
 	}
 	ix.mu.RUnlock()
+	sc.w.reset("") // the index keeps nothing of the note
 	var end int32
 	for id, count := range sc.ends {
 		sc.ends[id] = end // the window's start, until filled
@@ -212,6 +214,18 @@ func (ix *Index) Update(n *nsf.Note) {
 		}
 	}
 	d.terms, d.slab, d.access = terms, slab, access
+}
+
+// ownedAccess returns n's acl.ReadAccess list with the names copied into
+// one string of the list's own: the note's strings may be parts of its
+// whole record, which a kept name would keep alive.
+func ownedAccess(n *nsf.Note) []string {
+	access := acl.ReadAccess(n) // a fresh slice
+	all := strings.Join(access, "")
+	for i, a := range access {
+		access[i], all = all[:len(a)], all[len(a):]
+	}
+	return access
 }
 
 // Remove drops a document from the index.

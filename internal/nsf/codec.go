@@ -224,6 +224,16 @@ func DecodeNoteInto(n *Note, a *Arena, buf []byte, keep func(name []byte, flags 
 	return decodeInto(n, a, buf, "", keep)
 }
 
+// DecodeNoteIntoSrc is DecodeNoteInto keeping every item, with src a string
+// holding the same bytes as buf: item names and text entries are then
+// substrings of src instead of copies, so a note decoded again and again
+// into the same n after a.Reset allocates nothing once both have grown. A
+// string taken from the note may be kept (it keeps src alive); its value
+// slices are valid until a is Reset.
+func DecodeNoteIntoSrc(n *Note, a *Arena, buf []byte, src string) error {
+	return decodeInto(n, a, buf, src, nil)
+}
+
 // DecodeNoteOwned decodes buf into n as DecodeNote would, with a constant
 // number of allocations whatever the note holds: n's header is overwritten
 // and it gets an Items slice of its own. A first walk validates buf and

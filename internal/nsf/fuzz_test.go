@@ -14,9 +14,10 @@ import (
 // DecodeNote's items that pass keep, in order. So do the item iterator
 // (each raw value decoding to its item's value), AppendProjected (whose
 // record decodes to the projection) and DecodeNoteInto through an arena
-// reused from a previous decode. The owned decode, DecodeNoteOwned,
-// rejects the same inputs and otherwise returns a note equal to
-// DecodeNote's.
+// reused from a previous decode. The owned decode, DecodeNoteOwned, and
+// the source-string decode, DecodeNoteIntoSrc, reject the same inputs and
+// otherwise return a note equal to DecodeNote's; the latter also after its
+// arena is Reset and the input decoded into it again.
 func FuzzDecodeNote(f *testing.F) {
 	f.Add(EncodeNote(sampleNote()))
 	f.Add(EncodeNote(NewNote(ClassDocument)))
@@ -46,6 +47,11 @@ func FuzzDecodeNote(f *testing.F) {
 		ierr := DecodeNoteInto(&into, &arena, data, keep)
 		var owned Note
 		oerr := DecodeNoteOwned(&owned, data)
+		var srcNote Note
+		var srcArena Arena
+		DecodeNoteIntoSrc(&srcNote, &srcArena, full, string(full))
+		srcArena.Reset()
+		serr := DecodeNoteIntoSrc(&srcNote, &srcArena, data, string(data))
 		names := [][]byte{[]byte("SUBJECT"), []byte("missing")}
 		for _, ri := range raw {
 			names = append(names, ri.Name)
@@ -53,21 +59,28 @@ func FuzzDecodeNote(f *testing.F) {
 		values := make([][]byte, len(names))
 		verr := ItemValues(data, names, values)
 		if err != nil {
-			if perr == nil || it.Err() == nil || rerr == nil || ierr == nil || verr == nil || oerr == nil {
-				t.Fatalf("DecodeNote rejected (%v) what another decoder accepted: items %v, iterator %v, projection %v, into %v, values %v, owned %v",
-					err, perr, it.Err(), rerr, ierr, verr, oerr)
+			if perr == nil || it.Err() == nil || rerr == nil || ierr == nil || verr == nil || oerr == nil || serr == nil {
+				t.Fatalf("DecodeNote rejected (%v) what another decoder accepted: items %v, iterator %v, projection %v, into %v, values %v, owned %v, source string %v",
+					err, perr, it.Err(), rerr, ierr, verr, oerr, serr)
 			}
 			if string(rec) != "prefix" {
 				t.Fatalf("a rejected projection left %q behind", rec)
 			}
 			return // rejection is fine; panicking is not
 		}
-		if perr != nil || it.Err() != nil || rerr != nil || ierr != nil || verr != nil || oerr != nil {
-			t.Fatalf("DecodeNote accepted what another decoder rejected: items %v, iterator %v, projection %v, into %v, values %v, owned %v",
-				perr, it.Err(), rerr, ierr, verr, oerr)
+		if perr != nil || it.Err() != nil || rerr != nil || ierr != nil || verr != nil || oerr != nil || serr != nil {
+			t.Fatalf("DecodeNote accepted what another decoder rejected: items %v, iterator %v, projection %v, into %v, values %v, owned %v, source string %v",
+				perr, it.Err(), rerr, ierr, verr, oerr, serr)
 		}
 		if !noteEqual(&owned, n) {
 			t.Fatalf("DecodeNoteOwned = %+v, want %+v", &owned, n)
+		}
+		if !noteEqual(&srcNote, n) {
+			t.Fatalf("DecodeNoteIntoSrc = %+v, want %+v", &srcNote, n)
+		}
+		srcArena.Reset()
+		if err := DecodeNoteIntoSrc(&srcNote, &srcArena, data, string(data)); err != nil || !noteEqual(&srcNote, n) {
+			t.Fatalf("DecodeNoteIntoSrc again after Reset = %+v (%v), want %+v", &srcNote, err, n)
 		}
 		for i, name := range names {
 			want, ok := n.Item(string(name))

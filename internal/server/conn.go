@@ -32,10 +32,28 @@ type connState struct {
 	// replication fetch reads its records into rec too.
 	rec     []byte
 	scratch core.RecordScratch
+	// frame holds the request being served: every request of the
+	// connection is read into it. A handler keeps no Blob or Raw slice of
+	// it past its response (the scan cursor is parsed, not kept).
+	frame []byte
+	// notes, ptrs and arena hold the notes a request carries (create,
+	// update, put batch, replication apply): requestNotes decodes them into
+	// the slab notes, their values cut from arena and their names and text
+	// substrings of one string copy of the request. They are valid until
+	// the response is written. Nothing the handlers call keeps one, or a
+	// value slice of one: core and the store encode a note synchronously
+	// (RawPut copies its header), a replication conflict or merge stores
+	// clones, and acl.FromNote and defFromNote, run on a replicated design
+	// note, keep only strings, which stay valid. A mail deposit, which the
+	// router queues, decodes a note of its own.
+	notes []nsf.Note
+	ptrs  []*nsf.Note
+	arena nsf.Arena
 }
 
-// maxKeptRecord caps the record buffer a connection keeps between Gets,
-// so one huge note cannot pin a huge buffer for the connection's life.
+// maxKeptRecord caps the record and request buffers a connection keeps
+// from one request to the next, so one huge note or request cannot pin
+// huge buffers for the connection's life.
 const maxKeptRecord = 1 << 20
 
 type handleState struct {
@@ -63,10 +81,11 @@ func (s *Server) handleConn(conn net.Conn) {
 		if s.opts.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		}
-		payload, err := wire.ReadFrame(rd)
+		payload, err := wire.ReadFrameInto(rd, st.frame)
 		if err != nil {
 			return // closed, broken, or idle past the deadline
 		}
+		st.frame = payload
 		// Strip the optional deadline-budget envelope: the rest of the
 		// loop (and every handler) sees the inner request, and responses
 		// echo the inner op. A malformed envelope is a framing violation.
@@ -119,7 +138,32 @@ func (s *Server) handleConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
+		if cap(st.frame) > maxKeptRecord {
+			// A huge request leaves nothing it grew behind.
+			st.frame, st.notes, st.ptrs, st.arena = nil, nil, nil, nsf.Arena{}
+		}
 	}
+}
+
+// requestNotes reads count notes from d into the connection's note slab
+// and arena, whose previous request is over; see connState.notes.
+func (c *connState) requestNotes(d *wire.Dec, count uint32) []*nsf.Note {
+	c.arena.Reset()
+	notes := c.notes[:0]
+	for i := uint32(0); i < count && d.Err() == nil; i++ {
+		if len(notes) < cap(notes) {
+			notes = notes[:len(notes)+1] // keeps the slab note's Items array
+		} else {
+			notes = append(notes, nsf.Note{})
+		}
+		d.NoteInto(&notes[len(notes)-1], &c.arena)
+	}
+	c.notes = notes
+	c.ptrs = c.ptrs[:0]
+	for i := range notes {
+		c.ptrs = append(c.ptrs, &notes[i])
+	}
+	return c.ptrs
 }
 
 // safeDispatch runs dispatch with panic recovery: a panicking handler is
@@ -331,10 +375,11 @@ func (c *connState) getNote(_ context.Context, hs *handleState, d *wire.Dec) (*w
 }
 
 func (c *connState) createNote(_ context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
-	n := d.Note()
+	notes := c.requestNotes(d, 1)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
+	n := notes[0]
 	n.ID = 0
 	if err := hs.sess.Create(n); err != nil {
 		return nil, err
@@ -343,10 +388,11 @@ func (c *connState) createNote(_ context.Context, hs *handleState, d *wire.Dec) 
 }
 
 func (c *connState) updateNote(_ context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
-	n := d.Note()
+	notes := c.requestNotes(d, 1)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
+	n := notes[0]
 	if err := hs.sess.Update(n); err != nil {
 		return nil, err
 	}
@@ -462,11 +508,7 @@ func (c *connState) fetch(ctx context.Context, hs *handleState, d *wire.Dec) (*w
 }
 
 func (c *connState) apply(ctx context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
-	count := d.U32()
-	notes := make([]*nsf.Note, 0, d.Cap(count, 2))
-	for i := uint32(0); i < count && d.Err() == nil; i++ {
-		notes = append(notes, d.Note())
-	}
+	notes := c.requestNotes(d, d.U32())
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -523,10 +565,7 @@ func (c *connState) putBatch(ctx context.Context, hs *handleState, d *wire.Dec) 
 	sessKey := d.Str()
 	base := d.U64()
 	count := int(d.U32())
-	notes := make([]*nsf.Note, 0, d.Cap(uint32(count), 2))
-	for i := 0; i < count && d.Err() == nil; i++ {
-		notes = append(notes, d.Note())
-	}
+	notes := c.requestNotes(d, uint32(count))
 	if err := d.Err(); err != nil {
 		return nil, err
 	}

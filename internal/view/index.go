@@ -1,9 +1,9 @@
 package view
 
 import (
-	"bytes"
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -21,15 +21,27 @@ type Index struct {
 
 	mu      sync.RWMutex
 	entries []*Entry            // sorted by key
-	byUNID  map[nsf.UNID][]byte // UNID -> current key, for O(log n) removal
+	byUNID  map[nsf.UNID]string // UNID -> current key, for O(log n) removal
 	// restricted counts the entries with an access list. While it is zero,
 	// a page of a flat view is a slice of entries.
 	restricted int
+
+	// work is the memory an entry is built in, reused from one entry to
+	// the next; its lock serializes the builds.
+	work struct {
+		sync.Mutex
+		vals []nsf.Value // the column values
+		buf  []byte      // the collation key, then the entry's strings
+	}
 }
+
+// maxKeptBuf caps the build buffer an index keeps between entries, so one
+// huge note cannot pin a huge buffer.
+const maxKeptBuf = 1 << 16
 
 // NewIndex returns an empty index over def.
 func NewIndex(def *Definition) *Index {
-	return &Index{def: def, byUNID: make(map[nsf.UNID][]byte)}
+	return &Index{def: def, byUNID: make(map[nsf.UNID]string)}
 }
 
 // Definition returns the view definition.
@@ -43,26 +55,110 @@ func (ix *Index) Len() int {
 }
 
 // locate returns the position of key in entries (exact match required).
-func (ix *Index) locate(key []byte) (int, bool) {
-	i := sort.Search(len(ix.entries), func(i int) bool {
-		return bytes.Compare(ix.entries[i].key, key) >= 0
-	})
-	if i < len(ix.entries) && bytes.Equal(ix.entries[i].key, key) {
-		return i, true
-	}
-	return i, false
+func (ix *Index) locate(key string) (int, bool) {
+	i := sort.Search(len(ix.entries), func(i int) bool { return ix.entries[i].key >= key })
+	return i, i < len(ix.entries) && ix.entries[i].key == key
 }
 
-// newEntry builds note's entry from its column values.
-func (ix *Index) newEntry(note *nsf.Note, vals []nsf.Value) *Entry {
-	return &Entry{
+// entryFor evaluates note's columns and builds its entry in the index's
+// working memory.
+func (ix *Index) entryFor(note *nsf.Note, ctx *formula.Context) (*Entry, error) {
+	w := &ix.work
+	w.Lock()
+	defer w.Unlock()
+	vals, err := evalColumns(w.vals[:0], ix.def, note, ctx)
+	w.vals = vals
+	defer clear(vals) // the values share the note's arrays
+	if err != nil {
+		return nil, err
+	}
+	buf := collationKey(w.buf[:0], ix.def, vals, note.OID.UNID)
+	e, buf := newEntry(note, vals, buf)
+	if cap(buf) <= maxKeptBuf {
+		w.buf = buf
+	}
+	return e, nil
+}
+
+// newEntry builds note's entry from its column values and buf, which holds
+// its collation key, and returns buf grown. The entry keeps nothing of the
+// note or of vals: its strings (text entries and the access list) are
+// copied into one string, after the key, and their headers into room
+// allocated with the Entry. An unrestricted entry with no number, time or
+// raw value, and 8 or fewer text entries, costs three allocations: the
+// Entry, its values array and that string.
+func newEntry(note *nsf.Note, vals []nsf.Value, buf []byte) (*Entry, []byte) {
+	access := acl.ReadAccess(note)
+	keyLen, strs := len(buf), len(access)
+	for _, v := range vals {
+		strs += len(v.Text)
+		for _, t := range v.Text {
+			buf = append(buf, t...)
+		}
+	}
+	for _, a := range access {
+		buf = append(buf, a...)
+	}
+	slab := string(buf)
+	e, room := allocEntry(strs)
+	off := keyLen
+	copyStrings := func(src []string) []string {
+		if src == nil {
+			return nil
+		}
+		dst := room[:len(src):len(src)]
+		room = room[len(src):]
+		for i, t := range src {
+			dst[i] = slab[off : off+len(t)]
+			off += len(t)
+		}
+		return dst
+	}
+	values := make([]nsf.Value, len(vals))
+	for i, v := range vals {
+		values[i] = nsf.Value{
+			Type:    v.Type,
+			Text:    copyStrings(v.Text),
+			Numbers: slices.Clone(v.Numbers),
+			Times:   slices.Clone(v.Times),
+			Raw:     slices.Clone(v.Raw),
+		}
+	}
+	*e = Entry{
 		UNID:   note.OID.UNID,
 		NoteID: note.ID,
-		Values: vals,
-		Access: acl.ReadAccess(note),
+		Values: values,
+		Access: copyStrings(access),
 		Parent: parentOf(note),
-		key:    collationKey(ix.def, vals, note.OID.UNID),
+		key:    slab[:keyLen],
 	}
+	return e, buf[:0]
+}
+
+// entryWith is an Entry allocated together with room for the headers of
+// the strings it keeps.
+type entryWith[S any] struct {
+	Entry
+	strs S
+}
+
+// allocEntry returns a new Entry and room for n string headers, in one
+// allocation for n up to 8.
+func allocEntry(n int) (*Entry, []string) {
+	switch {
+	case n == 0:
+		return new(Entry), nil
+	case n <= 2:
+		b := new(entryWith[[2]string])
+		return &b.Entry, b.strs[:n]
+	case n <= 4:
+		b := new(entryWith[[4]string])
+		return &b.Entry, b.strs[:n]
+	case n <= 8:
+		b := new(entryWith[[8]string])
+		return &b.Entry, b.strs[:n]
+	}
+	return new(Entry), make([]string, n)
 }
 
 // Update reflects a single note change in the index: the note is inserted,
@@ -81,15 +177,14 @@ func (ix *Index) Update(note *nsf.Note, ctx *formula.Context) (bool, error) {
 	if !selected {
 		return ix.Remove(note.OID.UNID), nil
 	}
-	vals, err := evalColumns(ix.def, note, ctx)
+	e, err := ix.entryFor(note, ctx)
 	if err != nil {
 		return false, err
 	}
-	e := ix.newEntry(note, vals)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if oldKey, ok := ix.byUNID[e.UNID]; ok {
-		if bytes.Equal(oldKey, e.key) {
+		if oldKey == e.key {
 			// Same position: replace values in place.
 			if i, found := ix.locate(oldKey); found {
 				ix.restricted += e.restrictedCount() - ix.entries[i].restrictedCount()
@@ -121,7 +216,7 @@ func (ix *Index) Remove(unid nsf.UNID) bool {
 	return true
 }
 
-func (ix *Index) removeKeyLocked(key []byte) {
+func (ix *Index) removeKeyLocked(key string) {
 	if i, found := ix.locate(key); found {
 		ix.restricted -= ix.entries[i].restrictedCount()
 		ix.entries = append(ix.entries[:i], ix.entries[i+1:]...)
@@ -145,12 +240,12 @@ func (ix *Index) Rebuild(ctx *formula.Context, scan func(fn func(*nsf.Note) bool
 		if !ok {
 			return true
 		}
-		vals, err := evalColumns(ix.def, n, ctx)
+		e, err := ix.entryFor(n, ctx)
 		if err != nil {
 			evalErr = err
 			return false
 		}
-		fresh = append(fresh, ix.newEntry(n, vals))
+		fresh = append(fresh, e)
 		return true
 	})
 	if err != nil {
@@ -159,10 +254,8 @@ func (ix *Index) Rebuild(ctx *formula.Context, scan func(fn func(*nsf.Note) bool
 	if evalErr != nil {
 		return evalErr
 	}
-	sort.Slice(fresh, func(i, j int) bool {
-		return bytes.Compare(fresh[i].key, fresh[j].key) < 0
-	})
-	byUNID := make(map[nsf.UNID][]byte, len(fresh))
+	sort.Slice(fresh, func(i, j int) bool { return fresh[i].key < fresh[j].key })
+	byUNID := make(map[nsf.UNID]string, len(fresh))
 	restricted := 0
 	for _, e := range fresh {
 		byUNID[e.UNID] = e.key

@@ -4,8 +4,10 @@
 package view
 
 import (
+	"encoding/binary"
 	"fmt"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/formula"
 	"repro/internal/nsf"
@@ -72,7 +74,7 @@ type Entry struct {
 	// Parent is the UNID from the note's $Ref item, if any; it drives
 	// response-hierarchy rendering.
 	Parent nsf.UNID
-	key    []byte
+	key    string
 }
 
 // ColumnText returns column i's value rendered as display text.
@@ -116,12 +118,12 @@ func parentOf(note *nsf.Note) nsf.UNID {
 	return u
 }
 
-// evalColumns computes the row values for note under def.
-func evalColumns(def *Definition, note *nsf.Note, ctx *formula.Context) ([]nsf.Value, error) {
-	vals := make([]nsf.Value, len(def.Columns))
+// evalColumns appends to dst the row values for note under def. A value
+// may share arrays with the note.
+func evalColumns(dst []nsf.Value, def *Definition, note *nsf.Note, ctx *formula.Context) ([]nsf.Value, error) {
 	for i, col := range def.Columns {
 		if col.ItemName != "" {
-			vals[i] = note.Get(col.ItemName)
+			dst = append(dst, note.Get(col.ItemName))
 			continue
 		}
 		local := formula.Context{Note: note}
@@ -131,32 +133,30 @@ func evalColumns(def *Definition, note *nsf.Note, ctx *formula.Context) ([]nsf.V
 		}
 		v, err := col.Formula.Eval(&local)
 		if err != nil {
-			return nil, fmt.Errorf("view %s: column %d (%s): %w", def.Name, i, col.Title, err)
+			return dst, fmt.Errorf("view %s: column %d (%s): %w", def.Name, i, col.Title, err)
 		}
-		vals[i] = v
+		dst = append(dst, v)
 	}
-	return vals, nil
+	return dst, nil
 }
 
-// collationKey builds an order-preserving byte key from the sorted columns'
-// values, terminated by the UNID for total order.
-func collationKey(def *Definition, vals []nsf.Value, unid nsf.UNID) []byte {
-	var key []byte
+// collationKey appends to dst an order-preserving byte key from the sorted
+// columns' values, terminated by the UNID for total order.
+func collationKey(dst []byte, def *Definition, vals []nsf.Value, unid nsf.UNID) []byte {
 	for i, col := range def.Columns {
 		if !col.Sorted {
 			continue
 		}
-		seg := encodeValue(vals[i])
+		at := len(dst)
+		dst = encodeValue(dst, vals[i])
 		if col.Descending {
-			for j := range seg {
-				seg[j] ^= 0xFF
+			for j := at; j < len(dst); j++ {
+				dst[j] ^= 0xFF
 			}
 		}
-		key = append(key, seg...)
-		key = append(key, 0x00) // segment separator (after inversion)
+		dst = append(dst, 0x00) // segment separator (after inversion)
 	}
-	key = append(key, unid[:]...)
-	return key
+	return append(dst, unid[:]...)
 }
 
 // Type tags order values of different types: numbers, then text, then time,
@@ -168,47 +168,48 @@ const (
 	tagTime   = 0x04
 )
 
-// encodeValue encodes the first entry of v order-preservingly.
-func encodeValue(v nsf.Value) []byte {
+// encodeValue appends the order-preserving encoding of v's first entry to
+// dst. Text is lower-cased as strings.ToLower does, an invalid UTF-8 byte
+// becoming U+FFFD, while it is appended.
+func encodeValue(dst []byte, v nsf.Value) []byte {
 	switch v.Type {
 	case nsf.TypeNumber:
 		if len(v.Numbers) == 0 {
-			return []byte{tagEmpty}
+			return append(dst, tagEmpty)
 		}
-		return append([]byte{tagNumber}, encodeFloat(v.Numbers[0])...)
+		return encodeFloat(append(dst, tagNumber), v.Numbers[0])
 	case nsf.TypeText:
 		if len(v.Text) == 0 {
-			return []byte{tagEmpty}
+			return append(dst, tagEmpty)
 		}
-		s := strings.ToLower(v.Text[0])
-		out := make([]byte, 0, len(s)+1)
-		out = append(out, tagText)
-		for i := 0; i < len(s); i++ {
-			// 0x00 is the segment separator; remap to keep keys valid.
-			if s[i] == 0x00 {
-				out = append(out, 0x01)
-				continue
+		dst = append(dst, tagText)
+		for _, r := range v.Text[0] {
+			switch r = unicode.ToLower(r); {
+			case r == 0x00:
+				// 0x00 is the segment separator; remap to keep keys valid.
+				dst = append(dst, 0x01)
+			case r < utf8.RuneSelf:
+				dst = append(dst, byte(r))
+			default:
+				dst = utf8.AppendRune(dst, r)
 			}
-			out = append(out, s[i])
 		}
-		return out
+		return dst
 	case nsf.TypeTime:
 		if len(v.Times) == 0 {
-			return []byte{tagEmpty}
+			return append(dst, tagEmpty)
 		}
 		t := uint64(v.Times[0]) ^ (1 << 63) // order-preserving for signed
-		return []byte{tagTime,
-			byte(t >> 56), byte(t >> 48), byte(t >> 40), byte(t >> 32),
-			byte(t >> 24), byte(t >> 16), byte(t >> 8), byte(t)}
+		return binary.BigEndian.AppendUint64(append(dst, tagTime), t)
 	default:
-		return []byte{tagEmpty}
+		return append(dst, tagEmpty)
 	}
 }
 
-// encodeFloat maps float64 to 8 bytes whose lexicographic order matches
-// numeric order (IEEE 754 trick: flip sign bit for positives, all bits for
+// encodeFloat appends 8 bytes whose lexicographic order matches numeric
+// order (IEEE 754 trick: flip sign bit for positives, all bits for
 // negatives).
-func encodeFloat(f float64) []byte {
+func encodeFloat(dst []byte, f float64) []byte {
 	if f == 0 {
 		f = 0 // normalize -0.0: equal values must encode identically
 	}
@@ -218,7 +219,5 @@ func encodeFloat(f float64) []byte {
 	} else {
 		bits |= 1 << 63
 	}
-	return []byte{
-		byte(bits >> 56), byte(bits >> 48), byte(bits >> 40), byte(bits >> 32),
-		byte(bits >> 24), byte(bits >> 16), byte(bits >> 8), byte(bits)}
+	return binary.BigEndian.AppendUint64(dst, bits)
 }

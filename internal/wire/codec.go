@@ -163,6 +163,8 @@ type Dec struct {
 	buf []byte
 	off int
 	err error
+	// src is a string copy of buf, made by the first NoteInto.
+	src string
 }
 
 // NewDec wraps a payload (after the op/status prefix has been consumed by
@@ -259,11 +261,31 @@ func (d *Dec) Note() *nsf.Note {
 	return n
 }
 
+// NoteInto reads an encoded note into n with nsf.DecodeNoteIntoSrc: its
+// value arrays are cut from a, and its item names and text entries are
+// substrings of one string copy of the whole payload, made by the first
+// call, so a payload carrying many notes costs that one copy. The note is
+// valid until a is Reset; a string taken from it may be kept, and keeps
+// the payload's copy alive.
+func (d *Dec) NoteInto(n *nsf.Note, a *nsf.Arena) error {
+	b := d.Blob()
+	if d.err == nil {
+		if d.src == "" {
+			d.src = string(d.buf)
+		}
+		at := d.off - len(b)
+		if err := nsf.DecodeNoteIntoSrc(n, a, b, d.src[at:d.off]); err != nil {
+			d.fail("bad note: %v", err)
+		}
+	}
+	return d.err
+}
+
 // ownedNote reads an encoded note into n with nsf.DecodeNoteOwned: a
 // constant number of allocations per note, its names and text entries
-// substrings of one copy of the blob. Replies decode this way; requests a
-// server keeps parts of (view and full-text entries) decode with Note, so
-// a kept string never pins a whole request.
+// substrings of one copy of the blob, which a string kept from the note
+// keeps alive. Replies decode this way: the client hands each note to its
+// caller, who may keep it.
 func (d *Dec) ownedNote(n *nsf.Note) error {
 	b := d.Blob()
 	if d.err == nil {

@@ -54,16 +54,26 @@ func writeFrame(w io.Writer, budgetMs uint32, payload []byte) error {
 // ReadFrame reads one length-prefixed frame. A connection reads through one
 // bufio.Reader that lives and dies with it, so a frame costs one read
 // syscall when it fits the buffer.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func ReadFrame(r io.Reader) ([]byte, error) { return ReadFrameInto(r, nil) }
+
+// ReadFrameInto is ReadFrame reading the frame, its length included, into
+// buf's storage when it fits there: a server reads every request of a
+// connection into one buffer this way.
+func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
+	if buf = buf[:cap(buf)]; len(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(buf)
 	if n > MaxFrame {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	buf := make([]byte, n)
+	if uint32(len(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
