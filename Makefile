@@ -53,7 +53,9 @@ race:
 # its own to keep while the maintainer reuses the note it decodes into — the
 # notes of a request, decoded into the note slab and arena its connection
 # reuses, never outliving the request while two connections alternate
-# batch puts and updates — the commit signal that
+# batch puts and updates — a view added while writers churn equalling
+# what a fresh open builds (the rebuild decodes into one reused note and
+# arena while the maintainer decodes into its own) — the commit signal that
 # wakes cluster
 # pushers, mesh hot links and live moves, with a hot link missing no commit
 # made right after it is added and debouncing a burst into one round — and
@@ -65,7 +67,7 @@ race:
 # delete the hits.
 stress:
 	$(GO) test -race -count=2 \
-		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestSummariesCursorNeverSkips|TestPullAcrossMatesNeverSkips|TestPullFromCopySeededMateNeverSkips|TestSeededHistory|TestApplyRacesLocalWrites|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestScanFromCursorSemantics|TestScanSkipsNotesCreatedDuringScan|TestScanRecordsRacingWriters|TestStoreScanSince|TestSummariesDecodeHeaders|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitWALSyncEIO|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestClusterPushSurvivesOutage|TestClusterPushSurvivesMateRestart|TestClusterPushSkipsOtherReplica|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites|TestClientResendsIffIdempotent|TestFailoverResendsIffIdempotent|TestLoneMateIsABareClient|TestOnlyHedgeableOpsHedge|TestHedgedReadWinsOverSlowMate|TestBudgetAbandonThenRecover|TestLocalExpiryOpensBreaker|TestSessionExpiryIsUnambiguous|TestFailoverStalledFirstMate|TestBreakerCountsSpentTurns|TestPutBatchNeverResurrects|TestFeedOverflowCatchesUpFromStore|TestOverflowCatchUpEqualsRebuild|TestPassCoversHardDeleteThenRecreate|TestWaitForUSNCoversHardDelete|TestEveryWriteSharesTheStoreUSN|TestOnChangeSeesCommitsInOrder|TestOnChangeStartsAtHead|TestOnChangeRegistersDuringPasses|TestCloseDrainsConsumers|TestBarrierCoversNoteCommittedAgainInPass|TestFailedWalkReleasesBarrier|TestOnChangeRegisteredMidWalk|TestPanickingOnChangeSubscriberIsIsolated|TestOnChangeOwnsItsNote|TestRequestNotesDoNotOutliveTheirRequest|TestNotify|TestHotLinkFiresOnWrite|TestHotLinkDebouncesBursts|TestConcurrentUpdateAndSearch|TestSearchRacesRenumber|TestSearchJoinRacingWriters' \
+		-run 'TestConcurrentUpdatesSeqMonotonic|TestRawPutDeleteNoOrphan|TestSaveHistoryConcurrentSeq|TestSummariesCursorNeverSkips|TestPullAcrossMatesNeverSkips|TestPullFromCopySeededMateNeverSkips|TestSeededHistory|TestApplyRacesLocalWrites|TestConcurrentReadersWriters|TestSnapshotScanSeesConsistentPrefix|TestScanDoesNotBlockWriter|TestScanFromCursorSemantics|TestScanSkipsNotesCreatedDuringScan|TestScanRecordsRacingWriters|TestStoreScanSince|TestSummariesDecodeHeaders|TestGroupCommitRacesMaintenance|TestGroupCommitCrashKeepsAckedPuts|TestGroupCommitWALSyncEIO|TestGroupCommitAmortization|TestCloseRacesInflightAndClusterPush|TestClusterPushSurvivesOutage|TestClusterPushSurvivesMateRestart|TestClusterPushSkipsOtherReplica|TestFailoverKillMidNotesSession|TestFailoverKillMidReplicationSession|TestConcurrentMovesExactlyOneWinner|TestUpdatePlacementExactlyOneWinnerPerGeneration|TestLiveMoveZeroLostAckedWrites|TestClientResendsIffIdempotent|TestFailoverResendsIffIdempotent|TestLoneMateIsABareClient|TestOnlyHedgeableOpsHedge|TestHedgedReadWinsOverSlowMate|TestBudgetAbandonThenRecover|TestLocalExpiryOpensBreaker|TestSessionExpiryIsUnambiguous|TestFailoverStalledFirstMate|TestBreakerCountsSpentTurns|TestPutBatchNeverResurrects|TestFeedOverflowCatchesUpFromStore|TestOverflowCatchUpEqualsRebuild|TestPassCoversHardDeleteThenRecreate|TestWaitForUSNCoversHardDelete|TestEveryWriteSharesTheStoreUSN|TestOnChangeSeesCommitsInOrder|TestOnChangeStartsAtHead|TestOnChangeRegistersDuringPasses|TestCloseDrainsConsumers|TestBarrierCoversNoteCommittedAgainInPass|TestFailedWalkReleasesBarrier|TestOnChangeRegisteredMidWalk|TestPanickingOnChangeSubscriberIsIsolated|TestOnChangeOwnsItsNote|TestRequestNotesDoNotOutliveTheirRequest|TestAddViewRacesWriters|TestNotify|TestHotLinkFiresOnWrite|TestHotLinkDebouncesBursts|TestConcurrentUpdateAndSearch|TestSearchRacesRenumber|TestSearchJoinRacingWriters' \
 		./internal/core ./internal/repl ./internal/store ./internal/server ./internal/place ./internal/dir ./internal/wire ./internal/check ./internal/ft ./internal/mesh
 
 # Short native-fuzz smoke over the parsers that guard trust boundaries: the
@@ -86,7 +88,9 @@ stress:
 # and the linear scan), WAL replay (crash recovery writes logged page images
 # back into the page file), the archive readers (point-in-time restore
 # replays whatever seg-*.walseg files it finds), and the scan cursor parser
-# (a client hands back whatever cursor it likes). Each target also keeps its
+# (a client hands back whatever cursor it likes), and the formula text
+# comparison (every text compare a selection makes; checked against
+# strings.Compare of the strings.ToLower copies). Each target also keeps its
 # corpus as seed tests under plain `go test`.
 fuzz:
 	$(GO) test ./internal/nsf -run '^$$' -fuzz FuzzDecodeNote -fuzztime 15s
@@ -102,6 +106,7 @@ fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzReplayWAL -fuzztime 15s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzScanArchive -fuzztime 15s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzDecodeScanCursor -fuzztime 15s
+	$(GO) test ./internal/formula -run '^$$' -fuzz FuzzFoldCompare -fuzztime 15s
 
 # bench/ is a module of its own (it replaces repro with ../), so the root
 # `go test ./...` never compiles it: this is what makes a signature change

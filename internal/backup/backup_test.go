@@ -1,6 +1,7 @@
 package backup
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -66,7 +67,7 @@ func checkState(t *testing.T, path string, wantUSN uint64, want map[nsf.UNID]not
 		t.Fatalf("restored LastUSN = %d, want %d", got, wantUSN)
 	}
 	got := 0
-	err = st.ScanAll(func(n *nsf.Note) bool {
+	err = st.ScanFromCtx(context.Background(), 0, nil, func(n *nsf.Note) bool {
 		got++
 		w, ok := want[n.OID.UNID]
 		if !ok {

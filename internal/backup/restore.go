@@ -1,6 +1,7 @@
 package backup
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -133,12 +134,20 @@ func Restore(setDir, targetPath string, opts RestoreOptions, fsys vfs.FS) (Resto
 			return info, err
 		}
 		var vanished []nsf.UNID
-		err = st.ScanAll(func(n *nsf.Note) bool {
-			if _, ok := manifest[n.OID.UNID]; !ok {
-				vanished = append(vanished, n.OID.UNID)
+		var hdr nsf.Note
+		var herr error
+		err = st.ScanRecords(context.Background(), 0, nil, func(rec []byte) bool {
+			if herr = nsf.DecodeHeader(rec, &hdr); herr != nil {
+				return false
+			}
+			if _, ok := manifest[hdr.OID.UNID]; !ok {
+				vanished = append(vanished, hdr.OID.UNID)
 			}
 			return true
 		})
+		if err == nil {
+			err = herr
+		}
 		if err != nil {
 			return info, err
 		}

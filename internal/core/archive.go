@@ -31,11 +31,10 @@ func (db *Database) ArchiveTo(dst *Database, cutoff nsf.Timestamp) (ArchiveStats
 		return stats, errors.New("core: archive target must not be a replica of the source")
 	}
 	var victims []*nsf.Note
-	err := db.st.ScanAll(func(n *nsf.Note) bool {
-		if n.Class != nsf.ClassDocument || n.IsStub() || n.IsConflict() || IsProfile(n) {
-			return true
-		}
-		if n.Modified < cutoff {
+	err := db.headers(func(h *nsf.Note) bool {
+		return h.Class == nsf.ClassDocument && !h.IsStub() && !h.IsConflict() && h.Modified < cutoff
+	}, func(n *nsf.Note) bool {
+		if !IsProfile(n) {
 			victims = append(victims, n)
 		}
 		return true

@@ -14,6 +14,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -115,50 +116,23 @@ func Open(path string, opts Options) (*Database, error) {
 	return db, nil
 }
 
-// loadDesign reads the ACL note and view design notes.
+// loadDesign applies the ACL note and the view notes, then builds every
+// view in one walk of the store.
 func (db *Database) loadDesign() error {
 	db.acl = acl.New(acl.Manager) // open until an ACL note says otherwise
-	var designs []*nsf.Note
-	err := db.st.ScanAll(func(n *nsf.Note) bool {
-		switch n.Class {
-		case nsf.ClassACL:
-			if !n.IsStub() {
-				designs = append(designs, n)
-			}
-		case nsf.ClassView:
-			if !n.IsStub() {
-				designs = append(designs, n)
-			}
+	var ixs []*view.Index
+	var aerr error
+	err := db.designNotes(func(n *nsf.Note) bool {
+		var ix *view.Index
+		if ix, aerr = db.applyDesign(n); ix != nil {
+			ixs = append(ixs, ix)
 		}
-		return true
+		return aerr == nil
 	})
-	if err != nil {
+	if err := cmp.Or(err, aerr); err != nil {
 		return err
 	}
-	for _, n := range designs {
-		switch n.Class {
-		case nsf.ClassACL:
-			a, err := acl.FromNote(n)
-			if err != nil {
-				return err
-			}
-			db.acl = a
-		case nsf.ClassView:
-			if n.Has(itemFolderTitle) {
-				continue // folders carry membership, not an index definition
-			}
-			def, err := defFromNote(n)
-			if err != nil {
-				return fmt.Errorf("core: view note %s: %w", n.OID.UNID, err)
-			}
-			ix := view.NewIndex(def)
-			if err := db.rebuildView(ix); err != nil {
-				return err
-			}
-			db.setView(ix)
-		}
-	}
-	return nil
+	return db.installViews(ixs...)
 }
 
 // Close stops the maintainer once it has applied everything already
@@ -395,13 +369,7 @@ func (db *Database) RawRecord(dst []byte, unid nsf.UNID, hdr *nsf.Note) ([]byte,
 	if err != nil {
 		return dst, err
 	}
-	var it nsf.ItemIter
-	if err := it.Reset(dst[start:], hdr); err != nil {
-		return dst[:start], err
-	}
-	for it.Next() {
-	}
-	if err := it.Err(); err != nil {
+	if err := nsf.DecodeHeader(dst[start:], hdr); err != nil {
 		return dst[:start], err
 	}
 	return dst, nil
@@ -491,21 +459,10 @@ func (db *Database) rawPut(n *nsf.Note, was *nsf.Note) error {
 	}
 	// A design note arriving by replication must take effect. This stays on
 	// the writer's path: it is rare and needs the store to be consistent
-	// with the design registry.
-	if n.Class == nsf.ClassACL && !n.IsStub() {
-		if a, err := acl.FromNote(n); err == nil {
-			db.mu.Lock()
-			db.acl = a
-			db.mu.Unlock()
-		}
-	}
-	if n.Class == nsf.ClassView && !n.IsStub() {
-		if def, err := defFromNote(n); err == nil {
-			ix := view.NewIndex(def)
-			if err := db.installView(ix); err != nil {
-				return err
-			}
-		}
+	// with the design registry. An ACL note that does not parse leaves the
+	// ACL as it is; Open refuses the database until one that parses lands.
+	if ix, _ := db.applyDesign(n); ix != nil {
+		return db.installViews(ix)
 	}
 	return nil
 }
@@ -529,7 +486,27 @@ func (db *Database) ScanSince(ctx context.Context, since store.Cursor, keep func
 }
 
 // ScanAll visits every note, stubs and design notes included.
-func (db *Database) ScanAll(fn func(*nsf.Note) bool) error { return db.st.ScanAll(fn) }
+func (db *Database) ScanAll(fn func(*nsf.Note) bool) error {
+	return db.st.ScanFromCtx(context.Background(), 0, nil, fn)
+}
+
+// headers walks every note in NoteID order, reading its header (every
+// field but Items, valid during want's call) and validating its record as
+// RawRecord does, with no allocation for a note want declines. Each note
+// want accepts is decoded whole and handed to fn, until fn returns false.
+func (db *Database) headers(want func(hdr *nsf.Note) bool, fn func(*nsf.Note) bool) error {
+	var hdr nsf.Note
+	var derr error
+	err := db.st.ScanRecords(context.Background(), 0, nil, func(rec []byte) bool {
+		if derr = nsf.DecodeHeader(rec, &hdr); derr != nil || !want(&hdr) {
+			return derr == nil
+		}
+		n, err := nsf.DecodeNote(rec)
+		derr = err
+		return err == nil && fn(n)
+	})
+	return cmp.Or(err, derr)
+}
 
 // PurgeStubs hard-deletes deletion stubs whose deletion happened before
 // cutoff, returning how many were purged. A replica that has not synced
@@ -537,12 +514,12 @@ func (db *Database) ScanAll(fn func(*nsf.Note) bool) error { return db.st.ScanAl
 // Notes anomaly (see the T3 experiment).
 func (db *Database) PurgeStubs(cutoff nsf.Timestamp) (int, error) {
 	var victims []nsf.UNID
-	err := db.st.ScanAll(func(n *nsf.Note) bool {
-		if n.IsStub() && n.OID.SeqTime < cutoff {
-			victims = append(victims, n.OID.UNID)
+	err := db.headers(func(h *nsf.Note) bool {
+		if h.IsStub() && h.OID.SeqTime < cutoff {
+			victims = append(victims, h.OID.UNID)
 		}
-		return true
-	})
+		return false
+	}, nil)
 	if err != nil {
 		return 0, err
 	}

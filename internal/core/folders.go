@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/nsf"
 )
@@ -21,22 +20,11 @@ const (
 
 // folderNote finds the design note for the named folder.
 func (db *Database) folderNote(name string) (*nsf.Note, error) {
-	var found *nsf.Note
-	err := db.st.ScanAll(func(n *nsf.Note) bool {
-		if n.Class == nsf.ClassView && !n.IsStub() &&
-			strings.EqualFold(n.Text(itemFolderTitle), name) {
-			found = n
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
+	n, err := db.designNote(itemFolderTitle, name)
+	if err == nil && n == nil {
+		err = fmt.Errorf("core: no folder %q", name)
 	}
-	if found == nil {
-		return nil, fmt.Errorf("core: no folder %q", name)
-	}
-	return found, nil
+	return n, err
 }
 
 // CreateFolder creates an empty folder. Requires Designer access when a
@@ -60,11 +48,9 @@ func (db *Database) CreateFolder(s *Session, name string) error {
 // Folders lists folder names, sorted.
 func (db *Database) Folders() ([]string, error) {
 	var out []string
-	err := db.st.ScanAll(func(n *nsf.Note) bool {
-		if n.Class == nsf.ClassView && !n.IsStub() {
-			if t := n.Text(itemFolderTitle); t != "" {
-				out = append(out, t)
-			}
+	err := db.designNotes(func(n *nsf.Note) bool {
+		if t := n.Text(itemFolderTitle); t != "" {
+			out = append(out, t)
 		}
 		return true
 	})

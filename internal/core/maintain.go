@@ -261,8 +261,8 @@ type ConsumerStats struct {
 }
 
 // applyToViews reflects one change in every open view index. A note a
-// view's column formulas fail on leaves that view rather than failing
-// maintenance; design changes to the view itself are AddView's.
+// view's formulas fail on leaves that view (Update removes it) rather than
+// failing maintenance; design changes to the view itself are AddView's.
 func (db *Database) applyToViews(unid nsf.UNID, n *nsf.Note, _ []byte) {
 	db.mu.RLock()
 	views := db.viewList
@@ -271,8 +271,8 @@ func (db *Database) applyToViews(unid nsf.UNID, n *nsf.Note, _ []byte) {
 	for _, ix := range views {
 		if n == nil {
 			ix.Remove(unid)
-		} else if _, err := ix.Update(n, ctx); err != nil {
-			ix.Remove(unid)
+		} else {
+			ix.Update(n, ctx)
 		}
 	}
 }

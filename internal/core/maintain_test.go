@@ -218,7 +218,7 @@ func TestOverflowCatchUpEqualsRebuild(t *testing.T) {
 
 	ix, _ := db.ViewStale("all")
 	rebuilt := view.NewIndex(ix.Definition())
-	if err := db.rebuildView(rebuilt); err != nil {
+	if err := db.rebuildViews(rebuilt); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := ix.Rows(nil), rebuilt.Rows(nil); !reflect.DeepEqual(got, want) {

@@ -318,17 +318,7 @@ func (s *Session) SearchCtx(ctx context.Context, query string) ([]ft.Result, err
 }
 
 // All visits every readable document (not stubs, not design notes).
-func (s *Session) All(fn func(*nsf.Note) bool) error {
-	if s.id.Level < acl.Reader {
-		return fmt.Errorf("%w: %s may not read", ErrAccessDenied, s.user)
-	}
-	return s.db.st.ScanAll(func(n *nsf.Note) bool {
-		if n.IsStub() || n.Class != nsf.ClassDocument || !s.id.CanRead(n) {
-			return true
-		}
-		return fn(n)
-	})
-}
+func (s *Session) All(fn func(*nsf.Note) bool) error { return s.ScanFrom(0, nil, fn) }
 
 // ScanFrom visits readable documents in NoteID order, starting strictly
 // after the given NoteID (0 scans from the beginning), optionally filtered

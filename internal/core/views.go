@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
+	"repro/internal/acl"
 	"repro/internal/formula"
 	"repro/internal/ft"
 	"repro/internal/nsf"
@@ -108,9 +111,71 @@ func defFromNote(n *nsf.Note) (*view.Definition, error) {
 	return def, nil
 }
 
-// rebuildView repopulates a view index from the store.
-func (db *Database) rebuildView(ix *view.Index) error {
-	return ix.Rebuild(db.evalContext(""), db.st.ScanAll)
+// designNotes calls fn with every ACL and view design note that is not a
+// stub, decoded whole, in NoteID order, until fn returns false; every
+// other note has only its header read.
+func (db *Database) designNotes(fn func(*nsf.Note) bool) error {
+	return db.headers(func(h *nsf.Note) bool {
+		return !h.IsStub() && (h.Class == nsf.ClassACL || h.Class == nsf.ClassView)
+	}, fn)
+}
+
+// designNote returns the first view or folder note whose title item
+// (itemViewTitle or itemFolderTitle) is name, case-insensitively, or nil.
+func (db *Database) designNote(item, name string) (*nsf.Note, error) {
+	var found *nsf.Note
+	err := db.designNotes(func(n *nsf.Note) bool {
+		if t := n.Text(item); t != "" && strings.EqualFold(t, name) {
+			found = n
+		}
+		return found == nil
+	})
+	return found, err
+}
+
+// applyDesign makes the design note n take effect: an ACL note replaces
+// the ACL, and a view note returns an empty index of its view for the
+// caller to build. A folder, a stub and a view note that does not compile
+// do nothing: no view can be built from it, as no entry can from a
+// document a view's formulas fail on. An ACL note that does not parse is
+// an error, since skipping it would open the database to everyone.
+func (db *Database) applyDesign(n *nsf.Note) (*view.Index, error) {
+	switch {
+	case n.IsStub():
+	case n.Class == nsf.ClassACL:
+		a, err := acl.FromNote(n)
+		if err != nil {
+			return nil, err
+		}
+		db.mu.Lock()
+		db.acl = a
+		db.mu.Unlock()
+	case n.Class == nsf.ClassView && !n.Has(itemFolderTitle):
+		if def, err := defFromNote(n); err == nil {
+			return view.NewIndex(def), nil
+		}
+	}
+	return nil, nil
+}
+
+// rebuildViews fills ixs from one walk of the store, decoding each record
+// into one reused note and arena as a maintainer pass does; the entries
+// copy what they keep.
+func (db *Database) rebuildViews(ixs ...*view.Index) error {
+	if len(ixs) == 0 {
+		return nil
+	}
+	var n nsf.Note
+	var arena nsf.Arena
+	return view.Rebuild(db.evalContext(""), func(fn func(*nsf.Note) bool) error {
+		var derr error
+		err := db.st.ScanRecords(context.Background(), 0, nil, func(rec []byte) bool {
+			arena.Reset()
+			derr = nsf.DecodeNoteIntoSrc(&n, &arena, rec, string(rec))
+			return derr == nil && fn(&n)
+		})
+		return cmp.Or(err, derr)
+	}, ixs...)
 }
 
 // AddView persists a view definition as a design note and builds its index.
@@ -119,38 +184,43 @@ func (db *Database) AddView(s *Session, def *view.Definition) error {
 	if s != nil && !s.Identity().CanDesign() {
 		return fmt.Errorf("%w: %s may not modify design", ErrAccessDenied, s.User())
 	}
+	old, err := db.designNote(itemViewTitle, def.Name)
+	if err != nil {
+		return err
+	}
 	n := nsf.NewNote(nsf.ClassView)
-	// Reuse the existing design note when redefining a view.
-	if unid, ok := db.findViewNote(def.Name); ok {
-		n.OID.UNID = unid
+	if old != nil {
+		n.OID.UNID = old.OID.UNID // redefining: the view keeps its note
 	}
 	defToNote(def, n)
 	if err := db.putVersioned(n); err != nil {
 		return err
 	}
-	return db.installView(view.NewIndex(def))
+	return db.installViews(view.NewIndex(def))
 }
 
-// installView populates a new view index from the store and registers it
-// with the maintainer. It holds the commit lock across the rebuild so the
-// scan sees a frozen store: every change committed before the scan is in
-// it, and every change after registration reaches the index through the
-// feed — entries still in flight re-apply versions the scan already saw,
-// which the index absorbs idempotently.
-func (db *Database) installView(ix *view.Index) error {
+// installViews populates new view indexes from one walk of the store and
+// registers them with the maintainer. It holds the commit lock across the
+// rebuild so the scan sees a frozen store: every change committed before
+// the scan is in it, and every change after registration reaches the
+// indexes through the feed — entries still in flight re-apply versions the
+// scan already saw, which an index absorbs idempotently.
+func (db *Database) installViews(ixs ...*view.Index) error {
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
-	if err := db.rebuildView(ix); err != nil {
+	if err := db.rebuildViews(ixs...); err != nil {
 		return err
 	}
 	db.mu.Lock()
-	db.setView(ix)
+	for _, ix := range ixs {
+		db.setView(ix)
+	}
 	db.mu.Unlock()
 	return nil
 }
 
 // setView makes ix the index of its view, replacing any of the same name.
-// The caller holds mu for writing, or is opening the database.
+// The caller holds mu for writing.
 func (db *Database) setView(ix *view.Index) {
 	db.views[strings.ToLower(ix.Definition().Name)] = ix
 	list := make([]*view.Index, 0, len(db.views))
@@ -158,21 +228,6 @@ func (db *Database) setView(ix *view.Index) {
 		list = append(list, v)
 	}
 	db.viewList = list
-}
-
-// findViewNote locates the design note for the named view.
-func (db *Database) findViewNote(name string) (nsf.UNID, bool) {
-	var unid nsf.UNID
-	found := false
-	db.st.ScanAll(func(n *nsf.Note) bool {
-		if n.Class == nsf.ClassView && !n.IsStub() && strings.EqualFold(n.Text(itemViewTitle), name) {
-			unid = n.OID.UNID
-			found = true
-			return false
-		}
-		return true
-	})
-	return unid, found
 }
 
 // View returns the named view index, if defined, after a refresh barrier:

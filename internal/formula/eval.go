@@ -1,10 +1,13 @@
 package formula
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
 	"sync"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/nsf"
 )
@@ -399,9 +402,7 @@ func compare(op tokenKind, l, r nsf.Value) (nsf.Value, error) {
 		return boolValue(!truthy(v)), nil
 	}
 	cmpNums := func(a, b float64) bool { return relHolds(op, cmpFloat(a, b)) }
-	cmpText := func(a, b string) bool {
-		return relHolds(op, strings.Compare(strings.ToLower(a), strings.ToLower(b)))
-	}
+	cmpText := func(a, b string) bool { return relHolds(op, foldCompare(a, b)) }
 	switch {
 	case l.Type == nsf.TypeNumber && r.Type == nsf.TypeNumber:
 		for _, a := range l.Numbers {
@@ -429,6 +430,36 @@ func compare(op tokenKind, l, r nsf.Value) (nsf.Value, error) {
 		}
 	}
 	return boolValue(false), nil
+}
+
+// foldCompare returns strings.Compare(strings.ToLower(a),
+// strings.ToLower(b)) without the lower-cased copies: it compares the
+// strings rune by rune, each rune lower-cased and an invalid UTF-8 byte
+// read as U+FFFD, as strings.ToLower rewrites it. UTF-8 orders runes as
+// their code points, so comparing the runes orders the strings as their
+// lower-cased bytes.
+func foldCompare(a, b string) int {
+	for a != "" && b != "" {
+		ra, na := foldRune(a)
+		rb, nb := foldRune(b)
+		if ra != rb {
+			return cmp.Compare(ra, rb)
+		}
+		a, b = a[na:], b[nb:]
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
+// foldRune returns the first rune of s, lower-cased, and its width in s.
+func foldRune(s string) (rune, int) {
+	if c := s[0]; c < utf8.RuneSelf {
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		return rune(c), 1
+	}
+	r, n := utf8.DecodeRuneInString(s)
+	return unicode.ToLower(r), n
 }
 
 func cmpFloat(a, b float64) int {

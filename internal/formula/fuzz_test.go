@@ -117,3 +117,20 @@ func FuzzCompile(f *testing.F) {
 		_, _ = fl.Selects(note, nil)
 	})
 }
+
+// FuzzFoldCompare holds foldCompare, which every text comparison in a
+// formula makes, to the comparison of the lower-cased copies it replaces.
+func FuzzFoldCompare(f *testing.F) {
+	f.Add("Memo", "memo")
+	f.Add("mIxEd CaSe", "Mixed case!")
+	f.Add("İstanbul", "istanbul")
+	f.Add("ǅungla ΣΊΣΥΦΟΣ", "ǆungla σίσυφοσ")
+	f.Add("bad \xff\xfe UTF-8 \xc3", "bad �� UTF-8 �")
+	f.Add("embedded\x00NUL", "embedded\x00nul")
+	f.Add("", "\x00")
+	f.Fuzz(func(t *testing.T, a, b string) {
+		if got, want := foldCompare(a, b), strings.Compare(strings.ToLower(a), strings.ToLower(b)); got != want {
+			t.Fatalf("foldCompare(%q, %q) = %d, want %d", a, b, got, want)
+		}
+	})
+}

@@ -444,6 +444,19 @@ func (it *ItemIter) Err() error { return it.err }
 // value.
 func (it *ItemIter) encoded() []byte { return it.d.buf[it.start:it.d.off] }
 
+// DecodeHeader decodes the header of the note in buf, every field but
+// Items, into n when n is non-nil, and walks every item without decoding
+// it, so it rejects exactly what DecodeNote rejects. It allocates nothing.
+func DecodeHeader(buf []byte, n *Note) error {
+	var it ItemIter
+	if err := it.Reset(buf, n); err != nil {
+		return err
+	}
+	for it.Next() {
+	}
+	return it.Err()
+}
+
 // AppendProjected appends to dst the encoding of the note in buf carrying
 // only the items keep accepts (nil keeps all), in stored order, and returns
 // the extended slice: the stored bytes are copied, not re-encoded. It

@@ -58,19 +58,24 @@ func FuzzDecodeNote(f *testing.F) {
 		}
 		values := make([][]byte, len(names))
 		verr := ItemValues(data, names, values)
+		var hdr Note
+		herr := DecodeHeader(data, &hdr)
 		if err != nil {
-			if perr == nil || it.Err() == nil || rerr == nil || ierr == nil || verr == nil || oerr == nil || serr == nil {
-				t.Fatalf("DecodeNote rejected (%v) what another decoder accepted: items %v, iterator %v, projection %v, into %v, values %v, owned %v, source string %v",
-					err, perr, it.Err(), rerr, ierr, verr, oerr, serr)
+			if perr == nil || it.Err() == nil || rerr == nil || ierr == nil || verr == nil || oerr == nil || serr == nil || herr == nil {
+				t.Fatalf("DecodeNote rejected (%v) what another decoder accepted: items %v, iterator %v, projection %v, into %v, values %v, owned %v, source string %v, header %v",
+					err, perr, it.Err(), rerr, ierr, verr, oerr, serr, herr)
 			}
 			if string(rec) != "prefix" {
 				t.Fatalf("a rejected projection left %q behind", rec)
 			}
 			return // rejection is fine; panicking is not
 		}
-		if perr != nil || it.Err() != nil || rerr != nil || ierr != nil || verr != nil || oerr != nil || serr != nil {
-			t.Fatalf("DecodeNote accepted what another decoder rejected: items %v, iterator %v, projection %v, into %v, values %v, owned %v, source string %v",
-				perr, it.Err(), rerr, ierr, verr, oerr, serr)
+		if perr != nil || it.Err() != nil || rerr != nil || ierr != nil || verr != nil || oerr != nil || serr != nil || herr != nil {
+			t.Fatalf("DecodeNote accepted what another decoder rejected: items %v, iterator %v, projection %v, into %v, values %v, owned %v, source string %v, header %v",
+				perr, it.Err(), rerr, ierr, verr, oerr, serr, herr)
+		}
+		if want := (Note{ID: n.ID, OID: n.OID, Class: n.Class, Flags: n.Flags, Created: n.Created, Modified: n.Modified}); !noteEqual(&hdr, &want) {
+			t.Fatalf("DecodeHeader = %+v, want %+v", &hdr, &want)
 		}
 		if !noteEqual(&owned, n) {
 			t.Fatalf("DecodeNoteOwned = %+v, want %+v", &owned, n)

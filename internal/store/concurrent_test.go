@@ -51,12 +51,12 @@ func TestSnapshotScanSeesConsistentPrefix(t *testing.T) {
 
 	for round := 0; round < 5; round++ {
 		seen := make(map[nsf.UNID]int)
-		err := s.ScanAll(func(n *nsf.Note) bool {
+		err := scanAll(s, func(n *nsf.Note) bool {
 			seen[n.OID.UNID]++
 			return true
 		})
 		if err != nil {
-			t.Fatalf("round %d: ScanAll: %v", round, err)
+			t.Fatalf("round %d: scan: %v", round, err)
 		}
 		for u := range want {
 			if seen[u] != 1 {
@@ -92,7 +92,7 @@ func TestScanDoesNotBlockWriter(t *testing.T) {
 	scanDone := make(chan error, 1)
 	go func() {
 		first := true
-		scanDone <- s.ScanAll(func(*nsf.Note) bool {
+		scanDone <- scanAll(s, func(*nsf.Note) bool {
 			if first {
 				first = false
 				close(scanStarted)
@@ -113,11 +113,11 @@ func TestScanDoesNotBlockWriter(t *testing.T) {
 			t.Fatalf("Put during scan: %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Put blocked behind an in-flight ScanAll — scan is holding the store latch across its callback")
+		t.Fatal("Put blocked behind an in-flight scan — scan is holding the store latch across its callback")
 	}
 	close(gate)
 	if err := <-scanDone; err != nil {
-		t.Fatalf("ScanAll: %v", err)
+		t.Fatalf("scan: %v", err)
 	}
 }
 
@@ -179,8 +179,8 @@ func TestConcurrentReadersWriters(t *testing.T) {
 				s.Count()
 				s.Stats()
 				if i%25 == 0 {
-					if err := s.ScanAll(func(*nsf.Note) bool { return true }); err != nil {
-						t.Errorf("ScanAll: %v", err)
+					if err := scanAll(s, func(*nsf.Note) bool { return true }); err != nil {
+						t.Errorf("scan: %v", err)
 						return
 					}
 				}

@@ -264,7 +264,7 @@ func checkRecoveredPrefix(t *testing.T, path string, keep int) {
 		t.Fatalf("recovered USN %d, want %d", got, keep)
 	}
 	subjects := make(map[string]bool)
-	s.ScanAll(func(n *nsf.Note) bool {
+	scanAll(s, func(n *nsf.Note) bool {
 		subjects[n.Text("Subject")] = true
 		return true
 	})

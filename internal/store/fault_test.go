@@ -286,7 +286,7 @@ func TestGroupCommitWALSyncEIO(t *testing.T) {
 	fs.Crash()
 	s.Close()
 	s2 := reopenHolds(t, path, opts, acked)
-	s2.ScanAll(func(n *nsf.Note) bool {
+	scanAll(s2, func(n *nsf.Note) bool {
 		if !attempted[n.OID.UNID] {
 			t.Fatalf("recovered a note never attempted: %s", n.Text("Subject"))
 		}

@@ -126,7 +126,7 @@ func TestGroupCommitCrashKeepsAckedPuts(t *testing.T) {
 			}
 			defer s2.Close()
 			recovered := make(map[nsf.UNID]bool)
-			s2.ScanAll(func(n *nsf.Note) bool {
+			scanAll(s2, func(n *nsf.Note) bool {
 				recovered[n.OID.UNID] = true
 				return true
 			})
@@ -219,7 +219,7 @@ func checkTornBatchRecovery(t *testing.T, path string) {
 		t.Fatalf("recovered USN %d, want 3", got)
 	}
 	subjects := make(map[string]bool)
-	s.ScanAll(func(n *nsf.Note) bool {
+	scanAll(s, func(n *nsf.Note) bool {
 		subjects[n.Text("Subject")] = true
 		return true
 	})

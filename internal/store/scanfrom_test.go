@@ -109,7 +109,7 @@ func TestScanSkipsNotesCreatedDuringScan(t *testing.T) {
 				if byUSN {
 					return s.ScanSince(context.Background(), since, nil, fn)
 				}
-				return Cursor{}, s.ScanAll(fn)
+				return Cursor{}, scanAll(s, fn)
 			}
 			const newSubject = "updated ahead of the walk"
 			created := map[nsf.NoteID]bool{}

@@ -665,12 +665,6 @@ func (s *Store) scanSince(ctx context.Context, since Cursor, chase bool, keep fu
 	return next, err
 }
 
-// ScanAll calls fn for every note in NoteID order until fn returns false:
-// ScanFromCtx from the first NoteID over whole notes, without a deadline.
-func (s *Store) ScanAll(fn func(*nsf.Note) bool) error {
-	return s.ScanFromCtx(context.Background(), 0, nil, fn)
-}
-
 // ScanFromCtx calls fn for every note with NoteID strictly greater than
 // after, in NoteID order, until fn returns false or ctx is done. Each note
 // carries only the items keep accepts (nil keeps all): it is ScanRecords

@@ -223,6 +223,12 @@ func TestOpenRefusesFormatVersion1(t *testing.T) {
 	}
 }
 
+// scanAll calls fn for every note in NoteID order until fn returns false:
+// ScanFromCtx from the first NoteID over whole notes.
+func scanAll(s *Store, fn func(*nsf.Note) bool) error {
+	return s.ScanFromCtx(context.Background(), 0, nil, fn)
+}
+
 func TestStoreScanAll(t *testing.T) {
 	s, _ := openTestStore(t, Options{})
 	c := clock.New()
@@ -232,12 +238,12 @@ func TestStoreScanAll(t *testing.T) {
 		}
 	}
 	count := 0
-	s.ScanAll(func(n *nsf.Note) bool { count++; return true })
+	scanAll(s, func(n *nsf.Note) bool { count++; return true })
 	if count != 10 {
-		t.Fatalf("ScanAll visited %d", count)
+		t.Fatalf("scan visited %d", count)
 	}
 	count = 0
-	s.ScanAll(func(n *nsf.Note) bool { count++; return count < 3 })
+	scanAll(s, func(n *nsf.Note) bool { count++; return count < 3 })
 	if count != 3 {
 		t.Fatalf("early stop visited %d", count)
 	}

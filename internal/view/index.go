@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/acl"
@@ -60,9 +61,17 @@ func (ix *Index) locate(key string) (int, bool) {
 	return i, i < len(ix.entries) && ix.entries[i].key == key
 }
 
-// entryFor evaluates note's columns and builds its entry in the index's
-// working memory.
-func (ix *Index) entryFor(note *nsf.Note, ctx *formula.Context) (*Entry, error) {
+// entry builds note's entry in the index's working memory, or returns
+// nil when the view holds none for it: a stub, a note that is not a
+// document, or one the selection drops. An error is a selection or column
+// formula that failed on the note, which the view leaves out too.
+func (ix *Index) entry(note *nsf.Note, ctx *formula.Context) (*Entry, error) {
+	if note.IsStub() || note.Class != nsf.ClassDocument {
+		return nil, nil
+	}
+	if ok, err := ix.def.Selection.Selects(note, ctx); !ok || err != nil {
+		return nil, err
+	}
 	w := &ix.work
 	w.Lock()
 	defer w.Unlock()
@@ -162,24 +171,13 @@ func allocEntry(n int) (*Entry, []string) {
 }
 
 // Update reflects a single note change in the index: the note is inserted,
-// repositioned, or removed depending on the selection formula and its
-// current values. Deletion stubs always leave the view. It reports whether
+// repositioned, or removed, as entry decides. A note the view's formulas
+// fail on leaves the view, and the error is returned. It reports whether
 // the index changed.
 func (ix *Index) Update(note *nsf.Note, ctx *formula.Context) (bool, error) {
-	selected := false
-	if !note.IsStub() && note.Class == nsf.ClassDocument {
-		ok, err := ix.def.Selection.Selects(note, ctx)
-		if err != nil {
-			return false, err
-		}
-		selected = ok
-	}
-	if !selected {
-		return ix.Remove(note.OID.UNID), nil
-	}
-	e, err := ix.entryFor(note, ctx)
-	if err != nil {
-		return false, err
+	e, err := ix.entry(note, ctx)
+	if e == nil {
+		return ix.Remove(note.OID.UNID), err
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -223,50 +221,49 @@ func (ix *Index) removeKeyLocked(key string) {
 	}
 }
 
-// Rebuild clears the index and repopulates it from scan, which must invoke
-// its callback once per candidate note.
+// Rebuild clears the index and repopulates it from scan: Rebuild with
+// this one index.
 func (ix *Index) Rebuild(ctx *formula.Context, scan func(fn func(*nsf.Note) bool) error) error {
-	var fresh []*Entry
-	var evalErr error
+	return Rebuild(ctx, scan, ix)
+}
+
+// Rebuild clears each of ixs and repopulates it from one scan, which must
+// invoke its callback once per candidate note; the note is lent for the
+// call. Each index takes the entry Update would give the note, so a note
+// its formulas fail on is left out, as upkeep leaves it out.
+func Rebuild(ctx *formula.Context, scan func(fn func(*nsf.Note) bool) error, ixs ...*Index) error {
+	fresh := make([][]*Entry, len(ixs))
 	err := scan(func(n *nsf.Note) bool {
-		if n.IsStub() || n.Class != nsf.ClassDocument {
-			return true
+		for i, ix := range ixs {
+			if e, _ := ix.entry(n, ctx); e != nil {
+				fresh[i] = append(fresh[i], e)
+			}
 		}
-		ok, err := ix.def.Selection.Selects(n, ctx)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		if !ok {
-			return true
-		}
-		e, err := ix.entryFor(n, ctx)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		fresh = append(fresh, e)
 		return true
 	})
 	if err != nil {
 		return err
 	}
-	if evalErr != nil {
-		return evalErr
+	for i, ix := range ixs {
+		ix.fill(fresh[i])
 	}
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i].key < fresh[j].key })
-	byUNID := make(map[nsf.UNID]string, len(fresh))
+	return nil
+}
+
+// fill replaces the index's entries with entries, in any order.
+func (ix *Index) fill(entries []*Entry) {
+	slices.SortFunc(entries, func(a, b *Entry) int { return strings.Compare(a.key, b.key) })
+	byUNID := make(map[nsf.UNID]string, len(entries))
 	restricted := 0
-	for _, e := range fresh {
+	for _, e := range entries {
 		byUNID[e.UNID] = e.key
 		restricted += e.restrictedCount()
 	}
 	ix.mu.Lock()
-	ix.entries = fresh
+	ix.entries = entries
 	ix.byUNID = byUNID
 	ix.restricted = restricted
 	ix.mu.Unlock()
-	return nil
 }
 
 // Entries returns a snapshot of all entries in collation order.

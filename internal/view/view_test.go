@@ -161,7 +161,8 @@ func TestFormulaColumns(t *testing.T) {
 func TestRebuildMatchesIncremental(t *testing.T) {
 	def := mustDef(t, "both", `SELECT Priority > 2`,
 		Column{Title: "Cat", ItemName: "Cat", Sorted: true},
-		Column{Title: "Subject", ItemName: "Subject", Sorted: true})
+		Column{Title: "Subject", ItemName: "Subject", Sorted: true},
+		Column{Title: "Share", Formula: formula.MustCompile("Priority / Parts")})
 	inc := NewIndex(def)
 	full := NewIndex(def)
 	rng := rand.New(rand.NewSource(5))
@@ -171,11 +172,23 @@ func TestRebuildMatchesIncremental(t *testing.T) {
 			"Cat":      fmt.Sprintf("cat%d", rng.Intn(5)),
 			"Subject":  fmt.Sprintf("subject %04d", rng.Intn(1000)),
 			"Priority": float64(rng.Intn(6)),
+			"Parts":    1.0,
 		})
 		notes = append(notes, n)
 		if _, err := inc.Update(n, nil); err != nil {
 			t.Fatalf("Update: %v", err)
 		}
+	}
+	// A note the Share column fails on (division by zero) leaves the
+	// view it was in, and a rebuild leaves it out.
+	bad := notes[rng.Intn(len(notes))]
+	bad.SetNumber("Priority", 5)
+	if _, err := inc.Update(bad, nil); err != nil {
+		t.Fatalf("Update: %v", err)
+	}
+	bad.SetNumber("Parts", 0)
+	if _, err := inc.Update(bad, nil); err == nil {
+		t.Fatal("Update of a note the Share column fails on returned no error")
 	}
 	err := full.Rebuild(nil, func(fn func(*nsf.Note) bool) error {
 		for _, n := range notes {
