@@ -40,7 +40,7 @@ var experiments = []experiment{
 	{"W1", "Write-path latency vs open change consumers (maintainer)", runW1},
 	{"W2", "Incremental view refresh vs rebuild under concurrent writers", runW2},
 	{"W3", "Online backup: incremental vs full cost, hot-backup interference, restore/PITR", runW3},
-	{"W4", "Read path under concurrent writes: RW latch + snapshot scans + note cache", runW4},
+	{"W4", "Read path under concurrent writes: RW latch + snapshot scans", runW4},
 	{"W5", "Availability: failover window / zero lost acked writes, admission control under overload", runW5},
 	{"W6", "Partitioned namespace: live moves and dead-mate re-homing, zero lost acked writes", runW6},
 	{"W7", "Group-commit write scaling: writers x SyncWAL x commit window", runW7},

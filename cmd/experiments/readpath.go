@@ -18,11 +18,12 @@ import (
 // sustained writer instead of queuing behind it, and a full scan no longer
 // holds the store latch across its callback, so writers are never stalled
 // for a whole scan. The rows are named after the store's latching
-// discipline (RW latch + decoded-note cache, "rw+cache"); EXPERIMENTS.md W4
-// states what it measured against the single-semaphore store it replaced.
+// discipline (RW latch, "rw"); EXPERIMENTS.md W4 states what it measured
+// against the single-semaphore store it replaced.
 
-// w4ReadThroughput measures RawGet throughput from `readers` goroutines
-// while one writer continuously updates documents.
+// w4ReadThroughput measures Session.Get throughput, the path a client's
+// Get takes, from `readers` goroutines while one writer continuously
+// updates documents.
 func w4ReadThroughput(docs, readers int, dur time.Duration) row {
 	db := tempDB("w4a", domino.NewReplicaID())
 	defer db.Close()
@@ -49,7 +50,7 @@ func w4ReadThroughput(docs, readers int, dur time.Duration) row {
 
 	// 90/10 hot-set access: most reads hit a tenth of the corpus, the rest
 	// roam the whole file — the usual shape of a mail file or discussion
-	// database, and what a bounded cache is for.
+	// database.
 	hot := len(corpus) / 10
 	if hot == 0 {
 		hot = 1
@@ -60,6 +61,7 @@ func w4ReadThroughput(docs, readers int, dur time.Duration) row {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			sess := db.Session(fmt.Sprintf("reader-%d", r))
 			n := int64(0)
 			for i := 0; time.Now().Before(deadline); i++ {
 				j := r*7919 + i
@@ -69,7 +71,7 @@ func w4ReadThroughput(docs, readers int, dur time.Duration) row {
 				} else {
 					u = corpus[j%len(corpus)].OID.UNID
 				}
-				if _, err := db.RawGet(u); err != nil {
+				if _, err := sess.Get(u); err != nil {
 					log.Fatal(err)
 				}
 				n++
@@ -82,15 +84,9 @@ func w4ReadThroughput(docs, readers int, dur time.Duration) row {
 	stop.Store(true)
 	wg.Wait()
 
-	st := db.Stats()
-	hitRate := 0.0
-	if total := st.NoteCacheHits + st.NoteCacheMisses; total > 0 {
-		hitRate = float64(st.NoteCacheHits) / float64(total)
-	}
-	return newRow("read-throughput rw+cache", "docs", docs, "readers", readers,
+	return newRow("read-throughput rw", "docs", docs, "readers", readers,
 		"reads", reads.Load(), "reads_per_sec", float64(reads.Load())/dur.Seconds(),
-		"writer_ops", writerOps.Load(), "cache_hits", st.NoteCacheHits,
-		"cache_misses", st.NoteCacheMisses, "hit_rate", hitRate)
+		"writer_ops", writerOps.Load())
 }
 
 // w4ScanInterference measures Put latency while full scans run
@@ -138,7 +134,7 @@ func w4ScanInterference(docs, puts int) row {
 	if n := scans.Load(); n > 0 {
 		scanAvgMs = float64(scanNanos.Load()) / float64(n) / 1e6
 	}
-	return newRow("scan-interference rw+cache", "docs", docs, "writer_ops", puts,
+	return newRow("scan-interference rw", "docs", docs, "writer_ops", puts,
 		"put_p50_us", usf(lat.pct(0.50)), "put_p99_us", usf(lat.pct(0.99)), "scan_avg_ms", scanAvgMs)
 }
 
@@ -151,9 +147,8 @@ func runW4(quick bool) {
 	readers := 4
 	dur := time.Duration(pick(quick, 2000, 400)) * time.Millisecond
 	ra := w4ReadThroughput(docs, readers, dur)
-	ta := newTable("readers", "reads/s", "writer ops", "cache hit rate")
-	ta.add(readers, fmt.Sprintf("%.0f", ra.M["reads_per_sec"]), int(ra.M["writer_ops"]),
-		fmt.Sprintf("%.1f%%", 100*ra.M["hit_rate"]))
+	ta := newTable("readers", "reads/s", "writer ops")
+	ta.add(readers, fmt.Sprintf("%.0f", ra.M["reads_per_sec"]), int(ra.M["writer_ops"]))
 	fmt.Println("  Phase A: point-read throughput under a sustained writer")
 	ta.print()
 

@@ -68,7 +68,7 @@ func (db *Database) ArchiveTo(dst *Database, cutoff nsf.Timestamp) (ArchiveStats
 			Flags:   n.Flags | nsf.FlagDeleted,
 			Created: n.Created,
 		}
-		if err := db.putVersioned(stub); err != nil {
+		if err := db.putVersioned(stub, nil); err != nil {
 			return stats, err
 		}
 	}

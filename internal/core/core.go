@@ -61,11 +61,12 @@ type Database struct {
 	dirs  *dir.Directory
 
 	// wmu makes every versioned read-modify-write atomic: reading the
-	// stored version, computing Seq/Revs/NoteID, and committing all happen
-	// under wmu, or two concurrent saves of one UNID would both stamp
-	// Seq=N+1 and silently lose an edit.
+	// stored version, checking the write against it, computing
+	// Seq/Revs/NoteID, and committing all happen under wmu, or two
+	// concurrent saves of one UNID would both stamp Seq=N+1 and silently
+	// lose an edit.
 	//
-	// Latch order: wmu → maint.mu → store latch (Put/GetByUNID take the
+	// Latch order: wmu → maint.mu → store latch (Put/AppendRecord take the
 	// store latch internally). Code holding the store latch must never
 	// acquire wmu — the store never calls back into core, so the order is
 	// easy to keep.
@@ -73,6 +74,12 @@ type Database struct {
 	// notify are the channels Notify registered; commitLocked wakes them.
 	// Guarded by wmu.
 	notify []chan<- struct{}
+	// prior, priorArena and priorRec are what putVersionedAsync reads the
+	// version a write replaces into. Guarded by wmu; nothing of them
+	// outlives one write.
+	prior      nsf.Note
+	priorArena nsf.Arena
+	priorRec   []byte
 	// maint keeps the indexes and OnChange callbacks up to date.
 	maint maintainer
 
@@ -268,25 +275,14 @@ func (db *Database) SaveACL(s *Session) error {
 	if s != nil && !s.Identity().CanManageACL() {
 		return fmt.Errorf("%w: %s may not modify the ACL", ErrAccessDenied, s.User())
 	}
-	unid := aclNoteUNID(db.ReplicaID())
-	n, err := db.st.GetByUNID(unid)
-	if errors.Is(err, ErrNotFound) {
-		n = &nsf.Note{OID: nsf.OID{UNID: unid}, Class: nsf.ClassACL, Created: db.clock.Now()}
-		err = nil
-	}
-	if err != nil {
-		return err
-	}
-	db.mu.RLock()
-	a := db.acl
-	db.mu.RUnlock()
-	a.WriteNote(n)
-	return db.putVersioned(n)
+	n := &nsf.Note{OID: nsf.OID{UNID: aclNoteUNID(db.ReplicaID())}}
+	db.ACL().WriteNote(n)
+	return db.putVersioned(n, nil)
 }
 
-// putVersioned advances a note's OID and stores it durably.
-func (db *Database) putVersioned(n *nsf.Note) error {
-	c, err := db.putVersionedAsync(n, false)
+// putVersioned is putVersionedAsync waiting for durability.
+func (db *Database) putVersioned(n *nsf.Note, check func(old *nsf.Note) error) error {
+	c, err := db.putVersionedAsync(n, check)
 	if err != nil {
 		return err
 	}
@@ -294,35 +290,34 @@ func (db *Database) putVersioned(n *nsf.Note) error {
 }
 
 // putVersionedAsync advances a note's OID and stores it, returning the
-// store's durability ticket instead of waiting on it. With update, n must
-// replace a stored note that is not a stub, or nothing is stored and the
-// error is ErrNotFound: checked here, under wmu, a delete (or a deletion
-// stub a replication apply stores) landing after the caller's own check
-// cannot be overwritten by the update and the document brought back.
+// store's durability ticket instead of waiting on it. A non-nil check
+// judges the write on the version it replaces (nil when there is none)
+// and may complete n from it; an error from check is returned and nothing
+// is stored. check must keep nothing of old, which the next write reuses.
 //
-// The whole read-modify-write runs under wmu: the stored version is read,
-// Seq and per-item Revs are computed, and the note is committed as one
-// atomic section. Reading the old version outside wmu (as the seed did)
-// let two concurrent saves of the same UNID both observe Seq=N and both
-// stamp Seq=N+1 — one edit vanished and replication conflict detection
-// (which compares Seq) lost the fork.
-func (db *Database) putVersionedAsync(n *nsf.Note, update bool) (store.Commit, error) {
+// The whole read-modify-write runs under wmu: the stored version is read
+// once, checked, Seq and per-item Revs are computed from it, and the note
+// is committed as one atomic section. Reading the old version outside wmu
+// (as the seed did) let two concurrent saves of the same UNID both observe
+// Seq=N and both stamp Seq=N+1 — one edit vanished and replication
+// conflict detection (which compares Seq) lost the fork; a check made
+// outside it judged a version another write could replace first.
+func (db *Database) putVersionedAsync(n *nsf.Note, check func(old *nsf.Note) error) (store.Commit, error) {
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
-	old, err := db.st.GetByUNID(n.OID.UNID)
-	isNew := false
-	switch {
-	case update && errors.Is(err, ErrNotFound), update && err == nil && old.IsStub():
-		return store.Commit{}, ErrNotFound
-	case errors.Is(err, ErrNotFound):
-		isNew = true
+	old, err := db.storedLocked(n.OID.UNID)
+	if err == nil && check != nil {
+		err = check(old)
+	}
+	if err != nil {
+		return store.Commit{}, err
+	}
+	if old == nil {
 		n.OID.Seq = 1
 		for i := range n.Items {
 			n.Items[i].Rev = 1
 		}
-	case err != nil:
-		return store.Commit{}, err
-	default:
+	} else {
 		n.ID = old.ID
 		n.OID.Seq = old.OID.Seq + 1
 		n.Created = old.Created
@@ -340,12 +335,33 @@ func (db *Database) putVersionedAsync(n *nsf.Note, update bool) (store.Commit, e
 	// Timestamps are issued inside the commit section, so SeqTime and
 	// Modified order matches commit (USN) order.
 	now := db.clock.Now()
-	if isNew && n.Created == 0 {
+	if old == nil && n.Created == 0 {
 		n.Created = now
 	}
 	n.OID.SeqTime = now
 	n.Modified = now
 	return db.commitLocked(n.OID.UNID, n)
+}
+
+// storedLocked decodes the stored version of the note unid names into
+// db.prior, or returns nil when there is none. Call with wmu held; the
+// note is valid until the next call.
+func (db *Database) storedLocked(unid nsf.UNID) (*nsf.Note, error) {
+	rec, err := db.st.AppendRecord(db.priorRec[:0], unid)
+	if cap(rec) <= maxKeptRecord {
+		db.priorRec = rec
+	}
+	if errors.Is(err, ErrNotFound) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	db.priorArena.Reset()
+	if err := nsf.DecodeNoteIntoSrc(&db.prior, &db.priorArena, rec, string(rec)); err != nil {
+		return nil, err
+	}
+	return &db.prior, nil
 }
 
 func (db *Database) evalContext(user string) *formula.Context {
@@ -361,8 +377,7 @@ func (db *Database) RawGet(unid nsf.UNID) (*nsf.Note, error) { return db.st.GetB
 // (nsf.AppendNote's form, as the store holds it) bypassing ACL checks, and
 // decodes its header, every field but Items, into hdr when hdr is non-nil.
 // Every item is walked, so it rejects exactly the records RawGet rejects;
-// on an error dst comes back as it was passed. The note cache is neither
-// read nor filled.
+// on an error dst comes back as it was passed.
 func (db *Database) RawRecord(dst []byte, unid nsf.UNID, hdr *nsf.Note) ([]byte, error) {
 	start := len(dst)
 	dst, err := db.st.AppendRecord(dst, unid)
@@ -378,20 +393,20 @@ func (db *Database) RawRecord(dst []byte, unid nsf.UNID, hdr *nsf.Note) ([]byte,
 // recordPool recycles the buffers RawHeader reads records into.
 var recordPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// maxPooledRecord caps the buffer RawHeader returns to the pool, so one
-// huge note cannot pin a huge buffer.
-const maxPooledRecord = 1 << 20
+// maxKeptRecord caps the record buffers kept between reads (RawHeader's
+// pool, the write path's db.priorRec), so one huge note cannot pin a huge
+// buffer.
+const maxKeptRecord = 1 << 20
 
 // RawHeader returns the header of the note unid names, every field but
 // Items, bypassing ACL checks: the version check replication makes before
-// it fetches or applies a note. It rejects what RawGet rejects, makes no
-// allocation once its pooled buffer has grown, and neither reads nor fills
-// the note cache.
+// it fetches or applies a note. It rejects what RawGet rejects and makes
+// no allocation once its pooled buffer has grown.
 func (db *Database) RawHeader(unid nsf.UNID) (nsf.Note, error) {
 	var h nsf.Note
 	bp := recordPool.Get().(*[]byte)
 	rec, err := db.RawRecord((*bp)[:0], unid, &h)
-	if cap(rec) <= maxPooledRecord {
+	if cap(rec) <= maxKeptRecord {
 		*bp = rec
 	}
 	recordPool.Put(bp)
@@ -409,7 +424,9 @@ var ErrChanged = errors.New("core: note changed since it was read")
 // complete OIDs from the source replica). The maintainer brings views, full
 // text and OnChange callbacks up to date. n itself is not
 // modified: the local NoteID and the Modified stamp go on a copy of its
-// header, which shares n's items.
+// header, which shares n's items. An ACL note that does not parse is
+// refused with nothing stored: stored, it would keep the database from
+// opening.
 func (db *Database) RawPut(n *nsf.Note) error { return db.rawPut(n, nil) }
 
 // RawPutIf is RawPut on the condition that the note n's UNID names is
@@ -421,6 +438,11 @@ func (db *Database) RawPut(n *nsf.Note) error { return db.rawPut(n, nil) }
 func (db *Database) RawPutIf(n *nsf.Note, was *nsf.Note) error { return db.rawPut(n, was) }
 
 func (db *Database) rawPut(n *nsf.Note, was *nsf.Note) error {
+	if n.Class == nsf.ClassACL && !n.IsStub() {
+		if _, err := acl.FromNote(n); err != nil {
+			return fmt.Errorf("core: replicated ACL note %s: %w", n.OID.UNID, err)
+		}
+	}
 	db.clock.Observe(n.OID.SeqTime)
 	db.clock.Observe(n.Modified)
 	h := *n
@@ -459,8 +481,7 @@ func (db *Database) rawPut(n *nsf.Note, was *nsf.Note) error {
 	}
 	// A design note arriving by replication must take effect. This stays on
 	// the writer's path: it is rare and needs the store to be consistent
-	// with the design registry. An ACL note that does not parse leaves the
-	// ACL as it is; Open refuses the database until one that parses lands.
+	// with the design registry. An ACL note parses: it was checked above.
 	if ix, _ := db.applyDesign(n); ix != nil {
 		return db.installViews(ix)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/nsf"
@@ -42,7 +43,7 @@ func (db *Database) CreateFolder(s *Session, name string) error {
 	n := nsf.NewNote(nsf.ClassView)
 	n.SetText(itemFolderTitle, name)
 	n.SetText(itemFolderRefs)
-	return db.putVersioned(n)
+	return db.putVersioned(n, nil)
 }
 
 // Folders lists folder names, sorted.
@@ -76,7 +77,7 @@ func (s *Session) AddToFolder(folder string, unid nsf.UNID) error {
 		}
 	}
 	fn.SetText(itemFolderRefs, append(refs, key)...)
-	return s.db.putVersioned(fn)
+	return s.db.putVersioned(fn, nil)
 }
 
 // RemoveFromFolder takes a document out of a folder; it reports whether the
@@ -88,22 +89,12 @@ func (s *Session) RemoveFromFolder(folder string, unid nsf.UNID) (bool, error) {
 	}
 	refs := fn.TextList(itemFolderRefs)
 	key := unid.String()
-	// TextList aliases the stored value's backing array (which cached reads
-	// share); compact into a fresh slice rather than in place.
-	kept := make([]string, 0, len(refs))
-	removed := false
-	for _, r := range refs {
-		if r == key {
-			removed = true
-			continue
-		}
-		kept = append(kept, r)
-	}
-	if !removed {
+	kept := slices.DeleteFunc(refs, func(r string) bool { return r == key })
+	if len(kept) == len(refs) {
 		return false, nil
 	}
 	fn.SetText(itemFolderRefs, kept...)
-	return true, s.db.putVersioned(fn)
+	return true, s.db.putVersioned(fn, nil)
 }
 
 // FolderContents returns the folder's readable documents in insertion

@@ -37,7 +37,7 @@ func (s *Session) Profile(name, user string) (*nsf.Note, error) {
 		if user != "" {
 			n.SetWithFlags("$ProfileUser", nsf.TextValue(user), nsf.FlagSummary)
 		}
-		if err := s.db.putVersioned(n); err != nil {
+		if err := s.db.putVersioned(n, nil); err != nil {
 			return nil, err
 		}
 		return n, nil

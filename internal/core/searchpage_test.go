@@ -59,10 +59,11 @@ func TestAuthorsSeeWhatTheyCanOpen(t *testing.T) {
 }
 
 // TestSearchPageJoinsOnlyThePage: a page of a search joins its own hits,
-// not the hit list, from stored records without reading or filling the
-// note cache; pages laid end to end are SearchJoined; and a hit whose
-// document was deleted after the refresh barrier is skipped while the page
-// still fills.
+// not the hit list, from stored records, decoding no whole note (joining
+// 50 hits costs fewer allocations than one per hit more than joining 5);
+// pages laid end to end are SearchJoined; and a hit whose document was
+// deleted after the refresh barrier is skipped while the page still
+// fills.
 func TestSearchPageJoinsOnlyThePage(t *testing.T) {
 	db := openDB(t, Options{})
 	if err := db.EnableFullText(); err != nil {
@@ -81,29 +82,42 @@ func TestSearchPageJoinsOnlyThePage(t *testing.T) {
 	if err != nil || len(all) != 320 {
 		t.Fatalf("SearchJoined = %d hits, %v", len(all), err)
 	}
-	loads := func() uint64 {
-		st := db.st.Stats()
-		return st.NoteCacheHits + st.NoteCacheMisses
-	}
 	const limit = 50
-	page := func(start int) ([]ft.HitSummary, int, int, uint64) {
+	page := func(start int) ([]ft.HitSummary, int, int) {
 		t.Helper()
-		before := loads()
 		hits, total, next, err := s.SearchPageCtx(context.Background(), "needle", cols, start, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return hits, total, next, loads() - before
+		return hits, total, next
 	}
+	// joinDecodesNoNote checks that a page's join allocates less than once
+	// per hit: a whole-note decode per hit costs several.
+	joinDecodesNoNote := func() {
+		t.Helper()
+		if raceEnabled {
+			return // the race detector drops pooled objects
+		}
+		join := func(limit int) float64 {
+			return testing.AllocsPerRun(10, func() {
+				if _, _, err := s.SearchRowsCtx(context.Background(), "needle", cols, 0, limit, func(SearchRow) bool { return true }); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		small, large := join(5), join(limit)
+		t.Logf("join allocations: %v for 5 hits, %v for %d", small, large, limit)
+		if large-small >= limit-5 {
+			t.Errorf("joining %d hits makes %v allocations, joining 5 %v: a join decodes notes", limit, large, small)
+		}
+	}
+	joinDecodesNoNote()
 
 	var joined []ft.HitSummary
 	for start := 0; start < len(all); {
-		hits, total, next, loaded := page(start)
+		hits, total, next := page(start)
 		if total != len(all) || next != start+len(hits) {
 			t.Fatalf("page at %d: total %d next %d with %d hits", start, total, next, len(hits))
-		}
-		if loaded != 0 {
-			t.Errorf("page at %d went through the note cache %d times", start, loaded)
 		}
 		joined = append(joined, hits...)
 		start = next
@@ -126,10 +140,11 @@ func TestSearchPageJoinsOnlyThePage(t *testing.T) {
 	if _, err := s.Get(victim.OID.UNID); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("victim still readable: %v", err)
 	}
-	hits, total, next, loaded := page(0)
-	if len(hits) != limit || total != len(all)-1 || next != limit+1 || loaded != 0 {
-		t.Fatalf("page over a deleted hit: %d hits, total %d, next %d, %d loads", len(hits), total, next, loaded)
+	hits, total, next := page(0)
+	if len(hits) != limit || total != len(all)-1 || next != limit+1 {
+		t.Fatalf("page over a deleted hit: %d hits, total %d, next %d", len(hits), total, next)
 	}
+	joinDecodesNoNote()
 	for _, h := range hits {
 		if h.UNID == victim.OID.UNID {
 			t.Fatal("the deleted document's hit was joined")

@@ -60,20 +60,20 @@ func (s *Session) Create(n *nsf.Note) error {
 	if n.OID.UNID.IsZero() {
 		n.OID.UNID = nsf.NewUNID()
 	}
-	if _, err := s.db.st.GetByUNID(n.OID.UNID); err == nil {
-		return fmt.Errorf("core: document %s already exists", n.OID.UNID)
-	} else if !errors.Is(err, ErrNotFound) {
-		return err
-	}
 	if s.id.Level == acl.Author && len(n.Authors()) == 0 {
 		n.SetWithFlags("$Authors", nsf.TextValue(s.user), nsf.FlagAuthors|nsf.FlagSummary)
 	}
-	return s.db.putVersioned(n)
+	return s.db.putVersioned(n, func(old *nsf.Note) error {
+		if old != nil {
+			return fmt.Errorf("core: document %s already exists", old.OID.UNID)
+		}
+		return nil
+	})
 }
 
 // Get returns the document with the given UNID, subject to read access.
 // Deletion stubs read as not found. It decodes the stored record
-// AppendRecord reads; the note cache is neither read nor filled.
+// AppendRecord reads.
 func (s *Session) Get(unid nsf.UNID) (*nsf.Note, error) {
 	var sc RecordScratch
 	rec, err := s.AppendRecord(nil, unid, &sc)
@@ -126,41 +126,35 @@ func (s *Session) AppendRecord(dst []byte, unid nsf.UNID, sc *RecordScratch) ([]
 // not found, as in Get: an update that arrives after the delete must not
 // bring the document back.
 func (s *Session) Update(n *nsf.Note) error {
-	old, err := s.db.st.GetByUNID(n.OID.UNID)
-	if err != nil {
-		return err
-	}
-	if old.IsStub() {
+	return s.db.putVersioned(n, func(old *nsf.Note) error { return s.canEdit(old, n.OID.UNID) })
+}
+
+// canEdit is the check Update and PutBatch make of the version old they
+// replace: none, or a stub, is ErrNotFound.
+func (s *Session) canEdit(old *nsf.Note, unid nsf.UNID) error {
+	if old == nil || old.IsStub() {
 		return ErrNotFound
 	}
 	if !s.id.CanEdit(old) {
-		return fmt.Errorf("%w: %s may not edit %s", ErrAccessDenied, s.user, n.OID.UNID)
+		return fmt.Errorf("%w: %s may not edit %s", ErrAccessDenied, s.user, unid)
 	}
-	c, err := s.db.putVersionedAsync(n, true)
-	if err != nil {
-		return err
-	}
-	return c.Wait()
+	return nil
 }
 
 // Delete replaces the document with a deletion stub so the delete
 // replicates. The stub keeps the note's identity and advances its version.
 func (s *Session) Delete(unid nsf.UNID) error {
-	old, err := s.db.st.GetByUNID(unid)
-	if err != nil {
-		return err
-	}
-	if !s.id.CanDelete(old) {
-		return fmt.Errorf("%w: %s may not delete %s", ErrAccessDenied, s.user, unid)
-	}
-	stub := &nsf.Note{
-		ID:      old.ID,
-		OID:     old.OID,
-		Class:   old.Class,
-		Flags:   old.Flags | nsf.FlagDeleted,
-		Created: old.Created,
-	}
-	return s.db.putVersioned(stub)
+	stub := &nsf.Note{OID: nsf.OID{UNID: unid}}
+	return s.db.putVersioned(stub, func(old *nsf.Note) error {
+		if old == nil {
+			return ErrNotFound
+		}
+		if !s.id.CanDelete(old) {
+			return fmt.Errorf("%w: %s may not delete %s", ErrAccessDenied, s.user, unid)
+		}
+		stub.Class, stub.Flags = old.Class, old.Flags|nsf.FlagDeleted
+		return nil
+	})
 }
 
 // putBatchWaitStride bounds how many documents accumulate in the forming
@@ -201,29 +195,19 @@ func (s *Session) PutBatchCtx(ctx context.Context, notes []*nsf.Note) (applied i
 		if n.OID.UNID.IsZero() {
 			n.OID.UNID = nsf.NewUNID()
 		}
-		old, gerr := s.db.st.GetByUNID(n.OID.UNID)
-		update := gerr == nil
-		switch {
-		case errors.Is(gerr, ErrNotFound):
+		c, perr := s.db.putVersionedAsync(n, func(old *nsf.Note) error {
+			if old != nil {
+				// A deleted document stays deleted, as Update leaves it.
+				return s.canEdit(old, n.OID.UNID)
+			}
 			if !s.id.CanCreate() {
-				err = fmt.Errorf("%w: %s may not create documents (document %d)", ErrAccessDenied, s.user, i)
-			} else if s.id.Level == acl.Author && len(n.Authors()) == 0 {
+				return fmt.Errorf("%w: %s may not create documents", ErrAccessDenied, s.user)
+			}
+			if s.id.Level == acl.Author && len(n.Authors()) == 0 {
 				n.SetWithFlags("$Authors", nsf.TextValue(s.user), nsf.FlagAuthors|nsf.FlagSummary)
 			}
-		case gerr != nil:
-			err = fmt.Errorf("core: PutBatch document %d: %w", i, gerr)
-		case old.IsStub():
-			// A deleted document stays deleted, as Update leaves it.
-			err = fmt.Errorf("core: PutBatch document %d: %w", i, ErrNotFound)
-		case !s.id.CanEdit(old):
-			err = fmt.Errorf("%w: %s may not edit %s (document %d)", ErrAccessDenied, s.user, n.OID.UNID, i)
-		}
-		if err != nil {
-			break
-		}
-		// An update repeats the stub check under wmu, so a delete racing
-		// the batch cannot be overwritten either.
-		c, perr := s.db.putVersionedAsync(n, update)
+			return nil
+		})
 		if perr != nil {
 			err = fmt.Errorf("core: PutBatch document %d: %w", i, perr)
 			break

@@ -80,13 +80,13 @@ func (db *Database) persistUnread(user string, t *unreadTable) error {
 	n := &nsf.Note{OID: nsf.OID{UNID: unreadNoteUNID(user)}, Class: nsf.ClassReplFormula}
 	n.SetText("UnreadUser", user)
 	n.Set("ReadMarks", nsf.RawValue(blob))
-	return db.putVersioned(n)
+	return db.putVersioned(n, nil)
 }
 
 // MarkRead records that the session's user has read the document in its
 // current version.
 func (s *Session) MarkRead(unid nsf.UNID) error {
-	n, err := s.db.st.GetByUNID(unid)
+	n, err := s.db.RawHeader(unid)
 	if err != nil {
 		return err
 	}
@@ -116,7 +116,7 @@ func (s *Session) MarkUnread(unid nsf.UNID) error {
 // never marked read, or modified since the mark. Missing documents read as
 // not-unread.
 func (s *Session) IsUnread(unid nsf.UNID) bool {
-	n, err := s.db.st.GetByUNID(unid)
+	n, err := s.db.RawHeader(unid)
 	if err != nil || n.IsStub() {
 		return false
 	}

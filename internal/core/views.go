@@ -193,7 +193,7 @@ func (db *Database) AddView(s *Session, def *view.Definition) error {
 		n.OID.UNID = old.OID.UNID // redefining: the view keeps its note
 	}
 	defToNote(def, n)
-	if err := db.putVersioned(n); err != nil {
+	if err := db.putVersioned(n, nil); err != nil {
 		return err
 	}
 	return db.installViews(view.NewIndex(def))

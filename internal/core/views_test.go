@@ -10,6 +10,7 @@ import (
 	"repro/internal/acl"
 	"repro/internal/formula"
 	"repro/internal/nsf"
+	"repro/internal/store"
 	"repro/internal/view"
 )
 
@@ -267,10 +268,36 @@ func TestReplicatedDesignNoteThatDoesNotApply(t *testing.T) {
 		restricted.WriteNote(n)
 		n.SetNumber("$ACLLevels") // a name with no level
 		version(db, n)
-		if err := db.RawPut(n); err != nil {
-			t.Fatalf("RawPut: %v", err)
+		running := db.ACL()
+		if err := db.RawPut(n); err == nil {
+			t.Fatal("RawPut stored an ACL note that does not parse")
+		}
+		if db.ACL() != running {
+			t.Fatal("an ACL note that does not parse replaced the running ACL")
 		}
 		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db, err = Open(path, Options{})
+		if err != nil {
+			t.Fatalf("reopen after a refused ACL note: %v", err)
+		}
+		if db.Session("bob").Identity().Level == acl.NoAccess {
+			t.Fatal("the refused ACL note took effect after reopen")
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Open still refuses such a note when one is on disk: skipping it
+		// would open the database to everyone.
+		st, err := store.Open(path, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(n); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if db, err := Open(path, Options{}); err == nil {

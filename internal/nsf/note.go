@@ -255,21 +255,6 @@ func (n *Note) Clone() *Note {
 	return &c
 }
 
-// CloneShared returns a copy of n whose Items slice is independent but
-// whose Values share backing arrays with n. The Set* mutators replace a
-// Value wholesale, so two shared clones cannot disturb each other through
-// them; callers must treat the element data inside a Value (Text entries,
-// Raw bytes, and so on) as immutable and never write into it in place.
-// The store's note cache hands out shared clones, which is why the cheap
-// copy matters: a deep Clone on every cache hit would cost more than the
-// B+tree descent it saves.
-func (n *Note) CloneShared() *Note {
-	c := *n
-	c.Items = make([]Item, len(n.Items))
-	copy(c.Items, n.Items)
-	return &c
-}
-
 // ChangedItems returns the names of items that differ between n and old:
 // items added or modified in n, and items present in old but missing from
 // n. Names are reported in lower case.

@@ -147,7 +147,7 @@ func openTestStoreB(b *testing.B) (*Store, string) {
 	return s, path
 }
 
-// --- W4: point-read cost by latching discipline and cache state ---
+// --- W4: point-read cost under the read latch ---
 
 // benchReadStore seeds a store for read benchmarks.
 func benchReadStore(b *testing.B, opts Options, docs int) (*Store, []nsf.UNID) {
@@ -170,9 +170,8 @@ func benchReadStore(b *testing.B, opts Options, docs int) (*Store, []nsf.UNID) {
 	return s, unids
 }
 
-// BenchmarkW4GetByUNID measures point reads under the RW latch with the
-// decoded-note cache (the seed discipline it replaced — exclusive latch, no
-// cache — measured 1,115 ns here; see EXPERIMENTS.md W4).
+// BenchmarkW4GetByUNID measures point reads, each a whole decode of the
+// stored record, under the RW latch (see EXPERIMENTS.md W4).
 func BenchmarkW4GetByUNID(b *testing.B) {
 	s, unids := benchReadStore(b, Options{}, 1000)
 	b.ResetTimer()

@@ -126,9 +126,6 @@ func (s *Store) Compact() (int, error) {
 	if err := s.pg.flush(); err != nil {
 		return 0, err
 	}
-	// The rewrite recycled the whole RecordID space: every cached decode
-	// now points at reused page/slot coordinates. Drop them all.
-	s.cache.clear()
 	s.sinceCheckpoint = 0
 	if ierr != nil {
 		return 0, ierr

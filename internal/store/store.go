@@ -89,10 +89,9 @@ type Store struct {
 	wal             *wal
 	gc              *commitGroup // every commit's way into the WAL
 	heap            *heap
-	cache           *noteCache // decoded-note cache
-	byID            *btree     // NoteID (4B BE) -> RecordID (8B BE) + USN (8B BE)
-	byUNID          *btree     // UNID (16B)     -> NoteID (4B BE)
-	byUSN           *btree     // USN (8B BE)    -> NoteID (4B BE)
+	byID            *btree // NoteID (4B BE) -> RecordID (8B BE) + USN (8B BE)
+	byUNID          *btree // UNID (16B)     -> NoteID (4B BE)
+	byUSN           *btree // USN (8B BE)    -> NoteID (4B BE)
 	opts            Options
 	count           int // live notes (including stubs)
 	sinceCheckpoint int
@@ -148,7 +147,6 @@ func Open(path string, opts Options) (*Store, error) {
 	s := &Store{path: path, pg: pg, wal: w, heap: newHeap(pg), opts: opts}
 	s.ckFree = sync.NewCond(&s.mu)
 	s.gc = newCommitGroup(w, opts.SyncWAL, opts.GroupCommitWindow)
-	s.cache = newNoteCache()
 	s.byID = &btree{pg: pg, slot: rootSlotByID}
 	s.byUNID = &btree{pg: pg, slot: rootSlotByUNID}
 	s.byUSN = &btree{pg: pg, slot: rootSlotByUSN}
@@ -484,7 +482,6 @@ func (s *Store) applyPutEncoded(n *nsf.Note, enc []byte, usn uint64) error {
 		return err
 	} else if ok {
 		oldRID, oldUSN := location(v)
-		s.cache.invalidate(oldRID)
 		k := usnKey(oldUSN)
 		if _, err := s.byUSN.Delete(k[:]); err != nil {
 			return err
@@ -556,7 +553,6 @@ func (s *Store) applyDelete(unid nsf.UNID) error {
 	if err != nil {
 		return err
 	}
-	s.cache.invalidate(rid)
 	k := usnKey(usn)
 	if _, err := s.byUSN.Delete(k[:]); err != nil {
 		return err
@@ -574,32 +570,20 @@ func (s *Store) applyDelete(unid nsf.UNID) error {
 	return nil
 }
 
-// GetByUNID returns the note with the given UNID.
+// GetByUNID returns the note with the given UNID, decoded whole from its
+// stored record.
 func (s *Store) GetByUNID(unid nsf.UNID) (*nsf.Note, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	// Hot path: the cache's UNID hint skips both index descents.
-	if n, ok := s.cache.getByUNID(unid); ok {
-		return n, nil
-	}
 	_, rid, _, err := s.locate(unid)
 	if err != nil {
 		return nil, err
-	}
-	if n, ok := s.cache.get(rid); ok {
-		return n, nil
 	}
 	enc, err := s.heap.view(rid, nil)
 	if err != nil {
 		return nil, err
 	}
-	n, err := nsf.DecodeNote(enc)
-	if err != nil {
-		return nil, err
-	}
-	// The cache takes ownership of the decoded note and hands back a copy,
-	// so a caller mutating its result can never corrupt a later read.
-	return s.cache.add(rid, n), nil
+	return nsf.DecodeNote(enc)
 }
 
 // scanBatch is how many index entries a note walk visits per latch hold.
@@ -724,9 +708,8 @@ func decoded(fn func(*nsf.Note) bool, err *error) func([]byte) bool {
 // buffer first), so a hold allocates nothing per note. fn then gets the
 // records with no latch held, so fn may re-enter the store (even to write)
 // and a slow consumer never holds the latch. The next hold resumes after
-// the last key walked. Notes deleted during the walk are skipped, and the
-// note cache is neither consulted nor filled. ctx is checked before each
-// hold, so a cancelled walk stops within one scanBatch of work.
+// the last key walked. Notes deleted during the walk are skipped. ctx is
+// checked before each hold, so a cancelled walk stops within one scanBatch of work.
 func (s *Store) walk(ctx context.Context, byUSN, chase bool, start func() (after, last uint64), keep func([]byte, nsf.ItemFlags) bool, fn func(key uint64, rec []byte) bool) (uint64, error) {
 	type span struct {
 		key uint64
@@ -825,7 +808,7 @@ func (s *Store) appendRecord(arena []byte, rid RecordID, chain *[]byte, keep fun
 // as it is stored (nsf.EncodeNote's form), or returns dst and ErrNotFound
 // when there is no such note: the point read a Get ships. A chained record
 // is assembled in dst's spare room, so a caller that reuses dst makes no
-// allocation. The note cache is neither read nor filled.
+// allocation.
 func (s *Store) AppendRecord(dst []byte, unid nsf.UNID) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -846,9 +829,9 @@ func (s *Store) AppendRecord(dst []byte, unid nsf.UNID) ([]byte, error) {
 // until fn returns false or ctx is done. It is the search join's lookup,
 // run as the note walk runs: holds of at most scanBatch lookups copy the
 // records into one arena every hold reuses (no allocation per note), ctx
-// is checked before each hold, fn runs with no latch held and a record is
-// valid only during its call, and the note cache is neither read nor
-// filled. unid runs under the read latch and must not call into the store.
+// is checked before each hold, and fn runs with no latch held and a record
+// is valid only during its call. unid runs under the read latch and must
+// not call into the store.
 func (s *Store) RecordsByUNID(ctx context.Context, n int, unid func(i int) nsf.UNID, keep func([]byte, nsf.ItemFlags) bool, fn func(i int, rec []byte) bool) error {
 	var arena, chain []byte
 	ends := make([]int, 0, min(n, scanBatch)) // where each record in arena ends; -1: no such note
@@ -1042,7 +1025,8 @@ type Stats struct {
 	// LastUSN is the update sequence number of the last committed
 	// operation (persistent across reopens).
 	LastUSN uint64
-	// NoteCacheEntries/Hits/Misses report the decoded-note cache.
+	// NoteCacheEntries/Hits/Misses are always 0: the store keeps no
+	// decoded-note cache. They stay only because the benchmark reads them.
 	NoteCacheEntries int
 	NoteCacheHits    uint64
 	NoteCacheMisses  uint64
@@ -1057,7 +1041,6 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	entries, hits, misses := s.cache.stats()
 	flushes, records := s.gc.stats()
 	return Stats{
 		Notes:              s.count,
@@ -1065,9 +1048,6 @@ func (s *Store) Stats() Stats {
 		DirtyPages:         s.pg.dirtyCount(),
 		WALBytes:           s.wal.size.Load(),
 		LastUSN:            s.usn,
-		NoteCacheEntries:   entries,
-		NoteCacheHits:      hits,
-		NoteCacheMisses:    misses,
 		GroupCommitFlushes: flushes,
 		GroupCommitRecords: records,
 	}

@@ -186,3 +186,36 @@ func TestLogPrintfCeiling(t *testing.T) {
 		t.Errorf("non-test files call log.Printf %d times: lower logPrintfCeiling to %d", n, n)
 	}
 }
+
+// statsTypeCeiling is how many struct types named …Stats or …Health the
+// non-test files outside bench/ declare.
+const statsTypeCeiling = 13
+
+// TestStatsTypeCeiling holds the non-test files' …Stats and …Health struct
+// declarations at statsTypeCeiling, and asks for the ceiling to be lowered
+// when they fall.
+func TestStatsTypeCeiling(t *testing.T) {
+	n := 0
+	for path, f := range sourceFiles(t, ".", parser.SkipObjectResolution, false) {
+		if strings.HasPrefix(path, "bench/") {
+			continue
+		}
+		ast.Inspect(f, func(node ast.Node) bool {
+			spec, ok := node.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			if _, isStruct := spec.Type.(*ast.StructType); isStruct &&
+				(strings.HasSuffix(spec.Name.Name, "Stats") || strings.HasSuffix(spec.Name.Name, "Health")) {
+				n++
+			}
+			return false
+		})
+	}
+	switch {
+	case n > statsTypeCeiling:
+		t.Errorf("non-test files declare %d …Stats/…Health struct types, over the ceiling of %d: extend one instead", n, statsTypeCeiling)
+	case n < statsTypeCeiling:
+		t.Errorf("non-test files declare %d …Stats/…Health struct types: lower statsTypeCeiling to %d", n, n)
+	}
+}
