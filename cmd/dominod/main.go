@@ -605,26 +605,17 @@ func main() {
 
 	stop := make(chan struct{})
 	// Router task.
-	go func() {
-		t := time.NewTicker(cfg.routeTick)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				st, err := srv.Router().RouteOnce()
-				if err != nil {
-					log.Printf("router: %v", err)
-					continue
-				}
-				if st.Delivered+st.Forwarded+st.DeadLetter > 0 {
-					log.Printf("router: delivered=%d forwarded=%d dead=%d",
-						st.Delivered, st.Forwarded, st.DeadLetter)
-				}
-			}
+	every(stop, cfg.routeTick, func() {
+		st, err := srv.Router().RouteOnce()
+		if err != nil {
+			log.Printf("router: %v", err)
+			return
 		}
-	}()
+		if st.Delivered+st.Forwarded+st.DeadLetter > 0 {
+			log.Printf("router: delivered=%d forwarded=%d dead=%d",
+				st.Delivered, st.Forwarded, st.DeadLetter)
+		}
+	})
 	// Agent scheduler: one manager per database (save triggers hook once),
 	// named agents run on their configured intervals.
 	managers := make(map[string]*domino.AgentManager)
@@ -642,26 +633,17 @@ func main() {
 			}
 			managers[job.dbPath] = mgr
 		}
-		go func() {
-			t := time.NewTicker(job.interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					stats, err := mgr.Run(job.name)
-					if err != nil {
-						log.Printf("agent %s in %s: %v", job.name, job.dbPath, err)
-						continue
-					}
-					if stats.Modified > 0 {
-						log.Printf("agent %s in %s: examined=%d selected=%d modified=%d",
-							job.name, job.dbPath, stats.Examined, stats.Selected, stats.Modified)
-					}
-				}
+		every(stop, job.interval, func() {
+			stats, err := mgr.Run(job.name)
+			if err != nil {
+				log.Printf("agent %s in %s: %v", job.name, job.dbPath, err)
+				return
 			}
-		}()
+			if stats.Modified > 0 {
+				log.Printf("agent %s in %s: examined=%d selected=%d modified=%d",
+					job.name, job.dbPath, stats.Examined, stats.Selected, stats.Modified)
+			}
+		})
 	}
 
 	// Scheduled backup task: sweep every open database into the backup
@@ -669,50 +651,32 @@ func main() {
 	// full image; the runs between append incrementals chained on the USN
 	// cursor, so between fulls only the delta is copied.
 	if cfg.backupTick > 0 {
-		go func() {
-			t := time.NewTicker(cfg.backupTick)
-			defer t.Stop()
-			run := 0
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					full := cfg.backupFullN == 0 || run%cfg.backupFullN == 0
-					run++
-					n, err := srv.BackupAll(cfg.backupDir, full)
-					kind := "incremental"
-					if full {
-						kind = "full"
-					}
-					if err != nil {
-						log.Printf("backup: %d databases (%s), first error: %v", n, kind, err)
-						continue
-					}
-					log.Printf("backup: %d databases (%s) into %s", n, kind, cfg.backupDir)
-				}
+		run := 0
+		every(stop, cfg.backupTick, func() {
+			full := cfg.backupFullN == 0 || run%cfg.backupFullN == 0
+			run++
+			n, err := srv.BackupAll(cfg.backupDir, full)
+			kind := "incremental"
+			if full {
+				kind = "full"
 			}
-		}()
+			if err != nil {
+				log.Printf("backup: %d databases (%s), first error: %v", n, kind, err)
+				return
+			}
+			log.Printf("backup: %d databases (%s) into %s", n, kind, cfg.backupDir)
+		})
 	}
 
 	// Catalog task.
 	if cfg.catalogTick > 0 {
-		go func() {
-			t := time.NewTicker(cfg.catalogTick)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					if n, err := srv.RefreshCatalog(); err != nil {
-						log.Printf("catalog: %v", err)
-					} else {
-						log.Printf("catalog: %d entries", n)
-					}
-				}
+		every(stop, cfg.catalogTick, func() {
+			if n, err := srv.RefreshCatalog(); err != nil {
+				log.Printf("catalog: %v", err)
+			} else {
+				log.Printf("catalog: %d entries", n)
 			}
-		}()
+		})
 	}
 
 	drainTimeout := cfg.drain
@@ -749,4 +713,21 @@ func main() {
 			return
 		}
 	}
+}
+
+// every calls fn every interval, on a goroutine of its own, until stop is
+// closed.
+func every(stop <-chan struct{}, interval time.Duration, fn func()) {
+	go func() {
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-t.C:
+				fn()
+			}
+		}
+	}()
 }

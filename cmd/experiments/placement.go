@@ -78,7 +78,7 @@ func w6LiveMove(docs int) row {
 	waitAcked(int64(docs / 2))
 
 	res, err := domino.MoveDatabase(c.dir, c.srv["alpha"], c.srv["beta"], path, domino.MoveOptions{
-		BackupRoot: filepath.Join(c.root, "imgroot"), QuiesceTimeout: 10 * time.Second,
+		BackupRoot: filepath.Join(c.root, "imgroot"),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -25,7 +25,6 @@ import (
 	"repro/internal/acl"
 	"repro/internal/agent"
 	"repro/internal/backup"
-	"repro/internal/check"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/dir"
@@ -318,9 +317,6 @@ type (
 	// TopoLink is one line of a mesh topology file: a link plus the server
 	// that runs it.
 	TopoLink = mesh.TopoLink
-	// Fingerprint digests a replica's replicated notes for the convergence
-	// check.
-	Fingerprint = check.Print
 )
 
 // ParseTopology reads a shared mesh topology description (one link per
@@ -329,10 +325,6 @@ func ParseTopology(r io.Reader) ([]TopoLink, error) { return mesh.ParseTopology(
 
 // MeshLinksFor filters a topology down to the links one server runs.
 func MeshLinksFor(topo []TopoLink, server string) []MeshLink { return mesh.LinksFor(topo, server) }
-
-// FingerprintDB digests a database's replicated notes; converged replicas
-// — full or selective — have equal fingerprints.
-func FingerprintDB(db *Database) (Fingerprint, error) { return check.Fingerprint(db) }
 
 // Placement and rebalancing.
 type (

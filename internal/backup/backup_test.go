@@ -67,7 +67,11 @@ func checkState(t *testing.T, path string, wantUSN uint64, want map[nsf.UNID]not
 		t.Fatalf("restored LastUSN = %d, want %d", got, wantUSN)
 	}
 	got := 0
-	err = st.ScanFromCtx(context.Background(), 0, nil, func(n *nsf.Note) bool {
+	err = st.ScanRecords(context.Background(), 0, nil, func(rec []byte) bool {
+		n, err := nsf.DecodeNote(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got++
 		w, ok := want[n.OID.UNID]
 		if !ok {
@@ -137,7 +141,11 @@ func buildSet(t *testing.T) (lg *opLog, chain []ImageInfo, setDir, arcDir string
 		if i%7 == 3 && len(live) > 0 {
 			// Update an existing note: bump seq, rewrite content.
 			u := live[i%len(live)]
-			n, err := st.GetByUNID(u)
+			rec, err := st.AppendRecord(nil, u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := nsf.DecodeNote(rec)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -371,7 +371,13 @@ func (db *Database) evalContext(user string) *formula.Context {
 // --- raw (trusted) access, used by the replicator and server tasks ---
 
 // RawGet returns a note bypassing ACL checks.
-func (db *Database) RawGet(unid nsf.UNID) (*nsf.Note, error) { return db.st.GetByUNID(unid) }
+func (db *Database) RawGet(unid nsf.UNID) (*nsf.Note, error) {
+	rec, err := db.st.AppendRecord(nil, unid)
+	if err != nil {
+		return nil, err
+	}
+	return nsf.DecodeNote(rec)
+}
 
 // RawRecord appends the stored record of the note unid names to dst
 // (nsf.AppendNote's form, as the store holds it) bypassing ACL checks, and
@@ -503,12 +509,31 @@ func (db *Database) RawDelete(unid nsf.UNID) error {
 // ScanSince exposes the replication scan (stubs included, projected by
 // keep) and returns the next scan's cursor; see store.Store.ScanSince.
 func (db *Database) ScanSince(ctx context.Context, since store.Cursor, keep func(name []byte, flags nsf.ItemFlags) bool, fn func(*nsf.Note) bool) (store.Cursor, error) {
-	return db.st.ScanSince(ctx, since, keep, fn)
+	var derr error
+	dec := decoded(fn, &derr)
+	next, err := db.st.ScanSince(ctx, since, keep, func(_ uint64, rec []byte) bool { return dec(rec) })
+	return next, cmp.Or(err, derr)
 }
 
 // ScanAll visits every note, stubs and design notes included.
 func (db *Database) ScanAll(fn func(*nsf.Note) bool) error {
-	return db.st.ScanFromCtx(context.Background(), 0, nil, fn)
+	var derr error
+	err := db.st.ScanRecords(context.Background(), 0, nil, decoded(fn, &derr))
+	return cmp.Or(err, derr)
+}
+
+// decoded adapts a note callback to a record walk: each record is decoded
+// whole into a note of fn's own. A record that does not decode stops the
+// walk with its error in *err.
+func decoded(fn func(*nsf.Note) bool, err *error) func(rec []byte) bool {
+	return func(rec []byte) bool {
+		n, derr := nsf.DecodeNote(rec)
+		if derr != nil {
+			*err = derr
+			return false
+		}
+		return fn(n)
+	}
 }
 
 // headers walks every note in NoteID order, reading its header (every
@@ -518,13 +543,12 @@ func (db *Database) ScanAll(fn func(*nsf.Note) bool) error {
 func (db *Database) headers(want func(hdr *nsf.Note) bool, fn func(*nsf.Note) bool) error {
 	var hdr nsf.Note
 	var derr error
+	dec := decoded(fn, &derr)
 	err := db.st.ScanRecords(context.Background(), 0, nil, func(rec []byte) bool {
 		if derr = nsf.DecodeHeader(rec, &hdr); derr != nil || !want(&hdr) {
 			return derr == nil
 		}
-		n, err := nsf.DecodeNote(rec)
-		derr = err
-		return err == nil && fn(n)
+		return dec(rec)
 	})
 	return cmp.Or(err, derr)
 }

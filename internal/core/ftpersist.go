@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -43,10 +44,20 @@ func (db *Database) EnableFullText() error {
 		ix, from = ft.NewIndex(), 0
 	}
 	since := store.Cursor{Incarnation: db.st.Incarnation(), USN: from}
-	_, err = db.st.ScanSince(context.Background(), since, nil, func(n *nsf.Note) bool {
-		ix.Update(n)
+	// Each record decodes into one reused note and arena, as in the
+	// maintainer's pass: the index keeps nothing of the note.
+	var n nsf.Note
+	var arena nsf.Arena
+	var derr error
+	_, err = db.st.ScanSince(context.Background(), since, nil, func(_ uint64, rec []byte) bool {
+		arena.Reset()
+		if derr = nsf.DecodeNoteIntoSrc(&n, &arena, rec, string(rec)); derr != nil {
+			return false
+		}
+		ix.Update(&n)
 		return true
 	})
+	err = cmp.Or(err, derr)
 	for _, u := range ix.Docs() {
 		if err != nil {
 			break

@@ -30,7 +30,7 @@ func (s *Session) Profile(name, user string) (*nsf.Note, error) {
 		return nil, errors.New("core: profile name must not be empty")
 	}
 	unid := s.db.profileUNID(name, user)
-	n, err := s.db.st.GetByUNID(unid)
+	n, err := s.db.RawGet(unid)
 	if errors.Is(err, ErrNotFound) {
 		n = &nsf.Note{OID: nsf.OID{UNID: unid}, Class: nsf.ClassDocument}
 		n.SetWithFlags("$ProfileName", nsf.TextValue(name), nsf.FlagSummary)

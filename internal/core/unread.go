@@ -44,7 +44,7 @@ func (db *Database) unreadFor(user string) (*unreadTable, error) {
 	}
 	db.mu.Unlock()
 	t := &unreadTable{read: make(map[nsf.UNID]nsf.Timestamp)}
-	n, err := db.st.GetByUNID(unreadNoteUNID(user))
+	n, err := db.RawGet(unreadNoteUNID(user))
 	switch {
 	case errors.Is(err, ErrNotFound):
 		// fresh table

@@ -45,6 +45,9 @@ var ErrNotHomed = errors.New("place: source does not home database")
 // catchupRounds bounds a move's pre-fence replication loop.
 const catchupRounds = 16
 
+// quiesceTimeout bounds a move's drain fence.
+const quiesceTimeout = 10 * time.Second
+
 // MoveOptions tunes a live move.
 type MoveOptions struct {
 	// BackupRoot is where the bulk image is written ("" uses a directory
@@ -52,8 +55,6 @@ type MoveOptions struct {
 	// caller must provide a root; moves between servers on one host can
 	// share the scheduled-backup root so images are reused).
 	BackupRoot string
-	// QuiesceTimeout bounds the drain fence (default 10s).
-	QuiesceTimeout time.Duration
 	// Replicas overrides the placement record's replica factor
 	// (0 keeps the home-set size).
 	Replicas int
@@ -139,9 +140,6 @@ func Move(d *dir.Directory, src, dst *server.Server, path string, opts MoveOptio
 	if src == dst || strings.EqualFold(src.Name(), dst.Name()) {
 		return res, errors.New("place: source and target are the same mate")
 	}
-	if opts.QuiesceTimeout <= 0 {
-		opts.QuiesceTimeout = 10 * time.Second
-	}
 
 	mu := lockFor(src, path)
 	mu.Lock()
@@ -220,7 +218,7 @@ func Move(d *dir.Directory, src, dst *server.Server, path string, opts MoveOptio
 
 	// FENCE + DELTA: drain the source so nothing is in flight, carry the
 	// final delta, and flip placement before the source serves again.
-	if err := src.Quiesce(opts.QuiesceTimeout); err != nil {
+	if err := src.Quiesce(quiesceTimeout); err != nil {
 		return res, fmt.Errorf("place: fence: %w", err)
 	}
 	defer src.Resume()

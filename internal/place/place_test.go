@@ -208,7 +208,7 @@ func TestLiveMoveZeroLostAckedWrites(t *testing.T) {
 	w.waitFor(t, 15)
 
 	res, err := place.Move(r.d, r.srv["alpha"], r.srv["beta"], dbPath,
-		place.MoveOptions{BackupRoot: t.TempDir(), QuiesceTimeout: 5 * time.Second, Log: t.Logf})
+		place.MoveOptions{BackupRoot: t.TempDir(), Log: t.Logf})
 	if err != nil {
 		t.Fatalf("move: %v", err)
 	}
@@ -314,7 +314,7 @@ func TestConcurrentMovesExactlyOneWinner(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			_, errs[i] = place.Move(r.d, r.srv["alpha"], r.srv[tgt], dbPath,
-				place.MoveOptions{BackupRoot: t.TempDir(), QuiesceTimeout: 5 * time.Second})
+				place.MoveOptions{BackupRoot: t.TempDir()})
 		}()
 	}
 	wg.Wait()

@@ -19,7 +19,8 @@ import (
 type Options struct {
 	// PeerName identifies the remote instance for history bookkeeping
 	// (e.g. a server name or file path). Required for incremental
-	// replication; when empty, every session starts from USN zero.
+	// replication; when empty, every session starts from USN zero and
+	// records no history: a full exchange.
 	PeerName string
 	// Apply tunes local conflict handling.
 	Apply ApplyOptions
@@ -37,9 +38,6 @@ type Options struct {
 	PullOnly bool
 	// PushOnly disables the pull phase.
 	PushOnly bool
-	// Full ignores replication history and exchanges complete inventories;
-	// used by the full-copy baseline experiment.
-	Full bool
 	// BatchSize bounds how many notes travel in one Fetch or Apply round
 	// trip (default 128). Smaller batches bound frame sizes and shrink the
 	// work lost when a flaky link severs mid-transfer: applied batches are
@@ -182,9 +180,6 @@ func Replicate(local *core.Database, peer Peer, opts Options) (Stats, error) {
 	if err != nil {
 		return stats, err
 	}
-	if opts.Full {
-		h = history{}
-	}
 	if !opts.PushOnly {
 		peerNext, err := pull(local, peer, &stats, h.LastPull, opts)
 		if err != nil {
@@ -193,10 +188,8 @@ func Replicate(local *core.Database, peer Peer, opts Options) (Stats, error) {
 		h.LastPull = peerNext
 		// Persist the pull cursor now: a failure in the push phase must
 		// not force the next session to re-pull everything.
-		if !opts.Full {
-			if err := saveHistory(local, opts.PeerName, h); err != nil {
-				return stats, err
-			}
+		if err := saveHistory(local, opts.PeerName, h); err != nil {
+			return stats, err
 		}
 	}
 	if !opts.PullOnly {
@@ -205,10 +198,8 @@ func Replicate(local *core.Database, peer Peer, opts Options) (Stats, error) {
 			return stats, err
 		}
 		h.LastPush = localNext
-		if !opts.Full {
-			if err := saveHistory(local, opts.PeerName, h); err != nil {
-				return stats, err
-			}
+		if err := saveHistory(local, opts.PeerName, h); err != nil {
+			return stats, err
 		}
 	}
 	return stats, nil

@@ -255,7 +255,11 @@ func TestDirectionCombosWithFormula(t *testing.T) {
 		if err := a.Session("user").Delete(cold.OID.UNID); err != nil {
 			t.Fatal(err)
 		}
-		st := sync(t, a, b, Options{Formula: formula, Full: true})
+		// No PeerName: a full exchange, from no history.
+		st, err := Replicate(a, &LocalPeer{DB: b}, Options{Formula: formula})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if st.Push.Deleted == 0 {
 			t.Errorf("stats = %v, want deletions pushed", st)
 		}

@@ -59,7 +59,7 @@ func (s *Server) pageBudget(ctx context.Context, clientLimit int) (maxRows, maxB
 		}
 	}
 	maxRows = s.opts.MaxPageRows * scale / 100
-	maxBytes = s.opts.MaxPageBytes * scale / 100
+	maxBytes = s.opts.maxPageBytes * scale / 100
 	if maxRows < minPageRows {
 		maxRows = minPageRows
 	}

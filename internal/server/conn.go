@@ -78,9 +78,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	// One reader per connection: its buffered bytes die with the connection.
 	rd := bufio.NewReader(conn)
 	for {
-		if s.opts.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		}
+		conn.SetReadDeadline(time.Now().Add(s.opts.idleTimeout))
 		payload, err := wire.ReadFrameInto(rd, st.frame)
 		if err != nil {
 			return // closed, broken, or idle past the deadline

@@ -111,7 +111,7 @@ func TestServerSurvivesRawCorruption(t *testing.T) {
 // TestServerIdleTimeoutUnblocksHandler proves a half-sent frame cannot pin
 // a handler goroutine: the deadline fires and the server drops the conn.
 func TestServerIdleTimeoutUnblocksHandler(t *testing.T) {
-	_, addr := newFaultServer(t, Options{IdleTimeout: 200 * time.Millisecond})
+	_, addr := newFaultServer(t, Options{idleTimeout: 200 * time.Millisecond})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@
 package server
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -34,8 +35,6 @@ type Options struct {
 	DataDir string
 	// Directory is the shared user/group registry.
 	Directory *dir.Directory
-	// Clock supplies time; nil uses the wall clock.
-	Clock *clock.Clock
 	// FieldMerge enables field-level conflict merging for replication
 	// applies on this server.
 	FieldMerge bool
@@ -50,11 +49,6 @@ type Options struct {
 	// bound listener address, which is right for single-host tests but
 	// not behind NAT or 0.0.0.0 binds.
 	AdvertiseAddr string
-	// IdleTimeout bounds how long a connection may sit without delivering
-	// a complete request frame before the server drops it; it also bounds
-	// how long a half-sent frame can stall the handler. 0 uses the 5m
-	// default; negative disables the deadline.
-	IdleTimeout time.Duration
 	// SyncWAL fsyncs every database's WAL on every operation (per-database
 	// store options can also turn this on individually).
 	SyncWAL bool
@@ -81,10 +75,6 @@ type Options struct {
 	// MaxPageRows caps rows per bulk-read page (view pages, scan pages,
 	// search pages) when the client does not ask for less. 0 uses 4096.
 	MaxPageRows int
-	// MaxPageBytes caps the encoded size of one bulk-read page; a page
-	// closes as soon as its response crosses this, so no response frame can
-	// approach wire.MaxFrame no matter how wide the rows are. 0 uses 4 MiB.
-	MaxPageBytes int
 	// PeerOpBudget, when > 0, stamps a deadline budget on every operation
 	// this server issues to its peers — the dial included — for mesh
 	// replication rounds, cluster push deliveries, ReplicateWith and mail
@@ -93,7 +83,22 @@ type Options struct {
 	// aborts the op when the budget is spent. 0 disables peer budgets (seed
 	// behaviour).
 	PeerOpBudget time.Duration
+
+	// idleTimeout and maxPageBytes replace defaultIdleTimeout and
+	// defaultMaxPageBytes in this package's tests; zero uses the constant.
+	idleTimeout  time.Duration
+	maxPageBytes int
 }
+
+// defaultIdleTimeout bounds how long a connection may sit without
+// delivering a complete request frame before the server drops it; it also
+// bounds how long a half-sent frame can stall the handler.
+const defaultIdleTimeout = 5 * time.Minute
+
+// defaultMaxPageBytes caps the encoded size of one bulk-read page; a page
+// closes as soon as its response crosses this, so no response frame can
+// approach wire.MaxFrame no matter how wide the rows are.
+const defaultMaxPageBytes = 4 << 20
 
 // Server is a running Domino-style server.
 type Server struct {
@@ -139,19 +144,11 @@ func New(opts Options) (*Server, error) {
 	if opts.Directory == nil {
 		return nil, errors.New("server: a directory is required")
 	}
-	ck := opts.Clock
-	if ck == nil {
-		ck = clock.New()
-	}
 	if err := os.MkdirAll(opts.DataDir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: data dir: %w", err)
 	}
-	switch {
-	case opts.IdleTimeout == 0:
-		opts.IdleTimeout = 5 * time.Minute
-	case opts.IdleTimeout < 0:
-		opts.IdleTimeout = 0
-	}
+	opts.idleTimeout = cmp.Or(opts.idleTimeout, defaultIdleTimeout)
+	opts.maxPageBytes = cmp.Or(opts.maxPageBytes, defaultMaxPageBytes)
 	switch {
 	case opts.MaxInFlight == 0:
 		opts.MaxInFlight = 256
@@ -167,12 +164,9 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxPageRows <= 0 {
 		opts.MaxPageRows = 4096
 	}
-	if opts.MaxPageBytes <= 0 {
-		opts.MaxPageBytes = 4 << 20
-	}
 	s := &Server{
 		opts:  opts,
-		clock: ck,
+		clock: clock.New(),
 		dbs:   make(map[string]*core.Database),
 		conns: make(map[net.Conn]struct{}),
 	}

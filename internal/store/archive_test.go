@@ -375,7 +375,7 @@ func TestApplyArchivePITR(t *testing.T) {
 			t.Fatalf("PITR to %d: %d notes, want %d", target, fresh.Count(), len(want))
 		}
 		for u, subj := range want {
-			n, err := fresh.GetByUNID(u)
+			n, err := getByUNID(fresh, u)
 			if err != nil {
 				t.Fatalf("PITR to %d: note %s missing: %v", target, u, err)
 			}

@@ -170,13 +170,13 @@ func benchReadStore(b *testing.B, opts Options, docs int) (*Store, []nsf.UNID) {
 	return s, unids
 }
 
-// BenchmarkW4GetByUNID measures point reads, each a whole decode of the
-// stored record, under the RW latch (see EXPERIMENTS.md W4).
-func BenchmarkW4GetByUNID(b *testing.B) {
+// BenchmarkW4PointRead measures point reads, each the stored record read
+// under the RW latch and decoded whole (see EXPERIMENTS.md W4).
+func BenchmarkW4PointRead(b *testing.B) {
 	s, unids := benchReadStore(b, Options{}, 1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.GetByUNID(unids[i%len(unids)]); err != nil {
+		if _, err := getByUNID(s, unids[i%len(unids)]); err != nil {
 			b.Fatal(err)
 		}
 	}

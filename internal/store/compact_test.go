@@ -56,7 +56,7 @@ func TestCompactReclaimsSpace(t *testing.T) {
 		t.Errorf("Count = %d", s.Count())
 	}
 	for i, u := range survivors {
-		n, err := s.GetByUNID(u)
+		n, err := getByUNID(s, u)
 		if err != nil {
 			t.Fatalf("survivor %d lost: %v", i, err)
 		}
@@ -77,7 +77,7 @@ func TestCompactReclaimsSpace(t *testing.T) {
 		t.Fatalf("reopen after compact: %v", err)
 	}
 	defer s2.Close()
-	if _, err := s2.GetByUNID(post.OID.UNID); err != nil {
+	if _, err := getByUNID(s2, post.OID.UNID); err != nil {
 		t.Errorf("post-compact write lost: %v", err)
 	}
 	if s2.Count() != 41 {
@@ -130,7 +130,7 @@ func TestCompactUSNIndexIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seen int
-	s.ScanSince(context.Background(), Cursor{s.Incarnation(), 10}, nil, func(*nsf.Note) bool { seen++; return true })
+	scanSinceNotes(context.Background(), s, Cursor{s.Incarnation(), 10}, nil, func(*nsf.Note) bool { seen++; return true })
 	if seen != 10 {
 		t.Errorf("ScanSince after compact saw %d, want 10", seen)
 	}

@@ -163,9 +163,9 @@ func TestConcurrentReadersWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 150; i++ {
 				u := unids[(r*53+i)%seeded]
-				n, err := s.GetByUNID(u)
+				n, err := getByUNID(s, u)
 				if err != nil {
-					t.Errorf("GetByUNID: %v", err)
+					t.Errorf("get: %v", err)
 					return
 				}
 				if _, err := getByID(s, n.ID); err != nil {
@@ -196,7 +196,7 @@ func TestConcurrentReadersWriters(t *testing.T) {
 	}
 }
 
-// TestGetByUNIDSemantics: reads return isolated copies, a read after an
+// TestGetByUNIDSemantics: reads by UNID return isolated copies, a read after an
 // update sees the new version by UNID and by NoteID, and reads stay correct
 // after Compact recycles the RecordID space.
 func TestGetByUNIDSemantics(t *testing.T) {
@@ -208,18 +208,18 @@ func TestGetByUNIDSemantics(t *testing.T) {
 	}
 	u := n.OID.UNID
 
-	got1, err := s.GetByUNID(u)
+	got1, err := getByUNID(s, u)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Mutating a read result must not leak into later reads.
 	got1.SetText("Subject", "mutated by caller")
-	got2, err := s.GetByUNID(u)
+	got2, err := getByUNID(s, u)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got2.Text("Subject") != "v1" {
-		t.Fatalf("GetByUNID returned an aliased note: Subject = %q", got2.Text("Subject"))
+		t.Fatalf("a read returned an aliased note: Subject = %q", got2.Text("Subject"))
 	}
 
 	// The next read sees an update, via byID too.
@@ -229,7 +229,7 @@ func TestGetByUNIDSemantics(t *testing.T) {
 	if err := s.Put(n2); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := s.GetByUNID(u); err != nil || got.Text("Subject") != "v2" {
+	if got, err := getByUNID(s, u); err != nil || got.Text("Subject") != "v2" {
 		t.Fatalf("after update: %v / %q", err, got.Text("Subject"))
 	}
 	if got, err := getByID(s, n2.ID); err != nil || got.Text("Subject") != "v2" {
@@ -251,7 +251,7 @@ func TestGetByUNIDSemantics(t *testing.T) {
 	if _, err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := s.GetByUNID(u); err != nil || got.Text("Subject") != "v2" {
+	if got, err := getByUNID(s, u); err != nil || got.Text("Subject") != "v2" {
 		t.Fatalf("after compact: %v / %q", err, got.Text("Subject"))
 	}
 
@@ -259,7 +259,7 @@ func TestGetByUNIDSemantics(t *testing.T) {
 	if err := s.Delete(u); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.GetByUNID(u); !errors.Is(err, ErrNotFound) {
+	if _, err := getByUNID(s, u); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("after delete: err = %v, want ErrNotFound", err)
 	}
 }

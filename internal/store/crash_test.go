@@ -110,7 +110,7 @@ func crashWorkload(t *testing.T, seed int64, path string, opts Options) (model, 
 			body := rng.Intn(6000)
 			doc = &modelDoc{subject: fmt.Sprintf("upd-%d-%d", seed, i), body: body}
 			var n *nsf.Note
-			if n, err = s.GetByUNID(u); err == nil {
+			if n, err = getByUNID(s, u); err == nil {
 				n.SetText("Subject", doc.subject)
 				n.SetText("Body", string(make([]byte, body)))
 				n.Modified = ts
@@ -193,7 +193,7 @@ func runCrashFuzz(t *testing.T, seed int64, crash bool) {
 		t.Fatalf("second recovery: %v", err)
 	}
 	defer s3.Close()
-	if _, err := s3.GetByUNID(n.OID.UNID); err != nil {
+	if _, err := getByUNID(s3, n.OID.UNID); err != nil {
 		t.Fatalf("post-recovery doc lost after second death: %v", err)
 	}
 	if s3.Count() != want {
@@ -209,7 +209,7 @@ func recoveredModel(t *testing.T, s *Store, model map[nsf.UNID]modelDoc, unids [
 		return false
 	}
 	for _, u := range unids {
-		n, err := s.GetByUNID(u)
+		n, err := getByUNID(s, u)
 		want, ok := model[u]
 		switch {
 		case !ok && errors.Is(err, ErrNotFound):

@@ -61,7 +61,7 @@ func reopenHolds(t *testing.T, path string, opts Options, acked []nsf.UNID) *Sto
 	}
 	t.Cleanup(func() { s.Close() })
 	for i, u := range acked {
-		if _, err := s.GetByUNID(u); err != nil {
+		if _, err := getByUNID(s, u); err != nil {
 			t.Fatalf("acked note %d of %d lost: %v", i, len(acked), err)
 		}
 	}

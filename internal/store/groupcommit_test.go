@@ -62,7 +62,7 @@ func TestGroupCommitBasicSemantics(t *testing.T) {
 		t.Fatalf("recovered %d notes, want 19", got)
 	}
 	for i, u := range unids {
-		_, err := s2.GetByUNID(u)
+		_, err := getByUNID(s2, u)
 		if i == 3 && err == nil {
 			t.Fatal("deleted note resurrected")
 		}

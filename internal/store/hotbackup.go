@@ -124,8 +124,9 @@ func (s *Store) HotBackup(pageW, walW io.Writer) (BackupMark, error) {
 func (s *Store) SnapshotSince(after uint64) ([][]byte, []nsf.UNID, BackupMark, error) {
 	// One read-latch hold across the whole capture: the note delta, the
 	// UNID manifest, and the cursors must be mutually consistent, so
-	// writers are held off for the duration — but concurrent readers are
-	// not, and the hold is bounded by the delta size, not the database.
+	// writers are held off for the duration (readers are not). The
+	// manifest walks every live UNID, so the hold grows with the database,
+	// not with the delta.
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {

@@ -15,7 +15,7 @@ import (
 )
 
 // TestScanFromCursorSemantics pins the resumable-scan primitive the wire
-// bulk-read op pages with: ScanFromCtx(after) visits exactly the notes with
+// bulk-read op pages with: ScanRecords(after) visits exactly the notes with
 // ID > after, in ID order.
 func TestScanFromCursorSemantics(t *testing.T) {
 	s, _ := openTestStore(t, Options{Title: "scanfrom"})
@@ -31,7 +31,7 @@ func TestScanFromCursorSemantics(t *testing.T) {
 
 	collect := func(after nsf.NoteID) []nsf.NoteID {
 		var got []nsf.NoteID
-		if err := s.ScanFromCtx(context.Background(), after, nil, func(n *nsf.Note) bool {
+		if err := scanFrom(context.Background(), s, after, nil, func(n *nsf.Note) bool {
 			got = append(got, n.ID)
 			return true
 		}); err != nil {
@@ -66,7 +66,7 @@ func TestScanFromCursorSemantics(t *testing.T) {
 	cursor := nsf.NoteID(0)
 	for {
 		n := 0
-		if err := s.ScanFromCtx(context.Background(), cursor, nil, func(note *nsf.Note) bool {
+		if err := scanFrom(context.Background(), s, cursor, nil, func(note *nsf.Note) bool {
 			if seen[note.ID] {
 				t.Fatalf("note %d delivered twice", note.ID)
 			}
@@ -107,7 +107,7 @@ func TestScanSkipsNotesCreatedDuringScan(t *testing.T) {
 			}
 			scan := func(since Cursor, fn func(*nsf.Note) bool) (Cursor, error) {
 				if byUSN {
-					return s.ScanSince(context.Background(), since, nil, fn)
+					return scanSinceNotes(context.Background(), s, since, nil, fn)
 				}
 				return Cursor{}, scanAll(s, fn)
 			}
@@ -215,7 +215,7 @@ func TestProjectedScanAllocs(t *testing.T) {
 	visited := 0
 	scan := func() {
 		visited = 0
-		if err := s.ScanFromCtx(context.Background(), 0, keep, func(n *nsf.Note) bool {
+		if err := scanFrom(context.Background(), s, 0, keep, func(n *nsf.Note) bool {
 			if n.Has("Body") || !n.Has("Subject") || len(n.Items) != len(names) {
 				t.Fatalf("note %d projected to %v", n.ID, n.ItemNames())
 			}

@@ -70,18 +70,18 @@ type Options struct {
 // Store is a persistent note store: the storage half of an NSF database.
 // All methods are safe for concurrent use.
 //
+// The store hands out stored records (nsf.EncodeNote's form); decoding
+// them is the caller's business.
+//
 // Latching discipline: mu is a reader/writer latch. Point reads
-// (AppendRecord, GetByUNID, Exists, Count, metadata, Stats, Verify) take
-// the read latch and run concurrently with each other; mutations (Put,
-// Delete, Checkpoint, Compact, Close) take the exclusive latch. The
-// pager's buffer pool and the heap's free-space map carry their own
-// internal latches so concurrent readers can fault pages in safely. Scans never hold the latch across
-// their callback: ScanFromCtx and ScanSince are one bounded walk, of the
-// NoteID or the USN index, one batch per brief read latch — a full scan
-// never blocks a writer for more than one batch. Notes deleted mid-scan are
-// skipped. This replaces the seed's literal reproduction of Domino's
-// per-database update semaphore (one mutex around everything), which made
-// every view rebuild or replication scan stall all writers.
+// (AppendRecord, Exists, Count, metadata, Stats, Verify) take the read
+// latch and run concurrently with each other; mutations (Put, Delete,
+// Checkpoint, Compact, Close) take the exclusive latch. The pager's buffer
+// pool and the heap's free-space map carry their own internal latches so
+// concurrent readers can fault pages in safely. Scans never hold the latch
+// across their callback: every scan is one walk of the NoteID or the USN
+// index, one batch per brief read latch, so a full scan never blocks a
+// writer for more than one batch. Notes deleted mid-scan are skipped.
 type Store struct {
 	mu              sync.RWMutex
 	path            string
@@ -570,22 +570,6 @@ func (s *Store) applyDelete(unid nsf.UNID) error {
 	return nil
 }
 
-// GetByUNID returns the note with the given UNID, decoded whole from its
-// stored record.
-func (s *Store) GetByUNID(unid nsf.UNID) (*nsf.Note, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, rid, _, err := s.locate(unid)
-	if err != nil {
-		return nil, err
-	}
-	enc, err := s.heap.view(rid, nil)
-	if err != nil {
-		return nil, err
-	}
-	return nsf.DecodeNote(enc)
-}
-
 // scanBatch is how many index entries a note walk visits per latch hold.
 const scanBatch = 256
 
@@ -600,37 +584,27 @@ type Cursor struct {
 	USN         uint64
 }
 
-// ScanSince calls fn for the current version of every note whose last
-// commit comes after since, in commit (USN) order, until fn returns false
-// or ctx is done — the delta replication and index catch-up read. Deletion
-// stubs are notes and are included; hard deletes leave nothing to report.
-// Each note carries only the items keep accepts (nil keeps all).
+// ScanSince calls fn with the USN and the record of the current version of
+// every note whose last commit comes after since, in commit (USN) order,
+// until fn returns false or ctx is done — the delta replication and index
+// catch-up read. Deletion stubs are notes and are included; hard deletes
+// leave nothing to report. A record is as ScanRecords hands it out.
 //
 // The store's USN, read under the walk's first latch hold, bounds it and is
 // the cursor returned. A note committed again during the walk moves past
 // that cursor, so the next scan delivers it instead of this one: no note
 // comes twice in one scan, and a scan plus the next one from its cursor
 // never skip a latest version.
-func (s *Store) ScanSince(ctx context.Context, since Cursor, keep func(name []byte, flags nsf.ItemFlags) bool, fn func(*nsf.Note) bool) (Cursor, error) {
-	var derr error
-	dec := decoded(fn, &derr)
-	next, err := s.scanSince(ctx, since, false, keep, func(_ uint64, rec []byte) bool { return dec(rec) })
-	if err == nil {
-		err = derr
-	}
-	return next, err
+func (s *Store) ScanSince(ctx context.Context, since Cursor, keep func(name []byte, flags nsf.ItemFlags) bool, fn func(usn uint64, rec []byte) bool) (Cursor, error) {
+	return s.scanSince(ctx, since, false, keep, fn)
 }
 
-// ScanSinceRecords calls fn with the USN and the record of every note
-// whose last commit comes after since, in USN order, until fn returns
-// false or ctx is done; a record is as ScanRecords hands it out.
-//
-// Unlike ScanSince it has no bound: it ends at the latch hold that reaches
-// the end of the USN index, and returns that hold's USN. A note committed
-// again during the walk lands past the walk's position, so fn got every
-// note whose last commit is at or below that cursor, at that commit: the
-// cursor a change consumer is current through. Commits arriving faster
-// than fn takes them keep the walk from ending.
+// ScanSinceRecords is ScanSince without the bound: it ends at the latch
+// hold that reaches the end of the USN index, and returns that hold's USN.
+// A note committed again during the walk lands past the walk's position,
+// so fn got every note whose last commit is at or below that cursor, at
+// that commit: the cursor a change consumer is current through. Commits
+// arriving faster than fn takes them keep the walk from ending.
 func (s *Store) ScanSinceRecords(ctx context.Context, since Cursor, keep func(name []byte, flags nsf.ItemFlags) bool, fn func(usn uint64, rec []byte) bool) (Cursor, error) {
 	return s.scanSince(ctx, since, true, keep, fn)
 }
@@ -647,19 +621,6 @@ func (s *Store) scanSince(ctx context.Context, since Cursor, chase bool, keep fu
 	}, keep, fn)
 	next.USN = last
 	return next, err
-}
-
-// ScanFromCtx calls fn for every note with NoteID strictly greater than
-// after, in NoteID order, until fn returns false or ctx is done. Each note
-// carries only the items keep accepts (nil keeps all): it is ScanRecords
-// with each record decoded.
-func (s *Store) ScanFromCtx(ctx context.Context, after nsf.NoteID, keep func(name []byte, flags nsf.ItemFlags) bool, fn func(*nsf.Note) bool) error {
-	var derr error
-	err := s.ScanRecords(ctx, after, keep, decoded(fn, &derr))
-	if err == nil {
-		err = derr
-	}
-	return err
 }
 
 // ScanRecords calls fn with the record of every note with NoteID strictly
@@ -681,20 +642,6 @@ func (s *Store) ScanRecords(ctx context.Context, after nsf.NoteID, keep func(nam
 		return uint64(after), uint64(s.pg.nextNoteID) - 1
 	}, keep, func(_ uint64, rec []byte) bool { return fn(rec) })
 	return err
-}
-
-// decoded adapts a note callback to the record walk: each record is
-// decoded whole, so the note carries exactly the items the walk kept. A
-// record that does not decode stops the walk with its error in *err.
-func decoded(fn func(*nsf.Note) bool, err *error) func([]byte) bool {
-	return func(rec []byte) bool {
-		n, derr := nsf.DecodeNote(rec)
-		if derr != nil {
-			*err = derr
-			return false
-		}
-		return fn(n)
-	}
 }
 
 // walk is the one note walk, behind ScanRecords (byUSN false: the NoteID

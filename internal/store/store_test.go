@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,9 +66,9 @@ func TestStoreCRUD(t *testing.T) {
 	if n.ID == 0 {
 		t.Fatal("Put did not assign a NoteID")
 	}
-	got, err := s.GetByUNID(n.OID.UNID)
+	got, err := getByUNID(s, n.OID.UNID)
 	if err != nil {
-		t.Fatalf("GetByUNID: %v", err)
+		t.Fatalf("get: %v", err)
 	}
 	if got.Text("Subject") != "hello" || got.ID != n.ID {
 		t.Fatalf("got %+v", got)
@@ -85,7 +86,7 @@ func TestStoreCRUD(t *testing.T) {
 	if s.Count() != 1 {
 		t.Fatalf("Count after update = %d", s.Count())
 	}
-	got, _ = s.GetByUNID(n.OID.UNID)
+	got, _ = getByUNID(s, n.OID.UNID)
 	if got.Text("Subject") != "updated" {
 		t.Fatalf("update lost: %q", got.Text("Subject"))
 	}
@@ -93,7 +94,7 @@ func TestStoreCRUD(t *testing.T) {
 	if err := s.Delete(n.OID.UNID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if _, err := s.GetByUNID(n.OID.UNID); !errors.Is(err, ErrNotFound) {
+	if _, err := getByUNID(s, n.OID.UNID); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get after delete: %v", err)
 	}
 	if err := s.Delete(n.OID.UNID); !errors.Is(err, ErrNotFound) {
@@ -120,7 +121,7 @@ func TestStoreLargeNotes(t *testing.T) {
 	if err := s.Put(n); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	got, err := s.GetByUNID(n.OID.UNID)
+	got, err := getByUNID(s, n.OID.UNID)
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
@@ -139,7 +140,7 @@ func TestStoreScanSince(t *testing.T) {
 	}
 	inc := s.Incarnation()
 	var seen []string
-	next, err := s.ScanSince(context.Background(), Cursor{inc, 10}, nil, func(n *nsf.Note) bool {
+	next, err := scanSinceNotes(context.Background(), s, Cursor{inc, 10}, nil, func(n *nsf.Note) bool {
 		seen = append(seen, n.Text("Subject"))
 		return true
 	})
@@ -154,8 +155,16 @@ func TestStoreScanSince(t *testing.T) {
 	if want := (Cursor{inc, 20}); next != want {
 		t.Fatalf("cursor = %v, want %v", next, want)
 	}
-	if again, _ := s.ScanSince(context.Background(), next, nil, func(*nsf.Note) bool { return true }); again != next {
+	if again, _ := scanSinceNotes(context.Background(), s, next, nil, func(*nsf.Note) bool { return true }); again != next {
 		t.Fatalf("empty scan moved the cursor %v -> %v", next, again)
+	}
+	// Each record comes with the USN of its commit.
+	var usns []uint64
+	if _, err := s.ScanSince(context.Background(), Cursor{inc, 17}, nil, func(usn uint64, _ []byte) bool {
+		usns = append(usns, usn)
+		return true
+	}); err != nil || !slices.Equal(usns, []uint64{18, 19, 20}) {
+		t.Fatalf("USNs after 17 = %v (%v), want [18 19 20]", usns, err)
 	}
 	// A fresh update moves a note to the end of the scan order.
 	n0, _ := getByID(s, 1)
@@ -164,7 +173,7 @@ func TestStoreScanSince(t *testing.T) {
 		t.Fatalf("Put: %v", err)
 	}
 	seen = nil
-	s.ScanSince(context.Background(), next, nil, func(n *nsf.Note) bool {
+	scanSinceNotes(context.Background(), s, next, nil, func(n *nsf.Note) bool {
 		seen = append(seen, n.Text("Subject"))
 		return true
 	})
@@ -173,12 +182,12 @@ func TestStoreScanSince(t *testing.T) {
 	}
 	// A cursor another incarnation issued starts over from USN 0.
 	count := 0
-	if _, err := s.ScanSince(context.Background(), Cursor{inc + 1, 21}, nil, func(*nsf.Note) bool { count++; return true }); err != nil || count != 20 {
+	if _, err := scanSinceNotes(context.Background(), s, Cursor{inc + 1, 21}, nil, func(*nsf.Note) bool { count++; return true }); err != nil || count != 20 {
 		t.Fatalf("foreign cursor scanned %d notes (%v), want all 20", count, err)
 	}
 	// Notes carry only the items keep accepts.
 	count = 0
-	if _, err := s.ScanSince(context.Background(), Cursor{inc, 0}, nsf.KeepItems([]string{"Subject"}, 0), func(n *nsf.Note) bool {
+	if _, err := scanSinceNotes(context.Background(), s, Cursor{inc, 0}, nsf.KeepItems([]string{"Subject"}, 0), func(n *nsf.Note) bool {
 		if count++; len(n.Items) != 1 || n.Text("Subject") == "" {
 			t.Errorf("note %d projected to %v, want Subject alone", n.ID, n.ItemNames())
 		}
@@ -190,7 +199,7 @@ func TestStoreScanSince(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	count = 0
-	if _, err := s.ScanSince(ctx, Cursor{inc, 0}, nil, func(*nsf.Note) bool { count++; return true }); !errors.Is(err, context.Canceled) || count != 0 {
+	if _, err := scanSinceNotes(ctx, s, Cursor{inc, 0}, nil, func(*nsf.Note) bool { count++; return true }); !errors.Is(err, context.Canceled) || count != 0 {
 		t.Fatalf("cancelled scan: %d notes, err %v; want none and context.Canceled", count, err)
 	}
 }
@@ -221,12 +230,6 @@ func TestOpenRefusesFormatVersion1(t *testing.T) {
 	if _, err := Open(path, Options{}); err == nil || !strings.Contains(err.Error(), "format version 1") {
 		t.Fatalf("Open of a version 1 file: %v, want a format version error", err)
 	}
-}
-
-// scanAll calls fn for every note in NoteID order until fn returns false:
-// ScanFromCtx from the first NoteID over whole notes.
-func scanAll(s *Store, fn func(*nsf.Note) bool) error {
-	return s.ScanFromCtx(context.Background(), 0, nil, fn)
 }
 
 func TestStoreScanAll(t *testing.T) {
@@ -275,7 +278,7 @@ func TestStorePersistenceAfterClose(t *testing.T) {
 	if s2.Title() != "persist" {
 		t.Errorf("title = %q", s2.Title())
 	}
-	got, err := s2.GetByUNID(n.OID.UNID)
+	got, err := getByUNID(s2, n.OID.UNID)
 	if err != nil || got.Text("Subject") != "survivor" {
 		t.Fatalf("after reopen: %v, %v", got, err)
 	}
@@ -306,7 +309,7 @@ func TestStoreCrashRecovery(t *testing.T) {
 		}
 	}
 	for i := 10; i < 20; i++ {
-		n, _ := s.GetByUNID(unids[i])
+		n, _ := getByUNID(s, unids[i])
 		n.SetText("Subject", "updated")
 		n.Modified = c.Now()
 		if err := s.Put(n); err != nil {
@@ -325,18 +328,18 @@ func TestStoreCrashRecovery(t *testing.T) {
 		t.Fatalf("Count after recovery = %d, want 90", got)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := s2.GetByUNID(unids[i]); !errors.Is(err, ErrNotFound) {
+		if _, err := getByUNID(s2, unids[i]); !errors.Is(err, ErrNotFound) {
 			t.Errorf("deleted doc %d resurrected: %v", i, err)
 		}
 	}
 	for i := 10; i < 20; i++ {
-		n, err := s2.GetByUNID(unids[i])
+		n, err := getByUNID(s2, unids[i])
 		if err != nil || n.Text("Subject") != "updated" {
 			t.Errorf("updated doc %d lost: %v", i, err)
 		}
 	}
 	for i := 20; i < 100; i++ {
-		if _, err := s2.GetByUNID(unids[i]); err != nil {
+		if _, err := getByUNID(s2, unids[i]); err != nil {
 			t.Errorf("doc %d lost: %v", i, err)
 		}
 	}
@@ -371,7 +374,7 @@ func TestStoreCrashAfterCheckpoint(t *testing.T) {
 	}
 	defer s2.Close()
 	for _, n := range []*nsf.Note{n1, n2} {
-		if _, err := s2.GetByUNID(n.OID.UNID); err != nil {
+		if _, err := getByUNID(s2, n.OID.UNID); err != nil {
 			t.Errorf("note %q lost: %v", n.Text("Subject"), err)
 		}
 	}
@@ -416,10 +419,10 @@ func TestStoreTornWALTail(t *testing.T) {
 		t.Fatalf("recovery open: %v", err)
 	}
 	defer s2.Close()
-	if _, err := s2.GetByUNID(n.OID.UNID); err != nil {
+	if _, err := getByUNID(s2, n.OID.UNID); err != nil {
 		t.Errorf("intact note lost: %v", err)
 	}
-	if _, err := s2.GetByUNID(n2.OID.UNID); !errors.Is(err, ErrNotFound) {
+	if _, err := getByUNID(s2, n2.OID.UNID); !errors.Is(err, ErrNotFound) {
 		t.Errorf("torn note should be gone, got %v", err)
 	}
 }

@@ -361,7 +361,7 @@ func TestLocalExpiryOpensBreaker(t *testing.T) {
 	})
 	opts := failoverTestOpts()
 	opts.Client.OpBudget = 100 * time.Millisecond
-	opts.FailThreshold = 1 // one eaten budget opens the breaker
+	opts.failThreshold = 1 // one eaten budget opens the breaker
 	fc, err := DialFailover([]string{stalled, healthy}, "u", "s", opts)
 	if err != nil {
 		t.Fatal(err)

@@ -22,9 +22,6 @@ type FailoverOptions struct {
 	// than the stand-alone Client's patient ones: with mates to move to,
 	// moving IS the retry.
 	Client Options
-	// FailThreshold is how many consecutive transport failures open a
-	// mate's circuit breaker (default 2).
-	FailThreshold int
 	// Cooldown is how long an open breaker waits before a half-open
 	// probe may test the mate again (default 1s).
 	Cooldown time.Duration
@@ -47,7 +44,15 @@ type FailoverOptions struct {
 	// in steady state. When every mate is slow, hedging self-limits
 	// instead of doubling the cluster's load. Default 0.1.
 	HedgeRateCap float64
+
+	// failThreshold replaces defaultFailThreshold in this package's tests;
+	// zero uses the constant.
+	failThreshold int
 }
+
+// defaultFailThreshold is how many consecutive spent turns open a mate's
+// circuit breaker.
+const defaultFailThreshold = 2
 
 func (o FailoverOptions) withDefaults() FailoverOptions {
 	if o.Client.MaxRetries == 0 {
@@ -59,8 +64,8 @@ func (o FailoverOptions) withDefaults() FailoverOptions {
 	if o.Client.DialTimeout <= 0 {
 		o.Client.DialTimeout = 2 * time.Second
 	}
-	if o.FailThreshold <= 0 {
-		o.FailThreshold = 2
+	if o.failThreshold <= 0 {
+		o.failThreshold = defaultFailThreshold
 	}
 	if o.Cooldown <= 0 {
 		o.Cooldown = time.Second
@@ -247,7 +252,7 @@ func (fc *FailoverClient) mate(addr string) *mate {
 // failures open its breaker.
 func (fc *FailoverClient) markFail(m *mate) {
 	m.fails++
-	if m.fails >= fc.opts.FailThreshold && !m.open {
+	if m.fails >= fc.opts.failThreshold && !m.open {
 		m.open, m.reopens = true, m.reopens+1
 	}
 	if m.open {

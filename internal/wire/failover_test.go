@@ -270,9 +270,10 @@ func TestFailoverStalledFirstMate(t *testing.T) {
 
 // TestBreakerCountsSpentTurns pins what a mate's turn costs and when its
 // breaker opens: a turn is the first attempt plus MaxRetries in-place
-// re-sends, the breaker hears of it once, and FailThreshold turns open it.
+// re-sends, the breaker hears of it once, and defaultFailThreshold turns open
+// it.
 func TestBreakerCountsSpentTurns(t *testing.T) {
-	opts := FailoverOptions{Client: fastOpts(), FailThreshold: 2, Cooldown: time.Minute}
+	opts := FailoverOptions{Client: fastOpts(), Cooldown: time.Minute}
 	opts.Client.MaxRetries = 1
 
 	// A mate that dies under every read: two turns of two attempts each, then
@@ -307,7 +308,7 @@ func TestBreakerCountsSpentTurns(t *testing.T) {
 		t.Fatalf("get across a dying mate: %v", err)
 	}
 	if got := dyingGets.Load(); got != 4 {
-		t.Errorf("dying mate saw %d gets, want 4 (FailThreshold 2 turns x (1 + MaxRetries 1) attempts)", got)
+		t.Errorf("dying mate saw %d gets, want 4 (defaultFailThreshold 2 turns x (1 + MaxRetries 1) attempts)", got)
 	}
 	if st := fc.Stats(); st.Failovers != 2 {
 		t.Errorf("Failovers = %d, want 2 (one per spent turn)", st.Failovers)

@@ -15,7 +15,7 @@ import (
 const routeCooldown = time.Second
 
 // routeFixture is a policy over mates "a", "b" and "c", in that configured
-// order, with the default FailThreshold of 2.
+// order, with the breaker threshold defaultFailThreshold (2).
 func routeFixture() *FailoverClient {
 	return newFailover([]string{"a", "b", "c"}, "u", "s", FailoverOptions{Cooldown: routeCooldown})
 }
@@ -178,7 +178,7 @@ func TestSpentTurnRecords(t *testing.T) {
 			}
 		}
 		if a := fc.mates[0]; !a.open || a.reopens != 1 {
-			t.Errorf("mate a = %+v, want its breaker open after FailThreshold severed turns", *a)
+			t.Errorf("mate a = %+v, want its breaker open after defaultFailThreshold severed turns", *a)
 		}
 		if fc.stats.Failovers != 2 {
 			t.Errorf("Failovers = %d, want 2 (severed turns only)", fc.stats.Failovers)

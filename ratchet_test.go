@@ -76,7 +76,12 @@ func sourceImports(t *testing.T) map[string][]string {
 //   - it does not import unsafe;
 //   - under internal/store, it imports nothing from internal/ but nsf and vfs;
 //   - under internal/nsf, it imports nothing from internal/;
-//   - under internal/ft, it imports nothing from internal/ but nsf and acl.
+//   - under internal/ft, it imports nothing from internal/ but nsf and acl;
+//   - it imports internal/faultfs or internal/faultnet only under cmd/, and
+//     internal/check only under cmd/ or internal/mesh;
+//   - under internal/store, no exported Store method returns a *nsf.Note or
+//     takes a callback with a *nsf.Note parameter: the store serves
+//     records, and decoding them is its callers' business.
 func TestRatchets(t *testing.T) {
 	const internal = "repro/internal/"
 	inPackage := func(file, dir string) bool { return filepath.ToSlash(filepath.Dir(file)) == dir }
@@ -84,6 +89,11 @@ func TestRatchets(t *testing.T) {
 		"internal/store": {internal + "nsf", internal + "vfs"},
 		"internal/nsf":   nil,
 		"internal/ft":    {internal + "nsf", internal + "acl"},
+	}
+	importedOnlyUnder := map[string][]string{
+		internal + "faultfs":  {"cmd/"},
+		internal + "faultnet": {"cmd/"},
+		internal + "check":    {"cmd/", "internal/mesh/"},
 	}
 	files := sourceImports(t)
 	for file, imports := range files {
@@ -96,9 +106,58 @@ func TestRatchets(t *testing.T) {
 					t.Errorf("%s imports %s; %s may import only %v from internal/", file, imp, dir, ok)
 				}
 			}
+			if dirs, ok := importedOnlyUnder[imp]; ok && !slices.ContainsFunc(dirs, func(d string) bool { return strings.HasPrefix(file, d) }) {
+				t.Errorf("%s imports %s; only files under %v may", file, imp, dirs)
+			}
 		}
 	}
 	t.Logf("%d non-test files checked", len(files))
+
+	for file, f := range sourceFiles(t, "internal/store", parser.SkipObjectResolution, false) {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if ok && fn.Name.IsExported() && isStoreMethod(fn) && lendsNote(fn.Type) {
+				t.Errorf("%s: Store.%s hands out a *nsf.Note; the store serves records", file, fn.Name.Name)
+			}
+		}
+	}
+}
+
+// isStoreMethod reports whether fn is a method of store.Store.
+func isStoreMethod(fn *ast.FuncDecl) bool {
+	if fn.Recv == nil || len(fn.Recv.List) != 1 {
+		return false
+	}
+	typ := fn.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	id, ok := typ.(*ast.Ident)
+	return ok && id.Name == "Store"
+}
+
+// lendsNote reports whether a function of type ft returns a *nsf.Note or
+// takes a callback with a *nsf.Note parameter.
+func lendsNote(ft *ast.FuncType) bool {
+	isNote := func(e ast.Expr) bool {
+		star, ok := e.(*ast.StarExpr)
+		if !ok {
+			return false
+		}
+		sel, ok := star.X.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		pkg, ok := sel.X.(*ast.Ident)
+		return ok && pkg.Name == "nsf" && sel.Sel.Name == "Note"
+	}
+	if ft.Results != nil && slices.ContainsFunc(ft.Results.List, func(r *ast.Field) bool { return isNote(r.Type) }) {
+		return true
+	}
+	return slices.ContainsFunc(ft.Params.List, func(p *ast.Field) bool {
+		cb, ok := p.Type.(*ast.FuncType)
+		return ok && slices.ContainsFunc(cb.Params.List, func(q *ast.Field) bool { return isNote(q.Type) })
+	})
 }
 
 // sleepAllowed lists the non-test files under internal/ that may call
