@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race stress fuzz verify bench-test benchmark experiment drift loc clean
+.PHONY: all build vet test race stress fuzz verify bench-test benchmark experiment drift loc cover clean
 
 all: verify
 
@@ -90,10 +90,12 @@ stress:
 # and the linear scan), WAL replay (crash recovery writes logged page images
 # back into the page file), the archive readers (point-in-time restore
 # replays whatever seg-*.walseg files it finds), and the scan cursor parser
-# (a client hands back whatever cursor it likes), and the formula text
+# (a client hands back whatever cursor it likes), the formula text
 # comparison (every text compare a selection makes; checked against
-# strings.Compare of the strings.ToLower copies). Each target also keeps its
-# corpus as seed tests under plain `go test`.
+# strings.Compare of the strings.ToLower copies), and the server's op
+# dispatch (every request body a client sends, on an authenticated
+# connection with a database open). Each target also keeps its corpus as
+# seed tests under plain `go test`.
 fuzz:
 	$(GO) test ./internal/nsf -run '^$$' -fuzz FuzzDecodeNote -fuzztime 15s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzReadFrame -fuzztime 15s
@@ -109,6 +111,7 @@ fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzScanArchive -fuzztime 15s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzDecodeScanCursor -fuzztime 15s
 	$(GO) test ./internal/formula -run '^$$' -fuzz FuzzFoldCompare -fuzztime 15s
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzServeOp -fuzztime 15s
 
 # bench/ is a module of its own (it replaces repro with ../), so the root
 # `go test ./...` never compiles it: this is what makes a signature change
@@ -149,6 +152,12 @@ loc:
 		printf '%6d  %s\n' $$(cat $$(ls $$d/*.go | grep -v _test.go) | wc -l) .$${d#$(CURDIR)}; \
 	done; \
 	printf '%6d  total\n' $$(cat $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*') | wc -l)
+
+# Non-test functions that no test runs at all: 0.0% under the whole
+# suite's -coverpkg=./... profile (cover.out). A census, not a gate.
+cover:
+	$(GO) test -count=1 -coverpkg=./... -coverprofile=cover.out ./... > /dev/null
+	@$(GO) tool cover -func=cover.out | awk '$$NF == "0.0%"'
 
 clean:
 	$(GO) clean ./...

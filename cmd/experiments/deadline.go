@@ -81,9 +81,7 @@ func w10TailOpts(mode string) domino.FailoverOptions {
 	}
 	if mode == "hedged" {
 		opts.Client.OpBudget = 300 * time.Millisecond
-		opts.HedgeReads = true
 		opts.HedgeDelay = 12 * time.Millisecond
-		opts.HedgeRateCap = 1.0
 	}
 	return opts
 }

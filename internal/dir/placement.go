@@ -118,8 +118,9 @@ func (d *Directory) RemovePlacement(path string) {
 // UpdatePlacement replaces the home set for path if and only if the current
 // generation equals expectGen. On success the stored generation becomes
 // expectGen+1 and the new record is returned; otherwise ErrPlacementConflict.
-// An expectGen of 0 requires that no record exists yet.
-func (d *Directory) UpdatePlacement(path string, expectGen uint64, home []string, replicas int) (Placement, error) {
+// An expectGen of 0 requires that no record exists yet. The record keeps
+// its replica factor; a new record's is the size of its home set.
+func (d *Directory) UpdatePlacement(path string, expectGen uint64, home []string) (Placement, error) {
 	if strings.TrimSpace(path) == "" {
 		return Placement{}, fmt.Errorf("dir: placement path must not be empty")
 	}
@@ -136,11 +137,9 @@ func (d *Directory) UpdatePlacement(path string, expectGen uint64, home []string
 			ErrPlacementConflict, path, expectGen)
 	}
 	home = dedupNames(home)
-	if replicas <= 0 {
-		replicas = len(home)
-	}
-	if replicas <= 0 {
-		replicas = 1
+	replicas := cur.Replicas
+	if !ok {
+		replicas = max(len(home), 1)
 	}
 	p := Placement{
 		Path:       strings.TrimSpace(path),

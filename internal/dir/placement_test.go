@@ -70,11 +70,11 @@ func TestUpdatePlacementCAS(t *testing.T) {
 	p, _ := d.SetPlacement("mail/ada.nsf", []string{"alpha"}, 1)
 
 	// Wrong generation loses.
-	if _, err := d.UpdatePlacement("mail/ada.nsf", p.Generation+5, []string{"beta"}, 1); !errors.Is(err, ErrPlacementConflict) {
+	if _, err := d.UpdatePlacement("mail/ada.nsf", p.Generation+5, []string{"beta"}); !errors.Is(err, ErrPlacementConflict) {
 		t.Fatalf("stale CAS err = %v, want ErrPlacementConflict", err)
 	}
 	// Right generation wins and bumps.
-	p2, err := d.UpdatePlacement("mail/ada.nsf", p.Generation, []string{"beta"}, 1)
+	p2, err := d.UpdatePlacement("mail/ada.nsf", p.Generation, []string{"beta"})
 	if err != nil {
 		t.Fatalf("UpdatePlacement: %v", err)
 	}
@@ -82,14 +82,14 @@ func TestUpdatePlacementCAS(t *testing.T) {
 		t.Fatalf("UpdatePlacement = %+v", p2)
 	}
 	// The old generation is now dead.
-	if _, err := d.UpdatePlacement("mail/ada.nsf", p.Generation, []string{"gamma"}, 1); !errors.Is(err, ErrPlacementConflict) {
+	if _, err := d.UpdatePlacement("mail/ada.nsf", p.Generation, []string{"gamma"}); !errors.Is(err, ErrPlacementConflict) {
 		t.Fatalf("replayed CAS err = %v, want ErrPlacementConflict", err)
 	}
 	// expectGen 0 means create-only.
-	if _, err := d.UpdatePlacement("mail/ada.nsf", 0, []string{"gamma"}, 1); !errors.Is(err, ErrPlacementConflict) {
+	if _, err := d.UpdatePlacement("mail/ada.nsf", 0, []string{"gamma"}); !errors.Is(err, ErrPlacementConflict) {
 		t.Fatalf("create-over-existing err = %v, want ErrPlacementConflict", err)
 	}
-	if p3, err := d.UpdatePlacement("new.nsf", 0, []string{"gamma"}, 1); err != nil || p3.Generation != 1 {
+	if p3, err := d.UpdatePlacement("new.nsf", 0, []string{"gamma"}); err != nil || p3.Generation != 1 {
 		t.Fatalf("create via CAS = %+v, %v", p3, err)
 	}
 }
@@ -104,7 +104,7 @@ func TestUpdatePlacementExactlyOneWinnerPerGeneration(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := d.UpdatePlacement("mail/ada.nsf", p.Generation, []string{"beta"}, 1); err == nil {
+			if _, err := d.UpdatePlacement("mail/ada.nsf", p.Generation, []string{"beta"}); err == nil {
 				wins <- i
 			}
 		}(i)
@@ -214,7 +214,7 @@ func TestPlacementVersionBumps(t *testing.T) {
 	if v1 <= v0 {
 		t.Fatalf("version not bumped on set: %d -> %d", v0, v1)
 	}
-	d.UpdatePlacement("a.nsf", 1, []string{"beta"}, 1)
+	d.UpdatePlacement("a.nsf", 1, []string{"beta"})
 	v2 := d.PlacementVersion()
 	if v2 <= v1 {
 		t.Fatalf("version not bumped on update: %d -> %d", v1, v2)

@@ -193,8 +193,6 @@ type Options struct {
 	Node Node
 	// Dialer reaches peer servers.
 	Dialer Dialer
-	// Apply tunes conflict handling for pulls.
-	Apply repl.ApplyOptions
 	// Interval is the default link interval (default 30s).
 	Interval time.Duration
 	// Debounce is the default hot-link debounce (default 50ms).

@@ -281,7 +281,6 @@ func (m *Mesh) round(ls *linkState) error {
 		opts := repl.Options{
 			PeerName: cursorName(link, p),
 			Formula:  link.Formula,
-			Apply:    m.opts.Apply,
 			PullOnly: link.Direction == Pull,
 			PushOnly: link.Direction == Push,
 		}

@@ -55,9 +55,6 @@ type MoveOptions struct {
 	// caller must provide a root; moves between servers on one host can
 	// share the scheduled-backup root so images are reused).
 	BackupRoot string
-	// Replicas overrides the placement record's replica factor
-	// (0 keeps the home-set size).
-	Replicas int
 	// Log receives progress lines ("" is discarded).
 	Log func(format string, args ...any)
 }
@@ -231,7 +228,7 @@ func Move(d *dir.Directory, src, dst *server.Server, path string, opts MoveOptio
 	// FLIP: commit at the generation read at start. A conflict means a
 	// racing mover already won this generation; abort with the source
 	// intact (Resume runs via defer).
-	p, err := d.UpdatePlacement(path, expectGen, newHome, opts.Replicas)
+	p, err := d.UpdatePlacement(path, expectGen, newHome)
 	if err != nil {
 		return res, fmt.Errorf("place: flip %s at gen %d: %w", path, expectGen, err)
 	}
@@ -252,8 +249,6 @@ type RecoverOptions struct {
 	// data directory; Recover opens the file directly and replicates the
 	// post-backup delta into the new home (media recovery's last mile).
 	DeadDataDir string
-	// Replicas overrides the replica factor (0 keeps the home-set size).
-	Replicas int
 	// Log receives progress lines.
 	Log func(format string, args ...any)
 }
@@ -327,7 +322,7 @@ func Recover(d *dir.Directory, deadName string, dst *server.Server, path string,
 		}
 	}
 
-	p, err := d.UpdatePlacement(path, expectGen, newHome, opts.Replicas)
+	p, err := d.UpdatePlacement(path, expectGen, newHome)
 	if err != nil {
 		return res, fmt.Errorf("place: flip %s at gen %d: %w", path, expectGen, err)
 	}

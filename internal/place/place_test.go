@@ -429,3 +429,25 @@ func TestMoveReusesExistingCopy(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMoveKeepsReplicaFactor: a move and a recover re-home a database but
+// leave its placement record's replica factor as the operator set it, here
+// 3 over a home set of one.
+func TestMoveKeepsReplicaFactor(t *testing.T) {
+	r := newRig(t, []string{"alpha", "beta", "gamma"}, []string{"alpha", "beta", "gamma"})
+	if _, err := r.d.SetPlacement(dbPath, []string{"alpha"}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := place.Move(r.d, r.srv["alpha"], r.srv["beta"], dbPath, place.MoveOptions{Log: t.Logf}); err != nil {
+		t.Fatalf("move: %v", err)
+	}
+	if p, _ := r.d.GetPlacement(dbPath); p.Replicas != 3 || len(p.Home) != 1 || p.Home[0] != "beta" {
+		t.Fatalf("placement after move = %+v, want beta with replica factor 3", p)
+	}
+	if _, err := place.Recover(r.d, "beta", r.srv["gamma"], dbPath, place.RecoverOptions{Log: t.Logf}); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if p, _ := r.d.GetPlacement(dbPath); p.Replicas != 3 || len(p.Home) != 1 || p.Home[0] != "gamma" {
+		t.Fatalf("placement after recover = %+v, want gamma with replica factor 3", p)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/core"
@@ -72,18 +71,8 @@ func (s *Server) pageBudget(ctx context.Context, clientLimit int) (maxRows, maxB
 	return maxRows, maxBytes
 }
 
-// Row kind bytes framing bulk-read rows, mirroring the client decoders.
-const (
-	rowKindEnd      byte = 0
-	rowKindDoc      byte = 1
-	rowKindCategory byte = 2
-)
-
 // viewRows serves one page of a rendered view: request (handle, view name,
-// start, limit), response (total, start, kind-prefixed rows, more, next).
-// The explicit kind byte distinguishes category headers from documents
-// structurally — a document rendering zero columns can no longer be
-// mistaken for a category.
+// start, limit), response wire.NewViewPage's.
 func (c *connState) viewRows(ctx context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	name := d.Str()
 	start := int(d.U32())
@@ -96,33 +85,19 @@ func (c *connState) viewRows(ctx context.Context, hs *handleState, d *wire.Dec) 
 	if err != nil {
 		return nil, err
 	}
-	resp := wire.NewResp(wire.OpViewRows, wire.StatusOK).
-		U32(uint32(total)).U32(uint32(start))
-	sent := 0
+	page := wire.NewViewPage(total, start, maxRows, maxBytes)
 	for _, r := range rows {
-		if sent > 0 && len(resp.Bytes()) >= maxBytes {
+		if !page.Room() {
 			break
 		}
 		if r.Entry == nil {
-			resp.U8(rowKindCategory).Str(r.Category).U32(uint32(r.Indent))
+			page.Category(r.Category, r.Indent)
 		} else {
-			resp.U8(rowKindDoc).U32(uint32(r.Indent)).UNID(r.Entry.UNID)
-			resp.U32(uint32(len(r.Entry.Values)))
-			for i := range r.Entry.Values {
-				resp.Str(r.Entry.ColumnText(i))
-			}
+			page.Doc(r.Indent, r.Entry.UNID, r.Entry.Values)
 		}
-		sent++
 	}
-	next := start + sent
-	more := next < total
-	resp.U8(rowKindEnd)
-	if more {
-		resp.U8(1)
-	} else {
-		resp.U8(0)
-	}
-	return resp.U32(uint32(next)), nil
+	next := start + page.Rows()
+	return page.End(next < total, next), nil
 }
 
 // scanCursorVersion stamps scan cursors so a format change is detected
@@ -162,17 +137,13 @@ func decodeScanCursor(cursor []byte, server string) (nsf.NoteID, error) {
 }
 
 // scan serves one page of an NSFSearch-style bulk read: request (handle,
-// formula, limit, column names, cursor), response (kind-prefixed rows with
-// typed projected values, more, cursor). The formula is compiled per page —
-// compilation is cheap next to evaluating it over the page's documents.
+// formula, limit, column names, cursor), response wire.NewScanPage's. The
+// formula is compiled per page — compilation is cheap next to evaluating
+// it over the page's documents.
 func (c *connState) scan(ctx context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	formulaSrc := d.Str()
 	limit := int(d.U32())
-	ncols := d.U32()
-	columns := make([]string, 0, d.Cap(ncols, 1))
-	for i := uint32(0); i < ncols && d.Err() == nil; i++ {
-		columns = append(columns, d.Str())
-	}
+	columns := d.Columns()
 	cursor := d.Blob()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -188,41 +159,32 @@ func (c *connState) scan(ctx context.Context, hs *handleState, d *wire.Dec) (*wi
 	if err != nil {
 		return nil, err
 	}
-	maxRows, maxBytes := c.s.pageBudget(ctx, limit)
-	resp := wire.NewResp(wire.OpScan, wire.StatusOK)
+	page := wire.NewScanPage(c.s.pageBudget(ctx, limit))
 	cols := newScanColumns(columns, sel)
 	var last nsf.NoteID
-	sent, full := 0, false
+	full := false
 	err = hs.sess.ScanRowsCtx(ctx, after, sel, columns, func(r core.ScanRow) bool {
-		if sent >= maxRows || (sent > 0 && len(resp.Bytes()) >= maxBytes) {
+		if !page.Room() {
 			// A selected document exists past this page, so More is true
 			// even when the page filled exactly at the end of the store.
 			full = true
 			return false
 		}
-		resp.U8(rowKindDoc).U32(uint32(r.Note.ID)).UNID(r.Note.OID.UNID)
-		if err := cols.encode(resp, r.Note, r.Record); err != nil {
-			encErr = err
+		page.ScanRow(r.Note.ID, r.Note.OID.UNID)
+		if encErr = cols.encode(&page, r.Note, r.Record); encErr != nil {
 			return false
 		}
 		last = r.Note.ID
-		sent++
 		return true
 	})
 	if err == nil {
 		err = encErr
 	}
 	if err != nil {
-		resp.Release()
+		page.Release()
 		return nil, err
 	}
-	resp.U8(rowKindEnd)
-	if full {
-		resp.U8(1)
-	} else {
-		resp.U8(0)
-	}
-	return resp.Blob(encodeScanCursor(c.s.opts.Name, last)), nil
+	return page.EndScan(full, encodeScanCursor(c.s.opts.Name, last)), nil
 }
 
 // scanColumns encodes a scan row's or search hit's projected columns the
@@ -264,9 +226,9 @@ func newScanColumns(columns []string, sel *formula.Formula) *scanColumns {
 }
 
 // encode appends the columns of a row — the note the formula left and the
-// projected record — to resp: a presence byte, then the value blob. As
-// Note.Get does, a column takes the first item of its name.
-func (c *scanColumns) encode(resp *wire.Enc, note *nsf.Note, rec []byte) error {
+// projected record — to page. As Note.Get does, a column takes the first
+// item of its name.
+func (c *scanColumns) encode(page *wire.PageEnc, note *nsf.Note, rec []byte) error {
 	if len(c.columns) == 0 {
 		return nil
 	}
@@ -277,74 +239,53 @@ func (c *scanColumns) encode(resp *wire.Enc, note *nsf.Note, rec []byte) error {
 		switch {
 		case c.evaluated[i]:
 			if item, ok := note.Item(col); ok {
-				resp.U8(1).Value(item.Value)
+				page.Value(item.Value)
 			} else {
-				resp.U8(0)
+				page.NoValue()
 			}
 		case c.stored[i] != nil && !(c.untypedAbsent && nsf.ItemType(c.stored[i][0]) == 0):
-			resp.U8(1).Blob(c.stored[i])
+			page.StoredValue(c.stored[i])
 		default:
-			resp.U8(0)
+			page.NoValue()
 		}
 	}
 	return nil
 }
 
 // search serves one page of ranked full-text hits: request (handle, query,
-// start, limit, column names), response (total, start, kind-prefixed hits
-// with IEEE-754 score bits and optional joined summary values, more, next).
-// Scores travel as Float64bits — the earlier fixed-point encoding wrapped
-// negative scores into huge positives. Each hit's columns are copied from
-// its stored record as it joins; total and start are filled in after.
+// start, limit, column names), response wire.NewSearchPage's. Each hit's
+// columns are copied from its stored record as it joins; total and first
+// are filled in after.
 func (c *connState) search(ctx context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	query := d.Str()
 	start := int(d.U32())
 	limit := int(d.U32())
-	ncols := d.U32()
-	columns := make([]string, 0, d.Cap(ncols, 1))
-	for i := uint32(0); i < ncols && d.Err() == nil; i++ {
-		columns = append(columns, d.Str())
-	}
+	columns := d.Columns()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	maxRows, maxBytes := c.s.pageBudget(ctx, limit)
-	resp := wire.NewResp(wire.OpSearch, wire.StatusOK)
-	head := len(resp.Bytes())
-	resp.U32(0).U32(0) // total and first, known once the join ends
+	page := wire.NewSearchPage(maxRows, maxBytes)
 	cols := newScanColumns(columns, nil)
 	cols.untypedAbsent = true
-	sent := 0
 	var encErr error
 	total, next, err := hs.sess.SearchRowsCtx(ctx, query, columns, start, maxRows, func(r core.SearchRow) bool {
-		if sent > 0 && len(resp.Bytes()) >= maxBytes {
+		if !page.Room() {
 			return false
 		}
-		resp.U8(rowKindDoc).UNID(r.UNID).U64(math.Float64bits(r.Score))
-		if encErr = cols.encode(resp, r.Note, r.Record); encErr != nil {
-			return false
-		}
-		sent++
-		return true
+		page.Hit(r.UNID, r.Score)
+		encErr = cols.encode(&page, r.Note, r.Record)
+		return encErr == nil
 	})
 	if err == nil {
 		err = encErr
 	}
 	if err != nil {
-		resp.Release()
+		page.Release()
 		return nil, err
 	}
 	// total counts every hit but those the join skipped, all of which lie
-	// between first and next, so hits lie past next iff first+sent < total.
+	// between first and next, so hits lie past next iff first+rows < total.
 	first := min(start, next)
-	more := first+sent < total
-	resp.SetU32(head, uint32(total))
-	resp.SetU32(head+4, uint32(first))
-	resp.U8(rowKindEnd)
-	if more {
-		resp.U8(1)
-	} else {
-		resp.U8(0)
-	}
-	return resp.U32(uint32(next)), nil
+	return page.EndSearch(total, first, first+page.Rows() < total, next), nil
 }

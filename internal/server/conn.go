@@ -276,7 +276,7 @@ func (c *connState) dispatch(ctx context.Context, op wire.Op, d *wire.Dec) *wire
 		if errors.As(err, &wm) {
 			// Placement redirect: not an application error — the body
 			// carries the home set so the client can re-route.
-			return wm.resp(op)
+			return wire.WrongMateResp(op, wm.rec)
 		}
 		return fail(op, err)
 	}
@@ -513,7 +513,7 @@ func (c *connState) apply(ctx context.Context, hs *handleState, d *wire.Dec) (*w
 	if err := c.replAccess(hs, true); err != nil {
 		return nil, err
 	}
-	peer := &repl.LocalPeer{DB: hs.db, Opts: repl.ApplyOptions{FieldMerge: c.s.opts.FieldMerge}}
+	peer := &repl.LocalPeer{DB: hs.db}
 	// Apply in chunks with deadline checks between them. A mid-batch abort
 	// leaves a prefix applied — safe, because replication applies are
 	// idempotent by the OID rules, and the aborted status tells the peer

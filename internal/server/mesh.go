@@ -65,7 +65,6 @@ func (s *Server) EnableMesh(opts mesh.Options) (*mesh.Mesh, error) {
 		}
 		return wireSession{c}, nil
 	})
-	opts.Apply.FieldMerge = s.opts.FieldMerge
 	if opts.Logf == nil {
 		opts.Logf = func(format string, args ...any) {
 			s.logf(LogMesh, format, args...)

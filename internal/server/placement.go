@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 
+	"repro/internal/dir"
 	"repro/internal/wire"
 )
 
@@ -16,34 +17,14 @@ import (
 
 // wrongMateError is the internal form of a placement redirect; dispatch
 // converts it into a StatusWrongMate response instead of StatusError.
-type wrongMateError struct {
-	path     string
-	gen      uint64
-	replicas int
-	homes    []wire.HomeAddr
-}
+type wrongMateError struct{ rec wire.ResolveInfo }
 
 func (e *wrongMateError) Error() string {
-	names := make([]string, 0, len(e.homes))
-	for _, h := range e.homes {
+	names := make([]string, 0, len(e.rec.Homes))
+	for _, h := range e.rec.Homes {
 		names = append(names, h.Name)
 	}
-	return "not a home mate for " + e.path + " (homes: " + strings.Join(names, ",") + ")"
-}
-
-// resp renders the redirect for op, body-compatible with an OpResolve record.
-func (e *wrongMateError) resp(op wire.Op) *wire.Enc {
-	resp := wire.NewResp(op, wire.StatusWrongMate)
-	encResolveRecord(resp, e.path, e.gen, e.replicas, e.homes)
-	return resp
-}
-
-// encResolveRecord appends one placement record in the OpResolve encoding.
-func encResolveRecord(resp *wire.Enc, path string, gen uint64, replicas int, homes []wire.HomeAddr) {
-	resp.Str(path).U64(gen).U32(uint32(replicas)).U32(uint32(len(homes)))
-	for _, h := range homes {
-		resp.Str(h.Name).Str(h.Addr)
-	}
+	return "not a home mate for " + e.rec.Path + " (homes: " + strings.Join(names, ",") + ")"
 }
 
 // AdvertiseAddr is the address this server tells clients to reach it on:
@@ -75,13 +56,14 @@ func (s *Server) mateAddr(name string) string {
 	return s.opts.Peers[strings.ToLower(name)]
 }
 
-// homeAddrs resolves a placement home set to (name, addr) pairs.
-func (s *Server) homeAddrs(home []string) []wire.HomeAddr {
-	out := make([]wire.HomeAddr, 0, len(home))
-	for _, name := range home {
-		out = append(out, wire.HomeAddr{Name: name, Addr: s.mateAddr(name)})
+// resolveInfo is p as a placement record, its home set resolved to
+// (name, addr) pairs.
+func (s *Server) resolveInfo(p dir.Placement) wire.ResolveInfo {
+	homes := make([]wire.HomeAddr, 0, len(p.Home))
+	for _, name := range p.Home {
+		homes = append(homes, wire.HomeAddr{Name: name, Addr: s.mateAddr(name)})
 	}
-	return out
+	return wire.ResolveInfo{Path: p.Path, Generation: p.Generation, Replicas: p.Replicas, Homes: homes}
 }
 
 // checkHomed returns a wrongMateError when a placement record exists for
@@ -96,12 +78,7 @@ func (s *Server) checkHomed(cleanPath string) error {
 	if !ok || p.HasHome(s.opts.Name) {
 		return nil
 	}
-	return &wrongMateError{
-		path:     cleanPath,
-		gen:      p.Generation,
-		replicas: p.Replicas,
-		homes:    s.homeAddrs(p.Home),
-	}
+	return &wrongMateError{s.resolveInfo(p)}
 }
 
 // resolve answers OpResolve: one record for a named path, every record for
@@ -115,21 +92,19 @@ func (c *connState) resolve(_ context.Context, d *wire.Dec) (*wire.Enc, error) {
 	}
 	if strings.TrimSpace(path) == "" {
 		ps := s.opts.Directory.Placements()
-		resp := wire.NewResp(wire.OpResolve, wire.StatusOK).U32(uint32(len(ps)))
-		for _, p := range ps {
-			encResolveRecord(resp, p.Path, p.Generation, p.Replicas, s.homeAddrs(p.Home))
+		recs := make([]wire.ResolveInfo, len(ps))
+		for i, p := range ps {
+			recs[i] = s.resolveInfo(p)
 		}
-		return resp, nil
+		return wire.ResolveResp(recs...), nil
 	}
 	key, err := cleanDBPath(path)
 	if err != nil {
 		return nil, err
 	}
-	resp := wire.NewResp(wire.OpResolve, wire.StatusOK).U32(1)
+	rec := wire.ResolveInfo{Path: key} // unplaced
 	if p, ok := s.opts.Directory.GetPlacement(key); ok {
-		encResolveRecord(resp, p.Path, p.Generation, p.Replicas, s.homeAddrs(p.Home))
-	} else {
-		encResolveRecord(resp, key, 0, 0, nil)
+		rec = s.resolveInfo(p)
 	}
-	return resp, nil
+	return wire.ResolveResp(rec), nil
 }

@@ -175,7 +175,7 @@ func TestPerOpRedirectAfterPlacementFlip(t *testing.T) {
 
 	// Flip placement hub -> spoke (generation 2). The client's cache is now
 	// stale; its next op on the hub must redirect.
-	if _, err := p.dir.UpdatePlacement("apps/db.nsf", 1, []string{"spoke"}, 1); err != nil {
+	if _, err := p.dir.UpdatePlacement("apps/db.nsf", 1, []string{"spoke"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Get(n.OID.UNID); err == nil {

@@ -36,11 +36,7 @@ func scanConn(t testing.TB, s *Server, user string) func(src string, limit int, 
 	t.Helper()
 	serve := dbConn(t, s, user)
 	return func(src string, limit int, columns []string, cursor []byte) *wire.Enc {
-		req := wire.NewEnc(wire.OpScan).U32(1).Str(src).U32(uint32(limit)).U32(uint32(len(columns)))
-		for _, col := range columns {
-			req.Str(col)
-		}
-		return serve(req.Blob(cursor))
+		return serve(wire.NewEnc(wire.OpScan).U32(1).Str(src).U32(uint32(limit)).Columns(columns).Blob(cursor))
 	}
 }
 
@@ -137,9 +133,8 @@ func TestScanRowsMatchDecodedNotes(t *testing.T) {
 		id := db.Session(user).Identity()
 		for _, src := range formulas {
 			sel := formula.MustCompile(src)
-			// The recipe: one encoded row per selected document.
-			var rows [][]byte
-			var ids []nsf.NoteID
+			// The recipe: every selected document, as the formula left it.
+			var notes []*nsf.Note
 			db.ScanAll(func(n *nsf.Note) bool {
 				if n.IsStub() || n.Class != nsf.ClassDocument || !id.CanRead(n) {
 					return true
@@ -148,60 +143,41 @@ func TestScanRowsMatchDecodedNotes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !ok {
-					return true
+				if ok {
+					notes = append(notes, n.Clone())
 				}
-				row := wire.NewEnc(0).U8(rowKindDoc).U32(uint32(n.ID)).UNID(n.OID.UNID)
-				for _, col := range columns {
-					if n.Has(col) {
-						row.U8(1).Value(n.Get(col))
-					} else {
-						row.U8(0)
-					}
-				}
-				rows = append(rows, append([]byte(nil), row.Bytes()[1:]...))
-				ids = append(ids, n.ID)
 				return true
 			})
-			if len(rows) == 0 {
+			if len(notes) == 0 {
 				t.Fatalf("%s, %s: the recipe selects nothing", user, src)
 			}
 			var cursor []byte
 			for start := 0; ; start += limit {
-				end := min(start+limit, len(rows))
-				want := wire.NewResp(wire.OpScan, wire.StatusOK)
-				for _, r := range rows[start:end] {
-					want.Raw(r)
-				}
-				more := byte(0)
-				if end < len(rows) {
-					more = 1
-				}
+				end := min(start+limit, len(notes))
+				want := wire.NewScanPage(limit, 1<<30)
 				var last nsf.NoteID
-				if end > start {
-					last = ids[end-1]
-				}
-				want.U8(rowKindEnd).U8(more).Blob(encodeScanCursor(s.opts.Name, last))
-				got := scan(src, limit, columns, cursor)
-				if !bytes.Equal(got.Bytes(), want.Bytes()) {
-					t.Fatalf("%s, %s, rows %d..%d: page differs from the decoded notes'\n got %x\nwant %x",
-						user, src, start, end, got.Bytes(), want.Bytes())
-				}
-				if more == 0 {
-					break
-				}
-				p := wire.NewDec(got.Bytes()[2:])
-				for p.U8() != rowKindEnd && p.Err() == nil {
-					p.U32()
-					p.UNID()
-					for range columns {
-						if p.U8() != 0 {
-							p.Blob()
+				for _, n := range notes[start:end] {
+					want.ScanRow(n.ID, n.OID.UNID)
+					for _, col := range columns {
+						if n.Has(col) {
+							want.Value(n.Get(col))
+						} else {
+							want.NoValue()
 						}
 					}
+					last = n.ID
 				}
-				p.U8()
-				cursor = append([]byte(nil), p.Blob()...)
+				more := end < len(notes)
+				wantResp := want.EndScan(more, encodeScanCursor(s.opts.Name, last))
+				got := scan(src, limit, columns, cursor)
+				if !bytes.Equal(got.Bytes(), wantResp.Bytes()) {
+					t.Fatalf("%s, %s, rows %d..%d: page differs from the decoded notes'\n got %x\nwant %x",
+						user, src, start, end, got.Bytes(), wantResp.Bytes())
+				}
+				if !more {
+					break
+				}
+				cursor = encodeScanCursor(s.opts.Name, last)
 			}
 		}
 	}

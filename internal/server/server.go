@@ -35,9 +35,6 @@ type Options struct {
 	DataDir string
 	// Directory is the shared user/group registry.
 	Directory *dir.Directory
-	// FieldMerge enables field-level conflict merging for replication
-	// applies on this server.
-	FieldMerge bool
 	// Peers maps remote server names to their addresses for mail
 	// forwarding.
 	Peers map[string]string
@@ -348,7 +345,6 @@ func (s *Server) ReplicateWith(peerName, addr, dbPath string, opts repl.Options)
 	if opts.PeerName == "" {
 		opts.PeerName = peerName + "!!" + dbPath
 	}
-	opts.Apply.FieldMerge = s.opts.FieldMerge
 	stats, err := repl.Replicate(db, remote, opts)
 	if err != nil {
 		s.logf(LogReplication, "%s with %s failed: %v", dbPath, peerName, err)

@@ -323,3 +323,132 @@ func TestBtreePersistsAcrossReopen(t *testing.T) {
 		t.Fatalf("Len after reopen = %d", n)
 	}
 }
+
+// TestBtreeDeepModel grows a tree of keys near MaxKeyLen — about fifteen to
+// a page, so a few hundred keys make three levels and branches split — then
+// interleaves puts and deletes against a map down to empty, reopening the
+// store midway. Get, Ascend order and Len match the map throughout, and
+// the drained tree takes keys again.
+func TestBtreeDeepModel(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "deep.nsf")
+	var tr *btree
+	open := func() {
+		p, _, err := openPager(vfs.OS, path, nsf.NewReplicaID(), "t", 0)
+		if err != nil {
+			t.Fatalf("openPager: %v", err)
+		}
+		tr = &btree{pg: p, slot: rootSlotByID}
+	}
+	open()
+	t.Cleanup(func() { tr.pg.close() })
+	rng := rand.New(rand.NewSource(49))
+	key := func(i int) string {
+		k := fmt.Sprintf("%06d-", i)
+		return k + string(bytes.Repeat([]byte("k"), MaxKeyLen-len(k)-i%5))
+	}
+	model := map[string]string{}
+	put := func(i int) {
+		k, v := key(i), fmt.Sprintf("v%d", rng.Intn(1<<20))
+		if err := tr.Put([]byte(k), []byte(v)); err != nil {
+			t.Fatalf("Put %d: %v", i, err)
+		}
+		model[k] = v
+	}
+	del := func(i int) {
+		k := key(i)
+		found, err := tr.Delete([]byte(k))
+		_, want := model[k]
+		if err != nil || found != want {
+			t.Fatalf("Delete %d = %v, %v; want found=%v", i, found, err, want)
+		}
+		delete(model, k)
+	}
+	get := func(i int) {
+		k := key(i)
+		v, ok, err := tr.Get([]byte(k), nil)
+		want, wantOK := model[k]
+		if err != nil || ok != wantOK || string(v) != want {
+			t.Fatalf("Get %d = %q, %v, %v; want %q, %v", i, v, ok, err, want, wantOK)
+		}
+	}
+	check := func(when string) {
+		keys := make([]string, 0, len(model))
+		for k := range model {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		i := 0
+		if err := tr.Ascend(nil, func(k, v []byte) bool {
+			if i >= len(keys) || string(k) != keys[i] || string(v) != model[keys[i]] {
+				t.Fatalf("%s: Ascend entry %d is %.12q, out of step with the model", when, i, k)
+			}
+			i++
+			return true
+		}); err != nil || i != len(keys) {
+			t.Fatalf("%s: Ascend yielded %d of %d keys (%v)", when, i, len(keys), err)
+		}
+		if n, err := tr.Len(); err != nil || n != len(keys) {
+			t.Fatalf("%s: Len = %d (%v), want %d", when, n, err, len(keys))
+		}
+	}
+	depth := func() int {
+		d := 0
+		for id := tr.root(); id != nilPage; d++ {
+			pg, err := tr.pg.get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nodeType(pg) == pageLeaf {
+				return d + 1
+			}
+			id = tr.childAt(pg, 0, false)
+		}
+		return d
+	}
+
+	const ids = 1000
+	for _, i := range rng.Perm(ids)[:600] {
+		put(i)
+	}
+	check("grown")
+	if d := depth(); d < 3 {
+		t.Fatalf("600 long keys make a tree of depth %d, want at least 3", d)
+	}
+	const churn = 4000
+	for op := 0; op < churn; op++ {
+		i := rng.Intn(ids)
+		if rng.Intn(2) == 0 {
+			put(i)
+		} else {
+			del(i)
+		}
+		get(rng.Intn(ids))
+		if op%250 == 0 {
+			check(fmt.Sprintf("churn op %d", op))
+		}
+		if op == churn/2 {
+			if err := tr.pg.flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.pg.close(); err != nil {
+				t.Fatal(err)
+			}
+			open()
+			check("reopened")
+		}
+	}
+	for n, i := range rng.Perm(ids) {
+		del(i)
+		if n%100 == 0 {
+			check(fmt.Sprintf("drain step %d", n))
+		}
+	}
+	check("drained")
+	if tr.root() != nilPage && depth() != 1 {
+		t.Errorf("a drained tree has depth %d", depth())
+	}
+	for i := 0; i < 50; i++ {
+		put(i)
+	}
+	check("refilled")
+}

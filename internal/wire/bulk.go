@@ -114,34 +114,171 @@ type SearchPage struct {
 	More        bool
 }
 
-// pageDec decodes one bulk-read page with a constant number of
-// allocations rather than a few per row: the body is converted to one
-// string, every text a page returns is a substring of it, and values,
-// column lists and text lists are cut from per-page arrays with full slice
-// expressions, so a caller's append to one row never writes into the next.
-// A pre-pass (pageSize) sizes those arrays, and the page's rows, once.
-type pageDec struct {
-	d     *Dec
-	s     string // the body from base on
-	base  int    // d's offset at the start of s
-	vals  []nsf.Value
-	cols  []string
-	arena nsf.Arena
+// PageEnc encodes one bulk-read response page, the server half of the
+// decoders below. Its budget is a row cap and a byte cap: Room admits the
+// first row always, so a page always makes progress, and later rows while
+// the page holds fewer than maxRows rows and fewer than maxBytes bytes.
+type PageEnc struct {
+	e                       *Enc
+	rows, maxRows, maxBytes int
 }
 
+// NewViewPage starts an OpViewRows page of a rendering of total rows,
+// beginning at row start.
+func NewViewPage(total, start, maxRows, maxBytes int) PageEnc {
+	return PageEnc{e: NewResp(OpViewRows, StatusOK).U32(uint32(total)).U32(uint32(start)), maxRows: maxRows, maxBytes: maxBytes}
+}
+
+// NewScanPage starts an OpScan page.
+func NewScanPage(maxRows, maxBytes int) PageEnc {
+	return PageEnc{e: NewResp(OpScan, StatusOK), maxRows: maxRows, maxBytes: maxBytes}
+}
+
+// NewSearchPage starts an OpSearch page. Its total and first hit are known
+// only once the hits are joined; EndSearch fills them in.
+func NewSearchPage(maxRows, maxBytes int) PageEnc {
+	return PageEnc{e: NewResp(OpSearch, StatusOK).U32(0).U32(0), maxRows: maxRows, maxBytes: maxBytes}
+}
+
+// Room reports whether the page takes another row.
+func (p *PageEnc) Room() bool {
+	return p.rows < p.maxRows && (p.rows == 0 || len(p.e.buf) < p.maxBytes)
+}
+
+// Rows is how many rows the page holds.
+func (p *PageEnc) Rows() int { return p.rows }
+
+// Category appends a view category header row.
+func (p *PageEnc) Category(text string, indent int) {
+	p.e.U8(rowKindCategory).Str(text).U32(uint32(indent))
+	p.rows++
+}
+
+// Doc appends a view document row, each column as its text.
+func (p *PageEnc) Doc(indent int, unid nsf.UNID, columns []nsf.Value) {
+	p.e.U8(rowKindDoc).U32(uint32(indent)).UNID(unid).U32(uint32(len(columns)))
+	for _, v := range columns {
+		p.e.Str(v.String())
+	}
+	p.rows++
+}
+
+// ScanRow appends a scan row's identity; its projected columns follow, one
+// Value, StoredValue or NoValue per requested column.
+func (p *PageEnc) ScanRow(id nsf.NoteID, unid nsf.UNID) {
+	p.e.U8(rowKindDoc).U32(uint32(id)).UNID(unid)
+	p.rows++
+}
+
+// Hit appends a search hit; its joined columns follow as a scan row's do.
+// Scores travel as IEEE-754 bits, so zero and negative scores round-trip
+// exactly.
+func (p *PageEnc) Hit(unid nsf.UNID, score float64) {
+	p.e.U8(rowKindDoc).UNID(unid).U64(math.Float64bits(score))
+	p.rows++
+}
+
+// Value appends a present column holding v.
+func (p *PageEnc) Value(v nsf.Value) { p.e.U8(1).Value(v) }
+
+// StoredValue appends a present column holding a value in its canonical
+// encoding, as an item's stored value bytes are.
+func (p *PageEnc) StoredValue(enc []byte) { p.e.U8(1).Blob(enc) }
+
+// NoValue appends an absent column.
+func (p *PageEnc) NoValue() { p.e.U8(0) }
+
+// End ends a view page: more, then the index the next page starts at.
+func (p *PageEnc) End(more bool, next int) *Enc {
+	return p.e.U8(rowKindEnd).U8(flag(more)).U32(uint32(next))
+}
+
+// EndSearch ends a search page as End does, filling in its total and the
+// index of its first hit.
+func (p *PageEnc) EndSearch(total, first int, more bool, next int) *Enc {
+	p.e.SetU32(2, uint32(total)) // past the op and status bytes
+	p.e.SetU32(6, uint32(first))
+	return p.End(more, next)
+}
+
+// EndScan ends a scan page: more, then the resume cursor.
+func (p *PageEnc) EndScan(more bool, cursor []byte) *Enc {
+	return p.e.U8(rowKindEnd).U8(flag(more)).Blob(cursor)
+}
+
+// Release drops a page that will not be sent.
+func (p *PageEnc) Release() { p.e.Release() }
+
+func flag(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// pageDec walks one bulk-read page. Each page kind has one walker
+// (viewPage, scanPage, searchPage), run twice over the body. The sizing
+// walk, on a copy of the decoder, builds nothing: it counts the page's
+// rows, values, view columns and the entries of its values' arrays into z,
+// and fails wherever the decoding walk would, because it is the same walk.
+// The decoding walk then reads the page with a constant number of
+// allocations rather than a few per row: the body is converted to one
+// string, every text a page returns is a substring of it, and values,
+// column lists and text lists are cut from arrays sized once by z, with
+// full slice expressions, so a caller's append to one row never writes
+// into the next.
+type pageDec struct {
+	d      Dec
+	sizing bool
+	z      pageSize
+	s      string // the body from base on
+	base   int    // d's offset at the start of s
+	vals   []nsf.Value
+	cols   []string
+	arena  nsf.Arena
+}
+
+// pageSize is what a page body holds: its rows, values, view columns and
+// the entries of its values' arrays.
+type pageSize struct {
+	rows, vals, cols int
+	arena            nsf.ArenaSize
+}
+
+// newPageDec starts the decoding walk of d's page, whose sizing walk
+// counted z.
 func newPageDec(d *Dec, z pageSize) *pageDec {
-	p := &pageDec{d: d, s: string(d.buf[d.off:]), base: d.off,
+	p := &pageDec{d: *d, z: z, s: string(d.buf[d.off:]), base: d.off,
 		vals: make([]nsf.Value, 0, z.vals), cols: make([]string, 0, z.cols)}
 	p.arena.Grow(z.arena)
 	return p
 }
 
+// add appends v to s on the decoding walk; the sizing walk counts it in n.
+func add[T any](p *pageDec, s []T, n *int, v T) []T {
+	if p.sizing {
+		*n++
+		return s
+	}
+	return append(s, v)
+}
+
+// sized returns an empty slice with room for n elements, nil for none, as
+// appending to a nil slice leaves a page that has no rows.
+func sized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
+}
+
 // blob reads a length-prefixed byte slice, returning it both as it
-// aliases the body and as the substring of the page holding those bytes.
+// aliases the body and, on the decoding walk, as the substring of the page
+// holding those bytes.
 func (p *pageDec) blob() ([]byte, string) {
 	b := p.d.Blob()
-	if p.d.err != nil {
-		return nil, ""
+	if p.sizing || p.d.err != nil {
+		return b, ""
 	}
 	end := p.d.off - p.base
 	return b, p.s[end-len(b) : end]
@@ -161,40 +298,44 @@ func (p *pageDec) columns() []string {
 	}
 	start := len(p.cols)
 	for j := uint32(0); j < n && p.d.Err() == nil; j++ {
-		p.cols = append(p.cols, p.str())
+		p.cols = add(p, p.cols, &p.z.cols, p.str())
 	}
 	return p.cols[start:len(p.cols):len(p.cols)]
 }
 
 // values reads one row's projected columns: a presence byte, then the
 // typed value, per requested column. An absent column stays the zero
-// Value; no columns requested yields nil.
+// Value, as does every column of a row truncated before it; no columns
+// requested yields nil.
 func (p *pageDec) values(ncols int) []nsf.Value {
 	if ncols == 0 {
 		return nil
 	}
 	start := len(p.vals)
-	for j := 0; j < ncols && p.d.Err() == nil; j++ {
+	for j := 0; j < ncols; j++ {
 		var v nsf.Value
-		if p.d.U8() != 0 {
+		if p.d.Err() == nil && p.d.U8() != 0 {
 			v = p.value()
 		}
-		p.vals = append(p.vals, v)
-	}
-	// A truncated row still carries ncols values.
-	for len(p.vals)-start < ncols {
-		p.vals = append(p.vals, nsf.Value{})
+		p.vals = add(p, p.vals, &p.z.vals, v)
 	}
 	return p.vals[start:len(p.vals):len(p.vals)]
 }
 
-// value reads a typed item value appended by Enc.Value.
+// value reads a typed item value appended by Enc.Value; the sizing walk
+// checks it and counts its entries.
 func (p *pageDec) value() nsf.Value {
 	b, s := p.blob()
 	if p.d.err != nil {
 		return nsf.Value{}
 	}
-	v, err := p.arena.DecodeValue(b, s)
+	var v nsf.Value
+	var err error
+	if p.sizing {
+		err = p.z.arena.AddValue(b)
+	} else {
+		v, err = p.arena.DecodeValue(b, s)
+	}
 	if err != nil {
 		p.d.fail("bad value: %v", err)
 		return nsf.Value{}
@@ -202,215 +343,89 @@ func (p *pageDec) value() nsf.Value {
 	return v
 }
 
-// pageSize is what a page body holds: its rows, values, view columns and
-// the entries of its values' arrays. Each page's pre-pass counts them
-// reading the body as its decoder will, on a copy of the decoder, and
-// fails where the decoder would, so a page it accepts decodes into arrays
-// sized once.
-type pageSize struct {
-	rows, vals, cols int
-	arena            nsf.ArenaSize
-}
-
-// columns counts a view row's column texts.
-func (z *pageSize) columns(d *Dec) {
-	n := d.U32()
-	for j := uint32(0); j < n && d.Err() == nil; j++ {
-		d.Blob()
-		z.cols++
-	}
-}
-
-// values counts one row's projected columns, checking each value present.
-func (z *pageSize) values(d *Dec, ncols int) {
-	z.vals += ncols
-	for j := 0; j < ncols && d.Err() == nil; j++ {
-		if d.U8() == 0 {
-			continue
-		}
-		if b := d.Blob(); d.Err() == nil {
-			if err := z.arena.AddValue(b); err != nil {
-				d.fail("bad value: %v", err)
-			}
-		}
-	}
-}
-
-// sized returns an empty slice with room for n elements, nil for none, as
-// appending to a nil slice leaves a page that has no rows.
-func sized[T any](n int) []T {
-	if n == 0 {
-		return nil
-	}
-	return make([]T, 0, n)
-}
-
-// sizeViewPage is decodeViewPage's pre-pass.
-func sizeViewPage(d Dec) (pageSize, error) {
-	var z pageSize
-	d.U32()
-	d.U32()
-	for d.Err() == nil {
-		kind := d.U8()
-		if kind == rowKindEnd || d.Err() != nil {
-			break
-		}
-		switch kind {
-		case rowKindCategory:
-			d.Blob()
-			d.U32()
-		case rowKindDoc:
-			d.U32()
-			d.UNID()
-			z.columns(&d)
-		default:
-			return z, protoErrorf("bad view row kind %#x", kind)
-		}
-		z.rows++
-	}
-	d.U8()
-	d.U32()
-	return z, d.Err()
-}
-
 // decodeViewPage parses an OpViewRows response body.
 func decodeViewPage(d *Dec) (ViewPage, error) {
-	z, err := sizeViewPage(*d)
-	if err != nil {
+	pre := pageDec{d: *d, sizing: true}
+	if _, err := pre.viewPage(); err != nil {
 		return ViewPage{}, err
 	}
-	return readViewPage(d, z)
+	return newPageDec(d, pre.z).viewPage()
 }
 
-// readViewPage decodes a view page into arrays sized by z.
-func readViewPage(d *Dec, z pageSize) (ViewPage, error) {
-	p := ViewPage{Total: int(d.U32()), Start: int(d.U32()), Rows: sized[ViewRow](z.rows)}
-	pd := newPageDec(d, z)
-	for d.Err() == nil {
-		kind := d.U8()
-		if kind == rowKindEnd || d.Err() != nil {
-			break
-		}
+// viewPage walks an OpViewRows response body.
+func (p *pageDec) viewPage() (ViewPage, error) {
+	d := &p.d
+	vp := ViewPage{Total: int(d.U32()), Start: int(d.U32()), Rows: sized[ViewRow](p.z.rows)}
+	for kind := d.U8(); kind != rowKindEnd; kind = d.U8() {
 		var row ViewRow
 		switch kind {
 		case rowKindCategory:
 			row.IsCategory = true
-			row.Category = pd.str()
+			row.Category = p.str()
 			row.Indent = int(d.U32())
 		case rowKindDoc:
 			row.Indent = int(d.U32())
 			row.UNID = d.UNID()
-			row.Columns = pd.columns()
+			row.Columns = p.columns()
 		default:
-			return p, protoErrorf("bad view row kind %#x", kind)
+			return vp, protoErrorf("bad view row kind %#x", kind)
 		}
-		p.Rows = append(p.Rows, row)
+		vp.Rows = add(p, vp.Rows, &p.z.rows, row)
 	}
-	p.More = d.U8() != 0
-	p.Next = int(d.U32())
-	return p, d.Err()
-}
-
-// sizeScanPage is decodeScanPage's pre-pass.
-func sizeScanPage(d Dec, ncols int) (pageSize, error) {
-	var z pageSize
-	for d.Err() == nil {
-		kind := d.U8()
-		if kind == rowKindEnd || d.Err() != nil {
-			break
-		}
-		if kind != rowKindDoc {
-			return z, protoErrorf("bad scan row kind %#x", kind)
-		}
-		d.U32()
-		d.UNID()
-		z.values(&d, ncols)
-		z.rows++
-	}
-	d.U8()
-	d.Blob()
-	return z, d.Err()
+	vp.More = d.U8() != 0
+	vp.Next = int(d.U32())
+	return vp, d.Err()
 }
 
 // decodeScanPage parses an OpScan response body.
 func decodeScanPage(d *Dec, ncols int) (ScanPage, error) {
-	z, err := sizeScanPage(*d, ncols)
-	if err != nil {
+	pre := pageDec{d: *d, sizing: true}
+	if _, err := pre.scanPage(ncols); err != nil {
 		return ScanPage{}, err
 	}
-	return readScanPage(d, ncols, z)
+	return newPageDec(d, pre.z).scanPage(ncols)
 }
 
-// readScanPage decodes a scan page into arrays sized by z.
-func readScanPage(d *Dec, ncols int, z pageSize) (ScanPage, error) {
-	p := ScanPage{Rows: sized[ScanRow](z.rows)}
-	pd := newPageDec(d, z)
-	for d.Err() == nil {
-		kind := d.U8()
-		if kind == rowKindEnd || d.Err() != nil {
-			break
-		}
+// scanPage walks an OpScan response body.
+func (p *pageDec) scanPage(ncols int) (ScanPage, error) {
+	d := &p.d
+	sp := ScanPage{Rows: sized[ScanRow](p.z.rows)}
+	for kind := d.U8(); kind != rowKindEnd; kind = d.U8() {
 		if kind != rowKindDoc {
-			return p, protoErrorf("bad scan row kind %#x", kind)
+			return sp, protoErrorf("bad scan row kind %#x", kind)
 		}
-		p.Rows = append(p.Rows, ScanRow{NoteID: nsf.NoteID(d.U32()), UNID: d.UNID(), Values: pd.values(ncols)})
+		sp.Rows = add(p, sp.Rows, &p.z.rows, ScanRow{NoteID: nsf.NoteID(d.U32()), UNID: d.UNID(), Values: p.values(ncols)})
 	}
-	p.More = d.U8() != 0
+	sp.More = d.U8() != 0
 	// The cursor blob aliases the response buffer; copy so the page owns it.
-	p.Cursor = append([]byte(nil), d.Blob()...)
-	return p, d.Err()
-}
-
-// sizeSearchPage is decodeSearchPage's pre-pass.
-func sizeSearchPage(d Dec, ncols int) (pageSize, error) {
-	var z pageSize
-	d.U32()
-	d.U32()
-	for d.Err() == nil {
-		kind := d.U8()
-		if kind == rowKindEnd || d.Err() != nil {
-			break
-		}
-		if kind != rowKindDoc {
-			return z, protoErrorf("bad search row kind %#x", kind)
-		}
-		d.UNID()
-		d.U64()
-		z.values(&d, ncols)
-		z.rows++
+	if cursor := d.Blob(); !p.sizing {
+		sp.Cursor = append([]byte(nil), cursor...)
 	}
-	d.U8()
-	d.U32()
-	return z, d.Err()
+	return sp, d.Err()
 }
 
-// decodeSearchPage parses an OpSearch response body. Scores travel as
-// IEEE-754 bits, so zero and negative scores round-trip exactly.
+// decodeSearchPage parses an OpSearch response body.
 func decodeSearchPage(d *Dec, ncols int) (SearchPage, error) {
-	z, err := sizeSearchPage(*d, ncols)
-	if err != nil {
+	pre := pageDec{d: *d, sizing: true}
+	if _, err := pre.searchPage(ncols); err != nil {
 		return SearchPage{}, err
 	}
-	return readSearchPage(d, ncols, z)
+	return newPageDec(d, pre.z).searchPage(ncols)
 }
 
-// readSearchPage decodes a search page into arrays sized by z.
-func readSearchPage(d *Dec, ncols int, z pageSize) (SearchPage, error) {
-	p := SearchPage{Total: int(d.U32()), Start: int(d.U32()), Hits: sized[SearchHit](z.rows)}
-	pd := newPageDec(d, z)
-	for d.Err() == nil {
-		kind := d.U8()
-		if kind == rowKindEnd || d.Err() != nil {
-			break
-		}
+// searchPage walks an OpSearch response body.
+func (p *pageDec) searchPage(ncols int) (SearchPage, error) {
+	d := &p.d
+	sp := SearchPage{Total: int(d.U32()), Start: int(d.U32()), Hits: sized[SearchHit](p.z.rows)}
+	for kind := d.U8(); kind != rowKindEnd; kind = d.U8() {
 		if kind != rowKindDoc {
-			return p, protoErrorf("bad search row kind %#x", kind)
+			return sp, protoErrorf("bad search row kind %#x", kind)
 		}
-		p.Hits = append(p.Hits, SearchHit{UNID: d.UNID(), Score: math.Float64frombits(d.U64()), Values: pd.values(ncols)})
+		sp.Hits = add(p, sp.Hits, &p.z.rows, SearchHit{UNID: d.UNID(), Score: math.Float64frombits(d.U64()), Values: p.values(ncols)})
 	}
-	p.More = d.U8() != 0
-	p.Next = int(d.U32())
-	return p, d.Err()
+	sp.More = d.U8() != 0
+	sp.Next = int(d.U32())
+	return sp, d.Err()
 }
 
 // ViewPage fetches one page of a rendered view: rows [start, start+limit)
@@ -450,12 +465,7 @@ func (r *RemoteDB) ViewRows(view string) ([]ViewRow, error) {
 // resumes after its last row, even on a fresh connection to the same
 // server.
 func (r *RemoteDB) ScanPage(opts ScanOptions, cursor []byte) (ScanPage, error) {
-	req := r.req(OpScan).Str(opts.Formula).
-		U32(uint32(opts.Limit)).U32(uint32(len(opts.Columns)))
-	for _, c := range opts.Columns {
-		req.Str(c)
-	}
-	d, err := r.call(req.Blob(cursor))
+	d, err := r.call(r.req(OpScan).Str(opts.Formula).U32(uint32(opts.Limit)).Columns(opts.Columns).Blob(cursor))
 	if err != nil {
 		return ScanPage{}, err
 	}
@@ -498,12 +508,7 @@ func (r *RemoteDB) Scan(opts ScanOptions, fn func(ScanRow) bool) error {
 // ranked hits, optionally pre-joined with the named summary columns so the
 // hit list renders without per-hit Get calls.
 func (r *RemoteDB) SearchPage(query string, columns []string, start, limit int) (SearchPage, error) {
-	req := r.req(OpSearch).Str(query).
-		U32(uint32(start)).U32(uint32(limit)).U32(uint32(len(columns)))
-	for _, c := range columns {
-		req.Str(c)
-	}
-	d, err := r.call(req)
+	d, err := r.call(r.req(OpSearch).Str(query).U32(uint32(start)).U32(uint32(limit)).Columns(columns))
 	if err != nil {
 		return SearchPage{}, err
 	}

@@ -98,6 +98,16 @@ func (e *Enc) Blob(b []byte) *Enc {
 	return e
 }
 
+// Columns appends a scan or search request's column names: a count, then
+// each name.
+func (e *Enc) Columns(names []string) *Enc {
+	e.U32(uint32(len(names)))
+	for _, n := range names {
+		e.Str(n)
+	}
+	return e
+}
+
 // UNID appends a 16-byte UNID.
 func (e *Enc) UNID(u nsf.UNID) *Enc { e.buf = append(e.buf, u[:]...); return e }
 
@@ -235,6 +245,17 @@ func (d *Dec) Blob() []byte {
 	}
 	d.off += sz
 	return d.take(int(n))
+}
+
+// Columns reads the column names Enc.Columns appends, sized by Cap: an
+// empty list is empty, not nil.
+func (d *Dec) Columns() []string {
+	n := d.U32()
+	names := make([]string, 0, d.Cap(n, 1))
+	for i := uint32(0); i < n && d.err == nil; i++ {
+		names = append(names, d.Str())
+	}
+	return names
 }
 
 // UNID reads a 16-byte UNID.

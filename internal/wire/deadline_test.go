@@ -190,9 +190,7 @@ func TestHedgedReadWinsOverSlowMate(t *testing.T) {
 	})
 	opts := failoverTestOpts()
 	opts.Client.OpBudget = 2 * time.Second
-	opts.HedgeReads = true
 	opts.HedgeDelay = 10 * time.Millisecond
-	opts.HedgeRateCap = 1.0
 	fc, err := DialFailover([]string{slowAddr, fastAddr}, "u", "s", opts)
 	if err != nil {
 		t.Fatal(err)

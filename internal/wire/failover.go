@@ -25,25 +25,15 @@ type FailoverOptions struct {
 	// Cooldown is how long an open breaker waits before a half-open
 	// probe may test the mate again (default 1s).
 	Cooldown time.Duration
-	// HedgeReads enables hedged reads for the ops the op table marks
-	// Hedgeable (Get, ViewPage, SearchPage): when the connected mate has
-	// not answered after a delay derived from the observed latency
-	// distribution, the same read is issued to a second mate and the first
-	// response wins. The loser is cancelled through its propagated
-	// deadline/CancelInflight, so a stalled mate costs one hedge delay
-	// instead of a full timeout. Requires Client.OpBudget (the hedge rides
-	// the same budget).
-	HedgeReads bool
-	// HedgeDelay fixes the delay before the hedge fires. Zero derives it
-	// adaptively from the read-latency EWMA plus 3 x its mean deviation —
-	// a cheap stand-in for "past p99", so only genuinely slow reads hedge.
+	// HedgeDelay, when positive, turns on hedged reads for the ops the op
+	// table marks Hedgeable (Get, ViewPage, SearchPage): when the connected
+	// mate has not answered after HedgeDelay, the same read is issued to a
+	// second mate and the first response wins. The loser is cancelled
+	// through its propagated deadline/CancelInflight, so a stalled mate
+	// costs one hedge delay instead of a full timeout. At most one hedge is
+	// in flight at a time. Requires Client.OpBudget (the hedge rides the
+	// same budget).
 	HedgeDelay time.Duration
-	// HedgeRateCap bounds hedging under cluster-wide load: every hedged-
-	// eligible read earns this many hedge tokens (bursting to 3) and each
-	// launched hedge spends one, so at most this fraction of reads hedge
-	// in steady state. When every mate is slow, hedging self-limits
-	// instead of doubling the cluster's load. Default 0.1.
-	HedgeRateCap float64
 
 	// failThreshold replaces defaultFailThreshold in this package's tests;
 	// zero uses the constant.
@@ -69,9 +59,6 @@ func (o FailoverOptions) withDefaults() FailoverOptions {
 	}
 	if o.Cooldown <= 0 {
 		o.Cooldown = time.Second
-	}
-	if o.HedgeRateCap <= 0 {
-		o.HedgeRateCap = 0.1
 	}
 	return o
 }
@@ -165,12 +152,6 @@ type FailoverClient struct {
 	hDBs    map[string]*RemoteDB
 	// hInFlight serializes hedges (one cancellable hedge op at a time).
 	hInFlight bool
-	// hTokens is the hedge-rate token bucket (see HedgeRateCap).
-	hTokens float64
-	// latEwmaUs/latDevUs track read latency (EWMA and mean deviation,
-	// microseconds) to derive the adaptive hedge delay.
-	latEwmaUs int64
-	latDevUs  int64
 	// hedges/hedgeWins are atomic (not under the client lock) because the
 	// hedge path records them while a primary holds it.
 	hedges    atomic.Uint64
@@ -420,7 +401,7 @@ func (fc *FailoverClient) spent(addr string, v verdict, err error, hops int) boo
 // roundTrip implements transport: the client's loop, racing a second mate
 // in front of it for hedgeable reads.
 func (fc *FailoverClient) roundTrip(db *RemoteDB, req *Enc) (*Dec, error) {
-	if !fc.opts.HedgeReads || !req.op().Info().Hedgeable {
+	if fc.opts.HedgeDelay <= 0 || !req.op().Info().Hedgeable {
 		return fc.c.do(db, req, time.Time{})
 	}
 	return fc.hedged(db, req)
@@ -469,51 +450,14 @@ var _ repl.Peer = (*FailoverDB)(nil)
 
 // ---- hedged reads ----
 
-// hedgeBurst is the token-bucket depth for HedgeRateCap: short bursts of
-// hedges are fine, sustained hedging is capped at the configured fraction.
-const hedgeBurst = 3.0
-
-// hedgeDelayLocked derives the delay before a hedge fires (fc.hmu held):
-// the fixed HedgeDelay when configured, else latency EWMA + 3 x mean
-// deviation — reads slower than that are in the distribution's far tail,
-// which is exactly when a second mate is likely to answer first.
-func (fc *FailoverClient) hedgeDelayLocked() time.Duration {
-	if fc.opts.HedgeDelay > 0 {
-		return fc.opts.HedgeDelay
-	}
-	// The 2ms floor is also the cold-start delay, before any latency is seen.
-	return max(time.Duration(fc.latEwmaUs+3*fc.latDevUs)*time.Microsecond, 2*time.Millisecond)
-}
-
-// recordReadLatency folds one successful read's duration into the EWMA and
-// mean-deviation trackers (TCP-RTT-style gains: 1/8 and 1/4).
-func (fc *FailoverClient) recordReadLatency(d time.Duration) {
-	us := d.Microseconds()
-	fc.hmu.Lock()
-	if fc.latEwmaUs == 0 {
-		fc.latEwmaUs = us
-	} else {
-		diff := us - fc.latEwmaUs
-		fc.latEwmaUs += diff / 8
-		if diff < 0 {
-			diff = -diff
-		}
-		fc.latDevUs += (diff - fc.latDevUs) / 4
-	}
-	fc.hmu.Unlock()
-}
-
-// takeHedgeToken accrues HedgeRateCap tokens for an eligible read and
-// tries to spend one; false means the rate cap says no hedge this time.
-// It also claims the single hedge-in-flight slot.
-func (fc *FailoverClient) takeHedgeToken() bool {
+// claimHedge claims the single hedge-in-flight slot; false means a hedge
+// is already running.
+func (fc *FailoverClient) claimHedge() bool {
 	fc.hmu.Lock()
 	defer fc.hmu.Unlock()
-	fc.hTokens = min(fc.hTokens+fc.opts.HedgeRateCap, hedgeBurst)
-	if fc.hTokens < 1 || fc.hInFlight {
+	if fc.hInFlight {
 		return false
 	}
-	fc.hTokens--
 	fc.hInFlight = true
 	return true
 }
@@ -604,21 +548,16 @@ type hedgeResult struct {
 }
 
 // hedged runs one hedgeable read: the primary mate gets a head start of one
-// hedge delay; if it has not answered by then (and the rate cap allows),
+// hedge delay; if it has not answered by then (and no hedge is in flight),
 // the same request goes to a second mate and the first success wins. The
 // loser is cancelled — via CancelInflight plus the propagated deadline — so
 // neither mate keeps working for a caller that already has its answer. The
 // race is between two raw round trips; only the winner's response body is
 // handed back to be decoded.
 func (fc *FailoverClient) hedged(db *RemoteDB, req *Enc) (*Dec, error) {
-	start := time.Now()
 	deadline, alts := fc.hedgeSnapshot(db)
 	if len(alts) == 0 {
-		d, err := fc.c.do(db, req, time.Time{})
-		if err == nil {
-			fc.recordReadLatency(time.Since(start))
-		}
-		return d, err
+		return fc.c.do(db, req, time.Time{})
 	}
 	// The hedge sends its own copy, taken before the primary starts: the
 	// primary stamps its mate's handle into req while it runs.
@@ -628,10 +567,7 @@ func (fc *FailoverClient) hedged(db *RemoteDB, req *Enc) (*Dec, error) {
 		d, err := fc.c.do(db, req, deadline)
 		ch <- hedgeResult{d: d, err: err}
 	}()
-	fc.hmu.Lock()
-	delay := fc.hedgeDelayLocked()
-	fc.hmu.Unlock()
-	timer := time.NewTimer(delay)
+	timer := time.NewTimer(fc.opts.HedgeDelay)
 	defer timer.Stop()
 	// pending: a second racer is still in flight behind res.
 	var pending bool
@@ -639,7 +575,7 @@ func (fc *FailoverClient) hedged(db *RemoteDB, req *Enc) (*Dec, error) {
 	select {
 	case res = <-ch:
 	case <-timer.C:
-		if pending = fc.takeHedgeToken(); pending {
+		if pending = fc.claimHedge(); pending {
 			fc.hedges.Add(1)
 			go func() {
 				d, err := fc.hedgeExec(db.path, deadline, alts, spare)
@@ -674,15 +610,12 @@ func (fc *FailoverClient) hedged(db *RemoteDB, req *Enc) (*Dec, error) {
 			fc.c.CancelInflight()
 			<-ch
 		}
-	} else {
-		fc.recordReadLatency(time.Since(start))
-		if pending {
-			fc.hmu.Lock()
-			hc := fc.hClient
-			fc.hmu.Unlock()
-			if hc != nil {
-				hc.CancelInflight()
-			}
+	} else if pending {
+		fc.hmu.Lock()
+		hc := fc.hClient
+		fc.hmu.Unlock()
+		if hc != nil {
+			hc.CancelInflight()
 		}
 	}
 	return res.d, nil

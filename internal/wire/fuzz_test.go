@@ -55,15 +55,6 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// encResolveRecord appends one placement record the way a server encodes
-// it, for the round trip below.
-func encResolveRecord(e *Enc, r ResolveInfo) {
-	e.Str(r.Path).U64(r.Generation).U32(uint32(r.Replicas)).U32(uint32(len(r.Homes)))
-	for _, h := range r.Homes {
-		e.Str(h.Name).Str(h.Addr)
-	}
-}
-
 // FuzzDecodePlacement throws arbitrary bodies at the two placement-record
 // decoders the routing policy learns from: an OpResolve response and a
 // StatusWrongMate redirect, both parsed from untrusted server bytes. They
@@ -86,11 +77,7 @@ func FuzzDecodePlacement(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if recs, err := decResolveRecords(NewDec(append([]byte(nil), body...))); err == nil {
-			e := NewEnc(OpResolve).U32(uint32(len(recs)))
-			for _, r := range recs {
-				encResolveRecord(e, r)
-			}
-			again, err := decResolveRecords(NewDec(e.Bytes()[1:]))
+			again, err := decResolveRecords(NewDec(ResolveResp(recs...).Bytes()[2:]))
 			if err != nil || !slices.EqualFunc(recs, again, func(a, b ResolveInfo) bool {
 				return a.Path == b.Path && a.Generation == b.Generation && a.Replicas == b.Replicas && slices.Equal(a.Homes, b.Homes)
 			}) {

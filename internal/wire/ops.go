@@ -86,7 +86,7 @@ type OpInfo struct {
 	// re-sent only after a response that proves it never ran (shed,
 	// redirect, refused).
 	Idempotent bool
-	// Hedgeable: a failover client with HedgeReads may race the same
+	// Hedgeable: a failover client with a HedgeDelay may race the same
 	// request against a second mate. Requires Idempotent and a request that
 	// means the same thing on every mate.
 	Hedgeable bool

@@ -208,9 +208,7 @@ func TestOnlyHedgeableOpsHedge(t *testing.T) {
 			var slow, never atomic.Bool
 			opts := failoverTestOpts()
 			opts.Client.OpBudget = 2 * time.Second
-			opts.HedgeReads = true
 			opts.HedgeDelay = 3 * time.Millisecond
-			opts.HedgeRateCap = 1.0
 			fc, err := DialFailover([]string{mate(&slow, 40*time.Millisecond), mate(&never, 0)}, "u", "s", opts)
 			if err != nil {
 				t.Fatal(err)

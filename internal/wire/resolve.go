@@ -30,6 +30,30 @@ func (r ResolveInfo) Unplaced() bool { return r.Generation == 0 && len(r.Homes) 
 //
 //	Str(path) U64(generation) U32(replicas) U32(count) { Str(name) Str(addr) }*
 
+// encResolveRecord appends one placement record.
+func encResolveRecord(e *Enc, r ResolveInfo) *Enc {
+	e.Str(r.Path).U64(r.Generation).U32(uint32(r.Replicas)).U32(uint32(len(r.Homes)))
+	for _, h := range r.Homes {
+		e.Str(h.Name).Str(h.Addr)
+	}
+	return e
+}
+
+// ResolveResp encodes an OpResolve response carrying recs.
+func ResolveResp(recs ...ResolveInfo) *Enc {
+	e := NewResp(OpResolve, StatusOK).U32(uint32(len(recs)))
+	for _, r := range recs {
+		encResolveRecord(e, r)
+	}
+	return e
+}
+
+// WrongMateResp encodes the StatusWrongMate redirect answering op: the
+// placement record of the database the request addressed.
+func WrongMateResp(op Op, r ResolveInfo) *Enc {
+	return encResolveRecord(NewResp(op, StatusWrongMate), r)
+}
+
 // decResolveRecord parses one placement record.
 func decResolveRecord(d *Dec) (ResolveInfo, error) {
 	info := ResolveInfo{
