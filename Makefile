@@ -37,8 +37,8 @@ race:
 # while writers update and delete the notes it walks), the header-only
 # decode of replication summaries, the
 # group-commit races (64 committers vs checkpoint/compact/hot-backup,
-# crash-durability of acked batches, and a failed WAL fsync under
-# concurrent committers), the server shutdown races (Close
+# 64 committers sharing WAL forces, crash-durability of acked batches,
+# and a failed WAL fsync under concurrent committers), the server shutdown races (Close
 # vs in-flight dispatch vs cluster pushers, failover clients losing a mate
 # mid-session), cluster push resuming from its cursor after a mate outage
 # or restart and skipping a mate's unrelated database, and the wire client — one lock now guards the whole of it —
@@ -128,20 +128,20 @@ benchmark:
 # included), the race detector, and the concurrency stress pass.
 verify: build vet test bench-test race stress
 
-# Regenerate one experiment's table and, for W1/W3..W10, its section of the
-# committed baseline BENCH_experiments.json (the other sections are left
-# byte-identical). `make experiment` alone runs the whole suite. Commit the
-# file after an intentional change; -quick runs never write it.
+# Regenerate one experiment's table and, for W1, W3, W5, W6, W8 and W10, its
+# section of the committed baseline BENCH_experiments.json (the other
+# sections are left byte-identical). `make experiment` alone runs the whole
+# suite. Commit the file after an intentional change; -quick runs never
+# write it.
 EXP ?= all
 experiment:
 	$(GO) run ./cmd/experiments -exp $(EXP)
 
-# Bench drift guard: walk the probe table of cmd/experiments/harness.go (W1
-# put p50 at 0/8 views, W7 1- and 64-writer puts/s, W6 re-home median, W8
-# ring convergence, W9 view open, W10 hedged p99) at quick sizes and fail on
-# a regression beyond each probe's ratio+floor against BENCH_experiments.json,
-# or on any hard invariant (lost acked writes, non-converged replicas, < 5x
-# paged or hedged speedup).
+# Bench drift guard: walk the five probes of cmd/experiments/harness.go (W1
+# put p50 at 0 and 8 views, W6 re-home median, W8 ring convergence, W10
+# hedged p99) at quick sizes and fail on a regression beyond each probe's
+# ratio+floor against BENCH_experiments.json, or on any hard invariant (lost
+# acked writes, non-converged replicas, < 5x hedged speedup).
 drift:
 	$(GO) run ./cmd/experiments -exp GUARD -quick
 

@@ -40,6 +40,8 @@ route  10s
 cluster spoke
 catalog 5m
 fault  seed=7,sever=0.01,delay=0.1,maxdelay=5ms
+syncwal
+groupcommit 200us
 `)
 	cfg, err := parseConfig(path)
 	if err != nil {
@@ -83,6 +85,9 @@ fault  seed=7,sever=0.01,delay=0.1,maxdelay=5ms
 	if cfg.faultSpec != "seed=7,sever=0.01,delay=0.1,maxdelay=5ms" {
 		t.Errorf("faultSpec = %q", cfg.faultSpec)
 	}
+	if !cfg.syncWAL || cfg.groupCommit != 200*time.Microsecond {
+		t.Errorf("syncWAL = %v, groupCommit = %v", cfg.syncWAL, cfg.groupCommit)
+	}
 }
 
 func TestParseConfigErrors(t *testing.T) {
@@ -98,6 +103,8 @@ func TestParseConfigErrors(t *testing.T) {
 		{"fault args", "name x\ndata /tmp\nfault\n"},
 		{"fault bad prob", "name x\ndata /tmp\nfault sever=yes\n"},
 		{"fault unknown key", "name x\ndata /tmp\nfault warp=0.5\n"},
+		{"groupcommit args", "name x\ndata /tmp\ngroupcommit\n"},
+		{"groupcommit bad duration", "name x\ndata /tmp\ngroupcommit soon\n"},
 	}
 	for _, tc := range cases {
 		path := writeConf(t, tc.body)

@@ -27,6 +27,8 @@
 //	agent  apps/tickets.nsf escalate 1m     # run a stored agent on a schedule
 //	fault  seed=7,sever=0.01,delay=0.1,maxdelay=5ms   # inject network faults
 //	syncwal                                 # fsync the WAL on every operation
+//	groupcommit 200us                       # how long a lone syncwal commit
+//	                                        # waits for company (default 0)
 //	archivelog /var/domino/walog            # archive sealed WAL segments here
 //	backup /var/domino/backup 6h 4          # scheduled backups: root, interval,
 //	                                        # and (optionally) a full image every
@@ -54,18 +56,15 @@
 // unreachable peers back off behind a circuit breaker. Links can also be
 // added and removed at runtime with nsfadmin mesh.
 //
-// The fault directive (or the -fault flag, which overrides it) wraps the
-// listener in a seeded fault injector — connections randomly dropped,
-// delayed, truncated, or severed — for soak-testing replication and
-// client retry behavior against an unreliable network.
+// The fault directive wraps the listener in a seeded fault injector —
+// connections randomly dropped, delayed, truncated, or severed — for
+// soak-testing replication and client retry behavior against an unreliable
+// network.
 //
-// Cluster mates can also be named on the command line with repeatable
-// -cluster name=addr flags (added to any config "cluster" directives; the
-// address registers the peer too, so no separate "peer" line is needed).
-//
-// -debug addr serves Go's profiles (net/http/pprof, under /debug/pprof/)
-// on addr and on nothing else; it is off by default. Bind it to a loopback
-// address: the profiles are not authenticated.
+// The file is the one place settings live: the only flags are -config and
+// -debug. -debug addr serves Go's profiles (net/http/pprof, under
+// /debug/pprof/) on addr and on nothing else; it is off by default. Bind it
+// to a loopback address: the profiles are not authenticated.
 //
 // Runtime quiesce/resume directives are delivered as signals: SIGUSR1
 // puts the server in RESTRICTED drain mode (new sessions refused, probes
@@ -136,6 +135,7 @@ type config struct {
 	agents      []agentJob
 	faultSpec   string
 	syncWAL     bool
+	groupCommit time.Duration // GroupCommitWindow: a lone syncwal commit's wait
 	archiveLog  string
 	backupDir   string
 	backupTick  time.Duration
@@ -300,6 +300,15 @@ func parseConfig(path string) (*config, error) {
 				return nil, bad("syncwal wants no arguments")
 			}
 			cfg.syncWAL = true
+		case "groupcommit":
+			if len(fields) != 2 {
+				return nil, bad("groupcommit wants 1 argument")
+			}
+			d, err := time.ParseDuration(fields[1])
+			if err != nil {
+				return nil, bad(err.Error())
+			}
+			cfg.groupCommit = d
 		case "archivelog":
 			if len(fields) != 2 {
 				return nil, bad("archivelog wants 1 argument")
@@ -412,18 +421,6 @@ func parseConfig(path string) (*config, error) {
 	return cfg, nil
 }
 
-// clusterFlag collects repeatable -cluster name=addr mate declarations.
-type clusterFlag []string
-
-func (c *clusterFlag) String() string { return strings.Join(*c, ",") }
-func (c *clusterFlag) Set(v string) error {
-	if _, _, ok := strings.Cut(v, "="); !ok {
-		return fmt.Errorf("want name=addr, got %q", v)
-	}
-	*c = append(*c, v)
-	return nil
-}
-
 // serveDebug serves net/http/pprof's handlers, and nothing else, on addr
 // until the returned listener is closed.
 func serveDebug(addr string) (net.Listener, error) {
@@ -443,14 +440,6 @@ func serveDebug(addr string) (net.Listener, error) {
 
 func main() {
 	configPath := flag.String("config", "server.conf", "configuration file")
-	faultSpec := flag.String("fault", "",
-		"network fault plan, e.g. seed=7,sever=0.01,delay=0.1,maxdelay=5ms (overrides config)")
-	syncWAL := flag.Bool("syncwal", false, "fsync the WAL on every operation (overrides config)")
-	groupCommit := flag.Duration("groupcommit", 0,
-		"how long a lone -syncwal commit waits for company before forcing the WAL (e.g. 200us); concurrent writers always share one force")
-	var clusterMates clusterFlag
-	flag.Var(&clusterMates, "cluster",
-		"cluster mate as name=addr (repeatable; adds to config cluster/peer directives)")
 	debugAddr := flag.String("debug", "",
 		"serve net/http/pprof (/debug/pprof/) on this address, e.g. 127.0.0.1:6060; off when empty")
 	flag.Parse()
@@ -463,14 +452,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("dominod: %v", err)
 	}
-	if *syncWAL {
-		cfg.syncWAL = true
-	}
-	for _, m := range clusterMates {
-		name, addr, _ := strings.Cut(m, "=")
-		cfg.peers[strings.ToLower(name)] = addr
-		cfg.clusterWith = append(cfg.clusterWith, name)
-	}
 	srv, err := domino.NewServer(domino.ServerOptions{
 		Name:              cfg.name,
 		DataDir:           cfg.data,
@@ -478,7 +459,7 @@ func main() {
 		Peers:             cfg.peers,
 		PeerSecret:        cfg.secret,
 		SyncWAL:           cfg.syncWAL,
-		GroupCommitWindow: *groupCommit,
+		GroupCommitWindow: cfg.groupCommit,
 		ArchiveLogDir:     cfg.archiveLog,
 		MaxInFlight:       cfg.maxInFlight,
 		AdmitWait:         cfg.admitWait,
@@ -504,12 +485,8 @@ func main() {
 		}
 		log.Printf("full-text index enabled on %s", path)
 	}
-	spec := cfg.faultSpec
-	if *faultSpec != "" {
-		spec = *faultSpec
-	}
 	var addr string
-	if spec != "" {
+	if spec := cfg.faultSpec; spec != "" {
 		plan, err := faultnet.ParsePlan(spec)
 		if err != nil {
 			log.Fatalf("dominod: fault plan: %v", err)

@@ -345,8 +345,8 @@ type baseline struct {
 
 const baselineFile = "BENCH_experiments.json"
 
-// startProcs is GOMAXPROCS at process start, for the baseline header: W4
-// and W5 widen the scheduler while they run.
+// startProcs is GOMAXPROCS at process start, for the baseline header: W5
+// widens the scheduler while it runs.
 var startProcs = runtime.GOMAXPROCS(0)
 
 func readBaseline() (baseline, error) {
@@ -405,8 +405,8 @@ func saveBaseline(id string, quick bool, rows []row) {
 // way is better, and how far a fresh best-of-trials value may fall behind
 // it. A probe regresses only when it is worse by more than ratio× AND by
 // more than floor (an absolute slack in the metric's unit; 0 = none): the
-// guard hunts real regressions — a serialized write path, a lost fsync
-// amortization, a broken pager — not scheduler noise.
+// guard hunts real regressions — a serialized write path, a broken move
+// pipeline or mesh scheduler — not scheduler noise.
 type probe struct {
 	exp, row, metric string
 	better           string // "lower" or "higher"
@@ -444,24 +444,14 @@ var probes = []probe{
 	// Async put p50 with 0 and 8 open views: the asynchronous-maintenance claim.
 	{"W1", w1Row(0, false, "async"), "p50_us", "lower", 1.30, 15, 3, func() float64 { return w1Probe(0) }},
 	{"W1", w1Row(8, false, "async"), "p50_us", "lower", 1.30, 15, 3, func() float64 { return w1Probe(8) }},
-	// The fsync-bound lone writer and 64 writers sharing its forces: the two
-	// ends of the amortization claim.
-	{"W7", w7Row(1, true, 0), "puts_per_sec", "higher", 1.30, 0, 3,
-		func() float64 { return measureW7(1, 60, true, 0).M["puts_per_sec"] }},
-	{"W7", w7Row(64, true, 0), "puts_per_sec", "higher", 1.30, 0, 3,
-		func() float64 { return measureW7(64, 60, true, 0).M["puts_per_sec"] }},
 	// Wall-clock-dominated probes get generous tolerances: they hunt a
-	// broken move pipeline, mesh scheduler, pager or hedge, not jitter.
-	// The scenario functions check their own hard invariants (zero lost
-	// acked writes, converged fingerprints, >= 5x speedups) on every run.
+	// broken move pipeline, mesh scheduler or hedge, not jitter. The
+	// scenario functions check their own hard invariants (zero lost acked
+	// writes, converged fingerprints, a >= 5x hedged speedup) on every run.
 	{"W6", "rehome", "rehome_median_ms", "lower", 2.0, 50, 3,
 		func() float64 { return w6Rehome(6, 8, 4, 0).M["rehome_median_ms"] }},
 	{"W8", "ring", "converge_ms", "lower", 3.0, 500, 3,
 		func() float64 { return w8Churn("ring", 4, 6, true).M["converge_ms"] }},
-	{"W9", w9ProbeRow, "view_open_ms", "lower", 3.0, 50, 3,
-		func() float64 {
-			return w9ViewOpen(w9ProbeRow, w9ProbeDocs, w9ProbePage, w9ProbeDelay).M["view_open_ms"]
-		}},
 	{"W10", "tail hedged", "p99_ms", "lower", 3.0, 30, 1, func() float64 {
 		_, hedged := w10TailPair(10, 3)
 		return hedged.M["p99_ms"]

@@ -7,10 +7,10 @@
 //	experiments -exp F1    # run one experiment
 //	experiments -quick     # smaller sizes for a fast pass
 //
-// A full-size run of W1 or W3..W10 rewrites that experiment's section of
-// BENCH_experiments.json (run from the repository root); -quick runs never
-// write it. The process exits 1 when any experiment's invariant check
-// failed. harness.go holds what the experiments share.
+// A full-size run of W1, W3, W5, W6, W8 or W10 rewrites that experiment's
+// section of BENCH_experiments.json (run from the repository root); -quick
+// runs never write it. The process exits 1 when any experiment's invariant
+// check failed. harness.go holds what the experiments share.
 package main
 
 import (
@@ -40,12 +40,9 @@ var experiments = []experiment{
 	{"W1", "Write-path latency vs open change consumers (maintainer)", runW1},
 	{"W2", "Incremental view refresh vs rebuild under concurrent writers", runW2},
 	{"W3", "Online backup: incremental vs full cost, hot-backup interference, restore/PITR", runW3},
-	{"W4", "Read path under concurrent writes: RW latch + snapshot scans", runW4},
 	{"W5", "Availability: failover window / zero lost acked writes, admission control under overload", runW5},
 	{"W6", "Partitioned namespace: live moves and dead-mate re-homing, zero lost acked writes", runW6},
-	{"W7", "Group-commit write scaling: writers x SyncWAL x commit window", runW7},
 	{"W8", "Epidemic mesh convergence under churn: ring + hub-spoke, partition, killed mate", runW8},
-	{"W9", "Paginated bulk reads: view open over 5ms RTT vs per-note, frame-bound 200k-row stream", runW9},
 	{"W10", "Deadline budgets + hedged reads: stalled-mate tail, wasted work, write-safety audit", runW10},
 	{"GUARD", "Bench drift guard: the probe table re-measured against " + baselineFile, runGuard},
 	{"F1", "Incremental replication vs full copy across deltas", runF1},

@@ -3,8 +3,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,99 +104,6 @@ func runW1(quick bool) {
 	fmt.Printf("  p50 ratio 8 views / 0 views = %.2fx (target: <= 1.5x)\n", p50v8/p50v0)
 	fmt.Println("  (shape check: async p50 flat in consumer count; +refresh pays it back)")
 	saveBaseline("W1", quick, rows)
-}
-
-// --- W7: group-commit write scaling (writers x SyncWAL x commit window) ---
-//
-// The group-commit claim: every commit reaches the WAL through one commit
-// group, so with SyncWAL on N concurrent writers share one WAL force instead
-// of paying one fsync each, and the aggregate put rate scales with the
-// writer count instead of being pinned to the disk's fsync rate. A lone
-// writer with no window pays one fsync per put — the per-op-fsync rate — so
-// the acceptance target (>= 5x) is 64 writers over 1 writer, SyncWAL on, no
-// window. The window column is GroupCommitWindow: 0, or the 200 µs a lone
-// SyncWAL committer then lingers for company.
-
-// w7Windows are the commit windows W7 sweeps.
-var w7Windows = []time.Duration{0, 200 * time.Microsecond}
-
-// w7Row names one W7 configuration in the baseline file.
-func w7Row(writers int, syncWAL bool, window time.Duration) string {
-	return fmt.Sprintf("writers=%d sync_wal=%v window_us=%d", writers, syncWAL, window.Microseconds())
-}
-
-// measureW7 runs writers goroutines of opsPer puts each against one fresh
-// database and reports aggregate throughput plus per-op latency.
-func measureW7(writers, opsPer int, syncWAL bool, window time.Duration) row {
-	dir := scratch("w7")
-	defer os.RemoveAll(dir)
-	db, err := domino.Open(filepath.Join(dir, "w7.nsf"), domino.Options{
-		Title:     "w7",
-		ReplicaID: domino.NewReplicaID(),
-		Store:     domino.StoreOptions{SyncWAL: syncWAL, GroupCommitWindow: window},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Generate every writer's corpus before the clock starts.
-	corpora := make([][]*domino.Note, writers)
-	for w := range corpora {
-		corpora[w] = workload.New(int64(700+w)).Corpus(opsPer, 256)
-	}
-	lats := make([]recorder, writers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sess := db.Session(fmt.Sprintf("w7-%d", w))
-			var mine recorder // local: neighbours in lats share cache lines
-			for _, n := range corpora[w] {
-				t0 := time.Now()
-				if err := sess.Create(n); err != nil {
-					log.Fatal(err)
-				}
-				mine.since(t0)
-			}
-			lats[w] = mine
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	st := db.Stats()
-	db.Close()
-
-	var all recorder
-	for _, l := range lats {
-		all.merge(l)
-	}
-	return newRow(w7Row(writers, syncWAL, window), "writers", writers, "ops", writers*opsPer,
-		"puts_per_sec", float64(writers*opsPer)/elapsed.Seconds(),
-		"p50_us", usf(all.pct(0.50)), "p95_us", usf(all.pct(0.95)),
-		"wal_flushes", st.GroupCommitFlushes, "wal_records", st.GroupCommitRecords)
-}
-
-func runW7(quick bool) {
-	opsPer := pick(quick, 150, 30)
-	var rows []row
-	t := newTable("writers", "syncWAL", "window µs", "puts/s", "p50 µs", "p95 µs", "records/flush")
-	for _, writers := range []int{1, 4, 16, 64} {
-		for _, syncWAL := range []bool{false, true} {
-			for _, window := range w7Windows {
-				r := measureW7(writers, opsPer, syncWAL, window)
-				rows = append(rows, r)
-				t.add(writers, fmt.Sprint(syncWAL), window.Microseconds(), fmt.Sprintf("%.0f", r.M["puts_per_sec"]),
-					r.M["p50_us"], r.M["p95_us"], fmt.Sprintf("%.1f", r.M["wal_records"]/r.M["wal_flushes"]))
-			}
-		}
-	}
-	t.print()
-	one, _ := findRow(rows, w7Row(1, true, 0), "puts_per_sec")
-	many, _ := findRow(rows, w7Row(64, true, 0), "puts_per_sec")
-	fmt.Printf("  SyncWAL on, no window: 64 writers = %.1fx 1 writer's per-op fsync rate (target: >= 5x)\n", many/one)
-	fmt.Println("  (shape check: a lone writer is pinned to the fsync rate; concurrent writers share forces)")
-	saveBaseline("W7", quick, rows)
 }
 
 // --- W2: incremental view refresh vs rebuild under concurrent writers ---

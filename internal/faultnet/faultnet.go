@@ -1,8 +1,8 @@
 // Package faultnet injects deterministic network faults — connection
 // drops, I/O delays, byte truncation, and mid-stream severs — into
 // net.Conn traffic. It exists to prove the replication stack's claim of
-// restartability over flaky links: tests (and dominod via its -fault
-// flag) wrap dialers and listeners in a seeded Net and assert that
+// restartability over flaky links: tests (and dominod via its fault
+// directive) wrap dialers and listeners in a seeded Net and assert that
 // sessions severed at arbitrary byte offsets still converge on retry.
 //
 // Determinism: every connection draws its fault schedule from a

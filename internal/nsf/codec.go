@@ -237,10 +237,10 @@ func DecodeNoteIntoSrc(n *Note, a *Arena, buf []byte, src string) error {
 // DecodeNoteOwned decodes buf into n as DecodeNote would, with a constant
 // number of allocations whatever the note holds: n's header is overwritten
 // and it gets an Items slice of its own. A first walk validates buf and
-// counts what its values hold; then item names and text entries are
-// substrings of one string copy of buf, and each kind of value array
-// (text, numbers, times, raw bytes) is cut from one array sized by that
-// count, with full slice expressions. Nothing aliases buf or another note,
+// counts what its values hold, as ArenaSize does; then item names and text
+// entries are substrings of one string copy of buf, and each kind of value
+// array (text, numbers, times, raw bytes) is cut from one array sized by
+// that count, with full slice expressions. Nothing aliases buf or another note,
 // but a retained name or text entry keeps the whole string alive, as a bulk
 // page's values keep their page's. It rejects exactly what DecodeNote
 // rejects.
@@ -249,31 +249,15 @@ func DecodeNoteOwned(n *Note, buf []byte) error {
 	if err := it.Reset(buf, nil); err != nil {
 		return err
 	}
-	var text, nums, times, raw int
+	var size ArenaSize
 	for it.Next() {
-		// The walk validated the value, so its type byte and count are there.
-		v := it.item.Value
-		count, _ := binary.Uvarint(v[1:])
-		switch ItemType(v[0]) {
-		case TypeText:
-			text += int(count)
-		case TypeNumber:
-			nums += int(count)
-		case TypeTime:
-			times += int(count)
-		case TypeRaw:
-			raw += int(count)
-		}
+		size.add(it.item.Value) // the walk validated it
 	}
 	if err := it.Err(); err != nil {
 		return err
 	}
-	a := Arena{
-		text:  make([]string, 0, text),
-		nums:  make([]float64, 0, nums),
-		times: make([]Timestamp, 0, times),
-		raw:   make([]byte, 0, raw),
-	}
+	var a Arena
+	a.Grow(size)
 	n.Items = make([]Item, 0, it.count)
 	return decodeInto(n, &a, buf, string(buf), nil)
 }
@@ -771,10 +755,15 @@ func (s *ArenaSize) AddValue(enc []byte) error {
 	if d.remain() != 0 {
 		return fmt.Errorf("nsf: %d trailing bytes after value", d.remain())
 	}
+	s.add(enc)
+	return nil
+}
+
+// add adds what enc, a value encoding already validated, holds to s.
+func (s *ArenaSize) add(enc []byte) {
 	if len(enc) < 2 {
-		return nil // the zero value
+		return // the zero value
 	}
-	// The walk validated the value, so its count is there.
 	count, _ := binary.Uvarint(enc[1:])
 	switch ItemType(enc[0]) {
 	case TypeText:
@@ -786,7 +775,6 @@ func (s *ArenaSize) AddValue(enc []byte) error {
 	case TypeRaw:
 		s.Raw += int(count)
 	}
-	return nil
 }
 
 // Grow makes room in a for values holding s, so that decoding them into a

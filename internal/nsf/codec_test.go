@@ -2,6 +2,7 @@ package nsf
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -69,6 +70,34 @@ func TestDecodeNoteOwned(t *testing.T) {
 	if !reflect.DeepEqual(&got, n) {
 		t.Fatal("an append to one value wrote into another")
 	}
+}
+
+// TestDecodeNoteOwnedAllocsConstant holds DecodeNoteOwned to its contract:
+// a constant number of allocations whatever the note holds. A 2-item note
+// and a 40-item note with the same kinds of value (text lists and numbers)
+// decode in as many allocations.
+func TestDecodeNoteOwnedAllocsConstant(t *testing.T) {
+	note := func(items int) []byte {
+		n := NewNote(ClassDocument)
+		for i := 0; i < items/2; i++ {
+			n.SetText(fmt.Sprintf("Text%d", i), "a", "b", "c")
+			n.SetNumber(fmt.Sprintf("Num%d", i), float64(i), 1)
+		}
+		return EncodeNote(n)
+	}
+	allocs := func(enc []byte) float64 {
+		var n Note
+		return testing.AllocsPerRun(100, func() {
+			if err := DecodeNoteOwned(&n, enc); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(note(2)), allocs(note(40))
+	if small != large {
+		t.Errorf("DecodeNoteOwned: %v allocations for 2 items, %v for 40", small, large)
+	}
+	t.Logf("%v allocations per decode", small)
 }
 
 func TestCodecEmptyNote(t *testing.T) {

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
+	"net"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -158,8 +160,9 @@ func TestViewPagesMatchLocalSession(t *testing.T) {
 }
 
 // TestViewPageByteBudget streams rows big enough that the byte budget, not
-// the row cap, closes each page — and a single row larger than the budget
-// still travels (a page always carries at least one row).
+// the row cap, closes each page, and counts the frames on the wire: one
+// response frame per page, the counted form of read_cold's
+// wire.frames_per_op, none larger than the budget plus one row.
 func TestViewPageByteBudget(t *testing.T) {
 	_, addr, db := newBulkServer(t, 0, 1) // byte budget floors at minPageBytes (64 KiB)
 	sess := db.Session("ada")
@@ -172,7 +175,12 @@ func TestViewPageByteBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c, err := wire.Dial(addr, "ada", "ada-pw")
+	var meter *frameMeter
+	c, err := wire.DialOptions(addr, "ada", "ada-pw", wire.Options{Dialer: func(network, addr string) (net.Conn, error) {
+		conn, err := net.Dial(network, addr)
+		meter = &frameMeter{Conn: conn}
+		return meter, err
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,6 +189,7 @@ func TestViewPageByteBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	setup := len(meter.frames)
 	pages, rows := 0, 0
 	for start := 0; ; {
 		p, err := rdb.ViewPage("by cat", start, 0)
@@ -208,6 +217,49 @@ func TestViewPageByteBudget(t *testing.T) {
 	if pages < 4 {
 		t.Errorf("byte budget inert: %d pages for %d KiB of rows", pages, docs*24)
 	}
+	// One response frame per page, and none per row; each frame holds at
+	// most the budget plus the row that crossed it (a page's first row is
+	// always sent), a row being its Subject plus a few hundred bytes.
+	frames := meter.frames[setup:]
+	if len(frames) != pages {
+		t.Errorf("%d pages cost %d response frames, want one each", pages, len(frames))
+	}
+	t.Logf("%d pages, response frames %v bytes", pages, frames)
+	for i, n := range frames {
+		if limit := minPageBytes + len(big) + 256; n > limit {
+			t.Errorf("page %d's frame is %d bytes, over the budget plus one row (%d)", i, n, limit)
+		}
+	}
+}
+
+// frameMeter is a client connection that runs the frame length-prefix
+// parser over what it reads, recording each response frame's length: the
+// frames on the wire, not what the decoder reports. The client reads on
+// the caller's goroutine.
+type frameMeter struct {
+	net.Conn
+	frames []int
+	hdr    [4]byte
+	hlen   int
+	need   int // payload bytes left in the current frame
+}
+
+func (m *frameMeter) Read(b []byte) (int, error) {
+	n, err := m.Conn.Read(b)
+	for p := b[:n]; len(p) > 0; {
+		if m.need > 0 {
+			k := min(m.need, len(p))
+			m.need, p = m.need-k, p[k:]
+			continue
+		}
+		k := copy(m.hdr[m.hlen:], p)
+		m.hlen, p = m.hlen+k, p[k:]
+		if m.hlen == 4 {
+			m.hlen, m.need = 0, int(binary.LittleEndian.Uint32(m.hdr[:]))
+			m.frames = append(m.frames, m.need)
+		}
+	}
+	return n, err
 }
 
 // TestScanCursorResumesAcrossReconnect takes one scan page, drops the

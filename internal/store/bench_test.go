@@ -147,7 +147,7 @@ func openTestStoreB(b *testing.B) (*Store, string) {
 	return s, path
 }
 
-// --- W4: point-read cost under the read latch ---
+// --- Point-read cost under the read latch (W4's first claim) ---
 
 // benchReadStore seeds a store for read benchmarks.
 func benchReadStore(b *testing.B, opts Options, docs int) (*Store, []nsf.UNID) {
@@ -171,7 +171,7 @@ func benchReadStore(b *testing.B, opts Options, docs int) (*Store, []nsf.UNID) {
 }
 
 // BenchmarkW4PointRead measures point reads, each the stored record read
-// under the RW latch and decoded whole (see EXPERIMENTS.md W4).
+// under the RW latch and decoded whole (EXPERIMENTS.md, "W4, W7, W9").
 func BenchmarkW4PointRead(b *testing.B) {
 	s, unids := benchReadStore(b, Options{}, 1000)
 	b.ResetTimer()

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -488,45 +489,70 @@ func TestGroupCommitRacesMaintenance(t *testing.T) {
 	}
 }
 
-// TestGroupCommitAmortization checks that concurrent committers actually
-// share flushes: with 16 writers the batch machinery must write fewer
-// batches than records.
+// TestGroupCommitAmortization counts WAL forces with SyncWAL on, the
+// counted form of write_durable's store.gc_records_per_flush. A lone writer
+// has nobody to share a force with and pays one per put. 64 writers share:
+// the first WAL sync is held until every writer holds its ticket, so every
+// record not in the first batch lands in the second. The WAL's syncs are
+// counted in a faultfs hook on its path, since FS.Syncs also counts the
+// page file's.
 func TestGroupCommitAmortization(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "amort.nsf")
-	s, err := Open(path, Options{
-		GroupCommitWindow: 200 * time.Microsecond,
-		SyncWAL:           true,
-		CheckpointEvery:   -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	const writers, puts = 16, 10
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < puts; i++ {
-				if err := s.Put(gcNote(nsf.Timestamp(w*100+i+1), fmt.Sprintf("a%d-%d", w, i))); err != nil {
-					t.Errorf("put: %v", err)
-					return
-				}
+	for _, tc := range []struct {
+		name          string
+		writers, puts int
+		hold          bool // hold the first WAL sync until every ticket is issued
+		ok            func(records, syncs int64) bool
+		want          string
+	}{
+		{"lone writer", 1, 20, false, func(r, s int64) bool { return s == r }, "one WAL sync per put"},
+		{"64 writers", 64, 1, true, func(r, s int64) bool { return r >= 8*s }, "at least 8 records per WAL sync"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := faultfs.New(1)
+			path := filepath.Join(t.TempDir(), "amort.nsf")
+			s, err := Open(path, Options{FS: fs, SyncWAL: true, CheckpointEvery: -1})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
+			defer s.Close()
+			total := int64(tc.writers * tc.puts)
+			var syncs, issued atomic.Int64
+			allIssued := make(chan struct{})
+			fs.Inject(func(op faultfs.Op) error {
+				if op.Kind == faultfs.OpSync && op.Path == path+".wal" && syncs.Add(1) == 1 && tc.hold {
+					<-allIssued
+				}
+				return nil
+			})
+			var wg sync.WaitGroup
+			for w := 0; w < tc.writers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < tc.puts; i++ {
+						c, err := s.PutAsync(gcNote(nsf.Timestamp(w*100+i+1), fmt.Sprintf("a%d-%d", w, i)))
+						if issued.Add(1) == total {
+							close(allIssued)
+						}
+						if err == nil {
+							err = c.Wait()
+						}
+						if err != nil {
+							t.Errorf("put: %v", err)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			fs.Inject(nil)
+			records := int64(s.Stats().GroupCommitRecords)
+			if records != total {
+				t.Fatalf("group commit carried %d records, want %d", records, total)
+			}
+			if !tc.ok(records, syncs.Load()) {
+				t.Fatalf("%d records over %d WAL syncs, want %s", records, syncs.Load(), tc.want)
+			}
+			t.Logf("%d records over %d WAL syncs", records, syncs.Load())
+		})
 	}
-	wg.Wait()
-	st := s.Stats()
-	if st.GroupCommitRecords != writers*puts {
-		t.Fatalf("group commit carried %d records, want %d", st.GroupCommitRecords, writers*puts)
-	}
-	if st.GroupCommitFlushes == 0 || st.GroupCommitFlushes >= st.GroupCommitRecords {
-		t.Fatalf("flushes = %d for %d records: no amortization observed",
-			st.GroupCommitFlushes, st.GroupCommitRecords)
-	}
-	t.Logf("amortization: %d records over %d flushes (%.1fx)",
-		st.GroupCommitRecords, st.GroupCommitFlushes,
-		float64(st.GroupCommitRecords)/float64(st.GroupCommitFlushes))
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -81,9 +82,12 @@ func TestFailoverResendsIffIdempotent(t *testing.T) {
 // cluster. Every op meets the same scripted faults through a bare Client
 // and through a FailoverClient with a single mate; both must reach the same
 // verdict after the same number of sends — what the op table and the fault
-// prescribe, nothing added by the routing policy.
+// prescribe, nothing added by the routing policy. No verdict races the
+// clock: sessions are set up before the budget applies, a budget is spent
+// by the client's own backoff or by a mate that never answers, and the one
+// reply inside a budget is sent at once with the whole budget to land in.
 func TestLoneMateIsABareClient(t *testing.T) {
-	const budget = 150 * time.Millisecond
+	const budget = 500 * time.Millisecond
 	reply := func(conn net.Conn, e *Enc) bool { return WriteFrame(conn, e.Bytes()) == nil }
 	faults := []struct {
 		name   string
@@ -106,17 +110,17 @@ func TestLoneMateIsABareClient(t *testing.T) {
 				return reply(conn, NewResp(op, StatusWrongMate).Str("").U64(0).U32(0).U32(0))
 			},
 			verdictMisrouted, func(OpInfo) bool { return false }},
-		// A shed that arrives after the budget is spent (but inside the
-		// response grace): the re-send is refused before it is sent.
+		// A shed answered at once, whose backoff outlasts the budget: the
+		// re-send is refused before it is sent.
 		{"budget spent pre-send", budget,
 			func(conn net.Conn, op Op) bool {
-				time.Sleep(budget + deadlineGrace/2)
 				return reply(conn, NewResp(op, StatusBusy).U8(StateOpen).U32(55))
 			},
 			verdictExpired, func(OpInfo) bool { return false }},
-		// No answer inside budget + grace: the client cuts the round trip.
+		// No answer ever (the mate reads until the client hangs up): the
+		// client cuts the round trip at budget + grace.
 		{"budget spent post-send", budget,
-			func(net.Conn, Op) bool { time.Sleep(budget + 3*deadlineGrace); return false },
+			func(conn net.Conn, _ Op) bool { io.Copy(io.Discard, conn); return false },
 			verdictExpired, func(OpInfo) bool { return false }},
 	}
 	type outcome struct {
@@ -133,8 +137,10 @@ func TestLoneMateIsABareClient(t *testing.T) {
 			defer wg.Done()
 			for _, f := range faults {
 				opts := fastOpts()
-				opts.OpBudget = f.budget
-				run := func(dial func(addr string) (session, func() error, error)) outcome {
+				if f.budget > 0 {
+					opts.BackoffBase, opts.BackoffMax = time.Hour, time.Hour // capped by the budget left
+				}
+				run := func(dial func(addr string) (session, *Client, error)) outcome {
 					var sends atomic.Int32
 					addr := scriptServer(t, func(conn net.Conn, _ int, payload []byte) bool {
 						_, inner, err := SplitBudget(payload)
@@ -144,30 +150,33 @@ func TestLoneMateIsABareClient(t *testing.T) {
 						sends.Add(1)
 						return f.answer(conn, info.Op)
 					})
-					s, closer, err := dial(addr)
+					s, c, err := dial(addr)
 					if err != nil {
 						t.Error(err)
 						return outcome{}
 					}
-					defer closer()
+					defer c.Close()
+					c.mu.Lock()
+					c.opts.OpBudget = f.budget
+					c.mu.Unlock()
 					_, err = s.call(NewEnc(info.Op))
 					var de *DeadlineError
 					errors.As(err, &de)
 					return outcome{classify(err), de != nil && de.Ambiguous, de != nil && de.Remote, sends.Load()}
 				}
-				bare := run(func(addr string) (session, func() error, error) {
+				bare := run(func(addr string) (session, *Client, error) {
 					c, err := DialOptions(addr, "u", "s", opts)
 					if err != nil {
 						return session{}, nil, err
 					}
-					return c.session, c.Close, nil
+					return c.session, c, nil
 				})
-				lone := run(func(addr string) (session, func() error, error) {
+				lone := run(func(addr string) (session, *Client, error) {
 					fc, err := DialFailover([]string{addr}, "u", "s", FailoverOptions{Client: opts})
 					if err != nil {
 						return session{}, nil, err
 					}
-					return fc.session, fc.Close, nil
+					return fc.session, fc.c, nil
 				})
 				want := outcome{v: f.want, ambiguous: f.name == "budget spent post-send", sends: 1}
 				if f.resent(info) {

@@ -205,7 +205,7 @@ func TestNoStraySleep(t *testing.T) {
 // testSleepCeiling is how many time.Sleep calls the test files outside
 // bench/ make. A test that waits on an event instead of a sleep lowers it;
 // nothing raises it.
-const testSleepCeiling = 30
+const testSleepCeiling = 28
 
 // TestTestSleepCeiling holds the test files' time.Sleep calls at
 // testSleepCeiling, and asks for the ceiling to be lowered when they fall.
@@ -248,7 +248,7 @@ func TestLogPrintfCeiling(t *testing.T) {
 
 // statsTypeCeiling is how many struct types named …Stats or …Health the
 // non-test files outside bench/ declare.
-const statsTypeCeiling = 13
+const statsTypeCeiling = 12
 
 // TestStatsTypeCeiling holds the non-test files' …Stats and …Health struct
 // declarations at statsTypeCeiling, and asks for the ceiling to be lowered
