@@ -128,10 +128,11 @@ benchmark:
 # included), the race detector, and the concurrency stress pass.
 verify: build vet test bench-test race stress
 
-# Regenerate one experiment's table and, for W1, W3, W5, W6, W8 and W10, its
-# section of the committed baseline BENCH_experiments.json (the other
-# sections are left byte-identical). `make experiment` alone runs the whole
-# suite. Commit the file after an intentional change; -quick runs never
+# Regenerate one W experiment's table and, for W1, W3, W5, W6, W8 and W10,
+# its section of the committed baseline BENCH_experiments.json (the other
+# sections are left byte-identical). `make experiment` alone runs them all.
+# The paper's claims T1-T8 and F1-F5 are package tests that `make test`
+# runs. Commit the file after an intentional change; -quick runs never
 # write it.
 EXP ?= all
 experiment:

@@ -15,6 +15,7 @@ import (
 
 	domino "repro"
 	"repro/internal/faultnet"
+	"repro/internal/workload"
 )
 
 // The experiment harness: the four things every experiment needs and none
@@ -49,6 +50,28 @@ func check(ok bool, format string, args ...any) bool {
 		violations = append(violations, msg)
 	}
 	return ok
+}
+
+// tempDB opens a throwaway database; the caller must Close it.
+func tempDB(title string, replica domino.ReplicaID) *domino.Database {
+	db, err := domino.Open(filepath.Join(scratch("db"), "exp.nsf"),
+		domino.Options{Title: title, ReplicaID: replica})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return db
+}
+
+// seedDocs creates count documents of body bytes from g in db.
+func seedDocs(db *domino.Database, g *workload.Generator, count, body int) []*domino.Note {
+	sess := db.Session("exp")
+	docs := g.Corpus(count, body)
+	for _, n := range docs {
+		if err := sess.Create(n); err != nil {
+			log.Fatal(err)
+		}
+	}
+	return docs
 }
 
 // --- latency recorder ---

@@ -1,13 +1,18 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/backup"
 )
 
+// TestFullTextPersistsAcrossReopen: Close writes the index to its sidecar,
+// and a reopen loads it and catches up on what changed since, allocating at
+// most 0.6 times what a cold open that re-indexes 500 documents allocates.
 func TestFullTextPersistsAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ft.nsf")
 	db, err := Open(path, Options{})
@@ -17,6 +22,13 @@ func TestFullTextPersistsAcrossReopen(t *testing.T) {
 	s := db.Session("ada")
 	for _, subj := range []string{"replication engine", "view indexer", "mail router"} {
 		n := memo(subj)
+		if err := s.Create(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 497; i++ {
+		n := memo(fmt.Sprintf("weekly report %d", i))
+		n.SetText("Body", fmt.Sprintf("status of task %d: the team shipped item %d, reviewed %d and planned %d", i, i*3, i*5, i*7))
 		if err := s.Create(n); err != nil {
 			t.Fatal(err)
 		}
@@ -56,6 +68,41 @@ func TestFullTextPersistsAcrossReopen(t *testing.T) {
 	if hits, _ := s2.Search("compactor"); len(hits) != 1 {
 		t.Error("catch-up missed offline write")
 	}
+	if err := db2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	warm := openAllocs(t, path)
+	if err := os.Remove(path + ".ft"); err != nil {
+		t.Fatal(err)
+	}
+	cold := openAllocs(t, path)
+	t.Logf("open with full text: %d allocations warm, %d cold", warm, cold)
+	if raceEnabled {
+		return // the race detector allocates on its own account
+	}
+	if float64(warm) > 0.6*float64(cold) {
+		t.Errorf("a warm open allocated %d times, a cold one %d: want at most 0.6x", warm, cold)
+	}
+}
+
+// openAllocs counts the allocations of opening path and enabling full
+// text on it; Close then writes the index back to its sidecar.
+func openAllocs(t *testing.T, path string) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	db, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.EnableFullText(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return after.Mallocs - before.Mallocs
 }
 
 func TestFullTextCatchUpDropsVanishedDocs(t *testing.T) {

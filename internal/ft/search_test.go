@@ -300,19 +300,26 @@ func FuzzSearch(f *testing.F) {
 
 // TestSearchAllocatesPerQuery holds a two-term search to the same number of
 // allocations whether it has 10, 1,000 or 10,000 hits: the parse and the
-// result slice, and nothing per hit or per posting.
+// result slice, and nothing per hit or per posting. A 10-hit term costs the
+// same over 1,000 documents as over 10,000, while ScanSearch reads every
+// one of them.
 func TestSearchAllocatesPerQuery(t *testing.T) {
-	ix := NewIndex()
-	for i := 0; i < 10000; i++ {
-		body := "common wide"
-		if i < 1000 {
-			body += " mid"
+	corpus := func(size int) (*Index, []*nsf.Note) {
+		ix, notes := NewIndex(), make([]*nsf.Note, size)
+		for i := range notes {
+			body := "common wide"
+			if i < 1000 {
+				body += " mid"
+			}
+			if i < 10 {
+				body += " rare"
+			}
+			notes[i] = textNote(fmt.Sprintf("doc %d", i), body)
+			ix.Update(notes[i])
 		}
-		if i < 10 {
-			body += " rare"
-		}
-		ix.Update(textNote(fmt.Sprintf("doc %d", i), body))
+		return ix, notes
 	}
+	ix, notes := corpus(10000)
 	var counts []float64
 	for _, q := range []string{"common rare", "common mid", "common wide"} {
 		rs, err := ix.Search(q)
@@ -323,11 +330,44 @@ func TestSearchAllocatesPerQuery(t *testing.T) {
 		t.Logf("%q: %d hits, %.0f allocations", q, len(rs), allocs)
 		counts = append(counts, allocs)
 	}
+	small, smallNotes := corpus(1000)
+	var perCorpus []float64
+	for _, c := range []struct {
+		ix    *Index
+		notes []*nsf.Note
+	}{{small, smallNotes}, {ix, notes}} {
+		rs, err := c.ix.Search("rare")
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() { c.ix.SearchCtx(context.Background(), "rare") })
+		visited := 0
+		scanned, err := ScanSearch("rare", func(fn func(*nsf.Note) bool) error {
+			for _, n := range c.notes {
+				visited++
+				if !fn(n) {
+					break
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%d documents: %d hits, %.0f allocations; the scan read %d documents", len(c.notes), len(rs), allocs, visited)
+		if len(rs) != 10 || len(scanned) != 10 || visited != len(c.notes) {
+			t.Errorf("%d documents: %d hits, the scan %d after reading %d documents, want 10, 10 and all", len(c.notes), len(rs), len(scanned), visited)
+		}
+		perCorpus = append(perCorpus, allocs)
+	}
 	if raceEnabled {
 		return // sync.Pool drops items at random under the race detector
 	}
 	if counts[0] != counts[1] || counts[1] != counts[2] || counts[2] > 16 {
 		t.Errorf("allocations at 10, 1000, 10000 hits: %v, want equal and <= 16", counts)
+	}
+	if perCorpus[0] != perCorpus[1] {
+		t.Errorf("a 10-hit search allocates %v over 1,000 and 10,000 documents, want the same", perCorpus)
 	}
 }
 

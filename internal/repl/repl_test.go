@@ -3,6 +3,7 @@ package repl
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -129,6 +130,48 @@ func TestIncrementalUsesHistory(t *testing.T) {
 	if st.Push.Updated != 1 || st.NotesSent != 1 {
 		t.Errorf("after one update: %v", st)
 	}
+
+	// A 400-document pair, settled by two syncs: a round that changes 1%,
+	// 10% or 50% of it sends exactly the changed notes, and its bytes track
+	// them, not the database a full copy moves.
+	a, b = pairedDBs(t)
+	var unids []nsf.UNID
+	for i := 0; i < 400; i++ {
+		unids = append(unids, createDoc(t, a, fmt.Sprintf("doc %d", i)).OID.UNID)
+	}
+	sync(t, a, b, Options{})
+	sync(t, a, b, Options{})
+	fc, err := FullCopy(b, &LocalPeer{DB: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := fc.BytesIn + fc.BytesOut
+	var roundBytes []int64
+	for _, pct := range []int{1, 10, 50} {
+		changed := len(unids) * pct / 100
+		for _, u := range unids[:changed] {
+			n, err := a.Session("user").Get(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.SetText("Body", fmt.Sprintf("changed in the %d%% round", pct))
+			if err := a.Session("user").Update(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := sync(t, a, b, Options{})
+		t.Logf("%d%% changed: %d notes, %d bytes; a full copy moves %d", pct, st.NotesSent, st.BytesIn+st.BytesOut, full)
+		if st.NotesSent != changed || st.NotesFetched != 0 || st.Push.Updated != changed {
+			t.Errorf("%d%% changed: the round moved %v, want exactly the %d changed notes", pct, st, changed)
+		}
+		roundBytes = append(roundBytes, st.BytesIn+st.BytesOut)
+	}
+	if roundBytes[0]*50 > full {
+		t.Errorf("a 1%% round moved %d bytes, over 2%% of a full copy's %d", roundBytes[0], full)
+	}
+	if roundBytes[1] < 5*roundBytes[0] {
+		t.Errorf("rounds moved %d bytes at 1%% and %d at 10%%, want at least 5x more", roundBytes[0], roundBytes[1])
+	}
 }
 
 func firstUNID(t *testing.T, db *core.Database) nsf.UNID {
@@ -241,55 +284,6 @@ func TestConcurrentEditMakesConflictDoc(t *testing.T) {
 	}
 }
 
-func TestFieldMergeResolvesDisjointEdits(t *testing.T) {
-	a, b := pairedDBs(t)
-	n := nsf.NewNote(nsf.ClassDocument)
-	n.SetText("Subject", "merge me")
-	n.SetText("Owner", "nobody")
-	n.SetText("Status", "new")
-	if err := a.Session("user").Create(n); err != nil {
-		t.Fatal(err)
-	}
-	sync(t, a, b, Options{})
-	// a edits Owner, b edits Status: disjoint item sets.
-	na, _ := a.Session("user").Get(n.OID.UNID)
-	na.SetText("Owner", "alice")
-	a.Session("user").Update(na)
-	nb, _ := b.Session("user").Get(n.OID.UNID)
-	nb.SetText("Status", "done")
-	b.Session("user").Update(nb)
-
-	opts := Options{Apply: ApplyOptions{FieldMerge: true}}
-	st := sync(t, a, b, opts)
-	if st.Pull.Merged+st.Push.Merged == 0 {
-		t.Fatalf("no merge happened: %v", st)
-	}
-	sync(t, a, b, opts)
-	if err := check.Identical(a, b); err != nil {
-		t.Error(err)
-	}
-	for _, db := range []*core.Database{a, b} {
-		got, err := db.Session("user").Get(n.OID.UNID)
-		if err != nil {
-			t.Fatalf("Get: %v", err)
-		}
-		if got.Text("Owner") != "alice" || got.Text("Status") != "done" {
-			t.Errorf("db %s: merged doc = Owner %q Status %q",
-				db.Title(), got.Text("Owner"), got.Text("Status"))
-		}
-		conflicts := 0
-		db.ScanAll(func(x *nsf.Note) bool {
-			if x.IsConflict() {
-				conflicts++
-			}
-			return true
-		})
-		if conflicts != 0 {
-			t.Errorf("db %s: %d conflict docs despite merge", db.Title(), conflicts)
-		}
-	}
-}
-
 func TestOverlappingEditsStillConflictUnderMerge(t *testing.T) {
 	a, b := pairedDBs(t)
 	n := createDoc(t, a, "overlap")
@@ -304,6 +298,95 @@ func TestOverlappingEditsStillConflictUnderMerge(t *testing.T) {
 	st := sync(t, a, b, opts)
 	if st.Pull.Conflicts+st.Push.Conflicts == 0 {
 		t.Errorf("overlapping edits merged silently: %v", st)
+	}
+}
+
+// TestFieldMergeResolvesDisjointEdits edits each of 60 documents on both
+// replicas at once: a seeded third of them on the same item, the rest on
+// disjoint items. Without field merge each makes a conflict document. With
+// it the disjoint edits merge, and only the same-item edits conflict.
+func TestFieldMergeResolvesDisjointEdits(t *testing.T) {
+	const docs = 60
+	rng := rand.New(rand.NewSource(12))
+	sameItem, overlaps := make([]bool, docs), 0
+	for i := range sameItem {
+		if sameItem[i] = rng.Intn(3) == 0; sameItem[i] {
+			overlaps++
+		}
+	}
+	for _, merge := range []bool{false, true} {
+		t.Run(fmt.Sprintf("merge=%v", merge), func(t *testing.T) {
+			a, b := pairedDBs(t)
+			var unids []nsf.UNID
+			for i := 0; i < docs; i++ {
+				n := nsf.NewNote(nsf.ClassDocument)
+				n.SetText("Subject", fmt.Sprintf("merge me %d", i))
+				n.SetText("Owner", "nobody")
+				n.SetText("Status", "new")
+				if err := a.Session("user").Create(n); err != nil {
+					t.Fatal(err)
+				}
+				unids = append(unids, n.OID.UNID)
+			}
+			sync(t, a, b, Options{})
+			edit := func(db *core.Database, unid nsf.UNID, item, value string) {
+				n, err := db.Session("user").Get(unid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n.SetText(item, value)
+				if err := db.Session("user").Update(n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, u := range unids {
+				edit(a, u, "Owner", "alice")
+				if sameItem[i] {
+					edit(b, u, "Owner", "bob")
+				} else {
+					edit(b, u, "Status", "done")
+				}
+			}
+			opts := Options{Apply: ApplyOptions{FieldMerge: merge}}
+			st := sync(t, a, b, opts)
+			st2 := sync(t, a, b, opts)
+			merged := st.Pull.Merged + st.Push.Merged + st2.Pull.Merged + st2.Push.Merged
+			if err := check.Identical(a, b); err != nil {
+				t.Error(err)
+			}
+			conflicts := 0
+			a.ScanAll(func(x *nsf.Note) bool {
+				if x.IsConflict() {
+					conflicts++
+				}
+				return true
+			})
+			wantConflicts, wantMerged := docs, 0
+			if merge {
+				wantConflicts, wantMerged = overlaps, docs-overlaps
+			}
+			t.Logf("%d conflict documents, %d merged of %d (%d same-item)", conflicts, merged, docs, overlaps)
+			if conflicts != wantConflicts || merged != wantMerged {
+				t.Errorf("%d conflict documents and %d merges, want %d and %d", conflicts, merged, wantConflicts, wantMerged)
+			}
+			if !merge {
+				return
+			}
+			for i, u := range unids {
+				if sameItem[i] {
+					continue
+				}
+				for _, db := range []*core.Database{a, b} {
+					got, err := db.Session("user").Get(u)
+					if err != nil {
+						t.Fatalf("Get: %v", err)
+					}
+					if got.Text("Owner") != "alice" || got.Text("Status") != "done" {
+						t.Errorf("db %s: merged doc = Owner %q Status %q", db.Title(), got.Text("Owner"), got.Text("Status"))
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -442,42 +525,68 @@ func TestSelectiveSummariesReadAuthors(t *testing.T) {
 	}
 }
 
+// TestThreeWayConvergence replicates rings of 3 and 8 replicas and a hub
+// with 7 spokes, 5 documents each, round after round until every replica
+// is identical. A change cascades within a round, so the ring of 3
+// converges in one round (its last session closes the ring) and the others
+// in two, the ring of 8 paying more sessions than the hub.
 func TestThreeWayConvergence(t *testing.T) {
-	replica := nsf.NewReplicaID()
-	dbs := make([]*core.Database, 3)
-	for i := range dbs {
-		db, err := core.Open(filepath.Join(t.TempDir(), fmt.Sprintf("r%d.nsf", i)),
-			core.Options{Title: fmt.Sprintf("r%d", i), ReplicaID: replica})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer db.Close()
-		dbs[i] = db
-	}
-	for i, db := range dbs {
-		for j := 0; j < 5; j++ {
-			createDoc(t, db, fmt.Sprintf("r%d-doc%d", i, j))
-		}
-	}
-	// Ring replication, two rounds.
-	for round := 0; round < 2; round++ {
-		for i := range dbs {
-			j := (i + 1) % len(dbs)
-			_, err := Replicate(dbs[i], &LocalPeer{DB: dbs[j]},
-				Options{PeerName: fmt.Sprintf("r%d", j)})
-			if err != nil {
-				t.Fatalf("Replicate: %v", err)
+	for _, tc := range []struct {
+		name             string
+		replicas         int
+		hub              bool
+		rounds, sessions int
+	}{
+		{"ring of 3", 3, false, 1, 3},
+		{"ring of 8", 8, false, 2, 16},
+		{"hub and 7 spokes", 8, true, 2, 14},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			replica := nsf.NewReplicaID()
+			dbs := make([]*core.Database, tc.replicas)
+			for i := range dbs {
+				db, err := core.Open(filepath.Join(t.TempDir(), fmt.Sprintf("r%d.nsf", i)),
+					core.Options{Title: fmt.Sprintf("r%d", i), ReplicaID: replica})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				dbs[i] = db
+				for j := 0; j < 5; j++ {
+					createDoc(t, db, fmt.Sprintf("r%d-doc%d", i, j))
+				}
 			}
-		}
-	}
-	want := docSubjects(t, dbs[0])
-	if len(want) != 15 {
-		t.Fatalf("r0 has %d docs", len(want))
-	}
-	for i := 1; i < len(dbs); i++ {
-		if err := check.Identical(dbs[0], dbs[i]); err != nil {
-			t.Error(err)
-		}
+			identical := func() bool {
+				for _, db := range dbs[1:] {
+					if check.Identical(dbs[0], db) != nil {
+						return false
+					}
+				}
+				return true
+			}
+			rounds, sessions := 0, 0
+			for ; rounds < 10 && !identical(); rounds++ {
+				for i := range dbs {
+					local, peer := i, (i+1)%len(dbs)
+					if tc.hub {
+						if i == 0 {
+							continue
+						}
+						local, peer = 0, i
+					}
+					if _, err := Replicate(dbs[local], &LocalPeer{DB: dbs[peer]},
+						Options{PeerName: fmt.Sprintf("r%d", peer)}); err != nil {
+						t.Fatalf("Replicate: %v", err)
+					}
+					sessions++
+				}
+			}
+			t.Logf("%d rounds, %d sessions", rounds, sessions)
+			if rounds != tc.rounds || sessions != tc.sessions || len(docSubjects(t, dbs[0])) != 5*tc.replicas {
+				t.Errorf("%d rounds and %d sessions to converge on %d documents, want %d, %d and %d",
+					rounds, sessions, len(docSubjects(t, dbs[0])), tc.rounds, tc.sessions, 5*tc.replicas)
+			}
+		})
 	}
 }
 
@@ -507,22 +616,67 @@ func TestFullCopyBaseline(t *testing.T) {
 	}
 }
 
+// TestStubPurgeResurrection: while a replica is offline, the source
+// deletes 12 of 24 documents, and the replica edits each of the 12 twice, so
+// its version carries a higher sequence number than the stub. With the
+// stubs kept, every deletion wins. Purged before the replica syncs, which
+// is the documented Notes anomaly, every deleted document comes back.
 func TestStubPurgeResurrection(t *testing.T) {
-	// The documented Notes anomaly: if a stub is purged before an offline
-	// replica syncs, the deleted document comes back.
-	a, b := pairedDBs(t)
-	n := createDoc(t, a, "lazarus")
-	sync(t, a, b, Options{})
-	a.Session("user").Delete(n.OID.UNID)
-	// Purge the stub at a before b ever hears about the delete.
-	purged, err := a.PurgeStubs(a.Clock().Now() + 1)
-	if err != nil || purged != 1 {
-		t.Fatalf("PurgeStubs = %d, %v", purged, err)
-	}
-	sync(t, a, b, Options{})
-	// b still has the doc and pushes it back to a: resurrection.
-	if _, err := a.Session("user").Get(n.OID.UNID); err != nil {
-		t.Errorf("expected resurrection at a, got %v", err)
+	const docs, deletes = 24, 12
+	for _, purge := range []bool{false, true} {
+		t.Run(fmt.Sprintf("purge=%v", purge), func(t *testing.T) {
+			a, b := pairedDBs(t)
+			var unids []nsf.UNID
+			for i := 0; i < docs; i++ {
+				unids = append(unids, createDoc(t, a, fmt.Sprintf("doc %d", i)).OID.UNID)
+			}
+			sync(t, a, b, Options{})
+			sb := b.Session("user")
+			for _, u := range unids[:deletes] {
+				if err := a.Session("user").Delete(u); err != nil {
+					t.Fatal(err)
+				}
+				nb, err := sb.Get(u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, body := range []string{"edit one", "edit two"} {
+					nb.SetText("Body", body)
+					if err := sb.Update(nb); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			wantStubs, wantResurrected := deletes, 0
+			if purge {
+				if purged, err := a.PurgeStubs(a.Clock().Now() + 1); err != nil || purged != deletes {
+					t.Fatalf("PurgeStubs = %d, %v", purged, err)
+				}
+				wantStubs, wantResurrected = 0, deletes
+			}
+			sync(t, a, b, Options{})
+			sync(t, a, b, Options{})
+			stubs, resurrected := 0, 0
+			for _, u := range unids[:deletes] {
+				switch n, err := a.RawGet(u); {
+				case err != nil:
+				case n.IsStub():
+					stubs++
+				default:
+					resurrected++
+				}
+			}
+			t.Logf("%d stubs, %d of %d deleted documents resurrected", stubs, resurrected, deletes)
+			if stubs != wantStubs || resurrected != wantResurrected {
+				t.Errorf("%d stubs and %d resurrected, want %d and %d", stubs, resurrected, wantStubs, wantResurrected)
+			}
+			if got := len(docSubjects(t, a)); got != docs-deletes+resurrected {
+				t.Errorf("%d live documents, want %d", got, docs-deletes+resurrected)
+			}
+			if err := check.Identical(a, b); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 

@@ -57,7 +57,7 @@ func (s *Server) pageBudget(ctx context.Context, clientLimit int) (maxRows, maxB
 			}
 		}
 	}
-	maxRows = s.opts.MaxPageRows * scale / 100
+	maxRows = s.opts.maxPageRows * scale / 100
 	maxBytes = s.opts.maxPageBytes * scale / 100
 	if maxRows < minPageRows {
 		maxRows = minPageRows

@@ -35,7 +35,7 @@ func newBulkServer(t *testing.T, maxRows, maxBytes int) (*Server, string, *core.
 	d.AddUser(dir.User{Name: "bob", Secret: "bob-pw"})
 	s, err := New(Options{
 		Name: "bulk", DataDir: filepath.Join(t.TempDir(), "bulk"),
-		Directory: d, MaxPageRows: maxRows, maxPageBytes: maxBytes,
+		Directory: d, maxPageRows: maxRows, maxPageBytes: maxBytes,
 	})
 	if err != nil {
 		t.Fatal(err)

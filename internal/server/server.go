@@ -69,9 +69,6 @@ type Options struct {
 	// execution slot before being shed. 0 uses 100ms; negative sheds
 	// immediately once the pool is full.
 	AdmitWait time.Duration
-	// MaxPageRows caps rows per bulk-read page (view pages, scan pages,
-	// search pages) when the client does not ask for less. 0 uses 4096.
-	MaxPageRows int
 	// PeerOpBudget, when > 0, stamps a deadline budget on every operation
 	// this server issues to its peers — the dial included — for mesh
 	// replication rounds, cluster push deliveries, ReplicateWith and mail
@@ -81,9 +78,11 @@ type Options struct {
 	// behaviour).
 	PeerOpBudget time.Duration
 
-	// idleTimeout and maxPageBytes replace defaultIdleTimeout and
-	// defaultMaxPageBytes in this package's tests; zero uses the constant.
+	// idleTimeout, maxPageRows and maxPageBytes replace defaultIdleTimeout,
+	// defaultMaxPageRows and defaultMaxPageBytes in this package's tests;
+	// zero uses the constant.
 	idleTimeout  time.Duration
+	maxPageRows  int
 	maxPageBytes int
 }
 
@@ -92,10 +91,11 @@ type Options struct {
 // bounds how long a half-sent frame can stall the handler.
 const defaultIdleTimeout = 5 * time.Minute
 
-// defaultMaxPageBytes caps the encoded size of one bulk-read page; a page
-// closes as soon as its response crosses this, so no response frame can
-// approach wire.MaxFrame no matter how wide the rows are.
-const defaultMaxPageBytes = 4 << 20
+// defaultMaxPageRows caps the rows of one bulk-read page (view, scan and
+// search pages) when the client asks for more, and defaultMaxPageBytes its
+// encoded size: a page closes as soon as its response crosses the latter,
+// so no response frame can approach wire.MaxFrame however wide the rows.
+const defaultMaxPageRows, defaultMaxPageBytes = 4096, 4 << 20
 
 // Server is a running Domino-style server.
 type Server struct {
@@ -145,6 +145,7 @@ func New(opts Options) (*Server, error) {
 		return nil, fmt.Errorf("server: data dir: %w", err)
 	}
 	opts.idleTimeout = cmp.Or(opts.idleTimeout, defaultIdleTimeout)
+	opts.maxPageRows = cmp.Or(opts.maxPageRows, defaultMaxPageRows)
 	opts.maxPageBytes = cmp.Or(opts.maxPageBytes, defaultMaxPageBytes)
 	switch {
 	case opts.MaxInFlight == 0:
@@ -157,9 +158,6 @@ func New(opts Options) (*Server, error) {
 		opts.AdmitWait = 100 * time.Millisecond
 	case opts.AdmitWait < 0:
 		opts.AdmitWait = 0 // shed immediately at saturation
-	}
-	if opts.MaxPageRows <= 0 {
-		opts.MaxPageRows = 4096
 	}
 	s := &Server{
 		opts:  opts,

@@ -7,8 +7,10 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sort"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/faultfs"
 	"repro/internal/nsf"
 	"repro/internal/vfs"
 )
@@ -31,37 +33,74 @@ func testTree(t *testing.T) *btree {
 // TestBtreeWarmReplaceAllocatesNothing: on a tree whose pages are cached,
 // replacing a key's value keeps its descent path on the stack and compacts
 // leaves in place, and a Get copies into the caller's buffer: none of them
-// allocates.
+// allocates, at 5,000 keys or at 100,000. A cold Get reads one page per
+// level, and 20 times the keys add at most one level.
 func TestBtreeWarmReplaceAllocatesNothing(t *testing.T) {
-	tr := testTree(t)
-	const keys = 5000
-	var key, val [8]byte
-	for i := 0; i < keys; i++ {
-		binary.BigEndian.PutUint64(key[:], uint64(i))
-		if err := tr.Put(key[:], key[:]); err != nil {
+	var coldPages []int64
+	for _, keys := range []int{5000, 100000} {
+		fs := faultfs.New(1)
+		path := filepath.Join(t.TempDir(), "test.nsf")
+		p, _, err := openPager(fs, path, nsf.NewReplicaID(), "t", 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	i := 0
-	if allocs := testing.AllocsPerRun(2000, func() {
-		binary.BigEndian.PutUint64(key[:], uint64(i*7919%keys))
-		binary.BigEndian.PutUint64(val[:], uint64(i))
-		if err := tr.Put(key[:], val[:]); err != nil {
+		tr := &btree{pg: p, slot: rootSlotByID}
+		var key, val [8]byte
+		for i := 0; i < keys; i++ {
+			binary.BigEndian.PutUint64(key[:], uint64(i))
+			if err := tr.Put(key[:], key[:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		if allocs := testing.AllocsPerRun(2000, func() {
+			binary.BigEndian.PutUint64(key[:], uint64(i*7919%keys))
+			binary.BigEndian.PutUint64(val[:], uint64(i))
+			if err := tr.Put(key[:], val[:]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}); allocs != 0 {
+			t.Errorf("%d keys: replacing a key allocates %v times", keys, allocs)
+		}
+		var buf [8]byte
+		if allocs := testing.AllocsPerRun(1000, func() {
+			binary.BigEndian.PutUint64(key[:], uint64(i%keys))
+			if v, ok, err := tr.Get(key[:], buf[:0]); err != nil || !ok || len(v) != 8 {
+				t.Fatalf("Get = %x, %v, %v", v, ok, err)
+			}
+			i++
+		}); allocs != 0 {
+			t.Errorf("%d keys: Get into a buffer allocates %v times", keys, allocs)
+		}
+		if err := p.flush(); err != nil {
 			t.Fatal(err)
 		}
-		i++
-	}); allocs != 0 {
-		t.Errorf("replacing a key allocates %v times", allocs)
-	}
-	var buf [8]byte
-	if allocs := testing.AllocsPerRun(1000, func() {
-		binary.BigEndian.PutUint64(key[:], uint64(i%keys))
-		if v, ok, err := tr.Get(key[:], buf[:0]); err != nil || !ok || len(v) != 8 {
-			t.Fatalf("Get = %x, %v, %v", v, ok, err)
+		p.close()
+		// A fresh pager caches no page: the Get reads each page it visits.
+		cold, _, err := openPager(fs, path, nsf.ReplicaID{}, "", 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		i++
-	}); allocs != 0 {
-		t.Errorf("Get into a buffer allocates %v times", allocs)
+		var read atomic.Int64
+		fs.Inject(func(op faultfs.Op) error {
+			if op.Kind == faultfs.OpRead {
+				read.Add(op.Len)
+			}
+			return nil
+		})
+		binary.BigEndian.PutUint64(key[:], uint64(keys/2))
+		_, ok, err := (&btree{pg: cold, slot: rootSlotByID}).Get(key[:], nil)
+		fs.Inject(nil)
+		cold.close()
+		if err != nil || !ok {
+			t.Fatalf("%d keys: cold Get = %v, %v", keys, ok, err)
+		}
+		t.Logf("%d keys: a cold Get reads %d pages", keys, read.Load()/PageSize)
+		coldPages = append(coldPages, read.Load()/PageSize)
+	}
+	if coldPages[0] == 0 || coldPages[1] > coldPages[0]+1 {
+		t.Errorf("a cold Get reads %d pages at 5,000 keys and %d at 100,000, want at most one more", coldPages[0], coldPages[1])
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/clock"
@@ -345,46 +346,81 @@ func TestStoreCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestStoreCrashMidstreamCheckpoints covers a crash after some checkpoints:
-// recovery replays only the tail.
+// TestStoreCrashAfterCheckpoint covers a crash after a checkpoint: recovery
+// replays only the tail. What the recovery Open reads of the WAL tracks the
+// puts since the checkpoint, the same after 1 put before it as after 500,
+// and it reads the log at most twice.
 func TestStoreCrashAfterCheckpoint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "db.nsf")
-	c := clock.New()
-	fs := faultfs.New(1)
-	s, err := Open(path, Options{CheckpointEvery: -1, FS: fs})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	n1 := makeNote(c, "before checkpoint")
-	if err := s.Put(n1); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	n2 := makeNote(c, "after checkpoint")
-	if err := s.Put(n2); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	fs.Kill()
-	s.Close()
-	s2, err := Open(path, Options{FS: fs})
-	if err != nil {
-		t.Fatalf("recovery open: %v", err)
-	}
-	defer s2.Close()
-	for _, n := range []*nsf.Note{n1, n2} {
-		if _, err := getByUNID(s2, n.OID.UNID); err != nil {
-			t.Errorf("note %q lost: %v", n.Text("Subject"), err)
+	walRead := map[int]int64{} // by puts after the checkpoint
+	for _, before := range []int{1, 500} {
+		for _, after := range []int{3, 30} {
+			t.Run(fmt.Sprintf("%d+%d", before, after), func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), "db.nsf")
+				c := clock.New()
+				fs := faultfs.New(1)
+				s, err := Open(path, Options{CheckpointEvery: -1, FS: fs})
+				if err != nil {
+					t.Fatalf("Open: %v", err)
+				}
+				var notes []*nsf.Note
+				put := func(count int, subject string) {
+					for i := 0; i < count; i++ {
+						n := makeNote(c, subject)
+						if err := s.Put(n); err != nil {
+							t.Fatalf("Put: %v", err)
+						}
+						notes = append(notes, n)
+					}
+				}
+				put(before, "before checkpoint")
+				if err := s.Checkpoint(); err != nil {
+					t.Fatalf("Checkpoint: %v", err)
+				}
+				put(after, "after checkpoint")
+				walSize := s.wal.size.Load()
+				fs.Kill()
+				s.Close()
+				var read atomic.Int64
+				fs.Inject(func(op faultfs.Op) error {
+					if op.Kind == faultfs.OpRead && op.Path == path+".wal" {
+						read.Add(op.Len)
+					}
+					return nil
+				})
+				s2, err := Open(path, Options{FS: fs})
+				fs.Inject(nil)
+				if err != nil {
+					t.Fatalf("recovery open: %v", err)
+				}
+				defer s2.Close()
+				t.Logf("recovery read %d bytes of a %d-byte WAL", read.Load(), walSize)
+				if read.Load() > 2*walSize {
+					t.Errorf("recovery read %d bytes of a %d-byte WAL, want at most twice it", read.Load(), walSize)
+				}
+				if got, ok := walRead[after]; ok && got != read.Load() {
+					t.Errorf("recovery read %d bytes after %d puts before the checkpoint, %d after 1", read.Load(), before, got)
+				}
+				walRead[after] = read.Load()
+				if got := s2.LastUSN(); got != uint64(before+after) {
+					t.Errorf("LastUSN %d after recovery, want %d", got, before+after)
+				}
+				for _, n := range notes {
+					if _, err := getByUNID(s2, n.OID.UNID); err != nil {
+						t.Fatalf("note %q lost: %v", n.Text("Subject"), err)
+					}
+				}
+				// NoteID allocation must not collide with recovered notes.
+				n3 := makeNote(c, "post recovery")
+				if err := s2.Put(n3); err != nil {
+					t.Fatalf("Put: %v", err)
+				}
+				for _, n := range notes {
+					if n3.ID == n.ID {
+						t.Fatalf("NoteID %d reused after recovery", n3.ID)
+					}
+				}
+			})
 		}
-	}
-	// NoteID allocation must not collide with recovered notes.
-	n3 := makeNote(c, "post recovery")
-	if err := s2.Put(n3); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if n3.ID == n1.ID || n3.ID == n2.ID {
-		t.Errorf("NoteID %d reused after recovery", n3.ID)
 	}
 }
 

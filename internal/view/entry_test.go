@@ -10,7 +10,10 @@ import (
 
 // TestUpdateAllocsPerEntry counts what Update allocates for an
 // unrestricted entry of text columns: the Entry, its values array and one
-// string for its key and text, whatever the column count.
+// string for its key and text, whatever the column count. Moving one
+// note's entry costs the same in an index of 1,000 entries as in one of
+// 10,000, while a Rebuild allocates at least once per entry: upkeep tracks
+// the change, a rebuild the view.
 func TestUpdateAllocsPerEntry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled objects, so pooling allocates")
@@ -33,6 +36,45 @@ func TestUpdateAllocsPerEntry(t *testing.T) {
 		if allocs > 3 {
 			t.Errorf("an entry of %d text columns made %.1f allocations, want at most 3", cols, allocs)
 		}
+	}
+	var perUpdate []float64
+	for _, size := range []int{1000, 10000} {
+		notes := make([]*nsf.Note, size)
+		for i := range notes {
+			notes[i] = nsf.NewNote(nsf.ClassDocument)
+			notes[i].SetText("Subject", fmt.Sprintf("subject %05d", i))
+		}
+		scan := func(fn func(*nsf.Note) bool) error {
+			for _, n := range notes {
+				if !fn(n) {
+					break
+				}
+			}
+			return nil
+		}
+		ix := NewIndex(mustDef(t, "v", "SELECT @All", Column{Title: "S", ItemName: "Subject", Sorted: true}))
+		rebuild := testing.AllocsPerRun(1, func() {
+			if err := ix.Rebuild(nil, scan); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// The edited note moves between the two ends of the index.
+		n, subjects, i := notes[size/2], [2]string{"a first", "z last"}, 0
+		allocs := testing.AllocsPerRun(100, func() {
+			i++
+			n.SetText("Subject", subjects[i%2])
+			if _, err := ix.Update(n, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d entries: %.1f allocations per update, %.0f per rebuild", size, allocs, rebuild)
+		if ix.Len() != size || rebuild < float64(size) {
+			t.Errorf("%d entries: the index holds %d, and a rebuild made %.0f allocations, want at least one per entry", size, ix.Len(), rebuild)
+		}
+		perUpdate = append(perUpdate, allocs)
+	}
+	if perUpdate[0] != perUpdate[1] {
+		t.Errorf("moving one entry allocates %v at 1,000 and 10,000 entries, want the same", perUpdate)
 	}
 }
 

@@ -227,7 +227,7 @@ func TestTestSleepCeiling(t *testing.T) {
 // logPrintfCeiling is how many log.Printf calls the non-test files outside
 // bench/ make. A problem reported where a caller or an operator can see it
 // (an error, a counter, an event in log.nsf) lowers it; nothing raises it.
-const logPrintfCeiling = 23
+const logPrintfCeiling = 22
 
 // TestLogPrintfCeiling holds the non-test files' log.Printf calls at
 // logPrintfCeiling, and asks for the ceiling to be lowered when they fall.
