@@ -506,13 +506,12 @@ func (db *Database) RawDelete(unid nsf.UNID) error {
 	return c.Wait()
 }
 
-// ScanSince exposes the replication scan (stubs included, projected by
-// keep) and returns the next scan's cursor; see store.Store.ScanSince.
-func (db *Database) ScanSince(ctx context.Context, since store.Cursor, keep func(name []byte, flags nsf.ItemFlags) bool, fn func(*nsf.Note) bool) (store.Cursor, error) {
-	var derr error
-	dec := decoded(fn, &derr)
-	next, err := db.st.ScanSince(ctx, since, keep, func(_ uint64, rec []byte) bool { return dec(rec) })
-	return next, cmp.Or(err, derr)
+// ScanSince is the replication scan: it calls fn with the record of every
+// note changed since the cursor, stubs included, projected by keep (nil:
+// the stored record, which fn validates as it decodes it), and returns the
+// next scan's cursor; see store.Store.ScanSince.
+func (db *Database) ScanSince(ctx context.Context, since store.Cursor, keep func(name []byte, flags nsf.ItemFlags) bool, fn func(rec []byte) bool) (store.Cursor, error) {
+	return db.st.ScanSince(ctx, since, keep, func(_ uint64, rec []byte) bool { return fn(rec) })
 }
 
 // ScanAll visits every note, stubs and design notes included.

@@ -122,6 +122,32 @@ func MustCompile(src string) *Formula {
 	return f
 }
 
+var (
+	cacheMu sync.Mutex
+	cache   = map[string]*Formula{}
+)
+
+// Cached is Compile memoized by source text; a failed compile is not kept.
+// Callers evaluate the same few sources again and again (a replication
+// link's selection every round, a scan's on every page), so the memo
+// holds a handful; past 512 sources it is cleared wholesale.
+func Cached(src string) (*Formula, error) {
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	if f, ok := cache[src]; ok {
+		return f, nil
+	}
+	f, err := Compile(src)
+	if err != nil {
+		return nil, err
+	}
+	if len(cache) >= 512 {
+		clear(cache)
+	}
+	cache[src] = f
+	return f, nil
+}
+
 // Source returns the original formula text.
 func (f *Formula) Source() string { return f.src }
 

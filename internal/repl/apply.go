@@ -26,12 +26,34 @@ type ApplyOptions struct {
 // is and never modified. It is stored only over the version the rules were
 // applied to (Database.RawPutIf): when a local write replaces that version
 // first, the rules are applied again to the one it stored.
+//
+// incoming is not kept past the return, so a caller may decode the next
+// note into it: the store encodes it synchronously (RawPut copies only its
+// header), a conflict or merge stores clones, and the design and ACL
+// parsers a replicated design note goes through (acl.FromNote and the
+// view definition reader) keep only strings, never a value slice.
 func ApplyNote(db *core.Database, incoming *nsf.Note, opts ApplyOptions) (ApplyStats, error) {
 	for {
 		st, err := applyNote(db, incoming, opts)
 		if !errors.Is(err, core.ErrChanged) {
 			return st, err
 		}
+	}
+}
+
+// applier returns a function that applies one stored record (the
+// nsf.AppendNote form a Peer carries) to db with ApplyNote: the record is
+// decoded, and so validated, into one note and arena that every call
+// reuses, its names and text substrings of one copy of the record.
+func applier(db *core.Database, opts ApplyOptions) func(rec []byte) (ApplyStats, error) {
+	var n nsf.Note
+	var a nsf.Arena
+	return func(rec []byte) (ApplyStats, error) {
+		a.Reset()
+		if err := nsf.DecodeNoteIntoSrc(&n, &a, rec, string(rec)); err != nil {
+			return ApplyStats{}, err
+		}
+		return ApplyNote(db, &n, opts)
 	}
 }
 

@@ -27,25 +27,25 @@ type flakyPeer struct {
 	applyCalls   int
 }
 
-func (f *flakyPeer) Fetch(unids []nsf.UNID) ([]*nsf.Note, error) {
+func (f *flakyPeer) Fetch(unids []nsf.UNID, fn func(rec []byte) error) error {
 	f.fetchCalls++
 	if f.failFetchAt != 0 && f.fetchCalls >= f.failFetchAt {
-		return nil, errors.New("injected: link died mid-pull")
+		return errors.New("injected: link died mid-pull")
 	}
-	return f.Peer.Fetch(unids)
+	return f.Peer.Fetch(unids, fn)
 }
 
-func (f *flakyPeer) Apply(notes []*nsf.Note) (repl.ApplyStats, error) {
+func (f *flakyPeer) Apply(recs [][]byte) (repl.ApplyStats, error) {
 	f.applyCalls++
 	if f.loseApplyAck {
 		// The peer applies the batch durably, but the session dies before
 		// the sender learns of it (and before it saves its push cursor).
-		if _, err := f.Peer.Apply(notes); err != nil {
+		if _, err := f.Peer.Apply(recs); err != nil {
 			return repl.ApplyStats{}, err
 		}
 		return repl.ApplyStats{}, errors.New("injected: ack lost after apply")
 	}
-	return f.Peer.Apply(notes)
+	return f.Peer.Apply(recs)
 }
 
 // newLocalPair opens two databases in the same replica set.

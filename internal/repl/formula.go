@@ -2,7 +2,6 @@ package repl
 
 import (
 	"fmt"
-	gosync "sync" // the test package declares a helper named sync
 
 	"repro/internal/formula"
 )
@@ -26,68 +25,28 @@ func (e *FormulaError) Error() string {
 
 func (e *FormulaError) Unwrap() error { return e.Err }
 
-// selCache memoizes compiled selection formulas. Selective links evaluate
-// the same few formula sources on every round (and, server-side, on every
-// OpSummaries), so compiling per session is pure waste. The cache is
-// bounded: past selCacheMax distinct sources it is cleared wholesale —
-// formulas are administrator-written link filters, so in practice the
-// cache holds a handful of entries and never cycles.
-var (
-	selCacheMu gosync.Mutex
-	selCache   = map[string]*formula.Formula{}
-)
-
-const selCacheMax = 512
-
-// CompileSelection compiles (with memoization) a selective-replication
-// formula source. An empty source yields a nil formula (replicate
-// everything). Compile failures return a *FormulaError.
+// CompileSelection compiles a selective-replication formula source
+// (formula.Cached: memoized). An empty source yields a nil formula
+// (replicate everything). Compile failures return a *FormulaError.
 func CompileSelection(src string) (*formula.Formula, error) {
 	if src == "" {
 		return nil, nil
 	}
-	selCacheMu.Lock()
-	if f, ok := selCache[src]; ok {
-		selCacheMu.Unlock()
-		return f, nil
-	}
-	selCacheMu.Unlock()
-	f, err := formula.Compile(src)
+	f, err := formula.Cached(src)
 	if err != nil {
 		return nil, &FormulaError{Source: src, Err: err}
 	}
-	selCacheMu.Lock()
-	if len(selCache) >= selCacheMax {
-		selCache = map[string]*formula.Formula{}
-	}
-	selCache[src] = f
-	selCacheMu.Unlock()
 	return f, nil
 }
 
-// Prepare validates the options ahead of use: the selection formula is
-// compiled exactly once and stored on the options, so every session run
-// with them reuses the compiled form and a bad formula surfaces here — at
-// link/option construction — as a typed *FormulaError rather than
-// mid-round. Replicate calls it implicitly when the caller has not.
+// Prepare validates the options ahead of use, so a bad selection formula
+// surfaces at link or option construction as a typed *FormulaError rather
+// than mid-round. The compile is memoized (CompileSelection): the sessions
+// run with the options do not compile it again.
 func (o *Options) Prepare() error {
-	if o.Formula == "" {
-		o.compiled = nil
-		return nil
-	}
-	f, err := CompileSelection(o.Formula)
-	if err != nil {
-		return err
-	}
-	o.compiled = f
-	return nil
+	_, err := CompileSelection(o.Formula)
+	return err
 }
 
-// selection returns the compiled selection formula, compiling (cached)
-// when Prepare was not called.
-func (o Options) selection() (*formula.Formula, error) {
-	if o.compiled != nil && o.compiled.Source() == o.Formula {
-		return o.compiled, nil
-	}
-	return CompileSelection(o.Formula)
-}
+// selection returns the compiled selection formula (nil: everything).
+func (o Options) selection() (*formula.Formula, error) { return CompileSelection(o.Formula) }

@@ -18,8 +18,8 @@ type LocalPeer struct {
 	DB   *core.Database
 	Opts ApplyOptions
 	// Ctx bounds Summaries' scan, which stops within one store batch of
-	// its deadline, and FetchRecords: a server passes the request's. Nil
-	// means no deadline.
+	// its deadline, and Fetch: a server passes the request's. Nil means no
+	// deadline.
 	Ctx context.Context
 }
 
@@ -36,7 +36,7 @@ func (p *LocalPeer) ReplicaID() (nsf.ReplicaID, error) {
 // outside the selection are advertised as selection stubs rather than
 // silently withheld. The formula compile is memoized across sessions
 // (CompileSelection), and a bad source returns a typed *FormulaError.
-// Notes are decoded to what sel.Keep keeps, or to headers without a formula.
+// The scan reads headers, plus what sel.Keep keeps with a formula.
 func (p *LocalPeer) Summaries(since store.Cursor, formulaSrc string) ([]Summary, store.Cursor, error) {
 	sel, err := CompileSelection(formulaSrc)
 	if err != nil {
@@ -47,76 +47,80 @@ func (p *LocalPeer) Summaries(since store.Cursor, formulaSrc string) ([]Summary,
 		keep = sel.Keep()
 	}
 	var out []Summary
-	next, err := scanSelected(cmp.Or(p.Ctx, context.Background()), p.DB, since, sel, keep, func(n *nsf.Note) { out = append(out, SummaryOf(n)) })
+	next, err := scanSelected(cmp.Or(p.Ctx, context.Background()), p.DB, since, sel, keep, func(hdr *nsf.Note, _ []byte) error {
+		out = append(out, SummaryOf(hdr))
+		return nil
+	})
 	if err != nil {
 		return nil, since, err
 	}
 	return out, next, nil
 }
 
-// scanSelected hands fn every note of db changed since the cursor, except
-// replication bookkeeping, and returns the next cursor. Deletion stubs
-// bypass the selection (deletes always propagate); a document outside it
-// is handed over as its selection stub. Notes carry the items keep accepts
-// (nil: all), which must include every item sel reads.
-func scanSelected(ctx context.Context, db *core.Database, since store.Cursor, sel *formula.Formula, keep func([]byte, nsf.ItemFlags) bool, fn func(*nsf.Note)) (store.Cursor, error) {
-	var evalErr error
-	next, err := db.ScanSince(ctx, since, keep, func(n *nsf.Note) bool {
-		if n.Class == nsf.ClassReplFormula {
+// scanSelected calls fn with the header and the record of every note of db
+// changed since the cursor, except replication bookkeeping, until fn
+// returns an error, and returns the next cursor. Records carry the items
+// keep accepts (nil: the whole stored record); both are valid only during
+// fn's call. Deletion stubs bypass the selection (deletes always
+// propagate); a document outside it is handed over as its selection stub.
+// Each header is decoded into one reused note; a live document is decoded
+// only to evaluate sel, and then only sel's projection, into another
+// reused note and arena.
+func scanSelected(ctx context.Context, db *core.Database, since store.Cursor, sel *formula.Formula, keep func([]byte, nsf.ItemFlags) bool, fn func(hdr *nsf.Note, rec []byte) error) (store.Cursor, error) {
+	var (
+		hdr, proj nsf.Note
+		arena     nsf.Arena
+		selKeep   func([]byte, nsf.ItemFlags) bool
+		stub      []byte
+		ferr      error
+	)
+	if sel != nil {
+		selKeep = sel.Keep()
+	}
+	next, err := db.ScanSince(ctx, since, keep, func(rec []byte) bool {
+		if ferr = nsf.DecodeHeader(rec, &hdr); ferr != nil {
+			return false
+		}
+		if hdr.Class == nsf.ClassReplFormula {
 			return true
 		}
-		if sel != nil && !n.IsStub() && n.Class == nsf.ClassDocument {
-			ok, err := sel.Selects(n, nil)
-			if err != nil {
-				evalErr = err
+		if sel != nil && !hdr.IsStub() && hdr.Class == nsf.ClassDocument {
+			arena.Reset()
+			if ferr = nsf.DecodeNoteInto(&proj, &arena, rec, selKeep); ferr != nil {
+				return false
+			}
+			var ok bool
+			if ok, ferr = sel.Selects(&proj, nil); ferr != nil {
 				return false
 			}
 			if !ok {
-				n = SelectionStub(n)
+				hdr = *SelectionStub(&hdr)
+				stub = nsf.AppendNote(stub[:0], &hdr)
+				rec = stub
 			}
 		}
-		fn(n)
-		return true
+		ferr = fn(&hdr, rec)
+		return ferr == nil
 	})
-	if err == nil {
-		err = evalErr
-	}
-	return next, err
+	return next, cmp.Or(err, ferr)
 }
 
-// Fetch implements Peer: the notes FetchRecords reads, decoded.
-func (p *LocalPeer) Fetch(unids []nsf.UNID) ([]*nsf.Note, error) {
-	out := make([]*nsf.Note, 0, len(unids))
-	_, err := p.FetchRecords(nil, unids, func(rec []byte) error {
-		n, err := nsf.DecodeNote(rec)
-		if err == nil {
-			out = append(out, n)
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// fetchCheckEvery is how many notes FetchRecords reads between checks of
-// its context.
+// fetchCheckEvery is how many notes Fetch reads between checks of its
+// context.
 const fetchCheckEvery = 256
 
-// FetchRecords calls fn, in order, with the stored record (nsf.AppendNote's
-// form) of each note unids names, skipping a note that vanished since the
-// summary scan: the fetch a source serves, which ships the records as they
-// are stored. Each record is read into buf, which is returned grown for
-// the next call to reuse, and is valid only during fn's call. A record
-// that does not decode is an error, as is one fn returns; Ctx is checked
-// every fetchCheckEvery notes.
-func (p *LocalPeer) FetchRecords(buf []byte, unids []nsf.UNID, fn func(rec []byte) error) ([]byte, error) {
+// Fetch implements Peer: the fetch a source serves, which ships each
+// record as it is stored, read into one buffer the fetch reuses. A note
+// that vanished since the summary scan is skipped; a record that does not
+// decode is an error, as is one fn returns. Ctx is checked every
+// fetchCheckEvery notes.
+func (p *LocalPeer) Fetch(unids []nsf.UNID, fn func(rec []byte) error) error {
 	ctx := cmp.Or(p.Ctx, context.Background())
+	var buf []byte
 	for i, u := range unids {
 		if i%fetchCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
-				return buf, err
+				return err
 			}
 		}
 		rec, err := p.DB.RawRecord(buf[:0], u, nil)
@@ -125,20 +129,22 @@ func (p *LocalPeer) FetchRecords(buf []byte, unids []nsf.UNID, fn func(rec []byt
 			continue
 		}
 		if err != nil {
-			return buf, err
+			return err
 		}
 		if err := fn(rec); err != nil {
-			return buf, err
+			return err
 		}
 	}
-	return buf, nil
+	return nil
 }
 
-// Apply implements Peer.
-func (p *LocalPeer) Apply(notes []*nsf.Note) (ApplyStats, error) {
+// Apply implements Peer: each record is decoded, and so validated, before
+// ApplyNote's rules run (see applier).
+func (p *LocalPeer) Apply(recs [][]byte) (ApplyStats, error) {
 	var st ApplyStats
-	for _, n := range notes {
-		s, err := ApplyNote(p.DB, n, p.Opts)
+	apply := applier(p.DB, p.Opts)
+	for _, rec := range recs {
+		s, err := apply(rec)
 		if err != nil {
 			return st, err
 		}

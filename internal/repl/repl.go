@@ -111,11 +111,14 @@ type Peer interface {
 	// restore — lists everything again rather than skipping what that copy
 	// numbered differently.
 	Summaries(since store.Cursor, formulaSrc string) ([]Summary, store.Cursor, error)
-	// Fetch returns the full notes for the given UNIDs; missing ones are
-	// silently omitted.
-	Fetch(unids []nsf.UNID) ([]*nsf.Note, error)
-	// Apply stores incoming notes on the peer using its conflict rules.
-	Apply(notes []*nsf.Note) (ApplyStats, error)
+	// Fetch calls fn, in order, with the stored record (nsf.AppendNote's
+	// form) of each note unids names; missing ones are silently omitted. A
+	// record is valid only during fn's call, and an error fn returns ends
+	// the fetch and is returned.
+	Fetch(unids []nsf.UNID, fn func(rec []byte) error) error
+	// Apply stores the notes recs holds, each in nsf.AppendNote's form,
+	// on the peer using its conflict rules.
+	Apply(recs [][]byte) (ApplyStats, error)
 }
 
 // ApplyStats counts the outcomes of applying a batch of notes.

@@ -10,7 +10,6 @@ import (
 	gosync "sync" // the test package declares a helper named sync
 
 	"repro/internal/core"
-	"repro/internal/formula"
 	"repro/internal/nsf"
 	"repro/internal/store"
 )
@@ -28,12 +27,10 @@ type Options struct {
 	// directions (evaluated on whichever side holds the notes). Empty
 	// replicates everything. Documents outside the selection travel as
 	// selection stubs (identity only), never silently — see the package
-	// comment. Call Prepare to compile and validate it once up front;
-	// otherwise Replicate compiles it (cached) at session start and
-	// returns a typed *FormulaError on a bad source.
+	// comment. Replicate compiles it (memoized) at session start and
+	// returns a typed *FormulaError on a bad source; Prepare checks it
+	// up front.
 	Formula string
-	// compiled is the Prepare-validated form of Formula.
-	compiled *formula.Formula
 	// PullOnly disables the push phase.
 	PullOnly bool
 	// PushOnly disables the pull phase.
@@ -163,8 +160,8 @@ func Replicate(local *core.Database, peer Peer, opts Options) (Stats, error) {
 	var stats Stats
 	// Validate the selection formula before any wire work: a bad formula is
 	// a configuration error and surfaces as a typed *FormulaError here, at
-	// session start, not mid-round. The compiled form is cached (or already
-	// pinned by Prepare), so sessions never recompile it.
+	// session start, not mid-round. The compile is memoized, so sessions
+	// never recompile it.
 	if _, err := opts.selection(); err != nil {
 		return stats, err
 	}
@@ -262,74 +259,86 @@ func pull(local *core.Database, peer Peer, stats *Stats, since store.Cursor, opt
 		}
 	}
 	batchSize := opts.batchSize()
+	apply := applier(local, opts.Apply)
 	for len(need) > 0 {
 		batch := need
 		if len(batch) > batchSize {
 			batch = batch[:batchSize]
 		}
 		need = need[len(batch):]
-		notes, err := peer.Fetch(batch)
-		if err != nil {
+		if err := fetch(peer, stats, batch, apply); err != nil {
 			return since, err
-		}
-		stats.NotesFetched += len(notes)
-		stats.BytesIn += encodedBytes(notes)
-		for _, n := range notes {
-			st, err := ApplyNote(local, n, opts.Apply)
-			if err != nil {
-				return since, err
-			}
-			stats.Pull.Add(st)
 		}
 	}
 	return peerNext, nil
+}
+
+// fetch fetches the notes unids names from peer and applies each record
+// with apply as it arrives, counting it.
+func fetch(peer Peer, stats *Stats, unids []nsf.UNID, apply func(rec []byte) (ApplyStats, error)) error {
+	return peer.Fetch(unids, func(rec []byte) error {
+		stats.NotesFetched++
+		stats.BytesIn += int64(len(rec))
+		st, err := apply(rec)
+		stats.Pull.Add(st)
+		return err
+	})
 }
 
 // Push sends local changes since the cursor for the peer to apply: the push
 // phase of Replicate and of a cluster push. Documents outside the selection
 // formula travel as selection stubs (identity only), so an edit that moves a
 // document out of the selection deletes it at the peer, not leaves it frozen.
+//
+// The walk's records are shipped as they are stored, copied into one
+// buffer that every chunk of at most BatchSize records reuses, each chunk
+// applied before the walk goes on: an applied chunk is durable at the
+// peer, and one whose acknowledgment was lost re-applies as skips. The
+// walk's cursor is returned only once the last chunk is acknowledged.
 func Push(local *core.Database, peer Peer, stats *Stats, since store.Cursor, opts Options) (store.Cursor, error) {
 	sel, err := opts.selection()
 	if err != nil {
 		return since, err
 	}
-	var batch []*nsf.Note
-	next, err := scanSelected(context.Background(), local, since, sel, nil, func(n *nsf.Note) { batch = append(batch, n) })
+	batchSize := opts.batchSize()
+	var (
+		chunk []byte   // the chunk's records, back to back
+		ends  []int    // where each record ends in chunk
+		recs  [][]byte // the records cut from chunk for Apply
+	)
+	ship := func() error {
+		recs = recs[:0]
+		begin := 0
+		for _, end := range ends {
+			recs, begin = append(recs, chunk[begin:end:end]), end
+		}
+		st, err := peer.Apply(recs)
+		stats.Push.Add(st)
+		chunk, ends = chunk[:0], ends[:0]
+		return err
+	}
+	next, err := scanSelected(context.Background(), local, since, sel, nil, func(_ *nsf.Note, rec []byte) error {
+		stats.NotesSent++
+		stats.BytesOut += int64(len(rec))
+		chunk = append(chunk, rec...)
+		ends = append(ends, len(chunk))
+		if len(ends) == batchSize {
+			return ship()
+		}
+		return nil
+	})
+	if err == nil && len(ends) > 0 {
+		err = ship()
+	}
 	if err != nil {
 		return since, err
-	}
-	stats.BytesOut += encodedBytes(batch)
-	stats.NotesSent += len(batch)
-	// Ship in bounded batches: each applied batch is durable at the peer,
-	// and a batch whose acknowledgment was lost re-applies as skips.
-	batchSize := opts.batchSize()
-	for len(batch) > 0 {
-		chunk := batch
-		if len(chunk) > batchSize {
-			chunk = chunk[:batchSize]
-		}
-		batch = batch[len(chunk):]
-		st, err := peer.Apply(chunk)
-		if err != nil {
-			return since, err
-		}
-		stats.Push.Add(st)
 	}
 	return next, nil
 }
 
-// encodedBytes sums the encoded sizes of notes.
-func encodedBytes(notes []*nsf.Note) (total int64) {
-	for _, n := range notes {
-		total += int64(nsf.EncodedLen(n))
-	}
-	return total
-}
-
 // FullCopy is the naive baseline: it transfers the peer's complete note
 // inventory and applies it blindly (no summary phase, no OID pre-filtering
-// beyond the receiver's apply rules), then does the same in reverse.
+// beyond the receiver's apply rules), then pushes every local note.
 func FullCopy(local *core.Database, peer Peer) (Stats, error) {
 	var stats Stats
 	remoteReplica, err := peer.ReplicaID()
@@ -339,7 +348,6 @@ func FullCopy(local *core.Database, peer Peer) (Stats, error) {
 	if remoteReplica != local.ReplicaID() {
 		return stats, fmt.Errorf("repl: replica ID mismatch")
 	}
-	// Pull everything.
 	sums, _, err := peer.Summaries(store.Cursor{}, "")
 	if err != nil {
 		return stats, err
@@ -348,38 +356,9 @@ func FullCopy(local *core.Database, peer Peer) (Stats, error) {
 	for i, s := range sums {
 		unids[i] = s.UNID
 	}
-	notes, err := peer.Fetch(unids)
-	if err != nil {
+	if err := fetch(peer, &stats, unids, applier(local, ApplyOptions{})); err != nil {
 		return stats, err
 	}
-	stats.NotesFetched = len(notes)
-	stats.BytesIn += encodedBytes(notes)
-	for _, n := range notes {
-		st, err := ApplyNote(local, n, ApplyOptions{})
-		if err != nil {
-			return stats, err
-		}
-		stats.Pull.Add(st)
-	}
-	// Push everything.
-	var batch []*nsf.Note
-	err = local.ScanAll(func(n *nsf.Note) bool {
-		if n.Class != nsf.ClassReplFormula {
-			batch = append(batch, n)
-		}
-		return true
-	})
-	if err != nil {
-		return stats, err
-	}
-	stats.NotesSent = len(batch)
-	stats.BytesOut += encodedBytes(batch)
-	if len(batch) > 0 {
-		st, err := peer.Apply(batch)
-		if err != nil {
-			return stats, err
-		}
-		stats.Push.Add(st)
-	}
-	return stats, nil
+	_, err = Push(local, peer, &stats, store.Cursor{}, Options{})
+	return stats, err
 }

@@ -137,9 +137,7 @@ func decodeScanCursor(cursor []byte, server string) (nsf.NoteID, error) {
 }
 
 // scan serves one page of an NSFSearch-style bulk read: request (handle,
-// formula, limit, column names, cursor), response wire.NewScanPage's. The
-// formula is compiled per page — compilation is cheap next to evaluating
-// it over the page's documents.
+// formula, limit, column names, cursor), response wire.NewScanPage's.
 func (c *connState) scan(ctx context.Context, hs *handleState, d *wire.Dec) (*wire.Enc, error) {
 	formulaSrc := d.Str()
 	limit := int(d.U32())
@@ -151,7 +149,7 @@ func (c *connState) scan(ctx context.Context, hs *handleState, d *wire.Dec) (*wi
 	var sel *formula.Formula
 	var err, encErr error
 	if formulaSrc != "" {
-		if sel, err = formula.Compile(formulaSrc); err != nil {
+		if sel, err = formula.Cached(formulaSrc); err != nil {
 			return nil, err
 		}
 	}

@@ -28,8 +28,7 @@ type connState struct {
 	// force each one to the heap).
 	dec wire.Dec
 	// rec and scratch serve Gets: the stored record is read into rec, and
-	// its access items are decoded into scratch for the read check. A
-	// replication fetch reads its records into rec too.
+	// its access items are decoded into scratch for the read check.
 	rec     []byte
 	scratch core.RecordScratch
 	// frame holds the request being served: every request of the
@@ -41,10 +40,8 @@ type connState struct {
 	// the slab notes, their values cut from arena and their names and text
 	// substrings of one string copy of the request. They are valid until
 	// the response is written. Nothing the handlers call keeps one, or a
-	// value slice of one: core and the store encode a note synchronously
-	// (RawPut copies its header), a replication conflict or merge stores
-	// clones, and acl.FromNote and defFromNote, run on a replicated design
-	// note, keep only strings, which stay valid. A mail deposit, which the
+	// value slice of one: core and the store encode a note synchronously,
+	// repl.ApplyNote keeps no incoming note, and a mail deposit, which the
 	// router queues, decodes a note of its own.
 	notes []nsf.Note
 	ptrs  []*nsf.Note
@@ -483,20 +480,17 @@ func (c *connState) fetch(ctx context.Context, hs *handleState, d *wire.Dec) (*w
 	}
 	// A stored record already is the reply's note encoding
 	// (nsf.AppendNote's form): each is shipped as stored, never decoded
-	// whole, through the connection's record buffer. The count goes in
-	// front once the notes that vanished since the summary scan are known.
+	// whole. The count goes in front once the notes that vanished since
+	// the summary scan are known.
 	resp := wire.NewResp(wire.OpFetch, wire.StatusOK).U32(0)
 	countAt := len(resp.Bytes()) - 4
 	shipped := 0
 	peer := &repl.LocalPeer{DB: hs.db, Ctx: ctx}
-	rec, err := peer.FetchRecords(c.rec[:0], unids, func(rec []byte) error {
+	err := peer.Fetch(unids, func(rec []byte) error {
 		resp.Blob(rec)
 		shipped++
 		return nil
 	})
-	if cap(rec) <= maxKeptRecord {
-		c.rec = rec
-	}
 	if err != nil {
 		resp.Release()
 		return nil, err
@@ -513,22 +507,18 @@ func (c *connState) apply(ctx context.Context, hs *handleState, d *wire.Dec) (*w
 	if err := c.replAccess(hs, true); err != nil {
 		return nil, err
 	}
-	peer := &repl.LocalPeer{DB: hs.db}
-	// Apply in chunks with deadline checks between them. A mid-batch abort
+	// Apply with a deadline check every replChunk notes. A mid-batch abort
 	// leaves a prefix applied — safe, because replication applies are
 	// idempotent by the OID rules, and the aborted status tells the peer
 	// the batch did not complete.
 	var stats repl.ApplyStats
-	for len(notes) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	for i, n := range notes {
+		if i%replChunk == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 		}
-		chunk := notes
-		if len(chunk) > replChunk {
-			chunk = chunk[:replChunk]
-		}
-		notes = notes[len(chunk):]
-		st, err := peer.Apply(chunk)
+		st, err := repl.ApplyNote(hs.db, n, repl.ApplyOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/acl"
@@ -176,9 +178,11 @@ func TestGetAllocsDoNotGrowWithItems(t *testing.T) {
 // existed and one hard-deleted since — is byte for byte the reply built by
 // re-encoding each note RawGet returns with Enc.Note, skipping the UNIDs
 // RawGet does not find: the stored records shipped as stored are the same
-// wire bytes.
+// wire bytes. So is the other direction: the OpApply request
+// RemoteDB.Apply sends with the corpus's stored records carries the bytes
+// Enc.Note writes for their decodes.
 func TestFetchReplyMatchesEncodedNotes(t *testing.T) {
-	s, _ := newHookServer(t, Options{}, nil)
+	s, addr := newHookServer(t, Options{}, nil)
 	db, _ := s.DB("apps/db.nsf")
 	seedScanCorpus(t, db)
 	unids := churnScanCorpus(t, db)
@@ -213,4 +217,61 @@ func TestFetchReplyMatchesEncodedNotes(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("fetch reply differs from the re-encoded notes'\n got %q\nwant %q", got.Bytes(), want.Bytes())
 	}
+
+	var recs [][]byte
+	wantApply := wire.NewEnc(wire.OpApply).U32(uint32(shipped))
+	for _, u := range unids {
+		rec, err := db.RawRecord(nil, u, nil)
+		if errors.Is(err, core.ErrNotFound) {
+			continue
+		}
+		n, err := nsf.DecodeNote(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+		wantApply.Note(n)
+	}
+	var sent *writeRecorder
+	c, err := wire.DialOptions(addr, "ada", "ada-pw", wire.Options{Dialer: func(network, addr string) (net.Conn, error) {
+		conn, err := net.Dial(network, addr)
+		sent = &writeRecorder{Conn: conn}
+		return sent, err
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rdb, err := c.OpenDB("apps/db.nsf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent.mu.Lock()
+	sent.buf = nil
+	sent.mu.Unlock()
+	st, err := rdb.Apply(recs)
+	if err != nil || st.Skipped != shipped {
+		t.Fatalf("Apply of the stored records: %+v, %v; want %d skipped", st, err, shipped)
+	}
+	sent.mu.Lock()
+	defer sent.mu.Unlock()
+	// The request follows its frame header and handle; the rest is the
+	// note count and the notes.
+	if body := wantApply.Bytes()[1:]; !bytes.Contains(sent.buf, body) {
+		t.Fatalf("OpApply request of %d bytes does not carry the %d bytes of the re-encoded notes", len(sent.buf), len(body))
+	}
+}
+
+// writeRecorder is a connection that keeps a copy of what it writes.
+type writeRecorder struct {
+	net.Conn
+	mu  sync.Mutex
+	buf []byte
+}
+
+func (w *writeRecorder) Write(b []byte) (int, error) {
+	w.mu.Lock()
+	w.buf = append(w.buf, b...)
+	w.mu.Unlock()
+	return w.Conn.Write(b)
 }

@@ -232,3 +232,52 @@ func TestScanPageAllocsDoNotGrowWithNotesVisited(t *testing.T) {
 			allocs[2000], allocs[200])
 	}
 }
+
+// TestContinuationPageCompilesNothing: a scan's formula is compiled once
+// (formula.Cached), not on every page request. A continuation page under
+// a selection of 41 clauses makes as many allocations as one under its
+// first clause alone, which selects the same documents; evaluating either
+// makes no garbage, and compiling the long one costs dozens more
+// allocations than the page may differ by.
+func TestContinuationPageCompilesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled objects, so pooling allocates")
+	}
+	s, _ := newHookServer(t, Options{}, nil)
+	db, _ := s.DB("apps/db.nsf")
+	sess := db.Session("ada")
+	for i := 0; i < 100; i++ {
+		n := nsf.NewNote(nsf.ClassDocument)
+		n.SetText("Subject", fmt.Sprintf("doc %d", i))
+		n.SetNumber("Priority", float64(i%10))
+		if err := sess.Create(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.Refresh()
+	const slack = 2
+	short := "SELECT Priority > 4"
+	long := short + strings.Repeat(" | Priority > 100", 40)
+	compile := testing.AllocsPerRun(10, func() { formula.Compile(long) }) -
+		testing.AllocsPerRun(10, func() { formula.Compile(short) })
+	if compile <= 10*slack {
+		t.Fatalf("the long formula compiles in %.0f more allocations than the short one: too few to tell", compile)
+	}
+	scan := scanConn(t, s, "ada")
+	columns := []string{"Subject"}
+	cursor := encodeScanCursor(s.opts.Name, 20)
+	page := func(src string) float64 {
+		return testing.AllocsPerRun(10, func() {
+			resp := scan(src, 16, columns, cursor)
+			if resp.Bytes()[1] != wire.StatusOK {
+				t.Fatalf("scan: status %d", resp.Bytes()[1])
+			}
+			resp.Release()
+		})
+	}
+	shortPage, longPage := page(short), page(long)
+	t.Logf("continuation page: %.0f allocations under the short formula, %.0f under the long; compiling the long one costs %.0f more", shortPage, longPage, compile)
+	if longPage > shortPage+slack {
+		t.Errorf("a continuation page under the long formula made %.0f allocations, under the short one %.0f: the page compiles its formula", longPage, shortPage)
+	}
+}

@@ -270,7 +270,7 @@ func TestReplicationRequiresEditor(t *testing.T) {
 	note.OID.Seq = 1
 	note.OID.SeqTime = 1
 	note.SetText("Subject", "injected")
-	if _, err := rdb.Apply([]*nsf.Note{note}); err == nil {
+	if _, err := rdb.Apply([][]byte{nsf.EncodeNote(note)}); err == nil {
 		t.Error("reader applied notes")
 	}
 }

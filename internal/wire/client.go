@@ -884,31 +884,34 @@ func (r *RemoteDB) Summaries(since store.Cursor, formulaSrc string) ([]repl.Summ
 	return out, next, d.Err()
 }
 
-// Fetch implements repl.Peer.
-func (r *RemoteDB) Fetch(unids []nsf.UNID) ([]*nsf.Note, error) {
+// Fetch implements repl.Peer: fn gets each record of the reply where it
+// lies in the reply frame, as the source stored it, decoded by no one here.
+func (r *RemoteDB) Fetch(unids []nsf.UNID, fn func(rec []byte) error) error {
 	req := r.req(OpFetch).U32(uint32(len(unids)))
 	for _, u := range unids {
 		req.UNID(u)
 	}
 	d, err := r.call(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	count := d.U32()
-	// Clamp the count-sized preallocation: an encoded note is at least a
-	// one-byte length prefix plus a byte of body.
-	out := make([]*nsf.Note, 0, d.Cap(count, 2))
 	for i := uint32(0); i < count && d.Err() == nil; i++ {
-		out = append(out, d.Note())
+		if rec := d.Blob(); d.Err() == nil {
+			if err := fn(rec); err != nil {
+				return err
+			}
+		}
 	}
-	return out, d.Err()
+	return d.Err()
 }
 
-// Apply implements repl.Peer.
-func (r *RemoteDB) Apply(notes []*nsf.Note) (repl.ApplyStats, error) {
-	req := r.req(OpApply).U32(uint32(len(notes)))
-	for _, n := range notes {
-		req.Note(n)
+// Apply implements repl.Peer. Each record is sent as it is, the note blob
+// Enc.Note would encode from its decode.
+func (r *RemoteDB) Apply(recs [][]byte) (repl.ApplyStats, error) {
+	req := r.req(OpApply).U32(uint32(len(recs)))
+	for _, rec := range recs {
+		req.Blob(rec)
 	}
 	d, err := r.call(req)
 	if err != nil {

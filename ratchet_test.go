@@ -81,7 +81,10 @@ func sourceImports(t *testing.T) map[string][]string {
 //     internal/check only under cmd/ or internal/mesh;
 //   - under internal/store, no exported Store method returns a *nsf.Note or
 //     takes a callback with a *nsf.Note parameter: the store serves
-//     records, and decoding them is its callers' business.
+//     records, and decoding them is its callers' business;
+//   - no method of repl.Peer takes or returns a *nsf.Note or []*nsf.Note,
+//     or takes a callback with one: replication carries stored records
+//     both ways, and the receiver decodes them.
 func TestRatchets(t *testing.T) {
 	const internal = "repro/internal/"
 	inPackage := func(file, dir string) bool { return filepath.ToSlash(filepath.Dir(file)) == dir }
@@ -121,6 +124,27 @@ func TestRatchets(t *testing.T) {
 			}
 		}
 	}
+
+	peers := 0
+	for file, f := range sourceFiles(t, "internal/repl", parser.SkipObjectResolution, false) {
+		ast.Inspect(f, func(node ast.Node) bool {
+			ts, ok := node.(*ast.TypeSpec)
+			if !ok || ts.Name.Name != "Peer" {
+				return true
+			}
+			peers++
+			for _, m := range ts.Type.(*ast.InterfaceType).Methods.List {
+				ft, ok := m.Type.(*ast.FuncType)
+				if ok && (lendsNote(ft) || slices.ContainsFunc(ft.Params.List, func(p *ast.Field) bool { return isNote(p.Type) })) {
+					t.Errorf("%s: repl.Peer.%s carries a decoded note; a Peer carries stored records", file, m.Names[0].Name)
+				}
+			}
+			return false
+		})
+	}
+	if peers != 1 {
+		t.Errorf("found %d declarations of repl.Peer, want 1", peers)
+	}
 }
 
 // isStoreMethod reports whether fn is a method of store.Store.
@@ -136,21 +160,26 @@ func isStoreMethod(fn *ast.FuncDecl) bool {
 	return ok && id.Name == "Store"
 }
 
-// lendsNote reports whether a function of type ft returns a *nsf.Note or
-// takes a callback with a *nsf.Note parameter.
-func lendsNote(ft *ast.FuncType) bool {
-	isNote := func(e ast.Expr) bool {
-		star, ok := e.(*ast.StarExpr)
-		if !ok {
-			return false
-		}
-		sel, ok := star.X.(*ast.SelectorExpr)
-		if !ok {
-			return false
-		}
-		pkg, ok := sel.X.(*ast.Ident)
-		return ok && pkg.Name == "nsf" && sel.Sel.Name == "Note"
+// isNote reports whether e is the type *nsf.Note or []*nsf.Note.
+func isNote(e ast.Expr) bool {
+	if slice, ok := e.(*ast.ArrayType); ok && slice.Len == nil {
+		e = slice.Elt
 	}
+	star, ok := e.(*ast.StarExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := star.X.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	return ok && pkg.Name == "nsf" && sel.Sel.Name == "Note"
+}
+
+// lendsNote reports whether a function of type ft returns a *nsf.Note or
+// []*nsf.Note, or takes a callback with a parameter of either type.
+func lendsNote(ft *ast.FuncType) bool {
 	if ft.Results != nil && slices.ContainsFunc(ft.Results.List, func(r *ast.Field) bool { return isNote(r.Type) }) {
 		return true
 	}
